@@ -60,4 +60,10 @@ cargo run --release -q -p webdep-bench --bin bench-snapshot -- overload --smoke
 echo "==> bench-snapshot gate --smoke"
 cargo run --release -q -p webdep-bench --bin bench-snapshot -- gate --smoke
 
+# Repository benchmark smoke: perfbench/ is its own Cargo workspace built
+# against the crates' public API, so the workspace steps above never
+# compile it. Runs every workload untraced and traced on a tiny world.
+echo "==> python3 perfbench/smoke.py"
+python3 perfbench/smoke.py
+
 echo "ci: all gates green"

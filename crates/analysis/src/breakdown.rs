@@ -133,7 +133,7 @@ pub fn tld_breakdown(ctx: &AnalysisCtx<'_>) -> Breakdown {
         let dist = ctx.country_dist(ci, Layer::Tld).expect("non-empty");
         stacks.push(CountryStack {
             code: country.code,
-            s: webdep_core::centralization::centralization_score(&dist),
+            s: webdep_core::centralization::centralization_score(dist),
             shares,
         });
     }
@@ -161,7 +161,7 @@ fn build_stacks<F: Fn(u32) -> usize>(
         let dist = ctx.country_dist(ci, layer).expect("non-empty");
         stacks.push(CountryStack {
             code: country.code,
-            s: webdep_core::centralization::centralization_score(&dist),
+            s: webdep_core::centralization::centralization_score(dist),
             shares,
         });
     }

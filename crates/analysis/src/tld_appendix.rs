@@ -156,7 +156,7 @@ pub fn external_cc_vs_centralization(ctx: &AnalysisCtx<'_>) -> Option<webdep_sta
             continue;
         };
         xs.push(external_cc_share(ctx, ci));
-        ys.push(webdep_core::centralization::centralization_score(&dist));
+        ys.push(webdep_core::centralization::centralization_score(dist));
     }
     webdep_stats::pearson(&xs, &ys)
 }

@@ -1,7 +1,7 @@
-//! The analysis engine: cube build, cube-vs-legacy accessors, and the
-//! parallel affinity-propagation sweep. (The full `ExperimentSuite`
-//! before/after wall is timed by `bench-snapshot`, which writes
-//! `BENCH_analysis.json`; these benches cover the hot pieces.)
+//! The analysis engine: cube build, cube accessors, and the parallel
+//! affinity-propagation sweep. (The full `ExperimentSuite` wall is timed
+//! by `bench-snapshot`, which writes `BENCH_analysis.json`; these benches
+//! cover the hot pieces.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -22,10 +22,9 @@ fn cube_build(c: &mut Criterion) {
     g.finish();
 }
 
-fn accessors_cube_vs_legacy(c: &mut Criterion) {
+fn accessors(c: &mut Criterion) {
     let (world, ds) = fixture();
     let cube = AnalysisCtx::new(world, ds);
-    let legacy = AnalysisCtx::new_legacy(world, ds);
     let us = World::country_index("US").unwrap();
     let owner = cube.country_counts(us, Layer::Hosting)[0].0;
 
@@ -38,22 +37,12 @@ fn accessors_cube_vs_legacy(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("legacy", |b| {
-        b.iter(|| {
-            for ci in 0..150 {
-                black_box(legacy.owner_share(ci, Layer::Hosting, owner));
-            }
-        })
-    });
     g.finish();
 
     let mut g = c.benchmark_group("layer_table_hosting");
     g.sample_size(10);
     g.bench_function("cube", |b| {
         b.iter(|| black_box(layer_table(&cube, Layer::Hosting)))
-    });
-    g.bench_function("legacy", |b| {
-        b.iter(|| black_box(layer_table(&legacy, Layer::Hosting)))
     });
     g.finish();
 }
@@ -62,14 +51,9 @@ fn affinity_sweeps(c: &mut Criterion) {
     let points = synthetic_points(512, 4);
     let mut g = c.benchmark_group("affinity_512pts");
     g.sample_size(10);
-    for (name, threads, baseline_sweeps) in [
-        ("baseline", 1usize, true),
-        ("tiled_serial", 1, false),
-        ("tiled_parallel", 0, false),
-    ] {
+    for (name, threads) in [("tiled_serial", 1usize), ("tiled_parallel", 0)] {
         let config = AffinityConfig {
             threads,
-            baseline_sweeps,
             ..AffinityConfig::default()
         };
         g.bench_function(name, |b| {
@@ -79,10 +63,5 @@ fn affinity_sweeps(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    cube_build,
-    accessors_cube_vs_legacy,
-    affinity_sweeps
-);
+criterion_group!(benches, cube_build, accessors, affinity_sweeps);
 criterion_main!(benches);

@@ -1,12 +1,13 @@
 //! Shared timing harness for the analysis engine.
 //!
 //! Times the three things `BENCH_analysis.json` reports: the dependence-cube
-//! build, the full [`ExperimentSuite`] wall before (tally-on-demand
-//! `AnalysisCtx::new_legacy`) and after (cube-backed `AnalysisCtx::new`),
-//! and an affinity-propagation sweep at serial vs parallel thread counts.
-//! Both the `bench-snapshot` binary and the tier-1 smoke test call these,
-//! so the numbers in the JSON and the path the tests exercise stay the
-//! same code.
+//! build, the full [`ExperimentSuite`] wall over the cube-backed
+//! `AnalysisCtx`, and an affinity-propagation sweep at serial vs parallel
+//! thread counts. Both the `bench-snapshot` binary and the tier-1 smoke
+//! test call these, so the numbers in the JSON and the path the tests
+//! exercise stay the same code. (The committed `BENCH_analysis.json`
+//! still holds the last before/after comparison against the retired
+//! tally-on-demand context.)
 
 use serde::Serialize;
 use std::time::Instant;
@@ -26,11 +27,11 @@ fn ms(d: std::time::Duration) -> f64 {
 /// Wall times for one context build + full suite run.
 #[derive(Debug, Serialize)]
 pub struct SuiteTiming {
-    /// `AnalysisCtx` construction (the cube build, in cube mode).
+    /// `AnalysisCtx` construction (the cube build).
     pub ctx_build_ms: f64,
     /// `ExperimentSuite::run` wall time.
     pub suite_wall_ms: f64,
-    /// Experiments passed / total — both modes must agree.
+    /// Experiments passed.
     pub passed: usize,
     /// Total experiments run.
     pub total: usize,
@@ -43,14 +44,10 @@ impl SuiteTiming {
     }
 }
 
-/// Builds a context (legacy when `legacy`) and runs the full suite once.
-pub fn time_suite(world: &World, ds: &MeasuredDataset, legacy: bool) -> SuiteTiming {
+/// Builds a context and runs the full suite once.
+pub fn time_suite(world: &World, ds: &MeasuredDataset) -> SuiteTiming {
     let t0 = Instant::now();
-    let ctx = if legacy {
-        AnalysisCtx::new_legacy(world, ds)
-    } else {
-        AnalysisCtx::new(world, ds)
-    };
+    let ctx = AnalysisCtx::new(world, ds);
     let ctx_build_ms = ms(t0.elapsed());
     let t1 = Instant::now();
     let suite = ExperimentSuite::run(&ctx, None, None);
@@ -62,24 +59,20 @@ pub fn time_suite(world: &World, ds: &MeasuredDataset, legacy: bool) -> SuiteTim
     }
 }
 
-/// Before/after wall times for one affinity-propagation run.
+/// Serial and parallel wall times for one affinity-propagation run.
 #[derive(Debug, Serialize)]
 pub struct AffinityTiming {
     /// Points clustered (above the parallel threshold when ≥ 384).
     pub points: usize,
-    /// The pre-PR sweeps: untiled, `threads = 1`.
-    pub baseline_ms: f64,
     /// Cache-tiled sweeps, `threads = 1`.
     pub tiled_serial_ms: f64,
     /// Cache-tiled sweeps with `threads = parallel_threads`.
     pub tiled_parallel_ms: f64,
     /// Thread count of the parallel run.
     pub parallel_threads: usize,
-    /// `baseline_ms / min(tiled_serial_ms, tiled_parallel_ms)`.
-    pub speedup: f64,
-    /// Message-passing sweeps executed (identical in all runs).
+    /// Message-passing sweeps executed (identical in both runs).
     pub sweeps: usize,
-    /// Whether all runs produced byte-identical clusterings (must always
+    /// Whether both runs produced byte-identical clusterings (must always
     /// be true).
     pub identical: bool,
 }
@@ -102,33 +95,28 @@ pub fn synthetic_points(n: usize, dims: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Clusters `n` synthetic points with the baseline sweeps, the tiled
-/// sweeps, and the tiled sweeps across `threads` workers, checking all
-/// three agree exactly.
+/// Clusters `n` synthetic points serially and across `threads` workers,
+/// checking both agree exactly.
 pub fn time_affinity(n: usize, threads: usize) -> AffinityTiming {
     let points = synthetic_points(n, 4);
-    let run = |threads: usize, baseline_sweeps: bool| {
+    let run = |threads: usize| {
         let config = AffinityConfig {
             threads,
-            baseline_sweeps,
             ..AffinityConfig::default()
         };
         let t0 = Instant::now();
         let clustering = affinity_propagation(&points, &config).expect("non-empty");
         (ms(t0.elapsed()), clustering)
     };
-    let (baseline_ms, baseline) = run(1, true);
-    let (tiled_serial_ms, tiled) = run(1, false);
-    let (tiled_parallel_ms, parallel) = run(threads, false);
+    let (tiled_serial_ms, serial) = run(1);
+    let (tiled_parallel_ms, parallel) = run(threads);
     AffinityTiming {
         points: n,
-        baseline_ms,
         tiled_serial_ms,
         tiled_parallel_ms,
         parallel_threads: threads,
-        speedup: round3(baseline_ms / tiled_serial_ms.min(tiled_parallel_ms).max(1e-9)),
-        sweeps: baseline.iterations,
-        identical: baseline == tiled && baseline == parallel,
+        sweeps: serial.iterations,
+        identical: serial == parallel,
     }
 }
 
@@ -143,12 +131,8 @@ pub struct AnalysisSnapshot {
     pub threads: u64,
     /// Cube build alone (one parallel pass over the observations).
     pub cube_build_ms: f64,
-    /// Tally-on-demand context + full suite.
-    pub before: SuiteTiming,
     /// Cube-backed context + full suite.
-    pub after: SuiteTiming,
-    /// End-to-end before / after (the acceptance number).
-    pub suite_speedup: f64,
+    pub suite: SuiteTiming,
     /// Affinity-propagation sweep, serial vs parallel.
     pub affinity: AffinityTiming,
     /// Peak RSS (`VmHWM`) of the bench process when the snapshot was
@@ -157,7 +141,7 @@ pub struct AnalysisSnapshot {
 }
 
 /// Generates, deploys, and measures a world at `config` scale, then times
-/// legacy vs cube suite runs and an affinity sweep of `affinity_points`.
+/// a suite run and an affinity sweep of `affinity_points`.
 pub fn analysis_snapshot(
     scale: &str,
     config: WorldConfig,
@@ -175,8 +159,7 @@ pub fn analysis_snapshot(
     let cube_build_ms = ms(t0.elapsed());
     drop(ctx);
 
-    let before = time_suite(&world, &ds, true);
-    let after = time_suite(&world, &ds, false);
+    let suite = time_suite(&world, &ds);
     let threads = webdep_stats::par::default_threads();
 
     AnalysisSnapshot {
@@ -184,9 +167,7 @@ pub fn analysis_snapshot(
         sites: ds.observations.len() as u64,
         threads: threads as u64,
         cube_build_ms,
-        suite_speedup: round3(before.end_to_end_ms() / after.end_to_end_ms().max(1e-9)),
-        before,
-        after,
+        suite,
         affinity: time_affinity(affinity_points, threads.max(2)),
         peak_rss_bytes: crate::peak_rss_bytes(),
     }

@@ -1,17 +1,19 @@
 //! Writes the repo-root benchmark snapshots.
 //!
 //! `BENCH_pipeline.json`: throughput and wire-query accounting for the
-//! measurement pipeline, before and after the concurrency/caching work.
-//! "Before" reproduces the original pipeline: thread-per-rack serving,
-//! static contiguous shards, private per-worker caches only, and a
-//! strictly query-driven resolver (no referral caching). "After" is the
-//! current default: inline rack responders, dynamic work queue, shared
-//! delegation/answer cache, referral caching.
+//! measurement pipeline (inline rack responders, shared work queue,
+//! shared delegation/answer cache, referral caching).
 //!
 //! `BENCH_analysis.json`: the analysis engine — dependence-cube build
-//! time, full `ExperimentSuite` wall before (tally-on-demand) and after
-//! (cube-backed), and affinity-propagation sweep throughput serial vs
-//! parallel.
+//! time, full `ExperimentSuite` wall over the cube-backed context, and
+//! affinity-propagation sweep throughput serial vs parallel.
+//!
+//! The committed `BENCH_pipeline.json` and `BENCH_analysis.json` hold the
+//! last before/after comparisons against the retired baseline paths
+//! (thread-per-rack serving, static shards, private caches, query-driven
+//! resolution; the tally-on-demand analysis context; untiled affinity
+//! sweeps). Re-running these snapshots overwrites them with live-path
+//! numbers only.
 //!
 //! `BENCH_faults.json`: the fault-injection sweep — per-layer coverage,
 //! failure taxonomy, and hosting-score drift (with bootstrap CIs) under
@@ -56,56 +58,22 @@
 use serde::Serialize;
 use std::path::Path;
 use webdep_bench::gate;
-use webdep_dns::resolver::ResolverConfig;
-use webdep_pipeline::{measure_with_stats, MeasureStats, PipelineConfig, Scheduling};
+use webdep_pipeline::{measure_with_stats, PipelineConfig};
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
 const WORKERS: usize = 8;
 
 #[derive(Serialize)]
-struct ModeSnapshot {
-    scheduling: String,
-    inline_racks: bool,
-    shared_cache: bool,
-    referral_caching: bool,
+struct Snapshot {
+    sites: u64,
+    workers: u64,
     wall_ms: u64,
     sites_per_sec: f64,
     wire_queries: u64,
     local_cache_hits: u64,
     shared_cache_hits: u64,
     peak_idle_fraction: f64,
-}
-
-#[derive(Serialize)]
-struct Snapshot {
-    sites: u64,
-    workers: u64,
-    before: ModeSnapshot,
-    after: ModeSnapshot,
-    speedup: f64,
-    wire_query_reduction: f64,
     peak_rss_bytes: Option<u64>,
-}
-
-fn mode_snapshot(
-    scheduling: Scheduling,
-    inline_racks: bool,
-    shared_cache: bool,
-    referral_caching: bool,
-    stats: &MeasureStats,
-) -> ModeSnapshot {
-    ModeSnapshot {
-        scheduling: format!("{scheduling:?}"),
-        inline_racks,
-        shared_cache,
-        referral_caching,
-        wall_ms: stats.wall.as_millis() as u64,
-        sites_per_sec: round3(stats.sites_per_sec),
-        wire_queries: stats.wire_queries,
-        local_cache_hits: stats.local_cache_hits,
-        shared_cache_hits: stats.shared_cache_hits,
-        peak_idle_fraction: round3(stats.peak_idle_fraction),
-    }
 }
 
 fn round3(x: f64) -> f64 {
@@ -118,26 +86,6 @@ fn fmt_ratio(r: Option<f64>) -> String {
         Some(v) => format!("{v:.3}"),
         None => "n/a".to_string(),
     }
-}
-
-fn run(
-    world: &World,
-    dep: &DeployedWorld,
-    scheduling: Scheduling,
-    shared: bool,
-    cache_referrals: bool,
-) -> MeasureStats {
-    let config = PipelineConfig {
-        workers: WORKERS,
-        scheduling,
-        shared_cache: shared,
-        resolver: ResolverConfig {
-            cache_referrals,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    measure_with_stats(world, dep, &config).1
 }
 
 fn repo_root_path(name: &str) -> std::path::PathBuf {
@@ -195,81 +143,53 @@ const AFFINITY_POINTS: usize = 512;
 fn analysis_snapshot() {
     // Small scale: the suite's fixed costs (the worked-example figures,
     // calibration curves) are world-size independent, so tiny-scale runs
-    // understate how much of the wall the tallying actually was.
-    eprintln!("analysis: measuring a small world, then timing legacy vs cube suite runs...");
+    // understate how much of the wall the tallying actually is.
+    eprintln!("analysis: measuring a small world, then timing the cube build and suite...");
     let snapshot =
         webdep_bench::analysis::analysis_snapshot("small", WorldConfig::small(), AFFINITY_POINTS);
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
     let out = repo_root_path("BENCH_analysis.json");
     std::fs::write(&out, json + "\n").expect("write BENCH_analysis.json");
     eprintln!(
-        "wrote {} (cube build {:.1} ms, suite {:.0} ms -> {:.0} ms, speedup {:.2}x, affinity x{:.2} @ {} pts)",
+        "wrote {} (cube build {:.1} ms, suite {:.0} ms, affinity {:.1} ms serial / {:.1} ms parallel @ {} pts)",
         out.display(),
         snapshot.cube_build_ms,
-        snapshot.before.end_to_end_ms(),
-        snapshot.after.end_to_end_ms(),
-        snapshot.suite_speedup,
-        snapshot.affinity.speedup,
+        snapshot.suite.end_to_end_ms(),
+        snapshot.affinity.tiled_serial_ms,
+        snapshot.affinity.tiled_parallel_ms,
         snapshot.affinity.points,
     );
     append_history(
         "analysis",
         &format!(
-            "suite x{:.2} cube build {:.1}ms affinity x{:.2}",
-            snapshot.suite_speedup, snapshot.cube_build_ms, snapshot.affinity.speedup
+            "suite {:.0}ms cube build {:.1}ms",
+            snapshot.suite.end_to_end_ms(),
+            snapshot.cube_build_ms
         ),
-    );
-    record_headline(
-        "analysis",
-        &[
-            down_bad(
-                "suite_speedup_permille",
-                permille(snapshot.suite_speedup),
-                30,
-            ),
-            down_bad(
-                "affinity_speedup_permille",
-                permille(snapshot.affinity.speedup),
-                30,
-            ),
-        ],
     );
 }
 
 fn pipeline_snapshot() {
     let world = World::generate(WorldConfig::tiny());
-
-    // Each deployment lives only for its measurement: idle rack threads
-    // from the threaded deployment would otherwise poll away CPU during
-    // the inline run.
-    let before = {
-        let dep = DeployedWorld::deploy(
-            &world,
-            DeployConfig {
-                inline_racks: false,
-                ..DeployConfig::default()
-            },
-        );
-        eprintln!("warming up the threaded deployment (one untimed run)...");
-        let _ = run(&world, &dep, Scheduling::Static, false, false);
-        eprintln!("before: rack threads, static shards, private caches, query-driven resolver...");
-        run(&world, &dep, Scheduling::Static, false, false)
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let config = PipelineConfig {
+        workers: WORKERS,
+        ..Default::default()
     };
-    let after = {
-        let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-        eprintln!("warming up the inline deployment (one untimed run)...");
-        let _ = run(&world, &dep, Scheduling::Dynamic, true, true);
-        eprintln!("after: inline racks, dynamic queue, shared cache, referral caching...");
-        run(&world, &dep, Scheduling::Dynamic, true, true)
-    };
+    eprintln!("pipeline: warming up (one untimed run)...");
+    let _ = measure_with_stats(&world, &dep, &config);
+    eprintln!("pipeline: timed run...");
+    let stats = measure_with_stats(&world, &dep, &config).1;
 
     let snapshot = Snapshot {
         sites: world.sites.len() as u64,
         workers: WORKERS as u64,
-        speedup: round3(after.sites_per_sec / before.sites_per_sec),
-        wire_query_reduction: round3(1.0 - after.wire_queries as f64 / before.wire_queries as f64),
-        before: mode_snapshot(Scheduling::Static, false, false, false, &before),
-        after: mode_snapshot(Scheduling::Dynamic, true, true, true, &after),
+        wall_ms: stats.wall.as_millis() as u64,
+        sites_per_sec: round3(stats.sites_per_sec),
+        wire_queries: stats.wire_queries,
+        local_cache_hits: stats.local_cache_hits,
+        shared_cache_hits: stats.shared_cache_hits,
+        peak_idle_fraction: round3(stats.peak_idle_fraction),
         peak_rss_bytes: webdep_bench::peak_rss_bytes(),
     };
 
@@ -277,29 +197,17 @@ fn pipeline_snapshot() {
     let out = repo_root_path("BENCH_pipeline.json");
     std::fs::write(&out, json + "\n").expect("write BENCH_pipeline.json");
     eprintln!(
-        "wrote {} (speedup {:.2}x, wire queries -{:.0}%)",
+        "wrote {} ({:.0} sites/s, {} wire queries)",
         out.display(),
-        snapshot.speedup,
-        snapshot.wire_query_reduction * 100.0
+        snapshot.sites_per_sec,
+        snapshot.wire_queries
     );
     append_history(
         "pipeline",
         &format!(
-            "speedup x{:.2} wire queries -{:.0}%",
-            snapshot.speedup,
-            snapshot.wire_query_reduction * 100.0
+            "{:.0} sites/s {} wire queries",
+            snapshot.sites_per_sec, snapshot.wire_queries
         ),
-    );
-    record_headline(
-        "pipeline",
-        &[
-            down_bad("speedup_permille", permille(snapshot.speedup), 30),
-            down_bad(
-                "wire_query_reduction_permille",
-                permille(snapshot.wire_query_reduction),
-                30,
-            ),
-        ],
     );
 }
 

@@ -34,7 +34,6 @@
 
 use crate::peak_rss_bytes;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -168,12 +167,12 @@ fn stores_identical(a: &Path, b: &Path) -> bool {
 
 /// Folds every chunk of the store at `dir` into a fresh builder — the
 /// from-scratch comparator for the cube apply.
-fn fold_full(dir: &Path, sites: usize, ids: &HashMap<String, u32>) -> CubeBuilder {
+fn fold_full(dir: &Path, world: &World) -> CubeBuilder {
     let store = ChunkStore::open(dir).expect("open store");
-    let mut builder = CubeBuilder::new(sites);
+    let mut builder = CubeBuilder::new(world.sites.len());
     for c in 0..store.num_chunks() {
         let chunk = store.read_chunk(c).expect("read chunk");
-        builder.fold_chunk(&chunk, ids);
+        builder.fold_chunk(&chunk, world);
     }
     builder
 }
@@ -181,12 +180,7 @@ fn fold_full(dir: &Path, sites: usize, ids: &HashMap<String, u32>) -> CubeBuilde
 /// The cube delta-apply unit: clone the previous epoch's builder, grow it
 /// to the evolved site table, and refold only the chunks holding dirty
 /// sites (clean rows in those chunks overwrite idempotently).
-fn fold_delta(
-    prev: &CubeBuilder,
-    dir: &Path,
-    delta: &WorldDelta,
-    ids: &HashMap<String, u32>,
-) -> CubeBuilder {
+fn fold_delta(prev: &CubeBuilder, dir: &Path, delta: &WorldDelta, world: &World) -> CubeBuilder {
     let mut builder = prev.clone();
     builder.grow(delta.to_sites);
     let dirty = delta.dirty();
@@ -197,7 +191,7 @@ fn fold_delta(
         let rows = store.chunk_rows(c);
         if dirty[lo..lo + rows].iter().any(|&d| d) {
             let chunk = store.read_chunk(c).expect("read chunk");
-            builder.fold_chunk(&chunk, ids);
+            builder.fold_chunk(&chunk, world);
         }
     }
     builder
@@ -253,13 +247,7 @@ fn churn_sweep(
     let mut prev_dir = scratch(&format!("c{}-base", (churn * 100.0) as u32));
     measure_streamed(&base, &dep, &config, &prev_dir, None).expect("measure base epoch");
     drop(dep);
-    let ids: HashMap<String, u32> = base
-        .universe
-        .tlds
-        .iter()
-        .map(|t| (t.label.clone(), t.id))
-        .collect();
-    let mut builder = fold_full(&prev_dir, base.sites.len(), &ids);
+    let mut builder = fold_full(&prev_dir, &base);
     let mut world = Arc::new(base);
     let mut snapshot =
         CubeSnapshot::from_store(1, Arc::clone(&world), &prev_dir).expect("base snapshot");
@@ -289,10 +277,10 @@ fn churn_sweep(
         let mut certified = stores_identical(&full_dir, &delta_dir);
 
         let t0 = Instant::now();
-        let rebuilt_builder = fold_full(&delta_dir, next.sites.len(), &ids);
+        let rebuilt_builder = fold_full(&delta_dir, &next);
         let cube_rebuild = t0.elapsed();
         let t0 = Instant::now();
-        let applied_builder = fold_delta(&builder, &delta_dir, &delta, &ids);
+        let applied_builder = fold_delta(&builder, &delta_dir, &delta, &next);
         let cube_apply = t0.elapsed();
         certified &=
             builder_report(&applied_builder, &next) == builder_report(&rebuilt_builder, &next);

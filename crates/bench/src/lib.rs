@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn snapshot_harness_runs_cube_suite() {
         let (world, ds) = fixture();
-        let t = analysis::time_suite(world, ds, false);
+        let t = analysis::time_suite(world, ds);
         assert_eq!(t.passed, t.total, "{}/{} experiments", t.passed, t.total);
         assert!(t.ctx_build_ms >= 0.0 && t.suite_wall_ms > 0.0);
 

@@ -31,7 +31,6 @@
 use crate::peak_rss_bytes;
 use serde::Serialize;
 use serde_json::Value;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -110,15 +109,6 @@ pub fn synth_observation(world: &World, i: usize) -> SiteObservation {
     o
 }
 
-fn tld_id_map(world: &World) -> HashMap<String, u32> {
-    world
-        .universe
-        .tlds
-        .iter()
-        .map(|t| (t.label.clone(), t.id))
-        .collect()
-}
-
 /// Renders the cube-backed dependence summary both paths must agree on:
 /// per layer, the global top-10 owners and every country's toplist size,
 /// observed total, coverage, and centralization score. Touches only
@@ -137,7 +127,7 @@ pub fn cube_report(ctx: &AnalysisCtx<'_>) -> String {
             let coverage = ctx.country_coverage(ci, layer);
             let s = ctx
                 .country_dist(ci, layer)
-                .map(|d| centralization_score(&d))
+                .map(centralization_score)
                 .unwrap_or(-1.0);
             writeln!(
                 out,
@@ -182,11 +172,10 @@ fn streaming_path(world: &World, dir: &Path) -> (ChunkStore, String, u64) {
     writer.finish().expect("finish chunk store");
 
     let store = ChunkStore::open(dir).expect("reopen chunk store");
-    let tld_ids = tld_id_map(world);
     let mut builder = CubeBuilder::new(n);
     for c in 0..store.num_chunks() {
         let chunk = store.read_chunk(c).expect("read chunk");
-        builder.fold_chunk(&chunk, &tld_ids);
+        builder.fold_chunk(&chunk, world);
     }
     let cube = builder.finish(world, &world.toplists, &world.global_top);
     let hollow = MeasuredDataset {

@@ -323,7 +323,7 @@ fn consistency_check(addr: SocketAddr, world: &World, ds: &MeasuredDataset) -> b
         let ci = World::country_index(code).expect("country");
         let body = get_value(addr, &format!("/v1/score/{code}?replicates=0"));
         let dist = ctx.country_dist(ci, Layer::Hosting).expect("dist");
-        ok &= body["s"].as_f64() == Some(centralization_score(&dist));
+        ok &= body["s"].as_f64() == Some(centralization_score(dist));
         let served_ci = get_value(addr, &format!("/v1/ci/{code}?replicates=64&seed=9"));
         let expect = ctx.score_ci(ci, Layer::Hosting, 64, 0.95, 9).expect("ci");
         ok &= served_ci["ci"]["point"].as_f64() == Some(expect.point)

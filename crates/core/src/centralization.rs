@@ -60,14 +60,6 @@ pub fn centralization_score_counts_ref(counts: &[u64]) -> Option<f64> {
     Some(sum_sq / (c * c) - 1.0 / c)
 }
 
-/// Deprecated spelling of [`centralization_score_counts_ref`]. The old
-/// implementation cloned the counts into a fresh `CountDist` per call; the
-/// replacement is a borrowed single-pass kernel.
-#[deprecated(note = "use centralization_score_counts_ref; this no longer clones either")]
-pub fn centralization_score_counts(counts: &[u64]) -> Option<f64> {
-    centralization_score_counts_ref(counts)
-}
-
 /// Herfindahl–Hirschman Index: the sum of squared market shares.
 ///
 /// Used in US antitrust practice; the paper notes `S = HHI - 1/C`.
@@ -184,10 +176,6 @@ mod tests {
         assert!((via_helper - via_dist).abs() < 1e-15);
         assert!(centralization_score_counts_ref(&[]).is_none());
         assert!(centralization_score_counts_ref(&[0, 0]).is_none());
-        // The deprecated alias delegates to the fused kernel.
-        #[allow(deprecated)]
-        let via_alias = centralization_score_counts(&counts).unwrap();
-        assert_eq!(via_alias, via_helper);
     }
 
     #[test]

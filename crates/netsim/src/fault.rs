@@ -71,10 +71,8 @@ impl FaultKind {
 /// ([`FaultKind::Delay`]).
 ///
 /// The delay is *returned*, not slept, so the serving context can charge
-/// it to the right party: threaded servers schedule the reply for later
-/// delivery (one slow answer must not head-of-line-block the server's
-/// other clients), while inline responders — already running on the
-/// querier's own thread — may simply sleep.
+/// it to the right party: an inline responder — already running on the
+/// querier's own thread — simply sleeps, delaying only that query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultedReply {
     /// The payload to send, or `None` when the fault swallowed the reply.

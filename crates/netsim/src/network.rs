@@ -270,20 +270,6 @@ impl Network {
         })
     }
 
-    /// Binds an address onto an existing channel (shared-endpoint support).
-    ///
-    /// Unicast bindings conflict with any existing binding at the address;
-    /// anycast bindings stack per region like [`Network::bind_anycast`].
-    pub(crate) fn bind_tx(
-        &self,
-        addr: SockAddr,
-        region: Region,
-        tx: Sender<Datagram>,
-        anycast: bool,
-    ) -> Result<(), NetError> {
-        self.bind_sink(addr, region, Sink::Queue(tx), anycast)
-    }
-
     /// Binds an address onto an inline service function (responder-set
     /// support): datagrams to it are answered on the sender's thread.
     pub(crate) fn bind_responder(
@@ -326,18 +312,7 @@ impl Network {
         }
     }
 
-    /// Raw send for shared endpoints.
-    pub(crate) fn send_from_raw(
-        &self,
-        src: SockAddr,
-        src_region: Region,
-        dst: SockAddr,
-        payload: Bytes,
-    ) -> Result<(), NetError> {
-        self.send_from(src, src_region, dst, payload)
-    }
-
-    /// Raw unbind for shared endpoints.
+    /// Raw unbind for responder sets.
     pub(crate) fn unbind_raw(&self, addr: SockAddr, anycast: bool, region: Region) {
         self.unbind(addr, anycast, region);
     }

@@ -30,7 +30,7 @@ pub use delta::{measure_delta, DeltaStats};
 pub use journal::JournalWriter;
 pub use run::{
     measure, measure_journaled, measure_streamed, measure_with_stats, resume_from_journal,
-    resume_streamed, MeasureStats, PipelineConfig, Scheduling,
+    resume_streamed, MeasureStats, PipelineConfig,
 };
 pub use store::{
     ChunkStore, ChunkStoreWriter, CompactStats, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES,

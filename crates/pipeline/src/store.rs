@@ -35,7 +35,7 @@
 //! row order — site order, not commit order — so the encoded bytes are a
 //! pure function of the chunk's observations. Combined with the pipeline's
 //! determinism contract, the whole store is byte-identical across worker
-//! counts, scheduling modes, and crash-resume (tested in
+//! counts and crash-resume (tested in
 //! `tests/determinism.rs` and `tests/supervision.rs`).
 //!
 //! Durability mirrors the journal's: a chunk file is written and fsynced
@@ -305,6 +305,9 @@ impl<'a> Dec<'a> {
         self.pos = end;
         Ok(s)
     }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
@@ -442,7 +445,9 @@ fn decode_chunk(
         ));
     }
     let n_strings = d.u32()? as usize;
-    let mut strings = Vec::with_capacity(n_strings);
+    // Counts come from file bytes, so no capacity may exceed what the rest
+    // of the buffer can encode: every string carries a 4-byte length.
+    let mut strings = Vec::with_capacity(n_strings.min(d.remaining() / 4));
     for _ in 0..n_strings {
         let len = d.u32()? as usize;
         let s = std::str::from_utf8(d.take(len)?).map_err(|e| e.to_string())?;
@@ -488,7 +493,8 @@ fn decode_chunk(
     let hosting_ip_country = opt_col(&mut d, rows, read_sid)?;
     let hosting_anycast = d.bitmap(rows)?;
 
-    let mut ns_off = Vec::with_capacity(rows + 1);
+    // Every row carries a 2-byte nameserver count.
+    let mut ns_off = Vec::with_capacity(rows.min(d.remaining() / 2) + 1);
     ns_off.push(0u32);
     let mut total_ns = 0u32;
     for _ in 0..rows {
@@ -1426,6 +1432,22 @@ mod tests {
         assert_eq!(read_all(&ChunkStore::open(&src_dir).unwrap()), all);
         fs::remove_dir_all(&src_dir).unwrap();
         fs::remove_dir_all(&dst_dir).unwrap();
+    }
+
+    /// A header claiming more strings than the file could hold, behind a
+    /// valid checksum, must be refused without sizing an allocation by it.
+    #[test]
+    fn huge_string_count_is_rejected_without_allocating() {
+        let mut body = CHUNK_MAGIC.to_vec();
+        for v in [0u32, 0, 4, u32::MAX] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        let err = decode_chunk(&body, 0, 0, 4)
+            .err()
+            .expect("must be rejected");
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]

@@ -204,8 +204,8 @@ fn unit_f64(x: u64) -> f64 {
 /// Every decision is a pure function of `(seed, site, attempt)` — the
 /// attempt count being the batch's poison counter — so chaos runs are
 /// reproducible for a fixed configuration. (Unlike server faults, *which*
-/// sites share a batch depends on scheduling, so chaos datasets are only
-/// pinned for a fixed worker count and scheduling mode.)
+/// sites share a batch depends on how workers race for the queue, so
+/// chaos datasets are only pinned for a fixed worker count.)
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
     /// Seed for the rate-based schedules.

@@ -1,16 +1,13 @@
-//! The scheduler and cache knobs must never change *what* is measured:
-//! same world + config ⇒ identical dataset for any worker count,
-//! scheduling mode, or cache sharing, and the shared cache must strictly
-//! reduce wire traffic.
+//! How workers race for the queue must never change *what* is measured:
+//! same world + config ⇒ identical dataset and identical store bytes for
+//! any worker count.
 
-use webdep_pipeline::run::{measure, measure_with_stats, PipelineConfig, Scheduling};
+use webdep_pipeline::run::{measure, PipelineConfig};
 use webdep_webgen::{DeployConfig, World, WorldConfig};
 
-fn config(workers: usize, scheduling: Scheduling, shared_cache: bool) -> PipelineConfig {
+fn config(workers: usize) -> PipelineConfig {
     PipelineConfig {
         workers,
-        scheduling,
-        shared_cache,
         ..Default::default()
     }
 }
@@ -21,72 +18,9 @@ fn dataset_identical_across_worker_counts() {
     let dep = DeployConfig::default();
     let dep = webdep_webgen::DeployedWorld::deploy(&world, dep);
 
-    let solo = measure(&world, &dep, &config(1, Scheduling::Dynamic, true));
-    let eight = measure(&world, &dep, &config(8, Scheduling::Dynamic, true));
+    let solo = measure(&world, &dep, &config(1));
+    let eight = measure(&world, &dep, &config(8));
     assert_eq!(solo, eight, "worker count changed the measured dataset");
-}
-
-#[test]
-fn dataset_identical_across_scheduling_and_cache_modes() {
-    let world = World::generate(WorldConfig::tiny());
-    let dep = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
-
-    let baseline = measure(&world, &dep, &config(4, Scheduling::Static, false));
-    let dynamic = measure(&world, &dep, &config(4, Scheduling::Dynamic, false));
-    let cached = measure(&world, &dep, &config(4, Scheduling::Dynamic, true));
-    assert_eq!(baseline, dynamic, "scheduling mode changed the dataset");
-    assert_eq!(baseline, cached, "shared cache changed the dataset");
-}
-
-#[test]
-fn dataset_identical_across_rack_serving_modes() {
-    let world = World::generate(WorldConfig::tiny());
-    let threaded = webdep_webgen::DeployedWorld::deploy(
-        &world,
-        DeployConfig {
-            inline_racks: false,
-            ..DeployConfig::default()
-        },
-    );
-    let inline = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
-
-    let from_threads = measure(&world, &threaded, &config(4, Scheduling::Dynamic, true));
-    let from_inline = measure(&world, &inline, &config(4, Scheduling::Dynamic, true));
-    assert_eq!(
-        from_threads, from_inline,
-        "rack serving mode changed the dataset"
-    );
-}
-
-#[test]
-fn dataset_identical_with_and_without_referral_caching() {
-    let world = World::generate(WorldConfig::tiny());
-    let dep = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
-
-    let mut query_driven = config(4, Scheduling::Dynamic, true);
-    query_driven.resolver.cache_referrals = false;
-    let strict = measure(&world, &dep, &query_driven);
-    let cached = measure(&world, &dep, &config(4, Scheduling::Dynamic, true));
-    assert_eq!(strict, cached, "referral caching changed the dataset");
-}
-
-#[test]
-fn shared_cache_reduces_wire_queries() {
-    let world = World::generate(WorldConfig::tiny());
-    let dep = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
-
-    let (_, private_only) =
-        measure_with_stats(&world, &dep, &config(8, Scheduling::Dynamic, false));
-    let (_, shared) = measure_with_stats(&world, &dep, &config(8, Scheduling::Dynamic, true));
-
-    assert!(
-        shared.wire_queries < private_only.wire_queries,
-        "shared cache should cut wire queries: shared {} vs private {}",
-        shared.wire_queries,
-        private_only.wire_queries
-    );
-    assert!(shared.shared_cache_hits > 0);
-    assert_eq!(private_only.shared_cache_hits, 0);
 }
 
 /// The determinism contract extends to the on-disk chunk store: per-chunk
@@ -110,14 +44,8 @@ fn streamed_chunks_identical_across_worker_counts() {
         ))
     };
     for workers in [1, 2, 8] {
-        webdep_pipeline::measure_streamed(
-            &world,
-            &dep,
-            &config(workers, Scheduling::Dynamic, true),
-            &dir_for(workers),
-            None,
-        )
-        .unwrap();
+        webdep_pipeline::measure_streamed(&world, &dep, &config(workers), &dir_for(workers), None)
+            .unwrap();
     }
 
     let reference = dir_for(1);

@@ -415,7 +415,7 @@ fn score_body(
     let mut entries = vec![("country", vs(code)), ("layer", vs(q.layer.name()))];
     match ctx.country_dist(ci, q.layer) {
         Some(dist) => {
-            let s = centralization_score(&dist);
+            let s = centralization_score(dist);
             entries.push(("s", Value::F64(s)));
             entries.push(("band", vs(ConcentrationBand::classify(s).label())));
             entries.push(("num_providers", Value::U64(dist.num_providers() as u64)));
@@ -537,7 +537,7 @@ fn badge_body(
         let mut entries = vec![("layer", vs(layer.name()))];
         match ctx.country_dist(ci, layer) {
             Some(dist) => {
-                let s = centralization_score(&dist);
+                let s = centralization_score(dist);
                 entries.push(("s", Value::F64(s)));
                 entries.push(("band", vs(ConcentrationBand::classify(s).label())));
             }

@@ -15,7 +15,6 @@
 //! on the hot path — zero lock acquisitions for cache-warm workers until
 //! an epoch actually changes.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,15 +64,6 @@ pub struct CubeSnapshot {
     delta_state: DeltaState,
 }
 
-fn tld_ids(world: &World) -> HashMap<String, u32> {
-    world
-        .universe
-        .tlds
-        .iter()
-        .map(|t| (t.label.clone(), t.id))
-        .collect()
-}
-
 /// A hollow dataset (toplists only) mirroring `ChunkStore::load_dataset`'s
 /// shape minus the observation vector.
 fn hollow_dataset(world: &World, label: &str) -> MeasuredDataset {
@@ -89,11 +79,10 @@ impl CubeSnapshot {
     /// Builds a snapshot from a resident dataset (a fresh measurement or a
     /// journal resume).
     pub fn from_dataset(epoch: u64, world: Arc<World>, dataset: MeasuredDataset) -> Self {
-        let ids = tld_ids(&world);
         let mut builder = CubeBuilder::new(dataset.observations.len());
         let mut causes = Vec::with_capacity(dataset.observations.len());
         for (i, obs) in dataset.observations.iter().enumerate() {
-            builder.fold_observation(i, obs, &ids);
+            builder.fold_observation(i, obs, &world);
             causes.push([
                 obs.hosting_error.as_ref().map(|e| e.cause),
                 obs.dns_error.as_ref().map(|e| e.cause),
@@ -128,7 +117,6 @@ impl CubeSnapshot {
         label: &str,
         observations: &[SiteObservation],
     ) -> Self {
-        let ids = tld_ids(&world);
         let mut builder = CubeBuilder::new(observations.len());
         let mut causes = Vec::with_capacity(observations.len());
         let mut taxonomy = FailureTaxonomy {
@@ -136,7 +124,7 @@ impl CubeSnapshot {
             ..FailureTaxonomy::default()
         };
         for (i, obs) in observations.iter().enumerate() {
-            builder.fold_observation(i, obs, &ids);
+            builder.fold_observation(i, obs, &world);
             let site_causes = [
                 obs.hosting_error.as_ref().map(|e| e.cause),
                 obs.dns_error.as_ref().map(|e| e.cause),
@@ -215,7 +203,6 @@ impl CubeSnapshot {
                 ),
             ));
         }
-        let ids = tld_ids(&world);
         let mut builder = CubeBuilder::new(store.sites);
         let mut site_causes = vec![[None; 3]; store.sites];
         let mut taxonomy = FailureTaxonomy {
@@ -224,7 +211,7 @@ impl CubeSnapshot {
         };
         for c in 0..store.num_chunks() {
             let chunk = store.read_chunk(c)?;
-            builder.fold_chunk(&chunk, &ids);
+            builder.fold_chunk(&chunk, &world);
             for r in 0..chunk.rows {
                 let causes = chunk.failure_causes(r);
                 site_causes[chunk.lo + r] = causes;
@@ -309,7 +296,6 @@ impl CubeSnapshot {
             )));
         }
 
-        let ids = tld_ids(&world);
         let mut builder = prev.delta_state.builder.clone();
         builder.grow(store.sites);
         let mut causes = prev.delta_state.causes.clone();
@@ -328,7 +314,7 @@ impl CubeSnapshot {
             let chunk = store.read_chunk(c)?;
             // Refolds the whole chunk; clean rows overwrite their own
             // labels (folds are idempotent), dirty rows take new ones.
-            builder.fold_chunk(&chunk, &ids);
+            builder.fold_chunk(&chunk, &world);
             for r in 0..rows {
                 let i = lo + r;
                 if !dirty[i] {

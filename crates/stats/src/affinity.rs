@@ -29,12 +29,6 @@ pub struct AffinityConfig {
     /// [`crate::par::default_threads`]. Results are byte-identical at any
     /// thread count (each row/column is updated serially by one thread).
     pub threads: usize,
-    /// Run the original untiled sweeps instead of the cache-tiled ones.
-    /// Kept as the measured "before" for benchmarks; the tiled sweeps
-    /// perform the identical floating-point operations in the identical
-    /// per-element order, so both modes produce byte-identical
-    /// [`Clustering`]s (pinned by tests).
-    pub baseline_sweeps: bool,
 }
 
 impl Default for AffinityConfig {
@@ -45,7 +39,6 @@ impl Default for AffinityConfig {
             convergence_iter: 20,
             preference: None,
             threads: 0,
-            baseline_sweeps: false,
         }
     }
 }
@@ -54,31 +47,6 @@ impl Default for AffinityConfig {
 /// (~100µs of flops vs ~8 scoped spawns per phase), so the sweeps run
 /// inline. Parallel and serial paths are byte-identical either way.
 const PAR_MIN_POINTS: usize = 384;
-
-/// Applies `f` to each `n`-wide row of `m` (row index, row slice), fanning
-/// contiguous row blocks across scoped threads. Every row is processed
-/// serially by exactly one thread, so the result is byte-identical to the
-/// `threads == 1` loop no matter how blocks land.
-fn for_each_row(m: &mut [f64], n: usize, threads: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-    let rows = m.len() / n;
-    if threads <= 1 || rows <= 1 {
-        for (i, row) in m.chunks_mut(n).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let block = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (b, chunk) in m.chunks_mut(block * n).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, row) in chunk.chunks_mut(n).enumerate() {
-                    f(b * block + j, row);
-                }
-            });
-        }
-    });
-}
 
 /// Rows per cache tile. One tile of `s` touches `TILE_ROWS` distinct
 /// cache lines per matrix column step, which stays inside L1; the tiled
@@ -171,6 +139,17 @@ fn similarity(a: &[f64], b: &[f64]) -> f64 {
 /// itself. Memory is `O(n^2)`; intended for up to a few thousand points
 /// (cluster the provider universe, not the website universe).
 pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Option<Clustering> {
+    propagate(points, config, tiled_sweep)
+}
+
+/// One message-passing sweep: updates the responsibilities `r` (row-major)
+/// from `a_t`, then the availabilities `a_t` (column-major) from the new
+/// `r`, both damped by `lam`.
+type Sweep = fn(r: &mut [f64], a_t: &mut [f64], s: &[f64], n: usize, lam: f64, threads: usize);
+
+/// The affinity-propagation message-passing loop around one sweep
+/// implementation.
+fn propagate(points: &[Vec<f64>], config: &AffinityConfig, sweep: Sweep) -> Option<Clustering> {
     let n = points.len();
     if n == 0 {
         return None;
@@ -251,174 +230,7 @@ pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Opt
 
     for it in 0..config.max_iter {
         iterations = it + 1;
-        // Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
-        // Rows are independent given `a_t`; each thread updates whole rows.
-        if config.baseline_sweeps {
-            let a_t = &a_t;
-            let s = &s;
-            for_each_row(&mut r, n, threads, |i, r_row| {
-                // Find top-2 of a(i,k') + s(i,k').
-                let mut best = f64::NEG_INFINITY;
-                let mut second = f64::NEG_INFINITY;
-                let mut best_k = usize::MAX;
-                for k in 0..n {
-                    let v = a_t[k * n + i] + s[i * n + k];
-                    if v > best {
-                        second = best;
-                        best = v;
-                        best_k = k;
-                    } else if v > second {
-                        second = v;
-                    }
-                }
-                for (k, rv) in r_row.iter_mut().enumerate() {
-                    let max_other = if k == best_k { second } else { best };
-                    let new_r = s[i * n + k] - max_other;
-                    *rv = lam * *rv + (1.0 - lam) * new_r;
-                }
-            });
-        } else {
-            // Tiled: for each (row-tile, k-tile) pair, first transpose the
-            // tile of `a_t` into a row-major scratch (contiguous reads from
-            // `a_t`, L1-resident writes), then scan each row's k-run as two
-            // zipped contiguous slices. Per row, k still advances 0..n in
-            // order, so best/second/best_k evolve exactly as in the
-            // baseline and the damped update computes the same floats.
-            let a_t = &a_t;
-            let s = &s;
-            for_each_tile(&mut r, n, threads, |i0, tile| {
-                let rows = tile.len() / n;
-                let mut best = vec![f64::NEG_INFINITY; rows];
-                let mut second = vec![f64::NEG_INFINITY; rows];
-                let mut best_k = vec![usize::MAX; rows];
-                let mut a_tile = vec![0.0f64; rows * TILE_ROWS];
-                let mut v_run = [0.0f64; TILE_ROWS];
-                for k0 in (0..n).step_by(TILE_ROWS) {
-                    let kt = TILE_ROWS.min(n - k0);
-                    for dk in 0..kt {
-                        let a_run = &a_t[(k0 + dk) * n + i0..(k0 + dk) * n + i0 + rows];
-                        for (j, &av) in a_run.iter().enumerate() {
-                            a_tile[j * TILE_ROWS + dk] = av;
-                        }
-                    }
-                    for j in 0..rows {
-                        let s_run = &s[(i0 + j) * n + k0..(i0 + j) * n + k0 + kt];
-                        let a_run = &a_tile[j * TILE_ROWS..j * TILE_ROWS + kt];
-                        // Branch-free sum and max over the run, then a
-                        // serial top-2 refinement only when the run can
-                        // actually change best/second. Skipping a run whose
-                        // max is <= second is exact: the baseline scan
-                        // would have left (best, second, best_k) untouched
-                        // for every such element.
-                        for ((vd, &av), &sv) in v_run[..kt].iter_mut().zip(a_run).zip(s_run) {
-                            *vd = av + sv;
-                        }
-                        let run_max = v_run[..kt].iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
-                        if run_max <= second[j] {
-                            continue;
-                        }
-                        let (mut b1, mut b2, mut bk) = (best[j], second[j], best_k[j]);
-                        for (dk, &v) in v_run[..kt].iter().enumerate() {
-                            if v > b1 {
-                                b2 = b1;
-                                b1 = v;
-                                bk = k0 + dk;
-                            } else if v > b2 {
-                                b2 = v;
-                            }
-                        }
-                        best[j] = b1;
-                        second[j] = b2;
-                        best_k[j] = bk;
-                    }
-                }
-                for (j, r_row) in tile.chunks_mut(n).enumerate() {
-                    let s_row = &s[(i0 + j) * n..(i0 + j + 1) * n];
-                    let (b1, b2, bk) = (best[j], second[j], best_k[j]);
-                    // The best_k element is the only one whose subtrahend
-                    // differs; compute the whole row against `best` without
-                    // a branch, then redo that one slot from its saved old
-                    // value against `second`.
-                    let old_rbk = r_row[bk];
-                    for (rv, &sv) in r_row.iter_mut().zip(s_row) {
-                        *rv = lam * *rv + (1.0 - lam) * (sv - b1);
-                    }
-                    r_row[bk] = lam * old_rbk + (1.0 - lam) * (s_row[bk] - b2);
-                }
-            });
-        }
-        // Availabilities: columns are independent given `r`; each thread
-        // updates whole columns (contiguous rows of `a_t`).
-        if config.baseline_sweeps {
-            let r = &r;
-            for_each_row(&mut a_t, n, threads, |k, a_col| {
-                let mut pos_sum = 0.0;
-                for i in 0..n {
-                    if i != k {
-                        pos_sum += r[i * n + k].max(0.0);
-                    }
-                }
-                let rkk = r[k * n + k];
-                for (i, av) in a_col.iter_mut().enumerate() {
-                    let new_a = if i == k {
-                        pos_sum
-                    } else {
-                        let without_i = pos_sum - r[i * n + k].max(0.0);
-                        (rkk + without_i).min(0.0)
-                    };
-                    *av = lam * *av + (1.0 - lam) * new_a;
-                }
-            });
-        } else {
-            // Tiled: the positive-sum pass streams `r` row-slabs instead
-            // of gathering stride-n columns, accumulating every column of
-            // the tile at once; the diagonal term each column skips is
-            // handled by splitting that one row's run, never by a branch
-            // in the inner loop. Each column's sum still accumulates over
-            // i = 0..n in order, so the float result is identical. The
-            // same pass transposes the slab into `rt` so the update pass
-            // reads each column contiguously; the i == k slot is the only
-            // one with a different formula, so the update runs branch-free
-            // over the whole column and then redoes that one slot from its
-            // saved old value.
-            let r = &r;
-            for_each_tile(&mut a_t, n, threads, |k0, tile| {
-                let cols = tile.len() / n;
-                let mut pos = vec![0.0f64; cols];
-                let mut rt = vec![0.0f64; cols * n];
-                for i in 0..n {
-                    let r_row = &r[i * n + k0..i * n + k0 + cols];
-                    for (j, &rv) in r_row.iter().enumerate() {
-                        rt[j * n + i] = rv;
-                    }
-                    if i >= k0 && i < k0 + cols {
-                        let d = i - k0;
-                        for (pj, &rv) in pos[..d].iter_mut().zip(&r_row[..d]) {
-                            *pj += rv.max(0.0);
-                        }
-                        for (pj, &rv) in pos[d + 1..].iter_mut().zip(&r_row[d + 1..]) {
-                            *pj += rv.max(0.0);
-                        }
-                    } else {
-                        for (pj, &rv) in pos.iter_mut().zip(r_row) {
-                            *pj += rv.max(0.0);
-                        }
-                    }
-                }
-                for (j, a_col) in tile.chunks_mut(n).enumerate() {
-                    let k = k0 + j;
-                    let rkk = r[k * n + k];
-                    let pos_sum = pos[j];
-                    let rt_col = &rt[j * n..(j + 1) * n];
-                    let old_ak = a_col[k];
-                    for (av, &rv) in a_col.iter_mut().zip(rt_col) {
-                        let new_a = (rkk + (pos_sum - rv.max(0.0))).min(0.0);
-                        *av = lam * *av + (1.0 - lam) * new_a;
-                    }
-                    a_col[k] = lam * old_ak + (1.0 - lam) * pos_sum;
-                }
-            });
-        }
+        sweep(&mut r, &mut a_t, &s, n, lam, threads);
         // Current exemplars.
         let exemplars: Vec<usize> = (0..n)
             .filter(|&k| r[k * n + k] + a_t[k * n + k] > 0.0)
@@ -475,9 +287,213 @@ pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Opt
     })
 }
 
+/// The cache-tiled sweep. Per row and per column it performs exactly the
+/// floating-point operations of the textbook untiled loops, in the same
+/// order, so the [`Clustering`] is byte-identical to theirs (the untiled
+/// sweep survives as the test reference).
+fn tiled_sweep(r: &mut [f64], a_t: &mut [f64], s: &[f64], n: usize, lam: f64, threads: usize) {
+    // Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
+    // Rows are independent given `a_t`; each thread updates whole rows.
+    // For each (row-tile, k-tile) pair, first transpose the tile of `a_t`
+    // into a row-major scratch (contiguous reads from `a_t`, L1-resident
+    // writes), then scan each row's k-run as two zipped contiguous slices.
+    // Per row, k still advances 0..n in order, so best/second/best_k
+    // evolve exactly as in the untiled sweep and the damped update
+    // computes the same floats.
+    for_each_tile(r, n, threads, |i0, tile| {
+        let rows = tile.len() / n;
+        let mut best = vec![f64::NEG_INFINITY; rows];
+        let mut second = vec![f64::NEG_INFINITY; rows];
+        let mut best_k = vec![usize::MAX; rows];
+        let mut a_tile = vec![0.0f64; rows * TILE_ROWS];
+        let mut v_run = [0.0f64; TILE_ROWS];
+        for k0 in (0..n).step_by(TILE_ROWS) {
+            let kt = TILE_ROWS.min(n - k0);
+            for dk in 0..kt {
+                let a_run = &a_t[(k0 + dk) * n + i0..(k0 + dk) * n + i0 + rows];
+                for (j, &av) in a_run.iter().enumerate() {
+                    a_tile[j * TILE_ROWS + dk] = av;
+                }
+            }
+            for j in 0..rows {
+                let s_run = &s[(i0 + j) * n + k0..(i0 + j) * n + k0 + kt];
+                let a_run = &a_tile[j * TILE_ROWS..j * TILE_ROWS + kt];
+                // Branch-free sum and max over the run, then a
+                // serial top-2 refinement only when the run can
+                // actually change best/second. Skipping a run whose
+                // max is <= second is exact: the untiled scan
+                // would have left (best, second, best_k) untouched
+                // for every such element.
+                for ((vd, &av), &sv) in v_run[..kt].iter_mut().zip(a_run).zip(s_run) {
+                    *vd = av + sv;
+                }
+                let run_max = v_run[..kt].iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+                if run_max <= second[j] {
+                    continue;
+                }
+                let (mut b1, mut b2, mut bk) = (best[j], second[j], best_k[j]);
+                for (dk, &v) in v_run[..kt].iter().enumerate() {
+                    if v > b1 {
+                        b2 = b1;
+                        b1 = v;
+                        bk = k0 + dk;
+                    } else if v > b2 {
+                        b2 = v;
+                    }
+                }
+                best[j] = b1;
+                second[j] = b2;
+                best_k[j] = bk;
+            }
+        }
+        for (j, r_row) in tile.chunks_mut(n).enumerate() {
+            let s_row = &s[(i0 + j) * n..(i0 + j + 1) * n];
+            let (b1, b2, bk) = (best[j], second[j], best_k[j]);
+            // The best_k element is the only one whose subtrahend
+            // differs; compute the whole row against `best` without
+            // a branch, then redo that one slot from its saved old
+            // value against `second`.
+            let old_rbk = r_row[bk];
+            for (rv, &sv) in r_row.iter_mut().zip(s_row) {
+                *rv = lam * *rv + (1.0 - lam) * (sv - b1);
+            }
+            r_row[bk] = lam * old_rbk + (1.0 - lam) * (s_row[bk] - b2);
+        }
+    });
+    // Availabilities: columns are independent given `r`; each thread
+    // updates whole columns (contiguous rows of `a_t`). The positive-sum
+    // pass streams `r` row-slabs instead of gathering stride-n columns, accumulating every column of
+    // the tile at once; the diagonal term each column skips is
+    // handled by splitting that one row's run, never by a branch
+    // in the inner loop. Each column's sum still accumulates over
+    // i = 0..n in order, so the float result is identical. The
+    // same pass transposes the slab into `rt` so the update pass
+    // reads each column contiguously; the i == k slot is the only
+    // one with a different formula, so the update runs branch-free
+    // over the whole column and then redoes that one slot from its
+    // saved old value.
+    let r = &*r;
+    for_each_tile(a_t, n, threads, |k0, tile| {
+        let cols = tile.len() / n;
+        let mut pos = vec![0.0f64; cols];
+        let mut rt = vec![0.0f64; cols * n];
+        for i in 0..n {
+            let r_row = &r[i * n + k0..i * n + k0 + cols];
+            for (j, &rv) in r_row.iter().enumerate() {
+                rt[j * n + i] = rv;
+            }
+            if i >= k0 && i < k0 + cols {
+                let d = i - k0;
+                for (pj, &rv) in pos[..d].iter_mut().zip(&r_row[..d]) {
+                    *pj += rv.max(0.0);
+                }
+                for (pj, &rv) in pos[d + 1..].iter_mut().zip(&r_row[d + 1..]) {
+                    *pj += rv.max(0.0);
+                }
+            } else {
+                for (pj, &rv) in pos.iter_mut().zip(r_row) {
+                    *pj += rv.max(0.0);
+                }
+            }
+        }
+        for (j, a_col) in tile.chunks_mut(n).enumerate() {
+            let k = k0 + j;
+            let rkk = r[k * n + k];
+            let pos_sum = pos[j];
+            let rt_col = &rt[j * n..(j + 1) * n];
+            let old_ak = a_col[k];
+            for (av, &rv) in a_col.iter_mut().zip(rt_col) {
+                let new_a = (rkk + (pos_sum - rv.max(0.0))).min(0.0);
+                *av = lam * *av + (1.0 - lam) * new_a;
+            }
+            a_col[k] = lam * old_ak + (1.0 - lam) * pos_sum;
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Applies `f` to each `n`-wide row of `m` (row index, row slice), fanning
+    /// contiguous row blocks across scoped threads. Every row is processed
+    /// serially by exactly one thread, so the result is byte-identical to the
+    /// `threads == 1` loop no matter how blocks land.
+    fn for_each_row(m: &mut [f64], n: usize, threads: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
+        let rows = m.len() / n;
+        if threads <= 1 || rows <= 1 {
+            for (i, row) in m.chunks_mut(n).enumerate() {
+                f(i, row);
+            }
+            return;
+        }
+        let block = rows.div_ceil(threads);
+        std::thread::scope(|scope| {
+            for (b, chunk) in m.chunks_mut(block * n).enumerate() {
+                let f = &f;
+                scope.spawn(move || {
+                    for (j, row) in chunk.chunks_mut(n).enumerate() {
+                        f(b * block + j, row);
+                    }
+                });
+            }
+        });
+    }
+
+    /// The textbook untiled sweep: the reference the tiled sweep must
+    /// reproduce bit for bit.
+    fn untiled_sweep(
+        r: &mut [f64],
+        a_t: &mut [f64],
+        s: &[f64],
+        n: usize,
+        lam: f64,
+        threads: usize,
+    ) {
+        {
+            let a_t = &*a_t;
+            for_each_row(r, n, threads, |i, r_row| {
+                // Find top-2 of a(i,k') + s(i,k').
+                let mut best = f64::NEG_INFINITY;
+                let mut second = f64::NEG_INFINITY;
+                let mut best_k = usize::MAX;
+                for k in 0..n {
+                    let v = a_t[k * n + i] + s[i * n + k];
+                    if v > best {
+                        second = best;
+                        best = v;
+                        best_k = k;
+                    } else if v > second {
+                        second = v;
+                    }
+                }
+                for (k, rv) in r_row.iter_mut().enumerate() {
+                    let max_other = if k == best_k { second } else { best };
+                    let new_r = s[i * n + k] - max_other;
+                    *rv = lam * *rv + (1.0 - lam) * new_r;
+                }
+            });
+        }
+        let r = &*r;
+        for_each_row(a_t, n, threads, |k, a_col| {
+            let mut pos_sum = 0.0;
+            for i in 0..n {
+                if i != k {
+                    pos_sum += r[i * n + k].max(0.0);
+                }
+            }
+            let rkk = r[k * n + k];
+            for (i, av) in a_col.iter_mut().enumerate() {
+                let new_a = if i == k {
+                    pos_sum
+                } else {
+                    let without_i = pos_sum - r[i * n + k].max(0.0);
+                    (rkk + without_i).min(0.0)
+                };
+                *av = lam * *av + (1.0 - lam) * new_a;
+            }
+        });
+    }
 
     fn two_blob_points() -> Vec<Vec<f64>> {
         let mut pts = Vec::new();
@@ -616,13 +632,13 @@ mod tests {
         // tile boundary — serially and across thread counts.
         for n in [2usize, 17, 63, 64, 65, 150, 400] {
             let pts = synthetic_points(n);
-            let baseline = affinity_propagation(
+            let baseline = propagate(
                 &pts,
                 &AffinityConfig {
                     threads: 1,
-                    baseline_sweeps: true,
                     ..AffinityConfig::default()
                 },
+                untiled_sweep,
             )
             .unwrap();
             for threads in [1usize, 2, 3, 8] {

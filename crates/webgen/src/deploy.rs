@@ -16,26 +16,23 @@
 //!   paper's ~89.4% accuracy knob), anycast prefixes, and the CCADB-style
 //!   issuer→owner map, all derived from the deployed addressing plan.
 //!
-//! One rack serves many providers (shared hosting). By default racks are
-//! *inline responders*: stateless serving logic invoked on the querier's
-//! thread, so a round trip costs a function call rather than two context
-//! switches. With [`DeployConfig::inline_racks`] off, each rack is a
-//! dedicated thread draining a shared endpoint (the original deployment),
-//! and even the full ~12k-provider world needs only
-//! `racks + registries + 1` threads. Both modes answer identically.
+//! One rack serves many providers (shared hosting). Racks, TLD registries
+//! and the root are *inline responders* ([`ResponderSet`]): stateless
+//! serving logic invoked on the querier's thread, so a round trip costs a
+//! function call rather than two context switches, and the deployed world
+//! runs no server thread at all — no answer can miss a client timeout
+//! waiting for a server thread to be scheduled.
 
 use crate::country::{Continent, CountryRecord};
 use crate::world::World;
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use webdep_dns::bigzone::{Delegation, DelegationTable, HostTable};
 use webdep_dns::name::DomainName;
-use webdep_dns::server::AuthServer;
+use webdep_dns::server::answer;
 use webdep_dns::wire as dnswire;
 use webdep_dns::zone::Zone;
 use webdep_dns::DNS_PORT;
@@ -43,8 +40,7 @@ use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
 };
 use webdep_netsim::{
-    Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, NetError, Network, Prefix, Region,
-    ResponderSet, SharedEndpoint,
+    Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, Network, Prefix, Region, ResponderSet,
 };
 use webdep_tls::cert::{Certificate, CertificateChain};
 use webdep_tls::handshake::{self, HandshakeMessage, ALERT_UNRECOGNIZED_NAME};
@@ -62,12 +58,6 @@ pub struct DeployConfig {
     /// Network packet-loss probability (failure injection for resolver /
     /// scanner retry testing).
     pub loss_rate: f64,
-    /// Serve racks as inline responders on the sender's thread instead of
-    /// dedicated rack threads. Rack serving logic is stateless, so both
-    /// modes answer identically; inline skips the two context switches a
-    /// threaded round trip costs. Disable to reproduce the original
-    /// thread-per-rack deployment.
-    pub inline_racks: bool,
     /// Deterministic fault plan. Whole-run outages apply at the transport
     /// to every non-protected server address — service ports only, so
     /// replies to vantage endpoints are never eaten (see
@@ -93,7 +83,6 @@ impl Default for DeployConfig {
             geo_accuracy: 1.0,
             seed: 7,
             loss_rate: 0.0,
-            inline_racks: true,
             faults: None,
             pool_sites: None,
         }
@@ -171,27 +160,12 @@ pub struct DeployedWorld {
     pub anycast: Arc<AnycastSet>,
     /// Certificate issuer → CA owner.
     pub caodb: Arc<CaOwnerDb>,
-    /// Serving pools per provider (shared with rack threads).
+    /// Serving pools per provider (shared with the rack responders).
     pub pools: Arc<Vec<ProviderPools>>,
     eyeball_prefixes: [Prefix; 6],
     vantage_counters: [AtomicU32; 6],
-    racks: Vec<RackHandle>,
     responders: Vec<ResponderSet>,
-    _root_server: AuthServer,
-}
-
-struct RackHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Drop for RackHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    _root_server: ResponderSet,
 }
 
 /// Per-site record a DNS rack answers from.
@@ -358,10 +332,10 @@ fn leaf_ca_index(leaf: &Certificate) -> usize {
 }
 
 /// One rack answer: DNS on port 53, TLS on 443. Pure in the rack data, so
-/// it can run on a rack thread or inline on the querier's thread alike.
+/// it runs inline on whichever querier thread sent the datagram.
 /// Any active fault plan is applied to the ready answer, keyed on the
 /// server address the query was sent to; a [`FaultedReply`] delay is left
-/// for the caller to charge where it belongs (see [`FaultedReply`]).
+/// for the responder to sleep off on the querier's thread.
 fn rack_respond(data: &RackData, dgram: &Datagram) -> FaultedReply {
     match dgram.dst.port {
         DNS_PORT => match dnswire::decode(&dgram.payload) {
@@ -376,53 +350,6 @@ fn rack_respond(data: &RackData, dgram: &Datagram) -> FaultedReply {
         },
         TLS_PORT => data.respond_tls(&dgram.payload, dgram.dst.ip),
         _ => FaultedReply::swallowed(),
-    }
-}
-
-/// Idle receive tick of threaded rack loops (also the upper bound on how
-/// late a scheduled delayed reply can fire).
-const RACK_TICK: Duration = Duration::from_millis(50);
-
-fn rack_loop(endpoint: SharedEndpoint, data: RackData, stop: Arc<AtomicBool>) {
-    // Delayed replies are scheduled, never slept: a rack thread serves many
-    // clients, and one latency spike must not head-of-line-block the rest.
-    let mut delayed: Vec<(
-        Instant,
-        webdep_netsim::SockAddr,
-        webdep_netsim::SockAddr,
-        Bytes,
-    )> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let mut i = 0;
-        while i < delayed.len() {
-            if delayed[i].0 <= now {
-                let (_, src, dst, payload) = delayed.swap_remove(i);
-                let _ = endpoint.send_from(src, dst, payload);
-            } else {
-                i += 1;
-            }
-        }
-        let tick = delayed
-            .iter()
-            .map(|(due, ..)| due.saturating_duration_since(now))
-            .min()
-            .map_or(RACK_TICK, |d| d.min(RACK_TICK));
-        let dgram = match endpoint.recv_timeout(tick) {
-            Ok(d) => d,
-            Err(webdep_netsim::NetError::Timeout) => continue,
-            Err(_) => break,
-        };
-        let reply = rack_respond(&data, &dgram);
-        let Some(payload) = reply.payload else {
-            continue;
-        };
-        match reply.delay {
-            Some(d) => delayed.push((Instant::now() + d, dgram.dst, dgram.src, payload)),
-            None => {
-                let _ = endpoint.send_from(dgram.dst, dgram.src, payload);
-            }
-        }
     }
 }
 
@@ -441,24 +368,6 @@ fn registry_respond(
         return None;
     }
     Some(dnswire::encode(&table.respond(&query)))
-}
-
-/// Registry rack: serves several TLD delegation tables keyed by server IP.
-fn registry_loop(
-    endpoint: SharedEndpoint,
-    tables: HashMap<Ipv4Addr, Arc<DelegationTable>>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        let dgram = match endpoint.recv_timeout(Duration::from_millis(50)) {
-            Ok(d) => d,
-            Err(webdep_netsim::NetError::Timeout) => continue,
-            Err(_) => break,
-        };
-        if let Some(payload) = registry_respond(&tables, &dgram) {
-            let _ = endpoint.send_from(dgram.dst, dgram.src, payload);
-        }
-    }
 }
 
 impl DeployedWorld {
@@ -743,9 +652,8 @@ impl DeployedWorld {
             }
         }
 
-        // ---- Spawn registry racks ----
+        // ---- Registry racks ----
         // TLD server IPs: 192.5.<i/250>.<i%250+1>.
-        let mut racks: Vec<RackHandle> = Vec::new();
         let mut root_zone = Zone::new(DomainName::root());
         let registry_groups = 4usize;
         let mut registry_tables: Vec<HashMap<Ipv4Addr, Arc<DelegationTable>>> =
@@ -764,11 +672,19 @@ impl DeployedWorld {
             );
             registry_tables[gi % registry_groups].insert(ip, Arc::new(table));
         }
-        // Root server.
-        let root_ep = network
-            .bind(root_ip, DNS_PORT, Region::NORTH_AMERICA)
+        // Root server: an inline responder like every other server, so no
+        // reply ever waits on a thread being scheduled.
+        let root_zones = vec![Arc::new(root_zone)];
+        let root_server = ResponderSet::new(&network, move |d: &Datagram| {
+            let query = dnswire::decode(&d.payload).ok()?;
+            if query.is_response || query.questions.len() != 1 {
+                return None;
+            }
+            Some(dnswire::encode(&answer(&root_zones, &query)))
+        });
+        root_server
+            .attach(root_ip, DNS_PORT, Region::NORTH_AMERICA)
             .expect("root address free");
-        let root_server = AuthServer::spawn(root_ep, vec![Arc::new(root_zone)]);
         geo.add_prefix(
             Prefix::new(Ipv4Addr::new(198, 41, 0, 0), 24).expect("static"),
             "US",
@@ -784,103 +700,62 @@ impl DeployedWorld {
                 continue;
             }
             let ips: Vec<Ipv4Addr> = tables.keys().copied().collect();
-            if config.inline_racks {
-                let set =
-                    ResponderSet::new(&network, move |d: &Datagram| registry_respond(&tables, d));
-                for ip in ips {
-                    set.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
-                        .expect("registry address free");
-                }
-                responders.push(set);
-            } else {
-                let ep = SharedEndpoint::new(&network);
-                for ip in ips {
-                    ep.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
-                        .expect("registry address free");
-                }
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || registry_loop(ep, tables, stop2));
-                racks.push(RackHandle {
-                    stop,
-                    handle: Some(handle),
-                });
+            let set = ResponderSet::new(&network, move |d: &Datagram| registry_respond(&tables, d));
+            for ip in ips {
+                set.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
+                    .expect("registry address free");
             }
+            responders.push(set);
         }
 
-        // ---- Spawn hosting racks ----
+        // ---- Hosting racks ----
         for (ri, data) in rack_data.into_iter().enumerate() {
-            // Attach every address of every provider on this rack, whatever
-            // the attachment target (rack thread queue or inline responder).
-            let attach_all = |attach: &dyn Fn(Ipv4Addr, u16, Region) -> Result<(), NetError>,
-                              attach_anycast: &dyn Fn(
-                Ipv4Addr,
-                u16,
-                Region,
-            ) -> Result<(), NetError>| {
-                for p in &universe.providers {
-                    if rack_of(p.id) != ri {
-                        continue;
-                    }
-                    let pp = &pools[p.id as usize];
-                    for (ci, pool) in pp.pools.iter().enumerate() {
-                        let region = CONT_ORDER[ci].region();
-                        for &ip in pool {
-                            if p.anycast {
-                                // Anycast pools share addresses across
-                                // continents; attach each once per region.
-                                let _ = attach_anycast(ip, TLS_PORT, region);
-                                let _ = attach_anycast(ip, DNS_PORT, region);
-                            } else {
-                                attach(ip, TLS_PORT, region)
-                                    .expect("address plan is collision-free");
-                                attach(ip, DNS_PORT, region)
-                                    .expect("address plan is collision-free");
-                            }
-                        }
-                    }
-                    let home_region = continent_of_country(&p.country).region();
-                    for &ns in &pp.ns_addrs {
+            let set = ResponderSet::new(&network, move |d: &Datagram| {
+                let reply = rack_respond(&data, d);
+                // An inline responder runs on the querier's own thread, so
+                // a Delay fault may simply sleep here: only this query is
+                // delayed, nobody is blocked behind it.
+                if let Some(wait) = reply.delay {
+                    std::thread::sleep(wait);
+                }
+                reply.payload
+            });
+            // Attach every address of every provider on this rack.
+            for p in &universe.providers {
+                if rack_of(p.id) != ri {
+                    continue;
+                }
+                let pp = &pools[p.id as usize];
+                for (ci, pool) in pp.pools.iter().enumerate() {
+                    let region = CONT_ORDER[ci].region();
+                    for &ip in pool {
                         if p.anycast {
-                            for cont in CONT_ORDER {
-                                let _ = attach_anycast(ns, DNS_PORT, cont.region());
-                            }
+                            // Anycast pools share addresses across
+                            // continents; attach each once per region.
+                            let _ = set.attach_anycast(ip, TLS_PORT, region);
+                            let _ = set.attach_anycast(ip, DNS_PORT, region);
                         } else {
-                            // NS address may coincide with a pool address only
-                            // for the tiny single-IP fallback; tolerate.
-                            let _ = attach(ns, DNS_PORT, home_region);
+                            set.attach(ip, TLS_PORT, region)
+                                .expect("address plan is collision-free");
+                            set.attach(ip, DNS_PORT, region)
+                                .expect("address plan is collision-free");
                         }
                     }
                 }
-            };
-            if config.inline_racks {
-                let set = ResponderSet::new(&network, move |d: &Datagram| {
-                    let reply = rack_respond(&data, d);
-                    // An inline responder runs on the querier's own thread,
-                    // so a Delay fault may simply sleep here: only this
-                    // query is delayed, nobody is blocked behind it.
-                    if let Some(wait) = reply.delay {
-                        std::thread::sleep(wait);
+                let home_region = continent_of_country(&p.country).region();
+                for &ns in &pp.ns_addrs {
+                    if p.anycast {
+                        for cont in CONT_ORDER {
+                            let _ = set.attach_anycast(ns, DNS_PORT, cont.region());
+                        }
+                    } else {
+                        // NS address may coincide with a pool address only
+                        // for the tiny single-IP fallback; tolerate.
+                        let _ = set.attach(ns, DNS_PORT, home_region);
                     }
-                    reply.payload
-                });
-                attach_all(&|ip, port, r| set.attach(ip, port, r), &|ip, port, r| {
-                    set.attach_anycast(ip, port, r)
-                });
-                responders.push(set);
-            } else {
-                let ep = SharedEndpoint::new(&network);
-                attach_all(&|ip, port, r| ep.attach(ip, port, r), &|ip, port, r| {
-                    ep.attach_anycast(ip, port, r)
-                });
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
-                let handle = std::thread::spawn(move || rack_loop(ep, data, stop2));
-                racks.push(RackHandle {
-                    stop,
-                    handle: Some(handle),
-                });
+                }
             }
+            responders.push(set);
         }
 
         let geodb = if config.geo_accuracy < 1.0 {
@@ -902,7 +777,6 @@ impl DeployedWorld {
             pools,
             eyeball_prefixes,
             vantage_counters: std::array::from_fn(|_| AtomicU32::new(10)),
-            racks,
             responders,
             _root_server: root_server,
         }
@@ -921,9 +795,9 @@ impl DeployedWorld {
             .expect("vantage addresses are unique")
     }
 
-    /// Number of serving racks (registries + hosting), threaded or inline.
+    /// Number of serving racks (registries + hosting).
     pub fn num_racks(&self) -> usize {
-        self.racks.len() + self.responders.len()
+        self.responders.len()
     }
 }
 
@@ -940,6 +814,7 @@ fn fxhash(s: &str) -> u32 {
 mod tests {
     use super::*;
     use crate::world::{World, WorldConfig};
+    use std::time::Duration;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
     use webdep_tls::scanner::{Scanner, ScannerConfig};
 

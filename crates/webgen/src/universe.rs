@@ -26,6 +26,9 @@ pub struct Universe {
     pub global_hosting: Vec<u32>,
     /// Global DNS provider ids in canonical order (includes managed DNS).
     pub global_dns: Vec<u32>,
+    /// TLD label → id, the one interning table every observation-TLD
+    /// lookup goes through (see [`Universe::tld_by_label`]).
+    tld_ids: HashMap<String, u32>,
 }
 
 /// Named global hosting/CDN providers: (name, country, tier, dns, cdn, anycast).
@@ -477,6 +480,7 @@ impl Universe {
             });
         }
 
+        let tld_ids = tlds.iter().map(|t| (t.label.clone(), t.id)).collect();
         Universe {
             providers,
             cas,
@@ -484,6 +488,7 @@ impl Universe {
             regional_by_country,
             global_hosting,
             global_dns,
+            tld_ids,
         }
     }
 
@@ -504,7 +509,7 @@ impl Universe {
 
     /// The TLD id for a label.
     pub fn tld_by_label(&self, label: &str) -> Option<u32> {
-        self.tlds.iter().find(|t| t.label == label).map(|t| t.id)
+        self.tld_ids.get(label).copied()
     }
 
     /// Id of a provider by exact name.

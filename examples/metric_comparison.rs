@@ -24,9 +24,9 @@ fn main() {
     for code in ["TH", "ID", "US", "JP", "DE", "BG", "CZ", "RU", "TM", "IR"] {
         let ci = World::country_index(code).unwrap();
         let dist = ctx.country_dist(ci, Layer::Hosting).unwrap();
-        let s = centralization_score(&dist);
-        let t5 = top_n_share(&dist, 5);
-        let t10 = top_n_share(&dist, 10);
+        let s = centralization_score(dist);
+        let t5 = top_n_share(dist, 5);
+        let t10 = top_n_share(dist, 10);
         let (p, q) = disjoint_embedding(dist.counts()).unwrap();
         println!(
             "{code:7} | {s:.4} | {t5:.4} | {t10:.4} | {:.3} | {:.3} | {:.3}",
@@ -55,13 +55,13 @@ fn main() {
     for code in ["AZ", "HK", "TH", "IR"] {
         let ci = World::country_index(code).unwrap();
         let dist = ctx.country_dist(ci, Layer::Hosting).unwrap();
-        let curve = webdep::core::topn::provider_rank_curve(&dist);
+        let curve = webdep::core::topn::provider_rank_curve(dist);
         let head: Vec<String> = curve.iter().take(8).map(|v| format!("{v:.1}")).collect();
         println!(
             "  {code}: [{}] ... ({} providers, top-5 {:.0}%)",
             head.join(", "),
             curve.len(),
-            100.0 * top_n_share(&dist, 5)
+            100.0 * top_n_share(dist, 5)
         );
     }
 }

@@ -113,7 +113,7 @@ fn cmd_country(code: &str, scale: Option<&str>) {
         let Some(dist) = ctx.country_dist(ci, layer) else {
             continue;
         };
-        let s = centralization_score(&dist);
+        let s = centralization_score(dist);
         let ins = webdep::analysis::insularity::country_insularity(&ctx, ci, layer).unwrap_or(0.0);
         println!(
             "\n[{:<7}] S = {s:.4} (paper {:.4})  insularity = {:.1}%  providers = {}",
