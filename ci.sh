@@ -18,6 +18,22 @@ fi
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# Report digests: the determinism contract makes the report bytes the
+# proof that a change to the analysis (affinity propagation, the suite)
+# kept every number. Each line of tests/golden/report-small.sha256 is
+# "<sha256>  <webdep arguments>"; the stdout of that command must hash to
+# it. After an intended change to the report, rewrite the digest line.
+echo "==> report digests (tests/golden/report-small.sha256)"
+while read -r want args; do
+    # shellcheck disable=SC2086 # the arguments are meant to split
+    got=$(cargo run --release -q --bin webdep -- $args | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: 'webdep $args' stdout hashes to $got, golden is $want" >&2
+        exit 1
+    fi
+    echo "    webdep $args: $got"
+done < tests/golden/report-small.sha256
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

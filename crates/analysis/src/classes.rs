@@ -91,6 +91,12 @@ pub struct Classification {
     pub class_of: HashMap<u32, ProviderClass>,
     /// Number of affinity-propagation clusters found.
     pub num_clusters: usize,
+    /// Affinity-propagation sweeps run, copied from the clustering (`0`
+    /// when no owner reached the clustering floor).
+    pub iterations: usize,
+    /// Whether the exemplar set converged before the sweep cap, copied
+    /// from the clustering (`true` when there was nothing to cluster).
+    pub converged: bool,
     /// Owners assigned per class.
     pub class_counts: HashMap<String, usize>,
 }
@@ -137,7 +143,9 @@ pub fn classify(ctx: &AnalysisCtx<'_>, layer: Layer) -> Classification {
         .collect();
     let scaled = min_max_scale_columns(&raw);
     let clustering = affinity_propagation(&scaled, &AffinityConfig::default());
-    let num_clusters = clustering.as_ref().map(|c| c.num_clusters()).unwrap_or(0);
+    let (num_clusters, iterations, converged) = clustering.as_ref().map_or((0, 0, true), |c| {
+        (c.num_clusters(), c.iterations, c.converged)
+    });
 
     // Label by features (the paper labels its clusters manually; these
     // thresholds encode the same judgement).
@@ -166,6 +174,8 @@ pub fn classify(ctx: &AnalysisCtx<'_>, layer: Layer) -> Classification {
         features,
         class_of,
         num_clusters,
+        iterations,
+        converged,
         class_counts,
     }
 }
@@ -248,6 +258,14 @@ mod tests {
             cls.class(google),
             ProviderClass::LGp | ProviderClass::XlGp
         ));
+    }
+
+    #[test]
+    fn hosting_clustering_convergence_is_reported() {
+        // The fixture world's hosting clustering settles after 55 sweeps;
+        // the classification reports the clustering's own figures.
+        let cls = classify(&ctx(), Layer::Hosting);
+        assert_eq!((cls.iterations, cls.converged), (55, true));
     }
 
     #[test]

@@ -198,10 +198,11 @@ impl<'a> AnalysisCtx<'a> {
         )
     }
 
-    /// [`AnalysisCtx::score_ci`] with caller-provided bootstrap scratch:
-    /// the serial, zero-steady-state-allocation variant for batched
-    /// per-country-per-layer CI sweeps (one scratch reused across all 150
-    /// countries instead of fresh index/statistic buffers per country).
+    /// [`AnalysisCtx::score_ci`] with caller-provided bootstrap scratch,
+    /// run serially on the calling thread: the variant for CI sweeps that
+    /// are parallel over countries. The experiment suite maps the countries
+    /// across threads with one scratch per country task; a serial loop can
+    /// reuse one scratch and allocate nothing after its first call.
     /// Identical results — both variants draw the same per-replicate index
     /// streams.
     pub fn score_ci_scratch(

@@ -194,18 +194,24 @@ impl ExperimentSuite {
         // Bootstrap 95% CIs on every per-country hosting score (the
         // paper's scores are point estimates over a sampled toplist; the
         // reproduction quantifies that sampling noise). 500 replicates per
-        // country resample the per-site owner labels, all through one
-        // reused scratch — the batched kernel path.
-        let mut scratch = webdep_stats::BootstrapScratch::new();
-        let cis: Vec<_> = (0..COUNTRIES.len())
-            .filter_map(|ci| ctx.score_ci_scratch(ci, Layer::Hosting, 500, 0.95, 42, &mut scratch))
-            .collect();
-        let max_width = cis.iter().map(|c| c.width()).fold(0.0, f64::max);
-        let th_ci = World::country_index("TH")
-            .and_then(|i| ctx.score_ci_scratch(i, Layer::Hosting, 500, 0.95, 42, &mut scratch));
-        let ir_ci = World::country_index("IR")
-            .and_then(|i| ctx.score_ci_scratch(i, Layer::Hosting, 500, 0.95, 42, &mut scratch));
-        let separated = match (&th_ci, &ir_ci) {
+        // country resample the per-site owner labels; the countries run in
+        // parallel, each task serially through its own scratch. Replicate
+        // `r` is seeded by `mix(seed, r)` whichever thread runs it, so the
+        // intervals do not depend on the thread count. Indexed by country,
+        // so TH and IR are read from the same vector.
+        let cis: Vec<Option<webdep_stats::BootstrapCi>> = webdep_stats::par_map_indices(
+            COUNTRIES.len(),
+            webdep_stats::par::default_threads(),
+            |ci| {
+                let mut scratch = webdep_stats::BootstrapScratch::new();
+                ctx.score_ci_scratch(ci, Layer::Hosting, 500, 0.95, 42, &mut scratch)
+            },
+        );
+        let measured_cis = cis.iter().flatten().count();
+        let max_width = cis.iter().flatten().map(|c| c.width()).fold(0.0, f64::max);
+        let ci_of = |code: &str| World::country_index(code).and_then(|i| cis[i].as_ref());
+        let (th_ci, ir_ci) = (ci_of("TH"), ci_of("IR"));
+        let separated = match (th_ci, ir_ci) {
             (Some(th), Some(ir)) => th.lo > ir.hi,
             _ => false,
         };
@@ -215,14 +221,14 @@ impl ExperimentSuite {
             "point estimates stable under resampling".into(),
             format!(
                 "{} countries, max CI width {:.3}; TH [{:.3}, {:.3}] vs IR [{:.3}, {:.3}]",
-                cis.len(),
+                measured_cis,
                 max_width,
-                th_ci.as_ref().map(|c| c.lo).unwrap_or(0.0),
-                th_ci.as_ref().map(|c| c.hi).unwrap_or(0.0),
-                ir_ci.as_ref().map(|c| c.lo).unwrap_or(0.0),
-                ir_ci.as_ref().map(|c| c.hi).unwrap_or(0.0),
+                th_ci.map(|c| c.lo).unwrap_or(0.0),
+                th_ci.map(|c| c.hi).unwrap_or(0.0),
+                ir_ci.map(|c| c.lo).unwrap_or(0.0),
+                ir_ci.map(|c| c.hi).unwrap_or(0.0),
             ),
-            cis.len() == COUNTRIES.len() && separated && max_width < 0.2,
+            measured_cis == COUNTRIES.len() && separated && max_width < 0.2,
         );
         let se = hosting.subregion_mean("South-eastern Asia").unwrap_or(0.0);
         let ca_sub = hosting.subregion_mean("Central Asia").unwrap_or(1.0);

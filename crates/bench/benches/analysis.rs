@@ -51,7 +51,7 @@ fn affinity_sweeps(c: &mut Criterion) {
     let points = synthetic_points(512, 4);
     let mut g = c.benchmark_group("affinity_512pts");
     g.sample_size(10);
-    for (name, threads) in [("tiled_serial", 1usize), ("tiled_parallel", 0)] {
+    for (name, threads) in [("serial", 1usize), ("parallel", 0)] {
         let config = AffinityConfig {
             threads,
             ..AffinityConfig::default()

@@ -64,10 +64,10 @@ pub fn time_suite(world: &World, ds: &MeasuredDataset) -> SuiteTiming {
 pub struct AffinityTiming {
     /// Points clustered (above the parallel threshold when ≥ 384).
     pub points: usize,
-    /// Cache-tiled sweeps, `threads = 1`.
-    pub tiled_serial_ms: f64,
-    /// Cache-tiled sweeps with `threads = parallel_threads`.
-    pub tiled_parallel_ms: f64,
+    /// Band sweeps, `threads = 1` (one band).
+    pub serial_ms: f64,
+    /// Band sweeps with `threads = parallel_threads` (one band per thread).
+    pub parallel_ms: f64,
     /// Thread count of the parallel run.
     pub parallel_threads: usize,
     /// Message-passing sweeps executed (identical in both runs).
@@ -108,12 +108,12 @@ pub fn time_affinity(n: usize, threads: usize) -> AffinityTiming {
         let clustering = affinity_propagation(&points, &config).expect("non-empty");
         (ms(t0.elapsed()), clustering)
     };
-    let (tiled_serial_ms, serial) = run(1);
-    let (tiled_parallel_ms, parallel) = run(threads);
+    let (serial_ms, serial) = run(1);
+    let (parallel_ms, parallel) = run(threads);
     AffinityTiming {
         points: n,
-        tiled_serial_ms,
-        tiled_parallel_ms,
+        serial_ms,
+        parallel_ms,
         parallel_threads: threads,
         sweeps: serial.iterations,
         identical: serial == parallel,

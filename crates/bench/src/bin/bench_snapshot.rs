@@ -155,8 +155,8 @@ fn analysis_snapshot() {
         out.display(),
         snapshot.cube_build_ms,
         snapshot.suite.end_to_end_ms(),
-        snapshot.affinity.tiled_serial_ms,
-        snapshot.affinity.tiled_parallel_ms,
+        snapshot.affinity.serial_ms,
+        snapshot.affinity.parallel_ms,
         snapshot.affinity.points,
     );
     append_history(

@@ -498,7 +498,9 @@ fn decode_chunk(
     ns_off.push(0u32);
     let mut total_ns = 0u32;
     for _ in 0..rows {
-        total_ns += d.u16()? as u32;
+        total_ns = total_ns
+            .checked_add(d.u16()? as u32)
+            .ok_or("nameserver count overflows")?;
         ns_off.push(total_ns);
     }
     let ns_ids: Vec<u32> = (0..total_ns)
@@ -1153,6 +1155,7 @@ impl ChunkStore {
 mod tests {
     use super::*;
     use crate::dataset::{FailureCause, LayerError};
+    use proptest::prelude::*;
     use std::fs;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1448,6 +1451,102 @@ mod tests {
             .err()
             .expect("must be rejected");
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    /// Per-row nameserver counts whose total overflows `u32` (possible
+    /// once a chunk claims more than 65,537 rows) must be refused, not
+    /// wrapped into offsets that run backwards.
+    #[test]
+    fn nameserver_total_overflow_is_rejected() {
+        let rows = 65_538usize;
+        let mut body = CHUNK_MAGIC.to_vec();
+        for v in [0u32, 0, rows as u32, 1, 1] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        body.push(b'x'); // the one string
+        body.resize(body.len() + 3 * rows * 4, 0); // domain, tld, language ids
+        body.resize(body.len() + 6 * rows.div_ceil(8), 0); // empty hosting columns
+        for _ in 0..rows {
+            body.extend_from_slice(&u16::MAX.to_le_bytes());
+        }
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        let err = decode_chunk(&body, 0, 0, rows)
+            .err()
+            .expect("must be rejected");
+        assert!(err.contains("nameserver count overflows"), "{err}");
+    }
+
+    /// One corruption of a chunk body, applied before the checksum is
+    /// recomputed so it reaches the parser. Offsets wrap modulo the body
+    /// length.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        Flip { at: usize, bit: u8 },
+        Truncate { keep: usize },
+        Count32 { at: usize, value: u32 },
+        Count16 { at: usize, value: u16 },
+    }
+
+    impl Mutation {
+        fn apply(&self, body: &mut Vec<u8>) {
+            let len = body.len().max(1);
+            let mut put = |at: usize, bytes: &[u8]| {
+                for (i, &b) in bytes.iter().enumerate() {
+                    if let Some(slot) = body.get_mut(at % len + i) {
+                        *slot = b;
+                    }
+                }
+            };
+            match *self {
+                Mutation::Flip { at, bit } => {
+                    if let Some(b) = body.get_mut(at % len) {
+                        *b ^= 1 << bit;
+                    }
+                }
+                Mutation::Truncate { keep } => body.truncate(keep % len),
+                Mutation::Count32 { at, value } => put(at, &value.to_le_bytes()),
+                Mutation::Count16 { at, value } => put(at, &value.to_le_bytes()),
+            }
+        }
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        // Byte 20 is the string count and byte 24 the first string's
+        // length; other count fields (per-row nameserver counts) are hit
+        // at random offsets.
+        let at = prop_oneof![Just(20usize), Just(24usize), any::<usize>()];
+        let big = prop_oneof![Just(u32::MAX), Just(1u32 << 28), any::<u32>()];
+        prop_oneof![
+            (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+            any::<usize>().prop_map(|keep| Mutation::Truncate { keep }),
+            (at, big).prop_map(|(at, value)| Mutation::Count32 { at, value }),
+            (any::<usize>(), any::<u16>()).prop_map(|(at, value)| Mutation::Count16 { at, value }),
+        ]
+    }
+
+    proptest! {
+        /// `decode_chunk` is total on corrupted chunks behind a valid
+        /// checksum: every case returns `Ok` or `Err` without panicking,
+        /// and no count read from the bytes sizes an allocation (a
+        /// capacity of `u32::MAX` rows or strings would abort the test).
+        /// A chunk that still decodes reconstructs every row.
+        #[test]
+        fn decode_chunk_never_panics(mutations in prop::collection::vec(mutation(), 1..4)) {
+            let rows: Vec<SiteObservation> = (0..20).map(sample_obs).collect();
+            let encoded = encode_chunk(0, 0, &rows);
+            let mut body = encoded[..encoded.len() - 8].to_vec();
+            for m in &mutations {
+                m.apply(&mut body);
+            }
+            let sum = fnv1a(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            if let Ok(chunk) = decode_chunk(&body, 0, 0, rows.len()) {
+                for r in 0..chunk.rows {
+                    let _ = chunk.observation(r);
+                }
+            }
+        }
     }
 
     #[test]

@@ -235,8 +235,10 @@ impl BootstrapScratch {
 /// (replicate `r` is always seeded by `mix(seed, r)`), and the percentile
 /// sort is order-independent, so for a given statistic the interval is
 /// **identical** to [`bootstrap_ci_indexed`]'s. Use this inside loops that
-/// are already parallel at a coarser grain (e.g. one CI per country): the
-/// coarse loop keeps the cores busy and each call stays allocation-free.
+/// are already parallel at a coarser grain, as the experiment suite does
+/// with one CI per country task and one scratch per task: the coarse loop
+/// keeps the cores busy. A serial loop that reuses one scratch allocates
+/// nothing after its first call.
 pub fn bootstrap_ci_indexed_scratch<T, F: Fn(&Resample<'_, T>) -> f64>(
     items: &[T],
     statistic: F,

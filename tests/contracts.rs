@@ -5,13 +5,19 @@
 //!   workers racing for the shared queue measure equal datasets;
 //! * a snapshot served from the chunk store answers exactly what a
 //!   resident analysis context computes: every layer's score table and
-//!   bootstrap CIs are bit-equal.
+//!   bootstrap CIs are bit-equal;
+//! * provider clustering is independent of the thread count — affinity
+//!   propagation over the hosting and DNS features returns equal
+//!   clusterings on one, two and three threads.
 
 use std::sync::{Arc, OnceLock};
 use webdep::analysis::centralization::layer_table;
+use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{measure, measure_streamed, MeasuredDataset, PipelineConfig};
 use webdep::serve::CubeSnapshot;
+use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
+use webdep::stats::scale::min_max_scale_columns;
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn config(workers: usize) -> PipelineConfig {
@@ -21,7 +27,7 @@ fn config(workers: usize) -> PipelineConfig {
     }
 }
 
-/// A reduced world and its one-worker measurement, shared by both tests.
+/// A reduced world and its one-worker measurement, shared by the tests.
 fn fixture() -> &'static (World, MeasuredDataset) {
     static FIXTURE: OnceLock<(World, MeasuredDataset)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -76,6 +82,37 @@ fn store_snapshot_answers_like_resident_context() {
                 format!("{a:?}"),
                 format!("{b:?}"),
                 "{code} {layer:?} CI differs between store snapshot and resident context"
+            );
+        }
+    }
+}
+
+#[test]
+fn clustering_is_independent_of_thread_count() {
+    let (world, solo) = fixture();
+    let ctx = AnalysisCtx::new(world, solo);
+    for layer in [Layer::Hosting, Layer::Dns] {
+        // The clustering input `classify` builds: min-max scaled usage and
+        // endemicity ratio per owner.
+        let raw: Vec<Vec<f64>> = classify(&ctx, layer)
+            .features
+            .iter()
+            .map(|f| vec![f.usage, f.endemicity_ratio])
+            .collect();
+        let points = min_max_scale_columns(&raw);
+        let cluster = |threads| {
+            let config = AffinityConfig {
+                threads,
+                ..AffinityConfig::default()
+            };
+            affinity_propagation(&points, &config).expect("owners to cluster")
+        };
+        let one = cluster(1);
+        for threads in [2, 3] {
+            assert_eq!(
+                one,
+                cluster(threads),
+                "{layer:?} clustering differs between 1 and {threads} threads"
             );
         }
     }
