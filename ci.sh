@@ -34,6 +34,26 @@ while read -r want args; do
     echo "    webdep $args: $got"
 done < tests/golden/report-small.sha256
 
+# The documented checkpoint flow through the real CLI: measure into a
+# chunk store with a run journal beside it, lose one chunk, and heal it
+# with `fsck --repair` from the journal. fsck exits nonzero (and prints
+# "intact":false) unless every chunk is back.
+echo "==> checkpoint flow: measure --store --journal, fsck --repair"
+ckpt=$(mktemp -d)
+trap 'rm -rf "$ckpt"' EXIT
+cargo run --release -q --bin webdep -- measure tiny --store "$ckpt/s" --journal "$ckpt/j" >/dev/null
+lost=$(find "$ckpt/s" -name 'chunk-*.col' | sort | sed -n 2p)
+rm "$lost"
+report=$(cargo run --release -q --bin webdep -- fsck "$ckpt/s" --repair --journal "$ckpt/j") || {
+    echo "ci: fsck could not heal $(basename "$lost") from the journal: $report" >&2
+    exit 1
+}
+echo "    $report"
+if [[ "$report" != *'"intact":true'* ]]; then
+    echo "ci: fsck report is not intact" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

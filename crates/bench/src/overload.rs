@@ -569,7 +569,7 @@ pub fn overload_snapshot(smoke: bool, log: impl Fn(String)) -> OverloadSnapshot 
     let tmp = std::env::temp_dir().join(format!("webdep-overload-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("tmp dir");
     let store_dir = tmp.join("chunks");
-    let journal = tmp.join("run.jsonl");
+    let journal = tmp.join("run.journal");
     write_store_and_journal(&world, &store_dir, &journal, 512);
 
     let overload = OverloadConfig {

@@ -1,30 +1,36 @@
 //! The supervision/resilience bench behind `BENCH_resilience.json`.
 //!
-//! Three questions, answered on one reduced world:
+//! Three questions, answered on one reduced world, every run streaming
+//! into a chunk store:
 //!
-//! 1. What does journaling cost? A clean run vs the same run with the
-//!    append-only JSONL journal enabled (wall overhead + journal size).
+//! 1. What does checkpointing cost? A clean run vs the same run with the
+//!    run journal (one-row chunks beside the store) enabled: wall overhead
+//!    and journal size.
 //! 2. What does a worker death cost? Seeded [`ChaosPlan`] kills at N
 //!    evenly spaced sites; the snapshot records time-to-complete, the
 //!    supervision counters, and — the headline — how many observations
 //!    were lost or changed versus the undisturbed baseline (must be 0:
 //!    requeued batches re-measure to identical bytes).
-//! 3. What does crash-resume cost? The full journal is truncated at 50%
-//!    of its records and the run resumed; the snapshot records the resume
-//!    wall against the clean wall and certifies byte-identity.
+//! 3. What does crash-resume cost? The scene a run killed at 50% of its
+//!    commits leaves behind (the journal's first half and the chunks it
+//!    completed) is rebuilt through the public writers and the run
+//!    resumed; the snapshot records the resume wall against the clean
+//!    wall and certifies the healed store byte-identical.
 
 use serde::Serialize;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 use webdep_pipeline::{
-    measure_journaled, measure_with_stats, resume_from_journal, ChaosPlan, MeasuredDataset,
-    PipelineConfig, SupervisorConfig,
+    journal, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter,
+    JournalWriter, MeasuredDataset, PipelineConfig, SupervisorConfig, DEFAULT_CHUNK_SITES,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
 /// Worker deaths injected per degraded run.
 const DEATH_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// The clean reference pair: the same run without and with journaling.
+/// The clean reference pair: the same streamed run without and with the
+/// journal.
 #[derive(Serialize)]
 pub struct CleanRuns {
     /// Wall-clock of the plain run (ms).
@@ -57,7 +63,7 @@ pub struct DeathRun {
     pub wall_ms: u64,
     /// `wall_ms` relative to the clean run.
     pub slowdown: f64,
-    /// Whether the dataset serialized byte-identical to the baseline.
+    /// Whether every store file is byte-identical to the baseline's.
     pub byte_identical: bool,
 }
 
@@ -73,8 +79,8 @@ pub struct ResumeRun {
     /// Resume wall over the clean full-run wall — roughly the fraction of
     /// work the crash did *not* save, plus journal-replay overhead.
     pub overhead_vs_clean: f64,
-    /// Whether the reassembled dataset serialized byte-identical to the
-    /// uninterrupted baseline.
+    /// Whether every healed store file is byte-identical to the
+    /// uninterrupted baseline's.
     pub byte_identical: bool,
 }
 
@@ -127,17 +133,30 @@ fn kill_sites(n_sites: usize, deaths: usize) -> Vec<usize> {
     (1..=deaths).map(|k| k * n_sites / (deaths + 1)).collect()
 }
 
-fn dataset_bytes(ds: &MeasuredDataset) -> Vec<u8> {
-    serde_json::to_string(&ds.observations)
-        .expect("observations serialize")
-        .into_bytes()
+/// Every file of a finished store, in name order.
+fn store_bytes(dir: &Path) -> Vec<Vec<u8>> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read store")
+        .map(|e| e.expect("store entry").path())
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| std::fs::read(p).expect("read store file"))
+        .collect()
+}
+
+fn load(dir: &Path, world: &World) -> MeasuredDataset {
+    ChunkStore::open(dir)
+        .and_then(|s| s.load_dataset(world))
+        .expect("load store")
 }
 
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-fn scratch(name: &str) -> std::path::PathBuf {
+fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("webdep-resilience-{name}-{}", std::process::id()))
 }
 
@@ -158,21 +177,35 @@ pub fn resilience_snapshot_with(
     let world = World::generate(world_cfg);
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
+    let streamed = |name: &str, chaos: Option<ChaosPlan>, journal: Option<&Path>| {
+        let dir = scratch(name);
+        let stats = measure_streamed(
+            &world,
+            &dep,
+            &pipeline_config(workers, chaos),
+            &dir,
+            journal,
+        )
+        .expect("streamed run");
+        (dir, stats)
+    };
 
-    let (baseline_ds, clean_stats) =
-        measure_with_stats(&world, &dep, &pipeline_config(workers, None));
+    let (clean_dir, clean_stats) = streamed("clean", None, None);
     let clean_wall = clean_stats.wall;
-    let baseline_bytes = dataset_bytes(&baseline_ds);
+    let baseline_ds = load(&clean_dir, &world);
+    let baseline_bytes = store_bytes(&clean_dir);
     progress(&format!(
         "clean: {n} sites in {} ms",
         clean_wall.as_millis()
     ));
 
     let journal_path = scratch("journal");
-    let (journaled_ds, journaled_stats) =
-        measure_journaled(&world, &dep, &pipeline_config(workers, None), &journal_path)
-            .expect("journaled run");
-    assert_eq!(journaled_ds, baseline_ds, "journaling changed the dataset");
+    let (journaled_dir, journaled_stats) = streamed("journaled", None, Some(&journal_path));
+    assert!(
+        store_bytes(&journaled_dir) == baseline_bytes,
+        "journaling changed the store"
+    );
+    let _ = std::fs::remove_dir_all(&journaled_dir);
     let journal_bytes = std::fs::metadata(&journal_path)
         .map(|m| m.len())
         .unwrap_or(0);
@@ -188,12 +221,11 @@ pub fn resilience_snapshot_with(
         .iter()
         .map(|&d| {
             let plan = ChaosPlan::kill_at(&kill_sites(n, d));
-            let (ds, stats) =
-                measure_with_stats(&world, &dep, &pipeline_config(workers, Some(plan)));
+            let (dir, stats) = streamed("deaths", Some(plan), None);
             let observations_lost = baseline_ds
                 .observations
                 .iter()
-                .zip(&ds.observations)
+                .zip(&load(&dir, &world).observations)
                 .filter(|(a, b)| a != b)
                 .count() as u64;
             let run = DeathRun {
@@ -205,8 +237,9 @@ pub fn resilience_snapshot_with(
                 observations_lost,
                 wall_ms: stats.wall.as_millis() as u64,
                 slowdown: round3(stats.wall.as_secs_f64() / clean_wall.as_secs_f64()),
-                byte_identical: dataset_bytes(&ds) == baseline_bytes,
+                byte_identical: store_bytes(&dir) == baseline_bytes,
             };
+            let _ = std::fs::remove_dir_all(&dir);
             progress(&format!(
                 "deaths={d}: lost {}, requeued {}, obs lost {}, {} ms (x{:.2}), identical {}",
                 run.workers_lost,
@@ -220,26 +253,39 @@ pub fn resilience_snapshot_with(
         })
         .collect();
 
-    // Crash-resume: keep the header and the first half of the records,
-    // exactly what a process killed mid-run leaves behind.
-    let text = std::fs::read_to_string(&journal_path).expect("read journal");
-    let lines: Vec<&str> = text.lines().collect();
+    // Crash-resume: rebuild what a process killed after half its commits
+    // leaves behind — the journal's first half, and every chunk those
+    // commits completed — through the public writers.
+    let full = journal::load(&journal_path).expect("load journal");
     let keep = n / 2;
-    let cut_path = scratch("resume");
-    std::fs::write(&cut_path, format!("{}\n", lines[..=keep].join("\n")))
-        .expect("write truncated journal");
+    let (cut_dir, cut_path) = (scratch("resume-store"), scratch("resume-journal"));
+    {
+        let mut store = ChunkStoreWriter::create(&cut_dir, &world.label, n, DEFAULT_CHUNK_SITES)
+            .expect("create cut store");
+        let mut journal =
+            JournalWriter::create(&cut_path, &world.label, n).expect("create cut journal");
+        for (site, obs) in &full.records[..keep] {
+            store.commit(*site, obs).expect("commit");
+            journal.append(*site, obs).expect("append");
+        }
+    }
 
     let t0 = Instant::now();
-    let (resumed_ds, resumed_stats) =
-        resume_from_journal(&world, &dep, &pipeline_config(workers, None), &cut_path)
-            .expect("resume");
+    let resumed_stats = resume_streamed(
+        &world,
+        &dep,
+        &pipeline_config(workers, None),
+        &cut_dir,
+        &cut_path,
+    )
+    .expect("resume");
     let resume_wall = t0.elapsed();
     let resume = ResumeRun {
         resumed_records: resumed_stats.supervision.sites_resumed,
         resumed_fraction: round3(keep as f64 / n as f64),
         wall_ms: resume_wall.as_millis() as u64,
         overhead_vs_clean: round3(resume_wall.as_secs_f64() / clean_wall.as_secs_f64()),
-        byte_identical: dataset_bytes(&resumed_ds) == baseline_bytes,
+        byte_identical: store_bytes(&cut_dir) == baseline_bytes,
     };
     progress(&format!(
         "resume from {}/{}: {} ms ({:.0}% of clean), identical {}",
@@ -249,8 +295,12 @@ pub fn resilience_snapshot_with(
         100.0 * resume.overhead_vs_clean,
         resume.byte_identical
     ));
-    let _ = std::fs::remove_file(&cut_path);
-    let _ = std::fs::remove_file(&journal_path);
+    for dir in [&clean_dir, &cut_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    for file in [&cut_path, &journal_path] {
+        let _ = std::fs::remove_file(file);
+    }
 
     ResilienceSnapshot {
         sites: n as u64,

@@ -62,38 +62,6 @@ impl FailureCause {
             FailureCause::Internal => "internal",
         }
     }
-
-    /// Inverse of the derived serialization (unit variants serialize as
-    /// their variant name); used by the run-journal reader.
-    pub fn from_variant(s: &str) -> Option<Self> {
-        Some(match s {
-            "Timeout" => FailureCause::Timeout,
-            "Unreachable" => FailureCause::Unreachable,
-            "Refused" => FailureCause::Refused,
-            "NxDomain" => FailureCause::NxDomain,
-            "NoRecords" => FailureCause::NoRecords,
-            "Malformed" => FailureCause::Malformed,
-            "UnknownIssuer" => FailureCause::UnknownIssuer,
-            "Skipped" => FailureCause::Skipped,
-            "Internal" => FailureCause::Internal,
-            _ => return None,
-        })
-    }
-
-    /// The variant name the derived serializer emits for this cause.
-    pub fn variant_name(self) -> &'static str {
-        match self {
-            FailureCause::Timeout => "Timeout",
-            FailureCause::Unreachable => "Unreachable",
-            FailureCause::Refused => "Refused",
-            FailureCause::NxDomain => "NxDomain",
-            FailureCause::NoRecords => "NoRecords",
-            FailureCause::Malformed => "Malformed",
-            FailureCause::UnknownIssuer => "UnknownIssuer",
-            FailureCause::Skipped => "Skipped",
-            FailureCause::Internal => "Internal",
-        }
-    }
 }
 
 /// One layer's failure: a normalized cause plus the human-readable detail.
@@ -235,6 +203,12 @@ impl SiteObservation {
         self.hosting_org.is_some() && self.dns_org.is_some() && self.ca_owner.is_some()
     }
 
+    /// Per-layer failure causes `(hosting, dns, ca)`, the input of
+    /// [`FailureTaxonomy::record_site`].
+    pub fn failure_causes(&self) -> [Option<FailureCause>; 3] {
+        [&self.hosting_error, &self.dns_error, &self.ca_error].map(|e| e.as_ref().map(|e| e.cause))
+    }
+
     /// Recomputes the derived `error` summary from the per-layer slots:
     /// first failure in pipeline order, ignoring `Skipped` layers.
     pub fn derive_error_summary(&mut self) {
@@ -262,6 +236,44 @@ pub struct FailureTaxonomy {
 }
 
 impl FailureTaxonomy {
+    /// Layer names, in [`SiteObservation::failure_causes`] order.
+    pub const LAYERS: [&'static str; 3] = ["hosting", "dns", "ca"];
+
+    /// Folds one site's per-layer failure causes (in [`Self::LAYERS`]
+    /// order) into the counts: every present cause is recorded, and a
+    /// site with none counts as clean. `total` is the caller's to set.
+    pub fn record_site(&mut self, causes: [Option<FailureCause>; 3]) {
+        self.fold_site(causes, false);
+    }
+
+    /// Reverses one [`FailureTaxonomy::record_site`] with the same causes.
+    pub fn unrecord_site(&mut self, causes: [Option<FailureCause>; 3]) {
+        self.fold_site(causes, true);
+    }
+
+    /// The one "any cause, else clean" rule, applied forwards or (with
+    /// `retract`) backwards.
+    fn fold_site(&mut self, causes: [Option<FailureCause>; 3], retract: bool) {
+        let mut clean = true;
+        for (layer, cause) in Self::LAYERS.into_iter().zip(causes) {
+            if let Some(cause) = cause {
+                if retract {
+                    self.unrecord(layer, cause);
+                } else {
+                    self.record(layer, cause);
+                }
+                clean = false;
+            }
+        }
+        if clean {
+            if retract {
+                self.clean -= 1;
+            } else {
+                self.clean += 1;
+            }
+        }
+    }
+
     /// Records one layer failure.
     pub fn record(&mut self, layer: &str, cause: FailureCause) {
         *self
@@ -379,20 +391,7 @@ impl MeasuredDataset {
             ..FailureTaxonomy::default()
         };
         for obs in &self.observations {
-            let mut any = false;
-            for (layer, err) in [
-                ("hosting", &obs.hosting_error),
-                ("dns", &obs.dns_error),
-                ("ca", &obs.ca_error),
-            ] {
-                if let Some(e) = err {
-                    tax.record(layer, e.cause);
-                    any = true;
-                }
-            }
-            if !any {
-                tax.clean += 1;
-            }
+            tax.record_site(obs.failure_causes());
         }
         tax
     }
@@ -491,5 +490,16 @@ mod tests {
         let md = tax.to_markdown();
         assert!(md.contains("| hosting | timeout | 1 |"), "{md}");
         assert!(md.contains("| _total_ | — | 3 |"), "{md}");
+
+        // Retracting every site leaves an empty tally, structurally.
+        let mut emptied = tax.clone();
+        for obs in &ds.observations {
+            emptied.unrecord_site(obs.failure_causes());
+        }
+        let empty = FailureTaxonomy {
+            total: 3,
+            ..FailureTaxonomy::default()
+        };
+        assert_eq!(emptied, empty);
     }
 }

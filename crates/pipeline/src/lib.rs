@@ -29,8 +29,7 @@ pub use dataset::{FailureCause, FailureTaxonomy, LayerError, MeasuredDataset, Si
 pub use delta::{measure_delta, DeltaStats};
 pub use journal::JournalWriter;
 pub use run::{
-    measure, measure_journaled, measure_streamed, measure_with_stats, resume_from_journal,
-    resume_streamed, MeasureStats, PipelineConfig,
+    measure, measure_streamed, measure_with_stats, resume_streamed, MeasureStats, PipelineConfig,
 };
 pub use store::{
     ChunkStore, ChunkStoreWriter, CompactStats, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES,

@@ -17,10 +17,10 @@
 //! requeues a lost worker's in-flight batch and respawns replacements.
 //! Because per-site measurement is deterministic, a requeued batch
 //! re-measures to identical bytes — worker loss costs wall-clock, not
-//! correctness. [`measure_journaled`] additionally checkpoints every
-//! completed observation to an append-only JSONL journal
-//! ([`crate::journal`]) and [`resume_from_journal`] continues a crashed
-//! run, provably reassembling a byte-identical dataset.
+//! correctness. [`measure_streamed`] can additionally checkpoint every
+//! completed observation to a run journal ([`crate::journal`]) beside its
+//! chunk store, and [`resume_streamed`] continues a crashed run, healing
+//! the store to the bytes of an uninterrupted one.
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use crate::journal::{self, JournalWriter};
@@ -225,67 +225,6 @@ pub fn measure_with_stats(
     (assemble_resident(world, sink), stats)
 }
 
-/// Like [`measure_with_stats`], but checkpoints every completed
-/// observation to an append-only JSONL journal at `path` (created,
-/// truncating any previous file). A crashed run can be continued with
-/// [`resume_from_journal`].
-pub fn measure_journaled(
-    world: &World,
-    dep: &DeployedWorld,
-    config: &PipelineConfig,
-    path: &Path,
-) -> io::Result<(MeasuredDataset, MeasureStats)> {
-    let writer = JournalWriter::create(path, &world.label, world.sites.len())?;
-    let sink = Sink::Resident((0..world.sites.len()).map(|_| None).collect());
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, Some(writer), sink, 0);
-    match journal_err {
-        Some(e) => Err(e),
-        None => Ok((assemble_resident(world, sink), stats)),
-    }
-}
-
-/// Continues a journaled run: journaled sites are restored verbatim and
-/// skipped, the rest are measured and appended to the same journal.
-///
-/// Because per-site measurement is deterministic, the result is
-/// byte-identical to the uninterrupted run — property-tested in
-/// `tests/supervision.rs` by killing runs at random progress points.
-pub fn resume_from_journal(
-    world: &World,
-    dep: &DeployedWorld,
-    config: &PipelineConfig,
-    path: &Path,
-) -> io::Result<(MeasuredDataset, MeasureStats)> {
-    let loaded = journal::load(path)?;
-    if loaded.label != world.label || loaded.sites != world.sites.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                loaded.label,
-                loaded.sites,
-                world.label,
-                world.sites.len()
-            ),
-        ));
-    }
-    let writer = JournalWriter::append_loaded(path, &loaded)?;
-    let mut slots: Vec<Option<SiteObservation>> = (0..world.sites.len()).map(|_| None).collect();
-    let resumed = loaded.fill_slots(&mut slots);
-    let (sink, stats, journal_err) = run_supervised(
-        world,
-        dep,
-        config,
-        Some(writer),
-        Sink::Resident(slots),
-        resumed,
-    );
-    match journal_err {
-        Some(e) => Err(e),
-        None => Ok((assemble_resident(world, sink), stats)),
-    }
-}
-
 /// Like [`measure_with_stats`], but observations stream into a chunked
 /// columnar store ([`crate::store`]) at `store_dir` instead of
 /// accumulating in memory: each completed site is committed to its chunk
@@ -330,16 +269,7 @@ pub fn resume_streamed(
     journal_path: &Path,
 ) -> io::Result<MeasureStats> {
     let n = world.sites.len();
-    let loaded = journal::load(journal_path)?;
-    if loaded.label != world.label || loaded.sites != n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                loaded.label, loaded.sites, world.label, n
-            ),
-        ));
-    }
+    let loaded = journal::load_for(journal_path, &world.label, n)?;
     let mut store = ChunkStoreWriter::resume(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
     let mut done: Vec<bool> = (0..n).map(|i| store.site_durable(i)).collect();
     for (i, obs) in &loaded.records {
@@ -627,9 +557,9 @@ pub(crate) fn run_supervised(
 }
 
 /// Assembles the resident sink's slots into the final dataset. Every site
-/// is accounted for: committed by a worker, restored from the journal, or
-/// failed by the supervisor's poison/deadlock paths — and any slot still
-/// empty becomes a deterministic internal failure.
+/// is accounted for: committed by a worker or failed by the supervisor's
+/// poison/deadlock paths — and any slot still empty becomes a
+/// deterministic internal failure.
 fn assemble_resident(world: &World, sink: Sink) -> MeasuredDataset {
     let Sink::Resident(slots) = sink else {
         unreachable!("resident entry points build a resident sink")

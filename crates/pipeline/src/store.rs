@@ -38,12 +38,13 @@
 //! counts and crash-resume (tested in
 //! `tests/determinism.rs` and `tests/supervision.rs`).
 //!
-//! Durability mirrors the journal's: a chunk file is written and fsynced
-//! once, when its last site commits; the checksum turns a torn write into
-//! [`ChunkState::Corrupt`], which resume heals by re-encoding the chunk
-//! from journal records. The writer holds only *partial* chunks in memory
-//! (bounded by the scheduler's batch spread), which is what makes
-//! million-site runs memory-bounded end to end.
+//! A chunk file is written and fsynced once, when its last site commits;
+//! the checksum turns a torn write into [`ChunkState::Corrupt`], which
+//! resume heals by re-encoding the chunk from the run journal — itself a
+//! sequence of one-row chunks in this same codec ([`crate::journal`]).
+//! The writer holds only *partial* chunks in memory (bounded by the
+//! scheduler's batch spread), which is what makes million-site runs
+//! memory-bounded end to end.
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
@@ -107,7 +108,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// FNV-1a 64 over a byte slice — the chunk integrity checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -170,7 +171,7 @@ impl Enc {
 }
 
 /// Encodes one complete chunk (rows in site order) to its file bytes.
-fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
+pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
     // Intern every string in row order; ids are then independent of the
     // order in which sites committed.
     let mut strings = Interner::new();
@@ -417,7 +418,10 @@ impl DecodedChunk {
     }
 }
 
-fn decode_chunk(
+/// Decodes and verifies one chunk's bytes (checksum, header against the
+/// expected geometry, every column). Total on any input: corruption is an
+/// `Err`, never a panic or a count-sized allocation.
+pub(crate) fn decode_chunk(
     bytes: &[u8],
     expect_index: usize,
     expect_lo: usize,
@@ -1109,19 +1113,9 @@ impl ChunkStore {
             }
         }
         if !need_heal.is_empty() {
-            let loaded = match journal {
-                Some(path) => {
-                    let j = crate::journal::load(path)?;
-                    if j.label != store.label || j.sites != store.sites {
-                        return Err(bad(format!(
-                            "journal is for '{}' ({} sites), not '{}' ({} sites)",
-                            j.label, j.sites, store.label, store.sites
-                        )));
-                    }
-                    Some(j)
-                }
-                None => None,
-            };
+            let loaded = journal
+                .map(|path| crate::journal::load_for(path, &store.label, store.sites))
+                .transpose()?;
             let mut slots: Vec<Option<SiteObservation>> = vec![None; store.sites];
             if let Some(j) = &loaded {
                 j.fill_slots(&mut slots);

@@ -1,14 +1,16 @@
 //! Supervision, chaos, and crash-resume: a panicking site must cost only
 //! itself, a dying worker must cost only one retry of its in-flight
 //! batch, a hung worker must be caught by the watchdog, and a run resumed
-//! from its journal must reassemble a byte-identical dataset.
+//! from its chunk store and journal must heal to byte-identical chunks.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+use webdep_pipeline::journal::{self, Journal};
 use webdep_pipeline::run::measure_with_stats;
 use webdep_pipeline::{
-    measure, measure_journaled, measure_streamed, resume_from_journal, resume_streamed, ChaosPlan,
-    ChunkStore, FailureCause, MeasuredDataset, PipelineConfig, SupervisorConfig,
+    measure, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter,
+    FailureCause, JournalWriter, MeasuredDataset, PipelineConfig, SupervisorConfig,
+    DEFAULT_CHUNK_SITES,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -32,8 +34,8 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("webdep-supervision-{name}-{}", std::process::id()))
 }
 
-/// Byte-level identity, not just `PartialEq`: the journal round-trips
-/// through JSON, so the acceptance bar is the serialized form.
+/// Byte-level identity, not just `PartialEq`: the acceptance bar is the
+/// serialized form of every observation.
 fn assert_byte_identical(a: &MeasuredDataset, b: &MeasuredDataset, what: &str) {
     assert_eq!(a, b, "{what}: datasets differ structurally");
     for (x, y) in a.observations.iter().zip(&b.observations) {
@@ -171,6 +173,76 @@ fn hung_worker_is_caught_by_the_watchdog() {
     assert_byte_identical(&clean, &ds, "hung worker");
 }
 
+/// Rewrites `path` as the journal a run killed after its first `k`
+/// commits leaves behind: `full`'s first `k` records, re-appended through
+/// [`JournalWriter`] so no test depends on the file layout. With `torn`,
+/// record `k + 1` follows, cut partway through its frame — a crash
+/// mid-append.
+fn cut_journal(full: &Journal, k: usize, torn: bool, path: &Path) {
+    let mut w = JournalWriter::create(path, &full.label, full.sites).unwrap();
+    for (site, obs) in &full.records[..k] {
+        w.append(*site, obs).unwrap();
+    }
+    w.sync().unwrap();
+    if torn {
+        let whole = std::fs::metadata(path).unwrap().len();
+        let (site, obs) = &full.records[k];
+        w.append(*site, obs).unwrap();
+        drop(w);
+        let end = std::fs::metadata(path).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(whole + (end - whole) / 2).unwrap();
+    }
+}
+
+/// The chunk store the same killed run leaves behind: every chunk its
+/// first `k` commits completed, and nothing of the partial ones.
+fn cut_store(full: &Journal, k: usize, dir: &Path) {
+    let mut w =
+        ChunkStoreWriter::create(dir, &full.label, full.sites, DEFAULT_CHUNK_SITES).unwrap();
+    for (site, obs) in &full.records[..k] {
+        w.commit(*site, obs).unwrap();
+    }
+}
+
+/// A checkpointed streamed run of `world`, plus its loaded journal.
+fn checkpointed_run(
+    world: &World,
+    dep: &DeployedWorld,
+    cfg: &PipelineConfig,
+    name: &str,
+) -> (PathBuf, PathBuf, Journal) {
+    let (store, path) = (
+        tmp(&format!("{name}-store")),
+        tmp(&format!("{name}-journal")),
+    );
+    measure_streamed(world, dep, cfg, &store, Some(&path)).unwrap();
+    let full = journal::load(&path).unwrap();
+    assert_eq!(full.records.len(), world.sites.len(), "one record per site");
+    (store, path, full)
+}
+
+fn load_store(dir: &Path, world: &World) -> MeasuredDataset {
+    ChunkStore::open(dir).unwrap().load_dataset(world).unwrap()
+}
+
+/// Every file of store `b` is byte-identical to store `a`'s.
+fn assert_same_store(a: &Path, b: &Path, what: &str) {
+    let mut names: Vec<_> = std::fs::read_dir(a)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    names.sort();
+    assert!(names.len() >= 2, "{what}: expected a manifest and chunks");
+    for name in names {
+        assert_eq!(
+            std::fs::read(a.join(&name)).unwrap(),
+            std::fs::read(b.join(&name)).unwrap(),
+            "{what}: {name:?} differs from the uninterrupted run"
+        );
+    }
+}
+
 #[test]
 fn resume_is_byte_identical_at_three_progress_points() {
     let world = tiny_world();
@@ -178,31 +250,30 @@ fn resume_is_byte_identical_at_three_progress_points() {
     let n = world.sites.len();
 
     let clean = measure(&world, &dep, &config(None));
-    let full_path = tmp("full");
-    let (full, _) = measure_journaled(&world, &dep, &config(None), &full_path).unwrap();
-    assert_byte_identical(&clean, &full, "journaled run");
-
-    let text = std::fs::read_to_string(&full_path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), n + 1, "header + one record per site");
+    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "full");
+    assert_byte_identical(&clean, &load_store(&full_store, &world), "checkpointed run");
 
     for (point, frac) in [(0, 0.08), (1, 0.5), (2, 0.92)] {
         let k = ((n as f64) * frac) as usize;
-        // Simulate a run killed after k commits: keep the header and the
-        // first k records, exactly what a crashed process leaves behind.
-        let cut_path = tmp(&format!("cut-{point}"));
-        std::fs::write(&cut_path, format!("{}\n", lines[..=k].join("\n"))).unwrap();
+        let store = tmp(&format!("cut-{point}-store"));
+        let path = tmp(&format!("cut-{point}-journal"));
+        cut_store(&full, k, &store);
+        cut_journal(&full, k, false, &path);
 
-        let (resumed, stats) = resume_from_journal(&world, &dep, &config(None), &cut_path).unwrap();
+        let stats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
         assert_eq!(stats.supervision.sites_resumed, k as u64);
-        assert_byte_identical(&clean, &resumed, &format!("resume from {k}/{n} records"));
+        assert_same_store(&full_store, &store, &format!("resume from {k}/{n} records"));
+        assert_byte_identical(&clean, &load_store(&store, &world), "resumed store");
 
         // The healed journal is complete: resuming again measures nothing.
-        let (again, stats2) = resume_from_journal(&world, &dep, &config(None), &cut_path).unwrap();
+        assert_eq!(journal::load(&path).unwrap().records.len(), n);
+        let stats2 = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
         assert_eq!(stats2.supervision.sites_resumed, n as u64);
-        assert_byte_identical(&clean, &again, "second resume (fully journaled)");
-        let _ = std::fs::remove_file(&cut_path);
+        assert_same_store(&full_store, &store, "second resume (complete store)");
+        let _ = std::fs::remove_dir_all(&store);
+        let _ = std::fs::remove_file(&path);
     }
+    let _ = std::fs::remove_dir_all(&full_store);
     let _ = std::fs::remove_file(&full_path);
 }
 
@@ -213,24 +284,37 @@ fn a_torn_journal_tail_heals_on_resume() {
     let n = world.sites.len();
 
     let clean = measure(&world, &dep, &config(None));
-    let full_path = tmp("torn-full");
-    let (_, _) = measure_journaled(&world, &dep, &config(None), &full_path).unwrap();
-    let text = std::fs::read_to_string(&full_path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
+    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "torn-full");
 
-    // A crash mid-write leaves k whole records and half of record k+1.
+    // A crash mid-write leaves k whole records and part of record k+1.
     let k = n / 4;
-    let half = &lines[k + 1][..lines[k + 1].len() / 2];
-    let torn_path = tmp("torn");
-    std::fs::write(&torn_path, format!("{}\n{half}", lines[..=k].join("\n"))).unwrap();
+    let store = tmp("torn-store");
+    let path = tmp("torn-journal");
+    cut_store(&full, k, &store);
+    cut_journal(&full, k, true, &path);
+    assert!(journal::load(&path).unwrap().torn_tail);
+    let torn_bytes = std::fs::read(&path).unwrap();
 
-    let (resumed, stats) = resume_from_journal(&world, &dep, &config(None), &torn_path).unwrap();
+    let stats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
     assert_eq!(
         stats.supervision.sites_resumed, k as u64,
         "the torn record is dropped"
     );
-    assert_byte_identical(&clean, &resumed, "resume over a torn tail");
-    let _ = std::fs::remove_file(&torn_path);
+    assert_same_store(&full_store, &store, "resume over a torn tail");
+    assert_byte_identical(
+        &clean,
+        &load_store(&store, &world),
+        "resume over a torn tail",
+    );
+    let healed = journal::load(&path).unwrap();
+    assert!(!healed.torn_tail && healed.records.len() == n);
+    // The torn original is kept beside the healed journal, not overwritten.
+    let torn = journal::torn_path(&path);
+    assert_eq!(std::fs::read(&torn).unwrap(), torn_bytes);
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&torn);
+    let _ = std::fs::remove_dir_all(&full_store);
     let _ = std::fs::remove_file(&full_path);
 }
 
@@ -247,26 +331,25 @@ fn chaos_smoke_one_worker_death_and_resume() {
     let target = n / 2;
 
     let clean = measure(&world, &dep, &config(None));
-    let path = tmp("smoke");
-    let (ds, stats) = measure_journaled(
-        &world,
-        &dep,
-        &config(Some(ChaosPlan::kill_at(&[target]))),
-        &path,
-    )
-    .unwrap();
-    assert_eq!(stats.supervision.workers_lost, 1);
-    assert_byte_identical(&clean, &ds, "chaos smoke (journaled, one death)");
+    let chaos = config(Some(ChaosPlan::kill_at(&[target])));
+    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &chaos, "smoke");
+    assert_byte_identical(
+        &clean,
+        &load_store(&full_store, &world),
+        "chaos smoke (checkpointed, one death)",
+    );
 
-    let text = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    let cut = tmp("smoke-cut");
-    std::fs::write(&cut, format!("{}\n", lines[..=n / 2].join("\n"))).unwrap();
-    let (resumed, rstats) = resume_from_journal(&world, &dep, &config(None), &cut).unwrap();
+    let store = tmp("smoke-cut-store");
+    let path = tmp("smoke-cut-journal");
+    cut_store(&full, n / 2, &store);
+    cut_journal(&full, n / 2, false, &path);
+    let rstats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
     assert_eq!(rstats.supervision.sites_resumed, (n / 2) as u64);
-    assert_byte_identical(&clean, &resumed, "chaos smoke resume");
-    let _ = std::fs::remove_file(&cut);
+    assert_same_store(&full_store, &store, "chaos smoke resume");
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&full_store);
+    let _ = std::fs::remove_file(&full_path);
 }
 
 fn copy_dir(from: &Path, to: &Path) {
@@ -322,11 +405,9 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let torn = std::fs::read(&chunks[0]).unwrap();
     std::fs::write(&chunks[0], &torn[..torn.len() - 7]).unwrap();
 
-    let text = std::fs::read_to_string(&journal_full).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    let k = n * 6 / 10;
     let journal_cut = tmp("stream-cut-journal");
-    std::fs::write(&journal_cut, format!("{}\n", lines[..=k].join("\n"))).unwrap();
+    let full_journal = journal::load(&journal_full).unwrap();
+    cut_journal(&full_journal, n * 6 / 10, false, &journal_cut);
 
     let stats = resume_streamed(&world, &dep, &config(None), &store_cut, &journal_cut).unwrap();
     let resumed = stats.supervision.sites_resumed;

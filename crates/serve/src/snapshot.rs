@@ -25,9 +25,6 @@ use webdep_pipeline::{
 };
 use webdep_webgen::{Layer, World, WorldDelta};
 
-/// Taxonomy layer names, in the chunk `failure_causes` order.
-const TAXONOMY_LAYERS: [&str; 3] = ["hosting", "dns", "ca"];
-
 /// The carry-forward state that lets epoch N+1 build from epoch N without
 /// re-reading clean chunks: the cube builder's per-site owner labels (16
 /// bytes per site) plus each site's failure causes at the three measured
@@ -76,18 +73,13 @@ fn hollow_dataset(world: &World, label: &str) -> MeasuredDataset {
 }
 
 impl CubeSnapshot {
-    /// Builds a snapshot from a resident dataset (a fresh measurement or a
-    /// journal resume).
+    /// Builds a snapshot from a resident dataset (a fresh measurement).
     pub fn from_dataset(epoch: u64, world: Arc<World>, dataset: MeasuredDataset) -> Self {
         let mut builder = CubeBuilder::new(dataset.observations.len());
         let mut causes = Vec::with_capacity(dataset.observations.len());
         for (i, obs) in dataset.observations.iter().enumerate() {
             builder.fold_observation(i, obs, &world);
-            causes.push([
-                obs.hosting_error.as_ref().map(|e| e.cause),
-                obs.dns_error.as_ref().map(|e| e.cause),
-                obs.ca_error.as_ref().map(|e| e.cause),
-            ]);
+            causes.push(obs.failure_causes());
         }
         let cube = builder.finish(&world, &dataset.toplists, &dataset.global_top);
         let taxonomy = dataset.failure_taxonomy();
@@ -125,22 +117,9 @@ impl CubeSnapshot {
         };
         for (i, obs) in observations.iter().enumerate() {
             builder.fold_observation(i, obs, &world);
-            let site_causes = [
-                obs.hosting_error.as_ref().map(|e| e.cause),
-                obs.dns_error.as_ref().map(|e| e.cause),
-                obs.ca_error.as_ref().map(|e| e.cause),
-            ];
+            let site_causes = obs.failure_causes();
             causes.push(site_causes);
-            let mut any = false;
-            for (layer, cause) in TAXONOMY_LAYERS.into_iter().zip(site_causes) {
-                if let Some(cause) = cause {
-                    taxonomy.record(layer, cause);
-                    any = true;
-                }
-            }
-            if !any {
-                taxonomy.clean += 1;
-            }
+            taxonomy.record_site(site_causes);
         }
         let cube = builder.finish(&world, &world.toplists, &world.global_top);
         let dataset = hollow_dataset(&world, label);
@@ -215,16 +194,7 @@ impl CubeSnapshot {
             for r in 0..chunk.rows {
                 let causes = chunk.failure_causes(r);
                 site_causes[chunk.lo + r] = causes;
-                let mut any = false;
-                for (layer, cause) in TAXONOMY_LAYERS.into_iter().zip(causes) {
-                    if let Some(cause) = cause {
-                        taxonomy.record(layer, cause);
-                        any = true;
-                    }
-                }
-                if !any {
-                    taxonomy.clean += 1;
-                }
+                taxonomy.record_site(causes);
             }
         }
         let cube = builder.finish(&world, &world.toplists, &world.global_top);
@@ -322,29 +292,10 @@ impl CubeSnapshot {
                 }
                 if i < delta.from_sites {
                     // Retract the superseded observation's contribution.
-                    let mut any_old = false;
-                    for (layer, cause) in TAXONOMY_LAYERS.into_iter().zip(causes[i]) {
-                        if let Some(cause) = cause {
-                            taxonomy.unrecord(layer, cause);
-                            any_old = true;
-                        }
-                    }
-                    if !any_old {
-                        taxonomy.clean -= 1;
-                    }
+                    taxonomy.unrecord_site(causes[i]);
                 }
-                let fresh = chunk.failure_causes(r);
-                let mut any_new = false;
-                for (layer, cause) in TAXONOMY_LAYERS.into_iter().zip(fresh) {
-                    if let Some(cause) = cause {
-                        taxonomy.record(layer, cause);
-                        any_new = true;
-                    }
-                }
-                if !any_new {
-                    taxonomy.clean += 1;
-                }
-                causes[i] = fresh;
+                causes[i] = chunk.failure_causes(r);
+                taxonomy.record_site(causes[i]);
             }
         }
 
@@ -430,17 +381,8 @@ impl CubeSnapshot {
             total: sites as u64,
             ..FailureTaxonomy::default()
         };
-        for causes in &self.delta_state.causes {
-            let mut any = false;
-            for (layer, cause) in TAXONOMY_LAYERS.into_iter().zip(*causes) {
-                if let Some(cause) = cause {
-                    refold.record(layer, cause);
-                    any = true;
-                }
-            }
-            if !any {
-                refold.clean += 1;
-            }
+        for &causes in &self.delta_state.causes {
+            refold.record_site(causes);
         }
         if refold != self.taxonomy {
             return Err(

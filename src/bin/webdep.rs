@@ -5,22 +5,26 @@
 //! webdep country DE [tiny|small]   # one country's full dependence profile
 //! webdep tables [tiny|small]       # the four layer tables
 //! webdep experiments [tiny|small]  # the paper-vs-measured suite
-//! webdep measure [tiny|small] --journal run.jsonl   # checkpointed run
-//! webdep measure [tiny|small] --resume run.jsonl    # continue after a crash
+//! webdep measure [tiny|small]                      # resident run, accounting only
+//! webdep measure small --store chunks/ --journal run.journal  # checkpointed run
+//! webdep measure small --store chunks/ --resume run.journal   # continue after a crash
 //! webdep serve [tiny|small] --addr 127.0.0.1:8439   # resident query service
 //! webdep serve small --store chunks/               # serve a chunked store
 //! webdep evolve 4 tiny --churn 0.1                 # continuous epochs, delta re-measure
 //! webdep evolve 4 tiny --serve-addr 127.0.0.1:8439 # …published live per epoch
-//! webdep fsck chunks/ --repair --journal run.jsonl # verify + heal a store
+//! webdep fsck chunks/ --repair --journal run.journal # verify + heal a store
 //! ```
 //!
 //! The heavier subcommands generate, deploy, and measure a synthetic world
 //! (seconds at `tiny`, ~1 minute at `small`). `measure` runs just the
-//! measurement pipeline and prints its supervision/throughput accounting;
-//! with `--journal` every completed site is checkpointed to an append-only
-//! JSONL file, and `--resume` continues an interrupted journaled run,
-//! re-measuring only the missing sites (the reassembled dataset is
-//! byte-identical to an uninterrupted run).
+//! measurement pipeline and prints its supervision/throughput accounting.
+//! With `--store` the observations stream into a chunked columnar store
+//! instead of memory; `--journal` also checkpoints every completed site
+//! beside it (one-row chunks in the store's own codec), and `--resume`
+//! continues an interrupted checkpointed run, re-measuring only the sites
+//! neither the store nor the journal holds (the healed store is
+//! byte-identical to an uninterrupted run's). The same journal lets
+//! `fsck --repair` re-encode a damaged chunk.
 
 use std::path::Path;
 use webdep::analysis::centralization::layer_table;
@@ -31,14 +35,13 @@ use webdep::core::centralization::{centralization_score, hhi, ConcentrationBand}
 use webdep::core::dist::CountDist;
 use webdep::core::topn::top_n_share;
 use webdep::pipeline::{
-    measure, measure_journaled, measure_with_stats, resume_from_journal, MeasuredDataset,
-    PipelineConfig,
+    measure, measure_streamed, measure_with_stats, resume_streamed, MeasuredDataset, PipelineConfig,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--journal <path> | --resume <path>]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair] [--journal <path>]"
+        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--store <dir> [--journal <path> | --resume <path>]]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair] [--journal <path>]"
     );
     std::process::exit(2);
 }
@@ -153,21 +156,23 @@ fn cmd_tables(scale: Option<&str>) {
 
 fn cmd_measure(args: &[String]) {
     let mut scale: Option<&str> = None;
+    let mut store: Option<&str> = None;
     let mut journal: Option<&str> = None;
     let mut resume: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--journal" | "--resume" => {
+            flag @ ("--store" | "--journal" | "--resume") => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("{} needs a path", args[i]);
+                    eprintln!("{flag} needs a path");
                     std::process::exit(2);
                 };
-                if args[i] == "--journal" {
-                    journal = Some(path.as_str());
-                } else {
-                    resume = Some(path.as_str());
-                }
+                let slot = match flag {
+                    "--store" => &mut store,
+                    "--journal" => &mut journal,
+                    _ => &mut resume,
+                };
+                *slot = Some(path.as_str());
                 i += 2;
             }
             s if !s.starts_with("--") && scale.is_none() => {
@@ -184,24 +189,35 @@ fn cmd_measure(args: &[String]) {
         eprintln!("--journal starts a fresh checkpointed run, --resume continues one; pick one");
         std::process::exit(2);
     }
+    if store.is_none() && (journal.is_some() || resume.is_some()) {
+        eprintln!("a journal checkpoints a chunk store: --journal and --resume need --store <dir>");
+        std::process::exit(2);
+    }
 
     let world = World::generate(scale_config(scale));
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let config = PipelineConfig::default();
     eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
-    let run = match (journal, resume) {
-        (Some(p), None) => measure_journaled(&world, &dep, &config, Path::new(p)),
-        (None, Some(p)) => resume_from_journal(&world, &dep, &config, Path::new(p)),
-        _ => Ok(measure_with_stats(&world, &dep, &config)),
+    let stats = match store.map(Path::new) {
+        None => {
+            let (ds, stats) = measure_with_stats(&world, &dep, &config);
+            println!("success rate     = {:.4}", ds.success_rate());
+            stats
+        }
+        Some(dir) => {
+            let run = match resume {
+                Some(p) => resume_streamed(&world, &dep, &config, dir, Path::new(p)),
+                None => measure_streamed(&world, &dep, &config, dir, journal.map(Path::new)),
+            };
+            run.unwrap_or_else(|e| {
+                eprintln!("store/journal error: {e}");
+                std::process::exit(1);
+            })
+        }
     };
-    let (ds, stats) = run.unwrap_or_else(|e| {
-        eprintln!("journal error: {e}");
-        std::process::exit(1);
-    });
 
     let sup = &stats.supervision;
-    println!("sites            = {}", ds.observations.len());
-    println!("success rate     = {:.4}", ds.success_rate());
+    println!("sites            = {}", world.sites.len());
     println!("wall             = {} ms", stats.wall.as_millis());
     println!("sites/sec        = {:.0}", stats.sites_per_sec);
     println!("wire queries     = {}", stats.wire_queries);
@@ -210,6 +226,9 @@ fn cmd_measure(args: &[String]) {
     println!("workers lost     = {}", sup.workers_lost);
     println!("batches requeued = {}", sup.batches_requeued);
     println!("sites poisoned   = {}", sup.sites_poisoned);
+    if let Some(dir) = store {
+        println!("store            = {dir}");
+    }
     if let Some(p) = journal.or(resume) {
         println!("journal          = {p}");
     }

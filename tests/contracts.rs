@@ -8,13 +8,15 @@
 //!   bootstrap CIs are bit-equal;
 //! * provider clustering is independent of the thread count — affinity
 //!   propagation over the hosting and DNS features returns equal
-//!   clusterings on one, two and three threads.
+//!   clusterings on one, two and three threads;
+//! * `fsck --repair` heals a corrupt chunk from the run journal to the
+//!   bytes the run wrote.
 
 use std::sync::{Arc, OnceLock};
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
-use webdep::pipeline::{measure, measure_streamed, MeasuredDataset, PipelineConfig};
+use webdep::pipeline::{measure, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig};
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep::stats::scale::min_max_scale_columns;
@@ -116,4 +118,37 @@ fn clustering_is_independent_of_thread_count() {
             );
         }
     }
+}
+
+#[test]
+fn fsck_heals_a_corrupt_chunk_from_the_journal() {
+    let (world, _) = fixture();
+    let dep = DeployedWorld::deploy(world, DeployConfig::default());
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!(
+            "webdep-contracts-fsck-{name}-{}",
+            std::process::id()
+        ))
+    };
+    let (dir, journal) = (tmp("store"), tmp("journal"));
+    let _ = std::fs::remove_dir_all(&dir);
+    measure_streamed(world, &dep, &config(4), &dir, Some(&journal)).expect("checkpointed run");
+    drop(dep);
+
+    let chunk = dir.join("chunk-000001.col");
+    let original = std::fs::read(&chunk).unwrap();
+    let mut damaged = original.clone();
+    damaged[original.len() / 2] ^= 0x10;
+    std::fs::write(&chunk, &damaged).unwrap();
+
+    let report = ChunkStore::fsck(&dir, Some(&journal), true).expect("fsck");
+    assert_eq!(report.corrupt.len(), 1, "{report:?}");
+    assert_eq!(report.healed, 1, "{report:?}");
+    assert!(report.intact(), "{report:?}");
+    assert!(
+        std::fs::read(&chunk).unwrap() == original,
+        "the healed chunk differs from the run's bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&journal);
 }
