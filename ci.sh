@@ -54,6 +54,45 @@ if [[ "$report" != *'"intact":true'* ]]; then
     exit 1
 fi
 
+# The CLI's own serve path, without --store: `webdep serve` measures into
+# a scratch chunk store and folds the snapshot from it. Start it on an
+# ephemeral port, read the bound address off its "listening on" line,
+# require 200 from two routes, and require exit 0 after SIGINT.
+echo "==> webdep serve tiny (measure, fold, serve, SIGINT)"
+./target/release/webdep serve tiny --addr 127.0.0.1:0 --threads 2 >"$ckpt/serve.log" 2>&1 &
+serve_pid=$!
+addr=""
+for _ in $(seq 600); do
+    addr=$(sed -n 's|.*listening on http://\([^ ]*\).*|\1|p' "$ckpt/serve.log")
+    if [[ -n "$addr" ]] || ! kill -0 "$serve_pid" 2>/dev/null; then
+        break
+    fi
+    sleep 0.1
+done
+if [[ -z "$addr" ]]; then
+    echo "ci: webdep serve never reported a listening address:" >&2
+    cat "$ckpt/serve.log" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+python3 - "$addr" <<'PY' || { kill "$serve_pid"; echo "ci: webdep serve at $addr failed a fetch" >&2; exit 1; }
+import sys
+import urllib.request
+
+addr = sys.argv[1]
+for path in ["/v1/meta", "/v1/score/US?replicates=0"]:
+    with urllib.request.urlopen(f"http://{addr}{path}", timeout=30) as resp:
+        if resp.status != 200:
+            sys.exit(f"{path} answered {resp.status}")
+    print(f"    GET {path}: 200")
+PY
+kill -INT "$serve_pid"
+if ! wait "$serve_pid"; then
+    echo "ci: webdep serve did not exit 0 after SIGINT:" >&2
+    cat "$ckpt/serve.log" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

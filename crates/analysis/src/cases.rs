@@ -76,7 +76,7 @@ pub struct PersianCase {
 /// the LangDetect stand-in carried per site).
 pub fn afghan_persian_case(ctx: &AnalysisCtx<'_>) -> Option<PersianCase> {
     let af = World::country_index("AF")?;
-    let obs: Vec<_> = ctx.ds.country_observations(af).collect();
+    let obs: Vec<_> = ctx.country_observations(af).collect();
     if obs.is_empty() {
         return None;
     }

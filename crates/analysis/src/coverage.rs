@@ -139,8 +139,6 @@ mod tests {
                 .iter()
                 .map(|s| SiteObservation::blank(&s.domain, &s.language))
                 .collect(),
-            toplists: world.toplists.clone(),
-            global_top: world.global_top.clone(),
             label: "blank".into(),
         };
         let c = AnalysisCtx::new(world, &ds);

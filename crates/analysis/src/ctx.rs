@@ -4,7 +4,7 @@ use crate::cube::DependenceCube;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use webdep_core::CountDist;
-use webdep_pipeline::MeasuredDataset;
+use webdep_pipeline::{MeasuredDataset, SiteObservation};
 use webdep_stats::{
     bootstrap_ci_indexed, bootstrap_ci_indexed_abortable, bootstrap_ci_indexed_scratch,
     BootstrapAborted, BootstrapCi, BootstrapScratch, Resample,
@@ -19,12 +19,13 @@ use webdep_webgen::{Layer, World, COUNTRIES};
 ///
 /// Every accessor below reads borrowed slices of a [`DependenceCube`]:
 /// [`AnalysisCtx::new`] builds one up front (one parallel pass over the
-/// observations); [`AnalysisCtx::with_cube`] and
-/// [`AnalysisCtx::with_cube_ref`] wrap one built elsewhere.
+/// observations); [`AnalysisCtx::over_cube`] borrows one built elsewhere.
+/// Toplist membership always comes from the world.
 pub struct AnalysisCtx<'a> {
-    /// The generating world (entity names, HQ countries, TLD kinds).
+    /// The generating world (entity names, HQ countries, toplists).
     pub world: &'a World,
-    /// The measured dataset under analysis.
+    /// The measured dataset under analysis — empty for a context built
+    /// with [`AnalysisCtx::over_cube`].
     pub ds: &'a MeasuredDataset,
     cube: CubeSlot<'a>,
 }
@@ -37,40 +38,31 @@ enum CubeSlot<'a> {
     Borrowed(&'a DependenceCube),
 }
 
+/// The dataset of a cube-only context: no observations at all.
+static NO_OBSERVATIONS: MeasuredDataset = MeasuredDataset {
+    observations: Vec::new(),
+    label: String::new(),
+};
+
 impl<'a> AnalysisCtx<'a> {
     /// Builds a context backed by a freshly built [`DependenceCube`].
     pub fn new(world: &'a World, ds: &'a MeasuredDataset) -> Self {
-        Self::with_cube(world, ds, DependenceCube::build(world, ds))
-    }
-
-    /// Builds a context around a cube that was constructed elsewhere —
-    /// the streaming path, where a [`crate::cube::CubeBuilder`] folded
-    /// chunks as they were read and no resident observation vector exists.
-    ///
-    /// `ds` may be *hollow* (empty `observations`) as long as its toplists
-    /// are populated; every cube-backed accessor works, but accessors that
-    /// read raw observations must not be used against a hollow dataset.
-    pub fn with_cube(world: &'a World, ds: &'a MeasuredDataset, cube: DependenceCube) -> Self {
         AnalysisCtx {
             world,
             ds,
-            cube: CubeSlot::Owned(Box::new(cube)),
+            cube: CubeSlot::Owned(Box::new(DependenceCube::build(world, ds))),
         }
     }
 
-    /// Builds a context that *borrows* a cube owned elsewhere — the serving
-    /// path, where one immutable epoch snapshot is shared by many
-    /// concurrent readers and each request builds a throwaway context
-    /// without copying the cube. Same hollow-dataset caveats as
-    /// [`AnalysisCtx::with_cube`].
-    pub fn with_cube_ref(
-        world: &'a World,
-        ds: &'a MeasuredDataset,
-        cube: &'a DependenceCube,
-    ) -> Self {
+    /// Builds a context that *borrows* a cube folded elsewhere — from a
+    /// chunk store, where no resident observation vector exists. Serving
+    /// builds one per request over its epoch snapshot without copying the
+    /// cube. Every cube-backed accessor works; readers of raw
+    /// observations see none.
+    pub fn over_cube(world: &'a World, cube: &'a DependenceCube) -> Self {
         AnalysisCtx {
             world,
-            ds,
+            ds: &NO_OBSERVATIONS,
             cube: CubeSlot::Borrowed(cube),
         }
     }
@@ -255,10 +247,21 @@ impl<'a> AnalysisCtx<'a> {
         )
     }
 
-    /// Observation count per country toplist (should equal the configured
-    /// toplist length).
+    /// Length of a country's toplist (the configured toplist length).
     pub fn toplist_len(&self, country_idx: usize) -> usize {
-        self.ds.toplists[country_idx].len()
+        self.world.toplists[country_idx].len()
+    }
+
+    /// A country's observations in toplist order: the world's toplist
+    /// joined to the dataset. Empty over a cube-only context.
+    pub fn country_observations(
+        &self,
+        country_idx: usize,
+    ) -> impl Iterator<Item = &'a SiteObservation> + 'a {
+        let observations = &self.ds.observations;
+        self.world.toplists[country_idx]
+            .iter()
+            .filter_map(move |&i| observations.get(i as usize))
     }
 
     /// Fraction of a country's toplist observed at `layer` — the weight a
@@ -432,7 +435,7 @@ mod tests {
     #[test]
     fn score_ci_matches_reference_bootstrap() {
         let c = ctx();
-        let (world, ds) = crate::ctx::testutil::fixture();
+        let (world, _) = crate::ctx::testutil::fixture();
         let reference_score = |sample: &[u32]| {
             let mut tally: HashMap<u32, u64> = HashMap::new();
             for &o in sample {
@@ -446,7 +449,7 @@ mod tests {
         };
         for code in ["TH", "US", "IR"] {
             let i = World::country_index(code).unwrap();
-            let labels: Vec<u32> = ds
+            let labels: Vec<u32> = c
                 .country_observations(i)
                 .filter_map(|obs| crate::ctx::testutil::reference_owner(world, obs, Layer::Hosting))
                 .collect();

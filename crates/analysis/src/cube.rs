@@ -147,7 +147,7 @@ impl DependenceCube {
         for (i, obs) in ds.observations.iter().enumerate() {
             b.fold_observation(i, obs, world);
         }
-        b.finish(world, &ds.toplists, &ds.global_top)
+        b.finish(world)
     }
 }
 
@@ -263,12 +263,8 @@ impl CubeBuilder {
     ///
     /// Borrows the builder (it does not consume it) so an epoch loop can
     /// finish a snapshot and keep folding deltas into the same state.
-    pub fn finish(
-        &self,
-        world: &World,
-        toplists: &[Vec<u32>],
-        global_top: &[u32],
-    ) -> DependenceCube {
+    pub fn finish(&self, world: &World) -> DependenceCube {
+        let (toplists, global_top) = (&world.toplists, &world.global_top);
         let n_countries = COUNTRIES.len();
         let threads = default_threads();
 
@@ -429,10 +425,10 @@ mod tests {
     #[test]
     fn cube_reproduces_reference_tallies_exactly() {
         let cube = ctx();
-        let (_, ds) = fixture();
+        let (world, _) = fixture();
         for layer in Layer::ALL {
             for (ci, country) in COUNTRIES.iter().enumerate() {
-                let want = reference_tally(&ds.toplists[ci], layer);
+                let want = reference_tally(&world.toplists[ci], layer);
                 assert_eq!(
                     cube.country_counts(ci, layer),
                     want.as_slice(),
@@ -452,7 +448,7 @@ mod tests {
                     country.code
                 );
             }
-            let global = reference_tally(&ds.global_top, layer);
+            let global = reference_tally(&world.global_top, layer);
             assert_eq!(
                 cube.global_counts(layer),
                 global.as_slice(),
@@ -469,11 +465,11 @@ mod tests {
     #[test]
     fn cube_reproduces_reference_usage_matrix() {
         let cube = ctx();
-        let (_, ds) = fixture();
+        let (world, _) = fixture();
         for layer in Layer::ALL {
             let mut want = std::collections::HashMap::new();
             for ci in 0..COUNTRIES.len() {
-                let counts = reference_tally(&ds.toplists[ci], layer);
+                let counts = reference_tally(&world.toplists[ci], layer);
                 let total: u64 = counts.iter().map(|&(_, c)| c).sum();
                 for (owner, c) in counts {
                     want.entry(owner)
@@ -494,10 +490,10 @@ mod tests {
     #[test]
     fn cube_reproduces_reference_owner_share() {
         let cube = ctx();
-        let (_, ds) = fixture();
+        let (world, _) = fixture();
         for layer in Layer::ALL {
             for ci in (0..COUNTRIES.len()).step_by(7) {
-                let counts = reference_tally(&ds.toplists[ci], layer);
+                let counts = reference_tally(&world.toplists[ci], layer);
                 let total: u64 = counts.iter().map(|&(_, c)| c).sum();
                 // Every observed owner in the country's top ten, exactly.
                 for &(owner, c) in counts.iter().take(10) {
@@ -527,7 +523,7 @@ mod tests {
         for (i, obs) in ds.observations.iter().enumerate().rev() {
             b.fold_observation(i, obs, world);
         }
-        let inc = b.finish(world, &ds.toplists, &ds.global_top);
+        let inc = b.finish(world);
         let batch = DependenceCube::build(world, ds);
         for layer in Layer::ALL {
             let (a, b) = (inc.layer(layer), batch.layer(layer));
@@ -590,7 +586,7 @@ mod tests {
                 inc.fold_observation(i, obs, &new_world);
             }
         }
-        let applied = inc.finish(&new_world, &ds2.toplists, &ds2.global_top);
+        let applied = inc.finish(&new_world);
         let rebuilt = DependenceCube::build(&new_world, &ds2);
 
         for layer in Layer::ALL {
@@ -607,7 +603,7 @@ mod tests {
 
         // The original builder is intact (finish borrows): it still
         // reproduces epoch N exactly.
-        let again = b.finish(world, &ds.toplists, &ds.global_top);
+        let again = b.finish(world);
         let base = DependenceCube::build(world, ds);
         for layer in Layer::ALL {
             assert_eq!(
@@ -627,7 +623,7 @@ mod tests {
         let (world, ds) = fixture();
         // A site that actually measured at hosting, so the retraction is
         // visible in country 0's total.
-        let victim = ds.toplists[0]
+        let victim = world.toplists[0]
             .iter()
             .map(|&i| i as usize)
             .find(|&i| ds.observations[i].hosting_org.is_some())
@@ -643,8 +639,8 @@ mod tests {
         }
         folded.retract(victim);
 
-        let a = folded.finish(world, &ds.toplists, &ds.global_top);
-        let b = skipped.finish(world, &ds.toplists, &ds.global_top);
+        let a = folded.finish(world);
+        let b = skipped.finish(world);
         for layer in Layer::ALL {
             assert_eq!(
                 a.layer(layer).owners(),
@@ -671,9 +667,7 @@ mod tests {
             for (i, obs) in ds.observations.iter().enumerate() {
                 full.fold_observation(i, obs, world);
             }
-            full.finish(world, &ds.toplists, &ds.global_top)
-                .layer(Layer::Hosting)
-                .total(0)
+            full.finish(world).layer(Layer::Hosting).total(0)
         });
     }
 

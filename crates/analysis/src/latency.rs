@@ -38,7 +38,7 @@ pub fn latency_table(ctx: &AnalysisCtx<'_>, model: &LatencyModel) -> Vec<Country
             let mut total_ms = 0.0;
             let mut local = 0usize;
             let mut n = 0usize;
-            for obs in ctx.ds.country_observations(ci) {
+            for obs in ctx.country_observations(ci) {
                 let serving = if obs.hosting_anycast {
                     // Anycast serves from the nearest point of presence.
                     country.continent

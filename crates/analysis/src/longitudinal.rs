@@ -39,23 +39,13 @@ pub struct LongitudinalReport {
     pub us_reliance_decreased: usize,
 }
 
-/// A country's toplist domain set. Cube-backed contexts over *hollow*
-/// datasets (streaming / delta-published epochs carry no resident
-/// observations) fall back to the world's toplist — the generator and the
-/// measurement record the same registered domain, so the sets are equal
-/// whenever both exist.
+/// A country's toplist domain set, read off the world's site records (the
+/// pipeline copies each observation's domain from the same record).
 fn country_domains<'c>(ctx: &'c AnalysisCtx<'_>, ci: usize) -> HashSet<&'c str> {
-    if ctx.ds.observations.is_empty() {
-        ctx.world.toplists[ci]
-            .iter()
-            .map(|&oi| ctx.world.sites[oi as usize].domain.as_str())
-            .collect()
-    } else {
-        ctx.ds
-            .country_observations(ci)
-            .map(|o| o.domain.as_str())
-            .collect()
-    }
+    ctx.world.toplists[ci]
+        .iter()
+        .map(|&oi| ctx.world.sites[oi as usize].domain.as_str())
+        .collect()
 }
 
 fn cloudflare_share(ctx: &AnalysisCtx<'_>, ci: usize) -> f64 {
@@ -167,8 +157,8 @@ impl Trajectory {
         Trajectory::default()
     }
 
-    /// Appends an epoch summarized from an analysis context (cube-backed
-    /// contexts over hollow datasets work — only cube accessors are read).
+    /// Appends an epoch summarized from an analysis context (cube-only
+    /// contexts work — only cube accessors are read).
     ///
     /// Drift is the mean-score change against the previous point. The
     /// changepoint rule is deterministic: with fewer than two prior
@@ -303,29 +293,29 @@ mod tests {
         assert!(r.largest_increase().is_some());
     }
 
-    /// Hollow datasets (no resident observations — the delta-published
-    /// epoch shape) still compare: domains come from the world toplists,
-    /// which name the same registered domains the measurement recorded.
+    /// Cube-only contexts (no resident observations — the store-built
+    /// epoch shape) compare exactly like resident ones: toplist domains
+    /// come from the world, and the measurement recorded the same ones.
     #[test]
-    fn compare_matches_on_hollow_datasets() {
+    fn compare_matches_on_cube_only_contexts() {
         use crate::cube::DependenceCube;
 
         let (old_world, old_ds) = fixture();
         let (new_world, new_ds) = evolved();
+        for (world, ds) in [(old_world, old_ds), (new_world, new_ds)] {
+            assert!(world
+                .sites
+                .iter()
+                .zip(&ds.observations)
+                .all(|(site, obs)| site.domain == obs.domain));
+        }
         let direct = report();
 
-        let hollow = |ds: &MeasuredDataset| MeasuredDataset {
-            observations: Vec::new(),
-            toplists: ds.toplists.clone(),
-            global_top: ds.global_top.clone(),
-            label: ds.label.clone(),
-        };
         let cube_old = DependenceCube::build(old_world, old_ds);
         let cube_new = DependenceCube::build(new_world, new_ds);
-        let (h_old, h_new) = (hollow(old_ds), hollow(new_ds));
         let r = compare(
-            &AnalysisCtx::with_cube(old_world, &h_old, cube_old),
-            &AnalysisCtx::with_cube(new_world, &h_new, cube_new),
+            &AnalysisCtx::over_cube(old_world, &cube_old),
+            &AnalysisCtx::over_cube(new_world, &cube_new),
         );
         assert_eq!(r.deltas, direct.deltas);
     }

@@ -68,7 +68,7 @@ pub fn continent_matrix(ctx: &AnalysisCtx<'_>, attribution: Attribution) -> Cont
                 return (0usize, row_counts, 0u64);
             };
             let mut total = 0u64;
-            for obs in ctx.ds.country_observations(ci) {
+            for obs in ctx.country_observations(ci) {
                 let col: Option<usize> = match attribution {
                     Attribution::HostingHq => obs
                         .hosting_org_country

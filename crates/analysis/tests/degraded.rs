@@ -97,8 +97,6 @@ fn layer_tables_render_even_when_nothing_measured() {
             .iter()
             .map(|s| SiteObservation::blank(&s.domain, &s.language))
             .collect(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
         label: "blank".into(),
     };
     let ctx = AnalysisCtx::new(&world, &ds);

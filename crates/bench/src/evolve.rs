@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use webdep_analysis::{AnalysisCtx, CubeBuilder};
 use webdep_pipeline::run::{measure_streamed, PipelineConfig};
-use webdep_pipeline::{measure_delta, ChunkStore, MeasuredDataset};
+use webdep_pipeline::{measure_delta, ChunkStore};
 use webdep_serve::CubeSnapshot;
 use webdep_webgen::{
     provider_site_counts, DeployConfig, DeployedWorld, EpochKnobs, EvolutionPlan, World, WorldDelta,
@@ -200,14 +200,8 @@ fn fold_delta(prev: &CubeBuilder, dir: &Path, delta: &WorldDelta, world: &World)
 /// Renders the finished cube through the scale bench's canonical report —
 /// the byte-level certificate that two builders agree.
 fn builder_report(builder: &CubeBuilder, world: &World) -> String {
-    let cube = builder.finish(world, &world.toplists, &world.global_top);
-    let hollow = MeasuredDataset {
-        observations: Vec::new(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
-        label: world.label.clone(),
-    };
-    crate::scale::cube_report(&AnalysisCtx::with_cube(world, &hollow, cube))
+    let cube = builder.finish(world);
+    crate::scale::cube_report(&AnalysisCtx::over_cube(world, &cube))
 }
 
 /// Evolves one base world through `epochs` churn-only epochs, timing the

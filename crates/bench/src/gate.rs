@@ -33,7 +33,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use webdep_pipeline::{measure_with_stats, MeasuredDataset, PipelineConfig};
+use webdep_pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, OverloadConfig, ServeConfig};
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
@@ -315,8 +315,9 @@ fn gate_world_config(smoke: bool) -> WorldConfig {
 }
 
 /// The deterministic pipeline phase: one worker, fixed seed — query and
-/// cache-hit counts must reproduce exactly.
-fn pipeline_phase(smoke: bool) -> (Arc<World>, MeasuredDataset, Vec<Metric>) {
+/// cache-hit counts must reproduce exactly. Observations stream into the
+/// chunk store at `store`, which the serve and overload phases fold.
+fn pipeline_phase(smoke: bool, store: &Path) -> (Arc<World>, Vec<Metric>) {
     let world = World::generate(gate_world_config(smoke));
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let config = PipelineConfig {
@@ -324,29 +325,28 @@ fn pipeline_phase(smoke: bool) -> (Arc<World>, MeasuredDataset, Vec<Metric>) {
         ..PipelineConfig::default()
     };
     let t0 = Instant::now();
-    let (ds, stats) = measure_with_stats(&world, &dep, &config);
+    let stats =
+        measure_streamed(&world, &dep, &config, store, None).expect("measure into the gate store");
     let wall_us = t0.elapsed().as_micros() as u64;
+    let sites = ChunkStore::open(store).expect("open the gate store").sites;
     let metrics = vec![
-        Metric::exact("sites", ds.observations.len() as u64),
+        Metric::exact("sites", sites as u64),
         Metric::exact("wire_queries", stats.wire_queries),
         Metric::exact("local_cache_hits", stats.local_cache_hits),
         Metric::exact("shared_cache_hits", stats.shared_cache_hits),
         Metric::exact("malformed_datagrams", stats.malformed_datagrams),
         Metric::info("measure_wall_us", wall_us),
     ];
-    (Arc::new(world), ds, metrics)
+    (Arc::new(world), metrics)
 }
 
 /// The deterministic serve phase: a sequential client sweeps a fixed
 /// query list twice against a 1-worker server, so every request, cache
 /// hit, and cache miss count is exact. Warm latency rides along as info.
-fn serve_phase(world: &Arc<World>, ds: &MeasuredDataset) -> Vec<Metric> {
-    let snap = Arc::new(CubeSnapshot::from_observations(
-        1,
-        Arc::clone(world),
-        &ds.label,
-        &ds.observations,
-    ));
+fn serve_phase(world: &Arc<World>, store: &Path) -> Vec<Metric> {
+    let snap = Arc::new(
+        CubeSnapshot::from_store(1, Arc::clone(world), store).expect("fold the gate store"),
+    );
     let handle = start(
         ServeConfig {
             workers: 1,
@@ -404,15 +404,11 @@ fn serve_phase(world: &Arc<World>, ds: &MeasuredDataset) -> Vec<Metric> {
 /// sequential client, each configured so the self-healing machinery
 /// fires on *every* request — shed, deadline-abort, and publish-rejection
 /// counts are exact integers, not load-dependent rates.
-fn overload_phase(world: &Arc<World>, ds: &MeasuredDataset) -> Vec<Metric> {
-    let snap = || {
-        Arc::new(CubeSnapshot::from_observations(
-            1,
-            Arc::clone(world),
-            &ds.label,
-            &ds.observations,
-        ))
+fn overload_phase(world: &Arc<World>, store: &Path) -> Vec<Metric> {
+    let build = |epoch| {
+        CubeSnapshot::from_store(epoch, Arc::clone(world), store).expect("fold the gate store")
     };
+    let snap = || Arc::new(build(1));
 
     // Always-shed: a zero latency budget makes the EWMA comparison
     // (`>=`) true from the first request, so every /v1 dispatch sheds
@@ -481,21 +477,19 @@ fn overload_phase(world: &Arc<World>, ds: &MeasuredDataset) -> Vec<Metric> {
     // Publish validation: three distinct poisons, all rejected pre-swap
     // with the serving epoch unchanged.
     let handle = start(ServeConfig::default(), snap()).expect("start publish server");
-    let mut cand =
-        CubeSnapshot::from_observations(2, Arc::clone(world), &ds.label, &ds.observations);
+    let mut cand = build(2);
     cand.taxonomy.clean += 1;
     assert!(
         handle.publish_validated(Arc::new(cand), None).is_err(),
         "tampered taxonomy published"
     );
-    let mut cand =
-        CubeSnapshot::from_observations(2, Arc::clone(world), &ds.label, &ds.observations);
+    let mut cand = build(2);
     cand.trajectory.points.last_mut().expect("point").label = "poisoned".into();
     assert!(
         handle.publish_validated(Arc::new(cand), None).is_err(),
         "tampered trajectory published"
     );
-    let stale = CubeSnapshot::from_observations(1, Arc::clone(world), &ds.label, &ds.observations);
+    let stale = build(1);
     assert!(
         handle.publish_validated(Arc::new(stale), None).is_err(),
         "non-advancing epoch published"
@@ -527,13 +521,14 @@ fn baselines_path(root: &Path) -> PathBuf {
 pub fn run_gate(root: &Path, smoke: bool, update: bool, log: impl Fn(&str)) -> bool {
     let mode = if smoke { "smoke" } else { "full" };
     log(&format!("gate ({mode}): 1-worker pipeline measurement..."));
-    let (world, ds, pipeline_metrics) = pipeline_phase(smoke);
+    let store = std::env::temp_dir().join(format!("webdep-gate-{}", std::process::id()));
+    let (world, pipeline_metrics) = pipeline_phase(smoke, &store);
     log(&format!(
         "  {} sites, {} wire queries, {} shared-cache hits",
         pipeline_metrics[0].value, pipeline_metrics[1].value, pipeline_metrics[3].value
     ));
     log("gate: sequential sweep against the query service...");
-    let serve_metrics = serve_phase(&world, &ds);
+    let serve_metrics = serve_phase(&world, &store);
     log(&format!(
         "  {} ok responses, cache {} hits / {} misses, {} exported series",
         serve_metrics[0].value,
@@ -542,7 +537,8 @@ pub fn run_gate(root: &Path, smoke: bool, update: bool, log: impl Fn(&str)) -> b
         serve_metrics[4].value
     ));
     log("gate: deterministic overload machinery (shed / deadline / publish-reject)...");
-    let overload_metrics = overload_phase(&world, &ds);
+    let overload_metrics = overload_phase(&world, &store);
+    let _ = std::fs::remove_dir_all(&store);
     log(&format!(
         "  {} sheds, {} deadline aborts, {} publishes rejected",
         overload_metrics[0].value, overload_metrics[3].value, overload_metrics[4].value

@@ -25,8 +25,8 @@
 //!   observation, build the cube from the resident vector, render.
 //! * `streaming` — same work, but each observation is committed to the
 //!   chunk store the moment it exists and dropped; the cube folds decoded
-//!   chunks read back from disk; the report renders from a hollow
-//!   dataset. Run at paper scale and at beyond-paper (≥5M sites) scale.
+//!   chunks read back from disk; the report renders from a cube-only
+//!   context. Run at paper scale and at beyond-paper (≥5M sites) scale.
 
 use crate::peak_rss_bytes;
 use serde::Serialize;
@@ -113,7 +113,7 @@ pub fn synth_observation(world: &World, i: usize) -> SiteObservation {
 /// per layer, the global top-10 owners and every country's toplist size,
 /// observed total, coverage, and centralization score. Touches only
 /// cube-backed accessors, so it renders identically from a resident
-/// context and from a hollow streaming context.
+/// context and from a cube-only streaming context.
 pub fn cube_report(ctx: &AnalysisCtx<'_>) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -147,8 +147,6 @@ fn resident_path(world: &World) -> (MeasuredDataset, String) {
     let observations: Vec<SiteObservation> = (0..n).map(|i| synth_observation(world, i)).collect();
     let ds = MeasuredDataset {
         observations,
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
         label: world.label.clone(),
     };
     let ctx = AnalysisCtx::new(world, &ds);
@@ -158,7 +156,8 @@ fn resident_path(world: &World) -> (MeasuredDataset, String) {
 
 /// Streams every observation into a chunk store at `dir` (one observation
 /// alive at a time), folds the decoded chunks into a cube, and renders
-/// the report from a hollow dataset. Returns the on-disk store size too.
+/// the report from a cube-only context. Returns the on-disk store size
+/// too.
 fn streaming_path(world: &World, dir: &Path) -> (ChunkStore, String, u64) {
     let n = world.sites.len();
     let mut writer = ChunkStoreWriter::create(dir, &world.label, n, DEFAULT_CHUNK_SITES)
@@ -177,15 +176,8 @@ fn streaming_path(world: &World, dir: &Path) -> (ChunkStore, String, u64) {
         let chunk = store.read_chunk(c).expect("read chunk");
         builder.fold_chunk(&chunk, world);
     }
-    let cube = builder.finish(world, &world.toplists, &world.global_top);
-    let hollow = MeasuredDataset {
-        observations: Vec::new(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
-        label: world.label.clone(),
-    };
-    let ctx = AnalysisCtx::with_cube(world, &hollow, cube);
-    let report = cube_report(&ctx);
+    let cube = builder.finish(world);
+    let report = cube_report(&AnalysisCtx::over_cube(world, &cube));
     (store, report, store_bytes)
 }
 

@@ -25,12 +25,13 @@ use crate::scale::{scale_config, synth_observation};
 use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use webdep_analysis::AnalysisCtx;
 use webdep_core::centralization_score;
-use webdep_pipeline::MeasuredDataset;
+use webdep_pipeline::{ChunkStoreWriter, MeasuredDataset, DEFAULT_CHUNK_SITES};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, ServeConfig, ServerHandle};
 use webdep_webgen::{Layer, World, COUNTRIES};
@@ -97,7 +98,7 @@ pub struct ServeSnapshot {
     pub replicates: u64,
     /// Server worker threads.
     pub workers: u64,
-    /// Wall time to build + publish the initial snapshot.
+    /// Wall time to fold the initial snapshot from its chunk store.
     pub snapshot_build_ms: u64,
     /// Served-vs-direct spot checks passed.
     pub consistency_ok: bool,
@@ -233,17 +234,11 @@ fn catalog(replicates: usize) -> Vec<String> {
     queries
 }
 
-/// Builds a hollow snapshot (cube + taxonomy, no resident observations)
-/// from the shared synthetic dataset — serving never needs the
-/// observation vector resident, and the bench should not pay three
-/// resident copies just to have three epochs to publish.
-fn hollow_snapshot(epoch: u64, world: &Arc<World>, ds: &MeasuredDataset) -> Arc<CubeSnapshot> {
-    Arc::new(CubeSnapshot::from_observations(
-        epoch,
-        Arc::clone(world),
-        &ds.label,
-        &ds.observations,
-    ))
+/// Folds epoch `epoch`'s snapshot from the synthetic dataset's chunk store
+/// at `store` — the one way serving state is built, so the three
+/// published epochs never hold the observation vector.
+fn store_snapshot(epoch: u64, world: &Arc<World>, store: &Path) -> Arc<CubeSnapshot> {
+    Arc::new(CubeSnapshot::from_store(epoch, Arc::clone(world), store).expect("fold the store"))
 }
 
 /// Runs one closed-loop level: `concurrency` keep-alive clients splitting
@@ -342,7 +337,7 @@ fn consistency_check(addr: SocketAddr, world: &World, ds: &MeasuredDataset) -> b
 fn swap_phase(
     handle: &ServerHandle,
     world: &Arc<World>,
-    ds: &MeasuredDataset,
+    store: &Path,
     concurrency: usize,
     log: &dyn Fn(String),
 ) -> SwapSnapshot {
@@ -405,14 +400,14 @@ fn swap_phase(
     // Two publishes, spaced so the storm observes all three epochs.
     std::thread::sleep(Duration::from_millis(150));
     let b0 = Instant::now();
-    let snap2 = hollow_snapshot(2, world, ds);
+    let snap2 = store_snapshot(2, world, store);
     log(format!(
         "  epoch 2 built in {} ms, publishing mid-storm",
         b0.elapsed().as_millis()
     ));
     handle.publish(snap2);
     std::thread::sleep(Duration::from_millis(150));
-    let snap3 = hollow_snapshot(3, world, ds);
+    let snap3 = store_snapshot(3, world, store);
     handle.publish(snap3);
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);
@@ -454,13 +449,19 @@ pub fn serve_snapshot(smoke: bool, log: impl Fn(String)) -> ServeSnapshot {
         observations: (0..world.sites.len())
             .map(|i| synth_observation(&world, i))
             .collect(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
         label: world.label.clone(),
     };
+    let store = std::env::temp_dir().join(format!("webdep-serve-bench-{}", std::process::id()));
+    let mut writer =
+        ChunkStoreWriter::create(&store, &world.label, world.sites.len(), DEFAULT_CHUNK_SITES)
+            .expect("create chunk store");
+    for (i, obs) in ds.observations.iter().enumerate() {
+        writer.commit(i, obs).expect("commit observation");
+    }
+    writer.finish().expect("finish chunk store");
 
     let t0 = Instant::now();
-    let snap1 = hollow_snapshot(1, &world, &ds);
+    let snap1 = store_snapshot(1, &world, &store);
     let snapshot_build_ms = t0.elapsed().as_millis() as u64;
     let config = ServeConfig {
         workers: top_level + 8,
@@ -532,7 +533,8 @@ pub fn serve_snapshot(smoke: bool, log: impl Fn(String)) -> ServeSnapshot {
     ));
 
     log("swap storm: publishing 2 fresh epochs under load...".to_string());
-    let swap = swap_phase(&handle, &world, &ds, 8, &log);
+    let swap = swap_phase(&handle, &world, &store, 8, &log);
+    let _ = std::fs::remove_dir_all(&store);
     log(format!(
         "  {} requests across epochs {:?}: failed {}, mixed-epoch {}, regressions {}",
         swap.requests, swap.epochs_observed, swap.failed, swap.mixed_epoch, swap.epoch_regressions

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use webdep_webgen::World;
 
 /// Why a measurement layer failed, normalized across DNS and TLS.
 ///
@@ -342,24 +343,23 @@ impl FailureTaxonomy {
     }
 }
 
-/// The full measured dataset, aligned with the generating world.
+/// The full measured dataset, aligned with the generating world. Toplist
+/// membership is not copied here: the [`World`] that generated the sites
+/// is its only owner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredDataset {
     /// One observation per world site (same indexing as `World::sites`).
     pub observations: Vec<SiteObservation>,
-    /// Country toplists in `COUNTRIES` order: indices into `observations`.
-    pub toplists: Vec<Vec<u32>>,
-    /// The global top list (indices into `observations`).
-    pub global_top: Vec<u32>,
     /// Snapshot label copied from the world.
     pub label: String,
 }
 
 impl MeasuredDataset {
-    /// Fraction of toplist-referenced observations that measured cleanly.
-    pub fn success_rate(&self) -> f64 {
+    /// Fraction of `world`'s toplist-referenced sites that measured
+    /// cleanly.
+    pub fn success_rate(&self, world: &World) -> f64 {
         let mut referenced = std::collections::HashSet::new();
-        for t in &self.toplists {
+        for t in &world.toplists {
             referenced.extend(t.iter().copied());
         }
         if referenced.is_empty() {
@@ -370,16 +370,6 @@ impl MeasuredDataset {
             .filter(|&&i| self.observations[i as usize].complete())
             .count();
         ok as f64 / referenced.len() as f64
-    }
-
-    /// Iterates a country's observations.
-    pub fn country_observations(
-        &self,
-        country_idx: usize,
-    ) -> impl Iterator<Item = &SiteObservation> {
-        self.toplists[country_idx]
-            .iter()
-            .map(move |&i| &self.observations[i as usize])
     }
 
     /// Tallies every observation's per-layer failures into a
@@ -436,20 +426,40 @@ mod tests {
 
     #[test]
     fn success_rate_counts_referenced_only() {
-        let mut ok = SiteObservation::blank("a.com", "en");
-        ok.hosting_org = Some(1);
-        ok.dns_org = Some(1);
-        ok.ca_owner = Some(1);
-        let bad = SiteObservation::blank("b.com", "en");
-        let unreferenced = SiteObservation::blank("c.com", "en");
+        let world = World::generate(webdep_webgen::WorldConfig {
+            seed: 7,
+            sites_per_country: 12,
+            global_pool_size: 60,
+            tail_scale: 0.04,
+            pool_target: 24,
+        });
+        let first: std::collections::HashSet<u32> = world.toplists[0].iter().copied().collect();
+        let referenced: std::collections::HashSet<u32> =
+            world.toplists.iter().flatten().copied().collect();
+        // Clean exactly the first country's sites, plus every site no
+        // toplist references (which must not count either way).
+        let observations = world
+            .sites
+            .iter()
+            .enumerate()
+            .map(|(i, site)| {
+                let mut o = SiteObservation::blank(&site.domain, &site.language);
+                let i = i as u32;
+                if first.contains(&i) || !referenced.contains(&i) {
+                    o.hosting_org = Some(1);
+                    o.dns_org = Some(1);
+                    o.ca_owner = Some(1);
+                }
+                o
+            })
+            .collect();
         let ds = MeasuredDataset {
-            observations: vec![ok, bad, unreferenced],
-            toplists: vec![vec![0, 1]],
-            global_top: vec![],
-            label: "t".into(),
+            observations,
+            label: world.label.clone(),
         };
-        assert!((ds.success_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(ds.country_observations(0).count(), 2);
+        let want = first.len() as f64 / referenced.len() as f64;
+        assert!(want > 0.0 && want < 1.0, "{want}");
+        assert!((ds.success_rate(&world) - want).abs() < 1e-12);
     }
 
     #[test]
@@ -475,8 +485,6 @@ mod tests {
         let clean = SiteObservation::blank("c.com", "en");
         let ds = MeasuredDataset {
             observations: vec![a, b, clean],
-            toplists: vec![vec![0, 1, 2]],
-            global_top: vec![],
             label: "t".into(),
         };
         let tax = ds.failure_taxonomy();

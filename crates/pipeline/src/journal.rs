@@ -170,21 +170,6 @@ pub struct Journal {
     pub torn_tail: bool,
 }
 
-impl Journal {
-    /// Scatters the records into a `slots` vector (one `Option` per
-    /// site), returning how many sites were restored.
-    pub fn fill_slots(&self, slots: &mut [Option<SiteObservation>]) -> usize {
-        let mut restored = 0;
-        for (i, obs) in &self.records {
-            if slots[*i].is_none() {
-                slots[*i] = Some(obs.clone());
-                restored += 1;
-            }
-        }
-        restored
-    }
-}
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -443,10 +428,7 @@ mod tests {
         let j = load(&path).unwrap();
         assert_eq!(j.records.len(), 1);
         assert_eq!(j.records[0].1.hosting_asn, first.hosting_asn);
-
-        let mut slots: Vec<Option<SiteObservation>> = vec![None; 3];
-        assert_eq!(j.fill_slots(&mut slots), 1);
-        assert!(slots[1].is_some() && slots[0].is_none());
+        assert_eq!(j.records[0].0, 1);
 
         // An out-of-bounds site index is corruption, wherever it sits.
         let (bytes, _) = journal_bytes(3, &[0, 7, 1]);

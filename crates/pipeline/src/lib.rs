@@ -31,8 +31,6 @@ pub use journal::JournalWriter;
 pub use run::{
     measure, measure_streamed, measure_with_stats, resume_streamed, MeasureStats, PipelineConfig,
 };
-pub use store::{
-    ChunkStore, ChunkStoreWriter, CompactStats, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES,
-};
+pub use store::{ChunkStore, ChunkStoreWriter, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES};
 pub use supervisor::{ChaosPlan, SupervisionStats, SupervisorConfig};
 pub use vantage::resolve_hosting_orgs;

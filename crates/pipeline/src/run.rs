@@ -580,8 +580,6 @@ fn assemble_resident(world: &World, sink: Sink) -> MeasuredDataset {
         .collect();
     MeasuredDataset {
         observations,
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
         label: world.label.clone(),
     }
 }
@@ -936,7 +934,7 @@ mod tests {
             },
         );
         assert_eq!(ds.observations.len(), world.sites.len());
-        let rate = ds.success_rate();
+        let rate = ds.success_rate(&world);
         assert!(rate > 0.99, "success rate {rate}");
 
         // Measurement must agree with ground truth on org / CA / DNS ids.

@@ -733,8 +733,8 @@ impl ChunkStoreWriter {
     /// site range with the same row count; this is the delta path's
     /// clean-chunk fast lane, and the reason unchanged chunks cost zero
     /// re-encoding. Adopted files share their inode with the source store,
-    /// which every in-place rewrite below (see [`ChunkStore::compact`])
-    /// must respect by going through temp file + rename.
+    /// so a chunk is never rewritten in place: [`ChunkStore::fsck`] heals
+    /// through a temp file and an atomic rename.
     pub fn adopt_chunk(&mut self, src: &ChunkStore, c: usize) -> io::Result<()> {
         assert!(c < self.written.len(), "chunk {c} out of range");
         if self.written[c] {
@@ -803,19 +803,6 @@ pub enum ChunkState {
     Missing,
     /// Present but unreadable/torn; the message says why.
     Corrupt(String),
-}
-
-/// Outcome of [`ChunkStore::compact`].
-#[derive(Debug)]
-pub struct CompactStats {
-    /// Chunk-shaped files removed because the manifest does not claim them.
-    pub orphans_removed: usize,
-    /// Chunk count before compaction.
-    pub chunks_before: usize,
-    /// Chunk count after compaction.
-    pub chunks_after: usize,
-    /// Whether the rows were rewritten into a new chunk geometry.
-    pub rechunked: bool,
 }
 
 /// Machine-readable outcome of [`ChunkStore::fsck`]: what was found, and
@@ -916,7 +903,16 @@ impl ChunkStore {
             .to_string();
         let sites = m["sites"]
             .as_u64()
-            .ok_or_else(|| bad("manifest missing sites"))? as usize;
+            .ok_or_else(|| bad("manifest missing sites"))?;
+        // A chunk header records `lo` and `rows` as u32, so no larger
+        // store can exist; refusing it here keeps a damaged digit from
+        // sizing anything downstream.
+        if sites > u64::from(u32::MAX) {
+            return Err(bad(format!(
+                "manifest claims {sites} sites, more than a chunk header can address"
+            )));
+        }
+        let sites = sites as usize;
         let chunk_sites = m["chunk_sites"]
             .as_u64()
             .filter(|&k| k > 0)
@@ -956,89 +952,9 @@ impl ChunkStore {
             .map_err(|e| bad(format!("chunk {c}: {e}")))
     }
 
-    /// Compacts the store: removes orphaned chunk files — indices past the
-    /// manifest's chunk count, unparseable `chunk-*.col` names, and
-    /// `.col.tmp` leftovers from an aborted run — and, when `chunk_sites`
-    /// differs from the current geometry, merges the rows into chunks of
-    /// the new size. Delta runs hard-link chunk files into *other* epoch
-    /// stores, so every rewrite goes through a temp file + rename and never
-    /// truncates a shared inode. `load_dataset` output is byte-identical
-    /// before and after; the rewrite is not crash-atomic, but a crash
-    /// mid-compact leaves header/manifest mismatches that
-    /// [`ChunkStore::chunk_state`] reports as corrupt rather than silently
-    /// serving stale rows.
-    pub fn compact(&mut self, chunk_sites: usize) -> io::Result<CompactStats> {
-        assert!(chunk_sites > 0, "chunk_sites must be positive");
-        let chunks_before = self.num_chunks();
-        let rechunked = chunk_sites != self.chunk_sites;
-        if rechunked {
-            // Stream rows old-geometry → new-geometry through temp files.
-            let new_chunks = self.sites.div_ceil(chunk_sites);
-            let mut tmp_paths = Vec::with_capacity(new_chunks);
-            let mut rows: Vec<SiteObservation> = Vec::new();
-            let mut next_new = 0usize;
-            for c in 0..chunks_before {
-                let chunk = self.read_chunk(c)?;
-                for r in 0..chunk.rows {
-                    rows.push(chunk.observation(r));
-                }
-                while rows.len() >= chunk_sites || (c + 1 == chunks_before && !rows.is_empty()) {
-                    let take = rows.len().min(chunk_sites);
-                    let batch: Vec<SiteObservation> = rows.drain(..take).collect();
-                    let bytes = encode_chunk(next_new, next_new * chunk_sites, &batch);
-                    let tmp = self.dir.join(format!("chunk-{next_new:06}.col.tmp"));
-                    let mut f = File::create(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_data()?;
-                    tmp_paths.push(tmp);
-                    next_new += 1;
-                }
-            }
-            // New manifest first (atomic replace), then the chunk renames:
-            // a crash in between leaves old-geometry files whose headers
-            // no longer match the manifest — detectably corrupt.
-            write_manifest(&self.dir, &self.label, self.sites, chunk_sites)?;
-            for (i, tmp) in tmp_paths.iter().enumerate() {
-                std::fs::rename(tmp, chunk_path(&self.dir, i))?;
-            }
-            self.chunk_sites = chunk_sites;
-        }
-        // Orphan sweep: anything chunk-shaped the manifest does not claim.
-        let keep = self.num_chunks();
-        let mut orphans_removed = 0usize;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let orphan = if let Some(stem) = name.strip_prefix("chunk-") {
-                if let Some(digits) = stem.strip_suffix(".col") {
-                    match digits.parse::<usize>() {
-                        Ok(idx) => idx >= keep,
-                        Err(_) => true,
-                    }
-                } else {
-                    stem.ends_with(".col.tmp")
-                }
-            } else {
-                false
-            };
-            if orphan {
-                std::fs::remove_file(entry.path())?;
-                orphans_removed += 1;
-            }
-        }
-        File::open(&self.dir)?.sync_all()?;
-        Ok(CompactStats {
-            orphans_removed,
-            chunks_before,
-            chunks_after: keep,
-            rechunked,
-        })
-    }
-
     /// Materializes the full [`MeasuredDataset`] — the dual-feasible-size
-    /// path used to certify streaming/resident equivalence. Toplists come
-    /// from the world, exactly as the resident pipeline copies them.
+    /// path used to certify streaming/resident equivalence. The store must
+    /// describe `world` (label and site count).
     pub fn load_dataset(&self, world: &webdep_webgen::World) -> io::Result<MeasuredDataset> {
         if world.label != self.label || world.sites.len() != self.sites {
             return Err(bad(format!(
@@ -1058,8 +974,6 @@ impl ChunkStore {
         }
         Ok(MeasuredDataset {
             observations,
-            toplists: world.toplists.clone(),
-            global_top: world.global_top.clone(),
             label: world.label.clone(),
         })
     }
@@ -1116,15 +1030,18 @@ impl ChunkStore {
             let loaded = journal
                 .map(|path| crate::journal::load_for(path, &store.label, store.sites))
                 .transpose()?;
-            let mut slots: Vec<Option<SiteObservation>> = vec![None; store.sites];
-            if let Some(j) = &loaded {
-                j.fill_slots(&mut slots);
-            }
+            // Indexed by site, so the heal costs what the journal holds —
+            // never a slot per site the manifest claims.
+            let by_site: HashMap<usize, &SiteObservation> = loaded
+                .iter()
+                .flat_map(|j| j.records.iter().map(|(i, obs)| (*i, obs)))
+                .collect();
             for c in need_heal {
                 let lo = c * store.chunk_sites;
                 let rows = store.chunk_rows(c);
-                let covered: Option<Vec<SiteObservation>> =
-                    slots[lo..lo + rows].iter().cloned().collect();
+                let covered: Option<Vec<SiteObservation>> = (lo..lo + rows)
+                    .map(|i| by_site.get(&i).map(|&obs| obs.clone()))
+                    .collect();
                 let Some(batch) = covered else {
                     report.unhealed.push(c);
                     continue;
@@ -1339,96 +1256,24 @@ mod tests {
         fs::remove_dir_all(&dir3).unwrap();
     }
 
+    /// A chunk header addresses sites with u32 `lo`/`rows`, so a manifest
+    /// claiming one site more is damage, refused before anything is sized
+    /// by it.
     #[test]
-    fn compact_rechunks_and_removes_orphans() {
-        let dir = tmp("compact");
+    fn manifest_over_u32_sites_is_refused() {
+        let dir = tmp("huge-manifest");
         let _ = fs::remove_dir_all(&dir);
-        let n = 100;
-        let all = write_store(&dir, n, 16);
-        // Orphans an aborted delta run could leave behind.
-        fs::write(dir.join("chunk-000042.col"), b"stale").unwrap();
-        fs::write(dir.join("chunk-000003.col.tmp"), b"half").unwrap();
-
-        let mut store = ChunkStore::open(&dir).unwrap();
-        let stats = store.compact(64).unwrap();
-        assert_eq!(stats.chunks_before, 7);
-        assert_eq!(stats.chunks_after, 2);
-        // 5 superseded old-geometry chunks + the 2 stray files.
-        assert_eq!(stats.orphans_removed, 7);
-        assert!(stats.rechunked);
-
-        // Reopen from disk: same rows, new geometry, no strays.
-        let reopened = ChunkStore::open(&dir).unwrap();
-        assert_eq!(reopened.chunk_sites, 64);
-        assert_eq!(reopened.num_chunks(), 2);
-        assert_eq!(read_all(&reopened), all);
-        let mut files: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        files.sort();
-        assert_eq!(
-            files,
-            ["chunk-000000.col", "chunk-000001.col", "manifest.json"]
+        fs::create_dir_all(&dir).unwrap();
+        write_manifest(&dir, "t-v1", u32::MAX as usize, 4096).unwrap();
+        assert_eq!(ChunkStore::open(&dir).unwrap().sites, u32::MAX as usize);
+        write_manifest(&dir, "t-v1", u32::MAX as usize + 1, 4096).unwrap();
+        let err = ChunkStore::open(&dir).err().expect("must be refused");
+        assert!(
+            err.to_string().contains("more than a chunk header"),
+            "{err}"
         );
-
-        // Compacted bytes equal a from-scratch store at the same geometry:
-        // chunk bytes stay a pure function of the rows.
-        let dir2 = tmp("compact-fresh");
-        let _ = fs::remove_dir_all(&dir2);
-        let mut w = ChunkStoreWriter::create(&dir2, "t-v1", n, 64).unwrap();
-        for (i, obs) in all.iter().enumerate() {
-            w.commit(i, obs).unwrap();
-        }
-        w.finish().unwrap();
-        for c in 0..2 {
-            assert_eq!(
-                fs::read(dir.join(format!("chunk-{c:06}.col"))).unwrap(),
-                fs::read(dir2.join(format!("chunk-{c:06}.col"))).unwrap(),
-            );
-        }
-
-        // Idempotent at the same geometry: nothing to do, nothing removed.
-        let stats = store.compact(64).unwrap();
-        assert!(!stats.rechunked);
-        assert_eq!(stats.orphans_removed, 0);
+        assert!(ChunkStore::fsck(&dir, None, true).is_err());
         fs::remove_dir_all(&dir).unwrap();
-        fs::remove_dir_all(&dir2).unwrap();
-    }
-
-    #[test]
-    fn compact_never_truncates_hard_linked_sources() {
-        let src_dir = tmp("compact-hl-src");
-        let dst_dir = tmp("compact-hl-dst");
-        let _ = fs::remove_dir_all(&src_dir);
-        let _ = fs::remove_dir_all(&dst_dir);
-        let n = 48;
-        let all = write_store(&src_dir, n, 16);
-        // A delta-built sibling store sharing inodes with the source.
-        let src = ChunkStore::open(&src_dir).unwrap();
-        let mut w = ChunkStoreWriter::create(&dst_dir, "t-v1", n, 16).unwrap();
-        for c in 0..src.num_chunks() {
-            w.adopt_chunk(&src, c).unwrap();
-        }
-        w.finish().unwrap();
-        let src_bytes: Vec<Vec<u8>> = (0..3)
-            .map(|c| fs::read(src_dir.join(format!("chunk-{c:06}.col"))).unwrap())
-            .collect();
-
-        let mut dst = ChunkStore::open(&dst_dir).unwrap();
-        dst.compact(32).unwrap();
-        assert_eq!(read_all(&dst), all);
-        // The shared inodes were never rewritten in place.
-        for (c, bytes) in src_bytes.iter().enumerate() {
-            assert_eq!(
-                &fs::read(src_dir.join(format!("chunk-{c:06}.col"))).unwrap(),
-                bytes,
-                "source chunk {c} was clobbered through a shared inode"
-            );
-        }
-        assert_eq!(read_all(&ChunkStore::open(&src_dir).unwrap()), all);
-        fs::remove_dir_all(&src_dir).unwrap();
-        fs::remove_dir_all(&dst_dir).unwrap();
     }
 
     /// A header claiming more strings than the file could hold, behind a
@@ -1519,7 +1364,78 @@ mod tests {
         ]
     }
 
+    /// One damage to `manifest.json`. Offsets wrap modulo the length;
+    /// digit edits pick the `nth` ASCII digit (modulo the digit count).
+    #[derive(Debug, Clone)]
+    enum ManifestEdit {
+        Flip { at: usize, bit: u8 },
+        Truncate { keep: usize },
+        Digit { nth: usize, to: u8 },
+        Grow { nth: usize, digit: u8 },
+    }
+
+    impl ManifestEdit {
+        fn apply(&self, text: &mut Vec<u8>) {
+            let digits: Vec<usize> = (0..text.len())
+                .filter(|&i| text[i].is_ascii_digit())
+                .collect();
+            let pick = |nth: usize| digits.get(nth % digits.len().max(1)).copied();
+            match *self {
+                ManifestEdit::Flip { at, bit } => {
+                    let len = text.len().max(1);
+                    if let Some(b) = text.get_mut(at % len) {
+                        *b ^= 1 << bit;
+                    }
+                }
+                ManifestEdit::Truncate { keep } => text.truncate(keep % text.len().max(1)),
+                ManifestEdit::Digit { nth, to } => {
+                    if let Some(i) = pick(nth) {
+                        text[i] = b'0' + to;
+                    }
+                }
+                ManifestEdit::Grow { nth, digit } => {
+                    if let Some(i) = pick(nth) {
+                        text.insert(i, b'0' + digit);
+                    }
+                }
+            }
+        }
+    }
+
+    fn manifest_edit() -> impl Strategy<Value = ManifestEdit> {
+        prop_oneof![
+            (any::<usize>(), 0u8..8).prop_map(|(at, bit)| ManifestEdit::Flip { at, bit }),
+            any::<usize>().prop_map(|keep| ManifestEdit::Truncate { keep }),
+            (any::<usize>(), 0u8..10).prop_map(|(nth, to)| ManifestEdit::Digit { nth, to }),
+            (any::<usize>(), 0u8..10).prop_map(|(nth, digit)| ManifestEdit::Grow { nth, digit }),
+        ]
+    }
+
     proptest! {
+        /// `ChunkStore::open` is total on a damaged manifest: every
+        /// truncation, byte flip and digit edit returns `Ok` or `Err`, and
+        /// an accepted manifest describes chunks a header can address.
+        #[test]
+        fn open_never_panics(edits in prop::collection::vec(manifest_edit(), 1..6)) {
+            let dir = tmp("open-edits");
+            fs::create_dir_all(&dir).unwrap();
+            write_manifest(&dir, "t-v1", 28_620, 4096).unwrap();
+            let mut text = fs::read(manifest_path(&dir)).unwrap();
+            for e in &edits {
+                e.apply(&mut text);
+            }
+            fs::write(manifest_path(&dir), &text).unwrap();
+            let opened = ChunkStore::open(&dir);
+            fs::remove_dir_all(&dir).unwrap();
+            if let Ok(store) = opened {
+                prop_assert!(store.sites <= u32::MAX as usize);
+                prop_assert!(store.chunk_sites > 0);
+                if store.num_chunks() > 0 {
+                    let _ = store.chunk_rows(store.num_chunks() - 1);
+                }
+            }
+        }
+
         /// `decode_chunk` is total on corrupted chunks behind a valid
         /// checksum: every case returns `Ok` or `Err` without panicking,
         /// and no count read from the bytes sizes an allocation (a

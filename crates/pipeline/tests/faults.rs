@@ -78,7 +78,7 @@ fn total_packet_loss_terminates_with_all_timeouts() {
         },
     );
     let ds = measure(&world, &dep, &fast_config(8));
-    assert_eq!(ds.success_rate(), 0.0);
+    assert_eq!(ds.success_rate(&world), 0.0);
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
     assert_eq!(tax.clean, 0, "no site can measure under total loss");
@@ -98,7 +98,7 @@ fn all_servers_out_terminates_and_accounts() {
     let world = small_world();
     let dep = deploy_with_faults(&world, FaultPlan::outages(11, 1.0));
     let ds = measure(&world, &dep, &fast_config(8));
-    assert_eq!(ds.success_rate(), 0.0);
+    assert_eq!(ds.success_rate(&world), 0.0);
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
     assert_eq!(tax.clean, 0);

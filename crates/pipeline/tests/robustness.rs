@@ -43,7 +43,7 @@ fn retries_carry_measurement_through_packet_loss() {
             ..Default::default()
         },
     );
-    let rate = ds.success_rate();
+    let rate = ds.success_rate(&world);
     assert!(rate > 0.95, "success rate under 5% loss: {rate}");
 }
 

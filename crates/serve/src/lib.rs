@@ -11,9 +11,10 @@
 //! - [`http`] — a total, property-tested request-head parser with explicit
 //!   size and time limits, plus the response writer.
 //! - [`snapshot`] — [`snapshot::CubeSnapshot`] (world + cube + taxonomy
-//!   behind one `Arc`, built from a resident dataset or streamed from a
-//!   chunked store) and [`snapshot::SnapshotCell`], the RwLock-free
-//!   epoch-versioned publication point.
+//!   behind one `Arc`, always folded from a chunk store: in full, or
+//!   only the dirty chunks of an epoch delta) and
+//!   [`snapshot::SnapshotCell`], the RwLock-free epoch-versioned
+//!   publication point.
 //! - [`cache`] — the bounded `(epoch, canonical query) → body` response
 //!   cache with hit/miss/eviction counters.
 //! - [`metrics`] — per-route request counters and latency histograms,

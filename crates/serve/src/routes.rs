@@ -1,7 +1,7 @@
 //! Route table and JSON responders.
 //!
 //! Every successful body is rendered from exactly one [`CubeSnapshot`] and
-//! stamps that snapshot's `epoch` (and dataset `label`) into the JSON, so a
+//! stamps that snapshot's `epoch` (and world `label`) into the JSON, so a
 //! response can never mix data from two epochs. Cacheable routes first
 //! build a *canonical* key — query parameters normalized and defaults
 //! applied — so `/v1/score/us` and `/v1/score/US?replicates=200` share one
@@ -361,10 +361,10 @@ fn route_v1(
     }
 }
 
-/// Prepends the epoch and dataset label so every body names its snapshot.
+/// Prepends the epoch and world label so every body names its snapshot.
 fn stamp(value: &mut Value, snap: &CubeSnapshot) {
     if let Value::Object(entries) = value {
-        entries.insert(0, ("label".to_string(), vs(&snap.dataset.label)));
+        entries.insert(0, ("label".to_string(), vs(&snap.world.label)));
         entries.insert(0, ("epoch".to_string(), Value::U64(snap.epoch)));
     }
 }
@@ -377,7 +377,6 @@ fn meta_body(snap: &CubeSnapshot) -> Value {
             "layers",
             Value::Array(Layer::ALL.iter().map(|l| vs(l.name())).collect()),
         ),
-        ("resident", Value::Bool(snap.resident)),
         ("taxonomy_total", Value::U64(snap.taxonomy.total)),
     ])
 }

@@ -2,11 +2,16 @@
 //! cell.
 //!
 //! A [`CubeSnapshot`] bundles everything a request needs to answer a query
-//! — the world, a (possibly hollow) dataset, the [`DependenceCube`], and
-//! the failure taxonomy — behind a single `Arc`. Snapshots are immutable
-//! after construction; re-measurement builds a *new* snapshot off-thread
-//! and publishes it through [`SnapshotCell`], so readers never block on a
-//! writer and a publish landing mid-traffic can never tear a response.
+//! — the world, the [`DependenceCube`], and the failure taxonomy — behind a
+//! single `Arc`. Every snapshot is folded from a chunk store, through one
+//! fold: [`CubeSnapshot::from_store`] reads every chunk,
+//! [`CubeSnapshot::from_store_extending`] does the same but keeps the
+//! previous trajectory, and [`CubeSnapshot::from_delta`] starts from the
+//! previous snapshot's carried state and reads only the chunks holding a
+//! dirty site. Snapshots are immutable after construction; re-measurement
+//! builds a *new* snapshot off-thread and publishes it through
+//! [`SnapshotCell`], so readers never block on a writer and a publish
+//! landing mid-traffic can never tear a response.
 //!
 //! [`SnapshotCell`] is the ArcSwap idiom over std primitives: the current
 //! `Arc<CubeSnapshot>` lives under a `Mutex` that is only locked to clone
@@ -20,9 +25,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use webdep_analysis::{AnalysisCtx, CubeBuilder, DependenceCube, Trajectory};
-use webdep_pipeline::{
-    ChunkStore, FailureCause, FailureTaxonomy, MeasuredDataset, SiteObservation,
-};
+use webdep_pipeline::{ChunkStore, FailureCause, FailureTaxonomy};
 use webdep_webgen::{Layer, World, WorldDelta};
 
 /// The carry-forward state that lets epoch N+1 build from epoch N without
@@ -41,18 +44,12 @@ pub struct CubeSnapshot {
     /// Monotonic version; every response body and `X-Webdep-Epoch` header
     /// carries it.
     pub epoch: u64,
-    /// The generating world (entity metadata, toplists).
+    /// The generating world (entity metadata, toplists, label).
     pub world: Arc<World>,
-    /// The dataset — hollow (no resident observations) when loaded from a
-    /// chunked store.
-    pub dataset: MeasuredDataset,
     /// The columnar cube every query reads.
     pub cube: DependenceCube,
-    /// Failure taxonomy folded at snapshot build time (the hollow dataset
-    /// cannot derive it on demand).
+    /// Failure taxonomy folded from the store's error columns.
     pub taxonomy: FailureTaxonomy,
-    /// Whether raw observations are resident in `dataset`.
-    pub resident: bool,
     /// Per-epoch centralization trajectory up to and including this epoch;
     /// [`CubeSnapshot::from_delta`] extends the previous snapshot's, so
     /// `/v1/trajectory` is epoch-consistent with every other route.
@@ -61,91 +58,20 @@ pub struct CubeSnapshot {
     delta_state: DeltaState,
 }
 
-/// A hollow dataset (toplists only) mirroring `ChunkStore::load_dataset`'s
-/// shape minus the observation vector.
-fn hollow_dataset(world: &World, label: &str) -> MeasuredDataset {
-    MeasuredDataset {
-        observations: Vec::new(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
-        label: label.to_string(),
-    }
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl CubeSnapshot {
-    /// Builds a snapshot from a resident dataset (a fresh measurement).
-    pub fn from_dataset(epoch: u64, world: Arc<World>, dataset: MeasuredDataset) -> Self {
-        let mut builder = CubeBuilder::new(dataset.observations.len());
-        let mut causes = Vec::with_capacity(dataset.observations.len());
-        for (i, obs) in dataset.observations.iter().enumerate() {
-            builder.fold_observation(i, obs, &world);
-            causes.push(obs.failure_causes());
-        }
-        let cube = builder.finish(&world, &dataset.toplists, &dataset.global_top);
-        let taxonomy = dataset.failure_taxonomy();
-        let mut trajectory = Trajectory::new();
-        trajectory.push(&AnalysisCtx::with_cube_ref(&world, &dataset, &cube));
-        CubeSnapshot {
-            epoch,
-            world,
-            dataset,
-            cube,
-            taxonomy,
-            resident: true,
-            trajectory,
-            delta_state: DeltaState { builder, causes },
-        }
-    }
-
-    /// Builds a **hollow** snapshot from a borrowed observation slice: the
-    /// cube, taxonomy, and delta carry-forward fold exactly as in
-    /// [`CubeSnapshot::from_dataset`], but the observations stay with the
-    /// caller and the snapshot's dataset is hollow. For callers that
-    /// already hold a resident dataset and want to publish several epochs
-    /// of it without paying a resident copy per snapshot.
-    pub fn from_observations(
-        epoch: u64,
-        world: Arc<World>,
-        label: &str,
-        observations: &[SiteObservation],
-    ) -> Self {
-        let mut builder = CubeBuilder::new(observations.len());
-        let mut causes = Vec::with_capacity(observations.len());
-        let mut taxonomy = FailureTaxonomy {
-            total: observations.len() as u64,
-            ..FailureTaxonomy::default()
-        };
-        for (i, obs) in observations.iter().enumerate() {
-            builder.fold_observation(i, obs, &world);
-            let site_causes = obs.failure_causes();
-            causes.push(site_causes);
-            taxonomy.record_site(site_causes);
-        }
-        let cube = builder.finish(&world, &world.toplists, &world.global_top);
-        let dataset = hollow_dataset(&world, label);
-        let mut trajectory = Trajectory::new();
-        trajectory.push(&AnalysisCtx::with_cube_ref(&world, &dataset, &cube));
-        CubeSnapshot {
-            epoch,
-            world,
-            dataset,
-            cube,
-            taxonomy,
-            resident: false,
-            trajectory,
-            delta_state: DeltaState { builder, causes },
-        }
-    }
-
-    /// Builds a snapshot by streaming a chunked store: every chunk is
-    /// folded into a [`CubeBuilder`] and the taxonomy via the error
-    /// columns, and the dataset stays hollow — peak memory is one decoded
-    /// chunk plus the cube, never the observation vector.
+    /// Builds a snapshot by streaming the chunk store at `dir`: every
+    /// chunk is folded into a [`CubeBuilder`] and the taxonomy via the
+    /// error columns — peak memory is one decoded chunk plus the cube,
+    /// never the observation vector.
     ///
     /// The store must describe the same world (`label` and site count
     /// guarded, mirroring `ChunkStore::load_dataset`).
     pub fn from_store(epoch: u64, world: Arc<World>, dir: &Path) -> io::Result<Self> {
-        Self::from_store_inner(epoch, world, dir, None)
+        Self::fold(epoch, world, dir, None, Trajectory::new())
     }
 
     /// [`CubeSnapshot::from_store`], but extending a previous snapshot's
@@ -160,60 +86,7 @@ impl CubeSnapshot {
         dir: &Path,
         prev: &CubeSnapshot,
     ) -> io::Result<Self> {
-        Self::from_store_inner(epoch, world, dir, Some(&prev.trajectory))
-    }
-
-    fn from_store_inner(
-        epoch: u64,
-        world: Arc<World>,
-        dir: &Path,
-        prev_trajectory: Option<&Trajectory>,
-    ) -> io::Result<Self> {
-        let store = ChunkStore::open(dir)?;
-        if store.label != world.label || store.sites != world.sites.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "store ({} sites, label {:?}) does not match world ({} sites, label {:?})",
-                    store.sites,
-                    store.label,
-                    world.sites.len(),
-                    world.label
-                ),
-            ));
-        }
-        let mut builder = CubeBuilder::new(store.sites);
-        let mut site_causes = vec![[None; 3]; store.sites];
-        let mut taxonomy = FailureTaxonomy {
-            total: store.sites as u64,
-            ..FailureTaxonomy::default()
-        };
-        for c in 0..store.num_chunks() {
-            let chunk = store.read_chunk(c)?;
-            builder.fold_chunk(&chunk, &world);
-            for r in 0..chunk.rows {
-                let causes = chunk.failure_causes(r);
-                site_causes[chunk.lo + r] = causes;
-                taxonomy.record_site(causes);
-            }
-        }
-        let cube = builder.finish(&world, &world.toplists, &world.global_top);
-        let dataset = hollow_dataset(&world, &store.label);
-        let mut trajectory = prev_trajectory.cloned().unwrap_or_default();
-        trajectory.push(&AnalysisCtx::with_cube_ref(&world, &dataset, &cube));
-        Ok(CubeSnapshot {
-            epoch,
-            world,
-            dataset,
-            cube,
-            taxonomy,
-            resident: false,
-            trajectory,
-            delta_state: DeltaState {
-                builder,
-                causes: site_causes,
-            },
-        })
+        Self::fold(epoch, world, dir, None, prev.trajectory.clone())
     }
 
     /// Builds the next epoch's snapshot from the previous snapshot plus a
@@ -225,7 +98,7 @@ impl CubeSnapshot {
     /// table, and refolded over dirty chunks, and the taxonomy is the old
     /// taxonomy with each dirty site's causes retracted and re-recorded.
     /// The result is indistinguishable from [`CubeSnapshot::from_store`]
-    /// over the full store (`tests/service.rs` asserts equality).
+    /// over the full store (`tests/contracts.rs` asserts equality).
     ///
     /// The trajectory extends the previous snapshot's with this epoch's
     /// point, so a delta-published server serves its full history.
@@ -236,7 +109,6 @@ impl CubeSnapshot {
         delta: &WorldDelta,
         dir: &Path,
     ) -> io::Result<Self> {
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         if prev.world.label != delta.from_label || prev.world.sites.len() != delta.from_sites {
             return Err(invalid(format!(
                 "previous snapshot '{}' ({} sites) is not the delta's source '{}' ({} sites)",
@@ -255,6 +127,32 @@ impl CubeSnapshot {
                 delta.to_sites
             )));
         }
+        Self::fold(
+            epoch,
+            world,
+            dir,
+            Some((prev, delta)),
+            prev.trajectory.clone(),
+        )
+    }
+
+    /// The one chunk fold behind every constructor.
+    ///
+    /// Without `carried`, it starts empty and folds every row of every
+    /// chunk. With `(prev, delta)`, it starts from `prev`'s carried
+    /// builder, causes and taxonomy grown to the evolved site table, folds
+    /// only `delta`'s dirty rows, and first un-records each one below
+    /// `delta.from_sites` — only a site recorded before can be retracted.
+    /// Either way a chunk is read only when it holds a row to fold, and
+    /// the cube is finished over the world's toplists with this epoch's
+    /// point appended to `trajectory`.
+    fn fold(
+        epoch: u64,
+        world: Arc<World>,
+        dir: &Path,
+        carried: Option<(&CubeSnapshot, &WorldDelta)>,
+        mut trajectory: Trajectory,
+    ) -> io::Result<Self> {
         let store = ChunkStore::open(dir)?;
         if store.label != world.label || store.sites != world.sites.len() {
             return Err(invalid(format!(
@@ -265,33 +163,48 @@ impl CubeSnapshot {
                 world.label
             )));
         }
+        let sites = store.sites;
+        let (mut builder, mut causes, mut taxonomy, dirty, retract_below) = match carried {
+            None => (
+                CubeBuilder::new(sites),
+                vec![[None; 3]; sites],
+                FailureTaxonomy::default(),
+                None,
+                0,
+            ),
+            Some((prev, delta)) => {
+                let mut builder = prev.delta_state.builder.clone();
+                builder.grow(sites);
+                let mut causes = prev.delta_state.causes.clone();
+                causes.resize(sites, [None; 3]);
+                (
+                    builder,
+                    causes,
+                    prev.taxonomy.clone(),
+                    Some(delta.dirty()),
+                    delta.from_sites,
+                )
+            }
+        };
+        taxonomy.total = sites as u64;
+        let wanted = |i: usize| dirty.as_ref().is_none_or(|d| d[i]);
 
-        let mut builder = prev.delta_state.builder.clone();
-        builder.grow(store.sites);
-        let mut causes = prev.delta_state.causes.clone();
-        causes.resize(store.sites, [None; 3]);
-        let mut taxonomy = prev.taxonomy.clone();
-        taxonomy.total = store.sites as u64;
-        let dirty = delta.dirty();
-
-        let k = store.chunk_sites;
         for c in 0..store.num_chunks() {
-            let lo = c * k;
+            let lo = c * store.chunk_sites;
             let rows = store.chunk_rows(c);
-            if !dirty[lo..lo + rows].iter().any(|&d| d) {
+            if !(lo..lo + rows).any(wanted) {
                 continue;
             }
             let chunk = store.read_chunk(c)?;
-            // Refolds the whole chunk; clean rows overwrite their own
-            // labels (folds are idempotent), dirty rows take new ones.
+            // Folds the whole chunk; clean rows overwrite their own labels
+            // (folds are idempotent), dirty rows take new ones.
             builder.fold_chunk(&chunk, &world);
             for r in 0..rows {
                 let i = lo + r;
-                if !dirty[i] {
+                if !wanted(i) {
                     continue;
                 }
-                if i < delta.from_sites {
-                    // Retract the superseded observation's contribution.
+                if i < retract_below {
                     taxonomy.unrecord_site(causes[i]);
                 }
                 causes[i] = chunk.failure_causes(r);
@@ -299,17 +212,13 @@ impl CubeSnapshot {
             }
         }
 
-        let cube = builder.finish(&world, &world.toplists, &world.global_top);
-        let dataset = hollow_dataset(&world, &store.label);
-        let mut trajectory = prev.trajectory.clone();
-        trajectory.push(&AnalysisCtx::with_cube_ref(&world, &dataset, &cube));
+        let cube = builder.finish(&world);
+        trajectory.push(&AnalysisCtx::over_cube(&world, &cube));
         Ok(CubeSnapshot {
             epoch,
             world,
-            dataset,
             cube,
             taxonomy,
-            resident: false,
             trajectory,
             delta_state: DeltaState { builder, causes },
         })
@@ -318,7 +227,7 @@ impl CubeSnapshot {
     /// A throwaway analysis context borrowing this snapshot's cube — what
     /// every request handler builds.
     pub fn ctx(&self) -> AnalysisCtx<'_> {
-        AnalysisCtx::with_cube_ref(&self.world, &self.dataset, &self.cube)
+        AnalysisCtx::over_cube(&self.world, &self.cube)
     }
 
     /// Pre-publish invariant checks: every constructor upholds these by
@@ -396,7 +305,7 @@ impl CubeSnapshot {
         // carried state disagree about who owns what.
         for layer in Layer::ALL {
             let lc = self.cube.layer(layer);
-            for (ci, toplist) in self.dataset.toplists.iter().enumerate() {
+            for (ci, toplist) in self.world.toplists.iter().enumerate() {
                 let expected = toplist
                     .iter()
                     .filter(|&&site| {

@@ -7,9 +7,10 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use webdep_pipeline::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
+use webdep_pipeline::{ChunkStoreWriter, FailureCause, LayerError, SiteObservation};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, ServeConfig};
 use webdep_webgen::{World, WorldConfig};
@@ -43,35 +44,45 @@ fn synth_observation(world: &World, i: usize) -> SiteObservation {
     o
 }
 
-fn fixture() -> &'static (Arc<World>, MeasuredDataset) {
-    static FIXTURE: OnceLock<(Arc<World>, MeasuredDataset)> = OnceLock::new();
+fn fixture() -> &'static Arc<World> {
+    static FIXTURE: OnceLock<Arc<World>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let world = Arc::new(World::generate(WorldConfig {
+        Arc::new(World::generate(WorldConfig {
             seed: 7,
             sites_per_country: 12,
             global_pool_size: 60,
             tail_scale: 0.04,
             pool_target: 24,
-        }));
-        let ds = MeasuredDataset {
-            observations: (0..world.sites.len())
-                .map(|i| synth_observation(&world, i))
-                .collect(),
-            toplists: world.toplists.clone(),
-            global_top: world.global_top.clone(),
-            label: world.label.clone(),
-        };
-        (world, ds)
+        }))
     })
 }
 
+/// The served fixture: the synthetic observations written to a fresh
+/// chunk store and folded by `from_store`.
 fn fixture_snapshot(epoch: u64) -> Arc<CubeSnapshot> {
-    let (world, ds) = fixture();
-    Arc::new(CubeSnapshot::from_dataset(
-        epoch,
-        Arc::clone(world),
-        ds.clone(),
-    ))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let world = fixture();
+    let dir = std::env::temp_dir().join(format!(
+        "webdep-metrics-fixture-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_synth_store(world, &dir, 1024);
+    let snap = CubeSnapshot::from_store(epoch, Arc::clone(world), &dir).expect("from_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    Arc::new(snap)
+}
+
+fn write_synth_store(world: &World, dir: &std::path::Path, chunk_sites: usize) {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut writer = ChunkStoreWriter::create(dir, &world.label, world.sites.len(), chunk_sites)
+        .expect("create");
+    for i in 0..world.sites.len() {
+        writer
+            .commit(i, &synth_observation(world, i))
+            .expect("commit");
+    }
+    writer.finish().expect("finish");
 }
 
 // ------------------------------------------------------------ http client

@@ -6,14 +6,13 @@
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use webdep_pipeline::{
-    ChunkStoreWriter, FailureCause, LayerError, MeasuredDataset, SiteObservation,
-};
+use webdep_pipeline::{ChunkStoreWriter, FailureCause, LayerError, SiteObservation};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, OverloadConfig, ServeConfig};
-use webdep_webgen::{World, WorldConfig};
+use webdep_webgen::{EvolutionPlan, World, WorldConfig};
 
 // ---------------------------------------------------------------- fixture
 
@@ -64,39 +63,33 @@ fn synth_observation(world: &World, i: usize) -> SiteObservation {
     o
 }
 
-fn synth_dataset(world: &World) -> MeasuredDataset {
-    MeasuredDataset {
-        observations: (0..world.sites.len())
-            .map(|i| synth_observation(world, i))
-            .collect(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
-        label: world.label.clone(),
-    }
-}
-
-fn fixture() -> &'static (Arc<World>, MeasuredDataset) {
-    static FIXTURE: OnceLock<(Arc<World>, MeasuredDataset)> = OnceLock::new();
+fn fixture() -> &'static Arc<World> {
+    static FIXTURE: OnceLock<Arc<World>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let world = Arc::new(World::generate(WorldConfig {
+        Arc::new(World::generate(WorldConfig {
             seed: 42,
             sites_per_country: 40,
             global_pool_size: 120,
             tail_scale: 0.04,
             pool_target: 40,
-        }));
-        let ds = synth_dataset(&world);
-        (world, ds)
+        }))
     })
 }
 
+/// The served fixture: the synthetic observations written to a fresh
+/// chunk store and folded by `from_store`.
 fn fixture_snapshot(epoch: u64) -> Arc<CubeSnapshot> {
-    let (world, ds) = fixture();
-    Arc::new(CubeSnapshot::from_dataset(
-        epoch,
-        Arc::clone(world),
-        ds.clone(),
-    ))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let world = fixture();
+    let dir = std::env::temp_dir().join(format!(
+        "webdep-overload-fixture-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_synth_store(world, &dir, 1024);
+    let snap = CubeSnapshot::from_store(epoch, Arc::clone(world), &dir).expect("from_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    Arc::new(snap)
 }
 
 fn write_synth_store(world: &World, dir: &std::path::Path, chunk_sites: usize) {
@@ -370,20 +363,26 @@ fn route_deadline_aborts_instead_of_wedging() {
 /// rolling forward.
 #[test]
 fn validation_rejects_poisoned_snapshots_and_keeps_serving() {
-    let (world, ds) = fixture();
+    let world = fixture();
     let tmp = std::env::temp_dir().join(format!("webdep-overload-val-{}", std::process::id()));
     write_synth_store(world, &tmp, 64);
 
-    // Every honest constructor validates standalone.
-    let snap1 = fixture_snapshot(1);
-    snap1.validate(None, None).expect("from_dataset validates");
-    CubeSnapshot::from_observations(1, Arc::clone(world), &world.label, &ds.observations)
-        .validate(None, None)
-        .expect("from_observations validates");
-    CubeSnapshot::from_store(1, Arc::clone(world), &tmp)
-        .expect("from_store")
-        .validate(None, None)
-        .expect("from_store validates");
+    // Every honest constructor validates.
+    let snap1 = Arc::new(CubeSnapshot::from_store(1, Arc::clone(world), &tmp).expect("from_store"));
+    snap1.validate(None, None).expect("from_store validates");
+    CubeSnapshot::from_store_extending(2, Arc::clone(world), &tmp, &snap1)
+        .expect("from_store_extending")
+        .validate(Some(&snap1), None)
+        .expect("from_store_extending validates");
+    let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
+    let evolved = Arc::new(evolved);
+    let evolved_store = tmp.with_extension("evolved");
+    write_synth_store(&evolved, &evolved_store, 64);
+    CubeSnapshot::from_delta(2, evolved, &snap1, &delta, &evolved_store)
+        .expect("from_delta")
+        .validate(Some(&snap1), Some(&delta))
+        .expect("from_delta validates");
+    std::fs::remove_dir_all(&evolved_store).ok();
 
     let handle = start(ServeConfig::default(), Arc::clone(&snap1)).expect("start");
     let addr = handle.addr();

@@ -5,7 +5,7 @@
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use webdep_analysis::insularity::{country_insularity, dependence_shares};
@@ -73,8 +73,6 @@ fn synth_dataset(world: &World) -> MeasuredDataset {
         observations: (0..world.sites.len())
             .map(|i| synth_observation(world, i))
             .collect(),
-        toplists: world.toplists.clone(),
-        global_top: world.global_top.clone(),
         label: world.label.clone(),
     }
 }
@@ -94,13 +92,21 @@ fn fixture() -> &'static (Arc<World>, MeasuredDataset) {
     })
 }
 
+/// The served fixture: the synthetic observations written to a fresh
+/// chunk store and folded by `from_store`, the one way serving state is
+/// built. Every served ≡ one-shot assertion below runs against it.
 fn fixture_snapshot(epoch: u64) -> Arc<CubeSnapshot> {
-    let (world, ds) = fixture();
-    Arc::new(CubeSnapshot::from_dataset(
-        epoch,
-        Arc::clone(world),
-        ds.clone(),
-    ))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let (world, _) = fixture();
+    let dir = std::env::temp_dir().join(format!(
+        "webdep-serve-fixture-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    write_synth_store(world, &dir, 1024);
+    let snap = CubeSnapshot::from_store(epoch, Arc::clone(world), &dir).expect("from_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    Arc::new(snap)
 }
 
 // ------------------------------------------------------------ http client
@@ -327,59 +333,6 @@ fn served_answers_match_one_shot_analysis() {
     handle.shutdown();
 }
 
-/// A snapshot streamed from a chunk store must serve byte-identical
-/// bodies to one built from the resident dataset.
-#[test]
-fn store_backed_snapshot_serves_identical_bodies() {
-    let (world, ds) = fixture();
-    let dir = std::env::temp_dir().join(format!("webdep-serve-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut writer =
-        ChunkStoreWriter::create(&dir, &world.label, world.sites.len(), 1024).expect("create");
-    for (i, obs) in ds.observations.iter().enumerate() {
-        writer.commit(i, obs).expect("commit");
-    }
-    writer.finish().expect("finish");
-
-    let resident = start(ServeConfig::default(), fixture_snapshot(1)).expect("start resident");
-    let streamed =
-        Arc::new(CubeSnapshot::from_store(1, Arc::clone(world), &dir).expect("from_store"));
-    assert!(!streamed.resident);
-    let stream_srv = start(ServeConfig::default(), streamed).expect("start streamed");
-
-    for target in [
-        "/v1/meta",
-        "/v1/score/US?replicates=50&seed=3",
-        "/v1/score/TH?layer=tld&replicates=0",
-        "/v1/shares/DE?layer=dns",
-        "/v1/insularity/FR?layer=hosting",
-        "/v1/top?layer=ca&n=8",
-        "/v1/coverage",
-        "/v1/taxonomy",
-        "/v1/badge/JP",
-    ] {
-        let a = get(resident.addr(), target);
-        let b = get(stream_srv.addr(), target);
-        assert_eq!(a.status, 200, "{target}");
-        assert_eq!(b.status, 200, "{target}");
-        // `resident` differs by design in /v1/meta; everything else must
-        // be byte-identical.
-        if target == "/v1/meta" {
-            assert_eq!(json(&a.body)["sites"], json(&b.body)["sites"]);
-            assert_eq!(
-                json(&a.body)["taxonomy_total"],
-                json(&b.body)["taxonomy_total"]
-            );
-        } else {
-            assert_eq!(a.body, b.body, "{target}");
-        }
-    }
-
-    resident.shutdown();
-    stream_srv.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ------------------------------------------------------------- robustness
 
 #[test]
@@ -537,7 +490,6 @@ fn repeat_queries_hit_the_cache_and_normalize_keys() {
 /// - the old snapshot is dropped once drained (observed via `Weak`).
 #[test]
 fn snapshot_swap_under_load_is_atomic() {
-    let (world, ds) = fixture();
     let handle = Arc::new(
         start(
             ServeConfig {
@@ -604,7 +556,7 @@ fn snapshot_swap_under_load_is_atomic() {
     let weak2: Weak<CubeSnapshot> = Arc::downgrade(&snap2);
     assert_eq!(handle.publish(snap2), 2);
     std::thread::sleep(Duration::from_millis(150));
-    let snap3 = Arc::new(CubeSnapshot::from_dataset(3, Arc::clone(world), ds.clone()));
+    let snap3 = fixture_snapshot(3);
     assert_eq!(handle.publish(snap3), 3);
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);

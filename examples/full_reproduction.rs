@@ -63,7 +63,7 @@ fn main() {
     println!(
         "measured: {} observations, success rate {:.2}% ({:?})",
         ds.observations.len(),
-        100.0 * ds.success_rate(),
+        100.0 * ds.success_rate(&world),
         t2.elapsed()
     );
 

@@ -201,7 +201,7 @@ fn cmd_measure(args: &[String]) {
     let stats = match store.map(Path::new) {
         None => {
             let (ds, stats) = measure_with_stats(&world, &dep, &config);
-            println!("success rate     = {:.4}", ds.success_rate());
+            println!("success rate     = {:.4}", ds.success_rate(&world));
             stats
         }
         Some(dir) => {
@@ -304,10 +304,18 @@ fn cmd_serve(args: &[String]) {
             })
         }
         None => {
+            // Serving state is only ever folded from a chunk store: measure
+            // into a scratch one, fold it, and remove it.
             eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
             let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-            let ds = measure(&world, &dep, &PipelineConfig::default());
-            CubeSnapshot::from_dataset(1, Arc::clone(&world), ds)
+            let dir = std::env::temp_dir().join(format!("webdep-serve-{}", std::process::id()));
+            let built = measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None)
+                .and_then(|_| CubeSnapshot::from_store(1, Arc::clone(&world), &dir));
+            let _ = std::fs::remove_dir_all(&dir);
+            built.unwrap_or_else(|e| {
+                eprintln!("store error: {e}");
+                std::process::exit(1);
+            })
         }
     };
 

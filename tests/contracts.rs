@@ -10,17 +10,25 @@
 //!   propagation over the hosting and DNS features returns equal
 //!   clusterings on one, two and three threads;
 //! * `fsck --repair` heals a corrupt chunk from the run journal to the
-//!   bytes the run wrote.
+//!   bytes the run wrote;
+//! * an epoch measured as a delta equals one measured from scratch: the
+//!   `measure_delta` store is byte-identical to a full `measure_streamed`
+//!   run of the evolved world, and the snapshot `from_delta` builds off it
+//!   equals the one `from_store` folds — the shared fold's two modes.
 
 use std::sync::{Arc, OnceLock};
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
-use webdep::pipeline::{measure, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig};
+use webdep::pipeline::{
+    measure, measure_delta, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
+};
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep::stats::scale::min_max_scale_columns;
-use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
+use webdep::webgen::{
+    provider_site_counts, DeployConfig, DeployedWorld, EvolutionPlan, Layer, World, WorldConfig,
+};
 
 fn config(workers: usize) -> PipelineConfig {
     PipelineConfig {
@@ -151,4 +159,72 @@ fn fsck_heals_a_corrupt_chunk_from_the_journal() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn delta_epoch_equals_from_scratch() {
+    let (world, _) = fixture();
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!(
+            "webdep-contracts-delta-{name}-{}",
+            std::process::id()
+        ))
+    };
+    let (base, delta_dir, full) = (tmp("base"), tmp("delta"), tmp("full"));
+    // Both epochs deploy against the base epoch's pool census, as the
+    // continuous loop does, so an unchanged site measures identically.
+    let pinned = DeployConfig {
+        pool_sites: Some(Arc::new(provider_site_counts(world))),
+        ..DeployConfig::default()
+    };
+    let dep = DeployedWorld::deploy(world, pinned.clone());
+    measure_streamed(world, &dep, &config(2), &base, None).expect("base epoch");
+    drop(dep);
+
+    let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
+    let dep = DeployedWorld::deploy(&evolved, pinned);
+    measure_delta(&evolved, &dep, &config(2), &delta, &base, &delta_dir, None).expect("delta");
+    measure_streamed(&evolved, &dep, &config(2), &full, None).expect("from scratch");
+    drop(dep);
+
+    let chunks = ChunkStore::open(&full).expect("open").num_chunks();
+    let files: Vec<String> = std::iter::once("manifest.json".to_string())
+        .chain((0..chunks).map(|c| format!("chunk-{c:06}.col")))
+        .collect();
+    for f in &files {
+        assert!(
+            std::fs::read(delta_dir.join(f)).unwrap() == std::fs::read(full.join(f)).unwrap(),
+            "{f} differs between the delta and the from-scratch store"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&delta_dir).unwrap().count(),
+        files.len(),
+        "stray files in the delta store"
+    );
+
+    let world = Arc::new(world.clone());
+    let evolved = Arc::new(evolved);
+    let prev = CubeSnapshot::from_store(1, world, &base).expect("base snapshot");
+    let via_delta = CubeSnapshot::from_delta(2, Arc::clone(&evolved), &prev, &delta, &delta_dir)
+        .expect("from_delta");
+    let via_store = CubeSnapshot::from_store(2, evolved, &delta_dir).expect("from_store");
+    for dir in [&base, &delta_dir, &full] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    assert_eq!(via_delta.taxonomy, via_store.taxonomy);
+    // Debug renders every f64 in its shortest round-trip form, so equal
+    // renderings mean bit-equal values.
+    let (a, b) = (via_delta.ctx(), via_store.ctx());
+    for layer in Layer::ALL {
+        assert_eq!(
+            format!("{:?}", layer_table(&a, layer)),
+            format!("{:?}", layer_table(&b, layer)),
+            "{layer:?} layer table differs between from_delta and from_store"
+        );
+    }
+    via_delta
+        .validate(Some(&prev), Some(&delta))
+        .expect("the delta-built snapshot validates");
 }
