@@ -54,6 +54,25 @@ if [[ "$report" != *'"intact":true'* ]]; then
     exit 1
 fi
 
+# Cross-process store identity: the determinism contract holds between
+# processes, not only within one deployed world. Two `measure tiny --store`
+# runs must write the same chunk files and manifest, byte for byte.
+echo "==> cross-process store identity: measure tiny --store, twice"
+for run in a b; do
+    ./target/release/webdep measure tiny --store "$ckpt/$run" >/dev/null
+done
+if [[ "$(ls "$ckpt/a")" != "$(ls "$ckpt/b")" ]]; then
+    echo "ci: two measure runs wrote different store files" >&2
+    exit 1
+fi
+for f in "$ckpt"/a/*; do
+    cmp "$f" "$ckpt/b/$(basename "$f")" || {
+        echo "ci: $(basename "$f") differs between two measure processes" >&2
+        exit 1
+    }
+done
+echo "    $(ls "$ckpt/a" | wc -l) files identical"
+
 # The CLI's own serve path, without --store: `webdep serve` measures into
 # a scratch chunk store and folds the snapshot from it. Start it on an
 # ephemeral port, read the bound address off its "listening on" line,

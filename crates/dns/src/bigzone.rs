@@ -73,30 +73,37 @@ impl DelegationTable {
 
     /// Answers a query: a referral for names at or below a registered
     /// domain, NXDOMAIN for unregistered names in-zone, ServFail otherwise.
-    pub fn respond(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
+    /// The response reuses the query's question section.
+    pub fn respond(&self, query: Message) -> Message {
         let Some(q) = query.questions.first() else {
+            let mut resp = query.into_response();
             resp.rcode = Rcode::FormErr;
             return resp;
         };
         if !q.name.is_within(&self.origin) {
+            let mut resp = query.into_response();
             resp.rcode = Rcode::ServFail;
             return resp;
         }
         if q.name == self.origin {
             // Queries for the TLD apex itself: NoData (we keep apex NS out
             // of scope; the root's glue is what matters).
+            let mut resp = query.into_response();
             resp.authoritative = true;
             return resp;
         }
-        // The registered domain is the child truncated to origin + 1 labels.
+        // The registered domain is the child truncated to origin + 1 labels:
+        // a suffix of the queried name, looked up borrowed.
         let extra = q.name.num_labels() - self.origin.num_labels();
-        let mut registered = q.name.clone();
-        for _ in 1..extra {
-            registered = registered.parent().expect("has labels");
-        }
-        match self.children.get(&registered) {
-            Some(d) => {
+        let registered = q
+            .name
+            .suffixes()
+            .nth(extra - 1)
+            .expect("in zone, below the apex");
+        let found = self.children.get_key_value(registered);
+        let mut resp = query.into_response();
+        match found {
+            Some((registered, d)) => {
                 resp.authorities =
                     d.ns.iter()
                         .map(|ns| Record {
@@ -242,7 +249,7 @@ mod tests {
     fn referral_for_registered_domain() {
         let t = registry();
         let q = Message::query(1, n("example.com"), RecordType::A);
-        let r = t.respond(&q);
+        let r = t.respond(q);
         assert_eq!(r.rcode, Rcode::NoError);
         assert_eq!(r.authorities.len(), 1);
         assert_eq!(r.additionals.len(), 1);
@@ -253,7 +260,7 @@ mod tests {
     fn deep_names_refer_to_registered_parent() {
         let t = registry();
         let q = Message::query(1, n("a.b.example.com"), RecordType::A);
-        let r = t.respond(&q);
+        let r = t.respond(q);
         assert_eq!(r.authorities[0].name, n("example.com"));
     }
 
@@ -261,14 +268,14 @@ mod tests {
     fn unregistered_is_nxdomain() {
         let t = registry();
         let q = Message::query(1, n("missing.com"), RecordType::A);
-        assert_eq!(t.respond(&q).rcode, Rcode::NxDomain);
+        assert_eq!(t.respond(q).rcode, Rcode::NxDomain);
     }
 
     #[test]
     fn out_of_zone_is_servfail() {
         let t = registry();
         let q = Message::query(1, n("example.org"), RecordType::A);
-        assert_eq!(t.respond(&q).rcode, Rcode::ServFail);
+        assert_eq!(t.respond(q).rcode, Rcode::ServFail);
     }
 
     #[test]

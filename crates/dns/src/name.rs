@@ -5,6 +5,7 @@
 //! resolver and wire-codec hot paths, and the compact form makes a clone
 //! one allocation and a hash one pass.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -110,6 +111,17 @@ impl DomainName {
         self.name.is_empty()
     }
 
+    /// The presentation forms of the name and each of its ancestors,
+    /// most specific first, ending with the root's `""` — borrowed, so a
+    /// walk up the tree allocates nothing.
+    pub(crate) fn suffixes(&self) -> impl Iterator<Item = &str> {
+        let name = self.name.as_str();
+        std::iter::once(0)
+            .chain(name.match_indices('.').map(|(i, _)| i + 1))
+            .map(move |i| &name[i..])
+            .chain((!name.is_empty()).then_some(""))
+    }
+
     /// The name's parent (one label removed from the left); `None` at root.
     pub fn parent(&self) -> Option<DomainName> {
         if self.name.is_empty() {
@@ -157,6 +169,23 @@ impl DomainName {
         } else {
             self.name.rsplit('.').next()
         }
+    }
+}
+
+/// Maps keyed by name can be probed with a borrowed suffix of another
+/// name (`&name.as_str()[i..]`), so walking up a name's ancestors
+/// allocates nothing. Sound because the derived `Hash`, `Eq` and `Ord`
+/// see only the one `String` field, exactly as `str` does.
+impl Borrow<str> for DomainName {
+    fn borrow(&self) -> &str {
+        &self.name
+    }
+}
+
+/// The presentation form, without copying it.
+impl From<DomainName> for String {
+    fn from(name: DomainName) -> String {
+        name.name
     }
 }
 
@@ -231,6 +260,13 @@ mod tests {
         let a = DomainName::parse("example.com").unwrap();
         let b = DomainName::parse("ample.com").unwrap();
         assert!(!a.is_within(&b));
+    }
+
+    #[test]
+    fn suffixes_walk_up_to_the_root() {
+        let n = DomainName::parse("a.b.c").unwrap();
+        assert_eq!(n.suffixes().collect::<Vec<_>>(), ["a.b.c", "b.c", "c", ""]);
+        assert_eq!(DomainName::root().suffixes().collect::<Vec<_>>(), [""]);
     }
 
     #[test]

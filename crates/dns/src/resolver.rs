@@ -7,8 +7,8 @@
 //! caches delegations so bulk resolution does not hammer the root.
 
 use crate::name::DomainName;
-use crate::shared_cache::SharedDnsCache;
-use crate::wire::{decode, encode, Message, Rcode, RecordData, RecordType};
+use crate::shared_cache::{AnswerRows, SharedDnsCache};
+use crate::wire::{decode, encode_query, Message, Rcode, Record, RecordData, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -136,9 +136,8 @@ impl StubResolver {
     ) -> Result<Message, ResolveError> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let msg = Message::query(id, name.clone(), qtype);
         self.queries_sent += 1;
-        match self.endpoint.send(server, encode(&msg)) {
+        match self.endpoint.send(server, encode_query(id, name, qtype)) {
             Ok(()) => {}
             Err(e) => return Err(ResolveError::Network(e)),
         }
@@ -150,9 +149,7 @@ impl StubResolver {
             }
             match self.endpoint.recv_timeout(remaining) {
                 Ok(dgram) => match decode(&dgram.payload) {
-                    Ok(resp)
-                        if resp.is_response && resp.id == id && resp.questions == msg.questions =>
-                    {
+                    Ok(resp) if resp.is_response && resp.id == id && asks(&resp, name, qtype) => {
                         return Ok(resp);
                     }
                     Ok(_) => {
@@ -172,11 +169,15 @@ impl StubResolver {
     }
 }
 
-/// Cached knowledge: nameserver addresses for a zone.
-#[derive(Debug, Clone, Default)]
-struct ZoneServers {
-    addrs: Vec<Ipv4Addr>,
+/// Whether `msg` carries exactly the one question `name`/`qtype`, as the
+/// query this resolver sent did.
+fn asks(msg: &Message, name: &DomainName, qtype: RecordType) -> bool {
+    matches!(msg.questions.as_slice(), [q] if q.name == *name && q.qtype == qtype)
 }
+
+/// A zone's nameserver addresses, shared between both cache tiers and the
+/// resolutions that start from them.
+type ZoneServers = Arc<[Ipv4Addr]>;
 
 /// Lookup accounting: where answers came from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,13 +198,13 @@ pub struct ResolverStats {
 /// layered over a process-wide [`SharedDnsCache`].
 pub struct IterativeResolver {
     stub: StubResolver,
-    roots: Vec<Ipv4Addr>,
+    roots: ZoneServers,
     /// zone apex -> authoritative server addresses.
     zone_cache: HashMap<DomainName, ZoneServers>,
     /// Completed answers by owner name, then record type. Nesting by name
     /// lets the hot lookup path borrow `name` instead of cloning it into a
     /// `(DomainName, RecordType)` probe key.
-    answer_cache: HashMap<DomainName, Vec<(RecordType, Vec<RecordData>)>>,
+    answer_cache: HashMap<DomainName, AnswerRows>,
     /// Shared cache tier consulted between the private cache and the wire.
     shared: Option<Arc<SharedDnsCache>>,
     /// Consecutive fully-failed passes per server. A server at
@@ -215,9 +216,20 @@ pub struct IterativeResolver {
     /// installed by the outermost [`IterativeResolver::resolve`] call
     /// (recursive re-entries for CNAMEs and glueless NS names share it).
     budget_deadline: Option<std::time::Instant>,
+    /// [`IterativeResolver::query_any`]'s per-server bookkeeping, kept
+    /// between calls so a query allocates none.
+    query_state: Vec<(Ipv4Addr, u8)>,
     local_cache_hits: u64,
     shared_cache_hits: u64,
 }
+
+// Per-server flags of one `query_any` call.
+/// Not demoted: granted the full backoff schedule.
+const LIVE: u8 = 1;
+const TRIED: u8 = 2;
+const ANSWERED: u8 = 4;
+/// Unbound: no point re-sending within this call.
+const UNREACHABLE: u8 = 8;
 
 /// Fully-failed `query_any` passes before a server is demoted to a single
 /// trailing probe per query.
@@ -237,12 +249,13 @@ impl IterativeResolver {
         assert!(!roots.is_empty(), "need at least one root hint");
         IterativeResolver {
             stub: StubResolver::new(endpoint, config),
-            roots,
+            roots: roots.into(),
             zone_cache: HashMap::new(),
             answer_cache: HashMap::new(),
             shared: None,
             server_strikes: HashMap::new(),
             budget_deadline: None,
+            query_state: Vec::new(),
             local_cache_hits: 0,
             shared_cache_hits: 0,
         }
@@ -279,25 +292,38 @@ impl IterativeResolver {
 
     /// Resolves A records for `name`.
     pub fn resolve_a(&mut self, name: &DomainName) -> Result<Vec<Ipv4Addr>, ResolveError> {
-        let data = self.resolve(name, RecordType::A, 0)?;
-        Ok(data
-            .into_iter()
-            .filter_map(|d| match d {
-                RecordData::A(ip) => Some(ip),
-                _ => None,
-            })
-            .collect())
+        self.resolve_picking(name, RecordType::A, |d| match d {
+            RecordData::A(ip) => Some(*ip),
+            _ => None,
+        })
     }
 
     /// Resolves the NS set of `name` (the nameserver *names*).
     pub fn resolve_ns(&mut self, name: &DomainName) -> Result<Vec<DomainName>, ResolveError> {
-        let data = self.resolve(name, RecordType::Ns, 0)?;
-        Ok(data
-            .into_iter()
-            .filter_map(|d| match d {
-                RecordData::Ns(n) => Some(n),
-                _ => None,
-            })
+        self.resolve_picking(name, RecordType::Ns, |d| match d {
+            RecordData::Ns(n) => Some(n.clone()),
+            _ => None,
+        })
+    }
+
+    /// [`IterativeResolver::resolve`], keeping what `pick` extracts. A
+    /// private-cache hit is picked straight out of the cache rather than
+    /// through a cloned record set.
+    fn resolve_picking<T>(
+        &mut self,
+        name: &DomainName,
+        qtype: RecordType,
+        pick: impl Fn(&RecordData) -> Option<T>,
+    ) -> Result<Vec<T>, ResolveError> {
+        if let Some(hit) = self.lookup_local(name, qtype) {
+            let picked = hit.iter().filter_map(pick).collect();
+            self.local_cache_hits += 1;
+            return Ok(picked);
+        }
+        Ok(self
+            .resolve(name, qtype, 0)?
+            .iter()
+            .filter_map(pick)
             .collect())
     }
 
@@ -343,8 +369,9 @@ impl IterativeResolver {
         if cname_depth > self.stub.config.max_cnames {
             return Err(ResolveError::DepthExceeded);
         }
-        // Private cache first: borrowed-key lookup, no allocation on hits.
+        // Private cache first: borrowed-key lookup.
         if let Some(hit) = self.lookup_local(name, qtype) {
+            let hit = hit.to_vec();
             self.local_cache_hits += 1;
             return Ok(hit);
         }
@@ -352,7 +379,7 @@ impl IterativeResolver {
         if let Some(shared) = &self.shared {
             if let Some(hit) = shared.get_answer(name, qtype) {
                 self.shared_cache_hits += 1;
-                self.insert_local(name.clone(), qtype, hit.clone());
+                self.insert_local(name, qtype, hit.clone());
                 return Ok(hit);
             }
         }
@@ -380,7 +407,7 @@ impl IterativeResolver {
                     // rotate onto their addresses.
                     match self.next_alternative(&mut pending_ns, depth) {
                         Some(addrs) => {
-                            servers = addrs;
+                            servers = addrs.into();
                             continue;
                         }
                         None => return Err(e),
@@ -393,36 +420,37 @@ impl IterativeResolver {
                 _ => return Err(ResolveError::ServFail),
             }
             if !resp.answers.is_empty() {
-                // Split CNAMEs from terminal data.
+                // Split CNAMEs from terminal data; the response is ours, so
+                // its records move rather than clone.
                 let mut terminal: Vec<RecordData> = Vec::new();
                 let mut last_cname: Option<DomainName> = None;
-                for r in &resp.answers {
-                    match &r.data {
-                        RecordData::Cname(t) => last_cname = Some(t.clone()),
-                        d if d.record_type() == qtype => terminal.push(d.clone()),
+                for r in resp.answers {
+                    match r.data {
+                        RecordData::Cname(t) => last_cname = Some(t),
+                        d if d.record_type() == qtype => terminal.push(d),
                         _ => {}
                     }
                 }
                 if terminal.is_empty() {
                     if let Some(target) = last_cname {
                         let resolved = self.resolve(&target, qtype, cname_depth + 1)?;
-                        self.cache_answer(name.clone(), qtype, resolved.clone());
+                        self.cache_answer(name, qtype, resolved.clone());
                         return Ok(resolved);
                     }
                     return Err(ResolveError::NoData(name.clone()));
                 }
-                self.cache_answer(name.clone(), qtype, terminal.clone());
+                self.cache_answer(name, qtype, terminal.clone());
                 return Ok(terminal);
             }
-            // Referral?
-            let ns_names: Vec<DomainName> = resp
-                .authorities
-                .iter()
-                .filter_map(|r| match &r.data {
-                    RecordData::Ns(n) => Some(n.clone()),
-                    _ => None,
-                })
-                .collect();
+            // Referral? The zone is the first authority record's owner.
+            let mut zone: Option<DomainName> = None;
+            let mut ns_names: Vec<DomainName> = Vec::with_capacity(resp.authorities.len());
+            for r in resp.authorities {
+                if let RecordData::Ns(n) = r.data {
+                    ns_names.push(n);
+                }
+                zone.get_or_insert(r.name);
+            }
             if ns_names.is_empty() {
                 if resp.authoritative {
                     // Authoritative empty answer: NoData.
@@ -430,11 +458,7 @@ impl IterativeResolver {
                 }
                 return Err(ResolveError::ServFail);
             }
-            let zone = resp
-                .authorities
-                .first()
-                .map(|r| r.name.clone())
-                .expect("authorities non-empty");
+            let zone = zone.expect("authorities non-empty");
             let mut glue: Vec<Ipv4Addr> = resp
                 .additionals
                 .iter()
@@ -469,16 +493,12 @@ impl IterativeResolver {
                 return Err(ResolveError::ServFail);
             }
             pending_ns = reserve;
-            self.cache_referral_data(&zone, &ns_names, &resp);
+            self.cache_referral_data(&zone, &ns_names, &resp.additionals);
+            let glue = ZoneServers::from(glue);
             if let Some(shared) = &self.shared {
-                shared.put_zone(zone.clone(), glue.clone());
+                shared.put_zone(zone.clone(), Arc::clone(&glue));
             }
-            self.zone_cache.insert(
-                zone,
-                ZoneServers {
-                    addrs: glue.clone(),
-                },
-            );
+            self.zone_cache.insert(zone, Arc::clone(&glue));
             servers = glue;
         }
     }
@@ -489,12 +509,16 @@ impl IterativeResolver {
     /// worlds publish delegation and apex data from one source), so this
     /// spares one wire round trip per `resolve_ns` and per glued NS
     /// address lookup.
-    fn cache_referral_data(&mut self, zone: &DomainName, ns_names: &[DomainName], resp: &Message) {
+    fn cache_referral_data(
+        &mut self,
+        zone: &DomainName,
+        ns_names: &[DomainName],
+        additionals: &[Record],
+    ) {
         let ns_data: Vec<RecordData> = ns_names.iter().cloned().map(RecordData::Ns).collect();
-        self.cache_answer(zone.clone(), RecordType::Ns, ns_data);
+        self.cache_answer(zone, RecordType::Ns, ns_data);
         for ns in ns_names {
-            let addrs: Vec<RecordData> = resp
-                .additionals
+            let addrs: Vec<RecordData> = additionals
                 .iter()
                 .filter(|r| &r.name == ns)
                 .filter_map(|r| match r.data {
@@ -503,32 +527,24 @@ impl IterativeResolver {
                 })
                 .collect();
             if !addrs.is_empty() {
-                self.cache_answer(ns.clone(), RecordType::A, addrs);
+                self.cache_answer(ns, RecordType::A, addrs);
             }
         }
     }
 
     /// Borrowed-key private-cache lookup.
-    fn lookup_local(&self, name: &DomainName, qtype: RecordType) -> Option<Vec<RecordData>> {
-        self.answer_cache
-            .get(name)?
-            .iter()
-            .find(|(t, _)| *t == qtype)
-            .map(|(_, data)| data.clone())
+    fn lookup_local(&self, name: &DomainName, qtype: RecordType) -> Option<&[RecordData]> {
+        self.answer_cache.get(name)?.get(qtype)
     }
 
-    fn insert_local(&mut self, name: DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        let rows = self.answer_cache.entry(name).or_default();
-        match rows.iter_mut().find(|(t, _)| *t == qtype) {
-            Some(row) => row.1 = data,
-            None => rows.push((qtype, data)),
-        }
+    fn insert_local(&mut self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
+        AnswerRows::put(&mut self.answer_cache, name, qtype, data);
     }
 
     /// Writes a completed answer through to both cache tiers.
-    fn cache_answer(&mut self, name: DomainName, qtype: RecordType, data: Vec<RecordData>) {
+    fn cache_answer(&mut self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
         if let Some(shared) = &self.shared {
-            shared.put_answer(name.clone(), qtype, data.clone());
+            shared.put_answer(name, qtype, data.clone());
         }
         self.insert_local(name, qtype, data);
     }
@@ -547,27 +563,21 @@ impl IterativeResolver {
 
     /// Deepest known enclosing zone's servers: private cache, then the
     /// shared tier (promoting hits), then the root hints.
-    fn starting_servers(&mut self, name: &DomainName) -> Vec<Ipv4Addr> {
-        let mut current = Some(name.clone());
-        while let Some(n) = current {
-            if let Some(zs) = self.zone_cache.get(&n) {
-                return zs.addrs.clone();
+    fn starting_servers(&mut self, name: &DomainName) -> ZoneServers {
+        for zone in name.suffixes() {
+            if let Some(addrs) = self.zone_cache.get(zone) {
+                return Arc::clone(addrs);
             }
             if let Some(shared) = &self.shared {
-                if let Some(addrs) = shared.get_zone(&n) {
+                if let Some(addrs) = shared.get_zone(zone) {
                     self.shared_cache_hits += 1;
-                    self.zone_cache.insert(
-                        n,
-                        ZoneServers {
-                            addrs: addrs.clone(),
-                        },
-                    );
+                    let zone = DomainName::parse(zone).expect("a name's suffixes are names");
+                    self.zone_cache.insert(zone, Arc::clone(&addrs));
                     return addrs;
                 }
             }
-            current = n.parent();
         }
-        self.roots.clone()
+        Arc::clone(&self.roots)
     }
 
     /// Resolves names from `pending` until one yields addresses; used to
@@ -607,33 +617,39 @@ impl IterativeResolver {
         name: &DomainName,
         qtype: RecordType,
     ) -> Result<Message, ResolveError> {
-        let (live, demoted): (Vec<Ipv4Addr>, Vec<Ipv4Addr>) =
-            servers.iter().copied().partition(|ip| {
-                self.server_strikes
-                    .get(ip)
-                    .is_none_or(|&s| s < DEAD_AFTER_STRIKES)
-            });
+        // One entry per server, live ones first, then demoted ones, each in
+        // the given order. A server listed twice has two entries; `mark`
+        // keeps their flags equal.
+        let mut state = std::mem::take(&mut self.query_state);
+        state.clear();
+        let strikes = &self.server_strikes;
+        let live = |ip: &Ipv4Addr| strikes.get(ip).is_none_or(|&s| s < DEAD_AFTER_STRIKES);
+        state.extend(servers.iter().filter(|ip| live(ip)).map(|&ip| (ip, LIVE)));
+        state.extend(servers.iter().filter(|ip| !live(ip)).map(|&ip| (ip, 0)));
+        let mark = |state: &mut [(Ipv4Addr, u8)], ip: Ipv4Addr, flag: u8| {
+            for e in state.iter_mut().filter(|e| e.0 == ip) {
+                e.1 |= flag;
+            }
+        };
         let base = self.stub.config.timeout;
         let rounds = self.stub.config.retries + 1;
         let mut refused: Option<Message> = None;
         let mut timed_out = false;
         let mut last_net: Option<ResolveError> = None;
-        // Per-call bookkeeping: who was tried, who answered, who is
-        // unreachable (unbound — no point re-sending within this call).
-        let mut tried: Vec<Ipv4Addr> = Vec::new();
-        let mut answered: Vec<Ipv4Addr> = Vec::new();
-        let mut unreachable: Vec<Ipv4Addr> = Vec::new();
         let mut verdict: Option<Message> = None;
 
         'rounds: for round in 0..rounds {
             let timeout = backoff_timeout(base, round);
-            // Demoted servers get exactly one trailing probe in round 0.
-            let trailing = if round == 0 { demoted.as_slice() } else { &[] };
-            for &ip in live.iter().chain(trailing) {
-                if unreachable.contains(&ip) || answered.contains(&ip) {
+            for k in 0..state.len() {
+                let (ip, flags) = state[k];
+                // Demoted servers get exactly one trailing probe in round 0.
+                if flags & LIVE == 0 && round > 0 {
                     continue;
                 }
-                let mut attempt_timeout = if demoted.contains(&ip) { base } else { timeout };
+                if flags & (UNREACHABLE | ANSWERED) != 0 {
+                    continue;
+                }
+                let mut attempt_timeout = if flags & LIVE == 0 { base } else { timeout };
                 // The resolution-wide budget trumps the backoff schedule:
                 // clamp this attempt to what's left, and stop cold once
                 // it's spent (a bounded-out zone reports Timeout).
@@ -644,9 +660,7 @@ impl IterativeResolver {
                     }
                     attempt_timeout = attempt_timeout.min(remaining);
                 }
-                if !tried.contains(&ip) {
-                    tried.push(ip);
-                }
+                mark(&mut state, ip, TRIED);
                 match self.stub.query_once(
                     SockAddr::new(ip, crate::DNS_PORT),
                     name,
@@ -654,7 +668,7 @@ impl IterativeResolver {
                     attempt_timeout,
                 ) {
                     Ok(resp) => {
-                        answered.push(ip);
+                        mark(&mut state, ip, ANSWERED);
                         match resp.rcode {
                             Rcode::NoError | Rcode::NxDomain => {
                                 verdict = Some(resp);
@@ -667,7 +681,7 @@ impl IterativeResolver {
                     }
                     Err(ResolveError::Timeout) => timed_out = true,
                     Err(ResolveError::Network(NetError::Unreachable(a))) => {
-                        unreachable.push(ip);
+                        mark(&mut state, ip, UNREACHABLE);
                         last_net = Some(ResolveError::Network(NetError::Unreachable(a)));
                     }
                     Err(e) => {
@@ -678,25 +692,29 @@ impl IterativeResolver {
             }
             // Later rounds only revisit servers that timed out; if none
             // did, there is nothing left worth re-asking.
-            if live
+            if state
                 .iter()
-                .all(|ip| unreachable.contains(ip) || answered.contains(ip))
+                .filter(|e| e.1 & LIVE != 0)
+                .all(|e| e.1 & (UNREACHABLE | ANSWERED) != 0)
             {
                 break;
             }
         }
 
-        // Strike accounting: answering clears a server's record; being
-        // tried without ever answering earns one strike.
-        for &ip in &answered {
-            self.server_strikes.remove(&ip);
-        }
-        for &ip in &tried {
-            if !answered.contains(&ip) {
+        // Strike accounting, once per distinct server: answering clears
+        // its record; being tried without ever answering earns one strike.
+        for (k, &(ip, flags)) in state.iter().enumerate() {
+            if state[..k].iter().any(|e| e.0 == ip) {
+                continue;
+            }
+            if flags & ANSWERED != 0 {
+                self.server_strikes.remove(&ip);
+            } else if flags & TRIED != 0 {
                 let s = self.server_strikes.entry(ip).or_insert(0);
                 *s = s.saturating_add(1);
             }
         }
+        self.query_state = state;
 
         if let Some(resp) = verdict {
             return Ok(resp);

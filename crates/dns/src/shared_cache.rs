@@ -19,21 +19,52 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of independent lock stripes. A small power of two well above the
 /// worker counts the pipeline uses keeps the collision probability low.
 pub const NUM_SHARDS: usize = 16;
 
-/// Answers for one name, keyed by record type. Kept as a small association
-/// list: a name rarely has more than two cached record types, and nesting
-/// by name lets lookups borrow the key instead of building `(name, type)`
-/// tuples.
-type AnswerRows = Vec<(RecordType, Vec<RecordData>)>;
+/// Answers for one name, one slot per record type. Nesting by name lets
+/// lookups borrow the key instead of building `(name, type)` tuples, and
+/// the fixed slots need no allocation of their own. Both cache tiers use it.
+#[derive(Debug, Default)]
+pub(crate) struct AnswerRows([Option<Vec<RecordData>>; 3]);
+
+impl AnswerRows {
+    fn slot(qtype: RecordType) -> usize {
+        match qtype {
+            RecordType::A => 0,
+            RecordType::Ns => 1,
+            RecordType::Cname => 2,
+        }
+    }
+
+    /// The cached answer of type `qtype`, if any.
+    pub(crate) fn get(&self, qtype: RecordType) -> Option<&[RecordData]> {
+        self.0[Self::slot(qtype)].as_deref()
+    }
+
+    /// Stores `data` as `name`'s answer of type `qtype` in `map`, cloning
+    /// the name only when it has no answers yet.
+    pub(crate) fn put(
+        map: &mut HashMap<DomainName, AnswerRows>,
+        name: &DomainName,
+        qtype: RecordType,
+        data: Vec<RecordData>,
+    ) {
+        let rows = match map.get_mut(name) {
+            Some(rows) => rows,
+            None => map.entry(name.clone()).or_default(),
+        };
+        rows.0[Self::slot(qtype)] = Some(data);
+    }
+}
 
 #[derive(Default)]
 struct Shard {
     /// zone apex -> authoritative server addresses.
-    zones: RwLock<HashMap<DomainName, Vec<Ipv4Addr>>>,
+    zones: RwLock<HashMap<DomainName, Arc<[Ipv4Addr]>>>,
     /// completed answers by owner name, then record type.
     answers: RwLock<HashMap<DomainName, AnswerRows>>,
 }
@@ -59,7 +90,9 @@ pub struct SharedDnsCache {
     misses: AtomicU64,
 }
 
-fn shard_index(name: &DomainName) -> usize {
+/// The shard of a name, from its presentation form (which hashes as the
+/// `DomainName` does), so a borrowed suffix finds its zone's shard.
+fn shard_index(name: &str) -> usize {
     let mut h = DefaultHasher::new();
     name.hash(&mut h);
     (h.finish() as usize) % NUM_SHARDS
@@ -71,8 +104,9 @@ impl SharedDnsCache {
         Self::default()
     }
 
-    /// Cached authoritative addresses for `zone`, if any.
-    pub fn get_zone(&self, zone: &DomainName) -> Option<Vec<Ipv4Addr>> {
+    /// Cached authoritative addresses for the zone named `zone` (its
+    /// presentation form, `""` for the root), if any.
+    pub fn get_zone(&self, zone: &str) -> Option<Arc<[Ipv4Addr]>> {
         let shard = &self.shards[shard_index(zone)];
         let hit = shard.zones.read().get(zone).cloned();
         self.count(hit.is_some());
@@ -80,33 +114,29 @@ impl SharedDnsCache {
     }
 
     /// Records the authoritative addresses for `zone`.
-    pub fn put_zone(&self, zone: DomainName, addrs: Vec<Ipv4Addr>) {
-        let shard = &self.shards[shard_index(&zone)];
+    pub fn put_zone(&self, zone: DomainName, addrs: Arc<[Ipv4Addr]>) {
+        let shard = &self.shards[shard_index(zone.as_str())];
         shard.zones.write().insert(zone, addrs);
     }
 
     /// Cached answer for `name`/`qtype`, if any.
     pub fn get_answer(&self, name: &DomainName, qtype: RecordType) -> Option<Vec<RecordData>> {
-        let shard = &self.shards[shard_index(name)];
+        let shard = &self.shards[shard_index(name.as_str())];
         let guard = shard.answers.read();
         let hit = guard
             .get(name)
-            .and_then(|rows| rows.iter().find(|(t, _)| *t == qtype))
-            .map(|(_, data)| data.clone());
+            .and_then(|rows| rows.get(qtype))
+            .map(<[RecordData]>::to_vec);
         drop(guard);
         self.count(hit.is_some());
         hit
     }
 
-    /// Records a completed answer for `name`/`qtype`.
-    pub fn put_answer(&self, name: DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        let shard = &self.shards[shard_index(&name)];
-        let mut guard = shard.answers.write();
-        let rows = guard.entry(name).or_default();
-        match rows.iter_mut().find(|(t, _)| *t == qtype) {
-            Some(row) => row.1 = data,
-            None => rows.push((qtype, data)),
-        }
+    /// Records a completed answer for `name`/`qtype`; the name is cloned
+    /// only when it has no row yet.
+    pub fn put_answer(&self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
+        let shard = &self.shards[shard_index(name.as_str())];
+        AnswerRows::put(&mut shard.answers.write(), name, qtype, data);
     }
 
     /// Hit/miss counters accumulated since construction.
@@ -137,11 +167,11 @@ mod tests {
     #[test]
     fn zone_roundtrip() {
         let cache = SharedDnsCache::new();
-        assert_eq!(cache.get_zone(&n("com")), None);
-        cache.put_zone(n("com"), vec![Ipv4Addr::new(192, 5, 6, 30)]);
+        assert_eq!(cache.get_zone("com"), None);
+        cache.put_zone(n("com"), Arc::from([Ipv4Addr::new(192, 5, 6, 30)]));
         assert_eq!(
-            cache.get_zone(&n("com")),
-            Some(vec![Ipv4Addr::new(192, 5, 6, 30)])
+            cache.get_zone("com").as_deref(),
+            Some(&[Ipv4Addr::new(192, 5, 6, 30)][..])
         );
     }
 
@@ -150,12 +180,12 @@ mod tests {
         let cache = SharedDnsCache::new();
         let name = n("example.com");
         cache.put_answer(
-            name.clone(),
+            &name,
             RecordType::A,
             vec![RecordData::A(Ipv4Addr::new(203, 0, 113, 10))],
         );
         cache.put_answer(
-            name.clone(),
+            &name,
             RecordType::Ns,
             vec![RecordData::Ns(n("ns1.example.com"))],
         );
@@ -173,9 +203,9 @@ mod tests {
     #[test]
     fn stats_track_hits_and_misses() {
         let cache = SharedDnsCache::new();
-        let _ = cache.get_zone(&n("org")); // miss
-        cache.put_zone(n("org"), vec![Ipv4Addr::new(199, 19, 56, 1)]);
-        let _ = cache.get_zone(&n("org")); // hit
+        let _ = cache.get_zone("org"); // miss
+        cache.put_zone(n("org"), Arc::from([Ipv4Addr::new(199, 19, 56, 1)]));
+        let _ = cache.get_zone("org"); // hit
         let _ = cache.get_answer(&n("example.org"), RecordType::A); // miss
         assert_eq!(cache.stats(), SharedCacheStats { hits: 1, misses: 2 });
     }
@@ -190,7 +220,7 @@ mod tests {
                     for i in 0..50u8 {
                         let name = n(&format!("host{}.zone{}.test", i, t));
                         cache.put_answer(
-                            name.clone(),
+                            &name,
                             RecordType::A,
                             vec![RecordData::A(Ipv4Addr::new(10, t, i, 1))],
                         );

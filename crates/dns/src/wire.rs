@@ -4,11 +4,11 @@
 //! additional layout. Encoding compresses repeated names with pointers;
 //! decoding follows pointers with a hop limit to reject loops.
 
-use crate::name::DomainName;
-use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
+use crate::name::{DomainName, MAX_NAME_LEN};
+use bytes::{BufMut, Bytes};
 use std::fmt;
 use std::net::Ipv4Addr;
+use webdep_netsim::build_payload;
 
 /// Record types supported by the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,6 +159,22 @@ impl Message {
         }
     }
 
+    /// The skeleton [`Message::response_to`] builds, taking this query's
+    /// question section instead of cloning it.
+    pub fn into_response(self) -> Self {
+        Message {
+            id: self.id,
+            is_response: true,
+            authoritative: false,
+            recursion_desired: self.recursion_desired,
+            rcode: Rcode::NoError,
+            questions: self.questions,
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+        }
+    }
+
     /// Builds an empty response skeleton echoing `query`'s id and question.
     pub fn response_to(query: &Message) -> Self {
         Message {
@@ -209,12 +225,11 @@ const CLASS_IN: u16 = 1;
 
 /// Encodes a message to wire bytes (with name compression).
 pub fn encode(msg: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(512);
-    // Suffixes are borrowed straight out of the message's names, so
-    // compression bookkeeping allocates nothing.
-    let mut offsets: HashMap<&str, u16> = HashMap::new();
+    build_payload(|buf| encode_into(buf, msg))
+}
 
-    buf.put_u16(msg.id);
+fn encode_into(buf: &mut Vec<u8>, msg: &Message) {
+    let mut offsets = Suffixes::new();
     let mut flags = 0u16;
     if msg.is_response {
         flags |= FLAG_QR;
@@ -226,26 +241,87 @@ pub fn encode(msg: &Message) -> Bytes {
         flags |= FLAG_RD;
     }
     flags |= msg.rcode.code();
-    buf.put_u16(flags);
-    buf.put_u16(msg.questions.len() as u16);
-    buf.put_u16(msg.answers.len() as u16);
-    buf.put_u16(msg.authorities.len() as u16);
-    buf.put_u16(msg.additionals.len() as u16);
-
+    let counts = [
+        msg.questions.len(),
+        msg.answers.len(),
+        msg.authorities.len(),
+        msg.additionals.len(),
+    ];
+    put_header(buf, msg.id, flags, counts);
     for q in &msg.questions {
-        encode_name(&mut buf, &q.name, &mut offsets);
+        encode_name(buf, &q.name, &mut offsets);
         buf.put_u16(q.qtype.code());
         buf.put_u16(CLASS_IN);
     }
     for section in [&msg.answers, &msg.authorities, &msg.additionals] {
         for r in section {
-            encode_record(&mut buf, r, &mut offsets);
+            encode_record(buf, r, &mut offsets);
         }
     }
-    buf.freeze()
 }
 
-fn encode_record<'a>(buf: &mut BytesMut, r: &'a Record, offsets: &mut HashMap<&'a str, u16>) {
+/// Encodes the one-question query [`Message::query`] builds, without
+/// building the message: the same bytes, no name clone and no section
+/// vectors.
+pub(crate) fn encode_query(id: u16, name: &DomainName, qtype: RecordType) -> Bytes {
+    build_payload(|buf| {
+        put_header(buf, id, 0, [1, 0, 0, 0]);
+        // A lone name has no earlier suffix to point at.
+        encode_name(buf, name, &mut Suffixes::new());
+        buf.put_u16(qtype.code());
+        buf.put_u16(CLASS_IN);
+    })
+}
+
+fn put_header(buf: &mut Vec<u8>, id: u16, flags: u16, counts: [usize; 4]) {
+    buf.put_u16(id);
+    buf.put_u16(flags);
+    for c in counts {
+        buf.put_u16(c as u16);
+    }
+}
+
+/// Suffixes already written and their offsets, the compression pointer
+/// targets. A message carries a handful of names, so a linear scan over
+/// borrowed suffixes beats hashing them; the first [`INLINE_SUFFIXES`]
+/// entries live on the stack and only a larger message spills to the heap.
+struct Suffixes<'a> {
+    inline: [(&'a str, u16); INLINE_SUFFIXES],
+    len: usize,
+    spill: Vec<(&'a str, u16)>,
+}
+
+const INLINE_SUFFIXES: usize = 24;
+
+impl<'a> Suffixes<'a> {
+    fn new() -> Self {
+        Suffixes {
+            inline: [("", 0); INLINE_SUFFIXES],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn get(&self, suffix: &str) -> Option<u16> {
+        self.inline[..self.len]
+            .iter()
+            .chain(&self.spill)
+            .find(|(s, _)| *s == suffix)
+            .map(|&(_, off)| off)
+    }
+
+    /// Records a suffix [`Suffixes::get`] did not find.
+    fn push(&mut self, suffix: &'a str, offset: u16) {
+        if self.len < INLINE_SUFFIXES {
+            self.inline[self.len] = (suffix, offset);
+            self.len += 1;
+        } else {
+            self.spill.push((suffix, offset));
+        }
+    }
+}
+
+fn encode_record<'a>(buf: &mut Vec<u8>, r: &'a Record, offsets: &mut Suffixes<'a>) {
     encode_name(buf, &r.name, offsets);
     buf.put_u16(r.data.record_type().code());
     buf.put_u16(CLASS_IN);
@@ -270,20 +346,20 @@ fn encode_record<'a>(buf: &mut BytesMut, r: &'a Record, offsets: &mut HashMap<&'
 
 /// Encodes `name`, emitting a compression pointer at the first suffix that
 /// was already written.
-fn encode_name<'a>(buf: &mut BytesMut, name: &'a DomainName, offsets: &mut HashMap<&'a str, u16>) {
+fn encode_name<'a>(buf: &mut Vec<u8>, name: &'a DomainName, offsets: &mut Suffixes<'a>) {
     let mut rest = name.as_str();
     loop {
         if rest.is_empty() {
             buf.put_u8(0);
             return;
         }
-        if let Some(&off) = offsets.get(rest) {
+        if let Some(off) = offsets.get(rest) {
             buf.put_u16(0xC000 | off);
             return;
         }
         // Record this suffix's offset if it is still pointer-addressable.
         if buf.len() < 0x3FFF {
-            offsets.insert(rest, buf.len() as u16);
+            offsets.push(rest, buf.len() as u16);
         }
         let (label, tail) = rest.split_once('.').unwrap_or((rest, ""));
         buf.put_u8(label.len() as u8);
@@ -302,7 +378,10 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
     let ns = cur.u16()? as usize;
     let ar = cur.u16()? as usize;
 
-    let mut questions = Vec::with_capacity(qd);
+    // Counts come off the wire: size each section by what the remaining
+    // bytes could hold (a question is at least 5 bytes, a record 11).
+    let cap = |count: usize, min_len: usize, cur: &Cursor<'_>| count.min(cur.remaining() / min_len);
+    let mut questions = Vec::with_capacity(cap(qd, 5, &cur));
     for _ in 0..qd {
         let name = decode_name(&mut cur)?;
         let qtype_raw = cur.u16()?;
@@ -311,7 +390,11 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
         let _class = cur.u16()?;
         questions.push(Question { name, qtype });
     }
-    let mut sections = [Vec::with_capacity(an), Vec::new(), Vec::new()];
+    let mut sections = [
+        Vec::with_capacity(cap(an, 11, &cur)),
+        Vec::with_capacity(cap(ns, 11, &cur)),
+        Vec::with_capacity(cap(ar, 11, &cur)),
+    ];
     for (idx, count) in [(0, an), (1, ns), (2, ar)] {
         for _ in 0..count {
             if let Some(r) = decode_record(&mut cur)? {
@@ -357,6 +440,10 @@ impl<'a> Cursor<'a> {
         Ok(hi << 16 | lo)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
     fn slice(&mut self, len: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
         if end > self.bytes.len() {
@@ -369,17 +456,25 @@ impl<'a> Cursor<'a> {
 }
 
 /// Decodes a possibly compressed name starting at the cursor.
+///
+/// The labels are joined into a stack buffer and handed to
+/// [`DomainName::parse`], so the decoder accepts exactly the names `parse`
+/// accepts and a name costs one allocation of its own length. A joined
+/// name longer than the buffer can never parse (`parse` strips at most one
+/// trailing dot), but the walk still runs to the end, so errors are found
+/// in the same order as when the whole name was joined first.
 fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
-    let mut name = String::new();
+    let mut buf = [0u8; MAX_NAME_LEN + 1];
+    let mut len = 0;
     let mut pos = cur.pos;
     let mut jumped = false;
     let mut hops = 0;
     loop {
-        let len = *cur.bytes.get(pos).ok_or(WireError::Truncated)? as usize;
-        if len & 0xC0 == 0xC0 {
+        let label_len = *cur.bytes.get(pos).ok_or(WireError::Truncated)? as usize;
+        if label_len & 0xC0 == 0xC0 {
             // Compression pointer.
             let lo = *cur.bytes.get(pos + 1).ok_or(WireError::Truncated)? as usize;
-            let target = ((len & 0x3F) << 8) | lo;
+            let target = ((label_len & 0x3F) << 8) | lo;
             if !jumped {
                 cur.pos = pos + 2;
                 jumped = true;
@@ -395,26 +490,31 @@ fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
             pos = target;
             continue;
         }
-        if len == 0 {
+        if label_len == 0 {
             if !jumped {
                 cur.pos = pos + 1;
             }
             break;
         }
         let start = pos + 1;
-        let end = start + len;
+        let end = start + label_len;
         let raw = cur.bytes.get(start..end).ok_or(WireError::Truncated)?;
-        let label = std::str::from_utf8(raw).map_err(|_| WireError::BadName)?;
-        if !name.is_empty() {
-            name.push('.');
+        std::str::from_utf8(raw).map_err(|_| WireError::BadName)?;
+        let sep = usize::from(len > 0);
+        let joined = len + sep + raw.len();
+        if joined <= buf.len() {
+            if sep == 1 {
+                buf[len] = b'.';
+            }
+            buf[len + sep..joined].copy_from_slice(raw);
         }
-        name.push_str(label);
+        len = joined;
         pos = end;
     }
-    if name.is_empty() {
-        return Ok(DomainName::root());
-    }
-    DomainName::parse(&name).map_err(|_| WireError::BadName)
+    let joined = buf.get(..len).ok_or(WireError::BadName)?;
+    // UTF-8 labels joined by dots are UTF-8.
+    let text = std::str::from_utf8(joined).map_err(|_| WireError::BadName)?;
+    DomainName::parse(text).map_err(|_| WireError::BadName)
 }
 
 /// Decodes one record; returns `None` for unknown types (skipped), matching
@@ -462,6 +562,7 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<Option<Record>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -531,6 +632,20 @@ mod tests {
             data: RecordData::Cname(name("canonical.example.com")),
         });
         assert_eq!(roundtrip(&r), r);
+    }
+
+    #[test]
+    fn encode_query_writes_what_encode_writes() {
+        for (n, t) in [
+            (name("www.Example.com"), RecordType::A),
+            (name("example.com"), RecordType::Ns),
+            (DomainName::root(), RecordType::Ns),
+        ] {
+            assert_eq!(
+                encode_query(77, &n, t),
+                encode(&Message::query(77, n.clone(), t))
+            );
+        }
     }
 
     #[test]

@@ -63,7 +63,56 @@ fn arb_message() -> impl Strategy<Value = Message> {
         )
 }
 
+/// One raw wire label: a valid one (mixed case), one with an embedded
+/// `.`, an empty one, one of 64 or more bytes (with and without a `.`
+/// that splits it into valid labels), one with a character outside
+/// `[A-Za-z0-9_-]`, or arbitrary bytes (usually not UTF-8).
+fn arb_raw_label() -> impl Strategy<Value = Vec<u8>> {
+    let re = |p: &str| proptest::string::string_regex(p).expect("valid regex");
+    prop_oneof![
+        re("[a-zA-Z0-9_-]{1,12}").prop_map(String::into_bytes),
+        re("[a-z]{0,3}\\.[a-zA-Z]{0,3}").prop_map(String::into_bytes),
+        Just(Vec::new()),
+        re("[a-z]{64,70}").prop_map(String::into_bytes),
+        re("[a-z]{30,60}\\.[a-z]{30,60}").prop_map(String::into_bytes),
+        re("[a-z]{0,3}[ *.~]{1,2}").prop_map(String::into_bytes),
+        prop::collection::vec(any::<u8>(), 1..6),
+    ]
+}
+
+/// A question-only message whose name is `labels` written raw. A label's
+/// length byte of 0 is the name terminator, so the name ends at the first
+/// empty label; the returned labels are the ones the wire name carries.
+fn raw_question(labels: &[Vec<u8>]) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let carried: Vec<Vec<u8>> = labels
+        .iter()
+        .take_while(|l| !l.is_empty())
+        .cloned()
+        .collect();
+    let mut bytes = vec![0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+    for l in &carried {
+        bytes.push(l.len() as u8);
+        bytes.extend_from_slice(l);
+    }
+    bytes.extend_from_slice(&[0, 0, 1, 0, 1]);
+    (bytes, carried)
+}
+
 proptest! {
+    /// The decoder accepts a wire name iff `DomainName::parse` accepts its
+    /// dot-joined labels, and yields the same name.
+    #[test]
+    fn decoded_names_match_parse(labels in prop::collection::vec(arb_raw_label(), 0..6)) {
+        let (bytes, carried) = raw_question(&labels);
+        let joined = carried.join(&b'.');
+        let parsed = std::str::from_utf8(&joined).ok().and_then(|s| DomainName::parse(s).ok());
+        match (decode(&bytes), parsed) {
+            (Ok(msg), Some(want)) => prop_assert_eq!(&msg.questions[0].name, &want),
+            (Err(_), None) => {}
+            (got, want) => prop_assert!(false, "{:?}: decode {:?}, parse {:?}", joined, got, want),
+        }
+    }
+
     /// encode → decode is the identity on arbitrary valid messages,
     /// including heavy name repetition (compression pointers).
     #[test]
@@ -99,5 +148,87 @@ proptest! {
             mutated[pos] ^= 1 << bit;
             let _ = decode(&mutated);
         }
+    }
+}
+
+fn name(s: &str) -> DomainName {
+    DomainName::parse(s).expect("valid test name")
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A query for `www.example.com A`.
+fn vector_query() -> Message {
+    Message::query(0x1234, name("www.example.com"), RecordType::A)
+}
+
+/// A registry referral with two nameservers and their glue.
+fn vector_referral() -> Message {
+    let mut r = Message::response_to(&Message::query(7, name("www.example.com"), RecordType::A));
+    for ns in ["ns1.prov.net", "ns2.prov.net"] {
+        r.authorities.push(Record {
+            name: name("example.com"),
+            ttl: 3600,
+            data: RecordData::Ns(name(ns)),
+        });
+    }
+    for (ns, ip) in [
+        ("ns1.prov.net", [60, 0, 0, 2]),
+        ("ns2.prov.net", [60, 0, 0, 3]),
+    ] {
+        r.additionals.push(Record {
+            name: name(ns),
+            ttl: 3600,
+            data: RecordData::A(ip.into()),
+        });
+    }
+    r
+}
+
+/// An authoritative CNAME to a CDN edge plus the edge's address.
+fn vector_cname_answer() -> Message {
+    let mut r = Message::response_to(&Message::query(9, name("Shop.Example.com"), RecordType::A));
+    r.authoritative = true;
+    r.answers.push(Record {
+        name: name("shop.example.com"),
+        ttl: 300,
+        data: RecordData::Cname(name("e12.cdn-prov.net")),
+    });
+    r.answers.push(Record {
+        name: name("e12.cdn-prov.net"),
+        ttl: 300,
+        data: RecordData::A([203, 0, 113, 7].into()),
+    });
+    r
+}
+
+/// The encoder's bytes are pinned: compression picks the same pointer
+/// targets, so every datagram of a measurement run keeps its length.
+#[test]
+fn encoder_reproduces_pinned_vectors() {
+    for (msg, want) in [
+        (
+            vector_query(),
+            "12340000000100000000000003777777076578616d706c6503636f6d0000010001",
+        ),
+        (
+            vector_referral(),
+            "00078000000100000002000203777777076578616d706c6503636f6d0000010001\
+             c0100002000100000e10000e036e73310470726f76036e657400c0100002000100000e10\
+             0006036e7332c031c02d0001000100000e1000043c000002c0470001000100000e100004\
+             3c000003",
+        ),
+        (
+            vector_cname_answer(),
+            "0009840000010002000000000473686f70076578616d706c6503636f6d0000010001\
+             c00c000500010000012c0012036531320863646e2d70726f76036e657400c02e000100\
+             010000012c0004cb007107",
+        ),
+    ] {
+        let got = encode(&msg);
+        assert_eq!(hex(&got), want, "{msg:?}");
+        assert_eq!(decode(&got).expect("pinned vector decodes"), msg);
     }
 }

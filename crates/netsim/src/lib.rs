@@ -43,5 +43,5 @@ pub use error::NetError;
 pub use fault::{FaultKind, FaultPlan, FaultedReply};
 pub use latency::LatencyModel;
 pub use network::{Endpoint, NetConfig, NetStats, Network, Region, ResponderFn};
-pub use packet::Datagram;
+pub use packet::{build_payload, Datagram};
 pub use shared::ResponderSet;

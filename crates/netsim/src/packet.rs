@@ -2,6 +2,7 @@
 
 use crate::addr::SockAddr;
 use bytes::Bytes;
+use std::cell::RefCell;
 
 /// A delivered datagram: source, destination, and opaque payload.
 ///
@@ -29,6 +30,31 @@ impl Datagram {
     }
 }
 
+thread_local! {
+    /// The reused buffer [`build_payload`] assembles payloads in.
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Builds a payload: runs `write` over an empty per-thread buffer that is
+/// reused from payload to payload, and copies the result out once, so a
+/// codec's encode costs one allocation — the returned `Bytes` — instead
+/// of a growing buffer plus the copy `freeze` makes.
+pub fn build_payload(write: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            write(&mut buf);
+            Bytes::copy_from_slice(&buf)
+        }
+        // Only a payload built while building another finds it taken.
+        Err(_) => {
+            let mut buf = Vec::new();
+            write(&mut buf);
+            Bytes::from(buf)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,5 +68,16 @@ mod tests {
         };
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn payloads_build_in_a_reused_buffer() {
+        assert_eq!(&build_payload(|b| b.extend_from_slice(b"abc"))[..], b"abc");
+        assert_eq!(&build_payload(|b| b.push(7))[..], [7]);
+        let nested = build_payload(|outer| {
+            outer.extend_from_slice(&build_payload(|inner| inner.push(1)));
+            outer.push(2);
+        });
+        assert_eq!(&nested[..], [1, 2]);
     }
 }

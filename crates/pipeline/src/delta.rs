@@ -111,7 +111,7 @@ pub fn measure_delta(
             let chunk = prev.read_chunk(c)?;
             for r in 0..prev_rows {
                 if !dirty[lo + r] {
-                    store.commit(lo + r, &chunk.observation(r))?;
+                    store.commit_owned(lo + r, chunk.observation(r))?;
                     done[lo + r] = true;
                     rows_recommitted += 1;
                 }

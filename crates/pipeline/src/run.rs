@@ -21,10 +21,19 @@
 //! completed observation to a run journal ([`crate::journal`]) beside its
 //! chunk store, and [`resume_streamed`] continues a crashed run, healing
 //! the store to the bytes of an uninterrupted one.
+//!
+//! The collector lock guards bookkeeping, not I/O on the chunk store: a
+//! worker moves its observation into the sink under the lock, and when
+//! that commit completes a chunk of the streaming sink it comes back out
+//! holding the claim on the chunk (`store::ClaimedChunk`). The
+//! worker encodes, writes and fsyncs the chunk after releasing the lock —
+//! the other workers keep committing meanwhile — and takes the lock again
+//! only to record the write. (Journal appends, one sequential file, still
+//! happen under the lock.)
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use crate::journal::{self, JournalWriter};
-use crate::store::{ChunkStoreWriter, DEFAULT_CHUNK_SITES};
+use crate::store::{ChunkStoreWriter, ClaimedChunk, WrittenChunk, DEFAULT_CHUNK_SITES};
 use crate::supervisor::{
     Batch, ChaosPlan, SupervisionStats, SupervisorConfig, WorkQueue, WorkerSlot,
 };
@@ -164,14 +173,20 @@ struct Collector {
 }
 
 impl Collector {
-    /// Commits one observation if the site is still unclaimed. Duplicate
-    /// commits (a requeued batch re-measuring a site its dead worker had
-    /// already committed is impossible, but a worker declared hung while
-    /// actually alive can race its replacement) are idempotent: first
-    /// write wins, and determinism makes both writes byte-identical.
-    fn commit(&mut self, site: usize, obs: SiteObservation) -> bool {
+    /// Commits one observation if the site is still unclaimed, moving it
+    /// into the sink. Duplicate commits (a requeued batch re-measuring a
+    /// site its dead worker had already committed is impossible, but a
+    /// worker declared hung while actually alive can race its
+    /// replacement) are idempotent: first write wins, and determinism
+    /// makes both writes byte-identical.
+    ///
+    /// Returns whether the site was committed and, when its commit
+    /// completed a chunk of the streaming sink, the claim on that chunk:
+    /// the caller writes it after releasing the collector lock (see
+    /// [`commit_shared`]).
+    fn commit(&mut self, site: usize, obs: SiteObservation) -> (bool, Option<ClaimedChunk>) {
         if self.sink.is_done(site) {
-            return false;
+            return (false, None);
         }
         if let Some(j) = self.journal.as_mut() {
             if let Err(e) = j.append(site, &obs) {
@@ -183,7 +198,10 @@ impl Collector {
             }
         }
         match &mut self.sink {
-            Sink::Resident(slots) => slots[site] = Some(obs),
+            Sink::Resident(slots) => {
+                slots[site] = Some(obs);
+                (true, None)
+            }
             Sink::Streaming {
                 done,
                 store,
@@ -192,15 +210,50 @@ impl Collector {
                 done[site] = true;
                 // Keep measuring past a store error (same policy as the
                 // journal): the run completes, the first error surfaces.
-                if store_error.is_none() {
-                    if let Err(e) = store.commit(site, &obs) {
-                        *store_error = Some(e);
-                    }
+                if store_error.is_some() {
+                    return (true, None);
                 }
+                (true, store.insert(site, obs).1)
             }
         }
-        true
     }
+
+    /// Records the outcome of writing a chunk [`Collector::commit`]
+    /// claimed; a failed write is the run's store error.
+    fn record(&mut self, written: io::Result<WrittenChunk>) {
+        let Sink::Streaming {
+            store, store_error, ..
+        } = &mut self.sink
+        else {
+            unreachable!("only the streaming sink claims chunks")
+        };
+        if let Err(e) = store.record(written) {
+            store_error.get_or_insert(e);
+        }
+    }
+}
+
+fn lock(collector: &Mutex<Collector>) -> std::sync::MutexGuard<'_, Collector> {
+    collector.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Encodes, writes and fsyncs a claimed chunk with the collector lock
+/// released — the chunk's rows left the writer with the claim — and takes
+/// the lock again only to record the outcome.
+fn flush(collector: &Mutex<Collector>, chunk: ClaimedChunk) {
+    let written = chunk.write();
+    lock(collector).record(written);
+}
+
+/// Commits one observation through the shared collector, flushing the
+/// chunk it completes, if any, off the lock. Returns whether the site was
+/// committed.
+fn commit_shared(collector: &Mutex<Collector>, site: usize, obs: SiteObservation) -> bool {
+    let (committed, claimed) = lock(collector).commit(site, obs);
+    if let Some(chunk) = claimed {
+        flush(collector, chunk);
+    }
+    committed
 }
 
 /// Measures every site of `world` against its deployment, returning the
@@ -321,7 +374,7 @@ pub(crate) fn finish_streaming(
                 &site.language,
                 "internal: site never measured",
             );
-            store.commit(i, &obs)?;
+            store.commit_owned(i, obs)?;
         }
     }
     store.finish()?;
@@ -596,7 +649,8 @@ fn fail_batch(
     detail: &str,
 ) -> u64 {
     let mut failed = 0;
-    let mut coll = collector.lock().unwrap_or_else(|e| e.into_inner());
+    let mut claimed = Vec::new();
+    let mut coll = lock(collector);
     for (i, &done) in done_at_start
         .iter()
         .enumerate()
@@ -608,10 +662,16 @@ fn fail_batch(
         }
         let site = &world.sites[i];
         let obs = SiteObservation::internal_failure(&site.domain, &site.language, detail);
-        if coll.commit(i, obs) {
+        let (committed, chunk) = coll.commit(i, obs);
+        if committed {
             completed.fetch_add(1, Ordering::AcqRel);
             failed += 1;
         }
+        claimed.extend(chunk);
+    }
+    drop(coll);
+    for chunk in claimed {
+        flush(collector, chunk);
     }
     failed
 }
@@ -744,11 +804,7 @@ fn worker_main(
                         )
                     }
                 };
-                let committed = collector
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .commit(i, obs);
-                if committed {
+                if commit_shared(collector, i, obs) {
                     completed.fetch_add(1, Ordering::AcqRel);
                 }
             }
@@ -846,7 +902,6 @@ fn measure_one(
     // DNS: NS names -> first NS address -> AS -> org.
     match resolver.resolve_ns(&name) {
         Ok(ns_names) if !ns_names.is_empty() => {
-            obs.ns_names = ns_names.iter().map(|n| n.to_string()).collect();
             let mut resolved = None;
             for ns in &ns_names {
                 match resolver.resolve_a(ns) {
@@ -857,6 +912,7 @@ fn measure_one(
                     _ => continue,
                 }
             }
+            obs.ns_names = ns_names.into_iter().map(String::from).collect();
             if let Some(ip) = resolved {
                 obs.dns_ip = Some(ip);
                 if let Some((&asn, _)) = pfx2as.lookup(ip) {

@@ -31,15 +31,20 @@
 //! checksum u64 (FNV-1a over everything above)
 //! ```
 //!
-//! Strings are interned **per chunk** through [`webdep_core::Interner`], in
-//! row order — site order, not commit order — so the encoded bytes are a
-//! pure function of the chunk's observations. Combined with the pipeline's
-//! determinism contract, the whole store is byte-identical across worker
-//! counts and crash-resume (tested in
-//! `tests/determinism.rs` and `tests/supervision.rs`).
+//! Strings are interned **per chunk**, in row order — site order, not
+//! commit order — so the encoded bytes are a pure function of the chunk's
+//! observations. Combined with the pipeline's determinism contract, the
+//! whole store is byte-identical across worker counts and crash-resume
+//! (tested in `crates/pipeline/tests/determinism.rs` and
+//! `crates/pipeline/tests/supervision.rs`).
 //!
-//! A chunk file is written and fsynced once, when its last site commits;
-//! the checksum turns a torn write into [`ChunkState::Corrupt`], which
+//! A chunk file is written and fsynced once, after its last site commits:
+//! that commit *claims* the chunk (`ChunkStoreWriter::insert` hands back
+//! a `ClaimedChunk`), the claimant encodes and writes it — outside any
+//! lock the writer sits behind — and `ChunkStoreWriter::record` marks it
+//! durable. A late duplicate commit to a claimed chunk is refused, and
+//! [`ChunkStoreWriter::finish`] fails on a claim that was never recorded.
+//! The checksum turns a torn write into [`ChunkState::Corrupt`], which
 //! resume heals by re-encoding the chunk from the run journal — itself a
 //! sequence of one-row chunks in this same codec ([`crate::journal`]).
 //! The writer holds only *partial* chunks in memory (bounded by the
@@ -53,7 +58,6 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
-use webdep_core::Interner;
 
 /// Manifest magic string.
 pub const STORE_MAGIC: &str = "webdep-chunk-store";
@@ -152,89 +156,114 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// LSB-first presence bitmap over the rows.
-    fn bitmap<T, F: Fn(&T) -> bool>(&mut self, rows: &[T], present: F) {
+    /// LSB-first presence bitmap, one bit per row.
+    fn bitmap(&mut self, present: impl Iterator<Item = bool>) {
         let mut byte = 0u8;
-        for (r, row) in rows.iter().enumerate() {
-            if present(row) {
+        let mut r = 0;
+        for p in present {
+            if p {
                 byte |= 1 << (r % 8);
             }
             if r % 8 == 7 {
                 self.u8(byte);
                 byte = 0;
             }
+            r += 1;
         }
-        if !rows.len().is_multiple_of(8) {
+        if r % 8 != 0 {
             self.u8(byte);
         }
     }
 }
 
+// A row's string fields, in the order a chunk interns them (`ns_names`
+// sit between `HOSTING_IP_COUNTRY` and `DNS_ORG_COUNTRY`).
+const DOMAIN: usize = 0;
+const TLD: usize = 1;
+const LANGUAGE: usize = 2;
+const HOSTING_ORG_COUNTRY: usize = 3;
+const HOSTING_IP_COUNTRY: usize = 4;
+const DNS_ORG_COUNTRY: usize = 5;
+const DNS_IP_COUNTRY: usize = 6;
+const CA_OWNER_COUNTRY: usize = 7;
+const HOSTING_ERROR: usize = 8;
+const DNS_ERROR: usize = 9;
+const CA_ERROR: usize = 10;
+const ERROR: usize = 11;
+const STR_FIELDS: usize = 12;
+/// The id of an absent optional string.
+const ABSENT: u32 = u32::MAX;
+
+/// A chunk's string table: ids in first-intern order, keys borrowed from
+/// the rows being encoded.
+#[derive(Default)]
+struct Strings<'a> {
+    ids: HashMap<&'a str, u32>,
+    table: Vec<&'a str>,
+}
+
+impl<'a> Strings<'a> {
+    fn intern(&mut self, s: &'a str) -> u32 {
+        let table = &mut self.table;
+        *self.ids.entry(s).or_insert_with(|| {
+            table.push(s);
+            (table.len() - 1) as u32
+        })
+    }
+
+    fn intern_opt(&mut self, s: Option<&'a str>) -> u32 {
+        s.map_or(ABSENT, |s| self.intern(s))
+    }
+}
+
 /// Encodes one complete chunk (rows in site order) to its file bytes.
 pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
-    // Intern every string in row order; ids are then independent of the
-    // order in which sites committed.
-    let mut strings = Interner::new();
-    for obs in rows {
-        strings.intern(&obs.domain);
-        strings.intern(&obs.tld);
-        strings.intern(&obs.language);
-        for c in [&obs.hosting_org_country, &obs.hosting_ip_country]
-            .into_iter()
-            .flatten()
-        {
-            strings.intern(c);
-        }
-        for n in &obs.ns_names {
-            strings.intern(n);
-        }
-        for c in [
-            &obs.dns_org_country,
-            &obs.dns_ip_country,
-            &obs.ca_owner_country,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            strings.intern(c);
-        }
-        for e in [&obs.hosting_error, &obs.dns_error, &obs.ca_error]
-            .into_iter()
-            .flatten()
-        {
-            strings.intern(&e.detail);
-        }
-        if let Some(e) = &obs.error {
-            strings.intern(e);
-        }
+    // Intern every string in row order, so ids are independent of the
+    // order in which sites committed, and note each field's id on the way.
+    let mut strings = Strings::default();
+    let mut ids = vec![ABSENT; rows.len() * STR_FIELDS];
+    let mut ns_ids = Vec::new();
+    fn detail(e: &Option<LayerError>) -> Option<&str> {
+        e.as_ref().map(|e| e.detail.as_str())
     }
+    for (obs, row) in rows.iter().zip(ids.chunks_exact_mut(STR_FIELDS)) {
+        row[DOMAIN] = strings.intern(&obs.domain);
+        row[TLD] = strings.intern(&obs.tld);
+        row[LANGUAGE] = strings.intern(&obs.language);
+        row[HOSTING_ORG_COUNTRY] = strings.intern_opt(obs.hosting_org_country.as_deref());
+        row[HOSTING_IP_COUNTRY] = strings.intern_opt(obs.hosting_ip_country.as_deref());
+        ns_ids.extend(obs.ns_names.iter().map(|n| strings.intern(n)));
+        row[DNS_ORG_COUNTRY] = strings.intern_opt(obs.dns_org_country.as_deref());
+        row[DNS_IP_COUNTRY] = strings.intern_opt(obs.dns_ip_country.as_deref());
+        row[CA_OWNER_COUNTRY] = strings.intern_opt(obs.ca_owner_country.as_deref());
+        row[HOSTING_ERROR] = strings.intern_opt(detail(&obs.hosting_error));
+        row[DNS_ERROR] = strings.intern_opt(detail(&obs.dns_error));
+        row[CA_ERROR] = strings.intern_opt(detail(&obs.ca_error));
+        row[ERROR] = strings.intern_opt(obs.error.as_deref());
+    }
+    let column = |field: usize| ids.iter().skip(field).step_by(STR_FIELDS).copied();
 
     let mut e = Enc { buf: Vec::new() };
     e.buf.extend_from_slice(&CHUNK_MAGIC);
     e.u32(chunk_index as u32);
     e.u32(lo as u32);
     e.u32(rows.len() as u32);
-    e.u32(strings.len() as u32);
-    for s in strings.iter() {
+    e.u32(strings.table.len() as u32);
+    for s in &strings.table {
         e.u32(s.len() as u32);
         e.buf.extend_from_slice(s.as_bytes());
     }
-    let id = |s: &str| strings.get(s).expect("interned above");
 
-    for obs in rows {
-        e.u32(id(&obs.domain));
-    }
-    for obs in rows {
-        e.u32(id(&obs.tld));
-    }
-    for obs in rows {
-        e.u32(id(&obs.language));
+    for field in [DOMAIN, TLD, LANGUAGE] {
+        for id in column(field) {
+            e.u32(id);
+        }
     }
 
     // Option<T> columns: presence bitmap, then one value per present row.
     macro_rules! opt_col {
         ($field:ident, $emit:expr) => {{
-            e.bitmap(rows, |o| o.$field.is_some());
+            e.bitmap(rows.iter().map(|o| o.$field.is_some()));
             for obs in rows {
                 if let Some(v) = &obs.$field {
                     #[allow(clippy::redundant_closure_call)]
@@ -245,42 +274,50 @@ pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservatio
     }
     let emit_ip = |e: &mut Enc, ip: &Ipv4Addr| e.u32(u32::from(*ip));
     let emit_u32 = |e: &mut Enc, v: &u32| e.u32(*v);
-    let emit_str = |e: &mut Enc, s: &String| e.u32(id(s));
-    let emit_err = |e: &mut Enc, err: &LayerError| {
-        e.u8(cause_index(err.cause));
-        e.u32(id(&err.detail));
+    let str_col = |e: &mut Enc, field: usize| {
+        e.bitmap(column(field).map(|id| id != ABSENT));
+        for id in column(field).filter(|&id| id != ABSENT) {
+            e.u32(id);
+        }
+    };
+    let err_col = |e: &mut Enc, field: usize, err: fn(&SiteObservation) -> &Option<LayerError>| {
+        e.bitmap(rows.iter().map(|o| err(o).is_some()));
+        for (obs, id) in rows.iter().zip(column(field)) {
+            if let Some(err) = err(obs) {
+                e.u8(cause_index(err.cause));
+                e.u32(id);
+            }
+        }
     };
 
     opt_col!(hosting_ip, emit_ip);
     opt_col!(hosting_asn, emit_u32);
     opt_col!(hosting_org, emit_u32);
-    opt_col!(hosting_org_country, emit_str);
-    opt_col!(hosting_ip_country, emit_str);
-    e.bitmap(rows, |o| o.hosting_anycast);
+    str_col(&mut e, HOSTING_ORG_COUNTRY);
+    str_col(&mut e, HOSTING_IP_COUNTRY);
+    e.bitmap(rows.iter().map(|o| o.hosting_anycast));
 
     for obs in rows {
         e.u16(obs.ns_names.len() as u16);
     }
-    for obs in rows {
-        for n in &obs.ns_names {
-            e.u32(id(n));
-        }
+    for &id in &ns_ids {
+        e.u32(id);
     }
 
     opt_col!(dns_ip, emit_ip);
     opt_col!(dns_asn, emit_u32);
     opt_col!(dns_org, emit_u32);
-    opt_col!(dns_org_country, emit_str);
-    opt_col!(dns_ip_country, emit_str);
-    e.bitmap(rows, |o| o.dns_anycast);
+    str_col(&mut e, DNS_ORG_COUNTRY);
+    str_col(&mut e, DNS_IP_COUNTRY);
+    e.bitmap(rows.iter().map(|o| o.dns_anycast));
 
     opt_col!(ca_owner, emit_u32);
-    opt_col!(ca_owner_country, emit_str);
+    str_col(&mut e, CA_OWNER_COUNTRY);
 
-    opt_col!(hosting_error, emit_err);
-    opt_col!(dns_error, emit_err);
-    opt_col!(ca_error, emit_err);
-    opt_col!(error, emit_str);
+    err_col(&mut e, HOSTING_ERROR, |o| &o.hosting_error);
+    err_col(&mut e, DNS_ERROR, |o| &o.dns_error);
+    err_col(&mut e, CA_ERROR, |o| &o.ca_error);
+    str_col(&mut e, ERROR);
 
     let sum = fnv1a(&e.buf);
     e.u64(sum);
@@ -566,21 +603,60 @@ pub(crate) fn decode_chunk(
 // ---------------------------------------------------------------------------
 // Writer
 
-/// One not-yet-complete chunk's rows, held in memory until the last site
-/// commits.
-struct PartialChunk {
-    filled: usize,
-    rows: Vec<Option<SiteObservation>>,
+/// Where one chunk of a [`ChunkStoreWriter`] stands.
+enum Progress {
+    /// Sites are still arriving; `rows` holds the committed ones.
+    Filling {
+        filled: usize,
+        rows: Vec<Option<SiteObservation>>,
+    },
+    /// Its last site committed and a [`ClaimedChunk`] left with the rows;
+    /// the file is not durable until [`ChunkStoreWriter::record`] says so.
+    Claimed,
+    /// On disk and fsynced (or adopted and verified).
+    Written,
 }
 
-/// Streaming chunk-store writer: sites commit in any order; a chunk file
-/// is encoded, written, and fsynced the moment its last site lands.
+/// A complete chunk claimed by the commit of its last site. Encoding,
+/// writing and fsyncing it needs no access to the writer, so a caller
+/// that shares the writer behind a lock does it outside that lock and
+/// hands the outcome back to [`ChunkStoreWriter::record`].
+#[must_use = "a claimed chunk is durable only once written and recorded"]
+pub(crate) struct ClaimedChunk {
+    path: PathBuf,
+    index: usize,
+    lo: usize,
+    rows: Vec<SiteObservation>,
+}
+
+/// A chunk file [`ClaimedChunk::write`] made durable.
+pub(crate) struct WrittenChunk {
+    index: usize,
+    bytes: u64,
+}
+
+impl ClaimedChunk {
+    /// Encodes the chunk, writes its file and fsyncs it.
+    pub(crate) fn write(self) -> io::Result<WrittenChunk> {
+        let bytes = encode_chunk(self.index, self.lo, &self.rows);
+        let mut f = File::create(&self.path)?;
+        f.write_all(&bytes)?;
+        f.sync_data()?;
+        Ok(WrittenChunk {
+            index: self.index,
+            bytes: bytes.len() as u64,
+        })
+    }
+}
+
+/// Streaming chunk-store writer: sites commit in any order; the commit of
+/// a chunk's last site claims the chunk, which is then encoded, written
+/// and fsynced.
 pub struct ChunkStoreWriter {
     dir: PathBuf,
     sites: usize,
     chunk_sites: usize,
-    pending: HashMap<usize, PartialChunk>,
-    written: Vec<bool>,
+    chunks: Vec<Progress>,
     bytes_written: u64,
 }
 
@@ -601,14 +677,34 @@ impl ChunkStoreWriter {
             }
         }
         write_manifest(dir, label, sites, chunk_sites)?;
-        Ok(ChunkStoreWriter {
+        Ok(Self::with_written(
+            dir,
+            sites,
+            chunk_sites,
+            vec![false; chunks],
+        ))
+    }
+
+    /// A writer whose chunks are on disk where `written` says so; the
+    /// others start empty (their rows are allocated by the first commit).
+    fn with_written(dir: &Path, sites: usize, chunk_sites: usize, written: Vec<bool>) -> Self {
+        let chunks = written
+            .into_iter()
+            .map(|done| match done {
+                true => Progress::Written,
+                false => Progress::Filling {
+                    filled: 0,
+                    rows: Vec::new(),
+                },
+            })
+            .collect();
+        ChunkStoreWriter {
             dir: dir.to_path_buf(),
             sites,
             chunk_sites,
-            pending: HashMap::new(),
-            written: vec![false; chunks],
+            chunks,
             bytes_written: 0,
-        })
+        }
     }
 
     /// Reopens an existing store for resume: the manifest must match, valid
@@ -649,14 +745,7 @@ impl ChunkStoreWriter {
                 ChunkState::Corrupt(_) => std::fs::remove_file(chunk_path(dir, c))?,
             }
         }
-        Ok(ChunkStoreWriter {
-            dir: dir.to_path_buf(),
-            sites,
-            chunk_sites,
-            pending: HashMap::new(),
-            written,
-            bytes_written: 0,
-        })
+        Ok(Self::with_written(dir, sites, chunk_sites, written))
     }
 
     fn chunk_of(&self, site: usize) -> usize {
@@ -673,12 +762,12 @@ impl ChunkStoreWriter {
 
     /// Whether a chunk has been durably written.
     pub fn chunk_written(&self, chunk: usize) -> bool {
-        self.written[chunk]
+        matches!(self.chunks[chunk], Progress::Written)
     }
 
     /// Whether a site's chunk has been durably written.
     pub fn site_durable(&self, site: usize) -> bool {
-        self.written[self.chunk_of(site)]
+        self.chunk_written(self.chunk_of(site))
     }
 
     /// Total chunk-file bytes written by this writer.
@@ -687,43 +776,77 @@ impl ChunkStoreWriter {
     }
 
     /// Commits one observation. Returns `Ok(false)` when the site was
-    /// already committed (or its chunk already on disk) — idempotent, like
-    /// the collector's first-write-wins rule. Flushes the chunk when it
-    /// completes.
+    /// already committed (or its chunk already claimed or on disk) —
+    /// idempotent, like the collector's first-write-wins rule. Flushes the
+    /// chunk when it completes.
     pub fn commit(&mut self, site: usize, obs: &SiteObservation) -> io::Result<bool> {
+        self.commit_owned(site, obs.clone())
+    }
+
+    /// [`ChunkStoreWriter::commit`] for an observation the caller owns.
+    pub fn commit_owned(&mut self, site: usize, obs: SiteObservation) -> io::Result<bool> {
+        let (committed, claimed) = self.insert(site, obs);
+        if let Some(chunk) = claimed {
+            self.record(chunk.write())?;
+        }
+        Ok(committed)
+    }
+
+    /// Stores one observation without writing anything. Returns whether it
+    /// was stored — `false` for a site already committed or a chunk already
+    /// claimed or on disk — and, when it completed its chunk, the claim on
+    /// that chunk, which the caller writes and [`ChunkStoreWriter::record`]s.
+    pub(crate) fn insert(
+        &mut self,
+        site: usize,
+        obs: SiteObservation,
+    ) -> (bool, Option<ClaimedChunk>) {
         assert!(site < self.sites, "site {site} out of range");
         let c = self.chunk_of(site);
-        if self.written[c] {
-            return Ok(false);
+        let (lo, n_rows) = (self.chunk_lo(c), self.chunk_rows(c));
+        let Progress::Filling { filled, rows } = &mut self.chunks[c] else {
+            return (false, None);
+        };
+        if rows.is_empty() {
+            rows.resize_with(n_rows, || None);
         }
-        let rows = self.chunk_rows(c);
-        let lo = self.chunk_lo(c);
-        let partial = self.pending.entry(c).or_insert_with(|| PartialChunk {
-            filled: 0,
-            rows: (0..rows).map(|_| None).collect(),
-        });
-        let slot = &mut partial.rows[site - lo];
+        let slot = &mut rows[site - lo];
         if slot.is_some() {
-            return Ok(false);
+            return (false, None);
         }
-        *slot = Some(obs.clone());
-        partial.filled += 1;
-        if partial.filled == rows {
-            let partial = self.pending.remove(&c).expect("just inserted");
-            let full: Vec<SiteObservation> = partial
-                .rows
+        *slot = Some(obs);
+        *filled += 1;
+        if *filled < n_rows {
+            return (true, None);
+        }
+        let rows = std::mem::take(rows);
+        self.chunks[c] = Progress::Claimed;
+        let claimed = ClaimedChunk {
+            path: chunk_path(&self.dir, c),
+            index: c,
+            lo,
+            rows: rows
                 .into_iter()
                 .map(|r| r.expect("chunk complete"))
-                .collect();
-            let bytes = encode_chunk(c, self.chunk_lo(c), &full);
-            let path = chunk_path(&self.dir, c);
-            let mut f = File::create(&path)?;
-            f.write_all(&bytes)?;
-            f.sync_data()?;
-            self.bytes_written += bytes.len() as u64;
-            self.written[c] = true;
-        }
-        Ok(true)
+                .collect(),
+        };
+        (true, Some(claimed))
+    }
+
+    /// Records the outcome of writing a claimed chunk. A failed write
+    /// leaves the chunk claimed, so [`ChunkStoreWriter::finish`] refuses
+    /// the store.
+    pub(crate) fn record(&mut self, written: io::Result<WrittenChunk>) -> io::Result<()> {
+        let written = written?;
+        let chunk = &mut self.chunks[written.index];
+        assert!(
+            matches!(chunk, Progress::Claimed),
+            "chunk {} recorded without a claim",
+            written.index
+        );
+        *chunk = Progress::Written;
+        self.bytes_written += written.bytes;
+        Ok(())
     }
 
     /// Adopts chunk `c` wholesale from a previous epoch's store: the file
@@ -736,12 +859,15 @@ impl ChunkStoreWriter {
     /// so a chunk is never rewritten in place: [`ChunkStore::fsck`] heals
     /// through a temp file and an atomic rename.
     pub fn adopt_chunk(&mut self, src: &ChunkStore, c: usize) -> io::Result<()> {
-        assert!(c < self.written.len(), "chunk {c} out of range");
-        if self.written[c] {
-            return Err(bad(format!("chunk {c} already written")));
-        }
-        if self.pending.contains_key(&c) {
-            return Err(bad(format!("chunk {c} already has committed sites")));
+        assert!(c < self.chunks.len(), "chunk {c} out of range");
+        match &self.chunks[c] {
+            Progress::Filling { filled: 0, .. } => {}
+            Progress::Filling { .. } => {
+                return Err(bad(format!("chunk {c} already has committed sites")))
+            }
+            Progress::Claimed | Progress::Written => {
+                return Err(bad(format!("chunk {c} already written")))
+            }
         }
         if src.chunk_sites != self.chunk_sites || src.chunk_rows(c) != self.chunk_rows(c) {
             return Err(bad(format!(
@@ -768,22 +894,31 @@ impl ChunkStoreWriter {
         decode_chunk(&bytes, c, self.chunk_lo(c), self.chunk_rows(c))
             .map_err(|e| bad(format!("adopted chunk {c}: {e}")))?;
         self.bytes_written += bytes.len() as u64;
-        self.written[c] = true;
+        self.chunks[c] = Progress::Written;
         Ok(())
     }
 
     /// Finalizes the store: every chunk must be on disk (an incomplete
-    /// chunk means sites went unmeasured — an error, not a shrug), then the
+    /// chunk means sites went unmeasured, and a claimed one that its
+    /// write never reached or failed — errors, not shrugs), then the
     /// directory entry list is fsynced.
     pub fn finish(self) -> io::Result<()> {
-        if let Some(missing) = self.written.iter().position(|&w| !w) {
-            return Err(bad(format!(
-                "store incomplete: chunk {missing} never finished ({} sites pending)",
-                self.pending
-                    .values()
-                    .map(|p| p.rows.len() - p.filled)
-                    .sum::<usize>()
-            )));
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            match chunk {
+                Progress::Written => {}
+                Progress::Claimed => {
+                    return Err(bad(format!(
+                        "store incomplete: chunk {c} claimed but never written"
+                    )))
+                }
+                Progress::Filling { filled, .. } => {
+                    return Err(bad(format!(
+                        "store incomplete: chunk {c} never finished ({} of {} sites committed)",
+                        filled,
+                        self.chunk_rows(c)
+                    )))
+                }
+            }
         }
         // Make the directory entries themselves durable.
         File::open(&self.dir)?.sync_all()?;
@@ -1457,6 +1592,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_claimed_chunk_is_written_off_the_writer_and_refuses_late_commits() {
+        let dir = tmp("claim");
+        let _ = fs::remove_dir_all(&dir);
+        let mut w = ChunkStoreWriter::create(&dir, "t-v1", 8, 4).unwrap();
+        for i in 0..3 {
+            assert!(matches!(w.insert(i, sample_obs(i)), (true, None)));
+        }
+        let (stored, claim) = w.insert(3, sample_obs(3));
+        let claim = claim.expect("the last site claims its chunk");
+        assert!(stored);
+        // Claimed but not yet written: a late duplicate is refused, and the
+        // chunk is not durable.
+        assert!(matches!(w.insert(1, sample_obs(1)), (false, None)));
+        assert!(!w.commit(2, &sample_obs(2)).unwrap());
+        assert!(!w.chunk_written(0));
+        w.record(claim.write()).unwrap();
+        assert!(w.chunk_written(0));
+
+        // The second chunk's write fails: the error surfaces, the chunk
+        // stays claimed and the store cannot finish.
+        for i in 4..7 {
+            w.commit_owned(i, sample_obs(i)).unwrap();
+        }
+        let (_, claim) = w.insert(7, sample_obs(7));
+        let failed = io::Error::other("disk full");
+        assert!(w.record(Err(failed)).is_err());
+        drop(claim);
+        assert!(!w.chunk_written(1));
+        let err = w.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("claimed but never written"),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

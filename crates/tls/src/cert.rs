@@ -54,7 +54,7 @@ impl Certificate {
     }
 
     /// Encodes into `buf`.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64(self.serial);
         put_str(buf, &self.subject);
         buf.put_u16(self.san.len() as u16);
@@ -99,7 +99,7 @@ impl Certificate {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
@@ -171,10 +171,7 @@ impl CertificateChain {
     /// Encodes the chain (count-prefixed).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u16(self.certs.len() as u16);
-        for c in &self.certs {
-            c.encode_into(&mut buf);
-        }
+        encode_certs_into(&self.certs, &mut buf);
         buf.freeze()
     }
 
@@ -189,6 +186,21 @@ impl CertificateChain {
             certs.push(Certificate::decode_from(bytes, pos)?);
         }
         Some(CertificateChain { certs })
+    }
+}
+
+/// Encodes certificates, leaf first, as the chain [`CertificateChain::encode`]
+/// writes for them — without the certificates having to be gathered into
+/// an owned chain first.
+pub(crate) fn encode_certs_into<'a, I>(certs: I, buf: &mut impl BufMut)
+where
+    I: IntoIterator<Item = &'a Certificate>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let certs = certs.into_iter();
+    buf.put_u16(certs.len() as u16);
+    for c in certs {
+        c.encode_into(buf);
     }
 }
 

@@ -4,8 +4,9 @@
 //! The client's flight is a single `ClientHello`; the server's flight is
 //! `ServerHello` followed by `Certificate` (or a single `Alert`).
 
-use crate::cert::CertificateChain;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::cert::{encode_certs_into, Certificate, CertificateChain};
+use bytes::{BufMut, Bytes};
+use webdep_netsim::build_payload;
 
 const TYPE_CLIENT_HELLO: u8 = 1;
 const TYPE_SERVER_HELLO: u8 = 2;
@@ -80,63 +81,138 @@ impl HandshakeMessage {
 
 /// Encodes a sequence of messages into one datagram payload.
 pub fn encode_flight(messages: &[HandshakeMessage]) -> Bytes {
-    let mut buf = BytesMut::new();
-    for m in messages {
-        let mut body = BytesMut::new();
-        match m {
-            HandshakeMessage::ClientHello { random, sni } => {
-                body.put_u64(*random);
-                body.put_u16(sni.len() as u16);
-                body.put_slice(sni.as_bytes());
-            }
-            HandshakeMessage::ServerHello { random, cipher } => {
-                body.put_u64(*random);
-                body.put_u16(*cipher);
-            }
-            HandshakeMessage::Certificate(chain) => {
-                body.put_slice(&chain.encode());
-            }
-            HandshakeMessage::Alert(code) => {
-                body.put_u8(*code);
-            }
+    build_payload(|buf| {
+        for m in messages {
+            put_frame(buf, m.frame_type(), |body| match m {
+                HandshakeMessage::ClientHello { random, sni } => {
+                    put_client_hello(body, *random, sni)
+                }
+                HandshakeMessage::ServerHello { random, cipher } => {
+                    body.put_u64(*random);
+                    body.put_u16(*cipher);
+                }
+                HandshakeMessage::Certificate(chain) => encode_certs_into(&chain.certs, body),
+                HandshakeMessage::Alert(code) => body.put_u8(*code),
+            });
         }
-        buf.put_u8(m.frame_type());
-        buf.put_u32(body.len() as u32);
-        buf.put_slice(&body);
-    }
-    buf.freeze()
+    })
+}
+
+/// Encodes the client's flight, a lone `ClientHello`, from a borrowed
+/// name: the bytes [`encode_flight`] writes for the same message.
+pub(crate) fn encode_client_hello(random: u64, sni: &str) -> Bytes {
+    build_payload(|buf| {
+        put_frame(buf, TYPE_CLIENT_HELLO, |body| {
+            put_client_hello(body, random, sni)
+        })
+    })
+}
+
+fn put_client_hello(body: &mut Vec<u8>, random: u64, sni: &str) {
+    body.put_u64(random);
+    body.put_u16(sni.len() as u16);
+    body.put_slice(sni.as_bytes());
+}
+
+/// Encodes the accepting server flight — `ServerHello`, then
+/// `Certificate` carrying `certs` leaf first — from borrowed certificates:
+/// the bytes [`encode_flight`] writes for the same two messages.
+pub fn encode_server_flight<'a, I>(random: u64, cipher: u16, certs: I) -> Bytes
+where
+    I: IntoIterator<Item = &'a Certificate>,
+    I::IntoIter: ExactSizeIterator,
+{
+    build_payload(|buf| {
+        put_frame(buf, TYPE_SERVER_HELLO, |body| {
+            body.put_u64(random);
+            body.put_u16(cipher);
+        });
+        put_frame(buf, TYPE_CERTIFICATE, |body| encode_certs_into(certs, body));
+    })
+}
+
+/// Writes one `[type][len][body]` frame, the body straight into `buf`
+/// with its length patched in afterwards.
+fn put_frame(buf: &mut Vec<u8>, ftype: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    buf.put_u8(ftype);
+    let len_pos = buf.len();
+    buf.put_u32(0);
+    body(buf);
+    let len = (buf.len() - len_pos - 4) as u32;
+    buf[len_pos..len_pos + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Decodes all frames in a datagram payload.
 pub fn decode_flight(bytes: &[u8]) -> Result<Vec<HandshakeMessage>, TlsError> {
-    let mut out = Vec::new();
+    frames(bytes)
+        .map(|frame| frame.and_then(|(ftype, body)| decode_body(ftype, body)))
+        .collect()
+}
+
+/// The `ClientHello` a flight opens with, its name borrowed from `bytes`:
+/// `Some` exactly when [`decode_flight`] accepts the flight and its first
+/// message is a `ClientHello`.
+pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
+    let mut frames = frames(bytes);
+    let hello = match frames.next()? {
+        Ok((TYPE_CLIENT_HELLO, body)) => client_hello(body).ok()?,
+        _ => return None,
+    };
+    frames
+        .all(|frame| {
+            frame
+                .and_then(|(ftype, body)| decode_body(ftype, body))
+                .is_ok()
+        })
+        .then_some(hello)
+}
+
+/// The `(type, body)` frames of a payload, in order; a framing error is
+/// the last item.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<(u8, &[u8]), TlsError>> {
     let mut pos = 0;
-    while pos < bytes.len() {
-        let ftype = bytes[pos];
-        let len_bytes = bytes.get(pos + 1..pos + 5).ok_or(TlsError::Truncated)?;
-        let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME {
-            return Err(TlsError::Oversized(len));
+    std::iter::from_fn(move || {
+        if pos >= bytes.len() {
+            return None;
         }
-        let body = bytes
-            .get(pos + 5..pos + 5 + len)
-            .ok_or(TlsError::Truncated)?;
-        pos += 5 + len;
-        out.push(decode_body(ftype, body)?);
+        let frame = frame_at(bytes, pos);
+        pos = match &frame {
+            Ok((_, body)) => pos + 5 + body.len(),
+            Err(_) => bytes.len(),
+        };
+        Some(frame)
+    })
+}
+
+/// The frame starting at `pos`.
+fn frame_at(bytes: &[u8], pos: usize) -> Result<(u8, &[u8]), TlsError> {
+    let ftype = bytes[pos];
+    let len_bytes = bytes.get(pos + 1..pos + 5).ok_or(TlsError::Truncated)?;
+    let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME {
+        return Err(TlsError::Oversized(len));
     }
-    Ok(out)
+    let body = bytes
+        .get(pos + 5..pos + 5 + len)
+        .ok_or(TlsError::Truncated)?;
+    Ok((ftype, body))
+}
+
+fn client_hello(body: &[u8]) -> Result<(u64, &str), TlsError> {
+    if body.len() < 10 {
+        return Err(TlsError::Malformed);
+    }
+    let random = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
+    let sni_len = u16::from_be_bytes([body[8], body[9]]) as usize;
+    let sni = body.get(10..10 + sni_len).ok_or(TlsError::Malformed)?;
+    let sni = std::str::from_utf8(sni).map_err(|_| TlsError::Malformed)?;
+    Ok((random, sni))
 }
 
 fn decode_body(ftype: u8, body: &[u8]) -> Result<HandshakeMessage, TlsError> {
     match ftype {
         TYPE_CLIENT_HELLO => {
-            if body.len() < 10 {
-                return Err(TlsError::Malformed);
-            }
-            let random = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
-            let sni_len = u16::from_be_bytes([body[8], body[9]]) as usize;
-            let sni = body.get(10..10 + sni_len).ok_or(TlsError::Malformed)?;
-            let sni = std::str::from_utf8(sni).map_err(|_| TlsError::Malformed)?;
+            let (random, sni) = client_hello(body)?;
             Ok(HandshakeMessage::ClientHello {
                 random,
                 sni: sni.to_string(),
@@ -209,6 +285,44 @@ mod tests {
         ];
         let enc = encode_flight(&flight);
         assert_eq!(decode_flight(&enc).unwrap(), flight);
+    }
+
+    #[test]
+    fn server_flight_from_borrowed_certs_matches_encode_flight() {
+        let c = chain();
+        let leaf = &c.certs[0];
+        let flight = vec![
+            HandshakeMessage::ServerHello {
+                random: 42,
+                cipher: 0x1301,
+            },
+            HandshakeMessage::Certificate(CertificateChain {
+                certs: vec![leaf.clone(), leaf.clone()],
+            }),
+        ];
+        assert_eq!(
+            encode_server_flight(42, 0x1301, [leaf, leaf]),
+            encode_flight(&flight)
+        );
+    }
+
+    #[test]
+    fn client_hello_without_an_owned_name() {
+        let m = HandshakeMessage::ClientHello {
+            random: 7,
+            sni: "www.example.com".into(),
+        };
+        let enc = encode_client_hello(7, "www.example.com");
+        assert_eq!(enc, encode_flight(std::slice::from_ref(&m)));
+        assert_eq!(decode_client_hello(&enc), Some((7, "www.example.com")));
+        let alert = encode_flight(&[HandshakeMessage::Alert(1)]);
+        assert_eq!(decode_client_hello(&alert), None);
+        // A trailing frame that does not decode spoils the whole flight.
+        let mut bad = enc.to_vec();
+        bad.extend_from_slice(&[99, 0, 0, 0, 0]);
+        assert!(decode_flight(&bad).is_err());
+        assert_eq!(decode_client_hello(&bad), None);
+        assert_eq!(decode_client_hello(&enc[..enc.len() - 1]), None);
     }
 
     #[test]

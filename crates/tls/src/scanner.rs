@@ -2,7 +2,7 @@
 //! returns the served chain, with retries — the ZGrab2 role.
 
 use crate::cert::CertificateChain;
-use crate::handshake::{decode_flight, encode_flight, HandshakeMessage};
+use crate::handshake::{decode_flight, encode_client_hello, HandshakeMessage};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use webdep_netsim::{Endpoint, NetError, SockAddr};
@@ -112,10 +112,7 @@ impl Scanner {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1);
             let random = self.next_random;
-            let hello = encode_flight(&[HandshakeMessage::ClientHello {
-                random,
-                sni: sni.to_string(),
-            }]);
+            let hello = encode_client_hello(random, sni);
             self.handshakes_sent += 1;
             match self.endpoint.send(dst, hello) {
                 Ok(()) => {}
@@ -144,11 +141,17 @@ impl Scanner {
                     self.malformed_flights += 1;
                     return Err(ScanError::BadResponse);
                 };
-                match frames.as_slice() {
-                    [HandshakeMessage::Alert(code)] => return Err(ScanError::Alert(*code)),
-                    [HandshakeMessage::ServerHello { .. }, HandshakeMessage::Certificate(chain)] => {
-                        return Ok(chain.clone())
+                // The decoded chain is ours: move it out, don't clone it.
+                let mut frames = frames.into_iter();
+                match (frames.next(), frames.next(), frames.next()) {
+                    (Some(HandshakeMessage::Alert(code)), None, None) => {
+                        return Err(ScanError::Alert(code))
                     }
+                    (
+                        Some(HandshakeMessage::ServerHello { .. }),
+                        Some(HandshakeMessage::Certificate(chain)),
+                        None,
+                    ) => return Ok(chain),
                     _ => {
                         self.malformed_flights += 1;
                         return Err(ScanError::BadResponse);

@@ -1,7 +1,9 @@
 //! Threaded TLS server answering handshakes from a certificate store.
 
 use crate::cert::CertStore;
-use crate::handshake::{decode_flight, encode_flight, HandshakeMessage, ALERT_UNRECOGNIZED_NAME};
+use crate::handshake::{
+    decode_flight, encode_flight, encode_server_flight, HandshakeMessage, ALERT_UNRECOGNIZED_NAME,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -61,15 +63,13 @@ fn serve_loop(endpoint: Endpoint, store: Arc<CertStore>, stop: Arc<AtomicBool>) 
             continue;
         };
         let reply = match store.find(sni) {
-            Some(chain) => encode_flight(&[
-                HandshakeMessage::ServerHello {
-                    // Derive the server random from the client's: keeps runs
-                    // deterministic without a clock or RNG in the hot path.
-                    random: random.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    cipher: 0x1301, // TLS_AES_128_GCM_SHA256, cosmetically
-                },
-                HandshakeMessage::Certificate(chain.clone()),
-            ]),
+            Some(chain) => encode_server_flight(
+                // Derive the server random from the client's: keeps runs
+                // deterministic without a clock or RNG in the hot path.
+                random.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                0x1301, // TLS_AES_128_GCM_SHA256, cosmetically
+                &chain.certs,
+            ),
             None => encode_flight(&[HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME)]),
         };
         let _ = endpoint.send(dgram.src, reply);

@@ -26,7 +26,7 @@
 use crate::country::{Continent, CountryRecord};
 use crate::world::World;
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ use webdep_geodb::{
 use webdep_netsim::{
     Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, Network, Prefix, Region, ResponderSet,
 };
-use webdep_tls::cert::{Certificate, CertificateChain};
+use webdep_tls::cert::Certificate;
 use webdep_tls::handshake::{self, HandshakeMessage, ALERT_UNRECOGNIZED_NAME};
 use webdep_tls::TLS_PORT;
 
@@ -228,94 +228,98 @@ impl RackData {
         pool.get(hash as usize % pool.len()).copied()
     }
 
-    fn respond_dns(&self, query: &dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
-        let mut resp = dnswire::Message::response_to(query);
-        resp.authoritative = true;
+    /// Answers a DNS query; the response reuses the query's question
+    /// section.
+    fn respond_dns(&self, query: dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
         let Some(q) = query.questions.first() else {
+            let mut resp = query.into_response();
+            resp.authoritative = true;
             resp.rcode = dnswire::Rcode::FormErr;
             return resp;
         };
-        match q.qtype {
-            dnswire::RecordType::A => {
-                if let Some(entry) = self.site_a.get(&q.name) {
-                    let cont = self.querier_continent(src);
-                    if let Some(ip) = self.serving_ip(entry.hosting_provider, entry.hash, cont) {
-                        if self.provider_cdn[entry.hosting_provider as usize] {
-                            // CDN sites answer like the real thing: a CNAME
-                            // to the provider's edge host plus its address,
-                            // exercising the resolver's CNAME path.
-                            let edge = edge_name(
-                                &self.provider_slug[entry.hosting_provider as usize],
-                                entry.hash,
-                            );
-                            resp.answers.push(dnswire::Record {
-                                name: q.name.clone(),
-                                ttl: 300,
-                                data: dnswire::RecordData::Cname(edge.clone()),
-                            });
-                            resp.answers.push(dnswire::Record {
-                                name: edge,
-                                ttl: 300,
-                                data: dnswire::RecordData::A(ip),
-                            });
-                        } else {
-                            resp.answers.push(dnswire::Record {
-                                name: q.name.clone(),
-                                ttl: 300,
-                                data: dnswire::RecordData::A(ip),
-                            });
-                        }
-                        return resp;
-                    }
-                }
-                // Infrastructure hosts (nameservers).
-                let host_resp = self.host_a.respond(query);
-                if !host_resp.answers.is_empty() {
-                    return host_resp;
-                }
+        let answers = match q.qtype {
+            dnswire::RecordType::A => self.site_answers(&q.name, src),
+            dnswire::RecordType::Ns => self.site_ns.get_key_value(&q.name).map(|(owner, ns)| {
+                ns.iter()
+                    .map(|n| dnswire::Record {
+                        name: owner.clone(),
+                        ttl: 3600,
+                        data: dnswire::RecordData::Ns(n.clone()),
+                    })
+                    .collect()
+            }),
+            dnswire::RecordType::Cname => None,
+        };
+        if answers.is_none() && q.qtype == dnswire::RecordType::A {
+            // Infrastructure hosts (nameservers).
+            let host_resp = self.host_a.respond(&query);
+            if !host_resp.answers.is_empty() {
+                return host_resp;
             }
-            dnswire::RecordType::Ns => {
-                if let Some(ns) = self.site_ns.get(&q.name) {
-                    resp.answers = ns
-                        .iter()
-                        .map(|n| dnswire::Record {
-                            name: q.name.clone(),
-                            ttl: 3600,
-                            data: dnswire::RecordData::Ns(n.clone()),
-                        })
-                        .collect();
-                    return resp;
-                }
-            }
-            dnswire::RecordType::Cname => {}
         }
-        if self.site_a.contains_key(&q.name) || self.site_ns.contains_key(&q.name) {
-            return resp; // NoData
+        let nxdomain = answers.is_none()
+            && !self.site_a.contains_key(&q.name)
+            && !self.site_ns.contains_key(&q.name);
+        let mut resp = query.into_response();
+        resp.authoritative = true;
+        // No answers for a known name is NoData.
+        resp.answers = answers.unwrap_or_default();
+        if nxdomain {
+            resp.rcode = dnswire::Rcode::NxDomain;
         }
-        resp.rcode = dnswire::Rcode::NxDomain;
         resp
     }
 
+    /// A site's A answer: its serving address from the querier's
+    /// continent, behind a CNAME to the provider's edge host for CDN sites.
+    fn site_answers(&self, name: &DomainName, src: Ipv4Addr) -> Option<Vec<dnswire::Record>> {
+        let (owner, entry) = self.site_a.get_key_value(name)?;
+        let cont = self.querier_continent(src);
+        let ip = self.serving_ip(entry.hosting_provider, entry.hash, cont)?;
+        let a = |name| dnswire::Record {
+            name,
+            ttl: 300,
+            data: dnswire::RecordData::A(ip),
+        };
+        Some(if self.provider_cdn[entry.hosting_provider as usize] {
+            // CDN sites answer like the real thing: a CNAME to the
+            // provider's edge host plus its address, exercising the
+            // resolver's CNAME path.
+            let edge = edge_name(
+                &self.provider_slug[entry.hosting_provider as usize],
+                entry.hash,
+            );
+            vec![
+                dnswire::Record {
+                    name: owner.clone(),
+                    ttl: 300,
+                    data: dnswire::RecordData::Cname(edge.clone()),
+                },
+                a(edge),
+            ]
+        } else {
+            vec![a(owner.clone())]
+        })
+    }
+
     fn respond_tls(&self, payload: &[u8], dst: Ipv4Addr) -> FaultedReply {
-        let Ok(frames) = handshake::decode_flight(payload) else {
+        let Some((random, sni)) = handshake::decode_client_hello(payload) else {
             return FaultedReply::swallowed();
         };
-        let Some(HandshakeMessage::ClientHello { random, sni }) = frames.first() else {
-            return FaultedReply::swallowed();
+        // Scanners send the domain as measured, which is already lowercase.
+        let leaf = if sni.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.leaf_by_sni.get(&sni.to_ascii_lowercase())
+        } else {
+            self.leaf_by_sni.get(sni)
         };
-        let flight = match self.leaf_by_sni.get(&sni.to_ascii_lowercase()) {
+        let flight = match leaf {
             Some(leaf) => {
                 let (inter, root) = &self.ca_certs[leaf_ca_index(leaf)];
-                let chain = CertificateChain {
-                    certs: vec![leaf.clone(), inter.clone(), root.clone()],
-                };
-                handshake::encode_flight(&[
-                    HandshakeMessage::ServerHello {
-                        random: random.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        cipher: 0x1301,
-                    },
-                    HandshakeMessage::Certificate(chain),
-                ])
+                handshake::encode_server_flight(
+                    random.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    0x1301,
+                    [leaf, inter, root],
+                )
             }
             None => handshake::encode_flight(&[HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME)]),
         };
@@ -339,13 +343,15 @@ fn leaf_ca_index(leaf: &Certificate) -> usize {
 fn rack_respond(data: &RackData, dgram: &Datagram) -> FaultedReply {
     match dgram.dst.port {
         DNS_PORT => match dnswire::decode(&dgram.payload) {
-            Ok(query) if !query.is_response => {
-                let resp = data.respond_dns(&query, dgram.src.ip);
-                match &data.faults {
-                    Some(plan) => webdep_dns::apply_dns_fault(plan, dgram.dst.ip, &query, &resp),
-                    None => FaultedReply::clean(dnswire::encode(&resp)),
+            Ok(query) if !query.is_response => match &data.faults {
+                Some(plan) => {
+                    let resp = data.respond_dns(query.clone(), dgram.src.ip);
+                    webdep_dns::apply_dns_fault(plan, dgram.dst.ip, &query, &resp)
                 }
-            }
+                None => {
+                    FaultedReply::clean(dnswire::encode(&data.respond_dns(query, dgram.src.ip)))
+                }
+            },
             _ => FaultedReply::swallowed(),
         },
         TLS_PORT => data.respond_tls(&dgram.payload, dgram.dst.ip),
@@ -367,7 +373,7 @@ fn registry_respond(
     if query.is_response {
         return None;
     }
-    Some(dnswire::encode(&table.respond(&query)))
+    Some(dnswire::encode(&table.respond(query)))
 }
 
 impl DeployedWorld {
@@ -577,7 +583,8 @@ impl DeployedWorld {
 
         // Install sites: DNS data on the DNS provider's rack, TLS leaf on
         // the hosting provider's rack.
-        let mut tld_tables: HashMap<u32, DelegationTable> = HashMap::new();
+        // Ordered by TLD id: iteration order assigns the registry addresses.
+        let mut tld_tables: BTreeMap<u32, DelegationTable> = BTreeMap::new();
         for (site_idx, site) in world.sites.iter().enumerate() {
             let domain = DomainName::parse(&site.domain).expect("generated names are valid");
             let dns_rack = rack_of(site.dns);

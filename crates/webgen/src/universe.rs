@@ -12,7 +12,7 @@ use crate::provider::{CaRecord, Provider, ProviderTier, TldKind, TldRecord};
 use std::collections::HashMap;
 
 /// The full entity universe for a generated world.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Universe {
     /// All providers; index equals `Provider::id`.
     pub providers: Vec<Provider>,

@@ -196,8 +196,13 @@ fn mix_with_global(
     local_total: u64,
 ) -> Vec<(u32, u64)> {
     // Owner-indexed combined counts, floored by the global contribution.
+    // Owners appended in id order: the order decides the proportional cuts
+    // and the largest-slack tie-break below, so it must not be the map's
+    // (per-process random) iteration order.
     let mut owners: Vec<u32> = assigned.iter().map(|&(o, _)| o).collect();
-    for &o in global_contrib.keys() {
+    let mut global_owners: Vec<u32> = global_contrib.keys().copied().collect();
+    global_owners.sort_unstable();
+    for o in global_owners {
         if !owners.contains(&o) {
             owners.push(o);
         }

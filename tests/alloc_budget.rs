@@ -1,0 +1,91 @@
+//! Allocation budget of the measurement hot path: heap allocations per
+//! measured site, counted by this test binary's global allocator over the
+//! contract world on one worker, both resident and streamed into a chunk
+//! store. Measurement cost is per message and per allocation, so a change
+//! that adds clones to the per-site path shows here as a count, which —
+//! unlike a timing — repeats exactly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use webdep::pipeline::{measure, measure_streamed, PipelineConfig};
+use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
+
+/// Allocations (and reallocations) made by the whole process.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator, which
+// upholds the `GlobalAlloc` contract; the counter is a plain atomic that
+// neither allocates nor touches the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per site: 82.9 measured on both paths, plus a small
+/// margin. The path took 199 (resident) and 212 (streamed) before it was
+/// made allocation-lean; 98, half of the 196 a site cost on the `small`
+/// world, is the ceiling the budget may never be raised past.
+const BUDGET_PER_SITE: f64 = 85.0;
+const _: () = assert!(BUDGET_PER_SITE <= 98.0);
+
+/// Allocations per site of `run` over `sites` sites.
+fn per_site(sites: usize, run: impl FnOnce()) -> f64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    run();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / sites as f64
+}
+
+// One test, so no other test thread allocates while a run is counted.
+#[test]
+fn measurement_allocations_per_site_stay_in_budget() {
+    let mut wc = WorldConfig::tiny();
+    wc.sites_per_country = 60;
+    wc.global_pool_size = 300;
+    let world = World::generate(wc);
+    let n = world.sites.len();
+    let config = PipelineConfig {
+        workers: 1,
+        ..PipelineConfig::default()
+    };
+
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let resident = per_site(n, || {
+        measure(&world, &dep, &config);
+    });
+    drop(dep);
+
+    let dir = std::env::temp_dir().join(format!("webdep-alloc-budget-{}", std::process::id()));
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let streamed = per_site(n, || {
+        measure_streamed(&world, &dep, &config, &dir, None).expect("measure into a store");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    println!("allocations per site: resident {resident:.1}, streamed {streamed:.1}");
+    for (path, got) in [("resident", resident), ("streamed", streamed)] {
+        assert!(
+            got <= BUDGET_PER_SITE,
+            "{path} measurement made {got:.1} allocations per site, over the budget of \
+             {BUDGET_PER_SITE}"
+        );
+    }
+}

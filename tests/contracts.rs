@@ -11,6 +11,9 @@
 //!   clusterings on one, two and three threads;
 //! * `fsck --repair` heals a corrupt chunk from the run journal to the
 //!   bytes the run wrote;
+//! * world generation is deterministic: two generations of one config
+//!   have equal sites, toplists and universe, so two processes measure
+//!   the same world;
 //! * an epoch measured as a delta equals one measured from scratch: the
 //!   `measure_delta` store is byte-identical to a full `measure_streamed`
 //!   run of the evolved world, and the snapshot `from_delta` builds off it
@@ -37,18 +40,46 @@ fn config(workers: usize) -> PipelineConfig {
     }
 }
 
+/// The reduced world every contract runs on.
+fn world_config() -> WorldConfig {
+    let mut wc = WorldConfig::tiny();
+    wc.sites_per_country = 60;
+    wc.global_pool_size = 300;
+    wc
+}
+
 /// A reduced world and its one-worker measurement, shared by the tests.
 fn fixture() -> &'static (World, MeasuredDataset) {
     static FIXTURE: OnceLock<(World, MeasuredDataset)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let mut wc = WorldConfig::tiny();
-        wc.sites_per_country = 60;
-        wc.global_pool_size = 300;
-        let world = World::generate(wc);
+        let world = World::generate(world_config());
         let dep = DeployedWorld::deploy(&world, DeployConfig::default());
         let ds = measure(&world, &dep, &config(1));
         (world, ds)
     })
+}
+
+#[test]
+fn world_generation_is_deterministic() {
+    // The contract world, and the tiny world, whose owners tie on equal
+    // counts where map iteration order used to break the tie.
+    for wc in [world_config(), WorldConfig::tiny()] {
+        let (a, b) = (World::generate(wc.clone()), World::generate(wc));
+        // Not assert_eq!: a mismatch would print two whole worlds.
+        assert!(a.sites == b.sites, "two generations assign different sites");
+        assert!(
+            a.toplists == b.toplists,
+            "two generations rank different toplists"
+        );
+        assert!(
+            a.global_top == b.global_top,
+            "two generations differ in the global top list"
+        );
+        assert!(
+            a.universe == b.universe,
+            "two generations build different universes"
+        );
+    }
 }
 
 #[test]
