@@ -7,7 +7,7 @@
 //! caches delegations so bulk resolution does not hammer the root.
 
 use crate::name::DomainName;
-use crate::shared_cache::{AnswerRows, SharedDnsCache};
+use crate::shared_cache::SharedDnsCache;
 use crate::wire::{decode, encode_query, Message, Rcode, Record, RecordData, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -179,6 +179,27 @@ fn asks(msg: &Message, name: &DomainName, qtype: RecordType) -> bool {
 /// resolutions that start from them.
 type ZoneServers = Arc<[Ipv4Addr]>;
 
+/// Answers for one name, one slot per record type. Nesting by name lets
+/// lookups borrow the key instead of building `(name, type)` tuples, and
+/// the fixed slots need no allocation of their own.
+#[derive(Debug, Default)]
+struct AnswerRows([Option<Vec<RecordData>>; 3]);
+
+impl AnswerRows {
+    fn slot(qtype: RecordType) -> usize {
+        match qtype {
+            RecordType::A => 0,
+            RecordType::Ns => 1,
+            RecordType::Cname => 2,
+        }
+    }
+
+    /// The cached answer of type `qtype`, if any.
+    fn get(&self, qtype: RecordType) -> Option<&[RecordData]> {
+        self.0[Self::slot(qtype)].as_deref()
+    }
+}
+
 /// Lookup accounting: where answers came from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
@@ -186,7 +207,7 @@ pub struct ResolverStats {
     pub wire_queries: u64,
     /// Answers served from this resolver's private cache.
     pub local_cache_hits: u64,
-    /// Answers or delegations served from the shared cache tier.
+    /// Delegations served from the shared cache tier.
     pub shared_cache_hits: u64,
     /// Received datagrams discarded because they failed to decode.
     pub malformed_datagrams: u64,
@@ -205,7 +226,8 @@ pub struct IterativeResolver {
     /// lets the hot lookup path borrow `name` instead of cloning it into a
     /// `(DomainName, RecordType)` probe key.
     answer_cache: HashMap<DomainName, AnswerRows>,
-    /// Shared cache tier consulted between the private cache and the wire.
+    /// Shared tier of the root's delegations, consulted when the private
+    /// cache holds no cut below the root for a name.
     shared: Option<Arc<SharedDnsCache>>,
     /// Consecutive fully-failed passes per server. A server at
     /// [`DEAD_AFTER_STRIKES`] is demoted: still probed (once, last) so
@@ -261,8 +283,10 @@ impl IterativeResolver {
         }
     }
 
-    /// Like [`IterativeResolver::new`], but consults (and feeds) `shared`
-    /// between the private cache and the wire.
+    /// Like [`IterativeResolver::new`], but shares the root's delegations
+    /// through `shared`: this resolver publishes the cuts it learns from
+    /// the root and starts from a cut another resolver published instead
+    /// of asking the root again.
     pub fn with_shared_cache(
         endpoint: Endpoint,
         roots: Vec<Ipv4Addr>,
@@ -375,14 +399,6 @@ impl IterativeResolver {
             self.local_cache_hits += 1;
             return Ok(hit);
         }
-        // Then the shared tier, promoting hits into the private cache.
-        if let Some(shared) = &self.shared {
-            if let Some(hit) = shared.get_answer(name, qtype) {
-                self.shared_cache_hits += 1;
-                self.insert_local(name, qtype, hit.clone());
-                return Ok(hit);
-            }
-        }
 
         // Start from the deepest cached zone enclosing `name`.
         let mut servers = self.starting_servers(name);
@@ -399,6 +415,8 @@ impl IterativeResolver {
             if self.budget_remaining().is_some_and(|r| r.is_zero()) {
                 return Err(ResolveError::Timeout);
             }
+            // Only the root's referrals are worth sharing across resolvers.
+            let from_root = Arc::ptr_eq(&servers, &self.roots);
             let resp = match self.query_any(&servers, name, qtype) {
                 Ok(r) => r,
                 Err(e) => {
@@ -495,7 +513,7 @@ impl IterativeResolver {
             pending_ns = reserve;
             self.cache_referral_data(&zone, &ns_names, &resp.additionals);
             let glue = ZoneServers::from(glue);
-            if let Some(shared) = &self.shared {
+            if let (true, Some(shared)) = (from_root, &self.shared) {
                 shared.put_zone(zone.clone(), Arc::clone(&glue));
             }
             self.zone_cache.insert(zone, Arc::clone(&glue));
@@ -537,16 +555,14 @@ impl IterativeResolver {
         self.answer_cache.get(name)?.get(qtype)
     }
 
-    fn insert_local(&mut self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        AnswerRows::put(&mut self.answer_cache, name, qtype, data);
-    }
-
-    /// Writes a completed answer through to both cache tiers.
+    /// Stores a completed answer in the private cache, cloning the name
+    /// only when it has no answers yet.
     fn cache_answer(&mut self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        if let Some(shared) = &self.shared {
-            shared.put_answer(name, qtype, data.clone());
-        }
-        self.insert_local(name, qtype, data);
+        let rows = match self.answer_cache.get_mut(name) {
+            Some(rows) => rows,
+            None => self.answer_cache.entry(name.clone()).or_default(),
+        };
+        rows.0[AnswerRows::slot(qtype)] = Some(data);
     }
 
     /// Resolving a glueless NS name must not recurse unboundedly.
@@ -561,14 +577,18 @@ impl IterativeResolver {
         self.resolve_a(name)
     }
 
-    /// Deepest known enclosing zone's servers: private cache, then the
-    /// shared tier (promoting hits), then the root hints.
+    /// Deepest known enclosing zone's servers: the private cache over
+    /// every suffix, then the shared tier of root delegations (promoting a
+    /// hit), then the root hints. The shared tier holds only cuts the root
+    /// hands out, so it is asked only when the private cache holds no cut
+    /// at all for the name; a single resolver's shared cuts are all in its
+    /// private cache too, so it never hits the shared tier.
     fn starting_servers(&mut self, name: &DomainName) -> ZoneServers {
-        for zone in name.suffixes() {
-            if let Some(addrs) = self.zone_cache.get(zone) {
-                return Arc::clone(addrs);
-            }
-            if let Some(shared) = &self.shared {
+        if let Some(addrs) = name.suffixes().find_map(|zone| self.zone_cache.get(zone)) {
+            return Arc::clone(addrs);
+        }
+        if let Some(shared) = &self.shared {
+            for zone in name.suffixes() {
                 if let Some(addrs) = shared.get_zone(zone) {
                     self.shared_cache_hits += 1;
                     let zone = DomainName::parse(zone).expect("a name's suffixes are names");
@@ -904,33 +924,47 @@ mod tests {
         let (_servers, roots) = build_world(&net);
         let shared = Arc::new(SharedDnsCache::new());
 
-        // First resolver warms the shared cache from a cold start.
+        // First resolver warms the shared cache from a cold start: root,
+        // com, example.com.
         let ep1 = net.bind(ip("10.0.0.98"), 3553, Region::EUROPE).unwrap();
         let mut r1 = IterativeResolver::with_shared_cache(
             ep1,
-            roots.clone(),
+            roots,
             ResolverConfig::default(),
             Arc::clone(&shared),
         );
         r1.resolve_a(&n("www.example.com")).unwrap();
-        assert!(r1.queries_sent() > 0);
+        assert_eq!(r1.queries_sent(), 3);
+        assert_eq!(r1.stats().shared_cache_hits, 0);
 
-        // Second resolver gets the same answer without touching the wire.
+        // The shared tier keeps the root's referral (the `com` cut) and
+        // nothing below it: no `example.com` cut, no answers.
+        assert_eq!(
+            shared.get_zone("com").as_deref(),
+            Some(&[ip("192.5.6.30")][..])
+        );
+        assert_eq!(shared.get_zone("example.com"), None);
+
+        // A second resolver with an unreachable root hint still resolves
+        // the same name: it starts at the shared `com` cut and sends
+        // exactly the queries below the TLD (com, then example.com).
         let ep2 = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
         let mut r2 = IterativeResolver::with_shared_cache(
             ep2,
-            roots,
+            vec![ip("9.9.9.9")],
             ResolverConfig::default(),
             Arc::clone(&shared),
         );
         let addrs = r2.resolve_a(&n("www.example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.11")]);
-        assert_eq!(r2.queries_sent(), 0, "expected a shared-cache answer");
-        assert!(r2.stats().shared_cache_hits >= 1);
+        assert_eq!(r2.queries_sent(), 2);
+        assert_eq!(r2.stats().shared_cache_hits, 1);
+        // Its own walk below the TLD published nothing new.
+        assert_eq!(shared.get_zone("example.com"), None);
 
         // A sibling name needs the wire, but the shared *delegation* cache
-        // lets it skip the root/TLD walk entirely: give this resolver an
-        // unreachable root hint and it still succeeds.
+        // lets it skip the root: give this resolver an unreachable root
+        // hint and it still succeeds.
         let ep3 = net.bind(ip("10.0.0.97"), 3553, Region::EUROPE).unwrap();
         let mut r3 = IterativeResolver::with_shared_cache(
             ep3,

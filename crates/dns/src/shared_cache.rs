@@ -1,73 +1,29 @@
-//! Process-wide DNS cache shared by every resolver in a measurement run.
+//! Process-wide cache of the root's delegations, shared by every resolver
+//! in a measurement run.
 //!
 //! The pipeline spawns one [`crate::IterativeResolver`] per worker, each
-//! with a private delegation/answer cache. That means every worker re-walks
-//! the root and TLD tier on its own: with `w` workers the delegation tier
-//! sees roughly `w`× the wire queries a single resolver would send. The
-//! [`SharedDnsCache`] sits *under* the per-resolver caches: lookups check
-//! the private cache first, then this shared tier (promoting hits into the
-//! private cache), and only then go to the wire. Writes go through to both.
+//! with a private delegation/answer cache. Without a shared tier every
+//! worker would walk the root on its own for each top-level domain: with
+//! `w` workers the root would see roughly `w`× the referrals a single
+//! resolver asks for. The [`SharedDnsCache`] holds exactly what those
+//! walks learn — the zone cuts the root's referrals hand out (the TLDs)
+//! — and nothing deeper: answers and zones below a TLD are specific to
+//! the sites that asked for them, and a census of a whole run found no
+//! later lookup that read one from another worker. A resolver publishes a
+//! cut here only when the referral came from the root servers, and
+//! consults this tier only when its private cache holds no cut below the
+//! root for the name, promoting a hit into its private cache.
 //!
-//! The cache is lock-striped: keys are spread over [`NUM_SHARDS`]
-//! independent `RwLock`-protected maps so concurrent workers rarely contend
-//! on the same lock, and readers never block each other at all.
+//! The map holds one entry per TLD, so it is small, almost only read, and
+//! read only on a worker's first lookup under each TLD: one `RwLock` is
+//! all it needs.
 
 use crate::name::DomainName;
-use crate::wire::{RecordData, RecordType};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independent lock stripes. A small power of two well above the
-/// worker counts the pipeline uses keeps the collision probability low.
-pub const NUM_SHARDS: usize = 16;
-
-/// Answers for one name, one slot per record type. Nesting by name lets
-/// lookups borrow the key instead of building `(name, type)` tuples, and
-/// the fixed slots need no allocation of their own. Both cache tiers use it.
-#[derive(Debug, Default)]
-pub(crate) struct AnswerRows([Option<Vec<RecordData>>; 3]);
-
-impl AnswerRows {
-    fn slot(qtype: RecordType) -> usize {
-        match qtype {
-            RecordType::A => 0,
-            RecordType::Ns => 1,
-            RecordType::Cname => 2,
-        }
-    }
-
-    /// The cached answer of type `qtype`, if any.
-    pub(crate) fn get(&self, qtype: RecordType) -> Option<&[RecordData]> {
-        self.0[Self::slot(qtype)].as_deref()
-    }
-
-    /// Stores `data` as `name`'s answer of type `qtype` in `map`, cloning
-    /// the name only when it has no answers yet.
-    pub(crate) fn put(
-        map: &mut HashMap<DomainName, AnswerRows>,
-        name: &DomainName,
-        qtype: RecordType,
-        data: Vec<RecordData>,
-    ) {
-        let rows = match map.get_mut(name) {
-            Some(rows) => rows,
-            None => map.entry(name.clone()).or_default(),
-        };
-        rows.0[Self::slot(qtype)] = Some(data);
-    }
-}
-
-#[derive(Default)]
-struct Shard {
-    /// zone apex -> authoritative server addresses.
-    zones: RwLock<HashMap<DomainName, Arc<[Ipv4Addr]>>>,
-    /// completed answers by owner name, then record type.
-    answers: RwLock<HashMap<DomainName, AnswerRows>>,
-}
 
 /// Running hit/miss counters for a [`SharedDnsCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,24 +34,17 @@ pub struct SharedCacheStats {
     pub misses: u64,
 }
 
-/// A lock-striped delegation + answer cache shared across resolvers.
+/// The root's delegations (zone cut -> nameserver addresses), shared
+/// across resolvers.
 ///
 /// Thread-safe; intended to be wrapped in an `Arc` and handed to each
 /// worker's resolver via
 /// [`crate::IterativeResolver::with_shared_cache`].
 #[derive(Default)]
 pub struct SharedDnsCache {
-    shards: [Shard; NUM_SHARDS],
+    zones: RwLock<HashMap<DomainName, Arc<[Ipv4Addr]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// The shard of a name, from its presentation form (which hashes as the
-/// `DomainName` does), so a borrowed suffix finds its zone's shard.
-fn shard_index(name: &str) -> usize {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) % NUM_SHARDS
 }
 
 impl SharedDnsCache {
@@ -105,38 +54,22 @@ impl SharedDnsCache {
     }
 
     /// Cached authoritative addresses for the zone named `zone` (its
-    /// presentation form, `""` for the root), if any.
+    /// presentation form), if any.
     pub fn get_zone(&self, zone: &str) -> Option<Arc<[Ipv4Addr]>> {
-        let shard = &self.shards[shard_index(zone)];
-        let hit = shard.zones.read().get(zone).cloned();
-        self.count(hit.is_some());
+        let hit = self.zones.read().get(zone).cloned();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
-    /// Records the authoritative addresses for `zone`.
+    /// Records the authoritative addresses for `zone`, a cut the root
+    /// delegates.
     pub fn put_zone(&self, zone: DomainName, addrs: Arc<[Ipv4Addr]>) {
-        let shard = &self.shards[shard_index(zone.as_str())];
-        shard.zones.write().insert(zone, addrs);
-    }
-
-    /// Cached answer for `name`/`qtype`, if any.
-    pub fn get_answer(&self, name: &DomainName, qtype: RecordType) -> Option<Vec<RecordData>> {
-        let shard = &self.shards[shard_index(name.as_str())];
-        let guard = shard.answers.read();
-        let hit = guard
-            .get(name)
-            .and_then(|rows| rows.get(qtype))
-            .map(<[RecordData]>::to_vec);
-        drop(guard);
-        self.count(hit.is_some());
-        hit
-    }
-
-    /// Records a completed answer for `name`/`qtype`; the name is cloned
-    /// only when it has no row yet.
-    pub fn put_answer(&self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        let shard = &self.shards[shard_index(name.as_str())];
-        AnswerRows::put(&mut shard.answers.write(), name, qtype, data);
+        self.zones.write().insert(zone, addrs);
     }
 
     /// Hit/miss counters accumulated since construction.
@@ -144,14 +77,6 @@ impl SharedDnsCache {
         SharedCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -176,37 +101,12 @@ mod tests {
     }
 
     #[test]
-    fn answers_keyed_by_type() {
-        let cache = SharedDnsCache::new();
-        let name = n("example.com");
-        cache.put_answer(
-            &name,
-            RecordType::A,
-            vec![RecordData::A(Ipv4Addr::new(203, 0, 113, 10))],
-        );
-        cache.put_answer(
-            &name,
-            RecordType::Ns,
-            vec![RecordData::Ns(n("ns1.example.com"))],
-        );
-        assert_eq!(
-            cache.get_answer(&name, RecordType::A),
-            Some(vec![RecordData::A(Ipv4Addr::new(203, 0, 113, 10))])
-        );
-        assert_eq!(
-            cache.get_answer(&name, RecordType::Ns),
-            Some(vec![RecordData::Ns(n("ns1.example.com"))])
-        );
-        assert_eq!(cache.get_answer(&name, RecordType::Cname), None);
-    }
-
-    #[test]
     fn stats_track_hits_and_misses() {
         let cache = SharedDnsCache::new();
         let _ = cache.get_zone("org"); // miss
         cache.put_zone(n("org"), Arc::from([Ipv4Addr::new(199, 19, 56, 1)]));
         let _ = cache.get_zone("org"); // hit
-        let _ = cache.get_answer(&n("example.org"), RecordType::A); // miss
+        let _ = cache.get_zone("net"); // miss
         assert_eq!(cache.stats(), SharedCacheStats { hits: 1, misses: 2 });
     }
 
@@ -218,13 +118,9 @@ mod tests {
                 let cache = &cache;
                 s.spawn(move || {
                     for i in 0..50u8 {
-                        let name = n(&format!("host{}.zone{}.test", i, t));
-                        cache.put_answer(
-                            &name,
-                            RecordType::A,
-                            vec![RecordData::A(Ipv4Addr::new(10, t, i, 1))],
-                        );
-                        assert!(cache.get_answer(&name, RecordType::A).is_some());
+                        let zone = format!("tld{t}x{i}");
+                        cache.put_zone(n(&zone), Arc::from([Ipv4Addr::new(10, t, i, 1)]));
+                        assert!(cache.get_zone(&zone).is_some());
                     }
                 });
             }

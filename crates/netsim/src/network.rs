@@ -2,10 +2,11 @@
 //!
 //! The fabric is built for many concurrent senders: the endpoint tables are
 //! lock-striped across [`NUM_SHARDS`] independent `RwLock`ed maps (the send
-//! path only ever takes read locks), delivery counters are atomics, and the
-//! loss process derives each drop decision from a per-*sender* counter
-//! stream rather than one global RNG behind a mutex — so loss decisions are
-//! deterministic per sender regardless of how threads interleave.
+//! path only ever takes read locks), delivery counters are striped per
+//! thread on their own cache lines and summed on read, and the loss process
+//! derives each drop decision from a per-*sender* counter stream rather
+//! than one global RNG behind a mutex — so loss decisions are deterministic
+//! per sender regardless of how threads interleave.
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
@@ -18,7 +19,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,10 +134,16 @@ const MAX_INLINE_DEPTH: u8 = 4;
 /// Number of lock stripes for the endpoint tables.
 pub const NUM_SHARDS: usize = 16;
 
+/// A datagram's shard: SplitMix64 over the address's 48 bits, which spreads
+/// an address block evenly for a fraction of SipHash's cost per send.
 fn shard_index(addr: &SockAddr) -> usize {
-    (addr_hash(addr) as usize) % NUM_SHARDS
+    let bits = (u64::from(u32::from(addr.ip)) << 16) | u64::from(addr.port);
+    (splitmix64(bits) as usize) % NUM_SHARDS
 }
 
+/// The seed of a sender's loss stream. It decides which datagrams drop, so
+/// it stays SipHash: changing it would change every store measured under
+/// loss.
 fn addr_hash(addr: &SockAddr) -> u64 {
     let mut h = DefaultHasher::new();
     addr.hash(&mut h);
@@ -152,9 +159,15 @@ struct Shard {
     loss_seq: Mutex<HashMap<SockAddr, u64>>,
 }
 
-/// Delivery counters as atomics so the hot send path never locks for stats.
+/// Number of counter stripes. Threads take stripes round-robin; threads
+/// beyond this count share one, which costs contention, never accuracy.
+const STAT_STRIPES: usize = 32;
+
+/// One thread's delivery counters, on cache lines of its own so the hot
+/// send path neither locks nor bounces a line shared with other senders.
 #[derive(Default)]
-struct AtomicStats {
+#[repr(align(128))]
+struct StatStripe {
     sent: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
@@ -163,15 +176,45 @@ struct AtomicStats {
     total_latency_ms: AtomicU64,
 }
 
-impl AtomicStats {
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's stripe index, the same in every network.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STAT_STRIPES;
+}
+
+/// Delivery counters striped per thread; a read sums the stripes.
+struct StripedStats([StatStripe; STAT_STRIPES]);
+
+impl StripedStats {
+    fn new() -> Self {
+        StripedStats(std::array::from_fn(|_| StatStripe::default()))
+    }
+
+    /// The calling thread's stripe.
+    fn local(&self) -> &StatStripe {
+        &self.0[STRIPE.with(|s| *s)]
+    }
+
+    /// The exact sum over all stripes (of every send that has returned).
     fn snapshot(&self) -> NetStats {
+        let sum = |field: fn(&StatStripe) -> &AtomicU64| {
+            self.0
+                .iter()
+                .map(|s| field(s).load(Ordering::Relaxed))
+                .sum()
+        };
         NetStats {
-            sent: self.sent.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            unreachable: self.unreachable.load(Ordering::Relaxed),
-            faulted: self.faulted.load(Ordering::Relaxed),
-            total_latency_ms: self.total_latency_ms.load(Ordering::Relaxed),
+            sent: sum(|s| &s.sent),
+            delivered: sum(|s| &s.delivered),
+            dropped: sum(|s| &s.dropped),
+            unreachable: sum(|s| &s.unreachable),
+            faulted: sum(|s| &s.faulted),
+            total_latency_ms: sum(|s| &s.total_latency_ms),
         }
     }
 }
@@ -193,7 +236,7 @@ fn unit_f64(x: u64) -> f64 {
 struct NetworkInner {
     shards: [Shard; NUM_SHARDS],
     config: NetConfig,
-    stats: AtomicStats,
+    stats: StripedStats,
 }
 
 /// Handle to a simulated network. Cloning shares the same fabric.
@@ -209,7 +252,7 @@ impl Network {
             inner: Arc::new(NetworkInner {
                 shards: std::array::from_fn(|_| Shard::default()),
                 config,
-                stats: AtomicStats::default(),
+                stats: StripedStats::new(),
             }),
         }
     }
@@ -365,10 +408,11 @@ impl Network {
         depth: u8,
     ) -> Result<(), NetError> {
         let inner = &self.inner;
-        inner.stats.sent.fetch_add(1, Ordering::Relaxed);
+        let stats = inner.stats.local();
+        add(&stats.sent, 1);
 
         if inner.config.loss_rate > 0.0 && self.loss_roll(src) {
-            inner.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            add(&stats.dropped, 1);
             return Ok(()); // silent loss, like the real thing
         }
 
@@ -379,7 +423,7 @@ impl Network {
         // ephemeral port is not traffic *to* the dead server.
         if let Some(plan) = &inner.config.faults {
             if plan.black_holes(dst.ip, dst.port) {
-                inner.stats.faulted.fetch_add(1, Ordering::Relaxed);
+                add(&stats.faulted, 1);
                 return Ok(());
             }
         }
@@ -396,7 +440,7 @@ impl Network {
                 drop(unicast);
                 let anycast = shard.anycast.read();
                 let Some(sites) = anycast.get(&dst) else {
-                    inner.stats.unreachable.fetch_add(1, Ordering::Relaxed);
+                    add(&stats.unreachable, 1);
                     return Err(NetError::Unreachable(dst));
                 };
                 let best = sites
@@ -412,25 +456,19 @@ impl Network {
             Sink::Queue(tx) => {
                 let delivered = tx.send(Datagram { src, dst, payload }).is_ok();
                 if delivered {
-                    inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .stats
-                        .total_latency_ms
-                        .fetch_add(latency.as_millis() as u64, Ordering::Relaxed);
+                    add(&stats.delivered, 1);
+                    add(&stats.total_latency_ms, latency.as_millis() as u64);
                 } else {
-                    inner.stats.unreachable.fetch_add(1, Ordering::Relaxed);
+                    add(&stats.unreachable, 1);
                 }
             }
             Sink::Inline(f) => {
                 if depth >= MAX_INLINE_DEPTH {
-                    inner.stats.unreachable.fetch_add(1, Ordering::Relaxed);
+                    add(&stats.unreachable, 1);
                     return Err(NetError::Unreachable(dst));
                 }
-                inner.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .stats
-                    .total_latency_ms
-                    .fetch_add(latency.as_millis() as u64, Ordering::Relaxed);
+                add(&stats.delivered, 1);
+                add(&stats.total_latency_ms, latency.as_millis() as u64);
                 let dgram = Datagram { src, dst, payload };
                 if let Some(reply) = f(&dgram) {
                     // The responder answers from the address it was queried
@@ -731,6 +769,70 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.delivered, 1);
         assert!(stats.total_latency_ms >= 15);
+    }
+
+    #[test]
+    fn striped_stats_sum_exactly_across_threads() {
+        use crate::shared::ResponderSet;
+        // More sending threads than stripes, so some threads share one.
+        const THREADS: u8 = STAT_STRIPES as u8 + 4;
+        const SENDS: u64 = 250;
+        let net = Network::new(NetConfig::default());
+        let seen = Arc::new(AtomicU64::new(0));
+        let sink = ResponderSet::new(&net, {
+            let seen = Arc::clone(&seen);
+            move |_: &Datagram| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        });
+        sink.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let net = &net;
+                s.spawn(move || {
+                    let client = net
+                        .bind(Ipv4Addr::new(10, 1, t, 1), 1, Region::EUROPE)
+                        .unwrap();
+                    for _ in 0..SENDS {
+                        client
+                            .send(SockAddr::new(ip("10.0.0.7"), 7), Bytes::new())
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let want = u64::from(THREADS) * SENDS;
+        let stats = net.stats();
+        assert_eq!(stats.sent, want);
+        assert_eq!(stats.delivered, want);
+        assert_eq!(seen.load(Ordering::Relaxed), want);
+    }
+
+    #[test]
+    fn blocked_receiver_wakes_on_a_later_send() {
+        let net = Network::new(NetConfig::default());
+        let server = net.bind(ip("10.0.0.1"), 7, Region::EUROPE).unwrap();
+        let waiter = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            let d = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            (d, start.elapsed())
+        });
+        // Give the receiver time to block first. If it has not, the datagram
+        // is already queued when it looks and the test passes without
+        // exercising the wakeup: the sleep can hide the lost wakeup this
+        // checks for, never fake one.
+        std::thread::sleep(Duration::from_millis(50));
+        let client = net.bind(ip("10.0.0.2"), 9, Region::EUROPE).unwrap();
+        client
+            .send(
+                SockAddr::new(ip("10.0.0.1"), 7),
+                Bytes::from_static(b"late"),
+            )
+            .unwrap();
+        let (d, waited) = waiter.join().unwrap();
+        assert_eq!(&d.payload[..], b"late");
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
     }
 
     #[test]

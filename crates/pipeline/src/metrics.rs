@@ -73,7 +73,7 @@ pub fn metrics() -> &'static PipelineMetrics {
             ),
             dns_shared_cache_hits: r.counter(
                 "webdep_pipeline_dns_shared_cache_hits_total",
-                "DNS answers and delegations served from the shared cache tier",
+                "DNS delegations (TLD cuts) served from the shared cache tier",
             ),
             malformed_datagrams: r.counter(
                 "webdep_pipeline_malformed_datagrams_total",

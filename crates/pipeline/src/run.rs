@@ -2,12 +2,14 @@
 //! supervision.
 //!
 //! Workers pull small batches from a shared atomic cursor, so a worker
-//! that lands on slow sites never leaves a pre-assigned shard idle, and
-//! one process-wide [`SharedDnsCache`] sits under every worker's private
-//! resolver cache, so the delegation tier (root, TLD referrals) is walked
-//! roughly once per run instead of once per worker. Neither changes the
-//! result: `measure` returns a byte-identical dataset for any worker
-//! count.
+//! that lands on slow sites never leaves a pre-assigned shard idle. Each
+//! worker resolves through its own resolver and private cache; the one
+//! thing they share is a [`SharedDnsCache`] of the root's delegations (the
+//! TLD cuts), so the root is asked about each TLD roughly once per run
+//! instead of once per worker. Everything below a TLD (answers, deeper
+//! cuts) is only ever reused by the worker that learned it, so it stays
+//! private and costs no cross-worker writes. Neither changes the result:
+//! `measure` returns a byte-identical dataset for any worker count.
 //!
 //! On top of the scheduler sits the supervision layer (see
 //! [`crate::supervisor`]): every site is measured under `catch_unwind`
@@ -99,7 +101,7 @@ pub struct MeasureStats {
     pub wire_queries: u64,
     /// Answers served from workers' private resolver caches.
     pub local_cache_hits: u64,
-    /// Answers/delegations served from the shared cache tier.
+    /// Delegations (TLD cuts) served from the shared cache tier.
     pub shared_cache_hits: u64,
     /// Per-worker busy time (from spawn to last site finished), including
     /// workers that were lost mid-run.

@@ -40,11 +40,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per site: 82.9 measured on both paths, plus a small
+/// Allocations per site: 74.5 measured on both paths, plus a small
 /// margin. The path took 199 (resident) and 212 (streamed) before it was
-/// made allocation-lean; 98, half of the 196 a site cost on the `small`
+/// made allocation-lean, and 82.9 while every answer was also copied into
+/// the shared DNS tier; 98, half of the 196 a site cost on the `small`
 /// world, is the ceiling the budget may never be raised past.
-const BUDGET_PER_SITE: f64 = 85.0;
+const BUDGET_PER_SITE: f64 = 77.0;
 const _: () = assert!(BUDGET_PER_SITE <= 98.0);
 
 /// Allocations per site of `run` over `sites` sites.

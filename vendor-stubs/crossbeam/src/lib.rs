@@ -8,9 +8,17 @@ pub mod channel {
     use std::time::{Duration, Instant};
 
     struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
+        queue: Mutex<Queue<T>>,
         ready: Condvar,
         senders: AtomicUsize,
+    }
+
+    /// The channel's items plus the receivers blocked waiting for one, so
+    /// a send wakes the condvar only when someone sleeps on it (a futex
+    /// wake is a syscall even with no waiter).
+    struct Queue<T> {
+        items: VecDeque<T>,
+        waiting: usize,
     }
 
     /// The sending half; cloneable.
@@ -44,7 +52,10 @@ pub mod channel {
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                waiting: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
         });
@@ -83,8 +94,10 @@ pub mod channel {
                 return Err(SendError(value));
             }
             let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.push_back(value);
-            self.0.ready.notify_one();
+            q.items.push_back(value);
+            if q.waiting > 0 {
+                self.0.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -95,7 +108,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = q.items.pop_front() {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::Acquire) == 0 {
@@ -105,14 +118,16 @@ pub mod channel {
                 if remaining.is_zero() {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                q.waiting += 1;
                 let (guard, wait) = self
                     .0
                     .ready
                     .wait_timeout(q, remaining)
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
+                q.waiting -= 1;
                 if wait.timed_out() {
-                    return match q.pop_front() {
+                    return match q.items.pop_front() {
                         Some(v) => Ok(v),
                         None if self.0.senders.load(Ordering::Acquire) == 0 => {
                             Err(RecvTimeoutError::Disconnected)
@@ -126,7 +141,7 @@ pub mod channel {
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            match q.pop_front() {
+            match q.items.pop_front() {
                 Some(v) => Ok(v),
                 None if self.0.senders.load(Ordering::Acquire) == 0 => {
                     Err(TryRecvError::Disconnected)
