@@ -6,15 +6,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# A check must not edit the tree it checks: every step below leaves
+# `git status` as it found it (no tracked file changed, no unignored file
+# left behind), and the run fails at the end otherwise.
+tree_before=$(git status --porcelain)
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release
 fi
 
 # Tier-1 (root package) includes the chaos smoke (tests/chaos_smoke.rs:
-# one injected worker death plus a kill-and-resume cycle); --workspace
-# adds every crate's suite, including the full supervision matrix in
-# crates/pipeline/tests/supervision.rs.
+# one injected worker death plus a kill-and-resume cycle) and the
+# exact-count gate (tests/gate_counts.rs, read against
+# BENCH_baselines.json); --workspace adds every crate's suite, including
+# the full supervision matrix in crates/pipeline/tests/supervision.rs.
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -118,46 +124,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-# Streaming-dataset smoke: every scale phase (equivalence certification,
-# resident, streaming) at toy sizes — seconds, not the full 5M-site run.
-echo "==> bench-snapshot scale --smoke"
-cargo run --release -q -p webdep-bench --bin bench-snapshot -- scale --smoke
-
-# Query-service smoke: start the server on an ephemeral port, sweep the
-# full query catalog, spot-check served JSON against a directly-built
-# AnalysisCtx, and publish two epochs under load. Fails on any non-2xx,
-# any served/one-shot mismatch, or any mixed-epoch response.
-echo "==> bench-snapshot serve --smoke"
-cargo run --release -q -p webdep-bench --bin bench-snapshot -- serve --smoke
-
-# Incremental-epoch smoke: evolve a small world two epochs, measure each
-# both ways, and certify the delta store byte-identical to from-scratch,
-# the delta-applied cube identical to a full refold, and the delta-built
-# snapshot's taxonomy identical to a rebuild.
-echo "==> bench-snapshot evolve --smoke"
-cargo run --release -q -p webdep-bench --bin bench-snapshot -- evolve --smoke
-
-# Self-healing smoke: the seeded chaos harness at toy sizes — slow-loris
-# flood with fast queries flowing, a burst storm with no wedged workers,
-# mid-serve chunk corruption healed byte-identically by fsck --repair,
-# and poisoned publishes rejected with the prior epoch still serving.
-echo "==> bench-snapshot overload --smoke"
-cargo run --release -q -p webdep-bench --bin bench-snapshot -- overload --smoke
-
-# Perf-regression gate: deterministic smoke workloads (seeded 1-worker
-# pipeline measurement, sequential serve sweep, always-on overload
-# machinery with exact shed/abort/reject counts) compared against
-# BENCH_baselines.json — exact integer counts, so it cannot flake on a
-# loaded box. Exits nonzero (and appends to BENCH_alerts.log) on breach;
-# after an accepted behavior change, re-record with
-# `bench-snapshot gate --smoke --update`.
-echo "==> bench-snapshot gate --smoke"
-cargo run --release -q -p webdep-bench --bin bench-snapshot -- gate --smoke
-
 # Repository benchmark smoke: perfbench/ is its own Cargo workspace built
 # against the crates' public API, so the workspace steps above never
 # compile it. Runs every workload untraced and traced on a tiny world.
 echo "==> python3 perfbench/smoke.py"
 python3 perfbench/smoke.py
+
+echo "==> git status unchanged by the run"
+tree_after=$(git status --porcelain)
+if [[ "$tree_after" != "$tree_before" ]]; then
+    echo "ci: the run changed the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "ci: all gates green"

@@ -5,8 +5,7 @@
 //! claim than one computed from all of it. Under fault injection (and in
 //! real measurement, under outages) the pipeline degrades gracefully
 //! instead of aborting — so every analysis table carries coverage, and
-//! this module aggregates it into the per-layer model the report and the
-//! fault-sweep bench read.
+//! this module aggregates it into the per-layer model the report reads.
 
 use crate::ctx::AnalysisCtx;
 use serde::Serialize;

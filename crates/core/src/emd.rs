@@ -110,8 +110,7 @@ impl EmdWorkspace {
 ///
 /// This materializes the full `C`-bucket reference, so it is only suitable
 /// for small `C` (validation and property tests). The closed form and this
-/// function agree to within float tolerance — asserted by tests and the
-/// `appA_emd_equivalence` bench.
+/// function agree to within float tolerance — asserted by tests.
 pub fn emd_to_decentralized_via_transport(dist: &CountDist) -> Result<f64, MetricError> {
     emd_to_decentralized_via_transport_with(dist, &mut EmdWorkspace::new())
 }

@@ -69,7 +69,7 @@ pub struct PipelineConfig {
     /// budget.
     pub supervisor: SupervisorConfig,
     /// Seeded chaos schedule (worker kills / panics / hangs) for
-    /// resilience tests and benches; `None` injects nothing.
+    /// resilience tests; `None` injects nothing.
     pub chaos: Option<ChaosPlan>,
 }
 

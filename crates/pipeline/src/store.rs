@@ -53,10 +53,11 @@
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Manifest magic string.
@@ -952,8 +953,9 @@ pub struct FsckReport {
     pub chunks: usize,
     /// Chunks present and checksum-clean.
     pub valid: usize,
-    /// Chunk indices whose files were absent.
-    pub missing: Vec<usize>,
+    /// Runs of chunk indices whose files were absent, as ascending,
+    /// maximal half-open ranges — at most one more than the files listed.
+    pub missing: Vec<Range<usize>>,
     /// Corrupt chunk indices with the decode failure for each.
     pub corrupt: Vec<(usize, String)>,
     /// Corrupt chunk files moved aside to `quarantine/` (repair only).
@@ -961,8 +963,9 @@ pub struct FsckReport {
     /// Chunks re-encoded byte-identically from journal records (repair
     /// only).
     pub healed: usize,
-    /// Chunks that needed healing but the journal could not cover.
-    pub unhealed: Vec<usize>,
+    /// Runs of chunks that needed healing but the journal could not
+    /// cover, as ascending, maximal half-open ranges.
+    pub unhealed: Vec<Range<usize>>,
 }
 
 impl FsckReport {
@@ -977,9 +980,18 @@ impl FsckReport {
         self.valid + self.healed == self.chunks
     }
 
-    /// JSON rendering for the CLI and the chaos harness.
+    /// JSON rendering for the CLI; a chunk range renders as its
+    /// half-open `[start, end]` pair.
     pub fn to_value(&self) -> Value {
-        let idxs = |v: &[usize]| Value::Array(v.iter().map(|&i| Value::U64(i as u64)).collect());
+        let idxs = |v: &[Range<usize>]| {
+            Value::Array(
+                v.iter()
+                    .map(|r| {
+                        Value::Array(vec![Value::U64(r.start as u64), Value::U64(r.end as u64)])
+                    })
+                    .collect(),
+            )
+        };
         Value::Object(vec![
             ("label".into(), Value::String(self.label.clone())),
             ("sites".into(), Value::U64(self.sites as u64)),
@@ -1113,21 +1125,38 @@ impl ChunkStore {
         })
     }
 
-    /// Verifies every chunk of the store at `dir` — checksum, header, and
-    /// full column decode — and reports what it finds. With `repair`,
-    /// corrupt chunk files are moved aside to `quarantine/` (never
-    /// deleted: the damaged bytes stay available for post-mortem) and
-    /// missing or quarantined chunks are re-encoded from `journal`
+    /// Verifies every chunk file of the store at `dir` — checksum,
+    /// header, and full column decode — and reports what it finds. With
+    /// `repair`, corrupt chunk files are moved aside to `quarantine/`
+    /// (never deleted: the damaged bytes stay available for post-mortem)
+    /// and missing or quarantined chunks are re-encoded from `journal`
     /// records where the journal covers all their rows. Chunk bytes are a
     /// pure function of the rows, so a healed chunk is byte-identical to
     /// the one the original run wrote; each is decode-verified before the
     /// atomic rename into place.
+    ///
+    /// The manifest is disk input, so nothing is sized by the chunk count
+    /// it implies: fsck decodes only the chunk files the directory lists,
+    /// reports the absent ones as ranges, and attempts a heal only for
+    /// chunks some journal record falls in.
     pub fn fsck(dir: &Path, journal: Option<&Path>, repair: bool) -> io::Result<FsckReport> {
         let store = ChunkStore::open(dir)?;
+        let chunks = store.num_chunks();
+        let mut listed = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            if let Some(c) = name.to_str().and_then(chunk_index_of) {
+                if c < chunks {
+                    listed.push(c);
+                }
+            }
+        }
+        listed.sort_unstable();
+
         let mut report = FsckReport {
             label: store.label.clone(),
             sites: store.sites,
-            chunks: store.num_chunks(),
+            chunks,
             valid: 0,
             missing: Vec::new(),
             corrupt: Vec::new(),
@@ -1135,16 +1164,13 @@ impl ChunkStore {
             healed: 0,
             unhealed: Vec::new(),
         };
-        let mut need_heal = Vec::new();
-        for c in 0..store.num_chunks() {
+        let mut valid = Vec::with_capacity(listed.len());
+        let mut present = Vec::with_capacity(listed.len());
+        for c in listed {
             match store.chunk_state(c) {
-                ChunkState::Valid => report.valid += 1,
-                ChunkState::Missing => {
-                    report.missing.push(c);
-                    if repair {
-                        need_heal.push(c);
-                    }
-                }
+                ChunkState::Valid => valid.push(c),
+                // Listed, then gone before the open: absent all the same.
+                ChunkState::Missing => continue,
                 ChunkState::Corrupt(why) => {
                     report.corrupt.push((c, why));
                     if repair {
@@ -1156,29 +1182,37 @@ impl ChunkStore {
                         }
                         std::fs::rename(chunk_path(dir, c), dst)?;
                         report.quarantined += 1;
-                        need_heal.push(c);
                     }
                 }
             }
+            present.push(c);
         }
-        if !need_heal.is_empty() {
-            let loaded = journal
-                .map(|path| crate::journal::load_for(path, &store.label, store.sites))
-                .transpose()?;
+        report.valid = valid.len();
+        report.missing = gaps(&present, chunks);
+        if !repair || valid.len() == chunks {
+            return Ok(report);
+        }
+
+        // Every chunk without a valid file needs healing: the absent ones
+        // and the corrupt ones just quarantined.
+        let mut healed = Vec::new();
+        if let Some(path) = journal {
+            let loaded = crate::journal::load_for(path, &store.label, store.sites)?;
             // Indexed by site, so the heal costs what the journal holds —
             // never a slot per site the manifest claims.
-            let by_site: HashMap<usize, &SiteObservation> = loaded
-                .iter()
-                .flat_map(|j| j.records.iter().map(|(i, obs)| (*i, obs)))
-                .collect();
-            for c in need_heal {
+            let by_site: HashMap<usize, &SiteObservation> =
+                loaded.records.iter().map(|(i, obs)| (*i, obs)).collect();
+            let touched: BTreeSet<usize> = by_site.keys().map(|&i| i / store.chunk_sites).collect();
+            for c in touched {
+                if c >= chunks || valid.binary_search(&c).is_ok() {
+                    continue;
+                }
                 let lo = c * store.chunk_sites;
                 let rows = store.chunk_rows(c);
                 let covered: Option<Vec<SiteObservation>> = (lo..lo + rows)
                     .map(|i| by_site.get(&i).map(|&obs| obs.clone()))
                     .collect();
                 let Some(batch) = covered else {
-                    report.unhealed.push(c);
                     continue;
                 };
                 let bytes = encode_chunk(c, lo, &batch);
@@ -1189,12 +1223,38 @@ impl ChunkStore {
                 f.write_all(&bytes)?;
                 f.sync_data()?;
                 std::fs::rename(&tmp, chunk_path(dir, c))?;
-                report.healed += 1;
+                healed.push(c);
             }
-            File::open(dir)?.sync_all()?;
         }
+        report.healed = healed.len();
+        valid.extend(healed);
+        valid.sort_unstable();
+        report.unhealed = gaps(&valid, chunks);
+        File::open(dir)?.sync_all()?;
         Ok(report)
     }
+}
+
+/// The chunk index a file name spells, if it is exactly the name
+/// [`chunk_path`] gives that index.
+fn chunk_index_of(name: &str) -> Option<usize> {
+    let digits = name.strip_prefix("chunk-")?.strip_suffix(".col")?;
+    let c: usize = digits.parse().ok()?;
+    (format!("{c:06}") == digits).then_some(c)
+}
+
+/// The runs of `0..n` not in `taken` (ascending, distinct, each below
+/// `n`) as maximal half-open ranges: at most `taken.len() + 1` of them.
+fn gaps(taken: &[usize], n: usize) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut next = 0;
+    for &c in taken.iter().chain([&n]) {
+        if next < c {
+            runs.push(next..c);
+        }
+        next = c + 1;
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -1408,6 +1468,40 @@ mod tests {
             "{err}"
         );
         assert!(ChunkStore::fsck(&dir, None, true).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A manifest claiming `u32::MAX` one-site chunks over an empty
+    /// directory costs fsck a directory listing, not four billion opens:
+    /// the absent chunks come back as one range, and a repair heals only
+    /// the chunk the journal's one record falls in.
+    #[test]
+    fn fsck_of_a_hollow_huge_manifest_is_bounded_by_the_listing() {
+        let dir = tmp("hollow-manifest");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let sites = u32::MAX as usize;
+        write_manifest(&dir, "t-v1", sites, 1).unwrap();
+
+        let t0 = std::time::Instant::now();
+        let report = ChunkStore::fsck(&dir, None, false).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        assert!(!report.intact());
+        assert_eq!(report.chunks, sites);
+        assert_eq!(report.missing, vec![0..sites]);
+
+        let jpath = dir.join("run.journal");
+        let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", sites).unwrap();
+        jw.append(5, &sample_obs(5)).unwrap();
+        jw.sync().unwrap();
+        let t0 = std::time::Instant::now();
+        let report = ChunkStore::fsck(&dir, Some(&jpath), true).unwrap();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        assert!(!report.intact());
+        assert_eq!(report.healed, 1);
+        assert_eq!(report.unhealed, vec![0..5, 6..sites]);
+        let store = ChunkStore::open(&dir).unwrap();
+        assert_eq!(store.read_chunk(5).unwrap().observation(0), sample_obs(5));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1699,7 +1793,7 @@ mod tests {
         let report = ChunkStore::fsck(&dir, None, false).unwrap();
         assert!(!report.clean() && !report.intact());
         assert_eq!(report.valid, 3);
-        assert_eq!(report.missing, vec![4]);
+        assert_eq!(report.missing, vec![4..5]);
         assert_eq!(report.corrupt.len(), 1);
         assert_eq!(report.corrupt[0].0, 2);
         assert_eq!((report.quarantined, report.healed), (0, 0));
@@ -1732,7 +1826,7 @@ mod tests {
         fs::remove_file(dir.join("chunk-000000.col")).unwrap();
         let report = ChunkStore::fsck(&dir, None, true).unwrap();
         assert!(!report.intact());
-        assert_eq!(report.unhealed, vec![0]);
+        assert_eq!(report.unhealed, vec![0..1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

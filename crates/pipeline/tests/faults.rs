@@ -220,3 +220,24 @@ fn corruption_faults_show_up_in_run_counters() {
         "garbling must be counted as id mismatches"
     );
 }
+
+/// An empty fault plan is no plan: deploying with `FaultPlan::none()`
+/// measures the same dataset, down to its serialized bytes, as deploying
+/// without one.
+#[test]
+fn zero_fault_plan_is_byte_identical_to_no_plan() {
+    let world = small_world();
+    let bare = measure(
+        &world,
+        &DeployedWorld::deploy(&world, DeployConfig::default()),
+        &fast_config(4),
+    );
+    let planned = measure(
+        &world,
+        &deploy_with_faults(&world, FaultPlan::none()),
+        &fast_config(4),
+    );
+    assert_eq!(bare, planned, "an empty fault plan changed the dataset");
+    let bytes = |ds: &MeasuredDataset| serde_json::to_string(&ds.observations).expect("serialize");
+    assert_eq!(bytes(&bare), bytes(&planned));
+}

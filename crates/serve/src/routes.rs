@@ -686,3 +686,57 @@ fn taxonomy_body(snap: &CubeSnapshot) -> Value {
         ("failures", Value::Object(layers)),
     ])
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{parse_head, Limits, ParseOutcome};
+    use proptest::prelude::*;
+
+    /// Every route, a route with an unknown country, and unknown paths.
+    const PATHS: [&str; 15] = [
+        "/healthz",
+        "/v1/meta",
+        "/v1/countries",
+        "/v1/score/US",
+        "/v1/ci/DE",
+        "/v1/shares/TH",
+        "/v1/insularity/BR",
+        "/v1/badge/JP",
+        "/v1/top",
+        "/v1/coverage",
+        "/v1/taxonomy",
+        "/v1/trajectory",
+        "/v1/score/ZZ",
+        "/v1/nope",
+        "/elsewhere",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any printable query string on any route parses and routes to a
+        /// 2xx or 4xx, never a panic or a 5xx.
+        #[test]
+        fn arbitrary_queries_answer_2xx_or_4xx(
+            query in prop::string::string_regex("[ -~]{0,64}").unwrap(),
+        ) {
+            let snap = crate::snapshot::tests::fixture();
+            let cache = ResponseCache::new(64);
+            for path in PATHS {
+                let raw = format!("GET {path}?{query} HTTP/1.1\r\nHost: t\r\n\r\n");
+                let status = match parse_head(raw.as_bytes(), &Limits::default()) {
+                    ParseOutcome::Complete { request, .. } => {
+                        handle(&request, snap, &cache, Budget::unlimited()).status
+                    }
+                    ParseOutcome::Error(e) => e.status(),
+                    ParseOutcome::Partial => panic!("{raw:?}: a whole head parsed as partial"),
+                };
+                prop_assert!(
+                    (200..300).contains(&status) || (400..500).contains(&status),
+                    "{raw:?} answered {status}"
+                );
+            }
+        }
+    }
+}

@@ -445,3 +445,82 @@ impl SnapshotCell {
         epoch
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::sync::OnceLock;
+    use webdep_pipeline::{measure_streamed, PipelineConfig};
+    use webdep_webgen::{DeployConfig, DeployedWorld, WorldConfig};
+
+    /// Measures a small world into a scratch chunk store and hands the
+    /// world and the store to `f`; the store is removed afterwards.
+    fn with_store<T>(tag: &str, f: impl FnOnce(&Arc<World>, &Path) -> T) -> T {
+        let world = Arc::new(World::generate(WorldConfig {
+            seed: 42,
+            sites_per_country: 8,
+            global_pool_size: 40,
+            tail_scale: 0.04,
+            pool_target: 16,
+        }));
+        let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+        let dir =
+            std::env::temp_dir().join(format!("webdep-snapshot-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+        let out = f(&world, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    /// A measured snapshot shared by the unit tests that only read it.
+    pub(crate) fn fixture() -> &'static CubeSnapshot {
+        static SNAP: OnceLock<CubeSnapshot> = OnceLock::new();
+        SNAP.get_or_init(|| {
+            with_store("fixture", |world, dir| {
+                CubeSnapshot::from_store(1, Arc::clone(world), dir).expect("fold")
+            })
+        })
+    }
+
+    /// A named edit to one part of a snapshot.
+    type Mutation = (&'static str, fn(&mut CubeSnapshot));
+
+    /// Each single mutation of an honest snapshot's carried state is
+    /// caught by validation as an `Err`, never a panic.
+    #[test]
+    fn validate_rejects_each_single_mutation() {
+        let mutations: [Mutation; 4] = [
+            ("taxonomy cell", |s| {
+                let layer = s.taxonomy.counts.entry("dns".into()).or_default();
+                *layer
+                    .entry(FailureCause::Timeout.name().into())
+                    .or_default() += 1;
+            }),
+            ("causes length", |s| {
+                s.delta_state.causes.pop();
+            }),
+            ("builder sites", |s| {
+                let sites = s.delta_state.builder.sites();
+                s.delta_state.builder.grow(sites + 1);
+            }),
+            ("trajectory label", |s| {
+                s.trajectory.points.last_mut().expect("a point").label = "elsewhere".into();
+            }),
+        ];
+        with_store("mutations", |world, dir| {
+            let fold = || CubeSnapshot::from_store(1, Arc::clone(world), dir).expect("fold");
+            fold()
+                .validate(None, None)
+                .expect("the honest snapshot validates");
+            for (what, mutate) in mutations {
+                let mut snap = fold();
+                mutate(&mut snap);
+                assert!(
+                    snap.validate(None, None).is_err(),
+                    "validation accepted a mutated {what}"
+                );
+            }
+        });
+    }
+}

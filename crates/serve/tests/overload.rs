@@ -1,7 +1,8 @@
 //! Self-healing behavior over a real socket: slow-loris floods versus the
 //! parking worker pool, deterministic load shedding, admission-queue hard
-//! caps, per-route deadlines, and pre-publish snapshot validation with
-//! rollback.
+//! caps, per-route deadlines, pre-publish snapshot validation with
+//! rollback, bursts past capacity, and a store corrupted and healed while
+//! a server is up.
 
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
@@ -9,7 +10,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use webdep_pipeline::{ChunkStoreWriter, FailureCause, LayerError, SiteObservation};
+use webdep_pipeline::{
+    ChunkStore, ChunkStoreWriter, FailureCause, JournalWriter, LayerError, SiteObservation,
+};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, OverloadConfig, ServeConfig};
 use webdep_webgen::{EvolutionPlan, World, WorldConfig};
@@ -438,6 +441,108 @@ fn validation_rejects_poisoned_snapshots_and_keeps_serving() {
     assert_eq!(handle.publish_validated(snap3, None).expect("recover"), 3);
     assert_eq!(get(addr, "/healthz").epoch, Some(3));
 
+    handle.shutdown();
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// A burst of 4× the worker count, every client on fresh connections:
+/// each connection is answered — served (200) or shed with Retry-After
+/// (503), never dropped — and the server is healthy afterwards.
+#[test]
+fn burst_is_served_or_shed_and_server_recovers() {
+    let workers = 2;
+    let handle = start(
+        ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        },
+        fixture_snapshot(1),
+    )
+    .expect("start");
+    let addr = handle.addr();
+    let clients: Vec<_> = (0..4 * workers)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let targets = ["/v1/meta", "/v1/score/US?replicates=0", "/v1/shares/DE"];
+                (0..25)
+                    .map(|k| {
+                        let target = targets[(c + k) % targets.len()];
+                        let resp = get(addr, target);
+                        (target, resp.status, resp.retry_after)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for client in clients {
+        for (target, status, retry_after) in client.join().expect("burst client") {
+            match status {
+                200 => {}
+                503 => assert!(retry_after.is_some(), "{target} shed without Retry-After"),
+                other => panic!("{target} answered {other} in the burst"),
+            }
+        }
+    }
+    assert_eq!(get(addr, "/healthz").status, 200, "wedged after the burst");
+    assert_eq!(get(addr, "/v1/meta").status, 200, "wedged after the burst");
+    handle.shutdown();
+}
+
+/// A chunk of the store a server was built from is garbled while it
+/// serves. The server keeps answering off its resident cube; fsck finds
+/// the one corrupt chunk, quarantines it and heals it from the journal to
+/// the original bytes; and the next epoch folds from the repaired store
+/// and passes publish validation.
+#[test]
+fn mid_serve_corruption_is_healed_and_the_next_epoch_publishes() {
+    let world = fixture();
+    let tmp = std::env::temp_dir().join(format!("webdep-overload-heal-{}", std::process::id()));
+    let (store, journal) = (tmp.join("chunks"), tmp.join("run.journal"));
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("tmp dir");
+    let mut writer = ChunkStoreWriter::create(&store, &world.label, world.sites.len(), 512)
+        .expect("create store");
+    let mut jw = JournalWriter::create(&journal, &world.label, world.sites.len()).expect("journal");
+    for i in 0..world.sites.len() {
+        let obs = synth_observation(world, i);
+        writer.commit(i, &obs).expect("commit");
+        jw.append(i, &obs).expect("journal append");
+    }
+    writer.finish().expect("finish store");
+    jw.sync().expect("sync journal");
+
+    let snap1 = Arc::new(CubeSnapshot::from_store(1, Arc::clone(world), &store).expect("fold"));
+    let handle = start(ServeConfig::default(), Arc::clone(&snap1)).expect("start");
+    let addr = handle.addr();
+
+    let chunk = store.join("chunk-000003.col");
+    let pristine = std::fs::read(&chunk).expect("read chunk");
+    let mut garbled = pristine.clone();
+    garbled[pristine.len() / 2] ^= 0x5A;
+    std::fs::write(&chunk, &garbled).expect("garble chunk");
+    for target in ["/healthz", "/v1/meta", "/v1/score/US?replicates=0"] {
+        assert_eq!(
+            get(addr, target).status,
+            200,
+            "{target} with the store corrupt"
+        );
+    }
+
+    let report = ChunkStore::fsck(&store, Some(&journal), false).expect("fsck");
+    assert_eq!(report.corrupt.len(), 1, "{report:?}");
+    assert_eq!(report.quarantined, 0, "report-only fsck moved a file");
+    let repair = ChunkStore::fsck(&store, Some(&journal), true).expect("fsck --repair");
+    assert_eq!((repair.quarantined, repair.healed), (1, 1), "{repair:?}");
+    assert!(repair.intact(), "{repair:?}");
+    assert!(
+        std::fs::read(&chunk).expect("healed chunk") == pristine,
+        "the healed chunk differs from the original bytes"
+    );
+
+    let snap2 = CubeSnapshot::from_store_extending(2, Arc::clone(world), &store, &snap1)
+        .expect("fold the repaired store");
+    assert_eq!(handle.publish_validated(Arc::new(snap2), None), Ok(2));
+    assert_eq!(get(addr, "/healthz").epoch, Some(2));
     handle.shutdown();
     std::fs::remove_dir_all(&tmp).ok();
 }

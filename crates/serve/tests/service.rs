@@ -16,12 +16,12 @@ use webdep_pipeline::{
 };
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, Limits, ServeConfig};
-use webdep_webgen::{EvolutionPlan, Layer, World, WorldConfig};
+use webdep_webgen::{EvolutionPlan, Layer, World, WorldConfig, COUNTRIES};
 
 // ---------------------------------------------------------------- fixture
 
 /// A small world with deterministic synthetic observations (the same
-/// failure strides as the bench fixtures: every 97th site dead, every
+/// failure strides as `tests/overload.rs`: every 97th site dead, every
 /// 89th TLS-refused), so every layer and the taxonomy carry real data.
 fn synth_observation(world: &World, i: usize) -> SiteObservation {
     let site = &world.sites[i];
@@ -474,6 +474,47 @@ fn repeat_queries_hit_the_cache_and_normalize_keys() {
     let _ = get(addr, "/v1/score/ZZ");
     let _ = get(addr, "/v1/score/ZZ");
     assert_eq!(handle.cache_stats().misses, misses_before);
+    handle.shutdown();
+}
+
+/// The whole query catalog answers: every country × layer × per-country
+/// panel, every badge and top list, and the global routes, each a 200
+/// with a JSON body, over one keep-alive connection.
+#[test]
+fn catalog_sweep_answers_every_query() {
+    let mut targets = Vec::new();
+    for c in COUNTRIES.iter() {
+        for layer in ["hosting", "dns", "ca", "tld"] {
+            for route in ["score", "ci", "shares", "insularity"] {
+                targets.push(format!("/v1/{route}/{}?layer={layer}&replicates=0", c.code));
+            }
+        }
+        targets.push(format!("/v1/badge/{}?replicates=0", c.code));
+    }
+    for layer in ["hosting", "dns", "ca", "tld"] {
+        targets.push(format!("/v1/top?layer={layer}&n=10"));
+    }
+    for route in ["coverage", "taxonomy", "meta", "countries"] {
+        targets.push(format!("/v1/{route}"));
+    }
+    assert_eq!(targets.len(), 150 * 4 * 4 + 150 + 4 + 4);
+
+    let handle = start(ServeConfig::default(), fixture_snapshot(1)).expect("start");
+    let mut stream = connect(handle.addr());
+    for target in &targets {
+        // One write per request: a head split across segments would wait
+        // out a delayed ACK on every request of the keep-alive connection.
+        let head = format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+        stream.write_all(head.as_bytes()).expect("write request");
+        let resp = read_response(&mut stream).unwrap_or_else(|| panic!("{target}: no response"));
+        assert_eq!(resp.status, 200, "{target}: {}", text(&resp.body));
+        let body = std::str::from_utf8(&resp.body).expect("utf8 body");
+        assert!(
+            serde_json::from_str::<serde_json::Value>(body).is_ok(),
+            "{target}: body is not JSON: {body}"
+        );
+    }
+    assert_eq!(handle.stats().errors, 0);
     handle.shutdown();
 }
 

@@ -1,8 +1,7 @@
 //! k-means++ baseline clustering.
 //!
 //! The paper uses affinity propagation; k-means is included as the obvious
-//! baseline so the choice can be ablated (see the `fig06_provider_classes`
-//! bench and `examples/provider_classes.rs`).
+//! baseline so the choice can be ablated.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -4,8 +4,9 @@
 //! * measurement is independent of the worker count — one worker and four
 //!   workers racing for the shared queue measure equal datasets;
 //! * a snapshot served from the chunk store answers exactly what a
-//!   resident analysis context computes: every layer's score table and
-//!   bootstrap CIs are bit-equal;
+//!   resident analysis context computes: every layer's score table,
+//!   global owner counts, per-country totals and bootstrap CIs are
+//!   bit-equal;
 //! * provider clustering is independent of the thread count — affinity
 //!   propagation over the hosting and DNS features returns equal
 //!   clusterings on one, two and three threads;
@@ -31,6 +32,7 @@ use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep::stats::scale::min_max_scale_columns;
 use webdep::webgen::{
     provider_site_counts, DeployConfig, DeployedWorld, EvolutionPlan, Layer, World, WorldConfig,
+    COUNTRIES,
 };
 
 fn config(workers: usize) -> PipelineConfig {
@@ -115,6 +117,20 @@ fn store_snapshot_answers_like_resident_context() {
             format!("{:?}", layer_table(&resident, layer)),
             "{layer:?} layer table differs between store snapshot and resident context"
         );
+        // Every owner's global count, the top 10 of which the report
+        // prints, and each country's toplist length and measured total.
+        assert_eq!(
+            served.global_counts(layer),
+            resident.global_counts(layer),
+            "{layer:?} global owner counts differ"
+        );
+        for ci in 0..COUNTRIES.len() {
+            assert_eq!(
+                (served.toplist_len(ci), served.country_total(ci, layer)),
+                (resident.toplist_len(ci), resident.country_total(ci, layer)),
+                "country {ci} {layer:?}: toplist length or measured total differs"
+            );
+        }
         for code in ["US", "DE", "TH", "IR", "BR"] {
             let ci = World::country_index(code).unwrap();
             let a = served.score_ci(ci, layer, 100, 0.95, 7);
