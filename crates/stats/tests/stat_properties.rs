@@ -104,11 +104,21 @@ proptest! {
     }
 
     /// Affinity propagation always returns a valid clustering on
-    /// well-formed inputs.
+    /// well-formed inputs, repeated points included: equal points share an
+    /// exemplar, and appended copies leave the clustering of the points
+    /// they copy as it was.
     #[test]
-    fn affinity_valid(pts_raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..25)) {
-        let pts: Vec<Vec<f64>> = pts_raw.iter().map(|&(a, b)| vec![a, b]).collect();
+    fn affinity_valid(
+        pts_raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..25),
+        repeats in prop::collection::vec(0usize..1000, 0..20),
+    ) {
+        let mut pts: Vec<Vec<f64>> = pts_raw.iter().map(|&(a, b)| vec![a, b]).collect();
+        let original = affinity_propagation(&pts, &AffinityConfig::default()).unwrap();
+        let copies: Vec<Vec<f64>> = repeats.iter().map(|&i| pts[i % pts.len()].clone()).collect();
+        pts.extend(copies);
         let c = affinity_propagation(&pts, &AffinityConfig::default()).unwrap();
+        prop_assert_eq!(&c.exemplars, &original.exemplars);
+        prop_assert_eq!(&c.exemplar_of[..pts_raw.len()], &original.exemplar_of[..]);
         prop_assert!(!c.exemplars.is_empty());
         prop_assert_eq!(c.exemplar_of.len(), pts.len());
         for &e in &c.exemplar_of {
@@ -117,6 +127,13 @@ proptest! {
         // Exemplars map to themselves.
         for &e in &c.exemplars {
             prop_assert_eq!(c.exemplar_of[e], e);
+        }
+        for (i, p) in pts.iter().enumerate() {
+            for (j, q) in pts.iter().enumerate() {
+                if p == q {
+                    prop_assert_eq!(c.exemplar_of[i], c.exemplar_of[j], "points {} and {}", i, j);
+                }
+            }
         }
     }
 

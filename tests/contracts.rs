@@ -7,9 +7,9 @@
 //!   resident analysis context computes: every layer's score table,
 //!   global owner counts, per-country totals and bootstrap CIs are
 //!   bit-equal;
-//! * provider clustering is independent of the thread count — affinity
-//!   propagation over the hosting and DNS features returns equal
-//!   clusterings on one, two and three threads;
+//! * provider clustering runs on the distinct features — the hosting and
+//!   DNS features repeat points, and `classify` reports the clustering of
+//!   the distinct points alone;
 //! * `fsck --repair` heals a corrupt chunk from the run journal to the
 //!   bytes the run wrote;
 //! * world generation is deterministic: two generations of one config
@@ -145,33 +145,40 @@ fn store_snapshot_answers_like_resident_context() {
 }
 
 #[test]
-fn clustering_is_independent_of_thread_count() {
+fn clustering_runs_on_distinct_features() {
     let (world, solo) = fixture();
     let ctx = AnalysisCtx::new(world, solo);
     for layer in [Layer::Hosting, Layer::Dns] {
         // The clustering input `classify` builds: min-max scaled usage and
         // endemicity ratio per owner.
-        let raw: Vec<Vec<f64>> = classify(&ctx, layer)
+        let classification = classify(&ctx, layer);
+        let raw: Vec<Vec<f64>> = classification
             .features
             .iter()
             .map(|f| vec![f.usage, f.endemicity_ratio])
             .collect();
         let points = min_max_scale_columns(&raw);
-        let cluster = |threads| {
-            let config = AffinityConfig {
-                threads,
-                ..AffinityConfig::default()
-            };
-            affinity_propagation(&points, &config).expect("owners to cluster")
-        };
-        let one = cluster(1);
-        for threads in [2, 3] {
-            assert_eq!(
-                one,
-                cluster(threads),
-                "{layer:?} clustering differs between 1 and {threads} threads"
-            );
+        let mut distinct: Vec<Vec<f64>> = Vec::new();
+        for p in &points {
+            if !distinct.contains(p) {
+                distinct.push(p.clone());
+            }
         }
+        assert!(
+            distinct.len() < points.len(),
+            "{layer:?}: the features hold no duplicates to fold"
+        );
+        let alone =
+            affinity_propagation(&distinct, &AffinityConfig::default()).expect("owners to cluster");
+        assert_eq!(
+            (
+                classification.num_clusters,
+                classification.iterations,
+                classification.converged
+            ),
+            (alone.num_clusters(), alone.iterations, alone.converged),
+            "{layer:?} clustering differs from clustering the distinct features"
+        );
     }
 }
 
