@@ -82,7 +82,9 @@ echo "    $(ls "$ckpt/a" | wc -l) files identical"
 # The CLI's own serve path, without --store: `webdep serve` measures into
 # a scratch chunk store and folds the snapshot from it. Start it on an
 # ephemeral port, read the bound address off its "listening on" line,
-# require 200 from two routes, and require exit 0 after SIGINT.
+# require 200 from four routes, and require exit 0 after SIGINT. The CI
+# and badge routes must carry a full 200-replicate bootstrap interval, so
+# the served bootstrap path runs end to end.
 echo "==> webdep serve tiny (measure, fold, serve, SIGINT)"
 ./target/release/webdep serve tiny --addr 127.0.0.1:0 --threads 2 >"$ckpt/serve.log" 2>&1 &
 serve_pid=$!
@@ -101,14 +103,26 @@ if [[ -z "$addr" ]]; then
     exit 1
 fi
 python3 - "$addr" <<'PY' || { kill "$serve_pid"; echo "ci: webdep serve at $addr failed a fetch" >&2; exit 1; }
+import json
 import sys
 import urllib.request
 
 addr = sys.argv[1]
-for path in ["/v1/meta", "/v1/score/US?replicates=0"]:
+# Each path, and the field of its body that must hold a bootstrap interval.
+for path, ci_field in [
+    ("/v1/meta", None),
+    ("/v1/score/US?replicates=0", None),
+    ("/v1/ci/US?layer=dns&seed=3", "ci"),
+    ("/v1/badge/US", "hosting_ci"),
+]:
     with urllib.request.urlopen(f"http://{addr}{path}", timeout=30) as resp:
         if resp.status != 200:
             sys.exit(f"{path} answered {resp.status}")
+        body = json.load(resp)
+    if ci_field is not None:
+        ci = body.get(ci_field)
+        if not isinstance(ci, dict) or ci.get("replicates") != 200:
+            sys.exit(f"{path}: {ci_field} is {ci!r}, not a 200-replicate interval")
     print(f"    GET {path}: 200")
 PY
 kill -INT "$serve_pid"

@@ -1,13 +1,11 @@
 //! The analysis context: measured data joined with entity metadata.
 
 use crate::cube::DependenceCube;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use webdep_core::CountDist;
 use webdep_pipeline::{MeasuredDataset, SiteObservation};
 use webdep_stats::{
-    bootstrap_ci_indexed, bootstrap_ci_indexed_abortable, bootstrap_ci_indexed_scratch,
-    BootstrapAborted, BootstrapCi, BootstrapScratch, Resample,
+    label_score_ci, label_score_ci_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch,
 };
 use webdep_webgen::{Layer, World, COUNTRIES};
 
@@ -166,11 +164,11 @@ impl<'a> AnalysisCtx<'a> {
     /// Bootstrap confidence interval for a country's centralization score
     /// at a layer, resampling the cube's dense site-label array.
     ///
-    /// Replicates draw indices into the label array and tally into a
-    /// thread-local scratch row — zero allocation per replicate after the
-    /// first on each worker thread. Deterministic per seed, independent of
-    /// thread count. Returns `None` for an unmeasured country or for
-    /// degenerate `replicates`/`level`.
+    /// Runs the fused label-tally kernel ([`label_score_ci`]): each
+    /// replicate draws an index, reads the label and bumps a dense count
+    /// in one pass, with replicate chunks spread across threads.
+    /// Deterministic per seed, independent of thread count. Returns `None`
+    /// for an unmeasured country or for degenerate `replicates`/`level`.
     pub fn score_ci(
         &self,
         country_idx: usize,
@@ -180,10 +178,9 @@ impl<'a> AnalysisCtx<'a> {
         seed: u64,
     ) -> Option<BootstrapCi> {
         let lc = self.cube().layer(layer);
-        let labels = lc.site_labels(country_idx);
-        bootstrap_ci_indexed(
-            labels,
-            label_score_statistic(lc.owners().len()),
+        label_score_ci(
+            lc.site_labels(country_idx),
+            lc.owners().len(),
             replicates,
             level,
             seed,
@@ -195,8 +192,8 @@ impl<'a> AnalysisCtx<'a> {
     /// are parallel over countries. The experiment suite maps the countries
     /// across threads with one scratch per country task; a serial loop can
     /// reuse one scratch and allocate nothing after its first call.
-    /// Identical results — both variants draw the same per-replicate index
-    /// streams.
+    /// Bit-identical results — both variants run the same kernel over the
+    /// same per-replicate index streams.
     pub fn score_ci_scratch(
         &self,
         country_idx: usize,
@@ -206,23 +203,24 @@ impl<'a> AnalysisCtx<'a> {
         seed: u64,
         scratch: &mut BootstrapScratch,
     ) -> Option<BootstrapCi> {
-        let lc = self.cube().layer(layer);
-        let labels = lc.site_labels(country_idx);
-        bootstrap_ci_indexed_scratch(
-            labels,
-            label_score_statistic(lc.owners().len()),
+        self.score_ci_abortable(
+            country_idx,
+            layer,
             replicates,
             level,
             seed,
             scratch,
+            &mut || false,
         )
+        .unwrap_or_else(|BootstrapAborted| unreachable!("never polled to abort"))
     }
 
-    /// [`AnalysisCtx::score_ci`] that polls `should_abort` between
-    /// replicate chunks so a server under deadline pressure can abandon an
-    /// expensive CI instead of wedging a worker. When it completes, the
-    /// interval is bit-identical to [`AnalysisCtx::score_ci`]'s (same
-    /// per-replicate seeding).
+    /// [`AnalysisCtx::score_ci_scratch`] that polls `should_abort` before
+    /// the first replicate and then every 32 replicates, so a server under
+    /// deadline pressure can abandon an expensive CI instead of wedging a
+    /// worker. When it completes, the interval is bit-identical to
+    /// [`AnalysisCtx::score_ci`]'s (same kernel, same per-replicate
+    /// seeding).
     #[allow(clippy::too_many_arguments)]
     pub fn score_ci_abortable(
         &self,
@@ -235,10 +233,9 @@ impl<'a> AnalysisCtx<'a> {
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Option<BootstrapCi>, BootstrapAborted> {
         let lc = self.cube().layer(layer);
-        let labels = lc.site_labels(country_idx);
-        bootstrap_ci_indexed_abortable(
-            labels,
-            label_score_statistic(lc.owners().len()),
+        label_score_ci_scratch(
+            lc.site_labels(country_idx),
+            lc.owners().len(),
             replicates,
             level,
             seed,
@@ -273,40 +270,6 @@ impl<'a> AnalysisCtx<'a> {
             return 0.0;
         }
         self.country_total(country_idx, layer) as f64 / expected as f64
-    }
-}
-
-/// The zero-alloc replicate statistic over dense cube labels: tally into a
-/// thread-local scratch row, compute `Σ(a/C)² − 1/C`, and zero every
-/// touched slot on the way out so the row is clean for the next replicate
-/// without a memset.
-fn label_score_statistic(n_owners: usize) -> impl Fn(&Resample<'_, u32>) -> f64 {
-    thread_local! {
-        static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
-    move |rs| {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            if scratch.len() < n_owners {
-                scratch.resize(n_owners, 0);
-            }
-            let mut total = 0u64;
-            for &l in rs.iter() {
-                scratch[l as usize] += 1;
-                total += 1;
-            }
-            let c = total as f64;
-            let mut hhi = 0.0;
-            for &l in rs.iter() {
-                let a = scratch[l as usize];
-                if a != 0 {
-                    let share = a as f64 / c;
-                    hhi += share * share;
-                    scratch[l as usize] = 0;
-                }
-            }
-            hhi - 1.0 / c
-        })
     }
 }
 
@@ -427,57 +390,75 @@ mod tests {
         }
     }
 
-    /// The cube's zero-allocation CI must match a plain reference: the
-    /// generic `bootstrap_ci` over the country's per-site owner ids with a
-    /// HashMap-tally statistic. Both draw the same index streams; the
-    /// statistics differ only in floating-point summation order, so the
-    /// intervals must agree to tight tolerance.
+    /// All three CI entry points must be bit-identical to a plain
+    /// reference: the generic `bootstrap_ci` over a country's per-site
+    /// owners, read off the observations (renumbered by first appearance),
+    /// with a statistic that sums the squared shares in the order each
+    /// owner is first seen in the resample. Every country, every layer,
+    /// seeds 1–6 at the server's 200 replicates; one scratch is reused
+    /// throughout.
     #[test]
     fn score_ci_matches_reference_bootstrap() {
         let c = ctx();
         let (world, _) = crate::ctx::testutil::fixture();
-        let reference_score = |sample: &[u32]| {
-            let mut tally: HashMap<u32, u64> = HashMap::new();
+        // Over owner ranks `0..distinct`: a dense tally, summed in the
+        // order each owner is first seen in the sample.
+        let first_seen_score = |sample: &[u32]| {
+            let mut counts = vec![0u64; sample.len()];
+            let mut order = Vec::new();
             for &o in sample {
-                *tally.entry(o).or_insert(0) += 1;
+                if counts[o as usize] == 0 {
+                    order.push(o);
+                }
+                counts[o as usize] += 1;
             }
-            let mut counts: Vec<u64> = tally.into_values().collect();
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-            CountDist::from_counts(counts)
-                .map(|d| webdep_core::centralization_score(&d))
-                .unwrap_or(0.0)
+            let total = sample.len() as f64;
+            let mut hhi = 0.0;
+            for o in order {
+                let share = counts[o as usize] as f64 / total;
+                hhi += share * share;
+            }
+            hhi - 1.0 / total
         };
-        for code in ["TH", "US", "IR"] {
-            let i = World::country_index(code).unwrap();
-            let labels: Vec<u32> = c
-                .country_observations(i)
-                .filter_map(|obs| crate::ctx::testutil::reference_owner(world, obs, Layer::Hosting))
-                .collect();
-            let a = c.score_ci(i, Layer::Hosting, 100, 0.95, 7).unwrap();
-            let b = webdep_stats::bootstrap_ci(&labels, reference_score, 100, 0.95, 7).unwrap();
-            assert!((a.point - b.point).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
-            assert!((a.lo - b.lo).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
-            assert!((a.hi - b.hi).abs() < 1e-9, "{code}: {a:?} vs {b:?}");
-        }
-    }
-
-    /// The scratch variant draws the same index streams serially; the
-    /// intervals must be bit-identical, and the scratch must be safely
-    /// reusable across countries and layers.
-    #[test]
-    fn score_ci_scratch_is_identical_and_reusable() {
-        let c = ctx();
+        let bits = |ci: BootstrapCi| [ci.point.to_bits(), ci.lo.to_bits(), ci.hi.to_bits()];
         let mut scratch = webdep_stats::BootstrapScratch::new();
-        for code in ["TH", "US", "IR"] {
-            let i = World::country_index(code).unwrap();
-            for layer in [Layer::Hosting, Layer::Dns, Layer::Ca] {
-                let a = c.score_ci(i, layer, 100, 0.95, 7).unwrap();
-                let b = c
-                    .score_ci_scratch(i, layer, 100, 0.95, 7, &mut scratch)
-                    .unwrap();
-                assert_eq!(a, b, "{code} {layer:?}");
+        let mut checked = 0;
+        for (i, country) in COUNTRIES.iter().enumerate() {
+            for layer in Layer::ALL {
+                let mut rank: HashMap<u32, u32> = HashMap::new();
+                let owners: Vec<u32> = c
+                    .country_observations(i)
+                    .filter_map(|obs| crate::ctx::testutil::reference_owner(world, obs, layer))
+                    .map(|o| {
+                        let next = rank.len() as u32;
+                        *rank.entry(o).or_insert(next)
+                    })
+                    .collect();
+                for seed in 1..=6 {
+                    let what = format!("{} {layer:?} seed {seed}", country.code);
+                    let want =
+                        webdep_stats::bootstrap_ci(&owners, first_seen_score, 200, 0.95, seed);
+                    let Some(want) = want else {
+                        assert_eq!(c.score_ci(i, layer, 200, 0.95, seed), None, "{what}");
+                        continue;
+                    };
+                    let parallel = c.score_ci(i, layer, 200, 0.95, seed).expect(&what);
+                    let serial = c
+                        .score_ci_scratch(i, layer, 200, 0.95, seed, &mut scratch)
+                        .expect(&what);
+                    let abortable = c
+                        .score_ci_abortable(i, layer, 200, 0.95, seed, &mut scratch, &mut || false)
+                        .expect(&what)
+                        .expect(&what);
+                    for got in [parallel, serial, abortable] {
+                        assert_eq!(got.replicates, 200, "{what}");
+                        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+                    }
+                    checked += 1;
+                }
             }
         }
+        assert!(checked > 3_000, "only {checked} measured CIs");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bounded, epoch-aware response cache.
+//! Bounded, epoch-aware response cache with SIEVE eviction.
 //!
 //! Keys are `(epoch, canonical query key)` so entries built against an old
 //! snapshot can never satisfy a request routed to a newer one: after a
@@ -7,14 +7,25 @@
 //! capacity budget is not wasted on unreachable epochs.
 //!
 //! The cache is sharded by key hash; each shard is an independent
-//! `Mutex<HashMap>` plus a FIFO eviction queue, so concurrent readers on
+//! `Mutex` over a map and its insertion order, so concurrent readers on
 //! different keys rarely contend on the same lock.  Values are
 //! `Arc<Vec<u8>>` rendered response bodies — a hit clones the `Arc`, never
-//! the bytes.
+//! the bytes.  A lookup hashes the borrowed key once, for the shard and
+//! the shard's map together, and allocates nothing.
+//!
+//! Eviction is SIEVE (Zhang et al., NSDI '24).  A hit sets the entry's
+//! visited bit and moves nothing.  To make room, a hand walks the
+//! insertion order from the oldest entry toward the newest, wrapping
+//! around: it clears each visited bit it passes and evicts the first
+//! unvisited entry, then rests on that entry's newer neighbour.  New
+//! entries go in at the newest end.  Keys read again before the hand comes
+//! round stay resident, so a flood of one-hit keys cannot push out the
+//! hot ones (a FIFO queue lets it), and unlike LRU a hit reorders nothing.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 use webdep_core::metrics::Counter;
 
@@ -47,9 +58,131 @@ impl CacheStats {
     }
 }
 
+/// Hashes a shard map's key, which is already the cache's keyed SipHash
+/// of the whole `(epoch, key)`: the identity.
+#[derive(Default)]
+struct KeyHash(u64);
+
+impl Hasher for KeyHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by a u64 hash")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+struct Entry {
+    epoch: u64,
+    key: Box<str>,
+    body: Arc<Vec<u8>>,
+    /// Set by a hit, cleared when the hand passes.
+    visited: bool,
+}
+
+/// One shard: entries by the 64-bit hash of `(epoch, key)`, their hashes
+/// in insertion order (oldest first), and the SIEVE hand, a position in
+/// that order. Two keys whose hashes collide cannot both be resident:
+/// the second is not cached while the first is, and lookups compare the
+/// whole key, so a collision costs a miss, never a wrong body.
+#[derive(Default)]
 struct Shard {
-    map: HashMap<(u64, String), Arc<Vec<u8>>>,
-    fifo: VecDeque<(u64, String)>,
+    map: HashMap<u64, Entry, BuildHasherDefault<KeyHash>>,
+    order: VecDeque<u64>,
+    hand: usize,
+}
+
+impl Shard {
+    fn get(&mut self, h: u64, epoch: u64, key: &str) -> Option<Arc<Vec<u8>>> {
+        let entry = self
+            .map
+            .get_mut(&h)
+            .filter(|e| e.epoch == epoch && &*e.key == key)?;
+        entry.visited = true;
+        Some(Arc::clone(&entry.body))
+    }
+
+    /// Inserts unless the hash is resident, first evicting one entry if
+    /// the shard holds `capacity`. Returns whether it evicted.
+    fn insert(
+        &mut self,
+        h: u64,
+        epoch: u64,
+        key: &str,
+        body: Arc<Vec<u8>>,
+        capacity: usize,
+    ) -> bool {
+        if self.map.contains_key(&h) {
+            return false;
+        }
+        let evicted = self.map.len() >= capacity && self.evict();
+        self.order.push_back(h);
+        self.map.insert(
+            h,
+            Entry {
+                epoch,
+                key: key.into(),
+                body,
+                visited: false,
+            },
+        );
+        evicted
+    }
+
+    /// One SIEVE eviction; `false` when the shard is empty.
+    fn evict(&mut self) -> bool {
+        if self.order.is_empty() {
+            return false;
+        }
+        loop {
+            let h = self.order[self.hand];
+            let entry = self
+                .map
+                .get_mut(&h)
+                .expect("order and map hold the same keys");
+            if entry.visited {
+                entry.visited = false;
+                self.hand += 1;
+                self.wrap_hand();
+            } else {
+                // The newer neighbour slides into the hand's position.
+                self.order.remove(self.hand);
+                self.map.remove(&h);
+                self.wrap_hand();
+                return true;
+            }
+        }
+    }
+
+    /// Drops entries older than `epoch`, leaving the hand on the first
+    /// survivor at or after its position. Returns the number dropped.
+    fn purge_older(&mut self, epoch: u64) -> u64 {
+        let before = self.map.len();
+        self.map.retain(|_, e| e.epoch >= epoch);
+        let map = &self.map;
+        self.hand = self
+            .order
+            .iter()
+            .take(self.hand)
+            .filter(|h| map.contains_key(h))
+            .count();
+        self.order.retain(|h| map.contains_key(h));
+        self.wrap_hand();
+        (before - self.map.len()) as u64
+    }
+
+    /// A hand past the newest entry goes back to the oldest, before a
+    /// later insert could land under it.
+    fn wrap_hand(&mut self) {
+        if self.hand >= self.order.len() {
+            self.hand = 0;
+        }
+    }
 }
 
 /// Counter handles for the cache's four event streams. Pass handles
@@ -78,12 +211,14 @@ pub struct CacheCounters {
     pub stale_purged: Counter,
 }
 
-/// Sharded `(epoch, canonical key) → rendered body` cache with FIFO
+/// Sharded `(epoch, canonical key) → rendered body` cache with SIEVE
 /// eviction and a global capacity bound.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
     counters: CacheCounters,
+    /// Random per cache, so clients cannot craft keys that collide.
+    hasher: RandomState,
 }
 
 impl ResponseCache {
@@ -99,32 +234,29 @@ impl ResponseCache {
     pub fn with_counters(capacity: usize, counters: CacheCounters) -> Self {
         let capacity_per_shard = capacity.div_ceil(SHARDS).max(1);
         ResponseCache {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        fifo: VecDeque::new(),
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             capacity_per_shard,
             counters,
+            hasher: RandomState::new(),
         }
     }
 
-    fn shard_of(&self, epoch: u64, key: &str) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        epoch.hash(&mut h);
-        key.hash(&mut h);
-        (h.finish() as usize) % SHARDS
+    /// The key's hash and its shard. The shard takes bits the shard map
+    /// does not: its bucket index comes from the low bits and its tag
+    /// from the top seven.
+    fn locate(&self, epoch: u64, key: &str) -> (u64, &Mutex<Shard>) {
+        let h = self.hasher.hash_one((epoch, key));
+        (h, &self.shards[(h >> 32) as usize % SHARDS])
     }
 
-    /// Looks up a rendered body, counting a hit or a miss.
+    /// Looks up a rendered body, counting a hit or a miss. A hit marks
+    /// the entry visited.
     pub fn get(&self, epoch: u64, key: &str) -> Option<Arc<Vec<u8>>> {
-        let shard = &self.shards[self.shard_of(epoch, key)];
-        let guard = shard.lock().expect("cache shard poisoned");
-        let found = guard.map.get(&(epoch, key.to_string())).map(Arc::clone);
-        drop(guard);
+        let (h, shard) = self.locate(epoch, key);
+        let found = shard
+            .lock()
+            .expect("cache shard poisoned")
+            .get(h, epoch, key);
         if found.is_some() {
             self.counters.hits.inc();
         } else {
@@ -133,27 +265,14 @@ impl ResponseCache {
         found
     }
 
-    /// Inserts a rendered body, evicting the oldest entry in the shard if
-    /// the shard is at capacity. Re-inserting an existing key is a no-op.
+    /// Inserts a rendered body, evicting by SIEVE if the shard is at
+    /// capacity. Re-inserting an existing key is a no-op.
     pub fn insert(&self, epoch: u64, key: &str, body: Arc<Vec<u8>>) {
-        let shard = &self.shards[self.shard_of(epoch, key)];
+        let (h, shard) = self.locate(epoch, key);
         let mut guard = shard.lock().expect("cache shard poisoned");
-        let owned = (epoch, key.to_string());
-        if guard.map.contains_key(&owned) {
-            return;
+        if guard.insert(h, epoch, key, body, self.capacity_per_shard) {
+            self.counters.evictions.inc();
         }
-        while guard.map.len() >= self.capacity_per_shard {
-            match guard.fifo.pop_front() {
-                Some(oldest) => {
-                    if guard.map.remove(&oldest).is_some() {
-                        self.counters.evictions.inc();
-                    }
-                }
-                None => break,
-            }
-        }
-        guard.fifo.push_back(owned.clone());
-        guard.map.insert(owned, body);
     }
 
     /// Drops every entry whose epoch is older than `epoch`. Called on
@@ -161,10 +280,7 @@ impl ResponseCache {
     pub fn purge_older(&self, epoch: u64) {
         for shard in &self.shards {
             let mut guard = shard.lock().expect("cache shard poisoned");
-            let before = guard.map.len();
-            guard.map.retain(|(e, _), _| *e >= epoch);
-            guard.fifo.retain(|(e, _)| *e >= epoch);
-            let dropped = (before - guard.map.len()) as u64;
+            let dropped = guard.purge_older(epoch);
             if dropped > 0 {
                 self.counters.stale_purged.add(dropped);
             }
@@ -174,9 +290,7 @@ impl ResponseCache {
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut guard = shard.lock().expect("cache shard poisoned");
-            guard.map.clear();
-            guard.fifo.clear();
+            *shard.lock().expect("cache shard poisoned") = Shard::default();
         }
     }
 
@@ -238,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_bounded_with_fifo_eviction() {
+    fn capacity_is_bounded_with_sieve_eviction() {
         let cache = ResponseCache::new(16); // 1 entry per shard
         for i in 0..200 {
             cache.insert(1, &format!("k{i}"), body("v"));
@@ -246,6 +360,101 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.len <= 16, "len {} exceeds capacity", stats.len);
         assert!(stats.evictions >= 200 - 16);
+    }
+
+    /// Scan resistance: a hot key re-read between inserts survives a
+    /// flood of one-hit keys through every shard. (A FIFO queue evicts
+    /// it once its shard has taken four more keys.)
+    #[test]
+    fn hot_key_survives_a_flood_of_one_hit_keys() {
+        let cache = ResponseCache::new(64); // 4 entries per shard
+        cache.insert(1, "hot", body("h"));
+        for i in 0..1_000 {
+            cache.insert(1, &format!("cold{i}"), body("c"));
+            assert!(
+                cache.get(1, "hot").is_some(),
+                "hot key evicted after {} one-hit inserts",
+                i + 1
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.len, 64);
+        assert_eq!(stats.evictions, 1_001 - 64);
+    }
+
+    fn resident(shard: &mut Shard, h: u64, epoch: u64) -> bool {
+        shard.get(h, epoch, &format!("k{h}")).is_some()
+    }
+
+    /// The hand walks oldest to newest, clears visited bits, evicts the
+    /// first unvisited entry and rests on its newer neighbour.
+    #[test]
+    fn sieve_hand_spares_visited_entries() {
+        let mut shard = Shard::default();
+        for h in 1..=4 {
+            assert!(!shard.insert(h, 1, &format!("k{h}"), body("v"), 4));
+        }
+        assert!(resident(&mut shard, 1, 1) && resident(&mut shard, 2, 1));
+        // 1 and 2 are visited: the hand clears them and evicts 3.
+        assert!(shard.insert(5, 1, "k5", body("v"), 4));
+        assert_eq!(Vec::from(shard.order.clone()), [1, 2, 4, 5]);
+        assert_eq!(shard.hand, 2, "the hand rests on 3's newer neighbour");
+        // The hand is on 4, unvisited: it goes next.
+        assert!(shard.insert(6, 1, "k6", body("v"), 4));
+        assert_eq!(Vec::from(shard.order.clone()), [1, 2, 5, 6]);
+        assert!(!resident(&mut shard, 4, 1));
+    }
+
+    /// `purge_older` with the hand on a purged entry leaves it on the next
+    /// survivor, and eviction carries on from there.
+    #[test]
+    fn purge_older_moves_a_hand_off_purged_entries() {
+        let mut shard = Shard::default();
+        for (h, epoch) in [(1, 1), (2, 2), (3, 1), (4, 1)] {
+            shard.insert(h, epoch, &format!("k{h}"), body("v"), 4);
+        }
+        assert!(resident(&mut shard, 1, 1) && resident(&mut shard, 2, 2));
+        // Hand clears 1 and 2, evicts 3, rests on 4 (epoch 1).
+        assert!(shard.insert(5, 2, "k5", body("v"), 4));
+        assert_eq!(shard.hand, 2);
+        assert_eq!(shard.purge_older(2), 2, "1 and 4 are stale");
+        assert_eq!(Vec::from(shard.order.clone()), [2, 5]);
+        assert_eq!(shard.hand, 1, "from purged 4 to its survivor 5");
+        for h in [6, 7] {
+            shard.insert(h, 2, &format!("k{h}"), body("v"), 4);
+        }
+        assert!(resident(&mut shard, 2, 2));
+        // Hand on 5 (unvisited) evicts it; 2 was re-read and stays.
+        assert!(shard.insert(8, 2, "k8", body("v"), 4));
+        assert_eq!(Vec::from(shard.order.clone()), [2, 6, 7, 8]);
+
+        // Late inserts from an old epoch land newest. 6 is re-read; the
+        // hand clears it and evicts 7, then evicts 8 and rests on 9.
+        assert!(resident(&mut shard, 6, 2));
+        assert!(shard.insert(9, 1, "k9", body("v"), 4));
+        assert!(shard.insert(10, 1, "k10", body("v"), 4));
+        assert_eq!(Vec::from(shard.order.clone()), [2, 6, 9, 10]);
+        assert_eq!(shard.hand, 2);
+        // Purging 9 and 10 sends the hand back to the oldest entry, not
+        // to where the next insert lands: 2 is still visited, 6 is not.
+        assert_eq!(shard.purge_older(2), 2);
+        assert_eq!(shard.hand, 0);
+        shard.insert(11, 2, "k11", body("v"), 4);
+        shard.insert(12, 2, "k12", body("v"), 4);
+        assert!(shard.insert(13, 2, "k13", body("v"), 4));
+        assert_eq!(Vec::from(shard.order.clone()), [2, 11, 12, 13]);
+    }
+
+    /// A key whose hash collides with a resident key's is not cached, and
+    /// a lookup for it misses rather than returning the other body.
+    #[test]
+    fn hash_collisions_miss_never_alias() {
+        let mut shard = Shard::default();
+        shard.insert(7, 1, "a", body("a"), 4);
+        assert!(!shard.insert(7, 1, "b", body("b"), 4));
+        assert!(shard.get(7, 1, "b").is_none());
+        assert!(shard.get(7, 2, "a").is_none());
+        assert_eq!(shard.get(7, 1, "a").unwrap().as_slice(), b"a");
     }
 
     /// The exactness audit behind the `/metrics` exporter: hammer every

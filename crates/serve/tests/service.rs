@@ -477,6 +477,41 @@ fn repeat_queries_hit_the_cache_and_normalize_keys() {
     handle.shutdown();
 }
 
+/// Served `/v1/ci` bodies for the dns, ca and tld layers, byte for byte.
+/// The report's golden digest covers only Tab 5's hosting intervals; these
+/// pin the bootstrap kernel's bits on the other layers. Summing the
+/// squared shares in owner-id order instead of first-seen order moves a
+/// last bit of `point`, `lo` or `hi` in every one of them.
+#[test]
+fn ci_bodies_are_pinned_on_every_layer() {
+    const PINNED: [(&str, &str); 4] = [
+        (
+            "/v1/ci/US?layer=dns&seed=1",
+            r#"{"epoch":1,"label":"2023-05","country":"US","layer":"dns","ci":{"point":0.13573407202216062,"lo":0.09833795013850413,"hi":0.25207756232686973,"replicates":200,"level":0.95,"seed":1}}"#,
+        ),
+        (
+            "/v1/ci/DE?layer=ca&seed=3",
+            r#"{"epoch":1,"label":"2023-05","country":"DE","layer":"ca","ci":{"point":0.21564760026298493,"lo":0.15121630506245892,"hi":0.3813280736357659,"replicates":200,"level":0.95,"seed":3}}"#,
+        ),
+        (
+            "/v1/ci/DE?layer=tld&seed=2",
+            r#"{"epoch":1,"label":"2023-05","country":"DE","layer":"tld","ci":{"point":0.29499999999999993,"lo":0.23125000000000004,"hi":0.42125,"replicates":200,"level":0.95,"seed":2}}"#,
+        ),
+        (
+            "/v1/ci/BR?layer=tld&seed=4",
+            r#"{"epoch":1,"label":"2023-05","country":"BR","layer":"tld","ci":{"point":0.36749999999999994,"lo":0.27874999999999994,"hi":0.5287499999999998,"replicates":200,"level":0.95,"seed":4}}"#,
+        ),
+    ];
+    let handle = start(ServeConfig::default(), fixture_snapshot(1)).expect("start");
+    let addr = handle.addr();
+    for (path, body) in PINNED {
+        let resp = get(addr, path);
+        assert_eq!(resp.status, 200, "{path}");
+        assert_eq!(text(&resp.body), body, "{path}");
+    }
+    handle.shutdown();
+}
+
 /// The whole query catalog answers: every country × layer × per-country
 /// panel, every badge and top list, and the global routes, each a 200
 /// with a JSON body, over one keep-alive connection.

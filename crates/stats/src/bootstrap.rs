@@ -3,16 +3,17 @@
 //! The paper reports point estimates; a toolkit release should also say
 //! how stable they are under toplist resampling. [`bootstrap_ci`]
 //! resamples observations with replacement and returns a percentile
-//! interval for any statistic — used by `examples/uncertainty.rs` to
-//! attach intervals to per-country centralization scores.
+//! interval for any statistic. The per-country centralization score has
+//! its own fused kernel, [`label_score_ci`] (and its serial, abortable
+//! [`label_score_ci_scratch`]): each replicate draws an index, reads the
+//! site's dense owner label and bumps that owner's count in one pass, with
+//! no resample buffer at all. The analysis context's `score_ci` family,
+//! the report's Tab 5 and the served `/v1/ci` and `/v1/badge` run on it.
 //!
 //! Replicates are independent by construction: replicate `r` draws from its
 //! own index stream seeded by `mix(seed, r)`, so the interval is identical
-//! whether replicates run sequentially or spread across threads. The
-//! resampling itself is by *index* — [`bootstrap_ci_indexed`] hands the
-//! statistic a borrowing [`Resample`] view and never clones an item;
-//! [`bootstrap_ci`] keeps the slice-based signature by gathering into one
-//! scratch buffer per thread, reused across that thread's replicates.
+//! whether replicates run sequentially or spread across threads, and the
+//! kernel draws exactly the indices [`bootstrap_ci`] draws.
 //!
 //! Index draws come from a SplitMix64 stream, not a cryptographic RNG:
 //! resampling needs seeded reproducibility and throughput (a suite run
@@ -47,35 +48,6 @@ impl BootstrapCi {
     }
 }
 
-/// One bootstrap resample, viewed through its index vector: item `i` of the
-/// resample is `items[idx[i]]`. No items are cloned.
-pub struct Resample<'a, T> {
-    items: &'a [T],
-    idx: &'a [u32],
-}
-
-impl<'a, T> Resample<'a, T> {
-    /// Number of drawn items (equals the original sample size).
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the resample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// The `i`-th drawn item.
-    pub fn get(&self, i: usize) -> &'a T {
-        &self.items[self.idx[i] as usize]
-    }
-
-    /// Iterates over the drawn items, repeats included.
-    pub fn iter(&self) -> impl Iterator<Item = &'a T> + '_ {
-        self.idx.iter().map(move |&i| &self.items[i as usize])
-    }
-}
-
 /// Decorrelates per-replicate seeds (SplitMix64 finalizer).
 fn replicate_seed(seed: u64, r: u64) -> u64 {
     let mut x = seed ^ r.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -107,24 +79,13 @@ impl IndexStream {
     }
 }
 
-fn draw_indices(stream: &mut IndexStream, n: usize, idx: &mut Vec<u32>) {
-    idx.clear();
-    for _ in 0..n {
-        idx.push(stream.next_below(n));
-    }
-}
-
-fn percentile_interval(point: f64, mut stats: Vec<f64>, level: f64) -> BootstrapCi {
-    percentile_interval_slice(point, &mut stats, level)
-}
-
 fn valid(n_items: usize, replicates: usize, level: f64) -> bool {
     n_items > 0 && replicates > 0 && level > 0.0 && level < 1.0
 }
 
-/// Number of replicates to hand each parallel worker at a time. Large
-/// enough to amortize scheduling, small enough to balance uneven statistic
-/// costs.
+/// Number of replicates to hand each parallel worker at a time, and the
+/// abort-poll interval of [`label_score_ci_scratch`]. Large enough to
+/// amortize scheduling, small enough to balance uneven statistic costs.
 const REPLICATE_CHUNK: usize = 32;
 
 /// Percentile bootstrap for `statistic` over `items`.
@@ -148,18 +109,16 @@ pub fn bootstrap_ci<T: Clone + Sync, F: Fn(&[T]) -> f64 + Sync>(
     let n = items.len();
     let chunks = replicates.div_ceil(REPLICATE_CHUNK);
     let threads = crate::par::default_threads().min(chunks);
-    let stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
-        // Per-chunk scratch buffers, reused across the chunk's replicates.
-        let mut idx: Vec<u32> = Vec::with_capacity(n);
+    let mut stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
+        // One resample buffer per chunk, reused across its replicates.
         let mut resample: Vec<T> = Vec::with_capacity(n);
         let lo = c * REPLICATE_CHUNK;
         let hi = (lo + REPLICATE_CHUNK).min(replicates);
         (lo..hi)
             .map(|r| {
                 let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-                draw_indices(&mut stream, n, &mut idx);
                 resample.clear();
-                resample.extend(idx.iter().map(|&i| items[i as usize].clone()));
+                resample.extend((0..n).map(|_| items[stream.next_below(n) as usize].clone()));
                 statistic(&resample)
             })
             .collect::<Vec<f64>>()
@@ -167,58 +126,18 @@ pub fn bootstrap_ci<T: Clone + Sync, F: Fn(&[T]) -> f64 + Sync>(
     .into_iter()
     .flatten()
     .collect();
-    Some(percentile_interval(point, stats, level))
+    Some(percentile_interval(point, &mut stats, level))
 }
 
-/// Clone-free percentile bootstrap: the statistic reads each resample
-/// through a borrowing [`Resample`] view instead of a gathered slice.
-///
-/// Draws the *same* index streams as [`bootstrap_ci`] for a given `seed`,
-/// so the two agree exactly when the statistics agree.
-pub fn bootstrap_ci_indexed<T: Sync, F: Fn(&Resample<'_, T>) -> f64 + Sync>(
-    items: &[T],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    if !valid(items.len(), replicates, level) {
-        return None;
-    }
-    let n = items.len();
-    let identity: Vec<u32> = (0..n as u32).collect();
-    let point = statistic(&Resample {
-        items,
-        idx: &identity,
-    });
-    let chunks = replicates.div_ceil(REPLICATE_CHUNK);
-    let threads = crate::par::default_threads().min(chunks);
-    let stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
-        let mut idx: Vec<u32> = Vec::with_capacity(n);
-        let lo = c * REPLICATE_CHUNK;
-        let hi = (lo + REPLICATE_CHUNK).min(replicates);
-        (lo..hi)
-            .map(|r| {
-                let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-                draw_indices(&mut stream, n, &mut idx);
-                statistic(&Resample { items, idx: &idx })
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    Some(percentile_interval(point, stats, level))
-}
-
-/// Reusable scratch for [`bootstrap_ci_indexed_scratch`]: the index
-/// buffer, the replicate statistics, and the identity permutation all live
-/// here, so a per-country CI loop allocates nothing after its first call.
+/// Reusable scratch for the label-score bootstrap: a dense count per
+/// owner, the first-seen owner list of one replicate, and the replicate
+/// statistics. A CI loop that reuses one scratch allocates nothing after
+/// its first call.
 #[derive(Debug, Default)]
 pub struct BootstrapScratch {
-    idx: Vec<u32>,
+    counts: Vec<u32>,
+    first: Vec<u32>,
     stats: Vec<f64>,
-    identity: Vec<u32>,
 }
 
 impl BootstrapScratch {
@@ -226,47 +145,70 @@ impl BootstrapScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-/// [`bootstrap_ci_indexed`] with caller-provided scratch, run serially on
-/// the calling thread.
-///
-/// Draws the same per-replicate index streams as the parallel entry points
-/// (replicate `r` is always seeded by `mix(seed, r)`), and the percentile
-/// sort is order-independent, so for a given statistic the interval is
-/// **identical** to [`bootstrap_ci_indexed`]'s. Use this inside loops that
-/// are already parallel at a coarser grain, as the experiment suite does
-/// with one CI per country task and one scratch per task: the coarse loop
-/// keeps the cores busy. A serial loop that reuses one scratch allocates
-/// nothing after its first call.
-pub fn bootstrap_ci_indexed_scratch<T, F: Fn(&Resample<'_, T>) -> f64>(
-    items: &[T],
-    statistic: F,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Option<BootstrapCi> {
-    if !valid(items.len(), replicates, level) {
-        return None;
+    /// Grows the buffers for `n` draws over `n_owners` labels. `counts`
+    /// is all zeros between calls of [`BootstrapScratch::label_score`].
+    fn fit(&mut self, n: usize, n_owners: usize) {
+        if self.counts.len() < n_owners {
+            self.counts.resize(n_owners, 0);
+        }
+        if self.first.len() < n {
+            self.first.resize(n, 0);
+        }
     }
-    let n = items.len();
-    scratch.identity.clear();
-    scratch.identity.extend(0..n as u32);
-    let point = statistic(&Resample {
-        items,
-        idx: &scratch.identity,
-    });
-    scratch.stats.clear();
-    for r in 0..replicates {
-        let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-        draw_indices(&mut stream, n, &mut scratch.idx);
-        scratch.stats.push(statistic(&Resample {
-            items,
-            idx: &scratch.idx,
-        }));
+
+    /// The label-tally kernel: the centralization score `Σ(a/C)² − 1/C`
+    /// of the `n` labels `label(0), …, label(n − 1)`, in one pass.
+    ///
+    /// Each label bumps its dense count; its slot in the first-seen list
+    /// is written unconditionally and kept by advancing the list only when
+    /// the count was zero, so the loop has no data-dependent branch. The
+    /// squared shares are then summed in first-seen order, zeroing each
+    /// count on the way out so the row is clean for the next call without
+    /// a memset. The summation order is the statistic's definition: the
+    /// served and reported intervals are pinned to its bits.
+    fn label_score(&mut self, n: usize, mut label: impl FnMut(usize) -> u32) -> f64 {
+        let (counts, first) = (&mut self.counts, &mut self.first);
+        let mut seen = 0;
+        for i in 0..n {
+            let l = label(i);
+            let a = counts[l as usize];
+            first[seen] = l;
+            seen += (a == 0) as usize;
+            counts[l as usize] = a + 1;
+        }
+        let c = n as f64;
+        let mut hhi = 0.0;
+        for &l in &first[..seen] {
+            let share = counts[l as usize] as f64 / c;
+            hhi += share * share;
+            counts[l as usize] = 0;
+        }
+        hhi - 1.0 / c
     }
-    Some(percentile_interval_slice(point, &mut scratch.stats, level))
+
+    /// Runs replicates `reps` of the label-score bootstrap into `stats`,
+    /// polling `should_abort` before every [`REPLICATE_CHUNK`]-th
+    /// replicate after the first of the range.
+    fn replicates(
+        &mut self,
+        labels: &[u32],
+        seed: u64,
+        reps: std::ops::Range<usize>,
+        should_abort: &mut dyn FnMut() -> bool,
+    ) -> Result<(), BootstrapAborted> {
+        let n = labels.len();
+        for r in reps.clone() {
+            if r > reps.start && (r - reps.start).is_multiple_of(REPLICATE_CHUNK) && should_abort()
+            {
+                return Err(BootstrapAborted);
+            }
+            let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
+            let score = self.label_score(n, |_| labels[stream.next_below(n) as usize]);
+            self.stats.push(score);
+        }
+        Ok(())
+    }
 }
 
 /// The bootstrap ran out of budget before finishing its replicates.
@@ -277,56 +219,82 @@ pub fn bootstrap_ci_indexed_scratch<T, F: Fn(&Resample<'_, T>) -> f64>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootstrapAborted;
 
-/// [`bootstrap_ci_indexed_scratch`] that polls `should_abort` every
-/// [`REPLICATE_CHUNK`] replicates and bails with [`BootstrapAborted`]
-/// instead of running to completion.
+/// Percentile bootstrap of the centralization score `Σ(a/C)² − 1/C` over a
+/// dense label array: `labels[i]` is the owner of site `i`, below
+/// `n_owners`. Replicate chunks spread across threads.
 ///
-/// Replicate `r` is seeded by `mix(seed, r)` regardless of who runs it, so
-/// when this variant *does* complete its interval is bit-identical to
-/// [`bootstrap_ci_indexed`]'s — a request under deadline pressure never
-/// serves different numbers, it either serves the canonical ones or sheds.
-pub fn bootstrap_ci_indexed_abortable<T, F: Fn(&Resample<'_, T>) -> f64>(
-    items: &[T],
-    statistic: F,
+/// Replicate `r` draws the same index stream as [`bootstrap_ci`]'s, and
+/// the score sums squared shares in first-seen order, so the interval is
+/// bit-identical to [`bootstrap_ci`] over `labels` with a first-seen tally
+/// statistic. Returns `None` for an empty array, a degenerate level, or
+/// zero replicates.
+pub fn label_score_ci(
+    labels: &[u32],
+    n_owners: usize,
+    replicates: usize,
+    level: f64,
+    seed: u64,
+) -> Option<BootstrapCi> {
+    if !valid(labels.len(), replicates, level) {
+        return None;
+    }
+    let n = labels.len();
+    let mut scratch = BootstrapScratch::new();
+    scratch.fit(n, n_owners);
+    let point = scratch.label_score(n, |i| labels[i]);
+    let chunks = replicates.div_ceil(REPLICATE_CHUNK);
+    let threads = crate::par::default_threads().min(chunks);
+    let mut stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
+        let lo = c * REPLICATE_CHUNK;
+        let hi = (lo + REPLICATE_CHUNK).min(replicates);
+        let mut scratch = BootstrapScratch::new();
+        scratch.fit(n, n_owners);
+        scratch
+            .replicates(labels, seed, lo..hi, &mut || false)
+            .expect("never polled to abort");
+        scratch.stats
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    Some(percentile_interval(point, &mut stats, level))
+}
+
+/// [`label_score_ci`] run serially on the calling thread with
+/// caller-provided scratch, polling `should_abort` once before the first
+/// replicate and then every [`REPLICATE_CHUNK`] replicates; it bails with
+/// [`BootstrapAborted`] instead of running to completion.
+///
+/// Replicate `r` is seeded by `mix(seed, r)` regardless of who runs it and
+/// the percentile sort is order-independent, so a completed interval is
+/// bit-identical to [`label_score_ci`]'s: a request under deadline
+/// pressure never serves different numbers, it either serves the
+/// canonical ones or sheds. Pass `&mut || false` to run to completion, as
+/// CI sweeps that are parallel at a coarser grain do.
+pub fn label_score_ci_scratch(
+    labels: &[u32],
+    n_owners: usize,
     replicates: usize,
     level: f64,
     seed: u64,
     scratch: &mut BootstrapScratch,
     should_abort: &mut dyn FnMut() -> bool,
 ) -> Result<Option<BootstrapCi>, BootstrapAborted> {
-    if !valid(items.len(), replicates, level) {
+    if !valid(labels.len(), replicates, level) {
         return Ok(None);
     }
     if should_abort() {
         return Err(BootstrapAborted);
     }
-    let n = items.len();
-    scratch.identity.clear();
-    scratch.identity.extend(0..n as u32);
-    let point = statistic(&Resample {
-        items,
-        idx: &scratch.identity,
-    });
+    let n = labels.len();
+    scratch.fit(n, n_owners);
+    let point = scratch.label_score(n, |i| labels[i]);
     scratch.stats.clear();
-    for r in 0..replicates {
-        if r % REPLICATE_CHUNK == 0 && r > 0 && should_abort() {
-            return Err(BootstrapAborted);
-        }
-        let mut stream = IndexStream::new(replicate_seed(seed, r as u64));
-        draw_indices(&mut stream, n, &mut scratch.idx);
-        scratch.stats.push(statistic(&Resample {
-            items,
-            idx: &scratch.idx,
-        }));
-    }
-    Ok(Some(percentile_interval_slice(
-        point,
-        &mut scratch.stats,
-        level,
-    )))
+    scratch.replicates(labels, seed, 0..replicates, should_abort)?;
+    Ok(Some(percentile_interval(point, &mut scratch.stats, level)))
 }
 
-fn percentile_interval_slice(point: f64, stats: &mut [f64], level: f64) -> BootstrapCi {
+fn percentile_interval(point: f64, stats: &mut [f64], level: f64) -> BootstrapCi {
     let replicates = stats.len();
     stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistics"));
     let alpha = (1.0 - level) / 2.0;
@@ -367,72 +335,64 @@ mod tests {
         assert!(a.lo != c.lo || a.hi != c.hi);
     }
 
-    #[test]
-    fn indexed_agrees_with_cloning() {
-        let data: Vec<f64> = (0..120).map(|i| ((i * 17) % 31) as f64).collect();
-        let cloned = bootstrap_ci(&data, mean, 300, 0.95, 11).unwrap();
-        let indexed = bootstrap_ci_indexed(
-            &data,
-            |rs| rs.iter().sum::<f64>() / rs.len() as f64,
-            300,
-            0.95,
-            11,
-        )
-        .unwrap();
-        assert_eq!(cloned, indexed);
+    /// A skewed label array over `owners` owners, every owner present.
+    fn labels(n: usize, owners: u32) -> Vec<u32> {
+        (0..n as u32).map(|i| (i * i + 3 * i) % owners).collect()
     }
 
-    /// The abortable variant is bit-identical to the parallel path when it
-    /// completes, aborts promptly when the budget is already spent, and
-    /// honors a mid-run abort without returning a truncated interval.
+    /// The serial kernel is bit-identical to the parallel one, and its
+    /// scratch is reusable across array lengths and owner counts.
     #[test]
-    fn abortable_variant_identical_or_aborted() {
-        let data: Vec<f64> = (0..80).map(|i| ((i * 19) % 29) as f64).collect();
-        let stat = |rs: &Resample<'_, f64>| rs.iter().sum::<f64>() / rs.len() as f64;
+    fn serial_kernel_is_identical_to_parallel() {
         let mut scratch = BootstrapScratch::new();
-        let parallel = bootstrap_ci_indexed(&data, stat, 300, 0.95, 9).unwrap();
-        let completed =
-            bootstrap_ci_indexed_abortable(&data, stat, 300, 0.95, 9, &mut scratch, &mut || false)
-                .unwrap();
-        assert_eq!(completed, Some(parallel));
+        for (n, owners, seed) in [(90, 7, 1u64), (3, 40, 7), (250, 250, 42), (1, 1, 3)] {
+            let data = labels(n, owners);
+            let owners = owners as usize;
+            let parallel = label_score_ci(&data, owners, 250, 0.95, seed).unwrap();
+            let serial =
+                label_score_ci_scratch(&data, owners, 250, 0.95, seed, &mut scratch, &mut || false);
+            assert_eq!(serial, Ok(Some(parallel)), "n {n} seed {seed}");
+        }
+    }
+
+    /// The abortable kernel polls once up front and then before every
+    /// 32nd replicate, aborts promptly when the budget is already spent,
+    /// and honors a mid-run abort without returning a truncated interval.
+    #[test]
+    fn kernel_polls_and_aborts_without_a_partial_interval() {
+        let data = labels(80, 9);
+        let mut scratch = BootstrapScratch::new();
+        let mut polls = 0u32;
+        let completed = label_score_ci_scratch(&data, 9, 300, 0.95, 9, &mut scratch, &mut || {
+            polls += 1;
+            false
+        });
+        assert_eq!(completed, Ok(label_score_ci(&data, 9, 300, 0.95, 9)));
+        assert_eq!(polls, 1 + 299 / 32, "one poll up front, then one per 32");
 
         assert_eq!(
-            bootstrap_ci_indexed_abortable(&data, stat, 300, 0.95, 9, &mut scratch, &mut || true),
+            label_score_ci_scratch(&data, 9, 300, 0.95, 9, &mut scratch, &mut || true),
             Err(BootstrapAborted)
         );
 
         // Abort after the first poll window: never a partial interval.
         let mut polls = 0u32;
-        let aborted =
-            bootstrap_ci_indexed_abortable(&data, stat, 10_000, 0.95, 9, &mut scratch, &mut || {
-                polls += 1;
-                polls > 1
-            });
+        let aborted = label_score_ci_scratch(&data, 9, 10_000, 0.95, 9, &mut scratch, &mut || {
+            polls += 1;
+            polls > 1
+        });
         assert_eq!(aborted, Err(BootstrapAborted));
+        assert_eq!(polls, 2);
 
-        // Degenerate inputs still report "no interval", not an abort.
+        // Degenerate inputs still report "no interval", not an abort, and
+        // an aborted run leaves the scratch fit for the next one.
         assert_eq!(
-            bootstrap_ci_indexed_abortable(&data, stat, 0, 0.95, 9, &mut scratch, &mut || true),
+            label_score_ci_scratch(&data, 9, 0, 0.95, 9, &mut scratch, &mut || true),
             Ok(None)
         );
-    }
-
-    /// The scratch variant must be bit-identical to the parallel indexed
-    /// path: same index streams per replicate, order-independent sort.
-    #[test]
-    fn scratch_variant_is_identical_to_indexed() {
-        let data: Vec<f64> = (0..90).map(|i| ((i * 13) % 23) as f64).collect();
-        let stat = |rs: &Resample<'_, f64>| rs.iter().sum::<f64>() / rs.len() as f64;
-        let mut scratch = BootstrapScratch::new();
-        for seed in [1u64, 7, 42] {
-            let parallel = bootstrap_ci_indexed(&data, stat, 250, 0.95, seed).unwrap();
-            let serial =
-                bootstrap_ci_indexed_scratch(&data, stat, 250, 0.95, seed, &mut scratch).unwrap();
-            assert_eq!(parallel, serial, "seed {seed}");
-        }
-        assert!(
-            bootstrap_ci_indexed_scratch(&data, stat, 0, 0.95, 0, &mut scratch).is_none(),
-            "degenerate inputs still rejected"
+        assert_eq!(
+            label_score_ci_scratch(&data, 9, 300, 0.95, 9, &mut scratch, &mut || false),
+            completed
         );
     }
 
@@ -460,6 +420,8 @@ mod tests {
         assert!(bootstrap_ci(&data, mean, 0, 0.95, 0).is_none());
         assert!(bootstrap_ci(&data, mean, 100, 1.0, 0).is_none());
         assert!(bootstrap_ci(&data, mean, 100, 0.0, 0).is_none());
-        assert!(bootstrap_ci_indexed(&data, |rs| rs.get(0) * 1.0, 0, 0.95, 0).is_none());
+        assert!(label_score_ci(&[], 1, 100, 0.95, 0).is_none());
+        assert!(label_score_ci(&[0], 1, 0, 0.95, 0).is_none());
+        assert!(label_score_ci(&[0], 1, 100, 1.0, 0).is_none());
     }
 }

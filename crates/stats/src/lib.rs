@@ -35,8 +35,8 @@ pub mod special;
 
 pub use affinity::{affinity_propagation, AffinityConfig, Clustering};
 pub use bootstrap::{
-    bootstrap_ci, bootstrap_ci_indexed, bootstrap_ci_indexed_abortable,
-    bootstrap_ci_indexed_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch, Resample,
+    bootstrap_ci, label_score_ci, label_score_ci_scratch, BootstrapAborted, BootstrapCi,
+    BootstrapScratch,
 };
 pub use corr::{pearson, spearman, Correlation, CorrelationStrength};
 pub use describe::Summary;

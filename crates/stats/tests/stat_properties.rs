@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use webdep_stats::affinity::{affinity_propagation, AffinityConfig};
-use webdep_stats::bootstrap::bootstrap_ci;
+use webdep_stats::bootstrap::{
+    bootstrap_ci, label_score_ci, label_score_ci_scratch, BootstrapCi, BootstrapScratch,
+};
 use webdep_stats::corr::{average_ranks, pearson, spearman};
 use webdep_stats::describe::{mean, median, quantile, variance};
 use webdep_stats::hist::{ecdf, Histogram};
@@ -137,6 +139,32 @@ proptest! {
         }
     }
 
+    /// The fused label-score kernel, parallel and serial, is bit-identical
+    /// to the generic bootstrap with a first-seen tally statistic, on four
+    /// shapes of label array: one site, one owner, all distinct, skewed.
+    #[test]
+    fn label_kernel_matches_first_seen_reference(
+        shape in 0u32..4,
+        xs in prop::collection::vec(0u32..1000, 1..200),
+        reps in 1usize..120,
+        level in 0.5f64..0.99,
+        seed in any::<u64>(),
+    ) {
+        let (labels, owners): (Vec<u32>, usize) = match shape {
+            0 => (vec![xs[0] % 5], 5),
+            1 => (vec![3; xs.len()], 4),
+            2 => ((0..xs.len() as u32).rev().collect(), xs.len()),
+            _ => (xs.iter().map(|&x| 1000 / (x + 1)).collect(), 1001),
+        };
+        let want = bootstrap_ci(&labels, first_seen_score, reps, level, seed).unwrap();
+        let parallel = label_score_ci(&labels, owners, reps, level, seed).unwrap();
+        let serial = label_score_ci_scratch(
+            &labels, owners, reps, level, seed, &mut BootstrapScratch::new(), &mut || false,
+        ).unwrap().unwrap();
+        prop_assert_eq!(bits(&parallel), bits(&want), "{:?} vs {:?}", parallel, want);
+        prop_assert_eq!(bits(&serial), bits(&want), "{:?} vs {:?}", serial, want);
+    }
+
     /// Bootstrap intervals contain the point estimate for the mean.
     #[test]
     fn bootstrap_contains_point(xs in prop::collection::vec(-10.0f64..10.0, 2..60)) {
@@ -147,4 +175,28 @@ proptest! {
         // cover the full-sample mean except in pathological tiny samples.
         prop_assert!(ci.lo - 1e-9 <= ci.point + (ci.width() + 1.0) && ci.hi + 1e-9 >= ci.point - (ci.width() + 1.0));
     }
+}
+
+/// The centralization score `Σ(a/C)² − 1/C` of a label sample, squared
+/// shares summed in the order each owner is first seen.
+fn first_seen_score(sample: &[u32]) -> f64 {
+    let mut counts: std::collections::HashMap<u32, u64> = Default::default();
+    let mut order = Vec::new();
+    for &l in sample {
+        let a = counts.entry(l).or_insert(0);
+        if *a == 0 {
+            order.push(l);
+        }
+        *a += 1;
+    }
+    let c = sample.len() as f64;
+    let hhi: f64 = order
+        .iter()
+        .map(|l| counts[l] as f64 / c)
+        .fold(0.0, |hhi, share| hhi + share * share);
+    hhi - 1.0 / c
+}
+
+fn bits(ci: &BootstrapCi) -> [u64; 3] {
+    [ci.point.to_bits(), ci.lo.to_bits(), ci.hi.to_bits()]
 }
