@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The canonical repo check (see DESIGN.md): tier-1 gate + lint + format.
 #
-#   ./ci.sh            build (release) + full test suite + clippy -D warnings + fmt --check
-#   ./ci.sh quick      skip the release build (debug tests + clippy + fmt only)
+#   ./ci.sh            build (release) + full test suite + clippy -D warnings + rustdoc + fmt --check
+#   ./ci.sh quick      skip the release build (debug tests + clippy + rustdoc + fmt only)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,6 +79,26 @@ for f in "$ckpt"/a/*; do
 done
 echo "    $(ls "$ckpt/a" | wc -l) files identical"
 
+# Store digests: the measured bytes pinned across commits (the identity
+# check above only compares a commit with itself). Each line of
+# tests/golden/store.sha256 is "<sha256>  <webdep arguments>"; the command
+# runs with a fresh store directory appended, and the digest is the sha256
+# of the `sha256sum` listing of every file in that store, in name order.
+# After an intended change to what is measured, rewrite the digest line.
+echo "==> store digests (tests/golden/store.sha256)"
+while read -r want args; do
+    store="$ckpt/golden"
+    rm -rf "$store"
+    # shellcheck disable=SC2086 # the arguments are meant to split
+    cargo run --release -q --bin webdep -- $args "$store" >/dev/null
+    got=$(cd "$store" && LC_ALL=C ls | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: 'webdep $args' store hashes to $got, golden is $want" >&2
+        exit 1
+    fi
+    echo "    webdep $args: $got"
+done < tests/golden/store.sha256
+
 # The CLI's own serve path, without --store: `webdep serve` measures into
 # a scratch chunk store and folds the snapshot from it. Start it on an
 # ephemeral port, read the bound address off its "listening on" line,
@@ -134,6 +154,11 @@ fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: every intra-doc link resolves and no doc warns, so deleting
+# or privatising an item that docs link to fails here.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check

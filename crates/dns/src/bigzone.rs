@@ -1,19 +1,21 @@
 //! High-volume authoritative data structures.
 //!
 //! [`crate::zone::Zone`] favors generality (arbitrary CNAME chains, nested
-//! delegations) at `O(records)` cost on some paths, which is fine for unit
-//! tests and small zones but not for a synthetic `.com` holding hundreds of
-//! thousands of delegations. This module provides two `O(1)`-per-query
-//! responders used by the world deployment:
+//! delegations) at `O(records)` cost on some paths; it stays the reference
+//! semantics these tables are tested against, but a synthetic `.com`
+//! holding hundreds of thousands of delegations needs `O(1)` per query.
+//! This module provides two such answerers used by the world deployment:
 //!
-//! * [`DelegationTable`] — a TLD registry: every query for `x.<tld>` (or
+//! * [`DelegationTable`] — a registry: every query for `x.<origin>` (or
 //!   deeper) is answered with a referral to the registered domain's
-//!   nameservers plus glue.
+//!   nameservers plus glue. A TLD registry has the TLD as its origin; the
+//!   root is the table with origin `.`, registering every TLD.
 //! * [`HostTable`] — a hosting provider's authoritative data: A records for
 //!   sites and nameserver hosts, NS sets per domain.
 //!
-//! Both produce wire [`Message`]s directly so rack servers can serve
-//! thousands of zones from one thread.
+//! Both produce wire [`Message`]s directly. A responder serves them through
+//! [`crate::server::serve_query`], inline on each querier's thread, so
+//! one table answers every thread at once.
 
 use crate::name::DomainName;
 use crate::wire::{Message, Rcode, Record, RecordData, RecordType};
@@ -38,7 +40,7 @@ pub struct DelegationTable {
 }
 
 impl DelegationTable {
-    /// Creates a registry for `origin` (e.g. `com`).
+    /// Creates a registry for `origin` (e.g. `com`, or `.` for the root).
     pub fn new(origin: DomainName) -> Self {
         DelegationTable {
             origin,
@@ -86,8 +88,8 @@ impl DelegationTable {
             return resp;
         }
         if q.name == self.origin {
-            // Queries for the TLD apex itself: NoData (we keep apex NS out
-            // of scope; the root's glue is what matters).
+            // Queries for the apex itself: NoData (apex NS is out of scope;
+            // the parent's glue is what matters).
             let mut resp = query.into_response();
             resp.authoritative = true;
             return resp;
@@ -276,6 +278,51 @@ mod tests {
         let t = registry();
         let q = Message::query(1, n("example.org"), RecordType::A);
         assert_eq!(t.respond(q).rcode, Rcode::ServFail);
+    }
+
+    /// The root as a delegation table answers every query with the bytes
+    /// the reference [`Zone`] does when it holds the same delegations and
+    /// glue. As in the deployment, the glue hosts live under a delegated
+    /// TLD: the zone would answer NoData for an undelegated ancestor of a
+    /// glue name, where the table answers NxDomain.
+    #[test]
+    fn root_table_answers_like_a_root_zone() {
+        use crate::server::{answer, serve_query};
+        use crate::zone::Zone;
+        let mut zone = Zone::new(DomainName::root());
+        let mut table = DelegationTable::new(DomainName::root());
+        for (i, tld) in ["com", "net", "org"].into_iter().enumerate() {
+            let host = n(&format!("ns.{tld}-registry.net"));
+            let addr = Ipv4Addr::new(192, 5, 0, i as u8 + 1);
+            zone.delegate(n(tld), std::slice::from_ref(&host), &[(host.clone(), addr)]);
+            table.register(
+                n(tld),
+                Delegation {
+                    ns: vec![host.clone()],
+                    glue: vec![(host, addr)],
+                },
+            );
+        }
+        let zones = [zone];
+        let server = ip("198.41.0.4");
+        let names = [
+            DomainName::root(),
+            n("com"),
+            n("example.com"),
+            n("www.example.com"),
+            n("ns.com-registry.net"),
+            n("nosuch"),
+            n("a.nosuch"),
+        ];
+        for (id, name) in names.iter().enumerate() {
+            for qtype in [RecordType::A, RecordType::Ns] {
+                let query = crate::wire::encode(&Message::query(id as u16, name.clone(), qtype));
+                let want = serve_query(&query, server, None, |q| answer(&zones, &q));
+                let got = serve_query(&query, server, None, |q| table.respond(q));
+                assert!(want.payload.is_some());
+                assert_eq!(got, want, "{name} {qtype:?}");
+            }
+        }
     }
 
     #[test]

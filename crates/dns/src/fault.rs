@@ -1,9 +1,9 @@
 //! Applying a [`FaultPlan`] to authoritative DNS answers.
 //!
-//! Servers call [`apply_dns_fault`] on every ready response. The decision is
-//! keyed on `(server ip, qname)` only — see the determinism notes on
-//! [`FaultPlan`] — so a retried query meets exactly the same fate and
-//! recovery requires asking a different server.
+//! [`crate::server::serve_query`] calls [`apply_dns_fault`] on every ready
+//! response. The decision is keyed on `(server ip, qname)` only — see the
+//! determinism notes on [`FaultPlan`] — so a retried query meets exactly
+//! the same fate and recovery requires asking a different server.
 
 use crate::wire::{encode, Message, Rcode};
 use bytes::Bytes;
@@ -15,9 +15,8 @@ use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 /// The returned [`FaultedReply`] carries the payload to send (`None` when
 /// the fault swallows the reply) — possibly a SERVFAIL, a truncated
 /// prefix, or a garbled header — and, for [`FaultKind::Delay`], how long
-/// delivery must wait. The delay is never slept here: the serving context
-/// schedules it so one slow answer cannot head-of-line-block a server's
-/// other clients.
+/// delivery must wait. The delay is never slept here: the inline responder
+/// sleeps it on the querier's thread ([`FaultedReply::deliver`]).
 pub fn apply_dns_fault(
     plan: &FaultPlan,
     ip: Ipv4Addr,

@@ -752,10 +752,10 @@ impl IterativeResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::AuthServer;
+    use crate::server::{answer, serve_query};
     use crate::zone::Zone;
     use std::sync::Arc;
-    use webdep_netsim::{NetConfig, Network, Region};
+    use webdep_netsim::{Datagram, FaultPlan, NetConfig, Network, Region, ResponderSet};
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -765,9 +765,28 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// An authoritative server at `addr` answering from `zones` through
+    /// the one serving path, under `faults`.
+    fn auth(
+        net: &Network,
+        addr: Ipv4Addr,
+        region: Region,
+        zones: Vec<Zone>,
+        faults: Option<FaultPlan>,
+    ) -> ResponderSet {
+        let server = ResponderSet::new(net, move |d: &Datagram| {
+            serve_query(&d.payload, d.dst.ip, faults.as_ref(), |q| {
+                answer(&zones, &q)
+            })
+            .deliver()
+        });
+        server.attach(addr, 53, region).unwrap();
+        server
+    }
+
     /// Builds a tiny internet: root -> com -> example.com, plus an out-of-
     /// zone CNAME target under net.
-    fn build_world(net: &Network) -> (Vec<AuthServer>, Vec<Ipv4Addr>) {
+    fn build_world(net: &Network) -> (Vec<ResponderSet>, Vec<Ipv4Addr>) {
         let root_ip = ip("198.41.0.4");
         let com_ip = ip("192.5.6.30");
         let net_ip = ip("192.5.6.31");
@@ -811,26 +830,11 @@ mod tests {
         provider.add_a(n("edge.provider.net"), ip("203.0.113.99"));
 
         let servers = vec![
-            AuthServer::spawn(
-                net.bind(root_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(root)],
-            ),
-            AuthServer::spawn(
-                net.bind(com_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(com)],
-            ),
-            AuthServer::spawn(
-                net.bind(net_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(netz)],
-            ),
-            AuthServer::spawn(
-                net.bind(example_ns_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::new(example)],
-            ),
-            AuthServer::spawn(
-                net.bind(provider_ns_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::new(provider)],
-            ),
+            auth(net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(net, com_ip, Region::NORTH_AMERICA, vec![com], None),
+            auth(net, net_ip, Region::NORTH_AMERICA, vec![netz], None),
+            auth(net, example_ns_ip, Region::EUROPE, vec![example], None),
+            auth(net, provider_ns_ip, Region::EUROPE, vec![provider], None),
         ];
         (servers, vec![root_ip])
     }
@@ -1048,26 +1052,11 @@ mod tests {
         victim.add_a(n("victim.com"), ip("203.0.113.70"));
 
         let _servers = [
-            AuthServer::spawn(
-                net.bind(root_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(root)],
-            ),
-            AuthServer::spawn(
-                net.bind(com_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(com)],
-            ),
-            AuthServer::spawn(
-                net.bind(net_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(netz)],
-            ),
-            AuthServer::spawn(
-                net.bind(provider_ns_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::new(provider)],
-            ),
-            AuthServer::spawn(
-                net.bind(live_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::new(victim)],
-            ),
+            auth(&net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(&net, com_ip, Region::NORTH_AMERICA, vec![com], None),
+            auth(&net, net_ip, Region::NORTH_AMERICA, vec![netz], None),
+            auth(&net, provider_ns_ip, Region::EUROPE, vec![provider], None),
+            auth(&net, live_ip, Region::EUROPE, vec![victim], None),
         ];
 
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
@@ -1106,21 +1095,12 @@ mod tests {
         example.add_a(n("example.com"), ip("203.0.113.10"));
 
         let _servers = [
-            AuthServer::spawn(
-                net.bind(root_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(root)],
-            ),
-            AuthServer::spawn(
-                net.bind(com_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(com)],
-            ),
+            auth(&net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(&net, com_ip, Region::NORTH_AMERICA, vec![com], None),
             // Misconfigured: serves no zones at all, so every query gets
             // SERVFAIL.
-            AuthServer::spawn(net.bind(bad_ip, 53, Region::EUROPE).unwrap(), vec![]),
-            AuthServer::spawn(
-                net.bind(good_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::new(example)],
-            ),
+            auth(&net, bad_ip, Region::EUROPE, vec![], None),
+            auth(&net, good_ip, Region::EUROPE, vec![example], None),
         ];
 
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
@@ -1134,8 +1114,7 @@ mod tests {
     fn faulty_pair_world(
         net: &Network,
         kind: webdep_netsim::FaultKind,
-    ) -> (Vec<AuthServer>, Vec<Ipv4Addr>) {
-        use webdep_netsim::FaultPlan;
+    ) -> (Vec<ResponderSet>, Vec<Ipv4Addr>) {
         let root_ip = ip("198.41.0.4");
         let com_ip = ip("192.5.6.30");
         let faulty_ip = ip("203.0.113.55");
@@ -1158,27 +1137,19 @@ mod tests {
         );
         let mut example = Zone::new(n("example.com"));
         example.add_a(n("example.com"), ip("203.0.113.10"));
-        let example = Arc::new(example);
 
-        let plan = Arc::new(FaultPlan::flaky(1, 1.0, 1.0, vec![kind]));
+        let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
         let servers = vec![
-            AuthServer::spawn(
-                net.bind(root_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(root)],
-            ),
-            AuthServer::spawn(
-                net.bind(com_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(com)],
-            ),
-            AuthServer::spawn_with_faults(
-                net.bind(faulty_ip, 53, Region::EUROPE).unwrap(),
-                vec![Arc::clone(&example)],
+            auth(net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(net, com_ip, Region::NORTH_AMERICA, vec![com], None),
+            auth(
+                net,
+                faulty_ip,
+                Region::EUROPE,
+                vec![example.clone()],
                 Some(plan),
             ),
-            AuthServer::spawn(
-                net.bind(clean_ip, 53, Region::EUROPE).unwrap(),
-                vec![example],
-            ),
+            auth(net, clean_ip, Region::EUROPE, vec![example], None),
         ];
         (servers, vec![root_ip])
     }
@@ -1201,7 +1172,7 @@ mod tests {
     #[test]
     fn site_deadline_bounds_a_black_holed_zone() {
         // victim.com is delegated to three nameservers whose addresses are
-        // bound but never served: sends succeed, replies never come, so
+        // attached but never answer: sends succeed, replies never come, so
         // every attempt runs to its full timeout. Without a site deadline
         // the rotation/backoff schedule across three servers costs many
         // seconds; with one, the resolution must bound out quickly and
@@ -1232,20 +1203,14 @@ mod tests {
             ],
         );
         let _servers = [
-            AuthServer::spawn(
-                net.bind(root_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(root)],
-            ),
-            AuthServer::spawn(
-                net.bind(com_ip, 53, Region::NORTH_AMERICA).unwrap(),
-                vec![Arc::new(com)],
-            ),
+            auth(&net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(&net, com_ip, Region::NORTH_AMERICA, vec![com], None),
         ];
-        // Black holes: bound (so sends succeed) but never read or reply.
-        let _black_holes: Vec<_> = bh
-            .iter()
-            .map(|&a| net.bind(a, 53, Region::EUROPE).unwrap())
-            .collect();
+        // Black holes: attached (so sends succeed) but never reply.
+        let black_holes = ResponderSet::new(&net, |_: &Datagram| None);
+        for &a in &bh {
+            black_holes.attach(a, 53, Region::EUROPE).unwrap();
+        }
 
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
         let mut r = IterativeResolver::new(

@@ -1,147 +1,58 @@
-//! Threaded authoritative DNS server over the simulated network.
+//! Authoritative serving: one pure function from a query datagram to the
+//! reply, run inline by whichever responder the query reached.
 
 use crate::fault::apply_dns_fault;
 use crate::wire::{decode, encode, Message, Rcode};
 use crate::zone::{Zone, ZoneLookup};
-use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use webdep_netsim::{Endpoint, FaultPlan, FaultedReply, SockAddr};
+use std::net::Ipv4Addr;
+use webdep_netsim::{FaultPlan, FaultedReply};
 
-/// An authoritative server: serves one or more zones from a thread bound to
-/// a netsim endpoint. Stops when dropped.
-pub struct AuthServer {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<u64>>,
-}
-
-impl AuthServer {
-    /// Spawns a server thread answering queries on `endpoint` from `zones`.
-    ///
-    /// Zones are matched most-specific-first when several could hold the
-    /// queried name (e.g. a host serving both a TLD zone and a child zone).
-    pub fn spawn(endpoint: Endpoint, zones: Vec<Arc<Zone>>) -> Self {
-        Self::spawn_with_faults(endpoint, zones, None)
-    }
-
-    /// Like [`AuthServer::spawn`], but runs every answer through a
-    /// fault-injection plan (see [`apply_dns_fault`]).
-    pub fn spawn_with_faults(
-        endpoint: Endpoint,
-        zones: Vec<Arc<Zone>>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || serve_loop(endpoint, zones, stop2, faults));
-        AuthServer {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Signals the thread to stop and waits for it; returns the number of
-    /// responses actually sent (faults that swallow a reply, undecodable
-    /// datagrams, and delayed replies still queued at shutdown are not
-    /// counted). Called automatically on drop (discarding the count).
-    pub fn shutdown(mut self) -> u64 {
-        self.begin_stop();
-        self.handle
-            .take()
-            .map(|h| h.join().unwrap_or(0))
-            .unwrap_or(0)
-    }
-
-    fn begin_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for AuthServer {
-    fn drop(&mut self) {
-        self.begin_stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Idle receive tick of the serve loop (also the upper bound on how late a
-/// scheduled delayed reply can fire).
-const SERVE_TICK: Duration = Duration::from_millis(50);
-
-fn serve_loop(
-    endpoint: Endpoint,
-    mut zones: Vec<Arc<Zone>>,
-    stop: Arc<AtomicBool>,
-    faults: Option<Arc<FaultPlan>>,
-) -> u64 {
-    // Most-specific zone first.
-    zones.sort_by_key(|z| std::cmp::Reverse(z.origin().num_labels()));
-    let faults = faults.filter(|p| p.is_active());
-    let mut served = 0u64;
-    // Replies held back by [`webdep_netsim::FaultKind::Delay`] are scheduled
-    // here instead of slept on the serving thread: one slow answer must not
-    // head-of-line-block the server's other clients.
-    let mut delayed: Vec<(Instant, SockAddr, Bytes)> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let mut i = 0;
-        while i < delayed.len() {
-            if delayed[i].0 <= now {
-                let (_, dst, payload) = delayed.swap_remove(i);
-                served += 1;
-                // Best effort: the client may already be gone.
-                let _ = endpoint.send(dst, payload);
-            } else {
-                i += 1;
-            }
-        }
-        let tick = delayed
-            .iter()
-            .map(|(due, ..)| due.saturating_duration_since(now))
-            .min()
-            .map_or(SERVE_TICK, |d| d.min(SERVE_TICK));
-        let dgram = match endpoint.recv_timeout(tick) {
-            Ok(d) => d,
-            Err(webdep_netsim::NetError::Timeout) => continue,
-            Err(_) => break, // network gone
-        };
-        let query = match decode(&dgram.payload) {
-            Ok(q) => q,
-            Err(_) => continue, // undecodable datagram: drop, like real servers
-        };
-        let response = if !query.is_response && query.questions.len() == 1 {
-            answer(&zones, &query)
+/// Serves one query datagram addressed to `server_ip`.
+///
+/// An undecodable datagram or one flagged as a response is swallowed, like
+/// a real server drops it. A query without a question is answered FormErr;
+/// any other query is answered by `answer` (which sees the first question
+/// of a multi-question query, and may reuse the question section through
+/// [`Message::into_response`]). The reply then runs through `faults`,
+/// keyed on `(server_ip, qname)` (see [`apply_dns_fault`]); a returned
+/// delay is the caller's to sleep ([`FaultedReply::deliver`]).
+pub fn serve_query(
+    payload: &[u8],
+    server_ip: Ipv4Addr,
+    faults: Option<&FaultPlan>,
+    answer: impl FnOnce(Message) -> Message,
+) -> FaultedReply {
+    let query = match decode(payload) {
+        Ok(q) if !q.is_response => q,
+        _ => return FaultedReply::swallowed(),
+    };
+    let respond = |query: Message| {
+        if query.questions.is_empty() {
+            let mut resp = query.into_response();
+            resp.rcode = Rcode::FormErr;
+            resp
         } else {
-            let mut r = Message::response_to(&query);
-            r.rcode = Rcode::FormErr;
-            r
-        };
-        let reply = match &faults {
-            Some(plan) => apply_dns_fault(plan, endpoint.addr().ip, &query, &response),
-            None => FaultedReply::clean(encode(&response)),
-        };
-        let Some(payload) = reply.payload else {
-            continue; // the fault swallowed the reply
-        };
-        match reply.delay {
-            Some(d) => delayed.push((Instant::now() + d, dgram.src, payload)),
-            None => {
-                served += 1;
-                let _ = endpoint.send(dgram.src, payload);
-            }
+            answer(query)
         }
+    };
+    match faults {
+        Some(plan) => apply_dns_fault(plan, server_ip, &query, &respond(query.clone())),
+        None => FaultedReply::clean(encode(&respond(query))),
     }
-    served
 }
 
-/// Builds the response for a single-question query from the zone list.
-pub fn answer(zones: &[Arc<Zone>], query: &Message) -> Message {
+/// Answers a query's first question from the zone list, most specific
+/// zone first when several could hold the name (e.g. a host serving both
+/// a TLD zone and a child zone). The reference authoritative semantics
+/// that the high-volume tables in [`crate::bigzone`] reproduce.
+pub fn answer(zones: &[Zone], query: &Message) -> Message {
     let mut resp = Message::response_to(query);
-    let q = &query.questions[0];
+    let Some(q) = query.questions.first() else {
+        resp.rcode = Rcode::FormErr;
+        return resp;
+    };
+    let mut zones: Vec<&Zone> = zones.iter().collect();
+    zones.sort_by_key(|z| std::cmp::Reverse(z.origin().num_labels()));
     for zone in zones {
         match zone.lookup(&q.name, q.qtype) {
             ZoneLookup::NotInZone => continue,
@@ -178,231 +89,86 @@ mod tests {
     use super::*;
     use crate::name::DomainName;
     use crate::wire::{Message, RecordData, RecordType};
-    use bytes::Bytes;
-    use std::net::Ipv4Addr;
-    use webdep_netsim::{NetConfig, Network, Region, SockAddr};
+    use webdep_netsim::FaultKind;
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
     }
 
-    fn zone() -> Arc<Zone> {
+    fn zone() -> Zone {
         let mut z = Zone::new(n("example.com"));
         z.add_a(n("www.example.com"), Ipv4Addr::new(192, 0, 2, 2));
-        Arc::new(z)
+        z
+    }
+
+    const SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
+
+    /// Serves `query` from [`zone`] with no fault plan; `None` when the
+    /// datagram is swallowed.
+    fn serve(query: &[u8]) -> Option<Message> {
+        let zones = [zone()];
+        let reply = serve_query(query, SERVER, None, |q| answer(&zones, &q));
+        reply.payload.map(|p| decode(&p).unwrap())
     }
 
     #[test]
-    fn serves_queries_over_network() {
-        let net = Network::new(NetConfig::default());
-        let server_ep = net
-            .bind("192.0.2.53".parse().unwrap(), 53, Region::EUROPE)
-            .unwrap();
-        let server_addr = server_ep.addr();
-        let server = AuthServer::spawn(server_ep, vec![zone()]);
-
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        let query = Message::query(99, n("www.example.com"), RecordType::A);
-        client.send(server_addr, encode(&query)).unwrap();
-        let d = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        let resp = decode(&d.payload).unwrap();
+    fn answers_a_query() {
+        let resp = serve(&encode(&Message::query(
+            99,
+            n("www.example.com"),
+            RecordType::A,
+        )))
+        .unwrap();
         assert_eq!(resp.id, 99);
         assert!(resp.is_response && resp.authoritative);
         assert_eq!(
             resp.answers[0].data,
             RecordData::A(Ipv4Addr::new(192, 0, 2, 2))
         );
-        assert!(server.shutdown() >= 1);
     }
 
     #[test]
-    fn garbage_is_ignored_and_server_survives() {
-        let net = Network::new(NetConfig::default());
-        let server_ep = net
-            .bind("192.0.2.53".parse().unwrap(), 53, Region::EUROPE)
-            .unwrap();
-        let server_addr = server_ep.addr();
-        let _server = AuthServer::spawn(server_ep, vec![zone()]);
-
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        client
-            .send(server_addr, Bytes::from_static(b"\x01\x02garbage"))
-            .unwrap();
-        // A valid query still gets answered afterwards.
-        let query = Message::query(7, n("www.example.com"), RecordType::A);
-        client.send(server_addr, encode(&query)).unwrap();
-        let d = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(decode(&d.payload).unwrap().id, 7);
+    fn garbage_and_responses_are_swallowed() {
+        assert_eq!(serve(b"\x01\x02garbage"), None);
+        let mut fake_resp = Message::query(1, n("www.example.com"), RecordType::A);
+        fake_resp.is_response = true;
+        assert_eq!(serve(&encode(&fake_resp)), None);
     }
 
     #[test]
-    fn delayed_answer_does_not_block_other_queries() {
-        use webdep_netsim::{FaultKind, FaultPlan};
-        let server_ip: Ipv4Addr = "192.0.2.53".parse().unwrap();
-        let plan = FaultPlan {
-            delay: Duration::from_millis(300),
-            ..FaultPlan::flaky(21, 1.0, 0.5, vec![FaultKind::Delay])
+    fn malformed_queries_have_one_policy() {
+        // No question: FormErr.
+        let mut empty = Message::query(5, n("www.example.com"), RecordType::A);
+        empty.questions.clear();
+        let resp = serve(&encode(&empty)).unwrap();
+        assert_eq!((resp.id, resp.rcode), (5, Rcode::FormErr));
+        // Several questions: the first one is answered.
+        let mut multi = Message::query(6, n("www.example.com"), RecordType::A);
+        multi.questions.push(multi.questions[0].clone());
+        multi.questions[1].name = n("other.org");
+        let resp = serve(&encode(&multi)).unwrap();
+        assert_eq!(resp.rcode, Rcode::NoError);
+        assert_eq!(resp.answers.len(), 1);
+    }
+
+    #[test]
+    fn fault_plan_applies_to_the_answer() {
+        let query = encode(&Message::query(3, n("www.example.com"), RecordType::A));
+        let zones = [zone()];
+        let serve_with = |kind| {
+            let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
+            serve_query(&query, SERVER, Some(&plan), |q| answer(&zones, &q))
         };
-        // Pick one name the plan delays and one it spares (fault decisions
-        // are pure in (ip, qname), so we can probe them up front).
-        let mut z = Zone::new(n("example.com"));
-        let mut names = Vec::new();
-        for i in 0..64 {
-            let name = n(&format!("h{i}.example.com"));
-            z.add_a(name.clone(), Ipv4Addr::new(192, 0, 2, 2));
-            names.push(name);
-        }
-        let delayed = names
-            .iter()
-            .find(|nm| {
-                plan.query_fault(server_ip, nm.as_str().as_bytes())
-                    .is_some()
-            })
-            .expect("some name is delayed")
-            .clone();
-        let clean = names
-            .iter()
-            .find(|nm| {
-                plan.query_fault(server_ip, nm.as_str().as_bytes())
-                    .is_none()
-            })
-            .expect("some name is clean")
-            .clone();
-
-        let net = Network::new(NetConfig::default());
-        let server_ep = net.bind(server_ip, 53, Region::EUROPE).unwrap();
-        let server_addr = server_ep.addr();
-        let _server =
-            AuthServer::spawn_with_faults(server_ep, vec![Arc::new(z)], Some(Arc::new(plan)));
-
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        // The delayed query goes first; the clean answer must overtake it.
-        client
-            .send(
-                server_addr,
-                encode(&Message::query(1, delayed, RecordType::A)),
-            )
-            .unwrap();
-        client
-            .send(
-                server_addr,
-                encode(&Message::query(2, clean, RecordType::A)),
-            )
-            .unwrap();
-        let first = decode(&client.recv_timeout(Duration::from_secs(2)).unwrap().payload).unwrap();
+        assert_eq!(serve_with(FaultKind::Drop), FaultedReply::swallowed());
+        let refused = decode(&serve_with(FaultKind::ServFail).payload.unwrap()).unwrap();
+        assert_eq!((refused.id, refused.rcode), (3, Rcode::ServFail));
+        // A delay is returned with the clean answer, never slept here.
+        let delayed = serve_with(FaultKind::Delay);
+        assert!(delayed.delay.is_some());
         assert_eq!(
-            first.id, 2,
-            "clean answer must not wait behind a delayed one"
+            delayed.payload,
+            serve_query(&query, SERVER, None, |q| answer(&zones, &q)).payload
         );
-        let second = decode(&client.recv_timeout(Duration::from_secs(2)).unwrap().payload).unwrap();
-        assert_eq!(second.id, 1, "the delayed answer still arrives");
-    }
-
-    #[test]
-    fn burst_of_mixed_delays_is_served_in_due_time_order() {
-        use std::collections::BTreeSet;
-        use webdep_netsim::{FaultKind, FaultPlan};
-        // Every name the plan touches is held back by the same delay, so
-        // due-time order splits the burst in two: all clean answers first,
-        // then the delayed cohort (the due queue's swap_remove may permute
-        // answers sharing a due time, so we assert on the cohorts, not on
-        // intra-cohort order).
-        let server_ip: Ipv4Addr = "192.0.2.53".parse().unwrap();
-        let plan = FaultPlan {
-            delay: Duration::from_millis(400),
-            ..FaultPlan::flaky(17, 1.0, 0.5, vec![FaultKind::Delay])
-        };
-        let mut z = Zone::new(n("example.com"));
-        let mut names = Vec::new();
-        for i in 0..24 {
-            let name = n(&format!("b{i}.example.com"));
-            z.add_a(name.clone(), Ipv4Addr::new(192, 0, 2, 2));
-            names.push(name);
-        }
-        let delayed_ids: BTreeSet<u16> = names
-            .iter()
-            .enumerate()
-            .filter(|(_, nm)| {
-                plan.query_fault(server_ip, nm.as_str().as_bytes())
-                    .is_some()
-            })
-            .map(|(i, _)| i as u16)
-            .collect();
-        let clean_ids: BTreeSet<u16> = (0..names.len() as u16)
-            .filter(|i| !delayed_ids.contains(i))
-            .collect();
-        assert!(
-            !delayed_ids.is_empty() && !clean_ids.is_empty(),
-            "burst must mix delayed and clean queries (got {} delayed)",
-            delayed_ids.len()
-        );
-
-        let net = Network::new(NetConfig::default());
-        let server_ep = net.bind(server_ip, 53, Region::EUROPE).unwrap();
-        let server_addr = server_ep.addr();
-        let server =
-            AuthServer::spawn_with_faults(server_ep, vec![Arc::new(z)], Some(Arc::new(plan)));
-
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        for (i, name) in names.iter().enumerate() {
-            client
-                .send(
-                    server_addr,
-                    encode(&Message::query(i as u16, name.clone(), RecordType::A)),
-                )
-                .unwrap();
-        }
-
-        let mut arrival = Vec::new();
-        for _ in 0..names.len() {
-            let d = client.recv_timeout(Duration::from_secs(3)).unwrap();
-            arrival.push(decode(&d.payload).unwrap().id);
-        }
-        let first: BTreeSet<u16> = arrival[..clean_ids.len()].iter().copied().collect();
-        let rest: BTreeSet<u16> = arrival[clean_ids.len()..].iter().copied().collect();
-        assert_eq!(
-            first, clean_ids,
-            "clean answers must all beat the delayed cohort"
-        );
-        assert_eq!(
-            rest, delayed_ids,
-            "the delayed cohort arrives after, complete"
-        );
-        // No more replies in flight, and the served count matches exactly
-        // the responses the client actually received.
-        assert!(client.recv_timeout(Duration::from_millis(100)).is_err());
-        assert_eq!(server.shutdown(), names.len() as u64);
-    }
-
-    #[test]
-    fn swallowed_replies_are_not_counted_as_served() {
-        use webdep_netsim::{FaultKind, FaultPlan};
-        let net = Network::new(NetConfig::default());
-        let server_ep = net
-            .bind("192.0.2.53".parse().unwrap(), 53, Region::EUROPE)
-            .unwrap();
-        let server_addr = server_ep.addr();
-        let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![FaultKind::Drop]);
-        let server = AuthServer::spawn_with_faults(server_ep, vec![zone()], Some(Arc::new(plan)));
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        client
-            .send(
-                server_addr,
-                encode(&Message::query(3, n("www.example.com"), RecordType::A)),
-            )
-            .unwrap();
-        assert!(client.recv_timeout(Duration::from_millis(50)).is_err());
-        assert_eq!(server.shutdown(), 0, "swallowed replies are not served");
     }
 
     #[test]
@@ -415,7 +181,8 @@ mod tests {
     #[test]
     fn most_specific_zone_wins() {
         // Host serves both `com` (delegating example.com away) and
-        // `example.com` itself; the child zone must answer.
+        // `example.com` itself; the child zone must answer whatever the
+        // order the zones are given in.
         let mut com = Zone::new(n("com"));
         com.delegate(
             n("example.com"),
@@ -423,31 +190,8 @@ mod tests {
             &[(n("ns1.example.com"), Ipv4Addr::new(192, 0, 2, 53))],
         );
         let q = Message::query(1, n("www.example.com"), RecordType::A);
-        let mut zones = vec![Arc::new(com), zone()];
-        zones.sort_by_key(|z| std::cmp::Reverse(z.origin().num_labels()));
-        let resp = answer(&zones, &q);
+        let resp = answer(&[com, zone()], &q);
         assert_eq!(resp.rcode, Rcode::NoError);
         assert!(!resp.answers.is_empty(), "child zone should answer");
-    }
-
-    #[test]
-    fn response_messages_get_formerr() {
-        let fake_resp = {
-            let mut m = Message::query(1, n("www.example.com"), RecordType::A);
-            m.is_response = true;
-            m
-        };
-        let net = Network::new(NetConfig::default());
-        let server_ep = net
-            .bind("192.0.2.53".parse().unwrap(), 53, Region::EUROPE)
-            .unwrap();
-        let server_addr: SockAddr = server_ep.addr();
-        let _server = AuthServer::spawn(server_ep, vec![zone()]);
-        let client = net
-            .bind("10.0.0.1".parse().unwrap(), 4001, Region::EUROPE)
-            .unwrap();
-        client.send(server_addr, encode(&fake_resp)).unwrap();
-        let d = client.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(decode(&d.payload).unwrap().rcode, Rcode::FormErr);
     }
 }

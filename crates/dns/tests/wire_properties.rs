@@ -3,8 +3,13 @@
 //! must never trust its input).
 
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
+use webdep_dns::bigzone::{Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
+use webdep_dns::server::{answer, serve_query};
 use webdep_dns::wire::{decode, encode, Message, Rcode, Record, RecordData, RecordType};
+use webdep_dns::Zone;
+use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9_-]{1,12}").expect("valid regex")
@@ -122,10 +127,29 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
-    /// Arbitrary bytes never panic the decoder (Err or Ok, never abort).
+    /// Arbitrary bytes never panic the decoder (Err or Ok, never abort),
+    /// nor the serving path.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         let _ = decode(&bytes);
+        check_served(&bytes);
+    }
+
+    /// A valid query with a few bits flipped never panics the serving path,
+    /// which swallows or answers it by the one malformed-query policy.
+    #[test]
+    fn bitflipped_queries_are_served_safely(
+        qname in arb_name(),
+        qtype in arb_qtype(),
+        id in any::<u16>(),
+        flips in prop::collection::vec((any::<u64>(), 0u8..8), 1..4),
+    ) {
+        let mut bytes = encode(&Message::query(id, qname, qtype)).to_vec();
+        for (pos_seed, bit) in flips {
+            let pos = (pos_seed as usize) % bytes.len();
+            bytes[pos] ^= 1 << bit;
+        }
+        check_served(&bytes);
     }
 
     /// Truncating a valid message at any point yields an error or a valid
@@ -153,6 +177,54 @@ proptest! {
 
 fn name(s: &str) -> DomainName {
     DomainName::parse(s).expect("valid test name")
+}
+
+/// Serves `bytes` once over a [`Zone`] answerer and once over a
+/// [`DelegationTable`] answerer (and once more under a fault plan, for
+/// panics only): an undecodable or response-flagged datagram is
+/// swallowed, a query without a question gets FormErr, and any other
+/// query gets a response with its id.
+fn check_served(bytes: &[u8]) {
+    let server = Ipv4Addr::new(192, 0, 2, 53);
+    let mut zone = Zone::new(name("example"));
+    zone.add_a(name("www.example"), server);
+    zone.add_cname(name("alias.example"), name("www.example"));
+    zone.delegate(
+        name("sub.example"),
+        &[name("ns.sub.example")],
+        &[(name("ns.sub.example"), server)],
+    );
+    let zones = [zone];
+    let mut table = DelegationTable::new(name("example"));
+    table.register(
+        name("sub.example"),
+        Delegation {
+            ns: vec![name("ns.sub.example")],
+            glue: vec![(name("ns.sub.example"), server)],
+        },
+    );
+    let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
+    let _ = serve_query(bytes, server, Some(&faults), |q| answer(&zones, &q));
+    let replies = [
+        serve_query(bytes, server, None, |q| answer(&zones, &q)),
+        serve_query(bytes, server, None, |q| table.respond(q)),
+    ];
+    for reply in replies {
+        assert_eq!(reply.delay, None);
+        match decode(bytes) {
+            Err(_) => assert_eq!(reply, FaultedReply::swallowed()),
+            Ok(q) if q.is_response => assert_eq!(reply, FaultedReply::swallowed()),
+            Ok(q) => {
+                let payload = reply.payload.expect("a query is answered");
+                let resp = decode(&payload).expect("a reply decodes");
+                assert!(resp.is_response);
+                assert_eq!(resp.id, q.id);
+                if q.questions.is_empty() {
+                    assert_eq!(resp.rcode, Rcode::FormErr);
+                }
+            }
+        }
+    }
 }
 
 fn hex(bytes: &[u8]) -> String {

@@ -70,9 +70,10 @@ impl FaultKind {
 /// fault swallowed it) plus an optional delivery delay
 /// ([`FaultKind::Delay`]).
 ///
-/// The delay is *returned*, not slept, so the serving context can charge
-/// it to the right party: an inline responder — already running on the
-/// querier's own thread — simply sleeps, delaying only that query.
+/// The fault functions return the delay rather than sleep it; every
+/// simulated server is an inline responder, running on the querier's own
+/// thread, and sleeps it off in [`FaultedReply::deliver`], so a delay holds
+/// back only its own query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultedReply {
     /// The payload to send, or `None` when the fault swallowed the reply.
@@ -93,6 +94,15 @@ impl FaultedReply {
     /// A swallowed reply: nothing is ever sent.
     pub fn swallowed() -> Self {
         FaultedReply::default()
+    }
+
+    /// The payload an inline responder sends, after sleeping off any delay
+    /// on the calling (querier's) thread.
+    pub fn deliver(self) -> Option<Bytes> {
+        if let Some(wait) = self.delay {
+            std::thread::sleep(wait);
+        }
+        self.payload
     }
 }
 

@@ -5,26 +5,28 @@
 //! The paper's measurements (ZDNS resolution, ZGrab2 TLS scans) run against
 //! the real internet; this crate provides the stand-in: an in-process
 //! datagram network with IPv4 addressing, unicast and anycast delivery,
-//! a continent-pair latency model, and optional packet loss. Servers bind
-//! [`Endpoint`]s and serve from threads; clients send datagrams and wait
-//! with timeouts, exactly as a UDP scanner would.
+//! a continent-pair latency model, and optional packet loss. Clients bind
+//! [`Endpoint`]s, send datagrams and wait with timeouts, exactly as a UDP
+//! scanner would. Servers are [`ResponderSet`]s: a pure service function
+//! attached at many addresses and run inline on the sender's thread, so
+//! the fabric runs no server thread at all.
 //!
-//! Design goals follow the session guides: event-driven and synchronous
-//! (no async runtime — each server is a plain thread draining a channel),
-//! simple and robust over clever.
+//! The design is event-driven and synchronous (no async runtime): simple
+//! and robust over clever.
 //!
 //! ```
-//! use webdep_netsim::{Network, Region};
+//! use webdep_netsim::{Datagram, Network, Region, ResponderSet, SockAddr};
 //! use bytes::Bytes;
-//! use std::time::Duration;
 //!
 //! let net = Network::new(Default::default());
-//! let server = net.bind("10.0.0.1".parse().unwrap(), 53, Region::EUROPE).unwrap();
+//! let echo = ResponderSet::new(&net, |d: &Datagram| Some(d.payload.clone()));
+//! let server = SockAddr::new("10.0.0.1".parse().unwrap(), 7);
+//! echo.attach(server.ip, server.port, Region::EUROPE).unwrap();
 //! let client = net.bind("10.9.9.9".parse().unwrap(), 4000, Region::ASIA).unwrap();
 //!
-//! client.send(server.addr(), Bytes::from_static(b"ping")).unwrap();
-//! let dgram = server.recv_timeout(Duration::from_secs(1)).unwrap();
-//! assert_eq!(&dgram.payload[..], b"ping");
+//! client.send(server, Bytes::from_static(b"ping")).unwrap();
+//! // The reply is queued before `send` returns: no thread hop.
+//! assert_eq!(&client.try_recv().unwrap().payload[..], b"ping");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -261,55 +261,19 @@ impl Network {
         &self.inner.shards[shard_index(addr)]
     }
 
-    /// Binds a unicast endpoint at `ip:port` located in `region`.
+    /// Binds a client endpoint at `ip:port` located in `region`: datagrams
+    /// to it queue until [`Endpoint::recv_timeout`] takes them. Servers are
+    /// inline responders ([`crate::ResponderSet`]) instead. Fails with
+    /// [`NetError::AddrInUse`] when the address is bound or announced.
     pub fn bind(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<Endpoint, NetError> {
         let addr = SockAddr::new(ip, port);
-        let mut map = self.shard(&addr).unicast.write();
-        if map.contains_key(&addr) {
-            return Err(NetError::AddrInUse(addr));
-        }
         let (tx, rx) = unbounded();
-        map.insert(
-            addr,
-            Bound {
-                sink: Sink::Queue(tx),
-                region,
-            },
-        );
+        self.bind_sink(addr, region, Sink::Queue(tx), false)?;
         Ok(Endpoint {
             addr,
             region,
             rx,
             net: self.clone(),
-            anycast: false,
-        })
-    }
-
-    /// Binds one *site* of an anycast address. Multiple sites may share the
-    /// same `ip:port`; delivery picks the site with the lowest modelled
-    /// latency from the sender's region (ties by bind order).
-    pub fn bind_anycast(
-        &self,
-        ip: Ipv4Addr,
-        port: u16,
-        region: Region,
-    ) -> Result<Endpoint, NetError> {
-        let addr = SockAddr::new(ip, port);
-        let shard = self.shard(&addr);
-        if shard.unicast.read().contains_key(&addr) {
-            return Err(NetError::AddrInUse(addr));
-        }
-        let (tx, rx) = unbounded();
-        shard.anycast.write().entry(addr).or_default().push(Bound {
-            sink: Sink::Queue(tx),
-            region,
-        });
-        Ok(Endpoint {
-            addr,
-            region,
-            rx,
-            net: self.clone(),
-            anycast: true,
         })
     }
 
@@ -325,6 +289,9 @@ impl Network {
         self.bind_sink(addr, region, Sink::Inline(f), anycast)
     }
 
+    /// Binds `sink` at `addr`: the one bind path, so neither kind of
+    /// binding can shadow or join the other. Lock order within a shard is
+    /// always unicast before anycast.
     fn bind_sink(
         &self,
         addr: SockAddr,
@@ -333,37 +300,18 @@ impl Network {
         anycast: bool,
     ) -> Result<(), NetError> {
         let shard = self.shard(&addr);
-        if anycast {
-            if shard.unicast.read().contains_key(&addr) {
-                return Err(NetError::AddrInUse(addr));
-            }
-            shard
-                .anycast
-                .write()
-                .entry(addr)
-                .or_default()
-                .push(Bound { sink, region });
-            Ok(())
-        } else {
-            // Lock order within a shard is always unicast before anycast.
-            let mut map = shard.unicast.write();
-            if map.contains_key(&addr) || shard.anycast.read().contains_key(&addr) {
-                return Err(NetError::AddrInUse(addr));
-            }
-            map.insert(addr, Bound { sink, region });
-            Ok(())
+        let mut unicast = shard.unicast.write();
+        let mut sites = shard.anycast.write();
+        if unicast.contains_key(&addr) || (!anycast && sites.contains_key(&addr)) {
+            return Err(NetError::AddrInUse(addr));
         }
-    }
-
-    /// Raw unbind for responder sets.
-    pub(crate) fn unbind_raw(&self, addr: SockAddr, anycast: bool, region: Region) {
-        self.unbind(addr, anycast, region);
-    }
-
-    /// Whether an address is announced via anycast.
-    pub fn is_anycast(&self, ip: Ipv4Addr, port: u16) -> bool {
-        let addr = SockAddr::new(ip, port);
-        self.shard(&addr).anycast.read().contains_key(&addr)
+        let bound = Bound { sink, region };
+        if anycast {
+            sites.entry(addr).or_default().push(bound);
+        } else {
+            unicast.insert(addr, bound);
+        }
+        Ok(())
     }
 
     /// Snapshot of delivery counters.
@@ -481,12 +429,13 @@ impl Network {
         Ok(())
     }
 
-    fn unbind(&self, addr: SockAddr, anycast: bool, region: Region) {
+    /// Removes a binding (one anycast site: the one in `region`).
+    pub(crate) fn unbind(&self, addr: SockAddr, anycast: bool, region: Region) {
         let shard = self.shard(&addr);
         if anycast {
             let mut map = shard.anycast.write();
             if let Some(sites) = map.get_mut(&addr) {
-                // Remove one site in this region (the endpoint's own).
+                // Remove one site in this region (the responder's own).
                 if let Some(pos) = sites.iter().position(|b| b.region == region) {
                     sites.remove(pos);
                 }
@@ -500,7 +449,8 @@ impl Network {
     }
 }
 
-/// A bound endpoint: receives datagrams addressed to it and can send.
+/// A client endpoint: sends datagrams and queues the ones addressed to it
+/// (the replies of the responders it queried).
 ///
 /// Dropping the endpoint unbinds the address.
 pub struct Endpoint {
@@ -508,7 +458,6 @@ pub struct Endpoint {
     region: Region,
     rx: Receiver<Datagram>,
     net: Network,
-    anycast: bool,
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -516,7 +465,6 @@ impl std::fmt::Debug for Endpoint {
         f.debug_struct("Endpoint")
             .field("addr", &self.addr)
             .field("region", &self.region)
-            .field("anycast", &self.anycast)
             .finish_non_exhaustive()
     }
 }
@@ -557,7 +505,7 @@ impl Endpoint {
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.net.unbind(self.addr, self.anycast, self.region);
+        self.net.unbind(self.addr, false, self.region);
     }
 }
 
@@ -630,32 +578,20 @@ mod tests {
     }
 
     #[test]
-    fn anycast_routes_to_nearest_site() {
-        let net = Network::new(NetConfig::default());
-        let eu_site = net.bind_anycast(ip("1.1.1.1"), 53, Region::EUROPE).unwrap();
-        let as_site = net.bind_anycast(ip("1.1.1.1"), 53, Region::ASIA).unwrap();
-        assert!(net.is_anycast(ip("1.1.1.1"), 53));
-
-        let eu_client = net.bind(ip("10.0.0.1"), 1, Region::EUROPE).unwrap();
-        let as_client = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-        eu_client
-            .send(SockAddr::new(ip("1.1.1.1"), 53), Bytes::from_static(b"eu"))
-            .unwrap();
-        as_client
-            .send(SockAddr::new(ip("1.1.1.1"), 53), Bytes::from_static(b"as"))
-            .unwrap();
-
-        let d_eu = eu_site.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(&d_eu.payload[..], b"eu");
-        let d_as = as_site.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(&d_as.payload[..], b"as");
-    }
-
-    #[test]
     fn anycast_and_unicast_do_not_mix() {
+        use crate::shared::ResponderSet;
         let net = Network::new(NetConfig::default());
+        let set = ResponderSet::new(&net, |_: &Datagram| None);
+        // A bound address cannot also be announced...
         let _u = net.bind(ip("2.2.2.2"), 53, Region::EUROPE).unwrap();
-        assert!(net.bind_anycast(ip("2.2.2.2"), 53, Region::ASIA).is_err());
+        assert!(set.attach_anycast(ip("2.2.2.2"), 53, Region::ASIA).is_err());
+        // ...nor an announced one bound: the binding would shadow every
+        // anycast site, since delivery prefers unicast.
+        set.attach_anycast(ip("3.3.3.3"), 53, Region::ASIA).unwrap();
+        assert!(matches!(
+            net.bind(ip("3.3.3.3"), 53, Region::EUROPE),
+            Err(NetError::AddrInUse(_))
+        ));
     }
 
     #[test]
@@ -812,10 +748,10 @@ mod tests {
     #[test]
     fn blocked_receiver_wakes_on_a_later_send() {
         let net = Network::new(NetConfig::default());
-        let server = net.bind(ip("10.0.0.1"), 7, Region::EUROPE).unwrap();
+        let receiver = net.bind(ip("10.0.0.1"), 7, Region::EUROPE).unwrap();
         let waiter = std::thread::spawn(move || {
             let start = std::time::Instant::now();
-            let d = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            let d = receiver.recv_timeout(Duration::from_secs(5)).unwrap();
             (d, start.elapsed())
         });
         // Give the receiver time to block first. If it has not, the datagram
@@ -833,29 +769,5 @@ mod tests {
         let (d, waited) = waiter.join().unwrap();
         assert_eq!(&d.payload[..], b"late");
         assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
-    }
-
-    #[test]
-    fn threaded_echo_server() {
-        let net = Network::new(NetConfig::default());
-        let server = net.bind(ip("10.0.0.1"), 7, Region::NORTH_AMERICA).unwrap();
-        let handle = std::thread::spawn(move || {
-            // Echo until the first message saying "quit".
-            while let Ok(d) = server.recv_timeout(Duration::from_secs(5)) {
-                if &d.payload[..] == b"quit" {
-                    break;
-                }
-                server.send(d.src, d.payload).unwrap();
-            }
-        });
-        let client = net.bind(ip("10.0.0.9"), 9, Region::EUROPE).unwrap();
-        let dst = SockAddr::new(ip("10.0.0.1"), 7);
-        for i in 0..10u8 {
-            client.send(dst, Bytes::copy_from_slice(&[i])).unwrap();
-            let d = client.recv_timeout(Duration::from_secs(1)).unwrap();
-            assert_eq!(&d.payload[..], &[i]);
-        }
-        client.send(dst, Bytes::from_static(b"quit")).unwrap();
-        handle.join().unwrap();
     }
 }

@@ -97,7 +97,7 @@ impl Drop for ResponderSet {
     fn drop(&mut self) {
         for stripe in &self.attached {
             for (addr, (region, anycast)) in stripe.write().drain() {
-                self.net.unbind_raw(addr, anycast, region);
+                self.net.unbind(addr, anycast, region);
             }
         }
     }
@@ -169,6 +169,52 @@ mod tests {
         // responder ever runs; nothing comes back.
         assert!(client.try_recv().is_none());
         assert_eq!(net.stats().dropped, 1);
+    }
+
+    #[test]
+    fn delayed_reply_holds_back_only_its_own_query() {
+        use crate::fault::FaultedReply;
+        use std::sync::Barrier;
+        use std::time::{Duration, Instant};
+        const DELAY: Duration = Duration::from_millis(300);
+        let net = Network::new(NetConfig::default());
+        // The slow query meets the fast one here just before it sleeps.
+        let asleep = Arc::new(Barrier::new(2));
+        let set = ResponderSet::new(&net, {
+            let asleep = Arc::clone(&asleep);
+            move |d: &Datagram| {
+                let slow = &d.payload[..] == b"slow";
+                if slow {
+                    asleep.wait();
+                }
+                FaultedReply {
+                    payload: Some(d.payload.clone()),
+                    delay: slow.then_some(DELAY),
+                }
+                .deliver()
+            }
+        });
+        set.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
+        let dst = SockAddr::new(ip("10.0.0.7"), 7);
+        let query = |client: Ipv4Addr, payload: &'static [u8]| {
+            let ep = net.bind(client, 1, Region::ASIA).unwrap();
+            let start = Instant::now();
+            ep.send(dst, Bytes::from_static(payload)).unwrap();
+            let reply = ep.try_recv().expect("inline reply is synchronous");
+            (reply.payload, start.elapsed())
+        };
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| query(ip("10.9.9.1"), b"slow"));
+            // While the slow query sleeps on its own thread, a query from
+            // another thread is answered at once.
+            asleep.wait();
+            let (fast, fast_took) = query(ip("10.9.9.2"), b"fast");
+            assert_eq!(&fast[..], b"fast");
+            assert!(fast_took < DELAY / 2, "fast query took {fast_took:?}");
+            let (slow, slow_took) = slow.join().unwrap();
+            assert_eq!(&slow[..], b"slow");
+            assert!(slow_took >= DELAY, "slow query took {slow_took:?}");
+        });
     }
 
     #[test]

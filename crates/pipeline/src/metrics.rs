@@ -4,7 +4,7 @@
 //!
 //! The measurement hot loop keeps its existing contention-free shape:
 //! workers accumulate plain `u64`s privately and the run fold-in
-//! ([`record_run`]) adds the per-run totals to the global counters once,
+//! (`record_run`) adds the per-run totals to the global counters once,
 //! after the parallel section — so instrumentation costs a handful of
 //! `fetch_add`s per *run*, not per site. Only genuinely rare events
 //! (journal fsync batches, supervisor interventions) touch an atomic at

@@ -2,7 +2,7 @@
 //! snapshot-epoch gauges, and the `GET /metrics` Prometheus-text body.
 //!
 //! Each [`ServeMetrics`] owns a private
-//! [`Registry`](webdep_core::metrics::Registry), so several servers in
+//! [`webdep_core::metrics::Registry`], so several servers in
 //! one test process never mix series; the exporter concatenates the
 //! server's registry with the process-wide one (where the measurement
 //! pipeline and the run journal register), giving one scrape target for

@@ -262,7 +262,7 @@ pub fn label_score_ci(
 
 /// [`label_score_ci`] run serially on the calling thread with
 /// caller-provided scratch, polling `should_abort` once before the first
-/// replicate and then every [`REPLICATE_CHUNK`] replicates; it bails with
+/// replicate and then every `REPLICATE_CHUNK` replicates; it bails with
 /// [`BootstrapAborted`] instead of running to completion.
 ///
 /// Replicate `r` is seeded by `mix(seed, r)` regardless of who runs it and

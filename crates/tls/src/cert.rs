@@ -1,8 +1,7 @@
 //! Certificate model: leaf/issuer structure, SAN matching, chain checks,
-//! and the SNI-indexed store servers answer from.
+//! and the compact binary codec.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
 
 /// A certificate: just the fields the measurement consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,65 +232,6 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// SNI-indexed certificate store a TLS server answers from.
-#[derive(Debug, Clone, Default)]
-pub struct CertStore {
-    by_name: HashMap<String, CertificateChain>,
-    wildcard_by_suffix: HashMap<String, CertificateChain>,
-    /// Served when no name matches; real CDNs typically present a default
-    /// certificate rather than alerting.
-    pub default_chain: Option<CertificateChain>,
-}
-
-impl CertStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a chain for the leaf's subject and every SAN entry.
-    pub fn install(&mut self, chain: CertificateChain) {
-        let Some(leaf) = chain.leaf() else { return };
-        let names: Vec<String> = std::iter::once(leaf.subject.clone())
-            .chain(leaf.san.iter().cloned())
-            .collect();
-        for name in names {
-            let name = name.to_ascii_lowercase();
-            if let Some(suffix) = name.strip_prefix("*.") {
-                self.wildcard_by_suffix
-                    .insert(suffix.to_string(), chain.clone());
-            } else {
-                self.by_name.insert(name, chain.clone());
-            }
-        }
-    }
-
-    /// Finds the chain for an SNI, preferring exact over wildcard over
-    /// default.
-    pub fn find(&self, sni: &str) -> Option<&CertificateChain> {
-        let sni = sni.to_ascii_lowercase();
-        if let Some(c) = self.by_name.get(&sni) {
-            return Some(c);
-        }
-        if let Some((_, rest)) = sni.split_once('.') {
-            if let Some(c) = self.wildcard_by_suffix.get(rest) {
-                return Some(c);
-            }
-        }
-        self.default_chain.as_ref()
-    }
-
-    /// Number of installed exact names.
-    pub fn len(&self) -> usize {
-        self.by_name.len() + self.wildcard_by_suffix.len()
-    }
-
-    /// True when nothing is installed (default chain not counted).
-    pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty() && self.wildcard_by_suffix.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,30 +330,6 @@ mod tests {
             chain.validate("example.com", 150),
             Err(ChainError::NonCaIssuer(1))
         );
-    }
-
-    #[test]
-    fn store_lookup_precedence() {
-        let root = ca(1, "Test Root");
-        let mut store = CertStore::new();
-        let exact = CertificateChain {
-            certs: vec![leaf("www.example.com", &[], &root), root.clone()],
-        };
-        let wild = CertificateChain {
-            certs: vec![leaf("*.example.com", &[], &root), root.clone()],
-        };
-        let deflt = CertificateChain {
-            certs: vec![leaf("default.cdn", &[], &root), root.clone()],
-        };
-        store.install(exact.clone());
-        store.install(wild.clone());
-        store.default_chain = Some(deflt.clone());
-
-        assert_eq!(store.find("www.example.com"), Some(&exact));
-        assert_eq!(store.find("other.example.com"), Some(&wild));
-        assert_eq!(store.find("unrelated.org"), Some(&deflt));
-        assert_eq!(store.len(), 2);
-        assert!(!store.is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Applying a [`FaultPlan`] to TLS handshake flights.
 //!
-//! The serving side calls [`apply_tls_fault`] on every ready server flight.
-//! Decisions are keyed on `(server ip, sni)` — deterministic across
-//! retries, like the DNS side.
+//! [`crate::server::serve_hello`] calls [`apply_tls_fault`] on every ready
+//! server flight. Decisions are keyed on `(server ip, sni)` — deterministic
+//! across retries, like the DNS side.
 
 use crate::handshake::{encode_flight, HandshakeMessage};
 use bytes::Bytes;
@@ -18,8 +18,8 @@ pub const ALERT_INTERNAL_ERROR: u8 = 80;
 /// The returned [`FaultedReply`] carries the payload to send (`None` when
 /// the fault swallows the flight) — possibly a fatal alert, a truncated
 /// prefix, or a garbled flight — and, for [`FaultKind::Delay`], how long
-/// delivery must wait. The delay is never slept here; the serving context
-/// schedules it (see [`FaultedReply`]).
+/// delivery must wait. The delay is never slept here: the inline responder
+/// sleeps it on the querier's thread ([`FaultedReply::deliver`]).
 pub fn apply_tls_fault(plan: &FaultPlan, ip: Ipv4Addr, sni: &str, flight: Bytes) -> FaultedReply {
     match plan.query_fault(ip, sni.as_bytes()) {
         None => FaultedReply::clean(flight),

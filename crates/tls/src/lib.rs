@@ -8,7 +8,9 @@
 //!
 //! 1. client sends `ClientHello { sni }`;
 //! 2. server answers `ServerHello` + `Certificate { chain }` (or an
-//!    `Alert` when it has no certificate for the name);
+//!    `Alert` when it has no certificate for the name) — every simulated
+//!    server runs the one serving function [`server::serve_hello`] inline
+//!    on the querier's thread, behind a `webdep_netsim::ResponderSet`;
 //! 3. the scanner parses and validates the chain.
 //!
 //! Certificates are a compact binary encoding (not DER) carrying the fields
@@ -24,11 +26,11 @@ pub mod handshake;
 pub mod scanner;
 pub mod server;
 
-pub use cert::{CertStore, Certificate, CertificateChain};
+pub use cert::{Certificate, CertificateChain};
 pub use fault::{apply_tls_fault, ALERT_INTERNAL_ERROR};
 pub use handshake::{HandshakeMessage, TlsError};
 pub use scanner::{ScanError, Scanner, ScannerConfig};
-pub use server::TlsServer;
+pub use server::serve_hello;
 
 /// The well-known HTTPS port used throughout the simulation.
 pub const TLS_PORT: u16 = 443;

@@ -166,12 +166,12 @@ impl Scanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::{CertStore, Certificate, CertificateChain};
-    use crate::server::TlsServer;
-    use std::sync::Arc;
-    use webdep_netsim::{NetConfig, Network, Region};
+    use crate::cert::Certificate;
+    use crate::server::serve_hello;
+    use webdep_netsim::{Datagram, NetConfig, Network, Region, ResponderSet};
 
-    fn world(net: &Network) -> (TlsServer, Ipv4Addr) {
+    /// One server at 203.0.113.1 holding the chain for `site.example`.
+    fn world(net: &Network) -> (ResponderSet, Ipv4Addr) {
         let server_ip: Ipv4Addr = "203.0.113.1".parse().unwrap();
         let root = Certificate {
             serial: 1,
@@ -193,12 +193,17 @@ mod tests {
             not_after: u64::MAX,
             is_ca: false,
         };
-        let mut s = CertStore::new();
-        s.install(CertificateChain {
-            certs: vec![leaf, root],
+        let chain = vec![leaf, root];
+        let server = ResponderSet::new(net, move |d: &Datagram| {
+            serve_hello(&d.payload, d.dst.ip, None, |sni| {
+                (sni == "site.example").then_some(&chain)
+            })
+            .deliver()
         });
-        let ep = net.bind(server_ip, 443, Region::EUROPE).unwrap();
-        (TlsServer::spawn(ep, Arc::new(s)), server_ip)
+        server
+            .attach(server_ip, crate::TLS_PORT, Region::EUROPE)
+            .unwrap();
+        (server, server_ip)
     }
 
     fn scanner(net: &Network, config: ScannerConfig) -> Scanner {
@@ -241,11 +246,12 @@ mod tests {
 
     #[test]
     fn site_deadline_bounds_a_silent_server() {
-        // A bound-but-never-serving endpoint swallows every ClientHello;
-        // without the cap the retry schedule costs (retries+1) x timeout.
+        // A server that never answers swallows every ClientHello; without
+        // the cap the retry schedule costs (retries+1) x timeout.
         let net = Network::new(NetConfig::default());
         let silent_ip: Ipv4Addr = "203.0.113.9".parse().unwrap();
-        let _silent = net.bind(silent_ip, 443, Region::EUROPE).unwrap();
+        let silent = ResponderSet::new(&net, |_: &Datagram| None);
+        silent.attach(silent_ip, 443, Region::EUROPE).unwrap();
         let mut sc = scanner(
             &net,
             ScannerConfig {

@@ -1,8 +1,11 @@
 //! Property tests for the TLS handshake framing and certificate codec.
 
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
+use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 use webdep_tls::cert::{Certificate, CertificateChain};
 use webdep_tls::handshake::{decode_flight, encode_flight, HandshakeMessage};
+use webdep_tls::serve_hello;
 
 fn arb_cert() -> impl Strategy<Value = Certificate> {
     (
@@ -50,10 +53,28 @@ proptest! {
         prop_assert_eq!(back, msgs);
     }
 
-    /// Arbitrary bytes never panic the flight decoder.
+    /// Arbitrary bytes never panic the flight decoder, nor the serving
+    /// path.
     #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
         let _ = decode_flight(&bytes);
+        check_served(&bytes);
+    }
+
+    /// A valid ClientHello with a few bits flipped never panics the serving
+    /// path, which swallows it or answers it.
+    #[test]
+    fn bitflipped_hellos_are_served_safely(
+        random in any::<u64>(),
+        sni in "[a-z0-9.-]{1,30}",
+        flips in prop::collection::vec((any::<u64>(), 0u8..8), 1..4),
+    ) {
+        let mut bytes = encode_flight(&[HandshakeMessage::ClientHello { random, sni }]).to_vec();
+        for (pos_seed, bit) in flips {
+            let pos = (pos_seed as usize) % bytes.len();
+            bytes[pos] ^= 1 << bit;
+        }
+        check_served(&bytes);
     }
 
     /// Certificate decode over arbitrary bytes never panics and never
@@ -90,4 +111,47 @@ proptest! {
         prop_assert!(!matches_nested);
         prop_assert!(!matches_bare);
     }
+}
+
+/// Serves `bytes` from a one-name store (and once more under a fault plan,
+/// for panics only): a datagram that is not a flight opening with a
+/// ClientHello is swallowed, and a hello gets the chain or an alert.
+fn check_served(bytes: &[u8]) {
+    let server = Ipv4Addr::new(203, 0, 113, 1);
+    let leaf = Certificate {
+        serial: 2,
+        subject: "site.example".into(),
+        san: vec![],
+        issuer_id: 1,
+        issuer_name: "Root".into(),
+        not_before: 0,
+        not_after: u64::MAX,
+        is_ca: false,
+    };
+    let lookup = |sni: &str| (sni == "site.example").then_some([&leaf]);
+    let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
+    let _ = serve_hello(bytes, server, Some(&faults), lookup);
+    let reply = serve_hello(bytes, server, None, lookup);
+    assert_eq!(reply.delay, None);
+    let opens_with_hello = matches!(
+        decode_flight(bytes).as_deref(),
+        Ok([HandshakeMessage::ClientHello { .. }, ..])
+    );
+    if !opens_with_hello {
+        assert_eq!(reply, FaultedReply::swallowed());
+        return;
+    }
+    let flight = decode_flight(&reply.payload.expect("a hello is answered"))
+        .expect("the server flight decodes");
+    assert!(
+        matches!(
+            flight.as_slice(),
+            [HandshakeMessage::Alert(_)]
+                | [
+                    HandshakeMessage::ServerHello { .. },
+                    HandshakeMessage::Certificate(_)
+                ]
+        ),
+        "{flight:?}"
+    );
 }

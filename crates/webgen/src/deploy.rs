@@ -5,7 +5,7 @@
 //! * **Addressing** — every provider gets a `/20` per continent of
 //!   presence; anycast providers announce theirs via anycast; eyeball
 //!   prefixes per continent host the vantage points.
-//! * **DNS** — a root zone delegating every TLD, registry servers holding
+//! * **DNS** — a root delegating every TLD, registry servers holding
 //!   each TLD's delegations (with glue), and provider "racks" answering
 //!   authoritatively for the sites they serve. CDN providers answer
 //!   GeoDNS-style: the A record depends on the querier's continent,
@@ -21,21 +21,21 @@
 //! serving logic invoked on the querier's thread, so a round trip costs a
 //! function call rather than two context switches, and the deployed world
 //! runs no server thread at all — no answer can miss a client timeout
-//! waiting for a server thread to be scheduled.
+//! waiting for a server thread to be scheduled. Every one of them serves
+//! through `webdep_dns::serve_query` and `webdep_tls::serve_hello`; the
+//! root and the registries are [`DelegationTable`]s (the root's origin is
+//! `.`).
 
 use crate::country::{Continent, CountryRecord};
 use crate::world::World;
-use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use webdep_dns::bigzone::{Delegation, DelegationTable, HostTable};
 use webdep_dns::name::DomainName;
-use webdep_dns::server::answer;
 use webdep_dns::wire as dnswire;
-use webdep_dns::zone::Zone;
-use webdep_dns::DNS_PORT;
+use webdep_dns::{serve_query, DNS_PORT};
 use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
 };
@@ -43,8 +43,7 @@ use webdep_netsim::{
     Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, Network, Prefix, Region, ResponderSet,
 };
 use webdep_tls::cert::Certificate;
-use webdep_tls::handshake::{self, HandshakeMessage, ALERT_UNRECOGNIZED_NAME};
-use webdep_tls::TLS_PORT;
+use webdep_tls::{serve_hello, TLS_PORT};
 
 /// Deployment parameters.
 #[derive(Debug, Clone)]
@@ -165,7 +164,6 @@ pub struct DeployedWorld {
     eyeball_prefixes: [Prefix; 6],
     vantage_counters: [AtomicU32; 6],
     responders: Vec<ResponderSet>,
-    _root_server: ResponderSet,
 }
 
 /// Per-site record a DNS rack answers from.
@@ -232,10 +230,7 @@ impl RackData {
     /// section.
     fn respond_dns(&self, query: dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
         let Some(q) = query.questions.first() else {
-            let mut resp = query.into_response();
-            resp.authoritative = true;
-            resp.rcode = dnswire::Rcode::FormErr;
-            return resp;
+            return query.into_response(); // `serve_query` answers these itself
         };
         let answers = match q.qtype {
             dnswire::RecordType::A => self.site_answers(&q.name, src),
@@ -302,31 +297,17 @@ impl RackData {
         })
     }
 
-    fn respond_tls(&self, payload: &[u8], dst: Ipv4Addr) -> FaultedReply {
-        let Some((random, sni)) = handshake::decode_client_hello(payload) else {
-            return FaultedReply::swallowed();
-        };
+    /// The chain presented for `sni`, leaf first: the site's leaf, then
+    /// its CA's intermediate and root.
+    fn chain_for(&self, sni: &str) -> Option<[&Certificate; 3]> {
         // Scanners send the domain as measured, which is already lowercase.
         let leaf = if sni.bytes().any(|b| b.is_ascii_uppercase()) {
             self.leaf_by_sni.get(&sni.to_ascii_lowercase())
         } else {
             self.leaf_by_sni.get(sni)
-        };
-        let flight = match leaf {
-            Some(leaf) => {
-                let (inter, root) = &self.ca_certs[leaf_ca_index(leaf)];
-                handshake::encode_server_flight(
-                    random.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    0x1301,
-                    [leaf, inter, root],
-                )
-            }
-            None => handshake::encode_flight(&[HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME)]),
-        };
-        match &self.faults {
-            Some(plan) => webdep_tls::apply_tls_fault(plan, dst, sni, flight),
-            None => FaultedReply::clean(flight),
-        }
+        }?;
+        let (inter, root) = &self.ca_certs[leaf_ca_index(leaf)];
+        Some([leaf, inter, root])
     }
 }
 
@@ -335,45 +316,35 @@ fn leaf_ca_index(leaf: &Certificate) -> usize {
     (leaf.issuer_id - 100_000) as usize
 }
 
-/// One rack answer: DNS on port 53, TLS on 443. Pure in the rack data, so
-/// it runs inline on whichever querier thread sent the datagram.
-/// Any active fault plan is applied to the ready answer, keyed on the
-/// server address the query was sent to; a [`FaultedReply`] delay is left
-/// for the responder to sleep off on the querier's thread.
+/// One rack answer: DNS on port 53, TLS on 443, through the same serving
+/// functions as every simulated server. Pure in the rack data, so it runs
+/// inline on whichever querier thread sent the datagram. Any active fault
+/// plan is applied to the ready answer, keyed on the server address the
+/// query was sent to.
 fn rack_respond(data: &RackData, dgram: &Datagram) -> FaultedReply {
+    let faults = data.faults.as_deref();
     match dgram.dst.port {
-        DNS_PORT => match dnswire::decode(&dgram.payload) {
-            Ok(query) if !query.is_response => match &data.faults {
-                Some(plan) => {
-                    let resp = data.respond_dns(query.clone(), dgram.src.ip);
-                    webdep_dns::apply_dns_fault(plan, dgram.dst.ip, &query, &resp)
-                }
-                None => {
-                    FaultedReply::clean(dnswire::encode(&data.respond_dns(query, dgram.src.ip)))
-                }
-            },
-            _ => FaultedReply::swallowed(),
-        },
-        TLS_PORT => data.respond_tls(&dgram.payload, dgram.dst.ip),
+        DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |query| {
+            data.respond_dns(query, dgram.src.ip)
+        }),
+        TLS_PORT => serve_hello(&dgram.payload, dgram.dst.ip, faults, |sni| {
+            data.chain_for(sni)
+        }),
         _ => FaultedReply::swallowed(),
     }
 }
 
-/// One registry answer: the TLD delegation table keyed by the server IP
-/// the query was addressed to.
-fn registry_respond(
-    tables: &HashMap<Ipv4Addr, Arc<DelegationTable>>,
-    dgram: &Datagram,
-) -> Option<Bytes> {
-    if dgram.dst.port != DNS_PORT {
-        return None;
+/// One registry (or root) answer: the delegation table keyed by the server
+/// IP the query was addressed to.
+fn registry_respond(tables: &HashMap<Ipv4Addr, DelegationTable>, dgram: &Datagram) -> FaultedReply {
+    match tables.get(&dgram.dst.ip) {
+        Some(table) if dgram.dst.port == DNS_PORT => {
+            serve_query(&dgram.payload, dgram.dst.ip, None, |query| {
+                table.respond(query)
+            })
+        }
+        _ => FaultedReply::swallowed(),
     }
-    let table = tables.get(&dgram.dst.ip)?;
-    let query = dnswire::decode(&dgram.payload).ok()?;
-    if query.is_response {
-        return None;
-    }
-    Some(dnswire::encode(&table.respond(query)))
 }
 
 impl DeployedWorld {
@@ -660,38 +631,28 @@ impl DeployedWorld {
         }
 
         // ---- Registry racks ----
-        // TLD server IPs: 192.5.<i/250>.<i%250+1>.
-        let mut root_zone = Zone::new(DomainName::root());
+        // TLD server IPs: 192.5.<i/250>.<i%250+1>. The root is one more
+        // delegation table (origin `.`), referring each TLD to its registry.
+        let mut root = DelegationTable::new(DomainName::root());
         let registry_groups = 4usize;
-        let mut registry_tables: Vec<HashMap<Ipv4Addr, Arc<DelegationTable>>> =
+        let mut registry_tables: Vec<HashMap<Ipv4Addr, DelegationTable>> =
             vec![HashMap::new(); registry_groups];
         for (gi, (tld_id, table)) in tld_tables.into_iter().enumerate() {
             let i = gi as u32;
             let ip = Ipv4Addr::new(192, 5, (i / 250) as u8, (i % 250 + 1) as u8);
             let label = &universe.tld(tld_id).label;
-            let tld_name = DomainName::parse(label).expect("tld label");
             let ns_host =
                 DomainName::parse(&format!("ns.{label}-registry.net")).expect("registry host");
-            root_zone.delegate(
-                tld_name,
-                std::slice::from_ref(&ns_host),
-                &[(ns_host.clone(), ip)],
+            root.register(
+                DomainName::parse(label).expect("tld label"),
+                Delegation {
+                    ns: vec![ns_host.clone()],
+                    glue: vec![(ns_host, ip)],
+                },
             );
-            registry_tables[gi % registry_groups].insert(ip, Arc::new(table));
+            registry_tables[gi % registry_groups].insert(ip, table);
         }
-        // Root server: an inline responder like every other server, so no
-        // reply ever waits on a thread being scheduled.
-        let root_zones = vec![Arc::new(root_zone)];
-        let root_server = ResponderSet::new(&network, move |d: &Datagram| {
-            let query = dnswire::decode(&d.payload).ok()?;
-            if query.is_response || query.questions.len() != 1 {
-                return None;
-            }
-            Some(dnswire::encode(&answer(&root_zones, &query)))
-        });
-        root_server
-            .attach(root_ip, DNS_PORT, Region::NORTH_AMERICA)
-            .expect("root address free");
+        registry_tables[0].insert(root_ip, root);
         geo.add_prefix(
             Prefix::new(Ipv4Addr::new(198, 41, 0, 0), 24).expect("static"),
             "US",
@@ -707,7 +668,9 @@ impl DeployedWorld {
                 continue;
             }
             let ips: Vec<Ipv4Addr> = tables.keys().copied().collect();
-            let set = ResponderSet::new(&network, move |d: &Datagram| registry_respond(&tables, d));
+            let set = ResponderSet::new(&network, move |d: &Datagram| {
+                registry_respond(&tables, d).deliver()
+            });
             for ip in ips {
                 set.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
                     .expect("registry address free");
@@ -718,14 +681,7 @@ impl DeployedWorld {
         // ---- Hosting racks ----
         for (ri, data) in rack_data.into_iter().enumerate() {
             let set = ResponderSet::new(&network, move |d: &Datagram| {
-                let reply = rack_respond(&data, d);
-                // An inline responder runs on the querier's own thread, so
-                // a Delay fault may simply sleep here: only this query is
-                // delayed, nobody is blocked behind it.
-                if let Some(wait) = reply.delay {
-                    std::thread::sleep(wait);
-                }
-                reply.payload
+                rack_respond(&data, d).deliver()
             });
             // Attach every address of every provider on this rack.
             for p in &universe.providers {
@@ -785,7 +741,6 @@ impl DeployedWorld {
             eyeball_prefixes,
             vantage_counters: std::array::from_fn(|_| AtomicU32::new(10)),
             responders,
-            _root_server: root_server,
         }
     }
 
