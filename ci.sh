@@ -11,6 +11,23 @@ cd "$(dirname "$0")"
 # left behind), and the run fails at the end otherwise.
 tree_before=$(git status --porcelain)
 
+# No wall clock on the measurement path: a timeout is a comparison of
+# simulated times (a reply's stamped delay against the attempt's window),
+# so what the resolver, the scanner and the fabric under them measure can
+# never depend on how the host scheduled its threads. Their non-test code
+# (each file up to its first `#[cfg(test)]`) names neither `Instant` nor
+# `thread::sleep`.
+echo "==> no wall clock in non-test code of dns, tls, netsim"
+clock=$(find crates/dns/src crates/tls/src crates/netsim/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /Instant|thread::sleep/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$clock" ]]; then
+    echo "ci: the measurement path reads the wall clock:" >&2
+    echo "$clock" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

@@ -56,7 +56,6 @@ fn every_table_renders_under_heavy_faults() {
             scanner: ScannerConfig {
                 timeout: Duration::from_millis(5),
                 retries: 0,
-                site_deadline: None,
             },
             ..Default::default()
         },

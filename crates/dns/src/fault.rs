@@ -14,9 +14,10 @@ use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 ///
 /// The returned [`FaultedReply`] carries the payload to send (`None` when
 /// the fault swallows the reply) — possibly a SERVFAIL, a truncated
-/// prefix, or a garbled header — and, for [`FaultKind::Delay`], how long
-/// delivery must wait. The delay is never slept here: the inline responder
-/// sleeps it on the querier's thread ([`FaultedReply::deliver`]).
+/// prefix, or a garbled header — and, for [`FaultKind::Delay`], how late
+/// it arrives. The delay is simulated time: the network stamps it on the
+/// reply datagram and the resolver's window decides whether it came in
+/// time.
 pub fn apply_dns_fault(
     plan: &FaultPlan,
     ip: Ipv4Addr,
@@ -51,7 +52,7 @@ pub fn apply_dns_fault(
         }
         Some(FaultKind::Delay) => FaultedReply {
             payload: Some(encode(response)),
-            delay: Some(plan.delay),
+            delay: plan.delay,
         },
     }
 }
@@ -143,7 +144,7 @@ mod tests {
         let start = std::time::Instant::now();
         let out = apply_dns_fault(&plan, "1.2.3.4".parse().unwrap(), &q, &r);
         assert!(start.elapsed() < plan.delay, "must not sleep inline");
-        assert_eq!(out.delay, Some(plan.delay));
+        assert_eq!(out.delay, plan.delay);
         assert_eq!(out.payload, Some(encode(&r)));
     }
 }

@@ -1,10 +1,15 @@
-//! Stub and iterative resolvers over the simulated network.
+//! The iterative resolver over the simulated network.
 //!
 //! The measurement pipeline resolves every website's A records and its
 //! nameservers' A records, as the paper does with ZDNS. The
 //! [`IterativeResolver`] starts at root hints, chases referrals (using glue
 //! when present, resolving nameserver names otherwise), follows CNAMEs, and
 //! caches delegations so bulk resolution does not hammer the root.
+//!
+//! Timeouts are simulated: every server is an inline responder, so a reply
+//! is queued before the query's send returns, stamped with how late it
+//! arrives. An attempt takes the first matching reply that arrives within
+//! its window; nothing waits on the wall clock.
 
 use crate::name::DomainName;
 use crate::shared_cache::SharedDnsCache;
@@ -18,7 +23,9 @@ use webdep_netsim::{Endpoint, NetError, SockAddr};
 /// Resolver tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
-    /// Per-query receive timeout.
+    /// Per-query receive window in simulated time: a reply later than it
+    /// (a [`FaultKind::Delay`](webdep_netsim::FaultKind::Delay) longer
+    /// than the window) is a timeout. Doubles each rotation round.
     pub timeout: Duration,
     /// Retries per server before giving up on it.
     pub retries: u32,
@@ -26,14 +33,6 @@ pub struct ResolverConfig {
     pub max_depth: u32,
     /// Maximum CNAME chain length per resolution.
     pub max_cnames: u32,
-    /// Total wall-clock cap for one top-level resolution, spanning every
-    /// rotation round, backoff, referral, and glueless-NS/CNAME recursion
-    /// it triggers. Without it, rotation + exponential backoff bounds each
-    /// *attempt* but not their sum, so one pathological (e.g. black-holed)
-    /// zone with many nameservers can stall a pipeline worker for the full
-    /// strike budget. `None` (the default) keeps the uncapped behaviour;
-    /// expiry surfaces as [`ResolveError::Timeout`].
-    pub site_deadline: Option<Duration>,
 }
 
 impl Default for ResolverConfig {
@@ -43,7 +42,6 @@ impl Default for ResolverConfig {
             retries: 2,
             max_depth: 16,
             max_cnames: 8,
-            site_deadline: None,
         }
     }
 }
@@ -79,95 +77,6 @@ impl std::fmt::Display for ResolveError {
 }
 
 impl std::error::Error for ResolveError {}
-
-/// A stub resolver: sends single queries to a given server and matches
-/// responses by transaction id, with retries.
-pub struct StubResolver {
-    endpoint: Endpoint,
-    config: ResolverConfig,
-    next_id: u16,
-    /// Queries sent (including retries); exposed for measurement accounting.
-    pub queries_sent: u64,
-    /// Received datagrams discarded because they failed to decode
-    /// (truncated or corrupted answers).
-    pub malformed_datagrams: u64,
-    /// Received datagrams that decoded but matched no outstanding query
-    /// (wrong id or question — stale, garbled, or spoofed replies).
-    pub mismatched_ids: u64,
-}
-
-impl StubResolver {
-    /// Wraps a bound endpoint.
-    pub fn new(endpoint: Endpoint, config: ResolverConfig) -> Self {
-        StubResolver {
-            endpoint,
-            config,
-            next_id: 1,
-            queries_sent: 0,
-            malformed_datagrams: 0,
-            mismatched_ids: 0,
-        }
-    }
-
-    /// Sends `name`/`qtype` to `server` and waits for the matching response.
-    pub fn query(
-        &mut self,
-        server: SockAddr,
-        name: &DomainName,
-        qtype: RecordType,
-    ) -> Result<Message, ResolveError> {
-        for _attempt in 0..=self.config.retries {
-            match self.query_once(server, name, qtype, self.config.timeout) {
-                Err(ResolveError::Timeout) => continue,
-                other => return other,
-            }
-        }
-        Err(ResolveError::Timeout)
-    }
-
-    /// One send and one wait window against a single server — the building
-    /// block the iterative resolver's rotation/backoff schedule is made of.
-    pub fn query_once(
-        &mut self,
-        server: SockAddr,
-        name: &DomainName,
-        qtype: RecordType,
-        timeout: Duration,
-    ) -> Result<Message, ResolveError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        self.queries_sent += 1;
-        match self.endpoint.send(server, encode_query(id, name, qtype)) {
-            Ok(()) => {}
-            Err(e) => return Err(ResolveError::Network(e)),
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(ResolveError::Timeout);
-            }
-            match self.endpoint.recv_timeout(remaining) {
-                Ok(dgram) => match decode(&dgram.payload) {
-                    Ok(resp) if resp.is_response && resp.id == id && asks(&resp, name, qtype) => {
-                        return Ok(resp);
-                    }
-                    Ok(_) => {
-                        // Stale or foreign datagram; keep waiting.
-                        self.mismatched_ids += 1;
-                        continue;
-                    }
-                    Err(_) => {
-                        self.malformed_datagrams += 1;
-                        continue;
-                    }
-                },
-                Err(NetError::Timeout) => return Err(ResolveError::Timeout),
-                Err(e) => return Err(ResolveError::Network(e)),
-            }
-        }
-    }
-}
 
 /// Whether `msg` carries exactly the one question `name`/`qtype`, as the
 /// query this resolver sent did.
@@ -218,7 +127,10 @@ pub struct ResolverStats {
 /// An iterative resolver with a per-instance delegation cache, optionally
 /// layered over a process-wide [`SharedDnsCache`].
 pub struct IterativeResolver {
-    stub: StubResolver,
+    endpoint: Endpoint,
+    config: ResolverConfig,
+    /// Transaction id of the next query.
+    next_id: u16,
     roots: ZoneServers,
     /// zone apex -> authoritative server addresses.
     zone_cache: HashMap<DomainName, ZoneServers>,
@@ -230,23 +142,19 @@ pub struct IterativeResolver {
     /// cache holds no cut below the root for a name.
     shared: Option<Arc<SharedDnsCache>>,
     /// Consecutive fully-failed passes per server. A server at
-    /// [`DEAD_AFTER_STRIKES`] is demoted: still probed (once, last) so
-    /// outcomes stay schedule-independent, but no longer granted the full
-    /// backoff schedule. Any successful answer clears its strikes.
+    /// [`DEAD_AFTER_STRIKES`] is demoted: still probed (once, last, with
+    /// the widest window) so outcomes stay schedule-independent, but no
+    /// longer re-asked every round. Any successful answer clears its
+    /// strikes.
     server_strikes: HashMap<Ipv4Addr, u32>,
-    /// Wall-clock budget for the in-progress top-level resolution,
-    /// installed by the outermost [`IterativeResolver::resolve`] call
-    /// (recursive re-entries for CNAMEs and glueless NS names share it).
-    budget_deadline: Option<std::time::Instant>,
     /// [`IterativeResolver::query_any`]'s per-server bookkeeping, kept
     /// between calls so a query allocates none.
     query_state: Vec<(Ipv4Addr, u8)>,
-    local_cache_hits: u64,
-    shared_cache_hits: u64,
+    stats: ResolverStats,
 }
 
 // Per-server flags of one `query_any` call.
-/// Not demoted: granted the full backoff schedule.
+/// Not demoted: re-asked every round of the backoff schedule.
 const LIVE: u8 = 1;
 const TRIED: u8 = 2;
 const ANSWERED: u8 = 4;
@@ -270,16 +178,16 @@ impl IterativeResolver {
     pub fn new(endpoint: Endpoint, roots: Vec<Ipv4Addr>, config: ResolverConfig) -> Self {
         assert!(!roots.is_empty(), "need at least one root hint");
         IterativeResolver {
-            stub: StubResolver::new(endpoint, config),
+            endpoint,
+            config,
+            next_id: 1,
             roots: roots.into(),
             zone_cache: HashMap::new(),
             answer_cache: HashMap::new(),
             shared: None,
             server_strikes: HashMap::new(),
-            budget_deadline: None,
             query_state: Vec::new(),
-            local_cache_hits: 0,
-            shared_cache_hits: 0,
+            stats: ResolverStats::default(),
         }
     }
 
@@ -300,18 +208,12 @@ impl IterativeResolver {
 
     /// Total queries sent on the wire (cache hits cost nothing).
     pub fn queries_sent(&self) -> u64 {
-        self.stub.queries_sent
+        self.stats.wire_queries
     }
 
     /// Wire/cache accounting for this resolver.
     pub fn stats(&self) -> ResolverStats {
-        ResolverStats {
-            wire_queries: self.stub.queries_sent,
-            local_cache_hits: self.local_cache_hits,
-            shared_cache_hits: self.shared_cache_hits,
-            malformed_datagrams: self.stub.malformed_datagrams,
-            mismatched_ids: self.stub.mismatched_ids,
-        }
+        self.stats
     }
 
     /// Resolves A records for `name`.
@@ -341,7 +243,7 @@ impl IterativeResolver {
     ) -> Result<Vec<T>, ResolveError> {
         if let Some(hit) = self.lookup_local(name, qtype) {
             let picked = hit.iter().filter_map(pick).collect();
-            self.local_cache_hits += 1;
+            self.stats.local_cache_hits += 1;
             return Ok(picked);
         }
         Ok(self
@@ -352,51 +254,19 @@ impl IterativeResolver {
     }
 
     /// Full resolution with caching; returns the terminal record set.
-    ///
-    /// The outermost call installs the [`ResolverConfig::site_deadline`]
-    /// budget (if configured); recursive re-entries — CNAME chasing,
-    /// glueless NS resolution, nameserver rotation — run under the same
-    /// budget, so the cap bounds the whole resolution tree, not each hop.
     pub fn resolve(
         &mut self,
         name: &DomainName,
         qtype: RecordType,
         cname_depth: u32,
     ) -> Result<Vec<RecordData>, ResolveError> {
-        let owns_budget = self.budget_deadline.is_none();
-        if owns_budget {
-            self.budget_deadline = self
-                .stub
-                .config
-                .site_deadline
-                .map(|d| std::time::Instant::now() + d);
-        }
-        let result = self.resolve_under_budget(name, qtype, cname_depth);
-        if owns_budget {
-            self.budget_deadline = None;
-        }
-        result
-    }
-
-    /// Remaining budget, if one is installed. `Some(ZERO)` means expired.
-    fn budget_remaining(&self) -> Option<Duration> {
-        self.budget_deadline
-            .map(|d| d.saturating_duration_since(std::time::Instant::now()))
-    }
-
-    fn resolve_under_budget(
-        &mut self,
-        name: &DomainName,
-        qtype: RecordType,
-        cname_depth: u32,
-    ) -> Result<Vec<RecordData>, ResolveError> {
-        if cname_depth > self.stub.config.max_cnames {
+        if cname_depth > self.config.max_cnames {
             return Err(ResolveError::DepthExceeded);
         }
         // Private cache first: borrowed-key lookup.
         if let Some(hit) = self.lookup_local(name, qtype) {
             let hit = hit.to_vec();
-            self.local_cache_hits += 1;
+            self.stats.local_cache_hits += 1;
             return Ok(hit);
         }
 
@@ -409,11 +279,8 @@ impl IterativeResolver {
         let mut depth = 0;
         loop {
             depth += 1;
-            if depth > self.stub.config.max_depth {
+            if depth > self.config.max_depth {
                 return Err(ResolveError::DepthExceeded);
-            }
-            if self.budget_remaining().is_some_and(|r| r.is_zero()) {
-                return Err(ResolveError::Timeout);
             }
             // Only the root's referrals are worth sharing across resolvers.
             let from_root = Arc::ptr_eq(&servers, &self.roots);
@@ -571,7 +438,7 @@ impl IterativeResolver {
         name: &DomainName,
         depth: u32,
     ) -> Result<Vec<Ipv4Addr>, ResolveError> {
-        if depth >= self.stub.config.max_depth {
+        if depth >= self.config.max_depth {
             return Err(ResolveError::DepthExceeded);
         }
         self.resolve_a(name)
@@ -590,7 +457,7 @@ impl IterativeResolver {
         if let Some(shared) = &self.shared {
             for zone in name.suffixes() {
                 if let Some(addrs) = shared.get_zone(zone) {
-                    self.shared_cache_hits += 1;
+                    self.stats.shared_cache_hits += 1;
                     let zone = DomainName::parse(zone).expect("a name's suffixes are names");
                     self.zone_cache.insert(zone, Arc::clone(&addrs));
                     return addrs;
@@ -626,11 +493,14 @@ impl IterativeResolver {
     /// only surfaced once no server gives a real answer.
     ///
     /// Servers that repeatedly fail whole passes are demoted: they are
-    /// probed once, last, with the base timeout — still always *tried*, so
-    /// which answers we obtain never depends on what this resolver learned
-    /// from earlier, unrelated queries; only the time spent does. That
-    /// keeps datasets byte-identical across worker counts while letting
-    /// runs against dead infrastructure terminate quickly.
+    /// probed once, last, with the schedule's widest window. A re-asked
+    /// question meets the same fault and the same delay (faults are pure
+    /// in server and question), so that one probe is answered exactly when
+    /// some round of the full schedule would be. Which answers we obtain
+    /// therefore never depends on what this resolver learned from earlier,
+    /// unrelated queries; only the wire queries spent do. That keeps
+    /// datasets byte-identical across worker counts while sparing dead
+    /// infrastructure its re-sends.
     fn query_any(
         &mut self,
         servers: &[Ipv4Addr],
@@ -651,42 +521,28 @@ impl IterativeResolver {
                 e.1 |= flag;
             }
         };
-        let base = self.stub.config.timeout;
-        let rounds = self.stub.config.retries + 1;
+        let rounds = self.config.retries + 1;
+        let widest = backoff_timeout(self.config.timeout, rounds - 1);
         let mut refused: Option<Message> = None;
         let mut timed_out = false;
         let mut last_net: Option<ResolveError> = None;
         let mut verdict: Option<Message> = None;
 
         'rounds: for round in 0..rounds {
-            let timeout = backoff_timeout(base, round);
+            let window = backoff_timeout(self.config.timeout, round);
             for k in 0..state.len() {
                 let (ip, flags) = state[k];
-                // Demoted servers get exactly one trailing probe in round 0.
+                // Demoted servers get exactly one trailing probe, in round
+                // 0, with the widest window.
                 if flags & LIVE == 0 && round > 0 {
                     continue;
                 }
                 if flags & (UNREACHABLE | ANSWERED) != 0 {
                     continue;
                 }
-                let mut attempt_timeout = if flags & LIVE == 0 { base } else { timeout };
-                // The resolution-wide budget trumps the backoff schedule:
-                // clamp this attempt to what's left, and stop cold once
-                // it's spent (a bounded-out zone reports Timeout).
-                if let Some(remaining) = self.budget_remaining() {
-                    if remaining.is_zero() {
-                        timed_out = true;
-                        break 'rounds;
-                    }
-                    attempt_timeout = attempt_timeout.min(remaining);
-                }
+                let window = if flags & LIVE == 0 { widest } else { window };
                 mark(&mut state, ip, TRIED);
-                match self.stub.query_once(
-                    SockAddr::new(ip, crate::DNS_PORT),
-                    name,
-                    qtype,
-                    attempt_timeout,
-                ) {
+                match self.query_once(SockAddr::new(ip, crate::DNS_PORT), name, qtype, window) {
                     Ok(resp) => {
                         mark(&mut state, ip, ANSWERED);
                         match resp.rcode {
@@ -700,13 +556,9 @@ impl IterativeResolver {
                         }
                     }
                     Err(ResolveError::Timeout) => timed_out = true,
-                    Err(ResolveError::Network(NetError::Unreachable(a))) => {
-                        mark(&mut state, ip, UNREACHABLE);
-                        last_net = Some(ResolveError::Network(NetError::Unreachable(a)));
-                    }
                     Err(e) => {
+                        mark(&mut state, ip, UNREACHABLE);
                         last_net = Some(e);
-                        break 'rounds;
                     }
                 }
             }
@@ -747,6 +599,37 @@ impl IterativeResolver {
         }
         Err(last_net.unwrap_or(ResolveError::Timeout))
     }
+
+    /// One attempt against one server: sends the query, then takes the
+    /// first matching reply that arrives within `window` (simulated time,
+    /// see [`Endpoint::recv_within`]). Fails with
+    /// [`ResolveError::Network`] when nothing is bound at `server`, and
+    /// with [`ResolveError::Timeout`] when no matching reply came in time.
+    fn query_once(
+        &mut self,
+        server: SockAddr,
+        name: &DomainName,
+        qtype: RecordType,
+        window: Duration,
+    ) -> Result<Message, ResolveError> {
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1).max(1);
+        self.stats.wire_queries += 1;
+        self.endpoint
+            .send(server, encode_query(id, name, qtype))
+            .map_err(ResolveError::Network)?;
+        while let Some(dgram) = self.endpoint.recv_within(window) {
+            match decode(&dgram.payload) {
+                Ok(resp) if resp.is_response && resp.id == id && asks(&resp, name, qtype) => {
+                    return Ok(resp);
+                }
+                // A stale or foreign datagram.
+                Ok(_) => self.stats.mismatched_ids += 1,
+                Err(_) => self.stats.malformed_datagrams += 1,
+            }
+        }
+        Err(ResolveError::Timeout)
+    }
 }
 
 #[cfg(test)]
@@ -778,7 +661,6 @@ mod tests {
             serve_query(&d.payload, d.dst.ip, faults.as_ref(), |q| {
                 answer(&zones, &q)
             })
-            .deliver()
         });
         server.attach(addr, 53, region).unwrap();
         server
@@ -1170,72 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn site_deadline_bounds_a_black_holed_zone() {
-        // victim.com is delegated to three nameservers whose addresses are
-        // attached but never answer: sends succeed, replies never come, so
-        // every attempt runs to its full timeout. Without a site deadline
-        // the rotation/backoff schedule across three servers costs many
-        // seconds; with one, the resolution must bound out quickly and
-        // report Timeout.
-        let net = Network::new(NetConfig::default());
-        let root_ip = ip("198.41.0.4");
-        let com_ip = ip("192.5.6.30");
-        let bh = [ip("203.0.113.80"), ip("203.0.113.81"), ip("203.0.113.82")];
-
-        let mut root = Zone::new(DomainName::root());
-        root.delegate(
-            n("com"),
-            &[n("a.gtld-servers.net")],
-            &[(n("a.gtld-servers.net"), com_ip)],
-        );
-        let mut com = Zone::new(n("com"));
-        com.delegate(
-            n("victim.com"),
-            &[
-                n("ns1.victim.com"),
-                n("ns2.victim.com"),
-                n("ns3.victim.com"),
-            ],
-            &[
-                (n("ns1.victim.com"), bh[0]),
-                (n("ns2.victim.com"), bh[1]),
-                (n("ns3.victim.com"), bh[2]),
-            ],
-        );
-        let _servers = [
-            auth(&net, root_ip, Region::NORTH_AMERICA, vec![root], None),
-            auth(&net, com_ip, Region::NORTH_AMERICA, vec![com], None),
-        ];
-        // Black holes: attached (so sends succeed) but never reply.
-        let black_holes = ResponderSet::new(&net, |_: &Datagram| None);
-        for &a in &bh {
-            black_holes.attach(a, 53, Region::EUROPE).unwrap();
-        }
-
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
-        let mut r = IterativeResolver::new(
-            ep,
-            vec![root_ip],
-            ResolverConfig {
-                timeout: Duration::from_millis(100),
-                retries: 4,
-                site_deadline: Some(Duration::from_millis(250)),
-                ..Default::default()
-            },
-        );
-        let start = std::time::Instant::now();
-        let err = r.resolve_a(&n("victim.com")).unwrap_err();
-        let elapsed = start.elapsed();
-        assert_eq!(err, ResolveError::Timeout);
-        // Uncapped, three servers x five rounds of up-to-800ms attempts
-        // would take > 5s; the budget must cut that to ~the deadline.
-        assert!(
-            elapsed < Duration::from_millis(1500),
-            "black-holed zone took {elapsed:?} despite a 250ms site deadline"
-        );
-    }
-
-    #[test]
     fn garbling_server_is_counted_and_survived() {
         let net = Network::new(NetConfig::default());
         let (_servers, roots) = faulty_pair_world(&net, webdep_netsim::FaultKind::Garble);
@@ -1248,5 +1064,98 @@ mod tests {
             "garbled answers should be counted: {:?}",
             r.stats()
         );
+    }
+
+    /// root -> com -> example.com, whose one nameserver serves `hosts`
+    /// (and the apex) under `plan`, at `SLOW_NS`.
+    fn one_ns_world(net: &Network, hosts: &[&str], plan: FaultPlan) -> Vec<ResponderSet> {
+        let com_ip = ip("192.5.6.30");
+        let mut root = Zone::new(DomainName::root());
+        root.delegate(
+            n("com"),
+            &[n("a.gtld-servers.net")],
+            &[(n("a.gtld-servers.net"), com_ip)],
+        );
+        let mut com = Zone::new(n("com"));
+        com.delegate(
+            n("example.com"),
+            &[n("ns1.example.com")],
+            &[(n("ns1.example.com"), ip(SLOW_NS))],
+        );
+        let mut example = Zone::new(n("example.com"));
+        example.add_a(n("example.com"), ip("203.0.113.10"));
+        for host in hosts {
+            example.add_a(n(host), ip("203.0.113.11"));
+        }
+        vec![
+            auth(net, ip(ROOT), Region::NORTH_AMERICA, vec![root], None),
+            auth(net, com_ip, Region::NORTH_AMERICA, vec![com], None),
+            auth(net, ip(SLOW_NS), Region::EUROPE, vec![example], Some(plan)),
+        ]
+    }
+
+    const ROOT: &str = "198.41.0.4";
+    const SLOW_NS: &str = "203.0.113.53";
+
+    fn windowed(timeout_ms: u64, retries: u32) -> ResolverConfig {
+        ResolverConfig {
+            timeout: Duration::from_millis(timeout_ms),
+            retries,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_delay_times_out_only_past_the_window() {
+        // example.com's only nameserver answers every query 20 ms late.
+        let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![webdep_netsim::FaultKind::Delay]);
+        assert_eq!(plan.delay, Duration::from_millis(20));
+        let resolve = |config: ResolverConfig| {
+            let net = Network::new(NetConfig::default());
+            let _servers = one_ns_world(&net, &[], plan.clone());
+            let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+            let mut r = IterativeResolver::new(ep, vec![ip(ROOT)], config);
+            (r.resolve_a(&n("example.com")), r.queries_sent())
+        };
+        let answer = Ok(vec![ip("203.0.113.10")]);
+        // Within the window (the delay exactly fills it): answered.
+        assert_eq!(resolve(windowed(20, 0)), (answer.clone(), 3));
+        // Past it, with no retry: a timeout, though the reply is queued.
+        assert_eq!(resolve(windowed(10, 0)), (Err(ResolveError::Timeout), 3));
+        // The retry round's doubled window (20 ms) takes the re-sent query.
+        assert_eq!(resolve(windowed(10, 1)), (answer, 4));
+    }
+
+    #[test]
+    fn a_demoted_server_is_answered_like_a_live_one() {
+        // The nameserver drops some names and delays the others by 20 ms:
+        // a live server is answered in the retry round (window 20 ms).
+        use webdep_netsim::FaultKind;
+        let plan = FaultPlan::flaky(5, 1.0, 1.0, vec![FaultKind::Drop, FaultKind::Delay]);
+        let hosts: Vec<String> = (0..64).map(|i| format!("h{i}.example.com")).collect();
+        let fault = |host: &&String| plan.query_fault(ip(SLOW_NS), host.as_bytes());
+        let dropped: Vec<&String> = (hosts.iter())
+            .filter(|h| fault(h) == Some(FaultKind::Drop))
+            .take(DEAD_AFTER_STRIKES as usize)
+            .collect();
+        let delayed = (hosts.iter())
+            .find(|h| fault(h) == Some(FaultKind::Delay))
+            .map(|h| n(h))
+            .expect("some name is delayed");
+        let net = Network::new(NetConfig::default());
+        let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        let _servers = one_ns_world(&net, &hosts, plan.clone());
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let mut r = IterativeResolver::new(ep, vec![ip(ROOT)], windowed(10, 1));
+        // Every dropped name fails a whole pass: a strike each, until
+        // the server is demoted.
+        for host in dropped {
+            assert_eq!(r.resolve_a(&n(host)), Err(ResolveError::Timeout));
+        }
+        // Demoted, it gets one probe instead of two, but with the widest
+        // window, so the delayed answer still comes in.
+        let before = r.queries_sent();
+        assert_eq!(r.resolve_a(&delayed), Ok(vec![ip("203.0.113.11")]));
+        assert_eq!(r.queries_sent() - before, 1);
     }
 }

@@ -15,7 +15,7 @@ use webdep_netsim::{FaultPlan, FaultedReply};
 /// of a multi-question query, and may reuse the question section through
 /// [`Message::into_response`]). The reply then runs through `faults`,
 /// keyed on `(server_ip, qname)` (see [`apply_dns_fault`]); a returned
-/// delay is the caller's to sleep ([`FaultedReply::deliver`]).
+/// delay is stamped on the reply datagram, never slept.
 pub fn serve_query(
     payload: &[u8],
     server_ip: Ipv4Addr,
@@ -164,7 +164,7 @@ mod tests {
         assert_eq!((refused.id, refused.rcode), (3, Rcode::ServFail));
         // A delay is returned with the clean answer, never slept here.
         let delayed = serve_with(FaultKind::Delay);
-        assert!(delayed.delay.is_some());
+        assert!(!delayed.delay.is_zero());
         assert_eq!(
             delayed.payload,
             serve_query(&query, SERVER, None, |q| answer(&zones, &q)).payload

@@ -3,17 +3,13 @@
 use crate::addr::SockAddr;
 use std::fmt;
 
-/// Errors from binding, sending, or receiving on the simulated network.
+/// Errors from binding or sending on the simulated network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// The socket address is already bound.
     AddrInUse(SockAddr),
     /// Nothing is bound at the destination (host unreachable).
     Unreachable(SockAddr),
-    /// A receive timed out.
-    Timeout,
-    /// The network was shut down while waiting.
-    Disconnected,
     /// A malformed CIDR prefix.
     InvalidPrefix(String),
 }
@@ -23,8 +19,6 @@ impl fmt::Display for NetError {
         match self {
             NetError::AddrInUse(a) => write!(f, "address in use: {a}"),
             NetError::Unreachable(a) => write!(f, "destination unreachable: {a}"),
-            NetError::Timeout => write!(f, "receive timed out"),
-            NetError::Disconnected => write!(f, "network disconnected"),
             NetError::InvalidPrefix(s) => write!(f, "invalid prefix: {s}"),
         }
     }

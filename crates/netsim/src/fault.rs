@@ -23,7 +23,9 @@
 //! DNS, TLS and registry traffic uniformly — see [`FaultPlan::black_holes`]
 //! for why replies to clients are exempt), and protocol servers consult
 //! [`FaultPlan::query_fault`] to corrupt, refuse, delay, or drop individual
-//! answers on flaky servers.
+//! answers on flaky servers. A delay is simulated time, never a wait: it is
+//! stamped on the reply ([`crate::Datagram::delay`]), and the client's
+//! receive window decides whether the reply came in time.
 
 use bytes::Bytes;
 use std::net::Ipv4Addr;
@@ -40,7 +42,9 @@ pub enum FaultKind {
     Truncate,
     /// Flip bytes in the answer header (decodes, but mismatched id).
     Garble,
-    /// Answer correctly, but only after [`FaultPlan::delay`].
+    /// Answer correctly, but [`FaultPlan::delay`] late: a client whose
+    /// receive window is shorter than the delay sees a timeout, one whose
+    /// window covers it sees the answer.
     Delay,
 }
 
@@ -67,19 +71,19 @@ impl FaultKind {
 }
 
 /// A reply after fault application: the payload to send (`None` when the
-/// fault swallowed it) plus an optional delivery delay
-/// ([`FaultKind::Delay`]).
+/// fault swallowed it) plus how late it arrives ([`FaultKind::Delay`]).
 ///
-/// The fault functions return the delay rather than sleep it; every
-/// simulated server is an inline responder, running on the querier's own
-/// thread, and sleeps it off in [`FaultedReply::deliver`], so a delay holds
-/// back only its own query.
+/// This is what every inline responder returns. The fault functions never
+/// sleep: the network stamps the delay on the reply datagram
+/// ([`crate::Datagram::delay`]), so a delay costs no wall time and holds
+/// back nothing but its own query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultedReply {
     /// The payload to send, or `None` when the fault swallowed the reply.
     pub payload: Option<Bytes>,
-    /// How long delivery must wait ([`FaultKind::Delay`] only).
-    pub delay: Option<Duration>,
+    /// How late the reply arrives, in simulated time ([`FaultKind::Delay`]
+    /// only; zero otherwise).
+    pub delay: Duration,
 }
 
 impl FaultedReply {
@@ -87,22 +91,13 @@ impl FaultedReply {
     pub fn clean(payload: Bytes) -> Self {
         FaultedReply {
             payload: Some(payload),
-            delay: None,
+            delay: Duration::ZERO,
         }
     }
 
     /// A swallowed reply: nothing is ever sent.
     pub fn swallowed() -> Self {
         FaultedReply::default()
-    }
-
-    /// The payload an inline responder sends, after sleeping off any delay
-    /// on the calling (querier's) thread.
-    pub fn deliver(self) -> Option<Bytes> {
-        if let Some(wait) = self.delay {
-            std::thread::sleep(wait);
-        }
-        self.payload
     }
 }
 

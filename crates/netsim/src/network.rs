@@ -10,13 +10,12 @@
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultedReply};
 use crate::latency::LatencyModel;
 use crate::packet::Datagram;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -107,16 +106,20 @@ pub struct NetStats {
 }
 
 /// A synchronous service function bound at an address. It is invoked
-/// *inline on the sender's thread* with each delivered datagram; returning
-/// `Some(payload)` sends that payload back to the datagram's source through
-/// the normal send path (loss, latency accounting and all).
-pub type ResponderFn = dyn Fn(&Datagram) -> Option<Bytes> + Send + Sync;
+/// *inline on the sender's thread* with each delivered datagram; a reply
+/// with a payload goes back to the datagram's source through the normal
+/// send path (loss, latency accounting and all), stamped with the reply's
+/// delay ([`Datagram::delay`]).
+pub type ResponderFn = dyn Fn(&Datagram) -> FaultedReply + Send + Sync;
+
+/// A client endpoint's queue of received datagrams.
+type Queue = Arc<Mutex<VecDeque<Datagram>>>;
 
 /// Where a delivered datagram goes.
 #[derive(Clone)]
 enum Sink {
-    /// Into a channel drained by some receiving thread.
-    Queue(Sender<Datagram>),
+    /// Into a client endpoint's queue.
+    Queue(Queue),
     /// Into a stateless service function run on the sender's thread.
     Inline(Arc<ResponderFn>),
 }
@@ -262,17 +265,17 @@ impl Network {
     }
 
     /// Binds a client endpoint at `ip:port` located in `region`: datagrams
-    /// to it queue until [`Endpoint::recv_timeout`] takes them. Servers are
+    /// to it queue until [`Endpoint::recv_within`] takes them. Servers are
     /// inline responders ([`crate::ResponderSet`]) instead. Fails with
     /// [`NetError::AddrInUse`] when the address is bound or announced.
     pub fn bind(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<Endpoint, NetError> {
         let addr = SockAddr::new(ip, port);
-        let (tx, rx) = unbounded();
-        self.bind_sink(addr, region, Sink::Queue(tx), false)?;
+        let queue = Queue::default();
+        self.bind_sink(addr, region, Sink::Queue(Arc::clone(&queue)), false)?;
         Ok(Endpoint {
             addr,
             region,
-            rx,
+            queue,
             net: self.clone(),
         })
     }
@@ -337,24 +340,15 @@ impl Network {
         roll < self.inner.config.loss_rate
     }
 
-    fn send_from(
-        &self,
-        src: SockAddr,
-        src_region: Region,
-        dst: SockAddr,
-        payload: Bytes,
-    ) -> Result<(), NetError> {
-        self.send_from_depth(src, src_region, dst, payload, 0)
-    }
-
+    /// Sends `dgram` from `src_region`. `depth` counts the responder
+    /// replies this send is nested in.
     fn send_from_depth(
         &self,
-        src: SockAddr,
+        dgram: Datagram,
         src_region: Region,
-        dst: SockAddr,
-        payload: Bytes,
         depth: u8,
     ) -> Result<(), NetError> {
+        let (src, dst) = (dgram.src, dgram.dst);
         let inner = &self.inner;
         let stats = inner.stats.local();
         add(&stats.sent, 1);
@@ -399,30 +393,28 @@ impl Network {
             }
         };
 
+        if matches!(sink, Sink::Inline(_)) && depth >= MAX_INLINE_DEPTH {
+            add(&stats.unreachable, 1);
+            return Err(NetError::Unreachable(dst));
+        }
         let latency = inner.config.latency.one_way(src_region, dst_region);
+        add(&stats.delivered, 1);
+        add(&stats.total_latency_ms, latency.as_millis() as u64);
         match sink {
-            Sink::Queue(tx) => {
-                let delivered = tx.send(Datagram { src, dst, payload }).is_ok();
-                if delivered {
-                    add(&stats.delivered, 1);
-                    add(&stats.total_latency_ms, latency.as_millis() as u64);
-                } else {
-                    add(&stats.unreachable, 1);
-                }
-            }
+            Sink::Queue(queue) => queue.lock().push_back(dgram),
             Sink::Inline(f) => {
-                if depth >= MAX_INLINE_DEPTH {
-                    add(&stats.unreachable, 1);
-                    return Err(NetError::Unreachable(dst));
-                }
-                add(&stats.delivered, 1);
-                add(&stats.total_latency_ms, latency.as_millis() as u64);
-                let dgram = Datagram { src, dst, payload };
-                if let Some(reply) = f(&dgram) {
+                let reply = f(&dgram);
+                if let Some(payload) = reply.payload {
                     // The responder answers from the address it was queried
-                    // at, in the region anycast routing selected.
-                    let _ =
-                        self.send_from_depth(dgram.dst, dst_region, dgram.src, reply, depth + 1);
+                    // at, in the region anycast routing selected, as late
+                    // as the query came plus its own delay.
+                    let reply = Datagram {
+                        src: dst,
+                        dst: src,
+                        payload,
+                        delay: dgram.delay + reply.delay,
+                    };
+                    let _ = self.send_from_depth(reply, dst_region, depth + 1);
                 }
             }
         }
@@ -456,7 +448,7 @@ impl Network {
 pub struct Endpoint {
     addr: SockAddr,
     region: Region,
-    rx: Receiver<Datagram>,
+    queue: Queue,
     net: Network,
 }
 
@@ -486,20 +478,24 @@ impl Endpoint {
     /// A datagram consumed by the loss process still returns `Ok` — the
     /// sender cannot tell, exactly like UDP.
     pub fn send(&self, dst: SockAddr, payload: Bytes) -> Result<(), NetError> {
-        self.net.send_from(self.addr, self.region, dst, payload)
+        let dgram = Datagram {
+            src: self.addr,
+            dst,
+            payload,
+            delay: Duration::ZERO,
+        };
+        self.net.send_from_depth(dgram, self.region, 0)
     }
 
-    /// Blocks until a datagram arrives or `timeout` elapses.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
-    }
-
-    /// Non-blocking receive; `None` when the queue is empty.
-    pub fn try_recv(&self) -> Option<Datagram> {
-        self.rx.try_recv().ok()
+    /// Takes the next queued datagram that arrives within `window` of its
+    /// send ([`Datagram::delay`] at most `window`); `None` when there is
+    /// none. Never waits: every server is an inline responder, so a reply
+    /// is queued before [`Endpoint::send`] returns or never comes. Queued
+    /// datagrams that arrive later than the window are discarded on the
+    /// way, as a reader that stopped listening never sees them.
+    pub fn recv_within(&self, window: Duration) -> Option<Datagram> {
+        let mut queue = self.queue.lock();
+        std::iter::from_fn(|| queue.pop_front()).find(|d| d.delay <= window)
     }
 }
 
@@ -523,12 +519,12 @@ mod tests {
         let a = net.bind(ip("10.0.0.1"), 53, Region::EUROPE).unwrap();
         let b = net.bind(ip("10.0.0.2"), 4000, Region::EUROPE).unwrap();
         b.send(a.addr(), Bytes::from_static(b"hello")).unwrap();
-        let d = a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let d = a.recv_within(Duration::ZERO).unwrap();
         assert_eq!(&d.payload[..], b"hello");
         assert_eq!(d.src, b.addr());
         // Reply path.
         a.send(d.src, Bytes::from_static(b"world")).unwrap();
-        let r = b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let r = b.recv_within(Duration::ZERO).unwrap();
         assert_eq!(&r.payload[..], b"world");
     }
 
@@ -569,19 +565,37 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires() {
+    fn a_reply_later_than_the_window_is_never_received() {
+        use crate::shared::ResponderSet;
+        // An hour: were the delay slept, this test would hang.
+        const DELAY: Duration = Duration::from_secs(3600);
         let net = Network::new(NetConfig::default());
-        let a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let err = a.recv_timeout(Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err, NetError::Timeout);
-        assert!(a.try_recv().is_none());
+        let late = ResponderSet::new(&net, |d: &Datagram| FaultedReply {
+            payload: Some(d.payload.clone()),
+            delay: DELAY,
+        });
+        late.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
+        let client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA).unwrap();
+        let server = SockAddr::new(ip("10.0.0.7"), 7);
+        assert!(client.recv_within(Duration::MAX).is_none(), "empty queue");
+
+        // Queued at once, but stamped an hour late: a half-hour window
+        // misses it, and it is gone for any later window too.
+        client.send(server, Bytes::from_static(b"a")).unwrap();
+        assert!(client.recv_within(DELAY / 2).is_none());
+        assert!(client.recv_within(Duration::MAX).is_none());
+
+        // A window that covers the delay takes it.
+        client.send(server, Bytes::from_static(b"b")).unwrap();
+        let d = client.recv_within(DELAY).unwrap();
+        assert_eq!((&d.payload[..], d.delay), (&b"b"[..], DELAY));
     }
 
     #[test]
     fn anycast_and_unicast_do_not_mix() {
         use crate::shared::ResponderSet;
         let net = Network::new(NetConfig::default());
-        let set = ResponderSet::new(&net, |_: &Datagram| None);
+        let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
         // A bound address cannot also be announced...
         let _u = net.bind(ip("2.2.2.2"), 53, Region::EUROPE).unwrap();
         assert!(set.attach_anycast(ip("2.2.2.2"), 53, Region::ASIA).is_err());
@@ -604,10 +618,7 @@ mod tests {
         let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
         // Loss is silent: send succeeds, nothing arrives.
         b.send(a.addr(), Bytes::from_static(b"x")).unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)),
-            Err(NetError::Timeout)
-        );
+        assert!(a.recv_within(Duration::MAX).is_none());
         let stats = net.stats();
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.delivered, 0);
@@ -634,7 +645,7 @@ mod tests {
                     b.send(sink.addr(), Bytes::from_static(b"noise")).unwrap();
                 }
                 let mut arrived = false;
-                while let Some(d) = sink.try_recv() {
+                while let Some(d) = sink.recv_within(Duration::ZERO) {
                     if d.src == a.addr() {
                         arrived = true;
                     }
@@ -659,10 +670,7 @@ mod tests {
         let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
         // Like loss, the outage is silent: send succeeds, nothing arrives.
         b.send(a.addr(), Bytes::from_static(b"x")).unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_millis(10)),
-            Err(NetError::Timeout)
-        );
+        assert!(a.recv_within(Duration::MAX).is_none());
         let stats = net.stats();
         assert_eq!(stats.faulted, 1);
         assert_eq!(stats.delivered, 0);
@@ -683,16 +691,13 @@ mod tests {
         server
             .send(client.addr(), Bytes::from_static(b"reply"))
             .unwrap();
-        let d = client.recv_timeout(Duration::from_secs(1)).unwrap();
+        let d = client.recv_within(Duration::ZERO).unwrap();
         assert_eq!(&d.payload[..], b"reply");
         // The forward direction (to the server's service port) stays eaten.
         client
             .send(server.addr(), Bytes::from_static(b"q"))
             .unwrap();
-        assert_eq!(
-            server.recv_timeout(Duration::from_millis(10)),
-            Err(NetError::Timeout)
-        );
+        assert!(server.recv_within(Duration::MAX).is_none());
         assert_eq!(net.stats().faulted, 1);
     }
 
@@ -719,7 +724,7 @@ mod tests {
             let seen = Arc::clone(&seen);
             move |_: &Datagram| {
                 seen.fetch_add(1, Ordering::Relaxed);
-                None
+                FaultedReply::swallowed()
             }
         });
         sink.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
@@ -743,31 +748,5 @@ mod tests {
         assert_eq!(stats.sent, want);
         assert_eq!(stats.delivered, want);
         assert_eq!(seen.load(Ordering::Relaxed), want);
-    }
-
-    #[test]
-    fn blocked_receiver_wakes_on_a_later_send() {
-        let net = Network::new(NetConfig::default());
-        let receiver = net.bind(ip("10.0.0.1"), 7, Region::EUROPE).unwrap();
-        let waiter = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            let d = receiver.recv_timeout(Duration::from_secs(5)).unwrap();
-            (d, start.elapsed())
-        });
-        // Give the receiver time to block first. If it has not, the datagram
-        // is already queued when it looks and the test passes without
-        // exercising the wakeup: the sleep can hide the lost wakeup this
-        // checks for, never fake one.
-        std::thread::sleep(Duration::from_millis(50));
-        let client = net.bind(ip("10.0.0.2"), 9, Region::EUROPE).unwrap();
-        client
-            .send(
-                SockAddr::new(ip("10.0.0.1"), 7),
-                Bytes::from_static(b"late"),
-            )
-            .unwrap();
-        let (d, waited) = waiter.join().unwrap();
-        assert_eq!(&d.payload[..], b"late");
-        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
     }
 }

@@ -11,9 +11,9 @@
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
+use crate::fault::FaultedReply;
 use crate::network::{Network, Region, ResponderFn};
 use crate::packet::Datagram;
-use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -35,7 +35,8 @@ fn stripe_index(addr: &SockAddr) -> usize {
 /// The function must be stateless (or internally synchronized): it is
 /// called concurrently from every sending thread. Replies it returns are
 /// sent from the queried address through the normal network path, so loss,
-/// latency accounting and anycast behave as for any bound endpoint.
+/// latency accounting and anycast behave as for any bound endpoint, and a
+/// reply's delay is stamped on the datagram, never slept.
 pub struct ResponderSet {
     net: Network,
     f: Arc<ResponderFn>,
@@ -56,7 +57,7 @@ impl ResponderSet {
     /// Creates a responder set on `net` serving with `f`.
     pub fn new(
         net: &Network,
-        f: impl Fn(&Datagram) -> Option<Bytes> + Send + Sync + 'static,
+        f: impl Fn(&Datagram) -> FaultedReply + Send + Sync + 'static,
     ) -> Self {
         ResponderSet {
             net: net.clone(),
@@ -107,6 +108,12 @@ impl Drop for ResponderSet {
 mod tests {
     use super::*;
     use crate::network::NetConfig;
+    use bytes::Bytes;
+    use std::time::Duration;
+
+    fn echo(d: &Datagram) -> FaultedReply {
+        FaultedReply::clean(d.payload.clone())
+    }
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -115,17 +122,19 @@ mod tests {
     #[test]
     fn responder_answers_inline() {
         let net = Network::new(NetConfig::default());
-        let echo = ResponderSet::new(&net, |d: &Datagram| Some(d.payload.clone()));
-        echo.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
-        echo.attach(ip("10.0.0.8"), 7, Region::ASIA).unwrap();
-        assert_eq!(echo.num_attached(), 2);
+        let set = ResponderSet::new(&net, echo);
+        set.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
+        set.attach(ip("10.0.0.8"), 7, Region::ASIA).unwrap();
+        assert_eq!(set.num_attached(), 2);
 
         let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
         for last in [7u8, 8u8] {
             let dst = SockAddr::new(Ipv4Addr::new(10, 0, 0, last), 7);
             client.send(dst, Bytes::copy_from_slice(&[last])).unwrap();
             // The reply is already queued when send returns: no thread hop.
-            let d = client.try_recv().expect("inline reply is synchronous");
+            let d = client
+                .recv_within(Duration::ZERO)
+                .expect("inline reply is synchronous");
             assert_eq!(d.src, dst);
             assert_eq!(&d.payload[..], &[last]);
         }
@@ -137,7 +146,8 @@ mod tests {
     #[test]
     fn responder_anycast_routes_regionally() {
         let net = Network::new(NetConfig::default());
-        let tagged = |tag: &'static [u8]| move |_: &Datagram| Some(Bytes::from_static(tag));
+        let tagged =
+            |tag: &'static [u8]| move |_: &Datagram| FaultedReply::clean(Bytes::from_static(tag));
         let eu = ResponderSet::new(&net, tagged(b"eu"));
         let asia = ResponderSet::new(&net, tagged(b"as"));
         eu.attach_anycast(ip("1.1.1.1"), 53, Region::EUROPE)
@@ -149,7 +159,9 @@ mod tests {
         client
             .send(SockAddr::new(ip("1.1.1.1"), 53), Bytes::from_static(b"q"))
             .unwrap();
-        let d = client.try_recv().expect("inline reply is synchronous");
+        let d = client
+            .recv_within(Duration::ZERO)
+            .expect("inline reply is synchronous");
         assert_eq!(&d.payload[..], b"as");
     }
 
@@ -159,68 +171,22 @@ mod tests {
             loss_rate: 1.0,
             ..Default::default()
         });
-        let echo = ResponderSet::new(&net, |d: &Datagram| Some(d.payload.clone()));
-        echo.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
+        let set = ResponderSet::new(&net, echo);
+        set.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
         let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
         client
             .send(SockAddr::new(ip("10.0.0.7"), 7), Bytes::from_static(b"x"))
             .unwrap();
         // The query itself is eaten by the loss process before the
         // responder ever runs; nothing comes back.
-        assert!(client.try_recv().is_none());
+        assert!(client.recv_within(Duration::MAX).is_none());
         assert_eq!(net.stats().dropped, 1);
-    }
-
-    #[test]
-    fn delayed_reply_holds_back_only_its_own_query() {
-        use crate::fault::FaultedReply;
-        use std::sync::Barrier;
-        use std::time::{Duration, Instant};
-        const DELAY: Duration = Duration::from_millis(300);
-        let net = Network::new(NetConfig::default());
-        // The slow query meets the fast one here just before it sleeps.
-        let asleep = Arc::new(Barrier::new(2));
-        let set = ResponderSet::new(&net, {
-            let asleep = Arc::clone(&asleep);
-            move |d: &Datagram| {
-                let slow = &d.payload[..] == b"slow";
-                if slow {
-                    asleep.wait();
-                }
-                FaultedReply {
-                    payload: Some(d.payload.clone()),
-                    delay: slow.then_some(DELAY),
-                }
-                .deliver()
-            }
-        });
-        set.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
-        let dst = SockAddr::new(ip("10.0.0.7"), 7);
-        let query = |client: Ipv4Addr, payload: &'static [u8]| {
-            let ep = net.bind(client, 1, Region::ASIA).unwrap();
-            let start = Instant::now();
-            ep.send(dst, Bytes::from_static(payload)).unwrap();
-            let reply = ep.try_recv().expect("inline reply is synchronous");
-            (reply.payload, start.elapsed())
-        };
-        std::thread::scope(|s| {
-            let slow = s.spawn(|| query(ip("10.9.9.1"), b"slow"));
-            // While the slow query sleeps on its own thread, a query from
-            // another thread is answered at once.
-            asleep.wait();
-            let (fast, fast_took) = query(ip("10.9.9.2"), b"fast");
-            assert_eq!(&fast[..], b"fast");
-            assert!(fast_took < DELAY / 2, "fast query took {fast_took:?}");
-            let (slow, slow_took) = slow.join().unwrap();
-            assert_eq!(&slow[..], b"slow");
-            assert!(slow_took >= DELAY, "slow query took {slow_took:?}");
-        });
     }
 
     #[test]
     fn responder_conflicts_detected() {
         let net = Network::new(NetConfig::default());
-        let set = ResponderSet::new(&net, |_: &Datagram| None);
+        let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
         set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
         assert!(set.attach(ip("10.0.0.7"), 53, Region::ASIA).is_err());
         // A unicast address cannot also be announced via anycast.
@@ -233,7 +199,7 @@ mod tests {
     fn responder_detaches_on_drop() {
         let net = Network::new(NetConfig::default());
         {
-            let set = ResponderSet::new(&net, |_: &Datagram| None);
+            let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
             set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
         }
         assert!(net.bind(ip("10.0.0.7"), 53, Region::ASIA).is_ok());

@@ -2,7 +2,10 @@
 //! same world + config ⇒ identical dataset and identical store bytes for
 //! any worker count.
 
+use std::time::Duration;
+use webdep_dns::resolver::ResolverConfig;
 use webdep_pipeline::run::{measure, PipelineConfig};
+use webdep_tls::scanner::ScannerConfig;
 use webdep_webgen::{DeployConfig, World, WorldConfig};
 
 fn config(workers: usize) -> PipelineConfig {
@@ -21,6 +24,35 @@ fn dataset_identical_across_worker_counts() {
     let solo = measure(&world, &dep, &config(1));
     let eight = measure(&world, &dep, &config(8));
     assert_eq!(solo, eight, "worker count changed the measured dataset");
+}
+
+/// A timeout is a comparison of simulated times, never a race with the
+/// host's scheduler: every reply of a fault-free world arrives with no
+/// delay, so even a zero window takes it, and zero timeouts measure the
+/// same dataset as the defaults.
+#[test]
+fn zero_timeouts_measure_like_the_defaults() {
+    let world = World::generate(WorldConfig::tiny());
+    let dep = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
+    let zero = PipelineConfig {
+        resolver: ResolverConfig {
+            timeout: Duration::ZERO,
+            ..Default::default()
+        },
+        scanner: ScannerConfig {
+            timeout: Duration::ZERO,
+            ..Default::default()
+        },
+        ..config(4)
+    };
+    let defaults = measure(&world, &dep, &config(4));
+    assert_eq!(
+        measure(&world, &dep, &zero),
+        defaults,
+        "a zero timeout changed the measured dataset"
+    );
+    let tax = defaults.failure_taxonomy();
+    assert_eq!(tax.clean, tax.total, "the tiny world measures clean");
 }
 
 /// The determinism contract extends to the on-disk chunk store: per-chunk

@@ -24,7 +24,8 @@ fn small_world() -> World {
 
 /// Short timeouts, no retries: faults are deterministic, so a retry of a
 /// faulted query can never succeed — only rotation to a different server
-/// can, and that needs no retry budget.
+/// can, and that needs no retry budget. The 5 ms window is shorter than a
+/// plan's 20 ms delay, so a `Delay` fault times out.
 fn fast_config(workers: usize) -> PipelineConfig {
     PipelineConfig {
         workers,
@@ -36,7 +37,6 @@ fn fast_config(workers: usize) -> PipelineConfig {
         scanner: ScannerConfig {
             timeout: Duration::from_millis(5),
             retries: 0,
-            site_deadline: None,
         },
         ..Default::default()
     }
@@ -114,30 +114,20 @@ fn all_servers_out_terminates_and_accounts() {
     }
 }
 
-/// A flaky majority (75% of servers, 90% fail rate, full repertoire minus
-/// Delay — the sleeps would dominate the test) must still terminate and
-/// the taxonomy must show only causes the injected kinds can produce.
+/// A flaky majority (75% of servers, 90% fail rate, the full repertoire)
+/// must still terminate and the taxonomy must show only causes the
+/// injected kinds can produce.
 #[test]
 fn flaky_majority_terminates_with_matching_taxonomy() {
     let world = small_world();
-    let plan = FaultPlan::flaky(
-        13,
-        0.75,
-        0.9,
-        vec![
-            FaultKind::Drop,
-            FaultKind::ServFail,
-            FaultKind::Truncate,
-            FaultKind::Garble,
-        ],
-    );
+    let plan = FaultPlan::flaky(13, 0.75, 0.9, FaultKind::ALL.to_vec());
     let dep = deploy_with_faults(&world, plan);
     let ds = measure(&world, &dep, &fast_config(8));
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
     assert!(tax.clean < tax.total, "a flaky majority must leave a mark");
-    // Drop/Truncate/Garble surface as timeouts (nothing usable arrives
-    // before the deadline), ServFail as a refusal; rack faults can also
+    // Drop/Truncate/Garble/Delay surface as timeouts (nothing usable
+    // arrives within the window), ServFail as a refusal; rack faults can also
     // skip the CA scan. NxDomain/NoRecords would mean the faults corrupted
     // *content*, which they never do.
     for layer in ["hosting", "dns", "ca"] {
@@ -180,6 +170,27 @@ fn faulted_dataset_identical_across_worker_counts() {
     let dep2 = deploy_with_faults(&world, plan2);
     let again = measure(&world, &dep2, &fast_config(4));
     assert_eq!(solo, again, "redeployment changed the faulted dataset");
+
+    // Every kind, `Delay` included: whether a delayed answer beats the
+    // window is simulated time, so it is inside the contract too.
+    let dep = deploy_with_faults(
+        &world,
+        FaultPlan::flaky(29, 0.5, 0.5, FaultKind::ALL.to_vec()),
+    );
+    let solo = measure(&world, &dep, &fast_config(1));
+    let eight = measure(&world, &dep, &fast_config(8));
+    assert_eq!(solo, eight, "worker count changed the all-kinds dataset");
+    // With two retries the resolver's window widens 5 → 10 → 20 ms, so a
+    // 20 ms delay is answered in the last round — by a live server and by
+    // one this worker's history happened to demote alike.
+    let retrying = |workers| {
+        let mut config = fast_config(workers);
+        config.resolver.retries = 2;
+        config
+    };
+    let solo = measure(&world, &dep, &retrying(1));
+    let eight = measure(&world, &dep, &retrying(8));
+    assert_eq!(solo, eight, "worker count changed the retried dataset");
 }
 
 /// The same law for an *outage* plan. Outages are enforced in the

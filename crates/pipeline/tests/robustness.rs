@@ -38,7 +38,6 @@ fn retries_carry_measurement_through_packet_loss() {
             scanner: ScannerConfig {
                 timeout: Duration::from_millis(40),
                 retries: 8,
-                site_deadline: None,
             },
             ..Default::default()
         },

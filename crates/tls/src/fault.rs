@@ -17,9 +17,10 @@ pub const ALERT_INTERNAL_ERROR: u8 = 80;
 ///
 /// The returned [`FaultedReply`] carries the payload to send (`None` when
 /// the fault swallows the flight) — possibly a fatal alert, a truncated
-/// prefix, or a garbled flight — and, for [`FaultKind::Delay`], how long
-/// delivery must wait. The delay is never slept here: the inline responder
-/// sleeps it on the querier's thread ([`FaultedReply::deliver`]).
+/// prefix, or a garbled flight — and, for [`FaultKind::Delay`], how late
+/// it arrives. The delay is simulated time: the network stamps it on the
+/// reply datagram and the scanner's window decides whether it came in
+/// time.
 pub fn apply_tls_fault(plan: &FaultPlan, ip: Ipv4Addr, sni: &str, flight: Bytes) -> FaultedReply {
     match plan.query_fault(ip, sni.as_bytes()) {
         None => FaultedReply::clean(flight),
@@ -42,7 +43,7 @@ pub fn apply_tls_fault(plan: &FaultPlan, ip: Ipv4Addr, sni: &str, flight: Bytes)
         }
         Some(FaultKind::Delay) => FaultedReply {
             payload: Some(flight),
-            delay: Some(plan.delay),
+            delay: plan.delay,
         },
     }
 }
@@ -102,7 +103,7 @@ mod tests {
         let start = std::time::Instant::now();
         let out = apply_tls_fault(&plan, ip, "a.example", flight());
         assert!(start.elapsed() < plan.delay, "must not sleep inline");
-        assert_eq!(out.delay, Some(plan.delay));
+        assert_eq!(out.delay, plan.delay);
         assert_eq!(out.payload, Some(flight()));
     }
 }

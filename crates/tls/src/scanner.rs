@@ -1,5 +1,9 @@
 //! The scanning client: performs one handshake per (IP, SNI) target and
 //! returns the served chain, with retries — the ZGrab2 role.
+//!
+//! Timeouts are simulated: every server is an inline responder, so its
+//! flight is queued before the hello's send returns, stamped with how late
+//! it arrives. A flight later than the attempt's window is a timeout.
 
 use crate::cert::CertificateChain;
 use crate::handshake::{decode_flight, encode_client_hello, HandshakeMessage};
@@ -10,15 +14,12 @@ use webdep_netsim::{Endpoint, NetError, SockAddr};
 /// Scanner tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ScannerConfig {
-    /// Per-handshake receive timeout.
+    /// Per-handshake receive window in simulated time: a flight later
+    /// than it (a [`FaultKind::Delay`](webdep_netsim::FaultKind::Delay)
+    /// longer than the window) is a timeout.
     pub timeout: Duration,
     /// Retries before reporting a timeout.
     pub retries: u32,
-    /// Total wall-clock cap for one scan across all retries — the TLS
-    /// counterpart of the resolver's `site_deadline`. `None` (default)
-    /// keeps the uncapped retry schedule; expiry surfaces as
-    /// [`ScanError::Timeout`].
-    pub site_deadline: Option<Duration>,
 }
 
 impl Default for ScannerConfig {
@@ -26,7 +27,6 @@ impl Default for ScannerConfig {
         ScannerConfig {
             timeout: Duration::from_millis(250),
             retries: 2,
-            site_deadline: None,
         }
     }
 }
@@ -94,46 +94,15 @@ impl Scanner {
         sni: &str,
     ) -> Result<CertificateChain, ScanError> {
         let dst = SockAddr::new(ip, port);
-        let scan_deadline = self
-            .config
-            .site_deadline
-            .map(|d| std::time::Instant::now() + d);
         for _ in 0..=self.config.retries {
-            if let Some(overall) = scan_deadline {
-                if overall
-                    .saturating_duration_since(std::time::Instant::now())
-                    .is_zero()
-                {
-                    return Err(ScanError::Timeout);
-                }
-            }
             self.next_random = self
                 .next_random
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1);
-            let random = self.next_random;
-            let hello = encode_client_hello(random, sni);
+            let hello = encode_client_hello(self.next_random, sni);
             self.handshakes_sent += 1;
-            match self.endpoint.send(dst, hello) {
-                Ok(()) => {}
-                Err(e) => return Err(ScanError::Network(e)),
-            }
-            // Each attempt waits for its per-handshake timeout, clamped to
-            // whatever remains of the whole-scan budget.
-            let mut deadline = std::time::Instant::now() + self.config.timeout;
-            if let Some(overall) = scan_deadline {
-                deadline = deadline.min(overall);
-            }
-            loop {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let dgram = match self.endpoint.recv_timeout(remaining) {
-                    Ok(d) => d,
-                    Err(NetError::Timeout) => break,
-                    Err(e) => return Err(ScanError::Network(e)),
-                };
+            self.endpoint.send(dst, hello).map_err(ScanError::Network)?;
+            while let Some(dgram) = self.endpoint.recv_within(self.config.timeout) {
                 if dgram.src != dst {
                     continue; // stale reply from an earlier target
                 }
@@ -168,10 +137,11 @@ mod tests {
     use super::*;
     use crate::cert::Certificate;
     use crate::server::serve_hello;
-    use webdep_netsim::{Datagram, NetConfig, Network, Region, ResponderSet};
+    use webdep_netsim::{Datagram, FaultKind, FaultPlan, NetConfig, Network, Region, ResponderSet};
 
-    /// One server at 203.0.113.1 holding the chain for `site.example`.
-    fn world(net: &Network) -> (ResponderSet, Ipv4Addr) {
+    /// One server at 203.0.113.1 holding the chain for `site.example`,
+    /// serving under `faults`.
+    fn world(net: &Network, faults: Option<FaultPlan>) -> (ResponderSet, Ipv4Addr) {
         let server_ip: Ipv4Addr = "203.0.113.1".parse().unwrap();
         let root = Certificate {
             serial: 1,
@@ -195,10 +165,9 @@ mod tests {
         };
         let chain = vec![leaf, root];
         let server = ResponderSet::new(net, move |d: &Datagram| {
-            serve_hello(&d.payload, d.dst.ip, None, |sni| {
+            serve_hello(&d.payload, d.dst.ip, faults.as_ref(), |sni| {
                 (sni == "site.example").then_some(&chain)
             })
-            .deliver()
         });
         server
             .attach(server_ip, crate::TLS_PORT, Region::EUROPE)
@@ -216,7 +185,7 @@ mod tests {
     #[test]
     fn successful_scan() {
         let net = Network::new(NetConfig::default());
-        let (_server, ip) = world(&net);
+        let (_server, ip) = world(&net, None);
         let mut sc = scanner(&net, ScannerConfig::default());
         let chain = sc.scan(ip, "site.example").unwrap();
         assert_eq!(chain.leaf().unwrap().subject, "site.example");
@@ -226,7 +195,7 @@ mod tests {
     #[test]
     fn alert_surfaces() {
         let net = Network::new(NetConfig::default());
-        let (_server, ip) = world(&net);
+        let (_server, ip) = world(&net, None);
         let mut sc = scanner(&net, ScannerConfig::default());
         assert!(matches!(
             sc.scan(ip, "missing.example"),
@@ -245,48 +214,43 @@ mod tests {
     }
 
     #[test]
-    fn site_deadline_bounds_a_silent_server() {
-        // A server that never answers swallows every ClientHello; without
-        // the cap the retry schedule costs (retries+1) x timeout.
-        let net = Network::new(NetConfig::default());
-        let silent_ip: Ipv4Addr = "203.0.113.9".parse().unwrap();
-        let silent = ResponderSet::new(&net, |_: &Datagram| None);
-        silent.attach(silent_ip, 443, Region::EUROPE).unwrap();
-        let mut sc = scanner(
-            &net,
-            ScannerConfig {
-                timeout: Duration::from_millis(200),
-                retries: 20,
-                site_deadline: Some(Duration::from_millis(250)),
-            },
-        );
-        let start = std::time::Instant::now();
-        assert_eq!(sc.scan(silent_ip, "x").unwrap_err(), ScanError::Timeout);
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(1000),
-            "silent server took {elapsed:?} despite a 250ms scan deadline"
-        );
-    }
-
-    #[test]
     fn retries_through_loss() {
         let net = Network::new(NetConfig {
             loss_rate: 0.4,
             seed: 3,
             ..Default::default()
         });
-        let (_server, ip) = world(&net);
+        let (_server, ip) = world(&net, None);
         let mut sc = scanner(
             &net,
             ScannerConfig {
                 timeout: Duration::from_millis(60),
                 retries: 10,
-                site_deadline: None,
             },
         );
         let chain = sc.scan(ip, "site.example").unwrap();
         assert_eq!(chain.leaf().unwrap().subject, "site.example");
         assert!(sc.handshakes_sent >= 1);
+    }
+
+    #[test]
+    fn a_delay_times_out_only_past_the_window() {
+        // The server answers every hello 20 ms late.
+        let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![FaultKind::Delay]);
+        assert_eq!(plan.delay, Duration::from_millis(20));
+        let net = Network::new(NetConfig::default());
+        let (_server, ip) = world(&net, Some(plan));
+        let scan = |timeout_ms: u64| {
+            let config = ScannerConfig {
+                timeout: Duration::from_millis(timeout_ms),
+                retries: 0,
+            };
+            scanner(&net, config).scan(ip, "site.example")
+        };
+        // Within the window (the delay exactly fills it): answered.
+        let chain = scan(20).unwrap();
+        assert_eq!(chain.leaf().unwrap().subject, "site.example");
+        // Past it: a timeout, though the flight is queued.
+        assert_eq!(scan(10).unwrap_err(), ScanError::Timeout);
     }
 }

@@ -25,7 +25,7 @@ const CIPHER: u16 = 0x1301;
 /// leaf first, borrowed: `ServerHello` + `Certificate` when it finds one,
 /// the `unrecognized_name` alert when it does not. The flight then runs
 /// through `faults`, keyed on `(server_ip, sni)` (see [`apply_tls_fault`]);
-/// a returned delay is the caller's to sleep ([`FaultedReply::deliver`]).
+/// a returned delay is stamped on the reply datagram, never slept.
 pub fn serve_hello<'c, C>(
     payload: &[u8],
     server_ip: Ipv4Addr,

@@ -668,9 +668,7 @@ impl DeployedWorld {
                 continue;
             }
             let ips: Vec<Ipv4Addr> = tables.keys().copied().collect();
-            let set = ResponderSet::new(&network, move |d: &Datagram| {
-                registry_respond(&tables, d).deliver()
-            });
+            let set = ResponderSet::new(&network, move |d: &Datagram| registry_respond(&tables, d));
             for ip in ips {
                 set.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
                     .expect("registry address free");
@@ -680,9 +678,7 @@ impl DeployedWorld {
 
         // ---- Hosting racks ----
         for (ri, data) in rack_data.into_iter().enumerate() {
-            let set = ResponderSet::new(&network, move |d: &Datagram| {
-                rack_respond(&data, d).deliver()
-            });
+            let set = ResponderSet::new(&network, move |d: &Datagram| rack_respond(&data, d));
             // Attach every address of every provider on this rack.
             for p in &universe.providers {
                 if rack_of(p.id) != ri {
