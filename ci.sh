@@ -77,6 +77,46 @@ if [[ "$report" != *'"intact":true'* ]]; then
     exit 1
 fi
 
+# The continuous loop's stacked stores through the real CLI: each of three
+# evolve epochs carries its predecessor's chunks and patches and adds one
+# patch of the sites it migrated. fsck must find the last epoch's store
+# intact with every patch, then exit nonzero and name the newest patch
+# once that patch is garbled.
+echo "==> evolve flow: evolve 3 tiny --store, fsck the patched store"
+./target/release/webdep evolve 3 tiny --store "$ckpt/ev" >/dev/null
+last="$ckpt/ev/epoch-0003"
+report=$(./target/release/webdep fsck "$last") || {
+    echo "ci: fsck of the last epoch's store failed: $report" >&2
+    exit 1
+}
+python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+p = r["patches"]
+if not r["intact"] or p["count"] < 1 or p["valid"] != p["count"]:
+    sys.exit("ci: the last epoch is not intact with its patches: " + sys.argv[1])
+' "$report"
+echo "    $report"
+newest=$(find "$last" -name 'patch-*.col' | sort | tail -1)
+python3 -c '
+import sys
+with open(sys.argv[1], "r+b") as f:
+    f.seek(40)
+    b = f.read(1)
+    f.seek(40)
+    f.write(bytes([b[0] ^ 0xFF]))
+' "$newest"
+if report=$(./target/release/webdep fsck "$last"); then
+    echo "ci: fsck passed a store with a garbled $(basename "$newest"): $report" >&2
+    exit 1
+fi
+index=$((10#$(basename "$newest" .col | cut -d- -f2)))
+if [[ "$report" != *"\"patch\":$index,"* ]]; then
+    echo "ci: fsck did not name the garbled patch $index: $report" >&2
+    exit 1
+fi
+echo "    garbled $(basename "$newest"): fsck exits nonzero and names patch $index"
+
 # Cross-process store identity: the determinism contract holds between
 # processes, not only within one deployed world. Two `measure tiny --store`
 # runs must write the same chunk files and manifest, byte for byte.

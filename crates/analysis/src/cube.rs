@@ -236,13 +236,25 @@ impl CubeBuilder {
         }
     }
 
-    /// Folds a decoded chunk straight from the columnar store — no
-    /// [`SiteObservation`] materialization. Each distinct chunk-local TLD
-    /// string resolves through `world`'s universe once.
-    pub fn fold_chunk(&mut self, chunk: &DecodedChunk, world: &World) {
+    /// Folds the rows of a decoded store layer (a base chunk or a patch)
+    /// whose site `wanted` accepts, straight from the columnar store — no
+    /// [`SiteObservation`] materialization. Each row lands on its own site
+    /// index ([`DecodedChunk::site`]), overwriting whatever that site held,
+    /// so folding the layers in walk order leaves every site its newest
+    /// row. Each distinct chunk-local TLD string resolves through
+    /// `world`'s universe once.
+    pub fn fold_chunk(
+        &mut self,
+        chunk: &DecodedChunk,
+        world: &World,
+        wanted: impl Fn(usize) -> bool,
+    ) {
         let mut tld_cache: HashMap<u32, u32> = HashMap::new();
         for r in 0..chunk.rows {
-            let site = chunk.lo + r;
+            let site = chunk.site(r);
+            if !wanted(site) {
+                continue;
+            }
             self.owner_of[Layer::Hosting.index()][site] =
                 chunk.hosting_org[r].unwrap_or(UNOBSERVED);
             self.owner_of[Layer::Dns.index()][site] = chunk.dns_org[r].unwrap_or(UNOBSERVED);

@@ -1,24 +1,34 @@
-//! Incremental epoch measurement: re-measure only what changed.
+//! Incremental epoch measurement: re-measure only what changed, and
+//! store only what changed.
 //!
 //! A continuous measurement loop evolves the world each epoch
 //! ([`webdep_webgen::EvolutionPlan`]) and hands [`measure_delta`] the
 //! previous epoch's chunk store plus the [`WorldDelta`] naming the dirty
-//! site set. Clean sites never touch the network again:
+//! site set — the sites appended at the end of the site table and the
+//! sites migrated in place. Clean sites never touch the network again,
+//! and an epoch's store work follows the dirty rows, not the world
+//! ([`crate::store`] has the layout):
 //!
-//! * a chunk with no dirty site and an unchanged row count is **adopted**
-//!   wholesale — hard-linked (copy fallback) from the previous store and
-//!   checksum-verified, zero decode and zero re-encode;
-//! * a chunk containing dirty rows (or the previous store's short final
-//!   chunk, whose row count grows with the site table) has its *clean*
-//!   rows decoded from the previous store and re-committed, while its
-//!   dirty rows go to the measurement workers;
+//! * every base chunk and patch of the previous store whose rows the
+//!   growth leaves alone is **carried** — hard-linked (copy fallback) and
+//!   checked by header and checksum, zero decode and zero re-encode;
+//! * the previous store's short tail chunk, which the appended sites
+//!   grow, is decoded and re-encoded with its old rows plus the appended
+//!   sites, and the other appended sites fill fresh chunks;
+//! * the migrated sites, and only those, are written as one new patch,
+//!   which supersedes their old rows;
 //! * every dirty site is re-measured under the same supervised runner as
 //!   [`crate::run::measure_streamed`].
 //!
+//! Once the patches hold more than `1/`[`COMPACT_SHARE`] of the sites, the
+//! epoch ends with [`ChunkStore::compact`].
+//!
 //! Because per-site measurement is deterministic and chunk bytes are a
-//! pure function of their rows, the finished store is **byte-identical**
-//! to a from-scratch `measure_streamed` of the evolved world — provided
-//! the evolved world is deployed with the base epoch's pinned pool census
+//! pure function of their rows, the finished store **reads** the same as
+//! a from-scratch `measure_streamed` of the evolved world, and
+//! **compacts to byte-identical** stores — an epoch without migrations
+//! is byte-identical as written — provided the evolved world is deployed
+//! with the base epoch's pinned pool census
 //! ([`webdep_webgen::DeployConfig::pool_sites`]), which keeps unchanged
 //! sites' serving IPs fixed while customer counts churn. The identity
 //! holds across worker counts (`tests/delta.rs`), the same contract as
@@ -31,19 +41,40 @@ use std::io;
 use std::path::Path;
 use webdep_webgen::{DeployedWorld, World, WorldDelta};
 
-/// Accounting for one [`measure_delta`] run.
+/// An epoch compacts its store once the patch rows exceed one
+/// `COMPACT_SHARE`-th of the sites. Every patch row is a superseded base
+/// row that each full read (`load_dataset`, `CubeSnapshot::from_store`,
+/// `fsck`) decodes on top of one row per site, and compaction rewrites
+/// about the whole store once. At 1/16 a full read pays at most 6.25%
+/// extra decode, within run-to-run noise, while a compaction is spread
+/// over the epochs it takes the migrations to add a sixteenth of the
+/// sites — 29 under `EvolutionPlan::continuous` at 10% churn on the
+/// `small` world, where they migrate 740–880 sites an epoch.
+pub const COMPACT_SHARE: usize = 16;
+
+/// Accounting for one [`measure_delta`] run. `rows_recommitted` are the
+/// only clean rows the epoch decodes, and each is encoded once more;
+/// every other row it encodes is dirty.
 #[derive(Debug)]
 pub struct DeltaStats {
     /// Sites in the evolved epoch.
     pub sites_total: usize,
     /// Dirty sites actually re-measured.
     pub sites_remeasured: usize,
-    /// Clean chunks reused wholesale (hard-link or copy, no re-encode).
+    /// Base chunks carried from the previous store unchanged (hard-link
+    /// or copy, no decode, no re-encode) and still its files after any
+    /// compaction.
     pub chunks_adopted: usize,
-    /// Total chunks in the new store.
+    /// Total base chunks in the new store.
     pub chunks_total: usize,
-    /// Clean rows re-committed out of partially dirty chunks.
+    /// Clean rows of the previous short tail chunk, decoded and
+    /// re-committed into the grown tail (fewer than one chunk).
     pub rows_recommitted: usize,
+    /// Patch rows the new store holds over all its patches (0 once
+    /// compacted).
+    pub patch_rows: usize,
+    /// Whether the epoch compacted the store ([`ChunkStore::compact`]).
+    pub compacted: bool,
     /// Stats from the supervised run over the dirty remainder.
     pub measure: MeasureStats,
 }
@@ -86,40 +117,11 @@ pub fn measure_delta(
         ));
     }
 
-    // Same chunk geometry as the previous epoch, so clean chunks align.
-    let k = prev.chunk_sites;
-    let mut store = ChunkStoreWriter::create(store_dir, &world.label, n, k)?;
-    let dirty = delta.dirty();
-    let mut done = vec![false; n];
-    let mut chunks_adopted = 0usize;
-    let mut rows_recommitted = 0usize;
-    for c in 0..prev.num_chunks() {
-        let lo = c * k;
-        let prev_rows = prev.chunk_rows(c);
-        let new_rows = (n - lo).min(k);
-        let chunk_dirty = dirty[lo..lo + prev_rows].iter().any(|&d| d);
-        if prev_rows == new_rows && !chunk_dirty {
-            store.adopt_chunk(&prev, c)?;
-            chunks_adopted += 1;
-            for d in done[lo..lo + new_rows].iter_mut() {
-                *d = true;
-            }
-        } else {
-            // The previous epoch's rows are the ground truth for this
-            // chunk's clean sites; dirty rows (and the appended tail) are
-            // left for the workers.
-            let chunk = prev.read_chunk(c)?;
-            for r in 0..prev_rows {
-                if !dirty[lo + r] {
-                    store.commit_owned(lo + r, chunk.observation(r))?;
-                    done[lo + r] = true;
-                    rows_recommitted += 1;
-                }
-            }
-        }
-    }
-
-    let resumed = done.iter().filter(|&&d| d).count();
+    // Same chunk geometry as the previous epoch, so carried chunks align.
+    let (store, carried) =
+        ChunkStoreWriter::carry(&prev, store_dir, &world.label, n, &delta.migrated)?;
+    let done: Vec<bool> = delta.dirty().into_iter().map(|dirty| !dirty).collect();
+    let resumed = n - delta.dirty_count();
     let journal = journal_path
         .map(|p| JournalWriter::create(p, &world.label, n))
         .transpose()?;
@@ -130,12 +132,25 @@ pub fn measure_delta(
     };
     let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, resumed);
     let measure = finish_streaming(world, sink, journal_err, stats)?;
+
+    let mut patch_rows = prev.patch_rows() + delta.migrated.len();
+    let compacted = patch_rows * COMPACT_SHARE > n;
+    // The carried chunks are the leading ones; compaction replaces those
+    // holding a patched site.
+    let mut chunks_adopted = carried.chunks;
+    if compacted {
+        let rewritten = ChunkStore::compact(store_dir)?;
+        chunks_adopted -= rewritten.iter().filter(|&&c| c < carried.chunks).count();
+        patch_rows = 0;
+    }
     Ok(DeltaStats {
         sites_total: n,
         sites_remeasured: n - resumed,
         chunks_adopted,
-        chunks_total: n.div_ceil(k),
-        rows_recommitted,
+        chunks_total: n.div_ceil(prev.chunk_sites),
+        rows_recommitted: carried.tail_rows,
+        patch_rows,
+        compacted,
         measure,
     })
 }

@@ -1,7 +1,7 @@
 //! The chunked, columnar on-disk dataset: `MeasuredDataset` without the
 //! resident `Vec<SiteObservation>`.
 //!
-//! A store is a directory:
+//! A store is a directory of layers — base chunks, then patches:
 //!
 //! ```text
 //! store/
@@ -10,12 +10,31 @@
 //!   chunk-000000.col     sites [0, K)
 //!   chunk-000001.col     sites [K, 2K)
 //!   …                    (final chunk holds the remainder)
+//!   patch-000000.col     newer rows for some sites, oldest patch first
+//!   …
 //! ```
 //!
-//! Each chunk file is self-contained and columnar (little-endian):
+//! The base chunks hold one row per site. A patch holds newer rows for
+//! the sites it lists, and the newest layer holding a site wins: a
+//! continuous epoch ([`crate::delta`]) carries the previous epoch's
+//! chunks and patches by hard link, re-encodes only the short tail chunk
+//! the appended sites grow, and writes the sites it migrated in place as
+//! one new patch. A store without patches — every `measure_streamed`
+//! store, and every store after [`ChunkStore::compact`] — has the
+//! version-1 manifest above, byte for byte. A store with patches has
+//! version 2 (so a reader that knows only version 1 refuses it) and lists
+//! them in order, `"patches":[{"rows":R,"below":B},…]`: patch `p` is the
+//! file `patch-{p:06}.col`, its `R` rows are sites strictly below `B`
+//! (the site count of the store it patched). [`ChunkStore::layers`] is
+//! the one walk over that layout: `load_dataset`, the snapshot fold and
+//! `fsck` read through it, and only this module knows file names.
+//!
+//! Each layer file is self-contained and columnar (little-endian):
 //!
 //! ```text
 //! magic "WDCHUNK1" · chunk_index u32 · lo u32 · rows u32
+//!   (a patch: magic "WDPATCH1" · patch_index u32 · below u32 · rows u32,
+//!    then its site column: rows × u32, strictly increasing, each < below)
 //! string table: count u32, then len u32 + UTF-8 bytes per string
 //! columns, each over all rows of the chunk:
 //!   domain/tld/language        rows × u32 string id
@@ -53,7 +72,7 @@
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
@@ -62,14 +81,28 @@ use std::path::{Path, PathBuf};
 
 /// Manifest magic string.
 pub const STORE_MAGIC: &str = "webdep-chunk-store";
-/// Store format version.
+/// Format version of a store without patches.
 pub const STORE_VERSION: u64 = 1;
+/// Format version of a store with patches.
+pub const PATCHED_STORE_VERSION: u64 = 2;
 /// Sites per chunk unless the caller chooses otherwise: small enough that
 /// partial chunks stay cheap, large enough that a million-site store is a
 /// few hundred files.
 pub const DEFAULT_CHUNK_SITES: usize = 4096;
 /// Chunk file magic.
 const CHUNK_MAGIC: [u8; 8] = *b"WDCHUNK1";
+/// Patch file magic.
+const PATCH_MAGIC: [u8; 8] = *b"WDPATCH1";
+
+/// One patch as the manifest lists it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PatchMeta {
+    /// Rows (sites) in the patch.
+    rows: usize,
+    /// Every site of the patch lies below this: the site count of the
+    /// store the patch was written over.
+    below: usize,
+}
 
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.json")
@@ -78,22 +111,55 @@ fn manifest_path(dir: &Path) -> PathBuf {
 /// Writes the manifest atomically: temp file, data fsync, rename over the
 /// live name, directory fsync. A crash at any point leaves either the old
 /// complete manifest or the new one — never a torn file that takes the
-/// whole store down with it.
-fn write_manifest(dir: &Path, label: &str, sites: usize, chunk_sites: usize) -> io::Result<()> {
-    let manifest = Value::Object(vec![
+/// whole store down with it. Without patches it is the version-1
+/// manifest, byte for byte.
+fn write_manifest(
+    dir: &Path,
+    label: &str,
+    sites: usize,
+    chunk_sites: usize,
+    patches: &[PatchMeta],
+) -> io::Result<()> {
+    let version = match patches {
+        [] => STORE_VERSION,
+        _ => PATCHED_STORE_VERSION,
+    };
+    let mut fields = vec![
         ("magic".into(), Value::String(STORE_MAGIC.into())),
-        ("version".into(), Value::U64(STORE_VERSION)),
+        ("version".into(), Value::U64(version)),
         ("label".into(), Value::String(label.into())),
         ("sites".into(), Value::U64(sites as u64)),
         ("chunk_sites".into(), Value::U64(chunk_sites as u64)),
-    ]);
-    let tmp = dir.join("manifest.json.tmp");
-    let mut f = File::create(&tmp)?;
-    writeln!(f, "{manifest}")?;
+    ];
+    if !patches.is_empty() {
+        let list = patches
+            .iter()
+            .map(|p| {
+                Value::Object(vec![
+                    ("rows".into(), Value::U64(p.rows as u64)),
+                    ("below".into(), Value::U64(p.below as u64)),
+                ])
+            })
+            .collect();
+        fields.push(("patches".into(), Value::Array(list)));
+    }
+    write_atomically(
+        &dir.join("manifest.json.tmp"),
+        &manifest_path(dir),
+        format!("{}\n", Value::Object(fields)).as_bytes(),
+    )?;
+    File::open(dir)?.sync_all()
+}
+
+/// Writes `bytes` to `tmp`, fsyncs it and renames it over `path`. Layer
+/// files are hard-linked between epochs, so none is ever rewritten in
+/// place: the rename gives `path` a new inode and leaves the old one to
+/// the stores that share it.
+fn write_atomically(tmp: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = File::create(tmp)?;
+    f.write_all(bytes)?;
     f.sync_data()?;
-    std::fs::rename(&tmp, manifest_path(dir))?;
-    File::open(dir)?.sync_all()?;
-    Ok(())
+    std::fs::rename(tmp, path)
 }
 
 /// Whether the on-disk manifest is unparseable (torn write or external
@@ -104,8 +170,36 @@ fn manifest_is_torn(dir: &Path) -> io::Result<bool> {
     Ok(serde_json::from_str::<Value>(text.trim()).is_err())
 }
 
-fn chunk_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("chunk-{index:06}.col"))
+/// A layer file of a store, by kind and index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LayerId {
+    Chunk(usize),
+    Patch(usize),
+}
+
+impl LayerId {
+    fn file_name(self) -> String {
+        match self {
+            LayerId::Chunk(c) => format!("chunk-{c:06}.col"),
+            LayerId::Patch(p) => format!("patch-{p:06}.col"),
+        }
+    }
+
+    /// The layer a file name spells, if it is exactly the name
+    /// [`LayerId::file_name`] gives that layer.
+    fn of_file_name(name: &str) -> Option<Self> {
+        let (kind, rest): (fn(usize) -> Self, _) = match name.strip_prefix("chunk-") {
+            Some(rest) => (LayerId::Chunk, rest),
+            None => (LayerId::Patch, name.strip_prefix("patch-")?),
+        };
+        let digits = rest.strip_suffix(".col")?;
+        let i: usize = digits.parse().ok()?;
+        (format!("{i:06}") == digits).then_some(kind(i))
+    }
+
+    fn path(self, dir: &Path) -> PathBuf {
+        dir.join(self.file_name())
+    }
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -217,8 +311,32 @@ impl<'a> Strings<'a> {
     }
 }
 
+/// What a layer file's header binds it to.
+pub(crate) enum Frame {
+    /// Base chunk `index`, whose rows are sites `lo..lo + rows`.
+    Chunk { index: usize, lo: usize },
+    /// Patch `index`, whose rows are `sites` (strictly increasing, each
+    /// below `below`).
+    Patch {
+        index: usize,
+        below: usize,
+        sites: Vec<u32>,
+    },
+}
+
 /// Encodes one complete chunk (rows in site order) to its file bytes.
 pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
+    encode_layer(
+        &Frame::Chunk {
+            index: chunk_index,
+            lo,
+        },
+        rows,
+    )
+}
+
+/// Encodes one layer file: `rows` are the frame's sites, in order.
+fn encode_layer(frame: &Frame, rows: &[SiteObservation]) -> Vec<u8> {
     // Intern every string in row order, so ids are independent of the
     // order in which sites committed, and note each field's id on the way.
     let mut strings = Strings::default();
@@ -245,10 +363,21 @@ pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservatio
     let column = |field: usize| ids.iter().skip(field).step_by(STR_FIELDS).copied();
 
     let mut e = Enc { buf: Vec::new() };
-    e.buf.extend_from_slice(&CHUNK_MAGIC);
-    e.u32(chunk_index as u32);
-    e.u32(lo as u32);
+    let (magic, index, at, sites) = match frame {
+        Frame::Chunk { index, lo } => (CHUNK_MAGIC, index, lo, &[][..]),
+        Frame::Patch {
+            index,
+            below,
+            sites,
+        } => (PATCH_MAGIC, index, below, &sites[..]),
+    };
+    e.buf.extend_from_slice(&magic);
+    e.u32(*index as u32);
+    e.u32(*at as u32);
     e.u32(rows.len() as u32);
+    for &site in sites {
+        e.u32(site);
+    }
     e.u32(strings.table.len() as u32);
     for s in &strings.table {
         e.u32(s.len() as u32);
@@ -364,12 +493,16 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// One decoded chunk: columnar access plus per-row observation
-/// reconstruction. String-valued columns hold ids into [`DecodedChunk::str_of`].
+/// One decoded layer — a base chunk or a patch: columnar access plus
+/// per-row observation reconstruction. Row `r` is site
+/// [`DecodedChunk::site`]`(r)`. String-valued columns hold ids into
+/// [`DecodedChunk::str_of`].
 pub struct DecodedChunk {
-    /// First site index the chunk covers.
-    pub lo: usize,
-    /// Rows in the chunk (`lo..lo + rows` in site order).
+    /// First site a base chunk covers (its rows are `lo..lo + rows`).
+    lo: usize,
+    /// A patch's site column (empty for a base chunk).
+    sites: Vec<u32>,
+    /// Rows in the layer.
     pub rows: usize,
     strings: Vec<String>,
     domain: Vec<u32>,
@@ -402,6 +535,14 @@ pub struct DecodedChunk {
 }
 
 impl DecodedChunk {
+    /// The site row `r` holds.
+    pub fn site(&self, r: usize) -> usize {
+        match self.sites.get(r) {
+            Some(&site) => site as usize,
+            None => self.lo + r,
+        }
+    }
+
     /// The string behind a chunk-local id.
     pub fn str_of(&self, id: u32) -> &str {
         &self.strings[id as usize]
@@ -456,35 +597,104 @@ impl DecodedChunk {
     }
 }
 
+/// What a layer file's header must say: its magic, index, `lo` (a chunk)
+/// or `below` (a patch), and row count.
+#[derive(Clone, Copy)]
+struct Expect {
+    magic: [u8; 8],
+    index: usize,
+    at: usize,
+    rows: usize,
+}
+
+impl Expect {
+    fn chunk(index: usize, lo: usize, rows: usize) -> Self {
+        Expect {
+            magic: CHUNK_MAGIC,
+            index,
+            at: lo,
+            rows,
+        }
+    }
+
+    fn patch(index: usize, meta: PatchMeta) -> Self {
+        Expect {
+            magic: PATCH_MAGIC,
+            index,
+            at: meta.below,
+            rows: meta.rows,
+        }
+    }
+
+    fn is_patch(&self) -> bool {
+        self.magic == PATCH_MAGIC
+    }
+}
+
+/// Verifies a layer file's checksum and header — what carrying a file
+/// into the next epoch checks, without decoding a column — and returns
+/// the decoder positioned after the header.
+fn verify_frame(bytes: &[u8], want: Expect) -> Result<Dec<'_>, String> {
+    let kind = if want.is_patch() { "patch" } else { "chunk" };
+    if bytes.len() < want.magic.len() + 8 {
+        return Err(format!("{kind} too short"));
+    }
+    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
+    let sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+    if fnv1a(body) != sum {
+        return Err(format!("{kind} checksum mismatch"));
+    }
+    let mut d = Dec { buf: body, pos: 0 };
+    if d.take(8)? != want.magic {
+        return Err(format!("bad {kind} magic"));
+    }
+    let index = d.u32()? as usize;
+    let at = d.u32()? as usize;
+    let rows = d.u32()? as usize;
+    if (index, at, rows) != (want.index, want.at, want.rows) {
+        let at_name = if want.is_patch() { "below" } else { "lo" };
+        return Err(format!(
+            "{kind} header (index {index}, {at_name} {at}, rows {rows}) does not match \
+             manifest (index {}, {at_name} {}, rows {})",
+            want.index, want.at, want.rows
+        ));
+    }
+    Ok(d)
+}
+
 /// Decodes and verifies one chunk's bytes (checksum, header against the
 /// expected geometry, every column). Total on any input: corruption is an
-/// `Err`, never a panic or a count-sized allocation.
+/// `Err`, never a panic or a count-sized allocation. [`decode_layer`] is
+/// the same for either kind of layer; a patch's site column must also be
+/// strictly increasing and below the manifest's `below`.
 pub(crate) fn decode_chunk(
     bytes: &[u8],
     expect_index: usize,
     expect_lo: usize,
     expect_rows: usize,
 ) -> Result<DecodedChunk, String> {
-    if bytes.len() < CHUNK_MAGIC.len() + 8 {
-        return Err("chunk too short".into());
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-    if fnv1a(body) != sum {
-        return Err("chunk checksum mismatch".into());
-    }
-    let mut d = Dec { buf: body, pos: 0 };
-    if d.take(8)? != CHUNK_MAGIC {
-        return Err("bad chunk magic".into());
-    }
-    let index = d.u32()? as usize;
-    let lo = d.u32()? as usize;
-    let rows = d.u32()? as usize;
-    if index != expect_index || lo != expect_lo || rows != expect_rows {
-        return Err(format!(
-            "chunk header (index {index}, lo {lo}, rows {rows}) does not match \
-             manifest (index {expect_index}, lo {expect_lo}, rows {expect_rows})"
-        ));
+    decode_layer(bytes, Expect::chunk(expect_index, expect_lo, expect_rows))
+}
+
+fn decode_layer(bytes: &[u8], want: Expect) -> Result<DecodedChunk, String> {
+    let mut d = verify_frame(bytes, want)?;
+    let body = d.buf;
+    let rows = want.rows;
+    let lo = if want.is_patch() { 0 } else { want.at };
+    let mut sites = Vec::new();
+    if want.is_patch() {
+        // `rows` is the manifest's, so the column's 4 bytes a row bound it.
+        sites.reserve(rows.min(d.remaining() / 4));
+        for _ in 0..rows {
+            let site = d.u32()?;
+            if site as usize >= want.at || sites.last().is_some_and(|&last| last >= site) {
+                return Err(format!(
+                    "patch site {site} is out of order or not below {}",
+                    want.at
+                ));
+            }
+            sites.push(site);
+        }
     }
     let n_strings = d.u32()? as usize;
     // Counts come from file bytes, so no capacity may exceed what the rest
@@ -573,6 +783,7 @@ pub(crate) fn decode_chunk(
     }
     Ok(DecodedChunk {
         lo,
+        sites,
         rows,
         strings,
         domain,
@@ -604,7 +815,7 @@ pub(crate) fn decode_chunk(
 // ---------------------------------------------------------------------------
 // Writer
 
-/// Where one chunk of a [`ChunkStoreWriter`] stands.
+/// Where one layer of a [`ChunkStoreWriter`] stands.
 enum Progress {
     /// Sites are still arriving; `rows` holds the committed ones.
     Filling {
@@ -614,75 +825,117 @@ enum Progress {
     /// Its last site committed and a [`ClaimedChunk`] left with the rows;
     /// the file is not durable until [`ChunkStoreWriter::record`] says so.
     Claimed,
-    /// On disk and fsynced (or adopted and verified).
+    /// On disk and fsynced (or carried and verified).
     Written,
 }
 
-/// A complete chunk claimed by the commit of its last site. Encoding,
+impl Progress {
+    fn empty() -> Self {
+        Progress::Filling {
+            filled: 0,
+            rows: Vec::new(),
+        }
+    }
+}
+
+/// The patch a [`ChunkStoreWriter::carry`] writer fills: the sites the
+/// epoch migrated in place.
+struct PatchSlot {
+    index: usize,
+    below: usize,
+    sites: Vec<u32>,
+    progress: Progress,
+}
+
+/// A complete layer claimed by the commit of its last site. Encoding,
 /// writing and fsyncing it needs no access to the writer, so a caller
 /// that shares the writer behind a lock does it outside that lock and
 /// hands the outcome back to [`ChunkStoreWriter::record`].
 #[must_use = "a claimed chunk is durable only once written and recorded"]
 pub(crate) struct ClaimedChunk {
     path: PathBuf,
-    index: usize,
-    lo: usize,
+    frame: Frame,
     rows: Vec<SiteObservation>,
 }
 
-/// A chunk file [`ClaimedChunk::write`] made durable.
+/// A layer file [`ClaimedChunk::write`] made durable.
 pub(crate) struct WrittenChunk {
-    index: usize,
+    layer: LayerId,
     bytes: u64,
 }
 
 impl ClaimedChunk {
-    /// Encodes the chunk, writes its file and fsyncs it.
+    /// Encodes the layer, writes its file and fsyncs it.
     pub(crate) fn write(self) -> io::Result<WrittenChunk> {
-        let bytes = encode_chunk(self.index, self.lo, &self.rows);
+        let bytes = encode_layer(&self.frame, &self.rows);
         let mut f = File::create(&self.path)?;
         f.write_all(&bytes)?;
         f.sync_data()?;
+        let layer = match self.frame {
+            Frame::Chunk { index, .. } => LayerId::Chunk(index),
+            Frame::Patch { index, .. } => LayerId::Patch(index),
+        };
         Ok(WrittenChunk {
-            index: self.index,
+            layer,
             bytes: bytes.len() as u64,
         })
     }
 }
 
 /// Streaming chunk-store writer: sites commit in any order; the commit of
-/// a chunk's last site claims the chunk, which is then encoded, written
+/// a layer's last site claims the layer, which is then encoded, written
 /// and fsynced.
 pub struct ChunkStoreWriter {
     dir: PathBuf,
     sites: usize,
     chunk_sites: usize,
     chunks: Vec<Progress>,
+    patch: Option<PatchSlot>,
     bytes_written: u64,
+}
+
+/// What [`ChunkStoreWriter::carry`] took over from the previous epoch.
+pub(crate) struct Carried {
+    /// Base chunks hard-linked unchanged.
+    pub(crate) chunks: usize,
+    /// Rows of the previous short tail chunk, decoded and committed again.
+    pub(crate) tail_rows: usize,
 }
 
 impl ChunkStoreWriter {
     /// Creates (or resets) a store directory for a run over `sites` sites,
-    /// writing and syncing the manifest and deleting any stale chunk files.
+    /// writing and syncing the manifest and deleting any stale chunk and
+    /// patch files.
     pub fn create(dir: &Path, label: &str, sites: usize, chunk_sites: usize) -> io::Result<Self> {
+        Self::create_with(dir, label, sites, chunk_sites, &[])
+    }
+
+    /// [`ChunkStoreWriter::create`] with a manifest listing `patches`.
+    fn create_with(
+        dir: &Path,
+        label: &str,
+        sites: usize,
+        chunk_sites: usize,
+        patches: &[PatchMeta],
+    ) -> io::Result<Self> {
         assert!(chunk_sites > 0, "chunk_sites must be positive");
         std::fs::create_dir_all(dir)?;
-        let chunks = sites.div_ceil(chunk_sites);
-        // Stale chunks from a previous run must not masquerade as data.
+        // Stale layers from a previous run must not masquerade as data.
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if name.starts_with("chunk-") && name.ends_with(".col") {
+            if (name.starts_with("chunk-") || name.starts_with("patch-")) && name.ends_with(".col")
+            {
                 std::fs::remove_file(entry.path())?;
             }
         }
-        write_manifest(dir, label, sites, chunk_sites)?;
+        write_manifest(dir, label, sites, chunk_sites, patches)?;
         Ok(Self::with_written(
             dir,
             sites,
             chunk_sites,
-            vec![false; chunks],
+            vec![false; sites.div_ceil(chunk_sites)],
         ))
     }
 
@@ -693,10 +946,7 @@ impl ChunkStoreWriter {
             .into_iter()
             .map(|done| match done {
                 true => Progress::Written,
-                false => Progress::Filling {
-                    filled: 0,
-                    rows: Vec::new(),
-                },
+                false => Progress::empty(),
             })
             .collect();
         ChunkStoreWriter {
@@ -704,8 +954,106 @@ impl ChunkStoreWriter {
             sites,
             chunk_sites,
             chunks,
+            patch: None,
             bytes_written: 0,
         }
+    }
+
+    /// Opens the next epoch's store at `dir` over the previous epoch's
+    /// store `prev`: a world of `sites` sites (site tables only grow)
+    /// whose sites `migrated` (strictly increasing, each below
+    /// `prev.sites`) changed in place.
+    ///
+    /// Every base chunk the growth leaves at its row count, and every
+    /// patch, is hard-linked (copy fallback) and checked by header and
+    /// checksum, not decoded. The previous short tail chunk, which the
+    /// appended sites grow, has its rows decoded and committed again —
+    /// including the old rows of migrated sites, which stay superseded.
+    /// `migrated` become the store's newest patch, which commits fill
+    /// like a chunk. What is left to commit is exactly the appended sites
+    /// and `migrated`.
+    pub(crate) fn carry(
+        prev: &ChunkStore,
+        dir: &Path,
+        label: &str,
+        sites: usize,
+        migrated: &[u32],
+    ) -> io::Result<(Self, Carried)> {
+        if sites < prev.sites {
+            return Err(bad(format!(
+                "site tables never shrink ({} -> {sites} sites)",
+                prev.sites
+            )));
+        }
+        if migrated.windows(2).any(|w| w[0] >= w[1])
+            || migrated.last().is_some_and(|&s| s as usize >= prev.sites)
+        {
+            return Err(bad(format!(
+                "migrated sites must be strictly increasing and below {}",
+                prev.sites
+            )));
+        }
+        if std::fs::canonicalize(dir).ok() == Some(std::fs::canonicalize(&prev.dir)?) {
+            return Err(bad("an epoch cannot be carried into its own store"));
+        }
+        let mut patches = prev.patches.clone();
+        if !migrated.is_empty() {
+            patches.push(PatchMeta {
+                rows: migrated.len(),
+                below: prev.sites,
+            });
+        }
+        let k = prev.chunk_sites;
+        let mut w = Self::create_with(dir, label, sites, k, &patches)?;
+        let mut carried = Carried {
+            chunks: 0,
+            tail_rows: 0,
+        };
+        for c in 0..prev.num_chunks() {
+            let rows = prev.chunk_rows(c);
+            if rows == w.chunk_rows(c) {
+                w.link(prev, LayerId::Chunk(c))?;
+                carried.chunks += 1;
+                continue;
+            }
+            let chunk = prev.read_chunk(c)?;
+            for r in 0..rows {
+                if let (_, Some(claim)) = w.fill(LayerId::Chunk(c), r, chunk.observation(r)) {
+                    w.record(claim.write())?;
+                }
+            }
+            carried.tail_rows += rows;
+        }
+        for p in 0..prev.patches.len() {
+            w.link(prev, LayerId::Patch(p))?;
+        }
+        if !migrated.is_empty() {
+            w.patch = Some(PatchSlot {
+                index: prev.patches.len(),
+                below: prev.sites,
+                sites: migrated.to_vec(),
+                progress: Progress::empty(),
+            });
+        }
+        Ok((w, carried))
+    }
+
+    /// Hard-links (copy fallback) one layer file of `prev` into this
+    /// store and checks its header and checksum against `prev`'s
+    /// manifest. A corrupt or missing file fails the carry.
+    fn link(&mut self, prev: &ChunkStore, layer: LayerId) -> io::Result<()> {
+        let (from, to) = (layer.path(&prev.dir), layer.path(&self.dir));
+        if std::fs::hard_link(&from, &to).is_err() {
+            std::fs::copy(&from, &to)?;
+        }
+        let bytes = std::fs::read(&to)?;
+        verify_frame(&bytes, prev.expect(layer)?)
+            .map_err(|e| bad(format!("carried {layer}: {e}")))?;
+        self.bytes_written += bytes.len() as u64;
+        if let LayerId::Chunk(c) = layer {
+            self.chunks[c] = Progress::Written;
+        }
+        Ok(())
     }
 
     /// Reopens an existing store for resume: the manifest must match, valid
@@ -715,7 +1063,8 @@ impl ChunkStoreWriter {
     /// no manifest exists (a crash before the store was set up), and
     /// rewrites an unparseable manifest in place from the caller's run
     /// metadata — crucially *not* via [`Self::create`], which would wipe
-    /// the surviving chunk files the resume is here to keep.
+    /// the surviving chunk files the resume is here to keep. A store with
+    /// patches is an epoch's, not a run's, and is refused.
     pub fn resume(dir: &Path, label: &str, sites: usize, chunk_sites: usize) -> io::Result<Self> {
         if !manifest_path(dir).exists() {
             return Self::create(dir, label, sites, chunk_sites);
@@ -724,7 +1073,7 @@ impl ChunkStoreWriter {
             Ok(store) => store,
             Err(e) => {
                 if manifest_is_torn(dir)? {
-                    write_manifest(dir, label, sites, chunk_sites)?;
+                    write_manifest(dir, label, sites, chunk_sites, &[])?;
                     ChunkStore::open(dir)?
                 } else {
                     return Err(e);
@@ -737,13 +1086,18 @@ impl ChunkStoreWriter {
                 store.label, store.sites, store.chunk_sites, label, sites, chunk_sites
             )));
         }
+        if !store.patches.is_empty() {
+            return Err(bad(
+                "store carries patches: a run resumes only an unpatched store",
+            ));
+        }
         let chunks = store.num_chunks();
         let mut written = vec![false; chunks];
         for (c, w) in written.iter_mut().enumerate() {
             match store.chunk_state(c) {
                 ChunkState::Valid => *w = true,
                 ChunkState::Missing => {}
-                ChunkState::Corrupt(_) => std::fs::remove_file(chunk_path(dir, c))?,
+                ChunkState::Corrupt(_) => std::fs::remove_file(LayerId::Chunk(c).path(dir))?,
             }
         }
         Ok(Self::with_written(dir, sites, chunk_sites, written))
@@ -761,17 +1115,40 @@ impl ChunkStoreWriter {
         (self.sites - self.chunk_lo(chunk)).min(self.chunk_sites)
     }
 
+    /// The patch slot `site` commits to, if the epoch migrated it.
+    fn patch_slot(&self, site: usize) -> Option<(LayerId, usize)> {
+        let p = self.patch.as_ref()?;
+        let slot = p.sites.binary_search(&u32::try_from(site).ok()?).ok()?;
+        Some((LayerId::Patch(p.index), slot))
+    }
+
+    fn progress(&mut self, layer: LayerId) -> (&mut Progress, usize) {
+        match layer {
+            LayerId::Chunk(c) => {
+                let rows = self.chunk_rows(c);
+                (&mut self.chunks[c], rows)
+            }
+            LayerId::Patch(_) => {
+                let p = self.patch.as_mut().expect("the writer has a patch");
+                (&mut p.progress, p.sites.len())
+            }
+        }
+    }
+
     /// Whether a chunk has been durably written.
     pub fn chunk_written(&self, chunk: usize) -> bool {
         matches!(self.chunks[chunk], Progress::Written)
     }
 
-    /// Whether a site's chunk has been durably written.
+    /// Whether a site's row has been durably written.
     pub fn site_durable(&self, site: usize) -> bool {
-        self.chunk_written(self.chunk_of(site))
+        match (self.patch_slot(site), &self.patch) {
+            (Some(_), Some(p)) => matches!(p.progress, Progress::Written),
+            _ => self.chunk_written(self.chunk_of(site)),
+        }
     }
 
-    /// Total chunk-file bytes written by this writer.
+    /// Total layer-file bytes written (or carried) by this writer.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
@@ -794,132 +1171,106 @@ impl ChunkStoreWriter {
     }
 
     /// Stores one observation without writing anything. Returns whether it
-    /// was stored — `false` for a site already committed or a chunk already
-    /// claimed or on disk — and, when it completed its chunk, the claim on
-    /// that chunk, which the caller writes and [`ChunkStoreWriter::record`]s.
+    /// was stored — `false` for a site already committed or a layer already
+    /// claimed or on disk — and, when it completed its layer, the claim on
+    /// that layer, which the caller writes and [`ChunkStoreWriter::record`]s.
+    /// A site the epoch migrated goes to the patch; every other site to its
+    /// base chunk.
     pub(crate) fn insert(
         &mut self,
         site: usize,
         obs: SiteObservation,
     ) -> (bool, Option<ClaimedChunk>) {
         assert!(site < self.sites, "site {site} out of range");
-        let c = self.chunk_of(site);
-        let (lo, n_rows) = (self.chunk_lo(c), self.chunk_rows(c));
-        let Progress::Filling { filled, rows } = &mut self.chunks[c] else {
+        let (layer, slot) = self.patch_slot(site).unwrap_or_else(|| {
+            let c = self.chunk_of(site);
+            (LayerId::Chunk(c), site - self.chunk_lo(c))
+        });
+        self.fill(layer, slot, obs)
+    }
+
+    /// Stores `obs` as row `slot` of `layer` (see [`Self::insert`]).
+    fn fill(
+        &mut self,
+        layer: LayerId,
+        slot: usize,
+        obs: SiteObservation,
+    ) -> (bool, Option<ClaimedChunk>) {
+        let (progress, n_rows) = self.progress(layer);
+        let Progress::Filling { filled, rows } = progress else {
             return (false, None);
         };
         if rows.is_empty() {
             rows.resize_with(n_rows, || None);
         }
-        let slot = &mut rows[site - lo];
-        if slot.is_some() {
+        let row = &mut rows[slot];
+        if row.is_some() {
             return (false, None);
         }
-        *slot = Some(obs);
+        *row = Some(obs);
         *filled += 1;
         if *filled < n_rows {
             return (true, None);
         }
-        let rows = std::mem::take(rows);
-        self.chunks[c] = Progress::Claimed;
+        let rows = std::mem::take(rows)
+            .into_iter()
+            .map(|r| r.expect("layer complete"))
+            .collect();
+        *progress = Progress::Claimed;
+        let frame = match layer {
+            LayerId::Chunk(index) => Frame::Chunk {
+                index,
+                lo: self.chunk_lo(index),
+            },
+            LayerId::Patch(index) => {
+                let p = self.patch.as_ref().expect("the writer has a patch");
+                Frame::Patch {
+                    index,
+                    below: p.below,
+                    sites: p.sites.clone(),
+                }
+            }
+        };
         let claimed = ClaimedChunk {
-            path: chunk_path(&self.dir, c),
-            index: c,
-            lo,
-            rows: rows
-                .into_iter()
-                .map(|r| r.expect("chunk complete"))
-                .collect(),
+            path: layer.path(&self.dir),
+            frame,
+            rows,
         };
         (true, Some(claimed))
     }
 
-    /// Records the outcome of writing a claimed chunk. A failed write
-    /// leaves the chunk claimed, so [`ChunkStoreWriter::finish`] refuses
+    /// Records the outcome of writing a claimed layer. A failed write
+    /// leaves the layer claimed, so [`ChunkStoreWriter::finish`] refuses
     /// the store.
     pub(crate) fn record(&mut self, written: io::Result<WrittenChunk>) -> io::Result<()> {
         let written = written?;
-        let chunk = &mut self.chunks[written.index];
+        let (progress, _) = self.progress(written.layer);
         assert!(
-            matches!(chunk, Progress::Claimed),
-            "chunk {} recorded without a claim",
-            written.index
+            matches!(progress, Progress::Claimed),
+            "{} recorded without a claim",
+            written.layer
         );
-        *chunk = Progress::Written;
+        *progress = Progress::Written;
         self.bytes_written += written.bytes;
         Ok(())
     }
 
-    /// Adopts chunk `c` wholesale from a previous epoch's store: the file
-    /// is hard-linked (copy fallback) into this store and verified through
-    /// the normal decode path — header and checksum — before the chunk is
-    /// marked durable. Valid only when the source chunk covers the same
-    /// site range with the same row count; this is the delta path's
-    /// clean-chunk fast lane, and the reason unchanged chunks cost zero
-    /// re-encoding. Adopted files share their inode with the source store,
-    /// so a chunk is never rewritten in place: [`ChunkStore::fsck`] heals
-    /// through a temp file and an atomic rename.
-    pub fn adopt_chunk(&mut self, src: &ChunkStore, c: usize) -> io::Result<()> {
-        assert!(c < self.chunks.len(), "chunk {c} out of range");
-        match &self.chunks[c] {
-            Progress::Filling { filled: 0, .. } => {}
-            Progress::Filling { .. } => {
-                return Err(bad(format!("chunk {c} already has committed sites")))
-            }
-            Progress::Claimed | Progress::Written => {
-                return Err(bad(format!("chunk {c} already written")))
-            }
-        }
-        if src.chunk_sites != self.chunk_sites || src.chunk_rows(c) != self.chunk_rows(c) {
-            return Err(bad(format!(
-                "chunk {c} geometry mismatch: source {}-site chunks ({} rows) vs \
-                 target {}-site chunks ({} rows)",
-                src.chunk_sites,
-                src.chunk_rows(c),
-                self.chunk_sites,
-                self.chunk_rows(c)
-            )));
-        }
-        let from = chunk_path(&src.dir, c);
-        let to = chunk_path(&self.dir, c);
-        // `create` wiped the directory, but an interrupted earlier adoption
-        // retried on the same writer may have left the file behind.
-        if to.exists() {
-            std::fs::remove_file(&to)?;
-        }
-        if std::fs::hard_link(&from, &to).is_err() {
-            std::fs::copy(&from, &to)?;
-        }
-        let mut bytes = Vec::new();
-        File::open(&to)?.read_to_end(&mut bytes)?;
-        decode_chunk(&bytes, c, self.chunk_lo(c), self.chunk_rows(c))
-            .map_err(|e| bad(format!("adopted chunk {c}: {e}")))?;
-        self.bytes_written += bytes.len() as u64;
-        self.chunks[c] = Progress::Written;
-        Ok(())
-    }
-
-    /// Finalizes the store: every chunk must be on disk (an incomplete
-    /// chunk means sites went unmeasured, and a claimed one that its
-    /// write never reached or failed — errors, not shrugs), then the
-    /// directory entry list is fsynced.
-    pub fn finish(self) -> io::Result<()> {
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            match chunk {
-                Progress::Written => {}
-                Progress::Claimed => {
-                    return Err(bad(format!(
-                        "store incomplete: chunk {c} claimed but never written"
-                    )))
+    /// Finalizes the store: every layer must be on disk (an incomplete
+    /// one means sites went unmeasured, and a claimed one that its write
+    /// never reached or failed — errors, not shrugs), then the directory
+    /// entry list is fsynced.
+    pub fn finish(mut self) -> io::Result<()> {
+        let patch = self.patch.as_ref().map(|p| LayerId::Patch(p.index));
+        let layers = (0..self.chunks.len()).map(LayerId::Chunk).chain(patch);
+        for layer in layers.collect::<Vec<_>>() {
+            let why = match self.progress(layer) {
+                (Progress::Written, _) => continue,
+                (Progress::Claimed, _) => "claimed but never written".to_string(),
+                (Progress::Filling { filled, .. }, rows) => {
+                    format!("never finished ({filled} of {rows} sites committed)")
                 }
-                Progress::Filling { filled, .. } => {
-                    return Err(bad(format!(
-                        "store incomplete: chunk {c} never finished ({} of {} sites committed)",
-                        filled,
-                        self.chunk_rows(c)
-                    )))
-                }
-            }
+            };
+            return Err(bad(format!("store incomplete: {layer} {why}")));
         }
         // Make the directory entries themselves durable.
         File::open(&self.dir)?.sync_all()?;
@@ -930,6 +1281,15 @@ impl ChunkStoreWriter {
 // ---------------------------------------------------------------------------
 // Reader
 
+impl std::fmt::Display for LayerId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LayerId::Chunk(c) => write!(f, "chunk {c}"),
+            LayerId::Patch(p) => write!(f, "patch {p}"),
+        }
+    }
+}
+
 /// Validation result for one chunk file.
 #[derive(Debug)]
 pub enum ChunkState {
@@ -939,6 +1299,27 @@ pub enum ChunkState {
     Missing,
     /// Present but unreadable/torn; the message says why.
     Corrupt(String),
+}
+
+/// What [`ChunkStore::fsck`] found of a store's patch layers (all zero and
+/// empty for a store without patches).
+#[derive(Debug, Default)]
+pub struct PatchFsck {
+    /// Patches the manifest lists.
+    pub count: usize,
+    /// Patches present and clean.
+    pub valid: usize,
+    /// Runs of patch indices whose files were absent, as ascending,
+    /// maximal half-open ranges.
+    pub missing: Vec<Range<usize>>,
+    /// Corrupt patch indices with the decode failure for each.
+    pub corrupt: Vec<(usize, String)>,
+    /// Patches re-encoded byte-identically from journal records (repair
+    /// only).
+    pub healed: usize,
+    /// Runs of patches that needed healing but the journal could not
+    /// cover.
+    pub unhealed: Vec<Range<usize>>,
 }
 
 /// Machine-readable outcome of [`ChunkStore::fsck`]: what was found, and
@@ -958,7 +1339,8 @@ pub struct FsckReport {
     pub missing: Vec<Range<usize>>,
     /// Corrupt chunk indices with the decode failure for each.
     pub corrupt: Vec<(usize, String)>,
-    /// Corrupt chunk files moved aside to `quarantine/` (repair only).
+    /// Corrupt chunk and patch files moved aside to `quarantine/` (repair
+    /// only).
     pub quarantined: usize,
     /// Chunks re-encoded byte-identically from journal records (repair
     /// only).
@@ -966,21 +1348,25 @@ pub struct FsckReport {
     /// Runs of chunks that needed healing but the journal could not
     /// cover, as ascending, maximal half-open ranges.
     pub unhealed: Vec<Range<usize>>,
+    /// The patch layers, found and healed alike.
+    pub patches: PatchFsck,
 }
 
 impl FsckReport {
-    /// Whether the store needed nothing: every chunk present and clean.
+    /// Whether the store needed nothing: every chunk and patch present
+    /// and clean.
     pub fn clean(&self) -> bool {
-        self.valid == self.chunks
+        self.valid == self.chunks && self.patches.valid == self.patches.count
     }
 
     /// Whether the store is fully intact *after* this pass (either it was
-    /// clean, or repair healed every damaged chunk).
+    /// clean, or repair healed every damaged chunk and patch).
     pub fn intact(&self) -> bool {
         self.valid + self.healed == self.chunks
+            && self.patches.valid + self.patches.healed == self.patches.count
     }
 
-    /// JSON rendering for the CLI; a chunk range renders as its
+    /// JSON rendering for the CLI; a layer range renders as its
     /// half-open `[start, end]` pair.
     pub fn to_value(&self) -> Value {
         let idxs = |v: &[Range<usize>]| {
@@ -992,29 +1378,40 @@ impl FsckReport {
                     .collect(),
             )
         };
+        let corrupt = |v: &[(usize, String)], kind: &str| {
+            Value::Array(
+                v.iter()
+                    .map(|(i, why)| {
+                        Value::Object(vec![
+                            (kind.into(), Value::U64(*i as u64)),
+                            ("error".into(), Value::String(why.clone())),
+                        ])
+                    })
+                    .collect(),
+            )
+        };
+        let p = &self.patches;
         Value::Object(vec![
             ("label".into(), Value::String(self.label.clone())),
             ("sites".into(), Value::U64(self.sites as u64)),
             ("chunks".into(), Value::U64(self.chunks as u64)),
             ("valid".into(), Value::U64(self.valid as u64)),
             ("missing".into(), idxs(&self.missing)),
-            (
-                "corrupt".into(),
-                Value::Array(
-                    self.corrupt
-                        .iter()
-                        .map(|(i, why)| {
-                            Value::Object(vec![
-                                ("chunk".into(), Value::U64(*i as u64)),
-                                ("error".into(), Value::String(why.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("corrupt".into(), corrupt(&self.corrupt, "chunk")),
             ("quarantined".into(), Value::U64(self.quarantined as u64)),
             ("healed".into(), Value::U64(self.healed as u64)),
             ("unhealed".into(), idxs(&self.unhealed)),
+            (
+                "patches".into(),
+                Value::Object(vec![
+                    ("count".into(), Value::U64(p.count as u64)),
+                    ("valid".into(), Value::U64(p.valid as u64)),
+                    ("missing".into(), idxs(&p.missing)),
+                    ("corrupt".into(), corrupt(&p.corrupt, "patch")),
+                    ("healed".into(), Value::U64(p.healed as u64)),
+                    ("unhealed".into(), idxs(&p.unhealed)),
+                ]),
+            ),
             ("intact".into(), Value::Bool(self.intact())),
         ])
     }
@@ -1029,6 +1426,8 @@ pub struct ChunkStore {
     pub sites: usize,
     /// Chunk size from the manifest.
     pub chunk_sites: usize,
+    /// The patch layers, oldest first.
+    patches: Vec<PatchMeta>,
 }
 
 impl ChunkStore {
@@ -1040,9 +1439,6 @@ impl ChunkStore {
             .map_err(|e| bad(format!("bad store manifest: {e}")))?;
         if m["magic"] != STORE_MAGIC {
             return Err(bad("not a chunk store (bad magic)"));
-        }
-        if m["version"].as_u64() != Some(STORE_VERSION) {
-            return Err(bad(format!("unsupported store version {}", m["version"])));
         }
         let label = m["label"]
             .as_str()
@@ -1064,11 +1460,27 @@ impl ChunkStore {
             .as_u64()
             .filter(|&k| k > 0)
             .ok_or_else(|| bad("manifest missing chunk_sites"))? as usize;
+        let patches = match (m["version"].as_u64(), m.get("patches")) {
+            (Some(STORE_VERSION), None) => Vec::new(),
+            (Some(PATCHED_STORE_VERSION), Some(list)) => parse_patches(list, sites)?,
+            _ => {
+                return Err(bad(format!(
+                    "unsupported store version {} (with{} a patch list)",
+                    m["version"],
+                    if m.get("patches").is_some() {
+                        ""
+                    } else {
+                        "out"
+                    }
+                )))
+            }
+        };
         Ok(ChunkStore {
             dir: dir.to_path_buf(),
             label,
             sites,
             chunk_sites,
+            patches,
         })
     }
 
@@ -1082,21 +1494,101 @@ impl ChunkStore {
         (self.sites - c * self.chunk_sites).min(self.chunk_sites)
     }
 
-    /// Validates chunk `c` without keeping its data.
-    pub fn chunk_state(&self, c: usize) -> ChunkState {
-        match self.read_chunk(c) {
+    /// Number of patch layers the manifest lists.
+    pub fn num_patches(&self) -> usize {
+        self.patches.len()
+    }
+
+    /// Rows over all patch layers: the superseded base rows a full walk
+    /// decodes on top of one row per site.
+    pub fn patch_rows(&self) -> usize {
+        self.patches.iter().map(|p| p.rows).sum()
+    }
+
+    /// What `layer`'s header must say, if the manifest has that layer.
+    fn expect(&self, layer: LayerId) -> io::Result<Expect> {
+        match layer {
+            LayerId::Chunk(c) if c < self.num_chunks() => {
+                Ok(Expect::chunk(c, c * self.chunk_sites, self.chunk_rows(c)))
+            }
+            LayerId::Patch(p) if p < self.patches.len() => Ok(Expect::patch(p, self.patches[p])),
+            _ => Err(bad(format!("{layer} is not in the manifest"))),
+        }
+    }
+
+    fn read_layer(&self, layer: LayerId) -> io::Result<DecodedChunk> {
+        let want = self.expect(layer)?;
+        let bytes = std::fs::read(layer.path(&self.dir))?;
+        decode_layer(&bytes, want).map_err(|e| bad(format!("{layer}: {e}")))
+    }
+
+    fn layer_state(&self, layer: LayerId) -> ChunkState {
+        match self.read_layer(layer) {
             Ok(_) => ChunkState::Valid,
             Err(e) if e.kind() == io::ErrorKind::NotFound => ChunkState::Missing,
             Err(e) => ChunkState::Corrupt(e.to_string()),
         }
     }
 
-    /// Reads and decodes chunk `c`.
+    /// Validates chunk `c` without keeping its data.
+    pub fn chunk_state(&self, c: usize) -> ChunkState {
+        self.layer_state(LayerId::Chunk(c))
+    }
+
+    /// Reads and decodes base chunk `c` — its rows as written, some of
+    /// which a patch may supersede (see [`ChunkStore::layers`]).
     pub fn read_chunk(&self, c: usize) -> io::Result<DecodedChunk> {
-        let mut bytes = Vec::new();
-        File::open(chunk_path(&self.dir, c))?.read_to_end(&mut bytes)?;
-        decode_chunk(&bytes, c, c * self.chunk_sites, self.chunk_rows(c))
-            .map_err(|e| bad(format!("chunk {c}: {e}")))
+        self.read_layer(LayerId::Chunk(c))
+    }
+
+    /// The one walk over the store: every base chunk in site order, then
+    /// every patch, oldest first, each decoded and verified. A site's row
+    /// is the one in the last layer that holds it, so a reader that
+    /// overwrites per site in walk order reads the store.
+    pub fn layers(&self) -> impl Iterator<Item = io::Result<DecodedChunk>> + '_ {
+        let chunks = (0..self.num_chunks()).map(LayerId::Chunk);
+        let patches = (0..self.patches.len()).map(LayerId::Patch);
+        chunks.chain(patches).map(|layer| self.read_layer(layer))
+    }
+
+    /// The part of the walk that holds the newest rows of one epoch's
+    /// dirty sites, as [`crate::measure_delta`] wrote the store: the base
+    /// chunks covering the appended sites `added`, then — when `migrated`
+    /// is not empty — the newest patch, which must list exactly
+    /// `migrated`. A store without patches (compacted, or measured from
+    /// scratch) holds the migrated rows in its base chunks, and those
+    /// chunks are read instead. These layers also hold rows of clean
+    /// sites, possibly superseded ones: a reader takes only dirty rows.
+    pub fn dirty_layers<'a>(
+        &'a self,
+        added: Range<usize>,
+        migrated: &'a [u32],
+    ) -> impl Iterator<Item = io::Result<DecodedChunk>> + 'a {
+        let k = self.chunk_sites;
+        let newest = match migrated {
+            [] => None,
+            _ => self.patches.len().checked_sub(1),
+        };
+        let mut chunks: Vec<usize> = match (migrated, newest) {
+            ([_, ..], None) => migrated.iter().map(|&s| s as usize / k).collect(),
+            _ => Vec::new(),
+        };
+        if !added.is_empty() {
+            chunks.extend(added.start / k..=(added.end - 1) / k);
+        }
+        chunks.sort_unstable();
+        chunks.dedup();
+        let patch = newest.map(move |p| {
+            let patch = self.read_layer(LayerId::Patch(p))?;
+            if patch.sites != migrated {
+                return Err(bad(format!(
+                    "patch {p} does not hold exactly the {} migrated sites",
+                    migrated.len()
+                )));
+            }
+            Ok(patch)
+        });
+        chunks.into_iter().map(|c| self.read_chunk(c)).chain(patch)
     }
 
     /// Materializes the full [`MeasuredDataset`] — the dual-feasible-size
@@ -1113,10 +1605,15 @@ impl ChunkStore {
             )));
         }
         let mut observations = Vec::with_capacity(self.sites);
-        for c in 0..self.num_chunks() {
-            let chunk = self.read_chunk(c)?;
-            for r in 0..chunk.rows {
-                observations.push(chunk.observation(r));
+        for layer in self.layers() {
+            let layer = layer?;
+            for r in 0..layer.rows {
+                // Base chunks arrive in site order and append; a patch
+                // (every site below the site count) overwrites.
+                match observations.get_mut(layer.site(r)) {
+                    Some(slot) => *slot = layer.observation(r),
+                    None => observations.push(layer.observation(r)),
+                }
             }
         }
         Ok(MeasuredDataset {
@@ -1125,122 +1622,263 @@ impl ChunkStore {
         })
     }
 
-    /// Verifies every chunk file of the store at `dir` — checksum,
-    /// header, and full column decode — and reports what it finds. With
-    /// `repair`, corrupt chunk files are moved aside to `quarantine/`
-    /// (never deleted: the damaged bytes stay available for post-mortem)
-    /// and missing or quarantined chunks are re-encoded from `journal`
-    /// records where the journal covers all their rows. Chunk bytes are a
-    /// pure function of the rows, so a healed chunk is byte-identical to
-    /// the one the original run wrote; each is decode-verified before the
-    /// atomic rename into place.
+    /// Rewrites the store at `dir` into the layout a from-scratch
+    /// measurement writes: every base chunk holding a patched site is
+    /// re-encoded with the site's newest row (a temp file renamed over
+    /// the old name, so a chunk hard-linked from an earlier epoch is
+    /// left to that epoch), then the version-1 manifest replaces the
+    /// patched one and the patch files are deleted. Chunk bytes are a
+    /// pure function of their rows, so the result is byte-identical to a
+    /// from-scratch `measure_streamed` of the same world. A crash at any
+    /// point leaves a store that reads the same: until the manifest is
+    /// replaced, the patches still win over the re-encoded chunks with
+    /// the same rows, and a stale patch file past the manifest's list is
+    /// never read. Returns the indices of the chunks rewritten (none for
+    /// a store without patches).
+    pub fn compact(dir: &Path) -> io::Result<Vec<usize>> {
+        let store = ChunkStore::open(dir)?;
+        let mut newest: BTreeMap<usize, SiteObservation> = BTreeMap::new();
+        for p in 0..store.patches.len() {
+            let patch = store.read_layer(LayerId::Patch(p))?;
+            for r in 0..patch.rows {
+                newest.insert(patch.site(r), patch.observation(r));
+            }
+        }
+        let k = store.chunk_sites;
+        let touched: BTreeSet<usize> = newest.keys().map(|&site| site / k).collect();
+        for &c in &touched {
+            let chunk = store.read_chunk(c)?;
+            let rows: Vec<SiteObservation> = (0..chunk.rows)
+                .map(|r| {
+                    newest
+                        .remove(&chunk.site(r))
+                        .unwrap_or_else(|| chunk.observation(r))
+                })
+                .collect();
+            let path = LayerId::Chunk(c).path(dir);
+            write_atomically(
+                &path.with_extension("col.tmp"),
+                &path,
+                &encode_chunk(c, c * k, &rows),
+            )?;
+        }
+        if !store.patches.is_empty() {
+            write_manifest(dir, &store.label, store.sites, k, &[])?;
+            for p in 0..store.patches.len() {
+                match std::fs::remove_file(LayerId::Patch(p).path(dir)) {
+                    Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                    _ => {}
+                }
+            }
+            File::open(dir)?.sync_all()?;
+        }
+        Ok(touched.into_iter().collect())
+    }
+
+    /// Verifies every layer file of the store at `dir` — checksum,
+    /// header, and full column decode; a patch's site column too — and
+    /// reports what it finds. With `repair`, corrupt files are moved
+    /// aside to `quarantine/` (never deleted: the damaged bytes stay
+    /// available for post-mortem) and missing or quarantined layers are
+    /// re-encoded from `journal` records where the journal covers all
+    /// their rows: a chunk from the records of its site range, and the
+    /// newest patch from the records below its `below` — exactly its
+    /// sites when the journal is the one of the epoch that wrote it (an
+    /// older patch's epoch measured another world, so its journal never
+    /// loads against this store). Layer bytes are a pure function of the
+    /// rows, so a healed layer is byte-identical to the one the run
+    /// wrote; each is decode-verified before the atomic rename into
+    /// place.
     ///
     /// The manifest is disk input, so nothing is sized by the chunk count
-    /// it implies: fsck decodes only the chunk files the directory lists,
+    /// it implies: fsck decodes only the layer files the directory lists,
     /// reports the absent ones as ranges, and attempts a heal only for
     /// chunks some journal record falls in.
     pub fn fsck(dir: &Path, journal: Option<&Path>, repair: bool) -> io::Result<FsckReport> {
         let store = ChunkStore::open(dir)?;
-        let chunks = store.num_chunks();
-        let mut listed = Vec::new();
+        let (chunks, patches) = (store.num_chunks(), store.patches.len());
+        let (mut listed_chunks, mut listed_patches) = (Vec::new(), Vec::new());
         for entry in std::fs::read_dir(dir)? {
             let name = entry?.file_name();
-            if let Some(c) = name.to_str().and_then(chunk_index_of) {
-                if c < chunks {
-                    listed.push(c);
-                }
+            match name.to_str().and_then(LayerId::of_file_name) {
+                Some(LayerId::Chunk(c)) if c < chunks => listed_chunks.push(c),
+                Some(LayerId::Patch(p)) if p < patches => listed_patches.push(p),
+                _ => {}
             }
         }
-        listed.sort_unstable();
-
+        let mut quarantined = 0;
+        let mut chunk_scan = store.scan(listed_chunks, LayerId::Chunk, repair, &mut quarantined)?;
+        let mut patch_scan =
+            store.scan(listed_patches, LayerId::Patch, repair, &mut quarantined)?;
         let mut report = FsckReport {
             label: store.label.clone(),
             sites: store.sites,
             chunks,
-            valid: 0,
-            missing: Vec::new(),
-            corrupt: Vec::new(),
-            quarantined: 0,
+            valid: chunk_scan.valid.len(),
+            missing: gaps(&chunk_scan.present, chunks),
+            corrupt: std::mem::take(&mut chunk_scan.corrupt),
+            quarantined,
             healed: 0,
             unhealed: Vec::new(),
+            patches: PatchFsck {
+                count: patches,
+                valid: patch_scan.valid.len(),
+                missing: gaps(&patch_scan.present, patches),
+                corrupt: std::mem::take(&mut patch_scan.corrupt),
+                ..PatchFsck::default()
+            },
         };
-        let mut valid = Vec::with_capacity(listed.len());
-        let mut present = Vec::with_capacity(listed.len());
-        for c in listed {
-            match store.chunk_state(c) {
-                ChunkState::Valid => valid.push(c),
-                // Listed, then gone before the open: absent all the same.
-                ChunkState::Missing => continue,
-                ChunkState::Corrupt(why) => {
-                    report.corrupt.push((c, why));
-                    if repair {
-                        let qdir = dir.join("quarantine");
-                        std::fs::create_dir_all(&qdir)?;
-                        let dst = qdir.join(format!("chunk-{c:06}.col"));
-                        if dst.exists() {
-                            std::fs::remove_file(&dst)?;
-                        }
-                        std::fs::rename(chunk_path(dir, c), dst)?;
-                        report.quarantined += 1;
-                    }
-                }
-            }
-            present.push(c);
-        }
-        report.valid = valid.len();
-        report.missing = gaps(&present, chunks);
-        if !repair || valid.len() == chunks {
+        if !repair || report.clean() {
             return Ok(report);
         }
 
-        // Every chunk without a valid file needs healing: the absent ones
+        // Every layer without a valid file needs healing: the absent ones
         // and the corrupt ones just quarantined.
-        let mut healed = Vec::new();
+        let (mut healed_chunks, mut healed_patches) = (Vec::new(), Vec::new());
         if let Some(path) = journal {
             let loaded = crate::journal::load_for(path, &store.label, store.sites)?;
             // Indexed by site, so the heal costs what the journal holds —
             // never a slot per site the manifest claims.
             let by_site: HashMap<usize, &SiteObservation> =
                 loaded.records.iter().map(|(i, obs)| (*i, obs)).collect();
-            let touched: BTreeSet<usize> = by_site.keys().map(|&i| i / store.chunk_sites).collect();
+            let k = store.chunk_sites;
+            let touched: BTreeSet<usize> = by_site.keys().map(|&i| i / k).collect();
             for c in touched {
-                if c >= chunks || valid.binary_search(&c).is_ok() {
+                if c >= chunks || chunk_scan.valid.binary_search(&c).is_ok() {
                     continue;
                 }
-                let lo = c * store.chunk_sites;
-                let rows = store.chunk_rows(c);
-                let covered: Option<Vec<SiteObservation>> = (lo..lo + rows)
+                let lo = c * k;
+                let covered: Option<Vec<SiteObservation>> = (lo..lo + store.chunk_rows(c))
                     .map(|i| by_site.get(&i).map(|&obs| obs.clone()))
                     .collect();
-                let Some(batch) = covered else {
-                    continue;
-                };
-                let bytes = encode_chunk(c, lo, &batch);
-                decode_chunk(&bytes, c, lo, rows)
-                    .map_err(|e| bad(format!("healed chunk {c} failed verification: {e}")))?;
-                let tmp = dir.join(format!("chunk-{c:06}.col.tmp"));
-                let mut f = File::create(&tmp)?;
-                f.write_all(&bytes)?;
-                f.sync_data()?;
-                std::fs::rename(&tmp, chunk_path(dir, c))?;
-                healed.push(c);
+                if let Some(rows) = covered {
+                    store.heal(LayerId::Chunk(c), Frame::Chunk { index: c, lo }, &rows)?;
+                    healed_chunks.push(c);
+                }
+            }
+            if let Some(p) = patches.checked_sub(1) {
+                let meta = store.patches[p];
+                if patch_scan.valid.binary_search(&p).is_err() {
+                    let mut sites: Vec<usize> = by_site
+                        .keys()
+                        .copied()
+                        .filter(|&i| i < meta.below)
+                        .collect();
+                    sites.sort_unstable();
+                    if sites.len() == meta.rows {
+                        let rows: Vec<SiteObservation> =
+                            sites.iter().map(|i| by_site[i].clone()).collect();
+                        let frame = Frame::Patch {
+                            index: p,
+                            below: meta.below,
+                            sites: sites.iter().map(|&i| i as u32).collect(),
+                        };
+                        store.heal(LayerId::Patch(p), frame, &rows)?;
+                        healed_patches.push(p);
+                    }
+                }
             }
         }
-        report.healed = healed.len();
-        valid.extend(healed);
-        valid.sort_unstable();
-        report.unhealed = gaps(&valid, chunks);
+        report.healed = healed_chunks.len();
+        report.unhealed = gaps(&merged(chunk_scan.valid, healed_chunks), chunks);
+        report.patches.healed = healed_patches.len();
+        report.patches.unhealed = gaps(&merged(patch_scan.valid, healed_patches), patches);
         File::open(dir)?.sync_all()?;
         Ok(report)
     }
+
+    /// Decodes each listed layer (ascending after the sort), sorting them
+    /// into valid, present and corrupt; under `repair` a corrupt file
+    /// moves to `quarantine/`.
+    fn scan(
+        &self,
+        mut listed: Vec<usize>,
+        id: fn(usize) -> LayerId,
+        repair: bool,
+        quarantined: &mut usize,
+    ) -> io::Result<Scan> {
+        listed.sort_unstable();
+        let mut scan = Scan {
+            valid: Vec::with_capacity(listed.len()),
+            present: Vec::with_capacity(listed.len()),
+            corrupt: Vec::new(),
+        };
+        for i in listed {
+            match self.layer_state(id(i)) {
+                ChunkState::Valid => scan.valid.push(i),
+                // Listed, then gone before the open: absent all the same.
+                ChunkState::Missing => continue,
+                ChunkState::Corrupt(why) => {
+                    scan.corrupt.push((i, why));
+                    if repair {
+                        let qdir = self.dir.join("quarantine");
+                        std::fs::create_dir_all(&qdir)?;
+                        let dst = qdir.join(id(i).file_name());
+                        if dst.exists() {
+                            std::fs::remove_file(&dst)?;
+                        }
+                        std::fs::rename(id(i).path(&self.dir), dst)?;
+                        *quarantined += 1;
+                    }
+                }
+            }
+            scan.present.push(i);
+        }
+        Ok(scan)
+    }
+
+    /// Encodes a healed layer, verifies it against the manifest and
+    /// renames it into place.
+    fn heal(&self, layer: LayerId, frame: Frame, rows: &[SiteObservation]) -> io::Result<()> {
+        let bytes = encode_layer(&frame, rows);
+        decode_layer(&bytes, self.expect(layer)?)
+            .map_err(|e| bad(format!("healed {layer} failed verification: {e}")))?;
+        let path = layer.path(&self.dir);
+        write_atomically(&path.with_extension("col.tmp"), &path, &bytes)
+    }
 }
 
-/// The chunk index a file name spells, if it is exactly the name
-/// [`chunk_path`] gives that index.
-fn chunk_index_of(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("chunk-")?.strip_suffix(".col")?;
-    let c: usize = digits.parse().ok()?;
-    (format!("{c:06}") == digits).then_some(c)
+/// One kind of layer as [`ChunkStore::fsck`] found it, by index.
+struct Scan {
+    valid: Vec<usize>,
+    present: Vec<usize>,
+    corrupt: Vec<(usize, String)>,
+}
+
+/// The manifest's patch list: each entry `{"rows":R,"below":B}` with
+/// `1 ≤ R ≤ B ≤ sites` (a patch's sites are distinct and below `B`), and
+/// at least one entry — a store without patches is version 1.
+fn parse_patches(list: &Value, sites: usize) -> io::Result<Vec<PatchMeta>> {
+    let list = list
+        .as_array()
+        .filter(|l| !l.is_empty())
+        .ok_or_else(|| bad("manifest patch list is not a non-empty array"))?;
+    list.iter()
+        .enumerate()
+        .map(|(p, entry)| {
+            let field = |name: &str| entry.get(name).and_then(Value::as_u64);
+            match (field("rows"), field("below")) {
+                (Some(rows), Some(below))
+                    if 1 <= rows && rows <= below && below <= sites as u64 =>
+                {
+                    Ok(PatchMeta {
+                        rows: rows as usize,
+                        below: below as usize,
+                    })
+                }
+                _ => Err(bad(format!(
+                    "manifest patch {p} is not {{rows, below}} with 1 <= rows <= below <= {sites}"
+                ))),
+            }
+        })
+        .collect()
+}
+
+/// Two ascending, disjoint index lists merged into one.
+fn merged(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
+    a.extend(b);
+    a.sort_unstable();
+    a
 }
 
 /// The runs of `0..n` not in `taken` (ascending, distinct, each below
@@ -1398,57 +2036,246 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every site's newest row, read through the store's walk.
     fn read_all(store: &ChunkStore) -> Vec<SiteObservation> {
-        let mut out = Vec::new();
-        for c in 0..store.num_chunks() {
-            let chunk = store.read_chunk(c).unwrap();
-            for r in 0..chunk.rows {
-                out.push(chunk.observation(r));
+        let mut out: Vec<SiteObservation> = Vec::new();
+        for layer in store.layers() {
+            let layer = layer.unwrap();
+            for r in 0..layer.rows {
+                match out.get_mut(layer.site(r)) {
+                    Some(slot) => *slot = layer.observation(r),
+                    None => out.push(layer.observation(r)),
+                }
             }
         }
         out
     }
 
-    #[test]
-    fn adopt_chunk_links_verified_bytes() {
-        let dir = tmp("adopt-src");
-        let dir2 = tmp("adopt-dst");
-        let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&dir2);
-        let n = 100;
-        write_store(&dir, n, 16);
-        let src = ChunkStore::open(&dir).unwrap();
+    /// Site `i` after an in-place migration in some epoch.
+    fn moved(i: usize, epoch: u32) -> SiteObservation {
+        let mut o = sample_obs(i);
+        o.hosting_org = Some(1000 * epoch + i as u32);
+        o
+    }
 
-        let mut w = ChunkStoreWriter::create(&dir2, "t-v1", n, 16).unwrap();
-        for c in 0..src.num_chunks() {
-            w.adopt_chunk(&src, c).unwrap();
-            assert!(w.chunk_written(c));
-            // Double adoption is an error, not silent corruption.
-            assert!(w.adopt_chunk(&src, c).is_err());
+    /// Carries `prev_dir` into `dir` as an epoch of `sites` sites whose
+    /// `migrated` sites moved, commits the new rows, and returns the
+    /// carry accounting; `rows` goes from the previous epoch's newest rows
+    /// to this one's.
+    fn carry_epoch(
+        prev_dir: &Path,
+        dir: &Path,
+        sites: usize,
+        migrated: &[u32],
+        epoch: u32,
+        rows: &mut Vec<SiteObservation>,
+    ) -> Carried {
+        let prev = ChunkStore::open(prev_dir).unwrap();
+        let (mut w, carried) =
+            ChunkStoreWriter::carry(&prev, dir, "t-v1", sites, migrated).unwrap();
+        for &i in migrated {
+            rows[i as usize] = moved(i as usize, epoch);
+        }
+        rows.extend((rows.len()..sites).map(sample_obs));
+        for i in migrated
+            .iter()
+            .map(|&i| i as usize)
+            .chain(prev.sites..sites)
+        {
+            assert!(w.commit(i, &rows[i]).unwrap());
         }
         w.finish().unwrap();
-        for c in 0..src.num_chunks() {
+        carried
+    }
+
+    fn layer_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| LayerId::of_file_name(n).is_some())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Two epochs over a three-chunk store: the full chunks and the
+    /// earlier patch are carried byte for byte, the short tail is
+    /// re-encoded with its old rows (one of them superseded), migrated
+    /// sites land in a new patch — site 3 migrates twice — and the walk
+    /// reads every site's newest row. Compaction then writes exactly the
+    /// store a from-scratch run of those rows writes.
+    #[test]
+    fn carry_links_layers_and_patches_migrated_sites() {
+        let (e0, e1, e2) = (tmp("carry-e0"), tmp("carry-e1"), tmp("carry-e2"));
+        let (scratch, copy) = (tmp("carry-scratch"), tmp("carry-copy"));
+        for d in [&e0, &e1, &e2, &scratch, &copy] {
+            let _ = fs::remove_dir_all(d);
+        }
+        let mut rows = write_store(&e0, 40, 16);
+
+        // Epoch 1 grows the short tail chunk 2 (sites 32..40, with
+        // migrated site 35 in it) and adds chunk 3.
+        let carried = carry_epoch(&e0, &e1, 50, &[3, 20, 35], 1, &mut rows);
+        assert_eq!((carried.chunks, carried.tail_rows), (2, 8));
+        for name in ["chunk-000000.col", "chunk-000001.col"] {
             assert_eq!(
-                fs::read(dir.join(format!("chunk-{c:06}.col"))).unwrap(),
-                fs::read(dir2.join(format!("chunk-{c:06}.col"))).unwrap(),
-                "adopted chunk {c} differs"
+                fs::read(e0.join(name)).unwrap(),
+                fs::read(e1.join(name)).unwrap()
             );
         }
+        let store = ChunkStore::open(&e1).unwrap();
+        assert_eq!((store.num_patches(), store.patch_rows()), (1, 3));
+        assert_eq!(read_all(&store), rows);
+        // The re-encoded tail keeps site 35's superseded base row.
+        assert_eq!(store.read_chunk(2).unwrap().observation(3), sample_obs(35));
 
-        // A geometry mismatch is refused before any bytes move.
-        let dir3 = tmp("adopt-badgeo");
-        let _ = fs::remove_dir_all(&dir3);
-        let mut w = ChunkStoreWriter::create(&dir3, "t-v1", n, 32).unwrap();
-        assert!(w.adopt_chunk(&src, 0).is_err());
-        // A corrupt source chunk is caught by the read-back verification.
-        let victim = dir.join("chunk-000001.col");
+        // Epoch 2 does not grow: every chunk and the patch are carried.
+        let carried = carry_epoch(&e1, &e2, 50, &[3, 41], 2, &mut rows);
+        assert_eq!((carried.chunks, carried.tail_rows), (4, 0));
+        assert_eq!(
+            fs::read(e1.join("patch-000000.col")).unwrap(),
+            fs::read(e2.join("patch-000000.col")).unwrap()
+        );
+        let store = ChunkStore::open(&e2).unwrap();
+        assert_eq!((store.num_patches(), store.patch_rows()), (2, 5));
+        assert_eq!(read_all(&store), rows);
+
+        let mut w = ChunkStoreWriter::create(&scratch, "t-v1", 50, 16).unwrap();
+        for (i, obs) in rows.iter().enumerate() {
+            w.commit(i, obs).unwrap();
+        }
+        w.finish().unwrap();
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(&e2).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        assert_eq!(ChunkStore::compact(&copy).unwrap(), vec![0, 1, 2]);
+        assert_eq!(layer_files(&copy), layer_files(&scratch));
+        for name in layer_files(&scratch)
+            .iter()
+            .map(String::as_str)
+            .chain(["manifest.json"])
+        {
+            assert_eq!(
+                fs::read(copy.join(name)).unwrap(),
+                fs::read(scratch.join(name)).unwrap(),
+                "{name} differs after compaction"
+            );
+        }
+        assert_eq!(ChunkStore::compact(&copy).unwrap(), Vec::<usize>::new());
+
+        // A corrupt carried layer fails the carry; so does a migrated
+        // site out of order, and carrying a store into itself.
+        let store = ChunkStore::open(&e2).unwrap();
+        let victim = e2.join("patch-000001.col");
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() - 3]).unwrap();
-        let mut w = ChunkStoreWriter::create(&dir3, "t-v1", n, 16).unwrap();
-        assert!(w.adopt_chunk(&src, 1).is_err());
-        fs::remove_dir_all(&dir).unwrap();
-        fs::remove_dir_all(&dir2).unwrap();
-        fs::remove_dir_all(&dir3).unwrap();
+        let err = ChunkStoreWriter::carry(&store, &copy, "t-v1", 50, &[])
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("carried patch 1"), "{err}");
+        assert!(ChunkStoreWriter::carry(&store, &copy, "t-v1", 50, &[5, 4]).is_err());
+        assert!(ChunkStoreWriter::carry(&store, &copy, "t-v1", 50, &[50]).is_err());
+        assert!(ChunkStoreWriter::carry(&store, &e2, "t-v1", 50, &[]).is_err());
+        for d in [&e0, &e1, &e2, &scratch, &copy] {
+            fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    /// A full re-measure into an epoch directory that holds patches must
+    /// leave none behind: the new manifest lists none, and a stale patch
+    /// would otherwise sit there looking like data.
+    #[test]
+    fn create_over_a_patched_store_leaves_no_patch() {
+        let (e0, e1) = (tmp("stale-e0"), tmp("stale-e1"));
+        for d in [&e0, &e1] {
+            let _ = fs::remove_dir_all(d);
+        }
+        let mut rows = write_store(&e0, 40, 16);
+        carry_epoch(&e0, &e1, 44, &[1, 2], 1, &mut rows);
+        assert_eq!(
+            layer_files(&e1)
+                .iter()
+                .filter(|n| n.starts_with("patch-"))
+                .count(),
+            1
+        );
+
+        let mut w = ChunkStoreWriter::create(&e1, "t-v1", 44, 16).unwrap();
+        for (i, obs) in rows.iter().enumerate() {
+            w.commit(i, obs).unwrap();
+        }
+        w.finish().unwrap();
+        assert!(layer_files(&e1).iter().all(|n| n.starts_with("chunk-")));
+        let report = ChunkStore::fsck(&e1, None, false).unwrap();
+        assert!(report.clean() && report.intact(), "{report:?}");
+        assert_eq!(report.patches.count, 0);
+        assert_eq!(read_all(&ChunkStore::open(&e1).unwrap()), rows);
+        for d in [&e0, &e1] {
+            fs::remove_dir_all(d).unwrap();
+        }
+    }
+
+    /// fsck decodes every patch: a corrupt one and a missing one make the
+    /// store unclean, and repair quarantines the corrupt newest patch and
+    /// heals it byte-identically from its epoch's journal, while the older
+    /// missing patch — whose epoch measured another world — stays
+    /// unhealed.
+    #[test]
+    fn fsck_reports_and_heals_patches() {
+        let (e0, e1, e2) = (tmp("fsckp-e0"), tmp("fsckp-e1"), tmp("fsckp-e2"));
+        for d in [&e0, &e1, &e2] {
+            let _ = fs::remove_dir_all(d);
+        }
+        let mut rows = write_store(&e0, 40, 16);
+        carry_epoch(&e0, &e1, 44, &[1, 2, 17], 1, &mut rows);
+        carry_epoch(&e1, &e2, 48, &[2, 30, 41], 2, &mut rows);
+        // The epoch-2 journal: its migrated sites and its appended ones.
+        let jpath = e2.join("run.journal");
+        let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", 48).unwrap();
+        for i in [44, 2, 45, 30, 46, 41, 47] {
+            jw.append(i, &rows[i]).unwrap();
+        }
+        jw.sync().unwrap();
+        let clean = ChunkStore::fsck(&e2, None, false).unwrap();
+        assert!(clean.clean(), "{clean:?}");
+        assert_eq!((clean.patches.count, clean.patches.valid), (2, 2));
+
+        let newest = e2.join("patch-000001.col");
+        let original = fs::read(&newest).unwrap();
+        let mut garbled = original.clone();
+        garbled[30] ^= 0x40;
+        fs::write(&newest, &garbled).unwrap();
+        // Unlinks only e2's name: e1 keeps patch 0.
+        fs::remove_file(e2.join("patch-000000.col")).unwrap();
+
+        let report = ChunkStore::fsck(&e2, None, false).unwrap();
+        assert!(!report.clean() && !report.intact());
+        assert_eq!(report.valid, report.chunks);
+        assert_eq!(report.patches.missing, vec![0..1]);
+        assert_eq!(report.patches.corrupt.len(), 1);
+        assert_eq!(report.patches.corrupt[0].0, 1);
+        let rendered = report.to_value().to_string();
+        assert!(rendered.contains(r#""patch":1"#), "{rendered}");
+
+        let report = ChunkStore::fsck(&e2, Some(&jpath), true).unwrap();
+        assert_eq!((report.quarantined, report.patches.healed), (1, 1));
+        assert_eq!(report.patches.unhealed, vec![0..1]);
+        assert!(!report.intact());
+        assert_eq!(fs::read(&newest).unwrap(), original);
+        assert_eq!(
+            fs::read(e2.join("quarantine/patch-000001.col")).unwrap(),
+            garbled
+        );
+
+        fs::hard_link(e1.join("patch-000000.col"), e2.join("patch-000000.col")).unwrap();
+        let report = ChunkStore::fsck(&e2, None, false).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(read_all(&ChunkStore::open(&e2).unwrap()), rows);
+        for d in [&e0, &e1, &e2] {
+            fs::remove_dir_all(d).unwrap();
+        }
     }
 
     /// A chunk header addresses sites with u32 `lo`/`rows`, so a manifest
@@ -1459,9 +2286,9 @@ mod tests {
         let dir = tmp("huge-manifest");
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        write_manifest(&dir, "t-v1", u32::MAX as usize, 4096).unwrap();
+        write_manifest(&dir, "t-v1", u32::MAX as usize, 4096, &[]).unwrap();
         assert_eq!(ChunkStore::open(&dir).unwrap().sites, u32::MAX as usize);
-        write_manifest(&dir, "t-v1", u32::MAX as usize + 1, 4096).unwrap();
+        write_manifest(&dir, "t-v1", u32::MAX as usize + 1, 4096, &[]).unwrap();
         let err = ChunkStore::open(&dir).err().expect("must be refused");
         assert!(
             err.to_string().contains("more than a chunk header"),
@@ -1481,7 +2308,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let sites = u32::MAX as usize;
-        write_manifest(&dir, "t-v1", sites, 1).unwrap();
+        write_manifest(&dir, "t-v1", sites, 1, &[]).unwrap();
 
         let t0 = std::time::Instant::now();
         let report = ChunkStore::fsck(&dir, None, false).unwrap();
@@ -1579,11 +2406,7 @@ mod tests {
         }
     }
 
-    fn mutation() -> impl Strategy<Value = Mutation> {
-        // Byte 20 is the string count and byte 24 the first string's
-        // length; other count fields (per-row nameserver counts) are hit
-        // at random offsets.
-        let at = prop_oneof![Just(20usize), Just(24usize), any::<usize>()];
+    fn mutation_at(at: impl Strategy<Value = usize> + 'static) -> impl Strategy<Value = Mutation> {
         let big = prop_oneof![Just(u32::MAX), Just(1u32 << 28), any::<u32>()];
         prop_oneof![
             (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
@@ -1593,14 +2416,51 @@ mod tests {
         ]
     }
 
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        // Byte 20 is the string count and byte 24 the first string's
+        // length; other count fields (per-row nameserver counts) are hit
+        // at random offsets.
+        mutation_at(prop_oneof![Just(20usize), Just(24usize), any::<usize>()])
+    }
+
+    /// The rows of the patch `decode_patch_never_panics` damages.
+    const PATCH_ROWS: usize = 20;
+
+    fn patch_mutation() -> impl Strategy<Value = Mutation> {
+        // A patch's site column starts at byte 20, and its string count
+        // and first string length follow the column's 20 sites.
+        let hot = (0..PATCH_ROWS + 2).prop_map(|k| 20 + 4 * k);
+        mutation_at(prop_oneof![hot, any::<usize>()])
+    }
+
     /// One damage to `manifest.json`. Offsets wrap modulo the length;
     /// digit edits pick the `nth` ASCII digit (modulo the digit count).
+    /// `Patches` rewrites a parseable manifest's patch list: it keeps
+    /// `keep` entries (modulo one more than their count) and appends
+    /// `extra` entries of `rows` rows below `below`.
     #[derive(Debug, Clone)]
     enum ManifestEdit {
-        Flip { at: usize, bit: u8 },
-        Truncate { keep: usize },
-        Digit { nth: usize, to: u8 },
-        Grow { nth: usize, digit: u8 },
+        Flip {
+            at: usize,
+            bit: u8,
+        },
+        Truncate {
+            keep: usize,
+        },
+        Digit {
+            nth: usize,
+            to: u8,
+        },
+        Grow {
+            nth: usize,
+            digit: u8,
+        },
+        Patches {
+            keep: usize,
+            extra: usize,
+            rows: u64,
+            below: u64,
+        },
     }
 
     impl ManifestEdit {
@@ -1627,40 +2487,156 @@ mod tests {
                         text.insert(i, b'0' + digit);
                     }
                 }
+                ManifestEdit::Patches {
+                    keep,
+                    extra,
+                    rows,
+                    below,
+                } => {
+                    let parsed =
+                        serde_json::from_str::<Value>(String::from_utf8_lossy(text).trim());
+                    let Ok(Value::Object(mut fields)) = parsed else {
+                        return;
+                    };
+                    let at = match fields.iter().position(|(k, _)| k == "patches") {
+                        Some(at) => at,
+                        None => {
+                            fields.push(("patches".into(), Value::Array(Vec::new())));
+                            fields.len() - 1
+                        }
+                    };
+                    let mut list = fields[at].1.as_array().cloned().unwrap_or_default();
+                    list.truncate(keep % (list.len() + 1));
+                    let entry = Value::Object(vec![
+                        ("rows".into(), Value::U64(rows)),
+                        ("below".into(), Value::U64(below)),
+                    ]);
+                    list.extend(std::iter::repeat_n(entry, extra));
+                    fields[at].1 = Value::Array(list);
+                    *text = format!("{}\n", Value::Object(fields)).into_bytes();
+                }
             }
         }
     }
 
     fn manifest_edit() -> impl Strategy<Value = ManifestEdit> {
+        let count = || {
+            prop_oneof![
+                Just(0u64),
+                Just(1u64),
+                Just(48u64),
+                Just(u64::MAX),
+                any::<u64>()
+            ]
+        };
         prop_oneof![
             (any::<usize>(), 0u8..8).prop_map(|(at, bit)| ManifestEdit::Flip { at, bit }),
             any::<usize>().prop_map(|keep| ManifestEdit::Truncate { keep }),
             (any::<usize>(), 0u8..10).prop_map(|(nth, to)| ManifestEdit::Digit { nth, to }),
             (any::<usize>(), 0u8..10).prop_map(|(nth, digit)| ManifestEdit::Grow { nth, digit }),
+            (any::<usize>(), 0usize..3, count(), count()).prop_map(|(keep, extra, rows, below)| {
+                ManifestEdit::Patches {
+                    keep,
+                    extra,
+                    rows,
+                    below,
+                }
+            }),
         ]
+    }
+
+    /// Writes a 48-site store of 16-site chunks with two patches straight
+    /// from the codec: the base rows are `sample_obs`, the patches move
+    /// sites 1, 2, 17 (below 44) and 2, 30, 41 (below 48).
+    fn plant_patched_store(dir: &Path) {
+        fs::create_dir_all(dir).unwrap();
+        let rows: Vec<SiteObservation> = (0..48).map(sample_obs).collect();
+        for c in 0..3 {
+            let bytes = encode_chunk(c, c * 16, &rows[c * 16..(c + 1) * 16]);
+            fs::write(LayerId::Chunk(c).path(dir), bytes).unwrap();
+        }
+        let patches = [(44, vec![1u32, 2, 17]), (48, vec![2, 30, 41])];
+        let mut metas = Vec::new();
+        for (index, (below, sites)) in patches.into_iter().enumerate() {
+            let moved: Vec<SiteObservation> = sites.iter().map(|&i| moved(i as usize, 1)).collect();
+            metas.push(PatchMeta {
+                rows: sites.len(),
+                below,
+            });
+            let frame = Frame::Patch {
+                index,
+                below,
+                sites,
+            };
+            fs::write(
+                LayerId::Patch(index).path(dir),
+                encode_layer(&frame, &moved),
+            )
+            .unwrap();
+        }
+        write_manifest(dir, "t-v1", 48, 16, &metas).unwrap();
     }
 
     proptest! {
         /// `ChunkStore::open` is total on a damaged manifest: every
-        /// truncation, byte flip and digit edit returns `Ok` or `Err`, and
-        /// an accepted manifest describes chunks a header can address.
+        /// truncation, byte flip, digit edit (counts, sites, the version)
+        /// and rewrite of the patch list — absurd row counts, more or
+        /// fewer patches than there are files — returns `Ok` or `Err`, an
+        /// accepted manifest describes layers a header can address, and
+        /// walking or checking the store it opens returns errors, never a
+        /// panic.
         #[test]
         fn open_never_panics(edits in prop::collection::vec(manifest_edit(), 1..6)) {
             let dir = tmp("open-edits");
-            fs::create_dir_all(&dir).unwrap();
-            write_manifest(&dir, "t-v1", 28_620, 4096).unwrap();
+            plant_patched_store(&dir);
             let mut text = fs::read(manifest_path(&dir)).unwrap();
             for e in &edits {
                 e.apply(&mut text);
             }
             fs::write(manifest_path(&dir), &text).unwrap();
-            let opened = ChunkStore::open(&dir);
-            fs::remove_dir_all(&dir).unwrap();
-            if let Ok(store) = opened {
+            if let Ok(store) = ChunkStore::open(&dir) {
                 prop_assert!(store.sites <= u32::MAX as usize);
                 prop_assert!(store.chunk_sites > 0);
+                prop_assert!(store.patches.iter().all(|p| 1 <= p.rows && p.rows <= p.below && p.below <= store.sites));
                 if store.num_chunks() > 0 {
                     let _ = store.chunk_rows(store.num_chunks() - 1);
+                }
+                // A manifest claiming more layers than the files fails at
+                // the first absent one.
+                for layer in store.layers() {
+                    if layer.is_err() {
+                        break;
+                    }
+                }
+                let _ = ChunkStore::fsck(&dir, None, false);
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// `decode_patch` — [`decode_layer`] against a manifest patch
+        /// entry — is total on corrupted patches behind a valid checksum,
+        /// and no count read from the bytes sizes an allocation. A patch
+        /// that still decodes has a strictly increasing site column below
+        /// the entry's `below`, which the manifest bounds by its site
+        /// count, and reconstructs every row.
+        #[test]
+        fn decode_patch_never_panics(mutations in prop::collection::vec(patch_mutation(), 1..4)) {
+            let sites: Vec<u32> = (0..PATCH_ROWS as u32).map(|i| 5 * i + 1).collect();
+            let rows: Vec<SiteObservation> = sites.iter().map(|&i| sample_obs(i as usize)).collect();
+            let meta = PatchMeta { rows: PATCH_ROWS, below: 100 };
+            let encoded = encode_layer(&Frame::Patch { index: 3, below: 100, sites }, &rows);
+            let mut body = encoded[..encoded.len() - 8].to_vec();
+            for m in &mutations {
+                m.apply(&mut body);
+            }
+            let sum = fnv1a(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            if let Ok(patch) = decode_layer(&body, Expect::patch(3, meta)) {
+                prop_assert_eq!(patch.rows, PATCH_ROWS);
+                for r in 0..patch.rows {
+                    prop_assert!(patch.site(r) < meta.below);
+                    prop_assert!(r == 0 || patch.site(r - 1) < patch.site(r));
+                    let _ = patch.observation(r);
                 }
             }
         }

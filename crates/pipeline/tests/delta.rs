@@ -108,10 +108,11 @@ fn delta_store_byte_identical_and_adopts_clean_chunks() {
     std::fs::remove_dir_all(&full).unwrap();
 }
 
-/// In-place provider migration dirties mid-store sites, so chunks lose
-/// adoption eligibility and their clean rows are re-committed from the
-/// previous store instead — still byte-identical to from-scratch, still
-/// only dirty sites re-measured.
+/// In-place provider migration dirties mid-store sites: their new rows go
+/// to a patch over the carried chunks, and the grown tail chunk
+/// re-commits its clean rows from the previous store. The patched store
+/// loads like the from-scratch one, compacts to its bytes, and only dirty
+/// sites are re-measured.
 #[test]
 fn delta_with_migration_recommits_clean_rows() {
     let base = small_world();
@@ -144,18 +145,30 @@ fn delta_with_migration_recommits_clean_rows() {
     assert_eq!(stats.sites_remeasured, delta.dirty_count());
     assert!(
         stats.rows_recommitted > 0,
-        "dirtied chunks re-commit their clean rows from the previous store"
+        "the grown tail chunk re-commits its clean rows from the previous store"
     );
-    assert_stores_identical(&full, &dir, "delta with migration");
+    assert_eq!(
+        (stats.patch_rows, stats.compacted),
+        (delta.migrated.len(), false)
+    );
+    let load = |dir: &Path| {
+        ChunkStore::open(dir)
+            .unwrap()
+            .load_dataset(&evolved)
+            .unwrap()
+    };
+    let ds_new = load(&dir);
+    assert!(
+        ds_new.observations == load(&full).observations,
+        "the patched store loads differently from the from-scratch one"
+    );
+    assert!(!ChunkStore::compact(&dir).unwrap().is_empty());
+    assert_stores_identical(&full, &dir, "compacted delta with migration");
 
     // The migrated sites' observations really moved provider.
     let ds_old = ChunkStore::open(&epoch1)
         .unwrap()
         .load_dataset(&base)
-        .unwrap();
-    let ds_new = ChunkStore::open(&dir)
-        .unwrap()
-        .load_dataset(&evolved)
         .unwrap();
     let mut changed = 0;
     for &i in &delta.migrated {
@@ -170,6 +183,57 @@ fn delta_with_migration_recommits_clean_rows() {
     std::fs::remove_dir_all(&epoch1).unwrap();
     std::fs::remove_dir_all(&full).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Store work follows the dirty rows: over four continuous epochs, every
+/// epoch that does not compact carries all but the previous tail chunk
+/// and every patch, decodes only that tail's clean rows (fewer than one
+/// chunk), and encodes those rows once more plus the dirty rows — at most
+/// the dirty rows plus one chunk.
+#[test]
+fn delta_epochs_touch_only_dirty_rows_and_the_tail() {
+    let base = small_world();
+    let pinned = DeployConfig {
+        pool_sites: Some(Arc::new(provider_site_counts(&base))),
+        ..DeployConfig::default()
+    };
+    let plan = EvolutionPlan::continuous(4, 0.10, 9);
+    let dirs: Vec<PathBuf> = (0..=4).map(|e| tmp(&format!("work-e{e}"))).collect();
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let dep = DeployedWorld::deploy(&base, pinned.clone());
+    measure_streamed(&base, &dep, &cfg(2), &dirs[0], None).unwrap();
+    drop(dep);
+    let mut world = base;
+    let mut patch_rows = 0;
+    for e in 0..4 {
+        let (next, delta) = plan.evolve_epoch(&world, e);
+        let dep = DeployedWorld::deploy(&next, pinned.clone());
+        let prev = ChunkStore::open(&dirs[e]).unwrap();
+        let stats =
+            measure_delta(&next, &dep, &cfg(2), &delta, &dirs[e], &dirs[e + 1], None).unwrap();
+        assert!(!stats.compacted, "epoch {e}: a few epochs never compact");
+        let (k, dirty) = (prev.chunk_sites, delta.dirty_count());
+        let decoded = stats.rows_recommitted;
+        let encoded = stats.rows_recommitted + stats.sites_remeasured;
+        assert_eq!(stats.sites_remeasured, dirty, "epoch {e}");
+        assert!(decoded < k, "epoch {e}: {decoded} rows decoded");
+        assert!(encoded <= dirty + k, "epoch {e}: {encoded} rows encoded");
+        assert_eq!(
+            stats.chunks_adopted,
+            prev.sites / k,
+            "epoch {e}: full chunks carried"
+        );
+        patch_rows += delta.migrated.len();
+        assert_eq!(stats.patch_rows, patch_rows, "epoch {e}");
+        let store = ChunkStore::open(&dirs[e + 1]).unwrap();
+        assert_eq!(store.num_patches(), e + 1, "epoch {e}: one patch per epoch");
+        world = next;
+    }
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// A delta against the wrong store or wrong world is refused up front.

@@ -64,8 +64,8 @@ fn invalid(msg: String) -> io::Error {
 
 impl CubeSnapshot {
     /// Builds a snapshot by streaming the chunk store at `dir`: every
-    /// chunk is folded into a [`CubeBuilder`] and the taxonomy via the
-    /// error columns — peak memory is one decoded chunk plus the cube,
+    /// layer is folded into a [`CubeBuilder`] and the taxonomy via the
+    /// error columns — peak memory is one decoded layer plus the cube,
     /// never the observation vector.
     ///
     /// The store must describe the same world (`label` and site count
@@ -90,13 +90,16 @@ impl CubeSnapshot {
     }
 
     /// Builds the next epoch's snapshot from the previous snapshot plus a
-    /// [`WorldDelta`], reading **only the dirty chunks** of the new store
-    /// at `dir` (the one `measure_delta` materialized). Clean chunks are
-    /// never opened: the previous snapshot's carried cube-builder labels
-    /// and per-site failure causes already hold their contribution, so the
-    /// new cube is the old builder cloned, grown to the evolved site
-    /// table, and refolded over dirty chunks, and the taxonomy is the old
-    /// taxonomy with each dirty site's causes retracted and re-recorded.
+    /// [`WorldDelta`], reading **only the layers holding dirty rows** of
+    /// the new store at `dir` (the one `measure_delta` materialized): its
+    /// newest patch, which holds the migrated sites, and the base chunks
+    /// covering the appended ones ([`ChunkStore::dirty_layers`]). Other
+    /// layers are never opened: the previous snapshot's carried
+    /// cube-builder labels and per-site failure causes already hold their
+    /// contribution, so the new cube is the old builder cloned, grown to
+    /// the evolved site table, and refolded over dirty rows only, and the
+    /// taxonomy is the old taxonomy with each dirty site's causes
+    /// retracted and re-recorded.
     /// The result is indistinguishable from [`CubeSnapshot::from_store`]
     /// over the full store (`tests/contracts.rs` asserts equality).
     ///
@@ -136,16 +139,21 @@ impl CubeSnapshot {
         )
     }
 
-    /// The one chunk fold behind every constructor.
+    /// The one store fold behind every constructor.
     ///
-    /// Without `carried`, it starts empty and folds every row of every
-    /// chunk. With `(prev, delta)`, it starts from `prev`'s carried
-    /// builder, causes and taxonomy grown to the evolved site table, folds
-    /// only `delta`'s dirty rows, and first un-records each one below
-    /// `delta.from_sites` — only a site recorded before can be retracted.
-    /// Either way a chunk is read only when it holds a row to fold, and
-    /// the cube is finished over the world's toplists with this epoch's
-    /// point appended to `trajectory`.
+    /// Without `carried`, it starts empty and folds every row of the
+    /// store's walk ([`ChunkStore::layers`]: base chunks, then patches
+    /// oldest first), so each site ends with its newest row. With
+    /// `(prev, delta)`, it starts from `prev`'s carried builder, causes
+    /// and taxonomy grown to the evolved site table, reads only the
+    /// layers holding the newest rows of `delta`'s dirty sites
+    /// ([`ChunkStore::dirty_layers`]) and folds only dirty rows: those
+    /// layers also hold rows of clean sites, some of them superseded by a
+    /// patch, and none is folded. Each dirty site below
+    /// `delta.from_sites` is first un-recorded from the taxonomy — only a
+    /// site recorded before can be retracted — and every folded site is
+    /// recorded once its newest row is in. The cube is finished over the
+    /// world's toplists with this epoch's point appended to `trajectory`.
     fn fold(
         epoch: u64,
         world: Arc<World>,
@@ -164,52 +172,49 @@ impl CubeSnapshot {
             )));
         }
         let sites = store.sites;
-        let (mut builder, mut causes, mut taxonomy, dirty, retract_below) = match carried {
+        let (mut builder, mut causes, mut taxonomy, dirty, layers) = match carried {
             None => (
                 CubeBuilder::new(sites),
                 vec![[None; 3]; sites],
                 FailureTaxonomy::default(),
                 None,
-                0,
+                Box::new(store.layers()) as Box<dyn Iterator<Item = _>>,
             ),
             Some((prev, delta)) => {
                 let mut builder = prev.delta_state.builder.clone();
                 builder.grow(sites);
                 let mut causes = prev.delta_state.causes.clone();
                 causes.resize(sites, [None; 3]);
+                let mut taxonomy = prev.taxonomy.clone();
+                let dirty = delta.dirty();
+                for i in (0..delta.from_sites).filter(|&i| dirty[i]) {
+                    taxonomy.unrecord_site(causes[i]);
+                }
+                let layers = store.dirty_layers(delta.added(), &delta.migrated);
                 (
                     builder,
                     causes,
-                    prev.taxonomy.clone(),
-                    Some(delta.dirty()),
-                    delta.from_sites,
+                    taxonomy,
+                    Some(dirty),
+                    Box::new(layers) as _,
                 )
             }
         };
         taxonomy.total = sites as u64;
         let wanted = |i: usize| dirty.as_ref().is_none_or(|d| d[i]);
 
-        for c in 0..store.num_chunks() {
-            let lo = c * store.chunk_sites;
-            let rows = store.chunk_rows(c);
-            if !(lo..lo + rows).any(wanted) {
-                continue;
-            }
-            let chunk = store.read_chunk(c)?;
-            // Folds the whole chunk; clean rows overwrite their own labels
-            // (folds are idempotent), dirty rows take new ones.
-            builder.fold_chunk(&chunk, &world);
-            for r in 0..rows {
-                let i = lo + r;
-                if !wanted(i) {
-                    continue;
+        for layer in layers {
+            let layer = layer?;
+            builder.fold_chunk(&layer, &world, wanted);
+            for r in 0..layer.rows {
+                let i = layer.site(r);
+                if wanted(i) {
+                    causes[i] = layer.failure_causes(r);
                 }
-                if i < retract_below {
-                    taxonomy.unrecord_site(causes[i]);
-                }
-                causes[i] = chunk.failure_causes(r);
-                taxonomy.record_site(causes[i]);
             }
+        }
+        for i in (0..sites).filter(|&i| wanted(i)) {
+            taxonomy.record_site(causes[i]);
         }
 
         let cube = builder.finish(&world);

@@ -589,13 +589,15 @@ fn cmd_evolve(args: &[String]) {
             .last()
             .expect("trajectory point");
         println!(
-            "epoch {}  sites={}  remeasured={}  chunks adopted={}/{}  rows recommitted={}  wall={}ms  S={:.4}  drift={:+.4}{}{}",
+            "epoch {}  sites={}  remeasured={}  chunks carried={}/{}  rows recommitted={}  patch rows={}{}  wall={}ms  S={:.4}  drift={:+.4}{}{}",
             e + 1,
             stats.sites_total,
             stats.sites_remeasured,
             stats.chunks_adopted,
             stats.chunks_total,
             stats.rows_recommitted,
+            stats.patch_rows,
+            if stats.compacted { "  COMPACTED" } else { "" },
             t.elapsed().as_millis(),
             point.mean_score,
             point.drift,
@@ -631,8 +633,8 @@ fn cmd_evolve(args: &[String]) {
 }
 
 /// `webdep fsck <store-dir> [--repair] [--journal <path>]`: verify every
-/// chunk of a measurement store (checksums, headers, full column decode)
-/// and print a machine-readable report. With `--repair`, corrupt chunk
+/// chunk and patch of a measurement store (checksums, headers, full column
+/// decode) and print a machine-readable report. With `--repair`, corrupt
 /// files are quarantined and — given the run's journal — re-encoded
 /// byte-identically from its records. Exits non-zero unless the store is
 /// intact after the pass.

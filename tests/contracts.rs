@@ -10,29 +10,36 @@
 //! * provider clustering runs on the distinct features — the hosting and
 //!   DNS features repeat points, and `classify` reports the clustering of
 //!   the distinct points alone;
-//! * `fsck --repair` heals a corrupt chunk from the run journal to the
-//!   bytes the run wrote;
+//! * `fsck --repair` heals a corrupt chunk from the run journal, and a
+//!   corrupt patch from its epoch's journal, to the bytes the run wrote;
 //! * world generation is deterministic: two generations of one config
 //!   have equal sites, toplists and universe, so two processes measure
 //!   the same world;
 //! * an epoch measured as a delta equals one measured from scratch: the
-//!   `measure_delta` store is byte-identical to a full `measure_streamed`
-//!   run of the evolved world, and the snapshot `from_delta` builds off it
-//!   equals the one `from_store` folds — the shared fold's two modes.
+//!   `measure_delta` store — carried chunks, a grown tail and a patch of
+//!   the migrated sites — loads the same dataset as a full
+//!   `measure_streamed` run of the evolved world and compacts to its
+//!   bytes, and the snapshot `from_delta` builds off it equals the one
+//!   `from_store` folds — the shared fold's two modes. The same holds at
+//!   every epoch of a stack of them, where patches pile up, a site
+//!   migrates twice, a superseded row sits in a re-encoded tail chunk,
+//!   and an epoch compacts.
 
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{
     measure, measure_delta, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
+    DEFAULT_CHUNK_SITES,
 };
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep::stats::scale::min_max_scale_columns;
 use webdep::webgen::{
-    provider_site_counts, DeployConfig, DeployedWorld, EvolutionPlan, Layer, World, WorldConfig,
-    COUNTRIES,
+    provider_site_counts, DeployConfig, DeployedWorld, EpochKnobs, EvolutionPlan, Layer, World,
+    WorldConfig, COUNTRIES,
 };
 
 fn config(workers: usize) -> PipelineConfig {
@@ -215,58 +222,114 @@ fn fsck_heals_a_corrupt_chunk_from_the_journal() {
     let _ = std::fs::remove_file(&journal);
 }
 
-#[test]
-fn delta_epoch_equals_from_scratch() {
-    let (world, _) = fixture();
-    let tmp = |name: &str| {
-        std::env::temp_dir().join(format!(
-            "webdep-contracts-delta-{name}-{}",
-            std::process::id()
-        ))
-    };
-    let (base, delta_dir, full) = (tmp("base"), tmp("delta"), tmp("full"));
-    // Both epochs deploy against the base epoch's pool census, as the
-    // continuous loop does, so an unchanged site measures identically.
-    let pinned = DeployConfig {
-        pool_sites: Some(Arc::new(provider_site_counts(world))),
+/// A scratch path for one contract test's files.
+fn scratch(test: &str, name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "webdep-contracts-{test}-{name}-{}",
+        std::process::id()
+    ))
+}
+
+/// The deploy configuration of a continuous loop over the fixture world:
+/// every epoch deploys against the base epoch's pool census, so an
+/// unchanged site measures identically.
+fn pinned() -> DeployConfig {
+    DeployConfig {
+        pool_sites: Some(Arc::new(provider_site_counts(&fixture().0))),
         ..DeployConfig::default()
-    };
-    let dep = DeployedWorld::deploy(world, pinned.clone());
+    }
+}
+
+#[test]
+fn fsck_heals_a_corrupt_patch_from_the_journal() {
+    let (world, _) = fixture();
+    let [base, dir, journal] = ["base", "store", "journal"].map(|n| scratch("fsck-patch", n));
+    for d in [&base, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let dep = DeployedWorld::deploy(world, pinned());
     measure_streamed(world, &dep, &config(2), &base, None).expect("base epoch");
     drop(dep);
-
     let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
-    let dep = DeployedWorld::deploy(&evolved, pinned);
-    measure_delta(&evolved, &dep, &config(2), &delta, &base, &delta_dir, None).expect("delta");
-    measure_streamed(&evolved, &dep, &config(2), &full, None).expect("from scratch");
+    let dep = DeployedWorld::deploy(&evolved, pinned());
+    measure_delta(
+        &evolved,
+        &dep,
+        &config(2),
+        &delta,
+        &base,
+        &dir,
+        Some(&journal),
+    )
+    .expect("checkpointed delta epoch");
     drop(dep);
 
-    let chunks = ChunkStore::open(&full).expect("open").num_chunks();
-    let files: Vec<String> = std::iter::once("manifest.json".to_string())
-        .chain((0..chunks).map(|c| format!("chunk-{c:06}.col")))
-        .collect();
-    for f in &files {
+    let patch = dir.join("patch-000000.col");
+    let original = std::fs::read(&patch).unwrap();
+    let mut damaged = original.clone();
+    damaged[original.len() / 2] ^= 0x10;
+    std::fs::write(&patch, &damaged).unwrap();
+
+    let report = ChunkStore::fsck(&dir, Some(&journal), true).expect("fsck");
+    assert_eq!(report.patches.corrupt.len(), 1, "{report:?}");
+    assert_eq!(report.patches.healed, 1, "{report:?}");
+    assert!(report.intact() && report.corrupt.is_empty(), "{report:?}");
+    assert!(
+        std::fs::read(&patch).unwrap() == original,
+        "the healed patch differs from the epoch's bytes"
+    );
+    for d in [&base, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// Every file of two store directories, by name: equal listings and
+/// byte-equal contents.
+fn assert_same_files(a: &Path, b: &Path, what: &str) {
+    let names = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(a), names(b), "{what}: the file listings differ");
+    for name in names(a) {
         assert!(
-            std::fs::read(delta_dir.join(f)).unwrap() == std::fs::read(full.join(f)).unwrap(),
-            "{f} differs between the delta and the from-scratch store"
+            std::fs::read(a.join(&name)).unwrap() == std::fs::read(b.join(&name)).unwrap(),
+            "{what}: {name:?} differs"
         );
     }
-    assert_eq!(
-        std::fs::read_dir(&delta_dir).unwrap().count(),
-        files.len(),
-        "stray files in the delta store"
-    );
+}
 
-    let world = Arc::new(world.clone());
-    let evolved = Arc::new(evolved);
-    let prev = CubeSnapshot::from_store(1, world, &base).expect("base snapshot");
-    let via_delta = CubeSnapshot::from_delta(2, Arc::clone(&evolved), &prev, &delta, &delta_dir)
-        .expect("from_delta");
-    let via_store = CubeSnapshot::from_store(2, evolved, &delta_dir).expect("from_store");
-    for dir in [&base, &delta_dir, &full] {
-        let _ = std::fs::remove_dir_all(dir);
+/// Compacts a copy of the store at `dir` (leaving `dir` as the next epoch
+/// carries it) and requires the bytes of the from-scratch store `full`.
+fn assert_compacts_to(dir: &Path, full: &Path, copy: &Path, what: &str) {
+    let _ = std::fs::remove_dir_all(copy);
+    std::fs::create_dir_all(copy).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
     }
+    ChunkStore::compact(copy).expect("compact");
+    assert_same_files(copy, full, what);
+    std::fs::remove_dir_all(copy).unwrap();
+}
 
+/// The snapshot `from_delta` builds equals the one `from_store` folds
+/// over the same store, and validates against its predecessor.
+fn assert_delta_snapshot(
+    prev: &CubeSnapshot,
+    world: &Arc<World>,
+    delta: &webdep::webgen::WorldDelta,
+    dir: &Path,
+) -> CubeSnapshot {
+    let via_delta = CubeSnapshot::from_delta(prev.epoch + 1, Arc::clone(world), prev, delta, dir)
+        .expect("from_delta");
+    let via_store =
+        CubeSnapshot::from_store(prev.epoch + 1, Arc::clone(world), dir).expect("from_store");
     assert_eq!(via_delta.taxonomy, via_store.taxonomy);
     // Debug renders every f64 in its shortest round-trip form, so equal
     // renderings mean bit-equal values.
@@ -279,6 +342,132 @@ fn delta_epoch_equals_from_scratch() {
         );
     }
     via_delta
-        .validate(Some(&prev), Some(&delta))
+        .validate(Some(prev), Some(delta))
         .expect("the delta-built snapshot validates");
+    via_delta
+}
+
+#[test]
+fn delta_epoch_equals_from_scratch() {
+    let (world, _) = fixture();
+    let [base, delta_dir, full, copy] =
+        ["base", "delta", "full", "copy"].map(|n| scratch("delta", n));
+    let dep = DeployedWorld::deploy(world, pinned());
+    measure_streamed(world, &dep, &config(2), &base, None).expect("base epoch");
+    drop(dep);
+
+    let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
+    assert!(!delta.migrated.is_empty(), "the epoch writes a patch");
+    let dep = DeployedWorld::deploy(&evolved, pinned());
+    measure_delta(&evolved, &dep, &config(2), &delta, &base, &delta_dir, None).expect("delta");
+    measure_streamed(&evolved, &dep, &config(2), &full, None).expect("from scratch");
+    drop(dep);
+
+    let load = |dir: &Path| {
+        ChunkStore::open(dir)
+            .unwrap()
+            .load_dataset(&evolved)
+            .unwrap()
+    };
+    assert!(
+        load(&delta_dir) == load(&full),
+        "the delta store loads differently from the from-scratch store"
+    );
+    assert_compacts_to(&delta_dir, &full, &copy, "the compacted delta store");
+
+    let prev = CubeSnapshot::from_store(1, Arc::new(world.clone()), &base).expect("base snapshot");
+    assert_delta_snapshot(&prev, &Arc::new(evolved.clone()), &delta, &delta_dir);
+    for dir in [&base, &delta_dir, &full] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Five continuous epochs stack their layers: each carries the previous
+/// store and adds a patch, until epoch 3 migrates a quarter of the local
+/// sites and compacts. Along the way a site migrated in epoch 0 sits in
+/// the short tail chunk that later epochs re-encode with its superseded
+/// row, and migrates again in epoch 2. At every epoch the store loads
+/// like a from-scratch measurement, compacts to its bytes, and
+/// `from_delta` equals `from_store`.
+#[test]
+fn stacked_epochs_read_and_compact_like_from_scratch() {
+    let (world, _) = fixture();
+    let heavy = EpochKnobs {
+        migration: 0.25,
+        ..EpochKnobs::steady(0.10)
+    };
+    let mut epochs = vec![EpochKnobs::steady(0.10); 5];
+    epochs[3] = heavy;
+    let plan = EvolutionPlan { seed: 5, epochs };
+    let dirs: Vec<_> = (0..=5)
+        .map(|e| scratch("stack", &format!("e{e}")))
+        .collect();
+    let (full, copy) = (scratch("stack", "full"), scratch("stack", "copy"));
+    let k = DEFAULT_CHUNK_SITES;
+    let dep = DeployedWorld::deploy(world, pinned());
+    measure_streamed(world, &dep, &config(2), &dirs[0], None).expect("base epoch");
+    drop(dep);
+
+    let mut world = Arc::new(world.clone());
+    let mut snapshot = CubeSnapshot::from_store(1, Arc::clone(&world), &dirs[0]).expect("base");
+    let mut twice = None;
+    for e in 0..5 {
+        let (mut next, mut delta) = plan.evolve_epoch(&world, e);
+        let tail = delta.from_sites / k * k..delta.from_sites;
+        match (e, twice) {
+            (0, _) => {
+                let site = delta
+                    .migrated
+                    .iter()
+                    .find(|&&s| tail.contains(&(s as usize)));
+                twice = Some(*site.expect("a site migrates inside the short tail chunk"));
+            }
+            (2, Some(site)) => {
+                let cf = next.universe.provider_by_name("Cloudflare").unwrap();
+                let moved = &mut next.sites[site as usize];
+                assert_ne!(moved.hosting, cf);
+                (moved.hosting, moved.dns) = (cf, cf);
+                if let Err(at) = delta.migrated.binary_search(&site) {
+                    delta.migrated.insert(at, site);
+                }
+            }
+            _ => {}
+        }
+        delta
+            .certify_unchanged(&world, &next)
+            .expect("certified delta");
+        let next = Arc::new(next);
+        let dep = DeployedWorld::deploy(&next, pinned());
+        let stats = measure_delta(
+            &next,
+            &dep,
+            &config(2),
+            &delta,
+            &dirs[e],
+            &dirs[e + 1],
+            None,
+        )
+        .expect("delta epoch");
+        let _ = std::fs::remove_dir_all(&full);
+        measure_streamed(&next, &dep, &config(2), &full, None).expect("from scratch");
+        drop(dep);
+        assert_eq!(stats.compacted, e == 3, "epoch {e}");
+        if e == 1 {
+            // The tail chunk holding the epoch-0 patch's site grows.
+            let site = twice.unwrap() as usize;
+            assert!(tail.contains(&site) && stats.rows_recommitted == tail.len());
+        }
+
+        let load = |dir: &Path| ChunkStore::open(dir).unwrap().load_dataset(&next).unwrap();
+        assert!(
+            load(&dirs[e + 1]) == load(&full),
+            "epoch {e}: the delta store loads differently from the from-scratch store"
+        );
+        assert_compacts_to(&dirs[e + 1], &full, &copy, &format!("epoch {e}"));
+        snapshot = assert_delta_snapshot(&snapshot, &next, &delta, &dirs[e + 1]);
+        world = next;
+    }
+    for dir in dirs.iter().chain([&full]) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
