@@ -1,27 +1,26 @@
-//! High-volume authoritative data structures.
+//! High-volume authoritative data: the registry table.
 //!
 //! [`crate::zone::Zone`] favors generality (arbitrary CNAME chains, nested
 //! delegations) at `O(records)` cost on some paths; it stays the reference
-//! semantics these tables are tested against, but a synthetic `.com`
+//! semantics this table is tested against, but a synthetic `.com`
 //! holding hundreds of thousands of delegations needs `O(1)` per query.
-//! This module provides two such answerers used by the world deployment:
 //!
-//! * [`DelegationTable`] — a registry: every query for `x.<origin>` (or
-//!   deeper) is answered with a referral to the registered domain's
-//!   nameservers plus glue. A TLD registry has the TLD as its origin; the
-//!   root is the table with origin `.`, registering every TLD.
-//! * [`HostTable`] — a hosting provider's authoritative data: A records for
-//!   sites and nameserver hosts, NS sets per domain.
-//!
-//! Both produce wire [`Message`]s directly. A responder serves them through
+//! [`DelegationTable`] is a registry: every query for `x.<origin>` (or
+//! deeper) is answered with a referral to the registered domain's
+//! nameservers plus glue. A TLD registry has the TLD as its origin; the
+//! root is the table with origin `.`, registering every TLD. A
+//! [`ChildLookup`] hook lets a registry refer children it does not hold,
+//! from a table shared with other servers. The table produces wire
+//! [`Message`]s directly. A responder serves them through
 //! [`crate::server::serve_query`], inline on each querier's thread, so
 //! one table answers every thread at once.
 
 use crate::name::DomainName;
-use crate::wire::{Message, Rcode, Record, RecordData, RecordType};
+use crate::wire::{Message, Rcode, Record, RecordData};
 use crate::zone::DEFAULT_TTL;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A registry delegation: nameserver names plus glue addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,11 +31,22 @@ pub struct Delegation {
     pub glue: Vec<(DomainName, Ipv4Addr)>,
 }
 
+/// Children a [`DelegationTable`] refers beyond the ones it holds: a
+/// registry over a large shared table answers through this hook instead of
+/// copying a delegation per child. Consulted only for names the table does
+/// not hold, so a registered child wins over one the hook knows.
+pub trait ChildLookup: Send + Sync {
+    /// The delegation of `domain`, a direct child of the table's origin in
+    /// presentation form, or `None` when it is not registered.
+    fn delegation(&self, domain: &str) -> Option<&Delegation>;
+}
+
 /// A TLD registry with `O(1)` referral lookup.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DelegationTable {
     origin: DomainName,
     children: HashMap<DomainName, Delegation>,
+    lookup: Option<Arc<dyn ChildLookup>>,
 }
 
 impl DelegationTable {
@@ -45,6 +55,15 @@ impl DelegationTable {
         DelegationTable {
             origin,
             children: HashMap::new(),
+            lookup: None,
+        }
+    }
+
+    /// The registry, also referring every child `lookup` knows.
+    pub fn with_lookup(self, lookup: Arc<dyn ChildLookup>) -> Self {
+        DelegationTable {
+            lookup: Some(lookup),
+            ..self
         }
     }
 
@@ -61,16 +80,6 @@ impl DelegationTable {
             self.origin
         );
         self.children.insert(domain, delegation);
-    }
-
-    /// Number of registered domains.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// True when no domain is registered.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
     }
 
     /// Answers a query: a referral for names at or below a registered
@@ -97,13 +106,27 @@ impl DelegationTable {
         // The registered domain is the child truncated to origin + 1 labels:
         // a suffix of the queried name, looked up borrowed.
         let extra = q.name.num_labels() - self.origin.num_labels();
-        let registered = q
-            .name
+        let mut resp = query.into_response();
+        let name = &resp.questions[0].name;
+        let registered = name
             .suffixes()
             .nth(extra - 1)
             .expect("in zone, below the apex");
-        let found = self.children.get_key_value(registered);
-        let mut resp = query.into_response();
+        // A child the hook finds is named by the question itself unless the
+        // query is deeper, so its referral copies the name no more often
+        // than a held child's.
+        let parsed;
+        let found = match self.children.get_key_value(registered) {
+            Some(held) => Some(held),
+            None => match self.lookup.as_ref().and_then(|l| l.delegation(registered)) {
+                Some(d) if extra == 1 => Some((name, d)),
+                Some(d) => {
+                    parsed = DomainName::parse(registered).expect("a suffix of a valid name");
+                    Some((&parsed, d))
+                }
+                None => None,
+            },
+        };
         match found {
             Some((registered, d)) => {
                 resp.authorities =
@@ -134,98 +157,10 @@ impl DelegationTable {
     }
 }
 
-/// A hosting provider's authoritative answers with `O(1)` lookup.
-#[derive(Debug, Clone, Default)]
-pub struct HostTable {
-    a: HashMap<DomainName, Vec<Ipv4Addr>>,
-    ns: HashMap<DomainName, Vec<DomainName>>,
-}
-
-impl HostTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an A record.
-    pub fn add_a(&mut self, name: DomainName, ip: Ipv4Addr) {
-        let set = self.a.entry(name).or_default();
-        if !set.contains(&ip) {
-            set.push(ip);
-        }
-    }
-
-    /// Sets the NS set for a domain.
-    pub fn set_ns(&mut self, name: DomainName, ns: Vec<DomainName>) {
-        self.ns.insert(name, ns);
-    }
-
-    /// Number of names with A records.
-    pub fn len(&self) -> usize {
-        self.a.len()
-    }
-
-    /// True when no A record is stored.
-    pub fn is_empty(&self) -> bool {
-        self.a.is_empty()
-    }
-
-    /// Registered A addresses for `name` (exact match).
-    pub fn lookup_a(&self, name: &DomainName) -> Option<&[Ipv4Addr]> {
-        self.a.get(name).map(Vec::as_slice)
-    }
-
-    /// Answers a query authoritatively: A and NS supported, everything the
-    /// table does not know is NXDOMAIN.
-    pub fn respond(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        resp.authoritative = true;
-        let Some(q) = query.questions.first() else {
-            resp.rcode = Rcode::FormErr;
-            return resp;
-        };
-        match q.qtype {
-            RecordType::A => {
-                if let Some(addrs) = self.a.get(&q.name) {
-                    resp.answers = addrs
-                        .iter()
-                        .map(|&ip| Record {
-                            name: q.name.clone(),
-                            ttl: DEFAULT_TTL,
-                            data: RecordData::A(ip),
-                        })
-                        .collect();
-                    return resp;
-                }
-            }
-            RecordType::Ns => {
-                if let Some(ns) = self.ns.get(&q.name) {
-                    resp.answers = ns
-                        .iter()
-                        .map(|n| Record {
-                            name: q.name.clone(),
-                            ttl: DEFAULT_TTL,
-                            data: RecordData::Ns(n.clone()),
-                        })
-                        .collect();
-                    return resp;
-                }
-            }
-            RecordType::Cname => {}
-        }
-        if self.a.contains_key(&q.name) || self.ns.contains_key(&q.name) {
-            // NoData: exists with another type.
-            return resp;
-        }
-        resp.rcode = Rcode::NxDomain;
-        resp
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Message;
+    use crate::wire::{Message, RecordType};
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -280,6 +215,47 @@ mod tests {
         assert_eq!(t.respond(q).rcode, Rcode::ServFail);
     }
 
+    /// A hook answering for the listed children.
+    struct Children(Vec<(&'static str, Delegation)>);
+
+    impl ChildLookup for Children {
+        fn delegation(&self, domain: &str) -> Option<&Delegation> {
+            self.0
+                .iter()
+                .find(|(name, _)| *name == domain)
+                .map(|(_, d)| d)
+        }
+    }
+
+    #[test]
+    fn hooked_children_refer_like_held_ones_and_held_ones_win() {
+        let hooked = Delegation {
+            ns: vec![n("ns1.other.net"), n("ns2.other.net")],
+            glue: vec![
+                (n("ns1.other.net"), ip("198.51.100.1")),
+                (n("ns2.other.net"), ip("198.51.100.2")),
+            ],
+        };
+        let mut held = registry();
+        held.register(n("hooked.com"), hooked.clone());
+        let with_hook = registry().with_lookup(Arc::new(Children(vec![
+            ("hooked.com", hooked.clone()),
+            ("example.com", hooked),
+        ])));
+        for name in [
+            "hooked.com",
+            "a.b.hooked.com",
+            "example.com",
+            "missing.com",
+            "com",
+        ] {
+            for qtype in [RecordType::A, RecordType::Ns] {
+                let q = Message::query(9, n(name), qtype);
+                assert_eq!(with_hook.respond(q.clone()), held.respond(q), "{name}");
+            }
+        }
+    }
+
     /// The root as a delegation table answers every query with the bytes
     /// the reference [`Zone`] does when it holds the same delegations and
     /// glue. As in the deployment, the glue hosts live under a delegated
@@ -323,36 +299,5 @@ mod tests {
                 assert_eq!(got, want, "{name} {qtype:?}");
             }
         }
-    }
-
-    #[test]
-    fn host_table_answers() {
-        let mut h = HostTable::new();
-        h.add_a(n("example.com"), ip("203.0.113.10"));
-        h.set_ns(n("example.com"), vec![n("ns1.prov.net")]);
-        h.add_a(n("ns1.prov.net"), ip("203.0.113.53"));
-
-        let a = h.respond(&Message::query(1, n("example.com"), RecordType::A));
-        assert_eq!(a.answers.len(), 1);
-        assert!(a.authoritative);
-
-        let ns = h.respond(&Message::query(2, n("example.com"), RecordType::Ns));
-        assert_eq!(ns.answers[0].data, RecordData::Ns(n("ns1.prov.net")));
-
-        let miss = h.respond(&Message::query(3, n("nope.com"), RecordType::A));
-        assert_eq!(miss.rcode, Rcode::NxDomain);
-
-        // NoData: name exists, type missing.
-        let nodata = h.respond(&Message::query(4, n("ns1.prov.net"), RecordType::Ns));
-        assert_eq!(nodata.rcode, Rcode::NoError);
-        assert!(nodata.answers.is_empty());
-    }
-
-    #[test]
-    fn duplicate_a_deduped() {
-        let mut h = HostTable::new();
-        h.add_a(n("x.com"), ip("1.1.1.1"));
-        h.add_a(n("x.com"), ip("1.1.1.1"));
-        assert_eq!(h.lookup_a(&n("x.com")).unwrap().len(), 1);
     }
 }

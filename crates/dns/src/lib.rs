@@ -28,7 +28,7 @@ pub mod shared_cache;
 pub mod wire;
 pub mod zone;
 
-pub use bigzone::{Delegation, DelegationTable, HostTable};
+pub use bigzone::{ChildLookup, Delegation, DelegationTable};
 pub use fault::apply_dns_fault;
 pub use name::DomainName;
 pub use resolver::{IterativeResolver, ResolveError, ResolverConfig, ResolverStats};

@@ -170,7 +170,7 @@ impl CertificateChain {
     /// Encodes the chain (count-prefixed).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        encode_certs_into(&self.certs, &mut buf);
+        encode_certs_into(self.certs.iter().map(CertRef::Whole), &mut buf);
         buf.freeze()
     }
 
@@ -188,12 +188,56 @@ impl CertificateChain {
     }
 }
 
+/// A certificate to encode, borrowed: a whole [`Certificate`], or a leaf
+/// for one name that a server presents without ever holding it.
+#[derive(Debug, Clone, Copy)]
+pub enum CertRef<'a> {
+    /// A stored certificate.
+    Whole(&'a Certificate),
+    /// The leaf with this serial, `name` as subject and sole SAN, issued
+    /// by `issuer` (its id and name are the issuer's serial and subject),
+    /// valid forever.
+    Leaf {
+        /// Serial number.
+        serial: u64,
+        /// The one name: subject and sole SAN.
+        name: &'a str,
+        /// The issuing CA certificate.
+        issuer: &'a Certificate,
+    },
+}
+
+impl CertRef<'_> {
+    /// Encodes the bytes [`Certificate::encode_into`] writes for the
+    /// certificate this names.
+    pub(crate) fn encode_into(self, buf: &mut impl BufMut) {
+        match self {
+            CertRef::Whole(cert) => cert.encode_into(buf),
+            CertRef::Leaf {
+                serial,
+                name,
+                issuer,
+            } => {
+                buf.put_u64(serial);
+                put_str(buf, name);
+                buf.put_u16(1);
+                put_str(buf, name);
+                buf.put_u32(issuer.serial as u32);
+                put_str(buf, &issuer.subject);
+                buf.put_u64(0);
+                buf.put_u64(u64::MAX);
+                buf.put_u8(0);
+            }
+        }
+    }
+}
+
 /// Encodes certificates, leaf first, as the chain [`CertificateChain::encode`]
 /// writes for them — without the certificates having to be gathered into
 /// an owned chain first.
 pub(crate) fn encode_certs_into<'a, I>(certs: I, buf: &mut impl BufMut)
 where
-    I: IntoIterator<Item = &'a Certificate>,
+    I: IntoIterator<Item = CertRef<'a>>,
     I::IntoIter: ExactSizeIterator,
 {
     let certs = certs.into_iter();
@@ -330,6 +374,33 @@ mod tests {
             chain.validate("example.com", 150),
             Err(ChainError::NonCaIssuer(1))
         );
+    }
+
+    #[test]
+    fn leaf_ref_encodes_like_the_leaf_it_names() {
+        let root = ca(1, "Test Root");
+        let leaf = Certificate {
+            serial: 1_000_007,
+            subject: "example.com".into(),
+            san: vec!["example.com".into()],
+            issuer_id: 1,
+            issuer_name: "Test Root".into(),
+            not_before: 0,
+            not_after: u64::MAX,
+            is_ca: false,
+        };
+        let whole = CertificateChain {
+            certs: vec![leaf, root.clone()],
+        }
+        .encode();
+        let mut borrowed = BytesMut::new();
+        let leaf_ref = CertRef::Leaf {
+            serial: 1_000_007,
+            name: "example.com",
+            issuer: &root,
+        };
+        encode_certs_into([leaf_ref, CertRef::Whole(&root)], &mut borrowed);
+        assert_eq!(borrowed.freeze(), whole);
     }
 
     #[test]

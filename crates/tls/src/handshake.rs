@@ -4,7 +4,7 @@
 //! The client's flight is a single `ClientHello`; the server's flight is
 //! `ServerHello` followed by `Certificate` (or a single `Alert`).
 
-use crate::cert::{encode_certs_into, Certificate, CertificateChain};
+use crate::cert::{encode_certs_into, CertRef, CertificateChain};
 use bytes::{BufMut, Bytes};
 use webdep_netsim::build_payload;
 
@@ -91,7 +91,9 @@ pub fn encode_flight(messages: &[HandshakeMessage]) -> Bytes {
                     body.put_u64(*random);
                     body.put_u16(*cipher);
                 }
-                HandshakeMessage::Certificate(chain) => encode_certs_into(&chain.certs, body),
+                HandshakeMessage::Certificate(chain) => {
+                    encode_certs_into(chain.certs.iter().map(CertRef::Whole), body)
+                }
                 HandshakeMessage::Alert(code) => body.put_u8(*code),
             });
         }
@@ -119,7 +121,7 @@ fn put_client_hello(body: &mut Vec<u8>, random: u64, sni: &str) {
 /// the bytes [`encode_flight`] writes for the same two messages.
 pub fn encode_server_flight<'a, I>(random: u64, cipher: u16, certs: I) -> Bytes
 where
-    I: IntoIterator<Item = &'a Certificate>,
+    I: IntoIterator<Item = CertRef<'a>>,
     I::IntoIter: ExactSizeIterator,
 {
     build_payload(|buf| {
@@ -301,7 +303,7 @@ mod tests {
             }),
         ];
         assert_eq!(
-            encode_server_flight(42, 0x1301, [leaf, leaf]),
+            encode_server_flight(42, 0x1301, [CertRef::Whole(leaf); 2]),
             encode_flight(&flight)
         );
     }

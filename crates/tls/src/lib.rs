@@ -26,7 +26,7 @@ pub mod handshake;
 pub mod scanner;
 pub mod server;
 
-pub use cert::{Certificate, CertificateChain};
+pub use cert::{CertRef, Certificate, CertificateChain};
 pub use fault::{apply_tls_fault, ALERT_INTERNAL_ERROR};
 pub use handshake::{HandshakeMessage, TlsError};
 pub use scanner::{ScanError, Scanner, ScannerConfig};

@@ -135,7 +135,7 @@ impl Scanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::Certificate;
+    use crate::cert::{CertRef, Certificate};
     use crate::server::serve_hello;
     use webdep_netsim::{Datagram, FaultKind, FaultPlan, NetConfig, Network, Region, ResponderSet};
 
@@ -163,10 +163,10 @@ mod tests {
             not_after: u64::MAX,
             is_ca: false,
         };
-        let chain = vec![leaf, root];
+        let chain = [leaf, root];
         let server = ResponderSet::new(net, move |d: &Datagram| {
             serve_hello(&d.payload, d.dst.ip, faults.as_ref(), |sni| {
-                (sni == "site.example").then_some(&chain)
+                (sni == "site.example").then(|| chain.iter().map(CertRef::Whole))
             })
         });
         server

@@ -1,7 +1,7 @@
 //! Serving handshakes: one pure function from a ClientHello datagram to the
 //! server flight, run inline by whichever responder the hello reached.
 
-use crate::cert::Certificate;
+use crate::cert::CertRef;
 use crate::fault::apply_tls_fault;
 use crate::handshake::{
     decode_client_hello, encode_flight, encode_server_flight, HandshakeMessage,
@@ -33,7 +33,7 @@ pub fn serve_hello<'c, C>(
     lookup: impl FnOnce(&str) -> Option<C>,
 ) -> FaultedReply
 where
-    C: IntoIterator<Item = &'c Certificate>,
+    C: IntoIterator<Item = CertRef<'c>>,
     C::IntoIter: ExactSizeIterator,
 {
     let Some((random, sni)) = decode_client_hello(payload) else {
@@ -52,6 +52,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cert::Certificate;
     use crate::handshake::decode_flight;
     use crate::ALERT_INTERNAL_ERROR;
     use webdep_netsim::FaultKind;
@@ -86,7 +87,7 @@ mod tests {
     fn serve(hello: &[u8], faults: Option<&FaultPlan>) -> FaultedReply {
         let chain = chain();
         serve_hello(hello, SERVER, faults, |sni| {
-            (sni == "site.example").then_some(&chain)
+            (sni == "site.example").then(|| chain.iter().map(CertRef::Whole))
         })
     }
 

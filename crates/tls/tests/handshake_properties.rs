@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
-use webdep_tls::cert::{Certificate, CertificateChain};
+use webdep_tls::cert::{CertRef, Certificate, CertificateChain};
 use webdep_tls::handshake::{decode_flight, encode_flight, HandshakeMessage};
 use webdep_tls::serve_hello;
 
@@ -128,7 +128,7 @@ fn check_served(bytes: &[u8]) {
         not_after: u64::MAX,
         is_ca: false,
     };
-    let lookup = |sni: &str| (sni == "site.example").then_some([&leaf]);
+    let lookup = |sni: &str| (sni == "site.example").then_some([CertRef::Whole(&leaf)]);
     let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
     let _ = serve_hello(bytes, server, Some(&faults), lookup);
     let reply = serve_hello(bytes, server, None, lookup);

@@ -25,14 +25,26 @@
 //! through `webdep_dns::serve_query` and `webdep_tls::serve_hello`; the
 //! root and the registries are [`DelegationTable`]s (the root's origin is
 //! `.`).
+//!
+//! Deploying builds an index, not a copy: every rack and registry answers
+//! from one shared, read-only site table (the domains in one arena, a row
+//! of provider, CA and TLD ids per site, an open-addressed slot table over
+//! the names) plus tables sized by providers. A rack answers a name only
+//! when the site's DNS (or, for TLS, hosting) provider lives on it; a
+//! registry refers a site through its DNS provider's one interned
+//! [`Delegation`]; a leaf certificate is encoded from the site's serial,
+//! name and CA at handshake time. So deploy allocates per provider and
+//! TLD, not per site.
 
 use crate::country::{Continent, CountryRecord};
+use crate::provider::Provider;
 use crate::world::World;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use webdep_dns::bigzone::{Delegation, DelegationTable, HostTable};
+use webdep_dns::bigzone::{ChildLookup, Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
 use webdep_dns::wire as dnswire;
 use webdep_dns::{serve_query, DNS_PORT};
@@ -42,7 +54,7 @@ use webdep_geodb::{
 use webdep_netsim::{
     Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, Network, Prefix, Region, ResponderSet,
 };
-use webdep_tls::cert::Certificate;
+use webdep_tls::cert::{CertRef, Certificate};
 use webdep_tls::{serve_hello, TLS_PORT};
 
 /// Deployment parameters.
@@ -166,95 +178,217 @@ pub struct DeployedWorld {
     responders: Vec<ResponderSet>,
 }
 
-/// Per-site record a DNS rack answers from.
-struct SiteDnsEntry {
-    hosting_provider: u32,
-    /// Stable per-site hash selecting an IP within the pool.
-    hash: u32,
+/// One site's serving facts: everything a rack or registry needs besides
+/// the name.
+struct SiteRow {
+    dns: u32,
+    hosting: u32,
+    ca: u32,
+    tld: u32,
+    /// Stable per-site hash selecting an IP within the pool ([`fnv1a`]).
+    pool_hash: u32,
 }
 
-/// CNAME edge host name for a CDN-served site
-/// (`e<hash>.<provider-slug>.net`, the real-world `*.cdn.example.net`
-/// pattern).
-fn edge_name(slug: &str, hash: u32) -> DomainName {
-    DomainName::parse(&format!("e{}.{slug}.net", hash % 64)).expect("edge names are valid")
+/// Marks an empty slot of [`SiteIndex::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// CNAME edge hosts per CDN provider; a site's pool hash picks one.
+const EDGE_HOSTS: u32 = 64;
+
+/// Every deployed site, built once per deploy and shared read-only by all
+/// racks and registries: the domains in one arena, a compact row per site,
+/// and an open-addressed slot table over the names. Its size is a few
+/// allocations whatever the number of sites.
+struct SiteIndex {
+    /// Every domain, concatenated in site order.
+    names: String,
+    /// Site `i`'s domain is `names[offsets[i]..offsets[i + 1]]`: the end
+    /// offsets, after a leading 0.
+    offsets: Vec<u32>,
+    rows: Vec<SiteRow>,
+    /// Site indices by name hash, linearly probed; a power of two at most
+    /// half full.
+    slots: Vec<u32>,
+    /// The keyed SipHash std maps use, so probe sequences cannot be
+    /// steered from outside.
+    hasher: RandomState,
 }
 
-/// A hosting/DNS rack's data.
-struct RackData {
-    /// Site domain → DNS answer recipe (sites whose *DNS provider* lives
-    /// on this rack).
-    site_a: HashMap<DomainName, SiteDnsEntry>,
-    /// Domain → NS host names.
-    site_ns: HashMap<DomainName, Vec<DomainName>>,
-    /// Nameserver / infrastructure host A records.
-    host_a: HostTable,
-    /// SNI → leaf certificate (sites *hosted* on this rack).
-    leaf_by_sni: HashMap<String, Certificate>,
-    /// Shared CA (intermediate, root) certs, indexed by CA id.
-    ca_certs: Arc<Vec<(Certificate, Certificate)>>,
-    /// Shared provider pools for GeoDNS answers.
+impl SiteIndex {
+    fn build(world: &World) -> SiteIndex {
+        let n = world.sites.len();
+        let mut index = SiteIndex {
+            names: String::with_capacity(world.sites.iter().map(|s| s.domain.len()).sum()),
+            offsets: Vec::with_capacity(n + 1),
+            rows: Vec::with_capacity(n),
+            slots: vec![EMPTY; (2 * n).next_power_of_two()],
+            hasher: RandomState::new(),
+        };
+        index.offsets.push(0);
+        for site in &world.sites {
+            // Queries look names up in presentation form, lowercase.
+            debug_assert!(
+                !site.domain.bytes().any(|b| b.is_ascii_uppercase()),
+                "generated names are lowercase"
+            );
+            index.names.push_str(&site.domain);
+            index.offsets.push(index.names.len() as u32);
+            index.rows.push(SiteRow {
+                dns: site.dns,
+                hosting: site.hosting,
+                ca: site.ca,
+                tld: site.tld,
+                pool_hash: fnv1a(&site.domain),
+            });
+        }
+        // Generated domains are unique; were one repeated, its last site
+        // would take the name, as a map insert would.
+        for idx in 0..n as u32 {
+            let slot = index.slot_of(index.name(idx));
+            index.slots[slot] = idx;
+        }
+        index
+    }
+
+    /// The domain of site `idx`.
+    fn name(&self, idx: u32) -> &str {
+        let i = idx as usize;
+        &self.names[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The slot holding `name`, or the empty slot ending its probe.
+    fn slot_of(&self, name: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return slot,
+                idx if self.name(idx) == name => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The site named `name`: its index and row.
+    fn find(&self, name: &str) -> Option<(u32, &SiteRow)> {
+        match self.slots[self.slot_of(name)] {
+            EMPTY => None,
+            idx => Some((idx, &self.rows[idx as usize])),
+        }
+    }
+}
+
+/// What every rack and registry answers from, shared through one `Arc`:
+/// the site index plus tables sized by providers and CAs, never by sites.
+struct Served {
+    sites: SiteIndex,
+    /// Number of racks; provider `p` lives on rack `p % racks`.
+    racks: usize,
+    /// Serving pools per provider, for GeoDNS answers.
     pools: Arc<Vec<ProviderPools>>,
-    /// Whether each provider is a CDN (GeoDNS) provider.
-    provider_cdn: Arc<Vec<bool>>,
-    /// Provider slugs (for CDN CNAME edge names).
-    provider_slug: Arc<Vec<String>>,
+    /// The CNAME edge host names of each CDN (GeoDNS) provider
+    /// (`e<hash % EDGE_HOSTS>.<provider-slug>.net`, the real-world
+    /// `*.cdn.example.net` pattern); empty for the others.
+    edges: Vec<Vec<DomainName>>,
+    /// Each provider's nameservers with glue: the referral to every site
+    /// it serves DNS for, and its NS answer.
+    delegations: Vec<Delegation>,
+    /// Nameserver host → (provider, address), from the glue.
+    hosts: HashMap<DomainName, (u32, Ipv4Addr)>,
+    /// (intermediate, root) certificates, indexed by CA id.
+    ca_certs: Vec<(Certificate, Certificate)>,
     /// Eyeball prefixes for querier-continent detection.
     eyeballs: [Prefix; 6],
     /// Active fault plan for this deployment (authoritative tier only).
     faults: Option<Arc<FaultPlan>>,
 }
 
-impl RackData {
+impl Served {
+    fn rack_of(&self, provider: u32) -> usize {
+        provider as usize % self.racks
+    }
+
     fn querier_continent(&self, src: Ipv4Addr) -> usize {
-        for (i, p) in self.eyeballs.iter().enumerate() {
-            if p.contains(src) {
-                return i;
-            }
-        }
-        0 // default: North America (the paper's Stanford vantage)
+        // Default: North America (the paper's Stanford vantage).
+        self.eyeballs
+            .iter()
+            .position(|p| p.contains(src))
+            .unwrap_or(0)
     }
 
     fn serving_ip(&self, provider: u32, hash: u32, querier_cont: usize) -> Option<Ipv4Addr> {
         let pools = &self.pools[provider as usize].pools;
-        let pool = if self.provider_cdn[provider as usize] && !pools[querier_cont].is_empty() {
+        // A CDN serves from the querier's continent; any other provider
+        // has one pool, its home continent's, and serves from it.
+        let pool = if !pools[querier_cont].is_empty() {
             &pools[querier_cont]
         } else {
-            // Non-CDN providers serve from their (single) home pool.
             pools.iter().find(|p| !p.is_empty())?
         };
         pool.get(hash as usize % pool.len()).copied()
     }
 
-    /// Answers a DNS query; the response reuses the query's question
-    /// section.
-    fn respond_dns(&self, query: dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
+    /// The site named `name` if its `provider` (DNS or hosting) lives on
+    /// rack `rack`.
+    fn site_on(
+        &self,
+        rack: usize,
+        name: &str,
+        provider: fn(&SiteRow) -> u32,
+    ) -> Option<(u32, &SiteRow)> {
+        let (idx, row) = self.sites.find(name)?;
+        (self.rack_of(provider(row)) == rack).then_some((idx, row))
+    }
+
+    /// One answer of hosting/DNS rack `rack`: DNS on port 53 for the sites
+    /// and nameserver hosts of the DNS providers it runs, TLS on 443 for
+    /// the sites of the hosting providers it runs, through the same
+    /// serving functions as every simulated server. Pure in the shared
+    /// tables, so it runs inline on whichever querier thread sent the
+    /// datagram. Any active fault plan is applied to the ready answer,
+    /// keyed on the server address the query was sent to.
+    fn rack_respond(&self, rack: usize, dgram: &Datagram) -> FaultedReply {
+        let faults = self.faults.as_deref();
+        match dgram.dst.port {
+            DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |query| {
+                self.respond_dns(rack, query, dgram.src.ip)
+            }),
+            TLS_PORT => serve_hello(&dgram.payload, dgram.dst.ip, faults, |sni| {
+                self.chain_for(rack, sni)
+            }),
+            _ => FaultedReply::swallowed(),
+        }
+    }
+
+    /// Answers a DNS query at `rack`; the response reuses the query's
+    /// question section.
+    fn respond_dns(&self, rack: usize, query: dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
         let Some(q) = query.questions.first() else {
             return query.into_response(); // `serve_query` answers these itself
         };
-        let answers = match q.qtype {
-            dnswire::RecordType::A => self.site_answers(&q.name, src),
-            dnswire::RecordType::Ns => self.site_ns.get_key_value(&q.name).map(|(owner, ns)| {
-                ns.iter()
-                    .map(|n| dnswire::Record {
-                        name: owner.clone(),
-                        ttl: 3600,
-                        data: dnswire::RecordData::Ns(n.clone()),
-                    })
-                    .collect()
-            }),
-            dnswire::RecordType::Cname => None,
+        let site = self.site_on(rack, q.name.as_str(), |row| row.dns);
+        let record = |data| dnswire::Record {
+            name: q.name.clone(),
+            ttl: 3600,
+            data,
         };
-        if answers.is_none() && q.qtype == dnswire::RecordType::A {
-            // Infrastructure hosts (nameservers).
-            let host_resp = self.host_a.respond(&query);
-            if !host_resp.answers.is_empty() {
-                return host_resp;
+        let answers = match (site, q.qtype) {
+            (Some((_, row)), dnswire::RecordType::A) => self.site_answers(&q.name, row, src),
+            (Some((_, row)), dnswire::RecordType::Ns) => {
+                let ns = &self.delegations[row.dns as usize].ns;
+                Some(
+                    ns.iter()
+                        .map(|n| record(dnswire::RecordData::Ns(n.clone())))
+                        .collect(),
+                )
             }
-        }
-        let nxdomain = answers.is_none()
-            && !self.site_a.contains_key(&q.name)
-            && !self.site_ns.contains_key(&q.name);
+            // Infrastructure hosts (nameservers).
+            (None, dnswire::RecordType::A) => (self.hosts.get(&q.name))
+                .filter(|(p, _)| self.rack_of(*p) == rack)
+                .map(|&(_, ip)| vec![record(dnswire::RecordData::A(ip))]),
+            _ => None,
+        };
+        let nxdomain = site.is_none() && answers.is_none();
         let mut resp = query.into_response();
         resp.authoritative = true;
         // No answers for a known name is NoData.
@@ -267,70 +401,65 @@ impl RackData {
 
     /// A site's A answer: its serving address from the querier's
     /// continent, behind a CNAME to the provider's edge host for CDN sites.
-    fn site_answers(&self, name: &DomainName, src: Ipv4Addr) -> Option<Vec<dnswire::Record>> {
-        let (owner, entry) = self.site_a.get_key_value(name)?;
-        let cont = self.querier_continent(src);
-        let ip = self.serving_ip(entry.hosting_provider, entry.hash, cont)?;
+    fn site_answers(
+        &self,
+        name: &DomainName,
+        row: &SiteRow,
+        src: Ipv4Addr,
+    ) -> Option<Vec<dnswire::Record>> {
+        let ip = self.serving_ip(row.hosting, row.pool_hash, self.querier_continent(src))?;
         let a = |name| dnswire::Record {
             name,
             ttl: 300,
             data: dnswire::RecordData::A(ip),
         };
-        Some(if self.provider_cdn[entry.hosting_provider as usize] {
+        let edges = &self.edges[row.hosting as usize];
+        Some(match edges.get((row.pool_hash % EDGE_HOSTS) as usize) {
             // CDN sites answer like the real thing: a CNAME to the
             // provider's edge host plus its address, exercising the
             // resolver's CNAME path.
-            let edge = edge_name(
-                &self.provider_slug[entry.hosting_provider as usize],
-                entry.hash,
-            );
-            vec![
+            Some(edge) => vec![
                 dnswire::Record {
-                    name: owner.clone(),
+                    name: name.clone(),
                     ttl: 300,
                     data: dnswire::RecordData::Cname(edge.clone()),
                 },
-                a(edge),
-            ]
-        } else {
-            vec![a(owner.clone())]
+                a(edge.clone()),
+            ],
+            None => vec![a(name.clone())],
         })
     }
 
-    /// The chain presented for `sni`, leaf first: the site's leaf, then
-    /// its CA's intermediate and root.
-    fn chain_for(&self, sni: &str) -> Option<[&Certificate; 3]> {
+    /// The chain `rack` presents for `sni`, leaf first: the site's leaf,
+    /// then its CA's intermediate and root.
+    fn chain_for(&self, rack: usize, sni: &str) -> Option<[CertRef<'_>; 3]> {
         // Scanners send the domain as measured, which is already lowercase.
-        let leaf = if sni.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.leaf_by_sni.get(&sni.to_ascii_lowercase())
+        let (idx, row) = if sni.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.site_on(rack, &sni.to_ascii_lowercase(), |row| row.hosting)
         } else {
-            self.leaf_by_sni.get(sni)
+            self.site_on(rack, sni, |row| row.hosting)
         }?;
-        let (inter, root) = &self.ca_certs[leaf_ca_index(leaf)];
-        Some([leaf, inter, root])
+        let (inter, root) = &self.ca_certs[row.ca as usize];
+        let leaf = CertRef::Leaf {
+            serial: 1_000_000 + u64::from(idx),
+            name: self.sites.name(idx),
+            issuer: inter,
+        };
+        Some([leaf, CertRef::Whole(inter), CertRef::Whole(root)])
     }
 }
 
-/// CA index is encoded in the issuing cert id (see `Universe::build`).
-fn leaf_ca_index(leaf: &Certificate) -> usize {
-    (leaf.issuer_id - 100_000) as usize
+/// The sites one TLD registry refers: a [`DelegationTable`] hook over the
+/// shared index, each site referred to its DNS provider's nameservers.
+struct TldSites {
+    served: Arc<Served>,
+    tld: u32,
 }
 
-/// One rack answer: DNS on port 53, TLS on 443, through the same serving
-/// functions as every simulated server. Pure in the rack data, so it runs
-/// inline on whichever querier thread sent the datagram. Any active fault
-/// plan is applied to the ready answer, keyed on the server address the
-/// query was sent to.
-fn rack_respond(data: &RackData, dgram: &Datagram) -> FaultedReply {
-    let faults = data.faults.as_deref();
-    match dgram.dst.port {
-        DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |query| {
-            data.respond_dns(query, dgram.src.ip)
-        }),
-        TLS_PORT => serve_hello(&dgram.payload, dgram.dst.ip, faults, |sni| {
-            data.chain_for(sni)
-        }),
-        _ => FaultedReply::swallowed(),
+impl ChildLookup for TldSites {
+    fn delegation(&self, domain: &str) -> Option<&Delegation> {
+        let (_, row) = self.served.sites.find(domain)?;
+        (row.tld == self.tld).then(|| &self.served.delegations[row.dns as usize])
     }
 }
 
@@ -450,20 +579,6 @@ impl DeployedWorld {
             pools.push(pp);
         }
         let pools = Arc::new(pools);
-        let provider_cdn = Arc::new(
-            universe
-                .providers
-                .iter()
-                .map(|p| p.cdn)
-                .collect::<Vec<bool>>(),
-        );
-        let provider_slug = Arc::new(
-            universe
-                .providers
-                .iter()
-                .map(|p| p.slug())
-                .collect::<Vec<String>>(),
-        );
 
         // Eyeball prefixes geolocate to each continent's representative.
         for (i, p) in eyeball_prefixes.iter().enumerate() {
@@ -503,148 +618,86 @@ impl DeployedWorld {
             };
             ca_certs.push((inter, root));
         }
-        let ca_certs = Arc::new(ca_certs);
 
-        // ---- Rack data ----
-        let n_racks = config.racks.max(1);
-        let rack_of = |provider: u32| (provider as usize) % n_racks;
-        let mut rack_data: Vec<RackData> = (0..n_racks)
-            .map(|_| RackData {
-                site_a: HashMap::new(),
-                site_ns: HashMap::new(),
-                host_a: HostTable::new(),
-                leaf_by_sni: HashMap::new(),
-                ca_certs: Arc::clone(&ca_certs),
-                pools: Arc::clone(&pools),
-                provider_cdn: Arc::clone(&provider_cdn),
-                provider_slug: Arc::clone(&provider_slug),
-                eyeballs: eyeball_prefixes,
-                faults: faults.clone(),
-            })
-            .collect();
-
-        // Nameserver host names per provider.
-        let ns_names: Vec<Vec<DomainName>> = universe
-            .providers
-            .iter()
+        // ---- Shared serving tables ----
+        let slugs: Vec<String> = universe.providers.iter().map(|p| p.slug()).collect();
+        // A provider's infrastructure hosts live under `<slug>.net`.
+        let infra = |p: &Provider, host: &str| {
+            DomainName::parse(&format!("{host}{}.net", slugs[p.id as usize]))
+                .expect("slug names are valid")
+        };
+        let delegations: Vec<Delegation> = (universe.providers.iter())
             .map(|p| {
-                let slug = p.slug();
-                pools[p.id as usize]
-                    .ns_addrs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| {
-                        DomainName::parse(&format!("ns{}.{}.net", i + 1, slug))
-                            .expect("slug names are valid")
-                    })
-                    .collect()
+                let addrs = &pools[p.id as usize].ns_addrs;
+                let ns: Vec<DomainName> = (1..=addrs.len())
+                    .map(|i| infra(p, &format!("ns{i}.")))
+                    .collect();
+                let glue = ns.iter().cloned().zip(addrs.iter().copied()).collect();
+                Delegation { ns, glue }
             })
             .collect();
-
-        // Install nameserver A records on each DNS provider's rack.
-        for p in &universe.providers {
-            let rd = &mut rack_data[rack_of(p.id)];
-            for (name, addr) in ns_names[p.id as usize]
-                .iter()
-                .zip(&pools[p.id as usize].ns_addrs)
-            {
-                rd.host_a.add_a(name.clone(), *addr);
-            }
-        }
-
-        // Install sites: DNS data on the DNS provider's rack, TLS leaf on
-        // the hosting provider's rack.
-        // Ordered by TLD id: iteration order assigns the registry addresses.
-        let mut tld_tables: BTreeMap<u32, DelegationTable> = BTreeMap::new();
-        for (site_idx, site) in world.sites.iter().enumerate() {
-            let domain = DomainName::parse(&site.domain).expect("generated names are valid");
-            let dns_rack = rack_of(site.dns);
-            let hash = fxhash(&site.domain);
-            rack_data[dns_rack].site_a.insert(
-                domain.clone(),
-                SiteDnsEntry {
-                    hosting_provider: site.hosting,
-                    hash,
-                },
-            );
-            rack_data[dns_rack]
-                .site_ns
-                .insert(domain.clone(), ns_names[site.dns as usize].clone());
-
-            // TLS leaf on the hosting rack.
-            let ca = universe.ca(site.ca);
-            let leaf = Certificate {
-                serial: 1_000_000 + site_idx as u64,
-                subject: site.domain.clone(),
-                san: vec![site.domain.clone()],
-                issuer_id: ca.issuing_cert_id,
-                issuer_name: format!("{} Issuing CA", ca.name),
-                not_before: 0,
-                not_after: u64::MAX,
-                is_ca: false,
-            };
-            rack_data[rack_of(site.hosting)]
-                .leaf_by_sni
-                .insert(site.domain.to_ascii_lowercase(), leaf);
-
-            // Registry delegation.
-            let table = tld_tables.entry(site.tld).or_insert_with(|| {
-                let label = &universe.tld(site.tld).label;
-                DelegationTable::new(DomainName::parse(label).expect("tld label"))
-            });
-            let glue: Vec<(DomainName, Ipv4Addr)> = ns_names[site.dns as usize]
-                .iter()
-                .cloned()
-                .zip(pools[site.dns as usize].ns_addrs.iter().copied())
-                .collect();
-            table.register(
-                domain,
-                Delegation {
-                    ns: ns_names[site.dns as usize].clone(),
-                    glue,
-                },
-            );
-        }
-
-        // Register provider infrastructure domains (<slug>.net) so glueless
-        // paths still resolve.
-        if let Some(net_tld) = universe.tld_by_label("net") {
-            let table = tld_tables.entry(net_tld).or_insert_with(|| {
-                DelegationTable::new(DomainName::parse("net").expect("tld label"))
-            });
-            for p in &universe.providers {
-                let slug_domain =
-                    DomainName::parse(&format!("{}.net", p.slug())).expect("slug names are valid");
-                let glue: Vec<(DomainName, Ipv4Addr)> = ns_names[p.id as usize]
+        let edges = (universe.providers.iter())
+            .map(|p| {
+                let hosts = if p.cdn { 0..EDGE_HOSTS } else { 0..0 };
+                hosts.map(|h| infra(p, &format!("e{h}."))).collect()
+            })
+            .collect();
+        let hosts = (delegations.iter().enumerate())
+            .flat_map(|(p, d)| {
+                d.glue
                     .iter()
-                    .cloned()
-                    .zip(pools[p.id as usize].ns_addrs.iter().copied())
-                    .collect();
-                table.register(
-                    slug_domain,
-                    Delegation {
-                        ns: ns_names[p.id as usize].clone(),
-                        glue,
-                    },
-                );
-            }
-        }
+                    .map(move |(name, ip)| (name.clone(), (p as u32, *ip)))
+            })
+            .collect();
+        let served = Arc::new(Served {
+            sites: SiteIndex::build(world),
+            racks: config.racks.max(1),
+            pools: Arc::clone(&pools),
+            edges,
+            delegations,
+            hosts,
+            ca_certs,
+            eyeballs: eyeball_prefixes,
+            faults,
+        });
 
         // ---- Registry racks ----
-        // TLD server IPs: 192.5.<i/250>.<i%250+1>. The root is one more
-        // delegation table (origin `.`), referring each TLD to its registry.
+        // A registry serves each TLD holding a site, and `.net` for the
+        // provider infrastructure domains (`<slug>.net`) so glueless paths
+        // still resolve. TLD id order assigns the registry addresses:
+        // 192.5.<i/250>.<i%250+1>. The root is one more delegation table
+        // (origin `.`), referring each TLD to its registry.
+        let net_tld = universe.tld_by_label("net");
+        let mut served_tlds = vec![false; universe.tlds.len()];
+        for tld in world.sites.iter().map(|s| s.tld).chain(net_tld) {
+            served_tlds[tld as usize] = true;
+        }
+        let tld_ids = (0..universe.tlds.len() as u32).filter(|&t| served_tlds[t as usize]);
         let mut root = DelegationTable::new(DomainName::root());
         let registry_groups = 4usize;
         let mut registry_tables: Vec<HashMap<Ipv4Addr, DelegationTable>> =
             vec![HashMap::new(); registry_groups];
-        for (gi, (tld_id, table)) in tld_tables.into_iter().enumerate() {
+        for (gi, tld_id) in tld_ids.enumerate() {
             let i = gi as u32;
             let ip = Ipv4Addr::new(192, 5, (i / 250) as u8, (i % 250 + 1) as u8);
             let label = &universe.tld(tld_id).label;
+            let origin = DomainName::parse(label).expect("tld label");
+            let sites = TldSites {
+                served: Arc::clone(&served),
+                tld: tld_id,
+            };
+            let mut table = DelegationTable::new(origin.clone()).with_lookup(Arc::new(sites));
+            if Some(tld_id) == net_tld {
+                // The table's own children come before its hook, so an
+                // infrastructure domain wins over a site of the same name.
+                for (p, d) in universe.providers.iter().zip(&served.delegations) {
+                    table.register(infra(p, ""), d.clone());
+                }
+            }
             let ns_host =
                 DomainName::parse(&format!("ns.{label}-registry.net")).expect("registry host");
             root.register(
-                DomainName::parse(label).expect("tld label"),
+                origin,
                 Delegation {
                     ns: vec![ns_host.clone()],
                     glue: vec![(ns_host, ip)],
@@ -677,28 +730,25 @@ impl DeployedWorld {
         }
 
         // ---- Hosting racks ----
-        for (ri, data) in rack_data.into_iter().enumerate() {
-            let set = ResponderSet::new(&network, move |d: &Datagram| rack_respond(&data, d));
+        for ri in 0..served.racks {
+            let rack = Arc::clone(&served);
+            let set = ResponderSet::new(&network, move |d: &Datagram| rack.rack_respond(ri, d));
             // Attach every address of every provider on this rack.
             for p in &universe.providers {
-                if rack_of(p.id) != ri {
+                if served.rack_of(p.id) != ri {
                     continue;
                 }
                 let pp = &pools[p.id as usize];
+                // Each continent's pool lies in a /20 of its own, announced
+                // from that continent alone, so even an anycast provider's
+                // pool address has one site and binds like a unicast one.
                 for (ci, pool) in pp.pools.iter().enumerate() {
                     let region = CONT_ORDER[ci].region();
                     for &ip in pool {
-                        if p.anycast {
-                            // Anycast pools share addresses across
-                            // continents; attach each once per region.
-                            let _ = set.attach_anycast(ip, TLS_PORT, region);
-                            let _ = set.attach_anycast(ip, DNS_PORT, region);
-                        } else {
-                            set.attach(ip, TLS_PORT, region)
-                                .expect("address plan is collision-free");
-                            set.attach(ip, DNS_PORT, region)
-                                .expect("address plan is collision-free");
-                        }
+                        set.attach(ip, TLS_PORT, region)
+                            .expect("address plan is collision-free");
+                        set.attach(ip, DNS_PORT, region)
+                            .expect("address plan is collision-free");
                     }
                 }
                 let home_region = continent_of_country(&p.country).region();
@@ -759,8 +809,9 @@ impl DeployedWorld {
     }
 }
 
-/// FxHash-style string hash for stable IP selection.
-fn fxhash(s: &str) -> u32 {
+/// 32-bit FNV-1a string hash: a site's stable pool position, the same on
+/// every deploy (unlike the keyed [`SiteIndex`] probe hash).
+fn fnv1a(s: &str) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for b in s.bytes() {
         h = (h ^ b as u32).wrapping_mul(0x0100_0193);
@@ -774,6 +825,8 @@ mod tests {
     use crate::world::{World, WorldConfig};
     use std::time::Duration;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
+    use webdep_dns::zone::DEFAULT_TTL;
+    use webdep_netsim::SockAddr;
     use webdep_tls::scanner::{Scanner, ScannerConfig};
 
     fn deployed() -> (World, DeployedWorld) {
@@ -1002,6 +1055,437 @@ mod tests {
         let name = webdep_dns::DomainName::parse(&site.domain).unwrap();
         let err = resolver.resolve_a(&name).unwrap_err();
         assert!(matches!(err, webdep_dns::resolver::ResolveError::Timeout));
+    }
+
+    /// The deployment's tables as per-site copies, as the racks and
+    /// registries held them before the shared site index: the reference
+    /// every deployed answer must equal byte for byte.
+    struct Reference {
+        /// Per rack: site → (hosting provider, pool hash).
+        site_a: Vec<HashMap<DomainName, (u32, u32)>>,
+        /// Per rack: site → NS host names.
+        site_ns: Vec<HashMap<DomainName, Vec<DomainName>>>,
+        /// Per rack: nameserver host → address.
+        host_a: Vec<HashMap<DomainName, Ipv4Addr>>,
+        /// Per rack: SNI → leaf.
+        leaf_by_sni: Vec<HashMap<String, Certificate>>,
+        /// Registry address → table (the root's included).
+        registries: HashMap<Ipv4Addr, DelegationTable>,
+        /// Registry address per TLD id.
+        registry_of: HashMap<u32, Ipv4Addr>,
+        ca_certs: Vec<(Certificate, Certificate)>,
+        slugs: Vec<String>,
+        cdn: Vec<bool>,
+        pools: Arc<Vec<ProviderPools>>,
+        eyeballs: [Prefix; 6],
+    }
+
+    const RACKS: usize = 16;
+
+    impl Reference {
+        fn build(world: &World, dep: &DeployedWorld) -> Reference {
+            let u = &world.universe;
+            let pools = Arc::clone(&dep.pools);
+            let slugs: Vec<String> = u.providers.iter().map(|p| p.slug()).collect();
+            let ns_names: Vec<Vec<DomainName>> = (0..u.providers.len())
+                .map(|p| {
+                    (1..=pools[p].ns_addrs.len())
+                        .map(|i| DomainName::parse(&format!("ns{i}.{}.net", slugs[p])).unwrap())
+                        .collect()
+                })
+                .collect();
+            let delegation = |p: u32| Delegation {
+                ns: ns_names[p as usize].clone(),
+                glue: ns_names[p as usize]
+                    .iter()
+                    .cloned()
+                    .zip(pools[p as usize].ns_addrs.iter().copied())
+                    .collect(),
+            };
+            let mut r = Reference {
+                site_a: vec![HashMap::new(); RACKS],
+                site_ns: vec![HashMap::new(); RACKS],
+                host_a: vec![HashMap::new(); RACKS],
+                leaf_by_sni: vec![HashMap::new(); RACKS],
+                registries: HashMap::new(),
+                registry_of: HashMap::new(),
+                ca_certs: Vec::new(),
+                slugs: slugs.clone(),
+                cdn: u.providers.iter().map(|p| p.cdn).collect(),
+                pools: Arc::clone(&pools),
+                eyeballs: dep.eyeball_prefixes,
+            };
+            for ca in &u.cas {
+                let root = Certificate {
+                    serial: ca.root_cert_id as u64,
+                    subject: format!("{} Root", ca.name),
+                    san: vec![],
+                    issuer_id: ca.root_cert_id,
+                    issuer_name: format!("{} Root", ca.name),
+                    not_before: 0,
+                    not_after: u64::MAX,
+                    is_ca: true,
+                };
+                let inter = Certificate {
+                    serial: ca.issuing_cert_id as u64,
+                    subject: format!("{} Issuing CA", ca.name),
+                    san: vec![],
+                    issuer_id: ca.root_cert_id,
+                    issuer_name: root.subject.clone(),
+                    not_before: 0,
+                    not_after: u64::MAX,
+                    is_ca: true,
+                };
+                r.ca_certs.push((inter, root));
+            }
+            for p in &u.providers {
+                for (name, addr) in ns_names[p.id as usize]
+                    .iter()
+                    .zip(&pools[p.id as usize].ns_addrs)
+                {
+                    r.host_a[p.id as usize % RACKS].insert(name.clone(), *addr);
+                }
+            }
+            let mut tld_tables: std::collections::BTreeMap<u32, DelegationTable> =
+                Default::default();
+            for (idx, site) in world.sites.iter().enumerate() {
+                let domain = DomainName::parse(&site.domain).unwrap();
+                let dns_rack = site.dns as usize % RACKS;
+                r.site_a[dns_rack]
+                    .insert(domain.clone(), (site.hosting, fnv_reference(&site.domain)));
+                r.site_ns[dns_rack].insert(domain.clone(), ns_names[site.dns as usize].clone());
+                let ca = u.ca(site.ca);
+                let leaf = Certificate {
+                    serial: 1_000_000 + idx as u64,
+                    subject: site.domain.clone(),
+                    san: vec![site.domain.clone()],
+                    issuer_id: ca.issuing_cert_id,
+                    issuer_name: format!("{} Issuing CA", ca.name),
+                    not_before: 0,
+                    not_after: u64::MAX,
+                    is_ca: false,
+                };
+                r.leaf_by_sni[site.hosting as usize % RACKS].insert(site.domain.clone(), leaf);
+                tld_tables
+                    .entry(site.tld)
+                    .or_insert_with(|| {
+                        DelegationTable::new(DomainName::parse(&u.tld(site.tld).label).unwrap())
+                    })
+                    .register(domain, delegation(site.dns));
+            }
+            if let Some(net) = u.tld_by_label("net") {
+                let table = tld_tables
+                    .entry(net)
+                    .or_insert_with(|| DelegationTable::new(DomainName::parse("net").unwrap()));
+                for p in &u.providers {
+                    let slug_domain = DomainName::parse(&format!("{}.net", p.slug())).unwrap();
+                    table.register(slug_domain, delegation(p.id));
+                }
+            }
+            let mut root = DelegationTable::new(DomainName::root());
+            for (i, (tld, table)) in tld_tables.into_iter().enumerate() {
+                let ip = Ipv4Addr::new(192, 5, (i / 250) as u8, (i % 250 + 1) as u8);
+                let label = &u.tld(tld).label;
+                let ns_host = DomainName::parse(&format!("ns.{label}-registry.net")).unwrap();
+                root.register(
+                    DomainName::parse(label).unwrap(),
+                    Delegation {
+                        ns: vec![ns_host.clone()],
+                        glue: vec![(ns_host, ip)],
+                    },
+                );
+                r.registries.insert(ip, table);
+                r.registry_of.insert(tld, ip);
+            }
+            r.registries.insert(dep.roots[0], root);
+            r
+        }
+
+        fn respond_dns(
+            &self,
+            rack: usize,
+            query: dnswire::Message,
+            src: Ipv4Addr,
+        ) -> dnswire::Message {
+            let q = query.questions[0].clone();
+            let answers = match q.qtype {
+                dnswire::RecordType::A => {
+                    self.site_a[rack]
+                        .get_key_value(&q.name)
+                        .and_then(|(owner, &(p, hash))| {
+                            let cont = self
+                                .eyeballs
+                                .iter()
+                                .position(|e| e.contains(src))
+                                .unwrap_or(0);
+                            let pools = &self.pools[p as usize].pools;
+                            let pool = if self.cdn[p as usize] && !pools[cont].is_empty() {
+                                &pools[cont]
+                            } else {
+                                pools.iter().find(|p| !p.is_empty())?
+                            };
+                            let ip = pool[hash as usize % pool.len()];
+                            let a = |name| dnswire::Record {
+                                name,
+                                ttl: 300,
+                                data: dnswire::RecordData::A(ip),
+                            };
+                            Some(if self.cdn[p as usize] {
+                                let edge = DomainName::parse(&format!(
+                                    "e{}.{}.net",
+                                    hash % 64,
+                                    self.slugs[p as usize]
+                                ))
+                                .unwrap();
+                                vec![
+                                    dnswire::Record {
+                                        name: owner.clone(),
+                                        ttl: 300,
+                                        data: dnswire::RecordData::Cname(edge.clone()),
+                                    },
+                                    a(edge),
+                                ]
+                            } else {
+                                vec![a(owner.clone())]
+                            })
+                        })
+                }
+                dnswire::RecordType::Ns => {
+                    self.site_ns[rack]
+                        .get_key_value(&q.name)
+                        .map(|(owner, ns)| {
+                            ns.iter()
+                                .map(|n| dnswire::Record {
+                                    name: owner.clone(),
+                                    ttl: 3600,
+                                    data: dnswire::RecordData::Ns(n.clone()),
+                                })
+                                .collect()
+                        })
+                }
+                dnswire::RecordType::Cname => None,
+            };
+            if answers.is_none() && q.qtype == dnswire::RecordType::A {
+                if let Some(&ip) = self.host_a[rack].get(&q.name) {
+                    let mut resp = dnswire::Message::response_to(&query);
+                    resp.authoritative = true;
+                    resp.answers = vec![dnswire::Record {
+                        name: q.name.clone(),
+                        ttl: DEFAULT_TTL,
+                        data: dnswire::RecordData::A(ip),
+                    }];
+                    return resp;
+                }
+            }
+            let nxdomain = answers.is_none()
+                && !self.site_a[rack].contains_key(&q.name)
+                && !self.site_ns[rack].contains_key(&q.name);
+            let mut resp = query.into_response();
+            resp.authoritative = true;
+            resp.answers = answers.unwrap_or_default();
+            if nxdomain {
+                resp.rcode = dnswire::Rcode::NxDomain;
+            }
+            resp
+        }
+
+        /// The reference reply to `query` sent from `src` to `dst`.
+        fn reply(&self, rack: usize, dst: SockAddr, src: Ipv4Addr, query: &[u8]) -> bytes::Bytes {
+            let reply = if dst.port == TLS_PORT {
+                serve_hello(query, dst.ip, None, |sni| {
+                    let leaf = self.leaf_by_sni[rack].get(sni)?;
+                    let (inter, root) = &self.ca_certs[(leaf.issuer_id - 100_000) as usize];
+                    Some([leaf, inter, root].map(CertRef::Whole))
+                })
+            } else if let Some(table) = self.registries.get(&dst.ip) {
+                serve_query(query, dst.ip, None, |q| table.respond(q))
+            } else {
+                serve_query(query, dst.ip, None, |q| self.respond_dns(rack, q, src))
+            };
+            reply.payload.expect("every query is answered")
+        }
+    }
+
+    /// The old per-site pool hash, kept apart from [`fnv1a`] so the
+    /// reference does not share the code it checks.
+    fn fnv_reference(s: &str) -> u32 {
+        s.bytes()
+            .fold(0x811c_9dc5, |h, b| (h ^ b as u32).wrapping_mul(0x0100_0193))
+    }
+
+    /// Sends `query` from `ep` to `dst` on the deployed network and
+    /// checks the reply against the reference's bytes; returns the reply.
+    fn same_reply(
+        r: &Reference,
+        ep: &Endpoint,
+        rack: usize,
+        dst: SockAddr,
+        query: bytes::Bytes,
+        what: &str,
+    ) -> bytes::Bytes {
+        let want = r.reply(rack, dst, ep.addr().ip, &query);
+        ep.send(dst, query).expect("deployed address");
+        let got = ep
+            .recv_within(Duration::ZERO)
+            .expect("inline reply")
+            .payload;
+        assert_eq!(got, want, "{what}");
+        got
+    }
+
+    fn dns_query(name: &str, qtype: dnswire::RecordType) -> bytes::Bytes {
+        dnswire::encode(&dnswire::Message::query(
+            7,
+            DomainName::parse(name).unwrap(),
+            qtype,
+        ))
+    }
+
+    /// Every site's answers — A from two continents, NS, the root and
+    /// registry referrals, the TLS flight, and A at a rack that does not
+    /// serve it — equal the reference's bytes.
+    fn assert_wire_equal(world: &World) {
+        let dep = DeployedWorld::deploy(world, DeployConfig::default());
+        assert_eq!(
+            dep.num_racks() - 4,
+            RACKS,
+            "four registry groups, then the racks"
+        );
+        let r = Reference::build(world, &dep);
+        let na = dep.vantage(Continent::NorthAmerica);
+        let asia = dep.vantage(Continent::Asia);
+        let n_providers = world.universe.providers.len() as u32;
+        let ns_addr = |p: u32| SockAddr::new(dep.pools[p as usize].ns_addrs[0], DNS_PORT);
+        let root = SockAddr::new(dep.roots[0], DNS_PORT);
+        let mut cnames = 0;
+        let mut nxdomains = 0;
+        for site in &world.sites {
+            let d = site.domain.as_str();
+            let rack = site.dns as usize % RACKS;
+            for ep in [&na, &asia] {
+                let reply = same_reply(
+                    &r,
+                    ep,
+                    rack,
+                    ns_addr(site.dns),
+                    dns_query(d, dnswire::RecordType::A),
+                    d,
+                );
+                let reply = dnswire::decode(&reply).unwrap();
+                cnames += reply
+                    .answers
+                    .iter()
+                    .filter(|a| a.data.record_type() == dnswire::RecordType::Cname)
+                    .count();
+            }
+            same_reply(
+                &r,
+                &na,
+                rack,
+                ns_addr(site.dns),
+                dns_query(d, dnswire::RecordType::Ns),
+                d,
+            );
+            same_reply(&r, &na, 0, root, dns_query(d, dnswire::RecordType::A), d);
+            let registry = SockAddr::new(r.registry_of[&site.tld], DNS_PORT);
+            same_reply(
+                &r,
+                &na,
+                0,
+                registry,
+                dns_query(d, dnswire::RecordType::A),
+                d,
+            );
+
+            // A rack that does not run the site's DNS denies it.
+            let other = (site.dns + 1) % n_providers;
+            let reply = same_reply(
+                &r,
+                &na,
+                other as usize % RACKS,
+                ns_addr(other),
+                dns_query(d, dnswire::RecordType::A),
+                d,
+            );
+            nxdomains +=
+                (dnswire::decode(&reply).unwrap().rcode == dnswire::Rcode::NxDomain) as usize;
+
+            let hosting = dep.pools[site.hosting as usize]
+                .pools
+                .iter()
+                .find(|p| !p.is_empty())
+                .unwrap();
+            let hello = webdep_tls::handshake::encode_flight(&[
+                webdep_tls::HandshakeMessage::ClientHello {
+                    random: 11,
+                    sni: site.domain.clone(),
+                },
+            ]);
+            same_reply(
+                &r,
+                &na,
+                site.hosting as usize % RACKS,
+                SockAddr::new(hosting[0], TLS_PORT),
+                hello,
+                d,
+            );
+        }
+        // Every nameserver host, at its own rack and at the next one.
+        for (p, pools) in dep.pools.iter().enumerate() {
+            let p = p as u32;
+            let next = (p + 1) % n_providers;
+            for (i, _) in pools.ns_addrs.iter().enumerate() {
+                let host = format!("ns{}.{}.net", i + 1, world.universe.provider(p).slug());
+                let asked = [
+                    (p, dnswire::RecordType::A),
+                    (p, dnswire::RecordType::Ns),
+                    (next, dnswire::RecordType::A),
+                ];
+                for (at, qtype) in asked {
+                    let rack = at as usize % RACKS;
+                    same_reply(&r, &asia, rack, ns_addr(at), dns_query(&host, qtype), &host);
+                }
+            }
+        }
+        assert!(cnames > 0, "CDN sites answer with CNAMEs");
+        assert_eq!(
+            nxdomains,
+            world.sites.len(),
+            "the wrong rack answers NXDOMAIN"
+        );
+    }
+
+    #[test]
+    fn every_site_answers_as_its_per_site_tables_did() {
+        assert_wire_equal(&World::generate(WorldConfig::tiny()));
+    }
+
+    /// A site on `.net` named like a provider's infrastructure domain: the
+    /// registry still refers the name to the provider, as it did when the
+    /// provider's delegation overwrote the site's.
+    #[test]
+    fn provider_slug_wins_over_a_net_site() {
+        let mut wc = WorldConfig::tiny();
+        wc.sites_per_country = 60;
+        wc.global_pool_size = 300;
+        let mut world = World::generate(wc);
+        let net = world.universe.tld_by_label("net").expect(".net is a TLD");
+        let cf = world.universe.provider_by_name("Cloudflare").unwrap();
+        let slug = format!("{}.net", world.universe.provider(cf).slug());
+        let site = world.sites.iter_mut().find(|s| s.dns != cf).unwrap();
+        site.domain = slug.clone();
+        site.tld = net;
+        assert_wire_equal(&world);
+
+        let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+        let r = Reference::build(&world, &dep);
+        let ep = dep.vantage(Continent::Europe);
+        let registry = SockAddr::new(r.registry_of[&net], DNS_PORT);
+        ep.send(registry, dns_query(&slug, dnswire::RecordType::A))
+            .unwrap();
+        let referral = dnswire::decode(&ep.recv_within(Duration::ZERO).unwrap().payload).unwrap();
+        let cf_ns = DomainName::parse(&format!("ns1.{slug}")).unwrap();
+        assert_eq!(referral.authorities[0].data, dnswire::RecordData::Ns(cf_ns));
     }
 
     #[test]

@@ -461,18 +461,21 @@ fn cmd_evolve(args: &[String]) {
         epoch_dir(0)
     );
     let t0 = Instant::now();
+    // The base deployment serves the epoch-0 measurement only: each epoch
+    // deploys its own world.
     let dep = DeployedWorld::deploy(&base, pinned.clone());
-    let stats = measure_streamed(&base, &dep, &pipeline, &epoch_dir(0), None).unwrap_or_else(|e| {
+    let deploy_ms = t0.elapsed().as_millis();
+    measure_streamed(&base, &dep, &pipeline, &epoch_dir(0), None).unwrap_or_else(|e| {
         eprintln!("store error: {e}");
         std::process::exit(1);
     });
+    drop(dep);
     println!(
-        "epoch 0  sites={}  measured={}  wall={}ms  (full)",
+        "epoch 0  sites={}  measured={}  deploy={deploy_ms}ms  wall={}ms  (full)",
         base.sites.len(),
         base.sites.len(),
         t0.elapsed().as_millis()
     );
-    drop(stats);
 
     let mut world = Arc::new(base);
     let mut snapshot = Arc::new(
@@ -513,7 +516,9 @@ fn cmd_evolve(args: &[String]) {
             eprintln!("epoch {}: warning: {w}", e + 1);
         }
         let next = Arc::new(next);
+        let t_deploy = Instant::now();
         let dep = DeployedWorld::deploy(&next, pinned.clone());
+        let deploy_ms = t_deploy.elapsed().as_millis();
         let stats = measure_delta(
             &next,
             &dep,
@@ -589,7 +594,7 @@ fn cmd_evolve(args: &[String]) {
             .last()
             .expect("trajectory point");
         println!(
-            "epoch {}  sites={}  remeasured={}  chunks carried={}/{}  rows recommitted={}  patch rows={}{}  wall={}ms  S={:.4}  drift={:+.4}{}{}",
+            "epoch {}  sites={}  remeasured={}  chunks carried={}/{}  rows recommitted={}  patch rows={}{}  deploy={deploy_ms}ms  wall={}ms  S={:.4}  drift={:+.4}{}{}",
             e + 1,
             stats.sites_total,
             stats.sites_remeasured,
