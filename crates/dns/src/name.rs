@@ -14,6 +14,11 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum total name length (presentation form), per RFC 1035.
 pub const MAX_NAME_LEN: usize = 253;
 
+/// Whether `b` may appear in a label: `[A-Za-z0-9_-]`.
+pub(crate) fn is_label_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+}
+
 /// A fully qualified domain name, stored lowercase without the trailing
 /// root dot. The root itself is the empty string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,7 +71,7 @@ impl DomainName {
                 return Err(NameError::BadLabel(raw.to_string()));
             }
             for c in raw.chars() {
-                if !(c.is_ascii_alphanumeric() || c == '-' || c == '_') {
+                if !(c.is_ascii() && is_label_byte(c as u8)) {
                     return Err(NameError::BadCharacter(c));
                 }
             }
@@ -74,6 +79,13 @@ impl DomainName {
         Ok(DomainName {
             name: s.to_ascii_lowercase(),
         })
+    }
+
+    /// Wraps a presentation form that already passed [`DomainName::parse`]'s
+    /// checks: lowercase, no trailing dot. The wire decoder checks each
+    /// byte as it copies it, so it builds its names through this.
+    pub(crate) fn from_validated(name: String) -> Self {
+        DomainName { name }
     }
 
     /// Builds a name from pre-validated labels (panics on invalid input;

@@ -6,6 +6,13 @@
 //! when present, resolving nameserver names otherwise), follows CNAMEs, and
 //! caches delegations so bulk resolution does not hammer the root.
 //!
+//! Its private tier is scoped by site: a caller that resolves many sites
+//! ends each one with [`IterativeResolver::forget`], which drops the
+//! entries keyed by the site's own name (its cut, the NS set and A answer
+//! its referral and query brought). What stays is what sites share: TLD
+//! cuts, nameserver hosts and their glue, CDN edge names. So the tier
+//! holds O(providers + TLDs) entries however many sites pass through.
+//!
 //! Timeouts are simulated: every server is an inline responder, so a reply
 //! is queued before the query's send returns, stamped with how late it
 //! arrives. An attempt takes the first matching reply that arrives within
@@ -132,10 +139,13 @@ pub struct IterativeResolver {
     /// Transaction id of the next query.
     next_id: u16,
     roots: ZoneServers,
-    /// zone apex -> authoritative server addresses.
+    /// zone apex -> authoritative server addresses: the TLD cuts, the
+    /// providers' zones, and the cut of each site whose scope is open.
     zone_cache: HashMap<DomainName, ZoneServers>,
-    /// Completed answers by owner name, then record type. Nesting by name
-    /// lets the hot lookup path borrow `name` instead of cloning it into a
+    /// Completed answers by owner name, then record type: nameserver hosts
+    /// (glue) and CDN edge names shared across sites, plus the NS set and
+    /// A answer of each site whose scope is open. Nesting by name lets the
+    /// hot lookup path borrow `name` instead of cloning it into a
     /// `(DomainName, RecordType)` probe key.
     answer_cache: HashMap<DomainName, AnswerRows>,
     /// Shared tier of the root's delegations, consulted when the private
@@ -214,6 +224,21 @@ impl IterativeResolver {
     /// Wire/cache accounting for this resolver.
     pub fn stats(&self) -> ResolverStats {
         self.stats
+    }
+
+    /// Ends `site`'s scope: drops the private-tier entries keyed by the
+    /// site's own name, its zone cut and its answer row (the NS set its
+    /// referral carried, its A answer). Entries other sites share stay.
+    ///
+    /// A measurement asks for a site's name once, so without this the tier
+    /// grows by a cut and a row per site, and every probe and insert pays
+    /// for the size. Answers cannot change: which answer a query gets
+    /// never depends on this cache (see `query_any`). Only wire queries
+    /// can, when a dropped name is asked for again, as a site name that is
+    /// also a provider's domain is.
+    pub fn forget(&mut self, site: &DomainName) {
+        self.zone_cache.remove(site);
+        self.answer_cache.remove(site);
     }
 
     /// Resolves A records for `name`.
@@ -860,6 +885,101 @@ mod tests {
         );
         let addrs = r3.resolve_a(&n("example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.10")]);
+    }
+
+    /// root -> com -> `site{i}.com` for `i < sites`, every site delegated
+    /// with glue to the one nameserver `ns1.provider.net`.
+    fn hosted_sites_world(net: &Network, sites: usize) -> (Vec<ResponderSet>, Vec<DomainName>) {
+        let root_ip = ip("198.41.0.4");
+        let com_ip = ip("192.5.6.30");
+        let provider_ns_ip = ip("203.0.113.54");
+        let ns = n("ns1.provider.net");
+        let mut root = Zone::new(DomainName::root());
+        root.delegate(
+            n("com"),
+            &[n("a.gtld-servers.net")],
+            &[(n("a.gtld-servers.net"), com_ip)],
+        );
+        let mut com = Zone::new(n("com"));
+        let mut hosted = Vec::new();
+        let names: Vec<DomainName> = (0..sites).map(|i| n(&format!("site{i}.com"))).collect();
+        for (i, site) in names.iter().enumerate() {
+            com.delegate(
+                site.clone(),
+                std::slice::from_ref(&ns),
+                &[(ns.clone(), provider_ns_ip)],
+            );
+            let mut zone = Zone::new(site.clone());
+            zone.add_a(site.clone(), Ipv4Addr::new(203, 0, 113, 100 + i as u8));
+            zone.add_ns(site.clone(), ns.clone());
+            hosted.push(zone);
+        }
+        let servers = vec![
+            auth(net, root_ip, Region::NORTH_AMERICA, vec![root], None),
+            auth(net, com_ip, Region::NORTH_AMERICA, vec![com], None),
+            auth(net, provider_ns_ip, Region::EUROPE, hosted, None),
+        ];
+        (servers, names)
+    }
+
+    /// Entries in `r`'s private tier: zone cuts plus answer rows.
+    fn private_entries(r: &IterativeResolver) -> usize {
+        r.zone_cache.len() + r.answer_cache.len()
+    }
+
+    /// What the pipeline asks per site: its A records, its NS set, and the
+    /// first nameserver's A records.
+    type SiteAnswers = (
+        Result<Vec<Ipv4Addr>, ResolveError>,
+        Result<Vec<DomainName>, ResolveError>,
+        Result<Vec<Ipv4Addr>, ResolveError>,
+    );
+
+    fn measure_site(r: &mut IterativeResolver, site: &DomainName) -> SiteAnswers {
+        let a = r.resolve_a(site);
+        let ns = r.resolve_ns(site);
+        let ns_a = r.resolve_a(&ns.as_ref().unwrap()[0]);
+        (a, ns, ns_a)
+    }
+
+    #[test]
+    fn forgetting_sites_keeps_the_private_tier_flat() {
+        let net = Network::new(NetConfig::default());
+        let (_servers, sites) = hosted_sites_world(&net, 24);
+        let mut r = resolver(&net, vec![ip("198.41.0.4")]);
+        let mut sizes = Vec::new();
+        for site in &sites {
+            let (a, ns, ns_a) = measure_site(&mut r, site);
+            assert!(a.is_ok() && ns.is_ok() && ns_a.is_ok());
+            r.forget(site);
+            sizes.push(private_entries(&r));
+        }
+        // The `com` cut, its NS set and its server's address, and the
+        // site nameserver's address, whatever the count of sites measured.
+        assert_eq!(sizes[0], 4);
+        assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
+    }
+
+    #[test]
+    fn a_forgotten_site_resolves_again_alike() {
+        let net = Network::new(NetConfig::default());
+        let (_servers, sites) = hosted_sites_world(&net, 2);
+        let mut r = resolver(&net, vec![ip("198.41.0.4")]);
+        // Warm the shared names (the `com` cut, the nameserver's glue).
+        assert!(measure_site(&mut r, &sites[1]).0.is_ok());
+        r.forget(&sites[1]);
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let before = r.queries_sent();
+            let answers = measure_site(&mut r, &sites[0]);
+            runs.push((answers, r.queries_sent() - before));
+            r.forget(&sites[0]);
+        }
+        assert_eq!(runs[0].0 .0, Ok(vec![ip("203.0.113.100")]));
+        // The `com` referral and the site's A answer; the NS set and the
+        // nameserver's address come from the referral.
+        assert_eq!(runs[0].1, 2);
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! additional layout. Encoding compresses repeated names with pointers;
 //! decoding follows pointers with a hop limit to reject loops.
 
-use crate::name::{DomainName, MAX_NAME_LEN};
+use crate::name::{is_label_byte, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
 use bytes::{BufMut, Bytes};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -455,17 +455,75 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A name being decoded: the dot-joined wire labels, lowercased and
+/// checked byte by byte against [`DomainName::parse`]'s rules as they are
+/// copied, so the name is never parsed again.
+struct NameBuf {
+    /// Room for the longest name plus the one trailing dot `parse` strips;
+    /// a longer joined name can never parse.
+    bytes: [u8; MAX_NAME_LEN + 1],
+    len: usize,
+    /// Length of the label being copied. A wire label may carry dots of
+    /// its own, which split it as they would split the joined text.
+    label: usize,
+}
+
+impl NameBuf {
+    fn push(&mut self, b: u8) -> Result<(), WireError> {
+        if b == b'.' {
+            // An empty label: only a leading dot may end one, and `finish`
+            // accepts that only as the whole name ".".
+            if self.label == 0 && self.len > 0 {
+                return Err(WireError::BadName);
+            }
+            self.label = 0;
+        } else if is_label_byte(b) && self.label < MAX_LABEL_LEN {
+            self.label += 1;
+        } else {
+            return Err(WireError::BadName);
+        }
+        *self.bytes.get_mut(self.len).ok_or(WireError::BadName)? = b.to_ascii_lowercase();
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Appends one wire label, after a separating dot unless it is first.
+    fn push_label(&mut self, raw: &[u8]) -> Result<(), WireError> {
+        if self.len > 0 {
+            self.push(b'.')?;
+        }
+        raw.iter().try_for_each(|&b| self.push(b))
+    }
+
+    fn finish(&self) -> Result<DomainName, WireError> {
+        let mut text = &self.bytes[..self.len];
+        // As `parse`, strip one trailing dot: "a." is "a", "." the root.
+        if let [rest @ .., b'.'] = text {
+            text = rest;
+        }
+        if text.len() > MAX_NAME_LEN || text.first() == Some(&b'.') {
+            return Err(WireError::BadName);
+        }
+        // The one conversion to text: every byte was checked to be ASCII,
+        // so this cannot fail, and it runs word by word where pushing each
+        // byte as a char would not.
+        let text = std::str::from_utf8(text).map_err(|_| WireError::BadName)?;
+        Ok(DomainName::from_validated(text.to_owned()))
+    }
+}
+
 /// Decodes a possibly compressed name starting at the cursor.
 ///
-/// The labels are joined into a stack buffer and handed to
-/// [`DomainName::parse`], so the decoder accepts exactly the names `parse`
-/// accepts and a name costs one allocation of its own length. A joined
-/// name longer than the buffer can never parse (`parse` strips at most one
-/// trailing dot), but the walk still runs to the end, so errors are found
-/// in the same order as when the whole name was joined first.
+/// The labels are checked and lowercased as they are copied ([`NameBuf`]),
+/// so the decoder accepts exactly the names [`DomainName::parse`] accepts
+/// on the dot-joined labels, and a name costs one allocation of its own
+/// length. An invalid label byte fails the name at once.
 fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
-    let mut buf = [0u8; MAX_NAME_LEN + 1];
-    let mut len = 0;
+    let mut name = NameBuf {
+        bytes: [0; MAX_NAME_LEN + 1],
+        len: 0,
+        label: 0,
+    };
     let mut pos = cur.pos;
     let mut jumped = false;
     let mut hops = 0;
@@ -499,22 +557,10 @@ fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
         let start = pos + 1;
         let end = start + label_len;
         let raw = cur.bytes.get(start..end).ok_or(WireError::Truncated)?;
-        std::str::from_utf8(raw).map_err(|_| WireError::BadName)?;
-        let sep = usize::from(len > 0);
-        let joined = len + sep + raw.len();
-        if joined <= buf.len() {
-            if sep == 1 {
-                buf[len] = b'.';
-            }
-            buf[len + sep..joined].copy_from_slice(raw);
-        }
-        len = joined;
+        name.push_label(raw)?;
         pos = end;
     }
-    let joined = buf.get(..len).ok_or(WireError::BadName)?;
-    // UTF-8 labels joined by dots are UTF-8.
-    let text = std::str::from_utf8(joined).map_err(|_| WireError::BadName)?;
-    DomainName::parse(text).map_err(|_| WireError::BadName)
+    name.finish()
 }
 
 /// Decodes one record; returns `None` for unknown types (skipped), matching
@@ -645,6 +691,44 @@ mod tests {
                 encode_query(77, &n, t),
                 encode(&Message::query(77, n.clone(), t))
             );
+        }
+    }
+
+    #[test]
+    fn decoded_edge_names_match_parse() {
+        let long = |n: usize| "a".repeat(n);
+        // Wire labels are split at `|`. 63 + 63 + 63 + 61 bytes joined by
+        // dots make 253, the longest name.
+        let cases = [
+            String::new(),
+            ".".into(),
+            "a.".into(),
+            ".a".into(),
+            "a|.".into(),
+            ".|a".into(),
+            "a.|b".into(),
+            "a.b|C".into(),
+            "-|_".into(),
+            "a b".into(),
+            "é".into(),
+            long(63),
+            long(64),
+            format!("{}.|aa", long(62)),
+            format!("{0}|{0}|{0}|{1}", long(63), long(61)),
+            format!("{0}|{0}|{0}|{1}", long(63), long(62)),
+            format!("{0}|{0}|{0}|{1}.", long(63), long(61)),
+        ];
+        for case in cases {
+            let labels: Vec<&str> = case.split('|').filter(|l| !l.is_empty()).collect();
+            let mut raw = vec![0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+            for l in &labels {
+                raw.push(l.len() as u8);
+                raw.extend_from_slice(l.as_bytes());
+            }
+            raw.extend_from_slice(&[0, 0, 1, 0, 1]);
+            let decoded = decode(&raw).ok().map(|m| m.questions[0].name.clone());
+            let parsed = DomainName::parse(&labels.join(".")).ok();
+            assert_eq!(decoded, parsed, "{case:?}");
         }
     }
 

@@ -14,21 +14,9 @@ use crate::error::NetError;
 use crate::fault::FaultedReply;
 use crate::network::{Network, Region, ResponderFn};
 use crate::packet::Datagram;
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-
-/// Lock stripes for the attached-address table. The reply path only reads,
-/// so with `RwLock` stripes concurrent repliers never contend at all.
-const NUM_STRIPES: usize = 8;
-
-fn stripe_index(addr: &SockAddr) -> usize {
-    let mut h = DefaultHasher::new();
-    addr.hash(&mut h);
-    (h.finish() as usize) % NUM_STRIPES
-}
 
 /// Many addresses served by one inline function, zero threads.
 ///
@@ -40,9 +28,11 @@ fn stripe_index(addr: &SockAddr) -> usize {
 pub struct ResponderSet {
     net: Network,
     f: Arc<ResponderFn>,
-    /// Attached addresses and their regions (anycast flag kept for unbind),
-    /// striped by address hash.
-    attached: [RwLock<HashMap<SockAddr, (Region, bool)>>; NUM_STRIPES],
+    /// Every binding made, `(address, region, anycast)`: one per unicast
+    /// address and one per region an anycast address is announced in.
+    /// Only attaching and dropping touch it; the reply path goes through
+    /// the network's own tables.
+    attached: Mutex<Vec<(SockAddr, Region, bool)>>,
 }
 
 impl std::fmt::Debug for ResponderSet {
@@ -62,44 +52,39 @@ impl ResponderSet {
         ResponderSet {
             net: net.clone(),
             f: Arc::new(f),
-            attached: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            attached: Mutex::new(Vec::new()),
         }
     }
 
-    fn stripe(&self, addr: &SockAddr) -> &RwLock<HashMap<SockAddr, (Region, bool)>> {
-        &self.attached[stripe_index(addr)]
+    fn bind(&self, ip: Ipv4Addr, port: u16, region: Region, anycast: bool) -> Result<(), NetError> {
+        let addr = SockAddr::new(ip, port);
+        self.net
+            .bind_responder(addr, region, Arc::clone(&self.f), anycast)?;
+        self.attached.lock().push((addr, region, anycast));
+        Ok(())
     }
 
     /// Attaches a unicast address; datagrams to it are answered inline.
     pub fn attach(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<(), NetError> {
-        let addr = SockAddr::new(ip, port);
-        self.net
-            .bind_responder(addr, region, Arc::clone(&self.f), false)?;
-        self.stripe(&addr).write().insert(addr, (region, false));
-        Ok(())
+        self.bind(ip, port, region, false)
     }
 
     /// Attaches one anycast site of an address.
     pub fn attach_anycast(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<(), NetError> {
-        let addr = SockAddr::new(ip, port);
-        self.net
-            .bind_responder(addr, region, Arc::clone(&self.f), true)?;
-        self.stripe(&addr).write().insert(addr, (region, true));
-        Ok(())
+        self.bind(ip, port, region, true)
     }
 
-    /// Number of attached addresses.
+    /// Number of bindings: one per unicast address, one per region an
+    /// anycast address is announced in.
     pub fn num_attached(&self) -> usize {
-        self.attached.iter().map(|s| s.read().len()).sum()
+        self.attached.lock().len()
     }
 }
 
 impl Drop for ResponderSet {
     fn drop(&mut self) {
-        for stripe in &self.attached {
-            for (addr, (region, anycast)) in stripe.write().drain() {
-                self.net.unbind(addr, anycast, region);
-            }
+        for (addr, region, anycast) in self.attached.get_mut().drain(..) {
+            self.net.unbind(addr, anycast, region);
         }
     }
 }
@@ -193,6 +178,24 @@ mod tests {
         assert!(set
             .attach_anycast(ip("10.0.0.7"), 53, Region::EUROPE)
             .is_err());
+    }
+
+    #[test]
+    fn anycast_detaches_in_every_region() {
+        let net = Network::new(NetConfig::default());
+        let anycast = SockAddr::new(ip("1.1.1.1"), 53);
+        let set = ResponderSet::new(&net, echo);
+        set.attach_anycast(anycast.ip, 53, Region::EUROPE).unwrap();
+        set.attach_anycast(anycast.ip, 53, Region::ASIA).unwrap();
+        assert_eq!(set.num_attached(), 2);
+        drop(set);
+
+        let client = net.bind(ip("10.9.9.9"), 1, Region::EUROPE).unwrap();
+        assert_eq!(
+            client.send(anycast, Bytes::from_static(b"q")),
+            Err(NetError::Unreachable(anycast))
+        );
+        assert!(net.bind(anycast.ip, 53, Region::ASIA).is_ok());
     }
 
     #[test]

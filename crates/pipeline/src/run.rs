@@ -778,6 +778,7 @@ fn worker_main(
                     break 'outer;
                 }
                 let site = &world.sites[i];
+                let name = DomainName::parse(&site.domain).ok();
                 let measured = catch_unwind(AssertUnwindSafe(|| {
                     if chaos.panics(i) {
                         panic!("chaos: injected panic for site {i}");
@@ -785,6 +786,7 @@ fn worker_main(
                     let mut obs = SiteObservation::blank(&site.domain, &site.language);
                     measure_one(
                         &mut obs,
+                        name.as_ref(),
                         &mut resolver,
                         &mut scanner,
                         &dep.pfx2as,
@@ -795,6 +797,10 @@ fn worker_main(
                     );
                     obs
                 }));
+                // Nothing keyed by the site's own name is asked for again.
+                if let Some(name) = &name {
+                    resolver.forget(name);
+                }
                 let obs = match measured {
                     Ok(obs) => obs,
                     Err(payload) => {
@@ -852,7 +858,8 @@ fn scan_failure(e: &webdep_tls::ScanError) -> LayerError {
     LayerError::new(cause, format!("TLS: {e}"))
 }
 
-/// Runs the whole pipeline for a single observation.
+/// Runs the whole pipeline for a single observation; `name` is its
+/// domain parsed, `None` when it does not parse.
 ///
 /// Every layer runs to completion and records its *own* failure — a DNS
 /// timeout no longer masks a TLS refusal the way the old first-error-wins
@@ -861,6 +868,7 @@ fn scan_failure(e: &webdep_tls::ScanError) -> LayerError {
 #[allow(clippy::too_many_arguments)]
 fn measure_one(
     obs: &mut SiteObservation,
+    name: Option<&DomainName>,
     resolver: &mut IterativeResolver,
     scanner: &mut Scanner,
     pfx2as: &PrefixTable<u32>,
@@ -869,7 +877,7 @@ fn measure_one(
     anycast: &AnycastSet,
     caodb: &CaOwnerDb,
 ) {
-    let Ok(name) = DomainName::parse(&obs.domain) else {
+    let Some(name) = name else {
         obs.hosting_error = Some(LayerError::new(
             FailureCause::Malformed,
             "unparseable domain",
@@ -881,7 +889,7 @@ fn measure_one(
     };
 
     // Hosting: A record -> serving IP -> AS -> org; geo + anycast.
-    match resolver.resolve_a(&name) {
+    match resolver.resolve_a(name) {
         Ok(addrs) if !addrs.is_empty() => {
             let ip = addrs[0];
             obs.hosting_ip = Some(ip);
@@ -902,7 +910,7 @@ fn measure_one(
     }
 
     // DNS: NS names -> first NS address -> AS -> org.
-    match resolver.resolve_ns(&name) {
+    match resolver.resolve_ns(name) {
         Ok(ns_names) if !ns_names.is_empty() => {
             let mut resolved = None;
             for ns in &ns_names {

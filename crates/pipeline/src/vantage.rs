@@ -34,8 +34,9 @@ pub fn resolve_hosting_orgs(
         .map(|&site_idx| {
             let site = &world.sites[site_idx as usize];
             let name = DomainName::parse(&site.domain).ok()?;
-            let addrs = resolver.resolve_a(&name).ok()?;
-            let ip = *addrs.first()?;
+            let addrs = resolver.resolve_a(&name);
+            resolver.forget(&name);
+            let ip = *addrs.ok()?.first()?;
             let (&asn, _) = dep.pfx2as.lookup(ip)?;
             dep.asorg.org_of_asn(asn).map(|o| o.org_id)
         })
