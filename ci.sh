@@ -28,6 +28,25 @@ if [[ -n "$clock" ]]; then
     exit 1
 fi
 
+# One borrowed wire on the measurement path: responders write each reply
+# straight into its datagram (`dns::wire::Reply`) and the resolver reads
+# replies in place (`dns::wire::MessageView`). The owned `Message` with
+# `encode`/`decode` is the reference form for tests and tools, so the
+# non-test code of the resolver, the registry tables and the deployed
+# racks names none of them: a second, owned path cannot creep back.
+echo "==> no owned DNS messages in non-test code of the resolver, registries, racks"
+owned=$(awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /(^|[^A-Za-z0-9_])Message([^A-Za-z0-9_]|$)|decode\(|encode\(&/ {
+        print FILENAME ":" FNR ": " $0
+    }' crates/dns/src/resolver.rs crates/dns/src/bigzone.rs crates/webgen/src/deploy.rs)
+if [[ -n "$owned" ]]; then
+    echo "ci: the measurement path builds or decodes owned DNS messages:" >&2
+    echo "$owned" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

@@ -10,13 +10,14 @@
 //! nameservers plus glue. A TLD registry has the TLD as its origin; the
 //! root is the table with origin `.`, registering every TLD. A
 //! [`ChildLookup`] hook lets a registry refer children it does not hold,
-//! from a table shared with other servers. The table produces wire
-//! [`Message`]s directly. A responder serves them through
-//! [`crate::server::serve_query`], inline on each querier's thread, so
-//! one table answers every thread at once.
+//! from a table shared with other servers. The table writes its referrals
+//! straight into the reply datagram ([`Reply`]). A responder serves them
+//! through [`crate::server::serve_query`], inline on each querier's
+//! thread, so one table answers every thread at once.
 
-use crate::name::DomainName;
-use crate::wire::{Message, Rcode, Record, RecordData};
+use crate::name::{is_within, label_count, suffixes, DomainName};
+use crate::server::QuestionRef;
+use crate::wire::{RData, Rcode, Reply};
 use crate::zone::DEFAULT_TTL;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -82,77 +83,42 @@ impl DelegationTable {
         self.children.insert(domain, delegation);
     }
 
-    /// Answers a query: a referral for names at or below a registered
-    /// domain, NXDOMAIN for unregistered names in-zone, ServFail otherwise.
-    /// The response reuses the query's question section.
-    pub fn respond(&self, query: Message) -> Message {
-        let Some(q) = query.questions.first() else {
-            let mut resp = query.into_response();
-            resp.rcode = Rcode::FormErr;
-            return resp;
-        };
-        if !q.name.is_within(&self.origin) {
-            let mut resp = query.into_response();
-            resp.rcode = Rcode::ServFail;
-            return resp;
+    /// Answers `q` into `reply`: a referral for names at or below a
+    /// registered domain, NXDOMAIN for unregistered names in-zone,
+    /// ServFail otherwise. The records are written straight from the
+    /// table's delegations, the registered domain as a suffix of the
+    /// question's name.
+    pub fn respond(&self, q: QuestionRef<'_>, reply: &mut Reply<'_>) {
+        let origin = self.origin.as_str();
+        if !is_within(q.name, origin) {
+            reply.set_rcode(Rcode::ServFail);
+            return;
         }
-        if q.name == self.origin {
+        if q.name == origin {
             // Queries for the apex itself: NoData (apex NS is out of scope;
             // the parent's glue is what matters).
-            let mut resp = query.into_response();
-            resp.authoritative = true;
-            return resp;
+            reply.set_authoritative();
+            return;
         }
-        // The registered domain is the child truncated to origin + 1 labels:
-        // a suffix of the queried name, looked up borrowed.
-        let extra = q.name.num_labels() - self.origin.num_labels();
-        let mut resp = query.into_response();
-        let name = &resp.questions[0].name;
-        let registered = name
-            .suffixes()
+        // The registered domain is the child truncated to origin + 1 labels.
+        let extra = label_count(q.name) - self.origin.num_labels();
+        let registered = suffixes(q.name)
             .nth(extra - 1)
             .expect("in zone, below the apex");
-        // A child the hook finds is named by the question itself unless the
-        // query is deeper, so its referral copies the name no more often
-        // than a held child's.
-        let parsed;
-        let found = match self.children.get_key_value(registered) {
+        let found = match self.children.get(registered) {
             Some(held) => Some(held),
-            None => match self.lookup.as_ref().and_then(|l| l.delegation(registered)) {
-                Some(d) if extra == 1 => Some((name, d)),
-                Some(d) => {
-                    parsed = DomainName::parse(registered).expect("a suffix of a valid name");
-                    Some((&parsed, d))
-                }
-                None => None,
-            },
+            None => self.lookup.as_ref().and_then(|l| l.delegation(registered)),
         };
-        match found {
-            Some((registered, d)) => {
-                resp.authorities =
-                    d.ns.iter()
-                        .map(|ns| Record {
-                            name: registered.clone(),
-                            ttl: DEFAULT_TTL,
-                            data: RecordData::Ns(ns.clone()),
-                        })
-                        .collect();
-                resp.additionals = d
-                    .glue
-                    .iter()
-                    .map(|(name, ip)| Record {
-                        name: name.clone(),
-                        ttl: DEFAULT_TTL,
-                        data: RecordData::A(*ip),
-                    })
-                    .collect();
-                resp
-            }
-            None => {
-                resp.authoritative = true;
-                resp.rcode = Rcode::NxDomain;
-                resp
-            }
+        let Some(d) = found else {
+            reply.set_authoritative();
+            reply.set_rcode(Rcode::NxDomain);
+            return;
+        };
+        for ns in &d.ns {
+            reply.authority(registered, DEFAULT_TTL, RData::Ns(ns.as_str()));
+        }
+        for (name, ip) in &d.glue {
+            reply.additional(name.as_str(), DEFAULT_TTL, RData::A(*ip));
         }
     }
 }
@@ -160,7 +126,8 @@ impl DelegationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Message, RecordType};
+    use crate::server::serve_query;
+    use crate::wire::{decode, encode, Message, RecordType};
 
     fn n(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -168,6 +135,12 @@ mod tests {
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    /// `t`'s reply to `q`, served and decoded.
+    fn served(t: &DelegationTable, q: &Message) -> Message {
+        let reply = serve_query(&encode(q), ip("192.5.6.30"), None, |q, r| t.respond(q, r));
+        decode(&reply.payload.expect("a query is answered")).unwrap()
     }
 
     fn registry() -> DelegationTable {
@@ -186,7 +159,7 @@ mod tests {
     fn referral_for_registered_domain() {
         let t = registry();
         let q = Message::query(1, n("example.com"), RecordType::A);
-        let r = t.respond(q);
+        let r = served(&t, &q);
         assert_eq!(r.rcode, Rcode::NoError);
         assert_eq!(r.authorities.len(), 1);
         assert_eq!(r.additionals.len(), 1);
@@ -197,7 +170,7 @@ mod tests {
     fn deep_names_refer_to_registered_parent() {
         let t = registry();
         let q = Message::query(1, n("a.b.example.com"), RecordType::A);
-        let r = t.respond(q);
+        let r = served(&t, &q);
         assert_eq!(r.authorities[0].name, n("example.com"));
     }
 
@@ -205,14 +178,14 @@ mod tests {
     fn unregistered_is_nxdomain() {
         let t = registry();
         let q = Message::query(1, n("missing.com"), RecordType::A);
-        assert_eq!(t.respond(q).rcode, Rcode::NxDomain);
+        assert_eq!(served(&t, &q).rcode, Rcode::NxDomain);
     }
 
     #[test]
     fn out_of_zone_is_servfail() {
         let t = registry();
         let q = Message::query(1, n("example.org"), RecordType::A);
-        assert_eq!(t.respond(q).rcode, Rcode::ServFail);
+        assert_eq!(served(&t, &q).rcode, Rcode::ServFail);
     }
 
     /// A hook answering for the listed children.
@@ -251,7 +224,7 @@ mod tests {
         ] {
             for qtype in [RecordType::A, RecordType::Ns] {
                 let q = Message::query(9, n(name), qtype);
-                assert_eq!(with_hook.respond(q.clone()), held.respond(q), "{name}");
+                assert_eq!(served(&with_hook, &q), served(&held, &q), "{name}");
             }
         }
     }
@@ -263,7 +236,7 @@ mod tests {
     /// glue name, where the table answers NxDomain.
     #[test]
     fn root_table_answers_like_a_root_zone() {
-        use crate::server::{answer, serve_query};
+        use crate::server::answer_from_zones;
         use crate::zone::Zone;
         let mut zone = Zone::new(DomainName::root());
         let mut table = DelegationTable::new(DomainName::root());
@@ -293,8 +266,9 @@ mod tests {
         for (id, name) in names.iter().enumerate() {
             for qtype in [RecordType::A, RecordType::Ns] {
                 let query = crate::wire::encode(&Message::query(id as u16, name.clone(), qtype));
-                let want = serve_query(&query, server, None, |q| answer(&zones, &q));
-                let got = serve_query(&query, server, None, |q| table.respond(q));
+                let want =
+                    serve_query(&query, server, None, |q, r| answer_from_zones(&zones, q, r));
+                let got = serve_query(&query, server, None, |q, r| table.respond(q, r));
                 assert!(want.payload.is_some());
                 assert_eq!(got, want, "{name} {qtype:?}");
             }

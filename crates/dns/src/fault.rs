@@ -1,57 +1,54 @@
 //! Applying a [`FaultPlan`] to authoritative DNS answers.
 //!
-//! [`crate::server::serve_query`] calls [`apply_dns_fault`] on every ready
-//! response. The decision is keyed on `(server ip, qname)` only — see the
-//! determinism notes on [`FaultPlan`] — so a retried query meets exactly
-//! the same fate and recovery requires asking a different server.
+//! [`crate::server::serve_query`] calls [`apply_dns_fault`] on every
+//! query it answers. The decision is keyed on `(server ip, qname)` only —
+//! see the determinism notes on [`FaultPlan`] — so a retried query meets
+//! exactly the same fate and recovery requires asking a different server.
 
-use crate::wire::{encode, Message, Rcode};
 use bytes::Bytes;
 use std::net::Ipv4Addr;
 use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 
-/// Runs the clean `response` to `query` through `plan` as server `ip`.
+/// Which reply a server writes for a query its fault plan lets through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyShape {
+    /// The clean answer.
+    Answer,
+    /// A bare SERVFAIL: the header and the echoed questions.
+    ServFail,
+    /// The clean answer with its transaction id flipped: it decodes
+    /// cleanly but matches no outstanding query, like a stale or spoofed
+    /// datagram.
+    GarbledId,
+}
+
+/// Runs the query for `qname` to server `ip` through `plan`; `write` writes
+/// the reply in the shape the fault asks for, once.
 ///
 /// The returned [`FaultedReply`] carries the payload to send (`None` when
-/// the fault swallows the reply) — possibly a SERVFAIL, a truncated
-/// prefix, or a garbled header — and, for [`FaultKind::Delay`], how late
-/// it arrives. The delay is simulated time: the network stamps it on the
-/// reply datagram and the resolver's window decides whether it came in
-/// time.
+/// the fault swallows the reply) — possibly a SERVFAIL, a truncated prefix
+/// of the clean reply (sharing its bytes), or a garbled header — and, for
+/// [`FaultKind::Delay`], how late it arrives. The delay is simulated time:
+/// the network stamps it on the reply datagram and the resolver's window
+/// decides whether it came in time.
 pub fn apply_dns_fault(
     plan: &FaultPlan,
     ip: Ipv4Addr,
-    query: &Message,
-    response: &Message,
+    qname: &str,
+    write: impl FnOnce(ReplyShape) -> Bytes,
 ) -> FaultedReply {
-    let key = query
-        .questions
-        .first()
-        .map(|q| q.name.as_str())
-        .unwrap_or("");
-    match plan.query_fault(ip, key.as_bytes()) {
-        None => FaultedReply::clean(encode(response)),
+    match plan.query_fault(ip, qname.as_bytes()) {
+        None => FaultedReply::clean(write(ReplyShape::Answer)),
         Some(FaultKind::Drop) => FaultedReply::swallowed(),
-        Some(FaultKind::ServFail) => {
-            let mut r = Message::response_to(query);
-            r.rcode = Rcode::ServFail;
-            FaultedReply::clean(encode(&r))
-        }
+        Some(FaultKind::ServFail) => FaultedReply::clean(write(ReplyShape::ServFail)),
         Some(FaultKind::Truncate) => {
             // Half a message never survives the record parser.
-            let full = encode(response);
-            FaultedReply::clean(Bytes::from(full[..full.len() / 2].to_vec()))
+            let full = write(ReplyShape::Answer);
+            FaultedReply::clean(full.slice(..full.len() / 2))
         }
-        Some(FaultKind::Garble) => {
-            // Flip the transaction id: the reply decodes cleanly but matches
-            // no outstanding query, like a stale or spoofed datagram.
-            let mut v = encode(response).to_vec();
-            v[0] ^= 0xFF;
-            v[1] ^= 0xFF;
-            FaultedReply::clean(Bytes::from(v))
-        }
+        Some(FaultKind::Garble) => FaultedReply::clean(write(ReplyShape::GarbledId)),
         Some(FaultKind::Delay) => FaultedReply {
-            payload: Some(encode(response)),
+            payload: Some(write(ReplyShape::Answer)),
             delay: plan.delay,
         },
     }
@@ -60,13 +57,12 @@ pub fn apply_dns_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::DomainName;
-    use crate::wire::{decode, RecordType};
 
-    fn msgs() -> (Message, Message) {
-        let q = Message::query(9, DomainName::parse("a.example").unwrap(), RecordType::A);
-        let r = Message::response_to(&q);
-        (q, r)
+    /// The shape `apply_dns_fault` asked for, as the payload's one byte.
+    fn shaped(plan: &FaultPlan) -> FaultedReply {
+        apply_dns_fault(plan, "1.2.3.4".parse().unwrap(), "a.example", |shape| {
+            Bytes::from(vec![shape as u8, 0xAA])
+        })
     }
 
     fn plan_with(kind: FaultKind) -> FaultPlan {
@@ -74,77 +70,40 @@ mod tests {
     }
 
     #[test]
-    fn inactive_plan_passes_through() {
-        let (q, r) = msgs();
-        let out = apply_dns_fault(&FaultPlan::none(), "1.2.3.4".parse().unwrap(), &q, &r);
-        assert_eq!(out, webdep_netsim::FaultedReply::clean(encode(&r)));
-    }
-
-    #[test]
-    fn drop_swallows_the_reply() {
-        let (q, r) = msgs();
-        let out = apply_dns_fault(
-            &plan_with(FaultKind::Drop),
-            "1.2.3.4".parse().unwrap(),
-            &q,
-            &r,
+    fn each_fault_asks_for_its_shape() {
+        let payload = |shape: ReplyShape| Some(Bytes::from(vec![shape as u8, 0xAA]));
+        assert_eq!(
+            shaped(&FaultPlan::none()).payload,
+            payload(ReplyShape::Answer)
         );
-        assert_eq!(out, webdep_netsim::FaultedReply::swallowed());
-    }
-
-    #[test]
-    fn servfail_answers_with_failure_rcode() {
-        let (q, r) = msgs();
-        let out = apply_dns_fault(
-            &plan_with(FaultKind::ServFail),
-            "1.2.3.4".parse().unwrap(),
-            &q,
-            &r,
-        )
-        .payload
-        .unwrap();
-        let decoded = decode(&out).unwrap();
-        assert_eq!(decoded.rcode, Rcode::ServFail);
-        assert_eq!(decoded.id, q.id);
-    }
-
-    #[test]
-    fn truncated_reply_fails_to_decode() {
-        let (q, r) = msgs();
-        let out = apply_dns_fault(
-            &plan_with(FaultKind::Truncate),
-            "1.2.3.4".parse().unwrap(),
-            &q,
-            &r,
-        )
-        .payload
-        .unwrap();
-        assert!(decode(&out).is_err());
-    }
-
-    #[test]
-    fn garbled_reply_decodes_with_wrong_id() {
-        let (q, r) = msgs();
-        let out = apply_dns_fault(
-            &plan_with(FaultKind::Garble),
-            "1.2.3.4".parse().unwrap(),
-            &q,
-            &r,
-        )
-        .payload
-        .unwrap();
-        let decoded = decode(&out).unwrap();
-        assert_ne!(decoded.id, q.id);
+        assert_eq!(
+            shaped(&plan_with(FaultKind::Drop)),
+            FaultedReply::swallowed()
+        );
+        assert_eq!(
+            shaped(&plan_with(FaultKind::ServFail)).payload,
+            payload(ReplyShape::ServFail)
+        );
+        assert_eq!(
+            shaped(&plan_with(FaultKind::Garble)).payload,
+            payload(ReplyShape::GarbledId)
+        );
+        assert_eq!(
+            shaped(&plan_with(FaultKind::Truncate)).payload,
+            Some(Bytes::from(vec![ReplyShape::Answer as u8]))
+        );
     }
 
     #[test]
     fn delay_returns_the_wait_instead_of_sleeping() {
-        let (q, r) = msgs();
         let plan = plan_with(FaultKind::Delay);
         let start = std::time::Instant::now();
-        let out = apply_dns_fault(&plan, "1.2.3.4".parse().unwrap(), &q, &r);
+        let out = shaped(&plan);
         assert!(start.elapsed() < plan.delay, "must not sleep inline");
         assert_eq!(out.delay, plan.delay);
-        assert_eq!(out.payload, Some(encode(&r)));
+        assert_eq!(
+            out.payload,
+            Some(Bytes::from(vec![ReplyShape::Answer as u8, 0xAA]))
+        );
     }
 }

@@ -15,8 +15,41 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 253;
 
 /// Whether `b` may appear in a label: `[A-Za-z0-9_-]`.
-pub(crate) fn is_label_byte(b: u8) -> bool {
+pub(crate) const fn is_label_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'-' || b == b'_'
+}
+
+/// The number of labels of the name whose presentation form is `name`.
+pub(crate) fn label_count(name: &str) -> usize {
+    if name.is_empty() {
+        0
+    } else {
+        name.bytes().filter(|&b| b == b'.').count() + 1
+    }
+}
+
+/// The presentation forms of `name` and each of its ancestors, most
+/// specific first, ending with the root's `""`.
+pub(crate) fn suffixes(name: &str) -> impl Iterator<Item = &str> {
+    std::iter::once(0)
+        .chain(name.match_indices('.').map(|(i, _)| i + 1))
+        .map(move |i| &name[i..])
+        .chain((!name.is_empty()).then_some(""))
+}
+
+/// Whether the name `name` equals `zone` or is underneath it, both in
+/// presentation form.
+pub(crate) fn is_within(name: &str, zone: &str) -> bool {
+    if zone.is_empty() {
+        return true;
+    }
+    if name.len() == zone.len() {
+        return name == zone;
+    }
+    // Strictly longer: the suffix must start at a label boundary.
+    name.len() > zone.len()
+        && name.ends_with(zone)
+        && name.as_bytes()[name.len() - zone.len() - 1] == b'.'
 }
 
 /// A fully qualified domain name, stored lowercase without the trailing
@@ -111,11 +144,7 @@ impl DomainName {
 
     /// Number of labels; 0 for the root.
     pub fn num_labels(&self) -> usize {
-        if self.name.is_empty() {
-            0
-        } else {
-            self.name.bytes().filter(|&b| b == b'.').count() + 1
-        }
+        label_count(&self.name)
     }
 
     /// True for the DNS root.
@@ -127,11 +156,7 @@ impl DomainName {
     /// most specific first, ending with the root's `""` — borrowed, so a
     /// walk up the tree allocates nothing.
     pub(crate) fn suffixes(&self) -> impl Iterator<Item = &str> {
-        let name = self.name.as_str();
-        std::iter::once(0)
-            .chain(name.match_indices('.').map(|(i, _)| i + 1))
-            .map(move |i| &name[i..])
-            .chain((!name.is_empty()).then_some(""))
+        suffixes(&self.name)
     }
 
     /// The name's parent (one label removed from the left); `None` at root.
@@ -151,16 +176,7 @@ impl DomainName {
     /// Whether `self` equals `other` or is underneath it
     /// (`www.example.com` is within `example.com` and within the root).
     pub fn is_within(&self, other: &DomainName) -> bool {
-        if other.name.is_empty() {
-            return true;
-        }
-        if self.name.len() == other.name.len() {
-            return self.name == other.name;
-        }
-        // Strictly longer: the suffix must start at a label boundary.
-        self.name.len() > other.name.len()
-            && self.name.ends_with(other.name.as_str())
-            && self.name.as_bytes()[self.name.len() - other.name.len() - 1] == b'.'
+        is_within(&self.name, &other.name)
     }
 
     /// Prepends a label, producing a child name.

@@ -18,9 +18,9 @@
 //! arrives. An attempt takes the first matching reply that arrives within
 //! its window; nothing waits on the wall clock.
 
-use crate::name::DomainName;
+use crate::name::{is_within, label_count, DomainName};
 use crate::shared_cache::SharedDnsCache;
-use crate::wire::{decode, encode_query, Message, Rcode, Record, RecordData, RecordType};
+use crate::wire::{encode_query, MessageView, NameBuf, ParsedDatagram, RData, Rcode, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -87,33 +87,93 @@ impl std::error::Error for ResolveError {}
 
 /// Whether `msg` carries exactly the one question `name`/`qtype`, as the
 /// query this resolver sent did.
-fn asks(msg: &Message, name: &DomainName, qtype: RecordType) -> bool {
-    matches!(msg.questions.as_slice(), [q] if q.name == *name && q.qtype == qtype)
+fn asks(msg: MessageView<'_>, name: &DomainName, qtype: RecordType) -> bool {
+    let mut questions = msg.questions();
+    matches!(
+        (questions.next(), questions.next()),
+        (Some(q), None) if q.qtype == qtype && q.name.eq_str(name.as_str())
+    )
 }
 
 /// A zone's nameserver addresses, shared between both cache tiers and the
 /// resolutions that start from them.
 type ZoneServers = Arc<[Ipv4Addr]>;
 
-/// Answers for one name, one slot per record type. Nesting by name lets
-/// lookups borrow the key instead of building `(name, type)` tuples, and
-/// the fixed slots need no allocation of their own.
-#[derive(Debug, Default)]
-struct AnswerRows([Option<Vec<RecordData>>; 3]);
+/// A delegation as the private tier keeps it: the NS host names it lists
+/// and the addresses its glue gives them.
+type Delegated = (Arc<[DomainName]>, ZoneServers);
 
-impl AnswerRows {
-    fn slot(qtype: RecordType) -> usize {
-        match qtype {
-            RecordType::A => 0,
-            RecordType::Ns => 1,
-            RecordType::Cname => 2,
+/// The addresses of a cached A answer: up to two inline, as nearly every
+/// answer and glue set has, more on the heap.
+#[derive(Debug, Clone)]
+enum Addrs {
+    Inline(u8, [Ipv4Addr; 2]),
+    Heap(Vec<Ipv4Addr>),
+}
+
+impl Addrs {
+    fn as_slice(&self) -> &[Ipv4Addr] {
+        match self {
+            Addrs::Inline(len, ips) => &ips[..*len as usize],
+            Addrs::Heap(ips) => ips,
         }
     }
+}
 
-    /// The cached answer of type `qtype`, if any.
-    fn get(&self, qtype: RecordType) -> Option<&[RecordData]> {
-        self.0[Self::slot(qtype)].as_deref()
+impl FromIterator<Ipv4Addr> for Addrs {
+    fn from_iter<I: IntoIterator<Item = Ipv4Addr>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut ips = [Ipv4Addr::UNSPECIFIED; 2];
+        for len in 0..ips.len() {
+            match iter.next() {
+                Some(ip) => ips[len] = ip,
+                None => return Addrs::Inline(len as u8, ips),
+            }
+        }
+        match iter.next() {
+            None => Addrs::Inline(2, ips),
+            Some(more) => Addrs::Heap(ips.into_iter().chain([more]).chain(iter).collect()),
+        }
     }
+}
+
+/// What the private tier knows under one name, in compact values: the
+/// addresses of an A answer, the host names of an NS answer, never the
+/// records they came in. One entry per name lets the hot lookups borrow
+/// `name` instead of building a `(name, type)` probe key, and ends a
+/// site's scope with one removal.
+#[derive(Debug, Default)]
+struct Entry {
+    /// The servers of the zone cut at this name.
+    cut: Option<ZoneServers>,
+    /// The A answer.
+    a: Option<Addrs>,
+    /// The NS answer, shared with the delegation that listed the hosts.
+    ns: Option<Arc<[DomainName]>>,
+    /// For a nameserver host: the last delegation that listed it first.
+    /// The next referral listing the same hosts and glue (another of the
+    /// provider's customers) shares it instead of copying the names.
+    delegation: Option<Delegated>,
+}
+
+/// Runs `update` on the entry for the name whose presentation form is
+/// `name`, made empty if missing: only then is the name copied.
+fn update(names: &mut HashMap<DomainName, Entry>, name: &str, update: impl FnOnce(&mut Entry)) {
+    match names.get_mut(name) {
+        Some(entry) => update(entry),
+        None => {
+            let mut entry = Entry::default();
+            update(&mut entry);
+            names.insert(DomainName::from_validated(name.to_owned()), entry);
+        }
+    }
+}
+
+/// A completed answer in its cached form.
+#[derive(Debug, Clone)]
+enum Answer {
+    A(Vec<Ipv4Addr>),
+    Ns(Arc<[DomainName]>),
 }
 
 /// Lookup accounting: where answers came from.
@@ -139,15 +199,11 @@ pub struct IterativeResolver {
     /// Transaction id of the next query.
     next_id: u16,
     roots: ZoneServers,
-    /// zone apex -> authoritative server addresses: the TLD cuts, the
-    /// providers' zones, and the cut of each site whose scope is open.
-    zone_cache: HashMap<DomainName, ZoneServers>,
-    /// Completed answers by owner name, then record type: nameserver hosts
-    /// (glue) and CDN edge names shared across sites, plus the NS set and
-    /// A answer of each site whose scope is open. Nesting by name lets the
-    /// hot lookup path borrow `name` instead of cloning it into a
-    /// `(DomainName, RecordType)` probe key.
-    answer_cache: HashMap<DomainName, AnswerRows>,
+    /// The private tier by owner name: zone cuts (the TLDs, the providers'
+    /// zones, and the cut of each site whose scope is open) and answers
+    /// (nameserver hosts with their glue and CDN edge names shared across
+    /// sites, plus the NS set and A answer of each open site).
+    names: HashMap<DomainName, Entry>,
     /// Shared tier of the root's delegations, consulted when the private
     /// cache holds no cut below the root for a name.
     shared: Option<Arc<SharedDnsCache>>,
@@ -160,6 +216,10 @@ pub struct IterativeResolver {
     /// [`IterativeResolver::query_any`]'s per-server bookkeeping, kept
     /// between calls so a query allocates none.
     query_state: Vec<(Ipv4Addr, u8)>,
+    /// `follow_referral`'s buffers, kept alike: where a referral's NS host
+    /// names are in the reply, and its glue as (first host named, address).
+    referral_hosts: Vec<usize>,
+    referral_glue: Vec<(usize, Ipv4Addr)>,
     stats: ResolverStats,
 }
 
@@ -192,11 +252,12 @@ impl IterativeResolver {
             config,
             next_id: 1,
             roots: roots.into(),
-            zone_cache: HashMap::new(),
-            answer_cache: HashMap::new(),
+            names: HashMap::new(),
             shared: None,
             server_strikes: HashMap::new(),
             query_state: Vec::new(),
+            referral_hosts: Vec::new(),
+            referral_glue: Vec::new(),
             stats: ResolverStats::default(),
         }
     }
@@ -226,77 +287,71 @@ impl IterativeResolver {
         self.stats
     }
 
-    /// Ends `site`'s scope: drops the private-tier entries keyed by the
-    /// site's own name, its zone cut and its answer row (the NS set its
+    /// Ends `site`'s scope: drops the private-tier entry keyed by the
+    /// site's own name, its zone cut and its answers (the NS set its
     /// referral carried, its A answer). Entries other sites share stay.
     ///
     /// A measurement asks for a site's name once, so without this the tier
-    /// grows by a cut and a row per site, and every probe and insert pays
-    /// for the size. Answers cannot change: which answer a query gets
-    /// never depends on this cache (see `query_any`). Only wire queries
-    /// can, when a dropped name is asked for again, as a site name that is
-    /// also a provider's domain is.
+    /// grows by an entry per site, and every probe and insert pays for the
+    /// size. Answers cannot change: which answer a query gets never
+    /// depends on this cache (see `query_any`). Only wire queries can,
+    /// when a dropped name is asked for again, as a site name that is also
+    /// a provider's domain is.
     pub fn forget(&mut self, site: &DomainName) {
-        self.zone_cache.remove(site);
-        self.answer_cache.remove(site);
+        self.names.remove(site);
     }
 
     /// Resolves A records for `name`.
     pub fn resolve_a(&mut self, name: &DomainName) -> Result<Vec<Ipv4Addr>, ResolveError> {
-        self.resolve_picking(name, RecordType::A, |d| match d {
-            RecordData::A(ip) => Some(*ip),
-            _ => None,
-        })
+        match self.resolve(name, RecordType::A, 0)? {
+            Answer::A(addrs) => Ok(addrs),
+            Answer::Ns(_) => Ok(Vec::new()),
+        }
     }
 
     /// Resolves the NS set of `name` (the nameserver *names*).
     pub fn resolve_ns(&mut self, name: &DomainName) -> Result<Vec<DomainName>, ResolveError> {
-        self.resolve_picking(name, RecordType::Ns, |d| match d {
-            RecordData::Ns(n) => Some(n.clone()),
-            _ => None,
-        })
-    }
-
-    /// [`IterativeResolver::resolve`], keeping what `pick` extracts. A
-    /// private-cache hit is picked straight out of the cache rather than
-    /// through a cloned record set.
-    fn resolve_picking<T>(
-        &mut self,
-        name: &DomainName,
-        qtype: RecordType,
-        pick: impl Fn(&RecordData) -> Option<T>,
-    ) -> Result<Vec<T>, ResolveError> {
-        if let Some(hit) = self.lookup_local(name, qtype) {
-            let picked = hit.iter().filter_map(pick).collect();
-            self.stats.local_cache_hits += 1;
-            return Ok(picked);
+        match self.resolve(name, RecordType::Ns, 0)? {
+            Answer::Ns(hosts) => Ok(hosts.to_vec()),
+            Answer::A(_) => Ok(Vec::new()),
         }
-        Ok(self
-            .resolve(name, qtype, 0)?
-            .iter()
-            .filter_map(pick)
-            .collect())
     }
 
-    /// Full resolution with caching; returns the terminal record set.
-    pub fn resolve(
+    /// The private tier's answer for `name`/`qtype`, if any.
+    fn cached(&self, name: &DomainName, qtype: RecordType) -> Option<Answer> {
+        let entry = self.names.get(name)?;
+        match qtype {
+            RecordType::A => entry.a.as_ref().map(|a| Answer::A(a.as_slice().to_vec())),
+            RecordType::Ns => entry.ns.clone().map(Answer::Ns),
+            RecordType::Cname => None,
+        }
+    }
+
+    /// Stores a completed answer in the private tier.
+    fn cache_answer(&mut self, name: &DomainName, answer: &Answer) {
+        update(&mut self.names, name.as_str(), |entry| match answer {
+            Answer::A(addrs) => entry.a = Some(addrs.iter().copied().collect()),
+            Answer::Ns(hosts) => entry.ns = Some(Arc::clone(hosts)),
+        });
+    }
+
+    /// Full resolution with caching; returns the terminal answer.
+    fn resolve(
         &mut self,
         name: &DomainName,
         qtype: RecordType,
         cname_depth: u32,
-    ) -> Result<Vec<RecordData>, ResolveError> {
+    ) -> Result<Answer, ResolveError> {
         if cname_depth > self.config.max_cnames {
             return Err(ResolveError::DepthExceeded);
         }
-        // Private cache first: borrowed-key lookup.
-        if let Some(hit) = self.lookup_local(name, qtype) {
-            let hit = hit.to_vec();
+        if let Some(hit) = self.cached(name, qtype) {
             self.stats.local_cache_hits += 1;
             return Ok(hit);
         }
 
         // Start from the deepest cached zone enclosing `name`.
-        let mut servers = self.starting_servers(name);
+        let (mut servers, mut cut) = self.starting_servers(name);
         // Nameservers of the current zone whose addresses are not in
         // `servers` yet — the rotation reserve when every known address
         // fails.
@@ -309,7 +364,7 @@ impl IterativeResolver {
             }
             // Only the root's referrals are worth sharing across resolvers.
             let from_root = Arc::ptr_eq(&servers, &self.roots);
-            let resp = match self.query_any(&servers, name, qtype) {
+            let reply = match self.query_any(&servers, name, qtype) {
                 Ok(r) => r,
                 Err(e) => {
                     // Every known address for this zone failed. Before
@@ -324,137 +379,188 @@ impl IterativeResolver {
                     }
                 }
             };
-            match resp.rcode {
+            let resp = reply.view();
+            match resp.rcode() {
                 Rcode::NoError => {}
                 Rcode::NxDomain => return Err(ResolveError::NxDomain(name.clone())),
                 _ => return Err(ResolveError::ServFail),
             }
-            if !resp.answers.is_empty() {
-                // Split CNAMEs from terminal data; the response is ours, so
-                // its records move rather than clone.
-                let mut terminal: Vec<RecordData> = Vec::new();
-                let mut last_cname: Option<DomainName> = None;
-                for r in resp.answers {
-                    match r.data {
-                        RecordData::Cname(t) => last_cname = Some(t),
-                        d if d.record_type() == qtype => terminal.push(d),
-                        _ => {}
-                    }
-                }
-                if terminal.is_empty() {
-                    if let Some(target) = last_cname {
-                        let resolved = self.resolve(&target, qtype, cname_depth + 1)?;
-                        self.cache_answer(name, qtype, resolved.clone());
-                        return Ok(resolved);
-                    }
-                    return Err(ResolveError::NoData(name.clone()));
-                }
-                self.cache_answer(name, qtype, terminal.clone());
-                return Ok(terminal);
+            if resp.answers().next().is_some() {
+                return self.take_answer(name, qtype, cname_depth, resp);
             }
-            // Referral? The zone is the first authority record's owner.
-            let mut zone: Option<DomainName> = None;
-            let mut ns_names: Vec<DomainName> = Vec::with_capacity(resp.authorities.len());
-            for r in resp.authorities {
-                if let RecordData::Ns(n) = r.data {
-                    ns_names.push(n);
-                }
-                zone.get_or_insert(r.name);
-            }
-            if ns_names.is_empty() {
-                if resp.authoritative {
-                    // Authoritative empty answer: NoData.
-                    return Err(ResolveError::NoData(name.clone()));
-                }
-                return Err(ResolveError::ServFail);
-            }
-            let zone = zone.expect("authorities non-empty");
-            let mut glue: Vec<Ipv4Addr> = resp
-                .additionals
-                .iter()
-                .filter_map(|r| match r.data {
-                    RecordData::A(ip) if ns_names.contains(&r.name) => Some(ip),
-                    _ => None,
-                })
-                .collect();
-            // NS names the referral carried no glue for: keep them as the
-            // rotation reserve rather than forgetting them.
-            let mut reserve: Vec<DomainName> = ns_names
-                .iter()
-                .filter(|ns| {
-                    !resp
-                        .additionals
-                        .iter()
-                        .any(|r| r.name == **ns && matches!(r.data, RecordData::A(_)))
-                })
-                .cloned()
-                .collect();
-            if glue.is_empty() {
-                // Glueless delegation: resolve NS names until one yields
-                // addresses; the rest stay in reserve.
-                while glue.is_empty() && !reserve.is_empty() {
-                    let ns = reserve.remove(0);
-                    if let Ok(addrs) = self.resolve_a_guarded(&ns, depth) {
-                        glue.extend(addrs);
-                    }
-                }
-            }
-            if glue.is_empty() {
-                return Err(ResolveError::ServFail);
-            }
-            pending_ns = reserve;
-            self.cache_referral_data(&zone, &ns_names, &resp.additionals);
-            let glue = ZoneServers::from(glue);
-            if let (true, Some(shared)) = (from_root, &self.shared) {
-                shared.put_zone(zone.clone(), Arc::clone(&glue));
-            }
-            self.zone_cache.insert(zone, Arc::clone(&glue));
-            servers = glue;
+            (servers, cut, pending_ns) = self.follow_referral(name, resp, cut, depth, from_root)?;
         }
     }
 
-    /// Caches what a referral already proves: the delegated zone's NS set
-    /// and the glue addresses of its nameservers. The authoritative server
-    /// would answer those queries with the same record sets (the deployed
-    /// worlds publish delegation and apex data from one source), so this
-    /// spares one wire round trip per `resolve_ns` and per glued NS
-    /// address lookup.
-    fn cache_referral_data(
+    /// The terminal answer `resp` carries for `name`, cached: its records
+    /// of type `qtype`, or, when it holds only aliases, the resolution of
+    /// the last CNAME's target.
+    fn take_answer(
         &mut self,
-        zone: &DomainName,
-        ns_names: &[DomainName],
-        additionals: &[Record],
-    ) {
-        let ns_data: Vec<RecordData> = ns_names.iter().cloned().map(RecordData::Ns).collect();
-        self.cache_answer(zone, RecordType::Ns, ns_data);
-        for ns in ns_names {
-            let addrs: Vec<RecordData> = additionals
-                .iter()
-                .filter(|r| &r.name == ns)
-                .filter_map(|r| match r.data {
-                    RecordData::A(ip) => Some(RecordData::A(ip)),
-                    _ => None,
-                })
-                .collect();
-            if !addrs.is_empty() {
-                self.cache_answer(ns, RecordType::A, addrs);
+        name: &DomainName,
+        qtype: RecordType,
+        cname_depth: u32,
+        resp: MessageView<'_>,
+    ) -> Result<Answer, ResolveError> {
+        let mut addrs = Vec::new();
+        let mut hosts = Vec::new();
+        let mut last_cname = None;
+        for r in resp.answers() {
+            match r.data {
+                RData::Cname(target) => last_cname = Some(target),
+                RData::A(ip) if qtype == RecordType::A => addrs.push(ip),
+                RData::Ns(host) if qtype == RecordType::Ns => hosts.push(host.to_name()),
+                _ => {}
             }
         }
-    }
-
-    /// Borrowed-key private-cache lookup.
-    fn lookup_local(&self, name: &DomainName, qtype: RecordType) -> Option<&[RecordData]> {
-        self.answer_cache.get(name)?.get(qtype)
-    }
-
-    /// Stores a completed answer in the private cache, cloning the name
-    /// only when it has no answers yet.
-    fn cache_answer(&mut self, name: &DomainName, qtype: RecordType, data: Vec<RecordData>) {
-        let rows = match self.answer_cache.get_mut(name) {
-            Some(rows) => rows,
-            None => self.answer_cache.entry(name.clone()).or_default(),
+        let answer = if !addrs.is_empty() {
+            Answer::A(addrs)
+        } else if !hosts.is_empty() {
+            Answer::Ns(hosts.into())
+        } else if let Some(target) = last_cname {
+            self.resolve(&target.to_name(), qtype, cname_depth + 1)?
+        } else {
+            return Err(ResolveError::NoData(name.clone()));
         };
-        rows.0[AnswerRows::slot(qtype)] = Some(data);
+        self.cache_answer(name, &answer);
+        Ok(answer)
+    }
+
+    /// Follows the referral in `resp`, an answer from the servers of a cut
+    /// `cut` labels deep, for `name`. Caches what the referral proves — the
+    /// delegated zone's NS set, the glue addresses of the hosts it lists —
+    /// and the new cut, and returns the cut's servers, its depth in labels
+    /// and the listed hosts without glue (the rotation reserve).
+    ///
+    /// The authoritative server would answer the NS and glue queries with
+    /// the same record sets (the deployed worlds publish delegation and
+    /// apex data from one source), so caching them spares one wire round
+    /// trip per `resolve_ns` and per glued NS address lookup. A referral
+    /// is followed only when its zone encloses `name` and lies below
+    /// `cut`: any other can only lead away or back up, and caching it would
+    /// plant a cut and glue for names nobody asked about. It is refused
+    /// with [`ResolveError::ServFail`], and nothing of it is cached.
+    fn follow_referral(
+        &mut self,
+        name: &DomainName,
+        resp: MessageView<'_>,
+        cut: usize,
+        depth: u32,
+        from_root: bool,
+    ) -> Result<(ZoneServers, usize, Vec<DomainName>), ResolveError> {
+        // One pass over each section: where the listed hosts' names are,
+        // and each glue record's address with the first host it names.
+        // (An error drops the buffers; the next referral grows new ones.)
+        let mut hosts = std::mem::take(&mut self.referral_hosts);
+        let mut glue = std::mem::take(&mut self.referral_glue);
+        hosts.clear();
+        glue.clear();
+        let mut zone = None;
+        for r in resp.authorities() {
+            // The zone is the first authority record's owner.
+            zone.get_or_insert(r.owner);
+            if let RData::Ns(host) = r.data {
+                hosts.push(host.offset());
+            }
+        }
+        let host = |i: usize| resp.name_at(hosts[i]);
+        for r in resp.additionals() {
+            if let RData::A(ip) = r.data {
+                if let Some(i) = (0..hosts.len()).find(|&i| host(i).same_as(r.owner)) {
+                    glue.push((i, ip));
+                }
+            }
+        }
+        let (Some(zone), false) = (zone, hosts.is_empty()) else {
+            // Authoritative empty answer: NoData.
+            return Err(if resp.authoritative() {
+                ResolveError::NoData(name.clone())
+            } else {
+                ResolveError::ServFail
+            });
+        };
+        let mut zone_text = NameBuf::new();
+        let zone = zone.expand(&mut zone_text);
+        let zone_labels = label_count(zone);
+        if !is_within(name.as_str(), zone) || zone_labels <= cut {
+            return Err(ResolveError::ServFail);
+        }
+        // Host `i`'s glue: the records naming the first host listed under
+        // its name.
+        let glue_of = |i: usize| {
+            let first = (0..=i).find(|&j| host(j).same_as(host(i))).unwrap_or(i);
+            (glue.iter())
+                .filter(move |&&(j, _)| j == first)
+                .map(|&(_, ip)| ip)
+        };
+        let listed = || (0..hosts.len()).map(|i| host(i).to_name()).collect();
+        let addresses = || glue.iter().map(|&(_, ip)| ip);
+        // Hosts the referral carried no glue for: the rotation reserve.
+        let mut reserve: Vec<DomainName> = (0..hosts.len())
+            .filter(|&i| glue_of(i).next().is_none())
+            .map(|i| host(i).to_name())
+            .collect();
+        let (listed, servers): Delegated = if !glue.is_empty() {
+            // Cache each glued host's addresses. The first host's entry
+            // also keeps the delegation, for the next referral to it.
+            let mut delegated = None;
+            let mut text = NameBuf::new();
+            for i in 0..hosts.len() {
+                if glue_of(i).next().is_none() {
+                    continue;
+                }
+                update(&mut self.names, host(i).expand(&mut text), |cached| {
+                    let known = cached.a.as_ref().map(Addrs::as_slice);
+                    if !known.is_some_and(|a| a.iter().copied().eq(glue_of(i))) {
+                        cached.a = Some(glue_of(i).collect());
+                    }
+                    if i > 0 {
+                        return;
+                    }
+                    let same = |(listed, servers): &&Delegated| {
+                        listed.len() == hosts.len()
+                            && (listed.iter().enumerate()).all(|(j, l)| host(j).eq_str(l.as_str()))
+                            && servers.iter().copied().eq(addresses())
+                    };
+                    delegated = Some(match cached.delegation.as_ref().filter(same) {
+                        Some(known) => known.clone(),
+                        None => {
+                            let fresh: Delegated = (listed(), addresses().collect());
+                            cached.delegation = Some(fresh.clone());
+                            fresh
+                        }
+                    });
+                });
+            }
+            delegated.unwrap_or_else(|| (listed(), addresses().collect()))
+        } else {
+            // Glueless delegation: resolve NS names until one yields
+            // addresses; the rest stay in reserve.
+            let listed = listed();
+            let mut addrs = Vec::new();
+            while addrs.is_empty() && !reserve.is_empty() {
+                let ns = reserve.remove(0);
+                if let Ok(found) = self.resolve_a_guarded(&ns, depth) {
+                    addrs.extend(found);
+                }
+            }
+            if addrs.is_empty() {
+                return Err(ResolveError::ServFail);
+            }
+            (listed, addrs.into())
+        };
+        if let (true, Some(shared)) = (from_root, &self.shared) {
+            // A copy of its own (see `starting_servers`).
+            let zone = DomainName::from_validated(zone.to_owned());
+            shared.put_zone(zone, Arc::from(&*servers));
+        }
+        update(&mut self.names, zone, |zone| {
+            zone.ns = Some(listed);
+            zone.cut = Some(Arc::clone(&servers));
+        });
+        self.referral_hosts = hosts;
+        self.referral_glue = glue;
+        Ok((servers, zone_labels, reserve))
     }
 
     /// Resolving a glueless NS name must not recurse unboundedly.
@@ -469,27 +575,34 @@ impl IterativeResolver {
         self.resolve_a(name)
     }
 
-    /// Deepest known enclosing zone's servers: the private cache over
-    /// every suffix, then the shared tier of root delegations (promoting a
-    /// hit), then the root hints. The shared tier holds only cuts the root
-    /// hands out, so it is asked only when the private cache holds no cut
-    /// at all for the name; a single resolver's shared cuts are all in its
-    /// private cache too, so it never hits the shared tier.
-    fn starting_servers(&mut self, name: &DomainName) -> ZoneServers {
-        if let Some(addrs) = name.suffixes().find_map(|zone| self.zone_cache.get(zone)) {
-            return Arc::clone(addrs);
+    /// Deepest known enclosing zone's servers and its depth in labels: the
+    /// private cache over every suffix, then the shared tier of root
+    /// delegations (promoting a hit), then the root hints. The shared tier
+    /// holds only cuts the root hands out, so it is asked only when the
+    /// private cache holds no cut at all for the name; a single resolver's
+    /// shared cuts are all in its private cache too, so it never hits the
+    /// shared tier.
+    fn starting_servers(&mut self, name: &DomainName) -> (ZoneServers, usize) {
+        let private = name
+            .suffixes()
+            .find_map(|zone| Some((zone, self.names.get(zone)?.cut.as_ref()?)));
+        if let Some((zone, servers)) = private {
+            return (Arc::clone(servers), label_count(zone));
         }
         if let Some(shared) = &self.shared {
             for zone in name.suffixes() {
                 if let Some(addrs) = shared.get_zone(zone) {
                     self.stats.shared_cache_hits += 1;
-                    let zone = DomainName::parse(zone).expect("a name's suffixes are names");
-                    self.zone_cache.insert(zone, Arc::clone(&addrs));
-                    return addrs;
+                    // Promoted as a private copy: every resolution under
+                    // the cut clones and drops it, and an `Arc` two workers
+                    // share would bounce its count between their cores.
+                    let addrs: ZoneServers = Arc::from(&*addrs);
+                    update(&mut self.names, zone, |e| e.cut = Some(Arc::clone(&addrs)));
+                    return (addrs, label_count(zone));
                 }
             }
         }
-        Arc::clone(&self.roots)
+        (Arc::clone(&self.roots), 0)
     }
 
     /// Resolves names from `pending` until one yields addresses; used to
@@ -531,7 +644,7 @@ impl IterativeResolver {
         servers: &[Ipv4Addr],
         name: &DomainName,
         qtype: RecordType,
-    ) -> Result<Message, ResolveError> {
+    ) -> Result<ParsedDatagram, ResolveError> {
         // One entry per server, live ones first, then demoted ones, each in
         // the given order. A server listed twice has two entries; `mark`
         // keeps their flags equal.
@@ -548,10 +661,10 @@ impl IterativeResolver {
         };
         let rounds = self.config.retries + 1;
         let widest = backoff_timeout(self.config.timeout, rounds - 1);
-        let mut refused: Option<Message> = None;
+        let mut refused: Option<ParsedDatagram> = None;
         let mut timed_out = false;
         let mut last_net: Option<ResolveError> = None;
-        let mut verdict: Option<Message> = None;
+        let mut verdict: Option<ParsedDatagram> = None;
 
         'rounds: for round in 0..rounds {
             let window = backoff_timeout(self.config.timeout, round);
@@ -570,7 +683,7 @@ impl IterativeResolver {
                 match self.query_once(SockAddr::new(ip, crate::DNS_PORT), name, qtype, window) {
                     Ok(resp) => {
                         mark(&mut state, ip, ANSWERED);
-                        match resp.rcode {
+                        match resp.view().rcode() {
                             Rcode::NoError | Rcode::NxDomain => {
                                 verdict = Some(resp);
                                 break 'rounds;
@@ -636,7 +749,7 @@ impl IterativeResolver {
         name: &DomainName,
         qtype: RecordType,
         window: Duration,
-    ) -> Result<Message, ResolveError> {
+    ) -> Result<ParsedDatagram, ResolveError> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         self.stats.wire_queries += 1;
@@ -644,8 +757,13 @@ impl IterativeResolver {
             .send(server, encode_query(id, name, qtype))
             .map_err(ResolveError::Network)?;
         while let Some(dgram) = self.endpoint.recv_within(window) {
-            match decode(&dgram.payload) {
-                Ok(resp) if resp.is_response && resp.id == id && asks(&resp, name, qtype) => {
+            match ParsedDatagram::parse(dgram.payload) {
+                Ok(resp)
+                    if {
+                        let view = resp.view();
+                        view.is_response() && view.id() == id && asks(view, name, qtype)
+                    } =>
+                {
                     return Ok(resp);
                 }
                 // A stale or foreign datagram.
@@ -660,7 +778,7 @@ impl IterativeResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{answer, serve_query};
+    use crate::server::{answer_from_zones, serve_query};
     use crate::zone::Zone;
     use std::sync::Arc;
     use webdep_netsim::{Datagram, FaultPlan, NetConfig, Network, Region, ResponderSet};
@@ -683,8 +801,8 @@ mod tests {
         faults: Option<FaultPlan>,
     ) -> ResponderSet {
         let server = ResponderSet::new(net, move |d: &Datagram| {
-            serve_query(&d.payload, d.dst.ip, faults.as_ref(), |q| {
-                answer(&zones, &q)
+            serve_query(&d.payload, d.dst.ip, faults.as_ref(), |q, r| {
+                answer_from_zones(&zones, q, r)
             })
         });
         server.attach(addr, 53, region).unwrap();
@@ -922,9 +1040,11 @@ mod tests {
         (servers, names)
     }
 
-    /// Entries in `r`'s private tier: zone cuts plus answer rows.
+    /// Entries in `r`'s private tier: zone cuts plus names with answers.
     fn private_entries(r: &IterativeResolver) -> usize {
-        r.zone_cache.len() + r.answer_cache.len()
+        (r.names.values())
+            .map(|e| usize::from(e.cut.is_some()) + usize::from(e.a.is_some() || e.ns.is_some()))
+            .sum()
     }
 
     /// What the pipeline asks per site: its A records, its NS set, and the
@@ -1276,6 +1396,54 @@ mod tests {
         // window, so the delayed answer still comes in.
         let before = r.queries_sent();
         assert_eq!(r.resolve_a(&delayed), Ok(vec![ip("203.0.113.11")]));
+        assert_eq!(r.queries_sent() - before, 1);
+    }
+
+    /// A lame server for `example.com` refers every query to `victim.org`,
+    /// with glue pointing back at itself. The referral does not enclose the
+    /// name asked for, so it is refused at once: one query, ServFail, and
+    /// neither a `victim.org` cut nor its glue cached.
+    #[test]
+    fn a_referral_away_from_the_name_is_refused_and_not_cached() {
+        use crate::wire::RData;
+        let net = Network::new(NetConfig::default());
+        let lame = ip("203.0.113.66");
+        let server = ResponderSet::new(&net, move |d: &Datagram| {
+            serve_query(&d.payload, d.dst.ip, None, |_, reply| {
+                reply.authority("victim.org", 3600, RData::Ns("ns.victim.org"));
+                reply.additional("ns.victim.org", 3600, RData::A(lame));
+            })
+        });
+        server.attach(lame, 53, Region::EUROPE).unwrap();
+        let mut r = resolver(&net, vec![lame]);
+        assert_eq!(r.resolve_a(&n("example.com")), Err(ResolveError::ServFail));
+        assert_eq!(r.queries_sent(), 1);
+        assert_eq!(private_entries(&r), 0);
+        assert!(r.names.is_empty(), "{:?}", r.names);
+    }
+
+    /// A referral that does not lead below the cut the query went to (here
+    /// the `com` registry referring `example.com` queries back to `com`)
+    /// is refused too, instead of being chased to the depth limit.
+    #[test]
+    fn a_referral_back_up_is_refused() {
+        use crate::wire::RData;
+        let net = Network::new(NetConfig::default());
+        let (_servers, roots) = build_world(&net);
+        let loopy = ip("192.5.6.40");
+        let server = ResponderSet::new(&net, move |d: &Datagram| {
+            serve_query(&d.payload, d.dst.ip, None, |_, reply| {
+                reply.authority("com", 3600, RData::Ns("a.gtld-servers.net"));
+                reply.additional("a.gtld-servers.net", 3600, RData::A(loopy));
+            })
+        });
+        server.attach(loopy, 53, Region::EUROPE).unwrap();
+        let mut r = resolver(&net, roots);
+        // Learn the `com` cut, then point it at the loopy server.
+        r.resolve_a(&n("www.example.com")).unwrap();
+        r.names.get_mut("com").unwrap().cut = Some(Arc::from(vec![loopy]));
+        let before = r.queries_sent();
+        assert_eq!(r.resolve_a(&n("other.com")), Err(ResolveError::ServFail));
         assert_eq!(r.queries_sent() - before, 1);
     }
 }

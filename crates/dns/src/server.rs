@@ -1,44 +1,76 @@
 //! Authoritative serving: one pure function from a query datagram to the
 //! reply, run inline by whichever responder the query reached.
 
-use crate::fault::apply_dns_fault;
-use crate::wire::{decode, encode, Message, Rcode};
+use crate::fault::{apply_dns_fault, ReplyShape};
+use crate::name::DomainName;
+use crate::wire::{Message, MessageView, NameBuf, Rcode, RecordType, Reply};
 use crate::zone::{Zone, ZoneLookup};
 use std::net::Ipv4Addr;
-use webdep_netsim::{FaultPlan, FaultedReply};
+use webdep_netsim::{build_payload, FaultPlan, FaultedReply};
+
+/// The question a responder answers: the query's first, its name in
+/// presentation form (lowercase, as [`DomainName::as_str`] gives it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuestionRef<'a> {
+    /// Queried name.
+    pub name: &'a str,
+    /// Queried type.
+    pub qtype: RecordType,
+}
 
 /// Serves one query datagram addressed to `server_ip`.
 ///
 /// An undecodable datagram or one flagged as a response is swallowed, like
 /// a real server drops it. A query without a question is answered FormErr;
-/// any other query is answered by `answer` (which sees the first question
-/// of a multi-question query, and may reuse the question section through
-/// [`Message::into_response`]). The reply then runs through `faults`,
-/// keyed on `(server_ip, qname)` (see [`apply_dns_fault`]); a returned
-/// delay is stamped on the reply datagram, never slept.
+/// any other query is answered by `answer`, which sees the first question
+/// of a multi-question query and writes its records into the [`Reply`]
+/// (the header and the echoed questions are already written). The query is
+/// read in place ([`MessageView`]) and the reply is written once, straight
+/// into the datagram. It runs through `faults` keyed on
+/// `(server_ip, qname)` (see [`apply_dns_fault`]); a returned delay is
+/// stamped on the reply datagram, never slept.
 pub fn serve_query(
     payload: &[u8],
     server_ip: Ipv4Addr,
     faults: Option<&FaultPlan>,
-    answer: impl FnOnce(Message) -> Message,
+    answer: impl FnOnce(QuestionRef<'_>, &mut Reply<'_>),
 ) -> FaultedReply {
-    let query = match decode(payload) {
-        Ok(q) if !q.is_response => q,
+    let mut text = NameBuf::new();
+    let query = match MessageView::parse_in(payload, &mut text) {
+        Ok(q) if !q.is_response() => q,
         _ => return FaultedReply::swallowed(),
     };
-    let respond = |query: Message| {
-        if query.questions.is_empty() {
-            let mut resp = query.into_response();
-            resp.rcode = Rcode::FormErr;
-            resp
-        } else {
-            answer(query)
-        }
+    let question = query.questions().next().map(|q| QuestionRef {
+        name: q.name.expand(&mut text),
+        qtype: q.qtype,
+    });
+    let write = |shape: ReplyShape| {
+        build_payload(|buf| {
+            let mut reply = Reply::new(buf, &query, question.map_or("", |q| q.name));
+            match (shape, question) {
+                (ReplyShape::ServFail, _) => reply.set_rcode(Rcode::ServFail),
+                (_, None) => reply.set_rcode(Rcode::FormErr),
+                (_, Some(q)) => answer(q, &mut reply),
+            }
+            reply.finish();
+            if shape == ReplyShape::GarbledId {
+                buf[0] ^= 0xFF;
+                buf[1] ^= 0xFF;
+            }
+        })
     };
     match faults {
-        Some(plan) => apply_dns_fault(plan, server_ip, &query, &respond(query.clone())),
-        None => FaultedReply::clean(encode(&respond(query))),
+        Some(plan) => apply_dns_fault(plan, server_ip, question.map_or("", |q| q.name), write),
+        None => FaultedReply::clean(write(ReplyShape::Answer)),
     }
+}
+
+/// Answers `question` from the zone list through the reference [`answer`]:
+/// how a responder over [`Zone`]s (tests, tools) serves through
+/// [`serve_query`].
+pub fn answer_from_zones(zones: &[Zone], question: QuestionRef<'_>, reply: &mut Reply<'_>) {
+    let name = DomainName::from_validated(question.name.to_owned());
+    reply.write_message(&answer(zones, &Message::query(0, name, question.qtype)));
 }
 
 /// Answers a query's first question from the zone list, most specific
@@ -87,8 +119,7 @@ pub fn answer(zones: &[Zone], query: &Message) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::DomainName;
-    use crate::wire::{Message, RecordData, RecordType};
+    use crate::wire::{decode, encode, RecordData};
     use webdep_netsim::FaultKind;
 
     fn n(s: &str) -> DomainName {
@@ -107,7 +138,7 @@ mod tests {
     /// datagram is swallowed.
     fn serve(query: &[u8]) -> Option<Message> {
         let zones = [zone()];
-        let reply = serve_query(query, SERVER, None, |q| answer(&zones, &q));
+        let reply = serve_query(query, SERVER, None, |q, r| answer_from_zones(&zones, q, r));
         reply.payload.map(|p| decode(&p).unwrap())
     }
 
@@ -157,7 +188,9 @@ mod tests {
         let zones = [zone()];
         let serve_with = |kind| {
             let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
-            serve_query(&query, SERVER, Some(&plan), |q| answer(&zones, &q))
+            serve_query(&query, SERVER, Some(&plan), |q, r| {
+                answer_from_zones(&zones, q, r)
+            })
         };
         assert_eq!(serve_with(FaultKind::Drop), FaultedReply::swallowed());
         let refused = decode(&serve_with(FaultKind::ServFail).payload.unwrap()).unwrap();
@@ -167,8 +200,35 @@ mod tests {
         assert!(!delayed.delay.is_zero());
         assert_eq!(
             delayed.payload,
-            serve_query(&query, SERVER, None, |q| answer(&zones, &q)).payload
+            serve_query(&query, SERVER, None, |q, r| answer_from_zones(&zones, q, r)).payload
         );
+    }
+
+    /// Every fault reshapes the one clean reply: a prefix of it, the same
+    /// bytes with the id flipped, or the bare ServFail the query's own
+    /// view yields.
+    #[test]
+    fn faults_reshape_the_one_encoded_reply() {
+        let query = Message::query(3, n("www.example.com"), RecordType::A);
+        let wire = encode(&query);
+        let zones = [zone()];
+        let serve_with = |plan: Option<&FaultPlan>| {
+            serve_query(&wire, SERVER, plan, |q, r| answer_from_zones(&zones, q, r))
+        };
+        let clean = serve_with(None).payload.unwrap();
+        let faulted = |kind| {
+            let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
+            serve_with(Some(&plan)).payload.unwrap()
+        };
+        let truncated = faulted(FaultKind::Truncate);
+        assert_eq!(truncated, clean.slice(..clean.len() / 2));
+        assert!(decode(&truncated).is_err());
+        let garbled = faulted(FaultKind::Garble);
+        assert_eq!(garbled[2..], clean[2..]);
+        assert_eq!([garbled[0], garbled[1]], [clean[0] ^ 0xFF, clean[1] ^ 0xFF]);
+        let mut refusal = Message::response_to(&query);
+        refusal.rcode = Rcode::ServFail;
+        assert_eq!(faulted(FaultKind::ServFail), encode(&refusal));
     }
 
     #[test]

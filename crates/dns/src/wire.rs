@@ -3,9 +3,17 @@
 //! Messages are the standard header / question / answer / authority /
 //! additional layout. Encoding compresses repeated names with pointers;
 //! decoding follows pointers with a hop limit to reject loops.
+//!
+//! Two forms share one reader and one compressor. The measurement path
+//! borrows the datagram: a server reads the query through a
+//! [`MessageView`] and writes its reply straight into the reply datagram
+//! through a [`Reply`]; the resolver reads that reply through a view too.
+//! The owned [`Message`] with [`encode`] and [`decode`] is the reference
+//! form for tests and tools: the view accepts exactly what `decode`
+//! accepts, and a `Reply` writes the bytes `encode` writes.
 
 use crate::name::{is_label_byte, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
-use bytes::{BufMut, Bytes};
+use bytes::Bytes;
 use std::fmt;
 use std::net::Ipv4Addr;
 use webdep_netsim::build_payload;
@@ -159,22 +167,6 @@ impl Message {
         }
     }
 
-    /// The skeleton [`Message::response_to`] builds, taking this query's
-    /// question section instead of cloning it.
-    pub fn into_response(self) -> Self {
-        Message {
-            id: self.id,
-            is_response: true,
-            authoritative: false,
-            recursion_desired: self.recursion_desired,
-            rcode: Rcode::NoError,
-            questions: self.questions,
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
     /// Builds an empty response skeleton echoing `query`'s id and question.
     pub fn response_to(query: &Message) -> Self {
         Message {
@@ -223,7 +215,9 @@ const FLAG_AA: u16 = 0x0400;
 const FLAG_RD: u16 = 0x0100;
 const CLASS_IN: u16 = 1;
 
-/// Encodes a message to wire bytes (with name compression).
+/// Encodes a message to wire bytes (with name compression). The owned
+/// reference form: a server writes its replies through [`Reply`], which
+/// compresses the same way, so the two agree byte for byte.
 pub fn encode(msg: &Message) -> Bytes {
     build_payload(|buf| encode_into(buf, msg))
 }
@@ -249,13 +243,11 @@ fn encode_into(buf: &mut Vec<u8>, msg: &Message) {
     ];
     put_header(buf, msg.id, flags, counts);
     for q in &msg.questions {
-        encode_name(buf, &q.name, &mut offsets);
-        buf.put_u16(q.qtype.code());
-        buf.put_u16(CLASS_IN);
+        put_question(buf, q.name.as_str(), q.qtype, &mut offsets);
     }
     for section in [&msg.answers, &msg.authorities, &msg.additionals] {
         for r in section {
-            encode_record(buf, r, &mut offsets);
+            put_record(buf, r.name.as_str(), r.ttl, r.data.as_rdata(), &mut offsets);
         }
     }
 }
@@ -267,75 +259,128 @@ pub(crate) fn encode_query(id: u16, name: &DomainName, qtype: RecordType) -> Byt
     build_payload(|buf| {
         put_header(buf, id, 0, [1, 0, 0, 0]);
         // A lone name has no earlier suffix to point at.
-        encode_name(buf, name, &mut Suffixes::new());
-        buf.put_u16(qtype.code());
-        buf.put_u16(CLASS_IN);
+        put_question(buf, name.as_str(), qtype, &mut Suffixes::new());
     })
 }
 
+// Fixed-size fields are assembled on the stack and appended in one go.
+
 fn put_header(buf: &mut Vec<u8>, id: u16, flags: u16, counts: [usize; 4]) {
-    buf.put_u16(id);
-    buf.put_u16(flags);
-    for c in counts {
-        buf.put_u16(c as u16);
+    let mut header = [0; 12];
+    for (i, word) in [id, flags]
+        .into_iter()
+        .chain(counts.map(|c| c as u16))
+        .enumerate()
+    {
+        header[2 * i..2 * i + 2].copy_from_slice(&word.to_be_bytes());
     }
+    buf.extend_from_slice(&header);
 }
 
-/// Suffixes already written and their offsets, the compression pointer
-/// targets. A message carries a handful of names, so a linear scan over
-/// borrowed suffixes beats hashing them; the first [`INLINE_SUFFIXES`]
-/// entries live on the stack and only a larger message spills to the heap.
-struct Suffixes<'a> {
-    inline: [(&'a str, u16); INLINE_SUFFIXES],
+fn put_question(buf: &mut Vec<u8>, name: &str, qtype: RecordType, offsets: &mut Suffixes) {
+    encode_name(buf, name, offsets);
+    let [t0, t1] = qtype.code().to_be_bytes();
+    let [c0, c1] = CLASS_IN.to_be_bytes();
+    buf.extend_from_slice(&[t0, t1, c0, c1]);
+}
+
+/// Suffixes already written, the compression pointer targets: where each
+/// one's first label starts in the message, and the length of its
+/// presentation text. A probe compares the lengths first and only then the
+/// labels written there, so the table borrows no name and a reply can
+/// write names from anywhere. A message carries a handful of names, so a
+/// linear scan beats hashing them; the first [`INLINE_SUFFIXES`] entries
+/// live on the stack and only a larger message spills to the heap.
+struct Suffixes {
+    inline: [(u16, u16); INLINE_SUFFIXES],
     len: usize,
-    spill: Vec<(&'a str, u16)>,
+    spill: Vec<(u16, u16)>,
 }
 
 const INLINE_SUFFIXES: usize = 24;
 
-impl<'a> Suffixes<'a> {
+impl Suffixes {
     fn new() -> Self {
         Suffixes {
-            inline: [("", 0); INLINE_SUFFIXES],
+            inline: [(0, 0); INLINE_SUFFIXES],
             len: 0,
             spill: Vec::new(),
         }
     }
 
-    fn get(&self, suffix: &str) -> Option<u16> {
+    /// The offset at which `suffix` was written into `buf`, if it was.
+    fn get(&self, buf: &[u8], suffix: &str) -> Option<u16> {
         self.inline[..self.len]
             .iter()
             .chain(&self.spill)
-            .find(|(s, _)| *s == suffix)
-            .map(|&(_, off)| off)
+            .find(|&&(off, len)| len as usize == suffix.len() && written_as(buf, off, suffix))
+            .map(|&(off, _)| off)
     }
 
     /// Records a suffix [`Suffixes::get`] did not find.
-    fn push(&mut self, suffix: &'a str, offset: u16) {
+    fn push(&mut self, offset: u16, text_len: u16) {
         if self.len < INLINE_SUFFIXES {
-            self.inline[self.len] = (suffix, offset);
+            self.inline[self.len] = (offset, text_len);
             self.len += 1;
         } else {
-            self.spill.push((suffix, offset));
+            self.spill.push((offset, text_len));
         }
     }
 }
 
-fn encode_record<'a>(buf: &mut Vec<u8>, r: &'a Record, offsets: &mut Suffixes<'a>) {
-    encode_name(buf, &r.name, offsets);
-    buf.put_u16(r.data.record_type().code());
-    buf.put_u16(CLASS_IN);
-    buf.put_u32(r.ttl);
-    match &r.data {
-        RecordData::A(ip) => {
-            buf.put_u16(4);
-            buf.put_slice(&ip.octets());
+/// Whether the labels the encoder wrote at `pos` of `buf` (following its
+/// pointers, which only ever point back) spell the presentation text
+/// `text`.
+fn written_as(buf: &[u8], pos: u16, text: &str) -> bool {
+    let mut pos = pos as usize;
+    let mut rest = text.as_bytes();
+    loop {
+        let Some(&len) = buf.get(pos) else {
+            return false;
+        };
+        let len = len as usize;
+        if len & 0xC0 == 0xC0 {
+            let Some(&lo) = buf.get(pos + 1) else {
+                return false;
+            };
+            pos = ((len & 0x3F) << 8) | lo as usize;
+            continue;
         }
-        RecordData::Ns(n) | RecordData::Cname(n) => {
+        if len == 0 {
+            return rest.is_empty();
+        }
+        let Some(tail) = buf
+            .get(pos + 1..pos + 1 + len)
+            .and_then(|label| rest.strip_prefix(label))
+        else {
+            return false;
+        };
+        rest = match tail {
+            [b'.', more @ ..] => more,
+            _ => tail,
+        };
+        pos += 1 + len;
+    }
+}
+
+fn put_record(buf: &mut Vec<u8>, owner: &str, ttl: u32, data: RData<&str>, offsets: &mut Suffixes) {
+    encode_name(buf, owner, offsets);
+    let [t0, t1] = data.record_type().code().to_be_bytes();
+    let [c0, c1] = CLASS_IN.to_be_bytes();
+    let [l0, l1, l2, l3] = ttl.to_be_bytes();
+    let fixed = [t0, t1, c0, c1, l0, l1, l2, l3];
+    match data {
+        RData::A(ip) => {
+            let [a, b, c, d] = ip.octets();
+            buf.extend_from_slice(&fixed);
+            buf.extend_from_slice(&[0, 4, a, b, c, d]);
+        }
+        RData::Ns(n) | RData::Cname(n) => {
             // Two-pass: rdata length depends on compression, so reserve the
             // length slot, write the name, then patch.
+            buf.extend_from_slice(&fixed);
             let len_pos = buf.len();
-            buf.put_u16(0);
+            buf.extend_from_slice(&[0, 0]);
             let start = buf.len();
             encode_name(buf, n, offsets);
             let rdlen = (buf.len() - start) as u16;
@@ -344,31 +389,140 @@ fn encode_record<'a>(buf: &mut Vec<u8>, r: &'a Record, offsets: &mut Suffixes<'a
     }
 }
 
-/// Encodes `name`, emitting a compression pointer at the first suffix that
-/// was already written.
-fn encode_name<'a>(buf: &mut Vec<u8>, name: &'a DomainName, offsets: &mut Suffixes<'a>) {
-    let mut rest = name.as_str();
+/// Encodes the name whose presentation text is `name`, emitting a
+/// compression pointer at the first suffix that was already written.
+fn encode_name(buf: &mut Vec<u8>, name: &str, offsets: &mut Suffixes) {
+    let mut rest = name;
     loop {
         if rest.is_empty() {
-            buf.put_u8(0);
+            buf.push(0);
             return;
         }
-        if let Some(off) = offsets.get(rest) {
-            buf.put_u16(0xC000 | off);
+        if let Some(off) = offsets.get(buf, rest) {
+            buf.extend_from_slice(&(0xC000 | off).to_be_bytes());
             return;
         }
         // Record this suffix's offset if it is still pointer-addressable.
         if buf.len() < 0x3FFF {
-            offsets.push(rest, buf.len() as u16);
+            offsets.push(buf.len() as u16, rest.len() as u16);
         }
         let (label, tail) = rest.split_once('.').unwrap_or((rest, ""));
-        buf.put_u8(label.len() as u8);
-        buf.put_slice(label.as_bytes());
+        buf.push(label.len() as u8);
+        buf.extend_from_slice(label.as_bytes());
         rest = tail;
     }
 }
 
-/// Decodes a wire message.
+/// A reply written straight into its datagram: the header, the query's
+/// questions echoed as [`decode`] reads them (lowercase, split at every
+/// dot), then records section by section, compressed as [`encode`]
+/// compresses. [`crate::server::serve_query`] starts one for each query it
+/// answers and hands it to the responder, so a reply costs no owned
+/// message, no record vector and no name clone; its bytes are those
+/// `encode` writes for the owned response with the same records.
+///
+/// Names are given in presentation form ([`DomainName::as_str`]).
+pub struct Reply<'b> {
+    buf: &'b mut Vec<u8>,
+    offsets: Suffixes,
+    flags: u16,
+    /// Questions, answers, authorities and additionals written so far.
+    counts: [u16; 4],
+}
+
+impl<'b> Reply<'b> {
+    /// Starts the reply to `query` in the empty buffer `buf`: the header
+    /// (the query's id and RD bit, QR set) and every question of the query,
+    /// the first one's name given already expanded as `first`.
+    pub(crate) fn new(buf: &'b mut Vec<u8>, query: &MessageView<'_>, first: &str) -> Self {
+        debug_assert!(
+            buf.is_empty(),
+            "compression offsets count from the message start"
+        );
+        put_header(buf, query.id(), 0, [0; 4]);
+        let mut reply = Reply {
+            buf,
+            offsets: Suffixes::new(),
+            flags: FLAG_QR | (query.layout.flags & FLAG_RD),
+            counts: [0; 4],
+        };
+        let mut text = None;
+        for (i, q) in query.questions().enumerate() {
+            let name = match i {
+                0 => first,
+                _ => q.name.expand(text.get_or_insert_with(NameBuf::new)),
+            };
+            put_question(reply.buf, name, q.qtype, &mut reply.offsets);
+            reply.counts[0] = reply.counts[0].wrapping_add(1);
+        }
+        reply
+    }
+
+    /// Sets the AA bit: the server is authoritative for the name.
+    pub fn set_authoritative(&mut self) {
+        self.flags |= FLAG_AA;
+    }
+
+    /// Sets the response code (`NoError` until set).
+    pub fn set_rcode(&mut self, rcode: Rcode) {
+        self.flags = self.flags & !0xF | rcode.code();
+    }
+
+    /// Writes an answer record.
+    pub fn answer(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+        self.push(1, owner, ttl, data);
+    }
+
+    /// Writes an authority (referral) record, after every answer.
+    pub fn authority(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+        self.push(2, owner, ttl, data);
+    }
+
+    /// Writes an additional (glue) record, after every authority.
+    pub fn additional(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+        self.push(3, owner, ttl, data);
+    }
+
+    /// Writes an owned response's AA bit, rcode and records: how an
+    /// answerer that builds a [`Message`] (the reference
+    /// [`crate::server::answer`]) replies through this encoder. The
+    /// response's own questions are not written; the query's are.
+    pub fn write_message(&mut self, msg: &Message) {
+        if msg.authoritative {
+            self.set_authoritative();
+        }
+        self.set_rcode(msg.rcode);
+        for (section, records) in [
+            (1, &msg.answers),
+            (2, &msg.authorities),
+            (3, &msg.additionals),
+        ] {
+            for r in records {
+                self.push(section, r.name.as_str(), r.ttl, r.data.as_rdata());
+            }
+        }
+    }
+
+    fn push(&mut self, section: usize, owner: &str, ttl: u32, data: RData<&str>) {
+        assert!(
+            self.counts[section + 1..].iter().all(|&c| c == 0),
+            "records are written section by section"
+        );
+        put_record(self.buf, owner, ttl, data, &mut self.offsets);
+        self.counts[section] = self.counts[section].wrapping_add(1);
+    }
+
+    /// Patches the flags and section counts into the header.
+    pub(crate) fn finish(self) {
+        self.buf[2..4].copy_from_slice(&self.flags.to_be_bytes());
+        for (i, count) in self.counts.iter().enumerate() {
+            self.buf[4 + 2 * i..6 + 2 * i].copy_from_slice(&count.to_be_bytes());
+        }
+    }
+}
+
+/// Decodes a wire message into the owned reference form. It accepts
+/// exactly what [`MessageView::parse`] accepts.
 pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
     let mut cur = Cursor { bytes, pos: 0 };
     let id = cur.u16()?;
@@ -383,11 +537,7 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
     let cap = |count: usize, min_len: usize, cur: &Cursor<'_>| count.min(cur.remaining() / min_len);
     let mut questions = Vec::with_capacity(cap(qd, 5, &cur));
     for _ in 0..qd {
-        let name = decode_name(&mut cur)?;
-        let qtype_raw = cur.u16()?;
-        let qtype =
-            RecordType::from_code(qtype_raw).ok_or(WireError::UnsupportedType(qtype_raw))?;
-        let _class = cur.u16()?;
+        let (name, qtype) = read_question(&mut cur, decode_name)?;
         questions.push(Question { name, qtype });
     }
     let mut sections = [
@@ -397,8 +547,14 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
     ];
     for (idx, count) in [(0, an), (1, ns), (2, ar)] {
         for _ in 0..count {
-            if let Some(r) = decode_record(&mut cur)? {
-                sections[idx].push(r);
+            // Records of a type the simulation does not know are skipped,
+            // as a measurement client tolerates them.
+            if let (name, ttl, Some(data)) = read_record(&mut cur, decode_name)? {
+                sections[idx].push(Record {
+                    name,
+                    ttl,
+                    data: data.into(),
+                });
             }
         }
     }
@@ -455,10 +611,117 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A name being decoded: the dot-joined wire labels, lowercased and
-/// checked byte by byte against [`DomainName::parse`]'s rules as they are
-/// copied, so the name is never parsed again.
-struct NameBuf {
+/// One question at the cursor, its name read by `name`.
+fn read_question<'a, N>(
+    cur: &mut Cursor<'a>,
+    name: impl FnOnce(&mut Cursor<'a>) -> Result<N, WireError>,
+) -> Result<(N, RecordType), WireError> {
+    let name = name(cur)?;
+    let qtype_raw = cur.u16()?;
+    let qtype = RecordType::from_code(qtype_raw).ok_or(WireError::UnsupportedType(qtype_raw))?;
+    let _class = cur.u16()?;
+    Ok((name, qtype))
+}
+
+/// One record at the cursor, its names read by `name`: the owner, the TTL
+/// and the data, `None` for a type the simulation does not know.
+fn read_record<'a, N>(
+    cur: &mut Cursor<'a>,
+    mut name: impl FnMut(&mut Cursor<'a>) -> Result<N, WireError>,
+) -> Result<(N, u32, Option<RData<N>>), WireError> {
+    let owner = name(cur)?;
+    let rtype = cur.u16()?;
+    let _class = cur.u16()?;
+    let ttl = cur.u32()?;
+    let rdlen = cur.u16()? as usize;
+    let data = match RecordType::from_code(rtype) {
+        Some(RecordType::A) => {
+            let &[a, b, c, d] = cur.slice(rdlen)? else {
+                return Err(WireError::Truncated);
+            };
+            Some(RData::A(Ipv4Addr::new(a, b, c, d)))
+        }
+        Some(rtype) => {
+            let end = cur.pos + rdlen;
+            let target = name(cur)?;
+            if cur.pos > end {
+                return Err(WireError::Truncated);
+            }
+            cur.pos = end;
+            Some(if rtype == RecordType::Ns {
+                RData::Ns(target)
+            } else {
+                RData::Cname(target)
+            })
+        }
+        None => {
+            cur.slice(rdlen)?;
+            None
+        }
+    };
+    Ok((owner, ttl, data))
+}
+
+/// Compression pointers one name may follow before it counts as a loop.
+const MAX_POINTER_HOPS: usize = 32;
+
+/// Walks the possibly compressed name starting at `start`, handing each
+/// raw label to `label`; returns the offset just past the name where it is
+/// stored (past its terminator, or past its first pointer). Pointers must
+/// point back, at most [`MAX_POINTER_HOPS`] of them.
+fn walk_name(
+    bytes: &[u8],
+    start: usize,
+    mut label: impl FnMut(&[u8]) -> Result<(), WireError>,
+) -> Result<usize, WireError> {
+    let mut pos = start;
+    let mut end = None;
+    let mut hops = 0;
+    loop {
+        let label_len = *bytes.get(pos).ok_or(WireError::Truncated)? as usize;
+        if label_len & 0xC0 == 0xC0 {
+            // Compression pointer.
+            let lo = *bytes.get(pos + 1).ok_or(WireError::Truncated)? as usize;
+            let target = ((label_len & 0x3F) << 8) | lo;
+            end.get_or_insert(pos + 2);
+            hops += 1;
+            // Forward pointers are invalid and could loop.
+            if hops > MAX_POINTER_HOPS || target >= pos {
+                return Err(WireError::PointerLoop);
+            }
+            pos = target;
+            continue;
+        }
+        if label_len == 0 {
+            return Ok(end.unwrap_or(pos + 1));
+        }
+        let start = pos + 1;
+        let raw = bytes
+            .get(start..start + label_len)
+            .ok_or(WireError::Truncated)?;
+        label(raw)?;
+        pos = start + label_len;
+    }
+}
+
+/// Each byte's lowercase form where it may appear in a label, else 0.
+const LOWER_LABEL_BYTES: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        if is_label_byte(b as u8) {
+            table[b] = (b as u8).to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
+/// A name's presentation text assembled on the stack: the dot-joined wire
+/// labels, lowercased and checked byte by byte against
+/// [`DomainName::parse`]'s rules as they are copied, so a name read off
+/// the wire is never parsed again. [`NameRef::expand`] fills one.
+pub struct NameBuf {
     /// Room for the longest name plus the one trailing dot `parse` strips;
     /// a longer joined name can never parse.
     bytes: [u8; MAX_NAME_LEN + 1],
@@ -468,10 +731,25 @@ struct NameBuf {
     label: usize,
 }
 
+impl Default for NameBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl NameBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        NameBuf {
+            bytes: [0; MAX_NAME_LEN + 1],
+            len: 0,
+            label: 0,
+        }
+    }
+
     fn push(&mut self, b: u8) -> Result<(), WireError> {
         if b == b'.' {
-            // An empty label: only a leading dot may end one, and `finish`
+            // An empty label: only a leading dot may end one, and `text`
             // accepts that only as the whole name ".".
             if self.label == 0 && self.len > 0 {
                 return Err(WireError::BadName);
@@ -492,10 +770,26 @@ impl NameBuf {
         if self.len > 0 {
             self.push(b'.')?;
         }
+        // A label of label bytes that fits is copied in one pass; any other
+        // is pushed byte by byte, which finds its first bad byte.
+        let end = self.len + raw.len();
+        if self.label + raw.len() <= MAX_LABEL_LEN && end <= self.bytes.len() {
+            let mut all_label_bytes = true;
+            for (to, &b) in self.bytes[self.len..end].iter_mut().zip(raw) {
+                *to = LOWER_LABEL_BYTES[b as usize];
+                all_label_bytes &= *to != 0;
+            }
+            if all_label_bytes {
+                self.len = end;
+                self.label += raw.len();
+                return Ok(());
+            }
+        }
         raw.iter().try_for_each(|&b| self.push(b))
     }
 
-    fn finish(&self) -> Result<DomainName, WireError> {
+    /// The presentation bytes of the labels pushed, if they make a name.
+    fn checked(&self) -> Result<&[u8], WireError> {
         let mut text = &self.bytes[..self.len];
         // As `parse`, strip one trailing dot: "a." is "a", "." the root.
         if let [rest @ .., b'.'] = text {
@@ -504,111 +798,423 @@ impl NameBuf {
         if text.len() > MAX_NAME_LEN || text.first() == Some(&b'.') {
             return Err(WireError::BadName);
         }
-        // The one conversion to text: every byte was checked to be ASCII,
-        // so this cannot fail, and it runs word by word where pushing each
-        // byte as a char would not.
-        let text = std::str::from_utf8(text).map_err(|_| WireError::BadName)?;
-        Ok(DomainName::from_validated(text.to_owned()))
+        Ok(text)
+    }
+
+    /// The presentation text of the labels pushed, if they make a name.
+    fn text(&self) -> Result<&str, WireError> {
+        // Every byte was checked to be ASCII, so this cannot fail, and it
+        // runs word by word where pushing each byte as a char would not.
+        std::str::from_utf8(self.checked()?).map_err(|_| WireError::BadName)
+    }
+
+    /// Reads and checks the name at `start`; returns the offset past it.
+    fn read(&mut self, bytes: &[u8], start: usize) -> Result<usize, WireError> {
+        self.len = 0;
+        self.label = 0;
+        let end = walk_name(bytes, start, |raw| self.push_label(raw))?;
+        self.checked()?;
+        Ok(end)
     }
 }
 
 /// Decodes a possibly compressed name starting at the cursor.
 ///
-/// The labels are checked and lowercased as they are copied ([`NameBuf`]),
-/// so the decoder accepts exactly the names [`DomainName::parse`] accepts
-/// on the dot-joined labels, and a name costs one allocation of its own
-/// length. An invalid label byte fails the name at once.
+/// The decoder accepts exactly the names [`DomainName::parse`] accepts on
+/// the dot-joined labels ([`NameBuf`]), and a name costs one allocation of
+/// its own length. An invalid label byte fails the name at once.
 fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
-    let mut name = NameBuf {
-        bytes: [0; MAX_NAME_LEN + 1],
-        len: 0,
-        label: 0,
-    };
-    let mut pos = cur.pos;
-    let mut jumped = false;
-    let mut hops = 0;
-    loop {
-        let label_len = *cur.bytes.get(pos).ok_or(WireError::Truncated)? as usize;
-        if label_len & 0xC0 == 0xC0 {
-            // Compression pointer.
-            let lo = *cur.bytes.get(pos + 1).ok_or(WireError::Truncated)? as usize;
-            let target = ((label_len & 0x3F) << 8) | lo;
-            if !jumped {
-                cur.pos = pos + 2;
-                jumped = true;
-            }
-            hops += 1;
-            if hops > 32 {
-                return Err(WireError::PointerLoop);
-            }
-            if target >= pos {
-                // Forward pointers are invalid and could loop.
-                return Err(WireError::PointerLoop);
-            }
-            pos = target;
-            continue;
-        }
-        if label_len == 0 {
-            if !jumped {
-                cur.pos = pos + 1;
-            }
-            break;
-        }
-        let start = pos + 1;
-        let end = start + label_len;
-        let raw = cur.bytes.get(start..end).ok_or(WireError::Truncated)?;
-        name.push_label(raw)?;
-        pos = end;
-    }
-    name.finish()
+    let mut buf = NameBuf::new();
+    let end = buf.read(cur.bytes, cur.pos)?;
+    let name = DomainName::from_validated(buf.text()?.to_owned());
+    cur.pos = end;
+    Ok(name)
 }
 
-/// Decodes one record; returns `None` for unknown types (skipped), matching
-/// how a measurement client tolerates records it does not understand.
-fn decode_record(cur: &mut Cursor<'_>) -> Result<Option<Record>, WireError> {
-    let name = decode_name(cur)?;
-    let rtype = cur.u16()?;
-    let _class = cur.u16()?;
-    let ttl = cur.u32()?;
-    let rdlen = cur.u16()? as usize;
-    match RecordType::from_code(rtype) {
-        Some(RecordType::A) => {
-            let raw = cur.slice(rdlen)?;
-            if raw.len() != 4 {
-                return Err(WireError::Truncated);
+/// Checks the name at the cursor as [`decode_name`] does, in `buf`,
+/// keeping it in place.
+fn check_name<'a>(buf: &mut NameBuf, cur: &mut Cursor<'a>) -> Result<NameRef<'a>, WireError> {
+    let name = NameRef {
+        bytes: cur.bytes,
+        pos: cur.pos,
+    };
+    cur.pos = buf.read(cur.bytes, cur.pos)?;
+    Ok(name)
+}
+
+/// Steps over a name [`MessageView::parse`] has checked, keeping it in
+/// place: the labels stored here up to the terminator or first pointer.
+fn name_in_place<'a>(cur: &mut Cursor<'a>) -> Result<NameRef<'a>, WireError> {
+    let name = NameRef {
+        bytes: cur.bytes,
+        pos: cur.pos,
+    };
+    loop {
+        let len = cur.u8()? as usize;
+        match len {
+            0 => return Ok(name),
+            _ if len & 0xC0 == 0xC0 => {
+                cur.u8()?;
+                return Ok(name);
             }
-            let ip = Ipv4Addr::new(raw[0], raw[1], raw[2], raw[3]);
-            Ok(Some(Record {
-                name,
-                ttl,
-                data: RecordData::A(ip),
-            }))
+            _ => {
+                cur.slice(len)?;
+            }
         }
-        Some(RecordType::Ns) | Some(RecordType::Cname) => {
-            let end = cur.pos + rdlen;
-            let target = decode_name(cur)?;
-            if cur.pos > end {
-                return Err(WireError::Truncated);
+    }
+}
+
+/// Record data with its name borrowed: presentation text (`&str`) where a
+/// [`Reply`] writes a record, a [`NameRef`] where a [`MessageView`] reads
+/// one in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RData<N> {
+    /// An IPv4 address.
+    A(Ipv4Addr),
+    /// A nameserver host name.
+    Ns(N),
+    /// A canonical name.
+    Cname(N),
+}
+
+impl<N> RData<N> {
+    /// The record type of this data.
+    pub fn record_type(&self) -> RecordType {
+        match self {
+            RData::A(_) => RecordType::A,
+            RData::Ns(_) => RecordType::Ns,
+            RData::Cname(_) => RecordType::Cname,
+        }
+    }
+}
+
+impl RecordData {
+    /// The data with its name borrowed, as [`Reply`] writes it.
+    pub fn as_rdata(&self) -> RData<&str> {
+        match self {
+            RecordData::A(ip) => RData::A(*ip),
+            RecordData::Ns(n) => RData::Ns(n.as_str()),
+            RecordData::Cname(n) => RData::Cname(n.as_str()),
+        }
+    }
+}
+
+impl From<RData<DomainName>> for RecordData {
+    fn from(data: RData<DomainName>) -> Self {
+        match data {
+            RData::A(ip) => RecordData::A(ip),
+            RData::Ns(n) => RecordData::Ns(n),
+            RData::Cname(n) => RecordData::Cname(n),
+        }
+    }
+}
+
+/// Where a checked message's parts are: its header fields and the offset
+/// each section starts at.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    id: u16,
+    flags: u16,
+    /// Questions, answers, authorities, additionals.
+    counts: [u16; 4],
+    starts: [usize; 4],
+}
+
+/// A DNS message read in place. [`MessageView::parse`] accepts exactly the
+/// datagrams [`decode`] accepts and checks every name as `decode` does,
+/// but keeps only the header and where each section starts: questions and
+/// records are read off the bytes as a section is walked, in `decode`'s
+/// order and skipping the record types it skips, and names stay on the
+/// wire ([`NameRef`]) until a caller compares or expands one. Nothing is
+/// allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    bytes: &'a [u8],
+    layout: Layout,
+}
+
+/// A question read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct QuestionView<'a> {
+    /// Queried name.
+    pub name: NameRef<'a>,
+    /// Queried type.
+    pub qtype: RecordType,
+}
+
+/// A resource record read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    /// Owner name.
+    pub owner: NameRef<'a>,
+    /// Time to live, seconds.
+    pub ttl: u32,
+    /// Typed record data.
+    pub data: RData<NameRef<'a>>,
+}
+
+impl<'a> MessageView<'a> {
+    /// Checks `bytes` as [`decode`] does, building nothing.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
+        Self::parse_in(bytes, &mut NameBuf::new())
+    }
+
+    /// [`MessageView::parse`], checking names in the caller's `buf`.
+    pub(crate) fn parse_in(bytes: &'a [u8], buf: &mut NameBuf) -> Result<Self, WireError> {
+        let mut cur = Cursor { bytes, pos: 0 };
+        let id = cur.u16()?;
+        let flags = cur.u16()?;
+        let counts = [cur.u16()?, cur.u16()?, cur.u16()?, cur.u16()?];
+        let mut starts = [0; 4];
+        starts[0] = cur.pos;
+        for _ in 0..counts[0] {
+            read_question(&mut cur, |cur| check_name(buf, cur))?;
+        }
+        for section in 1..4 {
+            starts[section] = cur.pos;
+            for _ in 0..counts[section] {
+                read_record(&mut cur, |cur| check_name(buf, cur))?;
             }
-            cur.pos = end;
-            let data = if rtype == RecordType::Ns.code() {
-                RecordData::Ns(target)
+        }
+        let layout = Layout {
+            id,
+            flags,
+            counts,
+            starts,
+        };
+        Ok(MessageView { bytes, layout })
+    }
+
+    /// Transaction id.
+    pub fn id(&self) -> u16 {
+        self.layout.id
+    }
+
+    /// True for responses (QR bit).
+    pub fn is_response(&self) -> bool {
+        self.layout.flags & FLAG_QR != 0
+    }
+
+    /// True when the responder is authoritative for the name (AA bit).
+    pub fn authoritative(&self) -> bool {
+        self.layout.flags & FLAG_AA != 0
+    }
+
+    /// Recursion desired (RD bit).
+    pub fn recursion_desired(&self) -> bool {
+        self.layout.flags & FLAG_RD != 0
+    }
+
+    /// Response code.
+    pub fn rcode(&self) -> Rcode {
+        Rcode::from_code(self.layout.flags)
+    }
+
+    /// The question section.
+    pub fn questions(self) -> impl Iterator<Item = QuestionView<'a>> {
+        let mut cur = self.cursor(0);
+        (0..self.layout.counts[0])
+            .map_while(move |_| read_question(&mut cur, name_in_place).ok())
+            .map(|(name, qtype)| QuestionView { name, qtype })
+    }
+
+    /// The answer records.
+    pub fn answers(self) -> impl Iterator<Item = RecordView<'a>> {
+        self.section(1)
+    }
+
+    /// The authority (referral) records.
+    pub fn authorities(self) -> impl Iterator<Item = RecordView<'a>> {
+        self.section(2)
+    }
+
+    /// The additional (glue) records.
+    pub fn additionals(self) -> impl Iterator<Item = RecordView<'a>> {
+        self.section(3)
+    }
+
+    /// The name stored at `offset` ([`NameRef::offset`] of a name read
+    /// from this message).
+    pub(crate) fn name_at(self, offset: usize) -> NameRef<'a> {
+        NameRef {
+            bytes: self.bytes,
+            pos: offset,
+        }
+    }
+
+    fn cursor(&self, section: usize) -> Cursor<'a> {
+        Cursor {
+            bytes: self.bytes,
+            pos: self.layout.starts[section],
+        }
+    }
+
+    fn section(self, section: usize) -> impl Iterator<Item = RecordView<'a>> {
+        let mut cur = self.cursor(section);
+        (0..self.layout.counts[section])
+            .map_while(move |_| read_record(&mut cur, name_in_place).ok())
+            .filter_map(|(owner, ttl, data)| {
+                Some(RecordView {
+                    owner,
+                    ttl,
+                    data: data?,
+                })
+            })
+    }
+}
+
+/// A datagram [`MessageView::parse`] accepted, kept whole with its layout:
+/// a reply the resolver holds past the receive that took it is viewed
+/// again without a second parse.
+pub(crate) struct ParsedDatagram {
+    payload: Bytes,
+    layout: Layout,
+}
+
+impl ParsedDatagram {
+    pub(crate) fn parse(payload: Bytes) -> Result<Self, WireError> {
+        let layout = MessageView::parse(&payload)?.layout;
+        Ok(ParsedDatagram { payload, layout })
+    }
+
+    pub(crate) fn view(&self) -> MessageView<'_> {
+        MessageView {
+            bytes: &self.payload,
+            layout: self.layout,
+        }
+    }
+}
+
+/// A name read in place: where a checked, possibly compressed name starts
+/// in its message. Compared on the wire ([`NameRef::eq_str`],
+/// [`NameRef::same_as`]) or expanded into a caller's [`NameBuf`], it costs
+/// no allocation; [`NameRef::to_name`] makes the owned name.
+#[derive(Clone, Copy)]
+pub struct NameRef<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> NameRef<'a> {
+    /// Where the name is stored in its message.
+    pub(crate) fn offset(self) -> usize {
+        self.pos
+    }
+
+    /// The raw wire labels, pointers followed.
+    fn labels(self) -> impl Iterator<Item = &'a [u8]> {
+        let (bytes, mut pos, mut hops) = (self.bytes, self.pos, 0);
+        std::iter::from_fn(move || loop {
+            let len = *bytes.get(pos)? as usize;
+            if len & 0xC0 == 0xC0 {
+                hops += 1;
+                if hops > MAX_POINTER_HOPS {
+                    return None;
+                }
+                pos = ((len & 0x3F) << 8) | *bytes.get(pos + 1)? as usize;
+            } else if len == 0 {
+                return None;
             } else {
-                RecordData::Cname(target)
-            };
-            Ok(Some(Record { name, ttl, data }))
+                let label = bytes.get(pos + 1..pos + 1 + len)?;
+                pos += 1 + len;
+                return Some(label);
+            }
+        })
+    }
+
+    /// Whether this is the name whose presentation form is `name`
+    /// ([`DomainName::as_str`]), compared label by label.
+    pub fn eq_str(self, name: &str) -> bool {
+        let mut rest = name.as_bytes();
+        let mut labels = self.labels();
+        let mut first = true;
+        while let Some(label) = labels.next() {
+            if !std::mem::take(&mut first) {
+                match rest {
+                    [b'.', more @ ..] => rest = more,
+                    _ => return false,
+                }
+            }
+            match rest.split_at_checked(label.len()) {
+                Some((head, tail)) if label.eq_ignore_ascii_case(head) => rest = tail,
+                // Only the one trailing dot `DomainName::parse` strips may
+                // be left over, at the end of the last label.
+                _ => {
+                    return label.len() == rest.len() + 1
+                        && label.ends_with(b".")
+                        && label[..rest.len()].eq_ignore_ascii_case(rest)
+                        && labels.next().is_none();
+                }
+            }
         }
-        None => {
-            cur.slice(rdlen)?;
-            Ok(None)
+        rest.is_empty()
+    }
+
+    /// Whether `other`, in this message or another, is the same name.
+    /// Names this crate's encoder compressed into one message share their
+    /// first label, so that is checked first; labels without dots of their
+    /// own compare label by label; a name with such a label is expanded.
+    pub fn same_as(self, other: NameRef<'_>) -> bool {
+        if self.bytes.as_ptr() == other.bytes.as_ptr() && self.start() == other.start() {
+            return true;
         }
+        let (mut a, mut b) = (self.labels(), other.labels());
+        loop {
+            match (a.next(), b.next()) {
+                (None, None) => return true,
+                (Some(x), Some(y)) if !x.contains(&b'.') && !y.contains(&b'.') => {
+                    if !x.eq_ignore_ascii_case(y) {
+                        return false;
+                    }
+                }
+                _ => return other.eq_str(self.expand(&mut NameBuf::new())),
+            }
+        }
+    }
+
+    /// Where the name's first label (or terminator) is, pointers at its
+    /// start followed.
+    fn start(self) -> usize {
+        let mut pos = self.pos;
+        for _ in 0..MAX_POINTER_HOPS {
+            match self.bytes.get(pos..pos + 2) {
+                Some(&[hi, lo]) if hi & 0xC0 == 0xC0 => {
+                    pos = usize::from(hi & 0x3F) << 8 | usize::from(lo)
+                }
+                _ => break,
+            }
+        }
+        pos
+    }
+
+    /// Expands the name into `buf`; returns its presentation form.
+    pub fn expand(self, buf: &mut NameBuf) -> &str {
+        // The name was checked when its message was parsed, so it reads
+        // again without error.
+        match buf.read(self.bytes, self.pos) {
+            Ok(_) => buf.text().unwrap_or(""),
+            Err(_) => "",
+        }
+    }
+
+    /// The owned name.
+    pub fn to_name(self) -> DomainName {
+        DomainName::from_validated(self.expand(&mut NameBuf::new()).to_owned())
+    }
+}
+
+impl fmt::Debug for NameRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("NameRef")
+            .field(&self.expand(&mut NameBuf::new()))
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::{BufMut, BytesMut};
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()

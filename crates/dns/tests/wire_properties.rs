@@ -6,8 +6,11 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use webdep_dns::bigzone::{Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
-use webdep_dns::server::{answer, serve_query};
-use webdep_dns::wire::{decode, encode, Message, Rcode, Record, RecordData, RecordType};
+use webdep_dns::server::{answer_from_zones, serve_query};
+use webdep_dns::wire::{
+    decode, encode, Message, MessageView, Question, RData, Rcode, Record, RecordData, RecordType,
+    RecordView,
+};
 use webdep_dns::Zone;
 use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
 
@@ -161,6 +164,59 @@ proptest! {
         let _ = decode(&bytes[..cut]);
     }
 
+    /// The borrowed view accepts exactly what `decode` accepts and yields
+    /// the same fields: on arbitrary bytes, on raw (often invalid) wire
+    /// names, and on truncated or mutated encodings of valid messages.
+    #[test]
+    fn view_matches_decode_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+        view_agrees_with_decode(&bytes);
+    }
+
+    #[test]
+    fn view_matches_decode_on_raw_names(labels in prop::collection::vec(arb_raw_label(), 0..6)) {
+        view_agrees_with_decode(&raw_question(&labels).0);
+    }
+
+    #[test]
+    fn view_matches_decode_on_mangled_encodings(
+        msg in arb_message(),
+        cut_frac in 0.0f64..1.0,
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let bytes = encode(&msg).to_vec();
+        view_agrees_with_decode(&bytes);
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        view_agrees_with_decode(&bytes[..cut]);
+        let mut flipped = bytes.clone();
+        flipped[(pos_seed as usize) % bytes.len()] ^= 1 << bit;
+        view_agrees_with_decode(&flipped);
+    }
+
+    /// A reply written through the borrowed encoder is the bytes `encode`
+    /// writes for the owned response: the query's header bits and
+    /// questions, the responder's flags and records, the same pointers.
+    #[test]
+    fn reply_writes_what_encode_writes(query in arb_message(), resp in arb_message()) {
+        let mut query = query;
+        query.is_response = false;
+        let reply = serve_query(&encode(&query), Ipv4Addr::new(192, 0, 2, 1), None, |_, r| {
+            r.write_message(&resp)
+        });
+        let want = Message {
+            id: query.id,
+            is_response: true,
+            authoritative: resp.authoritative,
+            recursion_desired: query.recursion_desired,
+            rcode: resp.rcode,
+            questions: query.questions.clone(),
+            answers: resp.answers.clone(),
+            authorities: resp.authorities.clone(),
+            additionals: resp.additionals.clone(),
+        };
+        prop_assert_eq!(reply.payload, Some(encode(&want)));
+    }
+
     /// Bit flips never panic and, if they decode, yield a well-formed
     /// message (exercises the pointer-loop and bounds guards).
     #[test]
@@ -172,6 +228,68 @@ proptest! {
             mutated[pos] ^= 1 << bit;
             let _ = decode(&mutated);
         }
+    }
+}
+
+/// The owned message a view's accessors yield, built field by field.
+fn viewed(view: MessageView<'_>) -> Message {
+    let record = |r: RecordView<'_>| Record {
+        name: r.owner.to_name(),
+        ttl: r.ttl,
+        data: match r.data {
+            RData::A(ip) => RecordData::A(ip),
+            RData::Ns(n) => RecordData::Ns(n.to_name()),
+            RData::Cname(n) => RecordData::Cname(n.to_name()),
+        },
+    };
+    Message {
+        id: view.id(),
+        is_response: view.is_response(),
+        authoritative: view.authoritative(),
+        recursion_desired: view.recursion_desired(),
+        rcode: view.rcode(),
+        questions: (view.questions())
+            .map(|q| Question {
+                name: q.name.to_name(),
+                qtype: q.qtype,
+            })
+            .collect(),
+        answers: view.answers().map(record).collect(),
+        authorities: view.authorities().map(record).collect(),
+        additionals: view.additionals().map(record).collect(),
+    }
+}
+
+/// The view accepts `bytes` exactly when `decode` does, and then yields
+/// the same fields. Names compared on the wire agree with the names
+/// `decode` built: a question or record owner equals, in place, exactly
+/// the names equal to its decoded name.
+fn view_agrees_with_decode(bytes: &[u8]) {
+    match (MessageView::parse(bytes), decode(bytes)) {
+        (Ok(view), Ok(msg)) => {
+            assert_eq!(viewed(view), msg);
+            let wire: Vec<_> = (view.questions().map(|q| q.name))
+                .chain(view.answers().map(|r| r.owner))
+                .chain(view.additionals().map(|r| r.owner))
+                .collect();
+            let decoded: Vec<&DomainName> = (msg.questions.iter().map(|q| &q.name))
+                .chain(msg.answers.iter().map(|r| &r.name))
+                .chain(msg.additionals.iter().map(|r| &r.name))
+                .collect();
+            for (a, name_a) in wire.iter().zip(&decoded) {
+                assert!(!a.eq_str(&format!("x{name_a}")));
+                for (b, name_b) in wire.iter().zip(&decoded) {
+                    assert_eq!(
+                        a.eq_str(name_b.as_str()),
+                        name_a == name_b,
+                        "{name_a} {name_b}"
+                    );
+                    assert_eq!(a.same_as(*b), name_a == name_b, "{name_a} {name_b}");
+                }
+            }
+        }
+        (Err(_), Err(_)) => {}
+        (view, msg) => panic!("view {:?}, decode {msg:?}", view.map(viewed)),
     }
 }
 
@@ -204,10 +322,12 @@ fn check_served(bytes: &[u8]) {
         },
     );
     let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
-    let _ = serve_query(bytes, server, Some(&faults), |q| answer(&zones, &q));
+    let _ = serve_query(bytes, server, Some(&faults), |q, r| {
+        answer_from_zones(&zones, q, r)
+    });
     let replies = [
-        serve_query(bytes, server, None, |q| answer(&zones, &q)),
-        serve_query(bytes, server, None, |q| table.respond(q)),
+        serve_query(bytes, server, None, |q, r| answer_from_zones(&zones, q, r)),
+        serve_query(bytes, server, None, |q, r| table.respond(q, r)),
     ];
     for reply in replies {
         assert!(reply.delay.is_zero());

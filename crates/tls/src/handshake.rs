@@ -169,6 +169,33 @@ pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
         .then_some(hello)
 }
 
+/// What a scanner takes from a server's flight.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ServerFlight {
+    /// The served chain, leaf first.
+    Chain(CertificateChain),
+    /// A fatal alert's code.
+    Alert(u8),
+}
+
+/// Reads a server flight frame by frame, collecting nothing: `Some`
+/// exactly when [`decode_flight`] accepts the flight and it is a lone
+/// `Alert` or a `ServerHello` followed by a `Certificate`. The
+/// `ServerHello` is checked and skipped; only the `Certificate` body is
+/// decoded.
+pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight> {
+    let mut frames = frames(bytes);
+    match (frames.next(), frames.next(), frames.next()) {
+        (Some(Ok((TYPE_ALERT, &[code]))), None, None) => Some(ServerFlight::Alert(code)),
+        (Some(Ok((TYPE_SERVER_HELLO, hello))), Some(Ok((TYPE_CERTIFICATE, body))), None)
+            if hello.len() == 10 =>
+        {
+            certificate(body).ok().map(ServerFlight::Chain)
+        }
+        _ => None,
+    }
+}
+
 /// The `(type, body)` frames of a payload, in order; a framing error is
 /// the last item.
 fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<(u8, &[u8]), TlsError>> {
@@ -211,6 +238,16 @@ fn client_hello(body: &[u8]) -> Result<(u64, &str), TlsError> {
     Ok((random, sni))
 }
 
+/// A `Certificate` body: the chain, filling the body exactly.
+fn certificate(body: &[u8]) -> Result<CertificateChain, TlsError> {
+    let mut pos = 0;
+    let chain = CertificateChain::decode_from(body, &mut pos).ok_or(TlsError::Malformed)?;
+    if pos != body.len() {
+        return Err(TlsError::Malformed);
+    }
+    Ok(chain)
+}
+
 fn decode_body(ftype: u8, body: &[u8]) -> Result<HandshakeMessage, TlsError> {
     match ftype {
         TYPE_CLIENT_HELLO => {
@@ -228,14 +265,7 @@ fn decode_body(ftype: u8, body: &[u8]) -> Result<HandshakeMessage, TlsError> {
             let cipher = u16::from_be_bytes([body[8], body[9]]);
             Ok(HandshakeMessage::ServerHello { random, cipher })
         }
-        TYPE_CERTIFICATE => {
-            let mut pos = 0;
-            let chain = CertificateChain::decode_from(body, &mut pos).ok_or(TlsError::Malformed)?;
-            if pos != body.len() {
-                return Err(TlsError::Malformed);
-            }
-            Ok(HandshakeMessage::Certificate(chain))
-        }
+        TYPE_CERTIFICATE => certificate(body).map(HandshakeMessage::Certificate),
         TYPE_ALERT => {
             if body.len() != 1 {
                 return Err(TlsError::Malformed);
@@ -263,6 +293,52 @@ mod tests {
                 not_after: 100,
                 is_ca: false,
             }],
+        }
+    }
+
+    /// What a scanner made of a flight through [`decode_flight`].
+    fn collected_shape(bytes: &[u8]) -> Option<ServerFlight> {
+        match decode_flight(bytes).ok()?.as_slice() {
+            [HandshakeMessage::Alert(code)] => Some(ServerFlight::Alert(*code)),
+            [HandshakeMessage::ServerHello { .. }, HandshakeMessage::Certificate(chain)] => {
+                Some(ServerFlight::Chain(chain.clone()))
+            }
+            _ => None,
+        }
+    }
+
+    /// Reading a server flight frame by frame takes what collecting it
+    /// took, on every prefix and every single-bit flip of well-formed and
+    /// wrongly shaped flights.
+    #[test]
+    fn server_flights_read_as_collected() {
+        let hello = HandshakeMessage::ServerHello {
+            random: 9,
+            cipher: 0x1301,
+        };
+        let cert = HandshakeMessage::Certificate(chain());
+        let flights = [
+            encode_flight(&[hello.clone(), cert.clone()]),
+            encode_flight(&[HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME)]),
+            encode_flight(&[hello.clone(), cert.clone(), HandshakeMessage::Alert(1)]),
+            encode_flight(&[cert, hello]),
+        ];
+        for flight in flights {
+            for cut in 0..=flight.len() {
+                let bytes = &flight[..cut];
+                assert_eq!(
+                    decode_server_flight(bytes),
+                    collected_shape(bytes),
+                    "cut {cut}"
+                );
+            }
+            for pos in 0..flight.len() {
+                for bit in 0..8 {
+                    let mut bytes = flight.to_vec();
+                    bytes[pos] ^= 1 << bit;
+                    assert_eq!(decode_server_flight(&bytes), collected_shape(&bytes));
+                }
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! it arrives. A flight later than the attempt's window is a timeout.
 
 use crate::cert::CertificateChain;
-use crate::handshake::{decode_flight, encode_client_hello, HandshakeMessage};
+use crate::handshake::{decode_server_flight, encode_client_hello, ServerFlight};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use webdep_netsim::{Endpoint, NetError, SockAddr};
@@ -106,26 +106,15 @@ impl Scanner {
                 if dgram.src != dst {
                     continue; // stale reply from an earlier target
                 }
-                let Ok(frames) = decode_flight(&dgram.payload) else {
-                    self.malformed_flights += 1;
-                    return Err(ScanError::BadResponse);
-                };
-                // The decoded chain is ours: move it out, don't clone it.
-                let mut frames = frames.into_iter();
-                match (frames.next(), frames.next(), frames.next()) {
-                    (Some(HandshakeMessage::Alert(code)), None, None) => {
-                        return Err(ScanError::Alert(code))
-                    }
-                    (
-                        Some(HandshakeMessage::ServerHello { .. }),
-                        Some(HandshakeMessage::Certificate(chain)),
-                        None,
-                    ) => return Ok(chain),
-                    _ => {
+                return match decode_server_flight(&dgram.payload) {
+                    Some(ServerFlight::Chain(chain)) => Ok(chain),
+                    Some(ServerFlight::Alert(code)) => Err(ScanError::Alert(code)),
+                    // Unparseable, or not the shape of a server flight.
+                    None => {
                         self.malformed_flights += 1;
-                        return Err(ScanError::BadResponse);
+                        Err(ScanError::BadResponse)
                     }
-                }
+                };
             }
         }
         Err(ScanError::Timeout)

@@ -46,7 +46,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use webdep_dns::bigzone::{ChildLookup, Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
-use webdep_dns::wire as dnswire;
+use webdep_dns::server::QuestionRef;
+use webdep_dns::wire::{RData, Rcode, RecordType, Reply};
 use webdep_dns::{serve_query, DNS_PORT};
 use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
@@ -350,8 +351,8 @@ impl Served {
     fn rack_respond(&self, rack: usize, dgram: &Datagram) -> FaultedReply {
         let faults = self.faults.as_deref();
         match dgram.dst.port {
-            DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |query| {
-                self.respond_dns(rack, query, dgram.src.ip)
+            DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |q, reply| {
+                self.respond_dns(rack, q, dgram.src.ip, reply)
             }),
             TLS_PORT => serve_hello(&dgram.payload, dgram.dst.ip, faults, |sni| {
                 self.chain_for(rack, sni)
@@ -360,74 +361,63 @@ impl Served {
         }
     }
 
-    /// Answers a DNS query at `rack`; the response reuses the query's
-    /// question section.
-    fn respond_dns(&self, rack: usize, query: dnswire::Message, src: Ipv4Addr) -> dnswire::Message {
-        let Some(q) = query.questions.first() else {
-            return query.into_response(); // `serve_query` answers these itself
-        };
-        let site = self.site_on(rack, q.name.as_str(), |row| row.dns);
-        let record = |data| dnswire::Record {
-            name: q.name.clone(),
-            ttl: 3600,
-            data,
-        };
-        let answers = match (site, q.qtype) {
-            (Some((_, row)), dnswire::RecordType::A) => self.site_answers(&q.name, row, src),
-            (Some((_, row)), dnswire::RecordType::Ns) => {
-                let ns = &self.delegations[row.dns as usize].ns;
-                Some(
-                    ns.iter()
-                        .map(|n| record(dnswire::RecordData::Ns(n.clone())))
-                        .collect(),
-                )
+    /// Answers the DNS question `q` at `rack`, writing the records
+    /// straight into `reply`: a site's A answer or NS set when the site's
+    /// DNS provider lives here, a nameserver host's address, NoData for a
+    /// known name without such records, NXDOMAIN otherwise.
+    fn respond_dns(&self, rack: usize, q: QuestionRef<'_>, src: Ipv4Addr, reply: &mut Reply<'_>) {
+        reply.set_authoritative();
+        let site = self.site_on(rack, q.name, |row| row.dns);
+        let answered = match (site, q.qtype) {
+            (Some((_, row)), RecordType::A) => self.site_answers(q.name, row, src, reply),
+            (Some((_, row)), RecordType::Ns) => {
+                for ns in &self.delegations[row.dns as usize].ns {
+                    reply.answer(q.name, 3600, RData::Ns(ns.as_str()));
+                }
+                true
             }
             // Infrastructure hosts (nameservers).
-            (None, dnswire::RecordType::A) => (self.hosts.get(&q.name))
-                .filter(|(p, _)| self.rack_of(*p) == rack)
-                .map(|&(_, ip)| vec![record(dnswire::RecordData::A(ip))]),
-            _ => None,
+            (None, RecordType::A) => match self.hosts.get(q.name) {
+                Some(&(p, ip)) if self.rack_of(p) == rack => {
+                    reply.answer(q.name, 3600, RData::A(ip));
+                    true
+                }
+                _ => false,
+            },
+            _ => false,
         };
-        let nxdomain = site.is_none() && answers.is_none();
-        let mut resp = query.into_response();
-        resp.authoritative = true;
-        // No answers for a known name is NoData.
-        resp.answers = answers.unwrap_or_default();
-        if nxdomain {
-            resp.rcode = dnswire::Rcode::NxDomain;
+        // A known name without answers is NoData.
+        if site.is_none() && !answered {
+            reply.set_rcode(Rcode::NxDomain);
         }
-        resp
     }
 
-    /// A site's A answer: its serving address from the querier's
+    /// Writes a site's A answer: its serving address from the querier's
     /// continent, behind a CNAME to the provider's edge host for CDN sites.
+    /// False when the provider has no address to serve from.
     fn site_answers(
         &self,
-        name: &DomainName,
+        name: &str,
         row: &SiteRow,
         src: Ipv4Addr,
-    ) -> Option<Vec<dnswire::Record>> {
-        let ip = self.serving_ip(row.hosting, row.pool_hash, self.querier_continent(src))?;
-        let a = |name| dnswire::Record {
-            name,
-            ttl: 300,
-            data: dnswire::RecordData::A(ip),
+        reply: &mut Reply<'_>,
+    ) -> bool {
+        let Some(ip) = self.serving_ip(row.hosting, row.pool_hash, self.querier_continent(src))
+        else {
+            return false;
         };
         let edges = &self.edges[row.hosting as usize];
-        Some(match edges.get((row.pool_hash % EDGE_HOSTS) as usize) {
+        match edges.get((row.pool_hash % EDGE_HOSTS) as usize) {
             // CDN sites answer like the real thing: a CNAME to the
             // provider's edge host plus its address, exercising the
             // resolver's CNAME path.
-            Some(edge) => vec![
-                dnswire::Record {
-                    name: name.clone(),
-                    ttl: 300,
-                    data: dnswire::RecordData::Cname(edge.clone()),
-                },
-                a(edge.clone()),
-            ],
-            None => vec![a(name.clone())],
-        })
+            Some(edge) => {
+                reply.answer(name, 300, RData::Cname(edge.as_str()));
+                reply.answer(edge.as_str(), 300, RData::A(ip));
+            }
+            None => reply.answer(name, 300, RData::A(ip)),
+        }
+        true
     }
 
     /// The chain `rack` presents for `sni`, leaf first: the site's leaf,
@@ -468,8 +458,8 @@ impl ChildLookup for TldSites {
 fn registry_respond(tables: &HashMap<Ipv4Addr, DelegationTable>, dgram: &Datagram) -> FaultedReply {
     match tables.get(&dgram.dst.ip) {
         Some(table) if dgram.dst.port == DNS_PORT => {
-            serve_query(&dgram.payload, dgram.dst.ip, None, |query| {
-                table.respond(query)
+            serve_query(&dgram.payload, dgram.dst.ip, None, |q, reply| {
+                table.respond(q, reply)
             })
         }
         _ => FaultedReply::swallowed(),
@@ -825,6 +815,7 @@ mod tests {
     use crate::world::{World, WorldConfig};
     use std::time::Duration;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
+    use webdep_dns::wire as dnswire;
     use webdep_dns::zone::DEFAULT_TTL;
     use webdep_netsim::SockAddr;
     use webdep_tls::scanner::{Scanner, ScannerConfig};
@@ -934,19 +925,28 @@ mod tests {
             .iter()
             .find(|s| s.hosting == cf)
             .expect("Cloudflare hosts sites");
-        // Raw stub query so the CNAME is visible (the iterative resolver
-        // collapses it).
+        // The rack answers a CNAME to the edge host plus the edge's
+        // address; the iterative resolver returns the address.
         let vantage = dep.vantage(Continent::NorthAmerica);
+        let ns = SockAddr::new(dep.pools[site.dns as usize].ns_addrs[0], DNS_PORT);
+        vantage
+            .send(ns, dns_query(&site.domain, dnswire::RecordType::A))
+            .unwrap();
+        let reply = vantage.recv_within(Duration::ZERO).unwrap();
+        let answers = dnswire::decode(&reply.payload).unwrap().answers;
+        let dnswire::RecordData::Cname(edge) = &answers[0].data else {
+            panic!("a CDN site answers a CNAME first");
+        };
+        assert_eq!(answers[1].name, *edge);
         let mut resolver =
             IterativeResolver::new(vantage, dep.roots.clone(), ResolverConfig::default());
         let name = webdep_dns::DomainName::parse(&site.domain).unwrap();
-        let data = resolver
-            .resolve(&name, webdep_dns::wire::RecordType::A, 0)
-            .expect("resolves");
-        assert!(
-            data.iter()
-                .any(|d| matches!(d, webdep_dns::wire::RecordData::A(_))),
-            "terminal A records present"
+        assert_eq!(
+            resolver.resolve_a(&name).expect("resolves"),
+            [match answers[1].data {
+                dnswire::RecordData::A(ip) => ip,
+                _ => panic!("the edge's address follows the CNAME"),
+            }]
         );
         // A regional (non-CDN) provider's site answers a bare A record; a
         // direct check that the CNAME is CDN-specific lives in the rack:
@@ -1069,8 +1069,8 @@ mod tests {
         host_a: Vec<HashMap<DomainName, Ipv4Addr>>,
         /// Per rack: SNI → leaf.
         leaf_by_sni: Vec<HashMap<String, Certificate>>,
-        /// Registry address → table (the root's included).
-        registries: HashMap<Ipv4Addr, DelegationTable>,
+        /// Registry address → registry (the root's included).
+        registries: HashMap<Ipv4Addr, Registry>,
         /// Registry address per TLD id.
         registry_of: HashMap<u32, Ipv4Addr>,
         ca_certs: Vec<(Certificate, Certificate)>,
@@ -1146,8 +1146,7 @@ mod tests {
                     r.host_a[p.id as usize % RACKS].insert(name.clone(), *addr);
                 }
             }
-            let mut tld_tables: std::collections::BTreeMap<u32, DelegationTable> =
-                Default::default();
+            let mut tld_tables: std::collections::BTreeMap<u32, Registry> = Default::default();
             for (idx, site) in world.sites.iter().enumerate() {
                 let domain = DomainName::parse(&site.domain).unwrap();
                 let dns_rack = site.dns as usize % RACKS;
@@ -1168,21 +1167,19 @@ mod tests {
                 r.leaf_by_sni[site.hosting as usize % RACKS].insert(site.domain.clone(), leaf);
                 tld_tables
                     .entry(site.tld)
-                    .or_insert_with(|| {
-                        DelegationTable::new(DomainName::parse(&u.tld(site.tld).label).unwrap())
-                    })
+                    .or_insert_with(|| Registry::new(&u.tld(site.tld).label))
                     .register(domain, delegation(site.dns));
             }
             if let Some(net) = u.tld_by_label("net") {
                 let table = tld_tables
                     .entry(net)
-                    .or_insert_with(|| DelegationTable::new(DomainName::parse("net").unwrap()));
+                    .or_insert_with(|| Registry::new("net"));
                 for p in &u.providers {
                     let slug_domain = DomainName::parse(&format!("{}.net", p.slug())).unwrap();
                     table.register(slug_domain, delegation(p.id));
                 }
             }
-            let mut root = DelegationTable::new(DomainName::root());
+            let mut root = Registry::new(".");
             for (i, (tld, table)) in tld_tables.into_iter().enumerate() {
                 let ip = Ipv4Addr::new(192, 5, (i / 250) as u8, (i % 250 + 1) as u8);
                 let label = &u.tld(tld).label;
@@ -1204,7 +1201,7 @@ mod tests {
         fn respond_dns(
             &self,
             rack: usize,
-            query: dnswire::Message,
+            query: &dnswire::Message,
             src: Ipv4Addr,
         ) -> dnswire::Message {
             let q = query.questions[0].clone();
@@ -1267,7 +1264,7 @@ mod tests {
             };
             if answers.is_none() && q.qtype == dnswire::RecordType::A {
                 if let Some(&ip) = self.host_a[rack].get(&q.name) {
-                    let mut resp = dnswire::Message::response_to(&query);
+                    let mut resp = dnswire::Message::response_to(query);
                     resp.authoritative = true;
                     resp.answers = vec![dnswire::Record {
                         name: q.name.clone(),
@@ -1280,7 +1277,7 @@ mod tests {
             let nxdomain = answers.is_none()
                 && !self.site_a[rack].contains_key(&q.name)
                 && !self.site_ns[rack].contains_key(&q.name);
-            let mut resp = query.into_response();
+            let mut resp = dnswire::Message::response_to(query);
             resp.authoritative = true;
             resp.answers = answers.unwrap_or_default();
             if nxdomain {
@@ -1289,20 +1286,87 @@ mod tests {
             resp
         }
 
-        /// The reference reply to `query` sent from `src` to `dst`.
+        /// The reference reply to `query` sent from `src` to `dst`: for
+        /// DNS, `encode` of the owned response built from the decoded
+        /// query.
         fn reply(&self, rack: usize, dst: SockAddr, src: Ipv4Addr, query: &[u8]) -> bytes::Bytes {
-            let reply = if dst.port == TLS_PORT {
-                serve_hello(query, dst.ip, None, |sni| {
+            if dst.port == TLS_PORT {
+                let reply = serve_hello(query, dst.ip, None, |sni| {
                     let leaf = self.leaf_by_sni[rack].get(sni)?;
                     let (inter, root) = &self.ca_certs[(leaf.issuer_id - 100_000) as usize];
                     Some([leaf, inter, root].map(CertRef::Whole))
-                })
-            } else if let Some(table) = self.registries.get(&dst.ip) {
-                serve_query(query, dst.ip, None, |q| table.respond(q))
+                });
+                return reply.payload.expect("every hello is answered");
+            }
+            let query = dnswire::decode(query).expect("test queries decode");
+            let resp = if query.questions.is_empty() {
+                let mut resp = dnswire::Message::response_to(&query);
+                resp.rcode = dnswire::Rcode::FormErr;
+                resp
+            } else if let Some(registry) = self.registries.get(&dst.ip) {
+                registry.refer(&query)
             } else {
-                serve_query(query, dst.ip, None, |q| self.respond_dns(rack, q, src))
+                self.respond_dns(rack, &query, src)
             };
-            reply.payload.expect("every query is answered")
+            dnswire::encode(&resp)
+        }
+    }
+
+    /// A registry as the owned reference answers: the delegations of its
+    /// origin's children, and a referral (with glue) to the child a
+    /// queried name lies under.
+    struct Registry {
+        origin: DomainName,
+        children: HashMap<DomainName, Delegation>,
+    }
+
+    impl Registry {
+        fn new(origin: &str) -> Registry {
+            Registry {
+                origin: DomainName::parse(origin).unwrap(),
+                children: HashMap::new(),
+            }
+        }
+
+        fn register(&mut self, child: DomainName, delegation: Delegation) {
+            self.children.insert(child, delegation);
+        }
+
+        fn refer(&self, query: &dnswire::Message) -> dnswire::Message {
+            let q = &query.questions[0];
+            let mut resp = dnswire::Message::response_to(query);
+            if !q.name.is_within(&self.origin) {
+                resp.rcode = dnswire::Rcode::ServFail;
+                return resp;
+            }
+            let mut child = q.name.clone();
+            while child.num_labels() > self.origin.num_labels() + 1 {
+                child = child.parent().unwrap();
+            }
+            match self.children.get(&child) {
+                _ if q.name == self.origin => resp.authoritative = true,
+                Some(d) => {
+                    for ns in &d.ns {
+                        resp.authorities.push(dnswire::Record {
+                            name: child.clone(),
+                            ttl: DEFAULT_TTL,
+                            data: dnswire::RecordData::Ns(ns.clone()),
+                        });
+                    }
+                    for (host, ip) in &d.glue {
+                        resp.additionals.push(dnswire::Record {
+                            name: host.clone(),
+                            ttl: DEFAULT_TTL,
+                            data: dnswire::RecordData::A(*ip),
+                        });
+                    }
+                }
+                None => {
+                    resp.authoritative = true;
+                    resp.rcode = dnswire::Rcode::NxDomain;
+                }
+            }
+            resp
         }
     }
 
@@ -1341,9 +1405,12 @@ mod tests {
         ))
     }
 
-    /// Every site's answers — A from two continents, NS, the root and
-    /// registry referrals, the TLS flight, and A at a rack that does not
-    /// serve it — equal the reference's bytes.
+    /// Every site's answers — A from two continents (a CDN site's behind
+    /// its CNAME), NS, the root and registry referrals with glue, the TLS
+    /// flight, and NXDOMAIN at a rack that does not serve it — plus every
+    /// nameserver host's A and NS answers and the FormErr of a query
+    /// without a question, written by the borrowed encoder, equal `encode`
+    /// of the owned reference response byte for byte.
     fn assert_wire_equal(world: &World) {
         let dep = DeployedWorld::deploy(world, DeployConfig::default());
         assert_eq!(
@@ -1446,6 +1513,18 @@ mod tests {
                     same_reply(&r, &asia, rack, ns_addr(at), dns_query(&host, qtype), &host);
                 }
             }
+        }
+        // A query without a question is FormErr at a rack, a registry and
+        // the root alike.
+        let mut empty = dnswire::Message::query(9, DomainName::root(), dnswire::RecordType::A);
+        empty.questions.clear();
+        let registry = SockAddr::new(r.registry_of[&world.sites[0].tld], DNS_PORT);
+        for dst in [ns_addr(0), registry, root] {
+            let reply = same_reply(&r, &na, 0, dst, dnswire::encode(&empty), "no question");
+            assert_eq!(
+                dnswire::decode(&reply).unwrap().rcode,
+                dnswire::Rcode::FormErr
+            );
         }
         assert!(cnames > 0, "CDN sites answer with CNAMEs");
         assert_eq!(

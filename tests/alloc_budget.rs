@@ -5,6 +5,8 @@
 //!   store. Measurement cost is per message and per allocation, so a
 //!   change that adds clones to the per-site path shows here as a count,
 //!   which — unlike a timing — repeats exactly.
+//! * The measurement path layer by layer: the same count split over the
+//!   lookups the pipeline makes per site.
 //! * Deployment: the allocations `DeployedWorld::deploy` adds per extra
 //!   site, between two worlds over one universe. The deployed world
 //!   answers from one shared site index, so its tables grow with
@@ -12,7 +14,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use webdep::dns::{DomainName, IterativeResolver, SharedDnsCache};
 use webdep::pipeline::{measure, measure_streamed, PipelineConfig};
+use webdep::tls::Scanner;
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
 /// Allocations (and reallocations) made by the whole process.
@@ -45,14 +50,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per site: 72.8 (resident) and 72.9 (streamed) measured,
-/// plus a small margin. The path took 199 (resident) and 212 (streamed)
-/// before it was made allocation-lean, 82.9 while every answer was also
-/// copied into the shared DNS tier, and 74.3 while a CDN site's edge name
-/// was formatted per answer; 98, half of the 196 a site cost on the
+/// Allocations per site: 30.7 (resident) and 30.8 (streamed) measured,
+/// plus a small margin. The path took 199 (resident) and 212 (streamed) before it
+/// was made allocation-lean, 82.9 while every answer was also copied into
+/// the shared DNS tier, 74.3 while a CDN site's edge name was formatted
+/// per answer, and 72.8 while every DNS round trip built and decoded an
+/// owned message both ways; 98, half of the 196 a site cost on the
 /// `small` world, is the ceiling the budget may never be raised past.
-const BUDGET_PER_SITE: f64 = 75.0;
+const BUDGET_PER_SITE: f64 = 33.0;
 const _: () = assert!(BUDGET_PER_SITE <= 98.0);
+
+/// Allocations of a site's own `resolve_a`: 6.7 measured. Two wire round
+/// trips (a query and a reply datagram each), the site's cache entry and
+/// the returned addresses, 6 in all; the referral's NS names and glue are
+/// shared with the provider's other customers, so only each provider's
+/// first referral costs more. It made 47.8 while each round trip built and
+/// decoded an owned message both ways.
+const SITE_RESOLVE_A_BUDGET: f64 = 8.0;
+
+/// Allocations of a site's TLS `scan`: 11.0 measured, 12.0 while the
+/// server flight was first collected into a vector of messages.
+const SCAN_BUDGET: f64 = 11.0;
+
+/// Sites looked up before [`per_layer`] counts.
+const WARM_UP_SITES: usize = 64;
 
 /// Deploy allocations per extra site between the contract world and
 /// `tiny`: 0.001 measured. Only amortised table growth still follows the
@@ -71,6 +92,42 @@ fn allocations(run: impl FnOnce()) -> u64 {
 /// Allocations per site of `run` over `sites` sites.
 fn per_site(sites: usize, run: impl FnOnce()) -> f64 {
     allocations(run) as f64 / sites as f64
+}
+
+/// Allocations per site of each lookup a worker makes, in its order, on
+/// one resolver and one scanner with each site's scope ended as a worker
+/// ends it: the site's `resolve_a`, its `resolve_ns`, the first
+/// nameserver's `resolve_a`, and the TLS `scan` of the serving address.
+fn per_layer(world: &World, dep: &DeployedWorld) -> [f64; 4] {
+    let config = PipelineConfig::default();
+    let mut resolver = IterativeResolver::with_shared_cache(
+        dep.vantage(config.vantage),
+        dep.roots.clone(),
+        config.resolver.clone(),
+        Arc::new(SharedDnsCache::new()),
+    );
+    let mut scanner = Scanner::new(dep.vantage(config.vantage), config.scanner.clone());
+    let mut counts = [0u64; 4];
+    for (i, site) in world.sites.iter().enumerate() {
+        if i == WARM_UP_SITES {
+            counts = [0; 4];
+        }
+        let name = DomainName::parse(&site.domain).expect("generated names parse");
+        let mut addrs = Ok(Vec::new());
+        counts[0] += allocations(|| addrs = resolver.resolve_a(&name));
+        let mut ns = Ok(Vec::new());
+        counts[1] += allocations(|| ns = resolver.resolve_ns(&name));
+        if let Some(host) = ns.as_ref().ok().and_then(|ns| ns.first()) {
+            let mut ns_addrs = Ok(Vec::new());
+            counts[2] += allocations(|| ns_addrs = resolver.resolve_a(host));
+        }
+        if let Some(&ip) = addrs.as_ref().ok().and_then(|a| a.first()) {
+            let mut chain = None;
+            counts[3] += allocations(|| chain = Some(scanner.scan(ip, &site.domain)));
+        }
+        resolver.forget(&name);
+    }
+    counts.map(|c| c as f64 / (world.sites.len() - WARM_UP_SITES) as f64)
 }
 
 /// Allocations `DeployedWorld::deploy` makes for `world` (the drop is not
@@ -124,6 +181,23 @@ fn measurement_allocations_per_site_stay_in_budget() {
         measure_streamed(&world, &dep, &config, &dir, None).expect("measure into a store");
     });
     let _ = std::fs::remove_dir_all(&dir);
+    drop(dep);
+
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let [site_a, ns, ns_a, scan] = per_layer(&world, &dep);
+    println!(
+        "allocations per site by layer: site resolve_a {site_a:.3}, resolve_ns {ns:.3}, \
+         nameserver resolve_a {ns_a:.3}, scan {scan:.3}"
+    );
+    for (layer, got, budget) in [
+        ("a site's resolve_a", site_a, SITE_RESOLVE_A_BUDGET),
+        ("scan", scan, SCAN_BUDGET),
+    ] {
+        assert!(
+            got <= budget,
+            "{layer} made {got:.1} allocations per site, over its budget of {budget}"
+        );
+    }
 
     println!("allocations per site: resident {resident:.1}, streamed {streamed:.1}");
     for (path, got) in [("resident", resident), ("streamed", streamed)] {

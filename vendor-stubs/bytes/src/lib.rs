@@ -1,7 +1,7 @@
 //! Offline shim for `bytes`: cheap-clone immutable buffers plus a
 //! big-endian append-only builder.
 
-use std::ops::{Deref, DerefMut};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable immutable byte buffer.
@@ -22,6 +22,21 @@ impl Bytes {
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes(Arc::from(data))
+    }
+
+    /// The bytes in `range` (copied; the shim has no zero-copy path).
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let start = match range.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&e) => e + 1,
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => self.0.len(),
+        };
+        Bytes::copy_from_slice(&self.0[start..end])
     }
 }
 
