@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The canonical repo check (see DESIGN.md): tier-1 gate + lint + format.
 #
-#   ./ci.sh            build (release) + full test suite + clippy -D warnings + rustdoc + fmt --check
-#   ./ci.sh quick      skip the release build (debug tests + clippy + rustdoc + fmt only)
+#   ./ci.sh            every step below
+#   ./ci.sh quick      every step but the explicit `cargo build --release`; the
+#                      release-binary flows and the perfbench smoke still run,
+#                      building what they need on first use
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,13 +14,15 @@ cd "$(dirname "$0")"
 tree_before=$(git status --porcelain)
 
 # No wall clock on the measurement path: a timeout is a comparison of
-# simulated times (a reply's stamped delay against the attempt's window),
-# so what the resolver, the scanner and the fabric under them measure can
-# never depend on how the host scheduled its threads. Their non-test code
-# (each file up to its first `#[cfg(test)]`) names neither `Instant` nor
-# `thread::sleep`.
-echo "==> no wall clock in non-test code of dns, tls, netsim"
-clock=$(find crates/dns/src crates/tls/src crates/netsim/src -name '*.rs' | sort | xargs awk '
+# simulated times (a reply's delay against the exchange's window), so what
+# the resolver, the scanner, the fabric under them and the code that runs
+# inside an exchange (the deployed responders and their per-site lookups)
+# measure can never depend on how the host scheduled its threads. Their
+# non-test code (each file up to its first `#[cfg(test)]`) names neither
+# `Instant` nor `thread::sleep`.
+echo "==> no wall clock in non-test code of dns, tls, netsim, geodb, webgen deploy"
+clock=$(find crates/dns/src crates/tls/src crates/netsim/src crates/geodb/src \
+    crates/webgen/src/deploy.rs -name '*.rs' | sort | xargs awk '
     FNR == 1 { live = 1 }
     /#\[cfg\(test\)\]/ { live = 0 }
     live && /Instant|thread::sleep/ { print FILENAME ":" FNR ": " $0 }')

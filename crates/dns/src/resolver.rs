@@ -13,10 +13,9 @@
 //! cuts, nameserver hosts and their glue, CDN edge names. So the tier
 //! holds O(providers + TLDs) entries however many sites pass through.
 //!
-//! Timeouts are simulated: every server is an inline responder, so a reply
-//! is queued before the query's send returns, stamped with how late it
-//! arrives. An attempt takes the first matching reply that arrives within
-//! its window; nothing waits on the wall clock.
+//! Timeouts are simulated: every server is an inline responder, so an
+//! attempt is one exchange, which returns the reply with the query when it
+//! arrives within the attempt's window. Nothing waits on the wall clock.
 
 use crate::name::{is_within, label_count, DomainName};
 use crate::shared_cache::SharedDnsCache;
@@ -738,9 +737,9 @@ impl IterativeResolver {
         Err(last_net.unwrap_or(ResolveError::Timeout))
     }
 
-    /// One attempt against one server: sends the query, then takes the
-    /// first matching reply that arrives within `window` (simulated time,
-    /// see [`Endpoint::recv_within`]). Fails with
+    /// One attempt against one server: one exchange, whose reply counts
+    /// when it arrives within `window` (simulated time, see
+    /// [`Endpoint::exchange`]) and answers this query. Fails with
     /// [`ResolveError::Network`] when nothing is bound at `server`, and
     /// with [`ResolveError::Timeout`] when no matching reply came in time.
     fn query_once(
@@ -753,23 +752,23 @@ impl IterativeResolver {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         self.stats.wire_queries += 1;
-        self.endpoint
-            .send(server, encode_query(id, name, qtype))
+        let reply = self
+            .endpoint
+            .exchange(server, encode_query(id, name, qtype), window)
             .map_err(ResolveError::Network)?;
-        while let Some(dgram) = self.endpoint.recv_within(window) {
-            match ParsedDatagram::parse(dgram.payload) {
-                Ok(resp)
-                    if {
-                        let view = resp.view();
-                        view.is_response() && view.id() == id && asks(view, name, qtype)
-                    } =>
-                {
-                    return Ok(resp);
-                }
-                // A stale or foreign datagram.
-                Ok(_) => self.stats.mismatched_ids += 1,
-                Err(_) => self.stats.malformed_datagrams += 1,
+        match reply.map(ParsedDatagram::parse) {
+            Some(Ok(resp))
+                if {
+                    let view = resp.view();
+                    view.is_response() && view.id() == id && asks(view, name, qtype)
+                } =>
+            {
+                return Ok(resp);
             }
+            // A reply to some other question.
+            Some(Ok(_)) => self.stats.mismatched_ids += 1,
+            Some(Err(_)) => self.stats.malformed_datagrams += 1,
+            None => {}
         }
         Err(ResolveError::Timeout)
     }
@@ -865,7 +864,7 @@ mod tests {
     }
 
     fn resolver(net: &Network, roots: Vec<Ipv4Addr>) -> IterativeResolver {
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         IterativeResolver::new(ep, roots, ResolverConfig::default())
     }
 
@@ -933,7 +932,7 @@ mod tests {
             ..Default::default()
         });
         let (_servers, roots) = build_world(&net);
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(
             ep,
             roots,
@@ -955,7 +954,7 @@ mod tests {
 
         // First resolver warms the shared cache from a cold start: root,
         // com, example.com.
-        let ep1 = net.bind(ip("10.0.0.98"), 3553, Region::EUROPE).unwrap();
+        let ep1 = net.bind(ip("10.0.0.98"), 3553, Region::EUROPE);
         let mut r1 = IterativeResolver::with_shared_cache(
             ep1,
             roots,
@@ -977,7 +976,7 @@ mod tests {
         // A second resolver with an unreachable root hint still resolves
         // the same name: it starts at the shared `com` cut and sends
         // exactly the queries below the TLD (com, then example.com).
-        let ep2 = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep2 = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r2 = IterativeResolver::with_shared_cache(
             ep2,
             vec![ip("9.9.9.9")],
@@ -994,7 +993,7 @@ mod tests {
         // A sibling name needs the wire, but the shared *delegation* cache
         // lets it skip the root: give this resolver an unreachable root
         // hint and it still succeeds.
-        let ep3 = net.bind(ip("10.0.0.97"), 3553, Region::EUROPE).unwrap();
+        let ep3 = net.bind(ip("10.0.0.97"), 3553, Region::EUROPE);
         let mut r3 = IterativeResolver::with_shared_cache(
             ep3,
             vec![ip("9.9.9.9")],
@@ -1114,7 +1113,7 @@ mod tests {
     #[should_panic(expected = "root hint")]
     fn requires_roots() {
         let net = Network::new(NetConfig::default());
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let _ = IterativeResolver::new(ep, vec![], ResolverConfig::default());
     }
 
@@ -1181,7 +1180,7 @@ mod tests {
             auth(&net, live_ip, Region::EUROPE, vec![victim], None),
         ];
 
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, vec![root_ip], fast_config());
         let addrs = r.resolve_a(&n("victim.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.70")]);
@@ -1225,7 +1224,7 @@ mod tests {
             auth(&net, good_ip, Region::EUROPE, vec![example], None),
         ];
 
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, vec![root_ip], fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.10")]);
@@ -1280,7 +1279,7 @@ mod tests {
     fn truncating_server_is_counted_and_survived() {
         let net = Network::new(NetConfig::default());
         let (_servers, roots) = faulty_pair_world(&net, webdep_netsim::FaultKind::Truncate);
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, roots, fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.10")]);
@@ -1295,7 +1294,7 @@ mod tests {
     fn garbling_server_is_counted_and_survived() {
         let net = Network::new(NetConfig::default());
         let (_servers, roots) = faulty_pair_world(&net, webdep_netsim::FaultKind::Garble);
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, roots, fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.10")]);
@@ -1353,14 +1352,14 @@ mod tests {
         let resolve = |config: ResolverConfig| {
             let net = Network::new(NetConfig::default());
             let _servers = one_ns_world(&net, &[], plan.clone());
-            let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+            let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
             let mut r = IterativeResolver::new(ep, vec![ip(ROOT)], config);
             (r.resolve_a(&n("example.com")), r.queries_sent())
         };
         let answer = Ok(vec![ip("203.0.113.10")]);
         // Within the window (the delay exactly fills it): answered.
         assert_eq!(resolve(windowed(20, 0)), (answer.clone(), 3));
-        // Past it, with no retry: a timeout, though the reply is queued.
+        // Past it, with no retry: a timeout, though the reply was sent.
         assert_eq!(resolve(windowed(10, 0)), (Err(ResolveError::Timeout), 3));
         // The retry round's doubled window (20 ms) takes the re-sent query.
         assert_eq!(resolve(windowed(10, 1)), (answer, 4));
@@ -1385,7 +1384,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
         let _servers = one_ns_world(&net, &hosts, plan.clone());
-        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE).unwrap();
+        let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, vec![ip(ROOT)], windowed(10, 1));
         // Every dropped name fails a whole pass: a strike each, until
         // the server is demoted.

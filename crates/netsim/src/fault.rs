@@ -18,14 +18,14 @@
 //!   above the racks degrades via whole-server [outages](FaultPlan::server_out),
 //!   which hold for the entire run and are visible to every client equally.
 //!
-//! The plan is enforced in two places: the network's send path black-holes
-//! every datagram addressed to a *service port* of an out server (covering
-//! DNS, TLS and registry traffic uniformly — see [`FaultPlan::black_holes`]
-//! for why replies to clients are exempt), and protocol servers consult
-//! [`FaultPlan::query_fault`] to corrupt, refuse, delay, or drop individual
-//! answers on flaky servers. A delay is simulated time, never a wait: it is
-//! stamped on the reply ([`crate::Datagram::delay`]), and the client's
-//! receive window decides whether the reply came in time.
+//! The plan is enforced in two places: an exchange black-holes every query
+//! addressed to an out server (covering DNS, TLS and registry traffic
+//! uniformly; replies travel to clients, never to a server, so they are
+//! never checked), and protocol servers consult [`FaultPlan::query_fault`]
+//! to corrupt, refuse, delay, or drop individual answers on flaky servers.
+//! A delay is simulated time, never a wait: the reply carries it
+//! ([`FaultedReply::delay`]), and the client's window in
+//! [`crate::Endpoint::exchange`] decides whether the reply came in time.
 
 use bytes::Bytes;
 use std::net::Ipv4Addr;
@@ -74,9 +74,8 @@ impl FaultKind {
 /// fault swallowed it) plus how late it arrives ([`FaultKind::Delay`]).
 ///
 /// This is what every inline responder returns. The fault functions never
-/// sleep: the network stamps the delay on the reply datagram
-/// ([`crate::Datagram::delay`]), so a delay costs no wall time and holds
-/// back nothing but its own query.
+/// sleep: the exchange compares the delay with the client's window, so a
+/// delay costs no wall time and holds back nothing but its own query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultedReply {
     /// The payload to send, or `None` when the fault swallowed the reply.
@@ -201,31 +200,11 @@ impl FaultPlan {
         splitmix64(self.seed ^ salt ^ u64::from(u32::from(ip)))
     }
 
-    /// First ephemeral port. Outages black-hole only datagrams addressed
-    /// to service ports below this bound; clients (vantage points, stub
-    /// sockets) bind at or above it.
-    pub const EPHEMERAL_PORT_FLOOR: u16 = 1024;
-
     /// Whether `ip` is down for the whole run. Pure in `(seed, ip)`.
     pub fn server_out(&self, ip: Ipv4Addr) -> bool {
         self.outage_fraction > 0.0
             && !self.protected.contains(&ip)
             && unit_f64(self.ip_stream(OUTAGE_SALT, ip)) < self.outage_fraction
-    }
-
-    /// Whether an outage eats a datagram addressed to `ip:port`.
-    ///
-    /// An outage kills a *server*, identified by its well-known service
-    /// port (53, 443, …; anything below
-    /// [`FaultPlan::EPHEMERAL_PORT_FLOOR`]). Replies to clients on
-    /// ephemeral ports are never black-holed: a dead server cannot be
-    /// reached, but a live client that happens to share an "out" address
-    /// always can. The port gate also keeps outage plans deterministic —
-    /// which traffic is eaten depends only on the plan and the
-    /// deployment's fixed serving addresses, never on which worker bound
-    /// which vantage address in what order.
-    pub fn black_holes(&self, ip: Ipv4Addr, port: u16) -> bool {
-        port < Self::EPHEMERAL_PORT_FLOOR && self.server_out(ip)
     }
 
     /// Whether `ip` is flaky (faults a fraction of its queries). Out servers
@@ -326,20 +305,6 @@ mod tests {
         }
         let rate = hit as f64 / 500.0;
         assert!((rate - 0.5).abs() < 0.08, "fail rate {rate}");
-    }
-
-    #[test]
-    fn outages_black_hole_service_ports_only() {
-        let plan = FaultPlan::outages(1, 1.0);
-        for i in 0..64 {
-            assert!(plan.server_out(ip(i)));
-            // Service ports (DNS, TLS) are eaten …
-            assert!(plan.black_holes(ip(i), 53));
-            assert!(plan.black_holes(ip(i), 443));
-            // … replies to ephemeral client ports never are.
-            assert!(!plan.black_holes(ip(i), FaultPlan::EPHEMERAL_PORT_FLOOR));
-            assert!(!plan.black_holes(ip(i), 33000));
-        }
     }
 
     #[test]

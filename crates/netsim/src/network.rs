@@ -1,12 +1,14 @@
-//! The datagram network: binding, unicast and anycast delivery, loss.
+//! The datagram network: responders, unicast and anycast routing, loss.
 //!
-//! The fabric is built for many concurrent senders: the endpoint tables are
-//! lock-striped across [`NUM_SHARDS`] independent `RwLock`ed maps (the send
-//! path only ever takes read locks), delivery counters are striped per
-//! thread on their own cache lines and summed on read, and the loss process
-//! derives each drop decision from a per-*sender* counter stream rather
-//! than one global RNG behind a mutex — so loss decisions are deterministic
-//! per sender regardless of how threads interleave.
+//! A client talks to the fabric in exchanges: [`Endpoint::exchange`] sends
+//! one query and returns the responder's reply, if one comes in time, in
+//! the same call. The responder tables are lock-striped across
+//! [`NUM_SHARDS`] independent `RwLock`ed maps (an exchange only ever takes
+//! read locks), delivery counters are striped per thread on their own
+//! cache lines and summed on read, and each loss decision is a pure
+//! function of the seed, the client and its exchange count, so what a
+//! client receives never depends on other clients or on how threads
+//! interleave.
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
@@ -14,9 +16,8 @@ use crate::fault::{FaultPlan, FaultedReply};
 use crate::latency::LatencyModel;
 use crate::packet::Datagram;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,12 +68,11 @@ pub struct NetConfig {
     pub seed: u64,
     /// Latency model used for anycast site selection and latency accounting.
     pub latency: LatencyModel,
-    /// Optional fault-injection plan. Servers the plan declares out become
-    /// transport-level black holes: every datagram addressed to one of
-    /// their *service ports* is silently eaten (counted in
-    /// [`NetStats::faulted`]), whatever the protocol on top. Replies to
-    /// clients on ephemeral ports always get through — see
-    /// [`FaultPlan::black_holes`].
+    /// Optional fault-injection plan. Servers the plan declares out
+    /// ([`FaultPlan::server_out`]) become transport-level black holes:
+    /// every query addressed to one is silently eaten (counted in
+    /// [`NetStats::faulted`]), whatever the protocol on top. Only the
+    /// query leg is checked, so a client never loses a reply to it.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
@@ -87,18 +87,22 @@ impl Default for NetConfig {
     }
 }
 
-/// Delivery counters, readable at any time via [`Network::stats`].
+/// Delivery counters, readable at any time via [`Network::stats`]. Each
+/// exchange counts its query leg and, when the responder answers, its
+/// reply leg.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Datagrams handed to the network.
+    /// Datagrams handed to the network: queries and replies.
     pub sent: u64,
-    /// Datagrams delivered to an endpoint.
+    /// Datagrams that reached the other side: queries delivered to a
+    /// responder and replies delivered to their client, whether or not the
+    /// reply came within the client's window.
     pub delivered: u64,
     /// Datagrams dropped by the loss process.
     pub dropped: u64,
-    /// Sends that failed because nothing was bound at the destination.
+    /// Queries that failed because nothing was bound at the destination.
     pub unreachable: u64,
-    /// Datagrams black-holed because the fault plan has the destination
+    /// Queries black-holed because the fault plan has the destination
     /// server out.
     pub faulted: u64,
     /// Sum of simulated one-way latency over delivered datagrams (ms).
@@ -106,60 +110,37 @@ pub struct NetStats {
 }
 
 /// A synchronous service function bound at an address. It is invoked
-/// *inline on the sender's thread* with each delivered datagram; a reply
-/// with a payload goes back to the datagram's source through the normal
-/// send path (loss, latency accounting and all), stamped with the reply's
-/// delay ([`Datagram::delay`]).
+/// *inline on the client's thread* with each delivered query; a reply with
+/// a payload goes back to the client within the same
+/// [`Endpoint::exchange`], through loss and latency accounting, and arrives
+/// as late as the reply's delay.
 pub type ResponderFn = dyn Fn(&Datagram) -> FaultedReply + Send + Sync;
 
-/// A client endpoint's queue of received datagrams.
-type Queue = Arc<Mutex<VecDeque<Datagram>>>;
-
-/// Where a delivered datagram goes.
-#[derive(Clone)]
-enum Sink {
-    /// Into a client endpoint's queue.
-    Queue(Queue),
-    /// Into a stateless service function run on the sender's thread.
-    Inline(Arc<ResponderFn>),
-}
-
+/// One site of a responder: its function and where it stands.
 struct Bound {
-    sink: Sink,
+    respond: Arc<ResponderFn>,
     region: Region,
 }
 
-/// Replies from inline responders re-enter the send path. Responders
-/// answering responders is not a pattern the simulation uses, so chains
-/// deeper than this count as unreachable rather than recursing away.
-const MAX_INLINE_DEPTH: u8 = 4;
-
-/// Number of lock stripes for the endpoint tables.
+/// Number of lock stripes for the responder tables.
 pub const NUM_SHARDS: usize = 16;
 
-/// A datagram's shard: SplitMix64 over the address's 48 bits, which spreads
-/// an address block evenly for a fraction of SipHash's cost per send.
+/// An address's 48 bits, the key of its shard and of its loss stream.
+fn addr_bits(addr: &SockAddr) -> u64 {
+    (u64::from(u32::from(addr.ip)) << 16) | u64::from(addr.port)
+}
+
+/// An address's shard: SplitMix64 over its bits, which spreads an address
+/// block evenly for a fraction of SipHash's cost per exchange.
 fn shard_index(addr: &SockAddr) -> usize {
-    let bits = (u64::from(u32::from(addr.ip)) << 16) | u64::from(addr.port);
-    (splitmix64(bits) as usize) % NUM_SHARDS
+    (splitmix64(addr_bits(addr)) as usize) % NUM_SHARDS
 }
 
-/// The seed of a sender's loss stream. It decides which datagrams drop, so
-/// it stays SipHash: changing it would change every store measured under
-/// loss.
-fn addr_hash(addr: &SockAddr) -> u64 {
-    let mut h = DefaultHasher::new();
-    addr.hash(&mut h);
-    h.finish()
-}
-
-/// One lock stripe of the endpoint tables (plus the loss-stream counters of
-/// senders hashing into it).
+/// One lock stripe of the responder tables.
 #[derive(Default)]
 struct Shard {
     unicast: RwLock<HashMap<SockAddr, Bound>>,
     anycast: RwLock<HashMap<SockAddr, Vec<Bound>>>,
-    loss_seq: Mutex<HashMap<SockAddr, u64>>,
 }
 
 /// Number of counter stripes. Threads take stripes round-robin; threads
@@ -167,7 +148,7 @@ struct Shard {
 const STAT_STRIPES: usize = 32;
 
 /// One thread's delivery counters, on cache lines of its own so the hot
-/// send path neither locks nor bounces a line shared with other senders.
+/// exchange neither locks nor bounces a line shared with other senders.
 #[derive(Default)]
 #[repr(align(128))]
 struct StatStripe {
@@ -203,7 +184,7 @@ impl StripedStats {
         &self.0[STRIPE.with(|s| *s)]
     }
 
-    /// The exact sum over all stripes (of every send that has returned).
+    /// The exact sum over all stripes (of every exchange that has returned).
     fn snapshot(&self) -> NetStats {
         let sum = |field: fn(&StatStripe) -> &AtomicU64| {
             self.0
@@ -222,9 +203,8 @@ impl StripedStats {
     }
 }
 
-/// SplitMix64: the drop decision for (sender, sequence number) is a pure
-/// function of the seed, so loss is reproducible per sender no matter how
-/// concurrent sends interleave.
+/// SplitMix64: a drop decision is a pure function of the seed, so loss is
+/// reproducible per client no matter how concurrent exchanges interleave.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -264,42 +244,30 @@ impl Network {
         &self.inner.shards[shard_index(addr)]
     }
 
-    /// Binds a client endpoint at `ip:port` located in `region`: datagrams
-    /// to it queue until [`Endpoint::recv_within`] takes them. Servers are
-    /// inline responders ([`crate::ResponderSet`]) instead. Fails with
-    /// [`NetError::AddrInUse`] when the address is bound or announced.
-    pub fn bind(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<Endpoint, NetError> {
-        let addr = SockAddr::new(ip, port);
-        let queue = Queue::default();
-        self.bind_sink(addr, region, Sink::Queue(Arc::clone(&queue)), false)?;
-        Ok(Endpoint {
-            addr,
+    /// A client endpoint at `ip:port` located in `region`. A client takes
+    /// no place in the tables: it only ever hears the replies to its own
+    /// queries, so any number of clients may share an address, and one at
+    /// a responder's address changes nothing about who answers. Servers
+    /// are inline responders ([`crate::ResponderSet`]) instead.
+    pub fn bind(&self, ip: Ipv4Addr, port: u16, region: Region) -> Endpoint {
+        Endpoint {
+            addr: SockAddr::new(ip, port),
             region,
-            queue,
+            exchanges: 0,
             net: self.clone(),
-        })
+        }
     }
 
     /// Binds an address onto an inline service function (responder-set
-    /// support): datagrams to it are answered on the sender's thread.
+    /// support): queries to it are answered on the client's thread. Lock
+    /// order within a shard is always unicast before anycast. Fails with
+    /// [`NetError::AddrInUse`] when the address is bound, or announced and
+    /// `anycast` is false: a unicast binding would shadow every site.
     pub(crate) fn bind_responder(
         &self,
         addr: SockAddr,
         region: Region,
-        f: Arc<ResponderFn>,
-        anycast: bool,
-    ) -> Result<(), NetError> {
-        self.bind_sink(addr, region, Sink::Inline(f), anycast)
-    }
-
-    /// Binds `sink` at `addr`: the one bind path, so neither kind of
-    /// binding can shadow or join the other. Lock order within a shard is
-    /// always unicast before anycast.
-    fn bind_sink(
-        &self,
-        addr: SockAddr,
-        region: Region,
-        sink: Sink,
+        respond: Arc<ResponderFn>,
         anycast: bool,
     ) -> Result<(), NetError> {
         let shard = self.shard(&addr);
@@ -308,7 +276,7 @@ impl Network {
         if unicast.contains_key(&addr) || (!anycast && sites.contains_key(&addr)) {
             return Err(NetError::AddrInUse(addr));
         }
-        let bound = Bound { sink, region };
+        let bound = Bound { respond, region };
         if anycast {
             sites.entry(addr).or_default().push(bound);
         } else {
@@ -320,105 +288,6 @@ impl Network {
     /// Snapshot of delivery counters.
     pub fn stats(&self) -> NetStats {
         self.inner.stats.snapshot()
-    }
-
-    /// Whether the next datagram from `src` is eaten by the loss process.
-    ///
-    /// Each sender gets its own counter-indexed SplitMix64 stream, so the
-    /// decisions a sender sees depend only on the seed and its own send
-    /// count — never on other senders or thread scheduling.
-    fn loss_roll(&self, src: SockAddr) -> bool {
-        let seq = {
-            let mut seqs = self.shard(&src).loss_seq.lock();
-            let seq = seqs.entry(src).or_insert(0);
-            let n = *seq;
-            *seq += 1;
-            n
-        };
-        let stream = splitmix64(self.inner.config.seed ^ addr_hash(&src));
-        let roll = unit_f64(splitmix64(stream.wrapping_add(seq)));
-        roll < self.inner.config.loss_rate
-    }
-
-    /// Sends `dgram` from `src_region`. `depth` counts the responder
-    /// replies this send is nested in.
-    fn send_from_depth(
-        &self,
-        dgram: Datagram,
-        src_region: Region,
-        depth: u8,
-    ) -> Result<(), NetError> {
-        let (src, dst) = (dgram.src, dgram.dst);
-        let inner = &self.inner;
-        let stats = inner.stats.local();
-        add(&stats.sent, 1);
-
-        if inner.config.loss_rate > 0.0 && self.loss_roll(src) {
-            add(&stats.dropped, 1);
-            return Ok(()); // silent loss, like the real thing
-        }
-
-        // An out server is a black hole, not an unbound address: the sender
-        // cannot tell the difference between outage and loss, exactly like a
-        // dead host behind a live route. Only datagrams addressed to the
-        // server's service ports are eaten — a reply to a client's
-        // ephemeral port is not traffic *to* the dead server.
-        if let Some(plan) = &inner.config.faults {
-            if plan.black_holes(dst.ip, dst.port) {
-                add(&stats.faulted, 1);
-                return Ok(());
-            }
-        }
-
-        // Prefer a unicast binding; otherwise route to the best anycast
-        // site. The sink is cloned out so no shard lock is held while
-        // delivering (an inline responder's reply re-enters this path).
-        let shard = self.shard(&dst);
-        let (sink, dst_region) = {
-            let unicast = shard.unicast.read();
-            if let Some(b) = unicast.get(&dst) {
-                (b.sink.clone(), b.region)
-            } else {
-                drop(unicast);
-                let anycast = shard.anycast.read();
-                let Some(sites) = anycast.get(&dst) else {
-                    add(&stats.unreachable, 1);
-                    return Err(NetError::Unreachable(dst));
-                };
-                let best = sites
-                    .iter()
-                    .min_by_key(|b| inner.config.latency.one_way(src_region, b.region))
-                    .expect("anycast entries are never empty");
-                (best.sink.clone(), best.region)
-            }
-        };
-
-        if matches!(sink, Sink::Inline(_)) && depth >= MAX_INLINE_DEPTH {
-            add(&stats.unreachable, 1);
-            return Err(NetError::Unreachable(dst));
-        }
-        let latency = inner.config.latency.one_way(src_region, dst_region);
-        add(&stats.delivered, 1);
-        add(&stats.total_latency_ms, latency.as_millis() as u64);
-        match sink {
-            Sink::Queue(queue) => queue.lock().push_back(dgram),
-            Sink::Inline(f) => {
-                let reply = f(&dgram);
-                if let Some(payload) = reply.payload {
-                    // The responder answers from the address it was queried
-                    // at, in the region anycast routing selected, as late
-                    // as the query came plus its own delay.
-                    let reply = Datagram {
-                        src: dst,
-                        dst: src,
-                        payload,
-                        delay: dgram.delay + reply.delay,
-                    };
-                    let _ = self.send_from_depth(reply, dst_region, depth + 1);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Removes a binding (one anycast site: the one in `region`).
@@ -441,14 +310,13 @@ impl Network {
     }
 }
 
-/// A client endpoint: sends datagrams and queues the ones addressed to it
-/// (the replies of the responders it queried).
-///
-/// Dropping the endpoint unbinds the address.
+/// A client endpoint: asks responders and hears their replies, one
+/// exchange at a time.
 pub struct Endpoint {
     addr: SockAddr,
     region: Region,
-    queue: Queue,
+    /// Exchanges made so far: the position in this client's loss stream.
+    exchanges: u64,
     net: Network,
 }
 
@@ -462,7 +330,7 @@ impl std::fmt::Debug for Endpoint {
 }
 
 impl Endpoint {
-    /// The bound socket address.
+    /// The client's socket address.
     pub fn addr(&self) -> SockAddr {
         self.addr
     }
@@ -472,101 +340,148 @@ impl Endpoint {
         self.region
     }
 
-    /// Sends a datagram to `dst`.
+    /// Sends `payload` to `dst` and returns the reply when one arrives
+    /// within `window` of the send, in simulated time; never waits.
     ///
-    /// Returns [`NetError::Unreachable`] when nothing is bound there.
-    /// A datagram consumed by the loss process still returns `Ok` — the
-    /// sender cannot tell, exactly like UDP.
-    pub fn send(&self, dst: SockAddr, payload: Bytes) -> Result<(), NetError> {
-        let dgram = Datagram {
+    /// The query is rolled for loss, black-holed when the fault plan has
+    /// `dst`'s server out, and routed to the unicast binding at `dst` or
+    /// else to the anycast site nearest this client, whose responder runs
+    /// inline. A reply is rolled for loss in turn and arrives as late as
+    /// the responder's delay: a reply later than `window` is a timeout.
+    /// Lost, black-holed, swallowed and late replies all read `Ok(None)`,
+    /// as a UDP client cannot tell them apart; only a destination with
+    /// nothing bound is [`NetError::Unreachable`].
+    pub fn exchange(
+        &mut self,
+        dst: SockAddr,
+        payload: Bytes,
+        window: Duration,
+    ) -> Result<Option<Bytes>, NetError> {
+        let inner = &*self.net.inner;
+        let stats = inner.stats.local();
+        let seq = 2 * self.exchanges;
+        self.exchanges += 1;
+
+        add(&stats.sent, 1);
+        if self.lost(seq) {
+            add(&stats.dropped, 1);
+            return Ok(None);
+        }
+        if let Some(plan) = &inner.config.faults {
+            if plan.server_out(dst.ip) {
+                add(&stats.faulted, 1);
+                return Ok(None);
+            }
+        }
+
+        // Prefer a unicast binding; otherwise route to the nearest anycast
+        // site. The read guard is held while the responder runs: nothing
+        // it does touches the tables.
+        let latency = &inner.config.latency;
+        let shard = self.net.shard(&dst);
+        let unicast = shard.unicast.read();
+        let anycast;
+        let site = match unicast.get(&dst) {
+            Some(site) => site,
+            None => {
+                anycast = shard.anycast.read();
+                let Some(sites) = anycast.get(&dst) else {
+                    add(&stats.unreachable, 1);
+                    return Err(NetError::Unreachable(dst));
+                };
+                sites
+                    .iter()
+                    .min_by_key(|b| latency.one_way(self.region, b.region))
+                    .expect("anycast entries are never empty")
+            }
+        };
+        let one_way = latency.one_way(self.region, site.region).as_millis() as u64;
+        add(&stats.delivered, 1);
+        add(&stats.total_latency_ms, one_way);
+        let query = Datagram {
             src: self.addr,
             dst,
             payload,
-            delay: Duration::ZERO,
         };
-        self.net.send_from_depth(dgram, self.region, 0)
+        let reply = (site.respond)(&query);
+
+        let Some(payload) = reply.payload else {
+            return Ok(None);
+        };
+        add(&stats.sent, 1);
+        if self.lost(seq + 1) {
+            add(&stats.dropped, 1);
+            return Ok(None);
+        }
+        add(&stats.delivered, 1);
+        add(&stats.total_latency_ms, one_way);
+        Ok((reply.delay <= window).then_some(payload))
     }
 
-    /// Takes the next queued datagram that arrives within `window` of its
-    /// send ([`Datagram::delay`] at most `window`); `None` when there is
-    /// none. Never waits: every server is an inline responder, so a reply
-    /// is queued before [`Endpoint::send`] returns or never comes. Queued
-    /// datagrams that arrive later than the window are discarded on the
-    /// way, as a reader that stopped listening never sees them.
-    pub fn recv_within(&self, window: Duration) -> Option<Datagram> {
-        let mut queue = self.queue.lock();
-        std::iter::from_fn(|| queue.pop_front()).find(|d| d.delay <= window)
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        self.net.unbind(self.addr, false, self.region);
+    /// Whether the loss process eats this client's datagram number `seq`
+    /// (a query at `2n`, its reply at `2n + 1` for exchange `n`).
+    fn lost(&self, seq: u64) -> bool {
+        let config = &self.net.inner.config;
+        if config.loss_rate <= 0.0 {
+            return false;
+        }
+        let stream = splitmix64(config.seed ^ addr_bits(&self.addr));
+        unit_f64(splitmix64(stream.wrapping_add(seq))) < config.loss_rate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::ResponderSet;
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
     }
 
-    #[test]
-    fn unicast_roundtrip() {
-        let net = Network::new(NetConfig::default());
-        let a = net.bind(ip("10.0.0.1"), 53, Region::EUROPE).unwrap();
-        let b = net.bind(ip("10.0.0.2"), 4000, Region::EUROPE).unwrap();
-        b.send(a.addr(), Bytes::from_static(b"hello")).unwrap();
-        let d = a.recv_within(Duration::ZERO).unwrap();
-        assert_eq!(&d.payload[..], b"hello");
-        assert_eq!(d.src, b.addr());
-        // Reply path.
-        a.send(d.src, Bytes::from_static(b"world")).unwrap();
-        let r = b.recv_within(Duration::ZERO).unwrap();
-        assert_eq!(&r.payload[..], b"world");
+    fn echo(d: &Datagram) -> FaultedReply {
+        FaultedReply::clean(d.payload.clone())
+    }
+
+    /// An echo responder at `addr:7` in `region`.
+    fn echo_at(net: &Network, addr: &str, region: Region) -> (ResponderSet, SockAddr) {
+        let set = ResponderSet::new(net, echo);
+        set.attach(ip(addr), 7, region).unwrap();
+        (set, SockAddr::new(ip(addr), 7))
     }
 
     #[test]
-    fn double_bind_rejected() {
+    fn an_exchange_returns_the_reply() {
         let net = Network::new(NetConfig::default());
-        let _a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let err = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap_err();
-        assert!(matches!(err, NetError::AddrInUse(_)));
-        // Different port is fine.
-        assert!(net.bind(ip("10.0.0.1"), 54, Region::ASIA).is_ok());
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let set = ResponderSet::new(&net, {
+            let seen = Arc::clone(&seen);
+            move |d: &Datagram| {
+                seen.lock().push((d.src, d.dst));
+                echo(d)
+            }
+        });
+        set.attach(ip("10.0.0.1"), 53, Region::EUROPE).unwrap();
+        let server = SockAddr::new(ip("10.0.0.1"), 53);
+        let mut client = net.bind(ip("10.0.0.2"), 4000, Region::EUROPE);
+        let reply = client.exchange(server, Bytes::from_static(b"hello"), Duration::ZERO);
+        assert_eq!(reply, Ok(Some(Bytes::from_static(b"hello"))));
+        // The responder saw the query from the client, addressed to it.
+        assert_eq!(*seen.lock(), [(client.addr(), server)]);
     }
 
     #[test]
     fn unreachable_destination() {
         let net = Network::new(NetConfig::default());
-        let a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let err = a
-            .send(SockAddr::new(ip("10.9.9.9"), 1), Bytes::new())
-            .unwrap_err();
-        assert!(matches!(err, NetError::Unreachable(_)));
+        let mut client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA);
+        let nowhere = SockAddr::new(ip("10.9.9.9"), 1);
+        let err = client.exchange(nowhere, Bytes::new(), Duration::MAX);
+        assert_eq!(err, Err(NetError::Unreachable(nowhere)));
         assert_eq!(net.stats().unreachable, 1);
     }
 
     #[test]
-    fn drop_unbinds() {
-        let net = Network::new(NetConfig::default());
-        let a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let addr = a.addr();
-        drop(a);
-        let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-        assert!(matches!(
-            b.send(addr, Bytes::new()),
-            Err(NetError::Unreachable(_))
-        ));
-        // Rebinding works.
-        assert!(net.bind(ip("10.0.0.1"), 53, Region::EUROPE).is_ok());
-    }
-
-    #[test]
     fn a_reply_later_than_the_window_is_never_received() {
-        use crate::shared::ResponderSet;
         // An hour: were the delay slept, this test would hang.
         const DELAY: Duration = Duration::from_secs(3600);
         let net = Network::new(NetConfig::default());
@@ -575,37 +490,42 @@ mod tests {
             delay: DELAY,
         });
         late.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
-        let client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA).unwrap();
+        let mut client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA);
         let server = SockAddr::new(ip("10.0.0.7"), 7);
-        assert!(client.recv_within(Duration::MAX).is_none(), "empty queue");
 
-        // Queued at once, but stamped an hour late: a half-hour window
-        // misses it, and it is gone for any later window too.
-        client.send(server, Bytes::from_static(b"a")).unwrap();
-        assert!(client.recv_within(DELAY / 2).is_none());
-        assert!(client.recv_within(Duration::MAX).is_none());
-
-        // A window that covers the delay takes it.
-        client.send(server, Bytes::from_static(b"b")).unwrap();
-        let d = client.recv_within(DELAY).unwrap();
-        assert_eq!((&d.payload[..], d.delay), (&b"b"[..], DELAY));
+        // Stamped an hour late: a half-hour window misses it...
+        let missed = client.exchange(server, Bytes::from_static(b"a"), DELAY / 2);
+        assert_eq!(missed, Ok(None));
+        // ...and a window that covers the delay takes it.
+        let got = client.exchange(server, Bytes::from_static(b"b"), DELAY);
+        assert_eq!(got, Ok(Some(Bytes::from_static(b"b"))));
+        // A late reply still reached the client: it counts as delivered.
+        assert_eq!(net.stats().delivered, 4);
     }
 
     #[test]
-    fn anycast_and_unicast_do_not_mix() {
-        use crate::shared::ResponderSet;
+    fn a_client_at_an_announced_address_does_not_change_which_site_answers() {
         let net = Network::new(NetConfig::default());
-        let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
-        // A bound address cannot also be announced...
-        let _u = net.bind(ip("2.2.2.2"), 53, Region::EUROPE).unwrap();
-        assert!(set.attach_anycast(ip("2.2.2.2"), 53, Region::ASIA).is_err());
-        // ...nor an announced one bound: the binding would shadow every
-        // anycast site, since delivery prefers unicast.
-        set.attach_anycast(ip("3.3.3.3"), 53, Region::ASIA).unwrap();
-        assert!(matches!(
-            net.bind(ip("3.3.3.3"), 53, Region::EUROPE),
-            Err(NetError::AddrInUse(_))
-        ));
+        let tagged =
+            |tag: &'static [u8]| move |_: &Datagram| FaultedReply::clean(Bytes::from_static(tag));
+        let eu = ResponderSet::new(&net, tagged(b"eu"));
+        let asia = ResponderSet::new(&net, tagged(b"as"));
+        eu.attach_anycast(ip("3.3.3.3"), 53, Region::EUROPE)
+            .unwrap();
+        asia.attach_anycast(ip("3.3.3.3"), 53, Region::ASIA)
+            .unwrap();
+        let site = SockAddr::new(ip("3.3.3.3"), 53);
+        // A client in Europe at the announced address itself is still
+        // answered by the European site, not by a binding of its own.
+        let mut client = net.bind(site.ip, site.port, Region::EUROPE);
+        let reply = client.exchange(site, Bytes::from_static(b"q"), Duration::ZERO);
+        assert_eq!(reply, Ok(Some(Bytes::from_static(b"eu"))));
+        // An announced address cannot also be bound unicast: the binding
+        // would shadow every anycast site.
+        assert_eq!(
+            eu.attach(site.ip, site.port, Region::EUROPE),
+            Err(NetError::AddrInUse(site))
+        );
     }
 
     #[test]
@@ -614,50 +534,52 @@ mod tests {
             loss_rate: 1.0,
             ..Default::default()
         });
-        let a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-        // Loss is silent: send succeeds, nothing arrives.
-        b.send(a.addr(), Bytes::from_static(b"x")).unwrap();
-        assert!(a.recv_within(Duration::MAX).is_none());
+        let (_set, server) = echo_at(&net, "10.0.0.1", Region::ASIA);
+        let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
+        // Loss is silent: the exchange succeeds, nothing comes back.
+        let reply = client.exchange(server, Bytes::from_static(b"x"), Duration::MAX);
+        assert_eq!(reply, Ok(None));
         let stats = net.stats();
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.delivered, 0);
     }
 
     #[test]
-    fn loss_is_deterministic_per_sender() {
-        // The drop pattern a sender sees must depend only on (seed, sender),
-        // not on what other senders do in between.
-        let pattern = |interleave: bool| -> Vec<bool> {
+    fn a_clients_losses_do_not_depend_on_other_clients() {
+        // Both legs of an exchange roll on the client's own stream, so the
+        // replies client `a` receives depend only on the seed, its address
+        // and its exchange count: not on `b` asking the same responder in
+        // between.
+        let pattern = |interleave: bool| -> (Vec<bool>, NetStats) {
             let net = Network::new(NetConfig {
                 loss_rate: 0.5,
                 seed: 42,
                 ..Default::default()
             });
-            let sink = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-            let a = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-            let b = net.bind(ip("10.0.0.3"), 1, Region::ASIA).unwrap();
-            let mut got = Vec::new();
-            for i in 0..32u8 {
-                a.send(sink.addr(), Bytes::copy_from_slice(&[i])).unwrap();
-                if interleave {
-                    // Noise from another sender must not perturb a's stream.
-                    b.send(sink.addr(), Bytes::from_static(b"noise")).unwrap();
-                }
-                let mut arrived = false;
-                while let Some(d) = sink.recv_within(Duration::ZERO) {
-                    if d.src == a.addr() {
-                        arrived = true;
+            let (_set, server) = echo_at(&net, "10.0.0.1", Region::ASIA);
+            let mut a = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
+            let mut b = net.bind(ip("10.0.0.3"), 4000, Region::ASIA);
+            let answered = (0..64u8)
+                .map(|i| {
+                    let reply = a.exchange(server, Bytes::copy_from_slice(&[i]), Duration::ZERO);
+                    if interleave {
+                        b.exchange(server, Bytes::from_static(b"noise"), Duration::ZERO)
+                            .unwrap();
                     }
-                }
-                got.push(arrived);
-            }
-            got
+                    reply.unwrap().is_some()
+                })
+                .collect();
+            (answered, net.stats())
         };
-        let clean = pattern(false);
-        assert!(clean.iter().any(|&x| x), "some datagrams should survive");
-        assert!(!clean.iter().all(|&x| x), "some datagrams should drop");
-        assert_eq!(clean, pattern(true));
+        let (clean, stats) = pattern(false);
+        let answered = clean.iter().filter(|&&x| x).count() as u64;
+        assert!(answered > 0, "some exchanges should be answered");
+        // Every datagram is dropped or delivered, and some replies are lost
+        // after their query got through: 64 queries, then one reply for
+        // each query delivered.
+        assert_eq!(stats.sent, stats.dropped + stats.delivered);
+        assert!(stats.sent - 64 > answered, "some replies should be lost");
+        assert_eq!(clean, pattern(true).0);
     }
 
     #[test]
@@ -666,11 +588,25 @@ mod tests {
             faults: Some(Arc::new(FaultPlan::outages(1, 1.0))),
             ..Default::default()
         });
-        let a = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-        // Like loss, the outage is silent: send succeeds, nothing arrives.
-        b.send(a.addr(), Bytes::from_static(b"x")).unwrap();
-        assert!(a.recv_within(Duration::MAX).is_none());
+        let called = Arc::new(AtomicU64::new(0));
+        let set = ResponderSet::new(&net, {
+            let called = Arc::clone(&called);
+            move |d: &Datagram| {
+                called.fetch_add(1, Ordering::Relaxed);
+                echo(d)
+            }
+        });
+        set.attach(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
+        let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
+        // Like loss, the outage is silent: nothing comes back, and the
+        // out server never runs.
+        let reply = client.exchange(
+            SockAddr::new(ip("10.0.0.1"), 53),
+            Bytes::from_static(b"x"),
+            Duration::MAX,
+        );
+        assert_eq!(reply, Ok(None));
+        assert_eq!(called.load(Ordering::Relaxed), 0);
         let stats = net.stats();
         assert_eq!(stats.faulted, 1);
         assert_eq!(stats.delivered, 0);
@@ -678,46 +614,57 @@ mod tests {
     }
 
     #[test]
-    fn outage_never_eats_replies_to_ephemeral_ports() {
-        // Every address is "out", yet a reply to a client bound on an
-        // ephemeral port must still arrive: outages kill servers (service
-        // ports), not the clients that queried them.
+    fn an_outage_eats_the_query_to_the_out_server_only() {
+        // Every address is out but the protected live server's, the
+        // client's own included: the exchange with the out server returns
+        // nothing, and the same client's exchange with the live server is
+        // answered, as an outage kills servers, never their clients.
         let net = Network::new(NetConfig {
-            faults: Some(Arc::new(FaultPlan::outages(1, 1.0))),
+            faults: Some(Arc::new(FaultPlan {
+                protected: vec![ip("10.0.0.9")],
+                ..FaultPlan::outages(1, 1.0)
+            })),
             ..Default::default()
         });
-        let server = net.bind(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
-        let client = net.bind(ip("10.0.0.2"), 33000, Region::ASIA).unwrap();
-        server
-            .send(client.addr(), Bytes::from_static(b"reply"))
-            .unwrap();
-        let d = client.recv_within(Duration::ZERO).unwrap();
-        assert_eq!(&d.payload[..], b"reply");
-        // The forward direction (to the server's service port) stays eaten.
-        client
-            .send(server.addr(), Bytes::from_static(b"q"))
-            .unwrap();
-        assert!(server.recv_within(Duration::MAX).is_none());
+        let (_out, out_addr) = echo_at(&net, "10.0.0.1", Region::ASIA);
+        let (_live, live_addr) = echo_at(&net, "10.0.0.9", Region::ASIA);
+        let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
+        let q = Bytes::from_static(b"q");
+        assert_eq!(
+            client.exchange(out_addr, q.clone(), Duration::MAX),
+            Ok(None)
+        );
+        assert_eq!(
+            client.exchange(live_addr, q.clone(), Duration::MAX),
+            Ok(Some(q))
+        );
         assert_eq!(net.stats().faulted, 1);
     }
 
     #[test]
-    fn stats_accumulate_latency() {
+    fn a_cross_region_exchange_counts_the_latency_of_both_legs() {
         let net = Network::new(NetConfig::default());
-        let a = net.bind(ip("10.0.0.1"), 53, Region::EUROPE).unwrap();
-        let b = net.bind(ip("10.0.0.2"), 1, Region::ASIA).unwrap();
-        b.send(a.addr(), Bytes::from_static(b"x")).unwrap();
+        let (_set, server) = echo_at(&net, "10.0.0.1", Region::EUROPE);
+        let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
+        client
+            .exchange(server, Bytes::from_static(b"x"), Duration::ZERO)
+            .unwrap()
+            .unwrap();
+        let one_way = LatencyModel::default().one_way(Region::ASIA, Region::EUROPE);
         let stats = net.stats();
-        assert_eq!(stats.delivered, 1);
-        assert!(stats.total_latency_ms >= 15);
+        assert_eq!(stats.delivered, 2);
+        assert_eq!(
+            stats.total_latency_ms,
+            2 * one_way.as_millis() as u64,
+            "query and reply"
+        );
     }
 
     #[test]
     fn striped_stats_sum_exactly_across_threads() {
-        use crate::shared::ResponderSet;
-        // More sending threads than stripes, so some threads share one.
+        // More threads than stripes, so some threads share one.
         const THREADS: u8 = STAT_STRIPES as u8 + 4;
-        const SENDS: u64 = 250;
+        const EXCHANGES: u64 = 250;
         let net = Network::new(NetConfig::default());
         let seen = Arc::new(AtomicU64::new(0));
         let sink = ResponderSet::new(&net, {
@@ -732,18 +679,15 @@ mod tests {
             for t in 0..THREADS {
                 let net = &net;
                 s.spawn(move || {
-                    let client = net
-                        .bind(Ipv4Addr::new(10, 1, t, 1), 1, Region::EUROPE)
-                        .unwrap();
-                    for _ in 0..SENDS {
-                        client
-                            .send(SockAddr::new(ip("10.0.0.7"), 7), Bytes::new())
-                            .unwrap();
+                    let mut client = net.bind(Ipv4Addr::new(10, 1, t, 1), 4000, Region::EUROPE);
+                    for _ in 0..EXCHANGES {
+                        let dst = SockAddr::new(ip("10.0.0.7"), 7);
+                        assert_eq!(client.exchange(dst, Bytes::new(), Duration::MAX), Ok(None));
                     }
                 });
             }
         });
-        let want = u64::from(THREADS) * SENDS;
+        let want = u64::from(THREADS) * EXCHANGES;
         let stats = net.stats();
         assert_eq!(stats.sent, want);
         assert_eq!(stats.delivered, want);

@@ -3,26 +3,20 @@
 use crate::addr::SockAddr;
 use bytes::Bytes;
 use std::cell::RefCell;
-use std::time::Duration;
 
-/// A delivered datagram: source, destination, opaque payload, and how late
-/// it arrives.
+/// A query as a responder receives it: source, destination and opaque
+/// payload.
 ///
 /// `Bytes` keeps payloads reference-counted so fan-out delivery (anycast
 /// diagnostics, stats capture) never copies packet bodies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datagram {
-    /// Sender's socket address (for replies).
+    /// The querying client's socket address.
     pub src: SockAddr,
     /// Destination socket address as addressed by the sender.
     pub dst: SockAddr,
     /// Payload bytes.
     pub payload: Bytes,
-    /// How long after its send the datagram arrives, in simulated time: the
-    /// delay a [`FaultKind::Delay`](crate::FaultKind::Delay) fault stamped
-    /// on a reply, zero for every other datagram. Link latency is not in
-    /// it; that is accounting only ([`NetStats`](crate::NetStats)).
-    pub delay: Duration,
 }
 
 impl Datagram {
@@ -72,7 +66,6 @@ mod tests {
             src: SockAddr::new("1.1.1.1".parse().unwrap(), 1),
             dst: SockAddr::new("2.2.2.2".parse().unwrap(), 2),
             payload: Bytes::from_static(b"abc"),
-            delay: Duration::ZERO,
         };
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());

@@ -4,10 +4,8 @@
 //! cannot afford a thread per address. A [`ResponderSet`] attaches many
 //! `ip:port` bindings (unicast or anycast) to one *stateless* service
 //! function — the simulation analogue of shared hosting — and runs it
-//! inline on the sender's thread, so a round trip is a function call
-//! rather than two cross-thread channel hops. Replies are sent *from* the
-//! address the query was addressed to, so clients still see a well-behaved
-//! peer.
+//! inline on the client's thread, so an exchange is a function call rather
+//! than two cross-thread channel hops.
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
@@ -21,17 +19,17 @@ use std::sync::Arc;
 /// Many addresses served by one inline function, zero threads.
 ///
 /// The function must be stateless (or internally synchronized): it is
-/// called concurrently from every sending thread. Replies it returns are
-/// sent from the queried address through the normal network path, so loss,
-/// latency accounting and anycast behave as for any bound endpoint, and a
-/// reply's delay is stamped on the datagram, never slept.
+/// called concurrently from every client's thread. The reply it returns
+/// goes back to the client within the same [`crate::Endpoint::exchange`],
+/// rolled for loss and counted in the network's latency, and its delay is
+/// compared with the client's window, never slept.
 pub struct ResponderSet {
     net: Network,
     f: Arc<ResponderFn>,
     /// Every binding made, `(address, region, anycast)`: one per unicast
     /// address and one per region an anycast address is announced in.
-    /// Only attaching and dropping touch it; the reply path goes through
-    /// the network's own tables.
+    /// Only attaching and dropping touch it; exchanges go through the
+    /// network's own tables.
     attached: Mutex<Vec<(SockAddr, Region, bool)>>,
 }
 
@@ -64,7 +62,7 @@ impl ResponderSet {
         Ok(())
     }
 
-    /// Attaches a unicast address; datagrams to it are answered inline.
+    /// Attaches a unicast address; queries to it are answered inline.
     pub fn attach(&self, ip: Ipv4Addr, port: u16, region: Region) -> Result<(), NetError> {
         self.bind(ip, port, region, false)
     }
@@ -112,16 +110,11 @@ mod tests {
         set.attach(ip("10.0.0.8"), 7, Region::ASIA).unwrap();
         assert_eq!(set.num_attached(), 2);
 
-        let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
+        let mut client = net.bind(ip("10.9.9.9"), 1, Region::ASIA);
         for last in [7u8, 8u8] {
             let dst = SockAddr::new(Ipv4Addr::new(10, 0, 0, last), 7);
-            client.send(dst, Bytes::copy_from_slice(&[last])).unwrap();
-            // The reply is already queued when send returns: no thread hop.
-            let d = client
-                .recv_within(Duration::ZERO)
-                .expect("inline reply is synchronous");
-            assert_eq!(d.src, dst);
-            assert_eq!(&d.payload[..], &[last]);
+            let reply = client.exchange(dst, Bytes::copy_from_slice(&[last]), Duration::ZERO);
+            assert_eq!(reply, Ok(Some(Bytes::copy_from_slice(&[last]))));
         }
         let stats = net.stats();
         assert_eq!(stats.sent, 4); // two queries + two replies
@@ -140,32 +133,13 @@ mod tests {
         asia.attach_anycast(ip("1.1.1.1"), 53, Region::ASIA)
             .unwrap();
 
-        let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
-        client
-            .send(SockAddr::new(ip("1.1.1.1"), 53), Bytes::from_static(b"q"))
-            .unwrap();
-        let d = client
-            .recv_within(Duration::ZERO)
-            .expect("inline reply is synchronous");
-        assert_eq!(&d.payload[..], b"as");
-    }
-
-    #[test]
-    fn responder_reply_passes_through_loss() {
-        let net = Network::new(NetConfig {
-            loss_rate: 1.0,
-            ..Default::default()
-        });
-        let set = ResponderSet::new(&net, echo);
-        set.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
-        let client = net.bind(ip("10.9.9.9"), 1, Region::ASIA).unwrap();
-        client
-            .send(SockAddr::new(ip("10.0.0.7"), 7), Bytes::from_static(b"x"))
-            .unwrap();
-        // The query itself is eaten by the loss process before the
-        // responder ever runs; nothing comes back.
-        assert!(client.recv_within(Duration::MAX).is_none());
-        assert_eq!(net.stats().dropped, 1);
+        let mut client = net.bind(ip("10.9.9.9"), 1, Region::ASIA);
+        let reply = client.exchange(
+            SockAddr::new(ip("1.1.1.1"), 53),
+            Bytes::from_static(b"q"),
+            Duration::ZERO,
+        );
+        assert_eq!(reply, Ok(Some(Bytes::from_static(b"as"))));
     }
 
     #[test]
@@ -190,12 +164,13 @@ mod tests {
         assert_eq!(set.num_attached(), 2);
         drop(set);
 
-        let client = net.bind(ip("10.9.9.9"), 1, Region::EUROPE).unwrap();
+        let mut client = net.bind(ip("10.9.9.9"), 1, Region::EUROPE);
         assert_eq!(
-            client.send(anycast, Bytes::from_static(b"q")),
+            client.exchange(anycast, Bytes::from_static(b"q"), Duration::MAX),
             Err(NetError::Unreachable(anycast))
         );
-        assert!(net.bind(anycast.ip, 53, Region::ASIA).is_ok());
+        let set = ResponderSet::new(&net, echo);
+        assert!(set.attach(anycast.ip, 53, Region::ASIA).is_ok());
     }
 
     #[test]
@@ -205,6 +180,7 @@ mod tests {
             let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
             set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
         }
-        assert!(net.bind(ip("10.0.0.7"), 53, Region::ASIA).is_ok());
+        let set = ResponderSet::new(&net, echo);
+        assert!(set.attach(ip("10.0.0.7"), 53, Region::ASIA).is_ok());
     }
 }

@@ -1,9 +1,9 @@
 //! The scanning client: performs one handshake per (IP, SNI) target and
 //! returns the served chain, with retries — the ZGrab2 role.
 //!
-//! Timeouts are simulated: every server is an inline responder, so its
-//! flight is queued before the hello's send returns, stamped with how late
-//! it arrives. A flight later than the attempt's window is a timeout.
+//! Timeouts are simulated: every server is an inline responder, so an
+//! attempt is one exchange, which returns the flight with the hello when it
+//! arrives within the attempt's window; a later flight is a timeout.
 
 use crate::cert::CertificateChain;
 use crate::handshake::{decode_server_flight, encode_client_hello, ServerFlight};
@@ -101,12 +101,12 @@ impl Scanner {
                 .wrapping_add(1);
             let hello = encode_client_hello(self.next_random, sni);
             self.handshakes_sent += 1;
-            self.endpoint.send(dst, hello).map_err(ScanError::Network)?;
-            while let Some(dgram) = self.endpoint.recv_within(self.config.timeout) {
-                if dgram.src != dst {
-                    continue; // stale reply from an earlier target
-                }
-                return match decode_server_flight(&dgram.payload) {
+            let reply = self
+                .endpoint
+                .exchange(dst, hello, self.config.timeout)
+                .map_err(ScanError::Network)?;
+            if let Some(flight) = reply {
+                return match decode_server_flight(&flight) {
                     Some(ServerFlight::Chain(chain)) => Ok(chain),
                     Some(ServerFlight::Alert(code)) => Err(ScanError::Alert(code)),
                     // Unparseable, or not the shape of a server flight.
@@ -165,9 +165,7 @@ mod tests {
     }
 
     fn scanner(net: &Network, config: ScannerConfig) -> Scanner {
-        let ep = net
-            .bind("10.0.0.5".parse().unwrap(), 5001, Region::EUROPE)
-            .unwrap();
+        let ep = net.bind("10.0.0.5".parse().unwrap(), 5001, Region::EUROPE);
         Scanner::new(ep, config)
     }
 
@@ -239,7 +237,7 @@ mod tests {
         // Within the window (the delay exactly fills it): answered.
         let chain = scan(20).unwrap();
         assert_eq!(chain.leaf().unwrap().subject, "site.example");
-        // Past it: a timeout, though the flight is queued.
+        // Past it: a timeout, though the flight was sent.
         assert_eq!(scan(10).unwrap_err(), ScanError::Timeout);
     }
 }

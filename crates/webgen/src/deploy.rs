@@ -71,9 +71,9 @@ pub struct DeployConfig {
     /// scanner retry testing).
     pub loss_rate: f64,
     /// Deterministic fault plan. Whole-run outages apply at the transport
-    /// to every non-protected server address — service ports only, so
-    /// replies to vantage endpoints are never eaten (see
-    /// [`FaultPlan::black_holes`]); per-query flaky faults apply only at
+    /// to every query addressed to a non-protected server address (see
+    /// [`FaultPlan::server_out`]; a reply to a vantage endpoint is never
+    /// checked); per-query flaky faults apply only at
     /// the authoritative tier (hosting/DNS racks), keyed on
     /// `(server ip, qname or sni)` so retries meet the same fate on every
     /// worker schedule. The root server is always protected.
@@ -780,17 +780,16 @@ impl DeployedWorld {
         }
     }
 
-    /// Binds a fresh vantage-point endpoint in `continent`'s eyeball
-    /// prefix. Each call gets a unique address.
+    /// A fresh vantage-point endpoint in `continent`'s eyeball prefix.
+    /// Each call gets a unique address, so each client's loss stream is its
+    /// own.
     pub fn vantage(&self, continent: Continent) -> Endpoint {
         let ci = cont_index(continent);
         let n = self.vantage_counters[ci].fetch_add(1, Ordering::Relaxed);
         let ip = self.eyeball_prefixes[ci]
             .nth(n as u64)
             .expect("eyeball prefix exhausted");
-        self.network
-            .bind(ip, 33000, continent.region())
-            .expect("vantage addresses are unique")
+        self.network.bind(ip, 33000, continent.region())
     }
 
     /// Number of serving racks (registries + hosting).
@@ -927,13 +926,14 @@ mod tests {
             .expect("Cloudflare hosts sites");
         // The rack answers a CNAME to the edge host plus the edge's
         // address; the iterative resolver returns the address.
-        let vantage = dep.vantage(Continent::NorthAmerica);
+        let mut vantage = dep.vantage(Continent::NorthAmerica);
         let ns = SockAddr::new(dep.pools[site.dns as usize].ns_addrs[0], DNS_PORT);
-        vantage
-            .send(ns, dns_query(&site.domain, dnswire::RecordType::A))
+        let query = dns_query(&site.domain, dnswire::RecordType::A);
+        let reply = vantage
+            .exchange(ns, query, Duration::ZERO)
+            .unwrap()
             .unwrap();
-        let reply = vantage.recv_within(Duration::ZERO).unwrap();
-        let answers = dnswire::decode(&reply.payload).unwrap().answers;
+        let answers = dnswire::decode(&reply).unwrap().answers;
         let dnswire::RecordData::Cname(edge) = &answers[0].data else {
             panic!("a CDN site answers a CNAME first");
         };
@@ -1381,18 +1381,17 @@ mod tests {
     /// checks the reply against the reference's bytes; returns the reply.
     fn same_reply(
         r: &Reference,
-        ep: &Endpoint,
+        ep: &mut Endpoint,
         rack: usize,
         dst: SockAddr,
         query: bytes::Bytes,
         what: &str,
     ) -> bytes::Bytes {
         let want = r.reply(rack, dst, ep.addr().ip, &query);
-        ep.send(dst, query).expect("deployed address");
         let got = ep
-            .recv_within(Duration::ZERO)
-            .expect("inline reply")
-            .payload;
+            .exchange(dst, query, Duration::ZERO)
+            .expect("deployed address")
+            .expect("inline reply");
         assert_eq!(got, want, "{what}");
         got
     }
@@ -1419,8 +1418,8 @@ mod tests {
             "four registry groups, then the racks"
         );
         let r = Reference::build(world, &dep);
-        let na = dep.vantage(Continent::NorthAmerica);
-        let asia = dep.vantage(Continent::Asia);
+        let mut na = dep.vantage(Continent::NorthAmerica);
+        let mut asia = dep.vantage(Continent::Asia);
         let n_providers = world.universe.providers.len() as u32;
         let ns_addr = |p: u32| SockAddr::new(dep.pools[p as usize].ns_addrs[0], DNS_PORT);
         let root = SockAddr::new(dep.roots[0], DNS_PORT);
@@ -1429,7 +1428,7 @@ mod tests {
         for site in &world.sites {
             let d = site.domain.as_str();
             let rack = site.dns as usize % RACKS;
-            for ep in [&na, &asia] {
+            for ep in [&mut na, &mut asia] {
                 let reply = same_reply(
                     &r,
                     ep,
@@ -1447,17 +1446,24 @@ mod tests {
             }
             same_reply(
                 &r,
-                &na,
+                &mut na,
                 rack,
                 ns_addr(site.dns),
                 dns_query(d, dnswire::RecordType::Ns),
                 d,
             );
-            same_reply(&r, &na, 0, root, dns_query(d, dnswire::RecordType::A), d);
+            same_reply(
+                &r,
+                &mut na,
+                0,
+                root,
+                dns_query(d, dnswire::RecordType::A),
+                d,
+            );
             let registry = SockAddr::new(r.registry_of[&site.tld], DNS_PORT);
             same_reply(
                 &r,
-                &na,
+                &mut na,
                 0,
                 registry,
                 dns_query(d, dnswire::RecordType::A),
@@ -1468,7 +1474,7 @@ mod tests {
             let other = (site.dns + 1) % n_providers;
             let reply = same_reply(
                 &r,
-                &na,
+                &mut na,
                 other as usize % RACKS,
                 ns_addr(other),
                 dns_query(d, dnswire::RecordType::A),
@@ -1490,7 +1496,7 @@ mod tests {
             ]);
             same_reply(
                 &r,
-                &na,
+                &mut na,
                 site.hosting as usize % RACKS,
                 SockAddr::new(hosting[0], TLS_PORT),
                 hello,
@@ -1510,7 +1516,14 @@ mod tests {
                 ];
                 for (at, qtype) in asked {
                     let rack = at as usize % RACKS;
-                    same_reply(&r, &asia, rack, ns_addr(at), dns_query(&host, qtype), &host);
+                    same_reply(
+                        &r,
+                        &mut asia,
+                        rack,
+                        ns_addr(at),
+                        dns_query(&host, qtype),
+                        &host,
+                    );
                 }
             }
         }
@@ -1520,7 +1533,7 @@ mod tests {
         empty.questions.clear();
         let registry = SockAddr::new(r.registry_of[&world.sites[0].tld], DNS_PORT);
         for dst in [ns_addr(0), registry, root] {
-            let reply = same_reply(&r, &na, 0, dst, dnswire::encode(&empty), "no question");
+            let reply = same_reply(&r, &mut na, 0, dst, dnswire::encode(&empty), "no question");
             assert_eq!(
                 dnswire::decode(&reply).unwrap().rcode,
                 dnswire::Rcode::FormErr
@@ -1558,11 +1571,11 @@ mod tests {
 
         let dep = DeployedWorld::deploy(&world, DeployConfig::default());
         let r = Reference::build(&world, &dep);
-        let ep = dep.vantage(Continent::Europe);
+        let mut ep = dep.vantage(Continent::Europe);
         let registry = SockAddr::new(r.registry_of[&net], DNS_PORT);
-        ep.send(registry, dns_query(&slug, dnswire::RecordType::A))
-            .unwrap();
-        let referral = dnswire::decode(&ep.recv_within(Duration::ZERO).unwrap().payload).unwrap();
+        let query = dns_query(&slug, dnswire::RecordType::A);
+        let reply = ep.exchange(registry, query, Duration::ZERO).unwrap();
+        let referral = dnswire::decode(&reply.unwrap()).unwrap();
         let cf_ns = DomainName::parse(&format!("ns1.{slug}")).unwrap();
         assert_eq!(referral.authorities[0].data, dnswire::RecordData::Ns(cf_ns));
     }

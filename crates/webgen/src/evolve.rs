@@ -645,6 +645,34 @@ mod tests {
     }
 
     #[test]
+    fn a_lying_delta_fails_the_certificate() {
+        let w = World::generate(WorldConfig::tiny());
+        let (e, delta) = EvolutionPlan::continuous(1, 0.10, 7).evolve_epoch(&w, 0);
+        delta.certify_unchanged(&w, &e).unwrap();
+
+        // A migrated site left out of `migrated` changed outside the dirty
+        // set, and the certificate names it.
+        for pos in [0, delta.migrated.len() - 1] {
+            let mut lying = delta.clone();
+            let hidden = lying.migrated.remove(pos);
+            assert_eq!(
+                lying.certify_unchanged(&w, &e),
+                Err(format!("site {hidden} changed outside the dirty set"))
+            );
+        }
+
+        // A delta that misstates the evolved site count is refused.
+        for to_sites in [delta.to_sites - 1, delta.to_sites + 1] {
+            let lying = WorldDelta {
+                to_sites,
+                ..delta.clone()
+            };
+            let err = lying.certify_unchanged(&w, &e).unwrap_err();
+            assert!(err.contains("do not match delta"), "{err}");
+        }
+    }
+
+    #[test]
     fn seed_changes_the_churn_stream() {
         let w = World::generate(WorldConfig::tiny());
         let a = EvolutionPlan::continuous(1, 0.10, 1).evolve_epoch(&w, 0).0;
