@@ -51,6 +51,30 @@ if [[ -n "$owned" ]]; then
     exit 1
 fi
 
+# No copies on the exchange path: a client lends its encoded query and a
+# buffer the responder writes the reply into, and the scanner reads the
+# served chain in place (`tls::ChainView`). The non-test code of the
+# scanner and of the pipeline's workers names neither the owned
+# `CertificateChain` nor `decode_flight` (the reference form for tests and
+# tools), and the non-test code of netsim, dns and tls names neither
+# `build_payload` nor `copy_from_slice`: no datagram is copied into a
+# payload of its own again.
+echo "==> no owned TLS chains in the scanner or workers, no payload copies in netsim, dns, tls"
+copies=$( (awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /CertificateChain|decode_flight/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/tls/src/scanner.rs crates/pipeline/src/run.rs
+    find crates/netsim/src crates/dns/src crates/tls/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /build_payload|copy_from_slice/ { print FILENAME ":" FNR ": " $0 }') )
+if [[ -n "$copies" ]]; then
+    echo "ci: the exchange path copies payloads or decodes owned chains:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

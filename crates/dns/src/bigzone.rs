@@ -139,8 +139,12 @@ mod tests {
 
     /// `t`'s reply to `q`, served and decoded.
     fn served(t: &DelegationTable, q: &Message) -> Message {
-        let reply = serve_query(&encode(q), ip("192.5.6.30"), None, |q, r| t.respond(q, r));
-        decode(&reply.payload.expect("a query is answered")).unwrap()
+        let mut reply = Vec::new();
+        let answered = serve_query(&encode(q), ip("192.5.6.30"), None, &mut reply, |q, r| {
+            t.respond(q, r)
+        });
+        assert!(answered.is_some(), "a query is answered");
+        decode(&reply).unwrap()
     }
 
     fn registry() -> DelegationTable {
@@ -266,11 +270,14 @@ mod tests {
         for (id, name) in names.iter().enumerate() {
             for qtype in [RecordType::A, RecordType::Ns] {
                 let query = crate::wire::encode(&Message::query(id as u16, name.clone(), qtype));
-                let want =
-                    serve_query(&query, server, None, |q, r| answer_from_zones(&zones, q, r));
-                let got = serve_query(&query, server, None, |q, r| table.respond(q, r));
-                assert!(want.payload.is_some());
-                assert_eq!(got, want, "{name} {qtype:?}");
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                let answered = serve_query(&query, server, None, &mut want, |q, r| {
+                    answer_from_zones(&zones, q, r)
+                });
+                assert!(answered.is_some());
+                let by_table =
+                    serve_query(&query, server, None, &mut got, |q, r| table.respond(q, r));
+                assert_eq!((by_table, got), (answered, want), "{name} {qtype:?}");
             }
         }
     }

@@ -5,9 +5,9 @@
 //! see the determinism notes on [`FaultPlan`] — so a retried query meets
 //! exactly the same fate and recovery requires asking a different server.
 
-use bytes::Bytes;
 use std::net::Ipv4Addr;
-use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
+use std::time::Duration;
+use webdep_netsim::{FaultKind, FaultPlan};
 
 /// Which reply a server writes for a query its fault plan lets through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,46 +23,54 @@ pub enum ReplyShape {
 }
 
 /// Runs the query for `qname` to server `ip` through `plan`; `write` writes
-/// the reply in the shape the fault asks for, once.
+/// the reply into `reply` in the shape the fault asks for, once.
 ///
-/// The returned [`FaultedReply`] carries the payload to send (`None` when
-/// the fault swallows the reply) — possibly a SERVFAIL, a truncated prefix
-/// of the clean reply (sharing its bytes), or a garbled header — and, for
-/// [`FaultKind::Delay`], how late it arrives. The delay is simulated time:
-/// the network stamps it on the reply datagram and the resolver's window
-/// decides whether it came in time.
+/// Returns how late the reply arrives ([`FaultKind::Delay`] only, zero
+/// otherwise), or `None` when the fault swallows it. The reply is
+/// reshaped in place: possibly a SERVFAIL, the clean reply truncated to
+/// half its length, or a garbled header. The delay is simulated time: the
+/// exchange compares it with the resolver's window.
 pub fn apply_dns_fault(
     plan: &FaultPlan,
     ip: Ipv4Addr,
     qname: &str,
-    write: impl FnOnce(ReplyShape) -> Bytes,
-) -> FaultedReply {
+    reply: &mut Vec<u8>,
+    write: impl FnOnce(ReplyShape, &mut Vec<u8>),
+) -> Option<Duration> {
     match plan.query_fault(ip, qname.as_bytes()) {
-        None => FaultedReply::clean(write(ReplyShape::Answer)),
-        Some(FaultKind::Drop) => FaultedReply::swallowed(),
-        Some(FaultKind::ServFail) => FaultedReply::clean(write(ReplyShape::ServFail)),
+        None => write(ReplyShape::Answer, reply),
+        Some(FaultKind::Drop) => return None,
+        Some(FaultKind::ServFail) => write(ReplyShape::ServFail, reply),
         Some(FaultKind::Truncate) => {
             // Half a message never survives the record parser.
-            let full = write(ReplyShape::Answer);
-            FaultedReply::clean(full.slice(..full.len() / 2))
+            write(ReplyShape::Answer, reply);
+            reply.truncate(reply.len() / 2);
         }
-        Some(FaultKind::Garble) => FaultedReply::clean(write(ReplyShape::GarbledId)),
-        Some(FaultKind::Delay) => FaultedReply {
-            payload: Some(write(ReplyShape::Answer)),
-            delay: plan.delay,
-        },
+        Some(FaultKind::Garble) => write(ReplyShape::GarbledId, reply),
+        Some(FaultKind::Delay) => {
+            write(ReplyShape::Answer, reply);
+            return Some(plan.delay);
+        }
     }
+    Some(Duration::ZERO)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The shape `apply_dns_fault` asked for, as the payload's one byte.
-    fn shaped(plan: &FaultPlan) -> FaultedReply {
-        apply_dns_fault(plan, "1.2.3.4".parse().unwrap(), "a.example", |shape| {
-            Bytes::from(vec![shape as u8, 0xAA])
-        })
+    /// The shape `apply_dns_fault` asked for, as the reply's first byte,
+    /// and the delay; `None` when swallowed.
+    fn shaped(plan: &FaultPlan) -> Option<(Vec<u8>, Duration)> {
+        let mut reply = Vec::new();
+        let delay = apply_dns_fault(
+            plan,
+            "1.2.3.4".parse().unwrap(),
+            "a.example",
+            &mut reply,
+            |shape, buf| buf.extend_from_slice(&[shape as u8, 0xAA]),
+        )?;
+        Some((reply, delay))
     }
 
     fn plan_with(kind: FaultKind) -> FaultPlan {
@@ -71,26 +79,20 @@ mod tests {
 
     #[test]
     fn each_fault_asks_for_its_shape() {
-        let payload = |shape: ReplyShape| Some(Bytes::from(vec![shape as u8, 0xAA]));
+        let clean = |shape: ReplyShape| Some((vec![shape as u8, 0xAA], Duration::ZERO));
+        assert_eq!(shaped(&FaultPlan::none()), clean(ReplyShape::Answer));
+        assert_eq!(shaped(&plan_with(FaultKind::Drop)), None);
         assert_eq!(
-            shaped(&FaultPlan::none()).payload,
-            payload(ReplyShape::Answer)
+            shaped(&plan_with(FaultKind::ServFail)),
+            clean(ReplyShape::ServFail)
         );
         assert_eq!(
-            shaped(&plan_with(FaultKind::Drop)),
-            FaultedReply::swallowed()
+            shaped(&plan_with(FaultKind::Garble)),
+            clean(ReplyShape::GarbledId)
         );
         assert_eq!(
-            shaped(&plan_with(FaultKind::ServFail)).payload,
-            payload(ReplyShape::ServFail)
-        );
-        assert_eq!(
-            shaped(&plan_with(FaultKind::Garble)).payload,
-            payload(ReplyShape::GarbledId)
-        );
-        assert_eq!(
-            shaped(&plan_with(FaultKind::Truncate)).payload,
-            Some(Bytes::from(vec![ReplyShape::Answer as u8]))
+            shaped(&plan_with(FaultKind::Truncate)),
+            Some((vec![ReplyShape::Answer as u8], Duration::ZERO))
         );
     }
 
@@ -100,10 +102,9 @@ mod tests {
         let start = std::time::Instant::now();
         let out = shaped(&plan);
         assert!(start.elapsed() < plan.delay, "must not sleep inline");
-        assert_eq!(out.delay, plan.delay);
         assert_eq!(
-            out.payload,
-            Some(Bytes::from(vec![ReplyShape::Answer as u8, 0xAA]))
+            out,
+            Some((vec![ReplyShape::Answer as u8, 0xAA], plan.delay))
         );
     }
 }

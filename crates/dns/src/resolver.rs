@@ -22,6 +22,7 @@ use crate::shared_cache::SharedDnsCache;
 use crate::wire::{encode_query, MessageView, NameBuf, ParsedDatagram, RData, Rcode, RecordType};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 use webdep_netsim::{Endpoint, NetError, SockAddr};
@@ -219,6 +220,15 @@ pub struct IterativeResolver {
     /// names are in the reply, and its glue as (first host named, address).
     referral_hosts: Vec<usize>,
     referral_glue: Vec<(usize, Ipv4Addr)>,
+    /// The query being sent, encoded in place for each attempt.
+    query: Vec<u8>,
+    /// Reply buffers not in use. A reply stays alive while the resolution
+    /// it answered goes on (a refusal held while the next server is asked,
+    /// a referral while a glueless host or a CNAME target is resolved), so
+    /// each exchange takes a buffer of its own from here and the reply
+    /// gives it back when read: the list grows to the deepest nesting once
+    /// and an exchange allocates nothing after.
+    spare: Vec<Vec<u8>>,
     stats: ResolverStats,
 }
 
@@ -257,6 +267,8 @@ impl IterativeResolver {
             query_state: Vec::new(),
             referral_hosts: Vec::new(),
             referral_glue: Vec::new(),
+            query: Vec::new(),
+            spare: Vec::new(),
             stats: ResolverStats::default(),
         }
     }
@@ -379,16 +391,27 @@ impl IterativeResolver {
                 }
             };
             let resp = reply.view();
-            match resp.rcode() {
-                Rcode::NoError => {}
-                Rcode::NxDomain => return Err(ResolveError::NxDomain(name.clone())),
-                _ => return Err(ResolveError::ServFail),
+            let step = match resp.rcode() {
+                Rcode::NoError if resp.answers().next().is_some() => self
+                    .take_answer(name, qtype, cname_depth, resp)
+                    .map(ControlFlow::Break),
+                Rcode::NoError => self
+                    .follow_referral(name, resp, cut, depth, from_root)
+                    .map(ControlFlow::Continue),
+                Rcode::NxDomain => Err(ResolveError::NxDomain(name.clone())),
+                _ => Err(ResolveError::ServFail),
+            };
+            self.recycle(reply);
+            match step? {
+                ControlFlow::Break(answer) => return Ok(answer),
+                ControlFlow::Continue(next) => (servers, cut, pending_ns) = next,
             }
-            if resp.answers().next().is_some() {
-                return self.take_answer(name, qtype, cname_depth, resp);
-            }
-            (servers, cut, pending_ns) = self.follow_referral(name, resp, cut, depth, from_root)?;
         }
+    }
+
+    /// Gives a reply's buffer back for a later exchange to write over.
+    fn recycle(&mut self, reply: ParsedDatagram) {
+        self.spare.push(reply.into_buffer());
     }
 
     /// The terminal answer `resp` carries for `name`, cached: its records
@@ -689,7 +712,11 @@ impl IterativeResolver {
                             }
                             // A refusal is an answer from a live server,
                             // but another server may do better: rotate on.
-                            _ => refused = Some(resp),
+                            _ => {
+                                if let Some(earlier) = refused.replace(resp) {
+                                    self.recycle(earlier);
+                                }
+                            }
                         }
                     }
                     Err(ResolveError::Timeout) => timed_out = true,
@@ -726,6 +753,9 @@ impl IterativeResolver {
         self.query_state = state;
 
         if let Some(resp) = verdict {
+            if let Some(earlier) = refused {
+                self.recycle(earlier);
+            }
             return Ok(resp);
         }
         if let Some(resp) = refused {
@@ -752,12 +782,24 @@ impl IterativeResolver {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         self.stats.wire_queries += 1;
-        let reply = self
+        encode_query(&mut self.query, id, name, qtype);
+        let mut buf = self.spare.pop().unwrap_or_default();
+        let answered = match self
             .endpoint
-            .exchange(server, encode_query(id, name, qtype), window)
-            .map_err(ResolveError::Network)?;
-        match reply.map(ParsedDatagram::parse) {
-            Some(Ok(resp))
+            .exchange(server, &self.query, window, &mut buf)
+        {
+            Ok(reply) => reply.is_some(),
+            Err(e) => {
+                self.spare.push(buf);
+                return Err(ResolveError::Network(e));
+            }
+        };
+        if !answered {
+            self.spare.push(buf);
+            return Err(ResolveError::Timeout);
+        }
+        match ParsedDatagram::parse(buf) {
+            Ok(resp)
                 if {
                     let view = resp.view();
                     view.is_response() && view.id() == id && asks(view, name, qtype)
@@ -766,9 +808,14 @@ impl IterativeResolver {
                 return Ok(resp);
             }
             // A reply to some other question.
-            Some(Ok(_)) => self.stats.mismatched_ids += 1,
-            Some(Err(_)) => self.stats.malformed_datagrams += 1,
-            None => {}
+            Ok(resp) => {
+                self.stats.mismatched_ids += 1;
+                self.recycle(resp);
+            }
+            Err((_, buf)) => {
+                self.stats.malformed_datagrams += 1;
+                self.spare.push(buf);
+            }
         }
         Err(ResolveError::Timeout)
     }
@@ -799,8 +846,8 @@ mod tests {
         zones: Vec<Zone>,
         faults: Option<FaultPlan>,
     ) -> ResponderSet {
-        let server = ResponderSet::new(net, move |d: &Datagram| {
-            serve_query(&d.payload, d.dst.ip, faults.as_ref(), |q, r| {
+        let server = ResponderSet::new(net, move |d: &Datagram, out: &mut Vec<u8>| {
+            serve_query(d.payload, d.dst.ip, faults.as_ref(), out, |q, r| {
                 answer_from_zones(&zones, q, r)
             })
         });
@@ -1230,6 +1277,50 @@ mod tests {
         assert_eq!(addrs, vec![ip("203.0.113.10")]);
     }
 
+    /// Replies alive at once, as a refusal held while the next server is
+    /// asked, keep their own bytes: each owns the buffer its exchange
+    /// wrote, and a buffer given back is written over only by a later
+    /// exchange, never under a reply still held.
+    #[test]
+    fn replies_alive_at_once_keep_their_own_bytes() {
+        let net = Network::new(NetConfig::default());
+        let (bad_ip, good_ip) = (ip("203.0.113.55"), ip("203.0.113.53"));
+        let mut example = Zone::new(n("example.com"));
+        example.add_a(n("example.com"), ip("203.0.113.10"));
+        let _servers = [
+            auth(&net, bad_ip, Region::EUROPE, vec![], None),
+            auth(&net, good_ip, Region::EUROPE, vec![example], None),
+        ];
+        let mut r = resolver(&net, vec![good_ip]);
+        let name = n("example.com");
+        let ask = |r: &mut IterativeResolver, server| {
+            let server = SockAddr::new(server, crate::DNS_PORT);
+            r.query_once(server, &name, RecordType::A, Duration::MAX)
+                .expect("answered")
+        };
+        let read = |resp: &ParsedDatagram| {
+            let view = resp.view();
+            let addrs: Vec<Ipv4Addr> = (view.answers())
+                .filter_map(|a| match a.data {
+                    RData::A(ip) => Some(ip),
+                    _ => None,
+                })
+                .collect();
+            (view.id(), view.rcode(), addrs)
+        };
+        let refused = ask(&mut r, bad_ip);
+        let answer = ask(&mut r, good_ip);
+        assert_eq!(read(&refused), (1, Rcode::ServFail, vec![]));
+        assert_eq!(read(&answer), (2, Rcode::NoError, vec![ip("203.0.113.10")]));
+        // The answer's buffer goes back, and the next exchange writes its
+        // shorter reply over it while the refusal is still held.
+        r.recycle(answer);
+        let again = ask(&mut r, bad_ip);
+        assert!(r.spare.is_empty(), "the given-back buffer is reused");
+        assert_eq!(read(&again), (3, Rcode::ServFail, vec![]));
+        assert_eq!(read(&refused), (1, Rcode::ServFail, vec![]));
+    }
+
     /// One faulty + one clean authoritative for example.com; the faulty one
     /// mangles every answer per `kind`.
     fn faulty_pair_world(
@@ -1407,8 +1498,8 @@ mod tests {
         use crate::wire::RData;
         let net = Network::new(NetConfig::default());
         let lame = ip("203.0.113.66");
-        let server = ResponderSet::new(&net, move |d: &Datagram| {
-            serve_query(&d.payload, d.dst.ip, None, |_, reply| {
+        let server = ResponderSet::new(&net, move |d: &Datagram, out: &mut Vec<u8>| {
+            serve_query(d.payload, d.dst.ip, None, out, |_, reply| {
                 reply.authority("victim.org", 3600, RData::Ns("ns.victim.org"));
                 reply.additional("ns.victim.org", 3600, RData::A(lame));
             })
@@ -1430,8 +1521,8 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let (_servers, roots) = build_world(&net);
         let loopy = ip("192.5.6.40");
-        let server = ResponderSet::new(&net, move |d: &Datagram| {
-            serve_query(&d.payload, d.dst.ip, None, |_, reply| {
+        let server = ResponderSet::new(&net, move |d: &Datagram, out: &mut Vec<u8>| {
+            serve_query(d.payload, d.dst.ip, None, out, |_, reply| {
                 reply.authority("com", 3600, RData::Ns("a.gtld-servers.net"));
                 reply.additional("a.gtld-servers.net", 3600, RData::A(loopy));
             })

@@ -6,7 +6,8 @@ use crate::name::DomainName;
 use crate::wire::{Message, MessageView, NameBuf, Rcode, RecordType, Reply};
 use crate::zone::{Zone, ZoneLookup};
 use std::net::Ipv4Addr;
-use webdep_netsim::{build_payload, FaultPlan, FaultedReply};
+use std::time::Duration;
+use webdep_netsim::FaultPlan;
 
 /// The question a responder answers: the query's first, its name in
 /// presentation form (lowercase, as [`DomainName::as_str`] gives it).
@@ -18,50 +19,54 @@ pub struct QuestionRef<'a> {
     pub qtype: RecordType,
 }
 
-/// Serves one query datagram addressed to `server_ip`.
+/// Serves one query datagram addressed to `server_ip`, writing the reply
+/// into the empty buffer `out`: a responder's body
+/// ([`webdep_netsim::ResponderFn`]).
 ///
-/// An undecodable datagram or one flagged as a response is swallowed, like
-/// a real server drops it. A query without a question is answered FormErr;
-/// any other query is answered by `answer`, which sees the first question
-/// of a multi-question query and writes its records into the [`Reply`]
-/// (the header and the echoed questions are already written). The query is
-/// read in place ([`MessageView`]) and the reply is written once, straight
-/// into the datagram. It runs through `faults` keyed on
-/// `(server_ip, qname)` (see [`apply_dns_fault`]); a returned delay is
-/// stamped on the reply datagram, never slept.
+/// An undecodable datagram or one flagged as a response is swallowed
+/// (`None`), like a real server drops it. A query without a question is
+/// answered FormErr; any other query is answered by `answer`, which sees
+/// the first question of a multi-question query and writes its records
+/// into the [`Reply`] (the header and the echoed questions are already
+/// written). The query is read in place ([`MessageView`]) and the reply is
+/// written once, straight into `out`. It runs through `faults` keyed on
+/// `(server_ip, qname)` (see [`apply_dns_fault`]); the returned delay is
+/// compared with the client's window, never slept.
 pub fn serve_query(
     payload: &[u8],
     server_ip: Ipv4Addr,
     faults: Option<&FaultPlan>,
+    out: &mut Vec<u8>,
     answer: impl FnOnce(QuestionRef<'_>, &mut Reply<'_>),
-) -> FaultedReply {
+) -> Option<Duration> {
     let mut text = NameBuf::new();
     let query = match MessageView::parse_in(payload, &mut text) {
         Ok(q) if !q.is_response() => q,
-        _ => return FaultedReply::swallowed(),
+        _ => return None,
     };
     let question = query.questions().next().map(|q| QuestionRef {
         name: q.name.expand(&mut text),
         qtype: q.qtype,
     });
-    let write = |shape: ReplyShape| {
-        build_payload(|buf| {
-            let mut reply = Reply::new(buf, &query, question.map_or("", |q| q.name));
-            match (shape, question) {
-                (ReplyShape::ServFail, _) => reply.set_rcode(Rcode::ServFail),
-                (_, None) => reply.set_rcode(Rcode::FormErr),
-                (_, Some(q)) => answer(q, &mut reply),
-            }
-            reply.finish();
-            if shape == ReplyShape::GarbledId {
-                buf[0] ^= 0xFF;
-                buf[1] ^= 0xFF;
-            }
-        })
+    let write = |shape: ReplyShape, buf: &mut Vec<u8>| {
+        let mut reply = Reply::new(buf, &query, question.map_or("", |q| q.name));
+        match (shape, question) {
+            (ReplyShape::ServFail, _) => reply.set_rcode(Rcode::ServFail),
+            (_, None) => reply.set_rcode(Rcode::FormErr),
+            (_, Some(q)) => answer(q, &mut reply),
+        }
+        reply.finish();
+        if shape == ReplyShape::GarbledId {
+            buf[0] ^= 0xFF;
+            buf[1] ^= 0xFF;
+        }
     };
     match faults {
-        Some(plan) => apply_dns_fault(plan, server_ip, question.map_or("", |q| q.name), write),
-        None => FaultedReply::clean(write(ReplyShape::Answer)),
+        Some(plan) => apply_dns_fault(plan, server_ip, question.map_or("", |q| q.name), out, write),
+        None => {
+            write(ReplyShape::Answer, out);
+            Some(Duration::ZERO)
+        }
     }
 }
 
@@ -134,12 +139,25 @@ mod tests {
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 53);
 
+    /// Serves `query` from `zones` under `plan`: the reply's bytes and
+    /// delay, `None` when the datagram is swallowed.
+    fn serve_with(
+        query: &[u8],
+        zones: &[Zone],
+        plan: Option<&FaultPlan>,
+    ) -> Option<(Vec<u8>, Duration)> {
+        let mut out = Vec::new();
+        let delay = serve_query(query, SERVER, plan, &mut out, |q, r| {
+            answer_from_zones(zones, q, r)
+        })?;
+        Some((out, delay))
+    }
+
     /// Serves `query` from [`zone`] with no fault plan; `None` when the
     /// datagram is swallowed.
     fn serve(query: &[u8]) -> Option<Message> {
-        let zones = [zone()];
-        let reply = serve_query(query, SERVER, None, |q, r| answer_from_zones(&zones, q, r));
-        reply.payload.map(|p| decode(&p).unwrap())
+        let (reply, _) = serve_with(query, &[zone()], None)?;
+        Some(decode(&reply).unwrap())
     }
 
     #[test]
@@ -186,21 +204,19 @@ mod tests {
     fn fault_plan_applies_to_the_answer() {
         let query = encode(&Message::query(3, n("www.example.com"), RecordType::A));
         let zones = [zone()];
-        let serve_with = |kind| {
+        let faulted = |kind| {
             let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
-            serve_query(&query, SERVER, Some(&plan), |q, r| {
-                answer_from_zones(&zones, q, r)
-            })
+            serve_with(&query, &zones, Some(&plan))
         };
-        assert_eq!(serve_with(FaultKind::Drop), FaultedReply::swallowed());
-        let refused = decode(&serve_with(FaultKind::ServFail).payload.unwrap()).unwrap();
+        assert_eq!(faulted(FaultKind::Drop), None);
+        let refused = decode(&faulted(FaultKind::ServFail).unwrap().0).unwrap();
         assert_eq!((refused.id, refused.rcode), (3, Rcode::ServFail));
         // A delay is returned with the clean answer, never slept here.
-        let delayed = serve_with(FaultKind::Delay);
-        assert!(!delayed.delay.is_zero());
+        let (delayed, delay) = faulted(FaultKind::Delay).unwrap();
+        assert!(!delay.is_zero());
         assert_eq!(
-            delayed.payload,
-            serve_query(&query, SERVER, None, |q, r| answer_from_zones(&zones, q, r)).payload
+            Some((delayed, Duration::ZERO)),
+            serve_with(&query, &zones, None)
         );
     }
 
@@ -212,16 +228,13 @@ mod tests {
         let query = Message::query(3, n("www.example.com"), RecordType::A);
         let wire = encode(&query);
         let zones = [zone()];
-        let serve_with = |plan: Option<&FaultPlan>| {
-            serve_query(&wire, SERVER, plan, |q, r| answer_from_zones(&zones, q, r))
-        };
-        let clean = serve_with(None).payload.unwrap();
+        let (clean, _) = serve_with(&wire, &zones, None).unwrap();
         let faulted = |kind| {
             let plan = FaultPlan::flaky(1, 1.0, 1.0, vec![kind]);
-            serve_with(Some(&plan)).payload.unwrap()
+            serve_with(&wire, &zones, Some(&plan)).unwrap().0
         };
         let truncated = faulted(FaultKind::Truncate);
-        assert_eq!(truncated, clean.slice(..clean.len() / 2));
+        assert_eq!(truncated, clean[..clean.len() / 2]);
         assert!(decode(&truncated).is_err());
         let garbled = faulted(FaultKind::Garble);
         assert_eq!(garbled[2..], clean[2..]);

@@ -13,10 +13,8 @@
 //! accepts, and a `Reply` writes the bytes `encode` writes.
 
 use crate::name::{is_label_byte, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
-use bytes::Bytes;
 use std::fmt;
 use std::net::Ipv4Addr;
-use webdep_netsim::build_payload;
 
 /// Record types supported by the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,8 +216,10 @@ const CLASS_IN: u16 = 1;
 /// Encodes a message to wire bytes (with name compression). The owned
 /// reference form: a server writes its replies through [`Reply`], which
 /// compresses the same way, so the two agree byte for byte.
-pub fn encode(msg: &Message) -> Bytes {
-    build_payload(|buf| encode_into(buf, msg))
+pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(&mut buf, msg);
+    buf
 }
 
 fn encode_into(buf: &mut Vec<u8>, msg: &Message) {
@@ -252,15 +252,14 @@ fn encode_into(buf: &mut Vec<u8>, msg: &Message) {
     }
 }
 
-/// Encodes the one-question query [`Message::query`] builds, without
-/// building the message: the same bytes, no name clone and no section
-/// vectors.
-pub(crate) fn encode_query(id: u16, name: &DomainName, qtype: RecordType) -> Bytes {
-    build_payload(|buf| {
-        put_header(buf, id, 0, [1, 0, 0, 0]);
-        // A lone name has no earlier suffix to point at.
-        put_question(buf, name.as_str(), qtype, &mut Suffixes::new());
-    })
+/// Encodes the one-question query [`Message::query`] builds into `buf`,
+/// replacing what it held, without building the message: the same bytes,
+/// no name clone and no section vectors.
+pub(crate) fn encode_query(buf: &mut Vec<u8>, id: u16, name: &DomainName, qtype: RecordType) {
+    buf.clear();
+    put_header(buf, id, 0, [1, 0, 0, 0]);
+    // A lone name has no earlier suffix to point at.
+    put_question(buf, name.as_str(), qtype, &mut Suffixes::new());
 }
 
 // Fixed-size fields are assembled on the stack and appended in one go.
@@ -272,9 +271,17 @@ fn put_header(buf: &mut Vec<u8>, id: u16, flags: u16, counts: [usize; 4]) {
         .chain(counts.map(|c| c as u16))
         .enumerate()
     {
-        header[2 * i..2 * i + 2].copy_from_slice(&word.to_be_bytes());
+        set_u16(&mut header, 2 * i, word);
     }
     buf.extend_from_slice(&header);
+}
+
+/// Overwrites the big-endian word at `at`, a length or count patched in
+/// once what it counts is written.
+fn set_u16(buf: &mut [u8], at: usize, word: u16) {
+    let [hi, lo] = word.to_be_bytes();
+    buf[at] = hi;
+    buf[at + 1] = lo;
 }
 
 fn put_question(buf: &mut Vec<u8>, name: &str, qtype: RecordType, offsets: &mut Suffixes) {
@@ -384,7 +391,7 @@ fn put_record(buf: &mut Vec<u8>, owner: &str, ttl: u32, data: RData<&str>, offse
             let start = buf.len();
             encode_name(buf, n, offsets);
             let rdlen = (buf.len() - start) as u16;
-            buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+            set_u16(buf, len_pos, rdlen);
         }
     }
 }
@@ -514,9 +521,9 @@ impl<'b> Reply<'b> {
 
     /// Patches the flags and section counts into the header.
     pub(crate) fn finish(self) {
-        self.buf[2..4].copy_from_slice(&self.flags.to_be_bytes());
-        for (i, count) in self.counts.iter().enumerate() {
-            self.buf[4 + 2 * i..6 + 2 * i].copy_from_slice(&count.to_be_bytes());
+        set_u16(self.buf, 2, self.flags);
+        for (i, &count) in self.counts.iter().enumerate() {
+            set_u16(self.buf, 4 + 2 * i, count);
         }
     }
 }
@@ -1064,17 +1071,30 @@ impl<'a> MessageView<'a> {
 }
 
 /// A datagram [`MessageView::parse`] accepted, kept whole with its layout:
-/// a reply the resolver holds past the receive that took it is viewed
-/// again without a second parse.
+/// a reply the resolver holds past the exchange that took it is viewed
+/// again without a second parse. It owns the buffer the reply was written
+/// into, which [`ParsedDatagram::into_buffer`] hands back for reuse.
 pub(crate) struct ParsedDatagram {
-    payload: Bytes,
+    payload: Vec<u8>,
     layout: Layout,
 }
 
 impl ParsedDatagram {
-    pub(crate) fn parse(payload: Bytes) -> Result<Self, WireError> {
-        let layout = MessageView::parse(&payload)?.layout;
-        Ok(ParsedDatagram { payload, layout })
+    /// Parses the datagram in `payload`; on failure the buffer comes back
+    /// with the error.
+    pub(crate) fn parse(payload: Vec<u8>) -> Result<Self, (WireError, Vec<u8>)> {
+        match MessageView::parse(&payload) {
+            Ok(view) => Ok(ParsedDatagram {
+                layout: view.layout,
+                payload,
+            }),
+            Err(e) => Err((e, payload)),
+        }
+    }
+
+    /// The buffer, to be written over by a later exchange.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.payload
     }
 
     pub(crate) fn view(&self) -> MessageView<'_> {
@@ -1293,10 +1313,10 @@ mod tests {
             (name("example.com"), RecordType::Ns),
             (DomainName::root(), RecordType::Ns),
         ] {
-            assert_eq!(
-                encode_query(77, &n, t),
-                encode(&Message::query(77, n.clone(), t))
-            );
+            // Over a buffer holding an earlier query: replaced, not extended.
+            let mut buf = encode(&Message::query(1, name("stale.example"), RecordType::A));
+            encode_query(&mut buf, 77, &n, t);
+            assert_eq!(buf, encode(&Message::query(77, n.clone(), t)));
         }
     }
 

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use std::time::Duration;
 use webdep_dns::bigzone::{Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
 use webdep_dns::server::{answer_from_zones, serve_query};
@@ -12,7 +13,7 @@ use webdep_dns::wire::{
     RecordView,
 };
 use webdep_dns::Zone;
-use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
+use webdep_netsim::{FaultKind, FaultPlan};
 
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9_-]{1,12}").expect("valid regex")
@@ -200,7 +201,8 @@ proptest! {
     fn reply_writes_what_encode_writes(query in arb_message(), resp in arb_message()) {
         let mut query = query;
         query.is_response = false;
-        let reply = serve_query(&encode(&query), Ipv4Addr::new(192, 0, 2, 1), None, |_, r| {
+        let mut reply = Vec::new();
+        let delay = serve_query(&encode(&query), Ipv4Addr::new(192, 0, 2, 1), None, &mut reply, |_, r| {
             r.write_message(&resp)
         });
         let want = Message {
@@ -214,7 +216,8 @@ proptest! {
             authorities: resp.authorities.clone(),
             additionals: resp.additionals.clone(),
         };
-        prop_assert_eq!(reply.payload, Some(encode(&want)));
+        prop_assert_eq!(delay, Some(Duration::ZERO));
+        prop_assert_eq!(reply, encode(&want));
     }
 
     /// Bit flips never panic and, if they decode, yield a well-formed
@@ -322,20 +325,30 @@ fn check_served(bytes: &[u8]) {
         },
     );
     let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
-    let _ = serve_query(bytes, server, Some(&faults), |q, r| {
+    let _ = serve_query(bytes, server, Some(&faults), &mut Vec::new(), |q, r| {
         answer_from_zones(&zones, q, r)
     });
+    let (mut by_zones, mut by_table) = (Vec::new(), Vec::new());
     let replies = [
-        serve_query(bytes, server, None, |q, r| answer_from_zones(&zones, q, r)),
-        serve_query(bytes, server, None, |q, r| table.respond(q, r)),
+        (
+            serve_query(bytes, server, None, &mut by_zones, |q, r| {
+                answer_from_zones(&zones, q, r)
+            }),
+            by_zones,
+        ),
+        (
+            serve_query(bytes, server, None, &mut by_table, |q, r| {
+                table.respond(q, r)
+            }),
+            by_table,
+        ),
     ];
-    for reply in replies {
-        assert!(reply.delay.is_zero());
+    for (delay, payload) in replies {
         match decode(bytes) {
-            Err(_) => assert_eq!(reply, FaultedReply::swallowed()),
-            Ok(q) if q.is_response => assert_eq!(reply, FaultedReply::swallowed()),
+            Err(_) => assert_eq!(delay, None),
+            Ok(q) if q.is_response => assert_eq!(delay, None),
             Ok(q) => {
-                let payload = reply.payload.expect("a query is answered");
+                assert_eq!(delay, Some(Duration::ZERO), "a query is answered");
                 let resp = decode(&payload).expect("a reply decodes");
                 assert!(resp.is_response);
                 assert_eq!(resp.id, q.id);

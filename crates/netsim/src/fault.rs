@@ -23,11 +23,10 @@
 //! uniformly; replies travel to clients, never to a server, so they are
 //! never checked), and protocol servers consult [`FaultPlan::query_fault`]
 //! to corrupt, refuse, delay, or drop individual answers on flaky servers.
-//! A delay is simulated time, never a wait: the reply carries it
-//! ([`FaultedReply::delay`]), and the client's window in
+//! A delay is simulated time, never a wait: a responder returns it with
+//! the reply it wrote ([`crate::ResponderFn`]), and the client's window in
 //! [`crate::Endpoint::exchange`] decides whether the reply came in time.
 
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -67,36 +66,6 @@ impl FaultKind {
             FaultKind::Garble => "garble",
             FaultKind::Delay => "delay",
         }
-    }
-}
-
-/// A reply after fault application: the payload to send (`None` when the
-/// fault swallowed it) plus how late it arrives ([`FaultKind::Delay`]).
-///
-/// This is what every inline responder returns. The fault functions never
-/// sleep: the exchange compares the delay with the client's window, so a
-/// delay costs no wall time and holds back nothing but its own query.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultedReply {
-    /// The payload to send, or `None` when the fault swallowed the reply.
-    pub payload: Option<Bytes>,
-    /// How late the reply arrives, in simulated time ([`FaultKind::Delay`]
-    /// only; zero otherwise).
-    pub delay: Duration,
-}
-
-impl FaultedReply {
-    /// A clean, undelayed reply.
-    pub fn clean(payload: Bytes) -> Self {
-        FaultedReply {
-            payload: Some(payload),
-            delay: Duration::ZERO,
-        }
-    }
-
-    /// A swallowed reply: nothing is ever sent.
-    pub fn swallowed() -> Self {
-        FaultedReply::default()
     }
 }
 

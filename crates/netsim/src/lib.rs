@@ -13,10 +13,16 @@
 //! site, runs its responder and returns the reply, or `None` when the query
 //! or the reply was lost, black-holed, swallowed or late.
 //!
-//! Time on the network is simulated, never waited for. A reply carries how
-//! late it arrives ([`FaultedReply::delay`], set by a [`FaultKind::Delay`]
-//! fault), and an exchange compares it with the client's window: a reply
-//! later than the window is a timeout. So whether an answer came in time is
+//! An exchange allocates nothing. The client encodes its query into a
+//! buffer of its own and lends it for the exchange ([`Datagram::payload`]
+//! is a borrow); the responder writes its reply straight into a second
+//! buffer the client passes in, and the reply the client gets back is a
+//! view of that buffer, valid until the client reuses it.
+//!
+//! Time on the network is simulated, never waited for. A responder returns
+//! how late its reply arrives (set by a [`FaultKind::Delay`] fault), and an
+//! exchange compares it with the client's window: a reply later than the
+//! window is a timeout. So whether an answer came in time is
 //! a pure function of the fault plan and the client's timeout, never of how
 //! the host scheduled its threads.
 //!
@@ -24,19 +30,26 @@
 //! clever.
 //!
 //! ```
-//! use webdep_netsim::{Datagram, FaultedReply, Network, Region, ResponderSet, SockAddr};
-//! use bytes::Bytes;
+//! use webdep_netsim::{Datagram, Network, Region, ResponderSet, SockAddr};
 //! use std::time::Duration;
 //!
 //! let net = Network::new(Default::default());
-//! let echo = ResponderSet::new(&net, |d: &Datagram| FaultedReply::clean(d.payload.clone()));
+//! // A responder writes its reply into the client's buffer and says how
+//! // late it arrives (`None` would swallow the query).
+//! let echo = ResponderSet::new(&net, |d: &Datagram, reply: &mut Vec<u8>| {
+//!     reply.extend_from_slice(d.payload);
+//!     Some(Duration::ZERO)
+//! });
 //! let server = SockAddr::new("10.0.0.1".parse().unwrap(), 7);
 //! echo.attach(server.ip, server.port, Region::EUROPE).unwrap();
 //! let mut client = net.bind("10.9.9.9".parse().unwrap(), 4000, Region::ASIA);
 //!
-//! // The reply comes back undelayed: even a window of zero takes it.
-//! let reply = client.exchange(server, Bytes::from_static(b"ping"), Duration::ZERO);
-//! assert_eq!(reply, Ok(Some(Bytes::from_static(b"ping"))));
+//! // The client owns the reply buffer and reuses it from exchange to
+//! // exchange. The reply comes back undelayed: even a window of zero
+//! // takes it.
+//! let mut reply = Vec::new();
+//! let got = client.exchange(server, b"ping", Duration::ZERO, &mut reply);
+//! assert_eq!(got, Ok(Some(&b"ping"[..])));
 //! assert_eq!(net.stats().delivered, 2); // the query and its reply
 //! ```
 
@@ -53,8 +66,8 @@ pub mod shared;
 
 pub use addr::{Prefix, SockAddr};
 pub use error::NetError;
-pub use fault::{FaultKind, FaultPlan, FaultedReply};
+pub use fault::{FaultKind, FaultPlan};
 pub use latency::LatencyModel;
 pub use network::{Endpoint, NetConfig, NetStats, Network, Region, ResponderFn};
-pub use packet::{build_payload, Datagram};
+pub use packet::Datagram;
 pub use shared::ResponderSet;

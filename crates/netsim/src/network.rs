@@ -12,10 +12,9 @@
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
-use crate::fault::{FaultPlan, FaultedReply};
+use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::packet::Datagram;
-use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -110,11 +109,13 @@ pub struct NetStats {
 }
 
 /// A synchronous service function bound at an address. It is invoked
-/// *inline on the client's thread* with each delivered query; a reply with
-/// a payload goes back to the client within the same
-/// [`Endpoint::exchange`], through loss and latency accounting, and arrives
-/// as late as the reply's delay.
-pub type ResponderFn = dyn Fn(&Datagram) -> FaultedReply + Send + Sync;
+/// *inline on the client's thread* with each delivered query and the
+/// client's reply buffer, emptied. It writes its reply into the buffer and
+/// returns how late the reply arrives, or `None` to swallow the query
+/// (whatever it wrote is then discarded). The reply goes back to the
+/// client within the same [`Endpoint::exchange`], through loss and latency
+/// accounting.
+pub type ResponderFn = dyn Fn(&Datagram<'_>, &mut Vec<u8>) -> Option<Duration> + Send + Sync;
 
 /// One site of a responder: its function and where it stands.
 struct Bound {
@@ -340,23 +341,32 @@ impl Endpoint {
         self.region
     }
 
-    /// Sends `payload` to `dst` and returns the reply when one arrives
+    /// Sends `query` to `dst` and returns the reply when one arrives
     /// within `window` of the send, in simulated time; never waits.
     ///
     /// The query is rolled for loss, black-holed when the fault plan has
     /// `dst`'s server out, and routed to the unicast binding at `dst` or
     /// else to the anycast site nearest this client, whose responder runs
-    /// inline. A reply is rolled for loss in turn and arrives as late as
-    /// the responder's delay: a reply later than `window` is a timeout.
-    /// Lost, black-holed, swallowed and late replies all read `Ok(None)`,
-    /// as a UDP client cannot tell them apart; only a destination with
-    /// nothing bound is [`NetError::Unreachable`].
-    pub fn exchange(
+    /// inline and writes its reply into `reply`. A reply is rolled for loss
+    /// in turn and arrives as late as the responder says: a reply later
+    /// than `window` is a timeout. Lost, black-holed, swallowed and late
+    /// replies all read `Ok(None)`, as a UDP client cannot tell them apart;
+    /// only a destination with nothing bound is [`NetError::Unreachable`].
+    ///
+    /// The reply is written into the caller's buffer, so an exchange
+    /// allocates nothing once the buffer has grown to the largest reply.
+    /// `reply` is emptied first and holds the returned bytes and nothing
+    /// else afterwards: it is left empty whenever no reply is returned, so
+    /// a buffer reused from exchange to exchange never shows an earlier
+    /// exchange's bytes.
+    pub fn exchange<'r>(
         &mut self,
         dst: SockAddr,
-        payload: Bytes,
+        query: &[u8],
         window: Duration,
-    ) -> Result<Option<Bytes>, NetError> {
+        reply: &'r mut Vec<u8>,
+    ) -> Result<Option<&'r [u8]>, NetError> {
+        reply.clear();
         let inner = &*self.net.inner;
         let stats = inner.stats.local();
         let seq = 2 * self.exchanges;
@@ -398,24 +408,30 @@ impl Endpoint {
         let one_way = latency.one_way(self.region, site.region).as_millis() as u64;
         add(&stats.delivered, 1);
         add(&stats.total_latency_ms, one_way);
-        let query = Datagram {
+        let datagram = Datagram {
             src: self.addr,
             dst,
-            payload,
+            payload: query,
         };
-        let reply = (site.respond)(&query);
+        let delay = (site.respond)(&datagram, reply);
 
-        let Some(payload) = reply.payload else {
+        let Some(delay) = delay else {
+            reply.clear();
             return Ok(None);
         };
         add(&stats.sent, 1);
         if self.lost(seq + 1) {
             add(&stats.dropped, 1);
+            reply.clear();
             return Ok(None);
         }
         add(&stats.delivered, 1);
         add(&stats.total_latency_ms, one_way);
-        Ok((reply.delay <= window).then_some(payload))
+        if delay > window {
+            reply.clear();
+            return Ok(None);
+        }
+        Ok(Some(reply))
     }
 
     /// Whether the loss process eats this client's datagram number `seq`
@@ -439,8 +455,9 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn echo(d: &Datagram) -> FaultedReply {
-        FaultedReply::clean(d.payload.clone())
+    fn echo(d: &Datagram<'_>, reply: &mut Vec<u8>) -> Option<Duration> {
+        reply.extend_from_slice(d.payload);
+        Some(Duration::ZERO)
     }
 
     /// An echo responder at `addr:7` in `region`.
@@ -450,22 +467,35 @@ mod tests {
         (set, SockAddr::new(ip(addr), 7))
     }
 
+    /// One exchange into a fresh buffer, the reply copied out.
+    fn ask(
+        client: &mut Endpoint,
+        dst: SockAddr,
+        query: &[u8],
+        window: Duration,
+    ) -> Result<Option<Vec<u8>>, NetError> {
+        let mut reply = Vec::new();
+        Ok(client
+            .exchange(dst, query, window, &mut reply)?
+            .map(<[u8]>::to_vec))
+    }
+
     #[test]
     fn an_exchange_returns_the_reply() {
         let net = Network::new(NetConfig::default());
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let set = ResponderSet::new(&net, {
             let seen = Arc::clone(&seen);
-            move |d: &Datagram| {
+            move |d: &Datagram<'_>, reply: &mut Vec<u8>| {
                 seen.lock().push((d.src, d.dst));
-                echo(d)
+                echo(d, reply)
             }
         });
         set.attach(ip("10.0.0.1"), 53, Region::EUROPE).unwrap();
         let server = SockAddr::new(ip("10.0.0.1"), 53);
         let mut client = net.bind(ip("10.0.0.2"), 4000, Region::EUROPE);
-        let reply = client.exchange(server, Bytes::from_static(b"hello"), Duration::ZERO);
-        assert_eq!(reply, Ok(Some(Bytes::from_static(b"hello"))));
+        let reply = ask(&mut client, server, b"hello", Duration::ZERO);
+        assert_eq!(reply, Ok(Some(b"hello".to_vec())));
         // The responder saw the query from the client, addressed to it.
         assert_eq!(*seen.lock(), [(client.addr(), server)]);
     }
@@ -475,7 +505,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let mut client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA);
         let nowhere = SockAddr::new(ip("10.9.9.9"), 1);
-        let err = client.exchange(nowhere, Bytes::new(), Duration::MAX);
+        let err = ask(&mut client, nowhere, b"", Duration::MAX);
         assert_eq!(err, Err(NetError::Unreachable(nowhere)));
         assert_eq!(net.stats().unreachable, 1);
     }
@@ -485,20 +515,20 @@ mod tests {
         // An hour: were the delay slept, this test would hang.
         const DELAY: Duration = Duration::from_secs(3600);
         let net = Network::new(NetConfig::default());
-        let late = ResponderSet::new(&net, |d: &Datagram| FaultedReply {
-            payload: Some(d.payload.clone()),
-            delay: DELAY,
+        let late = ResponderSet::new(&net, |d: &Datagram<'_>, reply: &mut Vec<u8>| {
+            reply.extend_from_slice(d.payload);
+            Some(DELAY)
         });
         late.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
         let mut client = net.bind(ip("10.0.0.1"), 4000, Region::ASIA);
         let server = SockAddr::new(ip("10.0.0.7"), 7);
 
         // Stamped an hour late: a half-hour window misses it...
-        let missed = client.exchange(server, Bytes::from_static(b"a"), DELAY / 2);
+        let missed = ask(&mut client, server, b"a", DELAY / 2);
         assert_eq!(missed, Ok(None));
         // ...and a window that covers the delay takes it.
-        let got = client.exchange(server, Bytes::from_static(b"b"), DELAY);
-        assert_eq!(got, Ok(Some(Bytes::from_static(b"b"))));
+        let got = ask(&mut client, server, b"b", DELAY);
+        assert_eq!(got, Ok(Some(b"b".to_vec())));
         // A late reply still reached the client: it counts as delivered.
         assert_eq!(net.stats().delivered, 4);
     }
@@ -506,8 +536,12 @@ mod tests {
     #[test]
     fn a_client_at_an_announced_address_does_not_change_which_site_answers() {
         let net = Network::new(NetConfig::default());
-        let tagged =
-            |tag: &'static [u8]| move |_: &Datagram| FaultedReply::clean(Bytes::from_static(tag));
+        let tagged = |tag: &'static [u8]| {
+            move |_: &Datagram<'_>, reply: &mut Vec<u8>| {
+                reply.extend_from_slice(tag);
+                Some(Duration::ZERO)
+            }
+        };
         let eu = ResponderSet::new(&net, tagged(b"eu"));
         let asia = ResponderSet::new(&net, tagged(b"as"));
         eu.attach_anycast(ip("3.3.3.3"), 53, Region::EUROPE)
@@ -518,8 +552,8 @@ mod tests {
         // A client in Europe at the announced address itself is still
         // answered by the European site, not by a binding of its own.
         let mut client = net.bind(site.ip, site.port, Region::EUROPE);
-        let reply = client.exchange(site, Bytes::from_static(b"q"), Duration::ZERO);
-        assert_eq!(reply, Ok(Some(Bytes::from_static(b"eu"))));
+        let reply = ask(&mut client, site, b"q", Duration::ZERO);
+        assert_eq!(reply, Ok(Some(b"eu".to_vec())));
         // An announced address cannot also be bound unicast: the binding
         // would shadow every anycast site.
         assert_eq!(
@@ -537,7 +571,7 @@ mod tests {
         let (_set, server) = echo_at(&net, "10.0.0.1", Region::ASIA);
         let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
         // Loss is silent: the exchange succeeds, nothing comes back.
-        let reply = client.exchange(server, Bytes::from_static(b"x"), Duration::MAX);
+        let reply = ask(&mut client, server, b"x", Duration::MAX);
         assert_eq!(reply, Ok(None));
         let stats = net.stats();
         assert_eq!(stats.dropped, 1);
@@ -561,10 +595,9 @@ mod tests {
             let mut b = net.bind(ip("10.0.0.3"), 4000, Region::ASIA);
             let answered = (0..64u8)
                 .map(|i| {
-                    let reply = a.exchange(server, Bytes::copy_from_slice(&[i]), Duration::ZERO);
+                    let reply = ask(&mut a, server, &[i], Duration::ZERO);
                     if interleave {
-                        b.exchange(server, Bytes::from_static(b"noise"), Duration::ZERO)
-                            .unwrap();
+                        ask(&mut b, server, b"noise", Duration::ZERO).unwrap();
                     }
                     reply.unwrap().is_some()
                 })
@@ -591,18 +624,19 @@ mod tests {
         let called = Arc::new(AtomicU64::new(0));
         let set = ResponderSet::new(&net, {
             let called = Arc::clone(&called);
-            move |d: &Datagram| {
+            move |d: &Datagram<'_>, reply: &mut Vec<u8>| {
                 called.fetch_add(1, Ordering::Relaxed);
-                echo(d)
+                echo(d, reply)
             }
         });
         set.attach(ip("10.0.0.1"), 53, Region::ASIA).unwrap();
         let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
         // Like loss, the outage is silent: nothing comes back, and the
         // out server never runs.
-        let reply = client.exchange(
+        let reply = ask(
+            &mut client,
             SockAddr::new(ip("10.0.0.1"), 53),
-            Bytes::from_static(b"x"),
+            b"x",
             Duration::MAX,
         );
         assert_eq!(reply, Ok(None));
@@ -629,14 +663,10 @@ mod tests {
         let (_out, out_addr) = echo_at(&net, "10.0.0.1", Region::ASIA);
         let (_live, live_addr) = echo_at(&net, "10.0.0.9", Region::ASIA);
         let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
-        let q = Bytes::from_static(b"q");
+        assert_eq!(ask(&mut client, out_addr, b"q", Duration::MAX), Ok(None));
         assert_eq!(
-            client.exchange(out_addr, q.clone(), Duration::MAX),
-            Ok(None)
-        );
-        assert_eq!(
-            client.exchange(live_addr, q.clone(), Duration::MAX),
-            Ok(Some(q))
+            ask(&mut client, live_addr, b"q", Duration::MAX),
+            Ok(Some(b"q".to_vec()))
         );
         assert_eq!(net.stats().faulted, 1);
     }
@@ -646,8 +676,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let (_set, server) = echo_at(&net, "10.0.0.1", Region::EUROPE);
         let mut client = net.bind(ip("10.0.0.2"), 4000, Region::ASIA);
-        client
-            .exchange(server, Bytes::from_static(b"x"), Duration::ZERO)
+        ask(&mut client, server, b"x", Duration::ZERO)
             .unwrap()
             .unwrap();
         let one_way = LatencyModel::default().one_way(Region::ASIA, Region::EUROPE);
@@ -660,6 +689,85 @@ mod tests {
         );
     }
 
+    /// One buffer reused across exchanges: a short reply after a long one
+    /// reads exactly its own bytes, and an exchange that returns no reply
+    /// (lost, swallowed, black-holed or late) leaves the buffer empty
+    /// rather than showing the previous exchange's bytes.
+    #[test]
+    fn a_reused_reply_buffer_holds_only_the_current_reply() {
+        const DELAY: Duration = Duration::from_millis(50);
+        // Replies with the query, after a payload-chosen fate: `s`
+        // swallows (after writing), `l` arrives `DELAY` late.
+        let respond = |d: &Datagram<'_>, reply: &mut Vec<u8>| {
+            reply.extend_from_slice(d.payload);
+            match d.payload.first() {
+                Some(b's') => None,
+                Some(b'l') => Some(DELAY),
+                _ => Some(Duration::ZERO),
+            }
+        };
+        let net = Network::new(NetConfig {
+            faults: Some(Arc::new(FaultPlan {
+                protected: vec![ip("10.0.0.1")],
+                ..FaultPlan::outages(1, 1.0)
+            })),
+            ..Default::default()
+        });
+        let live = ResponderSet::new(&net, respond);
+        live.attach(ip("10.0.0.1"), 7, Region::ASIA).unwrap();
+        let out = ResponderSet::new(&net, respond);
+        out.attach(ip("10.0.0.2"), 7, Region::ASIA).unwrap();
+        let (live, out) = (
+            SockAddr::new(ip("10.0.0.1"), 7),
+            SockAddr::new(ip("10.0.0.2"), 7),
+        );
+        let mut client = net.bind(ip("10.0.0.3"), 4000, Region::ASIA);
+        let mut buf = Vec::new();
+        let long = [b'x'; 300];
+        let mut exchange = |dst, query: &[u8], buf: &mut Vec<u8>| {
+            let got = client
+                .exchange(dst, query, DELAY / 2, buf)
+                .unwrap()
+                .map(<[u8]>::to_vec);
+            (got, buf.clone())
+        };
+        assert_eq!(
+            exchange(live, &long, &mut buf).0.as_deref(),
+            Some(&long[..])
+        );
+        // Shorter than what the buffer held: exactly its own bytes.
+        assert_eq!(
+            exchange(live, b"ab", &mut buf),
+            (Some(b"ab".to_vec()), b"ab".to_vec())
+        );
+        for (dst, query) in [
+            (live, &b"swallowed"[..]), // written, then swallowed
+            (live, b"late"),           // past the window
+            (out, b"out"),             // black-holed
+        ] {
+            exchange(live, &long, &mut buf);
+            assert_eq!(
+                exchange(dst, query, &mut buf),
+                (None, Vec::new()),
+                "{dst:?}"
+            );
+        }
+
+        // Lost: every datagram dropped.
+        let lossy = Network::new(NetConfig {
+            loss_rate: 1.0,
+            ..Default::default()
+        });
+        let (_set, server) = echo_at(&lossy, "10.0.0.1", Region::ASIA);
+        let mut client = lossy.bind(ip("10.0.0.3"), 4000, Region::ASIA);
+        let mut buf = long.to_vec();
+        assert_eq!(
+            client.exchange(server, b"q", Duration::MAX, &mut buf),
+            Ok(None)
+        );
+        assert!(buf.is_empty());
+    }
+
     #[test]
     fn striped_stats_sum_exactly_across_threads() {
         // More threads than stripes, so some threads share one.
@@ -669,9 +777,9 @@ mod tests {
         let seen = Arc::new(AtomicU64::new(0));
         let sink = ResponderSet::new(&net, {
             let seen = Arc::clone(&seen);
-            move |_: &Datagram| {
+            move |_: &Datagram<'_>, _: &mut Vec<u8>| {
                 seen.fetch_add(1, Ordering::Relaxed);
-                FaultedReply::swallowed()
+                None
             }
         });
         sink.attach(ip("10.0.0.7"), 7, Region::ASIA).unwrap();
@@ -682,7 +790,7 @@ mod tests {
                     let mut client = net.bind(Ipv4Addr::new(10, 1, t, 1), 4000, Region::EUROPE);
                     for _ in 0..EXCHANGES {
                         let dst = SockAddr::new(ip("10.0.0.7"), 7);
-                        assert_eq!(client.exchange(dst, Bytes::new(), Duration::MAX), Ok(None));
+                        assert_eq!(ask(&mut client, dst, b"", Duration::MAX), Ok(None));
                     }
                 });
             }

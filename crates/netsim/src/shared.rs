@@ -9,20 +9,21 @@
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
-use crate::fault::FaultedReply;
 use crate::network::{Network, Region, ResponderFn};
 use crate::packet::Datagram;
 use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Many addresses served by one inline function, zero threads.
 ///
 /// The function must be stateless (or internally synchronized): it is
-/// called concurrently from every client's thread. The reply it returns
-/// goes back to the client within the same [`crate::Endpoint::exchange`],
-/// rolled for loss and counted in the network's latency, and its delay is
-/// compared with the client's window, never slept.
+/// called concurrently from every client's thread. It writes its reply
+/// into the client's buffer, which goes back within the same
+/// [`crate::Endpoint::exchange`], rolled for loss and counted in the
+/// network's latency, and the delay it returns is compared with the
+/// client's window, never slept.
 pub struct ResponderSet {
     net: Network,
     f: Arc<ResponderFn>,
@@ -45,7 +46,7 @@ impl ResponderSet {
     /// Creates a responder set on `net` serving with `f`.
     pub fn new(
         net: &Network,
-        f: impl Fn(&Datagram) -> FaultedReply + Send + Sync + 'static,
+        f: impl Fn(&Datagram<'_>, &mut Vec<u8>) -> Option<Duration> + Send + Sync + 'static,
     ) -> Self {
         ResponderSet {
             net: net.clone(),
@@ -91,11 +92,14 @@ impl Drop for ResponderSet {
 mod tests {
     use super::*;
     use crate::network::NetConfig;
-    use bytes::Bytes;
-    use std::time::Duration;
 
-    fn echo(d: &Datagram) -> FaultedReply {
-        FaultedReply::clean(d.payload.clone())
+    fn echo(d: &Datagram<'_>, reply: &mut Vec<u8>) -> Option<Duration> {
+        reply.extend_from_slice(d.payload);
+        Some(Duration::ZERO)
+    }
+
+    fn swallow(_: &Datagram<'_>, _: &mut Vec<u8>) -> Option<Duration> {
+        None
     }
 
     fn ip(s: &str) -> Ipv4Addr {
@@ -111,10 +115,11 @@ mod tests {
         assert_eq!(set.num_attached(), 2);
 
         let mut client = net.bind(ip("10.9.9.9"), 1, Region::ASIA);
+        let mut reply = Vec::new();
         for last in [7u8, 8u8] {
             let dst = SockAddr::new(Ipv4Addr::new(10, 0, 0, last), 7);
-            let reply = client.exchange(dst, Bytes::copy_from_slice(&[last]), Duration::ZERO);
-            assert_eq!(reply, Ok(Some(Bytes::copy_from_slice(&[last]))));
+            let got = client.exchange(dst, &[last], Duration::ZERO, &mut reply);
+            assert_eq!(got, Ok(Some(&[last][..])));
         }
         let stats = net.stats();
         assert_eq!(stats.sent, 4); // two queries + two replies
@@ -124,8 +129,12 @@ mod tests {
     #[test]
     fn responder_anycast_routes_regionally() {
         let net = Network::new(NetConfig::default());
-        let tagged =
-            |tag: &'static [u8]| move |_: &Datagram| FaultedReply::clean(Bytes::from_static(tag));
+        let tagged = |tag: &'static [u8]| {
+            move |_: &Datagram<'_>, reply: &mut Vec<u8>| {
+                reply.extend_from_slice(tag);
+                Some(Duration::ZERO)
+            }
+        };
         let eu = ResponderSet::new(&net, tagged(b"eu"));
         let asia = ResponderSet::new(&net, tagged(b"as"));
         eu.attach_anycast(ip("1.1.1.1"), 53, Region::EUROPE)
@@ -134,18 +143,20 @@ mod tests {
             .unwrap();
 
         let mut client = net.bind(ip("10.9.9.9"), 1, Region::ASIA);
-        let reply = client.exchange(
+        let mut reply = Vec::new();
+        let got = client.exchange(
             SockAddr::new(ip("1.1.1.1"), 53),
-            Bytes::from_static(b"q"),
+            b"q",
             Duration::ZERO,
+            &mut reply,
         );
-        assert_eq!(reply, Ok(Some(Bytes::from_static(b"as"))));
+        assert_eq!(got, Ok(Some(&b"as"[..])));
     }
 
     #[test]
     fn responder_conflicts_detected() {
         let net = Network::new(NetConfig::default());
-        let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
+        let set = ResponderSet::new(&net, swallow);
         set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
         assert!(set.attach(ip("10.0.0.7"), 53, Region::ASIA).is_err());
         // A unicast address cannot also be announced via anycast.
@@ -166,7 +177,7 @@ mod tests {
 
         let mut client = net.bind(ip("10.9.9.9"), 1, Region::EUROPE);
         assert_eq!(
-            client.exchange(anycast, Bytes::from_static(b"q"), Duration::MAX),
+            client.exchange(anycast, b"q", Duration::MAX, &mut Vec::new()),
             Err(NetError::Unreachable(anycast))
         );
         let set = ResponderSet::new(&net, echo);
@@ -177,7 +188,7 @@ mod tests {
     fn responder_detaches_on_drop() {
         let net = Network::new(NetConfig::default());
         {
-            let set = ResponderSet::new(&net, |_: &Datagram| FaultedReply::swallowed());
+            let set = ResponderSet::new(&net, swallow);
             set.attach(ip("10.0.0.7"), 53, Region::ASIA).unwrap();
         }
         let set = ResponderSet::new(&net, echo);

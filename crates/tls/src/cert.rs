@@ -1,7 +1,14 @@
 //! Certificate model: leaf/issuer structure, SAN matching, chain checks,
 //! and the compact binary codec.
+//!
+//! Two forms share one reader. The scanner reads a served chain in place:
+//! a [`ChainView`] over the flight's bytes, whose [`CertView`]s borrow
+//! their strings, so a scan decodes no owned certificate. The owned
+//! [`CertificateChain`] of [`Certificate`]s is the reference form for
+//! tests and tools: a view accepts exactly what
+//! [`CertificateChain::decode_from`] accepts, field for field.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 
 /// A certificate: just the fields the measurement consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,21 +37,8 @@ impl Certificate {
     /// single-label wildcard semantics (`*.example.com` matches
     /// `www.example.com` but not `a.b.example.com` or `example.com`).
     pub fn matches_hostname(&self, hostname: &str) -> bool {
-        let host = hostname.to_ascii_lowercase();
-        std::iter::once(self.subject.as_str())
-            .chain(self.san.iter().map(String::as_str))
-            .any(|pattern| Self::pattern_matches(&pattern.to_ascii_lowercase(), &host))
-    }
-
-    fn pattern_matches(pattern: &str, host: &str) -> bool {
-        if let Some(suffix) = pattern.strip_prefix("*.") {
-            match host.split_once('.') {
-                Some((first_label, rest)) => !first_label.is_empty() && rest == suffix,
-                None => false,
-            }
-        } else {
-            pattern == host
-        }
+        let san = self.san.iter().map(String::as_str);
+        names_match(std::iter::once(self.subject.as_str()).chain(san), hostname)
     }
 
     /// Whether the certificate is valid at `now` (unix seconds).
@@ -72,7 +66,7 @@ impl Certificate {
         let serial = get_u64(bytes, pos)?;
         let subject = get_str(bytes, pos)?;
         let n_san = get_u16(bytes, pos)? as usize;
-        if n_san > 256 {
+        if n_san > MAX_SANS {
             return None; // defensively bound attacker-controlled lengths
         }
         let mut san = Vec::with_capacity(n_san);
@@ -98,6 +92,26 @@ impl Certificate {
     }
 }
 
+/// Whether `hostname` matches one of `patterns`, ignoring ASCII case, with
+/// single-label wildcard semantics.
+fn names_match<'p>(mut patterns: impl Iterator<Item = &'p str>, hostname: &str) -> bool {
+    patterns.any(|pattern| match pattern.strip_prefix("*.") {
+        Some(suffix) => match hostname.split_once('.') {
+            Some((first_label, rest)) => {
+                !first_label.is_empty() && rest.eq_ignore_ascii_case(suffix)
+            }
+            None => false,
+        },
+        None => pattern.eq_ignore_ascii_case(hostname),
+    })
+}
+
+/// Most SAN entries a certificate may carry (a defensive bound).
+const MAX_SANS: usize = 256;
+
+/// Most certificates a chain may carry (a defensive bound).
+const MAX_CHAIN: usize = 16;
+
 fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
@@ -122,10 +136,15 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
+    get_str_ref(bytes, pos).map(str::to_owned)
+}
+
+/// A length-prefixed string, borrowed; checked to be UTF-8.
+fn get_str_ref<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = get_u16(bytes, pos)? as usize;
     let s = bytes.get(*pos..*pos + len)?;
     *pos += len;
-    String::from_utf8(s.to_vec()).ok()
+    std::str::from_utf8(s).ok()
 }
 
 /// A certificate chain, leaf first.
@@ -146,38 +165,23 @@ impl CertificateChain {
     /// the next cert's own id (`serial` doubles as the CA cert id for CA
     /// certificates), and every non-leaf is a CA certificate.
     pub fn validate(&self, hostname: &str, now: u64) -> Result<(), ChainError> {
-        let leaf = self.leaf().ok_or(ChainError::Empty)?;
-        if !leaf.matches_hostname(hostname) {
-            return Err(ChainError::HostnameMismatch);
-        }
-        for (i, cert) in self.certs.iter().enumerate() {
-            if !cert.valid_at(now) {
-                return Err(ChainError::Expired(i));
-            }
-            if i > 0 && !cert.is_ca {
-                return Err(ChainError::NonCaIssuer(i));
-            }
-            if i + 1 < self.certs.len() {
-                let issuer = &self.certs[i + 1];
-                if cert.issuer_id as u64 != issuer.serial {
-                    return Err(ChainError::BrokenLink(i));
-                }
-            }
-        }
-        Ok(())
+        validate_chain(
+            self.leaf().map(|leaf| leaf.matches_hostname(hostname)),
+            (self.certs.iter()).map(|c| (c.serial, c.issuer_id, c.is_ca, c.valid_at(now))),
+        )
     }
 
     /// Encodes the chain (count-prefixed).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         encode_certs_into(self.certs.iter().map(CertRef::Whole), &mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Decodes a chain from `bytes` at `*pos`.
     pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Option<CertificateChain> {
         let n = get_u16(bytes, pos)? as usize;
-        if n > 16 {
+        if n > MAX_CHAIN {
             return None; // defensive bound
         }
         let mut certs = Vec::with_capacity(n);
@@ -186,6 +190,160 @@ impl CertificateChain {
         }
         Some(CertificateChain { certs })
     }
+}
+
+/// A certificate read in place: the fields of a [`Certificate`], its
+/// strings borrowed from the bytes it was read from, every one checked to
+/// be UTF-8 when it was read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertView<'a> {
+    /// Serial number.
+    pub serial: u64,
+    /// Subject common name.
+    pub subject: &'a str,
+    /// The SAN entries as encoded, one length-prefixed string after
+    /// another ([`CertView::san`] reads them).
+    san: &'a [u8],
+    san_count: u16,
+    /// Issuer identity (see [`Certificate::issuer_id`]).
+    pub issuer_id: u32,
+    /// Issuer display name.
+    pub issuer_name: &'a str,
+    /// Validity start (unix seconds).
+    pub not_before: u64,
+    /// Validity end (unix seconds).
+    pub not_after: u64,
+    /// True for CA certificates.
+    pub is_ca: bool,
+}
+
+impl<'a> CertView<'a> {
+    /// Reads the certificate at `*pos`, advancing it: `Some` exactly when
+    /// [`Certificate::decode_from`] decodes one there, stopping where it
+    /// stops.
+    fn read(bytes: &'a [u8], pos: &mut usize) -> Option<Self> {
+        let serial = get_u64(bytes, pos)?;
+        let subject = get_str_ref(bytes, pos)?;
+        let san_count = get_u16(bytes, pos)?;
+        if usize::from(san_count) > MAX_SANS {
+            return None;
+        }
+        let san_start = *pos;
+        for _ in 0..san_count {
+            get_str_ref(bytes, pos)?;
+        }
+        let san = &bytes[san_start..*pos];
+        let issuer_id = get_u32(bytes, pos)?;
+        let issuer_name = get_str_ref(bytes, pos)?;
+        let not_before = get_u64(bytes, pos)?;
+        let not_after = get_u64(bytes, pos)?;
+        let is_ca = *bytes.get(*pos)? != 0;
+        *pos += 1;
+        Some(CertView {
+            serial,
+            subject,
+            san,
+            san_count,
+            issuer_id,
+            issuer_name,
+            not_before,
+            not_after,
+            is_ca,
+        })
+    }
+
+    /// The subject alternative names, in order.
+    pub fn san(&self) -> impl Iterator<Item = &'a str> {
+        let (bytes, mut pos) = (self.san, 0);
+        (0..self.san_count).map_while(move |_| get_str_ref(bytes, &mut pos))
+    }
+
+    /// [`Certificate::matches_hostname`], read in place.
+    pub fn matches_hostname(&self, hostname: &str) -> bool {
+        names_match(std::iter::once(self.subject).chain(self.san()), hostname)
+    }
+
+    /// [`Certificate::valid_at`].
+    pub fn valid_at(&self, now: u64) -> bool {
+        self.not_before <= now && now <= self.not_after
+    }
+}
+
+/// A certificate chain read in place, leaf first: what a scan returns.
+/// It borrows the flight it was read from and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainView<'a> {
+    /// The encoded certificates, after the count.
+    certs: &'a [u8],
+    len: usize,
+    leaf: Option<CertView<'a>>,
+}
+
+impl<'a> ChainView<'a> {
+    /// Reads the chain that fills `bytes` exactly: `Some` exactly when
+    /// [`CertificateChain::decode_from`] decodes a chain from `bytes` and
+    /// stops at their end. Every certificate is read and checked (bounds,
+    /// UTF-8 strings), not only the leaf.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let mut pos = 0;
+        let len = get_u16(bytes, &mut pos)? as usize;
+        if len > MAX_CHAIN {
+            return None;
+        }
+        let certs = &bytes[pos..];
+        let mut leaf = None;
+        for _ in 0..len {
+            let cert = CertView::read(bytes, &mut pos)?;
+            leaf.get_or_insert(cert);
+        }
+        (pos == bytes.len()).then_some(ChainView { certs, len, leaf })
+    }
+
+    /// The leaf certificate; `None` for an empty chain.
+    pub fn leaf(&self) -> Option<CertView<'a>> {
+        self.leaf
+    }
+
+    /// The certificates, leaf first.
+    pub fn certs(&self) -> impl Iterator<Item = CertView<'a>> {
+        let (bytes, mut pos) = (self.certs, 0);
+        (0..self.len).map_while(move |_| CertView::read(bytes, &mut pos))
+    }
+
+    /// [`CertificateChain::validate`], read in place.
+    pub fn validate(&self, hostname: &str, now: u64) -> Result<(), ChainError> {
+        validate_chain(
+            self.leaf.map(|leaf| leaf.matches_hostname(hostname)),
+            (self.certs()).map(|c| (c.serial, c.issuer_id, c.is_ca, c.valid_at(now))),
+        )
+    }
+}
+
+/// Validates chain shape (see [`CertificateChain::validate`]) from
+/// whether the leaf matches the hostname (`None`: the chain is empty) and
+/// each certificate's `(serial, issuer_id, is_ca, valid now)`, leaf first.
+fn validate_chain(
+    leaf_matches: Option<bool>,
+    certs: impl Iterator<Item = (u64, u32, bool, bool)>,
+) -> Result<(), ChainError> {
+    if !leaf_matches.ok_or(ChainError::Empty)? {
+        return Err(ChainError::HostnameMismatch);
+    }
+    let mut certs = certs.enumerate().peekable();
+    while let Some((i, (_, issuer_id, is_ca, valid))) = certs.next() {
+        if !valid {
+            return Err(ChainError::Expired(i));
+        }
+        if i > 0 && !is_ca {
+            return Err(ChainError::NonCaIssuer(i));
+        }
+        if let Some(&(_, (issuer_serial, ..))) = certs.peek() {
+            if u64::from(issuer_id) != issuer_serial {
+                return Err(ChainError::BrokenLink(i));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A certificate to encode, borrowed: a whole [`Certificate`], or a leaf
@@ -306,17 +464,45 @@ mod tests {
         }
     }
 
+    /// `chain` validated for `hostname` at `now`, owned and read in place
+    /// from its encoding: the two agree.
+    fn validate(chain: &CertificateChain, hostname: &str, now: u64) -> Result<(), ChainError> {
+        let enc = chain.encode();
+        let view = ChainView::parse(&enc).expect("an encoded chain reads");
+        let owned = chain.validate(hostname, now);
+        assert_eq!(view.validate(hostname, now), owned, "{hostname} at {now}");
+        owned
+    }
+
     #[test]
     fn hostname_matching() {
         let root = ca(1, "Test Root");
-        let c = leaf("example.com", &["*.example.com", "example.net"], &root);
-        assert!(c.matches_hostname("example.com"));
-        assert!(c.matches_hostname("EXAMPLE.COM"));
-        assert!(c.matches_hostname("www.example.com"));
-        assert!(c.matches_hostname("example.net"));
-        assert!(!c.matches_hostname("a.b.example.com"));
-        assert!(!c.matches_hostname("badexample.com"));
-        assert!(!c.matches_hostname("example.org"));
+        let mut c = leaf("example.com", &["*.example.com", "example.net"], &root);
+        c.subject = "Example.COM".into();
+        let enc = CertificateChain {
+            certs: vec![c.clone()],
+        }
+        .encode();
+        let view = ChainView::parse(&enc).unwrap().leaf().unwrap();
+        assert_eq!(view.san().collect::<Vec<_>>(), c.san);
+        for (host, matches) in [
+            ("example.com", true),
+            ("EXAMPLE.COM", true),
+            ("www.example.com", true),
+            ("WWW.Example.Com", true),
+            ("example.net", true),
+            ("a.b.example.com", false),
+            ("badexample.com", false),
+            (".example.com", false),
+            ("example.org", false),
+        ] {
+            assert_eq!(c.matches_hostname(host), matches, "{host}");
+            assert_eq!(
+                view.matches_hostname(host),
+                matches,
+                "{host}, read in place"
+            );
+        }
     }
 
     #[test]
@@ -338,13 +524,13 @@ mod tests {
         let good = CertificateChain {
             certs: vec![leaf("example.com", &[], &root), root.clone()],
         };
-        assert_eq!(good.validate("example.com", 150), Ok(()));
+        assert_eq!(validate(&good, "example.com", 150), Ok(()));
         assert_eq!(
-            good.validate("other.com", 150),
+            validate(&good, "other.com", 150),
             Err(ChainError::HostnameMismatch)
         );
         assert_eq!(
-            good.validate("example.com", 50),
+            validate(&good, "example.com", 50),
             Err(ChainError::Expired(0))
         );
 
@@ -353,11 +539,11 @@ mod tests {
             certs: vec![leaf("example.com", &[], &root), other_root],
         };
         assert_eq!(
-            broken.validate("example.com", 150),
+            validate(&broken, "example.com", 150),
             Err(ChainError::BrokenLink(0))
         );
         let empty = CertificateChain { certs: vec![] };
-        assert_eq!(empty.validate("x", 0), Err(ChainError::Empty));
+        assert_eq!(validate(&empty, "x", 0), Err(ChainError::Empty));
     }
 
     #[test]
@@ -371,7 +557,7 @@ mod tests {
             certs: vec![l, fake_intermediate, root],
         };
         assert_eq!(
-            chain.validate("example.com", 150),
+            validate(&chain, "example.com", 150),
             Err(ChainError::NonCaIssuer(1))
         );
     }
@@ -393,14 +579,14 @@ mod tests {
             certs: vec![leaf, root.clone()],
         }
         .encode();
-        let mut borrowed = BytesMut::new();
+        let mut borrowed = Vec::new();
         let leaf_ref = CertRef::Leaf {
             serial: 1_000_007,
             name: "example.com",
             issuer: &root,
         };
         encode_certs_into([leaf_ref, CertRef::Whole(&root)], &mut borrowed);
-        assert_eq!(borrowed.freeze(), whole);
+        assert_eq!(borrowed, whole);
     }
 
     #[test]

@@ -3,10 +3,16 @@
 //! Each datagram carries one or more frames: `[type: u8][len: u32][body]`.
 //! The client's flight is a single `ClientHello`; the server's flight is
 //! `ServerHello` followed by `Certificate` (or a single `Alert`).
+//!
+//! On the scan path nothing is owned: the scanner and the servers write
+//! their flights into buffers they are lent ([`encode_server_flight`]),
+//! and the scanner reads the served chain in place
+//! ([`crate::ChainView`]). The owned [`HandshakeMessage`] with
+//! [`encode_flight`] and [`decode_flight`] is the reference form for tests
+//! and tools.
 
-use crate::cert::{encode_certs_into, CertRef, CertificateChain};
-use bytes::{BufMut, Bytes};
-use webdep_netsim::build_payload;
+use crate::cert::{encode_certs_into, CertRef, CertificateChain, ChainView};
+use bytes::BufMut;
 
 const TYPE_CLIENT_HELLO: u8 = 1;
 const TYPE_SERVER_HELLO: u8 = 2;
@@ -80,34 +86,38 @@ impl HandshakeMessage {
 }
 
 /// Encodes a sequence of messages into one datagram payload.
-pub fn encode_flight(messages: &[HandshakeMessage]) -> Bytes {
-    build_payload(|buf| {
-        for m in messages {
-            put_frame(buf, m.frame_type(), |body| match m {
-                HandshakeMessage::ClientHello { random, sni } => {
-                    put_client_hello(body, *random, sni)
-                }
-                HandshakeMessage::ServerHello { random, cipher } => {
-                    body.put_u64(*random);
-                    body.put_u16(*cipher);
-                }
-                HandshakeMessage::Certificate(chain) => {
-                    encode_certs_into(chain.certs.iter().map(CertRef::Whole), body)
-                }
-                HandshakeMessage::Alert(code) => body.put_u8(*code),
-            });
-        }
-    })
+pub fn encode_flight(messages: &[HandshakeMessage]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for m in messages {
+        put_frame(&mut buf, m.frame_type(), |body| match m {
+            HandshakeMessage::ClientHello { random, sni } => put_client_hello(body, *random, sni),
+            HandshakeMessage::ServerHello { random, cipher } => {
+                body.put_u64(*random);
+                body.put_u16(*cipher);
+            }
+            HandshakeMessage::Certificate(chain) => {
+                encode_certs_into(chain.certs.iter().map(CertRef::Whole), body)
+            }
+            HandshakeMessage::Alert(code) => body.put_u8(*code),
+        });
+    }
+    buf
 }
 
 /// Encodes the client's flight, a lone `ClientHello`, from a borrowed
-/// name: the bytes [`encode_flight`] writes for the same message.
-pub(crate) fn encode_client_hello(random: u64, sni: &str) -> Bytes {
-    build_payload(|buf| {
-        put_frame(buf, TYPE_CLIENT_HELLO, |body| {
-            put_client_hello(body, random, sni)
-        })
-    })
+/// name into `buf`, replacing what it held: the bytes [`encode_flight`]
+/// writes for the same message.
+pub(crate) fn encode_client_hello(buf: &mut Vec<u8>, random: u64, sni: &str) {
+    buf.clear();
+    put_frame(buf, TYPE_CLIENT_HELLO, |body| {
+        put_client_hello(body, random, sni)
+    });
+}
+
+/// Appends a lone fatal `Alert` with `code` to `buf`: the bytes
+/// [`encode_flight`] writes for it.
+pub(crate) fn encode_alert(buf: &mut Vec<u8>, code: u8) {
+    put_frame(buf, TYPE_ALERT, |body| body.put_u8(code));
 }
 
 fn put_client_hello(body: &mut Vec<u8>, random: u64, sni: &str) {
@@ -116,21 +126,19 @@ fn put_client_hello(body: &mut Vec<u8>, random: u64, sni: &str) {
     body.put_slice(sni.as_bytes());
 }
 
-/// Encodes the accepting server flight — `ServerHello`, then
-/// `Certificate` carrying `certs` leaf first — from borrowed certificates:
-/// the bytes [`encode_flight`] writes for the same two messages.
-pub fn encode_server_flight<'a, I>(random: u64, cipher: u16, certs: I) -> Bytes
+/// Appends the accepting server flight — `ServerHello`, then
+/// `Certificate` carrying `certs` leaf first — from borrowed certificates
+/// to `buf`: the bytes [`encode_flight`] writes for the same two messages.
+pub fn encode_server_flight<'a, I>(buf: &mut Vec<u8>, random: u64, cipher: u16, certs: I)
 where
     I: IntoIterator<Item = CertRef<'a>>,
     I::IntoIter: ExactSizeIterator,
 {
-    build_payload(|buf| {
-        put_frame(buf, TYPE_SERVER_HELLO, |body| {
-            body.put_u64(random);
-            body.put_u16(cipher);
-        });
-        put_frame(buf, TYPE_CERTIFICATE, |body| encode_certs_into(certs, body));
-    })
+    put_frame(buf, TYPE_SERVER_HELLO, |body| {
+        body.put_u64(random);
+        body.put_u16(cipher);
+    });
+    put_frame(buf, TYPE_CERTIFICATE, |body| encode_certs_into(certs, body));
 }
 
 /// Writes one `[type][len][body]` frame, the body straight into `buf`
@@ -141,7 +149,9 @@ fn put_frame(buf: &mut Vec<u8>, ftype: u8, body: impl FnOnce(&mut Vec<u8>)) {
     buf.put_u32(0);
     body(buf);
     let len = (buf.len() - len_pos - 4) as u32;
-    buf[len_pos..len_pos + 4].copy_from_slice(&len.to_be_bytes());
+    for (slot, byte) in buf[len_pos..].iter_mut().zip(len.to_be_bytes()) {
+        *slot = byte;
+    }
 }
 
 /// Decodes all frames in a datagram payload.
@@ -171,26 +181,26 @@ pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
 
 /// What a scanner takes from a server's flight.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum ServerFlight {
-    /// The served chain, leaf first.
-    Chain(CertificateChain),
+pub(crate) enum ServerFlight<'a> {
+    /// The served chain, leaf first, read in place.
+    Chain(ChainView<'a>),
     /// A fatal alert's code.
     Alert(u8),
 }
 
-/// Reads a server flight frame by frame, collecting nothing: `Some`
-/// exactly when [`decode_flight`] accepts the flight and it is a lone
-/// `Alert` or a `ServerHello` followed by a `Certificate`. The
-/// `ServerHello` is checked and skipped; only the `Certificate` body is
-/// decoded.
-pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight> {
+/// Reads a server flight in place, frame by frame, collecting nothing:
+/// `Some` exactly when [`decode_flight`] accepts the flight and it is a
+/// lone `Alert` or a `ServerHello` followed by a `Certificate`. The
+/// `ServerHello` is checked and skipped; the `Certificate` body is checked
+/// whole and viewed.
+pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight<'_>> {
     let mut frames = frames(bytes);
     match (frames.next(), frames.next(), frames.next()) {
         (Some(Ok((TYPE_ALERT, &[code]))), None, None) => Some(ServerFlight::Alert(code)),
         (Some(Ok((TYPE_SERVER_HELLO, hello))), Some(Ok((TYPE_CERTIFICATE, body))), None)
             if hello.len() == 10 =>
         {
-            certificate(body).ok().map(ServerFlight::Chain)
+            ChainView::parse(body).map(ServerFlight::Chain)
         }
         _ => None,
     }
@@ -296,20 +306,89 @@ mod tests {
         }
     }
 
-    /// What a scanner made of a flight through [`decode_flight`].
-    fn collected_shape(bytes: &[u8]) -> Option<ServerFlight> {
+    /// A three-certificate chain whose leaf carries two SANs.
+    fn long_chain() -> CertificateChain {
+        let root = Certificate {
+            serial: 1,
+            subject: "Root CA".into(),
+            san: vec![],
+            issuer_id: 1,
+            issuer_name: "Root CA".into(),
+            not_before: 0,
+            not_after: u64::MAX,
+            is_ca: true,
+        };
+        let inter = Certificate {
+            serial: 2,
+            subject: "R11".into(),
+            issuer_id: 1,
+            issuer_name: "Root CA".into(),
+            ..root.clone()
+        };
+        let mut leaf = chain().certs.remove(0);
+        leaf.san.push("shop.example.com".into());
+        leaf.issuer_id = 2;
+        CertificateChain {
+            certs: vec![leaf, inter, root],
+        }
+    }
+
+    /// A view made owned, field by field: what it read of every
+    /// certificate, leaf first.
+    fn owned(view: ChainView<'_>) -> CertificateChain {
+        let certs: Vec<Certificate> = view
+            .certs()
+            .map(|c| Certificate {
+                serial: c.serial,
+                subject: c.subject.to_owned(),
+                san: c.san().map(str::to_owned).collect(),
+                issuer_id: c.issuer_id,
+                issuer_name: c.issuer_name.to_owned(),
+                not_before: c.not_before,
+                not_after: c.not_after,
+                is_ca: c.is_ca,
+            })
+            .collect();
+        assert_eq!(view.leaf(), view.certs().next());
+        CertificateChain { certs }
+    }
+
+    /// A server flight as the scanner reads it, in place, the chain made
+    /// owned: the chain or the alert code.
+    fn read_shape(bytes: &[u8]) -> Option<Result<CertificateChain, u8>> {
+        match decode_server_flight(bytes)? {
+            ServerFlight::Chain(view) => Some(Ok(owned(view))),
+            ServerFlight::Alert(code) => Some(Err(code)),
+        }
+    }
+
+    /// The same through [`decode_flight`], which collects owned messages.
+    fn collected_shape(bytes: &[u8]) -> Option<Result<CertificateChain, u8>> {
         match decode_flight(bytes).ok()?.as_slice() {
-            [HandshakeMessage::Alert(code)] => Some(ServerFlight::Alert(*code)),
+            [HandshakeMessage::Alert(code)] => Some(Err(*code)),
             [HandshakeMessage::ServerHello { .. }, HandshakeMessage::Certificate(chain)] => {
-                Some(ServerFlight::Chain(chain.clone()))
+                Some(Ok(chain.clone()))
             }
             _ => None,
         }
     }
 
-    /// Reading a server flight frame by frame takes what collecting it
-    /// took, on every prefix and every single-bit flip of well-formed and
-    /// wrongly shaped flights.
+    /// Every prefix and every single-bit flip of `bytes`.
+    fn mutations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..=bytes.len()).map(|cut| bytes[..cut].to_vec());
+        let flips = (0..bytes.len() * 8).map(|i| {
+            let mut flipped = bytes.to_vec();
+            flipped[i / 8] ^= 1 << (i % 8);
+            flipped
+        });
+        cuts.chain(flips)
+    }
+
+    /// Reading a server flight in place takes what collecting it took, on
+    /// every prefix and every single-bit flip of well-formed and wrongly
+    /// shaped flights: the same flights accepted and refused, the same
+    /// alert, and a chain view that agrees with the owned decode on every
+    /// field of every certificate.
     #[test]
     fn server_flights_read_as_collected() {
         let hello = HandshakeMessage::ServerHello {
@@ -317,27 +396,32 @@ mod tests {
             cipher: 0x1301,
         };
         let cert = HandshakeMessage::Certificate(chain());
+        let long = HandshakeMessage::Certificate(long_chain());
         let flights = [
             encode_flight(&[hello.clone(), cert.clone()]),
+            encode_flight(&[hello.clone(), long]),
             encode_flight(&[HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME)]),
             encode_flight(&[hello.clone(), cert.clone(), HandshakeMessage::Alert(1)]),
             encode_flight(&[cert, hello]),
         ];
         for flight in flights {
-            for cut in 0..=flight.len() {
-                let bytes = &flight[..cut];
-                assert_eq!(
-                    decode_server_flight(bytes),
-                    collected_shape(bytes),
-                    "cut {cut}"
-                );
+            for bytes in mutations(&flight) {
+                assert_eq!(read_shape(&bytes), collected_shape(&bytes), "{bytes:?}");
             }
-            for pos in 0..flight.len() {
-                for bit in 0..8 {
-                    let mut bytes = flight.to_vec();
-                    bytes[pos] ^= 1 << bit;
-                    assert_eq!(decode_server_flight(&bytes), collected_shape(&bytes));
-                }
+        }
+    }
+
+    /// The chain view accepts exactly the bytes
+    /// [`CertificateChain::decode_from`] decodes to their end, and reads
+    /// the same certificates from them.
+    #[test]
+    fn chain_views_read_what_the_owned_decode_reads() {
+        for chain in [chain(), long_chain(), CertificateChain { certs: vec![] }] {
+            for bytes in mutations(&chain.encode()) {
+                let mut pos = 0;
+                let decoded = CertificateChain::decode_from(&bytes, &mut pos);
+                let whole = decoded.filter(|_| pos == bytes.len());
+                assert_eq!(ChainView::parse(&bytes).map(owned), whole, "{bytes:?}");
             }
         }
     }
@@ -378,10 +462,9 @@ mod tests {
                 certs: vec![leaf.clone(), leaf.clone()],
             }),
         ];
-        assert_eq!(
-            encode_server_flight(42, 0x1301, [CertRef::Whole(leaf); 2]),
-            encode_flight(&flight)
-        );
+        let mut buf = Vec::new();
+        encode_server_flight(&mut buf, 42, 0x1301, [CertRef::Whole(leaf); 2]);
+        assert_eq!(buf, encode_flight(&flight));
     }
 
     #[test]
@@ -390,13 +473,15 @@ mod tests {
             random: 7,
             sni: "www.example.com".into(),
         };
-        let enc = encode_client_hello(7, "www.example.com");
+        // Over a buffer holding an earlier flight: replaced, not extended.
+        let mut enc = encode_flight(&[HandshakeMessage::Alert(1)]);
+        encode_client_hello(&mut enc, 7, "www.example.com");
         assert_eq!(enc, encode_flight(std::slice::from_ref(&m)));
         assert_eq!(decode_client_hello(&enc), Some((7, "www.example.com")));
         let alert = encode_flight(&[HandshakeMessage::Alert(1)]);
         assert_eq!(decode_client_hello(&alert), None);
         // A trailing frame that does not decode spoils the whole flight.
-        let mut bad = enc.to_vec();
+        let mut bad = enc.clone();
         bad.extend_from_slice(&[99, 0, 0, 0, 0]);
         assert!(decode_flight(&bad).is_err());
         assert_eq!(decode_client_hello(&bad), None);
@@ -408,6 +493,9 @@ mod tests {
         let m = HandshakeMessage::Alert(ALERT_UNRECOGNIZED_NAME);
         let enc = encode_flight(std::slice::from_ref(&m));
         assert_eq!(decode_flight(&enc).unwrap(), vec![m]);
+        let mut alert = Vec::new();
+        encode_alert(&mut alert, ALERT_UNRECOGNIZED_NAME);
+        assert_eq!(alert, enc);
     }
 
     #[test]

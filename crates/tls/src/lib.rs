@@ -11,7 +11,9 @@
 //!    `Alert` when it has no certificate for the name) — every simulated
 //!    server runs the one serving function [`server::serve_hello`] inline
 //!    on the querier's thread, behind a `webdep_netsim::ResponderSet`;
-//! 3. the scanner parses and validates the chain.
+//! 3. the scanner reads the served chain in place ([`ChainView`]): every
+//!    certificate is checked, none is decoded into owned strings, and the
+//!    view borrows the scanner's flight buffer until its next scan.
 //!
 //! Certificates are a compact binary encoding (not DER) carrying the fields
 //! the analysis consumes: subject, SANs (with wildcard support), issuer
@@ -26,7 +28,7 @@ pub mod handshake;
 pub mod scanner;
 pub mod server;
 
-pub use cert::{CertRef, Certificate, CertificateChain};
+pub use cert::{CertRef, CertView, Certificate, CertificateChain, ChainView};
 pub use fault::{apply_tls_fault, ALERT_INTERNAL_ERROR};
 pub use handshake::{HandshakeMessage, TlsError};
 pub use scanner::{ScanError, Scanner, ScannerConfig};

@@ -4,8 +4,13 @@
 //! Timeouts are simulated: every server is an inline responder, so an
 //! attempt is one exchange, which returns the flight with the hello when it
 //! arrives within the attempt's window; a later flight is a timeout.
+//!
+//! A scan allocates nothing once the scanner's two buffers have grown:
+//! the hello is encoded into one, the server writes its flight into the
+//! other, and the chain a scan returns is a view of that flight, valid
+//! until the scanner's next scan.
 
-use crate::cert::CertificateChain;
+use crate::cert::ChainView;
 use crate::handshake::{decode_server_flight, encode_client_hello, ServerFlight};
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -62,6 +67,10 @@ pub struct Scanner {
     endpoint: Endpoint,
     config: ScannerConfig,
     next_random: u64,
+    /// The hello being sent, encoded in place for each attempt.
+    hello: Vec<u8>,
+    /// The last flight received; the returned chain views it.
+    flight: Vec<u8>,
     /// Handshakes attempted (including retries).
     pub handshakes_sent: u64,
     /// Server flights discarded because they failed to parse or had an
@@ -76,13 +85,16 @@ impl Scanner {
             endpoint,
             config,
             next_random: 0x5EED,
+            hello: Vec::new(),
+            flight: Vec::new(),
             handshakes_sent: 0,
             malformed_flights: 0,
         }
     }
 
-    /// Handshakes with `ip:443` asking for `sni`; returns the served chain.
-    pub fn scan(&mut self, ip: Ipv4Addr, sni: &str) -> Result<CertificateChain, ScanError> {
+    /// Handshakes with `ip:443` asking for `sni`; returns the served chain,
+    /// read in place from the flight (every certificate checked).
+    pub fn scan(&mut self, ip: Ipv4Addr, sni: &str) -> Result<ChainView<'_>, ScanError> {
         self.scan_port(ip, crate::TLS_PORT, sni)
     }
 
@@ -92,21 +104,22 @@ impl Scanner {
         ip: Ipv4Addr,
         port: u16,
         sni: &str,
-    ) -> Result<CertificateChain, ScanError> {
+    ) -> Result<ChainView<'_>, ScanError> {
         let dst = SockAddr::new(ip, port);
         for _ in 0..=self.config.retries {
             self.next_random = self
                 .next_random
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1);
-            let hello = encode_client_hello(self.next_random, sni);
+            encode_client_hello(&mut self.hello, self.next_random, sni);
             self.handshakes_sent += 1;
-            let reply = self
+            let answered = self
                 .endpoint
-                .exchange(dst, hello, self.config.timeout)
-                .map_err(ScanError::Network)?;
-            if let Some(flight) = reply {
-                return match decode_server_flight(&flight) {
+                .exchange(dst, &self.hello, self.config.timeout, &mut self.flight)
+                .map_err(ScanError::Network)?
+                .is_some();
+            if answered {
+                return match decode_server_flight(&self.flight) {
                     Some(ServerFlight::Chain(chain)) => Ok(chain),
                     Some(ServerFlight::Alert(code)) => Err(ScanError::Alert(code)),
                     // Unparseable, or not the shape of a server flight.
@@ -153,8 +166,8 @@ mod tests {
             is_ca: false,
         };
         let chain = [leaf, root];
-        let server = ResponderSet::new(net, move |d: &Datagram| {
-            serve_hello(&d.payload, d.dst.ip, faults.as_ref(), |sni| {
+        let server = ResponderSet::new(net, move |d: &Datagram, out: &mut Vec<u8>| {
+            serve_hello(d.payload, d.dst.ip, faults.as_ref(), out, |sni| {
                 (sni == "site.example").then(|| chain.iter().map(CertRef::Whole))
             })
         });
@@ -232,11 +245,12 @@ mod tests {
                 timeout: Duration::from_millis(timeout_ms),
                 retries: 0,
             };
-            scanner(&net, config).scan(ip, "site.example")
+            let mut scanner = scanner(&net, config);
+            let leaf = scanner.scan(ip, "site.example")?.leaf().unwrap();
+            Ok::<_, ScanError>(leaf.subject.to_owned())
         };
         // Within the window (the delay exactly fills it): answered.
-        let chain = scan(20).unwrap();
-        assert_eq!(chain.leaf().unwrap().subject, "site.example");
+        assert_eq!(scan(20).unwrap(), "site.example");
         // Past it: a timeout, though the flight was sent.
         assert_eq!(scan(10).unwrap_err(), ScanError::Timeout);
     }

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use webdep_netsim::{FaultKind, FaultPlan, FaultedReply};
-use webdep_tls::cert::{CertRef, Certificate, CertificateChain};
+use std::time::Duration;
+use webdep_netsim::{FaultKind, FaultPlan};
+use webdep_tls::cert::{CertRef, Certificate, CertificateChain, ChainView};
 use webdep_tls::handshake::{decode_flight, encode_flight, HandshakeMessage};
 use webdep_tls::serve_hello;
 
@@ -85,8 +86,11 @@ proptest! {
         let _ = Certificate::decode_from(&bytes, &mut pos);
         prop_assert!(pos <= bytes.len());
         let mut pos = 0;
-        let _ = CertificateChain::decode_from(&bytes, &mut pos);
+        let chain = CertificateChain::decode_from(&bytes, &mut pos);
         prop_assert!(pos <= bytes.len());
+        // The in-place view takes exactly the chains that fill the bytes.
+        let whole = chain.is_some() && pos == bytes.len();
+        prop_assert_eq!(ChainView::parse(&bytes).is_some(), whole);
     }
 
     /// Wildcard matching never matches across label boundaries.
@@ -130,19 +134,19 @@ fn check_served(bytes: &[u8]) {
     };
     let lookup = |sni: &str| (sni == "site.example").then_some([CertRef::Whole(&leaf)]);
     let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
-    let _ = serve_hello(bytes, server, Some(&faults), lookup);
-    let reply = serve_hello(bytes, server, None, lookup);
-    assert!(reply.delay.is_zero());
+    let _ = serve_hello(bytes, server, Some(&faults), &mut Vec::new(), lookup);
+    let mut reply = Vec::new();
+    let delay = serve_hello(bytes, server, None, &mut reply, lookup);
     let opens_with_hello = matches!(
         decode_flight(bytes).as_deref(),
         Ok([HandshakeMessage::ClientHello { .. }, ..])
     );
     if !opens_with_hello {
-        assert_eq!(reply, FaultedReply::swallowed());
+        assert_eq!(delay, None);
         return;
     }
-    let flight = decode_flight(&reply.payload.expect("a hello is answered"))
-        .expect("the server flight decodes");
+    assert_eq!(delay, Some(Duration::ZERO), "a hello is answered");
+    let flight = decode_flight(&reply).expect("the server flight decodes");
     assert!(
         matches!(
             flight.as_slice(),

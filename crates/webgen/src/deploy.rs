@@ -44,6 +44,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use webdep_dns::bigzone::{ChildLookup, Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
 use webdep_dns::server::QuestionRef;
@@ -53,7 +54,7 @@ use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
 };
 use webdep_netsim::{
-    Datagram, Endpoint, FaultPlan, FaultedReply, NetConfig, Network, Prefix, Region, ResponderSet,
+    Datagram, Endpoint, FaultPlan, NetConfig, Network, Prefix, Region, ResponderSet,
 };
 use webdep_tls::cert::{CertRef, Certificate};
 use webdep_tls::{serve_hello, TLS_PORT};
@@ -348,16 +349,21 @@ impl Served {
     /// tables, so it runs inline on whichever querier thread sent the
     /// datagram. Any active fault plan is applied to the ready answer,
     /// keyed on the server address the query was sent to.
-    fn rack_respond(&self, rack: usize, dgram: &Datagram) -> FaultedReply {
+    fn rack_respond(
+        &self,
+        rack: usize,
+        dgram: &Datagram<'_>,
+        out: &mut Vec<u8>,
+    ) -> Option<Duration> {
         let faults = self.faults.as_deref();
         match dgram.dst.port {
-            DNS_PORT => serve_query(&dgram.payload, dgram.dst.ip, faults, |q, reply| {
+            DNS_PORT => serve_query(dgram.payload, dgram.dst.ip, faults, out, |q, reply| {
                 self.respond_dns(rack, q, dgram.src.ip, reply)
             }),
-            TLS_PORT => serve_hello(&dgram.payload, dgram.dst.ip, faults, |sni| {
+            TLS_PORT => serve_hello(dgram.payload, dgram.dst.ip, faults, out, |sni| {
                 self.chain_for(rack, sni)
             }),
-            _ => FaultedReply::swallowed(),
+            _ => None,
         }
     }
 
@@ -455,14 +461,18 @@ impl ChildLookup for TldSites {
 
 /// One registry (or root) answer: the delegation table keyed by the server
 /// IP the query was addressed to.
-fn registry_respond(tables: &HashMap<Ipv4Addr, DelegationTable>, dgram: &Datagram) -> FaultedReply {
+fn registry_respond(
+    tables: &HashMap<Ipv4Addr, DelegationTable>,
+    dgram: &Datagram<'_>,
+    out: &mut Vec<u8>,
+) -> Option<Duration> {
     match tables.get(&dgram.dst.ip) {
         Some(table) if dgram.dst.port == DNS_PORT => {
-            serve_query(&dgram.payload, dgram.dst.ip, None, |q, reply| {
+            serve_query(dgram.payload, dgram.dst.ip, None, out, |q, reply| {
                 table.respond(q, reply)
             })
         }
-        _ => FaultedReply::swallowed(),
+        _ => None,
     }
 }
 
@@ -711,7 +721,9 @@ impl DeployedWorld {
                 continue;
             }
             let ips: Vec<Ipv4Addr> = tables.keys().copied().collect();
-            let set = ResponderSet::new(&network, move |d: &Datagram| registry_respond(&tables, d));
+            let set = ResponderSet::new(&network, move |d: &Datagram, out: &mut Vec<u8>| {
+                registry_respond(&tables, d, out)
+            });
             for ip in ips {
                 set.attach(ip, DNS_PORT, Region::NORTH_AMERICA)
                     .expect("registry address free");
@@ -722,7 +734,9 @@ impl DeployedWorld {
         // ---- Hosting racks ----
         for ri in 0..served.racks {
             let rack = Arc::clone(&served);
-            let set = ResponderSet::new(&network, move |d: &Datagram| rack.rack_respond(ri, d));
+            let set = ResponderSet::new(&network, move |d: &Datagram, out: &mut Vec<u8>| {
+                rack.rack_respond(ri, d, out)
+            });
             // Attach every address of every provider on this rack.
             for p in &universe.providers {
                 if served.rack_of(p.id) != ri {
@@ -812,7 +826,6 @@ fn fnv1a(s: &str) -> u32 {
 mod tests {
     use super::*;
     use crate::world::{World, WorldConfig};
-    use std::time::Duration;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
     use webdep_dns::wire as dnswire;
     use webdep_dns::zone::DEFAULT_TTL;
@@ -929,11 +942,12 @@ mod tests {
         let mut vantage = dep.vantage(Continent::NorthAmerica);
         let ns = SockAddr::new(dep.pools[site.dns as usize].ns_addrs[0], DNS_PORT);
         let query = dns_query(&site.domain, dnswire::RecordType::A);
+        let mut reply = Vec::new();
         let reply = vantage
-            .exchange(ns, query, Duration::ZERO)
+            .exchange(ns, &query, Duration::ZERO, &mut reply)
             .unwrap()
             .unwrap();
-        let answers = dnswire::decode(&reply).unwrap().answers;
+        let answers = dnswire::decode(reply).unwrap().answers;
         let dnswire::RecordData::Cname(edge) = &answers[0].data else {
             panic!("a CDN site answers a CNAME first");
         };
@@ -1289,14 +1303,16 @@ mod tests {
         /// The reference reply to `query` sent from `src` to `dst`: for
         /// DNS, `encode` of the owned response built from the decoded
         /// query.
-        fn reply(&self, rack: usize, dst: SockAddr, src: Ipv4Addr, query: &[u8]) -> bytes::Bytes {
+        fn reply(&self, rack: usize, dst: SockAddr, src: Ipv4Addr, query: &[u8]) -> Vec<u8> {
             if dst.port == TLS_PORT {
-                let reply = serve_hello(query, dst.ip, None, |sni| {
+                let mut flight = Vec::new();
+                let answered = serve_hello(query, dst.ip, None, &mut flight, |sni| {
                     let leaf = self.leaf_by_sni[rack].get(sni)?;
                     let (inter, root) = &self.ca_certs[(leaf.issuer_id - 100_000) as usize];
                     Some([leaf, inter, root].map(CertRef::Whole))
                 });
-                return reply.payload.expect("every hello is answered");
+                assert!(answered.is_some(), "every hello is answered");
+                return flight;
             }
             let query = dnswire::decode(query).expect("test queries decode");
             let resp = if query.questions.is_empty() {
@@ -1384,19 +1400,19 @@ mod tests {
         ep: &mut Endpoint,
         rack: usize,
         dst: SockAddr,
-        query: bytes::Bytes,
+        query: Vec<u8>,
         what: &str,
-    ) -> bytes::Bytes {
+    ) -> Vec<u8> {
         let want = r.reply(rack, dst, ep.addr().ip, &query);
-        let got = ep
-            .exchange(dst, query, Duration::ZERO)
+        let mut got = Vec::new();
+        ep.exchange(dst, &query, Duration::ZERO, &mut got)
             .expect("deployed address")
             .expect("inline reply");
         assert_eq!(got, want, "{what}");
         got
     }
 
-    fn dns_query(name: &str, qtype: dnswire::RecordType) -> bytes::Bytes {
+    fn dns_query(name: &str, qtype: dnswire::RecordType) -> Vec<u8> {
         dnswire::encode(&dnswire::Message::query(
             7,
             DomainName::parse(name).unwrap(),
@@ -1574,8 +1590,9 @@ mod tests {
         let mut ep = dep.vantage(Continent::Europe);
         let registry = SockAddr::new(r.registry_of[&net], DNS_PORT);
         let query = dns_query(&slug, dnswire::RecordType::A);
-        let reply = ep.exchange(registry, query, Duration::ZERO).unwrap();
-        let referral = dnswire::decode(&reply.unwrap()).unwrap();
+        let mut reply = Vec::new();
+        let reply = ep.exchange(registry, &query, Duration::ZERO, &mut reply);
+        let referral = dnswire::decode(reply.unwrap().unwrap()).unwrap();
         let cf_ns = DomainName::parse(&format!("ns1.{slug}")).unwrap();
         assert_eq!(referral.authorities[0].data, dnswire::RecordData::Ns(cf_ns));
     }

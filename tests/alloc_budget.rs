@@ -50,27 +50,34 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per site: 30.7 (resident) and 30.8 (streamed) measured,
-/// plus a small margin. The path took 199 (resident) and 212 (streamed) before it
+/// Allocations per site: 15.7 (resident and streamed) measured, plus a
+/// small margin. The path took 199 (resident) and 212 (streamed) before it
 /// was made allocation-lean, 82.9 while every answer was also copied into
 /// the shared DNS tier, 74.3 while a CDN site's edge name was formatted
-/// per answer, and 72.8 while every DNS round trip built and decoded an
-/// owned message both ways; 98, half of the 196 a site cost on the
-/// `small` world, is the ceiling the budget may never be raised past.
-const BUDGET_PER_SITE: f64 = 33.0;
+/// per answer, 72.8 while every DNS round trip built and decoded an owned
+/// message both ways, and 30.8 while every datagram was copied into a
+/// payload of its own and the TLS chain was decoded into owned strings;
+/// 98, half of the 196 a site cost on the `small` world, is the ceiling
+/// the budget may never be raised past.
+const BUDGET_PER_SITE: f64 = 17.0;
 const _: () = assert!(BUDGET_PER_SITE <= 98.0);
 
-/// Allocations of a site's own `resolve_a`: 6.7 measured. Two wire round
-/// trips (a query and a reply datagram each), the site's cache entry and
-/// the returned addresses, 6 in all; the referral's NS names and glue are
-/// shared with the provider's other customers, so only each provider's
-/// first referral costs more. It made 47.8 while each round trip built and
-/// decoded an owned message both ways.
-const SITE_RESOLVE_A_BUDGET: f64 = 8.0;
+/// Allocations of a site's own `resolve_a`: 2.7 measured. The site's
+/// cache entry and the returned addresses; the two wire round trips write
+/// into the resolver's own buffers and allocate nothing, and the
+/// referral's NS names and glue are shared with the provider's other
+/// customers, so only each provider's first referral costs more. It made
+/// 47.8 while each round trip built and decoded an owned message both
+/// ways, and 6.7 while each of the four datagrams was a payload of its
+/// own.
+const SITE_RESOLVE_A_BUDGET: f64 = 3.0;
 
-/// Allocations of a site's TLS `scan`: 11.0 measured, 12.0 while the
-/// server flight was first collected into a vector of messages.
-const SCAN_BUDGET: f64 = 11.0;
+/// Allocations of a site's TLS `scan`: 0.000 measured, the chain read in
+/// place from the scanner's own flight buffer. It made 12.0 while the
+/// server flight was first collected into a vector of messages, and 11.0
+/// while each certificate was decoded into owned strings and each flight
+/// and hello was a payload of its own.
+const SCAN_BUDGET: f64 = 0.1;
 
 /// Sites looked up before [`per_layer`] counts.
 const WARM_UP_SITES: usize = 64;
