@@ -321,10 +321,15 @@ impl IterativeResolver {
     }
 
     /// Resolves the NS set of `name` (the nameserver *names*).
-    pub fn resolve_ns(&mut self, name: &DomainName) -> Result<Vec<DomainName>, ResolveError> {
+    ///
+    /// The set is the one the resolver caches, shared by every zone
+    /// delegated to the same nameservers: handing it out costs a reference
+    /// count, not a copy of each name. It is owned, so the caller can keep
+    /// resolving (say, each nameserver's address) while it holds the set.
+    pub fn resolve_ns(&mut self, name: &DomainName) -> Result<Arc<[DomainName]>, ResolveError> {
         match self.resolve(name, RecordType::Ns, 0)? {
-            Answer::Ns(hosts) => Ok(hosts.to_vec()),
-            Answer::A(_) => Ok(Vec::new()),
+            Answer::Ns(hosts) => Ok(hosts),
+            Answer::A(_) => Ok(Arc::new([])),
         }
     }
 
@@ -964,7 +969,7 @@ mod tests {
         let (_servers, roots) = build_world(&net);
         let mut r = resolver(&net, roots);
         let ns = r.resolve_ns(&n("example.com")).unwrap();
-        assert_eq!(ns, vec![n("ns1.example.com")]);
+        assert_eq!(*ns, [n("ns1.example.com")]);
         // And the nameserver's address resolves too.
         let addrs = r.resolve_a(&n("ns1.example.com")).unwrap();
         assert_eq!(addrs, vec![ip("203.0.113.53")]);
@@ -1097,7 +1102,7 @@ mod tests {
     /// first nameserver's A records.
     type SiteAnswers = (
         Result<Vec<Ipv4Addr>, ResolveError>,
-        Result<Vec<DomainName>, ResolveError>,
+        Result<Arc<[DomainName]>, ResolveError>,
         Result<Vec<Ipv4Addr>, ResolveError>,
     );
 

@@ -913,7 +913,7 @@ fn measure_one(
     match resolver.resolve_ns(name) {
         Ok(ns_names) if !ns_names.is_empty() => {
             let mut resolved = None;
-            for ns in &ns_names {
+            for ns in ns_names.iter() {
                 match resolver.resolve_a(ns) {
                     Ok(addrs) if !addrs.is_empty() => {
                         resolved = Some(addrs[0]);
@@ -922,7 +922,7 @@ fn measure_one(
                     _ => continue,
                 }
             }
-            obs.ns_names = ns_names.into_iter().map(String::from).collect();
+            obs.ns_names = ns_names.iter().map(|ns| ns.as_str().to_owned()).collect();
             if let Some(ip) = resolved {
                 obs.dns_ip = Some(ip);
                 if let Some((&asn, _)) = pfx2as.lookup(ip) {

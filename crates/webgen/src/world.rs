@@ -13,9 +13,20 @@
 //!    the global site pool (those sites' dependencies are fixed world-wide)
 //!    and re-adjust the remainder so the *total* still hits the target
 //!    ([`crate::calibrate::adjust_to_target`]).
-//! 4. **Materialize** — expand counts into concrete [`Site`]s; hosting and
-//!    DNS are expanded in the same order so the Cloudflare blocks overlap,
-//!    reproducing the paper's observation that hosting and DNS are bundled.
+//! 4. **Materialize** — expand counts into per-site owner slots; hosting
+//!    and DNS are expanded in the same order so the Cloudflare blocks
+//!    overlap, reproducing the paper's observation that hosting and DNS are
+//!    bundled. Then forge the concrete [`Site`]s and interleave them with
+//!    the global picks into the toplist.
+//!
+//! Steps 1–3 and the slot expansion are a country's *plan*: a pure
+//! function of the config, the universe and the global pool's sites (every
+//! global pick indexes the pool). The 150 plans run on scoped threads that
+//! pull countries from a shared cursor. Forging the sites stays on the calling
+//! thread, in country order, on one [`DomainForge`]: every name, site index
+//! and toplist entry is what a one-country-at-a-time generation produces,
+//! and every site string is allocated by the caller, not left in a worker
+//! thread's allocator arena.
 
 use crate::calibrate::{adjust_to_target, solve_counts};
 use crate::country::{CountryRecord, Layer};
@@ -25,6 +36,8 @@ use crate::provider::TldKind;
 use crate::toplist::{expand_counts, seeded_shuffle, DomainForge, Site};
 use crate::universe::Universe;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// World generation parameters.
 #[derive(Debug, Clone)]
@@ -139,12 +152,21 @@ fn assign_identities_pinned(
 ) -> Vec<(u32, u64)> {
     let mut out: Vec<(u32, u64)> = Vec::with_capacity(counts.len());
     // Deduplicate candidates across groups (and exclude the pinned owners)
-    // so an owner cannot be assigned twice.
-    let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    seen.insert(head);
-    seen.extend(pinned.iter().copied());
+    // so an owner cannot be assigned twice. Owner ids are dense indices, so
+    // a bitmap over them does what a set would.
+    let max_id = groups
+        .iter()
+        .flat_map(|g| &g.candidates)
+        .chain(pinned)
+        .fold(head, |m, &c| m.max(c));
+    let mut seen = vec![false; max_id as usize + 1];
+    seen[head as usize] = true;
+    for &p in pinned {
+        seen[p as usize] = true;
+    }
     for g in &mut groups {
-        g.candidates.retain(|c| seen.insert(*c));
+        g.candidates
+            .retain(|&c| !std::mem::replace(&mut seen[c as usize], true));
     }
     out.push((head, counts[0]));
     let mut rest = &counts[1..];
@@ -272,6 +294,70 @@ fn country_hash(seed: u64, code: &str) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// One country's calibrated toplist before any of its sites exists.
+struct CountryPlan {
+    /// Global-pool share of the toplist; sets the interleave stride.
+    f_g: f64,
+    /// Pool indices of the global picks, rank order.
+    picks: Vec<u32>,
+    /// Per local site, in order: its owner on each layer.
+    host: Vec<u32>,
+    dns: Vec<u32>,
+    ca: Vec<u32>,
+    tld: Vec<u32>,
+}
+
+/// Upper bound on threads planning the countries, as in `stats::par`.
+const MAX_DEFAULT_THREADS: usize = 8;
+
+/// Available parallelism, capped (`stats::par::default_threads`).
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(MAX_DEFAULT_THREADS)
+}
+
+/// Applies `f` to `0..n` on up to `threads` scoped threads and returns the
+/// results in index order: `stats::par::par_map_indices`, written out
+/// because a `webdep-stats` edge from this crate would rewrite
+/// `perfbench/Cargo.lock`. Threads pull indices from a shared cursor, so a
+/// slow item does not idle the rest; every thread count, one included,
+/// takes this one path.
+fn par_map_indices<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let threads = threads.max(1).min(n.max(1));
+    let cursor = AtomicUsize::new(0);
+    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                let mut local: Vec<(usize, R)> = Vec::new();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    local.push((i, f(i)));
+                }
+                collected.lock().unwrap().extend(local);
+            });
+        }
+    });
+
+    let pairs = collected.into_inner().unwrap();
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in pairs {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every index produced a result"))
+        .collect()
 }
 
 impl World {
@@ -433,12 +519,18 @@ impl World {
             (0..config.sites_per_country.min(config.global_pool_size)).collect();
 
         // ---- Per-country toplists ----
-        let mut toplists: Vec<Vec<u32>> = Vec::with_capacity(COUNTRIES.len());
-        for (ci, country) in COUNTRIES.iter().enumerate() {
-            let toplist =
-                Self::generate_country(&config, &universe, country, ci, &mut forge, &mut sites);
-            toplists.push(toplist);
-        }
+        // The plans read only the pool, so they run in parallel; sites are
+        // forged and indexed here, in country order.
+        let plans = par_map_indices(COUNTRIES.len(), default_threads(), |ci| {
+            Self::plan_country(&config, &universe, &sites, &COUNTRIES[ci], ci)
+        });
+        let toplists: Vec<Vec<u32>> = plans
+            .into_iter()
+            .zip(&COUNTRIES)
+            .map(|(plan, country)| {
+                Self::materialize_country(plan, &config, &universe, country, &mut forge, &mut sites)
+            })
+            .collect();
 
         World {
             config,
@@ -450,15 +542,17 @@ impl World {
         }
     }
 
-    /// Generates one country's toplist, appending its local sites.
-    fn generate_country(
+    /// Plans one country's toplist: its global picks and, per layer, the
+    /// owner of each of its local sites. Reads only the config, the
+    /// universe and the global pool's sites, so plans are independent of
+    /// each other.
+    fn plan_country(
         config: &WorldConfig,
         universe: &Universe,
+        pool: &[Site],
         country: &CountryRecord,
         country_idx: usize,
-        forge: &mut DomainForge,
-        sites: &mut Vec<Site>,
-    ) -> Vec<u32> {
+    ) -> CountryPlan {
         let c_total = config.sites_per_country as u64;
         let h = country_hash(config.seed, country.code);
         let s_host = country.paper_score(Layer::Hosting);
@@ -489,6 +583,10 @@ impl World {
                 }
             })
             .collect();
+        debug_assert!(
+            picks.iter().all(|&p| p < config.global_pool_size),
+            "a plan reads only the pool"
+        );
 
         let pool_jitter = |base: usize| {
             let v = (h >> 8) % 40;
@@ -591,13 +689,7 @@ impl World {
             universe.global_hosting.clone(),
         ));
         host_groups.push(Group::new(0.04, c_total, filler.clone()));
-        let picks_host = {
-            let mut m = HashMap::new();
-            for &p in &picks {
-                *m.entry(sites[p as usize].hosting).or_insert(0) += 1;
-            }
-            m
-        };
+        let picks_host = tally(pool, &picks, |s| s.hosting);
         let host_pins: Vec<(u32, f64)> = depmap::second_anchor(country.code, Layer::Hosting)
             .and_then(|(name, share)| universe.provider_by_name(name).map(|id| (id, share)))
             .into_iter()
@@ -655,13 +747,7 @@ impl World {
                 .filter(|&id| universe.provider(id).offers_dns)
                 .collect(),
         ));
-        let picks_dns = {
-            let mut m = HashMap::new();
-            for &p in &picks {
-                *m.entry(sites[p as usize].dns).or_insert(0) += 1;
-            }
-            m
-        };
+        let picks_dns = tally(pool, &picks, |s| s.dns);
         let dns_local_counts = assemble(
             Layer::Dns,
             host_head,
@@ -716,13 +802,7 @@ impl World {
         let rot = (h % ca_filler.len() as u64) as usize;
         ca_filler.rotate_left(rot);
         ca_groups.push(Group::new(0.015, c_total, ca_filler));
-        let picks_ca = {
-            let mut m = HashMap::new();
-            for &p in &picks {
-                *m.entry(sites[p as usize].ca).or_insert(0) += 1;
-            }
-            m
-        };
+        let picks_ca = tally(pool, &picks, |s| s.ca);
         let ca_pins: Vec<(u32, f64)> = depmap::second_anchor(country.code, Layer::Ca)
             .and_then(|(name, share)| universe.ca_by_name(name).map(|id| (id, share)))
             .into_iter()
@@ -791,13 +871,7 @@ impl World {
             global_tlds,
         ));
         tld_groups.push(Group::new(0.03, c_total, all_cc));
-        let picks_tld = {
-            let mut m = HashMap::new();
-            for &p in &picks {
-                *m.entry(sites[p as usize].tld).or_insert(0) += 1;
-            }
-            m
-        };
+        let picks_tld = tally(pool, &picks, |s| s.tld);
         let tld_pool = 22 + (h % 16) as usize;
         let tld_local_counts = assemble(
             Layer::Tld,
@@ -808,7 +882,7 @@ impl World {
             &picks_tld,
         );
 
-        // ---- Materialize local sites ----
+        // ---- Per-layer owner slots, padded ----
         let pad = |mut slots: Vec<u32>, fallback: u32| -> Vec<u32> {
             // Mixture rounding can leave a few slots short; pad with the
             // layer's head owner.
@@ -818,11 +892,37 @@ impl World {
             slots.truncate(n_local as usize);
             slots
         };
-        let host_slots = pad(expand_counts(&host_local), host_head);
-        let dns_slots = pad(expand_counts(&dns_local_counts), host_head);
-        let ca_slots = pad(expand_counts(&ca_local_counts), le);
-        let tld_slots = pad(expand_counts(&tld_local_counts), tld_head);
+        CountryPlan {
+            f_g,
+            picks,
+            host: pad(expand_counts(&host_local), host_head),
+            dns: pad(expand_counts(&dns_local_counts), host_head),
+            ca: pad(expand_counts(&ca_local_counts), le),
+            tld: pad(expand_counts(&tld_local_counts), tld_head),
+        }
+    }
 
+    /// Forges a plan's local sites onto `sites` and returns the country's
+    /// toplist. Runs in country order on the world's one forge, so names
+    /// and site indices do not depend on how the plans were scheduled.
+    fn materialize_country(
+        plan: CountryPlan,
+        config: &WorldConfig,
+        universe: &Universe,
+        country: &CountryRecord,
+        forge: &mut DomainForge,
+        sites: &mut Vec<Site>,
+    ) -> Vec<u32> {
+        let CountryPlan {
+            f_g,
+            picks,
+            host: host_slots,
+            dns: dns_slots,
+            ca: ca_slots,
+            tld: tld_slots,
+        } = plan;
+        let c_total = config.sites_per_country as u64;
+        let n_local = tld_slots.len() as u64;
         let language = depmap::language_of(country.code);
         let base_index = sites.len() as u32;
         for i in 0..n_local as usize {

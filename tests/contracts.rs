@@ -91,6 +91,60 @@ fn world_generation_is_deterministic() {
     }
 }
 
+/// 64-bit FNV-1a over every site's fields in site order, then every
+/// toplist and the global top list, each behind its length.
+fn world_digest(w: &World) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(&(w.sites.len() as u64).to_le_bytes());
+    for s in &w.sites {
+        eat(&(s.domain.len() as u64).to_le_bytes());
+        eat(s.domain.as_bytes());
+        for id in [s.tld, s.hosting, s.dns, s.ca] {
+            eat(&id.to_le_bytes());
+        }
+        eat(&(s.language.len() as u64).to_le_bytes());
+        eat(s.language.as_bytes());
+        eat(&[s.is_global as u8]);
+    }
+    for list in w.toplists.iter().chain([&w.global_top]) {
+        eat(&(list.len() as u64).to_le_bytes());
+        for &i in list {
+            eat(&i.to_le_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn world_generation_matches_pinned_digests() {
+    // Pinned across commits: every site's name, owners, language and
+    // index, and every rank of every toplist. A change to how the world
+    // is generated must leave them equal, whatever the host's core count.
+    let mut wrong = Vec::new();
+    for (name, mut wc, seed, want) in [
+        ("tiny", WorldConfig::tiny(), 42, 0xb470_c4da_9a62_3a06),
+        ("tiny", WorldConfig::tiny(), 1729, 0xc2e4_bd8e_65cb_a073),
+        ("small", WorldConfig::small(), 42, 0x0660_cff7_6b6f_fb6b),
+        ("small", WorldConfig::small(), 1729, 0x1b5e_9986_0ced_f6a2),
+    ] {
+        wc.seed = seed;
+        let got = world_digest(&World::generate(wc));
+        if got != want {
+            wrong.push(format!("{name}@{seed}: {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "world digests moved: {}",
+        wrong.join("; ")
+    );
+}
+
 #[test]
 fn measurement_is_independent_of_worker_count() {
     let (world, solo) = fixture();
