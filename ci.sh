@@ -35,9 +35,11 @@ fi
 # One borrowed wire on the measurement path: responders write each reply
 # straight into its datagram (`dns::wire::Reply`) and the resolver reads
 # replies in place (`dns::wire::MessageView`). The owned `Message` with
-# `encode`/`decode` is the reference form for tests and tools, so the
-# non-test code of the resolver, the registry tables and the deployed
-# racks names none of them: a second, owned path cannot creep back.
+# `encode`/`decode` is compiled into dns's tests only (the compiler refuses
+# it elsewhere, and the release-symbol step below checks the binary); this
+# guard names the files where a second, owned path would creep back: the
+# non-test code of the resolver, the registry tables and the deployed racks
+# names none of them.
 echo "==> no owned DNS messages in non-test code of the resolver, registries, racks"
 owned=$(awk '
     FNR == 1 { live = 1 }
@@ -55,10 +57,10 @@ fi
 # buffer the responder writes the reply into, and the scanner reads the
 # served chain in place (`tls::ChainView`). The non-test code of the
 # scanner and of the pipeline's workers names neither the owned
-# `CertificateChain` nor `decode_flight` (the reference form for tests and
-# tools), and the non-test code of netsim, dns and tls names neither
-# `build_payload` nor `copy_from_slice`: no datagram is copied into a
-# payload of its own again.
+# `CertificateChain` nor `decode_flight` (compiled into tls's tests only;
+# the release-symbol step below checks the binary), and the non-test code
+# of netsim, dns and tls names neither `build_payload` nor
+# `copy_from_slice`: no datagram is copied into a payload of its own again.
 echo "==> no owned TLS chains in the scanner or workers, no payload copies in netsim, dns, tls"
 copies=$( (awk '
     FNR == 1 { live = 1 }
@@ -103,6 +105,27 @@ while read -r want args; do
     fi
     echo "    webdep $args: $got"
 done < tests/golden/report-small.sha256
+
+# One codec per protocol in the shipped binary: the owned DNS message, zone
+# server and TLS chain and handshake messages are the reference the
+# borrowed codecs are tested against, compiled under `#[cfg(test)]` only.
+# The text guards above read source; this reads the release binary the
+# report-digest step built, so no owned-codec function can be linked into
+# it by any path.
+echo "==> no owned-codec symbols in the release webdep binary"
+symbols=$(nm -C target/release/webdep)
+if ! grep -q 'webdep_dns::' <<<"$symbols"; then
+    echo "ci: nm lists no webdep_dns symbol in the release binary; nothing to check" >&2
+    exit 1
+fi
+owned_symbols=$(grep -E \
+    'webdep_dns::wire::(Message|decode|encode)\b|webdep_dns::server::answer\b|webdep_dns::zone::|webdep_tls::cert::CertificateChain|webdep_tls::handshake::(HandshakeMessage|decode_flight|encode_flight)' \
+    <<<"$symbols" || true)
+if [[ -n "$owned_symbols" ]]; then
+    echo "ci: the release binary links owned-codec code:" >&2
+    echo "$owned_symbols" >&2
+    exit 1
+fi
 
 # The documented checkpoint flow through the real CLI: measure into a
 # chunk store with a run journal beside it, lose one chunk, and heal it

@@ -4,9 +4,7 @@ use crate::cube::DependenceCube;
 use std::collections::HashMap;
 use webdep_core::CountDist;
 use webdep_pipeline::{MeasuredDataset, SiteObservation};
-use webdep_stats::{
-    label_score_ci, label_score_ci_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch,
-};
+use webdep_stats::{label_score_ci_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch};
 use webdep_webgen::{Layer, World, COUNTRIES};
 
 /// Joins a [`MeasuredDataset`] with the [`World`]'s entity metadata.
@@ -164,11 +162,11 @@ impl<'a> AnalysisCtx<'a> {
     /// Bootstrap confidence interval for a country's centralization score
     /// at a layer, resampling the cube's dense site-label array.
     ///
-    /// Runs the fused label-tally kernel ([`label_score_ci`]): each
-    /// replicate draws an index, reads the label and bumps a dense count
-    /// in one pass, with replicate chunks spread across threads.
-    /// Deterministic per seed, independent of thread count. Returns `None`
-    /// for an unmeasured country or for degenerate `replicates`/`level`.
+    /// Runs the fused label-tally kernel ([`label_score_ci_scratch`]) on
+    /// the calling thread with a fresh scratch: each replicate draws an
+    /// index, reads the label and bumps a dense count in one pass.
+    /// Deterministic per seed. Returns `None` for an unmeasured country or
+    /// for degenerate `replicates`/`level`.
     pub fn score_ci(
         &self,
         country_idx: usize,
@@ -177,23 +175,16 @@ impl<'a> AnalysisCtx<'a> {
         level: f64,
         seed: u64,
     ) -> Option<BootstrapCi> {
-        let lc = self.cube().layer(layer);
-        label_score_ci(
-            lc.site_labels(country_idx),
-            lc.owners().len(),
-            replicates,
-            level,
-            seed,
-        )
+        let mut scratch = BootstrapScratch::new();
+        self.score_ci_scratch(country_idx, layer, replicates, level, seed, &mut scratch)
     }
 
-    /// [`AnalysisCtx::score_ci`] with caller-provided bootstrap scratch,
-    /// run serially on the calling thread: the variant for CI sweeps that
-    /// are parallel over countries. The experiment suite maps the countries
+    /// [`AnalysisCtx::score_ci`] with caller-provided bootstrap scratch:
+    /// the variant for CI sweeps. The experiment suite maps the countries
     /// across threads with one scratch per country task; a serial loop can
     /// reuse one scratch and allocate nothing after its first call.
-    /// Bit-identical results — both variants run the same kernel over the
-    /// same per-replicate index streams.
+    /// Bit-identical results — both run the same kernel over the same
+    /// per-replicate index streams.
     pub fn score_ci_scratch(
         &self,
         country_idx: usize,
@@ -442,7 +433,7 @@ mod tests {
                         assert_eq!(c.score_ci(i, layer, 200, 0.95, seed), None, "{what}");
                         continue;
                     };
-                    let parallel = c.score_ci(i, layer, 200, 0.95, seed).expect(&what);
+                    let one_shot = c.score_ci(i, layer, 200, 0.95, seed).expect(&what);
                     let serial = c
                         .score_ci_scratch(i, layer, 200, 0.95, seed, &mut scratch)
                         .expect(&what);
@@ -450,7 +441,7 @@ mod tests {
                         .score_ci_abortable(i, layer, 200, 0.95, seed, &mut scratch, &mut || false)
                         .expect(&what)
                         .expect(&what);
-                    for got in [parallel, serial, abortable] {
+                    for got in [one_shot, serial, abortable] {
                         assert_eq!(got.replicates, 200, "{what}");
                         assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
                     }

@@ -1,8 +1,8 @@
 //! High-volume authoritative data: the registry table.
 //!
-//! [`crate::zone::Zone`] favors generality (arbitrary CNAME chains, nested
-//! delegations) at `O(records)` cost on some paths; it stays the reference
-//! semantics this table is tested against, but a synthetic `.com`
+//! A general zone (arbitrary CNAME chains, nested delegations) costs
+//! `O(records)` on some paths; the crate's tests keep one as the reference
+//! semantics this table is checked against, but a synthetic `.com`
 //! holding hundreds of thousands of delegations needs `O(1)` per query.
 //!
 //! [`DelegationTable`] is a registry: every query for `x.<origin>` (or
@@ -18,10 +18,12 @@
 use crate::name::{is_within, label_count, suffixes, DomainName};
 use crate::server::QuestionRef;
 use crate::wire::{RData, Rcode, Reply};
-use crate::zone::DEFAULT_TTL;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// TTL of every referral and glue record a registry writes.
+pub const DEFAULT_TTL: u32 = 3600;
 
 /// A registry delegation: nameserver names plus glue addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,8 +242,7 @@ mod tests {
     /// glue name, where the table answers NxDomain.
     #[test]
     fn root_table_answers_like_a_root_zone() {
-        use crate::server::answer_from_zones;
-        use crate::zone::Zone;
+        use crate::zone::{answer_from_zones, Zone};
         let mut zone = Zone::new(DomainName::root());
         let mut table = DelegationTable::new(DomainName::root());
         for (i, tld) in ["com", "net", "org"].into_iter().enumerate() {

@@ -829,8 +829,8 @@ impl IterativeResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{answer_from_zones, serve_query};
-    use crate::zone::Zone;
+    use crate::server::serve_query;
+    use crate::zone::{answer_from_zones, Zone};
     use std::sync::Arc;
     use webdep_netsim::{Datagram, FaultPlan, NetConfig, Network, Region, ResponderSet};
 

@@ -2,15 +2,14 @@
 //! reply, run inline by whichever responder the query reached.
 
 use crate::fault::{apply_dns_fault, ReplyShape};
-use crate::name::DomainName;
-use crate::wire::{Message, MessageView, NameBuf, Rcode, RecordType, Reply};
-use crate::zone::{Zone, ZoneLookup};
+use crate::wire::{MessageView, NameBuf, Rcode, RecordType, Reply};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use webdep_netsim::FaultPlan;
 
 /// The question a responder answers: the query's first, its name in
-/// presentation form (lowercase, as [`DomainName::as_str`] gives it).
+/// presentation form (lowercase, as
+/// [`DomainName::as_str`](crate::DomainName::as_str) gives it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuestionRef<'a> {
     /// Queried name.
@@ -70,61 +69,12 @@ pub fn serve_query(
     }
 }
 
-/// Answers `question` from the zone list through the reference [`answer`]:
-/// how a responder over [`Zone`]s (tests, tools) serves through
-/// [`serve_query`].
-pub fn answer_from_zones(zones: &[Zone], question: QuestionRef<'_>, reply: &mut Reply<'_>) {
-    let name = DomainName::from_validated(question.name.to_owned());
-    reply.write_message(&answer(zones, &Message::query(0, name, question.qtype)));
-}
-
-/// Answers a query's first question from the zone list, most specific
-/// zone first when several could hold the name (e.g. a host serving both
-/// a TLD zone and a child zone). The reference authoritative semantics
-/// that the high-volume tables in [`crate::bigzone`] reproduce.
-pub fn answer(zones: &[Zone], query: &Message) -> Message {
-    let mut resp = Message::response_to(query);
-    let Some(q) = query.questions.first() else {
-        resp.rcode = Rcode::FormErr;
-        return resp;
-    };
-    let mut zones: Vec<&Zone> = zones.iter().collect();
-    zones.sort_by_key(|z| std::cmp::Reverse(z.origin().num_labels()));
-    for zone in zones {
-        match zone.lookup(&q.name, q.qtype) {
-            ZoneLookup::NotInZone => continue,
-            ZoneLookup::Answer(records) => {
-                resp.authoritative = true;
-                resp.answers = records;
-                return resp;
-            }
-            ZoneLookup::Referral {
-                ns_records, glue, ..
-            } => {
-                resp.authoritative = false;
-                resp.authorities = ns_records;
-                resp.additionals = glue;
-                return resp;
-            }
-            ZoneLookup::NoData => {
-                resp.authoritative = true;
-                return resp;
-            }
-            ZoneLookup::NxDomain => {
-                resp.authoritative = true;
-                resp.rcode = Rcode::NxDomain;
-                return resp;
-            }
-        }
-    }
-    resp.rcode = Rcode::ServFail; // not authoritative for anything queried
-    resp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode, encode, RecordData};
+    use crate::name::DomainName;
+    use crate::wire::{decode, encode, Message, RecordData};
+    use crate::zone::{answer, answer_from_zones, Zone};
     use webdep_netsim::FaultKind;
 
     fn n(s: &str) -> DomainName {

@@ -4,13 +4,12 @@
 //! additional layout. Encoding compresses repeated names with pointers;
 //! decoding follows pointers with a hop limit to reject loops.
 //!
-//! Two forms share one reader and one compressor. The measurement path
-//! borrows the datagram: a server reads the query through a
-//! [`MessageView`] and writes its reply straight into the reply datagram
-//! through a [`Reply`]; the resolver reads that reply through a view too.
-//! The owned [`Message`] with [`encode`] and [`decode`] is the reference
-//! form for tests and tools: the view accepts exactly what `decode`
-//! accepts, and a `Reply` writes the bytes `encode` writes.
+//! One reader and one writer, both borrowing the datagram: a server reads
+//! the query through a [`MessageView`] and writes its reply straight into
+//! the reply datagram through a [`Reply`]; the resolver reads that reply
+//! through a view too, and writes its queries with [`encode_query`]. No
+//! message is ever built as an owned value. The owned message these are
+//! tested against is compiled into the crate's tests only.
 
 use crate::name::{is_label_byte, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
 use std::fmt;
@@ -83,104 +82,6 @@ impl Rcode {
     }
 }
 
-/// Record data for the supported types.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum RecordData {
-    /// An IPv4 address.
-    A(Ipv4Addr),
-    /// A nameserver host name.
-    Ns(DomainName),
-    /// A canonical name.
-    Cname(DomainName),
-}
-
-impl RecordData {
-    /// The record type of this data.
-    pub fn record_type(&self) -> RecordType {
-        match self {
-            RecordData::A(_) => RecordType::A,
-            RecordData::Ns(_) => RecordType::Ns,
-            RecordData::Cname(_) => RecordType::Cname,
-        }
-    }
-}
-
-/// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Owner name.
-    pub name: DomainName,
-    /// Time to live, seconds.
-    pub ttl: u32,
-    /// Typed record data.
-    pub data: RecordData,
-}
-
-/// A question section entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Question {
-    /// Queried name.
-    pub name: DomainName,
-    /// Queried type.
-    pub qtype: RecordType,
-}
-
-/// A DNS message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Transaction id, echoed by responders.
-    pub id: u16,
-    /// True for responses (QR bit).
-    pub is_response: bool,
-    /// True when the responder is authoritative for the name (AA bit).
-    pub authoritative: bool,
-    /// Recursion desired (RD bit) — carried but the simulation's
-    /// authoritative servers never recurse.
-    pub recursion_desired: bool,
-    /// Response code.
-    pub rcode: Rcode,
-    /// Question section (the simulation always uses exactly one).
-    pub questions: Vec<Question>,
-    /// Answer records.
-    pub answers: Vec<Record>,
-    /// Authority (referral) records.
-    pub authorities: Vec<Record>,
-    /// Additional (glue) records.
-    pub additionals: Vec<Record>,
-}
-
-impl Message {
-    /// Builds a query for `name`/`qtype` with the given transaction id.
-    pub fn query(id: u16, name: DomainName, qtype: RecordType) -> Self {
-        Message {
-            id,
-            is_response: false,
-            authoritative: false,
-            recursion_desired: false,
-            rcode: Rcode::NoError,
-            questions: vec![Question { name, qtype }],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-
-    /// Builds an empty response skeleton echoing `query`'s id and question.
-    pub fn response_to(query: &Message) -> Self {
-        Message {
-            id: query.id,
-            is_response: true,
-            authoritative: false,
-            recursion_desired: query.recursion_desired,
-            rcode: Rcode::NoError,
-            questions: query.questions.clone(),
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        }
-    }
-}
-
 /// Errors from decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -213,49 +114,10 @@ const FLAG_AA: u16 = 0x0400;
 const FLAG_RD: u16 = 0x0100;
 const CLASS_IN: u16 = 1;
 
-/// Encodes a message to wire bytes (with name compression). The owned
-/// reference form: a server writes its replies through [`Reply`], which
-/// compresses the same way, so the two agree byte for byte.
-pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(&mut buf, msg);
-    buf
-}
-
-fn encode_into(buf: &mut Vec<u8>, msg: &Message) {
-    let mut offsets = Suffixes::new();
-    let mut flags = 0u16;
-    if msg.is_response {
-        flags |= FLAG_QR;
-    }
-    if msg.authoritative {
-        flags |= FLAG_AA;
-    }
-    if msg.recursion_desired {
-        flags |= FLAG_RD;
-    }
-    flags |= msg.rcode.code();
-    let counts = [
-        msg.questions.len(),
-        msg.answers.len(),
-        msg.authorities.len(),
-        msg.additionals.len(),
-    ];
-    put_header(buf, msg.id, flags, counts);
-    for q in &msg.questions {
-        put_question(buf, q.name.as_str(), q.qtype, &mut offsets);
-    }
-    for section in [&msg.answers, &msg.authorities, &msg.additionals] {
-        for r in section {
-            put_record(buf, r.name.as_str(), r.ttl, r.data.as_rdata(), &mut offsets);
-        }
-    }
-}
-
-/// Encodes the one-question query [`Message::query`] builds into `buf`,
-/// replacing what it held, without building the message: the same bytes,
-/// no name clone and no section vectors.
-pub(crate) fn encode_query(buf: &mut Vec<u8>, id: u16, name: &DomainName, qtype: RecordType) {
+/// Encodes a query into `buf`, replacing what it held: the header with
+/// transaction id `id` and no flag set, then the one question `name`/
+/// `qtype` (class IN).
+pub fn encode_query(buf: &mut Vec<u8>, id: u16, name: &DomainName, qtype: RecordType) {
     buf.clear();
     put_header(buf, id, 0, [1, 0, 0, 0]);
     // A lone name has no earlier suffix to point at.
@@ -421,12 +283,11 @@ fn encode_name(buf: &mut Vec<u8>, name: &str, offsets: &mut Suffixes) {
 }
 
 /// A reply written straight into its datagram: the header, the query's
-/// questions echoed as [`decode`] reads them (lowercase, split at every
-/// dot), then records section by section, compressed as [`encode`]
-/// compresses. [`crate::server::serve_query`] starts one for each query it
-/// answers and hands it to the responder, so a reply costs no owned
-/// message, no record vector and no name clone; its bytes are those
-/// `encode` writes for the owned response with the same records.
+/// questions echoed as a [`MessageView`] expands them (lowercase, split at
+/// every dot), then records section by section, each name compressed
+/// against the first suffix already written. [`crate::server::serve_query`]
+/// starts one for each query it answers and hands it to the responder, so
+/// a reply costs no owned message, no record vector and no name clone.
 ///
 /// Names are given in presentation form ([`DomainName::as_str`]).
 pub struct Reply<'b> {
@@ -490,26 +351,6 @@ impl<'b> Reply<'b> {
         self.push(3, owner, ttl, data);
     }
 
-    /// Writes an owned response's AA bit, rcode and records: how an
-    /// answerer that builds a [`Message`] (the reference
-    /// [`crate::server::answer`]) replies through this encoder. The
-    /// response's own questions are not written; the query's are.
-    pub fn write_message(&mut self, msg: &Message) {
-        if msg.authoritative {
-            self.set_authoritative();
-        }
-        self.set_rcode(msg.rcode);
-        for (section, records) in [
-            (1, &msg.answers),
-            (2, &msg.authorities),
-            (3, &msg.additionals),
-        ] {
-            for r in records {
-                self.push(section, r.name.as_str(), r.ttl, r.data.as_rdata());
-            }
-        }
-    }
-
     fn push(&mut self, section: usize, owner: &str, ttl: u32, data: RData<&str>) {
         assert!(
             self.counts[section + 1..].iter().all(|&c| c == 0),
@@ -526,57 +367,6 @@ impl<'b> Reply<'b> {
             set_u16(self.buf, 4 + 2 * i, count);
         }
     }
-}
-
-/// Decodes a wire message into the owned reference form. It accepts
-/// exactly what [`MessageView::parse`] accepts.
-pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    let id = cur.u16()?;
-    let flags = cur.u16()?;
-    let qd = cur.u16()? as usize;
-    let an = cur.u16()? as usize;
-    let ns = cur.u16()? as usize;
-    let ar = cur.u16()? as usize;
-
-    // Counts come off the wire: size each section by what the remaining
-    // bytes could hold (a question is at least 5 bytes, a record 11).
-    let cap = |count: usize, min_len: usize, cur: &Cursor<'_>| count.min(cur.remaining() / min_len);
-    let mut questions = Vec::with_capacity(cap(qd, 5, &cur));
-    for _ in 0..qd {
-        let (name, qtype) = read_question(&mut cur, decode_name)?;
-        questions.push(Question { name, qtype });
-    }
-    let mut sections = [
-        Vec::with_capacity(cap(an, 11, &cur)),
-        Vec::with_capacity(cap(ns, 11, &cur)),
-        Vec::with_capacity(cap(ar, 11, &cur)),
-    ];
-    for (idx, count) in [(0, an), (1, ns), (2, ar)] {
-        for _ in 0..count {
-            // Records of a type the simulation does not know are skipped,
-            // as a measurement client tolerates them.
-            if let (name, ttl, Some(data)) = read_record(&mut cur, decode_name)? {
-                sections[idx].push(Record {
-                    name,
-                    ttl,
-                    data: data.into(),
-                });
-            }
-        }
-    }
-    let [answers, authorities, additionals] = sections;
-    Ok(Message {
-        id,
-        is_response: flags & FLAG_QR != 0,
-        authoritative: flags & FLAG_AA != 0,
-        recursion_desired: flags & FLAG_RD != 0,
-        rcode: Rcode::from_code(flags),
-        questions,
-        answers,
-        authorities,
-        additionals,
-    })
 }
 
 struct Cursor<'a> {
@@ -603,10 +393,6 @@ impl<'a> Cursor<'a> {
         Ok(hi << 16 | lo)
     }
 
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
     fn slice(&mut self, len: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
         if end > self.bytes.len() {
@@ -619,10 +405,10 @@ impl<'a> Cursor<'a> {
 }
 
 /// One question at the cursor, its name read by `name`.
-fn read_question<'a, N>(
+fn read_question<'a>(
     cur: &mut Cursor<'a>,
-    name: impl FnOnce(&mut Cursor<'a>) -> Result<N, WireError>,
-) -> Result<(N, RecordType), WireError> {
+    name: impl FnOnce(&mut Cursor<'a>) -> Result<NameRef<'a>, WireError>,
+) -> Result<(NameRef<'a>, RecordType), WireError> {
     let name = name(cur)?;
     let qtype_raw = cur.u16()?;
     let qtype = RecordType::from_code(qtype_raw).ok_or(WireError::UnsupportedType(qtype_raw))?;
@@ -632,10 +418,10 @@ fn read_question<'a, N>(
 
 /// One record at the cursor, its names read by `name`: the owner, the TTL
 /// and the data, `None` for a type the simulation does not know.
-fn read_record<'a, N>(
+fn read_record<'a>(
     cur: &mut Cursor<'a>,
-    mut name: impl FnMut(&mut Cursor<'a>) -> Result<N, WireError>,
-) -> Result<(N, u32, Option<RData<N>>), WireError> {
+    mut name: impl FnMut(&mut Cursor<'a>) -> Result<NameRef<'a>, WireError>,
+) -> Result<(NameRef<'a>, u32, Option<RData<NameRef<'a>>>), WireError> {
     let owner = name(cur)?;
     let rtype = cur.u16()?;
     let _class = cur.u16()?;
@@ -825,21 +611,8 @@ impl NameBuf {
     }
 }
 
-/// Decodes a possibly compressed name starting at the cursor.
-///
-/// The decoder accepts exactly the names [`DomainName::parse`] accepts on
-/// the dot-joined labels ([`NameBuf`]), and a name costs one allocation of
-/// its own length. An invalid label byte fails the name at once.
-fn decode_name(cur: &mut Cursor<'_>) -> Result<DomainName, WireError> {
-    let mut buf = NameBuf::new();
-    let end = buf.read(cur.bytes, cur.pos)?;
-    let name = DomainName::from_validated(buf.text()?.to_owned());
-    cur.pos = end;
-    Ok(name)
-}
-
-/// Checks the name at the cursor as [`decode_name`] does, in `buf`,
-/// keeping it in place.
+/// Checks the name at the cursor in `buf` ([`NameBuf`]'s rules), keeping
+/// it in place.
 fn check_name<'a>(buf: &mut NameBuf, cur: &mut Cursor<'a>) -> Result<NameRef<'a>, WireError> {
     let name = NameRef {
         bytes: cur.bytes,
@@ -895,27 +668,6 @@ impl<N> RData<N> {
     }
 }
 
-impl RecordData {
-    /// The data with its name borrowed, as [`Reply`] writes it.
-    pub fn as_rdata(&self) -> RData<&str> {
-        match self {
-            RecordData::A(ip) => RData::A(*ip),
-            RecordData::Ns(n) => RData::Ns(n.as_str()),
-            RecordData::Cname(n) => RData::Cname(n.as_str()),
-        }
-    }
-}
-
-impl From<RData<DomainName>> for RecordData {
-    fn from(data: RData<DomainName>) -> Self {
-        match data {
-            RData::A(ip) => RecordData::A(ip),
-            RData::Ns(n) => RecordData::Ns(n),
-            RData::Cname(n) => RecordData::Cname(n),
-        }
-    }
-}
-
 /// Where a checked message's parts are: its header fields and the offset
 /// each section starts at.
 #[derive(Debug, Clone, Copy)]
@@ -927,11 +679,17 @@ struct Layout {
     starts: [usize; 4],
 }
 
-/// A DNS message read in place. [`MessageView::parse`] accepts exactly the
-/// datagrams [`decode`] accepts and checks every name as `decode` does,
-/// but keeps only the header and where each section starts: questions and
-/// records are read off the bytes as a section is walked, in `decode`'s
-/// order and skipping the record types it skips, and names stay on the
+/// A DNS message read in place. [`MessageView::parse`] checks the whole
+/// datagram: the 12-byte header, then every question and record its
+/// counts announce. A question needs a known type (A, NS, CNAME); a
+/// record's data must fit its length (an A record exactly 4 bytes, an NS
+/// or CNAME target a name ending within it), and one of an unknown type is
+/// skipped over. Every name is checked label by label against
+/// [`DomainName::parse`]'s rules ([`NameBuf`]), compression pointers
+/// pointing back only, at most 32 of them per name. Bytes after the last
+/// counted record are ignored. The view keeps only the header and where
+/// each section starts: questions and records are read off the bytes as a
+/// section is walked, skipping the unknown types, and names stay on the
 /// wire ([`NameRef`]) until a caller compares or expands one. Nothing is
 /// allocated.
 #[derive(Debug, Clone, Copy)]
@@ -961,7 +719,7 @@ pub struct RecordView<'a> {
 }
 
 impl<'a> MessageView<'a> {
-    /// Checks `bytes` as [`decode`] does, building nothing.
+    /// Checks `bytes` (see [`MessageView`]), building nothing.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
         Self::parse_in(bytes, &mut NameBuf::new())
     }
@@ -1423,3 +1181,9 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+pub(crate) use reference::{decode, encode, Message, Question, Record, RecordData};
+
+#[cfg(test)]
+mod reference;

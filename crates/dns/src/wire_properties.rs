@@ -2,17 +2,17 @@
 //! messages and no-panic over arbitrary bytes (a network-facing decoder
 //! must never trust its input).
 
-use proptest::prelude::*;
-use std::net::Ipv4Addr;
-use std::time::Duration;
-use webdep_dns::bigzone::{Delegation, DelegationTable};
-use webdep_dns::name::DomainName;
-use webdep_dns::server::{answer_from_zones, serve_query};
-use webdep_dns::wire::{
+use crate::bigzone::{Delegation, DelegationTable};
+use crate::name::DomainName;
+use crate::server::serve_query;
+use crate::wire::{
     decode, encode, Message, MessageView, Question, RData, Rcode, Record, RecordData, RecordType,
     RecordView,
 };
-use webdep_dns::Zone;
+use crate::zone::{answer_from_zones, Zone};
+use proptest::prelude::*;
+use std::net::Ipv4Addr;
+use std::time::Duration;
 use webdep_netsim::{FaultKind, FaultPlan};
 
 fn arb_label() -> impl Strategy<Value = String> {

@@ -1,12 +1,14 @@
-//! Authoritative zone data: records, delegations, and lookup semantics.
+//! The reference authoritative server: zone data (records, delegations,
+//! lookup semantics) answered as owned messages. The registry tables of
+//! [`crate::bigzone`] and the resolver are tested against it; it is
+//! compiled into the crate's tests only.
 
+use crate::bigzone::DEFAULT_TTL;
 use crate::name::DomainName;
-use crate::wire::{Record, RecordData, RecordType};
+use crate::server::QuestionRef;
+use crate::wire::{Message, Rcode, Record, RecordData, RecordType, Reply};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-
-/// Default TTL attached to generated records.
-pub const DEFAULT_TTL: u32 = 3600;
 
 /// One authoritative zone: an origin (apex), a record store, and the set of
 /// delegated child zones.
@@ -53,11 +55,6 @@ impl Zone {
     /// The zone apex.
     pub fn origin(&self) -> &DomainName {
         &self.origin
-    }
-
-    /// Number of stored record sets.
-    pub fn num_rrsets(&self) -> usize {
-        self.records.len()
     }
 
     /// Adds an A record.
@@ -203,6 +200,57 @@ impl Zone {
             ZoneLookup::NxDomain
         }
     }
+}
+
+/// Answers `question` from the zone list through [`answer`]: how a
+/// responder over [`Zone`]s serves through
+/// [`serve_query`](crate::server::serve_query).
+pub fn answer_from_zones(zones: &[Zone], question: QuestionRef<'_>, reply: &mut Reply<'_>) {
+    let name = DomainName::from_validated(question.name.to_owned());
+    reply.write_message(&answer(zones, &Message::query(0, name, question.qtype)));
+}
+
+/// Answers a query's first question from the zone list, most specific
+/// zone first when several could hold the name (e.g. a host serving both
+/// a TLD zone and a child zone). The reference authoritative semantics
+/// that the high-volume tables in [`crate::bigzone`] reproduce.
+pub fn answer(zones: &[Zone], query: &Message) -> Message {
+    let mut resp = Message::response_to(query);
+    let Some(q) = query.questions.first() else {
+        resp.rcode = Rcode::FormErr;
+        return resp;
+    };
+    let mut zones: Vec<&Zone> = zones.iter().collect();
+    zones.sort_by_key(|z| std::cmp::Reverse(z.origin().num_labels()));
+    for zone in zones {
+        match zone.lookup(&q.name, q.qtype) {
+            ZoneLookup::NotInZone => continue,
+            ZoneLookup::Answer(records) => {
+                resp.authoritative = true;
+                resp.answers = records;
+                return resp;
+            }
+            ZoneLookup::Referral {
+                ns_records, glue, ..
+            } => {
+                resp.authoritative = false;
+                resp.authorities = ns_records;
+                resp.additionals = glue;
+                return resp;
+            }
+            ZoneLookup::NoData => {
+                resp.authoritative = true;
+                return resp;
+            }
+            ZoneLookup::NxDomain => {
+                resp.authoritative = true;
+                resp.rcode = Rcode::NxDomain;
+                return resp;
+            }
+        }
+    }
+    resp.rcode = Rcode::ServFail; // not authoritative for anything queried
+    resp
 }
 
 #[cfg(test)]

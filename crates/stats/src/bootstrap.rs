@@ -4,11 +4,12 @@
 //! how stable they are under toplist resampling. [`bootstrap_ci`]
 //! resamples observations with replacement and returns a percentile
 //! interval for any statistic. The per-country centralization score has
-//! its own fused kernel, [`label_score_ci`] (and its serial, abortable
-//! [`label_score_ci_scratch`]): each replicate draws an index, reads the
-//! site's dense owner label and bumps that owner's count in one pass, with
-//! no resample buffer at all. The analysis context's `score_ci` family,
-//! the report's Tab 5 and the served `/v1/ci` and `/v1/badge` run on it.
+//! its own fused kernel, [`label_score_ci_scratch`]: each replicate draws
+//! an index, reads the site's dense owner label and bumps that owner's
+//! count in one pass, with no resample buffer at all, serially on the
+//! calling thread and abortable. The analysis context's `score_ci` family,
+//! the report's Tab 5 and the served `/v1/ci` and `/v1/badge` run on it;
+//! callers that need throughput run many intervals in parallel.
 //!
 //! Replicates are independent by construction: replicate `r` draws from its
 //! own index stream seeded by `mix(seed, r)`, so the interval is identical
@@ -83,9 +84,10 @@ fn valid(n_items: usize, replicates: usize, level: f64) -> bool {
     n_items > 0 && replicates > 0 && level > 0.0 && level < 1.0
 }
 
-/// Number of replicates to hand each parallel worker at a time, and the
-/// abort-poll interval of [`label_score_ci_scratch`]. Large enough to
-/// amortize scheduling, small enough to balance uneven statistic costs.
+/// Number of replicates to hand each parallel worker of [`bootstrap_ci`]
+/// at a time, and the abort-poll interval of [`label_score_ci_scratch`].
+/// Large enough to amortize scheduling, small enough to balance uneven
+/// statistic costs.
 const REPLICATE_CHUNK: usize = 32;
 
 /// Percentile bootstrap for `statistic` over `items`.
@@ -221,56 +223,18 @@ pub struct BootstrapAborted;
 
 /// Percentile bootstrap of the centralization score `Σ(a/C)² − 1/C` over a
 /// dense label array: `labels[i]` is the owner of site `i`, below
-/// `n_owners`. Replicate chunks spread across threads.
+/// `n_owners`. Runs serially on the calling thread with caller-provided
+/// scratch, polling `should_abort` once before the first replicate and
+/// then every `REPLICATE_CHUNK` replicates; it bails with
+/// [`BootstrapAborted`] instead of running to completion.
 ///
 /// Replicate `r` draws the same index stream as [`bootstrap_ci`]'s, and
 /// the score sums squared shares in first-seen order, so the interval is
 /// bit-identical to [`bootstrap_ci`] over `labels` with a first-seen tally
-/// statistic. Returns `None` for an empty array, a degenerate level, or
-/// zero replicates.
-pub fn label_score_ci(
-    labels: &[u32],
-    n_owners: usize,
-    replicates: usize,
-    level: f64,
-    seed: u64,
-) -> Option<BootstrapCi> {
-    if !valid(labels.len(), replicates, level) {
-        return None;
-    }
-    let n = labels.len();
-    let mut scratch = BootstrapScratch::new();
-    scratch.fit(n, n_owners);
-    let point = scratch.label_score(n, |i| labels[i]);
-    let chunks = replicates.div_ceil(REPLICATE_CHUNK);
-    let threads = crate::par::default_threads().min(chunks);
-    let mut stats: Vec<f64> = par_map_indices(chunks, threads, |c| {
-        let lo = c * REPLICATE_CHUNK;
-        let hi = (lo + REPLICATE_CHUNK).min(replicates);
-        let mut scratch = BootstrapScratch::new();
-        scratch.fit(n, n_owners);
-        scratch
-            .replicates(labels, seed, lo..hi, &mut || false)
-            .expect("never polled to abort");
-        scratch.stats
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    Some(percentile_interval(point, &mut stats, level))
-}
-
-/// [`label_score_ci`] run serially on the calling thread with
-/// caller-provided scratch, polling `should_abort` once before the first
-/// replicate and then every `REPLICATE_CHUNK` replicates; it bails with
-/// [`BootstrapAborted`] instead of running to completion.
-///
-/// Replicate `r` is seeded by `mix(seed, r)` regardless of who runs it and
-/// the percentile sort is order-independent, so a completed interval is
-/// bit-identical to [`label_score_ci`]'s: a request under deadline
-/// pressure never serves different numbers, it either serves the
-/// canonical ones or sheds. Pass `&mut || false` to run to completion, as
-/// CI sweeps that are parallel at a coarser grain do.
+/// statistic: a request under deadline pressure never serves different
+/// numbers, it either serves the canonical ones or sheds. Pass
+/// `&mut || false` to run to completion. Returns `Ok(None)` for an empty
+/// array, a degenerate level, or zero replicates.
 pub fn label_score_ci_scratch(
     labels: &[u32],
     n_owners: usize,
@@ -340,18 +304,36 @@ mod tests {
         (0..n as u32).map(|i| (i * i + 3 * i) % owners).collect()
     }
 
-    /// The serial kernel is bit-identical to the parallel one, and its
-    /// scratch is reusable across array lengths and owner counts.
+    /// The kernel on `labels` with a fresh scratch, run to completion.
+    fn fresh(data: &[u32], owners: usize, replicates: usize, seed: u64) -> Option<BootstrapCi> {
+        let mut scratch = BootstrapScratch::new();
+        label_score_ci_scratch(
+            data,
+            owners,
+            replicates,
+            0.95,
+            seed,
+            &mut scratch,
+            &mut || false,
+        )
+        .expect("never polled to abort")
+    }
+
+    /// The kernel's scratch is reusable across array lengths and owner
+    /// counts: a reused scratch gives what a fresh one gives.
     #[test]
-    fn serial_kernel_is_identical_to_parallel() {
+    fn reused_scratch_is_identical_to_a_fresh_one() {
         let mut scratch = BootstrapScratch::new();
         for (n, owners, seed) in [(90, 7, 1u64), (3, 40, 7), (250, 250, 42), (1, 1, 3)] {
             let data = labels(n, owners);
             let owners = owners as usize;
-            let parallel = label_score_ci(&data, owners, 250, 0.95, seed).unwrap();
-            let serial =
+            let reused =
                 label_score_ci_scratch(&data, owners, 250, 0.95, seed, &mut scratch, &mut || false);
-            assert_eq!(serial, Ok(Some(parallel)), "n {n} seed {seed}");
+            assert_eq!(
+                reused,
+                Ok(fresh(&data, owners, 250, seed)),
+                "n {n} seed {seed}"
+            );
         }
     }
 
@@ -367,7 +349,7 @@ mod tests {
             polls += 1;
             false
         });
-        assert_eq!(completed, Ok(label_score_ci(&data, 9, 300, 0.95, 9)));
+        assert_eq!(completed, Ok(fresh(&data, 9, 300, 9)));
         assert_eq!(polls, 1 + 299 / 32, "one poll up front, then one per 32");
 
         assert_eq!(
@@ -420,8 +402,11 @@ mod tests {
         assert!(bootstrap_ci(&data, mean, 0, 0.95, 0).is_none());
         assert!(bootstrap_ci(&data, mean, 100, 1.0, 0).is_none());
         assert!(bootstrap_ci(&data, mean, 100, 0.0, 0).is_none());
-        assert!(label_score_ci(&[], 1, 100, 0.95, 0).is_none());
-        assert!(label_score_ci(&[0], 1, 0, 0.95, 0).is_none());
-        assert!(label_score_ci(&[0], 1, 100, 1.0, 0).is_none());
+        assert!(fresh(&[], 1, 100, 0).is_none());
+        assert!(fresh(&[0], 1, 0, 0).is_none());
+        let mut scratch = BootstrapScratch::new();
+        let at_level_one =
+            label_score_ci_scratch(&[0], 1, 100, 1.0, 0, &mut scratch, &mut || false);
+        assert_eq!(at_level_one, Ok(None));
     }
 }

@@ -35,8 +35,7 @@ pub mod special;
 
 pub use affinity::{affinity_propagation, AffinityConfig, Clustering};
 pub use bootstrap::{
-    bootstrap_ci, label_score_ci, label_score_ci_scratch, BootstrapAborted, BootstrapCi,
-    BootstrapScratch,
+    bootstrap_ci, label_score_ci_scratch, BootstrapAborted, BootstrapCi, BootstrapScratch,
 };
 pub use corr::{pearson, spearman, Correlation, CorrelationStrength};
 pub use describe::Summary;

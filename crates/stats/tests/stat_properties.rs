@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use webdep_stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep_stats::bootstrap::{
-    bootstrap_ci, label_score_ci, label_score_ci_scratch, BootstrapCi, BootstrapScratch,
+    bootstrap_ci, label_score_ci_scratch, BootstrapCi, BootstrapScratch,
 };
 use webdep_stats::corr::{average_ranks, pearson, spearman};
 use webdep_stats::describe::{mean, median, quantile, variance};
@@ -139,9 +139,9 @@ proptest! {
         }
     }
 
-    /// The fused label-score kernel, parallel and serial, is bit-identical
-    /// to the generic bootstrap with a first-seen tally statistic, on four
-    /// shapes of label array: one site, one owner, all distinct, skewed.
+    /// The fused label-score kernel is bit-identical to the generic
+    /// bootstrap with a first-seen tally statistic, on four shapes of
+    /// label array: one site, one owner, all distinct, skewed.
     #[test]
     fn label_kernel_matches_first_seen_reference(
         shape in 0u32..4,
@@ -157,11 +157,9 @@ proptest! {
             _ => (xs.iter().map(|&x| 1000 / (x + 1)).collect(), 1001),
         };
         let want = bootstrap_ci(&labels, first_seen_score, reps, level, seed).unwrap();
-        let parallel = label_score_ci(&labels, owners, reps, level, seed).unwrap();
         let serial = label_score_ci_scratch(
             &labels, owners, reps, level, seed, &mut BootstrapScratch::new(), &mut || false,
         ).unwrap().unwrap();
-        prop_assert_eq!(bits(&parallel), bits(&want), "{:?} vs {:?}", parallel, want);
         prop_assert_eq!(bits(&serial), bits(&want), "{:?} vs {:?}", serial, want);
     }
 

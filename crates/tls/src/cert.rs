@@ -1,12 +1,12 @@
 //! Certificate model: leaf/issuer structure, SAN matching, chain checks,
 //! and the compact binary codec.
 //!
-//! Two forms share one reader. The scanner reads a served chain in place:
-//! a [`ChainView`] over the flight's bytes, whose [`CertView`]s borrow
-//! their strings, so a scan decodes no owned certificate. The owned
-//! [`CertificateChain`] of [`Certificate`]s is the reference form for
-//! tests and tools: a view accepts exactly what
-//! [`CertificateChain::decode_from`] accepts, field for field.
+//! One writer and one reader. A server owns its [`Certificate`]s (or names
+//! a leaf it never holds, [`CertRef`]) and writes them into its flight;
+//! the scanner reads a served chain in place: a [`ChainView`] over the
+//! flight's bytes, whose [`CertView`]s borrow their strings, so a scan
+//! decodes no owned certificate. The owned chain these are tested against
+//! is compiled into the crate's tests only.
 
 use bytes::BufMut;
 
@@ -33,19 +33,6 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Whether `hostname` matches the subject or a SAN entry, with
-    /// single-label wildcard semantics (`*.example.com` matches
-    /// `www.example.com` but not `a.b.example.com` or `example.com`).
-    pub fn matches_hostname(&self, hostname: &str) -> bool {
-        let san = self.san.iter().map(String::as_str);
-        names_match(std::iter::once(self.subject.as_str()).chain(san), hostname)
-    }
-
-    /// Whether the certificate is valid at `now` (unix seconds).
-    pub fn valid_at(&self, now: u64) -> bool {
-        self.not_before <= now && now <= self.not_after
-    }
-
     /// Encodes into `buf`.
     pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_u64(self.serial);
@@ -59,36 +46,6 @@ impl Certificate {
         buf.put_u64(self.not_before);
         buf.put_u64(self.not_after);
         buf.put_u8(self.is_ca as u8);
-    }
-
-    /// Decodes from `bytes` at `*pos`, advancing it.
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Option<Certificate> {
-        let serial = get_u64(bytes, pos)?;
-        let subject = get_str(bytes, pos)?;
-        let n_san = get_u16(bytes, pos)? as usize;
-        if n_san > MAX_SANS {
-            return None; // defensively bound attacker-controlled lengths
-        }
-        let mut san = Vec::with_capacity(n_san);
-        for _ in 0..n_san {
-            san.push(get_str(bytes, pos)?);
-        }
-        let issuer_id = get_u32(bytes, pos)?;
-        let issuer_name = get_str(bytes, pos)?;
-        let not_before = get_u64(bytes, pos)?;
-        let not_after = get_u64(bytes, pos)?;
-        let is_ca = *bytes.get(*pos)? != 0;
-        *pos += 1;
-        Some(Certificate {
-            serial,
-            subject,
-            san,
-            issuer_id,
-            issuer_name,
-            not_before,
-            not_after,
-            is_ca,
-        })
     }
 }
 
@@ -135,61 +92,12 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     Some(u64::from_be_bytes(s.try_into().ok()?))
 }
 
-fn get_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    get_str_ref(bytes, pos).map(str::to_owned)
-}
-
 /// A length-prefixed string, borrowed; checked to be UTF-8.
 fn get_str_ref<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let len = get_u16(bytes, pos)? as usize;
     let s = bytes.get(*pos..*pos + len)?;
     *pos += len;
     std::str::from_utf8(s).ok()
-}
-
-/// A certificate chain, leaf first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertificateChain {
-    /// Certificates, leaf at index 0.
-    pub certs: Vec<Certificate>,
-}
-
-impl CertificateChain {
-    /// The leaf certificate; `None` for an empty chain.
-    pub fn leaf(&self) -> Option<&Certificate> {
-        self.certs.first()
-    }
-
-    /// Validates chain shape for `hostname` at `now`: non-empty, leaf
-    /// matches the name and is in validity, each cert's issuer id equals
-    /// the next cert's own id (`serial` doubles as the CA cert id for CA
-    /// certificates), and every non-leaf is a CA certificate.
-    pub fn validate(&self, hostname: &str, now: u64) -> Result<(), ChainError> {
-        validate_chain(
-            self.leaf().map(|leaf| leaf.matches_hostname(hostname)),
-            (self.certs.iter()).map(|c| (c.serial, c.issuer_id, c.is_ca, c.valid_at(now))),
-        )
-    }
-
-    /// Encodes the chain (count-prefixed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        encode_certs_into(self.certs.iter().map(CertRef::Whole), &mut buf);
-        buf
-    }
-
-    /// Decodes a chain from `bytes` at `*pos`.
-    pub fn decode_from(bytes: &[u8], pos: &mut usize) -> Option<CertificateChain> {
-        let n = get_u16(bytes, pos)? as usize;
-        if n > MAX_CHAIN {
-            return None; // defensive bound
-        }
-        let mut certs = Vec::with_capacity(n);
-        for _ in 0..n {
-            certs.push(Certificate::decode_from(bytes, pos)?);
-        }
-        Some(CertificateChain { certs })
-    }
 }
 
 /// A certificate read in place: the fields of a [`Certificate`], its
@@ -218,9 +126,9 @@ pub struct CertView<'a> {
 }
 
 impl<'a> CertView<'a> {
-    /// Reads the certificate at `*pos`, advancing it: `Some` exactly when
-    /// [`Certificate::decode_from`] decodes one there, stopping where it
-    /// stops.
+    /// Reads the certificate at `*pos`, advancing it: the fields in
+    /// [`Certificate::encode_into`]'s order, each string's length in
+    /// bounds and its bytes UTF-8, at most 256 SANs; `None` otherwise.
     fn read(bytes: &'a [u8], pos: &mut usize) -> Option<Self> {
         let serial = get_u64(bytes, pos)?;
         let subject = get_str_ref(bytes, pos)?;
@@ -258,12 +166,15 @@ impl<'a> CertView<'a> {
         (0..self.san_count).map_while(move |_| get_str_ref(bytes, &mut pos))
     }
 
-    /// [`Certificate::matches_hostname`], read in place.
+    /// Whether `hostname` matches the subject or a SAN entry, ignoring
+    /// ASCII case, with single-label wildcard semantics (`*.example.com`
+    /// matches `www.example.com` but not `a.b.example.com` or
+    /// `example.com`).
     pub fn matches_hostname(&self, hostname: &str) -> bool {
         names_match(std::iter::once(self.subject).chain(self.san()), hostname)
     }
 
-    /// [`Certificate::valid_at`].
+    /// Whether the certificate is valid at `now` (unix seconds).
     pub fn valid_at(&self, now: u64) -> bool {
         self.not_before <= now && now <= self.not_after
     }
@@ -280,10 +191,10 @@ pub struct ChainView<'a> {
 }
 
 impl<'a> ChainView<'a> {
-    /// Reads the chain that fills `bytes` exactly: `Some` exactly when
-    /// [`CertificateChain::decode_from`] decodes a chain from `bytes` and
-    /// stops at their end. Every certificate is read and checked (bounds,
-    /// UTF-8 strings), not only the leaf.
+    /// Reads the chain that fills `bytes` exactly: a count of at most 16,
+    /// then that many certificates ([`CertView`]) and nothing after them.
+    /// Every certificate is read and checked (bounds, UTF-8 strings), not
+    /// only the leaf.
     pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let mut pos = 0;
         let len = get_u16(bytes, &mut pos)? as usize;
@@ -310,7 +221,11 @@ impl<'a> ChainView<'a> {
         (0..self.len).map_while(move |_| CertView::read(bytes, &mut pos))
     }
 
-    /// [`CertificateChain::validate`], read in place.
+    /// Validates chain shape for `hostname` at `now`: non-empty, leaf
+    /// matches the name, every certificate is in validity, each
+    /// certificate's issuer id equals the next one's own id (`serial`
+    /// doubles as the CA cert id for CA certificates), and every non-leaf
+    /// is a CA certificate.
     pub fn validate(&self, hostname: &str, now: u64) -> Result<(), ChainError> {
         validate_chain(
             self.leaf.map(|leaf| leaf.matches_hostname(hostname)),
@@ -319,7 +234,7 @@ impl<'a> ChainView<'a> {
     }
 }
 
-/// Validates chain shape (see [`CertificateChain::validate`]) from
+/// Validates chain shape (see [`ChainView::validate`]) from
 /// whether the leaf matches the hostname (`None`: the chain is empty) and
 /// each certificate's `(serial, issuer_id, is_ca, valid now)`, leaf first.
 fn validate_chain(
@@ -390,9 +305,8 @@ impl CertRef<'_> {
     }
 }
 
-/// Encodes certificates, leaf first, as the chain [`CertificateChain::encode`]
-/// writes for them — without the certificates having to be gathered into
-/// an owned chain first.
+/// Encodes a chain: the count, then each certificate leaf first, borrowed
+/// where it is stored, so nothing is gathered into an owned chain.
 pub(crate) fn encode_certs_into<'a, I>(certs: I, buf: &mut impl BufMut)
 where
     I: IntoIterator<Item = CertRef<'a>>,
@@ -605,3 +519,9 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) use reference::CertificateChain;
+
+#[cfg(test)]
+mod reference;

@@ -4,14 +4,21 @@
 //! The client's flight is a single `ClientHello`; the server's flight is
 //! `ServerHello` followed by `Certificate` (or a single `Alert`).
 //!
-//! On the scan path nothing is owned: the scanner and the servers write
-//! their flights into buffers they are lent ([`encode_server_flight`]),
-//! and the scanner reads the served chain in place
-//! ([`crate::ChainView`]). The owned [`HandshakeMessage`] with
-//! [`encode_flight`] and [`decode_flight`] is the reference form for tests
-//! and tools.
+//! Nothing is owned: the scanner and the servers write their flights into
+//! buffers they are lent ([`encode_client_hello`],
+//! [`encode_server_flight`]), a server reads the hello in place
+//! ([`decode_client_hello`]) and the scanner reads the served chain in
+//! place ([`crate::ChainView`]). The owned messages these are tested
+//! against are compiled into the crate's tests only.
+//!
+//! A flight is well formed when it is a run of whole frames, each at most
+//! 1 MiB, whose bodies are well formed for their type: a `ClientHello` is
+//! an 8-byte random and a length-prefixed UTF-8 name (bytes after the name
+//! are ignored), a `ServerHello` exactly 10 bytes (random, cipher), a
+//! `Certificate` one chain filling it ([`ChainView::parse`]), an `Alert`
+//! exactly 1 byte; any other type is refused.
 
-use crate::cert::{encode_certs_into, CertRef, CertificateChain, ChainView};
+use crate::cert::{encode_certs_into, CertRef, ChainView};
 use bytes::BufMut;
 
 const TYPE_CLIENT_HELLO: u8 = 1;
@@ -21,29 +28,6 @@ const TYPE_ALERT: u8 = 21;
 
 /// Maximum frame body we accept (defensive bound).
 const MAX_FRAME: usize = 1 << 20;
-
-/// Handshake protocol messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HandshakeMessage {
-    /// Client's opening flight, carrying the server name indication.
-    ClientHello {
-        /// Client nonce.
-        random: u64,
-        /// Requested server name.
-        sni: String,
-    },
-    /// Server acceptance.
-    ServerHello {
-        /// Server nonce.
-        random: u64,
-        /// Negotiated cipher suite id (cosmetic in the simulation).
-        cipher: u16,
-    },
-    /// The server's certificate chain.
-    Certificate(CertificateChain),
-    /// Fatal alert with a code (e.g. unrecognized name).
-    Alert(u8),
-}
 
 /// Alert code for "unrecognized_name" (mirrors TLS's 112).
 pub const ALERT_UNRECOGNIZED_NAME: u8 = 112;
@@ -74,48 +58,16 @@ impl std::fmt::Display for TlsError {
 
 impl std::error::Error for TlsError {}
 
-impl HandshakeMessage {
-    fn frame_type(&self) -> u8 {
-        match self {
-            HandshakeMessage::ClientHello { .. } => TYPE_CLIENT_HELLO,
-            HandshakeMessage::ServerHello { .. } => TYPE_SERVER_HELLO,
-            HandshakeMessage::Certificate(_) => TYPE_CERTIFICATE,
-            HandshakeMessage::Alert(_) => TYPE_ALERT,
-        }
-    }
-}
-
-/// Encodes a sequence of messages into one datagram payload.
-pub fn encode_flight(messages: &[HandshakeMessage]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for m in messages {
-        put_frame(&mut buf, m.frame_type(), |body| match m {
-            HandshakeMessage::ClientHello { random, sni } => put_client_hello(body, *random, sni),
-            HandshakeMessage::ServerHello { random, cipher } => {
-                body.put_u64(*random);
-                body.put_u16(*cipher);
-            }
-            HandshakeMessage::Certificate(chain) => {
-                encode_certs_into(chain.certs.iter().map(CertRef::Whole), body)
-            }
-            HandshakeMessage::Alert(code) => body.put_u8(*code),
-        });
-    }
-    buf
-}
-
-/// Encodes the client's flight, a lone `ClientHello`, from a borrowed
-/// name into `buf`, replacing what it held: the bytes [`encode_flight`]
-/// writes for the same message.
-pub(crate) fn encode_client_hello(buf: &mut Vec<u8>, random: u64, sni: &str) {
+/// Encodes the client's flight, a lone `ClientHello` carrying `random`
+/// and the name `sni`, into `buf`, replacing what it held.
+pub fn encode_client_hello(buf: &mut Vec<u8>, random: u64, sni: &str) {
     buf.clear();
     put_frame(buf, TYPE_CLIENT_HELLO, |body| {
         put_client_hello(body, random, sni)
     });
 }
 
-/// Appends a lone fatal `Alert` with `code` to `buf`: the bytes
-/// [`encode_flight`] writes for it.
+/// Appends a lone fatal `Alert` with `code` to `buf`.
 pub(crate) fn encode_alert(buf: &mut Vec<u8>, code: u8) {
     put_frame(buf, TYPE_ALERT, |body| body.put_u8(code));
 }
@@ -128,7 +80,7 @@ fn put_client_hello(body: &mut Vec<u8>, random: u64, sni: &str) {
 
 /// Appends the accepting server flight — `ServerHello`, then
 /// `Certificate` carrying `certs` leaf first — from borrowed certificates
-/// to `buf`: the bytes [`encode_flight`] writes for the same two messages.
+/// to `buf`.
 pub fn encode_server_flight<'a, I>(buf: &mut Vec<u8>, random: u64, cipher: u16, certs: I)
 where
     I: IntoIterator<Item = CertRef<'a>>,
@@ -154,16 +106,10 @@ fn put_frame(buf: &mut Vec<u8>, ftype: u8, body: impl FnOnce(&mut Vec<u8>)) {
     }
 }
 
-/// Decodes all frames in a datagram payload.
-pub fn decode_flight(bytes: &[u8]) -> Result<Vec<HandshakeMessage>, TlsError> {
-    frames(bytes)
-        .map(|frame| frame.and_then(|(ftype, body)| decode_body(ftype, body)))
-        .collect()
-}
-
 /// The `ClientHello` a flight opens with, its name borrowed from `bytes`:
-/// `Some` exactly when [`decode_flight`] accepts the flight and its first
-/// message is a `ClientHello`.
+/// `Some` exactly when the flight is well formed (see the module docs)
+/// and its first frame is a `ClientHello`. Every later frame is checked
+/// in place; nothing is built.
 pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
     let mut frames = frames(bytes);
     let hello = match frames.next()? {
@@ -171,12 +117,19 @@ pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
         _ => return None,
     };
     frames
-        .all(|frame| {
-            frame
-                .and_then(|(ftype, body)| decode_body(ftype, body))
-                .is_ok()
-        })
+        .all(|frame| frame.is_ok_and(|(ftype, body)| body_is_well_formed(ftype, body)))
         .then_some(hello)
+}
+
+/// Whether `body` is a well-formed body of a frame of type `ftype`.
+fn body_is_well_formed(ftype: u8, body: &[u8]) -> bool {
+    match ftype {
+        TYPE_CLIENT_HELLO => client_hello(body).is_ok(),
+        TYPE_SERVER_HELLO => body.len() == 10,
+        TYPE_CERTIFICATE => ChainView::parse(body).is_some(),
+        TYPE_ALERT => body.len() == 1,
+        _ => false,
+    }
 }
 
 /// What a scanner takes from a server's flight.
@@ -189,10 +142,10 @@ pub(crate) enum ServerFlight<'a> {
 }
 
 /// Reads a server flight in place, frame by frame, collecting nothing:
-/// `Some` exactly when [`decode_flight`] accepts the flight and it is a
-/// lone `Alert` or a `ServerHello` followed by a `Certificate`. The
-/// `ServerHello` is checked and skipped; the `Certificate` body is checked
-/// whole and viewed.
+/// `Some` exactly when the flight is well formed (see the module docs)
+/// and it is a lone `Alert` or a `ServerHello` followed by a
+/// `Certificate`. The `ServerHello` is checked and skipped; the
+/// `Certificate` body is checked whole and viewed.
 pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight<'_>> {
     let mut frames = frames(bytes);
     match (frames.next(), frames.next(), frames.next()) {
@@ -248,48 +201,10 @@ fn client_hello(body: &[u8]) -> Result<(u64, &str), TlsError> {
     Ok((random, sni))
 }
 
-/// A `Certificate` body: the chain, filling the body exactly.
-fn certificate(body: &[u8]) -> Result<CertificateChain, TlsError> {
-    let mut pos = 0;
-    let chain = CertificateChain::decode_from(body, &mut pos).ok_or(TlsError::Malformed)?;
-    if pos != body.len() {
-        return Err(TlsError::Malformed);
-    }
-    Ok(chain)
-}
-
-fn decode_body(ftype: u8, body: &[u8]) -> Result<HandshakeMessage, TlsError> {
-    match ftype {
-        TYPE_CLIENT_HELLO => {
-            let (random, sni) = client_hello(body)?;
-            Ok(HandshakeMessage::ClientHello {
-                random,
-                sni: sni.to_string(),
-            })
-        }
-        TYPE_SERVER_HELLO => {
-            if body.len() != 10 {
-                return Err(TlsError::Malformed);
-            }
-            let random = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
-            let cipher = u16::from_be_bytes([body[8], body[9]]);
-            Ok(HandshakeMessage::ServerHello { random, cipher })
-        }
-        TYPE_CERTIFICATE => certificate(body).map(HandshakeMessage::Certificate),
-        TYPE_ALERT => {
-            if body.len() != 1 {
-                return Err(TlsError::Malformed);
-            }
-            Ok(HandshakeMessage::Alert(body[0]))
-        }
-        other => Err(TlsError::UnknownType(other)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cert::Certificate;
+    use crate::cert::{Certificate, CertificateChain};
 
     fn chain() -> CertificateChain {
         CertificateChain {
@@ -519,3 +434,9 @@ mod tests {
         assert!(matches!(decode_flight(&raw), Err(TlsError::Oversized(_))));
     }
 }
+
+#[cfg(test)]
+pub(crate) use reference::{decode_flight, encode_flight, HandshakeMessage};
+
+#[cfg(test)]
+mod reference;

@@ -1,12 +1,12 @@
 //! Property tests for the TLS handshake framing and certificate codec.
 
+use crate::cert::{CertRef, Certificate, CertificateChain, ChainView};
+use crate::handshake::{decode_client_hello, decode_flight, encode_flight, HandshakeMessage};
+use crate::serve_hello;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use webdep_netsim::{FaultKind, FaultPlan};
-use webdep_tls::cert::{CertRef, Certificate, CertificateChain, ChainView};
-use webdep_tls::handshake::{decode_flight, encode_flight, HandshakeMessage};
-use webdep_tls::serve_hello;
 
 fn arb_cert() -> impl Strategy<Value = Certificate> {
     (
@@ -45,7 +45,79 @@ fn arb_message() -> impl Strategy<Value = HandshakeMessage> {
     ]
 }
 
+/// A flight's opening message: a ClientHello three times in four,
+/// otherwise any message.
+fn arb_opening() -> impl Strategy<Value = HandshakeMessage> {
+    (0u8..4, any::<u64>(), "[a-z0-9.-]{0,30}", arb_message()).prop_map(
+        |(pick, random, sni, other)| match pick {
+            0 => other,
+            _ => HandshakeMessage::ClientHello { random, sni },
+        },
+    )
+}
+
+/// One `[type][len][body]` frame.
+fn frame(ftype: u8, body: &[u8]) -> Vec<u8> {
+    let mut f = vec![ftype];
+    f.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    f.extend_from_slice(body);
+    f
+}
+
+/// What ends a flight: nothing, one message's frame mangled (a bit
+/// flipped, cut short, or its body padded by a byte with the length to
+/// match), or a frame of a type no message has.
+fn arb_trailer() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..5,
+        arb_message(),
+        any::<u64>(),
+        0u8..8,
+        prop::collection::vec(any::<u8>(), 0..12),
+    )
+        .prop_map(|(pick, message, seed, bit, junk)| {
+            let whole = encode_flight(&[message]);
+            match pick {
+                0 => Vec::new(),
+                1 => {
+                    let mut flipped = whole;
+                    let at = seed as usize % flipped.len();
+                    flipped[at] ^= 1 << bit;
+                    flipped
+                }
+                2 => whole[..seed as usize % whole.len()].to_vec(),
+                3 => {
+                    let mut body = whole[5..].to_vec();
+                    body.push(bit);
+                    frame(whole[0], &body)
+                }
+                _ => frame([0, 3, 12, 99, 255][seed as usize % 5], &junk),
+            }
+        })
+}
+
 proptest! {
+    /// The hello reader takes a flight exactly when the reference decoder
+    /// accepts the whole flight and it opens with a ClientHello, and then
+    /// reads that hello: over flights of arbitrary messages, most opening
+    /// with a hello, ended by a mangled or unknown-type frame or by none.
+    #[test]
+    fn hello_reader_accepts_what_decode_flight_accepts(
+        first in arb_opening(),
+        rest in prop::collection::vec(arb_message(), 0..3),
+        trailer in arb_trailer(),
+    ) {
+        let mut bytes = encode_flight(&[first]);
+        bytes.extend(encode_flight(&rest));
+        bytes.extend(trailer);
+        let want = match decode_flight(&bytes).as_deref() {
+            Ok([HandshakeMessage::ClientHello { random, sni }, ..]) => Some((*random, sni.clone())),
+            _ => None,
+        };
+        let got = decode_client_hello(&bytes).map(|(random, sni)| (random, sni.to_owned()));
+        prop_assert_eq!(got, want);
+    }
+
     /// Flights of arbitrary messages roundtrip exactly.
     #[test]
     fn flight_roundtrip(msgs in prop::collection::vec(arb_message(), 0..5)) {

@@ -18,6 +18,12 @@
 //! Certificates are a compact binary encoding (not DER) carrying the fields
 //! the analysis consumes: subject, SANs (with wildcard support), issuer
 //! identity, and validity window.
+//!
+//! Every flight is written into a lent buffer and read in place, so the
+//! crate runs one encoder and one reader per message. The owned chain and
+//! handshake messages with their flight encoder and decoder are the
+//! reference those are tested against; they are compiled into the crate's
+//! tests only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +34,14 @@ pub mod handshake;
 pub mod scanner;
 pub mod server;
 
-pub use cert::{CertRef, CertView, Certificate, CertificateChain, ChainView};
+pub use cert::{CertRef, CertView, Certificate, ChainView};
 pub use fault::{apply_tls_fault, ALERT_INTERNAL_ERROR};
-pub use handshake::{HandshakeMessage, TlsError};
+pub use handshake::TlsError;
 pub use scanner::{ScanError, Scanner, ScannerConfig};
 pub use server::serve_hello;
 
 /// The well-known HTTPS port used throughout the simulation.
 pub const TLS_PORT: u16 = 443;
+
+#[cfg(test)]
+mod handshake_properties;

@@ -826,9 +826,9 @@ fn fnv1a(s: &str) -> u32 {
 mod tests {
     use super::*;
     use crate::world::{World, WorldConfig};
+    use webdep_dns::bigzone::DEFAULT_TTL;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
-    use webdep_dns::wire as dnswire;
-    use webdep_dns::zone::DEFAULT_TTL;
+    use webdep_dns::wire::{encode_query, MessageView};
     use webdep_netsim::SockAddr;
     use webdep_tls::scanner::{Scanner, ScannerConfig};
 
@@ -941,27 +941,25 @@ mod tests {
         // address; the iterative resolver returns the address.
         let mut vantage = dep.vantage(Continent::NorthAmerica);
         let ns = SockAddr::new(dep.pools[site.dns as usize].ns_addrs[0], DNS_PORT);
-        let query = dns_query(&site.domain, dnswire::RecordType::A);
+        let query = dns_query(&site.domain, RecordType::A);
         let mut reply = Vec::new();
         let reply = vantage
             .exchange(ns, &query, Duration::ZERO, &mut reply)
             .unwrap()
             .unwrap();
-        let answers = dnswire::decode(reply).unwrap().answers;
-        let dnswire::RecordData::Cname(edge) = &answers[0].data else {
+        let answers: Vec<_> = MessageView::parse(reply).unwrap().answers().collect();
+        let RData::Cname(edge) = answers[0].data else {
             panic!("a CDN site answers a CNAME first");
         };
-        assert_eq!(answers[1].name, *edge);
+        assert!(answers[1].owner.same_as(edge), "{answers:?}");
+        let edge_ip = match answers[1].data {
+            RData::A(ip) => ip,
+            _ => panic!("the edge's address follows the CNAME"),
+        };
         let mut resolver =
             IterativeResolver::new(vantage, dep.roots.clone(), ResolverConfig::default());
         let name = webdep_dns::DomainName::parse(&site.domain).unwrap();
-        assert_eq!(
-            resolver.resolve_a(&name).expect("resolves"),
-            [match answers[1].data {
-                dnswire::RecordData::A(ip) => ip,
-                _ => panic!("the edge's address follows the CNAME"),
-            }]
-        );
+        assert_eq!(resolver.resolve_a(&name).expect("resolves"), [edge_ip]);
         // A regional (non-CDN) provider's site answers a bare A record; a
         // direct check that the CNAME is CDN-specific lives in the rack:
         let beget = world.universe.provider_by_name("Beget").unwrap();
@@ -1212,17 +1210,19 @@ mod tests {
             r
         }
 
+        /// Writes the rack's answer to `q`, asked from `src`, into `reply`.
         fn respond_dns(
             &self,
             rack: usize,
-            query: &dnswire::Message,
+            q: QuestionRef<'_>,
             src: Ipv4Addr,
-        ) -> dnswire::Message {
-            let q = query.questions[0].clone();
-            let answers = match q.qtype {
-                dnswire::RecordType::A => {
+            reply: &mut Reply<'_>,
+        ) {
+            let name = DomainName::parse(q.name).unwrap();
+            let answers: Option<Vec<(DomainName, u32, RData<DomainName>)>> = match q.qtype {
+                RecordType::A => {
                     self.site_a[rack]
-                        .get_key_value(&q.name)
+                        .get_key_value(&name)
                         .and_then(|(owner, &(p, hash))| {
                             let cont = self
                                 .eyeballs
@@ -1236,11 +1236,7 @@ mod tests {
                                 pools.iter().find(|p| !p.is_empty())?
                             };
                             let ip = pool[hash as usize % pool.len()];
-                            let a = |name| dnswire::Record {
-                                name,
-                                ttl: 300,
-                                data: dnswire::RecordData::A(ip),
-                            };
+                            let a = |name| (name, 300, RData::A(ip));
                             Some(if self.cdn[p as usize] {
                                 let edge = DomainName::parse(&format!(
                                     "e{}.{}.net",
@@ -1248,87 +1244,68 @@ mod tests {
                                     self.slugs[p as usize]
                                 ))
                                 .unwrap();
-                                vec![
-                                    dnswire::Record {
-                                        name: owner.clone(),
-                                        ttl: 300,
-                                        data: dnswire::RecordData::Cname(edge.clone()),
-                                    },
-                                    a(edge),
-                                ]
+                                vec![(owner.clone(), 300, RData::Cname(edge.clone())), a(edge)]
                             } else {
                                 vec![a(owner.clone())]
                             })
                         })
                 }
-                dnswire::RecordType::Ns => {
-                    self.site_ns[rack]
-                        .get_key_value(&q.name)
-                        .map(|(owner, ns)| {
-                            ns.iter()
-                                .map(|n| dnswire::Record {
-                                    name: owner.clone(),
-                                    ttl: 3600,
-                                    data: dnswire::RecordData::Ns(n.clone()),
-                                })
-                                .collect()
-                        })
-                }
-                dnswire::RecordType::Cname => None,
+                RecordType::Ns => self.site_ns[rack].get_key_value(&name).map(|(owner, ns)| {
+                    ns.iter()
+                        .map(|n| (owner.clone(), 3600, RData::Ns(n.clone())))
+                        .collect()
+                }),
+                RecordType::Cname => None,
             };
-            if answers.is_none() && q.qtype == dnswire::RecordType::A {
-                if let Some(&ip) = self.host_a[rack].get(&q.name) {
-                    let mut resp = dnswire::Message::response_to(query);
-                    resp.authoritative = true;
-                    resp.answers = vec![dnswire::Record {
-                        name: q.name.clone(),
-                        ttl: DEFAULT_TTL,
-                        data: dnswire::RecordData::A(ip),
-                    }];
-                    return resp;
+            if answers.is_none() && q.qtype == RecordType::A {
+                if let Some(&ip) = self.host_a[rack].get(&name) {
+                    reply.set_authoritative();
+                    reply.answer(name.as_str(), DEFAULT_TTL, RData::A(ip));
+                    return;
                 }
             }
             let nxdomain = answers.is_none()
-                && !self.site_a[rack].contains_key(&q.name)
-                && !self.site_ns[rack].contains_key(&q.name);
-            let mut resp = dnswire::Message::response_to(query);
-            resp.authoritative = true;
-            resp.answers = answers.unwrap_or_default();
-            if nxdomain {
-                resp.rcode = dnswire::Rcode::NxDomain;
+                && !self.site_a[rack].contains_key(&name)
+                && !self.site_ns[rack].contains_key(&name);
+            reply.set_authoritative();
+            for (owner, ttl, data) in answers.iter().flatten() {
+                let data = match data {
+                    RData::A(ip) => RData::A(*ip),
+                    RData::Ns(n) => RData::Ns(n.as_str()),
+                    RData::Cname(n) => RData::Cname(n.as_str()),
+                };
+                reply.answer(owner.as_str(), *ttl, data);
             }
-            resp
+            if nxdomain {
+                reply.set_rcode(Rcode::NxDomain);
+            }
         }
 
-        /// The reference reply to `query` sent from `src` to `dst`: for
-        /// DNS, `encode` of the owned response built from the decoded
-        /// query.
+        /// The reference reply to `query` sent from `src` to `dst`: the
+        /// per-site tables' answer, written through the serving functions
+        /// (`serve_query`, `serve_hello`) every deployed server runs.
         fn reply(&self, rack: usize, dst: SockAddr, src: Ipv4Addr, query: &[u8]) -> Vec<u8> {
-            if dst.port == TLS_PORT {
-                let mut flight = Vec::new();
-                let answered = serve_hello(query, dst.ip, None, &mut flight, |sni| {
+            let mut out = Vec::new();
+            let answered = if dst.port == TLS_PORT {
+                serve_hello(query, dst.ip, None, &mut out, |sni| {
                     let leaf = self.leaf_by_sni[rack].get(sni)?;
                     let (inter, root) = &self.ca_certs[(leaf.issuer_id - 100_000) as usize];
                     Some([leaf, inter, root].map(CertRef::Whole))
-                });
-                assert!(answered.is_some(), "every hello is answered");
-                return flight;
-            }
-            let query = dnswire::decode(query).expect("test queries decode");
-            let resp = if query.questions.is_empty() {
-                let mut resp = dnswire::Message::response_to(&query);
-                resp.rcode = dnswire::Rcode::FormErr;
-                resp
-            } else if let Some(registry) = self.registries.get(&dst.ip) {
-                registry.refer(&query)
+                })
             } else {
-                self.respond_dns(rack, &query, src)
+                serve_query(query, dst.ip, None, &mut out, |q, reply| {
+                    match self.registries.get(&dst.ip) {
+                        Some(registry) => registry.refer(q, reply),
+                        None => self.respond_dns(rack, q, src, reply),
+                    }
+                })
             };
-            dnswire::encode(&resp)
+            assert!(answered.is_some(), "every query is answered");
+            out
         }
     }
 
-    /// A registry as the owned reference answers: the delegations of its
+    /// A registry as the reference answers: the delegations of its
     /// origin's children, and a referral (with glue) to the child a
     /// queried name lies under.
     struct Registry {
@@ -1348,41 +1325,32 @@ mod tests {
             self.children.insert(child, delegation);
         }
 
-        fn refer(&self, query: &dnswire::Message) -> dnswire::Message {
-            let q = &query.questions[0];
-            let mut resp = dnswire::Message::response_to(query);
-            if !q.name.is_within(&self.origin) {
-                resp.rcode = dnswire::Rcode::ServFail;
-                return resp;
+        /// Writes the registry's answer to `q` into `reply`.
+        fn refer(&self, q: QuestionRef<'_>, reply: &mut Reply<'_>) {
+            let name = DomainName::parse(q.name).unwrap();
+            if !name.is_within(&self.origin) {
+                reply.set_rcode(Rcode::ServFail);
+                return;
             }
-            let mut child = q.name.clone();
+            let mut child = name.clone();
             while child.num_labels() > self.origin.num_labels() + 1 {
                 child = child.parent().unwrap();
             }
             match self.children.get(&child) {
-                _ if q.name == self.origin => resp.authoritative = true,
+                _ if name == self.origin => reply.set_authoritative(),
                 Some(d) => {
                     for ns in &d.ns {
-                        resp.authorities.push(dnswire::Record {
-                            name: child.clone(),
-                            ttl: DEFAULT_TTL,
-                            data: dnswire::RecordData::Ns(ns.clone()),
-                        });
+                        reply.authority(child.as_str(), DEFAULT_TTL, RData::Ns(ns.as_str()));
                     }
                     for (host, ip) in &d.glue {
-                        resp.additionals.push(dnswire::Record {
-                            name: host.clone(),
-                            ttl: DEFAULT_TTL,
-                            data: dnswire::RecordData::A(*ip),
-                        });
+                        reply.additional(host.as_str(), DEFAULT_TTL, RData::A(*ip));
                     }
                 }
                 None => {
-                    resp.authoritative = true;
-                    resp.rcode = dnswire::Rcode::NxDomain;
+                    reply.set_authoritative();
+                    reply.set_rcode(Rcode::NxDomain);
                 }
             }
-            resp
         }
     }
 
@@ -1412,20 +1380,19 @@ mod tests {
         got
     }
 
-    fn dns_query(name: &str, qtype: dnswire::RecordType) -> Vec<u8> {
-        dnswire::encode(&dnswire::Message::query(
-            7,
-            DomainName::parse(name).unwrap(),
-            qtype,
-        ))
+    /// A query for `name`/`qtype`, written by the resolver's encoder.
+    fn dns_query(name: &str, qtype: RecordType) -> Vec<u8> {
+        let mut query = Vec::new();
+        encode_query(&mut query, 7, &DomainName::parse(name).unwrap(), qtype);
+        query
     }
 
     /// Every site's answers — A from two continents (a CDN site's behind
     /// its CNAME), NS, the root and registry referrals with glue, the TLS
     /// flight, and NXDOMAIN at a rack that does not serve it — plus every
     /// nameserver host's A and NS answers and the FormErr of a query
-    /// without a question, written by the borrowed encoder, equal `encode`
-    /// of the owned reference response byte for byte.
+    /// without a question, written from the shared site index, equal the
+    /// reference's answer from per-site tables byte for byte.
     fn assert_wire_equal(world: &World) {
         let dep = DeployedWorld::deploy(world, DeployConfig::default());
         assert_eq!(
@@ -1450,14 +1417,13 @@ mod tests {
                     ep,
                     rack,
                     ns_addr(site.dns),
-                    dns_query(d, dnswire::RecordType::A),
+                    dns_query(d, RecordType::A),
                     d,
                 );
-                let reply = dnswire::decode(&reply).unwrap();
-                cnames += reply
-                    .answers
-                    .iter()
-                    .filter(|a| a.data.record_type() == dnswire::RecordType::Cname)
+                cnames += MessageView::parse(&reply)
+                    .unwrap()
+                    .answers()
+                    .filter(|a| a.data.record_type() == RecordType::Cname)
                     .count();
             }
             same_reply(
@@ -1465,26 +1431,12 @@ mod tests {
                 &mut na,
                 rack,
                 ns_addr(site.dns),
-                dns_query(d, dnswire::RecordType::Ns),
+                dns_query(d, RecordType::Ns),
                 d,
             );
-            same_reply(
-                &r,
-                &mut na,
-                0,
-                root,
-                dns_query(d, dnswire::RecordType::A),
-                d,
-            );
+            same_reply(&r, &mut na, 0, root, dns_query(d, RecordType::A), d);
             let registry = SockAddr::new(r.registry_of[&site.tld], DNS_PORT);
-            same_reply(
-                &r,
-                &mut na,
-                0,
-                registry,
-                dns_query(d, dnswire::RecordType::A),
-                d,
-            );
+            same_reply(&r, &mut na, 0, registry, dns_query(d, RecordType::A), d);
 
             // A rack that does not run the site's DNS denies it.
             let other = (site.dns + 1) % n_providers;
@@ -1493,23 +1445,18 @@ mod tests {
                 &mut na,
                 other as usize % RACKS,
                 ns_addr(other),
-                dns_query(d, dnswire::RecordType::A),
+                dns_query(d, RecordType::A),
                 d,
             );
-            nxdomains +=
-                (dnswire::decode(&reply).unwrap().rcode == dnswire::Rcode::NxDomain) as usize;
+            nxdomains += (MessageView::parse(&reply).unwrap().rcode() == Rcode::NxDomain) as usize;
 
             let hosting = dep.pools[site.hosting as usize]
                 .pools
                 .iter()
                 .find(|p| !p.is_empty())
                 .unwrap();
-            let hello = webdep_tls::handshake::encode_flight(&[
-                webdep_tls::HandshakeMessage::ClientHello {
-                    random: 11,
-                    sni: site.domain.clone(),
-                },
-            ]);
+            let mut hello = Vec::new();
+            webdep_tls::handshake::encode_client_hello(&mut hello, 11, &site.domain);
             same_reply(
                 &r,
                 &mut na,
@@ -1526,9 +1473,9 @@ mod tests {
             for (i, _) in pools.ns_addrs.iter().enumerate() {
                 let host = format!("ns{}.{}.net", i + 1, world.universe.provider(p).slug());
                 let asked = [
-                    (p, dnswire::RecordType::A),
-                    (p, dnswire::RecordType::Ns),
-                    (next, dnswire::RecordType::A),
+                    (p, RecordType::A),
+                    (p, RecordType::Ns),
+                    (next, RecordType::A),
                 ];
                 for (at, qtype) in asked {
                     let rack = at as usize % RACKS;
@@ -1545,15 +1492,12 @@ mod tests {
         }
         // A query without a question is FormErr at a rack, a registry and
         // the root alike.
-        let mut empty = dnswire::Message::query(9, DomainName::root(), dnswire::RecordType::A);
-        empty.questions.clear();
+        // The header alone: id 9, no flag, every count 0.
+        let empty = [0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
         let registry = SockAddr::new(r.registry_of[&world.sites[0].tld], DNS_PORT);
         for dst in [ns_addr(0), registry, root] {
-            let reply = same_reply(&r, &mut na, 0, dst, dnswire::encode(&empty), "no question");
-            assert_eq!(
-                dnswire::decode(&reply).unwrap().rcode,
-                dnswire::Rcode::FormErr
-            );
+            let reply = same_reply(&r, &mut na, 0, dst, empty.to_vec(), "no question");
+            assert_eq!(MessageView::parse(&reply).unwrap().rcode(), Rcode::FormErr);
         }
         assert!(cnames > 0, "CDN sites answer with CNAMEs");
         assert_eq!(
@@ -1589,12 +1533,16 @@ mod tests {
         let r = Reference::build(&world, &dep);
         let mut ep = dep.vantage(Continent::Europe);
         let registry = SockAddr::new(r.registry_of[&net], DNS_PORT);
-        let query = dns_query(&slug, dnswire::RecordType::A);
+        let query = dns_query(&slug, RecordType::A);
         let mut reply = Vec::new();
         let reply = ep.exchange(registry, &query, Duration::ZERO, &mut reply);
-        let referral = dnswire::decode(reply.unwrap().unwrap()).unwrap();
-        let cf_ns = DomainName::parse(&format!("ns1.{slug}")).unwrap();
-        assert_eq!(referral.authorities[0].data, dnswire::RecordData::Ns(cf_ns));
+        let referral = MessageView::parse(reply.unwrap().unwrap()).unwrap();
+        let cf_ns = format!("ns1.{slug}");
+        let first = referral.authorities().next().expect("a referral");
+        assert!(
+            matches!(first.data, RData::Ns(ns) if ns.eq_str(&cf_ns)),
+            "{first:?}"
+        );
     }
 
     #[test]
