@@ -147,6 +147,27 @@ if [[ "$report" != *'"intact":true'* ]]; then
     exit 1
 fi
 
+# Every measurement streams into a chunk store: a command given no
+# --store measures into a scratch store under the temp directory and
+# removes it. Run the report and accounting commands, and one example that
+# reads its dataset back from a store, with TMPDIR pointing at an empty
+# directory, and require it empty afterwards. The example writes its data
+# release to ./out, so it runs from the scratch directory.
+echo "==> scratch stores: measure tiny, experiments tiny, full_reproduction tiny"
+cargo build --release -q --example full_reproduction
+mkdir "$ckpt/tmp"
+TMPDIR="$ckpt/tmp" ./target/release/webdep measure tiny >/dev/null
+TMPDIR="$ckpt/tmp" ./target/release/webdep experiments tiny >/dev/null
+root=$PWD
+(cd "$ckpt" && TMPDIR="$ckpt/tmp" cargo run --release -q --manifest-path "$root/Cargo.toml" \
+    --example full_reproduction -- tiny >/dev/null)
+left=$(ls -A "$ckpt/tmp")
+if [[ -n "$left" ]]; then
+    echo "ci: a scratch store was left in the temp directory: $left" >&2
+    exit 1
+fi
+echo "    the temp directory is empty after all three"
+
 # The continuous loop's stacked stores through the real CLI: each of three
 # evolve epochs carries its predecessor's chunks and patches and adds one
 # patch of the sites it migrated. fsck must find the last epoch's store

@@ -269,8 +269,20 @@ pub(crate) mod testutil {
     use super::*;
     use std::sync::OnceLock;
     use webdep_pipeline::SiteObservation;
-    use webdep_pipeline::{measure, PipelineConfig};
+    use webdep_pipeline::{measure_streamed, ChunkStore, PipelineConfig};
     use webdep_webgen::{DeployConfig, DeployedWorld, WorldConfig};
+
+    /// `world` measured against `dep` into the scratch store `name` and
+    /// loaded back.
+    pub fn measured(world: &World, dep: &DeployedWorld, name: &str) -> MeasuredDataset {
+        let dir =
+            std::env::temp_dir().join(format!("webdep-analysis-{name}-{}", std::process::id()));
+        measure_streamed(world, dep, &PipelineConfig::default(), &dir, None)
+            .expect("measure into a store");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+        let _ = std::fs::remove_dir_all(&dir);
+        ds.expect("load the store")
+    }
 
     /// One shared tiny world + measurement for all analysis tests (the
     /// deployment is expensive enough to amortize).
@@ -279,7 +291,7 @@ pub(crate) mod testutil {
         FIXTURE.get_or_init(|| {
             let world = World::generate(WorldConfig::tiny());
             let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-            let ds = measure(&world, &dep, &PipelineConfig::default());
+            let ds = measured(&world, &dep, "fixture");
             (world, ds)
         })
     }

@@ -564,8 +564,8 @@ mod tests {
     #[test]
     fn delta_apply_equals_full_rebuild() {
         use super::{CubeBuilder, DependenceCube};
+        use crate::ctx::testutil::measured;
         use std::sync::Arc;
-        use webdep_pipeline::{measure, PipelineConfig};
         use webdep_webgen::{provider_site_counts, DeployConfig, DeployedWorld, EvolutionPlan};
 
         let (world, ds) = fixture();
@@ -587,7 +587,7 @@ mod tests {
                 ..DeployConfig::default()
             },
         );
-        let ds2 = measure(&new_world, &dep, &PipelineConfig::default());
+        let ds2 = measured(&new_world, &dep, "cube-delta");
 
         // Delta apply: clone + grow + refold exactly the dirty sites.
         let mut inc = b.clone();

@@ -215,10 +215,10 @@ impl Trajectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::testutil::fixture;
+    use crate::ctx::testutil::{fixture, measured};
     use crate::AnalysisCtx;
     use std::sync::OnceLock;
-    use webdep_pipeline::{measure, MeasuredDataset, PipelineConfig};
+    use webdep_pipeline::MeasuredDataset;
     use webdep_webgen::evolve::evolve;
     use webdep_webgen::{DeployConfig, DeployedWorld, World};
 
@@ -228,7 +228,7 @@ mod tests {
             let (world, _) = fixture();
             let new_world = evolve(world);
             let dep = DeployedWorld::deploy(&new_world, DeployConfig::default());
-            let ds = measure(&new_world, &dep, &PipelineConfig::default());
+            let ds = measured(&new_world, &dep, "evolved");
             (new_world, ds)
         })
     }

@@ -11,7 +11,9 @@ use webdep_analysis::report::{insularity_markdown, layer_table_markdown, subregi
 use webdep_analysis::{coverage_model, AnalysisCtx};
 use webdep_dns::resolver::ResolverConfig;
 use webdep_netsim::{FaultKind, FaultPlan};
-use webdep_pipeline::{measure, MeasuredDataset, PipelineConfig, SiteObservation};
+use webdep_pipeline::{
+    measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig, SiteObservation,
+};
 use webdep_tls::scanner::ScannerConfig;
 use webdep_webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
@@ -43,7 +45,8 @@ fn every_table_renders_under_heavy_faults() {
             ..Default::default()
         },
     );
-    let ds = measure(
+    let dir = std::env::temp_dir().join(format!("webdep-degraded-{}", std::process::id()));
+    measure_streamed(
         &world,
         &dep,
         &PipelineConfig {
@@ -59,7 +62,13 @@ fn every_table_renders_under_heavy_faults() {
             },
             ..Default::default()
         },
-    );
+        &dir,
+        None,
+    )
+    .expect("measure into a store");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = ds.expect("load the store");
     let tax = ds.failure_taxonomy();
     assert!(tax.clean < tax.total, "the plan must actually degrade");
     assert!(!tax.to_markdown().is_empty());

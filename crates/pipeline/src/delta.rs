@@ -125,11 +125,7 @@ pub fn measure_delta(
     let journal = journal_path
         .map(|p| JournalWriter::create(p, &world.label, n))
         .transpose()?;
-    let sink = Sink::Streaming {
-        done,
-        store,
-        store_error: None,
-    };
+    let sink = Sink::new(done, store);
     let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, resumed);
     let measure = finish_streaming(world, sink, journal_err, stats)?;
 

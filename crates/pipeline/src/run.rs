@@ -9,7 +9,7 @@
 //! instead of once per worker. Everything below a TLD (answers, deeper
 //! cuts) is only ever reused by the worker that learned it, so it stays
 //! private and costs no cross-worker writes. Neither changes the result:
-//! `measure` returns a byte-identical dataset for any worker count.
+//! [`measure_streamed`] writes a byte-identical store for any worker count.
 //!
 //! On top of the scheduler sits the supervision layer (see
 //! [`crate::supervisor`]): every site is measured under `catch_unwind`
@@ -26,14 +26,14 @@
 //!
 //! The collector lock guards bookkeeping, not I/O on the chunk store: a
 //! worker moves its observation into the sink under the lock, and when
-//! that commit completes a chunk of the streaming sink it comes back out
-//! holding the claim on the chunk (`store::ClaimedChunk`). The
-//! worker encodes, writes and fsyncs the chunk after releasing the lock —
-//! the other workers keep committing meanwhile — and takes the lock again
-//! only to record the write. (Journal appends, one sequential file, still
-//! happen under the lock.)
+//! that commit completes a chunk it comes back out holding the claim on
+//! the chunk (`store::ClaimedChunk`). The worker encodes, writes and
+//! fsyncs the chunk after releasing the lock — the other workers keep
+//! committing meanwhile — and takes the lock again only to record the
+//! write. (Journal appends, one sequential file, still happen under the
+//! lock.)
 
-use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
+use crate::dataset::{FailureCause, LayerError, SiteObservation};
 use crate::journal::{self, JournalWriter};
 use crate::store::{ChunkStoreWriter, ClaimedChunk, WrittenChunk, DEFAULT_CHUNK_SITES};
 use crate::supervisor::{
@@ -90,7 +90,8 @@ impl Default for PipelineConfig {
 /// sites across workers, large enough that the cursor is cold.
 const QUEUE_BATCH: usize = 16;
 
-/// Throughput and cache accounting for one [`measure_with_stats`] run.
+/// Throughput and cache accounting for one measurement run
+/// ([`measure_streamed`], [`resume_streamed`] or [`crate::measure_delta`]).
 #[derive(Debug, Clone)]
 pub struct MeasureStats {
     /// Wall-clock duration of the parallel section.
@@ -136,31 +137,25 @@ struct WorkerReport {
     panics_isolated: u64,
 }
 
-/// Where committed observations land.
-///
-/// The resident sink is the original in-memory path: one slot per site,
-/// assembled into a [`MeasuredDataset`] when the run ends. The streaming
-/// sink instead hands each observation to the chunked columnar store
-/// ([`crate::store`]) and *drops it* — peak memory is bounded by the
-/// scheduler's batch spread, not the world size, which is what lets
-/// million-site runs fit in a laptop's RAM.
-pub(crate) enum Sink {
-    /// One in-memory slot per site.
-    Resident(Vec<Option<SiteObservation>>),
-    /// Observations flow into the chunk store; only a done-bitmap stays
-    /// resident.
-    Streaming {
-        done: Vec<bool>,
-        store: ChunkStoreWriter,
-        store_error: Option<io::Error>,
-    },
+/// Where committed observations land: the chunked columnar store
+/// ([`crate::store`]). Each observation is handed to its chunk and
+/// *dropped*, so peak memory is bounded by the scheduler's batch spread,
+/// not the world size, which is what lets million-site runs fit in a
+/// laptop's RAM. Only a done-bitmap stays resident.
+pub(crate) struct Sink {
+    done: Vec<bool>,
+    store: ChunkStoreWriter,
+    store_error: Option<io::Error>,
 }
 
 impl Sink {
-    fn is_done(&self, site: usize) -> bool {
-        match self {
-            Sink::Resident(slots) => slots[site].is_some(),
-            Sink::Streaming { done, .. } => done[site],
+    /// A sink over `store` in which the sites `done` marks need no
+    /// measurement.
+    pub(crate) fn new(done: Vec<bool>, store: ChunkStoreWriter) -> Self {
+        Sink {
+            done,
+            store,
+            store_error: None,
         }
     }
 }
@@ -183,11 +178,10 @@ impl Collector {
     /// makes both writes byte-identical.
     ///
     /// Returns whether the site was committed and, when its commit
-    /// completed a chunk of the streaming sink, the claim on that chunk:
-    /// the caller writes it after releasing the collector lock (see
-    /// [`commit_shared`]).
+    /// completed a chunk, the claim on that chunk: the caller writes it
+    /// after releasing the collector lock (see [`commit_shared`]).
     fn commit(&mut self, site: usize, obs: SiteObservation) -> (bool, Option<ClaimedChunk>) {
-        if self.sink.is_done(site) {
+        if self.sink.done[site] {
             return (false, None);
         }
         if let Some(j) = self.journal.as_mut() {
@@ -199,38 +193,20 @@ impl Collector {
                 self.journal = None;
             }
         }
-        match &mut self.sink {
-            Sink::Resident(slots) => {
-                slots[site] = Some(obs);
-                (true, None)
-            }
-            Sink::Streaming {
-                done,
-                store,
-                store_error,
-            } => {
-                done[site] = true;
-                // Keep measuring past a store error (same policy as the
-                // journal): the run completes, the first error surfaces.
-                if store_error.is_some() {
-                    return (true, None);
-                }
-                (true, store.insert(site, obs).1)
-            }
+        self.sink.done[site] = true;
+        // Keep measuring past a store error (same policy as the journal):
+        // the run completes, the first error surfaces.
+        if self.sink.store_error.is_some() {
+            return (true, None);
         }
+        (true, self.sink.store.insert(site, obs).1)
     }
 
     /// Records the outcome of writing a chunk [`Collector::commit`]
     /// claimed; a failed write is the run's store error.
     fn record(&mut self, written: io::Result<WrittenChunk>) {
-        let Sink::Streaming {
-            store, store_error, ..
-        } = &mut self.sink
-        else {
-            unreachable!("only the streaming sink claims chunks")
-        };
-        if let Err(e) = store.record(written) {
-            store_error.get_or_insert(e);
+        if let Err(e) = self.sink.store.record(written) {
+            self.sink.store_error.get_or_insert(e);
         }
     }
 }
@@ -258,35 +234,18 @@ fn commit_shared(collector: &Mutex<Collector>, site: usize, obs: SiteObservation
     committed
 }
 
-/// Measures every site of `world` against its deployment, returning the
-/// enriched dataset.
+/// Measures every site of `world` against its deployment, streaming the
+/// enriched observations into a chunked columnar store ([`crate::store`])
+/// at `store_dir`: each completed site is committed to its chunk and
+/// dropped, so peak RSS is bounded by the scheduler's batch spread, not
+/// the world size. The store's bytes are the same for any worker count,
+/// and `journal_path` optionally checkpoints the run for
+/// [`resume_streamed`]. A caller that wants the dataset in memory loads
+/// it back with [`crate::ChunkStore::load_dataset`].
 ///
 /// Only the active-measurement outputs come from the network; `language`
 /// is copied from the site record (the LangDetect substitute) and toplist
 /// membership from the CrUX stand-in.
-pub fn measure(world: &World, dep: &DeployedWorld, config: &PipelineConfig) -> MeasuredDataset {
-    measure_with_stats(world, dep, config).0
-}
-
-/// Like [`measure`], but also reports throughput, cache, and supervision
-/// accounting.
-pub fn measure_with_stats(
-    world: &World,
-    dep: &DeployedWorld,
-    config: &PipelineConfig,
-) -> (MeasuredDataset, MeasureStats) {
-    let sink = Sink::Resident((0..world.sites.len()).map(|_| None).collect());
-    let (sink, stats, _journal_err) = run_supervised(world, dep, config, None, sink, 0);
-    (assemble_resident(world, sink), stats)
-}
-
-/// Like [`measure_with_stats`], but observations stream into a chunked
-/// columnar store ([`crate::store`]) at `store_dir` instead of
-/// accumulating in memory: each completed site is committed to its chunk
-/// and dropped, so peak RSS is bounded by the scheduler's batch spread,
-/// not the world size. The store is certified byte-identical to the
-/// resident path's dataset (same determinism contract), and
-/// `journal_path` optionally checkpoints the run for [`resume_streamed`].
 pub fn measure_streamed(
     world: &World,
     dep: &DeployedWorld,
@@ -299,11 +258,7 @@ pub fn measure_streamed(
     let journal = journal_path
         .map(|p| JournalWriter::create(p, &world.label, n))
         .transpose()?;
-    let sink = Sink::Streaming {
-        done: vec![false; n],
-        store,
-        store_error: None,
-    };
+    let sink = Sink::new(vec![false; n], store);
     let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, 0);
     finish_streaming(world, sink, journal_err, stats)
 }
@@ -335,33 +290,26 @@ pub fn resume_streamed(
     }
     let resumed = done.iter().filter(|&&d| d).count();
     let writer = JournalWriter::append_loaded(journal_path, &loaded)?;
-    let sink = Sink::Streaming {
-        done,
-        store,
-        store_error: None,
-    };
+    let sink = Sink::new(done, store);
     let (sink, stats, journal_err) =
         run_supervised(world, dep, config, Some(writer), sink, resumed);
     finish_streaming(world, sink, journal_err, stats)
 }
 
-/// Shared tail of the streaming entry points: surface errors, fill any
-/// never-measured site with the same deterministic internal failure the
-/// resident assembly uses, and finalize the store.
+/// Shared tail of every entry point: surface errors, fill any
+/// never-measured site with a deterministic internal failure, and
+/// finalize the store.
 pub(crate) fn finish_streaming(
     world: &World,
     sink: Sink,
     journal_err: Option<io::Error>,
     stats: MeasureStats,
 ) -> io::Result<MeasureStats> {
-    let Sink::Streaming {
+    let Sink {
         done,
         mut store,
         store_error,
-    } = sink
-    else {
-        unreachable!("streaming entry points build a streaming sink")
-    };
+    } = sink;
     if let Some(e) = store_error {
         return Err(e);
     }
@@ -404,7 +352,7 @@ pub(crate) fn run_supervised(
     let chaos = config.chaos.clone().unwrap_or_default();
     let deadline_ms = sup_cfg.site_deadline.as_millis() as u64;
 
-    let done_at_start: Vec<bool> = (0..n).map(|i| sink.is_done(i)).collect();
+    let done_at_start = sink.done.clone();
     let completed = AtomicUsize::new(resumed);
     let collector = Mutex::new(Collector {
         sink,
@@ -609,34 +557,6 @@ pub(crate) fn run_supervised(
     // itself stays free of shared counters.
     crate::metrics::record_run(n, &stats);
     (coll.sink, stats, journal_error)
-}
-
-/// Assembles the resident sink's slots into the final dataset. Every site
-/// is accounted for: committed by a worker or failed by the supervisor's
-/// poison/deadlock paths — and any slot still empty becomes a
-/// deterministic internal failure.
-fn assemble_resident(world: &World, sink: Sink) -> MeasuredDataset {
-    let Sink::Resident(slots) = sink else {
-        unreachable!("resident entry points build a resident sink")
-    };
-    let observations: Vec<SiteObservation> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.unwrap_or_else(|| {
-                let site = &world.sites[i];
-                SiteObservation::internal_failure(
-                    &site.domain,
-                    &site.language,
-                    "internal: site never measured",
-                )
-            })
-        })
-        .collect();
-    MeasuredDataset {
-        observations,
-        label: world.label.clone(),
-    }
 }
 
 /// Records every not-yet-done site of a batch as an internal failure
@@ -985,20 +905,28 @@ fn measure_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::MeasuredDataset;
+    use crate::store::ChunkStore;
     use webdep_webgen::{DeployConfig, WorldConfig};
+
+    /// `world` measured into the scratch store `name` and loaded back.
+    fn measured(world: &World, config: &PipelineConfig, name: &str) -> MeasuredDataset {
+        let dep = DeployedWorld::deploy(world, DeployConfig::default());
+        let dir = std::env::temp_dir().join(format!("webdep-run-{name}-{}", std::process::id()));
+        measure_streamed(world, &dep, config, &dir, None).expect("measure into a store");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+        let _ = std::fs::remove_dir_all(&dir);
+        ds.expect("load the store")
+    }
 
     #[test]
     fn measures_tiny_world_accurately() {
         let world = World::generate(WorldConfig::tiny());
-        let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-        let ds = measure(
-            &world,
-            &dep,
-            &PipelineConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        );
+        let config = PipelineConfig {
+            workers: 4,
+            ..Default::default()
+        };
+        let ds = measured(&world, &config, "accurate");
         assert_eq!(ds.observations.len(), world.sites.len());
         let rate = ds.success_rate(&world);
         assert!(rate > 0.99, "success rate {rate}");
@@ -1024,8 +952,7 @@ mod tests {
     #[test]
     fn anycast_flag_set_for_cloudflare_sites() {
         let world = World::generate(WorldConfig::tiny());
-        let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-        let ds = measure(&world, &dep, &PipelineConfig::default());
+        let ds = measured(&world, &PipelineConfig::default(), "anycast");
         let cf = world.universe.provider_by_name("Cloudflare").unwrap();
         let cf_obs: Vec<&SiteObservation> = ds
             .observations

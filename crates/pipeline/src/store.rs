@@ -1605,9 +1605,10 @@ impl ChunkStore {
         chunks.into_iter().map(|c| self.read_chunk(c)).chain(patch)
     }
 
-    /// Materializes the full [`MeasuredDataset`] — the dual-feasible-size
-    /// path used to certify streaming/resident equivalence. The store must
-    /// describe `world` (label and site count).
+    /// Materializes the full [`MeasuredDataset`], for a caller that wants
+    /// every observation in memory (the experiment suite, the CLI's
+    /// reports, the tests). The store must describe `world` (label and
+    /// site count).
     pub fn load_dataset(&self, world: &webdep_webgen::World) -> io::Result<MeasuredDataset> {
         if world.label != self.label || world.sites.len() != self.sites {
             return Err(bad(format!(

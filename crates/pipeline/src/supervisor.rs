@@ -232,24 +232,6 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// Rate-based worker kills only.
-    pub fn kills_only(seed: u64, kill_rate: f64) -> Self {
-        ChaosPlan {
-            seed,
-            kill_rate,
-            ..ChaosPlan::default()
-        }
-    }
-
-    /// Rate-based site panics only.
-    pub fn panics_only(seed: u64, panic_rate: f64) -> Self {
-        ChaosPlan {
-            seed,
-            panic_rate,
-            ..ChaosPlan::default()
-        }
-    }
-
     /// Kill the worker on the first attempt of each listed site.
     pub fn kill_at(sites: &[usize]) -> Self {
         ChaosPlan {

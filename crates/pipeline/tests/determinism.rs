@@ -1,10 +1,10 @@
 //! How workers race for the queue must never change *what* is measured:
-//! same world + config ⇒ identical dataset and identical store bytes for
-//! any worker count.
+//! same world + config ⇒ identical store bytes for any worker count.
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 use webdep_dns::resolver::ResolverConfig;
-use webdep_pipeline::run::{measure, PipelineConfig};
+use webdep_pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep_tls::scanner::ScannerConfig;
 use webdep_webgen::{DeployConfig, World, WorldConfig};
 
@@ -15,21 +15,38 @@ fn config(workers: usize) -> PipelineConfig {
     }
 }
 
-#[test]
-fn dataset_identical_across_worker_counts() {
-    let world = World::generate(WorldConfig::tiny());
-    let dep = DeployConfig::default();
-    let dep = webdep_webgen::DeployedWorld::deploy(&world, dep);
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("webdep-determinism-{name}-{}", std::process::id()))
+}
 
-    let solo = measure(&world, &dep, &config(1));
-    let eight = measure(&world, &dep, &config(8));
-    assert_eq!(solo, eight, "worker count changed the measured dataset");
+/// The sorted file names of the store at `dir`.
+fn file_names(dir: &Path) -> Vec<std::ffi::OsString> {
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Stores `a` and `b` hold the same files, byte for byte.
+fn assert_same_store(a: &Path, b: &Path, what: &str) {
+    let names = file_names(a);
+    assert!(names.len() > 2, "expected a manifest and ≥2 chunks");
+    assert_eq!(names, file_names(b), "{what}: the file sets differ");
+    for name in &names {
+        assert_eq!(
+            std::fs::read(a.join(name)).unwrap(),
+            std::fs::read(b.join(name)).unwrap(),
+            "{what}: {name:?} differs"
+        );
+    }
 }
 
 /// A timeout is a comparison of simulated times, never a race with the
 /// host's scheduler: every reply of a fault-free world arrives with no
 /// delay, so even a zero window takes it, and zero timeouts measure the
-/// same dataset as the defaults.
+/// same store as the defaults.
 #[test]
 fn zero_timeouts_measure_like_the_defaults() {
     let world = World::generate(WorldConfig::tiny());
@@ -45,14 +62,18 @@ fn zero_timeouts_measure_like_the_defaults() {
         },
         ..config(4)
     };
-    let defaults = measure(&world, &dep, &config(4));
-    assert_eq!(
-        measure(&world, &dep, &zero),
-        defaults,
-        "a zero timeout changed the measured dataset"
-    );
-    let tax = defaults.failure_taxonomy();
+    let (defaults, zeroed) = (tmp("defaults"), tmp("zero"));
+    measure_streamed(&world, &dep, &config(4), &defaults, None).unwrap();
+    measure_streamed(&world, &dep, &zero, &zeroed, None).unwrap();
+    assert_same_store(&defaults, &zeroed, "a zero timeout");
+    let tax = ChunkStore::open(&defaults)
+        .and_then(|s| s.load_dataset(&world))
+        .unwrap()
+        .failure_taxonomy();
     assert_eq!(tax.clean, tax.total, "the tiny world measures clean");
+    for dir in [&defaults, &zeroed] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// The determinism contract extends to the on-disk chunk store: per-chunk
@@ -69,39 +90,15 @@ fn streamed_chunks_identical_across_worker_counts() {
     let world = World::generate(wc);
     let dep = webdep_webgen::DeployedWorld::deploy(&world, DeployConfig::default());
 
-    let dir_for = |workers: usize| {
-        std::env::temp_dir().join(format!(
-            "webdep-determinism-chunks-{workers}w-{}",
-            std::process::id()
-        ))
-    };
+    let dir_for = |workers: usize| tmp(&format!("chunks-{workers}w"));
     for workers in [1, 2, 8] {
-        webdep_pipeline::measure_streamed(&world, &dep, &config(workers), &dir_for(workers), None)
-            .unwrap();
+        measure_streamed(&world, &dep, &config(workers), &dir_for(workers), None).unwrap();
     }
 
     let reference = dir_for(1);
-    let mut names: Vec<_> = std::fs::read_dir(&reference)
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .collect();
-    names.sort();
-    assert!(names.len() > 2, "expected a manifest and ≥2 chunks");
     for workers in [2, 8] {
         let dir = dir_for(workers);
-        let mut other: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        other.sort();
-        assert_eq!(names, other, "file set differs at {workers} workers");
-        for name in &names {
-            assert_eq!(
-                std::fs::read(reference.join(name)).unwrap(),
-                std::fs::read(dir.join(name)).unwrap(),
-                "{name:?} differs between 1 and {workers} workers"
-            );
-        }
+        assert_same_store(&reference, &dir, &format!("1 vs {workers} workers"));
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&reference);

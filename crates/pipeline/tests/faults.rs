@@ -4,11 +4,14 @@
 //! every failure in the taxonomy, and stay byte-deterministic across
 //! worker counts.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use webdep_dns::resolver::ResolverConfig;
 use webdep_netsim::{FaultKind, FaultPlan};
-use webdep_pipeline::{measure, FailureCause, MeasuredDataset, PipelineConfig};
+use webdep_pipeline::{
+    measure_streamed, ChunkStore, FailureCause, MeasuredDataset, PipelineConfig,
+};
 use webdep_tls::scanner::ScannerConfig;
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -52,6 +55,24 @@ fn deploy_with_faults(world: &World, plan: FaultPlan) -> DeployedWorld {
     )
 }
 
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("webdep-faults-{name}-{}", std::process::id()))
+}
+
+/// `world` measured into the scratch store `name` and loaded back.
+fn measured(
+    world: &World,
+    dep: &DeployedWorld,
+    config: &PipelineConfig,
+    name: &str,
+) -> MeasuredDataset {
+    let dir = tmp(name);
+    measure_streamed(world, dep, config, &dir, None).expect("measure into a store");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+    let _ = std::fs::remove_dir_all(&dir);
+    ds.expect("load the store")
+}
+
 fn assert_failures_total(ds: &MeasuredDataset) {
     let tax = ds.failure_taxonomy();
     assert_eq!(tax.total, ds.observations.len() as u64);
@@ -77,7 +98,7 @@ fn total_packet_loss_terminates_with_all_timeouts() {
             ..Default::default()
         },
     );
-    let ds = measure(&world, &dep, &fast_config(8));
+    let ds = measured(&world, &dep, &fast_config(8), "loss");
     assert_eq!(ds.success_rate(&world), 0.0);
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
@@ -97,7 +118,7 @@ fn total_packet_loss_terminates_with_all_timeouts() {
 fn all_servers_out_terminates_and_accounts() {
     let world = small_world();
     let dep = deploy_with_faults(&world, FaultPlan::outages(11, 1.0));
-    let ds = measure(&world, &dep, &fast_config(8));
+    let ds = measured(&world, &dep, &fast_config(8), "outages");
     assert_eq!(ds.success_rate(&world), 0.0);
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
@@ -122,7 +143,7 @@ fn flaky_majority_terminates_with_matching_taxonomy() {
     let world = small_world();
     let plan = FaultPlan::flaky(13, 0.75, 0.9, FaultKind::ALL.to_vec());
     let dep = deploy_with_faults(&world, plan);
-    let ds = measure(&world, &dep, &fast_config(8));
+    let ds = measured(&world, &dep, &fast_config(8), "flaky");
     assert_failures_total(&ds);
     let tax = ds.failure_taxonomy();
     assert!(tax.clean < tax.total, "a flaky majority must leave a mark");
@@ -155,8 +176,8 @@ fn faulted_dataset_identical_across_worker_counts() {
         vec![FaultKind::Drop, FaultKind::ServFail, FaultKind::Truncate],
     );
     let dep = deploy_with_faults(&world, plan);
-    let solo = measure(&world, &dep, &fast_config(1));
-    let eight = measure(&world, &dep, &fast_config(8));
+    let solo = measured(&world, &dep, &fast_config(1), "faulted");
+    let eight = measured(&world, &dep, &fast_config(8), "faulted");
     assert_eq!(solo, eight, "worker count changed the faulted dataset");
 
     // And a separately constructed deployment with an equal plan agrees
@@ -168,7 +189,7 @@ fn faulted_dataset_identical_across_worker_counts() {
         vec![FaultKind::Drop, FaultKind::ServFail, FaultKind::Truncate],
     );
     let dep2 = deploy_with_faults(&world, plan2);
-    let again = measure(&world, &dep2, &fast_config(4));
+    let again = measured(&world, &dep2, &fast_config(4), "faulted");
     assert_eq!(solo, again, "redeployment changed the faulted dataset");
 
     // Every kind, `Delay` included: whether a delayed answer beats the
@@ -177,8 +198,8 @@ fn faulted_dataset_identical_across_worker_counts() {
         &world,
         FaultPlan::flaky(29, 0.5, 0.5, FaultKind::ALL.to_vec()),
     );
-    let solo = measure(&world, &dep, &fast_config(1));
-    let eight = measure(&world, &dep, &fast_config(8));
+    let solo = measured(&world, &dep, &fast_config(1), "faulted");
+    let eight = measured(&world, &dep, &fast_config(8), "faulted");
     assert_eq!(solo, eight, "worker count changed the all-kinds dataset");
     // With two retries the resolver's window widens 5 → 10 → 20 ms, so a
     // 20 ms delay is answered in the last round — by a live server and by
@@ -188,8 +209,8 @@ fn faulted_dataset_identical_across_worker_counts() {
         config.resolver.retries = 2;
         config
     };
-    let solo = measure(&world, &dep, &retrying(1));
-    let eight = measure(&world, &dep, &retrying(8));
+    let solo = measured(&world, &dep, &retrying(1), "faulted");
+    let eight = measured(&world, &dep, &retrying(8), "faulted");
     assert_eq!(solo, eight, "worker count changed the retried dataset");
 }
 
@@ -203,8 +224,8 @@ fn faulted_dataset_identical_across_worker_counts() {
 fn outage_dataset_identical_across_worker_counts() {
     let world = small_world();
     let dep = deploy_with_faults(&world, FaultPlan::outages(23, 0.3));
-    let solo = measure(&world, &dep, &fast_config(1));
-    let eight = measure(&world, &dep, &fast_config(8));
+    let solo = measured(&world, &dep, &fast_config(1), "outage-split");
+    let eight = measured(&world, &dep, &fast_config(8), "outage-split");
     assert_eq!(solo, eight, "worker count changed the outage dataset");
     // The comparison only bites if the outage actually splits the world:
     // some sites must fail and some must still measure cleanly.
@@ -221,7 +242,9 @@ fn corruption_faults_show_up_in_run_counters() {
     let world = small_world();
     let plan = FaultPlan::flaky(19, 0.6, 0.8, vec![FaultKind::Truncate, FaultKind::Garble]);
     let dep = deploy_with_faults(&world, plan);
-    let (_, stats) = webdep_pipeline::measure_with_stats(&world, &dep, &fast_config(8));
+    let dir = tmp("counters");
+    let stats = measure_streamed(&world, &dep, &fast_config(8), &dir, None).expect("measure");
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(
         stats.malformed_datagrams > 0,
         "truncation must be counted as malformed datagrams"
@@ -238,15 +261,17 @@ fn corruption_faults_show_up_in_run_counters() {
 #[test]
 fn zero_fault_plan_is_byte_identical_to_no_plan() {
     let world = small_world();
-    let bare = measure(
+    let bare = measured(
         &world,
         &DeployedWorld::deploy(&world, DeployConfig::default()),
         &fast_config(4),
+        "zero-plan",
     );
-    let planned = measure(
+    let planned = measured(
         &world,
         &deploy_with_faults(&world, FaultPlan::none()),
         &fast_config(4),
+        "zero-plan",
     );
     assert_eq!(bare, planned, "an empty fault plan changed the dataset");
     let bytes = |ds: &MeasuredDataset| serde_json::to_string(&ds.observations).expect("serialize");

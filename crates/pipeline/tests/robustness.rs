@@ -1,9 +1,10 @@
 //! Robustness of the measurement pipeline: failure injection (packet
 //! loss) and the geolocation-accuracy ablation.
 
+use std::path::PathBuf;
 use std::time::Duration;
 use webdep_dns::resolver::ResolverConfig;
-use webdep_pipeline::{measure, PipelineConfig};
+use webdep_pipeline::{measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig};
 use webdep_tls::scanner::ScannerConfig;
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -13,6 +14,24 @@ fn tiny_world() -> World {
     cfg.sites_per_country = 100;
     cfg.global_pool_size = 300;
     World::generate(cfg)
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("webdep-robustness-{name}-{}", std::process::id()))
+}
+
+/// `world` measured into the scratch store `name` and loaded back.
+fn measured(
+    world: &World,
+    dep: &DeployedWorld,
+    config: &PipelineConfig,
+    name: &str,
+) -> MeasuredDataset {
+    let dir = tmp(name);
+    measure_streamed(world, dep, config, &dir, None).expect("measure into a store");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+    let _ = std::fs::remove_dir_all(&dir);
+    ds.expect("load the store")
 }
 
 #[test]
@@ -25,7 +44,7 @@ fn retries_carry_measurement_through_packet_loss() {
             ..Default::default()
         },
     );
-    let ds = measure(
+    let ds = measured(
         &world,
         &dep,
         &PipelineConfig {
@@ -41,6 +60,7 @@ fn retries_carry_measurement_through_packet_loss() {
             },
             ..Default::default()
         },
+        "loss",
     );
     let rate = ds.success_rate(&world);
     assert!(rate > 0.95, "success rate under 5% loss: {rate}");
@@ -57,8 +77,8 @@ fn geolocation_noise_does_not_move_org_attribution() {
             ..Default::default()
         },
     );
-    let ds_clean = measure(&world, &clean, &PipelineConfig::default());
-    let ds_noisy = measure(&world, &noisy, &PipelineConfig::default());
+    let ds_clean = measured(&world, &clean, &PipelineConfig::default(), "geo");
+    let ds_noisy = measured(&world, &noisy, &PipelineConfig::default(), "geo");
 
     // Organization attribution (pfx2as + AS-org) is untouched by the
     // geolocation error process...

@@ -6,10 +6,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use webdep_pipeline::journal::{self, Journal};
-use webdep_pipeline::run::measure_with_stats;
 use webdep_pipeline::{
-    measure, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter,
-    FailureCause, JournalWriter, MeasuredDataset, PipelineConfig, SupervisorConfig,
+    measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter, FailureCause,
+    JournalWriter, MeasureStats, MeasuredDataset, PipelineConfig, SupervisorConfig,
     DEFAULT_CHUNK_SITES,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
@@ -34,6 +33,21 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("webdep-supervision-{name}-{}", std::process::id()))
 }
 
+/// `world` measured into the scratch store `name`, loaded back, with the
+/// run's accounting.
+fn measured(
+    world: &World,
+    dep: &DeployedWorld,
+    cfg: &PipelineConfig,
+    name: &str,
+) -> (MeasuredDataset, MeasureStats) {
+    let dir = tmp(name);
+    let stats = measure_streamed(world, dep, cfg, &dir, None).expect("measure into a store");
+    let ds = load_store(&dir, world);
+    let _ = std::fs::remove_dir_all(&dir);
+    (ds, stats)
+}
+
 /// Byte-level identity, not just `PartialEq`: the acceptance bar is the
 /// serialized form of every observation.
 fn assert_byte_identical(a: &MeasuredDataset, b: &MeasuredDataset, what: &str) {
@@ -54,9 +68,9 @@ fn injected_panic_is_isolated_to_its_site() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let target = world.sites.len() / 2;
 
-    let clean = measure(&world, &dep, &config(None));
-    let (ds, stats) =
-        measure_with_stats(&world, &dep, &config(Some(ChaosPlan::panic_at(&[target]))));
+    let (clean, _) = measured(&world, &dep, &config(None), "panic");
+    let chaos = config(Some(ChaosPlan::panic_at(&[target])));
+    let (ds, stats) = measured(&world, &dep, &chaos, "panic");
 
     assert_eq!(stats.supervision.panics_isolated, 1);
     assert_eq!(
@@ -87,9 +101,9 @@ fn worker_death_costs_one_retry_and_zero_bytes() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let target = world.sites.len() / 2;
 
-    let clean = measure(&world, &dep, &config(None));
-    let (ds, stats) =
-        measure_with_stats(&world, &dep, &config(Some(ChaosPlan::kill_at(&[target]))));
+    let (clean, _) = measured(&world, &dep, &config(None), "death");
+    let chaos = config(Some(ChaosPlan::kill_at(&[target])));
+    let (ds, stats) = measured(&world, &dep, &chaos, "death");
 
     // The kill fires on the first attempt only, so the requeued batch
     // re-measures cleanly: exactly one loss, one requeue, one respawn.
@@ -110,9 +124,9 @@ fn poisoned_batch_is_failed_not_retried_forever() {
     // rest of its batch (earlier sites were committed before the kill).
     let batch_hi = ((target / 16 + 1) * 16).min(n);
 
-    let clean = measure(&world, &dep, &config(None));
-    let (ds, stats) =
-        measure_with_stats(&world, &dep, &config(Some(ChaosPlan::poison_at(&[target]))));
+    let (clean, _) = measured(&world, &dep, &config(None), "poison");
+    let chaos = config(Some(ChaosPlan::poison_at(&[target])));
+    let (ds, stats) = measured(&world, &dep, &chaos, "poison");
 
     assert_eq!(
         stats.supervision.workers_lost, 2,
@@ -150,7 +164,7 @@ fn hung_worker_is_caught_by_the_watchdog() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let target = world.sites.len() / 3;
 
-    let clean = measure(&world, &dep, &config(None));
+    let (clean, _) = measured(&world, &dep, &config(None), "hang");
     let mut cfg = config(Some(ChaosPlan::hang_at(&[target])));
     // Short deadline so the stale-heartbeat path (not thread death)
     // triggers; healthy sites measure in well under this.
@@ -158,7 +172,7 @@ fn hung_worker_is_caught_by_the_watchdog() {
         site_deadline: Duration::from_millis(500),
         ..SupervisorConfig::default()
     };
-    let (ds, stats) = measure_with_stats(&world, &dep, &cfg);
+    let (ds, stats) = measured(&world, &dep, &cfg, "hang");
 
     assert!(
         stats.supervision.workers_lost >= 1,
@@ -249,9 +263,8 @@ fn resume_is_byte_identical_at_three_progress_points() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
 
-    let clean = measure(&world, &dep, &config(None));
     let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "full");
-    assert_byte_identical(&clean, &load_store(&full_store, &world), "checkpointed run");
+    let clean = load_store(&full_store, &world);
 
     for (point, frac) in [(0, 0.08), (1, 0.5), (2, 0.92)] {
         let k = ((n as f64) * frac) as usize;
@@ -283,8 +296,8 @@ fn a_torn_journal_tail_heals_on_resume() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
 
-    let clean = measure(&world, &dep, &config(None));
     let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "torn-full");
+    let clean = load_store(&full_store, &world);
 
     // A crash mid-write leaves k whole records and part of record k+1.
     let k = n / 4;
@@ -330,14 +343,12 @@ fn chaos_smoke_one_worker_death_and_resume() {
     let n = world.sites.len();
     let target = n / 2;
 
-    let clean = measure(&world, &dep, &config(None));
+    let clean = tmp("smoke-clean-store");
+    measure_streamed(&world, &dep, &config(None), &clean, None).unwrap();
     let chaos = config(Some(ChaosPlan::kill_at(&[target])));
     let (full_store, full_path, full) = checkpointed_run(&world, &dep, &chaos, "smoke");
-    assert_byte_identical(
-        &clean,
-        &load_store(&full_store, &world),
-        "chaos smoke (checkpointed, one death)",
-    );
+    assert_same_store(&clean, &full_store, "chaos smoke (checkpointed, one death)");
+    let _ = std::fs::remove_dir_all(&clean);
 
     let store = tmp("smoke-cut-store");
     let path = tmp("smoke-cut-journal");
@@ -371,9 +382,8 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let world = tiny_world();
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
-    let clean = measure(&world, &dep, &config(None));
 
-    // Uninterrupted streamed reference: store reloads byte-identical.
+    // The uninterrupted reference run.
     let store_full = tmp("stream-full-store");
     let journal_full = tmp("stream-full-journal");
     measure_streamed(
@@ -384,11 +394,7 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
         Some(&journal_full),
     )
     .unwrap();
-    let full = ChunkStore::open(&store_full)
-        .unwrap()
-        .load_dataset(&world)
-        .unwrap();
-    assert_byte_identical(&clean, &full, "uninterrupted streamed run");
+    let full = load_store(&store_full, &world);
 
     // The crash scene.
     let store_cut = tmp("stream-cut-store");
@@ -415,11 +421,8 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
         resumed > 0 && resumed < n as u64,
         "expected partial recovery, resumed {resumed}/{n}"
     );
-    let healed = ChunkStore::open(&store_cut)
-        .unwrap()
-        .load_dataset(&world)
-        .unwrap();
-    assert_byte_identical(&clean, &healed, "resume over a torn chunk store");
+    let healed = load_store(&store_cut, &world);
+    assert_byte_identical(&full, &healed, "resume over a torn chunk store");
 
     // Every chunk file healed to the uninterrupted run's exact bytes.
     for chunk in &chunks {

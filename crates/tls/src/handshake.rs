@@ -32,32 +32,6 @@ const MAX_FRAME: usize = 1 << 20;
 /// Alert code for "unrecognized_name" (mirrors TLS's 112).
 pub const ALERT_UNRECOGNIZED_NAME: u8 = 112;
 
-/// Errors from parsing handshake bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TlsError {
-    /// Frame header or body incomplete.
-    Truncated,
-    /// Unknown frame type.
-    UnknownType(u8),
-    /// Frame body failed to parse.
-    Malformed,
-    /// Frame length exceeds the defensive bound.
-    Oversized(usize),
-}
-
-impl std::fmt::Display for TlsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TlsError::Truncated => write!(f, "truncated handshake data"),
-            TlsError::UnknownType(t) => write!(f, "unknown frame type {t}"),
-            TlsError::Malformed => write!(f, "malformed frame body"),
-            TlsError::Oversized(n) => write!(f, "frame of {n} bytes exceeds limit"),
-        }
-    }
-}
-
-impl std::error::Error for TlsError {}
-
 /// Encodes the client's flight, a lone `ClientHello` carrying `random`
 /// and the name `sni`, into `buf`, replacing what it held.
 pub fn encode_client_hello(buf: &mut Vec<u8>, random: u64, sni: &str) {
@@ -113,18 +87,18 @@ fn put_frame(buf: &mut Vec<u8>, ftype: u8, body: impl FnOnce(&mut Vec<u8>)) {
 pub fn decode_client_hello(bytes: &[u8]) -> Option<(u64, &str)> {
     let mut frames = frames(bytes);
     let hello = match frames.next()? {
-        Ok((TYPE_CLIENT_HELLO, body)) => client_hello(body).ok()?,
+        Some((TYPE_CLIENT_HELLO, body)) => client_hello(body)?,
         _ => return None,
     };
     frames
-        .all(|frame| frame.is_ok_and(|(ftype, body)| body_is_well_formed(ftype, body)))
+        .all(|frame| frame.is_some_and(|(ftype, body)| body_is_well_formed(ftype, body)))
         .then_some(hello)
 }
 
 /// Whether `body` is a well-formed body of a frame of type `ftype`.
 fn body_is_well_formed(ftype: u8, body: &[u8]) -> bool {
     match ftype {
-        TYPE_CLIENT_HELLO => client_hello(body).is_ok(),
+        TYPE_CLIENT_HELLO => client_hello(body).is_some(),
         TYPE_SERVER_HELLO => body.len() == 10,
         TYPE_CERTIFICATE => ChainView::parse(body).is_some(),
         TYPE_ALERT => body.len() == 1,
@@ -149,8 +123,8 @@ pub(crate) enum ServerFlight<'a> {
 pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight<'_>> {
     let mut frames = frames(bytes);
     match (frames.next(), frames.next(), frames.next()) {
-        (Some(Ok((TYPE_ALERT, &[code]))), None, None) => Some(ServerFlight::Alert(code)),
-        (Some(Ok((TYPE_SERVER_HELLO, hello))), Some(Ok((TYPE_CERTIFICATE, body))), None)
+        (Some(Some((TYPE_ALERT, &[code]))), None, None) => Some(ServerFlight::Alert(code)),
+        (Some(Some((TYPE_SERVER_HELLO, hello))), Some(Some((TYPE_CERTIFICATE, body))), None)
             if hello.len() == 10 =>
         {
             ChainView::parse(body).map(ServerFlight::Chain)
@@ -159,9 +133,9 @@ pub(crate) fn decode_server_flight(bytes: &[u8]) -> Option<ServerFlight<'_>> {
     }
 }
 
-/// The `(type, body)` frames of a payload, in order; a framing error is
-/// the last item.
-fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<(u8, &[u8]), TlsError>> {
+/// The `(type, body)` frames of a payload, in order; a frame cut short or
+/// over the size bound is a last `None`.
+fn frames(bytes: &[u8]) -> impl Iterator<Item = Option<(u8, &[u8])>> {
     let mut pos = 0;
     std::iter::from_fn(move || {
         if pos >= bytes.len() {
@@ -169,36 +143,38 @@ fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<(u8, &[u8]), TlsError>> {
         }
         let frame = frame_at(bytes, pos);
         pos = match &frame {
-            Ok((_, body)) => pos + 5 + body.len(),
-            Err(_) => bytes.len(),
+            Some((_, body)) => pos + 5 + body.len(),
+            None => bytes.len(),
         };
         Some(frame)
     })
 }
 
-/// The frame starting at `pos`.
-fn frame_at(bytes: &[u8], pos: usize) -> Result<(u8, &[u8]), TlsError> {
-    let ftype = bytes[pos];
-    let len_bytes = bytes.get(pos + 1..pos + 5).ok_or(TlsError::Truncated)?;
-    let len = u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+/// The frame starting at `pos`, `None` when it is cut short or its length
+/// passes the bound.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(u8, &[u8])> {
+    let len = frame_len(&bytes[pos..])?;
     if len > MAX_FRAME {
-        return Err(TlsError::Oversized(len));
+        return None;
     }
-    let body = bytes
-        .get(pos + 5..pos + 5 + len)
-        .ok_or(TlsError::Truncated)?;
-    Ok((ftype, body))
+    Some((bytes[pos], bytes.get(pos + 5..pos + 5 + len)?))
 }
 
-fn client_hello(body: &[u8]) -> Result<(u64, &str), TlsError> {
+/// The body length the frame header opening `frame` declares.
+fn frame_len(frame: &[u8]) -> Option<usize> {
+    let len_bytes = frame.get(1..5)?;
+    Some(u32::from_be_bytes(len_bytes.try_into().expect("4 bytes")) as usize)
+}
+
+/// A `ClientHello` body's random and name.
+fn client_hello(body: &[u8]) -> Option<(u64, &str)> {
     if body.len() < 10 {
-        return Err(TlsError::Malformed);
+        return None;
     }
     let random = u64::from_be_bytes(body[..8].try_into().expect("8 bytes"));
     let sni_len = u16::from_be_bytes([body[8], body[9]]) as usize;
-    let sni = body.get(10..10 + sni_len).ok_or(TlsError::Malformed)?;
-    let sni = std::str::from_utf8(sni).map_err(|_| TlsError::Malformed)?;
-    Ok((random, sni))
+    let sni = body.get(10..10 + sni_len)?;
+    Some((random, std::str::from_utf8(sni).ok()?))
 }
 
 #[cfg(test)]
@@ -436,7 +412,7 @@ mod tests {
 }
 
 #[cfg(test)]
-pub(crate) use reference::{decode_flight, encode_flight, HandshakeMessage};
+pub(crate) use reference::{decode_flight, encode_flight, HandshakeMessage, TlsError};
 
 #[cfg(test)]
 mod reference;

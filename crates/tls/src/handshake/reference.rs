@@ -6,11 +6,37 @@
 //! outside the tests builds one.
 
 use super::{
-    client_hello, frames, put_client_hello, put_frame, TlsError, TYPE_ALERT, TYPE_CERTIFICATE,
-    TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO,
+    client_hello, frame_len, frames, put_client_hello, put_frame, MAX_FRAME, TYPE_ALERT,
+    TYPE_CERTIFICATE, TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO,
 };
 use crate::cert::{encode_certs_into, CertRef, CertificateChain};
 use bytes::BufMut;
+
+/// Errors from decoding a flight into owned messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TlsError {
+    /// Frame header or body incomplete.
+    Truncated,
+    /// Unknown frame type.
+    UnknownType(u8),
+    /// Frame body failed to parse.
+    Malformed,
+    /// Frame length exceeds the defensive bound.
+    Oversized(usize),
+}
+
+impl std::fmt::Display for TlsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TlsError::Truncated => write!(f, "truncated handshake data"),
+            TlsError::UnknownType(t) => write!(f, "unknown frame type {t}"),
+            TlsError::Malformed => write!(f, "malformed frame body"),
+            TlsError::Oversized(n) => write!(f, "frame of {n} bytes exceeds limit"),
+        }
+    }
+}
+
+impl std::error::Error for TlsError {}
 
 /// Handshake protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +93,23 @@ pub fn encode_flight(messages: &[HandshakeMessage]) -> Vec<u8> {
 
 /// Decodes all frames in a datagram payload.
 pub fn decode_flight(bytes: &[u8]) -> Result<Vec<HandshakeMessage>, TlsError> {
+    let mut pos = 0;
     frames(bytes)
-        .map(|frame| frame.and_then(|(ftype, body)| decode_body(ftype, body)))
+        .map(|frame| {
+            let (ftype, body) = frame.ok_or_else(|| framing_error(&bytes[pos..]))?;
+            pos += 5 + body.len();
+            decode_body(ftype, body)
+        })
         .collect()
+}
+
+/// Why the frame opening `frame` does not frame: a length over the bound,
+/// or a header or body cut short.
+fn framing_error(frame: &[u8]) -> TlsError {
+    match frame_len(frame) {
+        Some(len) if len > MAX_FRAME => TlsError::Oversized(len),
+        _ => TlsError::Truncated,
+    }
 }
 
 /// A `Certificate` body: the chain, filling the body exactly.
@@ -85,7 +125,7 @@ fn certificate(body: &[u8]) -> Result<CertificateChain, TlsError> {
 fn decode_body(ftype: u8, body: &[u8]) -> Result<HandshakeMessage, TlsError> {
     match ftype {
         TYPE_CLIENT_HELLO => {
-            let (random, sni) = client_hello(body)?;
+            let (random, sni) = client_hello(body).ok_or(TlsError::Malformed)?;
             Ok(HandshakeMessage::ClientHello {
                 random,
                 sni: sni.to_string(),

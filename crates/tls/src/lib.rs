@@ -36,7 +36,6 @@ pub mod server;
 
 pub use cert::{CertRef, CertView, Certificate, ChainView};
 pub use fault::{apply_tls_fault, ALERT_INTERNAL_ERROR};
-pub use handshake::TlsError;
 pub use scanner::{ScanError, Scanner, ScannerConfig};
 pub use server::serve_hello;
 

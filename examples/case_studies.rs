@@ -6,13 +6,17 @@
 use webdep::analysis::cases::{afghan_persian_case, dependence_on, foreign_dependence_cases};
 use webdep::analysis::insularity::{dependence_shares, insularity_table};
 use webdep::analysis::AnalysisCtx;
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn main() {
     let world = World::generate(WorldConfig::small());
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let ds = measure(&world, &dep, &PipelineConfig::default());
+    let dir = std::env::temp_dir().join(format!("webdep-case-studies-{}", std::process::id()));
+    measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = ds.expect("load the store");
     let ctx = AnalysisCtx::new(&world, &ds);
 
     println!("== Hosting insularity (top 10) ==");

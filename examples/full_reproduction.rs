@@ -13,7 +13,7 @@ use webdep::analysis::insularity::insularity_table;
 use webdep::analysis::regional::subregion_summary;
 use webdep::analysis::report;
 use webdep::analysis::{AnalysisCtx, ExperimentSuite};
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::webgen::evolve::evolve;
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
@@ -52,14 +52,23 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(8);
-    let ds = measure(
-        &world,
-        &dep,
-        &PipelineConfig {
-            workers,
-            ..Default::default()
-        },
-    );
+    let config = PipelineConfig {
+        workers,
+        ..Default::default()
+    };
+    // Each snapshot streams into a scratch chunk store and is read back.
+    let measured = |world: &World, dep: &DeployedWorld| {
+        let dir = std::env::temp_dir().join(format!(
+            "webdep-full-reproduction-{}-{}",
+            world.label,
+            std::process::id()
+        ));
+        measure_streamed(world, dep, &config, &dir, None).expect("measure");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+        let _ = std::fs::remove_dir_all(&dir);
+        ds.expect("load the store")
+    };
+    let ds = measured(&world, &dep);
     println!(
         "measured: {} observations, success rate {:.2}% ({:?})",
         ds.observations.len(),
@@ -71,14 +80,7 @@ fn main() {
     let t3 = Instant::now();
     let world25 = evolve(&world);
     let dep25 = DeployedWorld::deploy(&world25, DeployConfig::default());
-    let ds25 = measure(
-        &world25,
-        &dep25,
-        &PipelineConfig {
-            workers,
-            ..Default::default()
-        },
-    );
+    let ds25 = measured(&world25, &dep25);
     println!("2025 snapshot measured ({:?})", t3.elapsed());
 
     let ctx = AnalysisCtx::new(&world, &ds);

@@ -7,13 +7,17 @@
 use webdep::analysis::latency::{continent_means, latency_table};
 use webdep::analysis::AnalysisCtx;
 use webdep::netsim::LatencyModel;
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
 fn main() {
     let world = World::generate(WorldConfig::small());
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let ds = measure(&world, &dep, &PipelineConfig::default());
+    let dir = std::env::temp_dir().join(format!("webdep-latency-cost-{}", std::process::id()));
+    measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = ds.expect("load the store");
     let ctx = AnalysisCtx::new(&world, &ds);
 
     let model = LatencyModel::default();

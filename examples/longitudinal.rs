@@ -4,7 +4,7 @@
 
 use webdep::analysis::longitudinal::compare;
 use webdep::analysis::AnalysisCtx;
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::webgen::evolve::evolve;
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -12,14 +12,21 @@ fn main() {
     let world23 = World::generate(WorldConfig::small());
     let world25 = evolve(&world23);
 
-    let ds23 = {
-        let dep = DeployedWorld::deploy(&world23, DeployConfig::default());
-        measure(&world23, &dep, &PipelineConfig::default())
+    // Each snapshot measured into a scratch chunk store and read back.
+    let measured = |world: &World| {
+        let dep = DeployedWorld::deploy(world, DeployConfig::default());
+        let dir = std::env::temp_dir().join(format!(
+            "webdep-longitudinal-{}-{}",
+            world.label,
+            std::process::id()
+        ));
+        measure_streamed(world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
+        let _ = std::fs::remove_dir_all(&dir);
+        ds.expect("load the store")
     };
-    let ds25 = {
-        let dep = DeployedWorld::deploy(&world25, DeployConfig::default());
-        measure(&world25, &dep, &PipelineConfig::default())
-    };
+    let ds23 = measured(&world23);
+    let ds25 = measured(&world25);
 
     let report = compare(
         &AnalysisCtx::new(&world23, &ds23),

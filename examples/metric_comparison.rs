@@ -7,14 +7,18 @@ use webdep::analysis::AnalysisCtx;
 use webdep::core::centralization::centralization_score;
 use webdep::core::fdiv::{disjoint_embedding, hellinger_distance, js_divergence, total_variation};
 use webdep::core::topn::top_n_share;
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::stats::corr::spearman;
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn main() {
     let world = World::generate(WorldConfig::small());
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let ds = measure(&world, &dep, &PipelineConfig::default());
+    let dir = std::env::temp_dir().join(format!("webdep-metric-comparison-{}", std::process::id()));
+    measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = ds.expect("load the store");
     let ctx = AnalysisCtx::new(&world, &ds);
 
     println!("country | S      | top-5  | top-10 | TV    | JS    | Hellinger");

@@ -5,13 +5,18 @@
 
 use webdep::analysis::vantage::validate_vantage;
 use webdep::analysis::AnalysisCtx;
-use webdep::pipeline::{measure, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, PipelineConfig};
 use webdep::webgen::{Continent, DeployConfig, DeployedWorld, World, WorldConfig};
 
 fn main() {
     let world = World::generate(WorldConfig::small());
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let ds = measure(&world, &dep, &PipelineConfig::default());
+    let dir =
+        std::env::temp_dir().join(format!("webdep-vantage-validation-{}", std::process::id()));
+    measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None).expect("measure");
+    let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ds = ds.expect("load the store");
     let ctx = AnalysisCtx::new(&world, &ds);
 
     // Show the raw mechanism first: one Cloudflare site, two vantages.

@@ -5,10 +5,10 @@
 //! webdep country DE [tiny|small]   # one country's full dependence profile
 //! webdep tables [tiny|small]       # the four layer tables
 //! webdep experiments [tiny|small]  # the paper-vs-measured suite
-//! webdep measure [tiny|small]                      # resident run, accounting only
+//! webdep measure [tiny|small]                      # scratch-store run, accounting only
 //! webdep measure small --store chunks/ --journal run.journal  # checkpointed run
 //! webdep measure small --store chunks/ --resume run.journal   # continue after a crash
-//! webdep serve [tiny|small] --addr 127.0.0.1:8439   # resident query service
+//! webdep serve [tiny|small] --addr 127.0.0.1:8439   # measure, then serve
 //! webdep serve small --store chunks/               # serve a chunked store
 //! webdep evolve 4 tiny --churn 0.1                 # continuous epochs, delta re-measure
 //! webdep evolve 4 tiny --serve-addr 127.0.0.1:8439 # …published live per epoch
@@ -16,16 +16,20 @@
 //! ```
 //!
 //! The heavier subcommands generate, deploy, and measure a synthetic world
-//! (seconds at `tiny`, ~1 minute at `small`). `measure` runs just the
-//! measurement pipeline and prints its supervision/throughput accounting.
-//! With `--store` the observations stream into a chunked columnar store
-//! instead of memory; `--journal` also checkpoints every completed site
-//! beside it (one-row chunks in the store's own codec), and `--resume`
-//! continues an interrupted checkpointed run, re-measuring only the sites
-//! neither the store nor the journal holds (the healed store is
-//! byte-identical to an uninterrupted run's). The same journal lets
-//! `fsck --repair` re-encode a damaged chunk.
+//! (seconds at `tiny`, ~1 minute at `small`). Every measurement streams
+//! into a chunked columnar store; a subcommand given no `--store` measures
+//! into a scratch store under the temp directory
+//! (`webdep-<command>-<pid>`), reads what it needs from it and removes it.
+//! `measure` runs just the measurement pipeline and prints its
+//! supervision/throughput accounting. With `--store` the store is kept;
+//! `--journal` also checkpoints every completed site beside it (one-row
+//! chunks in the store's own codec), and `--resume` continues an
+//! interrupted checkpointed run, re-measuring only the sites neither the
+//! store nor the journal holds (the healed store is byte-identical to an
+//! uninterrupted run's). The same journal lets `fsck --repair` re-encode a
+//! damaged chunk.
 
+use std::io;
 use std::path::Path;
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::insularity::{dependence_shares, insularity_table};
@@ -35,7 +39,7 @@ use webdep::core::centralization::{centralization_score, hhi, ConcentrationBand}
 use webdep::core::dist::CountDist;
 use webdep::core::topn::top_n_share;
 use webdep::pipeline::{
-    measure, measure_streamed, measure_with_stats, resume_streamed, MeasuredDataset, PipelineConfig,
+    measure_streamed, resume_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
@@ -58,10 +62,28 @@ fn scale_config(arg: Option<&str>) -> WorldConfig {
     }
 }
 
-fn measured(config: WorldConfig) -> (World, MeasuredDataset) {
+/// Runs `build` over a scratch store directory under the temp directory
+/// (`webdep-<command>-<pid>`) and removes the directory, whatever the
+/// outcome; exits 1 on an error.
+fn in_scratch_store<T>(command: &str, build: impl FnOnce(&Path) -> io::Result<T>) -> T {
+    let dir = std::env::temp_dir().join(format!("webdep-{command}-{}", std::process::id()));
+    let built = build(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    built.unwrap_or_else(|e| {
+        eprintln!("store error: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// A generated world and its measured dataset, read back from a scratch
+/// store.
+fn measured(command: &str, config: WorldConfig) -> (World, MeasuredDataset) {
     let world = World::generate(config);
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let ds = measure(&world, &dep, &PipelineConfig::default());
+    let ds = in_scratch_store(command, |dir| {
+        measure_streamed(&world, &dep, &PipelineConfig::default(), dir, None)?;
+        ChunkStore::open(dir)?.load_dataset(&world)
+    });
     (world, ds)
 }
 
@@ -102,7 +124,7 @@ fn cmd_country(code: &str, scale: Option<&str>) {
         eprintln!("unknown country code {code:?} (need one of the paper's 150)");
         std::process::exit(2);
     };
-    let (world, ds) = measured(scale_config(scale));
+    let (world, ds) = measured("country", scale_config(scale));
     let ctx = AnalysisCtx::new(&world, &ds);
     let record = &webdep::webgen::COUNTRIES[ci];
     println!(
@@ -144,7 +166,7 @@ fn cmd_country(code: &str, scale: Option<&str>) {
 }
 
 fn cmd_tables(scale: Option<&str>) {
-    let (world, ds) = measured(scale_config(scale));
+    let (world, ds) = measured("tables", scale_config(scale));
     let ctx = AnalysisCtx::new(&world, &ds);
     for layer in Layer::ALL {
         let t = layer_table(&ctx, layer);
@@ -199,11 +221,9 @@ fn cmd_measure(args: &[String]) {
     let config = PipelineConfig::default();
     eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
     let stats = match store.map(Path::new) {
-        None => {
-            let (ds, stats) = measure_with_stats(&world, &dep, &config);
-            println!("success rate     = {:.4}", ds.success_rate(&world));
-            stats
-        }
+        None => in_scratch_store("measure", |dir| {
+            measure_streamed(&world, &dep, &config, dir, None)
+        }),
         Some(dir) => {
             let run = match resume {
                 Some(p) => resume_streamed(&world, &dep, &config, dir, Path::new(p)),
@@ -308,13 +328,9 @@ fn cmd_serve(args: &[String]) {
             // into a scratch one, fold it, and remove it.
             eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
             let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-            let dir = std::env::temp_dir().join(format!("webdep-serve-{}", std::process::id()));
-            let built = measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None)
-                .and_then(|_| CubeSnapshot::from_store(1, Arc::clone(&world), &dir));
-            let _ = std::fs::remove_dir_all(&dir);
-            built.unwrap_or_else(|e| {
-                eprintln!("store error: {e}");
-                std::process::exit(1);
+            in_scratch_store("serve", |dir| {
+                measure_streamed(&world, &dep, &PipelineConfig::default(), dir, None)?;
+                CubeSnapshot::from_store(1, Arc::clone(&world), dir)
             })
         }
     };
@@ -690,7 +706,7 @@ fn cmd_fsck(args: &[String]) {
 }
 
 fn cmd_experiments(scale: Option<&str>) {
-    let (world, ds) = measured(scale_config(scale));
+    let (world, ds) = measured("experiments", scale_config(scale));
     let ctx = AnalysisCtx::new(&world, &ds);
     let suite = ExperimentSuite::run(&ctx, None, None);
     println!("{}", suite.to_markdown());

@@ -9,8 +9,8 @@
 
 use webdep::pipeline::journal;
 use webdep::pipeline::{
-    measure, measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter,
-    JournalWriter, PipelineConfig, DEFAULT_CHUNK_SITES,
+    measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter, JournalWriter,
+    PipelineConfig, DEFAULT_CHUNK_SITES,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -27,7 +27,11 @@ fn chaos_smoke_worker_death_and_crash_resume() {
         workers: 4,
         ..Default::default()
     };
-    let clean = measure(&world, &dep, &config);
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("webdep-chaos-smoke-{name}-{}", std::process::id()))
+    };
+    let clean = tmp("clean");
+    measure_streamed(&world, &dep, &config, &clean, None).unwrap();
 
     // One worker killed mid-run: its in-flight batch is requeued and the
     // store comes out byte-identical to the undisturbed run.
@@ -35,18 +39,16 @@ fn chaos_smoke_worker_death_and_crash_resume() {
         chaos: Some(ChaosPlan::kill_at(&[n / 2])),
         ..config.clone()
     };
-    let tmp = |name: &str| {
-        std::env::temp_dir().join(format!("webdep-chaos-smoke-{name}-{}", std::process::id()))
-    };
     let (store, path) = (tmp("store"), tmp("journal"));
     let stats = measure_streamed(&world, &dep, &chaos, &store, Some(&path)).unwrap();
     assert_eq!(stats.supervision.workers_lost, 1);
     assert_eq!(stats.supervision.batches_requeued, 1);
-    let ds = ChunkStore::open(&store)
-        .unwrap()
-        .load_dataset(&world)
-        .unwrap();
-    assert_eq!(clean, ds, "a worker death changed the dataset");
+    let load = |dir| ChunkStore::open(dir).unwrap().load_dataset(&world).unwrap();
+    assert_eq!(
+        load(&clean),
+        load(&store),
+        "a worker death changed the dataset"
+    );
 
     // Rebuild what a process killed after half its commits leaves behind:
     // the journal's first half, and the chunks those commits completed.
@@ -73,7 +75,7 @@ fn chaos_smoke_worker_death_and_crash_resume() {
             "crash-resume changed {name}"
         );
     }
-    for dir in [&store, &cut_store] {
+    for dir in [&clean, &store, &cut_store] {
         let _ = std::fs::remove_dir_all(dir);
     }
     for file in [&path, &cut_path] {

@@ -2,11 +2,11 @@
 //! world:
 //!
 //! * measurement is independent of the worker count — one worker and four
-//!   workers racing for the shared queue measure equal datasets;
-//! * a snapshot served from the chunk store answers exactly what a
-//!   resident analysis context computes: every layer's score table,
-//!   global owner counts, per-country totals and bootstrap CIs are
-//!   bit-equal;
+//!   workers racing for the shared queue write byte-identical stores;
+//! * a snapshot served from the chunk store answers exactly what an
+//!   analysis context over the store's loaded dataset computes: every
+//!   layer's score table, global owner counts, per-country totals and
+//!   bootstrap CIs are bit-equal;
 //! * provider clustering runs on the distinct features — the hosting and
 //!   DNS features repeat points, and `classify` reports the clustering of
 //!   the distinct points alone;
@@ -31,7 +31,7 @@ use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{
-    measure, measure_delta, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
+    measure_delta, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
     DEFAULT_CHUNK_SITES,
 };
 use webdep::serve::CubeSnapshot;
@@ -63,8 +63,11 @@ fn fixture() -> &'static (World, MeasuredDataset) {
     FIXTURE.get_or_init(|| {
         let world = World::generate(world_config());
         let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-        let ds = measure(&world, &dep, &config(1));
-        (world, ds)
+        let dir = scratch("fixture", "store");
+        measure_streamed(&world, &dep, &config(1), &dir, None).expect("measure into a store");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+        let _ = std::fs::remove_dir_all(&dir);
+        (world, ds.expect("load the store"))
     })
 }
 
@@ -147,27 +150,34 @@ fn world_generation_matches_pinned_digests() {
 
 #[test]
 fn measurement_is_independent_of_worker_count() {
-    let (world, solo) = fixture();
+    let (world, _) = fixture();
     let dep = DeployedWorld::deploy(world, DeployConfig::default());
-    let four = measure(world, &dep, &config(4));
-    // Not assert_eq!: a mismatch would print two whole datasets.
-    assert!(*solo == four, "1-worker and 4-worker measurements differ");
+    let [solo, four] = ["1w", "4w"].map(|n| scratch("workers", n));
+    measure_streamed(world, &dep, &config(1), &solo, None).expect("1-worker store");
+    measure_streamed(world, &dep, &config(4), &four, None).expect("4-worker store");
+    assert_same_files(&solo, &four, "1-worker and 4-worker stores");
+    for dir in [&solo, &four] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
 fn store_snapshot_answers_like_resident_context() {
-    let (world, solo) = fixture();
+    let (world, _) = fixture();
     let dep = DeployedWorld::deploy(world, DeployConfig::default());
-    let dir = std::env::temp_dir().join(format!("webdep-contracts-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("snapshot", "store");
     measure_streamed(world, &dep, &config(4), &dir, None).expect("measure into a store");
     drop(dep);
     let snapshot =
         CubeSnapshot::from_store(1, Arc::new(world.clone()), &dir).expect("load snapshot");
+    let loaded = ChunkStore::open(&dir).and_then(|s| s.load_dataset(world));
     let _ = std::fs::remove_dir_all(&dir);
 
+    // Two folds over one store: the snapshot's, and an analysis context
+    // over the dataset `load_dataset` makes resident.
     let served = snapshot.ctx();
-    let resident = AnalysisCtx::new(world, solo);
+    let loaded = loaded.expect("load the store");
+    let resident = AnalysisCtx::new(world, &loaded);
     // Debug renders every f64 in its shortest round-trip form, so equal
     // renderings mean bit-equal values.
     for layer in Layer::ALL {

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::insularity::insularity_table;
 use webdep::analysis::{AnalysisCtx, ExperimentSuite};
-use webdep::pipeline::{measure, MeasuredDataset, PipelineConfig};
+use webdep::pipeline::{measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig};
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn fixture() -> &'static (World, MeasuredDataset) {
@@ -13,8 +13,12 @@ fn fixture() -> &'static (World, MeasuredDataset) {
     FIXTURE.get_or_init(|| {
         let world = World::generate(WorldConfig::tiny());
         let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-        let ds = measure(&world, &dep, &PipelineConfig::default());
-        (world, ds)
+        let dir = std::env::temp_dir().join(format!("webdep-end-to-end-{}", std::process::id()));
+        measure_streamed(&world, &dep, &PipelineConfig::default(), &dir, None)
+            .expect("measure into a store");
+        let ds = ChunkStore::open(&dir).and_then(|s| s.load_dataset(&world));
+        let _ = std::fs::remove_dir_all(&dir);
+        (world, ds.expect("load the store"))
     })
 }
 
