@@ -77,6 +77,26 @@ if [[ -n "$copies" ]]; then
     exit 1
 fi
 
+# One country index: every country-code join reads the compile-time
+# table behind `World::country_index` (and `CountryRecord::by_code`, built
+# on it), one load per lookup. The non-test code of every crate and of the
+# binary scans `COUNTRIES` by code nowhere: no `.find(` or `.position(`
+# comparing `.code ==` on a line that names `COUNTRIES` or within the three
+# lines after it (a chain rustfmt splits).
+echo "==> no scan of COUNTRIES by code in non-test code of crates/*/src, src"
+scans=$(find crates/*/src src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1; seen = -10 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    /COUNTRIES/ { seen = FNR }
+    live && FNR - seen <= 3 && /\.(find|position)\(.*\.code ==/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$scans" ]]; then
+    echo "ci: a country-code join scans COUNTRIES instead of World::country_index:" >&2
+    echo "$scans" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

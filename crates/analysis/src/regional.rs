@@ -5,7 +5,8 @@ use crate::centralization::layer_table;
 use crate::ctx::AnalysisCtx;
 use crate::insularity::country_insularity;
 use serde::{Deserialize, Serialize};
-use webdep_webgen::{Layer, COUNTRIES};
+use webdep_webgen::deploy::continent_of_country;
+use webdep_webgen::{Continent, CountryRecord, Layer, COUNTRIES};
 
 /// Continent codes in matrix order, plus the anycast pseudo-column.
 pub const MATRIX_CONTINENTS: [&str; 6] = ["NA", "SA", "EU", "AF", "AS", "OC"];
@@ -34,12 +35,22 @@ impl ContinentMatrix {
     }
 }
 
-fn continent_code_of_country(code: &str) -> Option<&'static str> {
-    webdep_webgen::CountryRecord::by_code(code).map(|c| c.continent.code())
+/// A continent's row or column in [`MATRIX_CONTINENTS`] order.
+fn matrix_index(continent: Continent) -> usize {
+    match continent {
+        Continent::NorthAmerica => 0,
+        Continent::SouthAmerica => 1,
+        Continent::Europe => 2,
+        Continent::Africa => 3,
+        Continent::Asia => 4,
+        Continent::Oceania => 5,
+    }
 }
 
-fn continent_index(code: &str) -> Option<usize> {
-    MATRIX_CONTINENTS.iter().position(|&c| c == code)
+/// The column of a geolocated country code: `None` outside the dataset.
+fn geo_column(code: Option<&str>) -> Option<usize> {
+    code.and_then(CountryRecord::by_code)
+        .map(|c| matrix_index(c.continent))
 }
 
 /// Kinds of attribution for [`continent_matrix`].
@@ -64,38 +75,22 @@ pub fn continent_matrix(ctx: &AnalysisCtx<'_>, attribution: Attribution) -> Cont
         |ci| {
             let country = &COUNTRIES[ci];
             let mut row_counts = [0u64; 7];
-            let Some(row) = continent_index(country.continent.code()) else {
-                return (0usize, row_counts, 0u64);
-            };
+            let row = matrix_index(country.continent);
             let mut total = 0u64;
             for obs in ctx.country_observations(ci) {
                 let col: Option<usize> = match attribution {
-                    Attribution::HostingHq => obs
-                        .hosting_org_country
-                        .as_deref()
-                        .and_then(continent_code_of_country)
-                        .and_then(continent_index)
-                        .or(Some(0)), // non-dataset HQs (e.g. CN) fold to the fallback
-                    Attribution::IpGeo => {
-                        if obs.hosting_anycast {
-                            Some(6)
-                        } else {
-                            obs.hosting_ip_country
-                                .as_deref()
-                                .and_then(continent_code_of_country)
-                                .and_then(continent_index)
-                        }
-                    }
-                    Attribution::NsGeo => {
-                        if obs.dns_anycast {
-                            Some(6)
-                        } else {
-                            obs.dns_ip_country
-                                .as_deref()
-                                .and_then(continent_code_of_country)
-                                .and_then(continent_index)
-                        }
-                    }
+                    // An HQ outside the dataset takes the deployment's
+                    // continent (CN is Asia); a site without a hosting
+                    // org folds to NA.
+                    Attribution::HostingHq => Some(
+                        obs.hosting_org_country
+                            .as_deref()
+                            .map_or(0, |c| matrix_index(continent_of_country(c))),
+                    ),
+                    Attribution::IpGeo if obs.hosting_anycast => Some(6),
+                    Attribution::IpGeo => geo_column(obs.hosting_ip_country.as_deref()),
+                    Attribution::NsGeo if obs.dns_anycast => Some(6),
+                    Attribution::NsGeo => geo_column(obs.dns_ip_country.as_deref()),
                 };
                 if let Some(col) = col {
                     row_counts[col] += 1;
@@ -208,6 +203,40 @@ mod tests {
         // Africa uses almost no African providers.
         let af_af = m.get("AF", "AF").unwrap();
         assert!(af_af < 0.10, "AF self-reliance {af_af}");
+    }
+
+    /// An HQ outside the 150 countries counts under its own continent:
+    /// one German (not global-pool) site moved from a US-headquartered
+    /// host to a Chinese one leaves the EU row's NA column for its AS
+    /// column, and no other row or column moves.
+    #[test]
+    fn hq_matrix_puts_a_chinese_hq_in_asia() {
+        let (world, ds) = crate::ctx::testutil::fixture();
+        let de = webdep_webgen::World::country_index("DE").unwrap();
+        let site = world.toplists[de]
+            .iter()
+            .map(|&i| i as usize)
+            .find(|&i| {
+                !world.sites[i].is_global
+                    && ds.observations[i].hosting_org_country.as_deref() == Some("US")
+            })
+            .expect("a local German site hosted by a US org");
+        let mut moved = ds.clone();
+        moved.observations[site].hosting_org_country = Some("CN".into());
+        let before = continent_matrix(&ctx(), Attribution::HostingHq);
+        let after = continent_matrix(&AnalysisCtx::new(world, &moved), Attribution::HostingHq);
+        let (eu, na, asia) = (2, 0, 4);
+        let gained = after.share[eu][asia] - before.share[eu][asia];
+        let lost = before.share[eu][na] - after.share[eu][na];
+        assert!(
+            gained > 0.0 && (gained - lost).abs() < 1e-12,
+            "+{gained} AS, -{lost} NA"
+        );
+        for col in [1, 2, 3, 5, 6] {
+            assert_eq!(after.share[eu][col], before.share[eu][col], "column {col}");
+        }
+        assert_eq!(after.share[..eu], before.share[..eu]);
+        assert_eq!(after.share[eu + 1..], before.share[eu + 1..]);
     }
 
     #[test]

@@ -26,8 +26,12 @@
 //! them in order, `"patches":[{"rows":R,"below":B},…]`: patch `p` is the
 //! file `patch-{p:06}.col`, its `R` rows are sites strictly below `B`
 //! (the site count of the store it patched). [`ChunkStore::layers`] is
-//! the one walk over that layout: `load_dataset`, the snapshot fold and
-//! `fsck` read through it, and only this module knows file names.
+//! the walk over that layout: base chunks in site order, then patches
+//! oldest first, and the snapshot fold and `fsck` read through it.
+//! [`ChunkStore::load_dataset`] reads the same layers with the base
+//! chunks split into contiguous ranges decoded across cores, then the
+//! patches applied in order on the calling thread, which gives the walk's
+//! rows and the walk's first error. Only this module knows file names.
 //!
 //! Each layer file is self-contained and columnar (little-endian):
 //!
@@ -89,6 +93,9 @@ pub const PATCHED_STORE_VERSION: u64 = 2;
 /// partial chunks stay cheap, large enough that a million-site store is a
 /// few hundred files.
 pub const DEFAULT_CHUNK_SITES: usize = 4096;
+/// Upper bound on the threads [`ChunkStore::load_dataset`] decodes base
+/// chunks on, as `stats::par::default_threads` caps the analysis.
+const MAX_LOAD_THREADS: usize = 8;
 /// Chunk file magic.
 const CHUNK_MAGIC: [u8; 8] = *b"WDCHUNK1";
 /// Patch file magic.
@@ -1555,10 +1562,12 @@ impl ChunkStore {
         self.read_layer(LayerId::Chunk(c))
     }
 
-    /// The one walk over the store: every base chunk in site order, then
+    /// The walk over the store: every base chunk in site order, then
     /// every patch, oldest first, each decoded and verified. A site's row
     /// is the one in the last layer that holds it, so a reader that
-    /// overwrites per site in walk order reads the store.
+    /// overwrites per site in walk order reads the store
+    /// ([`ChunkStore::load_dataset`] reads these layers, the base chunks
+    /// across cores).
     pub fn layers(&self) -> impl Iterator<Item = io::Result<DecodedChunk>> + '_ {
         let chunks = (0..self.num_chunks()).map(LayerId::Chunk);
         let patches = (0..self.patches.len()).map(LayerId::Patch);
@@ -1609,6 +1618,16 @@ impl ChunkStore {
     /// every observation in memory (the experiment suite, the CLI's
     /// reports, the tests). The store must describe `world` (label and
     /// site count).
+    ///
+    /// It reads the layers [`ChunkStore::layers`] walks, in two phases.
+    /// The base chunks split into contiguous ranges, one per scoped thread
+    /// (available parallelism, at most eight); each thread decodes its
+    /// chunks in order straight into its own slice of the one observation
+    /// vector, so the rows land in site order and are never held twice.
+    /// The patches are then applied on the calling thread, oldest first,
+    /// each row overwriting its site. The result is the serial walk's, and
+    /// so is the error: the first failing layer in walk order, whichever
+    /// thread met it first.
     pub fn load_dataset(&self, world: &webdep_webgen::World) -> io::Result<MeasuredDataset> {
         if world.label != self.label || world.sites.len() != self.sites {
             return Err(bad(format!(
@@ -1619,22 +1638,55 @@ impl ChunkStore {
                 world.sites.len()
             )));
         }
-        let mut observations = Vec::with_capacity(self.sites);
-        for layer in self.layers() {
-            let layer = layer?;
-            for r in 0..layer.rows {
-                // Base chunks arrive in site order and append; a patch
-                // (every site below the site count) overwrites.
-                match observations.get_mut(layer.site(r)) {
-                    Some(slot) => *slot = layer.observation(r),
-                    None => observations.push(layer.observation(r)),
-                }
+        let mut observations = vec![SiteObservation::blank("", ""); self.sites];
+        let chunks = self.num_chunks();
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(MAX_LOAD_THREADS)
+            .min(chunks)
+            .max(1);
+        std::thread::scope(|s| {
+            let mut rest = observations.as_mut_slice();
+            let ranges: Vec<_> = (0..threads)
+                .map(|t| {
+                    let range = t * chunks / threads..(t + 1) * chunks / threads;
+                    let rows = (range.end * self.chunk_sites).min(self.sites)
+                        - range.start * self.chunk_sites;
+                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(rows);
+                    rest = tail;
+                    s.spawn(move || self.read_chunks_into(range, mine))
+                })
+                .collect();
+            // Joined in range order, so the first error is the walk's.
+            ranges
+                .into_iter()
+                .try_for_each(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        })?;
+        for p in 0..self.patches.len() {
+            let patch = self.read_layer(LayerId::Patch(p))?;
+            for r in 0..patch.rows {
+                // A patch lists sites below its `below`, itself no more
+                // than the store's site count (both checked on read).
+                observations[patch.site(r)] = patch.observation(r);
             }
         }
         Ok(MeasuredDataset {
             observations,
             label: world.label.clone(),
         })
+    }
+
+    /// Decodes base chunks `range`, in order, into `out` (their rows,
+    /// the first at `out[0]`); stops at the first layer that fails.
+    fn read_chunks_into(&self, range: Range<usize>, out: &mut [SiteObservation]) -> io::Result<()> {
+        let first = range.start * self.chunk_sites;
+        for c in range {
+            let chunk = self.read_chunk(c)?;
+            for r in 0..chunk.rows {
+                out[chunk.site(r) - first] = chunk.observation(r);
+            }
+        }
+        Ok(())
     }
 
     /// Rewrites the store at `dir` into the layout a from-scratch

@@ -130,9 +130,10 @@ impl CountryRecord {
         self.paper_s[layer.index()]
     }
 
-    /// Looks up a country by its alpha-2 code.
+    /// Looks up a country by its alpha-2 code (uppercase, as
+    /// [`crate::World::country_index`] reads it).
     pub fn by_code(code: &str) -> Option<&'static CountryRecord> {
-        crate::paper_data::COUNTRIES.iter().find(|c| c.code == code)
+        crate::World::country_index(code).and_then(|i| crate::paper_data::COUNTRIES.get(i))
     }
 }
 
@@ -194,9 +195,38 @@ mod tests {
         assert_eq!(total, 150);
     }
 
+    /// The compile-time index answers what a scan of the 150 records
+    /// answers, on every uppercase pair and on malformed input.
     #[test]
-    fn unknown_code_is_none() {
+    fn country_index_matches_a_linear_scan() {
+        use crate::deploy::continent_of_country;
+        use crate::World;
+        let scan = |code: &str| COUNTRIES.iter().position(|c| c.code == code);
+        let mut found = 0;
+        for a in b'A'..=b'Z' {
+            for b in b'A'..=b'Z' {
+                let code = String::from_utf8(vec![a, b]).unwrap();
+                let want = scan(&code);
+                assert_eq!(World::country_index(&code), want, "{code}");
+                assert_eq!(
+                    CountryRecord::by_code(&code).map(|c| c.code),
+                    want.map(|i| COUNTRIES[i].code),
+                    "{code}"
+                );
+                found += usize::from(want.is_some());
+            }
+        }
+        assert_eq!(found, NUM_COUNTRIES);
         assert!(CountryRecord::by_code("XX").is_none());
+        for code in ["", "U", "USA", "us", "uS", "É", "DÉ", "\u{0}S", "[A", "@Z"] {
+            assert_eq!(World::country_index(code), None, "{code:?}");
+            assert!(CountryRecord::by_code(code).is_none(), "{code:?}");
+        }
+        // HQ countries outside the dataset keep their fallbacks.
+        assert_eq!(continent_of_country("CN"), Continent::Asia);
+        assert_eq!(continent_of_country("XX"), Continent::NorthAmerica);
+        assert_eq!(continent_of_country("us"), Continent::NorthAmerica);
+        assert_eq!(continent_of_country("DE"), Continent::Europe);
     }
 
     #[test]

@@ -360,10 +360,41 @@ where
         .collect()
 }
 
+/// Marks a two-letter code no country in [`COUNTRIES`] has.
+const NO_COUNTRY: u8 = u8::MAX;
+
+/// The [`COUNTRIES`] index of every uppercase two-letter code, at
+/// `(first - 'A') * 26 + (second - 'A')`, built at compile time: the
+/// country join of every observation is one load, not a scan of the
+/// 150 records. Building it asserts that every code is two uppercase
+/// ASCII letters and that no two countries share one.
+static COUNTRY_INDEX: [u8; 26 * 26] = {
+    assert!(COUNTRIES.len() < NO_COUNTRY as usize);
+    let mut table = [NO_COUNTRY; 26 * 26];
+    let mut i = 0;
+    while i < COUNTRIES.len() {
+        let code = COUNTRIES[i].code.as_bytes();
+        assert!(code.len() == 2 && code[0].is_ascii_uppercase() && code[1].is_ascii_uppercase());
+        let slot = (code[0] - b'A') as usize * 26 + (code[1] - b'A') as usize;
+        assert!(table[slot] == NO_COUNTRY, "two countries share a code");
+        table[slot] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 impl World {
-    /// Index of a country code in [`COUNTRIES`] order.
+    /// Index of a country code in [`COUNTRIES`] order: `None` for
+    /// anything but the uppercase code of one of the 150 countries.
     pub fn country_index(code: &str) -> Option<usize> {
-        COUNTRIES.iter().position(|c| c.code == code)
+        let &[a, b] = code.as_bytes() else {
+            return None;
+        };
+        if !a.is_ascii_uppercase() || !b.is_ascii_uppercase() {
+            return None;
+        }
+        let i = COUNTRY_INDEX[usize::from(a - b'A') * 26 + usize::from(b - b'A')];
+        (i != NO_COUNTRY).then_some(usize::from(i))
     }
 
     /// Generates the world.

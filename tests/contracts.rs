@@ -23,7 +23,9 @@
 //!   `from_store` folds — the shared fold's two modes. The same holds at
 //!   every epoch of a stack of them, where patches pile up, a site
 //!   migrates twice, a superseded row sits in a re-encoded tail chunk,
-//!   and an epoch compacts.
+//!   and an epoch compacts;
+//! * loading a store across cores reads what the serial walk over its
+//!   layers reads, row for row and error for error.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -31,8 +33,8 @@ use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{
-    measure_delta, measure_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
-    DEFAULT_CHUNK_SITES,
+    measure_delta, measure_streamed, ChunkStore, ChunkStoreWriter, MeasuredDataset, PipelineConfig,
+    SiteObservation, DEFAULT_CHUNK_SITES,
 };
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
@@ -534,4 +536,120 @@ fn stacked_epochs_read_and_compact_like_from_scratch() {
     for dir in dirs.iter().chain([&full]) {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// The serial walk `load_dataset` must agree with: every layer in
+/// `ChunkStore::layers` order, each row overwriting its site.
+fn serial_walk(store: &ChunkStore) -> std::io::Result<Vec<SiteObservation>> {
+    let mut rows: Vec<SiteObservation> = Vec::new();
+    for layer in store.layers() {
+        let layer = layer?;
+        for r in 0..layer.rows {
+            match rows.get_mut(layer.site(r)) {
+                Some(slot) => *slot = layer.observation(r),
+                None => rows.push(layer.observation(r)),
+            }
+        }
+    }
+    Ok(rows)
+}
+
+/// Opens the store at `dir` and requires `load_dataset` to return the
+/// serial walk's rows.
+fn assert_loads_like_the_walk(dir: &Path, world: &World, what: &str) -> ChunkStore {
+    let store = ChunkStore::open(dir).expect(what);
+    let walked = serial_walk(&store).expect(what);
+    assert_eq!(walked.len(), world.sites.len(), "{what}: one row per site");
+    let loaded = store.load_dataset(world).expect(what);
+    assert!(
+        loaded.observations == walked,
+        "{what}: load_dataset differs from the serial walk"
+    );
+    store
+}
+
+/// The fixture's rows rewritten into a store of `chunk_sites`-site chunks.
+fn rechunked(dir: &Path, chunk_sites: usize) -> ChunkStore {
+    let (world, ds) = fixture();
+    let mut writer = ChunkStoreWriter::create(dir, &world.label, world.sites.len(), chunk_sites)
+        .expect("create the store");
+    for (site, obs) in ds.observations.iter().enumerate() {
+        writer.commit(site, obs).expect("commit");
+    }
+    writer.finish().expect("finish");
+    ChunkStore::open(dir).expect("open the store")
+}
+
+/// `load_dataset` decodes ranges of base chunks across cores and applies
+/// the patches after. On a fresh store, one patched by two epochs (before
+/// and after compaction), a one-chunk store and a 13-chunk store (13 is
+/// prime, so no thread count from 2 to 8 divides it) it equals the serial
+/// walk; with two chunks corrupt it names the first, and a deleted chunk
+/// is `NotFound`.
+#[test]
+fn parallel_load_equals_the_serial_walk() {
+    let (world, _) = fixture();
+    let dirs: Vec<_> = (0..=2).map(|e| scratch("load", &format!("e{e}"))).collect();
+    let dep = DeployedWorld::deploy(world, pinned());
+    measure_streamed(world, &dep, &config(2), &dirs[0], None).expect("base epoch");
+    drop(dep);
+    assert_loads_like_the_walk(&dirs[0], world, "a fresh store");
+
+    let plan = EvolutionPlan::continuous(2, 0.10, 5);
+    let mut world = world.clone();
+    for e in 0..2 {
+        let (next, delta) = plan.evolve_epoch(&world, e);
+        let dep = DeployedWorld::deploy(&next, pinned());
+        measure_delta(
+            &next,
+            &dep,
+            &config(2),
+            &delta,
+            &dirs[e],
+            &dirs[e + 1],
+            None,
+        )
+        .expect("delta epoch");
+        world = next;
+    }
+    let patched = assert_loads_like_the_walk(&dirs[2], &world, "a store patched twice");
+    assert!(
+        patched.num_patches() >= 2,
+        "{} patches",
+        patched.num_patches()
+    );
+    ChunkStore::compact(&dirs[2]).expect("compact");
+    let compacted = assert_loads_like_the_walk(&dirs[2], &world, "the compacted store");
+    assert_eq!(compacted.num_patches(), 0);
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    let (world, _) = fixture();
+    let sites = world.sites.len();
+    let one = scratch("load", "one");
+    assert_eq!(rechunked(&one, sites).num_chunks(), 1);
+    assert_loads_like_the_walk(&one, world, "a one-chunk store");
+    let _ = std::fs::remove_dir_all(&one);
+
+    let odd = scratch("load", "odd");
+    assert_eq!(rechunked(&odd, sites.div_ceil(13)).num_chunks(), 13);
+    assert_loads_like_the_walk(&odd, world, "a 13-chunk store");
+    let load = || ChunkStore::open(&odd).unwrap().load_dataset(world);
+    for c in [1, 11] {
+        let path = odd.join(format!("chunk-{c:06}.col"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let err = load().expect_err("two corrupt chunks");
+    assert!(err.to_string().starts_with("chunk 1:"), "{err}");
+    std::fs::remove_file(odd.join("chunk-000005.col")).unwrap();
+    let err = load().expect_err("corrupt and deleted chunks");
+    assert!(err.to_string().starts_with("chunk 1:"), "{err}");
+    std::fs::remove_file(odd.join("chunk-000001.col")).unwrap();
+    let err = load().expect_err("a deleted chunk");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    let _ = std::fs::remove_dir_all(&odd);
 }
