@@ -251,7 +251,9 @@ echo "    $(ls "$ckpt/a" | wc -l) files identical"
 # check above only compares a commit with itself). Each line of
 # tests/golden/store.sha256 is "<sha256>  <webdep arguments>"; the command
 # runs with a fresh store directory appended, and the digest is the sha256
-# of the `sha256sum` listing of every file in that store, in name order.
+# of the `sha256sum` listing of every file under that directory, by path
+# relative to it, in path order — so an `evolve --store` directory of
+# epoch stores is pinned file by file like a single store.
 # After an intended change to what is measured, rewrite the digest line.
 echo "==> store digests (tests/golden/store.sha256)"
 while read -r want args; do
@@ -259,7 +261,7 @@ while read -r want args; do
     rm -rf "$store"
     # shellcheck disable=SC2086 # the arguments are meant to split
     cargo run --release -q --bin webdep -- $args "$store" >/dev/null
-    got=$(cd "$store" && LC_ALL=C ls | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d' ' -f1)
+    got=$(cd "$store" && find . -type f -printf '%P\n' | LC_ALL=C sort | xargs sha256sum | sha256sum | cut -d' ' -f1)
     if [[ "$got" != "$want" ]]; then
         echo "ci: 'webdep $args' store hashes to $got, golden is $want" >&2
         exit 1

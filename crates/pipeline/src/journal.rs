@@ -5,14 +5,14 @@
 //! codec ([`crate::store`]):
 //!
 //! ```text
-//! header  magic "WDJOURNL" · version u32 (2) · sites u32 · label len u32 · label UTF-8
+//! header  magic "WDJOURNL" · version u32 (3) · sites u32 · label len u32 · label UTF-8
 //! record  site u32 · len u32 · check u32 · one-row chunk (len bytes)
 //! ```
 //!
-//! A record's body is `encode_chunk(0, site, &[obs])`: its FNV-1a checksum
+//! A record's body is `encode_chunk(0, site, &[obs])`: its XXH64 checksum
 //! covers the observation and its header repeats the site index, so a
 //! record is decoded and verified by the store's own total decoder.
-//! `check` is the low 32 bits of FNV-1a over `site · len`, so a damaged
+//! `check` is the low 32 bits of XXH64 over `site · len`, so a damaged
 //! length is told apart from a frame a crash cut short.
 //! Records are appended in completion order (worker-interleaved, *not*
 //! site order) — the loader scatters them back by index. The writer
@@ -28,7 +28,7 @@
 //! bytes the uninterrupted run wrote.
 
 use crate::dataset::SiteObservation;
-use crate::store::{decode_chunk, encode_chunk, fnv1a};
+use crate::store::{decode_chunk, encode_chunk, xxh64};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -36,8 +36,9 @@ use std::path::{Path, PathBuf};
 
 /// Journal file magic.
 pub const MAGIC: [u8; 8] = *b"WDJOURNL";
-/// Journal format version (version 1 was JSONL and is no longer read).
-pub const VERSION: u32 = 2;
+/// Journal format version. Version 1 was JSONL and version 2 sealed its
+/// records with FNV-1a; neither is read.
+pub const VERSION: u32 = 3;
 /// Records between explicit flush+fsync batches.
 pub const FSYNC_BATCH: usize = 64;
 
@@ -71,7 +72,7 @@ fn frame_prefix(site: u32, len: u32) -> [u8; FRAME_PREFIX] {
     let mut p = [0u8; FRAME_PREFIX];
     p[..4].copy_from_slice(&site.to_le_bytes());
     p[4..8].copy_from_slice(&len.to_le_bytes());
-    let check = fnv1a(&p[..8]) as u32;
+    let check = xxh64(&p[..8]) as u32;
     p[8..].copy_from_slice(&check.to_le_bytes());
     p
 }
@@ -221,7 +222,9 @@ fn parse(bytes: &[u8]) -> Result<Journal, String> {
     let field = |at| u32_at(bytes, at).ok_or("journal header truncated");
     let version = field(8)?;
     if version != VERSION as usize {
-        return Err(format!("unsupported journal version {version}"));
+        return Err(format!(
+            "unsupported journal version {version} (this build reads version {VERSION})"
+        ));
     }
     let sites = field(12)?;
     let label_end = HEADER_FIXED + field(16)?;
@@ -409,9 +412,15 @@ mod tests {
         assert!(err.starts_with("not a run journal"), "{err}");
         assert!(parse(b"").unwrap_err().starts_with("not a run journal"));
 
-        let mut v3 = bytes.clone();
-        v3[8] = 3;
-        assert_eq!(parse(&v3).unwrap_err(), "unsupported journal version 3");
+        // The FNV-1a-sealed version 2 and an unknown version 4 alike.
+        for version in [2u8, 4] {
+            let mut other = bytes.clone();
+            other[8] = version;
+            assert_eq!(
+                parse(&other).unwrap_err(),
+                format!("unsupported journal version {version} (this build reads version 3)")
+            );
+        }
         assert!(parse(&bytes[..bytes.len() - 1]).is_err(), "torn header");
     }
 

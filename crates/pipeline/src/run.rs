@@ -678,63 +678,67 @@ fn worker_main(
             .take(batch.hi)
             .skip(batch.lo)
         {
+            // A clean site costs nothing: no heartbeat, cancel check or
+            // in-flight update. A requeued remainder that still spans it
+            // skips it again.
+            if done {
+                continue;
+            }
             if slot.is_canceled() {
                 break 'outer;
             }
             slot.heartbeat
                 .store(epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
-            if !done {
-                if chaos.kills(i, batch.poison) {
-                    // Simulated worker death: exit with the remainder of
-                    // the batch still in flight for the supervisor to find.
-                    return report(&resolver, &scanner, panics_isolated);
+            if chaos.kills(i, batch.poison) {
+                // Simulated worker death: exit with the remainder of
+                // the batch still in flight for the supervisor to find.
+                return report(&resolver, &scanner, panics_isolated);
+            }
+            if chaos.hangs(i, batch.poison) {
+                // Simulated hang: stop heartbeating until the watchdog
+                // cancels us, then exit like a death.
+                while !slot.is_canceled() {
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                if chaos.hangs(i, batch.poison) {
-                    // Simulated hang: stop heartbeating until the watchdog
-                    // cancels us, then exit like a death.
-                    while !slot.is_canceled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    break 'outer;
+                break 'outer;
+            }
+            let site = &world.sites[i];
+            let name = DomainName::parse(&site.domain).ok();
+            let measured = catch_unwind(AssertUnwindSafe(|| {
+                if chaos.panics(i) {
+                    panic!("chaos: injected panic for site {i}");
                 }
-                let site = &world.sites[i];
-                let name = DomainName::parse(&site.domain).ok();
-                let measured = catch_unwind(AssertUnwindSafe(|| {
-                    if chaos.panics(i) {
-                        panic!("chaos: injected panic for site {i}");
-                    }
-                    let mut obs = SiteObservation::blank(&site.domain, &site.language);
-                    measure_one(
-                        &mut obs,
-                        name.as_ref(),
-                        &mut resolver,
-                        &mut scanner,
-                        &dep.pfx2as,
-                        &dep.asorg,
-                        &dep.geodb,
-                        &dep.anycast,
-                        &dep.caodb,
-                    );
-                    obs
-                }));
-                // Nothing keyed by the site's own name is asked for again.
-                if let Some(name) = &name {
-                    resolver.forget(name);
+                let mut obs = SiteObservation::blank(&site.domain, &site.language);
+                measure_one(
+                    &mut obs,
+                    name.as_ref(),
+                    &mut resolver,
+                    &mut scanner,
+                    &dep.pfx2as,
+                    &dep.asorg,
+                    &dep.geodb,
+                    &dep.anycast,
+                    &dep.caodb,
+                );
+                obs
+            }));
+            // Nothing keyed by the site's own name is asked for again.
+            if let Some(name) = &name {
+                resolver.forget(name);
+            }
+            let obs = match measured {
+                Ok(obs) => obs,
+                Err(payload) => {
+                    panics_isolated += 1;
+                    SiteObservation::internal_failure(
+                        &site.domain,
+                        &site.language,
+                        &format!("panic: {}", panic_message(payload.as_ref())),
+                    )
                 }
-                let obs = match measured {
-                    Ok(obs) => obs,
-                    Err(payload) => {
-                        panics_isolated += 1;
-                        SiteObservation::internal_failure(
-                            &site.domain,
-                            &site.language,
-                            &format!("panic: {}", panic_message(payload.as_ref())),
-                        )
-                    }
-                };
-                if commit_shared(collector, i, obs) {
-                    completed.fetch_add(1, Ordering::AcqRel);
-                }
+            };
+            if commit_shared(collector, i, obs) {
+                completed.fetch_add(1, Ordering::AcqRel);
             }
             // Advance past the committed site so a later loss requeues
             // only the remainder.

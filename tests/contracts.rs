@@ -25,7 +25,10 @@
 //!   migrates twice, a superseded row sits in a re-encoded tail chunk,
 //!   and an epoch compacts;
 //! * loading a store across cores reads what the serial walk over its
-//!   layers reads, row for row and error for error.
+//!   layers reads, row for row and error for error;
+//! * a store in the FNV-1a-sealed version-1 format is refused by its
+//!   version — by `open`, `load_dataset`, `fsck` and an epoch's carry —
+//!   never decoded.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -348,6 +351,89 @@ fn fsck_heals_a_corrupt_patch_from_the_journal() {
         let _ = std::fs::remove_dir_all(d);
     }
     let _ = std::fs::remove_file(&journal);
+}
+
+/// Byte-at-a-time 64-bit FNV-1a: the layer checksum of store versions 1
+/// and 2.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A store in the version-1 format is refused by version everywhere a
+/// store is read: its manifest by `open` (and so `load_dataset`), `fsck`
+/// and an epoch carried from it, before any layer is read; and its
+/// chunks — magic `WDCHUNK1`, sealed with FNV-1a — under a current
+/// manifest by their magic, never decoded or reported as a checksum
+/// mismatch.
+#[test]
+fn a_version_1_store_is_refused_by_name() {
+    let (world, _) = fixture();
+    let [old, next] = ["old", "next"].map(|n| scratch("v1", n));
+    let dep = DeployedWorld::deploy(world, pinned());
+    measure_streamed(world, &dep, &config(2), &old, None).expect("store");
+    drop(dep);
+    for entry in std::fs::read_dir(&old).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "col") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.truncate(bytes.len() - 8);
+            bytes[..8].copy_from_slice(b"WDCHUNK1");
+            let sum = fnv1a(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+        }
+    }
+    let manifest = old.join("manifest.json");
+    let current = std::fs::read_to_string(&manifest).unwrap();
+    assert!(current.contains(r#""version":3,"#), "{current}");
+    std::fs::write(
+        &manifest,
+        current.replace(r#""version":3,"#, r#""version":1,"#),
+    )
+    .unwrap();
+
+    let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
+    let dep = DeployedWorld::deploy(&evolved, pinned());
+    let carry = || {
+        let _ = std::fs::remove_dir_all(&next);
+        measure_delta(&evolved, &dep, &config(2), &delta, &old, &next, None)
+            .expect_err("an epoch is not carried from the store")
+            .to_string()
+    };
+    let refused = [
+        ChunkStore::open(&old).err().map(|e| e.to_string()),
+        ChunkStore::fsck(&old, None, false)
+            .err()
+            .map(|e| e.to_string()),
+        Some(carry()),
+    ];
+    for err in refused {
+        let err = err.expect("a version-1 manifest is refused");
+        assert!(err.contains("store version 1 "), "{err}");
+    }
+
+    std::fs::write(&manifest, &current).unwrap();
+    let store = ChunkStore::open(&old).expect("a current manifest opens");
+    let named = |err: &str| err.contains("chunk format version 1 is not read");
+    let err = store
+        .load_dataset(world)
+        .expect_err("v1 chunks")
+        .to_string();
+    assert!(named(&err), "{err}");
+    let report = ChunkStore::fsck(&old, None, false).expect("fsck");
+    assert_eq!(report.valid, 0, "{report:?}");
+    assert_eq!(report.corrupt.len(), report.chunks, "{report:?}");
+    assert!(
+        report.corrupt.iter().all(|(_, why)| named(why)),
+        "{report:?}"
+    );
+    let err = carry();
+    assert!(named(&err), "{err}");
+    for dir in [&old, &next] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Every file of two store directories, by name: equal listings and
