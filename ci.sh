@@ -97,6 +97,30 @@ if [[ -n "$scans" ]]; then
     exit 1
 fi
 
+# One hasher on the measurement path: every map an exchange, a resolution,
+# a deployed responder or a chunk encoding probes is a `KeyedMap`/`KeyedSet`
+# over netsim's process-keyed `KeyedState` (DESIGN.md "One keyed hasher"),
+# never std's SipHash. The non-test code of netsim, dns and geodb, the
+# deployed world and the store and workers names no `RandomState`, and no
+# `HashMap`/`HashSet` on a line without `KeyedState`. `netsim/src/hash.rs`
+# is where the key is drawn from `RandomState`, so it is the one file left
+# out.
+echo "==> no SipHash maps in non-test code of netsim, dns, geodb, webgen deploy, pipeline store and run"
+siphash=$( (find crates/netsim/src crates/dns/src crates/geodb/src -name '*.rs' \
+    ! -path crates/netsim/src/hash.rs
+    echo crates/webgen/src/deploy.rs crates/pipeline/src/store.rs crates/pipeline/src/run.rs) |
+    xargs awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && (/RandomState/ || (/(^|[^A-Za-z0-9_])Hash(Map|Set)([^A-Za-z0-9_]|$)/ && !/KeyedState/)) {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$siphash" ]]; then
+    echo "ci: a measurement-path map hashes with SipHash instead of KeyedState:" >&2
+    echo "$siphash" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

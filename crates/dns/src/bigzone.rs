@@ -18,9 +18,9 @@
 use crate::name::{is_within, label_count, suffixes, DomainName};
 use crate::server::QuestionRef;
 use crate::wire::{RData, Rcode, Reply};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+use webdep_netsim::KeyedMap;
 
 /// TTL of every referral and glue record a registry writes.
 pub const DEFAULT_TTL: u32 = 3600;
@@ -48,7 +48,7 @@ pub trait ChildLookup: Send + Sync {
 #[derive(Clone)]
 pub struct DelegationTable {
     origin: DomainName,
-    children: HashMap<DomainName, Delegation>,
+    children: KeyedMap<DomainName, Delegation>,
     lookup: Option<Arc<dyn ChildLookup>>,
 }
 
@@ -57,7 +57,7 @@ impl DelegationTable {
     pub fn new(origin: DomainName) -> Self {
         DelegationTable {
             origin,
-            children: HashMap::new(),
+            children: KeyedMap::default(),
             lookup: None,
         }
     }

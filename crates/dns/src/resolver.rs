@@ -20,12 +20,11 @@
 use crate::name::{is_within, label_count, DomainName};
 use crate::shared_cache::SharedDnsCache;
 use crate::wire::{encode_query, MessageView, NameBuf, ParsedDatagram, RData, Rcode, RecordType};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
-use webdep_netsim::{Endpoint, NetError, SockAddr};
+use webdep_netsim::{Endpoint, KeyedMap, NetError, SockAddr};
 
 /// Resolver tuning knobs.
 #[derive(Debug, Clone)]
@@ -103,40 +102,6 @@ type ZoneServers = Arc<[Ipv4Addr]>;
 /// and the addresses its glue gives them.
 type Delegated = (Arc<[DomainName]>, ZoneServers);
 
-/// The addresses of a cached A answer: up to two inline, as nearly every
-/// answer and glue set has, more on the heap.
-#[derive(Debug, Clone)]
-enum Addrs {
-    Inline(u8, [Ipv4Addr; 2]),
-    Heap(Vec<Ipv4Addr>),
-}
-
-impl Addrs {
-    fn as_slice(&self) -> &[Ipv4Addr] {
-        match self {
-            Addrs::Inline(len, ips) => &ips[..*len as usize],
-            Addrs::Heap(ips) => ips,
-        }
-    }
-}
-
-impl FromIterator<Ipv4Addr> for Addrs {
-    fn from_iter<I: IntoIterator<Item = Ipv4Addr>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let mut ips = [Ipv4Addr::UNSPECIFIED; 2];
-        for len in 0..ips.len() {
-            match iter.next() {
-                Some(ip) => ips[len] = ip,
-                None => return Addrs::Inline(len as u8, ips),
-            }
-        }
-        match iter.next() {
-            None => Addrs::Inline(2, ips),
-            Some(more) => Addrs::Heap(ips.into_iter().chain([more]).chain(iter).collect()),
-        }
-    }
-}
-
 /// What the private tier knows under one name, in compact values: the
 /// addresses of an A answer, the host names of an NS answer, never the
 /// records they came in. One entry per name lets the hot lookups borrow
@@ -146,8 +111,8 @@ impl FromIterator<Ipv4Addr> for Addrs {
 struct Entry {
     /// The servers of the zone cut at this name.
     cut: Option<ZoneServers>,
-    /// The A answer.
-    a: Option<Addrs>,
+    /// The A answer, handed out shared.
+    a: Option<Arc<[Ipv4Addr]>>,
     /// The NS answer, shared with the delegation that listed the hosts.
     ns: Option<Arc<[DomainName]>>,
     /// For a nameserver host: the last delegation that listed it first.
@@ -158,7 +123,7 @@ struct Entry {
 
 /// Runs `update` on the entry for the name whose presentation form is
 /// `name`, made empty if missing: only then is the name copied.
-fn update(names: &mut HashMap<DomainName, Entry>, name: &str, update: impl FnOnce(&mut Entry)) {
+fn update(names: &mut KeyedMap<DomainName, Entry>, name: &str, update: impl FnOnce(&mut Entry)) {
     match names.get_mut(name) {
         Some(entry) => update(entry),
         None => {
@@ -172,7 +137,7 @@ fn update(names: &mut HashMap<DomainName, Entry>, name: &str, update: impl FnOnc
 /// A completed answer in its cached form.
 #[derive(Debug, Clone)]
 enum Answer {
-    A(Vec<Ipv4Addr>),
+    A(Arc<[Ipv4Addr]>),
     Ns(Arc<[DomainName]>),
 }
 
@@ -203,7 +168,7 @@ pub struct IterativeResolver {
     /// zones, and the cut of each site whose scope is open) and answers
     /// (nameserver hosts with their glue and CDN edge names shared across
     /// sites, plus the NS set and A answer of each open site).
-    names: HashMap<DomainName, Entry>,
+    names: KeyedMap<DomainName, Entry>,
     /// Shared tier of the root's delegations, consulted when the private
     /// cache holds no cut below the root for a name.
     shared: Option<Arc<SharedDnsCache>>,
@@ -212,7 +177,7 @@ pub struct IterativeResolver {
     /// the widest window) so outcomes stay schedule-independent, but no
     /// longer re-asked every round. Any successful answer clears its
     /// strikes.
-    server_strikes: HashMap<Ipv4Addr, u32>,
+    server_strikes: KeyedMap<Ipv4Addr, u32>,
     /// [`IterativeResolver::query_any`]'s per-server bookkeeping, kept
     /// between calls so a query allocates none.
     query_state: Vec<(Ipv4Addr, u8)>,
@@ -220,6 +185,10 @@ pub struct IterativeResolver {
     /// names are in the reply, and its glue as (first host named, address).
     referral_hosts: Vec<usize>,
     referral_glue: Vec<(usize, Ipv4Addr)>,
+    /// Where an answer's or a glued host's addresses are gathered, kept
+    /// alike, so a fresh set allocates only the shared copy it is cached
+    /// as.
+    addr_buf: Vec<Ipv4Addr>,
     /// The query being sent, encoded in place for each attempt.
     query: Vec<u8>,
     /// Reply buffers not in use. A reply stays alive while the resolution
@@ -261,12 +230,13 @@ impl IterativeResolver {
             config,
             next_id: 1,
             roots: roots.into(),
-            names: HashMap::new(),
+            names: KeyedMap::default(),
             shared: None,
-            server_strikes: HashMap::new(),
+            server_strikes: KeyedMap::default(),
             query_state: Vec::new(),
             referral_hosts: Vec::new(),
             referral_glue: Vec::new(),
+            addr_buf: Vec::new(),
             query: Vec::new(),
             spare: Vec::new(),
             stats: ResolverStats::default(),
@@ -313,10 +283,14 @@ impl IterativeResolver {
     }
 
     /// Resolves A records for `name`.
-    pub fn resolve_a(&mut self, name: &DomainName) -> Result<Vec<Ipv4Addr>, ResolveError> {
+    ///
+    /// Like [`IterativeResolver::resolve_ns`], the addresses are the set
+    /// the resolver caches, so a cached answer costs a reference count,
+    /// not a copy.
+    pub fn resolve_a(&mut self, name: &DomainName) -> Result<Arc<[Ipv4Addr]>, ResolveError> {
         match self.resolve(name, RecordType::A, 0)? {
             Answer::A(addrs) => Ok(addrs),
-            Answer::Ns(_) => Ok(Vec::new()),
+            Answer::Ns(_) => Ok(Arc::new([])),
         }
     }
 
@@ -337,7 +311,7 @@ impl IterativeResolver {
     fn cached(&self, name: &DomainName, qtype: RecordType) -> Option<Answer> {
         let entry = self.names.get(name)?;
         match qtype {
-            RecordType::A => entry.a.as_ref().map(|a| Answer::A(a.as_slice().to_vec())),
+            RecordType::A => entry.a.clone().map(Answer::A),
             RecordType::Ns => entry.ns.clone().map(Answer::Ns),
             RecordType::Cname => None,
         }
@@ -346,7 +320,7 @@ impl IterativeResolver {
     /// Stores a completed answer in the private tier.
     fn cache_answer(&mut self, name: &DomainName, answer: &Answer) {
         update(&mut self.names, name.as_str(), |entry| match answer {
-            Answer::A(addrs) => entry.a = Some(addrs.iter().copied().collect()),
+            Answer::A(addrs) => entry.a = Some(Arc::clone(addrs)),
             Answer::Ns(hosts) => entry.ns = Some(Arc::clone(hosts)),
         });
     }
@@ -388,7 +362,7 @@ impl IterativeResolver {
                     // rotate onto their addresses.
                     match self.next_alternative(&mut pending_ns, depth) {
                         Some(addrs) => {
-                            servers = addrs.into();
+                            servers = addrs;
                             continue;
                         }
                         None => return Err(e),
@@ -429,7 +403,8 @@ impl IterativeResolver {
         cname_depth: u32,
         resp: MessageView<'_>,
     ) -> Result<Answer, ResolveError> {
-        let mut addrs = Vec::new();
+        let mut addrs = std::mem::take(&mut self.addr_buf);
+        addrs.clear();
         let mut hosts = Vec::new();
         let mut last_cname = None;
         for r in resp.answers() {
@@ -440,7 +415,9 @@ impl IterativeResolver {
                 _ => {}
             }
         }
-        let answer = if !addrs.is_empty() {
+        let found = (!addrs.is_empty()).then(|| Arc::from(&addrs[..]));
+        self.addr_buf = addrs;
+        let answer = if let Some(addrs) = found {
             Answer::A(addrs)
         } else if !hosts.is_empty() {
             Answer::Ns(hosts.into())
@@ -532,14 +509,17 @@ impl IterativeResolver {
             // also keeps the delegation, for the next referral to it.
             let mut delegated = None;
             let mut text = NameBuf::new();
+            let buf = &mut self.addr_buf;
             for i in 0..hosts.len() {
                 if glue_of(i).next().is_none() {
                     continue;
                 }
                 update(&mut self.names, host(i).expand(&mut text), |cached| {
-                    let known = cached.a.as_ref().map(Addrs::as_slice);
+                    let known = cached.a.as_deref();
                     if !known.is_some_and(|a| a.iter().copied().eq(glue_of(i))) {
-                        cached.a = Some(glue_of(i).collect());
+                        buf.clear();
+                        buf.extend(glue_of(i));
+                        cached.a = Some(Arc::from(&buf[..]));
                     }
                     if i > 0 {
                         return;
@@ -568,7 +548,7 @@ impl IterativeResolver {
             while addrs.is_empty() && !reserve.is_empty() {
                 let ns = reserve.remove(0);
                 if let Ok(found) = self.resolve_a_guarded(&ns, depth) {
-                    addrs.extend(found);
+                    addrs.extend_from_slice(&found);
                 }
             }
             if addrs.is_empty() {
@@ -595,7 +575,7 @@ impl IterativeResolver {
         &mut self,
         name: &DomainName,
         depth: u32,
-    ) -> Result<Vec<Ipv4Addr>, ResolveError> {
+    ) -> Result<Arc<[Ipv4Addr]>, ResolveError> {
         if depth >= self.config.max_depth {
             return Err(ResolveError::DepthExceeded);
         }
@@ -639,7 +619,7 @@ impl IterativeResolver {
         &mut self,
         pending: &mut Vec<DomainName>,
         depth: u32,
-    ) -> Option<Vec<Ipv4Addr>> {
+    ) -> Option<ZoneServers> {
         while !pending.is_empty() {
             let ns = pending.remove(0);
             if let Ok(addrs) = self.resolve_a_guarded(&ns, depth) {
@@ -926,7 +906,7 @@ mod tests {
         let (_servers, roots) = build_world(&net);
         let mut r = resolver(&net, roots);
         let addrs = r.resolve_a(&n("www.example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.11")]);
+        assert_eq!(*addrs, [ip("203.0.113.11")]);
     }
 
     #[test]
@@ -951,7 +931,7 @@ mod tests {
         let (_servers, roots) = build_world(&net);
         let mut r = resolver(&net, roots);
         let addrs = r.resolve_a(&n("cdn.example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.99")]);
+        assert_eq!(*addrs, [ip("203.0.113.99")]);
     }
 
     #[test]
@@ -972,7 +952,7 @@ mod tests {
         assert_eq!(*ns, [n("ns1.example.com")]);
         // And the nameserver's address resolves too.
         let addrs = r.resolve_a(&n("ns1.example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.53")]);
+        assert_eq!(*addrs, [ip("203.0.113.53")]);
     }
 
     #[test]
@@ -995,7 +975,7 @@ mod tests {
             },
         );
         let addrs = r.resolve_a(&n("www.example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.11")]);
+        assert_eq!(*addrs, [ip("203.0.113.11")]);
     }
 
     #[test]
@@ -1036,7 +1016,7 @@ mod tests {
             Arc::clone(&shared),
         );
         let addrs = r2.resolve_a(&n("www.example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.11")]);
+        assert_eq!(*addrs, [ip("203.0.113.11")]);
         assert_eq!(r2.queries_sent(), 2);
         assert_eq!(r2.stats().shared_cache_hits, 1);
         // Its own walk below the TLD published nothing new.
@@ -1053,7 +1033,7 @@ mod tests {
             shared,
         );
         let addrs = r3.resolve_a(&n("example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.10")]);
+        assert_eq!(*addrs, [ip("203.0.113.10")]);
     }
 
     /// root -> com -> `site{i}.com` for `i < sites`, every site delegated
@@ -1101,9 +1081,9 @@ mod tests {
     /// What the pipeline asks per site: its A records, its NS set, and the
     /// first nameserver's A records.
     type SiteAnswers = (
-        Result<Vec<Ipv4Addr>, ResolveError>,
+        Result<Arc<[Ipv4Addr]>, ResolveError>,
         Result<Arc<[DomainName]>, ResolveError>,
-        Result<Vec<Ipv4Addr>, ResolveError>,
+        Result<Arc<[Ipv4Addr]>, ResolveError>,
     );
 
     fn measure_site(r: &mut IterativeResolver, site: &DomainName) -> SiteAnswers {
@@ -1146,7 +1126,7 @@ mod tests {
             runs.push((answers, r.queries_sent() - before));
             r.forget(&sites[0]);
         }
-        assert_eq!(runs[0].0 .0, Ok(vec![ip("203.0.113.100")]));
+        assert_eq!(runs[0].0 .0, Ok(Arc::from([ip("203.0.113.100")])));
         // The `com` referral and the site's A answer; the NS set and the
         // nameserver's address come from the referral.
         assert_eq!(runs[0].1, 2);
@@ -1235,7 +1215,7 @@ mod tests {
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, vec![root_ip], fast_config());
         let addrs = r.resolve_a(&n("victim.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.70")]);
+        assert_eq!(*addrs, [ip("203.0.113.70")]);
     }
 
     #[test]
@@ -1279,7 +1259,7 @@ mod tests {
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, vec![root_ip], fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.10")]);
+        assert_eq!(*addrs, [ip("203.0.113.10")]);
     }
 
     /// Replies alive at once, as a refusal held while the next server is
@@ -1378,7 +1358,7 @@ mod tests {
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, roots, fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.10")]);
+        assert_eq!(*addrs, [ip("203.0.113.10")]);
         assert!(
             r.stats().malformed_datagrams >= 1,
             "truncated answers should be counted: {:?}",
@@ -1393,7 +1373,7 @@ mod tests {
         let ep = net.bind(ip("10.0.0.99"), 3553, Region::EUROPE);
         let mut r = IterativeResolver::new(ep, roots, fast_config());
         let addrs = r.resolve_a(&n("example.com")).unwrap();
-        assert_eq!(addrs, vec![ip("203.0.113.10")]);
+        assert_eq!(*addrs, [ip("203.0.113.10")]);
         assert!(
             r.stats().mismatched_ids >= 1,
             "garbled answers should be counted: {:?}",
@@ -1452,7 +1432,7 @@ mod tests {
             let mut r = IterativeResolver::new(ep, vec![ip(ROOT)], config);
             (r.resolve_a(&n("example.com")), r.queries_sent())
         };
-        let answer = Ok(vec![ip("203.0.113.10")]);
+        let answer = Ok(Arc::from([ip("203.0.113.10")]));
         // Within the window (the delay exactly fills it): answered.
         assert_eq!(resolve(windowed(20, 0)), (answer.clone(), 3));
         // Past it, with no retry: a timeout, though the reply was sent.
@@ -1490,7 +1470,7 @@ mod tests {
         // Demoted, it gets one probe instead of two, but with the widest
         // window, so the delayed answer still comes in.
         let before = r.queries_sent();
-        assert_eq!(r.resolve_a(&delayed), Ok(vec![ip("203.0.113.11")]));
+        assert_eq!(r.resolve_a(&delayed), Ok(Arc::from([ip("203.0.113.11")])));
         assert_eq!(r.queries_sent() - before, 1);
     }
 

@@ -20,10 +20,10 @@
 
 use crate::name::DomainName;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use webdep_netsim::KeyedMap;
 
 /// Running hit/miss counters for a [`SharedDnsCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub struct SharedCacheStats {
 /// [`crate::IterativeResolver::with_shared_cache`].
 #[derive(Default)]
 pub struct SharedDnsCache {
-    zones: RwLock<HashMap<DomainName, Arc<[Ipv4Addr]>>>,
+    zones: RwLock<KeyedMap<DomainName, Arc<[Ipv4Addr]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

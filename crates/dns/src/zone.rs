@@ -7,16 +7,16 @@ use crate::bigzone::DEFAULT_TTL;
 use crate::name::DomainName;
 use crate::server::QuestionRef;
 use crate::wire::{Message, Rcode, Record, RecordData, RecordType, Reply};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use webdep_netsim::{KeyedMap, KeyedSet};
 
 /// One authoritative zone: an origin (apex), a record store, and the set of
 /// delegated child zones.
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: DomainName,
-    records: HashMap<(DomainName, RecordType), Vec<RecordData>>,
-    delegations: HashSet<DomainName>,
+    records: KeyedMap<(DomainName, RecordType), Vec<RecordData>>,
+    delegations: KeyedSet<DomainName>,
 }
 
 /// Outcome of a zone lookup, mirroring what the authoritative server puts on
@@ -47,8 +47,8 @@ impl Zone {
     pub fn new(origin: DomainName) -> Self {
         Zone {
             origin,
-            records: HashMap::new(),
-            delegations: HashSet::new(),
+            records: KeyedMap::default(),
+            delegations: KeyedSet::default(),
         }
     }
 

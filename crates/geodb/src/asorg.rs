@@ -5,7 +5,7 @@
 //! the org record carries the provider's home country used by insularity.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use webdep_netsim::KeyedMap;
 
 /// An owning organization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,8 +21,8 @@ pub struct OrgRecord {
 /// ASN → organization mapping.
 #[derive(Debug, Clone, Default)]
 pub struct AsOrgDb {
-    by_asn: HashMap<u32, u32>,
-    orgs: HashMap<u32, OrgRecord>,
+    by_asn: KeyedMap<u32, u32>,
+    orgs: KeyedMap<u32, OrgRecord>,
 }
 
 impl AsOrgDb {

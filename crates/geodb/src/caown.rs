@@ -5,7 +5,7 @@
 //! up to one owner, which is the unit of the CA-layer analysis.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use webdep_netsim::KeyedMap;
 
 /// A CA owner organization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,8 +21,8 @@ pub struct CaOwner {
 /// Issuer-id → owner database.
 #[derive(Debug, Clone, Default)]
 pub struct CaOwnerDb {
-    owners: HashMap<u32, CaOwner>,
-    by_issuer: HashMap<u32, u32>,
+    owners: KeyedMap<u32, CaOwner>,
+    by_issuer: KeyedMap<u32, u32>,
 }
 
 impl CaOwnerDb {

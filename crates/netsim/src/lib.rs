@@ -19,6 +19,16 @@
 //! buffer the client passes in, and the reply the client gets back is a
 //! view of that buffer, valid until the client reuses it.
 //!
+//! An exchange shares nothing either: it takes no lock, and it makes no
+//! read-modify-write that another thread's exchanges make too. Each
+//! endpoint routes through an immutable routing table it holds an `Arc`
+//! of, built once per generation of the network's bindings and shared by
+//! every endpoint; binding or unbinding a responder starts a new
+//! generation, which the next exchange picks up (see [`network`]). The
+//! table, like every map the measurement crates probe per site, hashes
+//! with [`hash::KeyedHasher`], keyed once per process ([`KeyedMap`],
+//! [`KeyedSet`]).
+//!
 //! Time on the network is simulated, never waited for. A responder returns
 //! how late its reply arrives (set by a [`FaultKind::Delay`] fault), and an
 //! exchange compares it with the client's window: a reply later than the
@@ -59,6 +69,7 @@
 pub mod addr;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod latency;
 pub mod network;
 pub mod packet;
@@ -67,6 +78,7 @@ pub mod shared;
 pub use addr::{Prefix, SockAddr};
 pub use error::NetError;
 pub use fault::{FaultKind, FaultPlan};
+pub use hash::{KeyedMap, KeyedSet, KeyedState};
 pub use latency::LatencyModel;
 pub use network::{Endpoint, NetConfig, NetStats, Network, Region, ResponderFn};
 pub use packet::Datagram;

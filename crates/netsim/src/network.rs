@@ -2,21 +2,30 @@
 //!
 //! A client talks to the fabric in exchanges: [`Endpoint::exchange`] sends
 //! one query and returns the responder's reply, if one comes in time, in
-//! the same call. The responder tables are lock-striped across
-//! [`NUM_SHARDS`] independent `RwLock`ed maps (an exchange only ever takes
-//! read locks), delivery counters are striped per thread on their own
-//! cache lines and summed on read, and each loss decision is a pure
-//! function of the seed, the client and its exchange count, so what a
-//! client receives never depends on other clients or on how threads
-//! interleave.
+//! the same call. An exchange takes no lock, and it makes no
+//! read-modify-write that another thread's exchanges make too:
+//!
+//! * **Routing.** One routing table (unicast and anycast) maps every bound
+//!   address to its sites. Binding and unbinding edit it under one lock,
+//!   copying it first if endpoints share it, and bump the network's
+//!   generation. Every endpoint holds an `Arc` of the table and the
+//!   generation it read it at; an exchange reads the generation once and
+//!   re-reads the table only when it moved. So a deployed world binds
+//!   everything into one table, in place, and then every endpoint routes
+//!   through that one table with plain reads.
+//! * **Counters** are striped per thread on their own cache lines and
+//!   summed on read.
+//! * **Loss** is a pure function of the seed, the client and its exchange
+//!   count, so what a client receives never depends on other clients or on
+//!   how threads interleave.
 
 use crate::addr::SockAddr;
 use crate::error::NetError;
 use crate::fault::FaultPlan;
+use crate::hash::KeyedMap;
 use crate::latency::LatencyModel;
 use crate::packet::Datagram;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,31 +127,27 @@ pub struct NetStats {
 pub type ResponderFn = dyn Fn(&Datagram<'_>, &mut Vec<u8>) -> Option<Duration> + Send + Sync;
 
 /// One site of a responder: its function and where it stands.
+#[derive(Clone)]
 struct Bound {
     respond: Arc<ResponderFn>,
     region: Region,
 }
 
-/// Number of lock stripes for the responder tables.
-pub const NUM_SHARDS: usize = 16;
-
-/// An address's 48 bits, the key of its shard and of its loss stream.
+/// An address's 48 bits, the key of its route and of its loss stream.
 fn addr_bits(addr: &SockAddr) -> u64 {
     (u64::from(u32::from(addr.ip)) << 16) | u64::from(addr.port)
 }
 
-/// An address's shard: SplitMix64 over its bits, which spreads an address
-/// block evenly for a fraction of SipHash's cost per exchange.
-fn shard_index(addr: &SockAddr) -> usize {
-    (splitmix64(addr_bits(addr)) as usize) % NUM_SHARDS
+/// Where an address routes: its one unicast site, or its anycast sites in
+/// binding order, never none.
+#[derive(Clone)]
+enum Route {
+    Unicast(Bound),
+    Anycast(Vec<Bound>),
 }
 
-/// One lock stripe of the responder tables.
-#[derive(Default)]
-struct Shard {
-    unicast: RwLock<HashMap<SockAddr, Bound>>,
-    anycast: RwLock<HashMap<SockAddr, Vec<Bound>>>,
-}
+/// Every binding by address bits: the routing table.
+type Routes = KeyedMap<u64, Route>;
 
 /// Number of counter stripes. Threads take stripes round-robin; threads
 /// beyond this count share one, which costs contention, never accuracy.
@@ -218,7 +223,16 @@ fn unit_f64(x: u64) -> f64 {
 }
 
 struct NetworkInner {
-    shards: [Shard; NUM_SHARDS],
+    /// The current routing table, copied on write: binding and unbinding
+    /// edit it in place while no endpoint holds it (as while a world is
+    /// deployed, from one thread), and edit a copy of their own once
+    /// endpoints share it, so a table an endpoint holds never changes.
+    routes: Mutex<Arc<Routes>>,
+    /// Bumped under the `routes` lock by every bind and unbind, with
+    /// `Release`; an exchange reads it with `Acquire`, so one that begins
+    /// after an unbind returned sees the new generation and re-reads the
+    /// routes.
+    generation: AtomicU64,
     config: NetConfig,
     stats: StripedStats,
 }
@@ -234,15 +248,30 @@ impl Network {
     pub fn new(config: NetConfig) -> Self {
         Network {
             inner: Arc::new(NetworkInner {
-                shards: std::array::from_fn(|_| Shard::default()),
+                routes: Mutex::default(),
+                generation: AtomicU64::new(0),
                 config,
                 stats: StripedStats::new(),
             }),
         }
     }
 
-    fn shard(&self, addr: &SockAddr) -> &Shard {
-        &self.inner.shards[shard_index(addr)]
+    /// The current generation and its routing table.
+    fn routes(&self) -> (u64, Arc<Routes>) {
+        let routes = self.inner.routes.lock();
+        // Every bump is made under this lock: the table is this
+        // generation's.
+        let generation = self.inner.generation.load(Ordering::Relaxed);
+        (generation, Arc::clone(&routes))
+    }
+
+    /// Edits the routing table (a copy of it while endpoints share it)
+    /// and starts a new generation.
+    fn edit<T>(&self, edit: impl FnOnce(&mut Routes) -> T) -> T {
+        let mut routes = self.inner.routes.lock();
+        let done = edit(Arc::make_mut(&mut routes));
+        self.inner.generation.fetch_add(1, Ordering::Release);
+        done
     }
 
     /// A client endpoint at `ip:port` located in `region`. A client takes
@@ -251,19 +280,21 @@ impl Network {
     /// a responder's address changes nothing about who answers. Servers
     /// are inline responders ([`crate::ResponderSet`]) instead.
     pub fn bind(&self, ip: Ipv4Addr, port: u16, region: Region) -> Endpoint {
+        let (generation, routes) = self.routes();
         Endpoint {
             addr: SockAddr::new(ip, port),
             region,
             exchanges: 0,
+            generation,
+            routes,
             net: self.clone(),
         }
     }
 
     /// Binds an address onto an inline service function (responder-set
-    /// support): queries to it are answered on the client's thread. Lock
-    /// order within a shard is always unicast before anycast. Fails with
-    /// [`NetError::AddrInUse`] when the address is bound, or announced and
-    /// `anycast` is false: a unicast binding would shadow every site.
+    /// support): queries to it are answered on the client's thread. Fails
+    /// with [`NetError::AddrInUse`] when the address is bound, or announced
+    /// and `anycast` is false: a unicast binding would shadow every site.
     pub(crate) fn bind_responder(
         &self,
         addr: SockAddr,
@@ -271,19 +302,22 @@ impl Network {
         respond: Arc<ResponderFn>,
         anycast: bool,
     ) -> Result<(), NetError> {
-        let shard = self.shard(&addr);
-        let mut unicast = shard.unicast.write();
-        let mut sites = shard.anycast.write();
-        if unicast.contains_key(&addr) || (!anycast && sites.contains_key(&addr)) {
-            return Err(NetError::AddrInUse(addr));
-        }
-        let bound = Bound { respond, region };
-        if anycast {
-            sites.entry(addr).or_default().push(bound);
-        } else {
-            unicast.insert(addr, bound);
-        }
-        Ok(())
+        let (key, bound) = (addr_bits(&addr), Bound { respond, region });
+        self.edit(|routes| {
+            match routes.get_mut(&key) {
+                Some(Route::Anycast(sites)) if anycast => sites.push(bound),
+                Some(_) => return Err(NetError::AddrInUse(addr)),
+                None => {
+                    let route = if anycast {
+                        Route::Anycast(vec![bound])
+                    } else {
+                        Route::Unicast(bound)
+                    };
+                    routes.insert(key, route);
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Snapshot of delivery counters.
@@ -291,23 +325,25 @@ impl Network {
         self.inner.stats.snapshot()
     }
 
-    /// Removes a binding (one anycast site: the one in `region`).
+    /// Removes a binding (one anycast site: the one in `region`). Once it
+    /// returns, no exchange that begins after reaches the removed site.
     pub(crate) fn unbind(&self, addr: SockAddr, anycast: bool, region: Region) {
-        let shard = self.shard(&addr);
-        if anycast {
-            let mut map = shard.anycast.write();
-            if let Some(sites) = map.get_mut(&addr) {
+        let key = addr_bits(&addr);
+        self.edit(|routes| match routes.get_mut(&key) {
+            Some(Route::Anycast(sites)) if anycast => {
                 // Remove one site in this region (the responder's own).
                 if let Some(pos) = sites.iter().position(|b| b.region == region) {
                     sites.remove(pos);
                 }
                 if sites.is_empty() {
-                    map.remove(&addr);
+                    routes.remove(&key);
                 }
             }
-        } else {
-            shard.unicast.write().remove(&addr);
-        }
+            Some(Route::Unicast(_)) if !anycast => {
+                routes.remove(&key);
+            }
+            _ => {}
+        });
     }
 }
 
@@ -318,6 +354,9 @@ pub struct Endpoint {
     region: Region,
     /// Exchanges made so far: the position in this client's loss stream.
     exchanges: u64,
+    /// The routing table this endpoint last read, and its generation.
+    generation: u64,
+    routes: Arc<Routes>,
     net: Network,
 }
 
@@ -384,25 +423,22 @@ impl Endpoint {
             }
         }
 
-        // Prefer a unicast binding; otherwise route to the nearest anycast
-        // site. The read guard is held while the responder runs: nothing
-        // it does touches the tables.
+        // Route to the unicast binding at `dst`, or the nearest of its
+        // anycast sites, through the current generation's table.
+        let generation = inner.generation.load(Ordering::Acquire);
+        if generation != self.generation {
+            (self.generation, self.routes) = self.net.routes();
+        }
         let latency = &inner.config.latency;
-        let shard = self.net.shard(&dst);
-        let unicast = shard.unicast.read();
-        let anycast;
-        let site = match unicast.get(&dst) {
-            Some(site) => site,
+        let site = match self.routes.get(&addr_bits(&dst)) {
+            Some(Route::Unicast(site)) => site,
+            Some(Route::Anycast(sites)) => sites
+                .iter()
+                .min_by_key(|b| latency.one_way(self.region, b.region))
+                .expect("an announced address has a site"),
             None => {
-                anycast = shard.anycast.read();
-                let Some(sites) = anycast.get(&dst) else {
-                    add(&stats.unreachable, 1);
-                    return Err(NetError::Unreachable(dst));
-                };
-                sites
-                    .iter()
-                    .min_by_key(|b| latency.one_way(self.region, b.region))
-                    .expect("anycast entries are never empty")
+                add(&stats.unreachable, 1);
+                return Err(NetError::Unreachable(dst));
             }
         };
         let one_way = latency.one_way(self.region, site.region).as_millis() as u64;
@@ -800,5 +836,91 @@ mod tests {
         assert_eq!(stats.sent, want);
         assert_eq!(stats.delivered, want);
         assert_eq!(seen.load(Ordering::Relaxed), want);
+    }
+
+    #[test]
+    fn a_responder_attached_after_an_exchange_answers_the_next_one() {
+        let net = Network::new(NetConfig::default());
+        let (_first, first) = echo_at(&net, "10.0.0.1", Region::ASIA);
+        let mut client = net.bind(ip("10.0.0.9"), 4000, Region::ASIA);
+        assert_eq!(
+            ask(&mut client, first, b"a", Duration::ZERO),
+            Ok(Some(b"a".to_vec()))
+        );
+        // The client has read this generation's table; a binding at a new
+        // address moves the generation, and the next exchange sees it.
+        let (_second, second) = echo_at(&net, "10.0.0.2", Region::ASIA);
+        assert_eq!(
+            ask(&mut client, second, b"b", Duration::ZERO),
+            Ok(Some(b"b".to_vec()))
+        );
+    }
+
+    #[test]
+    fn a_detached_responder_is_unreachable_and_never_runs_again() {
+        let net = Network::new(NetConfig::default());
+        let called = Arc::new(AtomicU64::new(0));
+        let set = ResponderSet::new(&net, {
+            let called = Arc::clone(&called);
+            move |d: &Datagram<'_>, reply: &mut Vec<u8>| {
+                called.fetch_add(1, Ordering::Relaxed);
+                echo(d, reply)
+            }
+        });
+        set.attach(ip("10.0.0.1"), 7, Region::ASIA).unwrap();
+        let server = SockAddr::new(ip("10.0.0.1"), 7);
+        let mut client = net.bind(ip("10.0.0.9"), 4000, Region::ASIA);
+        assert_eq!(
+            ask(&mut client, server, b"q", Duration::ZERO),
+            Ok(Some(b"q".to_vec()))
+        );
+        drop(set);
+        for _ in 0..3 {
+            assert_eq!(
+                ask(&mut client, server, b"q", Duration::MAX),
+                Err(NetError::Unreachable(server))
+            );
+        }
+        assert_eq!(called.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn exchanges_race_attach_and_detach_without_reaching_a_detached_responder() {
+        const CYCLES: usize = 1_000;
+        let net = Network::new(NetConfig::default());
+        let server = SockAddr::new(ip("10.0.0.1"), 7);
+        let start = std::sync::Barrier::new(3);
+        let detached = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..2u8 {
+                let (net, start, detached) = (&net, &start, &detached);
+                s.spawn(move || {
+                    let mut client = net.bind(Ipv4Addr::new(10, 1, t, 1), 4000, Region::ASIA);
+                    start.wait();
+                    // Either the echo or nothing bound, while the third
+                    // thread cycles the binding.
+                    while !detached.load(Ordering::Acquire) {
+                        match ask(&mut client, server, &[t], Duration::ZERO) {
+                            Ok(reply) => assert_eq!(reply, Some(vec![t])),
+                            Err(e) => assert_eq!(e, NetError::Unreachable(server)),
+                        }
+                    }
+                    // The last detach returned before the flag was set.
+                    for _ in 0..100 {
+                        assert_eq!(
+                            ask(&mut client, server, &[t], Duration::ZERO),
+                            Err(NetError::Unreachable(server))
+                        );
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..CYCLES {
+                let set = ResponderSet::new(&net, echo);
+                set.attach(server.ip, server.port, Region::ASIA).unwrap();
+                drop(set);
+            }
+            detached.store(true, Ordering::Release);
+        });
     }
 }

@@ -82,12 +82,13 @@
 
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use webdep_netsim::{KeyedMap, KeyedState};
 
 /// Manifest magic string.
 pub const STORE_MAGIC: &str = "webdep-chunk-store";
@@ -367,7 +368,7 @@ const ABSENT: u32 = u32::MAX;
 /// A chunk's string table: ids in first-intern order, keys borrowed from
 /// the rows being encoded.
 struct Strings<'a> {
-    ids: HashMap<&'a str, u32>,
+    ids: KeyedMap<&'a str, u32>,
     table: Vec<&'a str>,
 }
 
@@ -382,7 +383,7 @@ impl<'a> Strings<'a> {
     fn for_rows(rows: usize) -> Self {
         let capacity = rows + rows / 2 + 64;
         Strings {
-            ids: HashMap::with_capacity(capacity),
+            ids: KeyedMap::with_capacity_and_hasher(capacity, KeyedState::default()),
             table: Vec::with_capacity(capacity),
         }
     }
@@ -1107,10 +1108,12 @@ impl ChunkStoreWriter {
             chunks: 0,
             tail_rows: 0,
         };
+        // Every carried layer is read back through this one buffer.
+        let mut buf = Vec::new();
         for c in 0..prev.num_chunks() {
             let rows = prev.chunk_rows(c);
             if rows == w.chunk_rows(c) {
-                w.link(prev, LayerId::Chunk(c))?;
+                w.link(prev, LayerId::Chunk(c), &mut buf)?;
                 carried.chunks += 1;
                 continue;
             }
@@ -1123,7 +1126,7 @@ impl ChunkStoreWriter {
             carried.tail_rows += rows;
         }
         for p in 0..prev.patches.len() {
-            w.link(prev, LayerId::Patch(p))?;
+            w.link(prev, LayerId::Patch(p), &mut buf)?;
         }
         if !migrated.is_empty() {
             w.patch = Some(PatchSlot {
@@ -1138,16 +1141,17 @@ impl ChunkStoreWriter {
 
     /// Hard-links (copy fallback) one layer file of `prev` into this
     /// store and checks its header and checksum against `prev`'s
-    /// manifest. A corrupt or missing file fails the carry.
-    fn link(&mut self, prev: &ChunkStore, layer: LayerId) -> io::Result<()> {
+    /// manifest, reading it into `buf`. A corrupt or missing file fails
+    /// the carry.
+    fn link(&mut self, prev: &ChunkStore, layer: LayerId, buf: &mut Vec<u8>) -> io::Result<()> {
         let (from, to) = (layer.path(&prev.dir), layer.path(&self.dir));
         if std::fs::hard_link(&from, &to).is_err() {
             std::fs::copy(&from, &to)?;
         }
-        let bytes = std::fs::read(&to)?;
-        verify_frame(&bytes, prev.expect(layer)?)
-            .map_err(|e| bad(format!("carried {layer}: {e}")))?;
-        self.bytes_written += bytes.len() as u64;
+        buf.clear();
+        File::open(&to)?.read_to_end(buf)?;
+        verify_frame(buf, prev.expect(layer)?).map_err(|e| bad(format!("carried {layer}: {e}")))?;
+        self.bytes_written += buf.len() as u64;
         if let LayerId::Chunk(c) = layer {
             self.chunks[c] = Progress::Written;
         }
@@ -1891,7 +1895,7 @@ impl ChunkStore {
             let loaded = crate::journal::load_for(path, &store.label, store.sites)?;
             // Indexed by site, so the heal costs what the journal holds —
             // never a slot per site the manifest claims.
-            let by_site: HashMap<usize, &SiteObservation> =
+            let by_site: KeyedMap<usize, &SiteObservation> =
                 loaded.records.iter().map(|(i, obs)| (*i, obs)).collect();
             let k = store.chunk_sites;
             let touched: BTreeSet<usize> = by_site.keys().map(|&i| i / k).collect();

@@ -15,7 +15,6 @@
 //!   used to spread country tables and bootstrap replicates across cores.
 //! * [`affinity`] — affinity propagation clustering (Frey & Dueck 2007),
 //!   the algorithm the paper uses to find provider classes.
-//! * [`kmeans`] — k-means++ baseline clustering for comparison.
 //! * [`special`] — ln-gamma / incomplete beta special functions backing the
 //!   p-values.
 
@@ -28,7 +27,6 @@ pub mod corr;
 pub mod describe;
 pub mod hist;
 pub mod jaccard;
-pub mod kmeans;
 pub mod par;
 pub mod scale;
 pub mod special;

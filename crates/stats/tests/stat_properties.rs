@@ -8,7 +8,6 @@ use webdep_stats::bootstrap::{
 use webdep_stats::corr::{average_ranks, pearson, spearman};
 use webdep_stats::describe::{mean, median, quantile, variance};
 use webdep_stats::hist::{ecdf, Histogram};
-use webdep_stats::kmeans::kmeans;
 use webdep_stats::scale::min_max_scale_columns;
 
 proptest! {
@@ -90,19 +89,6 @@ proptest! {
             prop_assert_eq!(s[0][0] < s[1][0], r[0][0] < r[1][0]);
             prop_assert!((0.0..=1.0).contains(&s[0][0]));
         }
-    }
-
-    /// k-means labels are a partition with k' <= k non-empty clusters, and
-    /// inertia never increases with more clusters (same seed family).
-    #[test]
-    fn kmeans_partition(pts_raw in prop::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 6..40)) {
-        let pts: Vec<Vec<f64>> = pts_raw.iter().map(|&(a, b)| vec![a, b]).collect();
-        let k2 = kmeans(&pts, 2, 9, 50).unwrap();
-        prop_assert_eq!(k2.labels.len(), pts.len());
-        prop_assert!(k2.labels.iter().all(|&l| l < 2));
-        let k5 = kmeans(&pts, 5.min(pts.len()), 9, 50).unwrap();
-        // More clusters cannot be dramatically worse.
-        prop_assert!(k5.inertia <= k2.inertia * 1.5 + 1e-9);
     }
 
     /// Affinity propagation always returns a valid clustering on

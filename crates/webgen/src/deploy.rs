@@ -39,8 +39,7 @@
 use crate::country::{Continent, CountryRecord};
 use crate::provider::Provider;
 use crate::world::World;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -54,7 +53,8 @@ use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
 };
 use webdep_netsim::{
-    Datagram, Endpoint, FaultPlan, NetConfig, Network, Prefix, Region, ResponderSet,
+    Datagram, Endpoint, FaultPlan, KeyedMap, KeyedState, NetConfig, Network, Prefix, Region,
+    ResponderSet,
 };
 use webdep_tls::cert::{CertRef, Certificate};
 use webdep_tls::{serve_hello, TLS_PORT};
@@ -211,9 +211,11 @@ struct SiteIndex {
     /// Site indices by name hash, linearly probed; a power of two at most
     /// half full.
     slots: Vec<u32>,
-    /// The keyed SipHash std maps use, so probe sequences cannot be
-    /// steered from outside.
-    hasher: RandomState,
+    /// The process-keyed hasher every measurement-path map uses. The
+    /// index holds only the world's own names, and a probe for a name it
+    /// does not hold ends at the first empty slot of a table at most half
+    /// full.
+    hasher: KeyedState,
 }
 
 impl SiteIndex {
@@ -224,7 +226,7 @@ impl SiteIndex {
             offsets: Vec::with_capacity(n + 1),
             rows: Vec::with_capacity(n),
             slots: vec![EMPTY; (2 * n).next_power_of_two()],
-            hasher: RandomState::new(),
+            hasher: KeyedState::default(),
         };
         index.offsets.push(0);
         for site in &world.sites {
@@ -296,7 +298,7 @@ struct Served {
     /// it serves DNS for, and its NS answer.
     delegations: Vec<Delegation>,
     /// Nameserver host → (provider, address), from the glue.
-    hosts: HashMap<DomainName, (u32, Ipv4Addr)>,
+    hosts: KeyedMap<DomainName, (u32, Ipv4Addr)>,
     /// (intermediate, root) certificates, indexed by CA id.
     ca_certs: Vec<(Certificate, Certificate)>,
     /// Eyeball prefixes for querier-continent detection.
@@ -462,7 +464,7 @@ impl ChildLookup for TldSites {
 /// One registry (or root) answer: the delegation table keyed by the server
 /// IP the query was addressed to.
 fn registry_respond(
-    tables: &HashMap<Ipv4Addr, DelegationTable>,
+    tables: &KeyedMap<Ipv4Addr, DelegationTable>,
     dgram: &Datagram<'_>,
     out: &mut Vec<u8>,
 ) -> Option<Duration> {
@@ -675,8 +677,8 @@ impl DeployedWorld {
         let tld_ids = (0..universe.tlds.len() as u32).filter(|&t| served_tlds[t as usize]);
         let mut root = DelegationTable::new(DomainName::root());
         let registry_groups = 4usize;
-        let mut registry_tables: Vec<HashMap<Ipv4Addr, DelegationTable>> =
-            vec![HashMap::new(); registry_groups];
+        let mut registry_tables: Vec<KeyedMap<Ipv4Addr, DelegationTable>> =
+            vec![KeyedMap::default(); registry_groups];
         for (gi, tld_id) in tld_ids.enumerate() {
             let i = gi as u32;
             let ip = Ipv4Addr::new(192, 5, (i / 250) as u8, (i % 250 + 1) as u8);
@@ -826,6 +828,7 @@ fn fnv1a(s: &str) -> u32 {
 mod tests {
     use super::*;
     use crate::world::{World, WorldConfig};
+    use std::collections::HashMap;
     use webdep_dns::bigzone::DEFAULT_TTL;
     use webdep_dns::resolver::{IterativeResolver, ResolverConfig};
     use webdep_dns::wire::{encode_query, MessageView};
@@ -959,7 +962,7 @@ mod tests {
         let mut resolver =
             IterativeResolver::new(vantage, dep.roots.clone(), ResolverConfig::default());
         let name = webdep_dns::DomainName::parse(&site.domain).unwrap();
-        assert_eq!(resolver.resolve_a(&name).expect("resolves"), [edge_ip]);
+        assert_eq!(*resolver.resolve_a(&name).expect("resolves"), [edge_ip]);
         // A regional (non-CDN) provider's site answers a bare A record; a
         // direct check that the CNAME is CDN-specific lives in the rack:
         let beget = world.universe.provider_by_name("Beget").unwrap();
@@ -1543,6 +1546,38 @@ mod tests {
             matches!(first.data, RData::Ns(ns) if ns.eq_str(&cf_ns)),
             "{first:?}"
         );
+    }
+
+    #[test]
+    fn the_site_index_finds_every_domain_and_no_other_name() {
+        let world = World::generate(WorldConfig::tiny());
+        let index = SiteIndex::build(&world);
+        for (i, site) in world.sites.iter().enumerate() {
+            let (idx, row) = index.find(&site.domain).expect("a deployed site");
+            assert_eq!((idx as usize, row.dns), (i, site.dns), "{}", site.domain);
+        }
+        // Names beside the generated ones: domains of every ninth site with
+        // a label added, a byte added or the last byte dropped, then
+        // numbered names.
+        let near = (world.sites.iter().step_by(9)).flat_map(|s| {
+            let d = &s.domain;
+            [
+                format!("www.{d}"),
+                format!("{d}x"),
+                d[..d.len() - 1].to_owned(),
+            ]
+        });
+        let numbered = (0..10_000).map(|i| format!("site-{i}.invalid"));
+        let taken: std::collections::HashSet<&str> =
+            world.sites.iter().map(|s| s.domain.as_str()).collect();
+        let others: Vec<String> = (near.chain(numbered))
+            .filter(|name| !taken.contains(name.as_str()))
+            .take(10_000)
+            .collect();
+        assert_eq!(others.len(), 10_000);
+        for name in &others {
+            assert!(index.find(name).is_none(), "{name}");
+        }
     }
 
     #[test]
