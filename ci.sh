@@ -127,7 +127,7 @@ if [[ "${1:-}" != "quick" ]]; then
 fi
 
 # Tier-1 (root package) includes the chaos smoke (tests/chaos_smoke.rs:
-# one injected worker death plus a kill-and-resume cycle) and the
+# one injected worker death plus a crash-and-resume cycle) and the
 # exact-count gate (tests/gate_counts.rs, read against
 # BENCH_baselines.json); --workspace adds every crate's suite, including
 # the full supervision matrix in crates/pipeline/tests/supervision.rs.
@@ -171,25 +171,57 @@ if [[ -n "$owned_symbols" ]]; then
     exit 1
 fi
 
-# The documented checkpoint flow through the real CLI: measure into a
-# chunk store with a run journal beside it, lose one chunk, and heal it
-# with `fsck --repair` from the journal. fsck exits nonzero (and prints
-# "intact":false) unless every chunk is back.
-echo "==> checkpoint flow: measure --store --journal, fsck --repair"
+# The documented crash-and-heal flow through the real CLI: measure into a
+# chunk store, lose chunk 2 and flip one byte of chunk 3. `fsck --repair`
+# must exit nonzero, report both and quarantine the corrupt one; `measure
+# --resume` measures their sites again, after which a plain fsck is clean
+# and the store's files (quarantine/ aside) hash to the `measure tiny
+# --store` line of tests/golden/store.sha256 — the same bytes an
+# uninterrupted run writes.
+echo "==> crash-and-heal flow: measure --store, damage, fsck --repair, measure --resume"
 ckpt=$(mktemp -d)
 trap 'rm -rf "$ckpt"' EXIT
-cargo run --release -q --bin webdep -- measure tiny --store "$ckpt/s" --journal "$ckpt/j" >/dev/null
-lost=$(find "$ckpt/s" -name 'chunk-*.col' | sort | sed -n 2p)
-rm "$lost"
-report=$(cargo run --release -q --bin webdep -- fsck "$ckpt/s" --repair --journal "$ckpt/j") || {
-    echo "ci: fsck could not heal $(basename "$lost") from the journal: $report" >&2
-    exit 1
-}
-echo "    $report"
-if [[ "$report" != *'"intact":true'* ]]; then
-    echo "ci: fsck report is not intact" >&2
+cargo run --release -q --bin webdep -- measure tiny --store "$ckpt/s" >/dev/null
+rm "$ckpt/s/chunk-000002.col"
+python3 -c '
+import sys
+with open(sys.argv[1], "r+b") as f:
+    f.seek(64)
+    b = f.read(1)
+    f.seek(64)
+    f.write(bytes([b[0] ^ 0x01]))
+' "$ckpt/s/chunk-000003.col"
+if report=$(./target/release/webdep fsck "$ckpt/s" --repair); then
+    echo "ci: fsck --repair passed a store missing chunk 2 with chunk 3 flipped: $report" >&2
     exit 1
 fi
+python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+if r["missing"] != [[2, 3]] or [c["chunk"] for c in r["corrupt"]] != [3] or r["quarantined"] != 1:
+    sys.exit("ci: fsck --repair did not report missing chunk 2 and corrupt chunk 3: " + sys.argv[1])
+' "$report"
+echo "    $report"
+out=$(./target/release/webdep measure tiny --store "$ckpt/s" --resume)
+# Chunks 2 and 3 hold 4,096 sites each; every other site is kept, not re-measured.
+sites=$(sed -n 's/^sites  *= //p' <<<"$out")
+resumed=$(sed -n 's/^sites resumed  *= //p' <<<"$out")
+if [[ "$resumed" != "$((sites - 2 * 4096))" ]]; then
+    echo "ci: measure --resume kept $resumed of $sites sites, not all but chunks 2 and 3" >&2
+    exit 1
+fi
+report=$(./target/release/webdep fsck "$ckpt/s") || {
+    echo "ci: the resumed store is not clean: $report" >&2
+    exit 1
+}
+got=$(cd "$ckpt/s" && find . -type f -not -path './quarantine/*' -printf '%P\n' | LC_ALL=C sort |
+    xargs sha256sum | sha256sum | cut -d' ' -f1)
+want=$(awk '$2 == "measure" && $3 == "tiny" && $4 == "--store" { print $1 }' tests/golden/store.sha256)
+if [[ -z "$want" || "$got" != "$want" ]]; then
+    echo "ci: the healed store hashes to $got, an uninterrupted run's to ${want:-<no golden line>}" >&2
+    exit 1
+fi
+echo "    healed by measure --resume: fsck clean, store hashes to the golden $got"
 
 # Every measurement streams into a chunk store: a command given no
 # --store measures into a scratch store under the temp directory and
@@ -215,7 +247,7 @@ echo "    the temp directory is empty after all three"
 # The continuous loop's stacked stores through the real CLI: each of three
 # evolve epochs carries its predecessor's chunks and patches and adds one
 # patch of the sites it migrated. fsck must find the last epoch's store
-# intact with every patch, then exit nonzero and name the newest patch
+# clean with every patch, then exit nonzero and name the newest patch
 # once that patch is garbled.
 echo "==> evolve flow: evolve 3 tiny --store, fsck the patched store"
 ./target/release/webdep evolve 3 tiny --store "$ckpt/ev" >/dev/null
@@ -228,8 +260,8 @@ python3 -c '
 import json, sys
 r = json.loads(sys.argv[1])
 p = r["patches"]
-if not r["intact"] or p["count"] < 1 or p["valid"] != p["count"]:
-    sys.exit("ci: the last epoch is not intact with its patches: " + sys.argv[1])
+if not r["clean"] or p["count"] < 1 or p["valid"] != p["count"]:
+    sys.exit("ci: the last epoch is not clean with its patches: " + sys.argv[1])
 ' "$report"
 echo "    $report"
 newest=$(find "$last" -name 'patch-*.col' | sort | tail -1)

@@ -10,9 +10,8 @@
 //! `fetch_add` (plus a bounded bucket scan for histograms).
 //!
 //! Two usage shapes:
-//! - process-wide subsystems (the measurement pipeline, the run journal)
-//!   register in [`global()`], so any exporter in the process can render
-//!   them;
+//! - process-wide subsystems (the measurement pipeline) register in
+//!   [`global()`], so any exporter in the process can render them;
 //! - per-instance subsystems (one HTTP server among several in a test
 //!   process) own a private `Registry` and render both, concatenated.
 
@@ -474,8 +473,8 @@ fn escape_help(v: &str) -> String {
 }
 
 /// The process-wide registry: subsystems without a natural owner (the
-/// measurement pipeline, the run journal) register here, and exporters
-/// render it alongside their own.
+/// measurement pipeline) register here, and exporters render it
+/// alongside their own.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -32,11 +32,13 @@
 //! ([`webdep_webgen::DeployConfig::pool_sites`]), which keeps unchanged
 //! sites' serving IPs fixed while customer counts churn. The identity
 //! holds across worker counts (`tests/delta.rs`), the same contract as
-//! crash-resume.
+//! crash-resume. It is also how a damaged epoch store heals: running the
+//! epoch's `measure_delta` again from the previous epoch's store resets
+//! `store_dir` and writes the same bytes.
 
-use crate::journal::JournalWriter;
 use crate::run::{finish_streaming, run_supervised, MeasureStats, PipelineConfig, Sink};
 use crate::store::{ChunkStore, ChunkStoreWriter};
+use std::convert::Infallible;
 use std::io;
 use std::path::Path;
 use webdep_webgen::{DeployedWorld, World, WorldDelta};
@@ -84,9 +86,10 @@ pub struct DeltaStats {
 /// dirty sites against `dep`.
 ///
 /// `world` must be the evolved world (`delta.to_label`), deployed with the
-/// base epoch's pinned pool census for the byte-identity contract to hold;
-/// `journal_path` optionally checkpoints the dirty-site re-measurement
-/// exactly as in [`crate::run::measure_streamed`].
+/// base epoch's pinned pool census for the byte-identity contract to hold.
+/// Whatever `store_dir` held is replaced, so running an epoch again heals
+/// its store. `_retired` is always `None`, as in
+/// [`crate::run::measure_streamed`].
 pub fn measure_delta(
     world: &World,
     dep: &DeployedWorld,
@@ -94,7 +97,7 @@ pub fn measure_delta(
     delta: &WorldDelta,
     prev_store_dir: &Path,
     store_dir: &Path,
-    journal_path: Option<&Path>,
+    _retired: Option<Infallible>,
 ) -> io::Result<DeltaStats> {
     let n = world.sites.len();
     if world.label != delta.to_label || n != delta.to_sites {
@@ -121,13 +124,8 @@ pub fn measure_delta(
     let (store, carried) =
         ChunkStoreWriter::carry(&prev, store_dir, &world.label, n, &delta.migrated)?;
     let done: Vec<bool> = delta.dirty().into_iter().map(|dirty| !dirty).collect();
-    let resumed = n - delta.dirty_count();
-    let journal = journal_path
-        .map(|p| JournalWriter::create(p, &world.label, n))
-        .transpose()?;
-    let sink = Sink::new(done, store);
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, resumed);
-    let measure = finish_streaming(world, sink, journal_err, stats)?;
+    let (sink, stats) = run_supervised(world, dep, config, Sink::new(done, store));
+    let measure = finish_streaming(world, sink, stats)?;
 
     let mut patch_rows = prev.patch_rows() + delta.migrated.len();
     let compacted = patch_rows * COMPACT_SHARE > n;
@@ -141,7 +139,7 @@ pub fn measure_delta(
     }
     Ok(DeltaStats {
         sites_total: n,
-        sites_remeasured: n - resumed,
+        sites_remeasured: delta.dirty_count(),
         chunks_adopted,
         chunks_total: n.div_ceil(prev.chunk_sites),
         rows_recommitted: carried.tail_rows,

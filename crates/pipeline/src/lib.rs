@@ -18,7 +18,6 @@
 
 pub mod dataset;
 pub mod delta;
-pub mod journal;
 pub mod metrics;
 pub mod run;
 pub mod store;
@@ -27,7 +26,6 @@ pub mod vantage;
 
 pub use dataset::{FailureCause, FailureTaxonomy, LayerError, MeasuredDataset, SiteObservation};
 pub use delta::{measure_delta, DeltaStats};
-pub use journal::JournalWriter;
 pub use run::{measure_streamed, resume_streamed, MeasureStats, PipelineConfig};
 pub use store::{ChunkStore, ChunkStoreWriter, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES};
 pub use supervisor::{ChaosPlan, SupervisionStats, SupervisorConfig};

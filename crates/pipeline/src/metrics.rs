@@ -6,9 +6,7 @@
 //! workers accumulate plain `u64`s privately and the run fold-in
 //! (`record_run`) adds the per-run totals to the global counters once,
 //! after the parallel section — so instrumentation costs a handful of
-//! `fetch_add`s per *run*, not per site. Only genuinely rare events
-//! (journal fsync batches, supervisor interventions) touch an atomic at
-//! event time.
+//! `fetch_add`s per *run*, not per site.
 
 use crate::run::MeasureStats;
 use std::sync::OnceLock;
@@ -41,12 +39,8 @@ pub struct PipelineMetrics {
     pub batches_requeued: Counter,
     /// Sites failed by the poison threshold.
     pub sites_poisoned: Counter,
-    /// Sites restored from a journal instead of re-measured.
+    /// Sites a valid layer already held, so a run did not measure them.
     pub sites_resumed: Counter,
-    /// Journal flush+fsync batches pushed to stable storage.
-    pub journal_fsyncs: Counter,
-    /// Site records appended to a run journal.
-    pub journal_records: Counter,
 }
 
 /// The process-wide pipeline metrics, registered on first use.
@@ -105,15 +99,7 @@ pub fn metrics() -> &'static PipelineMetrics {
             ),
             sites_resumed: r.counter(
                 "webdep_pipeline_sites_resumed_total",
-                "Sites restored from a journal instead of re-measured",
-            ),
-            journal_fsyncs: r.counter(
-                "webdep_pipeline_journal_fsyncs_total",
-                "Journal flush+fsync batches pushed to stable storage",
-            ),
-            journal_records: r.counter(
-                "webdep_pipeline_journal_records_total",
-                "Site records appended to a run journal",
+                "Sites a valid layer already held, so a run did not measure them",
             ),
         }
     })

@@ -15,31 +15,30 @@
 //! [`crate::supervisor`]): every site is measured under `catch_unwind`
 //! (a panic becomes a [`FailureCause::Internal`] observation, never a
 //! process abort), workers publish heartbeats and hand each completed
-//! observation to a shared collector immediately, and the supervisor
+//! observation to a shared sink immediately, and the supervisor
 //! requeues a lost worker's in-flight batch and respawns replacements.
 //! Because per-site measurement is deterministic, a requeued batch
 //! re-measures to identical bytes — worker loss costs wall-clock, not
-//! correctness. [`measure_streamed`] can additionally checkpoint every
-//! completed observation to a run journal ([`crate::journal`]) beside its
-//! chunk store, and [`resume_streamed`] continues a crashed run, healing
-//! the store to the bytes of an uninterrupted one.
+//! correctness. The same determinism is the crash story: the fsynced
+//! chunks and the manifest are the only durable state, and
+//! [`resume_streamed`] keeps every chunk that verifies and re-measures
+//! the sites of the rest, so a crash costs at most the chunks in flight
+//! and the finished store is byte-identical to an uninterrupted run's.
 //!
-//! The collector lock guards bookkeeping, not I/O on the chunk store: a
-//! worker moves its observation into the sink under the lock, and when
-//! that commit completes a chunk it comes back out holding the claim on
-//! the chunk (`store::ClaimedChunk`). The worker encodes, writes and
-//! fsyncs the chunk after releasing the lock — the other workers keep
-//! committing meanwhile — and takes the lock again only to record the
-//! write. (Journal appends, one sequential file, still happen under the
-//! lock.)
+//! The sink lock guards bookkeeping, not I/O on the chunk store: a worker
+//! moves its observation into the sink under the lock, and when that
+//! commit completes a chunk it comes back out holding the claim on the
+//! chunk (`store::ClaimedChunk`). The worker encodes, writes and fsyncs
+//! the chunk after releasing the lock — the other workers keep committing
+//! meanwhile — and takes the lock again only to record the write.
 
 use crate::dataset::{FailureCause, LayerError, SiteObservation};
-use crate::journal::{self, JournalWriter};
 use crate::store::{ChunkStoreWriter, ClaimedChunk, WrittenChunk, DEFAULT_CHUNK_SITES};
 use crate::supervisor::{
     Batch, ChaosPlan, SupervisionStats, SupervisorConfig, WorkQueue, WorkerSlot,
 };
 use std::any::Any;
+use std::convert::Infallible;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -125,7 +124,7 @@ pub struct MeasureStats {
 }
 
 /// What one worker brings home (observations are handed to the shared
-/// collector per site; only accounting comes back through the handle).
+/// sink per site; only accounting comes back through the handle).
 struct WorkerReport {
     busy: Duration,
     wire_queries: u64,
@@ -158,90 +157,74 @@ impl Sink {
             store_error: None,
         }
     }
-}
 
-/// The shared result sink: completed observations scatter here per site,
-/// and the journal (when enabled) records them in the same breath, so a
-/// worker loss can never lose a committed site.
-struct Collector {
-    sink: Sink,
-    journal: Option<JournalWriter>,
-    journal_error: Option<io::Error>,
-}
-
-impl Collector {
     /// Commits one observation if the site is still unclaimed, moving it
-    /// into the sink. Duplicate commits (a requeued batch re-measuring a
-    /// site its dead worker had already committed is impossible, but a
-    /// worker declared hung while actually alive can race its
-    /// replacement) are idempotent: first write wins, and determinism
-    /// makes both writes byte-identical.
+    /// into the store writer. Duplicate commits (a requeued batch
+    /// re-measuring a site its dead worker had already committed is
+    /// impossible, but a worker declared hung while actually alive can
+    /// race its replacement) are idempotent: first write wins, and
+    /// determinism makes both writes byte-identical.
     ///
     /// Returns whether the site was committed and, when its commit
     /// completed a chunk, the claim on that chunk: the caller writes it
-    /// after releasing the collector lock (see [`commit_shared`]).
+    /// after releasing the sink lock (see [`commit_shared`]).
     fn commit(&mut self, site: usize, obs: SiteObservation) -> (bool, Option<ClaimedChunk>) {
-        if self.sink.done[site] {
+        if self.done[site] {
             return (false, None);
         }
-        if let Some(j) = self.journal.as_mut() {
-            if let Err(e) = j.append(site, &obs) {
-                // Keep measuring; surface the first journal error at the end.
-                if self.journal_error.is_none() {
-                    self.journal_error = Some(e);
-                }
-                self.journal = None;
-            }
-        }
-        self.sink.done[site] = true;
-        // Keep measuring past a store error (same policy as the journal):
-        // the run completes, the first error surfaces.
-        if self.sink.store_error.is_some() {
+        self.done[site] = true;
+        // Keep measuring past a store error: the run completes, the first
+        // error surfaces.
+        if self.store_error.is_some() {
             return (true, None);
         }
-        (true, self.sink.store.insert(site, obs).1)
+        (true, self.store.insert(site, obs).1)
     }
 
-    /// Records the outcome of writing a chunk [`Collector::commit`]
-    /// claimed; a failed write is the run's store error.
+    /// Records the outcome of writing a chunk [`Sink::commit`] claimed; a
+    /// failed write is the run's store error.
     fn record(&mut self, written: io::Result<WrittenChunk>) {
-        if let Err(e) = self.sink.store.record(written) {
-            self.sink.store_error.get_or_insert(e);
+        if let Err(e) = self.store.record(written) {
+            self.store_error.get_or_insert(e);
         }
     }
 }
 
-fn lock(collector: &Mutex<Collector>) -> std::sync::MutexGuard<'_, Collector> {
-    collector.lock().unwrap_or_else(|e| e.into_inner())
+fn lock(sink: &Mutex<Sink>) -> std::sync::MutexGuard<'_, Sink> {
+    sink.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Encodes, writes and fsyncs a claimed chunk with the collector lock
+/// Encodes, writes and fsyncs a claimed chunk with the sink lock
 /// released — the chunk's rows left the writer with the claim — and takes
 /// the lock again only to record the outcome.
-fn flush(collector: &Mutex<Collector>, chunk: ClaimedChunk) {
+fn flush(sink: &Mutex<Sink>, chunk: ClaimedChunk) {
     let written = chunk.write();
-    lock(collector).record(written);
+    lock(sink).record(written);
 }
 
-/// Commits one observation through the shared collector, flushing the
-/// chunk it completes, if any, off the lock. Returns whether the site was
+/// Commits one observation through the shared sink, flushing the chunk it
+/// completes, if any, off the lock. Returns whether the site was
 /// committed.
-fn commit_shared(collector: &Mutex<Collector>, site: usize, obs: SiteObservation) -> bool {
-    let (committed, claimed) = lock(collector).commit(site, obs);
+fn commit_shared(sink: &Mutex<Sink>, site: usize, obs: SiteObservation) -> bool {
+    let (committed, claimed) = lock(sink).commit(site, obs);
     if let Some(chunk) = claimed {
-        flush(collector, chunk);
+        flush(sink, chunk);
     }
     committed
 }
 
 /// Measures every site of `world` against its deployment, streaming the
 /// enriched observations into a chunked columnar store ([`crate::store`])
-/// at `store_dir`: each completed site is committed to its chunk and
-/// dropped, so peak RSS is bounded by the scheduler's batch spread, not
-/// the world size. The store's bytes are the same for any worker count,
-/// and `journal_path` optionally checkpoints the run for
-/// [`resume_streamed`]. A caller that wants the dataset in memory loads
-/// it back with [`crate::ChunkStore::load_dataset`].
+/// at `store_dir`, which is reset first: each completed site is committed
+/// to its chunk and dropped, so peak RSS is bounded by the scheduler's
+/// batch spread, not the world size. The store's bytes are the same for
+/// any worker count. A caller that wants the dataset in memory loads it
+/// back with [`crate::ChunkStore::load_dataset`]; a run that crashed is
+/// finished by [`resume_streamed`].
+///
+/// `_retired` is always `None`: it was the path of the run journal, which
+/// is gone. The benchmark (`perfbench/`) still passes the `None`; once it
+/// stops, the parameter is deleted (ROADMAP.md item 1).
 ///
 /// Only the active-measurement outputs come from the network; `language`
 /// is copied from the site record (the LangDetect substitute) and toplist
@@ -251,49 +234,36 @@ pub fn measure_streamed(
     dep: &DeployedWorld,
     config: &PipelineConfig,
     store_dir: &Path,
-    journal_path: Option<&Path>,
+    _retired: Option<Infallible>,
 ) -> io::Result<MeasureStats> {
     let n = world.sites.len();
     let store = ChunkStoreWriter::create(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
-    let journal = journal_path
-        .map(|p| JournalWriter::create(p, &world.label, n))
-        .transpose()?;
-    let sink = Sink::new(vec![false; n], store);
-    let (sink, stats, journal_err) = run_supervised(world, dep, config, journal, sink, 0);
-    finish_streaming(world, sink, journal_err, stats)
+    let (sink, stats) = run_supervised(world, dep, config, Sink::new(vec![false; n], store));
+    finish_streaming(world, sink, stats)
 }
 
-/// Continues a crashed [`measure_streamed`] run.
+/// Finishes a [`measure_streamed`] run that crashed, or heals its store.
 ///
-/// Three tiers of recovery compose here: chunks already durable on disk
-/// keep their sites wholesale (no re-measurement, no journal needed);
-/// sites journaled but caught in a torn or never-flushed chunk are
-/// re-committed into the writer, healing the chunk to identical bytes;
-/// everything else is re-measured. The finished store is byte-identical
-/// to an uninterrupted run's.
+/// Every chunk of the store at `store_dir` that verifies is kept, and its
+/// sites are not measured again. A corrupt chunk (a torn write, or damage
+/// since) is moved to `quarantine/`, exactly as `fsck --repair` moves it.
+/// The sites of every missing or quarantined chunk are re-measured.
+/// Measurement is deterministic and chunk bytes are a pure function of
+/// their rows, so the finished store is byte-identical to an
+/// uninterrupted run's. The store must be for `world` (label and site
+/// count), and it must have no patches: an epoch's store heals by
+/// running its [`crate::measure_delta`] again.
 pub fn resume_streamed(
     world: &World,
     dep: &DeployedWorld,
     config: &PipelineConfig,
     store_dir: &Path,
-    journal_path: &Path,
 ) -> io::Result<MeasureStats> {
     let n = world.sites.len();
-    let loaded = journal::load_for(journal_path, &world.label, n)?;
-    let mut store = ChunkStoreWriter::resume(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
-    let mut done: Vec<bool> = (0..n).map(|i| store.site_durable(i)).collect();
-    for (i, obs) in &loaded.records {
-        if !done[*i] {
-            store.commit(*i, obs)?;
-            done[*i] = true;
-        }
-    }
-    let resumed = done.iter().filter(|&&d| d).count();
-    let writer = JournalWriter::append_loaded(journal_path, &loaded)?;
-    let sink = Sink::new(done, store);
-    let (sink, stats, journal_err) =
-        run_supervised(world, dep, config, Some(writer), sink, resumed);
-    finish_streaming(world, sink, journal_err, stats)
+    let store = ChunkStoreWriter::resume(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
+    let done = (0..n).map(|i| store.site_durable(i)).collect();
+    let (sink, stats) = run_supervised(world, dep, config, Sink::new(done, store));
+    finish_streaming(world, sink, stats)
 }
 
 /// Shared tail of every entry point: surface errors, fill any
@@ -302,7 +272,6 @@ pub fn resume_streamed(
 pub(crate) fn finish_streaming(
     world: &World,
     sink: Sink,
-    journal_err: Option<io::Error>,
     stats: MeasureStats,
 ) -> io::Result<MeasureStats> {
     let Sink {
@@ -311,9 +280,6 @@ pub(crate) fn finish_streaming(
         store_error,
     } = sink;
     if let Some(e) = store_error {
-        return Err(e);
-    }
-    if let Some(e) = journal_err {
         return Err(e);
     }
     for (i, was_done) in done.iter().enumerate() {
@@ -342,10 +308,8 @@ pub(crate) fn run_supervised(
     world: &World,
     dep: &DeployedWorld,
     config: &PipelineConfig,
-    journal: Option<JournalWriter>,
     sink: Sink,
-    resumed: usize,
-) -> (Sink, MeasureStats, Option<io::Error>) {
+) -> (Sink, MeasureStats) {
     let n = world.sites.len();
     let workers = config.workers.max(1);
     let sup_cfg = config.supervisor.clone();
@@ -353,12 +317,9 @@ pub(crate) fn run_supervised(
     let deadline_ms = sup_cfg.site_deadline.as_millis() as u64;
 
     let done_at_start = sink.done.clone();
+    let resumed = done_at_start.iter().filter(|&&done| done).count();
     let completed = AtomicUsize::new(resumed);
-    let collector = Mutex::new(Collector {
-        sink,
-        journal,
-        journal_error: None,
-    });
+    let sink = Mutex::new(sink);
 
     let shared = Arc::new(SharedDnsCache::new());
     let queue = WorkQueue::new(n, QUEUE_BATCH);
@@ -371,7 +332,7 @@ pub(crate) fn run_supervised(
 
     let reports: Vec<WorkerReport> = crossbeam::thread::scope(|scope| {
         let queue = &queue;
-        let collector = &collector;
+        let sink = &sink;
         let completed = &completed;
         let done_at_start: &[bool] = &done_at_start;
         let chaos = &chaos;
@@ -387,7 +348,7 @@ pub(crate) fn run_supervised(
                     shared,
                     chaos,
                     queue,
-                    collector,
+                    sink,
                     completed,
                     done_at_start,
                     &slot,
@@ -449,7 +410,7 @@ pub(crate) fn run_supervised(
                             b.poison + 1
                         );
                         sup_stats.sites_poisoned +=
-                            fail_batch(world, collector, completed, done_at_start, &b, &detail);
+                            fail_batch(world, sink, completed, done_at_start, &b, &detail);
                     } else {
                         queue.requeue(Batch {
                             poison: b.poison + 1,
@@ -490,7 +451,7 @@ pub(crate) fn run_supervised(
                 for b in queue.drain() {
                     sup_stats.sites_poisoned += fail_batch(
                         world,
-                        collector,
+                        sink,
                         completed,
                         done_at_start,
                         &b,
@@ -526,15 +487,6 @@ pub(crate) fn run_supervised(
     let malformed_flights = reports.iter().map(|r| r.malformed_flights).sum();
     sup_stats.panics_isolated = reports.iter().map(|r| r.panics_isolated).sum();
 
-    let mut coll = collector.into_inner().unwrap_or_else(|e| e.into_inner());
-    let mut journal_error = coll.journal_error.take();
-    if let Some(j) = coll.journal.as_mut() {
-        // Final durability point; an error here is as fatal as a mid-run one.
-        if let Err(e) = j.sync() {
-            journal_error.get_or_insert(e);
-        }
-    }
-
     let peak_idle_fraction = worker_busy
         .iter()
         .map(|b| 1.0 - b.as_secs_f64() / wall.as_secs_f64().max(f64::MIN_POSITIVE))
@@ -556,7 +508,7 @@ pub(crate) fn run_supervised(
     // One fold into the process-wide telemetry per run — the hot loop
     // itself stays free of shared counters.
     crate::metrics::record_run(n, &stats);
-    (coll.sink, stats, journal_error)
+    (sink.into_inner().unwrap_or_else(|e| e.into_inner()), stats)
 }
 
 /// Records every not-yet-done site of a batch as an internal failure
@@ -564,7 +516,7 @@ pub(crate) fn run_supervised(
 /// actually failed (already-committed sites are left untouched).
 fn fail_batch(
     world: &World,
-    collector: &Mutex<Collector>,
+    sink: &Mutex<Sink>,
     completed: &AtomicUsize,
     done_at_start: &[bool],
     batch: &Batch,
@@ -572,7 +524,7 @@ fn fail_batch(
 ) -> u64 {
     let mut failed = 0;
     let mut claimed = Vec::new();
-    let mut coll = lock(collector);
+    let mut locked = lock(sink);
     for (i, &done) in done_at_start
         .iter()
         .enumerate()
@@ -584,16 +536,16 @@ fn fail_batch(
         }
         let site = &world.sites[i];
         let obs = SiteObservation::internal_failure(&site.domain, &site.language, detail);
-        let (committed, chunk) = coll.commit(i, obs);
+        let (committed, chunk) = locked.commit(i, obs);
         if committed {
             completed.fetch_add(1, Ordering::AcqRel);
             failed += 1;
         }
         claimed.extend(chunk);
     }
-    drop(coll);
+    drop(locked);
     for chunk in claimed {
-        flush(collector, chunk);
+        flush(sink, chunk);
     }
     failed
 }
@@ -623,7 +575,7 @@ fn worker_main(
     shared: Arc<SharedDnsCache>,
     chaos: &ChaosPlan,
     queue: &WorkQueue,
-    collector: &Mutex<Collector>,
+    sink: &Mutex<Sink>,
     completed: &AtomicUsize,
     done_at_start: &[bool],
     slot: &WorkerSlot,
@@ -737,7 +689,7 @@ fn worker_main(
                     )
                 }
             };
-            if commit_shared(collector, i, obs) {
+            if commit_shared(sink, i, obs) {
                 completed.fetch_add(1, Ordering::AcqRel);
             }
             // Advance past the committed site so a later loss requeues

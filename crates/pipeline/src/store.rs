@@ -73,9 +73,10 @@
 //! lock the writer sits behind — and `ChunkStoreWriter::record` marks it
 //! durable. A late duplicate commit to a claimed chunk is refused, and
 //! [`ChunkStoreWriter::finish`] fails on a claim that was never recorded.
-//! The checksum turns a torn write into [`ChunkState::Corrupt`], which
-//! resume heals by re-encoding the chunk from the run journal — itself a
-//! sequence of one-row chunks in this same codec ([`crate::journal`]).
+//! The checksum turns a torn write into [`ChunkState::Corrupt`]; resume
+//! ([`ChunkStoreWriter::resume`]) moves such a chunk to `quarantine/`, as
+//! `fsck --repair` does, and the run re-measures its sites into the same
+//! bytes.
 //! The writer holds only *partial* chunks in memory (bounded by the
 //! scheduler's batch spread), which is what makes million-site runs
 //! memory-bounded end to end.
@@ -83,6 +84,7 @@
 use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
@@ -237,7 +239,7 @@ fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().unwrap())
 }
 
-/// XXH64 (seed 0) over a byte slice — the layer and journal integrity
+/// XXH64 (seed 0) over a byte slice — the layer integrity
 /// checksum. It consumes 32-byte stripes as four independent 64-bit
 /// lanes, so it runs at word speed rather than a multiply per byte. Each
 /// round rotates its lane before multiplying, so a word's top bit
@@ -761,20 +763,6 @@ fn verify_frame(bytes: &[u8], want: Expect) -> Result<Dec<'_>, String> {
     Ok(d)
 }
 
-/// Decodes and verifies one chunk's bytes (checksum, header against the
-/// expected geometry, every column). Total on any input: corruption is an
-/// `Err`, never a panic or a count-sized allocation. [`decode_layer`] is
-/// the same for either kind of layer; a patch's site column must also be
-/// strictly increasing and below the manifest's `below`.
-pub(crate) fn decode_chunk(
-    bytes: &[u8],
-    expect_index: usize,
-    expect_lo: usize,
-    expect_rows: usize,
-) -> Result<DecodedChunk, String> {
-    decode_layer(bytes, Expect::chunk(expect_index, expect_lo, expect_rows))
-}
-
 fn decode_layer(bytes: &[u8], want: Expect) -> Result<DecodedChunk, String> {
     let mut d = verify_frame(bytes, want)?;
     let body = d.buf;
@@ -1160,13 +1148,14 @@ impl ChunkStoreWriter {
 
     /// Reopens an existing store for resume: the manifest must match, valid
     /// chunk files are kept (their sites need no re-measurement), and
-    /// corrupt ones — the torn-write crash artifact — are deleted so they
-    /// can be healed from the journal. Falls back to [`Self::create`] when
-    /// no manifest exists (a crash before the store was set up), and
-    /// rewrites an unparseable manifest in place from the caller's run
-    /// metadata — crucially *not* via [`Self::create`], which would wipe
-    /// the surviving chunk files the resume is here to keep. A store with
-    /// patches is an epoch's, not a run's, and is refused.
+    /// corrupt ones — the torn-write crash artifact, or damage since — are
+    /// moved to `quarantine/` as [`ChunkStore::fsck`] moves them under
+    /// repair, so their sites are measured again. Falls back to
+    /// [`Self::create`] when no manifest exists (a crash before the store
+    /// was set up), and rewrites an unparseable manifest in place from the
+    /// caller's run metadata — crucially *not* via [`Self::create`], which
+    /// would wipe the surviving chunk files the resume is here to keep. A
+    /// store with patches is an epoch's, not a run's, and is refused.
     pub fn resume(dir: &Path, label: &str, sites: usize, chunk_sites: usize) -> io::Result<Self> {
         if !manifest_path(dir).exists() {
             return Self::create(dir, label, sites, chunk_sites);
@@ -1196,11 +1185,7 @@ impl ChunkStoreWriter {
         let chunks = store.num_chunks();
         let mut written = vec![false; chunks];
         for (c, w) in written.iter_mut().enumerate() {
-            match store.chunk_state(c) {
-                ChunkState::Valid => *w = true,
-                ChunkState::Missing => {}
-                ChunkState::Corrupt(_) => std::fs::remove_file(LayerId::Chunk(c).path(dir))?,
-            }
+            *w = matches!(store.check(LayerId::Chunk(c), true)?, ChunkState::Valid);
         }
         Ok(Self::with_written(dir, sites, chunk_sites, written))
     }
@@ -1416,16 +1401,10 @@ pub struct PatchFsck {
     pub missing: Vec<Range<usize>>,
     /// Corrupt patch indices with the decode failure for each.
     pub corrupt: Vec<(usize, String)>,
-    /// Patches re-encoded byte-identically from journal records (repair
-    /// only).
-    pub healed: usize,
-    /// Runs of patches that needed healing but the journal could not
-    /// cover.
-    pub unhealed: Vec<Range<usize>>,
 }
 
 /// Machine-readable outcome of [`ChunkStore::fsck`]: what was found, and
-/// (under `repair`) what was done about it.
+/// how many corrupt files `repair` moved aside.
 #[derive(Debug)]
 pub struct FsckReport {
     /// World label from the manifest.
@@ -1444,13 +1423,7 @@ pub struct FsckReport {
     /// Corrupt chunk and patch files moved aside to `quarantine/` (repair
     /// only).
     pub quarantined: usize,
-    /// Chunks re-encoded byte-identically from journal records (repair
-    /// only).
-    pub healed: usize,
-    /// Runs of chunks that needed healing but the journal could not
-    /// cover, as ascending, maximal half-open ranges.
-    pub unhealed: Vec<Range<usize>>,
-    /// The patch layers, found and healed alike.
+    /// The patch layers.
     pub patches: PatchFsck,
 }
 
@@ -1459,13 +1432,6 @@ impl FsckReport {
     /// and clean.
     pub fn clean(&self) -> bool {
         self.valid == self.chunks && self.patches.valid == self.patches.count
-    }
-
-    /// Whether the store is fully intact *after* this pass (either it was
-    /// clean, or repair healed every damaged chunk and patch).
-    pub fn intact(&self) -> bool {
-        self.valid + self.healed == self.chunks
-            && self.patches.valid + self.patches.healed == self.patches.count
     }
 
     /// JSON rendering for the CLI; a layer range renders as its
@@ -1501,8 +1467,6 @@ impl FsckReport {
             ("missing".into(), idxs(&self.missing)),
             ("corrupt".into(), corrupt(&self.corrupt, "chunk")),
             ("quarantined".into(), Value::U64(self.quarantined as u64)),
-            ("healed".into(), Value::U64(self.healed as u64)),
-            ("unhealed".into(), idxs(&self.unhealed)),
             (
                 "patches".into(),
                 Value::Object(vec![
@@ -1510,11 +1474,9 @@ impl FsckReport {
                     ("valid".into(), Value::U64(p.valid as u64)),
                     ("missing".into(), idxs(&p.missing)),
                     ("corrupt".into(), corrupt(&p.corrupt, "patch")),
-                    ("healed".into(), Value::U64(p.healed as u64)),
-                    ("unhealed".into(), idxs(&p.unhealed)),
                 ]),
             ),
-            ("intact".into(), Value::Bool(self.intact())),
+            ("clean".into(), Value::Bool(self.clean())),
         ])
     }
 }
@@ -1835,22 +1797,17 @@ impl ChunkStore {
     /// header, and full column decode; a patch's site column too — and
     /// reports what it finds. With `repair`, corrupt files are moved
     /// aside to `quarantine/` (never deleted: the damaged bytes stay
-    /// available for post-mortem) and missing or quarantined layers are
-    /// re-encoded from `journal` records where the journal covers all
-    /// their rows: a chunk from the records of its site range, and the
-    /// newest patch from the records below its `below` — exactly its
-    /// sites when the journal is the one of the epoch that wrote it (an
-    /// older patch's epoch measured another world, so its journal never
-    /// loads against this store). Layer bytes are a pure function of the
-    /// rows, so a healed layer is byte-identical to the one the run
-    /// wrote; each is decode-verified before the atomic rename into
-    /// place.
+    /// available for post-mortem). fsck never writes a layer: a missing
+    /// or quarantined one comes back by measuring its sites again —
+    /// [`crate::resume_streamed`] for a run's store, the epoch's
+    /// [`crate::measure_delta`] again for an epoch's — and measurement
+    /// is deterministic, so it comes back byte-identical.
     ///
     /// The manifest is disk input, so nothing is sized by the chunk count
-    /// it implies: fsck decodes only the layer files the directory lists,
-    /// reports the absent ones as ranges, and attempts a heal only for
-    /// chunks some journal record falls in.
-    pub fn fsck(dir: &Path, journal: Option<&Path>, repair: bool) -> io::Result<FsckReport> {
+    /// it implies: fsck decodes only the layer files the directory lists
+    /// and reports the absent ones as ranges. `_retired` is always `None`,
+    /// as in [`crate::measure_streamed`].
+    pub fn fsck(dir: &Path, _retired: Option<Infallible>, repair: bool) -> io::Result<FsckReport> {
         let store = ChunkStore::open(dir)?;
         let (chunks, patches) = (store.num_chunks(), store.patches.len());
         let (mut listed_chunks, mut listed_patches) = (Vec::new(), Vec::new());
@@ -1862,85 +1819,30 @@ impl ChunkStore {
                 _ => {}
             }
         }
-        let mut quarantined = 0;
-        let mut chunk_scan = store.scan(listed_chunks, LayerId::Chunk, repair, &mut quarantined)?;
-        let mut patch_scan =
-            store.scan(listed_patches, LayerId::Patch, repair, &mut quarantined)?;
-        let mut report = FsckReport {
-            label: store.label.clone(),
+        let chunk_scan = store.scan(listed_chunks, LayerId::Chunk, repair)?;
+        let patch_scan = store.scan(listed_patches, LayerId::Patch, repair)?;
+        let quarantined = match repair {
+            true => chunk_scan.corrupt.len() + patch_scan.corrupt.len(),
+            false => 0,
+        };
+        if quarantined > 0 {
+            File::open(dir)?.sync_all()?;
+        }
+        Ok(FsckReport {
+            label: store.label,
             sites: store.sites,
             chunks,
-            valid: chunk_scan.valid.len(),
+            valid: chunk_scan.valid,
             missing: gaps(&chunk_scan.present, chunks),
-            corrupt: std::mem::take(&mut chunk_scan.corrupt),
+            corrupt: chunk_scan.corrupt,
             quarantined,
-            healed: 0,
-            unhealed: Vec::new(),
             patches: PatchFsck {
                 count: patches,
-                valid: patch_scan.valid.len(),
+                valid: patch_scan.valid,
                 missing: gaps(&patch_scan.present, patches),
-                corrupt: std::mem::take(&mut patch_scan.corrupt),
-                ..PatchFsck::default()
+                corrupt: patch_scan.corrupt,
             },
-        };
-        if !repair || report.clean() {
-            return Ok(report);
-        }
-
-        // Every layer without a valid file needs healing: the absent ones
-        // and the corrupt ones just quarantined.
-        let (mut healed_chunks, mut healed_patches) = (Vec::new(), Vec::new());
-        if let Some(path) = journal {
-            let loaded = crate::journal::load_for(path, &store.label, store.sites)?;
-            // Indexed by site, so the heal costs what the journal holds —
-            // never a slot per site the manifest claims.
-            let by_site: KeyedMap<usize, &SiteObservation> =
-                loaded.records.iter().map(|(i, obs)| (*i, obs)).collect();
-            let k = store.chunk_sites;
-            let touched: BTreeSet<usize> = by_site.keys().map(|&i| i / k).collect();
-            for c in touched {
-                if c >= chunks || chunk_scan.valid.binary_search(&c).is_ok() {
-                    continue;
-                }
-                let lo = c * k;
-                let covered: Option<Vec<SiteObservation>> = (lo..lo + store.chunk_rows(c))
-                    .map(|i| by_site.get(&i).map(|&obs| obs.clone()))
-                    .collect();
-                if let Some(rows) = covered {
-                    store.heal(LayerId::Chunk(c), Frame::Chunk { index: c, lo }, &rows)?;
-                    healed_chunks.push(c);
-                }
-            }
-            if let Some(p) = patches.checked_sub(1) {
-                let meta = store.patches[p];
-                if patch_scan.valid.binary_search(&p).is_err() {
-                    let mut sites: Vec<usize> = by_site
-                        .keys()
-                        .copied()
-                        .filter(|&i| i < meta.below)
-                        .collect();
-                    sites.sort_unstable();
-                    if sites.len() == meta.rows {
-                        let rows: Vec<SiteObservation> =
-                            sites.iter().map(|i| by_site[i].clone()).collect();
-                        let frame = Frame::Patch {
-                            index: p,
-                            below: meta.below,
-                            sites: sites.iter().map(|&i| i as u32).collect(),
-                        };
-                        store.heal(LayerId::Patch(p), frame, &rows)?;
-                        healed_patches.push(p);
-                    }
-                }
-            }
-        }
-        report.healed = healed_chunks.len();
-        report.unhealed = gaps(&merged(chunk_scan.valid, healed_chunks), chunks);
-        report.patches.healed = healed_patches.len();
-        report.patches.unhealed = gaps(&merged(patch_scan.valid, healed_patches), patches);
-        File::open(dir)?.sync_all()?;
-        Ok(report)
+        })
     }
 
     /// Decodes each listed layer (ascending after the sort), sorting them
@@ -1951,52 +1853,48 @@ impl ChunkStore {
         mut listed: Vec<usize>,
         id: fn(usize) -> LayerId,
         repair: bool,
-        quarantined: &mut usize,
     ) -> io::Result<Scan> {
         listed.sort_unstable();
         let mut scan = Scan {
-            valid: Vec::with_capacity(listed.len()),
+            valid: 0,
             present: Vec::with_capacity(listed.len()),
             corrupt: Vec::new(),
         };
         for i in listed {
-            match self.layer_state(id(i)) {
-                ChunkState::Valid => scan.valid.push(i),
+            match self.check(id(i), repair)? {
+                ChunkState::Valid => scan.valid += 1,
                 // Listed, then gone before the open: absent all the same.
                 ChunkState::Missing => continue,
-                ChunkState::Corrupt(why) => {
-                    scan.corrupt.push((i, why));
-                    if repair {
-                        let qdir = self.dir.join("quarantine");
-                        std::fs::create_dir_all(&qdir)?;
-                        let dst = qdir.join(id(i).file_name());
-                        if dst.exists() {
-                            std::fs::remove_file(&dst)?;
-                        }
-                        std::fs::rename(id(i).path(&self.dir), dst)?;
-                        *quarantined += 1;
-                    }
-                }
+                ChunkState::Corrupt(why) => scan.corrupt.push((i, why)),
             }
             scan.present.push(i);
         }
         Ok(scan)
     }
 
-    /// Encodes a healed layer, verifies it against the manifest and
-    /// renames it into place.
-    fn heal(&self, layer: LayerId, frame: Frame, rows: &[SiteObservation]) -> io::Result<()> {
-        let bytes = encode_layer(&frame, rows);
-        decode_layer(&bytes, self.expect(layer)?)
-            .map_err(|e| bad(format!("healed {layer} failed verification: {e}")))?;
-        let path = layer.path(&self.dir);
-        write_atomically(&path.with_extension("col.tmp"), &path, &bytes)
+    /// Checks one layer file and, with `quarantine`, moves it to
+    /// `quarantine/` when it is corrupt, replacing an older quarantined
+    /// copy of it. The one policy for a damaged layer, on both paths that
+    /// meet one — `fsck --repair` and a resume: its bytes are kept for
+    /// post-mortem, never deleted, and never read as data again.
+    fn check(&self, layer: LayerId, quarantine: bool) -> io::Result<ChunkState> {
+        let state = self.layer_state(layer);
+        if quarantine && matches!(state, ChunkState::Corrupt(_)) {
+            let qdir = self.dir.join("quarantine");
+            std::fs::create_dir_all(&qdir)?;
+            let dst = qdir.join(layer.file_name());
+            if dst.exists() {
+                std::fs::remove_file(&dst)?;
+            }
+            std::fs::rename(layer.path(&self.dir), dst)?;
+        }
+        Ok(state)
     }
 }
 
 /// One kind of layer as [`ChunkStore::fsck`] found it, by index.
 struct Scan {
-    valid: Vec<usize>,
+    valid: usize,
     present: Vec<usize>,
     corrupt: Vec<(usize, String)>,
 }
@@ -2030,13 +1928,6 @@ fn parse_patches(list: &Value, sites: usize) -> io::Result<Vec<PatchMeta>> {
         .collect()
 }
 
-/// Two ascending, disjoint index lists merged into one.
-fn merged(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
-    a.extend(b);
-    a.sort_unstable();
-    a
-}
-
 /// The runs of `0..n` not in `taken` (ascending, distinct, each below
 /// `n`) as maximal half-open ranges: at most `taken.len() + 1` of them.
 fn gaps(taken: &[usize], n: usize) -> Vec<Range<usize>> {
@@ -2057,6 +1948,20 @@ mod tests {
     use crate::dataset::{FailureCause, LayerError};
     use proptest::prelude::*;
     use std::fs;
+
+    /// Decodes and verifies one chunk's bytes (checksum, header against the
+    /// expected geometry, every column). Total on any input: corruption is an
+    /// `Err`, never a panic or a count-sized allocation. [`decode_layer`] is
+    /// the same for either kind of layer; a patch's site column must also be
+    /// strictly increasing and below the manifest's `below`.
+    fn decode_chunk(
+        bytes: &[u8],
+        expect_index: usize,
+        expect_lo: usize,
+        expect_rows: usize,
+    ) -> Result<DecodedChunk, String> {
+        decode_layer(bytes, Expect::chunk(expect_index, expect_lo, expect_rows))
+    }
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("webdep-store-{name}-{}", std::process::id()))
@@ -2170,10 +2075,16 @@ mod tests {
         assert!(matches!(store.chunk_state(0), ChunkState::Valid));
         assert!(matches!(store.chunk_state(2), ChunkState::Corrupt(_)));
 
-        // Resume keeps the valid chunks and deletes the torn one…
+        // Resume keeps the valid chunks and quarantines the torn one, as
+        // fsck --repair would…
         let mut w = ChunkStoreWriter::resume(&dir, "t-v1", n, 16).unwrap();
         assert!(w.chunk_written(0) && w.chunk_written(1) && !w.chunk_written(2));
-        assert!(!victim.exists(), "torn chunk deleted for healing");
+        assert!(!victim.exists(), "torn chunk moved aside for healing");
+        assert_eq!(
+            fs::read(dir.join("quarantine/chunk-000002.col")).unwrap(),
+            &bytes[..bytes.len() - 11],
+            "the torn bytes are kept"
+        );
         assert!(w.site_durable(0) && !w.site_durable(33));
         // …and re-committing the tail heals it to identical bytes.
         for (i, obs) in all.iter().enumerate().skip(32) {
@@ -2365,7 +2276,7 @@ mod tests {
         w.finish().unwrap();
         assert!(layer_files(&e1).iter().all(|n| n.starts_with("chunk-")));
         let report = ChunkStore::fsck(&e1, None, false).unwrap();
-        assert!(report.clean() && report.intact(), "{report:?}");
+        assert!(report.clean(), "{report:?}");
         assert_eq!(report.patches.count, 0);
         assert_eq!(read_all(&ChunkStore::open(&e1).unwrap()), rows);
         for d in [&e0, &e1] {
@@ -2375,11 +2286,10 @@ mod tests {
 
     /// fsck decodes every patch: a corrupt one and a missing one make the
     /// store unclean, and repair quarantines the corrupt newest patch and
-    /// heals it byte-identically from its epoch's journal, while the older
-    /// missing patch — whose epoch measured another world — stays
-    /// unhealed.
+    /// leaves the missing one missing. Writing the epoch again over its
+    /// previous store brings both back byte-identically.
     #[test]
-    fn fsck_reports_and_heals_patches() {
+    fn fsck_reports_and_quarantines_patches() {
         let (e0, e1, e2) = (tmp("fsckp-e0"), tmp("fsckp-e1"), tmp("fsckp-e2"));
         for d in [&e0, &e1, &e2] {
             let _ = fs::remove_dir_all(d);
@@ -2387,13 +2297,6 @@ mod tests {
         let mut rows = write_store(&e0, 40, 16);
         carry_epoch(&e0, &e1, 44, &[1, 2, 17], 1, &mut rows);
         carry_epoch(&e1, &e2, 48, &[2, 30, 41], 2, &mut rows);
-        // The epoch-2 journal: its migrated sites and its appended ones.
-        let jpath = e2.join("run.journal");
-        let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", 48).unwrap();
-        for i in [44, 2, 45, 30, 46, 41, 47] {
-            jw.append(i, &rows[i]).unwrap();
-        }
-        jw.sync().unwrap();
         let clean = ChunkStore::fsck(&e2, None, false).unwrap();
         assert!(clean.clean(), "{clean:?}");
         assert_eq!((clean.patches.count, clean.patches.valid), (2, 2));
@@ -2407,25 +2310,27 @@ mod tests {
         fs::remove_file(e2.join("patch-000000.col")).unwrap();
 
         let report = ChunkStore::fsck(&e2, None, false).unwrap();
-        assert!(!report.clean() && !report.intact());
+        assert!(!report.clean());
         assert_eq!(report.valid, report.chunks);
         assert_eq!(report.patches.missing, vec![0..1]);
         assert_eq!(report.patches.corrupt.len(), 1);
         assert_eq!(report.patches.corrupt[0].0, 1);
         let rendered = report.to_value().to_string();
         assert!(rendered.contains(r#""patch":1"#), "{rendered}");
+        assert!(rendered.contains(r#""clean":false"#), "{rendered}");
 
-        let report = ChunkStore::fsck(&e2, Some(&jpath), true).unwrap();
-        assert_eq!((report.quarantined, report.patches.healed), (1, 1));
-        assert_eq!(report.patches.unhealed, vec![0..1]);
-        assert!(!report.intact());
-        assert_eq!(fs::read(&newest).unwrap(), original);
+        let report = ChunkStore::fsck(&e2, None, true).unwrap();
+        assert_eq!(report.quarantined, 1);
+        assert!(!report.clean() && !newest.exists());
         assert_eq!(
             fs::read(e2.join("quarantine/patch-000001.col")).unwrap(),
             garbled
         );
+        let report = ChunkStore::fsck(&e2, None, false).unwrap();
+        assert_eq!(report.patches.missing, vec![0..2]);
 
-        fs::hard_link(e1.join("patch-000000.col"), e2.join("patch-000000.col")).unwrap();
+        carry_epoch(&e1, &e2, 48, &[2, 30, 41], 2, &mut rows);
+        assert_eq!(fs::read(&newest).unwrap(), original);
         let report = ChunkStore::fsck(&e2, None, false).unwrap();
         assert!(report.clean(), "{report:?}");
         assert_eq!(read_all(&ChunkStore::open(&e2).unwrap()), rows);
@@ -2456,8 +2361,7 @@ mod tests {
 
     /// A manifest claiming `u32::MAX` one-site chunks over an empty
     /// directory costs fsck a directory listing, not four billion opens:
-    /// the absent chunks come back as one range, and a repair heals only
-    /// the chunk the journal's one record falls in.
+    /// the absent chunks come back as one range, with or without repair.
     #[test]
     fn fsck_of_a_hollow_huge_manifest_is_bounded_by_the_listing() {
         let dir = tmp("hollow-manifest");
@@ -2466,25 +2370,15 @@ mod tests {
         let sites = u32::MAX as usize;
         write_manifest(&dir, "t-v1", sites, 1, &[]).unwrap();
 
-        let t0 = std::time::Instant::now();
-        let report = ChunkStore::fsck(&dir, None, false).unwrap();
-        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
-        assert!(!report.intact());
-        assert_eq!(report.chunks, sites);
-        assert_eq!(report.missing, vec![0..sites]);
-
-        let jpath = dir.join("run.journal");
-        let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", sites).unwrap();
-        jw.append(5, &sample_obs(5)).unwrap();
-        jw.sync().unwrap();
-        let t0 = std::time::Instant::now();
-        let report = ChunkStore::fsck(&dir, Some(&jpath), true).unwrap();
-        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
-        assert!(!report.intact());
-        assert_eq!(report.healed, 1);
-        assert_eq!(report.unhealed, vec![0..5, 6..sites]);
-        let store = ChunkStore::open(&dir).unwrap();
-        assert_eq!(store.read_chunk(5).unwrap().observation(0), sample_obs(5));
+        for repair in [false, true] {
+            let t0 = std::time::Instant::now();
+            let report = ChunkStore::fsck(&dir, None, repair).unwrap();
+            assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+            assert!(!report.clean());
+            assert_eq!(report.chunks, sites);
+            assert_eq!(report.missing, vec![0..sites]);
+            assert_eq!(report.quarantined, 0);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2960,17 +2854,11 @@ mod tests {
     }
 
     #[test]
-    fn fsck_quarantines_and_heals_byte_identically() {
+    fn fsck_quarantines_and_resume_heals_byte_identically() {
         let dir = tmp("fsck");
         let _ = fs::remove_dir_all(&dir);
         let n = 72;
         let all = write_store(&dir, n, 16);
-        let jpath = dir.join("journal.ndjson");
-        let mut jw = crate::journal::JournalWriter::create(&jpath, "t-v1", n).unwrap();
-        for (i, obs) in all.iter().enumerate() {
-            jw.append(i, obs).unwrap();
-        }
-        jw.sync().unwrap();
         let orig2 = fs::read(dir.join("chunk-000002.col")).unwrap();
         let orig4 = fs::read(dir.join("chunk-000004.col")).unwrap();
 
@@ -2982,42 +2870,46 @@ mod tests {
 
         // Report-only pass: finds both, changes nothing.
         let report = ChunkStore::fsck(&dir, None, false).unwrap();
-        assert!(!report.clean() && !report.intact());
+        assert!(!report.clean());
         assert_eq!(report.valid, 3);
         assert_eq!(report.missing, vec![4..5]);
         assert_eq!(report.corrupt.len(), 1);
         assert_eq!(report.corrupt[0].0, 2);
-        assert_eq!((report.quarantined, report.healed), (0, 0));
+        assert_eq!(report.quarantined, 0);
         assert_eq!(
             fs::read(dir.join("chunk-000002.col")).unwrap(),
             garbled,
             "report-only fsck must not touch the store"
         );
 
-        // Repair: the corrupt file moves to quarantine for post-mortem and
-        // both chunks are re-encoded from the journal, byte-identically.
-        let report = ChunkStore::fsck(&dir, Some(&jpath), true).unwrap();
-        assert!(report.intact() && !report.clean());
-        assert_eq!(report.quarantined, 1);
-        assert_eq!(report.healed, 2);
-        assert!(report.unhealed.is_empty());
-        assert_eq!(fs::read(dir.join("chunk-000002.col")).unwrap(), orig2);
-        assert_eq!(fs::read(dir.join("chunk-000004.col")).unwrap(), orig4);
+        // Repair moves the corrupt file to quarantine for post-mortem and
+        // writes nothing: fsck never invents data.
+        let report = ChunkStore::fsck(&dir, None, true).unwrap();
+        assert!(!report.clean());
+        assert_eq!((report.quarantined, report.corrupt.len()), (1, 1));
+        assert!(!dir.join("chunk-000002.col").exists());
         assert_eq!(
             fs::read(dir.join("quarantine/chunk-000002.col")).unwrap(),
             garbled
         );
+        let report = ChunkStore::fsck(&dir, None, false).unwrap();
+        assert_eq!(report.missing, vec![2..3, 4..5]);
+
+        // Resume keeps the three valid chunks and takes the rows of the
+        // other two again, which encode to the bytes the run wrote.
+        let mut w = ChunkStoreWriter::resume(&dir, "t-v1", n, 16).unwrap();
+        let durable = (0..n).filter(|&i| w.site_durable(i)).count();
+        assert_eq!(durable, 3 * 16);
+        for (i, obs) in all.iter().enumerate() {
+            w.commit(i, obs).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(fs::read(dir.join("chunk-000002.col")).unwrap(), orig2);
+        assert_eq!(fs::read(dir.join("chunk-000004.col")).unwrap(), orig4);
         assert_eq!(read_all(&ChunkStore::open(&dir).unwrap()), all);
         let clean = ChunkStore::fsck(&dir, None, false).unwrap();
         assert!(clean.clean());
-        assert!(clean.to_value()["intact"] == Value::Bool(true));
-
-        // Without a journal a missing chunk is reported unhealed — fsck
-        // never invents data.
-        fs::remove_file(dir.join("chunk-000000.col")).unwrap();
-        let report = ChunkStore::fsck(&dir, None, true).unwrap();
-        assert!(!report.intact());
-        assert_eq!(report.unhealed, vec![0..1]);
+        assert!(clean.to_value()["clean"] == Value::Bool(true));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

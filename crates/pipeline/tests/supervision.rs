@@ -1,15 +1,14 @@
 //! Supervision, chaos, and crash-resume: a panicking site must cost only
 //! itself, a dying worker must cost only one retry of its in-flight
 //! batch, a hung worker must be caught by the watchdog, and a run resumed
-//! from its chunk store and journal must heal to byte-identical chunks.
+//! from what a crash left of its chunk store must heal to byte-identical
+//! chunks.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use webdep_pipeline::journal::{self, Journal};
 use webdep_pipeline::{
     measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter, FailureCause,
-    JournalWriter, MeasureStats, MeasuredDataset, PipelineConfig, SupervisorConfig,
-    DEFAULT_CHUNK_SITES,
+    MeasureStats, MeasuredDataset, PipelineConfig, SupervisorConfig, DEFAULT_CHUNK_SITES,
 };
 use webdep_webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
@@ -187,53 +186,29 @@ fn hung_worker_is_caught_by_the_watchdog() {
     assert_byte_identical(&clean, &ds, "hung worker");
 }
 
-/// Rewrites `path` as the journal a run killed after its first `k`
-/// commits leaves behind: `full`'s first `k` records, re-appended through
-/// [`JournalWriter`] so no test depends on the file layout. With `torn`,
-/// record `k + 1` follows, cut partway through its frame — a crash
-/// mid-append.
-fn cut_journal(full: &Journal, k: usize, torn: bool, path: &Path) {
-    let mut w = JournalWriter::create(path, &full.label, full.sites).unwrap();
-    for (site, obs) in &full.records[..k] {
-        w.append(*site, obs).unwrap();
-    }
-    w.sync().unwrap();
-    if torn {
-        let whole = std::fs::metadata(path).unwrap().len();
-        let (site, obs) = &full.records[k];
-        w.append(*site, obs).unwrap();
-        drop(w);
-        let end = std::fs::metadata(path).unwrap().len();
-        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
-        file.set_len(whole + (end - whole) / 2).unwrap();
+/// The chunk store a run killed after its first `k` commits leaves
+/// behind, when those were sites `0..k`: every chunk they completed, and
+/// nothing of the partial one.
+fn cut_store(full: &MeasuredDataset, label: &str, k: usize, dir: &Path) {
+    let n = full.observations.len();
+    let mut w = ChunkStoreWriter::create(dir, label, n, DEFAULT_CHUNK_SITES).unwrap();
+    for (site, obs) in full.observations[..k].iter().enumerate() {
+        w.commit(site, obs).unwrap();
     }
 }
 
-/// The chunk store the same killed run leaves behind: every chunk its
-/// first `k` commits completed, and nothing of the partial ones.
-fn cut_store(full: &Journal, k: usize, dir: &Path) {
-    let mut w =
-        ChunkStoreWriter::create(dir, &full.label, full.sites, DEFAULT_CHUNK_SITES).unwrap();
-    for (site, obs) in &full.records[..k] {
-        w.commit(*site, obs).unwrap();
-    }
-}
-
-/// A checkpointed streamed run of `world`, plus its loaded journal.
-fn checkpointed_run(
+/// An uninterrupted streamed run of `world` into the store `name`, and
+/// the dataset it holds.
+fn full_run(
     world: &World,
     dep: &DeployedWorld,
     cfg: &PipelineConfig,
     name: &str,
-) -> (PathBuf, PathBuf, Journal) {
-    let (store, path) = (
-        tmp(&format!("{name}-store")),
-        tmp(&format!("{name}-journal")),
-    );
-    measure_streamed(world, dep, cfg, &store, Some(&path)).unwrap();
-    let full = journal::load(&path).unwrap();
-    assert_eq!(full.records.len(), world.sites.len(), "one record per site");
-    (store, path, full)
+) -> (PathBuf, MeasuredDataset) {
+    let store = tmp(&format!("{name}-store"));
+    measure_streamed(world, dep, cfg, &store, None).unwrap();
+    let full = load_store(&store, world);
+    (store, full)
 }
 
 fn load_store(dir: &Path, world: &World) -> MeasuredDataset {
@@ -263,72 +238,32 @@ fn resume_is_byte_identical_at_three_progress_points() {
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
 
-    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "full");
-    let clean = load_store(&full_store, &world);
+    let (full_store, clean) = full_run(&world, &dep, &config(None), "full");
 
     for (point, frac) in [(0, 0.08), (1, 0.5), (2, 0.92)] {
         let k = ((n as f64) * frac) as usize;
         let store = tmp(&format!("cut-{point}-store"));
-        let path = tmp(&format!("cut-{point}-journal"));
-        cut_store(&full, k, &store);
-        cut_journal(&full, k, false, &path);
+        cut_store(&clean, &world.label, k, &store);
 
-        let stats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
-        assert_eq!(stats.supervision.sites_resumed, k as u64);
-        assert_same_store(&full_store, &store, &format!("resume from {k}/{n} records"));
+        // Only the completed chunks survive a crash: their sites are kept,
+        // the rest measured again.
+        let stats = resume_streamed(&world, &dep, &config(None), &store).unwrap();
+        let durable = k / DEFAULT_CHUNK_SITES * DEFAULT_CHUNK_SITES;
+        assert_eq!(stats.supervision.sites_resumed, durable as u64);
+        assert_same_store(
+            &full_store,
+            &store,
+            &format!("resume after {k}/{n} commits"),
+        );
         assert_byte_identical(&clean, &load_store(&store, &world), "resumed store");
 
-        // The healed journal is complete: resuming again measures nothing.
-        assert_eq!(journal::load(&path).unwrap().records.len(), n);
-        let stats2 = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
+        // The store is complete: resuming again measures nothing.
+        let stats2 = resume_streamed(&world, &dep, &config(None), &store).unwrap();
         assert_eq!(stats2.supervision.sites_resumed, n as u64);
         assert_same_store(&full_store, &store, "second resume (complete store)");
         let _ = std::fs::remove_dir_all(&store);
-        let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_dir_all(&full_store);
-    let _ = std::fs::remove_file(&full_path);
-}
-
-#[test]
-fn a_torn_journal_tail_heals_on_resume() {
-    let world = tiny_world();
-    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
-    let n = world.sites.len();
-
-    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &config(None), "torn-full");
-    let clean = load_store(&full_store, &world);
-
-    // A crash mid-write leaves k whole records and part of record k+1.
-    let k = n / 4;
-    let store = tmp("torn-store");
-    let path = tmp("torn-journal");
-    cut_store(&full, k, &store);
-    cut_journal(&full, k, true, &path);
-    assert!(journal::load(&path).unwrap().torn_tail);
-    let torn_bytes = std::fs::read(&path).unwrap();
-
-    let stats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
-    assert_eq!(
-        stats.supervision.sites_resumed, k as u64,
-        "the torn record is dropped"
-    );
-    assert_same_store(&full_store, &store, "resume over a torn tail");
-    assert_byte_identical(
-        &clean,
-        &load_store(&store, &world),
-        "resume over a torn tail",
-    );
-    let healed = journal::load(&path).unwrap();
-    assert!(!healed.torn_tail && healed.records.len() == n);
-    // The torn original is kept beside the healed journal, not overwritten.
-    let torn = journal::torn_path(&path);
-    assert_eq!(std::fs::read(&torn).unwrap(), torn_bytes);
-    let _ = std::fs::remove_dir_all(&store);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&torn);
-    let _ = std::fs::remove_dir_all(&full_store);
-    let _ = std::fs::remove_file(&full_path);
 }
 
 /// The tier-1 chaos smoke: one worker death plus a kill-and-resume cycle
@@ -346,21 +281,18 @@ fn chaos_smoke_one_worker_death_and_resume() {
     let clean = tmp("smoke-clean-store");
     measure_streamed(&world, &dep, &config(None), &clean, None).unwrap();
     let chaos = config(Some(ChaosPlan::kill_at(&[target])));
-    let (full_store, full_path, full) = checkpointed_run(&world, &dep, &chaos, "smoke");
-    assert_same_store(&clean, &full_store, "chaos smoke (checkpointed, one death)");
+    let (full_store, full) = full_run(&world, &dep, &chaos, "smoke");
+    assert_same_store(&clean, &full_store, "chaos smoke (one death)");
     let _ = std::fs::remove_dir_all(&clean);
 
     let store = tmp("smoke-cut-store");
-    let path = tmp("smoke-cut-journal");
-    cut_store(&full, n / 2, &store);
-    cut_journal(&full, n / 2, false, &path);
-    let rstats = resume_streamed(&world, &dep, &config(None), &store, &path).unwrap();
-    assert_eq!(rstats.supervision.sites_resumed, (n / 2) as u64);
+    cut_store(&full, &world.label, n / 2, &store);
+    let rstats = resume_streamed(&world, &dep, &config(None), &store).unwrap();
+    let durable = n / 2 / DEFAULT_CHUNK_SITES * DEFAULT_CHUNK_SITES;
+    assert_eq!(rstats.supervision.sites_resumed, durable as u64);
     assert_same_store(&full_store, &store, "chaos smoke resume");
     let _ = std::fs::remove_dir_all(&store);
-    let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&full_store);
-    let _ = std::fs::remove_file(&full_path);
 }
 
 fn copy_dir(from: &Path, to: &Path) {
@@ -371,12 +303,12 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// A journaled streamed run killed mid-chunk: the crash scene keeps the
-/// durable chunks, tears one chunk file mid-write, loses the final chunk
-/// entirely, and cuts the journal at 60%. Resuming over the chunk store
-/// must compose all three recovery tiers — durable chunks wholesale,
-/// journal records healing the torn/missing chunks, re-measurement for
-/// the rest — and reload byte-identical to an uninterrupted run.
+/// A streamed run killed mid-chunk: the crash scene keeps the durable
+/// chunks, tears one chunk file mid-write and loses the final chunk
+/// entirely. Resuming over the chunk store keeps the durable chunks
+/// wholesale, quarantines the torn one and re-measures the sites of the
+/// torn and the lost chunk, and reloads byte-identical to an
+/// uninterrupted run.
 #[test]
 fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let world = tiny_world();
@@ -384,17 +316,7 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let n = world.sites.len();
 
     // The uninterrupted reference run.
-    let store_full = tmp("stream-full-store");
-    let journal_full = tmp("stream-full-journal");
-    measure_streamed(
-        &world,
-        &dep,
-        &config(None),
-        &store_full,
-        Some(&journal_full),
-    )
-    .unwrap();
-    let full = load_store(&store_full, &world);
+    let (store_full, full) = full_run(&world, &dep, &config(None), "stream-full");
 
     // The crash scene.
     let store_cut = tmp("stream-cut-store");
@@ -411,18 +333,20 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     let torn = std::fs::read(&chunks[0]).unwrap();
     std::fs::write(&chunks[0], &torn[..torn.len() - 7]).unwrap();
 
-    let journal_cut = tmp("stream-cut-journal");
-    let full_journal = journal::load(&journal_full).unwrap();
-    cut_journal(&full_journal, n * 6 / 10, false, &journal_cut);
-
-    let stats = resume_streamed(&world, &dep, &config(None), &store_cut, &journal_cut).unwrap();
-    let resumed = stats.supervision.sites_resumed;
-    assert!(
-        resumed > 0 && resumed < n as u64,
-        "expected partial recovery, resumed {resumed}/{n}"
-    );
+    let stats = resume_streamed(&world, &dep, &config(None), &store_cut).unwrap();
+    let last = (chunks.len() - 1) * DEFAULT_CHUNK_SITES;
+    let lost = DEFAULT_CHUNK_SITES + (n - last);
+    assert_eq!(stats.supervision.sites_resumed, (n - lost) as u64);
     let healed = load_store(&store_cut, &world);
     assert_byte_identical(&full, &healed, "resume over a torn chunk store");
+    let quarantined = store_cut
+        .join("quarantine")
+        .join(chunks[0].file_name().unwrap());
+    assert_eq!(
+        std::fs::read(quarantined).unwrap(),
+        &torn[..torn.len() - 7],
+        "the torn chunk is kept in quarantine"
+    );
 
     // Every chunk file healed to the uninterrupted run's exact bytes.
     for chunk in &chunks {
@@ -435,11 +359,9 @@ fn a_killed_streamed_run_heals_over_the_chunk_store() {
     }
 
     // The store is complete now: a second resume re-measures nothing.
-    let stats2 = resume_streamed(&world, &dep, &config(None), &store_cut, &journal_cut).unwrap();
+    let stats2 = resume_streamed(&world, &dep, &config(None), &store_cut).unwrap();
     assert_eq!(stats2.supervision.sites_resumed, n as u64);
 
     let _ = std::fs::remove_dir_all(&store_full);
     let _ = std::fs::remove_dir_all(&store_cut);
-    let _ = std::fs::remove_file(&journal_full);
-    let _ = std::fs::remove_file(&journal_cut);
 }

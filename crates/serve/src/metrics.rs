@@ -5,8 +5,7 @@
 //! [`webdep_core::metrics::Registry`], so several servers in
 //! one test process never mix series; the exporter concatenates the
 //! server's registry with the process-wide one (where the measurement
-//! pipeline and the run journal register), giving one scrape target for
-//! the whole process.
+//! pipeline registers), giving one scrape target for the whole process.
 
 use crate::cache::{CacheCounters, ResponseCache};
 use std::time::Duration;
@@ -208,7 +207,7 @@ impl ServeMetrics {
     }
 
     /// Renders the `GET /metrics` body: this server's registry followed by
-    /// the process-wide registry (pipeline counters, journal counters).
+    /// the process-wide registry (the pipeline counters).
     pub fn render(&self, epoch: u64, cache: &ResponseCache) -> String {
         self.snapshot_epoch.set(epoch as f64);
         self.cache_entries.set(cache.stats().len as f64);

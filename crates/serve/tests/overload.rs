@@ -10,9 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use webdep_pipeline::{
-    ChunkStore, ChunkStoreWriter, FailureCause, JournalWriter, LayerError, SiteObservation,
-};
+use webdep_pipeline::{ChunkStore, ChunkStoreWriter, FailureCause, LayerError, SiteObservation};
 use webdep_serve::snapshot::CubeSnapshot;
 use webdep_serve::{start, OverloadConfig, ServeConfig};
 use webdep_webgen::{EvolutionPlan, World, WorldConfig};
@@ -490,26 +488,25 @@ fn burst_is_served_or_shed_and_server_recovers() {
 
 /// A chunk of the store a server was built from is garbled while it
 /// serves. The server keeps answering off its resident cube; fsck finds
-/// the one corrupt chunk, quarantines it and heals it from the journal to
-/// the original bytes; and the next epoch folds from the repaired store
-/// and passes publish validation.
+/// the one corrupt chunk and quarantines it; resuming the writer over the
+/// store and committing that chunk's rows again heals it to the original
+/// bytes; and the next epoch folds from the repaired store and passes
+/// publish validation.
 #[test]
 fn mid_serve_corruption_is_healed_and_the_next_epoch_publishes() {
     let world = fixture();
     let tmp = std::env::temp_dir().join(format!("webdep-overload-heal-{}", std::process::id()));
-    let (store, journal) = (tmp.join("chunks"), tmp.join("run.journal"));
+    let store = tmp.join("chunks");
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("tmp dir");
-    let mut writer = ChunkStoreWriter::create(&store, &world.label, world.sites.len(), 512)
-        .expect("create store");
-    let mut jw = JournalWriter::create(&journal, &world.label, world.sites.len()).expect("journal");
-    for i in 0..world.sites.len() {
-        let obs = synth_observation(world, i);
-        writer.commit(i, &obs).expect("commit");
-        jw.append(i, &obs).expect("journal append");
+    let n = world.sites.len();
+    let mut writer = ChunkStoreWriter::create(&store, &world.label, n, 512).expect("create store");
+    for i in 0..n {
+        writer
+            .commit_owned(i, synth_observation(world, i))
+            .expect("commit");
     }
     writer.finish().expect("finish store");
-    jw.sync().expect("sync journal");
 
     let snap1 = Arc::new(CubeSnapshot::from_store(1, Arc::clone(world), &store).expect("fold"));
     let handle = start(ServeConfig::default(), Arc::clone(&snap1)).expect("start");
@@ -528,16 +525,34 @@ fn mid_serve_corruption_is_healed_and_the_next_epoch_publishes() {
         );
     }
 
-    let report = ChunkStore::fsck(&store, Some(&journal), false).expect("fsck");
+    let report = ChunkStore::fsck(&store, None, false).expect("fsck");
     assert_eq!(report.corrupt.len(), 1, "{report:?}");
     assert_eq!(report.quarantined, 0, "report-only fsck moved a file");
-    let repair = ChunkStore::fsck(&store, Some(&journal), true).expect("fsck --repair");
-    assert_eq!((repair.quarantined, repair.healed), (1, 1), "{repair:?}");
-    assert!(repair.intact(), "{repair:?}");
+    let repair = ChunkStore::fsck(&store, None, true).expect("fsck --repair");
+    assert_eq!(
+        (repair.quarantined, repair.corrupt.len()),
+        (1, 1),
+        "{repair:?}"
+    );
+    let mut writer =
+        ChunkStoreWriter::resume(&store, &world.label, n, 512).expect("resume the store");
+    let lost: Vec<usize> = (0..n).filter(|&i| !writer.site_durable(i)).collect();
+    assert_eq!(
+        lost,
+        (3 * 512..4 * 512).collect::<Vec<_>>(),
+        "only chunk 3 is lost"
+    );
+    for i in lost {
+        writer
+            .commit_owned(i, synth_observation(world, i))
+            .expect("commit");
+    }
+    writer.finish().expect("finish the healed store");
     assert!(
         std::fs::read(&chunk).expect("healed chunk") == pristine,
         "the healed chunk differs from the original bytes"
     );
+    assert!(ChunkStore::fsck(&store, None, false).expect("fsck").clean());
 
     let snap2 = CubeSnapshot::from_store_extending(2, Arc::clone(world), &store, &snap1)
         .expect("fold the repaired store");

@@ -6,13 +6,13 @@
 //! webdep tables [tiny|small]       # the four layer tables
 //! webdep experiments [tiny|small]  # the paper-vs-measured suite
 //! webdep measure [tiny|small]                      # scratch-store run, accounting only
-//! webdep measure small --store chunks/ --journal run.journal  # checkpointed run
-//! webdep measure small --store chunks/ --resume run.journal   # continue after a crash
+//! webdep measure small --store chunks/             # keep the store
+//! webdep measure small --store chunks/ --resume    # finish a crashed run, heal the store
 //! webdep serve [tiny|small] --addr 127.0.0.1:8439   # measure, then serve
 //! webdep serve small --store chunks/               # serve a chunked store
 //! webdep evolve 4 tiny --churn 0.1                 # continuous epochs, delta re-measure
 //! webdep evolve 4 tiny --serve-addr 127.0.0.1:8439 # …published live per epoch
-//! webdep fsck chunks/ --repair --journal run.journal # verify + heal a store
+//! webdep fsck chunks/ --repair                     # verify, quarantine corrupt layers
 //! ```
 //!
 //! The heavier subcommands generate, deploy, and measure a synthetic world
@@ -21,13 +21,12 @@
 //! into a scratch store under the temp directory
 //! (`webdep-<command>-<pid>`), reads what it needs from it and removes it.
 //! `measure` runs just the measurement pipeline and prints its
-//! supervision/throughput accounting. With `--store` the store is kept;
-//! `--journal` also checkpoints every completed site beside it (one-row
-//! chunks in the store's own codec), and `--resume` continues an
-//! interrupted checkpointed run, re-measuring only the sites neither the
-//! store nor the journal holds (the healed store is byte-identical to an
-//! uninterrupted run's). The same journal lets `fsck --repair` re-encode a
-//! damaged chunk.
+//! supervision/throughput accounting. With `--store` the store is kept,
+//! and `--resume` finishes a crashed run or heals a damaged store: every
+//! chunk that verifies is kept, a corrupt one is quarantined, and the
+//! sites of the rest are measured again (the healed store is
+//! byte-identical to an uninterrupted run's). `fsck --repair` only
+//! quarantines corrupt layers; `measure --resume` then brings them back.
 
 use std::io;
 use std::path::Path;
@@ -45,7 +44,7 @@ use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--store <dir> [--journal <path> | --resume <path>]]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair] [--journal <path>]"
+        "usage:\n  webdep score <count> [count ...]\n  webdep country <CC> [tiny|small]\n  webdep tables [tiny|small]\n  webdep experiments [tiny|small]\n  webdep measure [tiny|small] [--store <dir> [--resume]]\n  webdep serve [tiny|small] [--addr <ip:port>] [--threads <n>] [--store <dir> | --world-seed <seed>]\n  webdep evolve <n-epochs> [tiny|small] [--churn <frac>] [--store <dir>] [--serve-addr <ip:port>] [--workers <n>]\n  webdep fsck <store-dir> [--repair]"
     );
     std::process::exit(2);
 }
@@ -179,23 +178,21 @@ fn cmd_tables(scale: Option<&str>) {
 fn cmd_measure(args: &[String]) {
     let mut scale: Option<&str> = None;
     let mut store: Option<&str> = None;
-    let mut journal: Option<&str> = None;
-    let mut resume: Option<&str> = None;
+    let mut resume = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            flag @ ("--store" | "--journal" | "--resume") => {
+            "--store" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("{flag} needs a path");
+                    eprintln!("--store needs a path");
                     std::process::exit(2);
                 };
-                let slot = match flag {
-                    "--store" => &mut store,
-                    "--journal" => &mut journal,
-                    _ => &mut resume,
-                };
-                *slot = Some(path.as_str());
+                store = Some(path.as_str());
                 i += 2;
+            }
+            "--resume" => {
+                resume = true;
+                i += 1;
             }
             s if !s.starts_with("--") && scale.is_none() => {
                 scale = Some(s);
@@ -207,12 +204,8 @@ fn cmd_measure(args: &[String]) {
             }
         }
     }
-    if journal.is_some() && resume.is_some() {
-        eprintln!("--journal starts a fresh checkpointed run, --resume continues one; pick one");
-        std::process::exit(2);
-    }
-    if store.is_none() && (journal.is_some() || resume.is_some()) {
-        eprintln!("a journal checkpoints a chunk store: --journal and --resume need --store <dir>");
+    if resume && store.is_none() {
+        eprintln!("--resume finishes a kept store: it needs --store <dir>");
         std::process::exit(2);
     }
 
@@ -226,11 +219,11 @@ fn cmd_measure(args: &[String]) {
         }),
         Some(dir) => {
             let run = match resume {
-                Some(p) => resume_streamed(&world, &dep, &config, dir, Path::new(p)),
-                None => measure_streamed(&world, &dep, &config, dir, journal.map(Path::new)),
+                true => resume_streamed(&world, &dep, &config, dir),
+                false => measure_streamed(&world, &dep, &config, dir, None),
             };
             run.unwrap_or_else(|e| {
-                eprintln!("store/journal error: {e}");
+                eprintln!("store error: {e}");
                 std::process::exit(1);
             })
         }
@@ -248,9 +241,6 @@ fn cmd_measure(args: &[String]) {
     println!("sites poisoned   = {}", sup.sites_poisoned);
     if let Some(dir) = store {
         println!("store            = {dir}");
-    }
-    if let Some(p) = journal.or(resume) {
-        println!("journal          = {p}");
     }
 }
 
@@ -653,17 +643,16 @@ fn cmd_evolve(args: &[String]) {
     }
 }
 
-/// `webdep fsck <store-dir> [--repair] [--journal <path>]`: verify every
-/// chunk and patch of a measurement store (checksums, headers, full column
-/// decode) and print a machine-readable report. With `--repair`, corrupt
-/// files are quarantined and — given the run's journal — re-encoded
-/// byte-identically from its records. Exits non-zero unless the store is
-/// intact after the pass.
+/// `webdep fsck <store-dir> [--repair]`: verify every chunk and patch of a
+/// measurement store (checksums, headers, full column decode) and print a
+/// machine-readable report. With `--repair`, corrupt files are moved to
+/// `quarantine/`; `measure --store <dir> --resume` measures their sites
+/// again (an epoch's store heals by running its epoch again). Exits
+/// non-zero unless the store was clean.
 fn cmd_fsck(args: &[String]) {
     use webdep::pipeline::ChunkStore;
 
     let mut dir: Option<&String> = None;
-    let mut journal: Option<&String> = None;
     let mut repair = false;
     let mut i = 0;
     while i < args.len() {
@@ -671,14 +660,6 @@ fn cmd_fsck(args: &[String]) {
             "--repair" => {
                 repair = true;
                 i += 1;
-            }
-            "--journal" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("--journal needs a value");
-                    std::process::exit(2);
-                };
-                journal = Some(value);
-                i += 2;
             }
             s if !s.starts_with("--") && dir.is_none() => {
                 dir = Some(&args[i]);
@@ -694,13 +675,12 @@ fn cmd_fsck(args: &[String]) {
         eprintln!("fsck needs a store directory, e.g. `webdep fsck chunks/ --repair`");
         std::process::exit(2);
     };
-    let report =
-        ChunkStore::fsck(Path::new(dir), journal.map(Path::new), repair).unwrap_or_else(|e| {
-            eprintln!("fsck error: {e}");
-            std::process::exit(1);
-        });
+    let report = ChunkStore::fsck(Path::new(dir), None, repair).unwrap_or_else(|e| {
+        eprintln!("fsck error: {e}");
+        std::process::exit(1);
+    });
     println!("{}", report.to_value());
-    if !report.intact() {
+    if !report.clean() {
         std::process::exit(1);
     }
 }

@@ -1,24 +1,23 @@
-//! Tier-1 chaos smoke (see DESIGN.md "Supervision, checkpointing & resume"):
-//! the smallest end-to-end proof that supervision works. One injected worker
-//! death must cost zero observations, and a checkpointed run killed halfway
-//! through must resume from its chunk store and journal into byte-identical
-//! chunks.
+//! Tier-1 chaos smoke (see DESIGN.md "Supervision, durability & resume"):
+//! the smallest end-to-end proof that supervision works. One injected
+//! worker death must cost zero observations, and a store a crash left
+//! with one chunk kept, one torn and one never written must resume into
+//! byte-identical chunks.
 //!
 //! The heavier matrix (panic isolation, poison, watchdog, three-point
-//! resume, torn tails) lives in `crates/pipeline/tests/supervision.rs`.
+//! resume) lives in `crates/pipeline/tests/supervision.rs`.
 
-use webdep::pipeline::journal;
 use webdep::pipeline::{
-    measure_streamed, resume_streamed, ChaosPlan, ChunkStore, ChunkStoreWriter, JournalWriter,
-    PipelineConfig, DEFAULT_CHUNK_SITES,
+    measure_streamed, resume_streamed, ChaosPlan, ChunkStore, PipelineConfig, DEFAULT_CHUNK_SITES,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, World, WorldConfig};
 
 #[test]
 fn chaos_smoke_worker_death_and_crash_resume() {
+    // The smallest world that still spans three chunks.
     let mut wc = WorldConfig::tiny();
-    wc.sites_per_country = 30;
-    wc.global_pool_size = 100;
+    wc.sites_per_country = 100;
+    wc.global_pool_size = 300;
     let world = World::generate(wc);
     let dep = DeployedWorld::deploy(&world, DeployConfig::default());
     let n = world.sites.len();
@@ -39,8 +38,8 @@ fn chaos_smoke_worker_death_and_crash_resume() {
         chaos: Some(ChaosPlan::kill_at(&[n / 2])),
         ..config.clone()
     };
-    let (store, path) = (tmp("store"), tmp("journal"));
-    let stats = measure_streamed(&world, &dep, &chaos, &store, Some(&path)).unwrap();
+    let store = tmp("store");
+    let stats = measure_streamed(&world, &dep, &chaos, &store, None).unwrap();
     assert_eq!(stats.supervision.workers_lost, 1);
     assert_eq!(stats.supervision.batches_requeued, 1);
     let load = |dir| ChunkStore::open(dir).unwrap().load_dataset(&world).unwrap();
@@ -50,35 +49,38 @@ fn chaos_smoke_worker_death_and_crash_resume() {
         "a worker death changed the dataset"
     );
 
-    // Rebuild what a process killed after half its commits leaves behind:
-    // the journal's first half, and the chunks those commits completed.
-    let full = journal::load(&path).unwrap();
-    let (cut_store, cut_path) = (tmp("cut-store"), tmp("cut-journal"));
-    let mut sw = ChunkStoreWriter::create(&cut_store, &full.label, n, DEFAULT_CHUNK_SITES).unwrap();
-    let mut jw = JournalWriter::create(&cut_path, &full.label, n).unwrap();
-    for (site, obs) in &full.records[..n / 2] {
-        sw.commit(*site, obs).unwrap();
-        jw.append(*site, obs).unwrap();
-    }
-    drop((sw, jw));
-
-    // Resume: only the missing half is re-measured, and every chunk heals
-    // to the uninterrupted run's bytes.
-    let rstats = resume_streamed(&world, &dep, &config, &cut_store, &cut_path).unwrap();
-    assert_eq!(rstats.supervision.sites_resumed, (n / 2) as u64);
+    // Rebuild what a crash leaves behind from the chaos run's chunks: the
+    // first chunk durable, the second torn mid-write, the last never
+    // written.
     let chunks = ChunkStore::open(&store).unwrap().num_chunks();
+    assert!(chunks >= 3, "need three chunks, got {chunks}");
+    let name = |c: usize| format!("chunk-{c:06}.col");
+    let cut = tmp("cut");
+    let _ = std::fs::remove_dir_all(&cut);
+    std::fs::create_dir_all(&cut).unwrap();
+    std::fs::copy(store.join("manifest.json"), cut.join("manifest.json")).unwrap();
+    for c in 0..chunks - 1 {
+        let bytes = std::fs::read(store.join(name(c))).unwrap();
+        let kept = if c == 1 { bytes.len() / 2 } else { bytes.len() };
+        std::fs::write(cut.join(name(c)), &bytes[..kept]).unwrap();
+    }
+
+    // Resume: the durable chunks are kept, the torn one is quarantined,
+    // and the sites of the torn and the unwritten ones are re-measured
+    // into the uninterrupted run's bytes.
+    let rstats = resume_streamed(&world, &dep, &config, &cut).unwrap();
+    let lost = DEFAULT_CHUNK_SITES + (n - (chunks - 1) * DEFAULT_CHUNK_SITES);
+    assert_eq!(rstats.supervision.sites_resumed, (n - lost) as u64);
+    assert!(cut.join("quarantine").join(name(1)).exists());
     for c in 0..chunks {
-        let name = format!("chunk-{c:06}.col");
         assert_eq!(
-            std::fs::read(store.join(&name)).unwrap(),
-            std::fs::read(cut_store.join(&name)).unwrap(),
-            "crash-resume changed {name}"
+            std::fs::read(store.join(name(c))).unwrap(),
+            std::fs::read(cut.join(name(c))).unwrap(),
+            "crash-resume changed {}",
+            name(c)
         );
     }
-    for dir in [&clean, &store, &cut_store] {
+    for dir in [&clean, &store, &cut] {
         let _ = std::fs::remove_dir_all(dir);
-    }
-    for file in [&path, &cut_path] {
-        let _ = std::fs::remove_file(file);
     }
 }

@@ -10,8 +10,9 @@
 //! * provider clustering runs on the distinct features — the hosting and
 //!   DNS features repeat points, and `classify` reports the clustering of
 //!   the distinct points alone;
-//! * `fsck --repair` heals a corrupt chunk from the run journal, and a
-//!   corrupt patch from its epoch's journal, to the bytes the run wrote;
+//! * a corrupt chunk that `fsck --repair` quarantines comes back from
+//!   `resume_streamed`, and a corrupt epoch comes back from running its
+//!   `measure_delta` again, each to the bytes the run wrote;
 //! * world generation is deterministic: two generations of one config
 //!   have equal sites, toplists and universe, so two processes measure
 //!   the same world;
@@ -36,8 +37,8 @@ use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{
-    measure_delta, measure_streamed, ChunkStore, ChunkStoreWriter, MeasuredDataset, PipelineConfig,
-    SiteObservation, DEFAULT_CHUNK_SITES,
+    measure_delta, measure_streamed, resume_streamed, ChunkStore, ChunkStoreWriter,
+    MeasuredDataset, PipelineConfig, SiteObservation, DEFAULT_CHUNK_SITES,
 };
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
@@ -258,20 +259,15 @@ fn clustering_runs_on_distinct_features() {
     }
 }
 
+/// `fsck --repair` finds and quarantines a corrupt chunk, and
+/// `resume_streamed` measures its sites again into the run's bytes.
 #[test]
-fn fsck_heals_a_corrupt_chunk_from_the_journal() {
+fn fsck_repair_then_resume_heals_a_corrupt_chunk() {
     let (world, _) = fixture();
     let dep = DeployedWorld::deploy(world, DeployConfig::default());
-    let tmp = |name: &str| {
-        std::env::temp_dir().join(format!(
-            "webdep-contracts-fsck-{name}-{}",
-            std::process::id()
-        ))
-    };
-    let (dir, journal) = (tmp("store"), tmp("journal"));
+    let dir = scratch("fsck-chunk", "store");
     let _ = std::fs::remove_dir_all(&dir);
-    measure_streamed(world, &dep, &config(4), &dir, Some(&journal)).expect("checkpointed run");
-    drop(dep);
+    measure_streamed(world, &dep, &config(4), &dir, None).expect("run");
 
     let chunk = dir.join("chunk-000001.col");
     let original = std::fs::read(&chunk).unwrap();
@@ -279,16 +275,20 @@ fn fsck_heals_a_corrupt_chunk_from_the_journal() {
     damaged[original.len() / 2] ^= 0x10;
     std::fs::write(&chunk, &damaged).unwrap();
 
-    let report = ChunkStore::fsck(&dir, Some(&journal), true).expect("fsck");
+    let report = ChunkStore::fsck(&dir, None, true).expect("fsck");
     assert_eq!(report.corrupt.len(), 1, "{report:?}");
-    assert_eq!(report.healed, 1, "{report:?}");
-    assert!(report.intact(), "{report:?}");
+    assert_eq!(report.quarantined, 1, "{report:?}");
+    assert!(!report.clean() && !chunk.exists(), "{report:?}");
+
+    let stats = resume_streamed(world, &dep, &config(4), &dir).expect("resume");
+    let kept = world.sites.len() - ChunkStore::open(&dir).unwrap().chunk_rows(1);
+    assert_eq!(stats.supervision.sites_resumed, kept as u64);
     assert!(
         std::fs::read(&chunk).unwrap() == original,
         "the healed chunk differs from the run's bytes"
     );
+    assert!(ChunkStore::fsck(&dir, None, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(&journal);
 }
 
 /// A scratch path for one contract test's files.
@@ -309,11 +309,14 @@ fn pinned() -> DeployConfig {
     }
 }
 
+/// An epoch store with a corrupt patch heals by running its
+/// `measure_delta` again from the previous epoch's store: every file
+/// comes back equal to the undamaged epoch's.
 #[test]
-fn fsck_heals_a_corrupt_patch_from_the_journal() {
+fn a_corrupt_epoch_heals_by_measuring_its_delta_again() {
     let (world, _) = fixture();
-    let [base, dir, journal] = ["base", "store", "journal"].map(|n| scratch("fsck-patch", n));
-    for d in [&base, &dir] {
+    let [base, dir, undamaged] = ["base", "store", "undamaged"].map(|n| scratch("epoch-heal", n));
+    for d in [&base, &dir, &undamaged] {
         let _ = std::fs::remove_dir_all(d);
     }
     let dep = DeployedWorld::deploy(world, pinned());
@@ -321,36 +324,26 @@ fn fsck_heals_a_corrupt_patch_from_the_journal() {
     drop(dep);
     let (evolved, delta) = EvolutionPlan::continuous(1, 0.10, 5).evolve_epoch(world, 0);
     let dep = DeployedWorld::deploy(&evolved, pinned());
-    measure_delta(
-        &evolved,
-        &dep,
-        &config(2),
-        &delta,
-        &base,
-        &dir,
-        Some(&journal),
-    )
-    .expect("checkpointed delta epoch");
-    drop(dep);
+    measure_delta(&evolved, &dep, &config(2), &delta, &base, &dir, None).expect("delta epoch");
+    copy_store(&dir, &undamaged);
 
+    // A fresh file: the carried ones are hard links into the base epoch.
     let patch = dir.join("patch-000000.col");
     let original = std::fs::read(&patch).unwrap();
     let mut damaged = original.clone();
     damaged[original.len() / 2] ^= 0x10;
     std::fs::write(&patch, &damaged).unwrap();
-
-    let report = ChunkStore::fsck(&dir, Some(&journal), true).expect("fsck");
+    let report = ChunkStore::fsck(&dir, None, false).expect("fsck");
     assert_eq!(report.patches.corrupt.len(), 1, "{report:?}");
-    assert_eq!(report.patches.healed, 1, "{report:?}");
-    assert!(report.intact() && report.corrupt.is_empty(), "{report:?}");
-    assert!(
-        std::fs::read(&patch).unwrap() == original,
-        "the healed patch differs from the epoch's bytes"
-    );
-    for d in [&base, &dir] {
+    assert!(!report.clean() && report.corrupt.is_empty(), "{report:?}");
+
+    measure_delta(&evolved, &dep, &config(2), &delta, &base, &dir, None).expect("heal");
+    drop(dep);
+    assert_same_files(&dir, &undamaged, "the healed epoch");
+    assert!(ChunkStore::fsck(&dir, None, false).unwrap().clean());
+    for d in [&base, &dir, &undamaged] {
         let _ = std::fs::remove_dir_all(d);
     }
-    let _ = std::fs::remove_file(&journal);
 }
 
 /// Byte-at-a-time 64-bit FNV-1a: the layer checksum of store versions 1
@@ -456,15 +449,21 @@ fn assert_same_files(a: &Path, b: &Path, what: &str) {
     }
 }
 
-/// Compacts a copy of the store at `dir` (leaving `dir` as the next epoch
-/// carries it) and requires the bytes of the from-scratch store `full`.
-fn assert_compacts_to(dir: &Path, full: &Path, copy: &Path, what: &str) {
+/// Copies every file of the store at `dir` into a fresh `copy`, sharing
+/// no inode with it.
+fn copy_store(dir: &Path, copy: &Path) {
     let _ = std::fs::remove_dir_all(copy);
     std::fs::create_dir_all(copy).unwrap();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
     }
+}
+
+/// Compacts a copy of the store at `dir` (leaving `dir` as the next epoch
+/// carries it) and requires the bytes of the from-scratch store `full`.
+fn assert_compacts_to(dir: &Path, full: &Path, copy: &Path, what: &str) {
+    copy_store(dir, copy);
     ChunkStore::compact(copy).expect("compact");
     assert_same_files(copy, full, what);
     std::fs::remove_dir_all(copy).unwrap();
