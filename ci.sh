@@ -121,6 +121,25 @@ if [[ -n "$siphash" ]]; then
     exit 1
 fi
 
+# No owned observation on the worker path: a worker fills a row whose
+# strings borrow from the world's site, the resolver's NS set and the
+# address databases, and the store copies it into its chunk's arena
+# (`store::SiteRow`, DESIGN.md "A measured site allocates nothing").
+# `SiteObservation` is the load side's type; the non-test code of the
+# measurement run names it nowhere, so a per-site owned observation cannot
+# come back onto the worker path.
+echo "==> no SiteObservation in non-test code of pipeline run"
+observations=$(awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /SiteObservation/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/pipeline/src/run.rs)
+if [[ -n "$observations" ]]; then
+    echo "ci: the measurement run builds owned observations:" >&2
+    echo "$observations" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

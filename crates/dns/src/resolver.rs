@@ -506,8 +506,10 @@ impl IterativeResolver {
             .collect();
         let (listed, servers): Delegated = if !glue.is_empty() {
             // Cache each glued host's addresses. The first host's entry
-            // also keeps the delegation, for the next referral to it.
-            let mut delegated = None;
+            // also keeps the delegation, for the next referral to it, and
+            // a host whose glue is all of the delegation's addresses
+            // shares the delegation's set instead of a copy.
+            let mut delegated: Option<Delegated> = None;
             let mut text = NameBuf::new();
             let buf = &mut self.addr_buf;
             for i in 0..hosts.len() {
@@ -515,26 +517,34 @@ impl IterativeResolver {
                     continue;
                 }
                 update(&mut self.names, host(i).expand(&mut text), |cached| {
-                    let known = cached.a.as_deref();
-                    if !known.is_some_and(|a| a.iter().copied().eq(glue_of(i))) {
-                        buf.clear();
-                        buf.extend(glue_of(i));
-                        cached.a = Some(Arc::from(&buf[..]));
+                    if i == 0 {
+                        let same = |(listed, servers): &&Delegated| {
+                            listed.len() == hosts.len()
+                                && (listed.iter().enumerate())
+                                    .all(|(j, l)| host(j).eq_str(l.as_str()))
+                                && servers.iter().copied().eq(addresses())
+                        };
+                        delegated = Some(match cached.delegation.as_ref().filter(same) {
+                            Some(known) => known.clone(),
+                            None => {
+                                let fresh: Delegated = (listed(), addresses().collect());
+                                cached.delegation = Some(fresh.clone());
+                                fresh
+                            }
+                        });
                     }
-                    if i > 0 {
+                    let known = cached.a.as_deref();
+                    if known.is_some_and(|a| a.iter().copied().eq(glue_of(i))) {
                         return;
                     }
-                    let same = |(listed, servers): &&Delegated| {
-                        listed.len() == hosts.len()
-                            && (listed.iter().enumerate()).all(|(j, l)| host(j).eq_str(l.as_str()))
-                            && servers.iter().copied().eq(addresses())
-                    };
-                    delegated = Some(match cached.delegation.as_ref().filter(same) {
-                        Some(known) => known.clone(),
+                    let whole = (delegated.as_ref().map(|(_, servers)| servers))
+                        .filter(|servers| servers.iter().copied().eq(glue_of(i)));
+                    cached.a = Some(match whole {
+                        Some(servers) => Arc::clone(servers),
                         None => {
-                            let fresh: Delegated = (listed(), addresses().collect());
-                            cached.delegation = Some(fresh.clone());
-                            fresh
+                            buf.clear();
+                            buf.extend(glue_of(i));
+                            Arc::from(&buf[..])
                         }
                     });
                 });

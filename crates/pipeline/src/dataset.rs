@@ -84,6 +84,16 @@ impl LayerError {
     }
 }
 
+/// The TLD label of `domain` as written, before [`SiteObservation::blank`]
+/// lowercases it: the last label of the name with trailing root dots
+/// stripped, or `""` for a name without a dot-separated TLD.
+pub(crate) fn tld_label(domain: &str) -> &str {
+    match domain.trim_end_matches('.').rsplit_once('.') {
+        Some((_, last)) => last,
+        None => "",
+    }
+}
+
 /// Everything the pipeline learned about one website.
 ///
 /// Organization / owner ids refer to the world's universe (the analysis
@@ -155,14 +165,9 @@ impl SiteObservation {
     /// label-less (`"."`, `""`) or single-label (`"localhost"`) — yields
     /// an empty TLD rather than becoming its own.
     pub fn blank(domain: &str, language: &str) -> Self {
-        let normalized = domain.trim_end_matches('.');
-        let tld = match normalized.rsplit_once('.') {
-            Some((_, last)) => last.to_ascii_lowercase(),
-            None => String::new(),
-        };
         SiteObservation {
             domain: domain.to_string(),
-            tld,
+            tld: tld_label(domain).to_ascii_lowercase(),
             language: language.to_string(),
             hosting_ip: None,
             hosting_asn: None,

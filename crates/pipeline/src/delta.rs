@@ -124,7 +124,7 @@ pub fn measure_delta(
     let (store, carried) =
         ChunkStoreWriter::carry(&prev, store_dir, &world.label, n, &delta.migrated)?;
     let done: Vec<bool> = delta.dirty().into_iter().map(|dirty| !dirty).collect();
-    let (sink, stats) = run_supervised(world, dep, config, Sink::new(done, store));
+    let (sink, stats) = run_supervised(world, || dep, config, Sink::new(done, store));
     let measure = finish_streaming(world, sink, stats)?;
 
     let mut patch_rows = prev.patch_rows() + delta.migrated.len();

@@ -26,7 +26,9 @@ pub mod vantage;
 
 pub use dataset::{FailureCause, FailureTaxonomy, LayerError, MeasuredDataset, SiteObservation};
 pub use delta::{measure_delta, DeltaStats};
-pub use run::{measure_streamed, resume_streamed, MeasureStats, PipelineConfig};
+pub use run::{
+    measure_streamed, resume_streamed, resume_streamed_with, MeasureStats, PipelineConfig,
+};
 pub use store::{ChunkStore, ChunkStoreWriter, DecodedChunk, FsckReport, DEFAULT_CHUNK_SITES};
 pub use supervisor::{ChaosPlan, SupervisionStats, SupervisorConfig};
 pub use vantage::resolve_hosting_orgs;

@@ -13,9 +13,9 @@
 //!
 //! On top of the scheduler sits the supervision layer (see
 //! [`crate::supervisor`]): every site is measured under `catch_unwind`
-//! (a panic becomes a [`FailureCause::Internal`] observation, never a
-//! process abort), workers publish heartbeats and hand each completed
-//! observation to a shared sink immediately, and the supervisor
+//! (a panic becomes a [`FailureCause::Internal`] row, never a process
+//! abort), workers publish heartbeats and hand each completed site's row
+//! to a shared sink immediately, and the supervisor
 //! requeues a lost worker's in-flight batch and respawns replacements.
 //! Because per-site measurement is deterministic, a requeued batch
 //! re-measures to identical bytes — worker loss costs wall-clock, not
@@ -25,21 +25,31 @@
 //! the sites of the rest, so a crash costs at most the chunks in flight
 //! and the finished store is byte-identical to an uninterrupted run's.
 //!
+//! A worker builds no owned observation: it fills a row whose strings
+//! borrow from the world's site, the resolver's shared NS set and the
+//! deployment's address databases (`store::SiteRow`), and the store copies
+//! them into the chunk's arena.
+//!
 //! The sink lock guards bookkeeping, not I/O on the chunk store: a worker
-//! moves its observation into the sink under the lock, and when that
+//! copies its row into the sink under the lock, and when that
 //! commit completes a chunk it comes back out holding the claim on the
 //! chunk (`store::ClaimedChunk`). The worker encodes, writes and fsyncs
 //! the chunk after releasing the lock — the other workers keep committing
 //! meanwhile — and takes the lock again only to record the write.
 
-use crate::dataset::{FailureCause, LayerError, SiteObservation};
-use crate::store::{ChunkStoreWriter, ClaimedChunk, WrittenChunk, DEFAULT_CHUNK_SITES};
+use crate::dataset::FailureCause;
+use crate::store::{
+    ChunkStoreWriter, ClaimedChunk, Failure, Located, NsNames, SiteRow, WrittenChunk,
+    DEFAULT_CHUNK_SITES,
+};
 use crate::supervisor::{
     Batch, ChaosPlan, SupervisionStats, SupervisorConfig, WorkQueue, WorkerSlot,
 };
 use std::any::Any;
+use std::borrow::{Borrow, Cow};
 use std::convert::Infallible;
 use std::io;
+use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,7 +58,6 @@ use std::time::{Duration, Instant};
 use webdep_dns::resolver::{IterativeResolver, ResolveError, ResolverConfig};
 use webdep_dns::shared_cache::SharedDnsCache;
 use webdep_dns::DomainName;
-use webdep_geodb::{AnycastSet, AsOrgDb, CaOwnerDb, GeoDb, PrefixTable};
 use webdep_tls::scanner::{Scanner, ScannerConfig};
 use webdep_webgen::{Continent, DeployedWorld, World};
 
@@ -136,11 +145,11 @@ struct WorkerReport {
     panics_isolated: u64,
 }
 
-/// Where committed observations land: the chunked columnar store
-/// ([`crate::store`]). Each observation is handed to its chunk and
-/// *dropped*, so peak memory is bounded by the scheduler's batch spread,
-/// not the world size, which is what lets million-site runs fit in a
-/// laptop's RAM. Only a done-bitmap stays resident.
+/// Where committed rows land: the chunked columnar store
+/// ([`crate::store`]). Each row is copied into its chunk, so peak memory
+/// is bounded by the scheduler's batch spread, not the world size, which
+/// is what lets million-site runs fit in a laptop's RAM. Only a
+/// done-bitmap stays resident.
 pub(crate) struct Sink {
     done: Vec<bool>,
     store: ChunkStoreWriter,
@@ -158,7 +167,7 @@ impl Sink {
         }
     }
 
-    /// Commits one observation if the site is still unclaimed, moving it
+    /// Commits one site's row if the site is still unclaimed, copying it
     /// into the store writer. Duplicate commits (a requeued batch
     /// re-measuring a site its dead worker had already committed is
     /// impossible, but a worker declared hung while actually alive can
@@ -168,7 +177,7 @@ impl Sink {
     /// Returns whether the site was committed and, when its commit
     /// completed a chunk, the claim on that chunk: the caller writes it
     /// after releasing the sink lock (see [`commit_shared`]).
-    fn commit(&mut self, site: usize, obs: SiteObservation) -> (bool, Option<ClaimedChunk>) {
+    fn commit(&mut self, site: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
         if self.done[site] {
             return (false, None);
         }
@@ -178,7 +187,7 @@ impl Sink {
         if self.store_error.is_some() {
             return (true, None);
         }
-        (true, self.store.insert(site, obs).1)
+        (true, self.store.insert(site, row).1)
     }
 
     /// Records the outcome of writing a chunk [`Sink::commit`] claimed; a
@@ -202,11 +211,11 @@ fn flush(sink: &Mutex<Sink>, chunk: ClaimedChunk) {
     lock(sink).record(written);
 }
 
-/// Commits one observation through the shared sink, flushing the chunk it
+/// Commits one site's row through the shared sink, flushing the chunk it
 /// completes, if any, off the lock. Returns whether the site was
 /// committed.
-fn commit_shared(sink: &Mutex<Sink>, site: usize, obs: SiteObservation) -> bool {
-    let (committed, claimed) = lock(sink).commit(site, obs);
+fn commit_shared(sink: &Mutex<Sink>, site: usize, row: &SiteRow) -> bool {
+    let (committed, claimed) = lock(sink).commit(site, row);
     if let Some(chunk) = claimed {
         flush(sink, chunk);
     }
@@ -238,7 +247,7 @@ pub fn measure_streamed(
 ) -> io::Result<MeasureStats> {
     let n = world.sites.len();
     let store = ChunkStoreWriter::create(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
-    let (sink, stats) = run_supervised(world, dep, config, Sink::new(vec![false; n], store));
+    let (sink, stats) = run_supervised(world, || dep, config, Sink::new(vec![false; n], store));
     finish_streaming(world, sink, stats)
 }
 
@@ -259,10 +268,23 @@ pub fn resume_streamed(
     config: &PipelineConfig,
     store_dir: &Path,
 ) -> io::Result<MeasureStats> {
+    resume_streamed_with(world, || dep, config, store_dir)
+}
+
+/// [`resume_streamed`] that deploys the world only when a site is left to
+/// measure: `deploy` is called once the store has been verified, and not
+/// at all when every site is durable, so finishing a complete store
+/// costs its verification only.
+pub fn resume_streamed_with<D: Borrow<DeployedWorld>>(
+    world: &World,
+    deploy: impl FnOnce() -> D,
+    config: &PipelineConfig,
+    store_dir: &Path,
+) -> io::Result<MeasureStats> {
     let n = world.sites.len();
     let store = ChunkStoreWriter::resume(store_dir, &world.label, n, DEFAULT_CHUNK_SITES)?;
     let done = (0..n).map(|i| store.site_durable(i)).collect();
-    let (sink, stats) = run_supervised(world, dep, config, Sink::new(done, store));
+    let (sink, stats) = run_supervised(world, deploy, config, Sink::new(done, store));
     finish_streaming(world, sink, stats)
 }
 
@@ -285,39 +307,47 @@ pub(crate) fn finish_streaming(
     for (i, was_done) in done.iter().enumerate() {
         if !was_done {
             let site = &world.sites[i];
-            let obs = SiteObservation::internal_failure(
+            let row = SiteRow::internal_failure(
                 &site.domain,
                 &site.language,
                 "internal: site never measured",
             );
-            store.commit_owned(i, obs)?;
+            store.commit_row(i, &row)?;
         }
     }
     store.finish()?;
     Ok(stats)
 }
 
-/// The supervised run underneath every public entry point.
+/// The supervised run underneath every public entry point, measuring the
+/// sites the sink does not mark done against the deployment `deploy`
+/// returns.
 ///
 /// The scope's main thread doubles as the supervisor: it scans worker
 /// heartbeats and join handles every `tick`, requeues (or poisons) the
 /// in-flight batch of a lost worker, respawns replacements up to the
 /// budget, and fails leftover sites deterministically if the run would
-/// otherwise deadlock with no workers left.
-pub(crate) fn run_supervised(
+/// otherwise deadlock with no workers left. A run with no site left to
+/// measure calls no `deploy` and spawns no worker.
+pub(crate) fn run_supervised<D: Borrow<DeployedWorld>>(
     world: &World,
-    dep: &DeployedWorld,
+    deploy: impl FnOnce() -> D,
     config: &PipelineConfig,
     sink: Sink,
 ) -> (Sink, MeasureStats) {
     let n = world.sites.len();
-    let workers = config.workers.max(1);
     let sup_cfg = config.supervisor.clone();
     let chaos = config.chaos.clone().unwrap_or_default();
     let deadline_ms = sup_cfg.site_deadline.as_millis() as u64;
 
     let done_at_start = sink.done.clone();
     let resumed = done_at_start.iter().filter(|&&done| done).count();
+    let deployed = (resumed < n).then(deploy);
+    let dep = deployed.as_ref().map(Borrow::borrow);
+    let workers = match dep {
+        Some(_) => config.workers.max(1),
+        None => 0,
+    };
     let completed = AtomicUsize::new(resumed);
     let sink = Mutex::new(sink);
 
@@ -338,6 +368,7 @@ pub(crate) fn run_supervised(
         let chaos = &chaos;
 
         let spawn_worker = |slot: Arc<WorkerSlot>| {
+            let dep = dep.expect("workers are spawned only for sites to measure");
             let cfg = config.clone();
             let shared = shared.clone();
             scope.spawn(move |_| {
@@ -535,8 +566,8 @@ fn fail_batch(
             continue;
         }
         let site = &world.sites[i];
-        let obs = SiteObservation::internal_failure(&site.domain, &site.language, detail);
-        let (committed, chunk) = locked.commit(i, obs);
+        let row = SiteRow::internal_failure(&site.domain, &site.language, detail);
+        let (committed, chunk) = locked.commit(i, &row);
         if committed {
             completed.fetch_add(1, Ordering::AcqRel);
             failed += 1;
@@ -660,36 +691,24 @@ fn worker_main(
                 if chaos.panics(i) {
                     panic!("chaos: injected panic for site {i}");
                 }
-                let mut obs = SiteObservation::blank(&site.domain, &site.language);
-                measure_one(
-                    &mut obs,
-                    name.as_ref(),
-                    &mut resolver,
-                    &mut scanner,
-                    &dep.pfx2as,
-                    &dep.asorg,
-                    &dep.geodb,
-                    &dep.anycast,
-                    &dep.caodb,
-                );
-                obs
+                let mut row = SiteRow::blank(&site.domain, &site.language);
+                measure_one(&mut row, name.as_ref(), &mut resolver, &mut scanner, dep);
+                row
             }));
             // Nothing keyed by the site's own name is asked for again.
             if let Some(name) = &name {
                 resolver.forget(name);
             }
-            let obs = match measured {
-                Ok(obs) => obs,
+            let detail;
+            let row = match measured {
+                Ok(row) => row,
                 Err(payload) => {
                     panics_isolated += 1;
-                    SiteObservation::internal_failure(
-                        &site.domain,
-                        &site.language,
-                        &format!("panic: {}", panic_message(payload.as_ref())),
-                    )
+                    detail = format!("panic: {}", panic_message(payload.as_ref()));
+                    SiteRow::internal_failure(&site.domain, &site.language, &detail)
                 }
             };
-            if commit_shared(sink, i, obs) {
+            if commit_shared(sink, i, &row) {
                 completed.fetch_add(1, Ordering::AcqRel);
             }
             // Advance past the committed site so a later loss requeues
@@ -710,7 +729,7 @@ fn worker_main(
 
 /// Maps a resolver error onto the normalized failure taxonomy; `prefix`
 /// labels which lookup failed in the human-readable detail ("A", "NS").
-fn resolve_failure(prefix: &str, e: &ResolveError) -> LayerError {
+fn resolve_failure(prefix: &str, e: &ResolveError) -> Failure<'static> {
     let cause = match e {
         ResolveError::Timeout => FailureCause::Timeout,
         ResolveError::Network(_) => FailureCause::Unreachable,
@@ -719,11 +738,11 @@ fn resolve_failure(prefix: &str, e: &ResolveError) -> LayerError {
         ResolveError::DepthExceeded => FailureCause::Malformed,
         ResolveError::ServFail => FailureCause::Refused,
     };
-    LayerError::new(cause, format!("{prefix}: {e}"))
+    (cause, Cow::Owned(format!("{prefix}: {e}")))
 }
 
 /// Maps a TLS scan error onto the normalized failure taxonomy.
-fn scan_failure(e: &webdep_tls::ScanError) -> LayerError {
+fn scan_failure(e: &webdep_tls::ScanError) -> Failure<'static> {
     use webdep_tls::ScanError;
     let cause = match e {
         ScanError::Timeout => FailureCause::Timeout,
@@ -731,58 +750,56 @@ fn scan_failure(e: &webdep_tls::ScanError) -> LayerError {
         ScanError::Alert(_) => FailureCause::Refused,
         ScanError::BadResponse => FailureCause::Malformed,
     };
-    LayerError::new(cause, format!("TLS: {e}"))
+    (cause, Cow::Owned(format!("TLS: {e}")))
 }
 
-/// Runs the whole pipeline for a single observation; `name` is its
+/// A failure whose detail is fixed text.
+fn failed(cause: FailureCause, detail: &'static str) -> Option<Failure<'static>> {
+    Some((cause, Cow::Borrowed(detail)))
+}
+
+/// What the deployment's address databases say about `ip`: its AS
+/// (pfx2as), the AS's organization and that organization's country
+/// (AS-to-Org), the address's country and whether it is anycast.
+fn locate(ip: Ipv4Addr, dep: &DeployedWorld) -> Located<&str> {
+    let asn = dep.pfx2as.lookup(ip).map(|(&asn, _)| asn);
+    let org = asn.and_then(|asn| dep.asorg.org_of_asn(asn));
+    Located {
+        ip: Some(ip),
+        asn,
+        org: org.map(|org| org.org_id),
+        org_country: org.map(|org| org.country.as_str()),
+        ip_country: dep.geodb.country_of(ip),
+        anycast: dep.anycast.contains(ip),
+    }
+}
+
+/// Runs the whole pipeline for a single site into its row; `name` is its
 /// domain parsed, `None` when it does not parse.
 ///
 /// Every layer runs to completion and records its *own* failure — a DNS
 /// timeout no longer masks a TLS refusal the way the old first-error-wins
 /// summary did. The CA layer is `Skipped` (not failed) when hosting left
-/// no IP to scan. The derived `error` summary is recomputed at the end.
-#[allow(clippy::too_many_arguments)]
-fn measure_one(
-    obs: &mut SiteObservation,
+/// no IP to scan. The row's error summary is derived when it is stored.
+fn measure_one<'a>(
+    row: &mut SiteRow<'a>,
     name: Option<&DomainName>,
     resolver: &mut IterativeResolver,
     scanner: &mut Scanner,
-    pfx2as: &PrefixTable<u32>,
-    asorg: &AsOrgDb,
-    geodb: &GeoDb,
-    anycast: &AnycastSet,
-    caodb: &CaOwnerDb,
+    dep: &'a DeployedWorld,
 ) {
     let Some(name) = name else {
-        obs.hosting_error = Some(LayerError::new(
-            FailureCause::Malformed,
-            "unparseable domain",
-        ));
-        obs.dns_error = Some(LayerError::new(FailureCause::Skipped, "domain unparseable"));
-        obs.ca_error = Some(LayerError::new(FailureCause::Skipped, "domain unparseable"));
-        obs.derive_error_summary();
+        row.hosting_error = failed(FailureCause::Malformed, "unparseable domain");
+        row.dns_error = failed(FailureCause::Skipped, "domain unparseable");
+        row.ca_error = failed(FailureCause::Skipped, "domain unparseable");
         return;
     };
 
     // Hosting: A record -> serving IP -> AS -> org; geo + anycast.
     match resolver.resolve_a(name) {
-        Ok(addrs) if !addrs.is_empty() => {
-            let ip = addrs[0];
-            obs.hosting_ip = Some(ip);
-            if let Some((&asn, _)) = pfx2as.lookup(ip) {
-                obs.hosting_asn = Some(asn);
-                if let Some(org) = asorg.org_of_asn(asn) {
-                    obs.hosting_org = Some(org.org_id);
-                    obs.hosting_org_country = Some(org.country.clone());
-                }
-            }
-            obs.hosting_ip_country = geodb.country_of(ip).map(str::to_string);
-            obs.hosting_anycast = anycast.contains(ip);
-        }
-        Ok(_) => {
-            obs.hosting_error = Some(LayerError::new(FailureCause::NoRecords, "empty A answer"))
-        }
-        Err(e) => obs.hosting_error = Some(resolve_failure("A", &e)),
+        Ok(addrs) if !addrs.is_empty() => row.hosting = locate(addrs[0], dep),
+        Ok(_) => row.hosting_error = failed(FailureCause::NoRecords, "empty A answer"),
+        Err(e) => row.hosting_error = Some(resolve_failure("A", &e)),
     }
 
     // DNS: NS names -> first NS address -> AS -> org.
@@ -798,70 +815,42 @@ fn measure_one(
                     _ => continue,
                 }
             }
-            obs.ns_names = ns_names.iter().map(|ns| ns.as_str().to_owned()).collect();
-            if let Some(ip) = resolved {
-                obs.dns_ip = Some(ip);
-                if let Some((&asn, _)) = pfx2as.lookup(ip) {
-                    obs.dns_asn = Some(asn);
-                    if let Some(org) = asorg.org_of_asn(asn) {
-                        obs.dns_org = Some(org.org_id);
-                        obs.dns_org_country = Some(org.country.clone());
-                    }
-                }
-                obs.dns_ip_country = geodb.country_of(ip).map(str::to_string);
-                obs.dns_anycast = anycast.contains(ip);
-            } else {
-                obs.dns_error = Some(LayerError::new(
-                    FailureCause::NoRecords,
-                    "no nameserver address",
-                ));
+            row.ns_names = NsNames::Shared(ns_names);
+            match resolved {
+                Some(ip) => row.dns = locate(ip, dep),
+                None => row.dns_error = failed(FailureCause::NoRecords, "no nameserver address"),
             }
         }
-        Ok(_) => obs.dns_error = Some(LayerError::new(FailureCause::NoRecords, "empty NS answer")),
+        Ok(_) => row.dns_error = failed(FailureCause::NoRecords, "empty NS answer"),
         // A zone with no visible NS records is a data gap, not a failure.
         Err(ResolveError::NoData(_)) => {}
-        Err(e) => obs.dns_error = Some(resolve_failure("NS", &e)),
+        Err(e) => row.dns_error = Some(resolve_failure("NS", &e)),
     }
 
     // TLS: leaf certificate -> issuer -> CA owner.
-    match obs.hosting_ip {
-        None => {
-            obs.ca_error = Some(LayerError::new(
-                FailureCause::Skipped,
-                "no serving IP to scan",
-            ))
-        }
-        Some(ip) => match scanner.scan(ip, &obs.domain) {
+    row.ca_error = match row.hosting.ip {
+        None => failed(FailureCause::Skipped, "no serving IP to scan"),
+        Some(ip) => match scanner.scan(ip, row.domain) {
             Ok(chain) => match chain.leaf() {
-                Some(leaf) => {
-                    if let Some(owner) = caodb.owner_of_issuer(leaf.issuer_id) {
-                        obs.ca_owner = Some(owner.owner_id);
-                        obs.ca_owner_country = Some(owner.country.clone());
-                    } else {
-                        obs.ca_error = Some(LayerError::new(
-                            FailureCause::UnknownIssuer,
-                            "unknown issuer",
-                        ));
+                Some(leaf) => match dep.caodb.owner_of_issuer(leaf.issuer_id) {
+                    Some(owner) => {
+                        row.ca_owner = Some(owner.owner_id);
+                        row.ca_owner_country = Some(&owner.country);
+                        None
                     }
-                }
-                None => {
-                    obs.ca_error = Some(LayerError::new(
-                        FailureCause::Malformed,
-                        "empty certificate chain",
-                    ))
-                }
+                    None => failed(FailureCause::UnknownIssuer, "unknown issuer"),
+                },
+                None => failed(FailureCause::Malformed, "empty certificate chain"),
             },
-            Err(e) => obs.ca_error = Some(scan_failure(&e)),
+            Err(e) => Some(scan_failure(&e)),
         },
-    }
-
-    obs.derive_error_summary();
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::MeasuredDataset;
+    use crate::dataset::{MeasuredDataset, SiteObservation};
     use crate::store::ChunkStore;
     use webdep_webgen::{DeployConfig, WorldConfig};
 

@@ -67,6 +67,18 @@
 //! (tested in `crates/pipeline/tests/determinism.rs` and
 //! `crates/pipeline/tests/supervision.rs`).
 //!
+//! The writer takes a site as a borrowed row (`SiteRow`): a worker's
+//! strings borrow from the world's site, the resolver's shared NS set and
+//! the geo and AS-to-org records, a re-committed row's from its decoded
+//! layer, and [`ChunkStoreWriter::commit`] borrows an observation's. A
+//! layer that is filling keeps one fixed row per slot, its strings copied
+//! into the layer's one arena as (offset, length) spans and its TLD
+//! lowercased on the way, so a committed site owns no allocation and no
+//! per-site observation is built, buffered or dropped. The encoding
+//! interns the arena's strings in slot order, which is the order and the
+//! content the observation encoder interned, so the bytes did not change
+//! (pinned by a test over the rows `SiteObservation::blank` normalizes).
+//!
 //! A chunk file is written and fsynced once, after its last site commits:
 //! that commit *claims* the chunk (`ChunkStoreWriter::insert` hands back
 //! a `ClaimedChunk`), the claimant encodes and writes it — outside any
@@ -79,10 +91,13 @@
 //! bytes.
 //! The writer holds only *partial* chunks in memory (bounded by the
 //! scheduler's batch spread), which is what makes million-site runs
-//! memory-bounded end to end.
+//! memory-bounded end to end. A partial chunk of 4,096 sites holds 196
+//! bytes of fixed row per slot from its first commit (0.8 MB) and its
+//! arena, about 73 bytes per committed site on the `small` world.
 
-use crate::dataset::{FailureCause, LayerError, MeasuredDataset, SiteObservation};
+use crate::dataset::{tld_label, FailureCause, LayerError, MeasuredDataset, SiteObservation};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::fs::File;
@@ -90,6 +105,8 @@ use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use webdep_dns::DomainName;
 use webdep_netsim::{KeyedMap, KeyedState};
 
 /// Manifest magic string.
@@ -416,134 +433,403 @@ pub(crate) enum Frame {
     },
 }
 
-/// Encodes one complete chunk (rows in site order) to its file bytes.
-pub(crate) fn encode_chunk(chunk_index: usize, lo: usize, rows: &[SiteObservation]) -> Vec<u8> {
-    encode_layer(
-        &Frame::Chunk {
-            index: chunk_index,
-            lo,
-        },
-        rows,
-    )
+// ---------------------------------------------------------------------------
+// Rows
+
+/// What the address databases say about a measured address (the serving
+/// IP or the first nameserver's): its AS, the AS's organization and that
+/// organization's country, the address's own country, and whether it is
+/// anycast. `S` is a string as a [`SiteRow`] borrows it or as a [`Row`]
+/// spans it.
+#[derive(Default)]
+pub(crate) struct Located<S> {
+    pub(crate) ip: Option<Ipv4Addr>,
+    pub(crate) asn: Option<u32>,
+    pub(crate) org: Option<u32>,
+    pub(crate) org_country: Option<S>,
+    pub(crate) ip_country: Option<S>,
+    pub(crate) anycast: bool,
 }
 
-/// Encodes one layer file: `rows` are the frame's sites, in order.
-fn encode_layer(frame: &Frame, rows: &[SiteObservation]) -> Vec<u8> {
-    // Intern every string in row order, so ids are independent of the
-    // order in which sites committed, and note each field's id on the way.
-    let mut strings = Strings::for_rows(rows.len());
-    let mut ids = vec![ABSENT; rows.len() * STR_FIELDS];
-    let mut ns_ids = Vec::new();
-    fn detail(e: &Option<LayerError>) -> Option<&str> {
-        e.as_ref().map(|e| e.detail.as_str())
-    }
-    for (obs, row) in rows.iter().zip(ids.chunks_exact_mut(STR_FIELDS)) {
-        row[DOMAIN] = strings.intern(&obs.domain);
-        row[TLD] = strings.intern(&obs.tld);
-        row[LANGUAGE] = strings.intern(&obs.language);
-        row[HOSTING_ORG_COUNTRY] = strings.intern_opt(obs.hosting_org_country.as_deref());
-        row[HOSTING_IP_COUNTRY] = strings.intern_opt(obs.hosting_ip_country.as_deref());
-        ns_ids.extend(obs.ns_names.iter().map(|n| strings.intern(n)));
-        row[DNS_ORG_COUNTRY] = strings.intern_opt(obs.dns_org_country.as_deref());
-        row[DNS_IP_COUNTRY] = strings.intern_opt(obs.dns_ip_country.as_deref());
-        row[CA_OWNER_COUNTRY] = strings.intern_opt(obs.ca_owner_country.as_deref());
-        row[HOSTING_ERROR] = strings.intern_opt(detail(&obs.hosting_error));
-        row[DNS_ERROR] = strings.intern_opt(detail(&obs.dns_error));
-        row[CA_ERROR] = strings.intern_opt(detail(&obs.ca_error));
-        row[ERROR] = strings.intern_opt(obs.error.as_deref());
-    }
-    let column = |field: usize| ids.iter().skip(field).step_by(STR_FIELDS).copied();
+/// A failed layer of a [`SiteRow`]: its cause and detail. The detail is
+/// borrowed, or owned where a failure formats it (rare).
+pub(crate) type Failure<'a> = (FailureCause, Cow<'a, str>);
 
-    let mut e = Enc { buf: Vec::new() };
-    let (magic, index, at, sites) = match frame {
-        Frame::Chunk { index, lo } => (CHUNK_MAGIC, index, lo, &[][..]),
-        Frame::Patch {
-            index,
-            below,
-            sites,
-        } => (PATCH_MAGIC, index, below, &sites[..]),
-    };
-    e.buf.extend_from_slice(&magic);
-    e.u32(*index as u32);
-    e.u32(*at as u32);
-    e.u32(rows.len() as u32);
-    for &site in sites {
-        e.u32(site);
-    }
-    e.u32(strings.table.len() as u32);
-    for s in &strings.table {
-        e.u32(s.len() as u32);
-        e.buf.extend_from_slice(s.as_bytes());
-    }
+/// Where a [`SiteRow`]'s nameserver names are read from.
+pub(crate) enum NsNames<'a> {
+    /// The resolver's NS set, shared by the provider's sites.
+    Shared(Arc<[DomainName]>),
+    /// An observation's names.
+    Listed(&'a [String]),
+    /// A decoded layer's string ids.
+    Decoded(&'a DecodedChunk, &'a [u32]),
+}
 
-    for field in [DOMAIN, TLD, LANGUAGE] {
-        for id in column(field) {
-            e.u32(id);
+impl NsNames<'_> {
+    fn for_each(&self, mut f: impl FnMut(&str)) {
+        match self {
+            NsNames::Shared(names) => names.iter().for_each(|n| f(n.as_str())),
+            NsNames::Listed(names) => names.iter().for_each(|n| f(n)),
+            NsNames::Decoded(layer, ids) => ids.iter().for_each(|&id| f(layer.str_of(id))),
+        }
+    }
+}
+
+/// A [`SiteRow`]'s error summary.
+pub(crate) enum Summary<'a> {
+    /// The first failure in pipeline order that is not `Skipped`, as
+    /// [`SiteObservation::derive_error_summary`] finds it.
+    Derived,
+    /// As recorded (an observation's or a decoded row's).
+    Given(Option<&'a str>),
+}
+
+/// One site's row as it is committed, its strings borrowed from wherever
+/// they already are: a worker's from the world's site, the resolver's NS
+/// set and the geo and AS-to-org records; a re-committed row's from its
+/// decoded layer; an observation's from the observation. Building one
+/// allocates nothing but the detail of a failure that formats its own.
+/// [`ChunkStoreWriter`] copies the strings into the row's layer.
+pub(crate) struct SiteRow<'a> {
+    pub(crate) domain: &'a str,
+    /// The TLD label as written; the store keeps it lowercased.
+    pub(crate) tld: &'a str,
+    pub(crate) language: &'a str,
+    pub(crate) hosting: Located<&'a str>,
+    pub(crate) ns_names: NsNames<'a>,
+    pub(crate) dns: Located<&'a str>,
+    pub(crate) ca_owner: Option<u32>,
+    pub(crate) ca_owner_country: Option<&'a str>,
+    pub(crate) hosting_error: Option<Failure<'a>>,
+    pub(crate) dns_error: Option<Failure<'a>>,
+    pub(crate) ca_error: Option<Failure<'a>>,
+    pub(crate) error: Summary<'a>,
+}
+
+impl<'a> SiteRow<'a> {
+    /// The row of a site not yet measured, as [`SiteObservation::blank`].
+    pub(crate) fn blank(domain: &'a str, language: &'a str) -> Self {
+        SiteRow {
+            domain,
+            tld: tld_label(domain),
+            language,
+            hosting: Located::default(),
+            ns_names: NsNames::Listed(&[]),
+            dns: Located::default(),
+            ca_owner: None,
+            ca_owner_country: None,
+            hosting_error: None,
+            dns_error: None,
+            ca_error: None,
+            error: Summary::Derived,
         }
     }
 
-    // Option<T> columns: presence bitmap, then one value per present row.
-    macro_rules! opt_col {
-        ($field:ident, $emit:expr) => {{
-            e.bitmap(rows.iter().map(|o| o.$field.is_some()));
-            for obs in rows {
-                if let Some(v) = &obs.$field {
-                    #[allow(clippy::redundant_closure_call)]
-                    ($emit)(&mut e, v);
-                }
-            }
-        }};
-    }
-    let emit_ip = |e: &mut Enc, ip: &Ipv4Addr| e.u32(u32::from(*ip));
-    let emit_u32 = |e: &mut Enc, v: &u32| e.u32(*v);
-    let str_col = |e: &mut Enc, field: usize| {
-        e.bitmap(column(field).map(|id| id != ABSENT));
-        for id in column(field).filter(|&id| id != ABSENT) {
-            e.u32(id);
+    /// The row of a site lost to the measurement infrastructure, as
+    /// [`SiteObservation::internal_failure`].
+    pub(crate) fn internal_failure(domain: &'a str, language: &'a str, detail: &'a str) -> Self {
+        let failed = || Some((FailureCause::Internal, Cow::Borrowed(detail)));
+        SiteRow {
+            hosting_error: failed(),
+            dns_error: failed(),
+            ca_error: failed(),
+            ..Self::blank(domain, language)
         }
-    };
-    let err_col = |e: &mut Enc, field: usize, err: fn(&SiteObservation) -> &Option<LayerError>| {
-        e.bitmap(rows.iter().map(|o| err(o).is_some()));
-        for (obs, id) in rows.iter().zip(column(field)) {
-            if let Some(err) = err(obs) {
-                e.u8(cause_index(err.cause));
+    }
+
+    /// `obs` as a row, borrowing its strings.
+    pub(crate) fn of(obs: &'a SiteObservation) -> Self {
+        let failure = |e: &'a Option<LayerError>| {
+            e.as_ref()
+                .map(|e| (e.cause, Cow::Borrowed(e.detail.as_str())))
+        };
+        SiteRow {
+            domain: &obs.domain,
+            tld: &obs.tld,
+            language: &obs.language,
+            hosting: Located {
+                ip: obs.hosting_ip,
+                asn: obs.hosting_asn,
+                org: obs.hosting_org,
+                org_country: obs.hosting_org_country.as_deref(),
+                ip_country: obs.hosting_ip_country.as_deref(),
+                anycast: obs.hosting_anycast,
+            },
+            ns_names: NsNames::Listed(&obs.ns_names),
+            dns: Located {
+                ip: obs.dns_ip,
+                asn: obs.dns_asn,
+                org: obs.dns_org,
+                org_country: obs.dns_org_country.as_deref(),
+                ip_country: obs.dns_ip_country.as_deref(),
+                anycast: obs.dns_anycast,
+            },
+            ca_owner: obs.ca_owner,
+            ca_owner_country: obs.ca_owner_country.as_deref(),
+            hosting_error: failure(&obs.hosting_error),
+            dns_error: failure(&obs.dns_error),
+            ca_error: failure(&obs.ca_error),
+            error: Summary::Given(obs.error.as_deref()),
+        }
+    }
+}
+
+/// A string of a [`Row`]: where it lies in its layer's [`Arena`].
+#[derive(Clone, Copy)]
+struct Span {
+    off: u32,
+    len: u32,
+}
+
+/// A count or offset within one layer as a [`Row`] keeps it.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a layer's strings fit in 4 GiB")
+}
+
+/// A layer's strings, back to back.
+#[derive(Default)]
+struct Arena(String);
+
+impl Arena {
+    fn copy(&mut self, s: &str) -> Span {
+        let off = self.0.len();
+        self.0.push_str(s);
+        self.span_from(off)
+    }
+
+    /// Copies `s` with its ASCII letters lowercased.
+    fn copy_lowercase(&mut self, s: &str) -> Span {
+        let off = self.0.len();
+        self.0.extend(s.chars().map(|c| c.to_ascii_lowercase()));
+        self.span_from(off)
+    }
+
+    fn span_from(&self, off: usize) -> Span {
+        Span {
+            off: narrow(off),
+            len: narrow(self.0.len() - off),
+        }
+    }
+
+    fn copy_located(&mut self, l: &Located<&str>) -> Located<Span> {
+        Located {
+            ip: l.ip,
+            asn: l.asn,
+            org: l.org,
+            org_country: l.org_country.map(|s| self.copy(s)),
+            ip_country: l.ip_country.map(|s| self.copy(s)),
+            anycast: l.anycast,
+        }
+    }
+
+    fn copy_failure(&mut self, e: &Option<Failure>) -> Option<(FailureCause, Span)> {
+        e.as_ref()
+            .map(|(cause, detail)| (*cause, self.copy(detail)))
+    }
+
+    fn str(&self, s: Span) -> &str {
+        &self.0[s.off as usize..(s.off + s.len) as usize]
+    }
+}
+
+/// One committed row of a layer ([`Rows`]): the fixed fields, and every
+/// string as a [`Span`] into the layer's arena.
+struct Row {
+    domain: Span,
+    tld: Span,
+    language: Span,
+    hosting: Located<Span>,
+    /// The row's nameserver names: `Rows::ns[ns.start..ns.end]`.
+    ns: Range<u32>,
+    dns: Located<Span>,
+    ca_owner: Option<u32>,
+    ca_owner_country: Option<Span>,
+    hosting_error: Option<(FailureCause, Span)>,
+    dns_error: Option<(FailureCause, Span)>,
+    ca_error: Option<(FailureCause, Span)>,
+    error: Option<Span>,
+}
+
+/// Arena bytes reserved per row when a layer's first site commits: a
+/// `small` world's rows hold 73 on average (the domain, the nameserver
+/// names and the country codes), so a chunk's arena rarely grows.
+const ARENA_BYTES_PER_ROW: usize = 80;
+
+/// A layer's rows while its sites commit, in any order: one fixed [`Row`]
+/// per slot and all their strings in one arena, so a committed site holds
+/// no allocation of its own. The encoding reads the rows in slot order, so
+/// a layer's bytes do not depend on the order its sites committed in.
+#[derive(Default)]
+struct Rows {
+    /// By slot; sized when the first site commits.
+    rows: Vec<Option<Row>>,
+    filled: usize,
+    arena: Arena,
+    /// The nameserver names of every committed row, each row's together.
+    ns: Vec<Span>,
+}
+
+impl Rows {
+    /// Stores `row` as slot `slot` of a layer of `len` rows, copying its
+    /// strings into the arena and lowercasing its TLD on the way. Returns
+    /// whether it did: `false` when the slot is taken.
+    fn put(&mut self, slot: usize, len: usize, row: &SiteRow) -> bool {
+        if self.rows.is_empty() {
+            self.rows.resize_with(len, || None);
+            self.arena.0.reserve(len * ARENA_BYTES_PER_ROW);
+        }
+        if self.rows[slot].is_some() {
+            return false;
+        }
+        let a = &mut self.arena;
+        let ns_start = narrow(self.ns.len());
+        row.ns_names.for_each(|name| self.ns.push(a.copy(name)));
+        let hosting_error = a.copy_failure(&row.hosting_error);
+        let dns_error = a.copy_failure(&row.dns_error);
+        let ca_error = a.copy_failure(&row.ca_error);
+        let error = match row.error {
+            // The summary is a detail already copied.
+            Summary::Derived => [hosting_error, dns_error, ca_error]
+                .into_iter()
+                .flatten()
+                .find(|&(cause, _)| cause != FailureCause::Skipped)
+                .map(|(_, detail)| detail),
+            Summary::Given(error) => error.map(|s| a.copy(s)),
+        };
+        self.rows[slot] = Some(Row {
+            domain: a.copy(row.domain),
+            tld: a.copy_lowercase(row.tld),
+            language: a.copy(row.language),
+            hosting: a.copy_located(&row.hosting),
+            ns: ns_start..narrow(self.ns.len()),
+            dns: a.copy_located(&row.dns),
+            ca_owner: row.ca_owner,
+            ca_owner_country: row.ca_owner_country.map(|s| a.copy(s)),
+            hosting_error,
+            dns_error,
+            ca_error,
+            error,
+        });
+        self.filled += 1;
+        true
+    }
+
+    /// Encodes the complete layer to the file bytes of `frame`.
+    fn encode(&self, frame: &Frame) -> Vec<u8> {
+        assert_eq!(self.filled, self.rows.len(), "an incomplete layer");
+        let rows = || self.rows.iter().flatten();
+        let text = |s: Span| self.arena.str(s);
+        // Intern every string in row order, so ids are independent of the
+        // order in which sites committed, and note each field's id on the way.
+        let mut strings = Strings::for_rows(self.rows.len());
+        let mut ids = vec![ABSENT; self.rows.len() * STR_FIELDS];
+        let mut ns_ids = Vec::with_capacity(self.ns.len());
+        let detail = |e: Option<(FailureCause, Span)>| e.map(|(_, d)| text(d));
+        for (row, id) in rows().zip(ids.chunks_exact_mut(STR_FIELDS)) {
+            id[DOMAIN] = strings.intern(text(row.domain));
+            id[TLD] = strings.intern(text(row.tld));
+            id[LANGUAGE] = strings.intern(text(row.language));
+            id[HOSTING_ORG_COUNTRY] = strings.intern_opt(row.hosting.org_country.map(text));
+            id[HOSTING_IP_COUNTRY] = strings.intern_opt(row.hosting.ip_country.map(text));
+            let names = &self.ns[row.ns.start as usize..row.ns.end as usize];
+            ns_ids.extend(names.iter().map(|&n| strings.intern(text(n))));
+            id[DNS_ORG_COUNTRY] = strings.intern_opt(row.dns.org_country.map(text));
+            id[DNS_IP_COUNTRY] = strings.intern_opt(row.dns.ip_country.map(text));
+            id[CA_OWNER_COUNTRY] = strings.intern_opt(row.ca_owner_country.map(text));
+            id[HOSTING_ERROR] = strings.intern_opt(detail(row.hosting_error));
+            id[DNS_ERROR] = strings.intern_opt(detail(row.dns_error));
+            id[CA_ERROR] = strings.intern_opt(detail(row.ca_error));
+            id[ERROR] = strings.intern_opt(row.error.map(text));
+        }
+        let column = |field: usize| ids.iter().skip(field).step_by(STR_FIELDS).copied();
+
+        let mut e = Enc { buf: Vec::new() };
+        let (magic, index, at, sites) = match frame {
+            Frame::Chunk { index, lo } => (CHUNK_MAGIC, index, lo, &[][..]),
+            Frame::Patch {
+                index,
+                below,
+                sites,
+            } => (PATCH_MAGIC, index, below, &sites[..]),
+        };
+        e.buf.extend_from_slice(&magic);
+        e.u32(*index as u32);
+        e.u32(*at as u32);
+        e.u32(self.rows.len() as u32);
+        for &site in sites {
+            e.u32(site);
+        }
+        e.u32(strings.table.len() as u32);
+        for s in &strings.table {
+            e.u32(s.len() as u32);
+            e.buf.extend_from_slice(s.as_bytes());
+        }
+
+        for field in [DOMAIN, TLD, LANGUAGE] {
+            for id in column(field) {
                 e.u32(id);
             }
         }
-    };
 
-    opt_col!(hosting_ip, emit_ip);
-    opt_col!(hosting_asn, emit_u32);
-    opt_col!(hosting_org, emit_u32);
-    str_col(&mut e, HOSTING_ORG_COUNTRY);
-    str_col(&mut e, HOSTING_IP_COUNTRY);
-    e.bitmap(rows.iter().map(|o| o.hosting_anycast));
+        // Option<u32> columns: presence bitmap, then one value per present
+        // row.
+        let u32_col = |e: &mut Enc, value: &dyn Fn(&Row) -> Option<u32>| {
+            e.bitmap(rows().map(|r| value(r).is_some()));
+            for v in rows().filter_map(value) {
+                e.u32(v);
+            }
+        };
+        let str_col = |e: &mut Enc, field: usize| {
+            e.bitmap(column(field).map(|id| id != ABSENT));
+            for id in column(field).filter(|&id| id != ABSENT) {
+                e.u32(id);
+            }
+        };
+        let located_cols = |e: &mut Enc, at: fn(&Row) -> &Located<Span>, countries: [usize; 2]| {
+            u32_col(e, &|r| at(r).ip.map(u32::from));
+            u32_col(e, &|r| at(r).asn);
+            u32_col(e, &|r| at(r).org);
+            str_col(e, countries[0]);
+            str_col(e, countries[1]);
+            e.bitmap(rows().map(|r| at(r).anycast));
+        };
+        let err_col = |e: &mut Enc, field: usize, err: fn(&Row) -> Option<(FailureCause, Span)>| {
+            e.bitmap(rows().map(|r| err(r).is_some()));
+            for (row, id) in rows().zip(column(field)) {
+                if let Some((cause, _)) = err(row) {
+                    e.u8(cause_index(cause));
+                    e.u32(id);
+                }
+            }
+        };
 
-    for obs in rows {
-        e.u16(obs.ns_names.len() as u16);
+        located_cols(
+            &mut e,
+            |r| &r.hosting,
+            [HOSTING_ORG_COUNTRY, HOSTING_IP_COUNTRY],
+        );
+
+        for row in rows() {
+            e.u16((row.ns.end - row.ns.start) as u16);
+        }
+        for &id in &ns_ids {
+            e.u32(id);
+        }
+
+        located_cols(&mut e, |r| &r.dns, [DNS_ORG_COUNTRY, DNS_IP_COUNTRY]);
+
+        u32_col(&mut e, &|r| r.ca_owner);
+        str_col(&mut e, CA_OWNER_COUNTRY);
+
+        err_col(&mut e, HOSTING_ERROR, |r| r.hosting_error);
+        err_col(&mut e, DNS_ERROR, |r| r.dns_error);
+        err_col(&mut e, CA_ERROR, |r| r.ca_error);
+        str_col(&mut e, ERROR);
+
+        let sum = xxh64(&e.buf);
+        e.u64(sum);
+        e.buf
     }
-    for &id in &ns_ids {
-        e.u32(id);
-    }
-
-    opt_col!(dns_ip, emit_ip);
-    opt_col!(dns_asn, emit_u32);
-    opt_col!(dns_org, emit_u32);
-    str_col(&mut e, DNS_ORG_COUNTRY);
-    str_col(&mut e, DNS_IP_COUNTRY);
-    e.bitmap(rows.iter().map(|o| o.dns_anycast));
-
-    opt_col!(ca_owner, emit_u32);
-    str_col(&mut e, CA_OWNER_COUNTRY);
-
-    err_col(&mut e, HOSTING_ERROR, |o| &o.hosting_error);
-    err_col(&mut e, DNS_ERROR, |o| &o.dns_error);
-    err_col(&mut e, CA_ERROR, |o| &o.ca_error);
-    str_col(&mut e, ERROR);
-
-    let sum = xxh64(&e.buf);
-    e.u64(sum);
-    e.buf
 }
 
 // ---------------------------------------------------------------------------
@@ -649,6 +935,45 @@ impl DecodedChunk {
             self.dns_error[r].map(|(c, _)| c),
             self.ca_error[r].map(|(c, _)| c),
         ]
+    }
+
+    /// Row `r` as a [`SiteRow`] borrowing this layer's strings, to be
+    /// committed again without building an observation.
+    pub(crate) fn row(&self, r: usize) -> SiteRow<'_> {
+        let s = |id: u32| self.str_of(id);
+        let failure =
+            |e: Option<(FailureCause, u32)>| e.map(|(cause, d)| (cause, Cow::Borrowed(s(d))));
+        SiteRow {
+            domain: s(self.domain[r]),
+            tld: s(self.tld[r]),
+            language: s(self.language[r]),
+            hosting: Located {
+                ip: self.hosting_ip[r],
+                asn: self.hosting_asn[r],
+                org: self.hosting_org[r],
+                org_country: self.hosting_org_country[r].map(s),
+                ip_country: self.hosting_ip_country[r].map(s),
+                anycast: self.hosting_anycast[r],
+            },
+            ns_names: NsNames::Decoded(
+                self,
+                &self.ns_ids[self.ns_off[r] as usize..self.ns_off[r + 1] as usize],
+            ),
+            dns: Located {
+                ip: self.dns_ip[r],
+                asn: self.dns_asn[r],
+                org: self.dns_org[r],
+                org_country: self.dns_org_country[r].map(s),
+                ip_country: self.dns_ip_country[r].map(s),
+                anycast: self.dns_anycast[r],
+            },
+            ca_owner: self.ca_owner[r],
+            ca_owner_country: self.ca_owner_country[r].map(s),
+            hosting_error: failure(self.hosting_error[r]),
+            dns_error: failure(self.dns_error[r]),
+            ca_error: failure(self.ca_error[r]),
+            error: Summary::Given(self.error[r].map(s)),
+        }
     }
 
     /// Reconstructs row `r` as a full [`SiteObservation`] — the exact
@@ -904,11 +1229,8 @@ fn decode_layer(bytes: &[u8], want: Expect) -> Result<DecodedChunk, String> {
 
 /// Where one layer of a [`ChunkStoreWriter`] stands.
 enum Progress {
-    /// Sites are still arriving; `rows` holds the committed ones.
-    Filling {
-        filled: usize,
-        rows: Vec<Option<SiteObservation>>,
-    },
+    /// Sites are still arriving; the rows hold the committed ones.
+    Filling(Rows),
     /// Its last site committed and a [`ClaimedChunk`] left with the rows;
     /// the file is not durable until [`ChunkStoreWriter::record`] says so.
     Claimed,
@@ -918,10 +1240,7 @@ enum Progress {
 
 impl Progress {
     fn empty() -> Self {
-        Progress::Filling {
-            filled: 0,
-            rows: Vec::new(),
-        }
+        Progress::Filling(Rows::default())
     }
 }
 
@@ -942,7 +1261,7 @@ struct PatchSlot {
 pub(crate) struct ClaimedChunk {
     path: PathBuf,
     frame: Frame,
-    rows: Vec<SiteObservation>,
+    rows: Rows,
 }
 
 /// A layer file [`ClaimedChunk::write`] made durable.
@@ -954,7 +1273,7 @@ pub(crate) struct WrittenChunk {
 impl ClaimedChunk {
     /// Encodes the layer, writes its file and fsyncs it.
     pub(crate) fn write(self) -> io::Result<WrittenChunk> {
-        let bytes = encode_layer(&self.frame, &self.rows);
+        let bytes = self.rows.encode(&self.frame);
         let mut f = File::create(&self.path)?;
         f.write_all(&bytes)?;
         f.sync_data()?;
@@ -1107,7 +1426,7 @@ impl ChunkStoreWriter {
             }
             let chunk = prev.read_chunk(c)?;
             for r in 0..rows {
-                if let (_, Some(claim)) = w.fill(LayerId::Chunk(c), r, chunk.observation(r)) {
+                if let (_, Some(claim)) = w.fill(LayerId::Chunk(c), r, &chunk.row(r)) {
                     w.record(claim.write())?;
                 }
             }
@@ -1245,64 +1564,46 @@ impl ChunkStoreWriter {
     /// idempotent, like the collector's first-write-wins rule. Flushes the
     /// chunk when it completes.
     pub fn commit(&mut self, site: usize, obs: &SiteObservation) -> io::Result<bool> {
-        self.commit_owned(site, obs.clone())
+        self.commit_row(site, &SiteRow::of(obs))
     }
 
-    /// [`ChunkStoreWriter::commit`] for an observation the caller owns.
-    pub fn commit_owned(&mut self, site: usize, obs: SiteObservation) -> io::Result<bool> {
-        let (committed, claimed) = self.insert(site, obs);
+    /// [`ChunkStoreWriter::commit`] for a borrowed row.
+    pub(crate) fn commit_row(&mut self, site: usize, row: &SiteRow) -> io::Result<bool> {
+        let (committed, claimed) = self.insert(site, row);
         if let Some(chunk) = claimed {
             self.record(chunk.write())?;
         }
         Ok(committed)
     }
 
-    /// Stores one observation without writing anything. Returns whether it
-    /// was stored — `false` for a site already committed or a layer already
+    /// Stores one row without writing anything. Returns whether it was
+    /// stored — `false` for a site already committed or a layer already
     /// claimed or on disk — and, when it completed its layer, the claim on
     /// that layer, which the caller writes and [`ChunkStoreWriter::record`]s.
     /// A site the epoch migrated goes to the patch; every other site to its
     /// base chunk.
-    pub(crate) fn insert(
-        &mut self,
-        site: usize,
-        obs: SiteObservation,
-    ) -> (bool, Option<ClaimedChunk>) {
+    pub(crate) fn insert(&mut self, site: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
         assert!(site < self.sites, "site {site} out of range");
         let (layer, slot) = self.patch_slot(site).unwrap_or_else(|| {
             let c = self.chunk_of(site);
             (LayerId::Chunk(c), site - self.chunk_lo(c))
         });
-        self.fill(layer, slot, obs)
+        self.fill(layer, slot, row)
     }
 
-    /// Stores `obs` as row `slot` of `layer` (see [`Self::insert`]).
-    fn fill(
-        &mut self,
-        layer: LayerId,
-        slot: usize,
-        obs: SiteObservation,
-    ) -> (bool, Option<ClaimedChunk>) {
+    /// Stores `row` as row `slot` of `layer` (see [`Self::insert`]).
+    fn fill(&mut self, layer: LayerId, slot: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
         let (progress, n_rows) = self.progress(layer);
-        let Progress::Filling { filled, rows } = progress else {
+        let Progress::Filling(rows) = progress else {
             return (false, None);
         };
-        if rows.is_empty() {
-            rows.resize_with(n_rows, || None);
-        }
-        let row = &mut rows[slot];
-        if row.is_some() {
+        if !rows.put(slot, n_rows, row) {
             return (false, None);
         }
-        *row = Some(obs);
-        *filled += 1;
-        if *filled < n_rows {
+        if rows.filled < n_rows {
             return (true, None);
         }
-        let rows = std::mem::take(rows)
-            .into_iter()
-            .map(|r| r.expect("layer complete"))
-            .collect();
+        let rows = std::mem::take(rows);
         *progress = Progress::Claimed;
         let frame = match layer {
             LayerId::Chunk(index) => Frame::Chunk {
@@ -1353,7 +1654,8 @@ impl ChunkStoreWriter {
             let why = match self.progress(layer) {
                 (Progress::Written, _) => continue,
                 (Progress::Claimed, _) => "claimed but never written".to_string(),
-                (Progress::Filling { filled, .. }, rows) => {
+                (Progress::Filling(filling), rows) => {
+                    let filled = filling.filled;
                     format!("never finished ({filled} of {rows} sites committed)")
                 }
             };
@@ -1755,30 +2057,35 @@ impl ChunkStore {
     /// a store without patches).
     pub fn compact(dir: &Path) -> io::Result<Vec<usize>> {
         let store = ChunkStore::open(dir)?;
-        let mut newest: BTreeMap<usize, SiteObservation> = BTreeMap::new();
-        for p in 0..store.patches.len() {
-            let patch = store.read_layer(LayerId::Patch(p))?;
+        let patches = (0..store.patches.len())
+            .map(|p| store.read_layer(LayerId::Patch(p)))
+            .collect::<io::Result<Vec<_>>>()?;
+        // Each patched site's newest row, as (patch, row): later patches
+        // overwrite earlier ones.
+        let mut newest: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+        for (p, patch) in patches.iter().enumerate() {
             for r in 0..patch.rows {
-                newest.insert(patch.site(r), patch.observation(r));
+                newest.insert(patch.site(r), (p, r));
             }
         }
         let k = store.chunk_sites;
         let touched: BTreeSet<usize> = newest.keys().map(|&site| site / k).collect();
         for &c in &touched {
             let chunk = store.read_chunk(c)?;
-            let rows: Vec<SiteObservation> = (0..chunk.rows)
-                .map(|r| {
-                    newest
-                        .remove(&chunk.site(r))
-                        .unwrap_or_else(|| chunk.observation(r))
-                })
-                .collect();
+            let mut rows = Rows::default();
+            for r in 0..chunk.rows {
+                let row = match newest.get(&chunk.site(r)) {
+                    Some(&(p, pr)) => patches[p].row(pr),
+                    None => chunk.row(r),
+                };
+                rows.put(r, chunk.rows, &row);
+            }
             let path = LayerId::Chunk(c).path(dir);
-            write_atomically(
-                &path.with_extension("col.tmp"),
-                &path,
-                &encode_chunk(c, c * k, &rows),
-            )?;
+            let frame = Frame::Chunk {
+                index: c,
+                lo: c * k,
+            };
+            write_atomically(&path.with_extension("col.tmp"), &path, &rows.encode(&frame))?;
         }
         if !store.patches.is_empty() {
             write_manifest(dir, &store.label, store.sites, k, &[])?;
@@ -1961,6 +2268,20 @@ mod tests {
         expect_rows: usize,
     ) -> Result<DecodedChunk, String> {
         decode_layer(bytes, Expect::chunk(expect_index, expect_lo, expect_rows))
+    }
+
+    /// `obs` encoded as the layer `frame` (rows in site order).
+    fn encode_layer(frame: &Frame, obs: &[SiteObservation]) -> Vec<u8> {
+        let mut rows = Rows::default();
+        for (slot, o) in obs.iter().enumerate() {
+            assert!(rows.put(slot, obs.len(), &SiteRow::of(o)));
+        }
+        rows.encode(frame)
+    }
+
+    /// `obs` encoded as base chunk `index`, whose first site is `lo`.
+    fn encode_chunk(index: usize, lo: usize, obs: &[SiteObservation]) -> Vec<u8> {
+        encode_layer(&Frame::Chunk { index, lo }, obs)
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -2779,14 +3100,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let mut w = ChunkStoreWriter::create(&dir, "t-v1", 8, 4).unwrap();
         for i in 0..3 {
-            assert!(matches!(w.insert(i, sample_obs(i)), (true, None)));
+            assert!(matches!(
+                w.insert(i, &SiteRow::of(&sample_obs(i))),
+                (true, None)
+            ));
         }
-        let (stored, claim) = w.insert(3, sample_obs(3));
+        let (stored, claim) = w.insert(3, &SiteRow::of(&sample_obs(3)));
         let claim = claim.expect("the last site claims its chunk");
         assert!(stored);
         // Claimed but not yet written: a late duplicate is refused, and the
         // chunk is not durable.
-        assert!(matches!(w.insert(1, sample_obs(1)), (false, None)));
+        assert!(matches!(
+            w.insert(1, &SiteRow::of(&sample_obs(1))),
+            (false, None)
+        ));
         assert!(!w.commit(2, &sample_obs(2)).unwrap());
         assert!(!w.chunk_written(0));
         w.record(claim.write()).unwrap();
@@ -2795,9 +3122,9 @@ mod tests {
         // The second chunk's write fails: the error surfaces, the chunk
         // stays claimed and the store cannot finish.
         for i in 4..7 {
-            w.commit_owned(i, sample_obs(i)).unwrap();
+            w.commit(i, &sample_obs(i)).unwrap();
         }
-        let (_, claim) = w.insert(7, sample_obs(7));
+        let (_, claim) = w.insert(7, &SiteRow::of(&sample_obs(7)));
         let failed = io::Error::other("disk full");
         assert!(w.record(Err(failed)).is_err());
         drop(claim);
@@ -2910,6 +3237,146 @@ mod tests {
         let clean = ChunkStore::fsck(&dir, None, false).unwrap();
         assert!(clean.clean());
         assert!(clean.to_value()["clean"] == Value::Bool(true));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+    /// The edge cases a row must carry through unchanged: the names
+    /// `blank` normalizes, an unparseable domain, every layer failing,
+    /// an internal failure, and none and thirteen nameservers.
+    fn edge_rows() -> Vec<SiteObservation> {
+        let mut rows = Vec::new();
+        let mut full = SiteObservation::blank("example.COM.", "en");
+        full.hosting_ip = Some(Ipv4Addr::new(203, 0, 113, 9));
+        full.hosting_asn = Some(64_500);
+        full.hosting_org = Some(3);
+        full.hosting_org_country = Some("US".into());
+        full.hosting_ip_country = Some("DE".into());
+        full.hosting_anycast = true;
+        full.ns_names = vec!["ns1.prov.net".into(), "ns2.prov.net".into()];
+        full.dns_ip = Some(Ipv4Addr::new(198, 51, 100, 2));
+        full.dns_asn = Some(64_501);
+        full.dns_org = Some(4);
+        full.dns_org_country = Some("US".into());
+        full.dns_ip_country = Some("NL".into());
+        full.ca_owner = Some(2);
+        full.ca_owner_country = Some("BE".into());
+        rows.push(full.clone());
+        let mut root = full.clone();
+        root.domain = ".".into();
+        root.tld = SiteObservation::blank(".", "fr").tld;
+        root.language = "fr".into();
+        rows.push(root);
+        let mut single = SiteObservation::blank("localhost", "de");
+        single.ns_names = vec!["ns1.prov.net".into()];
+        single.dns_error = Some(LayerError::new(
+            FailureCause::NoRecords,
+            "no nameserver address",
+        ));
+        single.derive_error_summary();
+        rows.push(single);
+        let mut unparseable = SiteObservation::blank("bad name..example", "en");
+        unparseable.hosting_error = Some(LayerError::new(
+            FailureCause::Malformed,
+            "unparseable domain",
+        ));
+        unparseable.dns_error = Some(LayerError::new(FailureCause::Skipped, "domain unparseable"));
+        unparseable.ca_error = Some(LayerError::new(FailureCause::Skipped, "domain unparseable"));
+        unparseable.derive_error_summary();
+        rows.push(unparseable);
+        let mut failing = SiteObservation::blank("down.example.org", "es");
+        failing.hosting_error = Some(LayerError::new(FailureCause::Timeout, "A: query timed out"));
+        failing.dns_error = Some(LayerError::new(FailureCause::Refused, "NS: server failure"));
+        failing.ca_error = Some(LayerError::new(
+            FailureCause::Skipped,
+            "no serving IP to scan",
+        ));
+        failing.derive_error_summary();
+        rows.push(failing);
+        let mut skipped_first = SiteObservation::blank("Mixed.Example.NET", "pt");
+        skipped_first.hosting_ip = Some(Ipv4Addr::new(203, 0, 113, 10));
+        skipped_first.hosting_error =
+            Some(LayerError::new(FailureCause::Skipped, "hosting skipped"));
+        skipped_first.dns_error = Some(LayerError::new(
+            FailureCause::NxDomain,
+            "NS: no such domain: mixed.example.net",
+        ));
+        skipped_first.ca_error = Some(LayerError::new(
+            FailureCause::UnknownIssuer,
+            "unknown issuer",
+        ));
+        skipped_first.derive_error_summary();
+        rows.push(skipped_first);
+        rows.push(SiteObservation::internal_failure(
+            "lost.example.com",
+            "en",
+            "panic: chaos: injected panic for site 6",
+        ));
+        let mut no_ns = full.clone();
+        no_ns.domain = "no-ns.example.com".into();
+        no_ns.ns_names.clear();
+        rows.push(no_ns);
+        let mut many_ns = full.clone();
+        many_ns.domain = "many-ns.example.com".into();
+        many_ns.ns_names = (1..=13).map(|i| format!("ns{i}.big.net")).collect();
+        rows.push(many_ns);
+        rows
+    }
+
+    /// `obs` as a worker builds its row: the TLD as written in the domain,
+    /// the NS names as the resolver's shared set, the failure details
+    /// formatted (owned) and the summary derived.
+    fn worker_row(obs: &SiteObservation) -> SiteRow<'_> {
+        if obs.hosting_error.as_ref().map(|e| e.cause) == Some(FailureCause::Internal) {
+            let detail = &obs.hosting_error.as_ref().unwrap().detail;
+            return SiteRow::internal_failure(&obs.domain, &obs.language, detail);
+        }
+        let owned =
+            |e: &Option<LayerError>| e.as_ref().map(|e| (e.cause, Cow::Owned(e.detail.clone())));
+        let names = obs.ns_names.iter().map(|n| DomainName::parse(n).unwrap());
+        SiteRow {
+            tld: tld_label(&obs.domain),
+            ns_names: NsNames::Shared(names.collect()),
+            hosting_error: owned(&obs.hosting_error),
+            dns_error: owned(&obs.dns_error),
+            ca_error: owned(&obs.ca_error),
+            error: Summary::Derived,
+            ..SiteRow::of(obs)
+        }
+    }
+
+    /// Rows committed out of order, as workers commit them, encode to the
+    /// bytes the encoder over owned observations wrote before rows
+    /// existed (pinned), read back as the observations `blank` and
+    /// `derive_error_summary` build, and encode the same again when
+    /// re-committed from their decoded layer, as the carry's tail does.
+    #[test]
+    fn edge_case_rows_round_trip_to_the_pinned_bytes() {
+        let want = edge_rows();
+        let n = want.len();
+        let dir = tmp("edge-rows");
+        let _ = fs::remove_dir_all(&dir);
+        let mut w = ChunkStoreWriter::create(&dir, "t-v1", n, 16).unwrap();
+        let odd_down = (0..n).rev().filter(|i| i % 2 == 1);
+        for i in odd_down.chain((0..n).step_by(2)) {
+            assert!(w.commit_row(i, &worker_row(&want[i])).unwrap());
+        }
+        assert!(!w.commit(0, &want[0]).unwrap(), "the chunk is written");
+        w.finish().unwrap();
+
+        let bytes = fs::read(LayerId::Chunk(0).path(&dir)).unwrap();
+        assert_eq!((xxh64(&bytes), bytes.len()), (0x4fbc_2743_a12d_8f98, 1287));
+        assert_eq!(bytes, encode_chunk(0, 0, &want));
+        let chunk = ChunkStore::open(&dir).unwrap().read_chunk(0).unwrap();
+        for (r, obs) in want.iter().enumerate() {
+            assert_eq!(&chunk.observation(r), obs, "row {r}");
+        }
+        assert_eq!(chunk.observation(0).tld, "com");
+        assert_eq!(chunk.observation(8).ns_names.len(), 13);
+
+        let mut again = Rows::default();
+        for r in (0..n).rev() {
+            assert!(again.put(r, n, &chunk.row(r)));
+        }
+        assert_eq!(again.encode(&Frame::Chunk { index: 0, lo: 0 }), bytes);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -503,7 +503,7 @@ fn mid_serve_corruption_is_healed_and_the_next_epoch_publishes() {
     let mut writer = ChunkStoreWriter::create(&store, &world.label, n, 512).expect("create store");
     for i in 0..n {
         writer
-            .commit_owned(i, synth_observation(world, i))
+            .commit(i, &synth_observation(world, i))
             .expect("commit");
     }
     writer.finish().expect("finish store");
@@ -544,7 +544,7 @@ fn mid_serve_corruption_is_healed_and_the_next_epoch_publishes() {
     );
     for i in lost {
         writer
-            .commit_owned(i, synth_observation(world, i))
+            .commit(i, &synth_observation(world, i))
             .expect("commit");
     }
     writer.finish().expect("finish the healed store");

@@ -38,7 +38,7 @@ use webdep::core::centralization::{centralization_score, hhi, ConcentrationBand}
 use webdep::core::dist::CountDist;
 use webdep::core::topn::top_n_share;
 use webdep::pipeline::{
-    measure_streamed, resume_streamed, ChunkStore, MeasuredDataset, PipelineConfig,
+    measure_streamed, resume_streamed_with, ChunkStore, MeasuredDataset, PipelineConfig,
 };
 use webdep::webgen::{DeployConfig, DeployedWorld, Layer, World, WorldConfig};
 
@@ -210,17 +210,19 @@ fn cmd_measure(args: &[String]) {
     }
 
     let world = World::generate(scale_config(scale));
-    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let deploy = || DeployedWorld::deploy(&world, DeployConfig::default());
     let config = PipelineConfig::default();
     eprintln!("measuring {} sites ({})...", world.sites.len(), world.label);
     let stats = match store.map(Path::new) {
         None => in_scratch_store("measure", |dir| {
-            measure_streamed(&world, &dep, &config, dir, None)
+            measure_streamed(&world, &deploy(), &config, dir, None)
         }),
         Some(dir) => {
+            // A resume verifies the store before it deploys anything, and
+            // a complete store needs no deployment at all.
             let run = match resume {
-                true => resume_streamed(&world, &dep, &config, dir),
-                false => measure_streamed(&world, &dep, &config, dir, None),
+                true => resume_streamed_with(&world, deploy, &config, dir),
+                false => measure_streamed(&world, &deploy(), &config, dir, None),
             };
             run.unwrap_or_else(|e| {
                 eprintln!("store error: {e}");

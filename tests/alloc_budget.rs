@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per site: 14.9 measured, plus a small margin. The path
+/// Allocations per site: 3.9 measured, plus a small margin. The path
 /// took 212 (199 through the in-memory sink since removed) before it was
 /// made allocation-lean, 82.9 while every answer was also copied into the
 /// shared DNS tier, 74.3 while a CDN site's edge name was formatted per
@@ -60,23 +60,28 @@ static GLOBAL: Counting = Counting;
 /// Sharing the resolver's NS set left the total at 15.7: the pipeline now
 /// copies the nameserver names into each observation, where the resolver
 /// copied them before and the pipeline moved them. Handing out the cached
-/// A answer shared took it from 15.7 to 14.9. 98, half of the 196 a site
-/// cost on the `small` world, is the ceiling the budget may never be
+/// A answer shared took it from 15.7 to 14.9. Writing each site as a flat
+/// row into its chunk's arena, its strings borrowed from the world, the
+/// resolver and the address databases until then, instead of building,
+/// buffering and dropping an owned observation, took it from 14.9 to 3.9:
+/// what is left is the parsed name and the lookups. 98, half of the 196 a
+/// site cost on the `small` world, is the ceiling the budget may never be
 /// raised past.
-const BUDGET_PER_SITE: f64 = 15.5;
+const BUDGET_PER_SITE: f64 = 4.0;
 const _: () = assert!(BUDGET_PER_SITE <= 98.0);
 
-/// Allocations of a site's own `resolve_a`: 2.86 measured. The site's
+/// Allocations of a site's own `resolve_a`: 2.835 measured. The site's
 /// cache entry and its shared address set, which the caller gets; the two
 /// wire round trips write into the resolver's own buffers and allocate
 /// nothing, and the referral's NS names and glue are shared with the
 /// provider's other customers, so only each provider's first referral
-/// costs more: a name and an address set per glued host (2.68 while a
-/// host's glue was kept inline and copied out on every lookup). It made
-/// 47.8 while each round trip built and decoded an owned message both
-/// ways, and 6.7 while each of the four datagrams was a payload of its
-/// own.
-const SITE_RESOLVE_A_BUDGET: f64 = 2.9;
+/// costs more: a name per glued host, and an address set per glued host
+/// whose glue is not all of the delegation's addresses (2.86 while every
+/// glued host had a set of its own, 2.68 while a host's glue was kept
+/// inline and copied out on every lookup). It made 47.8 while each round
+/// trip built and decoded an owned message both ways, and 6.7 while each
+/// of the four datagrams was a payload of its own.
+const SITE_RESOLVE_A_BUDGET: f64 = 2.85;
 
 /// Allocations of a site's `resolve_ns`: 0.000 measured, the cached NS set
 /// handed out as a shared reference. It made 3.0 while each call copied the

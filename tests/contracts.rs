@@ -12,7 +12,9 @@
 //!   the distinct points alone;
 //! * a corrupt chunk that `fsck --repair` quarantines comes back from
 //!   `resume_streamed`, and a corrupt epoch comes back from running its
-//!   `measure_delta` again, each to the bytes the run wrote;
+//!   `measure_delta` again, each to the bytes the run wrote, and resuming
+//!   a complete store deploys nothing, measures nothing and leaves its
+//!   bytes as they were;
 //! * world generation is deterministic: two generations of one config
 //!   have equal sites, toplists and universe, so two processes measure
 //!   the same world;
@@ -37,8 +39,8 @@ use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
 use webdep::pipeline::{
-    measure_delta, measure_streamed, resume_streamed, ChunkStore, ChunkStoreWriter,
-    MeasuredDataset, PipelineConfig, SiteObservation, DEFAULT_CHUNK_SITES,
+    measure_delta, measure_streamed, resume_streamed, resume_streamed_with, ChunkStore,
+    ChunkStoreWriter, MeasuredDataset, PipelineConfig, SiteObservation, DEFAULT_CHUNK_SITES,
 };
 use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
@@ -289,6 +291,31 @@ fn fsck_repair_then_resume_heals_a_corrupt_chunk() {
     );
     assert!(ChunkStore::fsck(&dir, None, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resuming a complete `tiny` store verifies it and stops there: the
+/// world is not deployed, no worker is spawned, every site counts as
+/// resumed, no query reaches the wire and the store's bytes stay as the
+/// run wrote them.
+#[test]
+fn resuming_a_complete_store_deploys_and_measures_nothing() {
+    let world = World::generate(WorldConfig::tiny());
+    let dir = scratch("resume-complete", "store");
+    let copy = scratch("resume-complete", "copy");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    measure_streamed(&world, &dep, &config(2), &dir, None).expect("run");
+    drop(dep);
+    copy_store(&dir, &copy);
+
+    let no_deploy = || -> DeployedWorld { panic!("a complete store needs no deployment") };
+    let stats = resume_streamed_with(&world, no_deploy, &config(2), &dir).expect("resume");
+    assert_eq!(stats.supervision.sites_resumed, world.sites.len() as u64);
+    assert_eq!(stats.wire_queries, 0);
+    assert!(stats.worker_busy.is_empty(), "a worker was spawned");
+    assert_same_files(&dir, &copy, "the resumed complete store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 /// A scratch path for one contract test's files.
