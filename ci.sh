@@ -140,6 +140,22 @@ if [[ -n "$observations" ]]; then
     exit 1
 fi
 
+# No owned name per site: a worker resolves each site through its domain
+# checked in place in the world's text (`dns::Name`), so the non-test code
+# of the measurement run parses no `DomainName`, and a per-site owned copy
+# of the name cannot come back onto the worker path.
+echo "==> no DomainName::parse in non-test code of pipeline run"
+parses=$(awk '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    live && /DomainName::parse/ { print FILENAME ":" FNR ": " $0 }
+    ' crates/pipeline/src/run.rs)
+if [[ -n "$parses" ]]; then
+    echo "ci: the measurement run parses an owned name per site:" >&2
+    echo "$parses" >&2
+    exit 1
+fi
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> cargo build --release"
     cargo build --release

@@ -15,9 +15,9 @@
 //! through [`crate::server::serve_query`], inline on each querier's
 //! thread, so one table answers every thread at once.
 
-use crate::name::{is_within, label_count, suffixes, DomainName};
+use crate::name::DomainName;
 use crate::server::QuestionRef;
-use crate::wire::{RData, Rcode, Reply};
+use crate::wire::{RData, Rcode, Reply, WireName};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use webdep_netsim::KeyedMap;
@@ -25,13 +25,33 @@ use webdep_netsim::KeyedMap;
 /// TTL of every referral and glue record a registry writes.
 pub const DEFAULT_TTL: u32 = 3600;
 
-/// A registry delegation: nameserver names plus glue addresses.
+/// A registry delegation: nameserver names plus glue addresses, the names
+/// in the wire form every referral writes them in, built once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delegation {
+    ns: Vec<WireName>,
+    glue: Vec<(WireName, Ipv4Addr)>,
+}
+
+impl Delegation {
+    /// The delegation to the nameservers `ns`, with glue `(ns_name,
+    /// address)` pairs.
+    pub fn new(ns: &[DomainName], glue: &[(DomainName, Ipv4Addr)]) -> Self {
+        Delegation {
+            ns: ns.iter().map(WireName::from).collect(),
+            glue: glue.iter().map(|(name, ip)| (name.into(), *ip)).collect(),
+        }
+    }
+
     /// Nameserver host names.
-    pub ns: Vec<DomainName>,
+    pub fn ns(&self) -> &[WireName] {
+        &self.ns
+    }
+
     /// Glue: `(ns_name, address)` pairs.
-    pub glue: Vec<(DomainName, Ipv4Addr)>,
+    pub fn glue(&self) -> &[(WireName, Ipv4Addr)] {
+        &self.glue
+    }
 }
 
 /// Children a [`DelegationTable`] refers beyond the ones it holds: a
@@ -48,6 +68,9 @@ pub trait ChildLookup: Send + Sync {
 #[derive(Clone)]
 pub struct DelegationTable {
     origin: DomainName,
+    /// The origin in wire form, and its number of labels.
+    origin_wire: WireName,
+    origin_labels: usize,
     children: KeyedMap<DomainName, Delegation>,
     lookup: Option<Arc<dyn ChildLookup>>,
 }
@@ -56,6 +79,8 @@ impl DelegationTable {
     /// Creates a registry for `origin` (e.g. `com`, or `.` for the root).
     pub fn new(origin: DomainName) -> Self {
         DelegationTable {
+            origin_wire: WireName::from(&origin),
+            origin_labels: origin.num_labels(),
             origin,
             children: KeyedMap::default(),
             lookup: None,
@@ -87,40 +112,42 @@ impl DelegationTable {
 
     /// Answers `q` into `reply`: a referral for names at or below a
     /// registered domain, NXDOMAIN for unregistered names in-zone,
-    /// ServFail otherwise. The records are written straight from the
+    /// ServFail otherwise. The question's place in the zone is read off
+    /// its wire labels, and the records are written straight from the
     /// table's delegations, the registered domain as a suffix of the
-    /// question's name.
+    /// question's name. A table holding no children of its own looks a
+    /// name up in its hook alone: one hash.
     pub fn respond(&self, q: QuestionRef<'_>, reply: &mut Reply<'_>) {
-        let origin = self.origin.as_str();
-        if !is_within(q.name, origin) {
+        // Labels of the question above the origin, if it is in the zone.
+        let extra = (q.wire.label_count().checked_sub(self.origin_labels))
+            .filter(|&extra| q.wire.suffix(extra).0 == self.origin_wire.as_wire());
+        let Some(extra) = extra else {
             reply.set_rcode(Rcode::ServFail);
             return;
-        }
-        if q.name == origin {
+        };
+        if extra == 0 {
             // Queries for the apex itself: NoData (apex NS is out of scope;
             // the parent's glue is what matters).
             reply.set_authoritative();
             return;
         }
         // The registered domain is the child truncated to origin + 1 labels.
-        let extra = label_count(q.name) - self.origin.num_labels();
-        let registered = suffixes(q.name)
-            .nth(extra - 1)
-            .expect("in zone, below the apex");
-        let found = match self.children.get(registered) {
-            Some(held) => Some(held),
-            None => self.lookup.as_ref().and_then(|l| l.delegation(registered)),
+        let (registered, text) = q.suffix(extra - 1);
+        let held = match self.children.is_empty() {
+            true => None,
+            false => self.children.get(text),
         };
+        let found = held.or_else(|| self.lookup.as_ref()?.delegation(text));
         let Some(d) = found else {
             reply.set_authoritative();
             reply.set_rcode(Rcode::NxDomain);
             return;
         };
         for ns in &d.ns {
-            reply.authority(registered, DEFAULT_TTL, RData::Ns(ns.as_str()));
+            reply.authority(registered, DEFAULT_TTL, RData::Ns(ns.as_wire()));
         }
         for (name, ip) in &d.glue {
-            reply.additional(name.as_str(), DEFAULT_TTL, RData::A(*ip));
+            reply.additional(name.as_wire(), DEFAULT_TTL, RData::A(*ip));
         }
     }
 }
@@ -153,10 +180,10 @@ mod tests {
         let mut t = DelegationTable::new(n("com"));
         t.register(
             n("example.com"),
-            Delegation {
-                ns: vec![n("ns1.prov.net")],
-                glue: vec![(n("ns1.prov.net"), ip("203.0.113.53"))],
-            },
+            Delegation::new(
+                &[n("ns1.prov.net")],
+                &[(n("ns1.prov.net"), ip("203.0.113.53"))],
+            ),
         );
         t
     }
@@ -208,13 +235,13 @@ mod tests {
 
     #[test]
     fn hooked_children_refer_like_held_ones_and_held_ones_win() {
-        let hooked = Delegation {
-            ns: vec![n("ns1.other.net"), n("ns2.other.net")],
-            glue: vec![
+        let hooked = Delegation::new(
+            &[n("ns1.other.net"), n("ns2.other.net")],
+            &[
                 (n("ns1.other.net"), ip("198.51.100.1")),
                 (n("ns2.other.net"), ip("198.51.100.2")),
             ],
-        };
+        );
         let mut held = registry();
         held.register(n("hooked.com"), hooked.clone());
         let with_hook = registry().with_lookup(Arc::new(Children(vec![
@@ -251,10 +278,7 @@ mod tests {
             zone.delegate(n(tld), std::slice::from_ref(&host), &[(host.clone(), addr)]);
             table.register(
                 n(tld),
-                Delegation {
-                    ns: vec![host.clone()],
-                    glue: vec![(host, addr)],
-                },
+                Delegation::new(std::slice::from_ref(&host), &[(host.clone(), addr)]),
             );
         }
         let zones = [zone];

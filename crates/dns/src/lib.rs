@@ -35,7 +35,7 @@ pub mod wire;
 
 pub use bigzone::{ChildLookup, Delegation, DelegationTable};
 pub use fault::apply_dns_fault;
-pub use name::DomainName;
+pub use name::{DomainName, Name};
 pub use resolver::{IterativeResolver, ResolveError, ResolverConfig, ResolverStats};
 pub use server::serve_query;
 pub use shared_cache::{SharedCacheStats, SharedDnsCache};

@@ -52,6 +52,47 @@ pub(crate) fn is_within(name: &str, zone: &str) -> bool {
         && name.as_bytes()[name.len() - zone.len() - 1] == b'.'
 }
 
+/// A checked domain name borrowed in presentation form: the text of a
+/// [`DomainName`], or text [`Name::new`] found already canonical. The
+/// resolver takes names this way, so a caller holding a name's text (a
+/// world's domain) resolves it without building an owned copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name<'a>(&'a str);
+
+impl<'a> Name<'a> {
+    /// `text` as a name, when it is one in canonical form: what
+    /// [`DomainName::parse`] accepts and leaves unchanged (lowercase, no
+    /// trailing dot; the root is `""`).
+    pub fn new(text: &'a str) -> Option<Self> {
+        let mut label = 0;
+        for &b in text.as_bytes() {
+            match b {
+                b'.' if label > 0 => label = 0,
+                b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' if label < MAX_LABEL_LEN => label += 1,
+                _ => return None,
+            }
+        }
+        let whole = text.is_empty() || label > 0;
+        (whole && text.len() <= MAX_NAME_LEN).then_some(Name(text))
+    }
+
+    /// The presentation form without the trailing dot; empty for the root.
+    pub fn as_str(self) -> &'a str {
+        self.0
+    }
+
+    /// The owned name.
+    pub fn to_owned(self) -> DomainName {
+        DomainName::from_validated(self.0.to_owned())
+    }
+}
+
+impl<'a> From<&'a DomainName> for Name<'a> {
+    fn from(name: &'a DomainName) -> Self {
+        Name(&name.name)
+    }
+}
+
 /// A fully qualified domain name, stored lowercase without the trailing
 /// root dot. The root itself is the empty string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,13 +191,6 @@ impl DomainName {
     /// True for the DNS root.
     pub fn is_root(&self) -> bool {
         self.name.is_empty()
-    }
-
-    /// The presentation forms of the name and each of its ancestors,
-    /// most specific first, ending with the root's `""` — borrowed, so a
-    /// walk up the tree allocates nothing.
-    pub(crate) fn suffixes(&self) -> impl Iterator<Item = &str> {
-        suffixes(&self.name)
     }
 
     /// The name's parent (one label removed from the left); `None` at root.
@@ -292,15 +326,41 @@ mod tests {
 
     #[test]
     fn suffixes_walk_up_to_the_root() {
-        let n = DomainName::parse("a.b.c").unwrap();
-        assert_eq!(n.suffixes().collect::<Vec<_>>(), ["a.b.c", "b.c", "c", ""]);
-        assert_eq!(DomainName::root().suffixes().collect::<Vec<_>>(), [""]);
+        assert_eq!(
+            suffixes("a.b.c").collect::<Vec<_>>(),
+            ["a.b.c", "b.c", "c", ""]
+        );
+        assert_eq!(suffixes("").collect::<Vec<_>>(), [""]);
     }
 
     #[test]
     fn labels_iterate_left_to_right() {
         let n = DomainName::parse("a.b.c").unwrap();
         assert_eq!(n.labels().collect::<Vec<_>>(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn borrowed_names_are_the_canonical_texts_parse_accepts() {
+        let long = format!("{}.com", "a".repeat(63));
+        for text in [
+            "",
+            "com",
+            "www.example.com",
+            "a-b_c.d9",
+            &long,
+            "Example.com",
+            "a.",
+            ".",
+            ".a",
+            "a..b",
+            "exa mple.com",
+            "é.com",
+        ] {
+            let canonical = DomainName::parse(text).ok().filter(|n| n.as_str() == text);
+            assert_eq!(Name::new(text).map(Name::to_owned), canonical, "{text:?}");
+        }
+        let name = DomainName::parse("www.example.com").unwrap();
+        assert_eq!(Name::from(&name).as_str(), name.as_str());
     }
 
     #[test]

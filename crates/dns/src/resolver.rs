@@ -17,7 +17,7 @@
 //! attempt is one exchange, which returns the reply with the query when it
 //! arrives within the attempt's window. Nothing waits on the wall clock.
 
-use crate::name::{is_within, label_count, DomainName};
+use crate::name::{label_count, suffixes, DomainName, Name};
 use crate::shared_cache::SharedDnsCache;
 use crate::wire::{encode_query, MessageView, NameBuf, ParsedDatagram, RData, Rcode, RecordType};
 use std::net::Ipv4Addr;
@@ -85,12 +85,15 @@ impl std::fmt::Display for ResolveError {
 impl std::error::Error for ResolveError {}
 
 /// Whether `msg` carries exactly the one question `name`/`qtype`, as the
-/// query this resolver sent did.
-fn asks(msg: MessageView<'_>, name: &DomainName, qtype: RecordType) -> bool {
+/// query this resolver sent did. `sent` is the name as the query wrote
+/// it: a reply that echoes those bytes asks for the name without a label
+/// compared.
+fn asks(msg: MessageView<'_>, sent: &[u8], name: Name<'_>, qtype: RecordType) -> bool {
     let mut questions = msg.questions();
     matches!(
         (questions.next(), questions.next()),
-        (Some(q), None) if q.qtype == qtype && q.name.eq_str(name.as_str())
+        (Some(q), None) if q.qtype == qtype
+            && (q.name.is_stored_as(sent) || q.name.eq_str(name.as_str()))
     )
 }
 
@@ -182,8 +185,9 @@ pub struct IterativeResolver {
     /// between calls so a query allocates none.
     query_state: Vec<(Ipv4Addr, u8)>,
     /// `follow_referral`'s buffers, kept alike: where a referral's NS host
-    /// names are in the reply, and its glue as (first host named, address).
-    referral_hosts: Vec<usize>,
+    /// names are in the reply, each with the first host listed under the
+    /// same name, and its glue as (first host named, address).
+    referral_hosts: Vec<(usize, usize)>,
     referral_glue: Vec<(usize, Ipv4Addr)>,
     /// Where an answer's or a glued host's addresses are gathered, kept
     /// alike, so a fresh set allocates only the shared copy it is cached
@@ -278,8 +282,8 @@ impl IterativeResolver {
     /// depends on this cache (see `query_any`). Only wire queries can,
     /// when a dropped name is asked for again, as a site name that is also
     /// a provider's domain is.
-    pub fn forget(&mut self, site: &DomainName) {
-        self.names.remove(site);
+    pub fn forget<'n>(&mut self, site: impl Into<Name<'n>>) {
+        self.names.remove(site.into().as_str());
     }
 
     /// Resolves A records for `name`.
@@ -287,8 +291,11 @@ impl IterativeResolver {
     /// Like [`IterativeResolver::resolve_ns`], the addresses are the set
     /// the resolver caches, so a cached answer costs a reference count,
     /// not a copy.
-    pub fn resolve_a(&mut self, name: &DomainName) -> Result<Arc<[Ipv4Addr]>, ResolveError> {
-        match self.resolve(name, RecordType::A, 0)? {
+    pub fn resolve_a<'n>(
+        &mut self,
+        name: impl Into<Name<'n>>,
+    ) -> Result<Arc<[Ipv4Addr]>, ResolveError> {
+        match self.resolve(name.into(), RecordType::A, 0)? {
             Answer::A(addrs) => Ok(addrs),
             Answer::Ns(_) => Ok(Arc::new([])),
         }
@@ -300,16 +307,19 @@ impl IterativeResolver {
     /// delegated to the same nameservers: handing it out costs a reference
     /// count, not a copy of each name. It is owned, so the caller can keep
     /// resolving (say, each nameserver's address) while it holds the set.
-    pub fn resolve_ns(&mut self, name: &DomainName) -> Result<Arc<[DomainName]>, ResolveError> {
-        match self.resolve(name, RecordType::Ns, 0)? {
+    pub fn resolve_ns<'n>(
+        &mut self,
+        name: impl Into<Name<'n>>,
+    ) -> Result<Arc<[DomainName]>, ResolveError> {
+        match self.resolve(name.into(), RecordType::Ns, 0)? {
             Answer::Ns(hosts) => Ok(hosts),
             Answer::A(_) => Ok(Arc::new([])),
         }
     }
 
     /// The private tier's answer for `name`/`qtype`, if any.
-    fn cached(&self, name: &DomainName, qtype: RecordType) -> Option<Answer> {
-        let entry = self.names.get(name)?;
+    fn cached(&self, name: Name<'_>, qtype: RecordType) -> Option<Answer> {
+        let entry = self.names.get(name.as_str())?;
         match qtype {
             RecordType::A => entry.a.clone().map(Answer::A),
             RecordType::Ns => entry.ns.clone().map(Answer::Ns),
@@ -318,7 +328,7 @@ impl IterativeResolver {
     }
 
     /// Stores a completed answer in the private tier.
-    fn cache_answer(&mut self, name: &DomainName, answer: &Answer) {
+    fn cache_answer(&mut self, name: Name<'_>, answer: &Answer) {
         update(&mut self.names, name.as_str(), |entry| match answer {
             Answer::A(addrs) => entry.a = Some(Arc::clone(addrs)),
             Answer::Ns(hosts) => entry.ns = Some(Arc::clone(hosts)),
@@ -328,7 +338,7 @@ impl IterativeResolver {
     /// Full resolution with caching; returns the terminal answer.
     fn resolve(
         &mut self,
-        name: &DomainName,
+        name: Name<'_>,
         qtype: RecordType,
         cname_depth: u32,
     ) -> Result<Answer, ResolveError> {
@@ -377,7 +387,7 @@ impl IterativeResolver {
                 Rcode::NoError => self
                     .follow_referral(name, resp, cut, depth, from_root)
                     .map(ControlFlow::Continue),
-                Rcode::NxDomain => Err(ResolveError::NxDomain(name.clone())),
+                Rcode::NxDomain => Err(ResolveError::NxDomain(name.to_owned())),
                 _ => Err(ResolveError::ServFail),
             };
             self.recycle(reply);
@@ -398,7 +408,7 @@ impl IterativeResolver {
     /// the last CNAME's target.
     fn take_answer(
         &mut self,
-        name: &DomainName,
+        name: Name<'_>,
         qtype: RecordType,
         cname_depth: u32,
         resp: MessageView<'_>,
@@ -422,9 +432,10 @@ impl IterativeResolver {
         } else if !hosts.is_empty() {
             Answer::Ns(hosts.into())
         } else if let Some(target) = last_cname {
-            self.resolve(&target.to_name(), qtype, cname_depth + 1)?
+            let target = target.to_name();
+            self.resolve((&target).into(), qtype, cname_depth + 1)?
         } else {
-            return Err(ResolveError::NoData(name.clone()));
+            return Err(ResolveError::NoData(name.to_owned()));
         };
         self.cache_answer(name, &answer);
         Ok(answer)
@@ -446,7 +457,7 @@ impl IterativeResolver {
     /// with [`ResolveError::ServFail`], and nothing of it is cached.
     fn follow_referral(
         &mut self,
-        name: &DomainName,
+        name: Name<'_>,
         resp: MessageView<'_>,
         cut: usize,
         depth: u32,
@@ -464,13 +475,19 @@ impl IterativeResolver {
             // The zone is the first authority record's owner.
             zone.get_or_insert(r.owner);
             if let RData::Ns(host) = r.data {
-                hosts.push(host.offset());
+                let first = (hosts.iter().enumerate())
+                    .find(|&(j, &(at, first))| j == first && resp.name_at(at).same_as(host))
+                    .map_or(hosts.len(), |(j, _)| j);
+                hosts.push((host.offset(), first));
             }
         }
-        let host = |i: usize| resp.name_at(hosts[i]);
+        let host = |i: usize| resp.name_at(hosts[i].0);
+        // Each glue record names a host by its first listing, if any.
         for r in resp.additionals() {
             if let RData::A(ip) = r.data {
-                if let Some(i) = (0..hosts.len()).find(|&i| host(i).same_as(r.owner)) {
+                let named = (hosts.iter().enumerate())
+                    .find(|&(i, &(at, first))| i == first && resp.name_at(at).same_as(r.owner));
+                if let Some((i, _)) = named {
                     glue.push((i, ip));
                 }
             }
@@ -478,21 +495,34 @@ impl IterativeResolver {
         let (Some(zone), false) = (zone, hosts.is_empty()) else {
             // Authoritative empty answer: NoData.
             return Err(if resp.authoritative() {
-                ResolveError::NoData(name.clone())
+                ResolveError::NoData(name.to_owned())
             } else {
                 ResolveError::ServFail
             });
         };
-        let mut zone_text = NameBuf::new();
-        let zone = zone.expand(&mut zone_text);
+        // The zone is the suffix of `name` it names, compared on the wire:
+        // the question itself (`asks` checked it is `name`) when the owner
+        // points at it, as a registry's referral does. One that does not
+        // enclose `name` names none.
+        let asked = resp
+            .questions()
+            .next()
+            .is_some_and(|q| q.name.same_as(zone));
+        let zone = match asked {
+            true => Some(name.as_str()),
+            false => suffixes(name.as_str()).find(|&suffix| zone.eq_str(suffix)),
+        };
+        let Some(zone) = zone else {
+            return Err(ResolveError::ServFail);
+        };
         let zone_labels = label_count(zone);
-        if !is_within(name.as_str(), zone) || zone_labels <= cut {
+        if zone_labels <= cut {
             return Err(ResolveError::ServFail);
         }
         // Host `i`'s glue: the records naming the first host listed under
         // its name.
         let glue_of = |i: usize| {
-            let first = (0..=i).find(|&j| host(j).same_as(host(i))).unwrap_or(i);
+            let first = hosts[i].1;
             (glue.iter())
                 .filter(move |&&(j, _)| j == first)
                 .map(|&(_, ip)| ip)
@@ -599,15 +629,14 @@ impl IterativeResolver {
     /// private cache holds no cut at all for the name; a single resolver's
     /// shared cuts are all in its private cache too, so it never hits the
     /// shared tier.
-    fn starting_servers(&mut self, name: &DomainName) -> (ZoneServers, usize) {
-        let private = name
-            .suffixes()
+    fn starting_servers(&mut self, name: Name<'_>) -> (ZoneServers, usize) {
+        let private = suffixes(name.as_str())
             .find_map(|zone| Some((zone, self.names.get(zone)?.cut.as_ref()?)));
         if let Some((zone, servers)) = private {
             return (Arc::clone(servers), label_count(zone));
         }
         if let Some(shared) = &self.shared {
-            for zone in name.suffixes() {
+            for zone in suffixes(name.as_str()) {
                 if let Some(addrs) = shared.get_zone(zone) {
                     self.stats.shared_cache_hits += 1;
                     // Promoted as a private copy: every resolution under
@@ -659,7 +688,7 @@ impl IterativeResolver {
     fn query_any(
         &mut self,
         servers: &[Ipv4Addr],
-        name: &DomainName,
+        name: Name<'_>,
         qtype: RecordType,
     ) -> Result<ParsedDatagram, ResolveError> {
         // One entry per server, live ones first, then demoted ones, each in
@@ -770,7 +799,7 @@ impl IterativeResolver {
     fn query_once(
         &mut self,
         server: SockAddr,
-        name: &DomainName,
+        name: Name<'_>,
         qtype: RecordType,
         window: Duration,
     ) -> Result<ParsedDatagram, ResolveError> {
@@ -793,11 +822,14 @@ impl IterativeResolver {
             self.spare.push(buf);
             return Err(ResolveError::Timeout);
         }
+        // The name as the query wrote it: past the header, before the type
+        // and class.
+        let sent = &self.query[12..self.query.len() - 4];
         match ParsedDatagram::parse(buf) {
             Ok(resp)
                 if {
                     let view = resp.view();
-                    view.is_response() && view.id() == id && asks(view, name, qtype)
+                    view.is_response() && view.id() == id && asks(view, sent, name, qtype)
                 } =>
             {
                 return Ok(resp);
@@ -830,6 +862,10 @@ mod tests {
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    fn w(s: &str) -> crate::wire::WireName {
+        (&n(s)).into()
     }
 
     /// An authoritative server at `addr` answering from `zones` through
@@ -1290,7 +1326,7 @@ mod tests {
         let name = n("example.com");
         let ask = |r: &mut IterativeResolver, server| {
             let server = SockAddr::new(server, crate::DNS_PORT);
-            r.query_once(server, &name, RecordType::A, Duration::MAX)
+            r.query_once(server, (&name).into(), RecordType::A, Duration::MAX)
                 .expect("answered")
         };
         let read = |resp: &ParsedDatagram| {
@@ -1493,10 +1529,11 @@ mod tests {
         use crate::wire::RData;
         let net = Network::new(NetConfig::default());
         let lame = ip("203.0.113.66");
+        let (zone, host) = (w("victim.org"), w("ns.victim.org"));
         let server = ResponderSet::new(&net, move |d: &Datagram, out: &mut Vec<u8>| {
             serve_query(d.payload, d.dst.ip, None, out, |_, reply| {
-                reply.authority("victim.org", 3600, RData::Ns("ns.victim.org"));
-                reply.additional("ns.victim.org", 3600, RData::A(lame));
+                reply.authority(zone.as_wire(), 3600, RData::Ns(host.as_wire()));
+                reply.additional(host.as_wire(), 3600, RData::A(lame));
             })
         });
         server.attach(lame, 53, Region::EUROPE).unwrap();
@@ -1516,10 +1553,11 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let (_servers, roots) = build_world(&net);
         let loopy = ip("192.5.6.40");
+        let (zone, host) = (w("com"), w("a.gtld-servers.net"));
         let server = ResponderSet::new(&net, move |d: &Datagram, out: &mut Vec<u8>| {
             serve_query(d.payload, d.dst.ip, None, out, |_, reply| {
-                reply.authority("com", 3600, RData::Ns("a.gtld-servers.net"));
-                reply.additional("a.gtld-servers.net", 3600, RData::A(loopy));
+                reply.authority(zone.as_wire(), 3600, RData::Ns(host.as_wire()));
+                reply.additional(host.as_wire(), 3600, RData::A(loopy));
             })
         });
         server.attach(loopy, 53, Region::EUROPE).unwrap();

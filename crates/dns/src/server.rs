@@ -2,20 +2,32 @@
 //! reply, run inline by whichever responder the query reached.
 
 use crate::fault::{apply_dns_fault, ReplyShape};
-use crate::wire::{MessageView, NameBuf, Rcode, RecordType, Reply};
+use crate::wire::{MessageView, NameBuf, Rcode, RecordType, Reply, Wire};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 use webdep_netsim::FaultPlan;
 
-/// The question a responder answers: the query's first, its name in
+/// The question a responder answers: the query's first, its name both in
 /// presentation form (lowercase, as
-/// [`DomainName::as_str`](crate::DomainName::as_str) gives it).
+/// [`DomainName::as_str`](crate::DomainName::as_str) gives it), to look it
+/// up by, and in canonical wire form, to write it back by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuestionRef<'a> {
     /// Queried name.
     pub name: &'a str,
+    /// The same name in wire form.
+    pub wire: Wire<'a>,
     /// Queried type.
     pub qtype: RecordType,
+}
+
+impl<'a> QuestionRef<'a> {
+    /// The queried name with its first `skip` labels removed, in wire form
+    /// and as presentation text.
+    pub fn suffix(self, skip: usize) -> (Wire<'a>, &'a str) {
+        let (wire, at) = self.wire.suffix(skip);
+        (wire, self.name.get(at..).unwrap_or(""))
+    }
 }
 
 /// Serves one query datagram addressed to `server_ip`, writing the reply
@@ -27,10 +39,13 @@ pub struct QuestionRef<'a> {
 /// answered FormErr; any other query is answered by `answer`, which sees
 /// the first question of a multi-question query and writes its records
 /// into the [`Reply`] (the header and the echoed questions are already
-/// written). The query is read in place ([`MessageView`]) and the reply is
-/// written once, straight into `out`. It runs through `faults` keyed on
-/// `(server_ip, qname)` (see [`apply_dns_fault`]); the returned delay is
-/// compared with the client's window, never slept.
+/// written). The query is read in place ([`MessageView`]), its first
+/// question's name checked once: the check leaves its text, and where the
+/// query stores it in canonical wire form (as a resolver writes it) the
+/// reply echoes those bytes. The reply is written once, straight into
+/// `out`. It runs through `faults` keyed on `(server_ip, qname)` (see
+/// [`apply_dns_fault`]); the returned delay is compared with the client's
+/// window, never slept.
 pub fn serve_query(
     payload: &[u8],
     server_ip: Ipv4Addr,
@@ -43,12 +58,18 @@ pub fn serve_query(
         Ok(q) if !q.is_response() => q,
         _ => return None,
     };
+    // A question stored otherwise (uppercase, split by a dot, compressed)
+    // is written canonically from its text.
+    let mut rewritten = Vec::new();
     let question = query.questions().next().map(|q| QuestionRef {
-        name: q.name.expand(&mut text),
+        name: text.as_str(),
+        wire: query
+            .first_wire()
+            .unwrap_or_else(|| Wire::of(text.as_str(), &mut rewritten)),
         qtype: q.qtype,
     });
     let write = |shape: ReplyShape, buf: &mut Vec<u8>| {
-        let mut reply = Reply::new(buf, &query, question.map_or("", |q| q.name));
+        let mut reply = Reply::new(buf, &query, question.map(|q| q.wire));
         match (shape, question) {
             (ReplyShape::ServFail, _) => reply.set_rcode(Rcode::ServFail),
             (_, None) => reply.set_rcode(Rcode::FormErr),

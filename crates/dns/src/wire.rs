@@ -10,8 +10,15 @@
 //! through a view too, and writes its queries with [`encode_query`]. No
 //! message is ever built as an owned value. The owned message these are
 //! tested against is compiled into the crate's tests only.
+//!
+//! The writer takes names in canonical wire form ([`Wire`]): a responder
+//! builds the names it writes for every site once ([`WireName`]) and
+//! echoes a query's own name from the query's bytes, so no name is split
+//! at its dots per reply. The reader checks each wire label once, and a
+//! compression pointer to a suffix it has already checked reuses that
+//! check.
 
-use crate::name::{is_label_byte, DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
+use crate::name::{is_label_byte, DomainName, Name, MAX_LABEL_LEN, MAX_NAME_LEN};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -117,11 +124,12 @@ const CLASS_IN: u16 = 1;
 /// Encodes a query into `buf`, replacing what it held: the header with
 /// transaction id `id` and no flag set, then the one question `name`/
 /// `qtype` (class IN).
-pub fn encode_query(buf: &mut Vec<u8>, id: u16, name: &DomainName, qtype: RecordType) {
+pub fn encode_query<'n>(buf: &mut Vec<u8>, id: u16, name: impl Into<Name<'n>>, qtype: RecordType) {
     buf.clear();
     put_header(buf, id, 0, [1, 0, 0, 0]);
-    // A lone name has no earlier suffix to point at.
-    put_question(buf, name.as_str(), qtype, &mut Suffixes::new());
+    // A lone name has no earlier suffix to point at: it is written whole.
+    put_wire(buf, name.into().as_str());
+    put_type_class(buf, qtype);
 }
 
 // Fixed-size fields are assembled on the stack and appended in one go.
@@ -146,20 +154,110 @@ fn set_u16(buf: &mut [u8], at: usize, word: u16) {
     buf[at + 1] = lo;
 }
 
-fn put_question(buf: &mut Vec<u8>, name: &str, qtype: RecordType, offsets: &mut Suffixes) {
-    encode_name(buf, name, offsets);
-    let [t0, t1] = qtype.code().to_be_bytes();
+fn put_type_class(buf: &mut Vec<u8>, rtype: RecordType) {
+    let [t0, t1] = rtype.code().to_be_bytes();
     let [c0, c1] = CLASS_IN.to_be_bytes();
     buf.extend_from_slice(&[t0, t1, c0, c1]);
 }
 
+fn put_question(buf: &mut Vec<u8>, name: Wire<'_>, qtype: RecordType, offsets: &mut Suffixes) {
+    encode_name(buf, name, offsets);
+    put_type_class(buf, qtype);
+}
+
+/// Appends the canonical wire form of `name`, the presentation text of a
+/// checked name: each dot-separated label behind its length byte, then the
+/// root's zero byte.
+fn put_wire(buf: &mut Vec<u8>, name: &str) {
+    if !name.is_empty() {
+        // The text behind a length byte, each dot then made the length
+        // byte of the label after it, in one pass.
+        let mut len_at = buf.len();
+        buf.push(0);
+        buf.extend_from_slice(name.as_bytes());
+        for at in len_at + 1..buf.len() {
+            if buf[at] == b'.' {
+                buf[len_at] = (at - len_at - 1) as u8;
+                len_at = at;
+            }
+        }
+        buf[len_at] = (buf.len() - len_at - 1) as u8;
+    }
+    buf.push(0);
+}
+
+/// A domain name in canonical wire form, borrowed: each label behind its
+/// length byte, lowercase, no dot inside a label and no compression
+/// pointer, ending with the root's zero byte — the bytes an uncompressed
+/// name takes on the wire. [`Reply`] writes every name from this form: a
+/// [`WireName`] built once, or a query's own question where the query
+/// stores it so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Wire<'a>(&'a [u8]);
+
+impl<'a> Wire<'a> {
+    /// The canonical wire form of `name`, the presentation text of a
+    /// checked name, written into `buf` over what it held.
+    pub(crate) fn of(name: &str, buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        put_wire(buf, name);
+        Wire(buf)
+    }
+
+    /// Number of labels; 0 for the root.
+    pub fn label_count(self) -> usize {
+        self.label_starts().count()
+    }
+
+    /// The name with its first `skip` labels removed (the root once every
+    /// label is), and where that suffix starts in these bytes. A suffix
+    /// other than the root starts at the same offset in the name's
+    /// presentation text.
+    pub fn suffix(self, skip: usize) -> (Wire<'a>, usize) {
+        let at = (self.label_starts().nth(skip)).unwrap_or(self.0.len() - 1);
+        (Wire(&self.0[at..]), at)
+    }
+
+    /// Where each label's length byte is.
+    fn label_starts(self) -> impl Iterator<Item = usize> + 'a {
+        let bytes = self.0;
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let len = *bytes.get(at).filter(|&&len| len != 0)?;
+            let start = at;
+            at += 1 + len as usize;
+            Some(start)
+        })
+    }
+}
+
+/// A [`Wire`] name owning its bytes: built once from a [`DomainName`] for
+/// a name a responder writes into reply after reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireName(Box<[u8]>);
+
+impl WireName {
+    /// The name in the form [`Reply`] writes.
+    pub fn as_wire(&self) -> Wire<'_> {
+        Wire(&self.0)
+    }
+}
+
+impl From<&DomainName> for WireName {
+    fn from(name: &DomainName) -> Self {
+        let mut bytes = Vec::with_capacity(name.as_str().len() + 2);
+        put_wire(&mut bytes, name.as_str());
+        WireName(bytes.into_boxed_slice())
+    }
+}
+
 /// Suffixes already written, the compression pointer targets: where each
-/// one's first label starts in the message, and the length of its
-/// presentation text. A probe compares the lengths first and only then the
-/// labels written there, so the table borrows no name and a reply can
-/// write names from anywhere. A message carries a handful of names, so a
-/// linear scan beats hashing them; the first [`INLINE_SUFFIXES`] entries
-/// live on the stack and only a larger message spills to the heap.
+/// one's first label starts in the message, and the length of its wire
+/// form. A probe compares the lengths first and only then the labels
+/// written there, so the table borrows no name and a reply can write
+/// names from anywhere. A message carries a handful of names, so a linear
+/// scan beats hashing them; the first [`INLINE_SUFFIXES`] entries live on
+/// the stack and only a larger message spills to the heap.
 struct Suffixes {
     inline: [(u16, u16); INLINE_SUFFIXES],
     len: usize,
@@ -177,8 +275,9 @@ impl Suffixes {
         }
     }
 
-    /// The offset at which `suffix` was written into `buf`, if it was.
-    fn get(&self, buf: &[u8], suffix: &str) -> Option<u16> {
+    /// The offset at which the wire name `suffix` was written into `buf`,
+    /// if it was.
+    fn get(&self, buf: &[u8], suffix: &[u8]) -> Option<u16> {
         self.inline[..self.len]
             .iter()
             .chain(&self.spill)
@@ -187,22 +286,25 @@ impl Suffixes {
     }
 
     /// Records a suffix [`Suffixes::get`] did not find.
-    fn push(&mut self, offset: u16, text_len: u16) {
+    fn push(&mut self, offset: u16, wire_len: u16) {
         if self.len < INLINE_SUFFIXES {
-            self.inline[self.len] = (offset, text_len);
+            self.inline[self.len] = (offset, wire_len);
             self.len += 1;
         } else {
-            self.spill.push((offset, text_len));
+            self.spill.push((offset, wire_len));
         }
     }
 }
 
 /// Whether the labels the encoder wrote at `pos` of `buf` (following its
-/// pointers, which only ever point back) spell the presentation text
-/// `text`.
-fn written_as(buf: &[u8], pos: u16, text: &str) -> bool {
+/// pointers, which only ever point back) are the wire name `wire`.
+fn written_as(buf: &[u8], pos: u16, wire: &[u8]) -> bool {
     let mut pos = pos as usize;
-    let mut rest = text.as_bytes();
+    // Written out in full, the name is its bytes there.
+    if buf.get(pos..pos + wire.len()) == Some(wire) {
+        return true;
+    }
+    let mut rest = wire;
     loop {
         let Some(&len) = buf.get(pos) else {
             return false;
@@ -215,24 +317,26 @@ fn written_as(buf: &[u8], pos: u16, text: &str) -> bool {
             pos = ((len & 0x3F) << 8) | lo as usize;
             continue;
         }
-        if len == 0 {
-            return rest.is_empty();
+        // The label with its length byte, or the terminator.
+        match (buf.get(pos..=pos + len), rest.get(..=len)) {
+            (Some(label), Some(want)) if label == want => {}
+            _ => return false,
         }
-        let Some(tail) = buf
-            .get(pos + 1..pos + 1 + len)
-            .and_then(|label| rest.strip_prefix(label))
-        else {
-            return false;
-        };
-        rest = match tail {
-            [b'.', more @ ..] => more,
-            _ => tail,
-        };
+        if len == 0 {
+            return true;
+        }
+        rest = &rest[len + 1..];
         pos += 1 + len;
     }
 }
 
-fn put_record(buf: &mut Vec<u8>, owner: &str, ttl: u32, data: RData<&str>, offsets: &mut Suffixes) {
+fn put_record(
+    buf: &mut Vec<u8>,
+    owner: Wire<'_>,
+    ttl: u32,
+    data: RData<Wire<'_>>,
+    offsets: &mut Suffixes,
+) {
     encode_name(buf, owner, offsets);
     let [t0, t1] = data.record_type().code().to_be_bytes();
     let [c0, c1] = CLASS_IN.to_be_bytes();
@@ -258,38 +362,39 @@ fn put_record(buf: &mut Vec<u8>, owner: &str, ttl: u32, data: RData<&str>, offse
     }
 }
 
-/// Encodes the name whose presentation text is `name`, emitting a
-/// compression pointer at the first suffix that was already written.
-fn encode_name(buf: &mut Vec<u8>, name: &str, offsets: &mut Suffixes) {
-    let mut rest = name;
-    loop {
-        if rest.is_empty() {
-            buf.push(0);
-            return;
-        }
-        if let Some(off) = offsets.get(buf, rest) {
+/// Writes the wire name `name`, ending it with a compression pointer at
+/// its first suffix already written. Each suffix written out in full is
+/// recorded as a pointer target while its offset is still addressable;
+/// the labels before the pointer go out in one copy.
+fn encode_name(buf: &mut Vec<u8>, name: Wire<'_>, offsets: &mut Suffixes) {
+    let wire = name.0;
+    let start = buf.len();
+    let mut at = 0;
+    while wire[at] != 0 {
+        // The suffixes of this name recorded so far are longer than this
+        // one, so the probe never reads the labels not yet written.
+        let suffix = &wire[at..];
+        if let Some(off) = offsets.get(buf, suffix) {
+            buf.extend_from_slice(&wire[..at]);
             buf.extend_from_slice(&(0xC000 | off).to_be_bytes());
             return;
         }
-        // Record this suffix's offset if it is still pointer-addressable.
-        if buf.len() < 0x3FFF {
-            offsets.push(buf.len() as u16, rest.len() as u16);
+        if start + at < 0x3FFF {
+            offsets.push((start + at) as u16, suffix.len() as u16);
         }
-        let (label, tail) = rest.split_once('.').unwrap_or((rest, ""));
-        buf.push(label.len() as u8);
-        buf.extend_from_slice(label.as_bytes());
-        rest = tail;
+        at += 1 + wire[at] as usize;
     }
+    buf.extend_from_slice(wire);
 }
 
 /// A reply written straight into its datagram: the header, the query's
-/// questions echoed as a [`MessageView`] expands them (lowercase, split at
-/// every dot), then records section by section, each name compressed
-/// against the first suffix already written. [`crate::server::serve_query`]
-/// starts one for each query it answers and hands it to the responder, so
-/// a reply costs no owned message, no record vector and no name clone.
+/// questions echoed in canonical form (lowercase, split at every dot),
+/// then records section by section, each name compressed against the
+/// first suffix already written. [`crate::server::serve_query`] starts one
+/// for each query it answers and hands it to the responder, so a reply
+/// costs no owned message, no record vector and no name clone.
 ///
-/// Names are given in presentation form ([`DomainName::as_str`]).
+/// Names are given in canonical wire form ([`Wire`]).
 pub struct Reply<'b> {
     buf: &'b mut Vec<u8>,
     offsets: Suffixes,
@@ -301,8 +406,15 @@ pub struct Reply<'b> {
 impl<'b> Reply<'b> {
     /// Starts the reply to `query` in the empty buffer `buf`: the header
     /// (the query's id and RD bit, QR set) and every question of the query,
-    /// the first one's name given already expanded as `first`.
-    pub(crate) fn new(buf: &'b mut Vec<u8>, query: &MessageView<'_>, first: &str) -> Self {
+    /// the first one's name given in wire form as `first`. As the reply's
+    /// first name it has nothing to point at: it is copied whole, each of
+    /// its labels recorded as a pointer target. A later question's name is
+    /// expanded and written like any other.
+    pub(crate) fn new(
+        buf: &'b mut Vec<u8>,
+        query: &MessageView<'_>,
+        first: Option<Wire<'_>>,
+    ) -> Self {
         debug_assert!(
             buf.is_empty(),
             "compression offsets count from the message start"
@@ -314,11 +426,14 @@ impl<'b> Reply<'b> {
             flags: FLAG_QR | (query.layout.flags & FLAG_RD),
             counts: [0; 4],
         };
-        let mut text = None;
+        let (mut text, mut wire) = (None, Vec::new());
         for (i, q) in query.questions().enumerate() {
-            let name = match i {
-                0 => first,
-                _ => q.name.expand(text.get_or_insert_with(NameBuf::new)),
+            let name = match (i, first) {
+                (0, Some(first)) => first,
+                _ => Wire::of(
+                    q.name.expand(text.get_or_insert_with(NameBuf::new)),
+                    &mut wire,
+                ),
             };
             put_question(reply.buf, name, q.qtype, &mut reply.offsets);
             reply.counts[0] = reply.counts[0].wrapping_add(1);
@@ -337,21 +452,21 @@ impl<'b> Reply<'b> {
     }
 
     /// Writes an answer record.
-    pub fn answer(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+    pub fn answer(&mut self, owner: Wire<'_>, ttl: u32, data: RData<Wire<'_>>) {
         self.push(1, owner, ttl, data);
     }
 
     /// Writes an authority (referral) record, after every answer.
-    pub fn authority(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+    pub fn authority(&mut self, owner: Wire<'_>, ttl: u32, data: RData<Wire<'_>>) {
         self.push(2, owner, ttl, data);
     }
 
     /// Writes an additional (glue) record, after every authority.
-    pub fn additional(&mut self, owner: &str, ttl: u32, data: RData<&str>) {
+    pub fn additional(&mut self, owner: Wire<'_>, ttl: u32, data: RData<Wire<'_>>) {
         self.push(3, owner, ttl, data);
     }
 
-    fn push(&mut self, section: usize, owner: &str, ttl: u32, data: RData<&str>) {
+    fn push(&mut self, section: usize, owner: Wire<'_>, ttl: u32, data: RData<Wire<'_>>) {
         assert!(
             self.counts[section + 1..].iter().all(|&c| c == 0),
             "records are written section by section"
@@ -381,16 +496,9 @@ impl<'a> Cursor<'a> {
         Ok(b)
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let hi = self.u8()? as u16;
-        let lo = self.u8()? as u16;
-        Ok(hi << 8 | lo)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let hi = self.u16()? as u32;
-        let lo = self.u16()? as u32;
-        Ok(hi << 16 | lo)
+    /// The next `N` bytes, as fixed fields are read: in one bounds check.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.slice(N)?.try_into().map_err(|_| WireError::Truncated)
     }
 
     fn slice(&mut self, len: usize) -> Result<&'a [u8], WireError> {
@@ -410,9 +518,9 @@ fn read_question<'a>(
     name: impl FnOnce(&mut Cursor<'a>) -> Result<NameRef<'a>, WireError>,
 ) -> Result<(NameRef<'a>, RecordType), WireError> {
     let name = name(cur)?;
-    let qtype_raw = cur.u16()?;
+    let [t0, t1, _class @ ..] = cur.array::<4>()?;
+    let qtype_raw = u16::from_be_bytes([t0, t1]);
     let qtype = RecordType::from_code(qtype_raw).ok_or(WireError::UnsupportedType(qtype_raw))?;
-    let _class = cur.u16()?;
     Ok((name, qtype))
 }
 
@@ -423,10 +531,10 @@ fn read_record<'a>(
     mut name: impl FnMut(&mut Cursor<'a>) -> Result<NameRef<'a>, WireError>,
 ) -> Result<(NameRef<'a>, u32, Option<RData<NameRef<'a>>>), WireError> {
     let owner = name(cur)?;
-    let rtype = cur.u16()?;
-    let _class = cur.u16()?;
-    let ttl = cur.u32()?;
-    let rdlen = cur.u16()? as usize;
+    let [t0, t1, _c0, _c1, l0, l1, l2, l3, r0, r1] = cur.array::<10>()?;
+    let rtype = u16::from_be_bytes([t0, t1]);
+    let ttl = u32::from_be_bytes([l0, l1, l2, l3]);
+    let rdlen = u16::from_be_bytes([r0, r1]) as usize;
     let data = match RecordType::from_code(rtype) {
         Some(RecordType::A) => {
             let &[a, b, c, d] = cur.slice(rdlen)? else {
@@ -458,27 +566,200 @@ fn read_record<'a>(
 /// Compression pointers one name may follow before it counts as a loop.
 const MAX_POINTER_HOPS: usize = 32;
 
-/// Walks the possibly compressed name starting at `start`, handing each
-/// raw label to `label`; returns the offset just past the name where it is
-/// stored (past its terminator, or past its first pointer). Pointers must
-/// point back, at most [`MAX_POINTER_HOPS`] of them.
-fn walk_name(
+/// Room for a name's joined text: the longest name plus the one trailing
+/// dot `parse` strips. A longer joined text can never parse.
+const TEXT_ROOM: usize = MAX_NAME_LEN + 1;
+
+// Byte classes of a wire label, OR-ed over its bytes by the name check.
+/// A byte [`DomainName::parse`] keeps as it is: `[a-z0-9_-]`.
+const LOWER: u8 = 1;
+/// An uppercase letter, which `parse` lowercases.
+const UPPER: u8 = 2;
+/// A dot, which splits the label it is in.
+const DOT: u8 = 4;
+/// A byte no name holds.
+const BAD: u8 = 8;
+
+/// Each byte's class.
+const BYTE_CLASS: [u8; 256] = {
+    let mut table = [BAD; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        table[b] = if byte == b'.' {
+            DOT
+        } else if byte.is_ascii_uppercase() {
+            UPPER
+        } else if is_label_byte(byte) {
+            LOWER
+        } else {
+            BAD
+        };
+        b += 1;
+    }
+    table
+};
+
+/// A suffix of a name the check accepted on its fast path, as a later
+/// pointer to it needs it: where its first label is, the length of the
+/// text its labels join to, and the pointers followed from there to its
+/// end. Its labels hold label bytes only, so it joins any text behind a
+/// dot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Checked {
+    pos: u16,
+    text: u8,
+    hops: u8,
+}
+
+/// Suffixes of names one message's check accepted. A pointer to one joins
+/// its checked text by length instead of walking it again. The first
+/// [`CHECKED_SUFFIXES`] label starts are kept; a pointer past them walks.
+struct Seen {
+    suffixes: [Checked; CHECKED_SUFFIXES],
+    len: usize,
+}
+
+const CHECKED_SUFFIXES: usize = 16;
+
+impl Seen {
+    fn new() -> Self {
+        Seen {
+            suffixes: [Checked::default(); CHECKED_SUFFIXES],
+            len: 0,
+        }
+    }
+
+    fn get(&self, pos: usize) -> Option<Checked> {
+        (self.suffixes[..self.len].iter())
+            .find(|s| s.pos as usize == pos)
+            .copied()
+    }
+}
+
+/// Checks the possibly compressed name at `start` of `bytes` by
+/// [`DomainName::parse`]'s rules, read as the text its labels join to
+/// with dots: every byte a label byte or a dot, no empty label and none
+/// over [`MAX_LABEL_LEN`], at most [`MAX_NAME_LEN`] bytes once one
+/// trailing dot is stripped, no leading dot but in the root's `"."`.
+/// Pointers must point back, at most [`MAX_POINTER_HOPS`] of them per
+/// name. Returns the offset just past the name where it is stored (past
+/// its terminator, or past its first pointer) and whether it is stored in
+/// canonical wire form ([`Wire`]). With `copy`, the text is written there,
+/// lowercase, as it is checked.
+///
+/// Each label is checked once, where it is stored: a name of labels
+/// without dots (every name a server writes) is checked label by label,
+/// its text's length summed, and a pointer to a suffix of a name checked
+/// so before (`seen`) joins that suffix's length instead of walking it.
+/// A wire label may carry dots of its own, which split it as they would
+/// split the text; a name with one, or with a byte no name holds, is
+/// walked again byte by byte ([`check_text`]), which finds its first fault.
+fn check_name(
     bytes: &[u8],
     start: usize,
-    mut label: impl FnMut(&[u8]) -> Result<(), WireError>,
-) -> Result<usize, WireError> {
-    let mut pos = start;
-    let mut end = None;
-    let mut hops = 0;
+    seen: &mut Seen,
+    mut copy: Option<&mut NameBuf>,
+) -> Result<(usize, bool), WireError> {
+    // The labels so far, each counted with the dot after it, every byte
+    // class met, and where the first pointer ends.
+    let (mut joined, mut class, mut end, mut hops, mut pos) = (0, 0, None, 0, start);
+    // This name's suffixes go after the accepted ones: until the name is
+    // accepted, each holds the length joined and the hops before its label.
+    let mut recorded = seen.len;
+    loop {
+        let len = *bytes.get(pos).ok_or(WireError::Truncated)? as usize;
+        if len & 0xC0 == 0xC0 {
+            // Compression pointer.
+            let lo = *bytes.get(pos + 1).ok_or(WireError::Truncated)? as usize;
+            let target = ((len & 0x3F) << 8) | lo;
+            end.get_or_insert(pos + 2);
+            hops += 1;
+            // Forward pointers are invalid and could loop.
+            if hops > MAX_POINTER_HOPS || target >= pos {
+                return Err(WireError::PointerLoop);
+            }
+            match seen.get(target).filter(|_| copy.is_none()) {
+                Some(suffix) => {
+                    joined += suffix.text as usize + 1;
+                    hops += suffix.hops as usize;
+                    if hops > MAX_POINTER_HOPS {
+                        return Err(WireError::PointerLoop);
+                    }
+                    break;
+                }
+                None => {
+                    pos = target;
+                    continue;
+                }
+            }
+        }
+        if len == 0 {
+            break;
+        }
+        let raw = bytes
+            .get(pos + 1..pos + 1 + len)
+            .ok_or(WireError::Truncated)?;
+        let raw_class = raw.iter().fold(0, |c, &b| c | BYTE_CLASS[b as usize]);
+        if raw_class & (DOT | BAD) != 0 || len > MAX_LABEL_LEN {
+            return check_text(bytes, start, copy);
+        }
+        class |= raw_class;
+        if let Some(text) = copy.as_deref_mut() {
+            // In room: the text ends up within it, or the name is refused.
+            if let Some(to) = text.bytes.get_mut(joined..joined + len + 1) {
+                for (to, &b) in to.iter_mut().zip(raw) {
+                    *to = b.to_ascii_lowercase();
+                }
+                to[len] = b'.';
+            }
+        }
+        if recorded < CHECKED_SUFFIXES && pos < 0x4000 && joined <= MAX_NAME_LEN {
+            seen.suffixes[recorded] = Checked {
+                pos: pos as u16,
+                text: joined as u8,
+                hops: hops as u8,
+            };
+            recorded += 1;
+        }
+        joined += len + 1;
+        pos += 1 + len;
+    }
+    let text_len = joined.saturating_sub(1);
+    if text_len > MAX_NAME_LEN {
+        return Err(WireError::BadName);
+    }
+    for suffix in &mut seen.suffixes[seen.len..recorded] {
+        suffix.text = (text_len - suffix.text as usize) as u8;
+        suffix.hops = (hops - suffix.hops as usize) as u8;
+    }
+    seen.len = recorded;
+    if let Some(text) = copy {
+        text.len = text_len;
+    }
+    let canonical = end.is_none() && class & !LOWER == 0;
+    Ok((end.unwrap_or(pos + 1), canonical))
+}
+
+/// [`check_name`] byte by byte, for a name with a dot inside a label or a
+/// byte no name holds: its first fault refuses it, and a name it accepts
+/// is stored otherwise than canonically.
+fn check_text(
+    bytes: &[u8],
+    start: usize,
+    mut copy: Option<&mut NameBuf>,
+) -> Result<(usize, bool), WireError> {
+    // The joined text so far: its length, its last label's, and whether
+    // it starts with a dot.
+    let (mut len, mut label, mut lead_dot) = (0, 0, false);
+    let (mut pos, mut end, mut hops) = (start, None, 0);
     loop {
         let label_len = *bytes.get(pos).ok_or(WireError::Truncated)? as usize;
         if label_len & 0xC0 == 0xC0 {
-            // Compression pointer.
             let lo = *bytes.get(pos + 1).ok_or(WireError::Truncated)? as usize;
             let target = ((label_len & 0x3F) << 8) | lo;
             end.get_or_insert(pos + 2);
             hops += 1;
-            // Forward pointers are invalid and could loop.
             if hops > MAX_POINTER_HOPS || target >= pos {
                 return Err(WireError::PointerLoop);
             }
@@ -486,42 +767,54 @@ fn walk_name(
             continue;
         }
         if label_len == 0 {
-            return Ok(end.unwrap_or(pos + 1));
+            break;
         }
-        let start = pos + 1;
         let raw = bytes
-            .get(start..start + label_len)
+            .get(pos + 1..pos + 1 + label_len)
             .ok_or(WireError::Truncated)?;
-        label(raw)?;
-        pos = start + label_len;
+        // A dot joins each label after the first on.
+        let joint = (len > 0).then_some(b'.');
+        for &b in joint.iter().chain(raw) {
+            if b == b'.' {
+                // An empty label: only a leading dot may end one, and only
+                // as the whole name ".".
+                if label == 0 && len > 0 {
+                    return Err(WireError::BadName);
+                }
+                lead_dot |= len == 0;
+                label = 0;
+            } else if BYTE_CLASS[b as usize] & (LOWER | UPPER) != 0 && label < MAX_LABEL_LEN {
+                label += 1;
+            } else {
+                return Err(WireError::BadName);
+            }
+            if len == TEXT_ROOM {
+                return Err(WireError::BadName);
+            }
+            if let Some(text) = copy.as_deref_mut() {
+                text.bytes[len] = b.to_ascii_lowercase();
+            }
+            len += 1;
+        }
+        pos += 1 + label_len;
     }
+    // As `parse`, strip one trailing dot: "a." is "a", "." the root.
+    let text_len = len - usize::from(len > 0 && label == 0);
+    if text_len > MAX_NAME_LEN || (lead_dot && text_len > 0) {
+        return Err(WireError::BadName);
+    }
+    if let Some(text) = copy {
+        text.len = text_len;
+    }
+    Ok((end.unwrap_or(pos + 1), false))
 }
 
-/// Each byte's lowercase form where it may appear in a label, else 0.
-const LOWER_LABEL_BYTES: [u8; 256] = {
-    let mut table = [0; 256];
-    let mut b = 0;
-    while b < 256 {
-        if is_label_byte(b as u8) {
-            table[b] = (b as u8).to_ascii_lowercase();
-        }
-        b += 1;
-    }
-    table
-};
-
-/// A name's presentation text assembled on the stack: the dot-joined wire
-/// labels, lowercased and checked byte by byte against
-/// [`DomainName::parse`]'s rules as they are copied, so a name read off
-/// the wire is never parsed again. [`NameRef::expand`] fills one.
+/// A name's presentation text on the stack: its labels joined by dots,
+/// lowercase. [`crate::server::serve_query`] has the check of a query's
+/// first question write it here; [`NameRef::expand`] fills one.
 pub struct NameBuf {
-    /// Room for the longest name plus the one trailing dot `parse` strips;
-    /// a longer joined name can never parse.
-    bytes: [u8; MAX_NAME_LEN + 1],
+    bytes: [u8; TEXT_ROOM],
     len: usize,
-    /// Length of the label being copied. A wire label may carry dots of
-    /// its own, which split it as they would split the joined text.
-    label: usize,
 }
 
 impl Default for NameBuf {
@@ -534,92 +827,55 @@ impl NameBuf {
     /// An empty buffer.
     pub fn new() -> Self {
         NameBuf {
-            bytes: [0; MAX_NAME_LEN + 1],
+            bytes: [0; TEXT_ROOM],
             len: 0,
-            label: 0,
         }
     }
 
-    fn push(&mut self, b: u8) -> Result<(), WireError> {
-        if b == b'.' {
-            // An empty label: only a leading dot may end one, and `text`
-            // accepts that only as the whole name ".".
-            if self.label == 0 && self.len > 0 {
-                return Err(WireError::BadName);
-            }
-            self.label = 0;
-        } else if is_label_byte(b) && self.label < MAX_LABEL_LEN {
-            self.label += 1;
-        } else {
-            return Err(WireError::BadName);
-        }
-        *self.bytes.get_mut(self.len).ok_or(WireError::BadName)? = b.to_ascii_lowercase();
-        self.len += 1;
-        Ok(())
+    /// The text held, the root's `""` when empty.
+    pub fn as_str(&self) -> &str {
+        // Only ASCII is ever written, so this cannot fail.
+        std::str::from_utf8(&self.bytes[..self.len]).unwrap_or("")
     }
 
-    /// Appends one wire label, after a separating dot unless it is first.
-    fn push_label(&mut self, raw: &[u8]) -> Result<(), WireError> {
-        if self.len > 0 {
-            self.push(b'.')?;
-        }
-        // A label of label bytes that fits is copied in one pass; any other
-        // is pushed byte by byte, which finds its first bad byte.
-        let end = self.len + raw.len();
-        if self.label + raw.len() <= MAX_LABEL_LEN && end <= self.bytes.len() {
-            let mut all_label_bytes = true;
-            for (to, &b) in self.bytes[self.len..end].iter_mut().zip(raw) {
-                *to = LOWER_LABEL_BYTES[b as usize];
-                all_label_bytes &= *to != 0;
-            }
-            if all_label_bytes {
-                self.len = end;
-                self.label += raw.len();
-                return Ok(());
-            }
-        }
-        raw.iter().try_for_each(|&b| self.push(b))
-    }
-
-    /// The presentation bytes of the labels pushed, if they make a name.
-    fn checked(&self) -> Result<&[u8], WireError> {
-        let mut text = &self.bytes[..self.len];
-        // As `parse`, strip one trailing dot: "a." is "a", "." the root.
-        if let [rest @ .., b'.'] = text {
-            text = rest;
-        }
-        if text.len() > MAX_NAME_LEN || text.first() == Some(&b'.') {
-            return Err(WireError::BadName);
-        }
-        Ok(text)
-    }
-
-    /// The presentation text of the labels pushed, if they make a name.
-    fn text(&self) -> Result<&str, WireError> {
-        // Every byte was checked to be ASCII, so this cannot fail, and it
-        // runs word by word where pushing each byte as a char would not.
-        std::str::from_utf8(self.checked()?).map_err(|_| WireError::BadName)
-    }
-
-    /// Reads and checks the name at `start`; returns the offset past it.
-    fn read(&mut self, bytes: &[u8], start: usize) -> Result<usize, WireError> {
+    /// Copies the text of `name`, a name its message's check accepted, so
+    /// its labels are copied without a second check.
+    fn fill(&mut self, name: NameRef<'_>) -> &str {
         self.len = 0;
-        self.label = 0;
-        let end = walk_name(bytes, start, |raw| self.push_label(raw))?;
-        self.checked()?;
-        Ok(end)
+        for label in name.labels() {
+            let dot = usize::from(self.len > 0);
+            let Some(to) = self.bytes.get_mut(self.len..self.len + dot + label.len()) else {
+                break;
+            };
+            let (sep, text) = to.split_at_mut(dot);
+            sep.fill(b'.');
+            for (to, &b) in text.iter_mut().zip(label) {
+                *to = b.to_ascii_lowercase();
+            }
+            self.len += dot + label.len();
+        }
+        // As `parse`, strip one trailing dot.
+        if self.bytes[..self.len].ends_with(b".") {
+            self.len -= 1;
+        }
+        self.as_str()
     }
 }
 
-/// Checks the name at the cursor in `buf` ([`NameBuf`]'s rules), keeping
-/// it in place.
-fn check_name<'a>(buf: &mut NameBuf, cur: &mut Cursor<'a>) -> Result<NameRef<'a>, WireError> {
+/// Checks the name at the cursor ([`check_name`]), keeping it in place;
+/// also returns whether it is stored in canonical wire form.
+fn checked<'a>(
+    cur: &mut Cursor<'a>,
+    seen: &mut Seen,
+    copy: Option<&mut NameBuf>,
+) -> Result<(NameRef<'a>, bool), WireError> {
     let name = NameRef {
         bytes: cur.bytes,
         pos: cur.pos,
     };
-    cur.pos = buf.read(cur.bytes, cur.pos)?;
-    Ok(name)
+    let (end, canonical) = check_name(cur.bytes, cur.pos, seen, copy)?;
+    cur.pos = end;
+    Ok((name, canonical))
 }
 
 /// Steps over a name [`MessageView::parse`] has checked, keeping it in
@@ -644,9 +900,9 @@ fn name_in_place<'a>(cur: &mut Cursor<'a>) -> Result<NameRef<'a>, WireError> {
     }
 }
 
-/// Record data with its name borrowed: presentation text (`&str`) where a
-/// [`Reply`] writes a record, a [`NameRef`] where a [`MessageView`] reads
-/// one in place.
+/// Record data with its name borrowed: canonical wire form ([`Wire`])
+/// where a [`Reply`] writes a record, a [`NameRef`] where a
+/// [`MessageView`] reads one in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RData<N> {
     /// An IPv4 address.
@@ -668,8 +924,9 @@ impl<N> RData<N> {
     }
 }
 
-/// Where a checked message's parts are: its header fields and the offset
-/// each section starts at.
+/// Where a checked message's parts are: its header fields, the offset
+/// each section starts at, and the length of the first question's name
+/// where it is stored in canonical wire form (0 otherwise).
 #[derive(Debug, Clone, Copy)]
 struct Layout {
     id: u16,
@@ -677,6 +934,7 @@ struct Layout {
     /// Questions, answers, authorities, additionals.
     counts: [u16; 4],
     starts: [usize; 4],
+    first_wire: usize,
 }
 
 /// A DNS message read in place. [`MessageView::parse`] checks the whole
@@ -685,12 +943,13 @@ struct Layout {
 /// record's data must fit its length (an A record exactly 4 bytes, an NS
 /// or CNAME target a name ending within it), and one of an unknown type is
 /// skipped over. Every name is checked label by label against
-/// [`DomainName::parse`]'s rules ([`NameBuf`]), compression pointers
-/// pointing back only, at most 32 of them per name. Bytes after the last
-/// counted record are ignored. The view keeps only the header and where
-/// each section starts: questions and records are read off the bytes as a
-/// section is walked, skipping the unknown types, and names stay on the
-/// wire ([`NameRef`]) until a caller compares or expands one. Nothing is
+/// [`DomainName::parse`]'s rules, compression pointers pointing back only,
+/// at most 32 of them per name; a pointer to a suffix already checked in
+/// the message is not walked again. Bytes after the last counted record
+/// are ignored. The view keeps only the header and where each section
+/// starts: questions and records are read off the bytes as a section is
+/// walked, skipping the unknown types, and names stay on the wire
+/// ([`NameRef`]) until a caller compares or expands one. Nothing is
 /// allocated.
 #[derive(Debug, Clone, Copy)]
 pub struct MessageView<'a> {
@@ -721,24 +980,41 @@ pub struct RecordView<'a> {
 impl<'a> MessageView<'a> {
     /// Checks `bytes` (see [`MessageView`]), building nothing.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, WireError> {
-        Self::parse_in(bytes, &mut NameBuf::new())
+        Self::check(bytes, None)
     }
 
-    /// [`MessageView::parse`], checking names in the caller's `buf`.
-    pub(crate) fn parse_in(bytes: &'a [u8], buf: &mut NameBuf) -> Result<Self, WireError> {
+    /// [`MessageView::parse`], leaving the first question's name in
+    /// `first` as presentation text, copied as it is checked (the root's
+    /// `""` when there is no question).
+    pub(crate) fn parse_in(bytes: &'a [u8], first: &mut NameBuf) -> Result<Self, WireError> {
+        first.len = 0;
+        Self::check(bytes, Some(first))
+    }
+
+    fn check(bytes: &'a [u8], mut first: Option<&mut NameBuf>) -> Result<Self, WireError> {
         let mut cur = Cursor { bytes, pos: 0 };
-        let id = cur.u16()?;
-        let flags = cur.u16()?;
-        let counts = [cur.u16()?, cur.u16()?, cur.u16()?, cur.u16()?];
+        let header = cur.array::<12>()?;
+        let word = |i: usize| u16::from_be_bytes([header[2 * i], header[2 * i + 1]]);
+        let (id, flags) = (word(0), word(1));
+        let counts = [word(2), word(3), word(4), word(5)];
+        let mut seen = Seen::new();
         let mut starts = [0; 4];
+        let mut first_wire = 0;
         starts[0] = cur.pos;
-        for _ in 0..counts[0] {
-            read_question(&mut cur, |cur| check_name(buf, cur))?;
+        for i in 0..counts[0] {
+            read_question(&mut cur, |cur| {
+                let copy = if i == 0 { first.take() } else { None };
+                let (name, canonical) = checked(cur, &mut seen, copy)?;
+                if i == 0 && canonical {
+                    first_wire = cur.pos - name.pos;
+                }
+                Ok(name)
+            })?;
         }
         for section in 1..4 {
             starts[section] = cur.pos;
             for _ in 0..counts[section] {
-                read_record(&mut cur, |cur| check_name(buf, cur))?;
+                read_record(&mut cur, |cur| Ok(checked(cur, &mut seen, None)?.0))?;
             }
         }
         let layout = Layout {
@@ -746,6 +1022,7 @@ impl<'a> MessageView<'a> {
             flags,
             counts,
             starts,
+            first_wire,
         };
         Ok(MessageView { bytes, layout })
     }
@@ -773,6 +1050,14 @@ impl<'a> MessageView<'a> {
     /// Response code.
     pub fn rcode(&self) -> Rcode {
         Rcode::from_code(self.layout.flags)
+    }
+
+    /// The first question's name as the message stores it, when that is
+    /// its canonical wire form.
+    pub(crate) fn first_wire(&self) -> Option<Wire<'a>> {
+        let start = self.layout.starts[0];
+        (self.layout.first_wire > 0)
+            .then(|| Wire(&self.bytes[start..start + self.layout.first_wire]))
     }
 
     /// The question section.
@@ -866,7 +1151,8 @@ impl ParsedDatagram {
 /// A name read in place: where a checked, possibly compressed name starts
 /// in its message. Compared on the wire ([`NameRef::eq_str`],
 /// [`NameRef::same_as`]) or expanded into a caller's [`NameBuf`], it costs
-/// no allocation; [`NameRef::to_name`] makes the owned name.
+/// no allocation; [`NameRef::to_name`]
+/// makes the owned name.
 #[derive(Clone, Copy)]
 pub struct NameRef<'a> {
     bytes: &'a [u8],
@@ -900,6 +1186,13 @@ impl<'a> NameRef<'a> {
         })
     }
 
+    /// Whether the name is stored here as exactly `wire`, the bytes of an
+    /// uncompressed name in canonical form: then it is that name, without
+    /// a label compared. Another spelling of the same name is not.
+    pub(crate) fn is_stored_as(self, wire: &[u8]) -> bool {
+        self.bytes.get(self.pos..self.pos + wire.len()) == Some(wire)
+    }
+
     /// Whether this is the name whose presentation form is `name`
     /// ([`DomainName::as_str`]), compared label by label.
     pub fn eq_str(self, name: &str) -> bool {
@@ -914,7 +1207,9 @@ impl<'a> NameRef<'a> {
                 }
             }
             match rest.split_at_checked(label.len()) {
-                Some((head, tail)) if label.eq_ignore_ascii_case(head) => rest = tail,
+                Some((head, tail)) if label == head || label.eq_ignore_ascii_case(head) => {
+                    rest = tail
+                }
                 // Only the one trailing dot `DomainName::parse` strips may
                 // be left over, at the end of the last label.
                 _ => {
@@ -967,12 +1262,7 @@ impl<'a> NameRef<'a> {
 
     /// Expands the name into `buf`; returns its presentation form.
     pub fn expand(self, buf: &mut NameBuf) -> &str {
-        // The name was checked when its message was parsed, so it reads
-        // again without error.
-        match buf.read(self.bytes, self.pos) {
-            Ok(_) => buf.text().unwrap_or(""),
-            Err(_) => "",
-        }
+        buf.fill(self)
     }
 
     /// The owned name.

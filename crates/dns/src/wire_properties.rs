@@ -3,7 +3,7 @@
 //! must never trust its input).
 
 use crate::bigzone::{Delegation, DelegationTable};
-use crate::name::DomainName;
+use crate::name::{DomainName, MAX_LABEL_LEN, MAX_NAME_LEN};
 use crate::server::serve_query;
 use crate::wire::{
     decode, encode, Message, MessageView, Question, RData, Rcode, Record, RecordData, RecordType,
@@ -107,7 +107,143 @@ fn raw_question(labels: &[Vec<u8>]) -> (Vec<u8>, Vec<Vec<u8>>) {
     (bytes, carried)
 }
 
+/// How a generated name ends: at the root's terminator, or with a pointer
+/// to a label start written before (this name's own included, which
+/// loops), to any offset up to one past the pointer (inside a label, in
+/// the header, at itself or forward), or to itself.
+#[derive(Debug, Clone)]
+enum Tail {
+    Root,
+    LabelStart(usize),
+    Anywhere(usize),
+    Itself,
+}
+
+fn arb_tail() -> impl Strategy<Value = Tail> {
+    prop_oneof![
+        Just(Tail::Root),
+        any::<usize>().prop_map(Tail::LabelStart),
+        any::<usize>().prop_map(Tail::Anywhere),
+        Just(Tail::Itself),
+    ]
+}
+
+/// Labels of 59 to 64 bytes, so that four of them (63 + 63 + 63 + 61
+/// bytes joined by dots make the longest name, 253) land on either side
+/// of the label and name limits; one may end in a dot.
+fn arb_limit_label() -> impl Strategy<Value = Vec<u8>> {
+    let re = |p: &str| proptest::string::string_regex(p).expect("valid regex");
+    prop_oneof![
+        re("[a-z]{59,64}").prop_map(String::into_bytes),
+        re("[a-z]{58,63}\\.").prop_map(String::into_bytes),
+    ]
+}
+
+/// One name: a few raw labels (valid, mixed case, dotted, empty, over-long,
+/// at the limits, arbitrary bytes) and how it ends.
+fn arb_name_spec() -> impl Strategy<Value = (Vec<Vec<u8>>, Tail)> {
+    let label = prop_oneof![arb_raw_label(), arb_limit_label(), arb_limit_label()];
+    (prop::collection::vec(label, 0..5), arb_tail())
+}
+
+/// A message of the names `specs`, written raw: the first as the question
+/// (type A), each later one as the target of an NS answer owned by the
+/// root. Label starts are remembered as they are written, so a pointer can
+/// aim at any of them.
+fn compressed_message(specs: &[(Vec<Vec<u8>>, Tail)]) -> Vec<u8> {
+    let answers = specs.len().saturating_sub(1) as u8;
+    let mut bytes = vec![0, 9, 0, 0, 0, 1, 0, answers, 0, 0, 0, 0];
+    let mut starts: Vec<usize> = Vec::new();
+    for (i, (labels, tail)) in specs.iter().enumerate() {
+        let mut rdlen_at = None;
+        if i > 0 {
+            // Root owner, NS, IN, TTL, then the length patched below.
+            bytes.extend_from_slice(&[0, 0, 2, 0, 1, 0, 0, 0, 60, 0, 0]);
+            rdlen_at = Some(bytes.len() - 2);
+        }
+        let name_at = bytes.len();
+        // A label's length byte of 0 ends the name there.
+        for label in labels.iter().take_while(|l| !l.is_empty()) {
+            starts.push(bytes.len());
+            bytes.push(label.len() as u8);
+            bytes.extend_from_slice(label);
+        }
+        let here = bytes.len();
+        let target = match *tail {
+            Tail::Root => None,
+            Tail::LabelStart(k) => starts.get(k % starts.len().max(1)).copied(),
+            Tail::Anywhere(k) => Some(k % (here + 2)),
+            Tail::Itself => Some(here),
+        };
+        match target {
+            Some(at) => bytes.extend_from_slice(&(0xC000 | (at as u16 & 0x3FFF)).to_be_bytes()),
+            None => bytes.push(0),
+        }
+        match rdlen_at {
+            Some(at) => {
+                let rdlen = (bytes.len() - name_at) as u16;
+                let [hi, lo] = rdlen.to_be_bytes();
+                (bytes[at], bytes[at + 1]) = (hi, lo);
+            }
+            None => bytes.extend_from_slice(&[0, 1, 0, 1]),
+        }
+    }
+    bytes
+}
+
 proptest! {
+    /// The view's name check accepts and refuses exactly what the
+    /// reference's byte-by-byte check (`decode`) does, and reads the same
+    /// names, on messages built to probe it: compression pointers to label
+    /// starts written before (so a suffix already checked is joined by its
+    /// length), into labels, into the header, forward, to themselves and
+    /// around loops; dots and uppercase inside labels; labels and names at
+    /// the 63-byte label and 253-byte name limits. The serving path
+    /// answers or swallows each like the reference.
+    #[test]
+    fn the_name_check_matches_the_reference_on_compressed_names(
+        specs in prop::collection::vec(arb_name_spec(), 1..6),
+    ) {
+        let bytes = compressed_message(&specs);
+        view_agrees_with_decode(&bytes);
+        check_served(&bytes);
+        // Each single bit flipped, too.
+        for at in (0..bytes.len()).step_by(7) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            view_agrees_with_decode(&flipped);
+        }
+    }
+
+    /// The same at the limits a joined suffix must keep: a name of one
+    /// label and a pointer into a long name checked before, its text one
+    /// or two bytes either side of 253; and a chain of names, each a label
+    /// and a pointer to the one before, either side of 32 pointer hops.
+    #[test]
+    fn joined_suffixes_keep_the_name_and_pointer_limits(
+        lens in prop::collection::vec(55usize..64, 4..5),
+        into in 0usize..4,
+        slack in 0usize..5,
+        upper in any::<bool>(),
+        chain in 28usize..38,
+    ) {
+        let label = |n: usize| vec![if upper { b'A' } else { b'a' }; n];
+        let long: Vec<Vec<u8>> = lens.iter().map(|&n| label(n)).collect();
+        // The text of the long name from label `into` on.
+        let suffix: usize = lens[into..].iter().sum::<usize>() + lens.len() - into - 1;
+        let mut specs = vec![(long, Tail::Root)];
+        if let Some(first) = (MAX_NAME_LEN + slack).checked_sub(suffix + 3).filter(|&n| n > 0) {
+            if first <= MAX_LABEL_LEN {
+                specs.push((vec![label(first)], Tail::LabelStart(into)));
+            }
+        }
+        view_agrees_with_decode(&compressed_message(&specs));
+        // Each link of the chain points at the label of the one before.
+        let mut links = vec![(vec![label(1)], Tail::Root)];
+        links.extend((1..chain).map(|i| (vec![label(1)], Tail::LabelStart(i - 1))));
+        view_agrees_with_decode(&compressed_message(&links));
+    }
+
     /// The decoder accepts a wire name iff `DomainName::parse` accepts its
     /// dot-joined labels, and yields the same name.
     #[test]
@@ -319,10 +455,10 @@ fn check_served(bytes: &[u8]) {
     let mut table = DelegationTable::new(name("example"));
     table.register(
         name("sub.example"),
-        Delegation {
-            ns: vec![name("ns.sub.example")],
-            glue: vec![(name("ns.sub.example"), server)],
-        },
+        Delegation::new(
+            &[name("ns.sub.example")],
+            &[(name("ns.sub.example"), server)],
+        ),
     );
     let faults = FaultPlan::flaky(1, 1.0, 0.5, FaultKind::ALL.to_vec());
     let _ = serve_query(bytes, server, Some(&faults), &mut Vec::new(), |q, r| {

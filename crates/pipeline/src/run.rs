@@ -39,7 +39,7 @@
 
 use crate::dataset::FailureCause;
 use crate::store::{
-    ChunkStoreWriter, ClaimedChunk, Failure, Located, NsNames, SiteRow, WrittenChunk,
+    ChunkStoreWriter, ClaimedChunk, Failure, Located, NsNames, SiteRow, StagedRow, WrittenChunk,
     DEFAULT_CHUNK_SITES,
 };
 use crate::supervisor::{
@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use webdep_dns::resolver::{IterativeResolver, ResolveError, ResolverConfig};
 use webdep_dns::shared_cache::SharedDnsCache;
-use webdep_dns::DomainName;
+use webdep_dns::Name;
 use webdep_tls::scanner::{Scanner, ScannerConfig};
 use webdep_webgen::{Continent, DeployedWorld, World};
 
@@ -104,8 +104,10 @@ const QUEUE_BATCH: usize = 16;
 pub struct MeasureStats {
     /// Wall-clock duration of the parallel section.
     pub wall: Duration,
-    /// Sites measured per wall-clock second.
-    pub sites_per_sec: f64,
+    /// Sites this run measured (every site but the resumed ones) per
+    /// wall-clock second; `None` when it measured none, as a resume of a
+    /// complete store does.
+    pub sites_per_sec: Option<f64>,
     /// DNS queries that actually hit the simulated wire (all workers).
     pub wire_queries: u64,
     /// Answers served from workers' private resolver caches.
@@ -177,7 +179,7 @@ impl Sink {
     /// Returns whether the site was committed and, when its commit
     /// completed a chunk, the claim on that chunk: the caller writes it
     /// after releasing the sink lock (see [`commit_shared`]).
-    fn commit(&mut self, site: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
+    fn commit(&mut self, site: usize, row: &StagedRow) -> (bool, Option<ClaimedChunk>) {
         if self.done[site] {
             return (false, None);
         }
@@ -211,10 +213,10 @@ fn flush(sink: &Mutex<Sink>, chunk: ClaimedChunk) {
     lock(sink).record(written);
 }
 
-/// Commits one site's row through the shared sink, flushing the chunk it
-/// completes, if any, off the lock. Returns whether the site was
+/// Commits one site's staged row through the shared sink, flushing the
+/// chunk it completes, if any, off the lock. Returns whether the site was
 /// committed.
-fn commit_shared(sink: &Mutex<Sink>, site: usize, row: &SiteRow) -> bool {
+fn commit_shared(sink: &Mutex<Sink>, site: usize, row: &StagedRow) -> bool {
     let (committed, claimed) = lock(sink).commit(site, row);
     if let Some(chunk) = claimed {
         flush(sink, chunk);
@@ -525,7 +527,8 @@ pub(crate) fn run_supervised<D: Borrow<DeployedWorld>>(
         .clamp(0.0, 1.0);
     let stats = MeasureStats {
         wall,
-        sites_per_sec: n as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE),
+        sites_per_sec: (resumed < n)
+            .then(|| (n - resumed) as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE)),
         wire_queries,
         local_cache_hits,
         shared_cache_hits,
@@ -555,6 +558,7 @@ fn fail_batch(
 ) -> u64 {
     let mut failed = 0;
     let mut claimed = Vec::new();
+    let mut staged = StagedRow::default();
     let mut locked = lock(sink);
     for (i, &done) in done_at_start
         .iter()
@@ -567,7 +571,7 @@ fn fail_batch(
         }
         let site = &world.sites[i];
         let row = SiteRow::internal_failure(&site.domain, &site.language, detail);
-        let (committed, chunk) = locked.commit(i, &row);
+        let (committed, chunk) = locked.commit(i, staged.stage(&row));
         if committed {
             completed.fetch_add(1, Ordering::AcqRel);
             failed += 1;
@@ -624,6 +628,8 @@ fn worker_main(
     );
     let mut scanner = Scanner::new(scanner_ep, cfg.scanner.clone());
     let mut panics_isolated = 0u64;
+    // Each site's row is staged here, off the sink's lock.
+    let mut staged = StagedRow::default();
 
     let report = |resolver: &IterativeResolver, scanner: &Scanner, panics: u64| {
         let rstats = resolver.stats();
@@ -686,17 +692,18 @@ fn worker_main(
                 break 'outer;
             }
             let site = &world.sites[i];
-            let name = DomainName::parse(&site.domain).ok();
+            // The world's domains are canonical text: checked, not copied.
+            let name = Name::new(&site.domain);
             let measured = catch_unwind(AssertUnwindSafe(|| {
                 if chaos.panics(i) {
                     panic!("chaos: injected panic for site {i}");
                 }
                 let mut row = SiteRow::blank(&site.domain, &site.language);
-                measure_one(&mut row, name.as_ref(), &mut resolver, &mut scanner, dep);
+                measure_one(&mut row, name, &mut resolver, &mut scanner, dep);
                 row
             }));
             // Nothing keyed by the site's own name is asked for again.
-            if let Some(name) = &name {
+            if let Some(name) = name {
                 resolver.forget(name);
             }
             let detail;
@@ -708,7 +715,7 @@ fn worker_main(
                     SiteRow::internal_failure(&site.domain, &site.language, &detail)
                 }
             };
-            if commit_shared(sink, i, &row) {
+            if commit_shared(sink, i, staged.stage(&row)) {
                 completed.fetch_add(1, Ordering::AcqRel);
             }
             // Advance past the committed site so a later loss requeues
@@ -775,7 +782,7 @@ fn locate(ip: Ipv4Addr, dep: &DeployedWorld) -> Located<&str> {
 }
 
 /// Runs the whole pipeline for a single site into its row; `name` is its
-/// domain parsed, `None` when it does not parse.
+/// domain checked, `None` when it is not a name in canonical form.
 ///
 /// Every layer runs to completion and records its *own* failure — a DNS
 /// timeout no longer masks a TLS refusal the way the old first-error-wins
@@ -783,7 +790,7 @@ fn locate(ip: Ipv4Addr, dep: &DeployedWorld) -> Located<&str> {
 /// no IP to scan. The row's error summary is derived when it is stored.
 fn measure_one<'a>(
     row: &mut SiteRow<'a>,
-    name: Option<&DomainName>,
+    name: Option<Name<'_>>,
     resolver: &mut IterativeResolver,
     scanner: &mut Scanner,
     dep: &'a DeployedWorld,

@@ -262,7 +262,7 @@ fn le64(b: &[u8]) -> u64 {
 /// round rotates its lane before multiplying, so a word's top bit
 /// reaches the whole lane; under a word-wise FNV multiplication carries
 /// nothing downward, and two flips of bit 63 in one lane cancel.
-pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
+pub fn xxh64(bytes: &[u8]) -> u64 {
     let mut stripes = bytes.chunks_exact(32);
     let mut h = if bytes.len() >= 32 {
         let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
@@ -575,10 +575,20 @@ impl<'a> SiteRow<'a> {
 }
 
 /// A string of a [`Row`]: where it lies in its layer's [`Arena`].
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Span {
     off: u32,
     len: u32,
+}
+
+impl Span {
+    /// The span in an arena its own arena was copied into at `base`.
+    fn at(self, base: u32) -> Span {
+        Span {
+            off: self.off + base,
+            ..self
+        }
+    }
 }
 
 /// A count or offset within one layer as a [`Row`] keeps it.
@@ -634,6 +644,7 @@ impl Arena {
 
 /// One committed row of a layer ([`Rows`]): the fixed fields, and every
 /// string as a [`Span`] into the layer's arena.
+#[derive(Default)]
 struct Row {
     domain: Span,
     tld: Span,
@@ -669,20 +680,24 @@ struct Rows {
     ns: Vec<Span>,
 }
 
-impl Rows {
-    /// Stores `row` as slot `slot` of a layer of `len` rows, copying its
-    /// strings into the arena and lowercasing its TLD on the way. Returns
-    /// whether it did: `false` when the slot is taken.
-    fn put(&mut self, slot: usize, len: usize, row: &SiteRow) -> bool {
-        if self.rows.is_empty() {
-            self.rows.resize_with(len, || None);
-            self.arena.0.reserve(len * ARENA_BYTES_PER_ROW);
-        }
-        if self.rows[slot].is_some() {
-            return false;
-        }
+/// A row staged for a layer: its fixed fields, and its strings copied into
+/// an arena of its own, lowercasing the TLD on the way. Staging happens
+/// off the store's lock; committing a staged row into its layer
+/// ([`Rows::put`]) is then one copy of those bytes and the slot's
+/// bookkeeping. A worker keeps one and stages each site's row into it.
+#[derive(Default)]
+pub(crate) struct StagedRow {
+    row: Row,
+    arena: Arena,
+    ns: Vec<Span>,
+}
+
+impl StagedRow {
+    /// Stages `row`, replacing the row staged before.
+    pub(crate) fn stage(&mut self, row: &SiteRow) -> &Self {
+        self.arena.0.clear();
+        self.ns.clear();
         let a = &mut self.arena;
-        let ns_start = narrow(self.ns.len());
         row.ns_names.for_each(|name| self.ns.push(a.copy(name)));
         let hosting_error = a.copy_failure(&row.hosting_error);
         let dns_error = a.copy_failure(&row.dns_error);
@@ -696,12 +711,12 @@ impl Rows {
                 .map(|(_, detail)| detail),
             Summary::Given(error) => error.map(|s| a.copy(s)),
         };
-        self.rows[slot] = Some(Row {
+        self.row = Row {
             domain: a.copy(row.domain),
             tld: a.copy_lowercase(row.tld),
             language: a.copy(row.language),
             hosting: a.copy_located(&row.hosting),
-            ns: ns_start..narrow(self.ns.len()),
+            ns: 0..narrow(self.ns.len()),
             dns: a.copy_located(&row.dns),
             ca_owner: row.ca_owner,
             ca_owner_country: row.ca_owner_country.map(|s| a.copy(s)),
@@ -709,6 +724,50 @@ impl Rows {
             dns_error,
             ca_error,
             error,
+        };
+        self
+    }
+}
+
+impl Rows {
+    /// Stores the staged row as slot `slot` of a layer of `len` rows,
+    /// appending its strings to the layer's arena in one copy. Returns
+    /// whether it did: `false` when the slot is taken.
+    fn put(&mut self, slot: usize, len: usize, staged: &StagedRow) -> bool {
+        if self.rows.is_empty() {
+            self.rows.resize_with(len, || None);
+            self.arena.0.reserve(len * ARENA_BYTES_PER_ROW);
+        }
+        if self.rows[slot].is_some() {
+            return false;
+        }
+        let base = narrow(self.arena.0.len());
+        self.arena.0.push_str(&staged.arena.0);
+        let ns_start = narrow(self.ns.len());
+        self.ns.extend(staged.ns.iter().map(|s| s.at(base)));
+        let r = &staged.row;
+        let located = |l: &Located<Span>| Located {
+            ip: l.ip,
+            asn: l.asn,
+            org: l.org,
+            org_country: l.org_country.map(|s| s.at(base)),
+            ip_country: l.ip_country.map(|s| s.at(base)),
+            anycast: l.anycast,
+        };
+        let failure = |e: Option<(FailureCause, Span)>| e.map(|(cause, s)| (cause, s.at(base)));
+        self.rows[slot] = Some(Row {
+            domain: r.domain.at(base),
+            tld: r.tld.at(base),
+            language: r.language.at(base),
+            hosting: located(&r.hosting),
+            ns: r.ns.start + ns_start..r.ns.end + ns_start,
+            dns: located(&r.dns),
+            ca_owner: r.ca_owner,
+            ca_owner_country: r.ca_owner_country.map(|s| s.at(base)),
+            hosting_error: failure(r.hosting_error),
+            dns_error: failure(r.dns_error),
+            ca_error: failure(r.ca_error),
+            error: r.error.map(|s| s.at(base)),
         });
         self.filled += 1;
         true
@@ -1298,6 +1357,8 @@ pub struct ChunkStoreWriter {
     chunks: Vec<Progress>,
     patch: Option<PatchSlot>,
     bytes_written: u64,
+    /// Where [`ChunkStoreWriter::commit_row`] stages a row.
+    staged: StagedRow,
 }
 
 /// What [`ChunkStoreWriter::carry`] took over from the previous epoch.
@@ -1362,6 +1423,7 @@ impl ChunkStoreWriter {
             chunks,
             patch: None,
             bytes_written: 0,
+            staged: StagedRow::default(),
         }
     }
 
@@ -1425,8 +1487,10 @@ impl ChunkStoreWriter {
                 continue;
             }
             let chunk = prev.read_chunk(c)?;
+            let mut staged = StagedRow::default();
             for r in 0..rows {
-                if let (_, Some(claim)) = w.fill(LayerId::Chunk(c), r, &chunk.row(r)) {
+                let row = staged.stage(&chunk.row(r));
+                if let (_, Some(claim)) = w.fill(LayerId::Chunk(c), r, row) {
                     w.record(claim.write())?;
                 }
             }
@@ -1569,7 +1633,9 @@ impl ChunkStoreWriter {
 
     /// [`ChunkStoreWriter::commit`] for a borrowed row.
     pub(crate) fn commit_row(&mut self, site: usize, row: &SiteRow) -> io::Result<bool> {
-        let (committed, claimed) = self.insert(site, row);
+        let mut staged = std::mem::take(&mut self.staged);
+        let (committed, claimed) = self.insert(site, staged.stage(row));
+        self.staged = staged;
         if let Some(chunk) = claimed {
             self.record(chunk.write())?;
         }
@@ -1582,7 +1648,7 @@ impl ChunkStoreWriter {
     /// that layer, which the caller writes and [`ChunkStoreWriter::record`]s.
     /// A site the epoch migrated goes to the patch; every other site to its
     /// base chunk.
-    pub(crate) fn insert(&mut self, site: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
+    pub(crate) fn insert(&mut self, site: usize, row: &StagedRow) -> (bool, Option<ClaimedChunk>) {
         assert!(site < self.sites, "site {site} out of range");
         let (layer, slot) = self.patch_slot(site).unwrap_or_else(|| {
             let c = self.chunk_of(site);
@@ -1592,7 +1658,12 @@ impl ChunkStoreWriter {
     }
 
     /// Stores `row` as row `slot` of `layer` (see [`Self::insert`]).
-    fn fill(&mut self, layer: LayerId, slot: usize, row: &SiteRow) -> (bool, Option<ClaimedChunk>) {
+    fn fill(
+        &mut self,
+        layer: LayerId,
+        slot: usize,
+        row: &StagedRow,
+    ) -> (bool, Option<ClaimedChunk>) {
         let (progress, n_rows) = self.progress(layer);
         let Progress::Filling(rows) = progress else {
             return (false, None);
@@ -2073,12 +2144,13 @@ impl ChunkStore {
         for &c in &touched {
             let chunk = store.read_chunk(c)?;
             let mut rows = Rows::default();
+            let mut staged = StagedRow::default();
             for r in 0..chunk.rows {
                 let row = match newest.get(&chunk.site(r)) {
                     Some(&(p, pr)) => patches[p].row(pr),
                     None => chunk.row(r),
                 };
-                rows.put(r, chunk.rows, &row);
+                rows.put(r, chunk.rows, staged.stage(&row));
             }
             let path = LayerId::Chunk(c).path(dir);
             let frame = Frame::Chunk {
@@ -2272,9 +2344,9 @@ mod tests {
 
     /// `obs` encoded as the layer `frame` (rows in site order).
     fn encode_layer(frame: &Frame, obs: &[SiteObservation]) -> Vec<u8> {
-        let mut rows = Rows::default();
+        let (mut rows, mut staged) = (Rows::default(), StagedRow::default());
         for (slot, o) in obs.iter().enumerate() {
-            assert!(rows.put(slot, obs.len(), &SiteRow::of(o)));
+            assert!(rows.put(slot, obs.len(), staged.stage(&SiteRow::of(o))));
         }
         rows.encode(frame)
     }
@@ -3099,21 +3171,20 @@ mod tests {
         let dir = tmp("claim");
         let _ = fs::remove_dir_all(&dir);
         let mut w = ChunkStoreWriter::create(&dir, "t-v1", 8, 4).unwrap();
+        let mut staged = StagedRow::default();
+        let mut row = |i| {
+            staged.stage(&SiteRow::of(&sample_obs(i)));
+            std::mem::take(&mut staged)
+        };
         for i in 0..3 {
-            assert!(matches!(
-                w.insert(i, &SiteRow::of(&sample_obs(i))),
-                (true, None)
-            ));
+            assert!(matches!(w.insert(i, &row(i)), (true, None)));
         }
-        let (stored, claim) = w.insert(3, &SiteRow::of(&sample_obs(3)));
+        let (stored, claim) = w.insert(3, &row(3));
         let claim = claim.expect("the last site claims its chunk");
         assert!(stored);
         // Claimed but not yet written: a late duplicate is refused, and the
         // chunk is not durable.
-        assert!(matches!(
-            w.insert(1, &SiteRow::of(&sample_obs(1))),
-            (false, None)
-        ));
+        assert!(matches!(w.insert(1, &row(1)), (false, None)));
         assert!(!w.commit(2, &sample_obs(2)).unwrap());
         assert!(!w.chunk_written(0));
         w.record(claim.write()).unwrap();
@@ -3124,7 +3195,7 @@ mod tests {
         for i in 4..7 {
             w.commit(i, &sample_obs(i)).unwrap();
         }
-        let (_, claim) = w.insert(7, &SiteRow::of(&sample_obs(7)));
+        let (_, claim) = w.insert(7, &row(7));
         let failed = io::Error::other("disk full");
         assert!(w.record(Err(failed)).is_err());
         drop(claim);
@@ -3372,9 +3443,9 @@ mod tests {
         assert_eq!(chunk.observation(0).tld, "com");
         assert_eq!(chunk.observation(8).ns_names.len(), 13);
 
-        let mut again = Rows::default();
+        let (mut again, mut staged) = (Rows::default(), StagedRow::default());
         for r in (0..n).rev() {
-            assert!(again.put(r, n, &chunk.row(r)));
+            assert!(again.put(r, n, staged.stage(&chunk.row(r))));
         }
         assert_eq!(again.encode(&Frame::Chunk { index: 0, lo: 0 }), bytes);
         fs::remove_dir_all(&dir).unwrap();

@@ -47,7 +47,7 @@ use std::time::Duration;
 use webdep_dns::bigzone::{ChildLookup, Delegation, DelegationTable};
 use webdep_dns::name::DomainName;
 use webdep_dns::server::QuestionRef;
-use webdep_dns::wire::{RData, Rcode, RecordType, Reply};
+use webdep_dns::wire::{RData, Rcode, RecordType, Reply, Wire, WireName};
 use webdep_dns::{serve_query, DNS_PORT};
 use webdep_geodb::{
     AnycastSet, AsOrgDb, CaOwner, CaOwnerDb, GeoDb, GeoDbBuilder, OrgRecord, PrefixTable,
@@ -292,8 +292,8 @@ struct Served {
     pools: Arc<Vec<ProviderPools>>,
     /// The CNAME edge host names of each CDN (GeoDNS) provider
     /// (`e<hash % EDGE_HOSTS>.<provider-slug>.net`, the real-world
-    /// `*.cdn.example.net` pattern); empty for the others.
-    edges: Vec<Vec<DomainName>>,
+    /// `*.cdn.example.net` pattern), in wire form; empty for the others.
+    edges: Vec<Vec<WireName>>,
     /// Each provider's nameservers with glue: the referral to every site
     /// it serves DNS for, and its NS answer.
     delegations: Vec<Delegation>,
@@ -377,17 +377,17 @@ impl Served {
         reply.set_authoritative();
         let site = self.site_on(rack, q.name, |row| row.dns);
         let answered = match (site, q.qtype) {
-            (Some((_, row)), RecordType::A) => self.site_answers(q.name, row, src, reply),
+            (Some((_, row)), RecordType::A) => self.site_answers(q.wire, row, src, reply),
             (Some((_, row)), RecordType::Ns) => {
-                for ns in &self.delegations[row.dns as usize].ns {
-                    reply.answer(q.name, 3600, RData::Ns(ns.as_str()));
+                for ns in self.delegations[row.dns as usize].ns() {
+                    reply.answer(q.wire, 3600, RData::Ns(ns.as_wire()));
                 }
                 true
             }
             // Infrastructure hosts (nameservers).
             (None, RecordType::A) => match self.hosts.get(q.name) {
                 Some(&(p, ip)) if self.rack_of(p) == rack => {
-                    reply.answer(q.name, 3600, RData::A(ip));
+                    reply.answer(q.wire, 3600, RData::A(ip));
                     true
                 }
                 _ => false,
@@ -405,7 +405,7 @@ impl Served {
     /// False when the provider has no address to serve from.
     fn site_answers(
         &self,
-        name: &str,
+        name: Wire<'_>,
         row: &SiteRow,
         src: Ipv4Addr,
         reply: &mut Reply<'_>,
@@ -420,8 +420,8 @@ impl Served {
             // provider's edge host plus its address, exercising the
             // resolver's CNAME path.
             Some(edge) => {
-                reply.answer(name, 300, RData::Cname(edge.as_str()));
-                reply.answer(edge.as_str(), 300, RData::A(ip));
+                reply.answer(name, 300, RData::Cname(edge.as_wire()));
+                reply.answer(edge.as_wire(), 300, RData::A(ip));
             }
             None => reply.answer(name, 300, RData::A(ip)),
         }
@@ -628,27 +628,28 @@ impl DeployedWorld {
             DomainName::parse(&format!("{host}{}.net", slugs[p.id as usize]))
                 .expect("slug names are valid")
         };
+        // Each provider's nameservers, glued; the names every reply writes
+        // are built in wire form here, once.
+        let mut hosts = KeyedMap::default();
         let delegations: Vec<Delegation> = (universe.providers.iter())
             .map(|p| {
                 let addrs = &pools[p.id as usize].ns_addrs;
-                let ns: Vec<DomainName> = (1..=addrs.len())
+                let glue: Vec<(DomainName, Ipv4Addr)> = (1..=addrs.len())
                     .map(|i| infra(p, &format!("ns{i}.")))
+                    .zip(addrs.iter().copied())
                     .collect();
-                let glue = ns.iter().cloned().zip(addrs.iter().copied()).collect();
-                Delegation { ns, glue }
+                let ns: Vec<DomainName> = glue.iter().map(|(name, _)| name.clone()).collect();
+                let delegation = Delegation::new(&ns, &glue);
+                hosts.extend(glue.into_iter().map(|(name, ip)| (name, (p.id, ip))));
+                delegation
             })
             .collect();
         let edges = (universe.providers.iter())
             .map(|p| {
                 let hosts = if p.cdn { 0..EDGE_HOSTS } else { 0..0 };
-                hosts.map(|h| infra(p, &format!("e{h}."))).collect()
-            })
-            .collect();
-        let hosts = (delegations.iter().enumerate())
-            .flat_map(|(p, d)| {
-                d.glue
-                    .iter()
-                    .map(move |(name, ip)| (name.clone(), (p as u32, *ip)))
+                hosts
+                    .map(|h| (&infra(p, &format!("e{h}."))).into())
+                    .collect()
             })
             .collect();
         let served = Arc::new(Served {
@@ -700,10 +701,7 @@ impl DeployedWorld {
                 DomainName::parse(&format!("ns.{label}-registry.net")).expect("registry host");
             root.register(
                 origin,
-                Delegation {
-                    ns: vec![ns_host.clone()],
-                    glue: vec![(ns_host, ip)],
-                },
+                Delegation::new(std::slice::from_ref(&ns_host), &[(ns_host.clone(), ip)]),
             );
             registry_tables[gi % registry_groups].insert(ip, table);
         }
@@ -1109,7 +1107,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let delegation = |p: u32| Delegation {
+            let delegation = |p: u32| RefDelegation {
                 ns: ns_names[p as usize].clone(),
                 glue: ns_names[p as usize]
                     .iter()
@@ -1201,7 +1199,7 @@ mod tests {
                 let ns_host = DomainName::parse(&format!("ns.{label}-registry.net")).unwrap();
                 root.register(
                     DomainName::parse(label).unwrap(),
-                    Delegation {
+                    RefDelegation {
                         ns: vec![ns_host.clone()],
                         glue: vec![(ns_host, ip)],
                     },
@@ -1263,7 +1261,7 @@ mod tests {
             if answers.is_none() && q.qtype == RecordType::A {
                 if let Some(&ip) = self.host_a[rack].get(&name) {
                     reply.set_authoritative();
-                    reply.answer(name.as_str(), DEFAULT_TTL, RData::A(ip));
+                    reply.answer(w(&name).as_wire(), DEFAULT_TTL, RData::A(ip));
                     return;
                 }
             }
@@ -1274,10 +1272,15 @@ mod tests {
             for (owner, ttl, data) in answers.iter().flatten() {
                 let data = match data {
                     RData::A(ip) => RData::A(*ip),
-                    RData::Ns(n) => RData::Ns(n.as_str()),
-                    RData::Cname(n) => RData::Cname(n.as_str()),
+                    RData::Ns(n) => RData::Ns(w(n)),
+                    RData::Cname(n) => RData::Cname(w(n)),
                 };
-                reply.answer(owner.as_str(), *ttl, data);
+                let data = match &data {
+                    RData::A(ip) => RData::A(*ip),
+                    RData::Ns(n) => RData::Ns(n.as_wire()),
+                    RData::Cname(n) => RData::Cname(n.as_wire()),
+                };
+                reply.answer(w(owner).as_wire(), *ttl, data);
             }
             if nxdomain {
                 reply.set_rcode(Rcode::NxDomain);
@@ -1308,12 +1311,23 @@ mod tests {
         }
     }
 
+    /// A delegation as the reference keeps it: nameserver names and glue.
+    struct RefDelegation {
+        ns: Vec<DomainName>,
+        glue: Vec<(DomainName, Ipv4Addr)>,
+    }
+
+    /// `name` in the wire form a reply writes.
+    fn w(name: &DomainName) -> WireName {
+        name.into()
+    }
+
     /// A registry as the reference answers: the delegations of its
     /// origin's children, and a referral (with glue) to the child a
     /// queried name lies under.
     struct Registry {
         origin: DomainName,
-        children: HashMap<DomainName, Delegation>,
+        children: HashMap<DomainName, RefDelegation>,
     }
 
     impl Registry {
@@ -1324,7 +1338,7 @@ mod tests {
             }
         }
 
-        fn register(&mut self, child: DomainName, delegation: Delegation) {
+        fn register(&mut self, child: DomainName, delegation: RefDelegation) {
             self.children.insert(child, delegation);
         }
 
@@ -1343,10 +1357,11 @@ mod tests {
                 _ if name == self.origin => reply.set_authoritative(),
                 Some(d) => {
                     for ns in &d.ns {
-                        reply.authority(child.as_str(), DEFAULT_TTL, RData::Ns(ns.as_str()));
+                        let (owner, ns) = (w(&child), w(ns));
+                        reply.authority(owner.as_wire(), DEFAULT_TTL, RData::Ns(ns.as_wire()));
                     }
                     for (host, ip) in &d.glue {
-                        reply.additional(host.as_str(), DEFAULT_TTL, RData::A(*ip));
+                        reply.additional(w(host).as_wire(), DEFAULT_TTL, RData::A(*ip));
                     }
                 }
                 None => {

@@ -234,7 +234,10 @@ fn cmd_measure(args: &[String]) {
     let sup = &stats.supervision;
     println!("sites            = {}", world.sites.len());
     println!("wall             = {} ms", stats.wall.as_millis());
-    println!("sites/sec        = {:.0}", stats.sites_per_sec);
+    match stats.sites_per_sec {
+        Some(rate) => println!("sites/sec        = {rate:.0}"),
+        None => println!("sites/sec        = n/a"),
+    }
     println!("wire queries     = {}", stats.wire_queries);
     println!("sites resumed    = {}", sup.sites_resumed);
     println!("panics isolated  = {}", sup.panics_isolated);

@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per site: 3.9 measured, plus a small margin. The path
+/// Allocations per site: 2.9 measured, plus a small margin. The path
 /// took 212 (199 through the in-memory sink since removed) before it was
 /// made allocation-lean, 82.9 while every answer was also copied into the
 /// shared DNS tier, 74.3 while a CDN site's edge name was formatted per
@@ -63,11 +63,12 @@ static GLOBAL: Counting = Counting;
 /// A answer shared took it from 15.7 to 14.9. Writing each site as a flat
 /// row into its chunk's arena, its strings borrowed from the world, the
 /// resolver and the address databases until then, instead of building,
-/// buffering and dropping an owned observation, took it from 14.9 to 3.9:
-/// what is left is the parsed name and the lookups. 98, half of the 196 a
-/// site cost on the `small` world, is the ceiling the budget may never be
-/// raised past.
-const BUDGET_PER_SITE: f64 = 4.0;
+/// buffering and dropping an owned observation, took it from 14.9 to 3.9.
+/// Resolving each site through its name checked in place in the world's
+/// text, instead of a parsed owned copy, took it to 2.9: what is left is
+/// the lookups. 98, half of the 196 a site cost on the `small` world, is
+/// the ceiling the budget may never be raised past.
+const BUDGET_PER_SITE: f64 = 3.0;
 const _: () = assert!(BUDGET_PER_SITE <= 98.0);
 
 /// Allocations of a site's own `resolve_a`: 2.835 measured. The site's

@@ -31,13 +31,21 @@
 //!   layers reads, row for row and error for error;
 //! * a store in the FNV-1a-sealed version-1 format is refused by its
 //!   version — by `open`, `load_dataset`, `fsck` and an epoch's carry —
-//!   never decoded.
+//!   never decoded;
+//! * the deployed DNS servers write the pinned reply bytes: every reply
+//!   of the root, the registries and the authoritative racks to each
+//!   `tiny` site's queries hashes to one pinned XXH64.
 
+use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 use webdep::analysis::centralization::layer_table;
 use webdep::analysis::classes::classify;
 use webdep::analysis::AnalysisCtx;
+use webdep::dns::wire::{encode_query, MessageView, RData};
+use webdep::dns::{DomainName, RecordType, DNS_PORT};
+use webdep::netsim::{Endpoint, SockAddr};
 use webdep::pipeline::{
     measure_delta, measure_streamed, resume_streamed, resume_streamed_with, ChunkStore,
     ChunkStoreWriter, MeasuredDataset, PipelineConfig, SiteObservation, DEFAULT_CHUNK_SITES,
@@ -46,8 +54,8 @@ use webdep::serve::CubeSnapshot;
 use webdep::stats::affinity::{affinity_propagation, AffinityConfig};
 use webdep::stats::scale::min_max_scale_columns;
 use webdep::webgen::{
-    provider_site_counts, DeployConfig, DeployedWorld, EpochKnobs, EvolutionPlan, Layer, World,
-    WorldConfig, COUNTRIES,
+    provider_site_counts, Continent, DeployConfig, DeployedWorld, EpochKnobs, EvolutionPlan, Layer,
+    World, WorldConfig, COUNTRIES,
 };
 
 fn config(workers: usize) -> PipelineConfig {
@@ -311,6 +319,7 @@ fn resuming_a_complete_store_deploys_and_measures_nothing() {
     let no_deploy = || -> DeployedWorld { panic!("a complete store needs no deployment") };
     let stats = resume_streamed_with(&world, no_deploy, &config(2), &dir).expect("resume");
     assert_eq!(stats.supervision.sites_resumed, world.sites.len() as u64);
+    assert_eq!(stats.sites_per_sec, None, "a rate over no measured site");
     assert_eq!(stats.wire_queries, 0);
     assert!(stats.worker_busy.is_empty(), "a worker was spawned");
     assert_same_files(&dir, &copy, "the resumed complete store");
@@ -764,4 +773,125 @@ fn parallel_load_equals_the_serial_walk() {
     let err = load().expect_err("a deleted chunk");
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
     let _ = std::fs::remove_dir_all(&odd);
+}
+
+/// Sends `query` from `client` to the DNS server at `server` and appends
+/// the reply to `replies`, behind its length (`u32::MAX` for no reply);
+/// returns the reply's bytes.
+fn ask(client: &mut Endpoint, server: Ipv4Addr, query: &[u8], replies: &mut Vec<u8>) -> Vec<u8> {
+    let mut reply = Vec::new();
+    let dst = SockAddr::new(server, DNS_PORT);
+    let got = match client.exchange(dst, query, Duration::from_secs(1), &mut reply) {
+        Ok(Some(bytes)) => bytes.to_vec(),
+        _ => Vec::new(),
+    };
+    let len = if got.is_empty() {
+        u32::MAX
+    } else {
+        got.len() as u32
+    };
+    replies.extend_from_slice(&len.to_le_bytes());
+    replies.extend_from_slice(&got);
+    got
+}
+
+/// A query written by hand: id `id`, no flag set, one question per name
+/// of `names` (presentation text, written as given: a mixed-case name
+/// stays mixed-case on the wire), each of type `qtype`, class IN.
+fn raw_query(id: u16, names: &[&str], qtype: RecordType) -> Vec<u8> {
+    let mut q = Vec::new();
+    q.extend_from_slice(&id.to_be_bytes());
+    q.extend_from_slice(&[0, 0, 0, names.len() as u8, 0, 0, 0, 0, 0, 0]);
+    for name in names {
+        for label in name.split('.') {
+            q.push(label.len() as u8);
+            q.extend_from_slice(label.as_bytes());
+        }
+        q.push(0);
+        q.extend_from_slice(&qtype.code().to_be_bytes());
+        q.extend_from_slice(&[0, 1]);
+    }
+    q
+}
+
+/// The first glue address of a referral.
+fn first_glue(reply: &[u8]) -> Option<Ipv4Addr> {
+    let view = MessageView::parse(reply).ok()?;
+    view.additionals().find_map(|r| match r.data {
+        RData::A(ip) => Some(ip),
+        _ => None,
+    })
+}
+
+/// Every reply byte the deployed root, registries and authoritative
+/// servers return to each site's A, NS and nameserver-host A queries on
+/// the `tiny` world, hashed with XXH64: pinned across commits, so a change
+/// to how a server reads a query or writes its reply leaves every byte as
+/// it was. Some queries ask in mixed case, and some carry a second
+/// question, so the echo of a question that is not already in canonical
+/// wire form is pinned too.
+#[test]
+fn every_reply_byte_matches_the_pinned_digest() {
+    const WANT: u64 = 0xcb44_89ae_9219_0f07;
+    let world = World::generate(WorldConfig::tiny());
+    let dep = DeployedWorld::deploy(&world, DeployConfig::default());
+    let mut client = dep.vantage(Continent::Europe);
+    let root = dep.roots[0];
+    let mut replies = Vec::new();
+    let mut query = Vec::new();
+    let mut asked = 0;
+    for (i, site) in world.sites.iter().enumerate() {
+        let Ok(name) = DomainName::parse(&site.domain) else {
+            continue;
+        };
+        let id = i as u16;
+        encode_query(&mut query, id, &name, RecordType::A);
+        let referral = ask(&mut client, root, &query, &mut replies);
+        let Some(registry) = first_glue(&referral) else {
+            continue;
+        };
+        let referral = ask(&mut client, registry, &query, &mut replies);
+        let Some(auth) = first_glue(&referral) else {
+            continue;
+        };
+        let hosts: Vec<DomainName> = MessageView::parse(&referral)
+            .map(|v| {
+                v.authorities()
+                    .filter_map(|r| match r.data {
+                        RData::Ns(host) => Some(host.to_name()),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        ask(&mut client, auth, &query, &mut replies);
+        encode_query(&mut query, id, &name, RecordType::Ns);
+        ask(&mut client, auth, &query, &mut replies);
+        for host in &hosts {
+            encode_query(&mut query, id, host, RecordType::A);
+            ask(&mut client, auth, &query, &mut replies);
+        }
+        if i % 7 == 0 {
+            let upper = site.domain.to_ascii_uppercase();
+            let mixed = raw_query(id, &[&upper], RecordType::A);
+            for server in [root, registry, auth] {
+                ask(&mut client, server, &mixed, &mut replies);
+            }
+        }
+        if let (0, Some(host)) = (i % 11, hosts.first()) {
+            let two = raw_query(id, &[&site.domain, host.as_str()], RecordType::A);
+            for server in [root, registry, auth] {
+                ask(&mut client, server, &two, &mut replies);
+            }
+        }
+        asked += 1;
+    }
+    assert!(asked > world.sites.len() / 2, "{asked} sites answered");
+    let got = webdep::pipeline::store::xxh64(&replies);
+    assert_eq!(
+        got,
+        WANT,
+        "the replies to {asked} sites' queries ({} bytes) hash to {got:#018x}",
+        replies.len()
+    );
 }
